@@ -168,7 +168,7 @@ func BenchmarkCountMatchesBatch(b *testing.B) {
 	p := 0.25
 	h := benchSource(p)
 	tab, subset := benchQueryTable(b, h, p)
-	records := tab.Snapshot(subset)
+	records, _ := tab.View(subset)
 	v := bitvec.MustFromString("1010")
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -194,6 +194,7 @@ func writeBenchJSON(path string, quick bool, cpusSpec, lanesSpec string) error {
 		AcceleratedLanes: prf.HasAcceleratedLanes(),
 	}
 	benches := kernelBenchmarks()
+	benches = append(benches, tableBenchmarks()...)
 	benches = append(benches, storeBenchmarks(quick)...)
 	benches = append(benches, routerBenchmarks(quick)...)
 	benches = append(benches, planBenchmarks(quick)...)

@@ -78,10 +78,13 @@ func planBenchmarks(quick bool) []struct {
 			// kernel's 64-record multi-lane batch path, single goroutine.
 			h := prf.NewBiased(benchKey(), prf.MustProb(0.3))
 			subset := bitvec.Range(0, 4)
-			records := make([]sketch.Published, 0, planIntervalRecords)
+			tab := sketch.NewTable()
 			for id := uint64(1); id <= uint64(planIntervalRecords); id++ {
-				records = append(records, routerRecord(id, subset))
+				if err := tab.Add(routerRecord(id, subset)); err != nil {
+					b.Fatal(err)
+				}
 			}
+			records, _ := tab.View(subset)
 			v := bitvec.MustFromString("1010")
 			b.ResetTimer()
 			b.ReportAllocs()

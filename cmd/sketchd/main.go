@@ -134,7 +134,11 @@ func main() {
 	var msrv *obs.Server
 	if reg != nil {
 		srv.RegisterMetrics(reg)
-		msrv, err = obs.ListenAndServe(*metricsAddr, obs.Handler(reg, nil, *pprofOn), func(err error) {
+		var health func() error
+		if st != nil {
+			health = storeHealth(st)
+		}
+		msrv, err = obs.ListenAndServe(*metricsAddr, obs.Handler(reg, health, *pprofOn), func(err error) {
 			fmt.Fprintf(os.Stderr, "metrics server: %v\n", err)
 		})
 		if err != nil {
@@ -174,6 +178,19 @@ func main() {
 		}
 	}
 	os.Exit(exit)
+}
+
+// storeHealth is the /healthz check of a durable node: degraded while any
+// shard cannot roll its WAL into a segment.  Publishes are still
+// acknowledged and durable in that state, but the shard's log grows until
+// an operator frees or repairs the data directory.
+func storeHealth(st *store.Durable) func() error {
+	return func() error {
+		if n := st.RollFailing(); n > 0 {
+			return fmt.Errorf("store: %d shard(s) cannot roll the WAL into a segment (see store_roll_failures_total)", n)
+		}
+		return nil
+	}
 }
 
 // devKey is the deterministic development generator key (38 bytes ≥ 300

@@ -3,6 +3,9 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,6 +16,7 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/engine"
+	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
@@ -235,5 +239,78 @@ func TestSIGKILLMidIngestRecovery(t *testing.T) {
 	// And the restarted daemon keeps accepting new publishes durably.
 	if err := cli2.Publish(record(nSent + 1)); err != nil {
 		t.Fatalf("publish after recovery: %v", err)
+	}
+}
+
+// TestHealthzDegradedWhileWALRollFails drives the daemon's /healthz check
+// against a store whose shard directory cannot take a segment: publishes
+// keep being acknowledged (the WAL holds them), the endpoint answers 503
+// naming the failing shard count, and it returns to 200 once the directory
+// is back and a roll has succeeded.
+func TestHealthzDegradedWhileWALRollFails(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	st, err := store.Open(store.Options{Dir: dir, Shards: 1, FlushThreshold: 64, CompactInterval: -1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	web := httptest.NewServer(obs.Handler(reg, storeHealth(st), false))
+	defer web.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(web.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	b := bitvec.MustSubset(0, 1)
+	next := uint64(0)
+	publish := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			next++
+			if err := st.Append(sketch.Published{ID: bitvec.UserID(next), Subset: b, S: sketch.Sketch{Key: next % 16, Length: 4}}); err != nil {
+				t.Fatalf("Append(%d): %v", next, err)
+			}
+		}
+	}
+	if code, body := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("healthy store: /healthz = %d %q", code, body)
+	}
+
+	// Take the shard directory away under the open WAL: appends still
+	// reach the log through its descriptor, but no segment file can be
+	// created.  (A chmod would not stop a test running as root.)
+	shard := filepath.Join(dir, "shard-0000")
+	if err := os.Rename(shard, shard+".away"); err != nil {
+		t.Fatal(err)
+	}
+	publish(20)
+	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "1 shard(s) cannot roll") {
+		t.Fatalf("shard directory gone: /healthz = %d %q, want 503 naming the failing shard", code, body)
+	}
+	_, metrics := get("/metrics")
+	for _, want := range []string{"store_roll_failing 1", "store_roll_failures_total "} {
+		if !strings.Contains(metrics, "\n"+want) {
+			t.Errorf("/metrics lacks %q while the roll is failing", want)
+		}
+	}
+
+	if err := os.Rename(shard+".away", shard); err != nil {
+		t.Fatal(err)
+	}
+	publish(40) // past the back-off: another flush threshold of growth
+	if code, body := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("directory restored: /healthz = %d %q", code, body)
+	}
+	if st.Stats().Segments() == 0 {
+		t.Fatal("no segment rolled after the directory came back")
 	}
 }

@@ -2,19 +2,22 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
+	"sketchprivacy/internal/store"
 )
 
 // TestEngineConcurrentIngestAndQuery hammers one Engine with parallel
 // ingestion and Algorithm 2 queries (run it under -race).  It exercises the
-// whole concurrent stack: the snapshot-cached Table, the lock-free
+// whole concurrent stack: the columnar Table, the lock-free
 // per-goroutine PRF evaluators, and the sharded record loop inside
 // Fraction.  Raising GOMAXPROCS makes the parallel shard path fire even on
 // single-core CI runners.
@@ -179,5 +182,131 @@ func TestFractionParallelMatchesSerial(t *testing.T) {
 	}
 	if serial != parallel {
 		t.Fatalf("serial estimate %v != parallel estimate %v", serial, parallel)
+	}
+}
+
+// flakyStore refuses every third append, so a steady share of ingests is
+// rolled back out of the table while queries read it.
+type flakyStore struct {
+	store.Store
+	calls atomic.Uint64
+}
+
+func (f *flakyStore) Append(p sketch.Published) error {
+	if f.calls.Add(1)%3 == 0 {
+		return errDiskFull
+	}
+	return f.Store.Append(p)
+}
+
+// TestEngineConcurrentIngestPlanAndRollback runs ingestion, cached plan
+// execution and durability rollbacks against one table at once (run it
+// under -race): writers insert into column tails and remove records again
+// when the store refuses them, while readers fold tails into fresh runs
+// and scan the views they get.  Every answer must be internally consistent
+// — all entries of one subset see one record set — and once the writers
+// stop, the cached executor must agree with an uncached pass over the same
+// table and with the store's own contents, so no bitmap computed against a
+// record set that was rolled back can have stayed in the cache.
+func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	const p = 0.3
+	params := sketch.MustParams(p, 10)
+	eng, err := New(testSource(p), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &flakyStore{Store: store.NewMem()}
+	if err := eng.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	subset := bitvec.Range(0, 4)
+	plan := query.NewPlan()
+	for _, v := range []string{"1010", "0110", "1111"} {
+		if _, err := eng.Estimator().PlanFraction(plan, subset, bitvec.MustFromString(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const (
+		writers   = 4
+		readers   = 3
+		perWriter = 1500
+	)
+	var (
+		wg       sync.WaitGroup
+		writing  sync.WaitGroup
+		stop     = make(chan struct{})
+		accepted atomic.Int64
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		writing.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer writing.Done()
+			for i := 0; i < perWriter; i++ {
+				id := bitvec.UserID(w*perWriter + i + 1)
+				err := eng.Ingest(sketch.Published{ID: id, Subset: subset, S: sketch.Sketch{Key: uint64(id) % 1024, Length: 10}})
+				switch {
+				case err == nil:
+					accepted.Add(1)
+				case !errors.Is(err, errDiskFull):
+					t.Errorf("Ingest(%d): %v", id, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := eng.ExecutePlan(plan, nil)
+				if err != nil {
+					t.Errorf("ExecutePlan: %v", err)
+					return
+				}
+				for _, f := range res.Fractions {
+					if f.Records != res.Fractions[0].Records || f.Hits > f.Records {
+						t.Errorf("entries of one subset disagree on its record set: %+v", res.Fractions)
+						return
+					}
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	wg.Wait()
+
+	if got := eng.Table().CountForSubset(subset); int64(got) != accepted.Load() {
+		t.Fatalf("table holds %d records, %d ingests were acknowledged", got, accepted.Load())
+	}
+	stored := 0
+	if err := st.Iterate(func(sketch.Published) error { stored++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if int64(stored) != accepted.Load() {
+		t.Fatalf("store holds %d records, %d ingests were acknowledged", stored, accepted.Load())
+	}
+	cached, err := eng.ExecutePlan(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := eng.Estimator().ExecutePlanOver(eng.Table(), plan, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cached.Fractions, fresh.Fractions) {
+		t.Fatalf("cached plan answer %+v differs from an uncached pass %+v", cached.Fractions, fresh.Fractions)
 	}
 }

@@ -19,9 +19,9 @@
 //   - DualServer: both modes side by side, the paper's "paid and free
 //     access" suggestion.
 //
-// An Engine is safe for concurrent use: the sketch table serves queries
-// from cached immutable snapshots behind an RWMutex, every query holds its
-// own lock-free PRF evaluators, and large record loops shard across
+// An Engine is safe for concurrent use: the sketch table hands queries
+// immutable sorted views of its columns, every query holds its own
+// lock-free PRF evaluators, and large record loops shard across
 // GOMAXPROCS workers inside the query package — so ingestion and analysis
 // can proceed simultaneously from any number of goroutines (the collection
 // server relies on this, serving each connection on its own goroutine).

@@ -85,11 +85,12 @@ func (e *Engine) AttachStore(st store.Store) error {
 	if st == nil {
 		return errors.New("engine: nil store")
 	}
-	// Buffer the stream and bulk-load: Table.Load batches runs of records
-	// sharing a subset (the store iterates in subset order) so the hot
-	// startup path pays one subset-key encoding per run instead of several
-	// per record, and skips already-present pairs itself.
-	batch := make([]sketch.Published, 0, 4096)
+	// One Table.Load per run of records sharing a subset: the store yields
+	// each shard in (subset, user) order, so every call hands the table one
+	// id-sorted run, which it lands with a single bulk append or linear
+	// merge (and skips already-present pairs itself).  A run longer than
+	// the buffer is cut; its pieces still arrive in order.
+	batch := make([]sketch.Published, 0, 16384)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -101,10 +102,12 @@ func (e *Engine) AttachStore(st store.Store) error {
 		return nil
 	}
 	err := st.Iterate(func(p sketch.Published) error {
-		batch = append(batch, p)
-		if len(batch) == cap(batch) {
-			return flush()
+		if len(batch) == cap(batch) || (len(batch) > 0 && !p.Subset.Equal(batch[0].Subset)) {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
+		batch = append(batch, p)
 		return nil
 	})
 	if err != nil {
@@ -164,7 +167,7 @@ func (e *Engine) Ingest(p sketch.Published) error {
 // uses the distinction to report how many pushed records actually moved.
 func (e *Engine) IngestNew(p sketch.Published) (bool, error) {
 	if e.st == nil {
-		added, err := e.add(p)
+		added, err := e.add(&p)
 		if added && e.m != nil {
 			e.m.ingests.Inc()
 		}
@@ -173,7 +176,7 @@ func (e *Engine) IngestNew(p sketch.Published) (bool, error) {
 	mu := &e.ingestMu[uint64(p.ID)%uint64(len(e.ingestMu))]
 	mu.Lock()
 	defer mu.Unlock()
-	added, err := e.add(p)
+	added, err := e.add(&p)
 	if err != nil || !added {
 		return false, err
 	}
@@ -190,8 +193,12 @@ func (e *Engine) IngestNew(p sketch.Published) (bool, error) {
 // add inserts p into the table, reporting whether it was newly added.  An
 // identical re-publish reports (false, nil) — without allocating, since
 // replicated retries make that the common duplicate — and a conflicting
-// one is rejected with Add's wording.
-func (e *Engine) add(p sketch.Published) (bool, error) {
+// one is rejected with Add's wording.  p.Subset comes back as the table's
+// own value for the subset (see Table.AddNew), which is what the store's
+// WAL mirror should hold: a record decoded off the wire carries a parsed
+// Subset of its own, and the mirror would pin every one of them until the
+// next roll.
+func (e *Engine) add(p *sketch.Published) (bool, error) {
 	existing, added, err := e.table.AddNew(p)
 	if err != nil {
 		return false, err
@@ -235,13 +242,13 @@ func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint
 	si, off := int(cursor>>32), int(cursor&0xFFFFFFFF)
 	var out []sketch.Published
 	for si < len(subsets) && len(out) < max {
-		snap := e.table.Snapshot(subsets[si])
-		if off >= len(snap) {
+		records, _ := e.table.View(subsets[si])
+		if off >= records.Len() {
 			si, off = si+1, 0
 			continue
 		}
-		take := min(max-len(out), len(snap)-off)
-		out = append(out, snap[off:off+take]...)
+		take := min(max-len(out), records.Len()-off)
+		out = records.Slice(off, off+take).AppendTo(out)
 		off += take
 	}
 	return out, uint64(si)<<32 | uint64(off), si >= len(subsets), nil
@@ -352,7 +359,7 @@ func (e *Engine) ingestBatchStore(ba store.BatchAppender, ps []sketch.Published)
 	var tabErr error
 	tabAt := -1
 	for i, p := range ps {
-		added, err := e.add(p)
+		added, err := e.add(&p)
 		if err != nil {
 			tabErr, tabAt = err, i
 			break

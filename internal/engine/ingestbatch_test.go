@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -206,5 +207,71 @@ func TestIngestBatchDurableRoundTrip(t *testing.T) {
 	}
 	if eng2.Sketches() != n {
 		t.Fatalf("rehydrated engine has %d sketches, want %d", eng2.Sketches(), n)
+	}
+}
+
+// singleAppendRecorder records the records single Appends hand the store.
+type singleAppendRecorder struct {
+	store.Store
+	got []sketch.Published
+}
+
+func (r *singleAppendRecorder) Append(p sketch.Published) error {
+	r.got = append(r.got, p)
+	return r.Store.Append(p)
+}
+
+// TestIngestHandsTheStoreOneSubsetValue: every record off the wire carries
+// a Subset parsed for it alone, and the durable store's WAL mirror keeps
+// what it is handed until the next roll.  Admission must therefore swap
+// each record's Subset for the table's own, so the records of a subset
+// reaching the store — singly or in a batch — all share one position array.
+func TestIngestHandsTheStoreOneSubsetValue(t *testing.T) {
+	p := 0.3
+	tag := bitvec.Range(0, 10).Tag()
+	parsed := func(id uint64) sketch.Published {
+		b, err := bitvec.ParseTag(tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batchPub(id, b)
+	}
+	positions := func(b bitvec.Subset) uintptr { return reflect.ValueOf(b).Field(0).Pointer() }
+	if positions(parsed(1).Subset) == positions(parsed(1).Subset) {
+		t.Fatal("test premise: two parsed subsets must not share their positions")
+	}
+
+	fs := &fakeBatchStore{Store: store.NewMem()}
+	eng, err := NewWithStore(testSource(p), sketch.MustParams(p, 10), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]sketch.Published, 40)
+	for i := range batch {
+		batch[i] = parsed(uint64(i + 1))
+	}
+	if err := eng.IngestBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range fs.batches[0] {
+		if positions(rec.Subset) != positions(fs.batches[0][0].Subset) {
+			t.Fatalf("record %v of the batch reached the store with a Subset of its own", rec.ID)
+		}
+	}
+
+	one := &singleAppendRecorder{Store: store.NewMem()}
+	eng, err = NewWithStore(testSource(p), sketch.MustParams(p, 10), one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 5; id++ {
+		if err := eng.Ingest(parsed(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rec := range one.got {
+		if positions(rec.Subset) != positions(one.got[0].Subset) {
+			t.Fatalf("record %v reached the store with a Subset of its own", rec.ID)
+		}
 	}
 }

@@ -18,7 +18,7 @@ const maxPlanCacheEntries = 4096
 
 // planCache is the engine's query.BitmapCache: per-(subset, value)
 // evaluation bitmaps versioned by the table's per-subset write generation.
-// An ingest into a subset bumps the generation (see Table.SnapshotGen), so
+// An ingest into a subset bumps the generation (see Table.View), so
 // every cached bitmap for that subset goes stale implicitly — the epoch
 // check at Get is the invalidation.  Within a generation, a repeated or
 // overlapping evaluation (interval prefixes share entries across queries)

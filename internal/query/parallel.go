@@ -32,8 +32,8 @@ func workersFor(n int) int {
 // pooled sketch.Kernel — its own hasher state and scratch — so the loop is
 // lock-free and allocation-free per record.  The result is independent of
 // the sharding because H is deterministic.
-func countMatches(h prf.BitSource, records []sketch.Published, b bitvec.Subset, v bitvec.Vector) int {
-	workers := workersFor(len(records))
+func countMatches(h prf.BitSource, records sketch.View, b bitvec.Subset, v bitvec.Vector) int {
+	workers := workersFor(records.Len())
 	if workers <= 1 {
 		return sketch.CountMatches(h, records, b, v)
 	}
@@ -41,17 +41,13 @@ func countMatches(h prf.BitSource, records []sketch.Published, b bitvec.Subset, 
 		wg    sync.WaitGroup
 		total atomic.Int64
 	)
-	chunk := (len(records) + workers - 1) / workers
-	for lo := 0; lo < len(records); lo += chunk {
-		hi := lo + chunk
-		if hi > len(records) {
-			hi = len(records)
-		}
+	chunk := (records.Len() + workers - 1) / workers
+	for lo := 0; lo < records.Len(); lo += chunk {
 		wg.Add(1)
-		go func(part []sketch.Published) {
+		go func(part sketch.View) {
 			defer wg.Done()
 			total.Add(int64(sketch.CountMatches(h, part, b, v)))
-		}(records[lo:hi])
+		}(records.Slice(lo, min(lo+chunk, records.Len())))
 	}
 	wg.Wait()
 	return int(total.Load())

@@ -129,21 +129,15 @@ func (e *Estimator) FractionPartialOf(tab *sketch.Table, b bitvec.Subset, v bitv
 	if err := validateFractionShape(b, v); err != nil {
 		return Partial{}, err
 	}
-	records := tab.Snapshot(b)
+	records, _ := tab.View(b)
 	if keep != nil {
-		kept := make([]sketch.Published, 0, len(records))
-		for _, p := range records {
-			if keep(p.ID) {
-				kept = append(kept, p)
-			}
-		}
-		records = kept
+		records = records.Filter(keep)
 	}
-	if len(records) == 0 {
+	if records.Len() == 0 {
 		return Partial{}, nil
 	}
 	hits := countMatches(e.h, records, b, v)
-	return Partial{Hits: uint64(hits), Records: uint64(len(records))}, nil
+	return Partial{Hits: uint64(hits), Records: uint64(records.Len())}, nil
 }
 
 // HistogramPartialOf computes the Appendix F match histogram counters over
@@ -186,9 +180,10 @@ func SubsetRecordsOf(tab *sketch.Table, b bitvec.Subset, keep UserFilter) uint64
 	if keep == nil {
 		return uint64(tab.CountForSubset(b))
 	}
+	records, _ := tab.View(b)
 	var n uint64
-	for _, p := range tab.Snapshot(b) {
-		if keep(p.ID) {
+	for i := 0; i < records.Len(); i++ {
+		if keep(records.ID(i)) {
 			n++
 		}
 	}

@@ -78,7 +78,7 @@ func splitTable(t *testing.T, tab *sketch.Table, n int) []*sketch.Table {
 		shards[i] = sketch.NewTable()
 	}
 	for _, b := range tab.Subsets() {
-		for _, p := range tab.ForSubset(b) {
+		for _, p := range tab.Snapshot(b) {
 			if err := shards[uint64(p.ID)%uint64(n)].Add(p); err != nil {
 				t.Fatal(err)
 			}

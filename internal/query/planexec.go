@@ -11,8 +11,8 @@ import (
 )
 
 // BitmapCache caches per-(subset, value) evaluation bitmaps across plan
-// executions.  A bitmap is one bit per record of a subset's sorted
-// snapshot; it is valid only for the table generation it was computed at,
+// executions.  A bitmap is one bit per record of a subset's sorted view;
+// it is valid only for the table generation it was computed at,
 // so implementations key entries by generation and a write to the subset
 // (which bumps the generation) invalidates them implicitly.  The engine
 // provides the durable implementation; a nil cache simply recomputes.
@@ -78,20 +78,20 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		snap, gen, genOK := tab.SnapshotGen(g.subset)
-		useCache := cache != nil && genOK
+		snap, gen := tab.View(g.subset)
+		n := snap.Len()
 		bitmaps := make([][]uint64, len(g.entries))
 		var missJ []int
 		for j, ei := range g.entries {
-			if useCache {
-				if w, ok := cache.Get(p.fractions[ei].Key(), gen, len(snap)); ok {
+			if cache != nil {
+				if w, ok := cache.Get(p.fractions[ei].Key(), gen, n); ok {
 					bitmaps[j] = w
 					continue
 				}
 			}
 			missJ = append(missJ, j)
 		}
-		if len(missJ) > 0 && len(snap) > 0 {
+		if len(missJ) > 0 && n > 0 {
 			missed := make([]FractionEval, len(missJ))
 			for c, j := range missJ {
 				missed[c] = p.fractions[g.entries[j]]
@@ -99,8 +99,8 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 			computed := evalBitmaps(e.h, snap, missed)
 			for c, j := range missJ {
 				bitmaps[j] = computed[c]
-				if useCache {
-					cache.Put(p.fractions[g.entries[j]].Key(), gen, len(snap), computed[c])
+				if cache != nil {
+					cache.Put(p.fractions[g.entries[j]].Key(), gen, n, computed[c])
 				}
 			}
 		}
@@ -110,11 +110,11 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 		// once and shared by every evaluation of the subset.
 		if keep == nil {
 			for j, ei := range g.entries {
-				if len(snap) == 0 {
+				if n == 0 {
 					res.Fractions[ei] = Partial{}
 					continue
 				}
-				res.Fractions[ei] = Partial{Hits: popcount(bitmaps[j]), Records: uint64(len(snap))}
+				res.Fractions[ei] = Partial{Hits: popcount(bitmaps[j]), Records: uint64(n)}
 			}
 			continue
 		}
@@ -160,13 +160,13 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 }
 
 // evalBitmaps computes one evaluation bitmap per fraction entry over the
-// snapshot, sharding the record loop across workers on 64-record
+// view, sharding the record loop across workers on 64-record
 // boundaries so no two workers touch the same output word.  Each worker
 // owns one pooled kernel per entry plus shared prefix/suffix scratch, so
 // a record's id and sketch parts are encoded once for all entries and
 // every evaluation stays on the zero-allocation midstate-cached path.
-func evalBitmaps(h prf.BitSource, records []sketch.Published, evals []FractionEval) [][]uint64 {
-	n := len(records)
+func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval) [][]uint64 {
+	n := records.Len()
 	nw := (n + 63) / 64
 	out := make([][]uint64, len(evals))
 	for j := range out {
@@ -203,13 +203,13 @@ func evalBitmaps(h prf.BitSource, records []sketch.Published, evals []FractionEv
 			if n > 64 {
 				n = 64
 			}
-			win := records[lo : lo+n]
+			win := records.Slice(lo, lo+n)
 			partBuf, offs = partBuf[:0], offs[:0]
-			for i := range win {
+			for i := 0; i < n; i++ {
 				offs = append(offs, len(partBuf))
-				partBuf = sketch.AppendRecordPrefix(partBuf, win[i].ID)
+				partBuf = sketch.AppendRecordPrefix(partBuf, win.ID(i))
 				offs = append(offs, len(partBuf))
-				partBuf = sketch.AppendRecordSuffix(partBuf, win[i].S)
+				partBuf = sketch.AppendRecordSuffix(partBuf, win.Sketch(i))
 			}
 			offs = append(offs, len(partBuf))
 			prefixes, suffixes = prefixes[:0], suffixes[:0]
@@ -243,10 +243,10 @@ func evalBitmaps(h prf.BitSource, records []sketch.Published, evals []FractionEv
 
 // keepMask builds the filter bitmap: bit i set iff record i's user passes
 // keep.
-func keepMask(records []sketch.Published, keep UserFilter) []uint64 {
-	mask := make([]uint64, (len(records)+63)/64)
-	for i := range records {
-		if keep(records[i].ID) {
+func keepMask(records sketch.View, keep UserFilter) []uint64 {
+	mask := make([]uint64, (records.Len()+63)/64)
+	for i := 0; i < records.Len(); i++ {
+		if keep(records.ID(i)) {
 			mask[i>>6] |= uint64(1) << uint(i&63)
 		}
 	}

@@ -19,8 +19,10 @@
 //   - Params: the (p, ℓ) configuration with the Lemma 3.1 length bound, the
 //     Corollary 3.4 privacy budget arithmetic and the running-time bounds;
 //   - Sketcher: Algorithm 1, generic over any prf.BitSource;
-//   - Published and Table: the published (id, B, s) records and a
-//     concurrency-safe store of them, which is all an analyst ever sees;
+//   - Published, Table and View: the published (id, B, s) records, a
+//     concurrency-safe columnar store of them — which is all an analyst
+//     ever sees — and the immutable id-sorted view of one subset that the
+//     estimators scan;
 //   - Evaluate: the H(id, B, v, s) evaluation shared with the query
 //     estimators.
 package sketch

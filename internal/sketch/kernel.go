@@ -109,56 +109,44 @@ func (k *Kernel) EvaluateParts(id bitvec.UserID, s Sketch, prefix, suffix []byte
 	return k.be.BitMsg(msg)
 }
 
-// EvaluateWord evaluates up to 64 records against the kernel's (B, v),
-// returning the outcomes as a packed bit word: bit i is set iff record i
-// matches.  The messages are staged together and hashed through the
-// multi-lane PRF batch path, bit-identical to 64 Evaluate calls.
-func (k *Kernel) EvaluateWord(records []Published) uint64 {
-	if len(records) > 64 {
+// EvaluateWord evaluates a view of up to 64 records against the kernel's
+// (B, v), returning the outcomes as a packed bit word: bit i is set iff
+// record i matches.  The messages are staged together and hashed through
+// the multi-lane PRF batch path, bit-identical to 64 Evaluate calls.
+func (k *Kernel) EvaluateWord(records View) uint64 {
+	if records.Len() > 64 {
 		panic("sketch: EvaluateWord takes at most 64 records")
 	}
 	if k.es == nil {
-		var w uint64
-		for i := range records {
-			if k.h.Bit(records[i].ID.Bytes(), k.b.Tag(), k.v.Bytes(), records[i].S.Bytes()) {
-				w |= 1 << uint(i)
-			}
-		}
-		return w
+		return k.slowWord(records)
 	}
 	buf, offs := k.msgBuf[:0], k.offs[:0]
-	for i := range records {
+	for i, id := range records.ids {
 		offs = append(offs, len(buf))
-		buf = AppendRecordPrefix(buf, records[i].ID)
+		buf = AppendRecordPrefix(buf, id)
 		buf = append(buf, k.mid...)
-		buf = AppendRecordSuffix(buf, records[i].S)
+		buf = AppendRecordSuffix(buf, unpackSketch(records.keys[i]))
 	}
 	offs = append(offs, len(buf))
 	k.msgBuf, k.offs = buf, offs
-	return k.be.BitMsgs64(k.sliceMsgs(len(records)))
+	return k.be.BitMsgs64(k.sliceMsgs(records.Len()))
 }
 
 // EvaluatePartsWord is EvaluateWord over pre-encoded per-record prefix and
 // suffix parts (see AppendRecordPrefix/AppendRecordSuffix): prefixes[i] and
-// suffixes[i] belong to records[i].  Plan executors evaluating many query
+// suffixes[i] belong to record i.  Plan executors evaluating many query
 // pairs against the same 64 records encode the parts once and replay them
 // through each pair's kernel, paying only the cached (B, v) midsection per
 // kernel.  Bit-identical to 64 EvaluateParts calls.
-func (k *Kernel) EvaluatePartsWord(records []Published, prefixes, suffixes [][]byte) uint64 {
-	if len(records) > 64 {
+func (k *Kernel) EvaluatePartsWord(records View, prefixes, suffixes [][]byte) uint64 {
+	if records.Len() > 64 {
 		panic("sketch: EvaluatePartsWord takes at most 64 records")
 	}
 	if k.es == nil {
-		var w uint64
-		for i := range records {
-			if k.h.Bit(records[i].ID.Bytes(), k.b.Tag(), k.v.Bytes(), records[i].S.Bytes()) {
-				w |= 1 << uint(i)
-			}
-		}
-		return w
+		return k.slowWord(records)
 	}
 	buf, offs := k.msgBuf[:0], k.offs[:0]
-	for i := range records {
+	for i := range records.ids {
 		offs = append(offs, len(buf))
 		buf = append(buf, prefixes[i]...)
 		buf = append(buf, k.mid...)
@@ -166,7 +154,19 @@ func (k *Kernel) EvaluatePartsWord(records []Published, prefixes, suffixes [][]b
 	}
 	offs = append(offs, len(buf))
 	k.msgBuf, k.offs = buf, offs
-	return k.be.BitMsgs64(k.sliceMsgs(len(records)))
+	return k.be.BitMsgs64(k.sliceMsgs(records.Len()))
+}
+
+// slowWord is the word evaluation for sources without the fast evaluator
+// path (the test oracle): one facade call per record.
+func (k *Kernel) slowWord(records View) uint64 {
+	var w uint64
+	for i, id := range records.ids {
+		if k.h.Bit(id.Bytes(), k.b.Tag(), k.v.Bytes(), unpackSketch(records.keys[i]).Bytes()) {
+			w |= 1 << uint(i)
+		}
+	}
+	return w
 }
 
 // sliceMsgs carves the first n staged messages out of msgBuf using the
@@ -183,15 +183,10 @@ func (k *Kernel) sliceMsgs(n int) [][]byte {
 // CountMatches evaluates every record against the kernel's (B, v) and
 // returns how many evaluate to 1 — the inner sum of Algorithm 2.  Records
 // are processed 64 at a time through the multi-lane batch path.
-func (k *Kernel) CountMatches(records []Published) int {
+func (k *Kernel) CountMatches(records View) int {
 	hits := 0
-	for len(records) > 0 {
-		n := len(records)
-		if n > 64 {
-			n = 64
-		}
-		hits += bits.OnesCount64(k.EvaluateWord(records[:n]))
-		records = records[n:]
+	for lo := 0; lo < records.Len(); lo += 64 {
+		hits += bits.OnesCount64(k.EvaluateWord(records.Slice(lo, min(lo+64, records.Len()))))
 	}
 	return hits
 }
@@ -199,17 +194,13 @@ func (k *Kernel) CountMatches(records []Published) int {
 // EvaluateAll evaluates every record against the kernel's (B, v), appending
 // one bool per record to out (useful for golden tests and derived queries
 // that need per-record bits rather than the count).
-func (k *Kernel) EvaluateAll(records []Published, out []bool) []bool {
-	for len(records) > 0 {
-		n := len(records)
-		if n > 64 {
-			n = 64
-		}
-		w := k.EvaluateWord(records[:n])
+func (k *Kernel) EvaluateAll(records View, out []bool) []bool {
+	for lo := 0; lo < records.Len(); lo += 64 {
+		n := min(64, records.Len()-lo)
+		w := k.EvaluateWord(records.Slice(lo, lo+n))
 		for i := 0; i < n; i++ {
 			out = append(out, w&(1<<uint(i)) != 0)
 		}
-		records = records[n:]
 	}
 	return out
 }
@@ -243,7 +234,7 @@ func (k *Kernel) Release() {
 // EvaluateAll is the batch form of Evaluate for one query (B, v) over many
 // records: shared tuple components are encoded once, then each record costs
 // two SHA-256 compressions and no allocations.
-func EvaluateAll(h prf.BitSource, records []Published, b bitvec.Subset, v bitvec.Vector, out []bool) []bool {
+func EvaluateAll(h prf.BitSource, records View, b bitvec.Subset, v bitvec.Vector, out []bool) []bool {
 	k := AcquireKernel(h, b, v)
 	out = k.EvaluateAll(records, out)
 	k.Release()
@@ -252,7 +243,7 @@ func EvaluateAll(h prf.BitSource, records []Published, b bitvec.Subset, v bitvec
 
 // CountMatches is the batch counting form of Evaluate — the inner loop of
 // Algorithm 2 for a single goroutine.
-func CountMatches(h prf.BitSource, records []Published, b bitvec.Subset, v bitvec.Vector) int {
+func CountMatches(h prf.BitSource, records View, b bitvec.Subset, v bitvec.Vector) int {
 	k := AcquireKernel(h, b, v)
 	hits := k.CountMatches(records)
 	k.Release()

@@ -27,6 +27,18 @@ func kernelTestRecords(b bitvec.Subset, n int) []Published {
 	return out
 }
 
+// viewOf loads id-ascending records of one subset into a table and returns
+// its view of them, record i of the view being records[i].
+func viewOf(t *testing.T, records []Published) View {
+	t.Helper()
+	tab := NewTable()
+	if err := tab.AddAll(records); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := tab.View(records[0].Subset)
+	return v
+}
+
 // TestKernelMatchesFacade pins that the zero-allocation kernel path is
 // bit-identical to the varargs BitSource path for the same records — the
 // compatibility contract that keeps old sketches queryable.
@@ -54,7 +66,7 @@ func TestKernelCountAndEvaluateAllAgree(t *testing.T) {
 	v := bitvec.MustFromString("110010")
 	records := kernelTestRecords(b, 333)
 
-	bits := EvaluateAll(h, records, b, v, nil)
+	bits := EvaluateAll(h, viewOf(t, records), b, v, nil)
 	if len(bits) != len(records) {
 		t.Fatalf("EvaluateAll returned %d bits for %d records", len(bits), len(records))
 	}
@@ -68,7 +80,7 @@ func TestKernelCountAndEvaluateAllAgree(t *testing.T) {
 			want++
 		}
 	}
-	if got := CountMatches(h, records, b, v); got != want {
+	if got := CountMatches(h, viewOf(t, records), b, v); got != want {
 		t.Fatalf("CountMatches = %d, want %d", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,32 +13,263 @@ import (
 // attribute subset they describe.  It is the analyst-side view of the world:
 // everything in a Table is public.
 //
-// Reads are served from immutable per-subset snapshots: the sorted record
-// slice for a subset is built once, cached, and shared by every concurrent
-// query until the next write to that subset invalidates it.  This keeps the
-// Algorithm 2 record loop allocation-free and lets queries scale across
-// cores while ingestion proceeds.
+// Each subset's records live once, in a column: user ids and packed sketch
+// keys side by side, an id-sorted run followed by a short unsorted tail of
+// recent inserts.  A read folds the tail into a fresh sorted run and hands
+// the run itself out as an immutable View, so the Algorithm 2 record loop
+// walks contiguous memory, allocation-free, while ingestion proceeds.
 type Table struct {
-	mu       sync.RWMutex
-	subsets  map[string]bitvec.Subset
-	bySubset map[string]map[bitvec.UserID]Sketch
-	// snapshots caches the sorted ForSubset result per subset key; entries
-	// are dropped on writes and rebuilt lazily.  A cached slice is
-	// immutable once stored.
-	snapshots map[string][]Published
-	// gen counts writes per subset key, so a snapshot built outside the
-	// lock is only cached if no write raced the build.
-	gen map[string]uint64
+	mu sync.RWMutex
+	// cols is keyed by Subset.Key.  A column outlives its last record, so a
+	// subset emptied by Remove and published to again keeps counting its
+	// generation from where it was.
+	cols map[string]*column
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{
-		subsets:   make(map[string]bitvec.Subset),
-		bySubset:  make(map[string]map[bitvec.UserID]Sketch),
-		snapshots: make(map[string][]Published),
-		gen:       make(map[string]uint64),
+	return &Table{cols: make(map[string]*column)}
+}
+
+// View is one subset's records at one write generation, sorted by user id:
+// parallel id and sketch-key columns that are never written again once
+// handed out.  The zero View is empty.
+type View struct {
+	subset bitvec.Subset
+	ids    []bitvec.UserID
+	keys   []uint64 // packSketch words, keys[i] belonging to ids[i]
+}
+
+// Len returns the number of records in the view.
+func (v View) Len() int { return len(v.ids) }
+
+// ID returns the user id of record i.
+func (v View) ID(i int) bitvec.UserID { return v.ids[i] }
+
+// Sketch returns the sketch of record i.
+func (v View) Sketch(i int) Sketch { return unpackSketch(v.keys[i]) }
+
+// Slice returns the records [lo, hi) as a view sharing v's columns.
+func (v View) Slice(lo, hi int) View {
+	return View{subset: v.subset, ids: v.ids[lo:hi:hi], keys: v.keys[lo:hi:hi]}
+}
+
+// Filter returns the records of v whose user passes keep, in fresh columns.
+func (v View) Filter(keep func(bitvec.UserID) bool) View {
+	out := View{subset: v.subset}
+	for i, id := range v.ids {
+		if keep(id) {
+			out.ids = append(out.ids, id)
+			out.keys = append(out.keys, v.keys[i])
+		}
 	}
+	return out
+}
+
+// AppendTo appends the view's records to dst as Published values.
+func (v View) AppendTo(dst []Published) []Published {
+	for i, id := range v.ids {
+		dst = append(dst, Published{ID: id, Subset: v.subset, S: unpackSketch(v.keys[i])})
+	}
+	return dst
+}
+
+// packSketch packs a valid sketch (Length ≤ MaxLength = 30, so Key < 2^30)
+// into one word: the key above the length byte.
+func packSketch(s Sketch) uint64 { return s.Key<<8 | uint64(s.Length) }
+
+// unpackSketch reverses packSketch.
+func unpackSketch(w uint64) Sketch { return Sketch{Key: w >> 8, Length: int(w & 0xff)} }
+
+// column holds one subset's records.  ids[:sorted] is the id-sorted run and
+// ids[sorted:] the unsorted tail; keys runs parallel.  Views alias the run,
+// so nothing below index sorted is ever written: inserts append past it,
+// a tail removal swaps within the tail, and a fold or a removal from the
+// run builds new arrays.
+type column struct {
+	subset bitvec.Subset
+	ids    []bitvec.UserID
+	keys   []uint64
+	sorted int
+	// tail maps the id of each tail record to its offset past sorted; the
+	// run needs no index, it is binary-searched.
+	tail map[bitvec.UserID]int
+	// gen counts the writes to the column.  A cached evaluation bitmap
+	// keyed by (gen, record count) is valid exactly as long as no write
+	// touched the subset; folding does not bump it, the record set is the
+	// same.
+	gen uint64
+}
+
+// tailLimit is how long the tail of an n-record run may grow before an
+// insert folds it: a fixed fraction of the run, so folding costs amortised
+// O(1) copies per insert, plus a floor that spares small columns a fold per
+// handful of inserts.
+func tailLimit(n int) int { return n/8 + 256 }
+
+// newColumns returns empty id and key arrays with room for n records and
+// the tail that may follow them.
+func newColumns(n int) ([]bitvec.UserID, []uint64) {
+	c := n + tailLimit(n)
+	return make([]bitvec.UserID, 0, c), make([]uint64, 0, c)
+}
+
+// find returns the index of id's record and whether the column holds one.
+func (c *column) find(id bitvec.UserID) (int, bool) {
+	if i, ok := slices.BinarySearch(c.ids[:c.sorted], id); ok {
+		return i, true
+	}
+	off, ok := c.tail[id]
+	return c.sorted + off, ok
+}
+
+// insert appends a record whose id the column does not hold.
+func (c *column) insert(id bitvec.UserID, key uint64) {
+	if len(c.ids)-c.sorted >= tailLimit(c.sorted) {
+		c.fold()
+	}
+	c.reserve(1)
+	if c.tail == nil {
+		c.tail = make(map[bitvec.UserID]int)
+	}
+	c.tail[id] = len(c.ids) - c.sorted
+	c.ids = append(c.ids, id)
+	c.keys = append(c.keys, key)
+}
+
+// reserve makes room for extra more records, moving to larger arrays when
+// the current ones are full.
+func (c *column) reserve(extra int) {
+	if len(c.ids)+extra <= cap(c.ids) {
+		return
+	}
+	ids, keys := newColumns(len(c.ids) + extra)
+	c.ids, c.keys = append(ids, c.ids...), append(keys, c.keys...)
+}
+
+// fold merges the tail into a fresh sorted run.
+func (c *column) fold() {
+	if len(c.ids) == c.sorted {
+		return
+	}
+	// Sorting the tail where it lies is safe: no view reaches past sorted.
+	sort.Sort(byID{c.ids[c.sorted:], c.keys[c.sorted:]})
+	c.ids, c.keys = mergeRuns(c.ids[:c.sorted], c.keys[:c.sorted], c.ids[c.sorted:], c.keys[c.sorted:])
+	c.sorted = len(c.ids)
+	c.tail = nil
+}
+
+// byID sorts parallel id and key columns by id.
+type byID struct {
+	ids  []bitvec.UserID
+	keys []uint64
+}
+
+func (s byID) Len() int           { return len(s.ids) }
+func (s byID) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
+func (s byID) Swap(i, j int) {
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
+
+// mergeRuns merges two id-sorted runs into fresh arrays, first record
+// wins: an id of b already in a, or repeated within b, is dropped.
+func mergeRuns(aIDs []bitvec.UserID, aKeys []uint64, bIDs []bitvec.UserID, bKeys []uint64) ([]bitvec.UserID, []uint64) {
+	ids, keys := newColumns(len(aIDs) + len(bIDs))
+	i := 0
+	for j, id := range bIDs {
+		for i < len(aIDs) && aIDs[i] <= id {
+			ids, keys = append(ids, aIDs[i]), append(keys, aKeys[i])
+			i++
+		}
+		if len(ids) == 0 || ids[len(ids)-1] != id {
+			ids, keys = append(ids, id), append(keys, bKeys[j])
+		}
+	}
+	return append(ids, aIDs[i:]...), append(keys, aKeys[i:]...)
+}
+
+// loadMergeRatio is how many stored records a sorted run being loaded may
+// copy per record of its own: merging copies the whole column, the tail
+// costs an index insert and a share of a later fold per record, and the two
+// meet near this ratio.
+const loadMergeRatio = 32
+
+// loadRun adds a run of records for the column's subset, first record
+// wins.  The store replays each shard in (subset, user) order, so the run
+// is normally id-sorted and lands by a bulk append or one linear merge; a
+// run too short to pay for a merge, or an unsorted one, goes through the
+// tail record by record.
+func (c *column) loadRun(ps []Published) {
+	c.gen++
+	ascending := true
+	for i := 1; i < len(ps) && ascending; i++ {
+		ascending = ps[i-1].ID < ps[i].ID
+	}
+	switch {
+	case ascending && len(c.ids) == c.sorted && (c.sorted == 0 || ps[0].ID > c.ids[c.sorted-1]):
+		c.reserve(len(ps))
+		for i := range ps {
+			c.ids, c.keys = append(c.ids, ps[i].ID), append(c.keys, packSketch(ps[i].S))
+		}
+		c.sorted = len(c.ids)
+	case ascending && len(ps)*loadMergeRatio >= len(c.ids):
+		c.fold()
+		ids, keys := make([]bitvec.UserID, len(ps)), make([]uint64, len(ps))
+		for i := range ps {
+			ids[i], keys[i] = ps[i].ID, packSketch(ps[i].S)
+		}
+		c.ids, c.keys = mergeRuns(c.ids, c.keys, ids, keys)
+		c.sorted = len(c.ids)
+	default:
+		for i := range ps {
+			if _, dup := c.find(ps[i].ID); !dup {
+				c.insert(ps[i].ID, packSketch(ps[i].S))
+			}
+		}
+	}
+}
+
+// remove deletes the record at index i.
+func (c *column) remove(i int) {
+	last := len(c.ids) - 1
+	if i >= c.sorted {
+		delete(c.tail, c.ids[i])
+		if i != last {
+			c.ids[i], c.keys[i] = c.ids[last], c.keys[last]
+			c.tail[c.ids[i]] = i - c.sorted
+		}
+		c.ids, c.keys = c.ids[:last], c.keys[:last]
+		return
+	}
+	// Tail offsets are relative to sorted, so they survive the shift.
+	ids, keys := newColumns(last)
+	c.ids = append(append(ids, c.ids[:i]...), c.ids[i+1:]...)
+	c.keys = append(append(keys, c.keys[:i]...), c.keys[i+1:]...)
+	c.sorted--
+}
+
+// view returns the sorted run; the tail must have been folded.
+func (c *column) view() View {
+	return View{subset: c.subset, ids: c.ids[:c.sorted:c.sorted], keys: c.keys[:c.sorted:c.sorted]}
+}
+
+// lookup returns the column of subset b, or nil.  The tag of a subset of
+// up to 16 positions is built on the stack and the map is indexed by the
+// converted bytes, so the per-record ingest path allocates no key.
+func (t *Table) lookup(b bitvec.Subset) *column {
+	var buf [8 + 8*16]byte
+	return t.cols[string(b.AppendTag(buf[:0]))]
+}
+
+// columnFor returns the column of subset b, creating it if needed.
+func (t *Table) columnFor(b bitvec.Subset) *column {
+	c := t.lookup(b)
+	if c == nil {
+		c = &column{subset: b}
+		t.cols[b.Key()] = c
+	}
+	return c
 }
 
 // Add inserts a published sketch.  Re-publishing for the same (user, subset)
@@ -45,23 +277,11 @@ func NewTable() *Table {
 // privacy budget (Corollary 3.4), so the store treats it as a protocol
 // error rather than silently overwriting.
 func (t *Table) Add(p Published) error {
-	if !p.S.Valid() {
-		return fmt.Errorf("sketch: invalid sketch %v", p.S)
+	_, added, err := t.AddNew(&p)
+	if err == nil && !added {
+		err = fmt.Errorf("sketch: user %v already published a sketch for subset %v", p.ID, p.Subset)
 	}
-	key := p.Subset.Key()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.bySubset[key]; !ok {
-		t.bySubset[key] = make(map[bitvec.UserID]Sketch)
-		t.subsets[key] = p.Subset
-	}
-	if _, dup := t.bySubset[key][p.ID]; dup {
-		return fmt.Errorf("sketch: user %v already published a sketch for subset %v", p.ID, p.Subset)
-	}
-	t.bySubset[key][p.ID] = p.S
-	delete(t.snapshots, key)
-	t.gen[key]++
-	return nil
+	return err
 }
 
 // AddNew inserts p unless its (user, subset) pair already holds a sketch,
@@ -70,25 +290,24 @@ func (t *Table) Add(p Published) error {
 // re-publish or a budget violation.  The engine's ingest path is hot under
 // cluster retry convergence — every replicated retry is a duplicate here —
 // so this path must not pay Add's formatted rejection error per record.
-func (t *Table) AddNew(p Published) (existing Sketch, added bool, err error) {
+//
+// p.Subset is replaced by the table's own Subset value for that subset, so
+// a caller that goes on holding many records (the durable store's WAL
+// mirror) shares one Subset per column instead of pinning one per decoded
+// record.
+func (t *Table) AddNew(p *Published) (existing Sketch, added bool, err error) {
 	if !p.S.Valid() {
 		return Sketch{}, false, fmt.Errorf("sketch: invalid sketch %v", p.S)
 	}
-	key := p.Subset.Key()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m, ok := t.bySubset[key]
-	if !ok {
-		m = make(map[bitvec.UserID]Sketch)
-		t.bySubset[key] = m
-		t.subsets[key] = p.Subset
+	c := t.columnFor(p.Subset)
+	p.Subset = c.subset
+	if i, dup := c.find(p.ID); dup {
+		return unpackSketch(c.keys[i]), false, nil
 	}
-	if s, dup := m[p.ID]; dup {
-		return s, false, nil
-	}
-	m[p.ID] = p.S
-	delete(t.snapshots, key)
-	t.gen[key]++
+	c.insert(p.ID, packSketch(p.S))
+	c.gen++
 	return Sketch{}, true, nil
 }
 
@@ -106,36 +325,24 @@ func (t *Table) AddAll(ps []Published) error {
 // already present is skipped — first record wins, matching a durable
 // store's newest-first replay order — instead of being rejected like Add's
 // protocol error, because replaying a store onto a warm table is not a
-// second publish.  Runs of records sharing a subset are batched under one
-// key encoding and one lock acquisition for the whole call, so the
-// per-record cost on the startup path is a single map insert.
+// second publish.  Each run of records sharing a subset lands under one
+// column lookup, and an id-sorted run — what a store replays — as a bulk
+// append or one linear merge rather than an index insert per record.
 func (t *Table) Load(ps []Published) error {
+	for i := range ps {
+		if !ps[i].S.Valid() {
+			return fmt.Errorf("sketch: invalid sketch %v", ps[i].S)
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var (
-		key string
-		m   map[bitvec.UserID]Sketch
-	)
-	for i := range ps {
-		p := &ps[i]
-		if !p.S.Valid() {
-			return fmt.Errorf("sketch: invalid sketch %v", p.S)
+	for len(ps) > 0 {
+		n := 1
+		for n < len(ps) && ps[n].Subset.Equal(ps[0].Subset) {
+			n++
 		}
-		if m == nil || !p.Subset.Equal(ps[i-1].Subset) {
-			key = p.Subset.Key()
-			m = t.bySubset[key]
-			if m == nil {
-				m = make(map[bitvec.UserID]Sketch)
-				t.bySubset[key] = m
-				t.subsets[key] = p.Subset
-			}
-			delete(t.snapshots, key)
-			t.gen[key]++
-		}
-		if _, dup := m[p.ID]; dup {
-			continue
-		}
-		m[p.ID] = p.S
+		t.columnFor(ps[0].Subset).loadRun(ps[:n])
+		ps = ps[n:]
 	}
 	return nil
 }
@@ -147,23 +354,18 @@ func (t *Table) Load(ps []Published) error {
 // not a user-facing "unpublish": the privacy spend of a published sketch
 // is not recoverable.
 func (t *Table) Remove(id bitvec.UserID, b bitvec.Subset) bool {
-	key := b.Key()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m, ok := t.bySubset[key]
+	c := t.lookup(b)
+	if c == nil {
+		return false
+	}
+	i, ok := c.find(id)
 	if !ok {
 		return false
 	}
-	if _, ok := m[id]; !ok {
-		return false
-	}
-	delete(m, id)
-	if len(m) == 0 {
-		delete(t.bySubset, key)
-		delete(t.subsets, key)
-	}
-	delete(t.snapshots, key)
-	t.gen[key]++
+	c.remove(i)
+	c.gen++
 	return true
 }
 
@@ -171,100 +373,54 @@ func (t *Table) Remove(id bitvec.UserID, b bitvec.Subset) bool {
 func (t *Table) Get(id bitvec.UserID, b bitvec.Subset) (Sketch, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	m, ok := t.bySubset[b.Key()]
+	c := t.lookup(b)
+	if c == nil {
+		return Sketch{}, false
+	}
+	i, ok := c.find(id)
 	if !ok {
 		return Sketch{}, false
 	}
-	s, ok := m[id]
-	return s, ok
+	return unpackSketch(c.keys[i]), true
 }
 
-// ForSubset returns all published records for subset b, sorted by user id
-// so iteration order is deterministic.  The returned slice is the caller's
-// to modify.
-func (t *Table) ForSubset(b bitvec.Subset) []Published {
-	snap := t.Snapshot(b)
-	if snap == nil {
-		return nil
-	}
-	out := make([]Published, len(snap))
-	copy(out, snap)
-	return out
-}
-
-// Snapshot returns the records for subset b, sorted by user id, as a shared
-// immutable slice: callers must treat it as read-only.  Repeated queries on
-// a stable table reuse the cached snapshot, so the analyst-side hot path
-// pays neither the copy nor the sort.
-//
-// A cache miss copies the records under the shared read lock and sorts
-// outside any lock, so concurrent readers are never serialized behind the
-// O(n log n) rebuild; the brief exclusive section only stores the result,
-// and only if no write raced the build (per-subset generation check).
-func (t *Table) Snapshot(b bitvec.Subset) []Published {
-	key := b.Key()
+// View returns the records of subset b, sorted by user id, together with
+// the write generation they correspond to.  The pair is read under one
+// lock, so a bitmap computed over the view and cached under the generation
+// can never be popcounted against another record set: every Add, Load and
+// Remove bumps the generation.  A stable subset hands out the same columns
+// to every reader; the first read after a write folds the pending inserts
+// in, a linear merge.
+func (t *Table) View(b bitvec.Subset) (View, uint64) {
 	t.mu.RLock()
-	if snap, ok := t.snapshots[key]; ok {
+	c := t.lookup(b)
+	if c == nil {
 		t.mu.RUnlock()
-		return snap
+		return View{}, 0
 	}
-	m, ok := t.bySubset[key]
-	if !ok {
+	if len(c.ids) == c.sorted {
+		v, gen := c.view(), c.gen
 		t.mu.RUnlock()
-		return nil
-	}
-	g := t.gen[key]
-	out := make([]Published, 0, len(m))
-	for id, s := range m {
-		out = append(out, Published{ID: id, Subset: b, S: s})
+		return v, gen
 	}
 	t.mu.RUnlock()
-
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-
+	// Columns are never dropped from the map, so c is still the subset's
+	// column under the write lock.
 	t.mu.Lock()
-	if t.gen[key] == g {
-		if cached, ok := t.snapshots[key]; ok {
-			// A racing reader built and stored the same generation first;
-			// share its slice.
-			out = cached
-		} else {
-			t.snapshots[key] = out
-		}
-	}
-	t.mu.Unlock()
-	return out
+	defer t.mu.Unlock()
+	c.fold()
+	return c.view(), c.gen
 }
 
-// SnapshotGen returns the records for subset b together with the write
-// generation the snapshot corresponds to.  A cached evaluation bitmap keyed
-// by this generation is valid exactly as long as no write touched the
-// subset: every Add/Remove bumps the generation, so a stale bitmap can
-// never be popcounted against a newer record set.  ok reports whether the
-// pair is generation-consistent; under sustained write pressure the method
-// gives up pairing and returns the latest snapshot with ok false, telling
-// the caller to skip the cache for this execution rather than poison it.
-func (t *Table) SnapshotGen(b bitvec.Subset) (snap []Published, gen uint64, ok bool) {
-	key := b.Key()
-	for attempt := 0; attempt < 4; attempt++ {
-		t.mu.RLock()
-		snap, cached := t.snapshots[key]
-		gen := t.gen[key]
-		exists := len(t.bySubset[key]) > 0
-		t.mu.RUnlock()
-		if cached || !exists {
-			// A cached snapshot is always the product of the current
-			// generation (writes drop the cache while bumping gen under the
-			// same lock), and a missing subset pairs nil with whatever
-			// generation its key last saw.
-			return snap, gen, true
-		}
-		// Populate the cache, then re-read snapshot and generation under
-		// one lock so the returned pair is consistent even if a write raced
-		// the build.
-		t.Snapshot(b)
+// Snapshot returns the records for subset b, sorted by user id, as a fresh
+// slice of Published values the caller owns; the table keeps no reference
+// to it.  Query code reads a View instead and skips the materialisation.
+func (t *Table) Snapshot(b bitvec.Subset) []Published {
+	v, _ := t.View(b)
+	if v.Len() == 0 {
+		return nil
 	}
-	return t.Snapshot(b), 0, false
+	return v.AppendTo(make([]Published, 0, v.Len()))
 }
 
 // CountForSubset returns the number of users that published a sketch for
@@ -272,7 +428,10 @@ func (t *Table) SnapshotGen(b bitvec.Subset) (snap []Published, gen uint64, ok b
 func (t *Table) CountForSubset(b bitvec.Subset) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.bySubset[b.Key()])
+	if c := t.lookup(b); c != nil {
+		return len(c.ids)
+	}
+	return 0
 }
 
 // HasSubset reports whether any sketches exist for subset b.
@@ -283,14 +442,16 @@ func (t *Table) HasSubset(b bitvec.Subset) bool { return t.CountForSubset(b) > 0
 func (t *Table) Subsets() []bitvec.Subset {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	keys := make([]string, 0, len(t.subsets))
-	for k := range t.subsets {
-		keys = append(keys, k)
+	keys := make([]string, 0, len(t.cols))
+	for k, c := range t.cols {
+		if len(c.ids) > 0 {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	out := make([]bitvec.Subset, len(keys))
 	for i, k := range keys {
-		out[i] = t.subsets[k]
+		out[i] = t.cols[k].subset
 	}
 	return out
 }
@@ -299,31 +460,38 @@ func (t *Table) Subsets() []bitvec.Subset {
 // one of the given subsets, sorted.  The Appendix F combination can only use
 // those users.
 func (t *Table) UsersWithAll(subsets []bitvec.Subset) []bitvec.UserID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if len(subsets) == 0 {
 		return nil
 	}
-	first, ok := t.bySubset[subsets[0].Key()]
-	if !ok {
-		return nil
+	// One exclusive section yields a consistent set of views; the
+	// intersection then walks immutable sorted columns outside any lock.
+	views := make([]View, len(subsets))
+	t.mu.Lock()
+	for i, b := range subsets {
+		if c := t.lookup(b); c != nil {
+			c.fold()
+			views[i] = c.view()
+		}
 	}
+	t.mu.Unlock()
 	var ids []bitvec.UserID
-	for id := range first {
-		all := true
-		for _, b := range subsets[1:] {
-			if m, ok := t.bySubset[b.Key()]; !ok {
-				return nil
-			} else if _, ok := m[id]; !ok {
-				all = false
-				break
+	at := make([]int, len(views))
+next:
+	for _, id := range views[0].ids {
+		for j := 1; j < len(views); j++ {
+			other := views[j].ids
+			for at[j] < len(other) && other[at[j]] < id {
+				at[j]++
+			}
+			if at[j] == len(other) {
+				break next
+			}
+			if other[at[j]] != id {
+				continue next
 			}
 		}
-		if all {
-			ids = append(ids, id)
-		}
+		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -332,8 +500,8 @@ func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
-	for _, m := range t.bySubset {
-		n += len(m)
+	for _, c := range t.cols {
+		n += len(c.ids)
 	}
 	return n
 }
@@ -344,8 +512,8 @@ func (t *Table) SketchesPerUser() map[bitvec.UserID]int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make(map[bitvec.UserID]int)
-	for _, m := range t.bySubset {
-		for id := range m {
+	for _, c := range t.cols {
+		for _, id := range c.ids {
 			out[id]++
 		}
 	}

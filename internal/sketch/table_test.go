@@ -1,6 +1,10 @@
 package sketch
 
 import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -40,13 +44,13 @@ func TestTableForSubsetSortedAndCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := tab.ForSubset(b)
+	got := tab.Snapshot(b)
 	if len(got) != 4 {
-		t.Fatalf("ForSubset returned %d records", len(got))
+		t.Fatalf("Snapshot returned %d records", len(got))
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i-1].ID >= got[i].ID {
-			t.Error("ForSubset not sorted by user id")
+			t.Error("Snapshot not sorted by user id")
 		}
 	}
 	if tab.CountForSubset(b) != 4 || !tab.HasSubset(b) {
@@ -58,8 +62,8 @@ func TestTableForSubsetSortedAndCounts(t *testing.T) {
 	if tab.Len() != 4 {
 		t.Errorf("Len = %d", tab.Len())
 	}
-	if tab.ForSubset(bitvec.MustSubset(9)) != nil {
-		t.Error("ForSubset of unknown subset should be nil")
+	if tab.Snapshot(bitvec.MustSubset(9)) != nil {
+		t.Error("Snapshot of unknown subset should be nil")
 	}
 }
 
@@ -135,5 +139,307 @@ func TestTableConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if tab.Len() != 8*200 {
 		t.Errorf("Len = %d, want %d", tab.Len(), 8*200)
+	}
+}
+
+// tableOracle is the obviously-correct reference the columnar table is
+// driven against: one map per subset, no ordering, no sharing.
+type tableOracle map[string]map[bitvec.UserID]Sketch
+
+func (o tableOracle) add(p Published) bool {
+	m := o[p.Subset.Key()]
+	if m == nil {
+		m = make(map[bitvec.UserID]Sketch)
+		o[p.Subset.Key()] = m
+	}
+	if _, dup := m[p.ID]; dup {
+		return false
+	}
+	m[p.ID] = p.S
+	return true
+}
+
+// sorted returns the oracle's records for b in id order.
+func (o tableOracle) sorted(b bitvec.Subset) []Published {
+	var out []Published
+	for id, s := range o[b.Key()] {
+		out = append(out, Published{ID: id, Subset: b, S: s})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// TestTableMatchesMapOracle drives the table and a plain map through the
+// same seeded interleaving of Add, AddNew, Load (sorted shard-like runs and
+// unsorted ones, with duplicates), Remove, Get, UsersWithAll and reads, and
+// requires identical answers throughout.  Ids are drawn from a small range
+// so duplicates and removals of present records are common, and the write
+// bursts between reads are long enough that the tail folds on its own limit
+// as well as on reads, so removals hit both the sorted run and the tail.
+func TestTableMatchesMapOracle(t *testing.T) {
+	subsets := []bitvec.Subset{bitvec.MustSubset(0), bitvec.MustSubset(1, 2), bitvec.Range(0, 5)}
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab, oracle := NewTable(), tableOracle{}
+		gens := make(map[string]uint64)
+		wrote := make(map[string]bool)
+		record := func() Published {
+			length := 1 + rng.Intn(MaxLength)
+			return Published{
+				ID:     bitvec.UserID(rng.Intn(6000)),
+				Subset: subsets[rng.Intn(len(subsets))],
+				S:      Sketch{Key: rng.Uint64() % (1 << uint(length)), Length: length},
+			}
+		}
+		check := func(b bitvec.Subset) {
+			t.Helper()
+			want := oracle.sorted(b)
+			v, gen := tab.View(b)
+			if v.Len() != len(want) || tab.CountForSubset(b) != len(want) {
+				t.Fatalf("seed %d subset %v: view has %d records, CountForSubset %d, oracle %d", seed, b, v.Len(), tab.CountForSubset(b), len(want))
+			}
+			for i, p := range want {
+				if v.ID(i) != p.ID || v.Sketch(i) != p.S {
+					t.Fatalf("seed %d subset %v record %d: view (%v, %v), oracle (%v, %v)", seed, b, i, v.ID(i), v.Sketch(i), p.ID, p.S)
+				}
+			}
+			if got := tab.Snapshot(b); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d subset %v: Snapshot differs from the oracle", seed, b)
+			}
+			if wrote[b.Key()] == (gen == gens[b.Key()]) {
+				t.Fatalf("seed %d subset %v: generation %d after %d, wrote=%v", seed, b, gen, gens[b.Key()], wrote[b.Key()])
+			}
+			gens[b.Key()], wrote[b.Key()] = gen, false
+		}
+		for step := 0; step < 2500; step++ {
+			switch op := rng.Intn(100); {
+			case op < 35:
+				p := record()
+				ok := oracle.add(p)
+				if err := tab.Add(p); (err == nil) != ok {
+					t.Fatalf("seed %d step %d: Add(%v) = %v, oracle added=%v", seed, step, p, err, ok)
+				}
+				wrote[p.Subset.Key()] = wrote[p.Subset.Key()] || ok
+			case op < 60:
+				p := record()
+				held, had := oracle[p.Subset.Key()][p.ID]
+				ok := oracle.add(p)
+				existing, added, err := tab.AddNew(&p)
+				if err != nil || added != ok || (had && existing != held) {
+					t.Fatalf("seed %d step %d: AddNew = (%v, %v, %v), oracle held (%v, %v)", seed, step, existing, added, err, held, had)
+				}
+				wrote[p.Subset.Key()] = wrote[p.Subset.Key()] || ok
+			case op < 70:
+				// A replayed batch: a few runs sharing a subset.  Most are
+				// strictly ascending like a shard's replay — interleaving
+				// with the stored ids (one merge) or lying past them all (a
+				// bulk append) — the rest repeat ids or arrive shuffled.
+				var batch []Published
+				for r := 1 + rng.Intn(3); r > 0; r-- {
+					b := subsets[rng.Intn(len(subsets))]
+					run := make([]Published, 1+rng.Intn(500))
+					kind := rng.Intn(4)
+					next := bitvec.UserID(rng.Intn(50))
+					if kind == 0 {
+						next += 6000 * bitvec.UserID(1+rng.Intn(40))
+					}
+					for i := range run {
+						run[i] = record()
+						run[i].Subset = b
+						if kind < 2 {
+							next += bitvec.UserID(1 + rng.Intn(16))
+							run[i].ID = next
+						}
+					}
+					if kind == 2 {
+						sort.SliceStable(run, func(i, j int) bool { return run[i].ID < run[j].ID })
+					}
+					batch = append(batch, run...)
+				}
+				for _, p := range batch {
+					oracle.add(p)
+					wrote[p.Subset.Key()] = true
+				}
+				if err := tab.Load(batch); err != nil {
+					t.Fatalf("seed %d step %d: Load: %v", seed, step, err)
+				}
+			case op < 85:
+				p := record()
+				_, had := oracle[p.Subset.Key()][p.ID]
+				delete(oracle[p.Subset.Key()], p.ID)
+				if got := tab.Remove(p.ID, p.Subset); got != had {
+					t.Fatalf("seed %d step %d: Remove(%v, %v) = %v, oracle had=%v", seed, step, p.ID, p.Subset, got, had)
+				}
+				wrote[p.Subset.Key()] = wrote[p.Subset.Key()] || had
+			case op < 95:
+				p := record()
+				want, had := oracle[p.Subset.Key()][p.ID]
+				if got, ok := tab.Get(p.ID, p.Subset); ok != had || got != want {
+					t.Fatalf("seed %d step %d: Get(%v, %v) = (%v, %v), oracle (%v, %v)", seed, step, p.ID, p.Subset, got, ok, want, had)
+				}
+			case op < 97:
+				check(subsets[rng.Intn(len(subsets))])
+			default:
+				pick := subsets[:1+rng.Intn(len(subsets))]
+				var want []bitvec.UserID
+				for id := range oracle[pick[0].Key()] {
+					all := true
+					for _, b := range pick[1:] {
+						_, ok := oracle[b.Key()][id]
+						all = all && ok
+					}
+					if all {
+						want = append(want, id)
+					}
+				}
+				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+				if got := tab.UsersWithAll(pick); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: UsersWithAll(%v) has %d users, oracle %d", seed, step, pick, len(got), len(want))
+				}
+			}
+		}
+		total, perUser := 0, make(map[bitvec.UserID]int)
+		var present []bitvec.Subset
+		for _, b := range subsets {
+			check(b)
+			total += len(oracle[b.Key()])
+			for id := range oracle[b.Key()] {
+				perUser[id]++
+			}
+			if len(oracle[b.Key()]) > 0 {
+				present = append(present, b)
+			}
+		}
+		sort.Slice(present, func(i, j int) bool { return present[i].Key() < present[j].Key() })
+		if tab.Len() != total || !reflect.DeepEqual(tab.SketchesPerUser(), perUser) || !reflect.DeepEqual(tab.Subsets(), present) {
+			t.Fatalf("seed %d: Len %d (oracle %d), SketchesPerUser or Subsets differ from the oracle", seed, tab.Len(), total)
+		}
+	}
+}
+
+// TestTableLoadInvalidSketchLoadsNothing pins Load's all-or-nothing check.
+func TestTableLoadInvalidSketchLoadsNothing(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.MustSubset(0)
+	err := tab.Load([]Published{
+		{ID: 1, Subset: b, S: Sketch{Key: 1, Length: 4}},
+		{ID: 2, Subset: b, S: Sketch{Key: 99, Length: 4}},
+	})
+	if err == nil || tab.Len() != 0 {
+		t.Fatalf("Load with an invalid sketch = %v, table holds %d records", err, tab.Len())
+	}
+}
+
+// TestTableEmptiedSubsetKeepsItsGeneration: a subset whose last record is
+// removed disappears from Subsets, and publishing to it again continues the
+// generation count, so a bitmap cached before the removal cannot match.
+func TestTableEmptiedSubsetKeepsItsGeneration(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.MustSubset(3)
+	p := Published{ID: 7, Subset: b, S: Sketch{Key: 1, Length: 4}}
+	if err := tab.Add(p); err != nil {
+		t.Fatal(err)
+	}
+	_, before := tab.View(b)
+	if !tab.Remove(7, b) || tab.HasSubset(b) || len(tab.Subsets()) != 0 {
+		t.Fatal("removing the only record must empty the subset")
+	}
+	if err := tab.Add(p); err != nil {
+		t.Fatal(err)
+	}
+	if v, after := tab.View(b); v.Len() != 1 || after <= before {
+		t.Fatalf("recreated subset: %d records at generation %d, was %d before the removal", v.Len(), after, before)
+	}
+}
+
+// TestTableViewIsImmutable holds a view across ten thousand later inserts
+// and removals — which fold the tail many times, rebuild the run for every
+// removal from it, and outgrow the arrays the view aliases — and requires
+// its ids and sketches to read exactly as they did when it was taken.
+func TestTableViewIsImmutable(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.Range(0, 3)
+	rng := rand.New(rand.NewSource(11))
+	for id := 0; id < 3000; id += 2 {
+		if err := tab.Add(Published{ID: bitvec.UserID(id), Subset: b, S: Sketch{Key: uint64(id) % 512, Length: 9}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, gen := tab.View(b)
+	want := held.AppendTo(nil)
+	for step := 0; step < 10000; step++ {
+		id := bitvec.UserID(rng.Intn(6000))
+		switch rng.Intn(4) {
+		case 0:
+			tab.Remove(id, b)
+		case 1:
+			tab.View(b)
+		default:
+			_, _, _ = tab.AddNew(&Published{ID: id, Subset: b, S: Sketch{Key: uint64(step) % 512, Length: 9}})
+		}
+	}
+	if got := held.AppendTo(nil); !reflect.DeepEqual(got, want) {
+		t.Fatal("a held view changed under later writes")
+	}
+	if _, now := tab.View(b); now == gen {
+		t.Fatal("generation did not move across ten thousand writes")
+	}
+}
+
+// TestTableAddNewAllocations pins the ingest path's allocation budget on a
+// subset that already exists: no key string per call, and the folds and the
+// tail index growth amortise to under one allocation per record.
+func TestTableAddNewAllocations(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.Range(0, 10)
+	next := bitvec.UserID(0)
+	add := func() {
+		next++
+		if _, added, err := tab.AddNew(&Published{ID: next * 7919 % 1000003, Subset: b, S: Sketch{Key: 5, Length: 9}}); err != nil || !added {
+			t.Fatalf("AddNew(%d) = added %v, %v", next, added, err)
+		}
+	}
+	add()
+	if avg := testing.AllocsPerRun(50000, add); avg > 1 {
+		t.Fatalf("AddNew on an existing subset allocates %.2f times per record, want ≤ 1 amortised", avg)
+	}
+	dup := Published{ID: 7919, Subset: b, S: Sketch{Key: 5, Length: 9}}
+	if avg := testing.AllocsPerRun(1000, func() { _, _, _ = tab.AddNew(&dup) }); avg != 0 {
+		t.Fatalf("duplicate AddNew allocates %.2f times per call, want 0", avg)
+	}
+}
+
+// TestTableSnapshotRetainsNothing: Snapshot materialises a slice for the
+// caller and the table keeps no reference to it, so once the caller drops
+// it the heap returns to where it was.
+func TestTableSnapshotRetainsNothing(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.Range(0, 10)
+	const n = 200_000
+	for id := 1; id <= n; id++ {
+		if err := tab.Add(Published{ID: bitvec.UserID(id), Subset: b, S: Sketch{Key: uint64(id) % 512, Length: 9}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.View(b) // fold now, so the reading below holds no pending tail
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	if got := len(tab.Snapshot(b)); got != n {
+		t.Fatalf("Snapshot returned %d records, want %d", got, n)
+	}
+	after := heap()
+	// The snapshot itself is n 48-byte records (9.6 MB); allow a small
+	// fraction of that for unrelated runtime churn.
+	if slack := uint64(n * 48 / 20); after > before+slack {
+		t.Fatalf("heap grew from %d to %d bytes across a dropped Snapshot: the table retains it", before, after)
+	}
+	if perRecord := float64(before) / n; perRecord > 24 {
+		t.Errorf("table holds %.1f heap bytes per record, want the 16-byte columns plus bounded slack", perRecord)
 	}
 }

@@ -537,13 +537,17 @@ func seqIndices(n int) []int {
 // held.  A failed roll is a maintenance problem, not an append failure:
 // the records are already durable in the WAL, and surfacing the error to
 // the appender would make the engine NACK and roll back records the log
-// would resurrect on replay.  Log the transition into the failing state,
-// back off until the WAL grows by another threshold, and let Flush/Close
+// would resurrect on replay.  Count the failure, log the transition into
+// the failing state (RollFailing reports it until a roll succeeds), back
+// off until the WAL grows by another threshold, and let Flush/Close
 // surface persistent errors.
 func (sh *dshard) maybeRollLocked() {
 	if sh.wal.size >= sh.flushThreshold &&
 		(sh.rollFailedAt == 0 || sh.wal.size >= sh.rollFailedAt+sh.flushThreshold) {
 		if err := sh.rollLocked(); err != nil {
+			if sh.m != nil {
+				sh.m.rollFailures.Inc()
+			}
 			if sh.rollFailedAt == 0 {
 				log.Printf("store: shard %d wal roll failed (records stay in the wal; will retry): %v", sh.id, err)
 			}
@@ -705,6 +709,23 @@ func (d *Durable) Flush() error {
 		}
 	}
 	return first
+}
+
+// RollFailing returns how many shards are in the failing-roll state: their
+// last inline WAL roll failed and none has succeeded since.  Such a shard
+// still acknowledges appends — the WAL holds them — but its log and its
+// in-memory mirror grow without bound until the segment directory is
+// writable again, so daemons report it as degraded health.
+func (d *Durable) RollFailing() int {
+	n := 0
+	for _, sh := range d.shards {
+		sh.mu.Lock()
+		if sh.rollFailedAt != 0 {
+			n++
+		}
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // CompactNow merges the segments of every shard holding at least min of

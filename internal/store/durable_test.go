@@ -5,9 +5,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
@@ -529,9 +532,30 @@ func TestDurableManifestMismatchFailsOpen(t *testing.T) {
 func TestDurableRollFailureBacksOffAndRecovers(t *testing.T) {
 	// A shard whose segment writes fail must keep acknowledging appends
 	// (the WAL has them), retry the roll only after another threshold of
-	// growth, and roll normally once the blockage clears.
+	// growth, and roll normally once the blockage clears.  The failing
+	// state is visible: store_roll_failures_total counts the attempts and
+	// store_roll_failing / RollFailing hold at 1 until a roll succeeds.
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Shards: 1, FlushThreshold: 64, CompactInterval: -1})
+	reg := obs.NewRegistry()
+	metric := func(name string) float64 {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.RenderText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseText(sb.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fams {
+			if f.Name == name {
+				return f.Samples[0].Value
+			}
+		}
+		t.Fatalf("series %s not rendered", name)
+		return 0
+	}
+	st, err := Open(Options{Dir: dir, Shards: 1, FlushThreshold: 64, CompactInterval: -1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,6 +575,9 @@ func TestDurableRollFailureBacksOffAndRecovers(t *testing.T) {
 	if sh.rollFailedAt == 0 {
 		t.Fatal("roll failure not recorded for backoff")
 	}
+	if n, failing := metric("store_roll_failures_total"), metric("store_roll_failing"); n < 2 || failing != 1 || st.RollFailing() != 1 {
+		t.Fatalf("blocked shard: store_roll_failures_total = %v (want one per backed-off retry, ≥ 2), store_roll_failing = %v, RollFailing = %d (want 1)", n, failing, st.RollFailing())
+	}
 	if st.Stats().Segments() != 0 {
 		t.Fatal("segment appeared despite the blocked temp path")
 	}
@@ -568,8 +595,46 @@ func TestDurableRollFailureBacksOffAndRecovers(t *testing.T) {
 	if st.Stats().Segments() == 0 {
 		t.Fatal("roll never retried after the blockage cleared")
 	}
+	if failing := metric("store_roll_failing"); failing != 0 || st.RollFailing() != 0 {
+		t.Fatalf("recovered shard still reports store_roll_failing = %v, RollFailing = %d", failing, st.RollFailing())
+	}
 	if got := collect(t, st); len(got) != 120 {
 		t.Fatalf("recovered shard serves %d records, want 120", len(got))
+	}
+}
+
+// TestSegmentIndexSharesSubsetKeys: the sparse index names a subset every
+// stride records, and a segment holds a handful of subsets — so both the
+// index a roll builds and the one Open parses back keep one key string per
+// run of equal subsets instead of one per entry, with the file unchanged.
+func TestSegmentIndexSharesSubsetKeys(t *testing.T) {
+	var records []sketch.Published
+	subsets := []bitvec.Subset{bitvec.Range(0, 3), bitvec.Range(0, 10)}
+	for _, b := range subsets {
+		for id := uint64(1); id <= 10*segIndexStride; id++ {
+			records = append(records, testRecord(id, b))
+		}
+	}
+	records = normalize(records)
+	meta, err := writeSegment(t.TempDir(), 1, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, parsed, _, err := openSegment(meta.path)
+	if err != nil || parsed == nil {
+		t.Fatalf("openSegment: index %v, err %v", parsed, err)
+	}
+	for name, idx := range map[string]*segIndex{"built": meta.idx, "parsed": parsed} {
+		distinct := make(map[*byte]string)
+		for i, e := range idx.entries {
+			if want := records[i*segIndexStride].Subset.Key(); e.subset != want {
+				t.Fatalf("%s index entry %d names subset %q, record has %q", name, i, e.subset, want)
+			}
+			distinct[unsafe.StringData(e.subset)] = e.subset
+		}
+		if len(idx.entries) != 20 || len(distinct) != len(subsets) {
+			t.Errorf("%s index: %d entries hold %d distinct key strings, want %d", name, len(idx.entries), len(distinct), len(subsets))
+		}
 	}
 }
 

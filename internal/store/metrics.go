@@ -14,6 +14,7 @@ type metrics struct {
 	appendLatency  *obs.Histogram
 	fsyncLatency   *obs.Histogram
 	rolls          *obs.Counter
+	rollFailures   *obs.Counter
 	compactions    *obs.Counter
 	compactLatency *obs.Histogram
 	// Group-commit instruments: one observation per committed window.
@@ -47,6 +48,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		appendLatency:  reg.Histogram("store_wal_append_seconds", "Latency of one WAL record append (write syscall, excluding fsync).", nil),
 		fsyncLatency:   reg.Histogram("store_wal_fsync_seconds", "Latency of the per-append WAL fsync (only recorded when Options.Fsync is on).", nil),
 		rolls:          reg.Counter("store_wal_rolls_total", "WAL-to-segment rolls completed."),
+		rollFailures:   reg.Counter("store_roll_failures_total", "Inline WAL-to-segment roll attempts that failed (the records stay durable in the WAL; the roll is retried after another flush threshold of growth)."),
 		compactions:    reg.Counter("store_compactions_total", "Segment compaction merges completed."),
 		compactLatency: reg.Histogram("store_compaction_seconds", "Duration of one shard's segment compaction merge.", nil),
 		commits:        reg.Counter("store_commits_total", "Group-commit windows committed (each is one WAL write and, in fsync mode, one fsync)."),
@@ -80,6 +82,8 @@ func (d *Durable) registerCollectors(reg *obs.Registry) {
 		emitPerShard(func(s ShardStats) float64 { return float64(s.SegmentBytes) }))
 	reg.CollectFunc("store_segment_records", "Total segment records per shard.", obs.TypeGauge,
 		emitPerShard(func(s ShardStats) float64 { return float64(s.SegmentRecords) }))
+	reg.GaugeFunc("store_roll_failing", "Shards whose last inline WAL roll failed and has not succeeded since (non-zero turns sketchd's /healthz degraded).",
+		func() float64 { return float64(d.RollFailing()) })
 	reg.GaugeFunc("store_replay_seconds", "Wall time the last Open spent replaying WALs and validating segments.",
 		func() float64 { return d.replayTime.Seconds() })
 }

@@ -133,13 +133,16 @@ func encodeSegmentV2(records []sketch.Published) ([]byte, *segIndex) {
 	buf := make([]byte, 0, segV2HeaderSize+len(records)*56)
 	buf = append(buf, segMagicV2[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(records)))
+	// Records arrive sorted by subset, so consecutive index entries mostly
+	// name the same one: they share one key string per run, not one each.
+	var keyOf bitvec.Subset
+	var key string
 	for i, p := range records {
 		if i%segIndexStride == 0 {
-			idx.entries = append(idx.entries, segIndexEntry{
-				off:    uint64(len(buf)),
-				user:   p.ID,
-				subset: p.Subset.Key(),
-			})
+			if key == "" || !p.Subset.Equal(keyOf) {
+				keyOf, key = p.Subset, p.Subset.Key()
+			}
+			idx.entries = append(idx.entries, segIndexEntry{off: uint64(len(buf)), user: p.ID, subset: key})
 		}
 		bloomAdd(idx.bloom, segBloomK, uint64(p.ID))
 		hdr := len(buf)
@@ -224,7 +227,11 @@ func parseSegIndex(data []byte, count uint32, path string) (*segIndex, error) {
 		if len(section) < klen {
 			return nil, fmt.Errorf("%w: %s index entry %d key truncated", ErrSegmentCorrupt, path, i)
 		}
-		e.subset = string(section[:klen])
+		if i > 0 && string(section[:klen]) == idx.entries[i-1].subset {
+			e.subset = idx.entries[i-1].subset // shared, as encodeSegmentV2 builds them
+		} else {
+			e.subset = string(section[:klen])
+		}
 		section = section[klen:]
 		if e.off < segV2HeaderSize || e.off >= indexOff || (i > 0 && e.off <= prev) {
 			return nil, fmt.Errorf("%w: %s index entry %d offset %d out of range", ErrSegmentCorrupt, path, i, e.off)

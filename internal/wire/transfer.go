@@ -210,12 +210,13 @@ func readRecords(src []byte) ([]sketch.Published, error) {
 		return nil, nil
 	}
 	records := make([]sketch.Published, 0, min(int(n), len(src)/8+1))
+	var dec PublishedDecoder // a batch has few subsets: skip most tag parses
 	for i := uint32(0); i < n; i++ {
 		rb, rest, err := readBytes(src)
 		if err != nil {
 			return nil, err
 		}
-		p, err := DecodePublished(rb)
+		p, err := dec.Decode(rb)
 		if err != nil {
 			return nil, err
 		}
