@@ -119,8 +119,8 @@ func runChaos(t *testing.T, seed uint64) {
 			func() (interface{}, error) { return ref.FieldAtMost(field, 9) }},
 		{"field-mean", func() (interface{}, error) { return r.FieldMean(field) },
 			func() (interface{}, error) { return ref.FieldMean(field) }},
-		{"subset-records", func() (interface{}, error) { return r.SubsetRecords(subset) },
-			func() (interface{}, error) { return ref.SubsetRecords(subset, nil), nil }},
+		{"subset-records", func() (interface{}, error) { return subsetRecords(r, subset) },
+			func() (interface{}, error) { return subsetRecords(ref.Source(nil), subset) }},
 	}
 	for _, q := range queries {
 		want, err := q.want()

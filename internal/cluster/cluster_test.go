@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
+	"sketchprivacy/internal/wire"
 )
 
 const (
@@ -381,6 +383,34 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 	conflict.S.Key ^= 1
 	if err := cli.Publish(conflict); err == nil {
 		t.Fatal("conflicting publish through the router was acknowledged")
+	}
+
+	// The frontend serves full queries only: the retired one-evaluation
+	// opcode 12 is an unknown message type, and the refusal leaves the
+	// connection usable.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.ClientHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, 12, []byte{4, 0}); err != nil {
+		t.Fatal(err)
+	}
+	msgType, payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgType != wire.TypeError || !strings.Contains(string(payload), "unknown message type 12") {
+		t.Fatalf("opcode 12 answered with type %d: %s", msgType, payload)
+	}
+	if err := wire.WriteFrame(conn, wire.TypePing, nil); err != nil {
+		t.Fatal(err)
+	}
+	if msgType, payload, err = wire.ReadFrame(conn); err != nil || msgType != wire.TypePong {
+		t.Fatalf("ping after the refusal answered with type %d (%v): %s", msgType, err, payload)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package cluster scales the collection service past one sketchd: a
 // consistent-hash ring (virtual nodes, FNV-1a over the user id — the same
 // placement family the durable store shards with) routes each publish to
-// an owner node plus RF−1 replicas, and a router fans conjunctive and
-// numeric queries out to every live node as partial-aggregate requests.
+// an owner node plus RF−1 replicas, and a router fans every query out to
+// every live node as one compiled plan (wire.TypePlanQuery, the only
+// query a router sends a node).
 //
 // The fan-out is exact, not approximate.  Algorithm 2's Fraction is a pure
 // sum of per-record match indicators, so raw match and record counts merge
 // across disjoint record sets without error; the Appendix F match
 // histograms merge bin-wise the same way.  Replication is kept out of the
-// sums by an ownership filter pushed down with each partial query: a node
+// sums by an ownership filter pushed down with each plan query: a node
 // answers only for the records whose first *live* preference-walk node it
 // is.  With every acknowledged record on RF replicas and at most RF−1
 // nodes down, exactly one live node answers for each record, and the
@@ -35,7 +36,7 @@
 // the cutover the old owners hold everything, after it the new owners do,
 // and the swap itself is a single write-locked pointer flip.  Each
 // cutover bumps the ring epoch, which travels in hellos, pings and every
-// ownership filter; a node that has seen epoch E refuses partial queries
+// ownership filter; a node that has seen epoch E refuses plan queries
 // stamped E−1, so a fan-out racing a cutover retries under a fresh
-// snapshot instead of merging partials computed under different rings.
+// snapshot instead of merging counters computed under different rings.
 package cluster

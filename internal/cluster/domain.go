@@ -36,26 +36,22 @@ func (d Domain) stamp(f *wire.Filter) {
 	f.Domain = d.Tag
 }
 
-// FractionPartial implements query.PartialSource: the exact cluster-wide
-// Algorithm 2 counters, merged from per-node partials.
-func (r *Router) FractionPartial(b bitvec.Subset, v bitvec.Vector) (query.Partial, error) {
-	return r.fractionPartial(Domain{}, b, v)
-}
-
-// HistogramPartial implements query.PartialSource: the exact cluster-wide
-// Appendix F match histogram.
-func (r *Router) HistogramPartial(subs []query.SubQuery) (query.HistPartial, error) {
-	return r.histogramPartial(Domain{}, subs)
-}
-
-// SubsetRecords implements query.PartialSource.
-func (r *Router) SubsetRecords(b bitvec.Subset) (uint64, error) {
-	return r.subsetRecords(Domain{}, b)
-}
-
 // TotalRecords implements query.PartialSource.
 func (r *Router) TotalRecords() (uint64, error) {
 	return r.totalRecords(Domain{})
+}
+
+// totalRecords counts every record across the cluster within d with a
+// total-only plan, so the count shares the plan fan-out's deadline budget,
+// hedging and replica recovery.
+func (r *Router) totalRecords(d Domain) (uint64, error) {
+	p := query.NewPlan()
+	p.AddTotalRecords()
+	res, err := r.executeDomain(d, p)
+	if err != nil {
+		return 0, err
+	}
+	return res.Total, nil
 }
 
 // domainSource is a query.PartialSource view of the router restricted to
@@ -75,18 +71,6 @@ func (r *Router) DomainSource(d Domain) query.PartialSource {
 		return r
 	}
 	return domainSource{r: r, d: d}
-}
-
-func (s domainSource) FractionPartial(b bitvec.Subset, v bitvec.Vector) (query.Partial, error) {
-	return s.r.fractionPartial(s.d, b, v)
-}
-
-func (s domainSource) HistogramPartial(subs []query.SubQuery) (query.HistPartial, error) {
-	return s.r.histogramPartial(s.d, subs)
-}
-
-func (s domainSource) SubsetRecords(b bitvec.Subset) (uint64, error) {
-	return s.r.subsetRecords(s.d, b)
 }
 
 func (s domainSource) TotalRecords() (uint64, error) {

@@ -92,14 +92,14 @@ type errStaleSnapshot struct{ err error }
 func (e errStaleSnapshot) Error() string { return e.err.Error() }
 func (e errStaleSnapshot) Unwrap() error { return e.err }
 
-// exchange runs one filtered request against one node and classifies the
-// reply: a decoded result, an errNodeFailed (transport failure, epoch
+// exchange runs one filtered plan query against one node and classifies
+// the reply: a decoded result, an errNodeFailed (transport failure, epoch
 // mismatch, retryable refusal), a context.Canceled pass-through (the
 // caller hedged away from this exchange — says nothing about the node),
 // or a plain error (semantic refusal; retries are pointless).
-func exchange[T any](ctx context.Context, n *node, msgType, replyType byte, payload []byte, epoch uint64, decode func([]byte) (T, uint64, error)) (T, error) {
-	var zero T
-	gotType, reply, err := n.roundTripCtx(ctx, msgType, payload)
+func exchange(ctx context.Context, n *node, payload []byte, epoch uint64) (wire.PlanResult, error) {
+	var zero wire.PlanResult
+	gotType, reply, err := n.roundTripCtx(ctx, wire.TypePlanQuery, payload)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			return zero, err
@@ -107,13 +107,15 @@ func exchange[T any](ctx context.Context, n *node, msgType, replyType byte, payl
 		return zero, errNodeFailed{err}
 	}
 	switch gotType {
-	case replyType:
-		res, resEpoch, derr := decode(reply)
+	case wire.TypePlanResult:
+		res, derr := wire.DecodePlanResult(reply)
 		if derr != nil {
 			return zero, errNodeFailed{fmt.Errorf("cluster: node %s: %w", n.addr, derr)}
 		}
-		if resEpoch != epoch {
-			return zero, errStaleSnapshot{fmt.Errorf("cluster: node %s answered for ring epoch %d, fan-out ran at %d", n.addr, resEpoch, epoch)}
+		// The echoed epoch is the one the node computed under: replies
+		// from different ring generations are never mixed.
+		if res.Epoch != epoch {
+			return zero, errStaleSnapshot{fmt.Errorf("cluster: node %s answered for ring epoch %d, fan-out ran at %d", n.addr, res.Epoch, epoch)}
 		}
 		return res, nil
 	case wire.TypeError:
@@ -130,28 +132,24 @@ func exchange[T any](ctx context.Context, n *node, msgType, replyType byte, payl
 	}
 }
 
-// scatterGather runs one request across all live nodes and collects the
-// decoded replies — the shared engine behind both the v2 per-partial
-// fan-out and the v3 plan push-down.  Each attempt takes one consistent
-// (ring, epoch, live set) snapshot, runs under one RequestTimeout-bounded
-// context whose remaining budget rides in every filter, and degrades in
-// stages: a single slow or failed node is absorbed by replica-aware
+// scatterGather runs one plan query across all live nodes and collects the
+// decoded replies.  Each attempt takes one consistent (ring, epoch, live
+// set) snapshot, runs under one RequestTimeout-bounded context whose
+// remaining budget rides in every filter, and degrades in stages: a single slow or failed node is absorbed by replica-aware
 // recovery inside the attempt (see fanoutOnce); only stale epochs and
 // unrecoverable failures restart the whole fan-out on a fresh snapshot;
 // and when ≥RF members are down the attempt refuses with a typed
 // *CoverageError instead of merging over a truncated record set.
 //
-// encode builds one payload from the per-node ownership filter; decode
-// parses a reply of replyType and must report the epoch the node computed
-// under, so replies from different ring generations are never mixed.
-func scatterGather[T any](r *Router, msgType, replyType byte, encode func(*wire.Filter) []byte, decode func([]byte) (T, uint64, error)) ([]T, error) {
+// encode builds one plan-query payload from the per-node ownership filter.
+func scatterGather(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult, error) {
 	var lastErr error
 	maxAttempts := len(r.Members()) + 2
 	for attempt := 0; attempt <= maxAttempts; attempt++ {
 		if attempt > 0 {
 			r.fo.retries.Add(1)
 		}
-		results, retry, err := fanoutOnce(r, msgType, replyType, encode, decode)
+		results, retry, err := fanoutOnce(r, encode)
 		if err == nil {
 			return results, nil
 		}
@@ -164,15 +162,15 @@ func scatterGather[T any](r *Router, msgType, replyType byte, encode func(*wire.
 }
 
 // outcome carries one original exchange's result back to the event loop.
-type outcome[T any] struct {
+type outcome struct {
 	i   int
-	res T
+	res wire.PlanResult
 	err error
 }
 
 // recOutcome carries one recovery round's results (one per survivor).
-type recOutcome[T any] struct {
-	res []T
+type recOutcome struct {
+	res []wire.PlanResult
 	err error
 }
 
@@ -196,7 +194,7 @@ type recOutcome[T any] struct {
 // retry=true asks the caller to rerun on a fresh snapshot (stale epoch, a
 // survivor failing mid-recovery, unrecoverable failure counts); a
 // *CoverageError (retry=false) is final.
-func fanoutOnce[T any](r *Router, msgType, replyType byte, encode func(*wire.Filter) []byte, decode func([]byte) (T, uint64, error)) ([]T, bool, error) {
+func fanoutOnce(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult, bool, error) {
 	r.mu.RLock()
 	ring, order, epoch := r.ring, r.order, r.epoch.Load()
 	handles := make([]*node, len(order))
@@ -252,7 +250,7 @@ func fanoutOnce[T any](r *Router, msgType, replyType byte, encode func(*wire.Fil
 		}
 	}
 
-	ch := make(chan outcome[T], len(live))
+	ch := make(chan outcome, len(live))
 	cancels := make([]context.CancelFunc, len(live))
 	for i := range live {
 		cctx, cc := context.WithCancel(ctx)
@@ -262,15 +260,15 @@ func fanoutOnce[T any](r *Router, msgType, replyType byte, encode func(*wire.Fil
 			if r.om != nil {
 				start = time.Now()
 			}
-			res, err := exchange(cctx, n, msgType, replyType, encode(mkFilter(n.addr, nil)), epoch, decode)
+			res, err := exchange(cctx, n, encode(mkFilter(n.addr, nil)), epoch)
 			if r.om != nil {
 				r.om.fanoutRTT.ObserveSince(start)
 			}
-			ch <- outcome[T]{i: i, res: res, err: err}
+			ch <- outcome{i: i, res: res, err: err}
 		}(i, liveHandles[i])
 	}
 
-	res := make([]T, len(live))
+	res := make([]wire.PlanResult, len(live))
 	okAt := make([]bool, len(live))
 	failedAt := make([]bool, len(live))
 	suspect := make([]bool, len(live))
@@ -285,15 +283,15 @@ func fanoutOnce[T any](r *Router, msgType, replyType byte, encode func(*wire.Fil
 	recovering := false
 	recoveryDone := false
 	recoveredByHedge := false
-	var recResults []T
-	recCh := make(chan recOutcome[T], 1)
+	var recResults []wire.PlanResult
+	recCh := make(chan recOutcome, 1)
 
-	finishOriginals := func() ([]T, bool, error) {
+	finishOriginals := func() ([]wire.PlanResult, bool, error) {
 		r.fo.lastCoverage.Store(fmt.Sprintf("ok epoch=%d live=%d/%d recovered=0", epoch, len(live), len(order)))
 		return res, false, nil
 	}
-	finishRecovered := func() ([]T, bool, error) {
-		out := make([]T, 0, len(live))
+	finishRecovered := func() ([]wire.PlanResult, bool, error) {
+		out := make([]wire.PlanResult, 0, len(live))
 		nsus := 0
 		for i := range live {
 			if suspect[i] {
@@ -352,24 +350,24 @@ func fanoutOnce[T any](r *Router, msgType, replyType byte, encode func(*wire.Fil
 						}
 					}
 					go func() {
-						out := make([]T, len(survIdx))
+						out := make([]wire.PlanResult, len(survIdx))
 						errs := make([]error, len(survIdx))
 						var wg sync.WaitGroup
 						for k, i := range survIdx {
 							wg.Add(1)
 							go func(k, i int) {
 								defer wg.Done()
-								out[k], errs[k] = exchange(ctx, liveHandles[i], msgType, replyType, encode(mkFilter(live[i], failedAddrs)), epoch, decode)
+								out[k], errs[k] = exchange(ctx, liveHandles[i], encode(mkFilter(live[i], failedAddrs)), epoch)
 							}(k, i)
 						}
 						wg.Wait()
 						for _, e := range errs {
 							if e != nil {
-								recCh <- recOutcome[T]{err: e}
+								recCh <- recOutcome{err: e}
 								return
 							}
 						}
-						recCh <- recOutcome[T]{res: out}
+						recCh <- recOutcome{res: out}
 					}()
 				} else if done == len(live) {
 					// Recovery impossible and nothing still pending: full

@@ -174,8 +174,8 @@ func (f *Frontend) handle(conn net.Conn) {
 			_ = wire.WriteFrame(conn, wire.TypeResult, wire.EncodeResult(res))
 		case wire.TypeStats:
 			f.writeError(conn, fmt.Errorf("cluster: stats is a per-node report; ping the router for cluster status"))
-		case wire.TypePartialQuery, wire.TypePlanQuery:
-			f.writeError(conn, fmt.Errorf("cluster: partial and plan queries are node-level; send full queries to the router"))
+		case wire.TypePlanQuery:
+			f.writeError(conn, fmt.Errorf("cluster: plan queries are node-level; send full queries to the router"))
 		case wire.TypeJoin:
 			// Synchronous by design: the ack means the rebalance streamed
 			// and the ring cut over.  Watch TypeRebalanceStatus from

@@ -526,9 +526,9 @@ func TestClusterHintedHandoff(t *testing.T) {
 	}
 }
 
-// TestClusterStaleEpochRefused: after a cutover, a partial query built for
+// TestClusterStaleEpochRefused: after a cutover, a plan query built for
 // the previous epoch is refused by the node with the recognisable marker —
-// the guard that keeps a racing fan-out from merging mixed-ring partials.
+// the guard that keeps a racing fan-out from merging mixed-ring counters.
 func TestClusterStaleEpochRefused(t *testing.T) {
 	nodes := startNodes(t, 2)
 	r := startDynamicRouter(t, nodes, 2, nil)
@@ -553,8 +553,7 @@ func TestClusterStaleEpochRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := r.Members()
-	pq := wire.PartialQuery{
-		Kind: wire.PartialTotalRecords,
+	pq := wire.PlanQuery{
 		Filter: &wire.Filter{
 			Epoch:  1,
 			Nodes:  members,
@@ -562,8 +561,9 @@ func TestClusterStaleEpochRefused(t *testing.T) {
 			Self:   nodes[0].addr,
 			Live:   members,
 		},
+		Total: true,
 	}
-	if err := wire.WriteFrame(conn, wire.TypePartialQuery, wire.EncodePartialQuery(pq)); err != nil {
+	if err := wire.WriteFrame(conn, wire.TypePlanQuery, wire.EncodePlanQuery(pq)); err != nil {
 		t.Fatal(err)
 	}
 	msgType, payload, err := wire.ReadFrame(conn)
@@ -571,7 +571,7 @@ func TestClusterStaleEpochRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if msgType != wire.TypeError {
-		t.Fatalf("stale-epoch partial answered with type %d, want TypeError", msgType)
+		t.Fatalf("stale-epoch plan answered with type %d, want TypeError", msgType)
 	}
 	if !wire.IsStaleEpoch(string(payload)) {
 		t.Fatalf("refusal does not carry the stale-epoch marker: %s", payload)

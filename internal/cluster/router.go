@@ -134,8 +134,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Router routes publishes to their ring owners and fans queries out to all
-// live nodes as partial-aggregate requests, merging the raw counters
-// exactly.  It implements query.PartialSource, so every estimator in
+// live nodes as compiled plans, merging the raw counters exactly.  It
+// implements query.PartialSource, so every estimator in
 // internal/query — Algorithm 2 fractions, the Section 4.1 numeric and
 // interval decompositions, decision trees and the Appendix F combinations
 // — runs over a cluster unchanged and bit-identically.
@@ -144,8 +144,8 @@ func (c Config) withDefaults() Config {
 // and Drain streams a retiring node's ownership away, both while the
 // cluster keeps serving publishes and exact queries (see rebalance.go).
 // Each membership change bumps the ring epoch; every fan-out is built from
-// one (ring, live set, epoch) snapshot, and nodes refuse partial queries
-// carrying a superseded epoch, so partials from different ring generations
+// one (ring, live set, epoch) snapshot, and nodes refuse plan queries
+// carrying a superseded epoch, so counters from different ring generations
 // are never merged.
 type Router struct {
 	cfg Config
@@ -362,7 +362,7 @@ func (r *Router) pushTransfer(n *node, records []sketch.Published) error {
 	}
 }
 
-// Estimator returns the estimator the router reduces partials with.
+// Estimator returns the estimator the router reduces merged counters with.
 func (r *Router) Estimator() *query.Estimator { return r.est }
 
 // Ring returns the current placement ring.
@@ -558,25 +558,14 @@ func (r *Router) PublishAll(ps []sketch.Published) error {
 	return nil
 }
 
-// fanout scatter-gathers one v2 partial query across all live nodes,
-// restricted to d (the zero Domain: all records).
-func (r *Router) fanout(d Domain, mk func(filter *wire.Filter) wire.PartialQuery) ([]wire.PartialResult, error) {
-	return scatterGather(r, wire.TypePartialQuery, wire.TypePartialResult,
-		func(f *wire.Filter) []byte { d.stamp(f); return wire.EncodePartialQuery(mk(f)) },
-		func(reply []byte) (wire.PartialResult, uint64, error) {
-			res, err := wire.DecodePartialResult(reply)
-			return res, res.Epoch, err
-		})
-}
-
-// Execute implements query.PartialSource's batched entry point: the whole
-// plan is pushed to every live node in one planQuery fan-out and the
-// per-entry counters are merged exactly, so an estimator needing dozens of
-// evaluations (interval prefixes, decision-tree paths, inner products)
-// costs one round trip instead of one per evaluation.  The merge is
-// bit-identical to the per-call path by construction: each node answers
-// every entry over the records its ownership filter assigns it, the
-// filters partition the user space, and integer counters sum exactly.
+// Execute implements query.PartialSource: the whole plan is pushed to
+// every live node in one planQuery fan-out and the per-entry counters are
+// merged exactly, so an estimator needing dozens of evaluations (interval
+// prefixes, decision-tree paths, inner products) costs one round trip.
+// The merge is bit-identical to a single engine holding the union of the
+// records by construction: each node answers every entry over the records
+// its ownership filter assigns it, the filters partition the user space,
+// and integer counters sum exactly.
 func (r *Router) Execute(p *query.Plan) (*query.Results, error) {
 	return r.executeDomain(Domain{}, p)
 }
@@ -595,7 +584,7 @@ func (r *Router) executeDomain(d Domain, p *query.Plan) (*query.Results, error) 
 	}
 	if p.Empty() {
 		// Nothing to evaluate (e.g. an interval query with an all-zero
-		// constant): the per-call path would touch no node either.
+		// constant): touch no node.
 		return merged, nil
 	}
 	if len(fracs) > wire.MaxPlanFractions || len(hists) > wire.MaxPlanHists || len(counts) > wire.MaxPlanCounts {
@@ -619,21 +608,16 @@ func (r *Router) executeDomain(d Domain, p *query.Plan) (*query.Results, error) 
 		}
 		wh[i] = wire.PlanHistQuery{Subs: subs, Guard: uint32(h.Guard), HasGuard: h.GuardValid}
 	}
-	results, err := scatterGather(r, wire.TypePlanQuery, wire.TypePlanResult,
-		func(f *wire.Filter) []byte {
-			d.stamp(f)
-			return wire.EncodePlanQuery(wire.PlanQuery{
-				Filter:    f,
-				Fractions: wf,
-				Hists:     wh,
-				Counts:    counts,
-				Total:     p.NeedsTotal(),
-			})
-		},
-		func(reply []byte) (wire.PlanResult, uint64, error) {
-			res, err := wire.DecodePlanResult(reply)
-			return res, res.Epoch, err
+	results, err := scatterGather(r, func(f *wire.Filter) []byte {
+		d.stamp(f)
+		return wire.EncodePlanQuery(wire.PlanQuery{
+			Filter:    f,
+			Fractions: wf,
+			Hists:     wh,
+			Counts:    counts,
+			Total:     p.NeedsTotal(),
 		})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -656,75 +640,6 @@ func (r *Router) executeDomain(d Domain, p *query.Plan) (*query.Results, error) 
 		merged.Total += res.Total
 	}
 	return merged, nil
-}
-
-// fractionPartial computes the exact cluster-wide Algorithm 2 counters
-// restricted to d, merged from per-node partials.
-func (r *Router) fractionPartial(d Domain, b bitvec.Subset, v bitvec.Vector) (query.Partial, error) {
-	results, err := r.fanout(d, func(f *wire.Filter) wire.PartialQuery {
-		return wire.PartialQuery{Kind: wire.PartialFraction, Filter: f, Subset: b, Value: v}
-	})
-	if err != nil {
-		return query.Partial{}, err
-	}
-	var merged query.Partial
-	for _, res := range results {
-		merged = merged.Merge(query.Partial{Hits: res.Hits, Records: res.Records})
-	}
-	return merged, nil
-}
-
-// histogramPartial computes the exact cluster-wide Appendix F match
-// histogram restricted to d.
-func (r *Router) histogramPartial(d Domain, subs []query.SubQuery) (query.HistPartial, error) {
-	qs := make([]wire.Query, len(subs))
-	for i, s := range subs {
-		qs[i] = wire.Query{Subset: s.Subset, Value: s.Value}
-	}
-	results, err := r.fanout(d, func(f *wire.Filter) wire.PartialQuery {
-		return wire.PartialQuery{Kind: wire.PartialHistogram, Filter: f, Subs: qs}
-	})
-	if err != nil {
-		return query.HistPartial{}, err
-	}
-	merged := query.HistPartial{Hist: make([]uint64, len(subs)+1)}
-	for _, res := range results {
-		merged, err = merged.Merge(query.HistPartial{Hist: res.Hist, Users: res.Users})
-		if err != nil {
-			return query.HistPartial{}, err
-		}
-	}
-	return merged, nil
-}
-
-// subsetRecords counts one subset's records across the cluster within d.
-func (r *Router) subsetRecords(d Domain, b bitvec.Subset) (uint64, error) {
-	results, err := r.fanout(d, func(f *wire.Filter) wire.PartialQuery {
-		return wire.PartialQuery{Kind: wire.PartialSubsetRecords, Filter: f, Subset: b}
-	})
-	if err != nil {
-		return 0, err
-	}
-	var n uint64
-	for _, res := range results {
-		n += res.Records
-	}
-	return n, nil
-}
-
-// totalRecords counts every record across the cluster within d.
-func (r *Router) totalRecords(d Domain) (uint64, error) {
-	results, err := r.fanout(d, func(f *wire.Filter) wire.PartialQuery {
-		return wire.PartialQuery{Kind: wire.PartialTotalRecords, Filter: f}
-	})
-	if err != nil {
-		return 0, err
-	}
-	var n uint64
-	for _, res := range results {
-		n += res.Records
-	}
-	return n, nil
 }
 
 // Conjunction answers the basic Algorithm 2 query over the cluster.

@@ -19,6 +19,12 @@
 //   - DualServer: both modes side by side, the paper's "paid and free
 //     access" suggestion.
 //
+// Every query is a compiled query.Plan executed by ExecutePlan in one
+// table pass with the engine's bitmap cache.  Source wraps that as the
+// query.PartialSource the estimators and the gateway's single-node mode
+// read through; the collection server answers a router's plan queries
+// with ExecutePlanCtx under the query's ownership filter and deadline.
+//
 // An Engine is safe for concurrent use: the sketch table hands queries
 // immutable sorted views of its columns, every query holds its own
 // lock-free PRF evaluators, and large record loops shard across

@@ -394,72 +394,47 @@ func (e *Engine) Subsets() []bitvec.Subset { return e.table.Subsets() }
 
 // Conjunction answers the basic Algorithm 2 query.
 func (e *Engine) Conjunction(b bitvec.Subset, v bitvec.Vector) (query.Estimate, error) {
-	return e.est.FractionFrom(e.Source(), b, v)
+	return e.est.FractionFrom(e.Source(nil), b, v)
 }
 
-// Source returns the engine's local partial source: per-call counters over
-// the table, with plan execution routed through the engine's one-pass
-// batch executor and bitmap cache.
-func (e *Engine) Source() query.PartialSource { return engineSource{e} }
-
-// FractionPartial returns the raw Algorithm 2 counters for one
-// (subset, value) evaluation over the records whose user passes keep
-// (nil keep: all records).  A cluster node serves scatter-gather queries
-// through it: the counters merge exactly across disjoint ownership
-// filters, so the router's estimate is bit-identical to a single engine
-// holding the union of the records.
-func (e *Engine) FractionPartial(b bitvec.Subset, v bitvec.Vector, keep query.UserFilter) (query.Partial, error) {
-	return e.est.FractionPartialOf(e.table, b, v, keep)
-}
-
-// HistogramPartial returns the Appendix F match-histogram counters over
-// the users that sketched every sub-query subset and pass keep.
-func (e *Engine) HistogramPartial(subs []query.SubQuery, keep query.UserFilter) (query.HistPartial, error) {
-	return e.est.HistogramPartialOf(e.table, subs, keep)
-}
-
-// SubsetRecords counts stored records for one subset whose user passes
-// keep.
-func (e *Engine) SubsetRecords(b bitvec.Subset, keep query.UserFilter) uint64 {
-	return query.SubsetRecordsOf(e.table, b, keep)
-}
-
-// TotalRecords counts stored records across all subsets whose user passes
-// keep.
-func (e *Engine) TotalRecords(keep query.UserFilter) uint64 {
-	return query.TotalRecordsOf(e.table, keep)
+// Source returns the engine as a plan source restricted to the records
+// whose user passes keep (nil: all records): plan execution routed through
+// the engine's one-pass batch executor and bitmap cache.  The gateway's
+// single-node mode passes a tenant's domain filter.
+func (e *Engine) Source(keep query.UserFilter) query.PartialSource {
+	return engineSource{e: e, keep: keep}
 }
 
 // ConjunctionLiterals answers a conjunction given as literals, using exact
 // subsets when available and Appendix F gluing otherwise.
 func (e *Engine) ConjunctionLiterals(c bitvec.Conjunction) (query.Estimate, error) {
-	return e.est.ConjunctionFractionFrom(e.Source(), c)
+	return e.est.ConjunctionFractionFrom(e.Source(nil), c)
 }
 
 // UnionConjunction answers a conjunction over the union of several sketched
 // subsets (Appendix F).
 func (e *Engine) UnionConjunction(subs []query.SubQuery) (query.Estimate, error) {
-	return e.est.UnionConjunctionFrom(e.Source(), subs)
+	return e.est.UnionConjunctionFrom(e.Source(nil), subs)
 }
 
 // ExactlyOfK answers "exactly l of these k sub-queries hold".
 func (e *Engine) ExactlyOfK(subs []query.SubQuery, l int) (query.Estimate, error) {
-	return e.est.ExactlyOfKFrom(e.Source(), subs, l)
+	return e.est.ExactlyOfKFrom(e.Source(nil), subs, l)
 }
 
 // FieldMean answers the Section 4.1 mean query for an integer field.
 func (e *Engine) FieldMean(f bitvec.IntField) (query.NumericEstimate, error) {
-	return e.est.FieldMeanFrom(e.Source(), f)
+	return e.est.FieldMeanFrom(e.Source(nil), f)
 }
 
 // FieldAtMost answers the Section 4.1 interval query value ≤ c.
 func (e *Engine) FieldAtMost(f bitvec.IntField, c uint64) (query.NumericEstimate, error) {
-	return e.est.FieldAtMostFrom(e.Source(), f, c)
+	return e.est.FieldAtMostFrom(e.Source(nil), f, c)
 }
 
 // DecisionTree answers the Section 4.1 decision-tree query.
 func (e *Engine) DecisionTree(tree *query.TreeNode) (query.NumericEstimate, error) {
-	return e.est.DecisionTreeFractionFrom(e.Source(), tree)
+	return e.est.DecisionTreeFractionFrom(e.Source(nil), tree)
 }
 
 // SumLessThanPow2 answers the Appendix E query a + b < 2^r.

@@ -64,17 +64,17 @@ func TestEnginePlanCacheWarmRepeat(t *testing.T) {
 	if warm != cold {
 		t.Fatalf("warm repeat differs: cold %+v warm %+v", cold, warm)
 	}
-	// The serial per-call path must agree with the cached answer.
-	serial, err := eng.Estimator().FractionFrom(query.SerialSource{Src: eng.Source()}, subset, v)
+	// The uncached table pass must agree with the cached answer.
+	uncached, err := eng.Estimator().FractionFrom(eng.Estimator().TableSource(eng.Table()), subset, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != warm {
-		t.Fatalf("cached answer differs from per-call: %+v vs %+v", warm, serial)
+	if uncached != warm {
+		t.Fatalf("cached answer differs from the uncached pass: %+v vs %+v", warm, uncached)
 	}
 
 	// An interval-style estimator shares the cache across overlapping
-	// queries and stays identical to the serial path too.
+	// queries and stays identical on the repeat too.
 	m1, err := eng.FieldMean(field)
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +108,12 @@ func TestEnginePlanCacheWarmRepeat(t *testing.T) {
 	if after.Users != cold.Users+1 {
 		t.Fatalf("post-ingest query served a stale cache: %d users, want %d", after.Users, cold.Users+1)
 	}
-	serialAfter, err := eng.Estimator().FractionFrom(query.SerialSource{Src: eng.Source()}, subset, v)
+	uncachedAfter, err := eng.Estimator().FractionFrom(eng.Estimator().TableSource(eng.Table()), subset, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after != serialAfter {
-		t.Fatalf("post-ingest cached answer differs from per-call: %+v vs %+v", after, serialAfter)
+	if after != uncachedAfter {
+		t.Fatalf("post-ingest cached answer differs from the uncached pass: %+v vs %+v", after, uncachedAfter)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 	if got := len(eng.cache.m); got > maxPlanCacheEntries {
 		t.Fatalf("cache grew past its bound: %d entries", got)
 	}
-	want, err := eng.Estimator().FractionFrom(query.SerialSource{Src: eng.Source()}, subset, bitvec.MustFromString("0101"))
+	want, err := eng.Estimator().FractionFrom(eng.Estimator().TableSource(eng.Table()), subset, bitvec.MustFromString("0101"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +142,6 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want != got {
-		t.Fatalf("post-eviction answer differs from per-call: %+v vs %+v", got, want)
+		t.Fatalf("post-eviction answer differs from the uncached pass: %+v vs %+v", got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/query"
 )
 
@@ -81,8 +80,7 @@ func (c *planCache) Put(key string, gen uint64, records int, words []uint64) {
 // from the generation-versioned bitmap cache.  keep restricts the counters
 // to records whose user passes the filter (nil: all records) — the cluster
 // node path — without bypassing the cache, since bitmaps are computed over
-// the full snapshot and filtered at counting time.  The counters are
-// bit-identical to executing the plan entry-at-a-time.
+// the full snapshot and filtered at counting time.
 func (e *Engine) ExecutePlan(p *query.Plan, keep query.UserFilter) (*query.Results, error) {
 	if e.m != nil {
 		defer e.m.planExec.ObserveSince(time.Now())
@@ -101,31 +99,20 @@ func (e *Engine) ExecutePlanCtx(ctx context.Context, p *query.Plan, keep query.U
 	return e.est.ExecutePlanOverCtx(ctx, e.table, p, keep, e.cache)
 }
 
-// engineSource is the engine's query.PartialSource: per-call methods over
-// the table, batched execution through the cached plan executor.
-type engineSource struct{ e *Engine }
-
-// FractionPartial implements query.PartialSource.
-func (s engineSource) FractionPartial(b bitvec.Subset, v bitvec.Vector) (query.Partial, error) {
-	return s.e.FractionPartial(b, v, nil)
+// engineSource is the engine's query.PartialSource: plans run through the
+// cached batch executor, restricted to the records whose user passes keep
+// (nil: all records).
+type engineSource struct {
+	e    *Engine
+	keep query.UserFilter
 }
 
-// HistogramPartial implements query.PartialSource.
-func (s engineSource) HistogramPartial(subs []query.SubQuery) (query.HistPartial, error) {
-	return s.e.HistogramPartial(subs, nil)
-}
-
-// SubsetRecords implements query.PartialSource.
-func (s engineSource) SubsetRecords(b bitvec.Subset) (uint64, error) {
-	return s.e.SubsetRecords(b, nil), nil
+// Execute implements query.PartialSource.
+func (s engineSource) Execute(p *query.Plan) (*query.Results, error) {
+	return s.e.ExecutePlan(p, s.keep)
 }
 
 // TotalRecords implements query.PartialSource.
 func (s engineSource) TotalRecords() (uint64, error) {
-	return s.e.TotalRecords(nil), nil
-}
-
-// Execute implements query.PartialSource via the cached batch executor.
-func (s engineSource) Execute(p *query.Plan) (*query.Results, error) {
-	return s.e.ExecutePlan(p, nil)
+	return query.TotalRecordsOf(s.e.table, s.keep), nil
 }

@@ -3,8 +3,6 @@ package gateway
 import (
 	"fmt"
 
-	"sketchprivacy/internal/bitvec"
-
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/query"
@@ -90,21 +88,21 @@ func (b RouterBackend) RebalanceStatus() string { return b.R.RebalanceStatus() }
 func (b RouterBackend) FanoutCounters() cluster.FanoutCounters { return b.R.FanoutCounters() }
 
 // EngineBackend fronts a single in-process engine: the gateway's
-// single-node mode.  Domain restrictions become local keep filters on the
-// engine's partial methods and cached plan executor, so tenancy semantics
-// are identical to fleet mode.
+// single-node mode.  A domain restriction becomes the keep filter of the
+// engine's cached plan executor, so tenancy semantics are identical to
+// fleet mode and bitmap caching still applies (bitmaps cover the full
+// snapshot; the filter bites at counting time).
 type EngineBackend struct{ E *engine.Engine }
 
 // PublishAll implements Backend via the engine's batched ingest.
 func (b EngineBackend) PublishAll(ps []sketch.Published) error { return b.E.IngestBatch(ps) }
 
-// Source implements Backend: the zero domain is the engine's own source;
-// a tenant domain wraps the keep-filter variants of the same methods.
+// Source implements Backend: the engine's source, filtered to the domain.
 func (b EngineBackend) Source(d cluster.Domain) query.PartialSource {
 	if d.Bits == 0 {
-		return b.E.Source()
+		return b.E.Source(nil)
 	}
-	return engineDomainSource{e: b.E, keep: d.Keep}
+	return b.E.Source(d.Keep)
 }
 
 // Estimator implements Backend.
@@ -112,10 +110,7 @@ func (b EngineBackend) Estimator() *query.Estimator { return b.E.Estimator() }
 
 // TotalRecords implements Backend with a local filtered count.
 func (b EngineBackend) TotalRecords(d cluster.Domain) (uint64, error) {
-	if d.Bits == 0 {
-		return b.E.TotalRecords(nil), nil
-	}
-	return b.E.TotalRecords(d.Keep), nil
+	return b.Source(d).TotalRecords()
 }
 
 // Healthy implements Backend; an in-process engine is always reachable.
@@ -124,33 +119,4 @@ func (b EngineBackend) Healthy() error { return nil }
 // Status implements Backend.
 func (b EngineBackend) Status() string {
 	return fmt.Sprintf("single-node engine: %d sketches, %d subsets", b.E.Sketches(), len(b.E.Subsets()))
-}
-
-// engineDomainSource is the engine restricted to one tenant domain: the
-// same keep-filter plumbing the cluster node path uses, so bitmap caching
-// still applies (bitmaps cover the full snapshot; the filter bites at
-// counting time).
-type engineDomainSource struct {
-	e    *engine.Engine
-	keep query.UserFilter
-}
-
-func (s engineDomainSource) FractionPartial(b bitvec.Subset, v bitvec.Vector) (query.Partial, error) {
-	return s.e.FractionPartial(b, v, s.keep)
-}
-
-func (s engineDomainSource) HistogramPartial(subs []query.SubQuery) (query.HistPartial, error) {
-	return s.e.HistogramPartial(subs, s.keep)
-}
-
-func (s engineDomainSource) SubsetRecords(b bitvec.Subset) (uint64, error) {
-	return s.e.SubsetRecords(b, s.keep), nil
-}
-
-func (s engineDomainSource) TotalRecords() (uint64, error) {
-	return s.e.TotalRecords(s.keep), nil
-}
-
-func (s engineDomainSource) Execute(p *query.Plan) (*query.Results, error) {
-	return s.e.ExecutePlan(p, s.keep)
 }

@@ -101,6 +101,23 @@ func (p *countingProxy) resetCounts() {
 	p.mu.Unlock()
 }
 
+// strayFrames counts the router→node frames seen since the last reset that
+// are neither plan queries nor connection control (hello, ping): every
+// query frame a router sends must be a TypePlanQuery.
+func (p *countingProxy) strayFrames() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for msgType, c := range p.counts {
+		switch msgType {
+		case wire.TypePlanQuery, wire.TypeHello, wire.TypePing:
+		default:
+			n += c
+		}
+	}
+	return n
+}
+
 func (p *countingProxy) accept() {
 	for {
 		client, err := p.ln.Accept()
@@ -257,11 +274,8 @@ func TestClusterHTTPPlanQueriesOneFanoutRTT(t *testing.T) {
 				if got := p.count(wire.TypePlanQuery); got != 1 {
 					t.Errorf("node %d saw %d plan-query frames, want exactly 1", i, got)
 				}
-				if got := p.count(wire.TypePartialQuery); got != 0 {
-					t.Errorf("node %d saw %d legacy partial-query frames, want 0", i, got)
-				}
-				if got := p.count(wire.TypeQuery); got != 0 {
-					t.Errorf("node %d saw %d single-node query frames, want 0", i, got)
+				if got := p.strayFrames(); got != 0 {
+					t.Errorf("node %d saw %d frames that are not plan queries, want 0", i, got)
 				}
 			}
 		})

@@ -206,7 +206,7 @@ func TestTenantIsolation(t *testing.T) {
 	}
 
 	// The engine really holds both tenants' records in one table.
-	if n := tg.eng.TotalRecords(nil); n != 40 {
+	if n := tg.eng.Sketches(); n != 40 {
 		t.Fatalf("engine holds %d records, want 40", n)
 	}
 	// And the stats endpoint agrees per tenant.

@@ -65,13 +65,6 @@ func Conditioning(k int, p float64) float64 {
 	return linalg.Cond1(PerturbationMatrix(k, p))
 }
 
-// errMissingSubset reports a user that lost a subset between UsersWithAll
-// and evaluation (impossible while sketches are never removed, but kept as
-// a defensive invariant).
-func errMissingSubset(id bitvec.UserID, b bitvec.Subset) error {
-	return fmt.Errorf("%w: user %v missing subset %v", ErrNoSketches, id, b)
-}
-
 // MatchDistribution estimates the distribution over the number of
 // sub-queries a user truly satisfies: x[l] is the estimated fraction of
 // users whose profile satisfies exactly l of the k sub-queries.  It solves

@@ -3,7 +3,6 @@ package query
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/prf"
@@ -27,101 +26,74 @@ func workersFor(n int) int {
 	return w
 }
 
-// countMatches counts records whose evaluation H(id, B, v, s) is 1,
-// sharding the record loop across GOMAXPROCS workers.  Each worker owns a
-// pooled sketch.Kernel — its own hasher state and scratch — so the loop is
-// lock-free and allocation-free per record.  The result is independent of
-// the sharding because H is deterministic.
-func countMatches(h prf.BitSource, records sketch.View, b bitvec.Subset, v bitvec.Vector) int {
-	workers := workersFor(records.Len())
-	if workers <= 1 {
-		return sketch.CountMatches(h, records, b, v)
-	}
-	var (
-		wg    sync.WaitGroup
-		total atomic.Int64
-	)
-	chunk := (records.Len() + workers - 1) / workers
-	for lo := 0; lo < records.Len(); lo += chunk {
-		wg.Add(1)
-		go func(part sketch.View) {
-			defer wg.Done()
-			total.Add(int64(sketch.CountMatches(h, part, b, v)))
-		}(records.Slice(lo, min(lo+chunk, records.Len())))
-	}
-	wg.Wait()
-	return int(total.Load())
-}
-
-// matchHistogram computes, for each user, how many of the k sub-queries
-// evaluate to 1 on that user's sketches, and returns the histogram over
-// match counts — the observed vector of the Appendix F system.  The user
-// loop is sharded across workers; each worker holds one kernel per
-// sub-query so every evaluation stays on the zero-allocation path.
-func matchHistogram(h prf.BitSource, tab *sketch.Table, subs []SubQuery, users []bitvec.UserID) ([]int, error) {
+// matchHistogram computes the Appendix F match histogram counters over
+// the table's users that sketched every sub-query subset and pass keep:
+// for each such user, how many of the k sub-queries evaluate to 1 on that
+// user's sketches.  The users and their sketches come from one consistent
+// set of aligned views (Table.ViewsWithAll), so a concurrent removal
+// cannot tear a user between two subsets.  The user loop is sharded across
+// workers on 64-user words; each worker holds one kernel per sub-query and
+// evaluates a word of users at a time through the multi-lane batch path.
+func matchHistogram(h prf.BitSource, tab *sketch.Table, subs []SubQuery, keep UserFilter) HistPartial {
 	k := len(subs)
-	workers := workersFor(len(users) * k)
-	counts := func(ids []bitvec.UserID) ([]int, error) {
+	subsets := make([]bitvec.Subset, k)
+	for i, s := range subs {
+		subsets[i] = s.Subset
+	}
+	views := tab.ViewsWithAll(subsets, keep)
+	n := views[0].Len()
+	out := HistPartial{Users: uint64(n)}
+	count := func(lo, hi int) []uint64 {
 		kernels := make([]*sketch.Kernel, k)
-		for i, s := range subs {
-			kernels[i] = sketch.AcquireKernel(h, s.Subset, s.Value)
+		for j, s := range subs {
+			kernels[j] = sketch.AcquireKernel(h, s.Subset, s.Value)
 		}
 		defer func() {
 			for _, kn := range kernels {
 				kn.Release()
 			}
 		}()
-		hist := make([]int, k+1)
-		for _, id := range ids {
-			matches := 0
-			for i, s := range subs {
-				sk1, ok := tab.Get(id, s.Subset)
-				if !ok {
-					return nil, errMissingSubset(id, s.Subset)
-				}
-				if kernels[i].Evaluate(id, sk1) {
-					matches++
-				}
+		hist := make([]uint64, k+1)
+		words := make([]uint64, k)
+		for ; lo < hi; lo += 64 {
+			m := min(64, hi-lo)
+			for j, kn := range kernels {
+				words[j] = kn.EvaluateWord(views[j].Slice(lo, lo+m))
 			}
-			hist[matches]++
+			for i := 0; i < m; i++ {
+				matches := 0
+				for _, w := range words {
+					matches += int(w >> uint(i) & 1)
+				}
+				hist[matches]++
+			}
 		}
-		return hist, nil
+		return hist
 	}
+	workers := workersFor(n * k)
 	if workers <= 1 {
-		return counts(users)
+		out.Hist = count(0, n)
+		return out
 	}
+	out.Hist = make([]uint64, k+1)
 	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
+		wg sync.WaitGroup
+		mu sync.Mutex
 	)
-	hist := make([]int, k+1)
-	chunk := (len(users) + workers - 1) / workers
-	for lo := 0; lo < len(users); lo += chunk {
-		hi := lo + chunk
-		if hi > len(users) {
-			hi = len(users)
-		}
+	// Whole words per worker, so only the last shard has a ragged word.
+	chunk := ((n+workers-1)/workers + 63) &^ 63
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(ids []bitvec.UserID) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			part, err := counts(ids)
+			part := count(lo, hi)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				if first == nil {
-					first = err
-				}
-				return
-			}
 			for i, c := range part {
-				hist[i] += c
+				out.Hist[i] += c
 			}
-		}(users[lo:hi])
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
-	if first != nil {
-		return nil, first
-	}
-	return hist, nil
+	return out
 }

@@ -59,33 +59,19 @@ func (h HistPartial) Merge(o HistPartial) (HistPartial, error) {
 // counted once across a scatter-gather fan-out.
 type UserFilter func(bitvec.UserID) bool
 
-// PartialSource supplies the raw counters the estimators reduce over.  Two
-// primary implementations exist: the local sketch table (TableSource) and
-// the cluster router, which fans requests out to all live nodes and merges
-// their partials exactly.  Every derived estimator (numeric, interval,
-// tree, Appendix F combinations) compiles its needs into a Plan and runs
-// it through Execute in one batch, so the whole query surface works
-// unchanged — and equally batched — over a table or a cluster.  The
-// per-call methods remain the reference semantics Execute must match bit
-// for bit; ExecuteSerial (or the SerialSource wrapper) derives a correct
-// Execute from them for sources without a native batch path.
+// PartialSource answers compiled plans.  Every estimator — Algorithm 2
+// fractions, the numeric, interval and tree decompositions, the Appendix F
+// combinations — compiles what it needs into a Plan and runs it through
+// Execute in one batch, so the whole query surface works unchanged over a
+// local table, an engine or a cluster router.
 type PartialSource interface {
-	// FractionPartial returns the Algorithm 2 counters for one
-	// (subset, value) evaluation.  A source with no records for the subset
-	// returns a zero partial, not an error: emptiness is decided by the
-	// caller after merging.
-	FractionPartial(b bitvec.Subset, v bitvec.Vector) (Partial, error)
-	// HistogramPartial returns the Appendix F match histogram counters.
-	HistogramPartial(subs []SubQuery) (HistPartial, error)
-	// SubsetRecords returns how many records exist for one subset.
-	SubsetRecords(b bitvec.Subset) (uint64, error)
+	// Execute runs every evaluation of a plan in one batch — one parallel
+	// table pass locally, one scatter-gather fan-out over a cluster.  A
+	// source with no records for an entry's subset answers zero counters,
+	// not an error: emptiness is decided by the caller after merging.
+	Execute(p *Plan) (*Results, error)
 	// TotalRecords returns how many records exist across all subsets.
 	TotalRecords() (uint64, error)
-	// Execute runs every evaluation of a plan in one batch — one parallel
-	// table pass locally, one scatter-gather fan-out over a cluster — and
-	// must return counters bit-identical to running the plan entry-at-a-
-	// time through the methods above.
-	Execute(p *Plan) (*Results, error)
 }
 
 // tableSource adapts a local sketch table to PartialSource.
@@ -100,78 +86,14 @@ func (e *Estimator) TableSource(tab *sketch.Table) PartialSource {
 	return tableSource{e: e, tab: tab}
 }
 
-func (s tableSource) FractionPartial(b bitvec.Subset, v bitvec.Vector) (Partial, error) {
-	return s.e.FractionPartialOf(s.tab, b, v, nil)
-}
-
-func (s tableSource) HistogramPartial(subs []SubQuery) (HistPartial, error) {
-	return s.e.HistogramPartialOf(s.tab, subs, nil)
-}
-
-func (s tableSource) SubsetRecords(b bitvec.Subset) (uint64, error) {
-	return SubsetRecordsOf(s.tab, b, nil), nil
-}
-
-func (s tableSource) TotalRecords() (uint64, error) {
-	return TotalRecordsOf(s.tab, nil), nil
-}
-
 // Execute runs the plan in one batched table pass (no cross-query cache;
 // the engine's source adds one).
 func (s tableSource) Execute(p *Plan) (*Results, error) {
 	return s.e.ExecutePlanOver(s.tab, p, nil, nil)
 }
 
-// FractionPartialOf computes the Algorithm 2 raw counters over the table's
-// records for subset b whose user passes keep (nil keep: all records).
-// The match loop is the same sharded zero-allocation kernel Fraction uses.
-func (e *Estimator) FractionPartialOf(tab *sketch.Table, b bitvec.Subset, v bitvec.Vector, keep UserFilter) (Partial, error) {
-	if err := validateFractionShape(b, v); err != nil {
-		return Partial{}, err
-	}
-	records, _ := tab.View(b)
-	if keep != nil {
-		records = records.Filter(keep)
-	}
-	if records.Len() == 0 {
-		return Partial{}, nil
-	}
-	hits := countMatches(e.h, records, b, v)
-	return Partial{Hits: uint64(hits), Records: uint64(records.Len())}, nil
-}
-
-// HistogramPartialOf computes the Appendix F match histogram counters over
-// the table's users that sketched every sub-query subset and pass keep.
-func (e *Estimator) HistogramPartialOf(tab *sketch.Table, subs []SubQuery, keep UserFilter) (HistPartial, error) {
-	if err := validateSubQueries(subs); err != nil {
-		return HistPartial{}, err
-	}
-	subsets := make([]bitvec.Subset, len(subs))
-	for i, s := range subs {
-		subsets[i] = s.Subset
-	}
-	users := tab.UsersWithAll(subsets)
-	if keep != nil {
-		kept := users[:0:0]
-		for _, id := range users {
-			if keep(id) {
-				kept = append(kept, id)
-			}
-		}
-		users = kept
-	}
-	if len(users) == 0 {
-		return HistPartial{Hist: make([]uint64, len(subs)+1)}, nil
-	}
-	hist, err := matchHistogram(e.h, tab, subs, users)
-	if err != nil {
-		return HistPartial{}, err
-	}
-	out := HistPartial{Hist: make([]uint64, len(hist)), Users: uint64(len(users))}
-	for i, c := range hist {
-		out.Hist[i] = uint64(c)
-	}
-	return out, nil
+func (s tableSource) TotalRecords() (uint64, error) {
+	return TotalRecordsOf(s.tab, nil), nil
 }
 
 // SubsetRecordsOf counts the table's records for subset b whose user

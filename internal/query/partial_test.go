@@ -2,66 +2,13 @@ package query
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/dataset"
 	"sketchprivacy/internal/sketch"
 )
-
-// mergedSource is a PartialSource that merges the partials of several
-// disjoint shards — the in-process model of the cluster router, used to
-// prove the merge is exact without any networking.
-type mergedSource struct {
-	e      *Estimator
-	shards []*sketch.Table
-}
-
-func (m mergedSource) FractionPartial(b bitvec.Subset, v bitvec.Vector) (Partial, error) {
-	var out Partial
-	for _, tab := range m.shards {
-		p, err := m.e.FractionPartialOf(tab, b, v, nil)
-		if err != nil {
-			return Partial{}, err
-		}
-		out = out.Merge(p)
-	}
-	return out, nil
-}
-
-func (m mergedSource) HistogramPartial(subs []SubQuery) (HistPartial, error) {
-	var out HistPartial
-	for _, tab := range m.shards {
-		h, err := m.e.HistogramPartialOf(tab, subs, nil)
-		if err != nil {
-			return HistPartial{}, err
-		}
-		if out, err = out.Merge(h); err != nil {
-			return HistPartial{}, err
-		}
-	}
-	return out, nil
-}
-
-func (m mergedSource) SubsetRecords(b bitvec.Subset) (uint64, error) {
-	var n uint64
-	for _, tab := range m.shards {
-		n += SubsetRecordsOf(tab, b, nil)
-	}
-	return n, nil
-}
-
-func (m mergedSource) TotalRecords() (uint64, error) {
-	var n uint64
-	for _, tab := range m.shards {
-		n += TotalRecordsOf(tab, nil)
-	}
-	return n, nil
-}
-
-// Execute runs the plan entry-at-a-time over the merged shards — the
-// serial reference path.
-func (m mergedSource) Execute(p *Plan) (*Results, error) { return ExecuteSerial(m, p) }
 
 // sameEstimate compares estimates bit for bit (Observed is NaN for the
 // combination estimators, so == alone cannot be used).
@@ -97,7 +44,9 @@ func TestMergedPartialsBitIdentical(t *testing.T) {
 	subsets := []bitvec.Subset{bitvec.Range(0, 4)}
 	subsets = append(subsets, FieldBitSubsets(field)...)
 	tab, est := buildTable(t, pop, subsets, p, 10, 7)
-	src := mergedSource{e: est, shards: splitTable(t, tab, 3)}
+	// The cluster router, modelled in-process with no networking: the
+	// scalar oracle answering each of three disjoint shards and merging.
+	src := oracleOver(est, nil, splitTable(t, tab, 3)...)
 
 	conjSubset := bitvec.Range(0, 4)
 	conjValue := bitvec.MustFromString("1010")
@@ -162,16 +111,22 @@ func TestMergedPartialsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestUserFilterPartitionExactness: partials computed under a partition of
-// user filters merge to the unfiltered counters.
+// TestUserFilterPartitionExactness: counters computed under a partition of
+// user filters merge to the unfiltered counters, and each part is what the
+// scalar oracle counts under the same filter.
 func TestUserFilterPartitionExactness(t *testing.T) {
 	const p, width = 0.3, 6
 	pop := dataset.UniformBinary(3, 2000, width, 0.5)
 	subset := bitvec.Range(0, 3)
 	tab, est := buildTable(t, pop, []bitvec.Subset{subset}, p, 10, 9)
-	value := bitvec.MustFromString("110")
+	plan := NewPlan()
+	ref, err := plan.AddFraction(subset, bitvec.MustFromString("110"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := plan.AddSubsetRecords(subset)
 
-	whole, err := est.FractionPartialOf(tab, subset, value, nil)
+	whole, err := est.ExecutePlanOver(tab, plan, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,17 +134,24 @@ func TestUserFilterPartitionExactness(t *testing.T) {
 	for part := 0; part < 3; part++ {
 		part := part
 		keep := func(id bitvec.UserID) bool { return uint64(id)%3 == uint64(part) }
-		pt, err := est.FractionPartialOf(tab, subset, value, keep)
+		got, err := est.ExecutePlanOver(tab, plan, keep, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged = merged.Merge(pt)
-		if n := SubsetRecordsOf(tab, subset, keep); n != pt.Records {
-			t.Fatalf("SubsetRecordsOf %d disagrees with partial records %d", n, pt.Records)
+		want, err := oracleOver(est, keep, tab).Execute(plan)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("part %d: filtered execution %+v, oracle %+v", part, got, want)
+		}
+		if got.Count(count) != got.Fraction(ref).Records {
+			t.Fatalf("part %d: subset count %d disagrees with evaluated records %d", part, got.Count(count), got.Fraction(ref).Records)
+		}
+		merged = merged.Merge(got.Fraction(ref))
 	}
-	if merged != whole {
-		t.Fatalf("partitioned partials merge to %+v, want %+v", merged, whole)
+	if merged != whole.Fraction(ref) {
+		t.Fatalf("partitioned counters merge to %+v, want %+v", merged, whole.Fraction(ref))
 	}
 }
 
@@ -201,7 +163,7 @@ func TestFractionFromEmptySourceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := mergedSource{e: est, shards: []*sketch.Table{sketch.NewTable()}}
+	src := oracleOver(est, nil, sketch.NewTable())
 	if _, err := est.FractionFrom(src, bitvec.MustSubset(0), bitvec.MustFromString("1")); err == nil {
 		t.Fatal("empty source did not error")
 	}

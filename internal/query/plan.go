@@ -102,8 +102,8 @@ func (h HistogramEval) Skipped(fractions []Partial) bool {
 func NewPlan() *Plan { return &Plan{} }
 
 // AddFraction registers one (subset, value) evaluation, validating the
-// Algorithm 2 query shape exactly as the per-call path does.  Re-adding an
-// identical pair returns the existing ref.
+// Algorithm 2 query shape.  Re-adding an identical pair returns the
+// existing ref.
 func (p *Plan) AddFraction(b bitvec.Subset, v bitvec.Vector) (FracRef, error) {
 	if err := validateFractionShape(b, v); err != nil {
 		return 0, err
@@ -222,73 +222,3 @@ func newResults(p *Plan) *Results {
 		Counts:    make([]uint64, len(p.counts)),
 	}
 }
-
-// ExecuteSerial runs a plan entry-at-a-time through the source's per-call
-// methods.  It is the reference semantics every batched executor must match
-// bit for bit (FuzzPlanEquivalence asserts exactly that), and the fallback
-// for sources with no native batch path.
-func ExecuteSerial(src PartialSource, p *Plan) (*Results, error) {
-	res := newResults(p)
-	for i, f := range p.fractions {
-		part, err := src.FractionPartial(f.Subset, f.Value)
-		if err != nil {
-			return nil, err
-		}
-		res.Fractions[i] = part
-	}
-	for i, h := range p.hists {
-		if h.Skipped(res.Fractions) {
-			// The guard fraction found records, so the finisher will
-			// consume the exact path and never read this histogram; leave
-			// the zero value, exactly like the batched executors.
-			continue
-		}
-		hp, err := src.HistogramPartial(h.Subs)
-		if err != nil {
-			return nil, err
-		}
-		res.Hists[i] = hp
-	}
-	for i, b := range p.counts {
-		n, err := src.SubsetRecords(b)
-		if err != nil {
-			return nil, err
-		}
-		res.Counts[i] = n
-	}
-	if p.total {
-		n, err := src.TotalRecords()
-		if err != nil {
-			return nil, err
-		}
-		res.Total = n
-	}
-	return res, nil
-}
-
-// SerialSource adapts any PartialSource into one whose Execute degrades to
-// the per-call path.  Tests use it to compare a batched executor against
-// the per-partial reference over the very same source; embedders get a
-// PartialSource implementation without writing an Execute of their own.
-type SerialSource struct{ Src PartialSource }
-
-// FractionPartial implements PartialSource.
-func (s SerialSource) FractionPartial(b bitvec.Subset, v bitvec.Vector) (Partial, error) {
-	return s.Src.FractionPartial(b, v)
-}
-
-// HistogramPartial implements PartialSource.
-func (s SerialSource) HistogramPartial(subs []SubQuery) (HistPartial, error) {
-	return s.Src.HistogramPartial(subs)
-}
-
-// SubsetRecords implements PartialSource.
-func (s SerialSource) SubsetRecords(b bitvec.Subset) (uint64, error) {
-	return s.Src.SubsetRecords(b)
-}
-
-// TotalRecords implements PartialSource.
-func (s SerialSource) TotalRecords() (uint64, error) { return s.Src.TotalRecords() }
-
-// Execute implements PartialSource by running the plan entry-at-a-time.
-func (s SerialSource) Execute(p *Plan) (*Results, error) { return ExecuteSerial(s.Src, p) }

@@ -98,9 +98,9 @@ func (c *mapCache) Put(key string, gen uint64, records int, words []uint64) {
 // entries (including never-sketched subsets), histograms, record counts
 // and ownership filters — through the one-pass batched executor, cold and
 // cache-warmed, and asserts the counters are bit-for-bit identical to the
-// per-call reference path (ExecuteSerial).  This is the differential
-// guarantee the whole refactor rests on: batching is an execution
-// strategy, never a semantics change.
+// scalar serial oracle (oracle_test.go).  This is the differential
+// guarantee the read path rests on: batching, packed words, sharding and
+// caching are an execution strategy, never a semantics change.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 3, 1, 0, 2, 5, 3, 2, 4})
@@ -175,16 +175,16 @@ func FuzzPlanEquivalence(f *testing.F) {
 			keep = func(id bitvec.UserID) bool { return uint64(id)%3 == 1 }
 		}
 
-		want, wantErr := ExecuteSerial(filteredTableSource{est, tab, keep}, plan)
-		got, gotErr := est.ExecutePlanOver(tab, plan, keep, nil)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("serial err %v, batch err %v", wantErr, gotErr)
+		want, err := oracleOver(est, keep, tab).Execute(plan)
+		if err != nil {
+			t.Fatalf("oracle errored: %v", err)
 		}
-		if wantErr != nil {
-			return
+		got, err := est.ExecutePlanOver(tab, plan, keep, nil)
+		if err != nil {
+			t.Fatalf("batched execution errored: %v", err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("batched execution differs from per-call:\nserial %+v\nbatch  %+v", want, got)
+			t.Fatalf("batched execution differs from the oracle:\noracle %+v\nbatch  %+v", want, got)
 		}
 		cache := &mapCache{m: make(map[string]struct {
 			gen     uint64
@@ -197,34 +197,8 @@ func FuzzPlanEquivalence(f *testing.F) {
 				t.Fatalf("cached pass %d errored: %v", pass, err)
 			}
 			if !reflect.DeepEqual(want, warm) {
-				t.Fatalf("cached pass %d differs from per-call:\nserial %+v\ncached %+v", pass, want, warm)
+				t.Fatalf("cached pass %d differs from the oracle:\noracle %+v\ncached %+v", pass, want, warm)
 			}
 		}
 	})
 }
-
-// filteredTableSource is the per-call reference path under an ownership
-// filter — exactly what a cluster node computes for each entry.
-type filteredTableSource struct {
-	e    *Estimator
-	tab  *sketch.Table
-	keep UserFilter
-}
-
-func (s filteredTableSource) FractionPartial(b bitvec.Subset, v bitvec.Vector) (Partial, error) {
-	return s.e.FractionPartialOf(s.tab, b, v, s.keep)
-}
-
-func (s filteredTableSource) HistogramPartial(subs []SubQuery) (HistPartial, error) {
-	return s.e.HistogramPartialOf(s.tab, subs, s.keep)
-}
-
-func (s filteredTableSource) SubsetRecords(b bitvec.Subset) (uint64, error) {
-	return SubsetRecordsOf(s.tab, b, s.keep), nil
-}
-
-func (s filteredTableSource) TotalRecords() (uint64, error) {
-	return TotalRecordsOf(s.tab, s.keep), nil
-}
-
-func (s filteredTableSource) Execute(p *Plan) (*Results, error) { return ExecuteSerial(s, p) }

@@ -7,11 +7,13 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/dataset"
+	"sketchprivacy/internal/sketch"
 )
 
 // planTestFixture builds one table carrying every subset family the
-// estimators need: a conjunctive subset, single-bit and prefix subsets of
-// two 4-bit fields, and both full-field subsets.
+// estimators need — a conjunctive subset, single-bit and prefix subsets of
+// two 4-bit fields, and both full-field subsets — and returns the batched
+// table source over it beside the scalar oracle over the same table.
 func planTestFixture(t *testing.T) (*Estimator, PartialSource, PartialSource, bitvec.IntField, bitvec.IntField) {
 	t.Helper()
 	const p, width = 0.3, 8
@@ -25,8 +27,7 @@ func planTestFixture(t *testing.T) (*Estimator, PartialSource, PartialSource, bi
 	subsets = append(subsets, FieldPrefixSubsets(fb)...)
 	subsets = append(subsets, fb.FullSubset())
 	tab, est := buildTable(t, pop, dedupSubsets(subsets), p, 10, 13)
-	batch := est.TableSource(tab)
-	return est, batch, SerialSource{Src: batch}, fa, fb
+	return est, est.TableSource(tab), oracleOver(est, nil, tab), fa, fb
 }
 
 // dedupSubsets drops duplicate subsets (prefix 1 equals bit 1, the full
@@ -44,11 +45,12 @@ func dedupSubsets(subsets []bitvec.Subset) []bitvec.Subset {
 	return out
 }
 
-// TestPlanPathBitIdenticalToPerCall is the tentpole's golden test: every
+// TestPlanPathBitIdenticalToPerCall is the read path's golden test: every
 // estimator answered through the one-pass batched executor equals the
-// per-call partial path bit for bit, numeric edge cases included.
+// oracle's one scalar Evaluate call per record and entry bit for bit,
+// numeric edge cases included.
 func TestPlanPathBitIdenticalToPerCall(t *testing.T) {
-	est, batch, serial, fa, fb := planTestFixture(t)
+	est, batch, oracle, fa, fb := planTestFixture(t)
 	conjSubset := bitvec.Range(0, 4)
 	conjValue := bitvec.MustFromString("1010")
 	subs := []SubQuery{
@@ -102,19 +104,19 @@ func TestPlanPathBitIdenticalToPerCall(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		want, wantErr := tc.run(serial)
+		want, wantErr := tc.run(oracle)
 		got, gotErr := tc.run(batch)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: per-call err %v, plan err %v", tc.name, wantErr, gotErr)
+			t.Fatalf("%s: oracle err %v, plan err %v", tc.name, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("%s: error text differs:\nper-call %v\nplan     %v", tc.name, wantErr, gotErr)
+				t.Fatalf("%s: error text differs:\noracle %v\nplan   %v", tc.name, wantErr, gotErr)
 			}
 			continue
 		}
 		if !sameResult(want, got) {
-			t.Fatalf("%s: plan path differs from per-call path:\nper-call %+v\nplan     %+v", tc.name, want, got)
+			t.Fatalf("%s: plan path differs from the oracle:\noracle %+v\nplan   %+v", tc.name, want, got)
 		}
 	}
 }
@@ -131,9 +133,9 @@ func sameResult(a, b any) bool {
 }
 
 // TestPlanErrorEquivalence pins the error contract of the plan path onto
-// the per-call one, including errors that surface before execution.
+// the oracle's, including errors that surface before execution.
 func TestPlanErrorEquivalence(t *testing.T) {
-	est, batch, serial, fa, _ := planTestFixture(t)
+	est, batch, oracle, fa, _ := planTestFixture(t)
 	missing := bitvec.MustIntField(2, 4) // prefix subsets of this field were never sketched
 	cases := []struct {
 		name string
@@ -165,13 +167,13 @@ func TestPlanErrorEquivalence(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		wantErr := tc.run(serial)
+		wantErr := tc.run(oracle)
 		gotErr := tc.run(batch)
 		if wantErr == nil || gotErr == nil {
-			t.Fatalf("%s: expected errors, got per-call %v, plan %v", tc.name, wantErr, gotErr)
+			t.Fatalf("%s: expected errors, got oracle %v, plan %v", tc.name, wantErr, gotErr)
 		}
 		if wantErr.Error() != gotErr.Error() {
-			t.Fatalf("%s: error text differs:\nper-call %v\nplan     %v", tc.name, wantErr, gotErr)
+			t.Fatalf("%s: error text differs:\noracle %v\nplan   %v", tc.name, wantErr, gotErr)
 		}
 	}
 	// ErrNoSketches identity must survive the plan path so callers'
@@ -234,7 +236,8 @@ func TestPlanDedup(t *testing.T) {
 }
 
 // TestPlanFilteredExecutionMatchesSerial checks the ownership-filtered
-// executor path (the cluster node side) against per-call filtering.
+// executor path (the cluster node side) against the serial oracle under
+// the same filter.
 func TestPlanFilteredExecutionMatchesSerial(t *testing.T) {
 	const p, width = 0.3, 6
 	pop := dataset.UniformBinary(5, 1500, width, 0.5)
@@ -257,20 +260,11 @@ func TestPlanFilteredExecutionMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &Results{Total: TotalRecordsOf(tab, keep)}
-	for _, f := range plan.Fractions() {
-		part, err := est.FractionPartialOf(tab, f.Subset, f.Value, keep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Fractions = append(want.Fractions, part)
+	want, err := oracleOver(est, keep, tab).Execute(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want.Hists = []HistPartial{}
-	got.Hists = got.Hists[:0]
-	for _, b := range plan.CountSubsets() {
-		want.Counts = append(want.Counts, SubsetRecordsOf(tab, b, keep))
-	}
-	if !reflect.DeepEqual(want.Fractions, got.Fractions) || !reflect.DeepEqual(want.Counts, got.Counts) || want.Total != got.Total {
+	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("filtered plan execution differs:\nwant %+v\ngot  %+v", want, got)
 	}
 }
@@ -278,9 +272,9 @@ func TestPlanFilteredExecutionMatchesSerial(t *testing.T) {
 // TestGuardedHistogramSkipped pins the guarded-fallback optimization: a
 // conjunction whose exact subset is sketched must not pay for its gluing
 // histogram (the entry stays unevaluated), while the answer and the
-// unsketched-fallback behavior stay bit-identical to the per-call path.
+// unsketched-fallback behavior stay bit-identical to the oracle.
 func TestGuardedHistogramSkipped(t *testing.T) {
-	est, src, _, fa, _ := planTestFixture(t)
+	est, src, oracle, fa, _ := planTestFixture(t)
 	exact := bitvec.MustConjunction(
 		bitvec.Literal{Position: 0, Value: true}, bitvec.Literal{Position: 1, Value: false},
 		bitvec.Literal{Position: 2, Value: true}, bitvec.Literal{Position: 3, Value: false})
@@ -308,15 +302,79 @@ func TestGuardedHistogramSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := est.ConjunctionFractionFrom(SerialSource{Src: src}, exact)
+	want, err := est.ConjunctionFractionFrom(oracle, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameEstimate(want, got) {
-		t.Fatalf("guarded plan answer %+v differs from per-call %+v", got, want)
+		t.Fatalf("guarded plan answer %+v differs from the oracle %+v", got, want)
 	}
 	// Invalid guard refs are rejected at build time.
 	if _, err := NewPlan().AddHistogramGuarded([]SubQuery{{Subset: fa.BitSubset(1), Value: oneBit()}}, 0); err == nil {
 		t.Fatal("guard pointing at a non-existent fraction entry accepted")
 	}
+}
+
+// TestHistogramUnderConcurrentRemove pins that a histogram entry is
+// answered from one consistent state of the table: a writer removing and
+// re-adding sketches (an engine's store-failure rollback) between the
+// executor's steps must not fail the plan or tear a user between two
+// subsets.
+func TestHistogramUnderConcurrentRemove(t *testing.T) {
+	const users = 20000
+	est, err := NewEstimator(testSource(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, b2 := bitvec.MustSubset(0), bitvec.MustSubset(1)
+	tab := sketch.NewTable()
+	rec := func(id int, b bitvec.Subset) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: uint64(id % 1024), Length: 10}}
+	}
+	for id := 0; id < users; id++ {
+		if err := tab.AddAll([]sketch.Published{rec(id, b1), rec(id, b2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := NewPlan()
+	ref, err := plan.AddHistogram([]SubQuery{{Subset: b1, Value: oneBit()}, {Subset: b2, Value: oneBit()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := 0; ; id = (id + 1) % users {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tab.Remove(bitvec.UserID(id), b2)
+			if err := tab.Add(rec(id, b2)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for try := 0; try < 50; try++ {
+		res, err := est.ExecutePlanOver(tab, plan, nil, nil)
+		if err != nil {
+			t.Errorf("try %d: %v", try, err)
+			break
+		}
+		hp := res.Histogram(ref)
+		var sum uint64
+		for _, c := range hp.Hist {
+			sum += c
+		}
+		// At most one user is out of the table at any moment.
+		if hp.Users < users-1 || hp.Users > users || sum != hp.Users {
+			t.Errorf("try %d: histogram covers %d users in bins summing to %d, want %d or %d", try, hp.Users, sum, users-1, users)
+			break
+		}
+	}
+	close(stop)
+	<-done
 }

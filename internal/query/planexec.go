@@ -31,15 +31,14 @@ type BitmapCache interface {
 // evaluation of the subset, and the per-entry results are bitmaps — one
 // bit per snapshot record — so an attached cache reduces repeated and
 // overlapping evaluations to popcounts.  The counters produced are
-// bit-identical to running the plan entry-at-a-time through the per-call
-// methods (FuzzPlanEquivalence asserts this against ExecuteSerial):
-// evaluation H is deterministic per record, so batching, sharding and
-// caching cannot change any count.
+// bit-identical to evaluating H once per record and entry in a serial
+// loop (FuzzPlanEquivalence asserts this against the scalar oracle in
+// oracle_test.go): evaluation H is deterministic per record, so batching,
+// sharding and caching cannot change any count.
 //
-// keep restricts every counter to records whose user passes the filter,
-// with the same semantics as the per-call methods: bitmaps are computed
-// over the full snapshot (making them cacheable regardless of filter) and
-// the filter is applied at counting time.
+// keep restricts every counter to records whose user passes the filter:
+// bitmaps are computed over the full snapshot (making them cacheable
+// regardless of filter) and the filter is applied at counting time.
 func (e *Estimator) ExecutePlanOver(tab *sketch.Table, p *Plan, keep UserFilter, cache BitmapCache) (*Results, error) {
 	return e.ExecutePlanOverCtx(context.Background(), tab, p, keep, cache)
 }
@@ -141,11 +140,7 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		hp, err := e.HistogramPartialOf(tab, h.Subs, keep)
-		if err != nil {
-			return nil, err
-		}
-		res.Hists[i] = hp
+		res.Hists[i] = matchHistogram(e.h, tab, h.Subs, keep)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

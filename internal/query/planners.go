@@ -13,13 +13,11 @@ import (
 // This file holds the plan-builder form of every estimator.  Each planner
 // registers the raw-counter evaluations its estimator needs on a Plan and
 // returns a finisher that reduces the executed Results into the estimate.
-// The arithmetic inside the finishers is the estimator logic itself — the
-// XxxFrom entry points are now one plan build, one batched Execute and one
-// finish — so the plan path cannot drift from a separate per-call
-// implementation: there is only one implementation, and the execution
-// strategy (serial per-call, one-pass table scan, one-fan-out cluster
-// push-down) is the only variable.  Finishers run in the same order the
-// per-call path evaluated in, so error precedence is preserved exactly.
+// The arithmetic inside the finishers is the estimator logic itself: the
+// XxxFrom entry points are one plan build, one batched Execute and one
+// finish, and the execution strategy (one-pass table scan, one-fan-out
+// cluster push-down) is the only variable.  Finishers run in the order
+// their evaluations were registered, which fixes error precedence.
 
 // EstimateFinisher reduces executed plan results into a frequency
 // estimate.
@@ -195,13 +193,11 @@ func (e *Estimator) PlanAtLeastOfK(p *Plan, subs []SubQuery, l int) (EstimateFin
 // PlanConjunctionFraction registers both halves of the conjunction
 // estimator — the exact-subset Algorithm 2 evaluation and the Appendix F
 // single-bit gluing fallback — in one plan.  The finisher prefers the
-// exact path and falls back only on ErrNoSketches, mirroring the
-// decision the per-call path made with a second round trip; with a plan
-// both candidates ride the same table pass and the same fan-out.  The
-// fallback histogram is *guarded* by the exact entry: an executor that
-// finds records for the exact subset skips the histogram's evaluation
-// entirely, so the common exactly-sketched case pays nothing for the
-// speculative fallback.
+// exact path and falls back only on ErrNoSketches; both candidates ride
+// the same table pass and the same fan-out.  The fallback histogram is
+// *guarded* by the exact entry: an executor that finds records for the
+// exact subset skips the histogram's evaluation entirely, so the common
+// exactly-sketched case pays nothing for the speculative fallback.
 func (e *Estimator) PlanConjunctionFraction(p *Plan, c bitvec.Conjunction) (EstimateFinisher, error) {
 	if c.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty conjunction", ErrMismatch)

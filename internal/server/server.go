@@ -65,7 +65,7 @@ type Server struct {
 
 	// epoch is the highest ring epoch this node has observed, learned from
 	// hello handshakes, pings, ownership filters and transfer pushes.  A
-	// partial query built for an older epoch is refused (wire.StaleEpochError)
+	// plan query built for an older epoch is refused (wire.StaleEpochError)
 	// so results computed under a superseded ring are never merged into an
 	// estimate — the router retries under a fresh ring snapshot instead.
 	epoch atomic.Uint64
@@ -288,18 +288,6 @@ func (s *Server) serveFrame(conn net.Conn, msgType byte, payload []byte) bool {
 		pong := fmt.Sprintf("ok version=%d sketches=%d epoch=%d",
 			wire.ProtocolVersion, s.eng.Sketches(), s.epoch.Load())
 		_ = wire.WriteFrame(conn, wire.TypePong, []byte(pong))
-	case wire.TypePartialQuery:
-		pq, err := wire.DecodePartialQuery(payload)
-		if err != nil {
-			s.writeError(conn, err)
-			return true
-		}
-		res, err := s.partial(pq)
-		if err != nil {
-			s.writeError(conn, err)
-			return true
-		}
-		_ = wire.WriteFrame(conn, wire.TypePartialResult, wire.EncodePartialResult(res))
 	case wire.TypePlanQuery:
 		pq, err := wire.DecodePlanQuery(payload)
 		if err != nil {
@@ -432,59 +420,16 @@ func (s *Server) applyTransfer(tp wire.TransferPush) (uint64, error) {
 	return applied, nil
 }
 
-// partial answers one scatter-gather request: it compiles the query's
-// ownership filter (which keeps replicated records out of the cluster-wide
-// sums) and computes the requested raw counters over the owned records.
-// A filter built for a superseded ring epoch is refused: merging one
-// node's old-ring partial with another's new-ring partial would silently
-// double-count or drop the records that moved between them.
-func (s *Server) partial(pq wire.PartialQuery) (wire.PartialResult, error) {
-	var epoch uint64
-	if pq.Filter != nil && pq.Filter.Epoch != 0 {
-		epoch = pq.Filter.Epoch
-		if cur := s.epoch.Load(); epoch < cur {
-			return wire.PartialResult{}, wire.StaleEpochError(epoch, cur)
-		}
-		s.observeEpoch(epoch)
-	}
-	keep, err := cluster.CompileFilter(pq.Filter)
-	if err != nil {
-		return wire.PartialResult{}, err
-	}
-	switch pq.Kind {
-	case wire.PartialFraction:
-		part, err := s.eng.FractionPartial(pq.Subset, pq.Value, keep)
-		if err != nil {
-			return wire.PartialResult{}, err
-		}
-		return wire.PartialResult{Kind: pq.Kind, Epoch: epoch, Hits: part.Hits, Records: part.Records}, nil
-	case wire.PartialHistogram:
-		subs := make([]query.SubQuery, len(pq.Subs))
-		for i, q := range pq.Subs {
-			subs[i] = query.SubQuery{Subset: q.Subset, Value: q.Value}
-		}
-		hp, err := s.eng.HistogramPartial(subs, keep)
-		if err != nil {
-			return wire.PartialResult{}, err
-		}
-		return wire.PartialResult{Kind: pq.Kind, Epoch: epoch, Users: hp.Users, Hist: hp.Hist}, nil
-	case wire.PartialSubsetRecords:
-		return wire.PartialResult{Kind: pq.Kind, Epoch: epoch, Records: s.eng.SubsetRecords(pq.Subset, keep)}, nil
-	case wire.PartialTotalRecords:
-		return wire.PartialResult{Kind: pq.Kind, Epoch: epoch, Records: s.eng.TotalRecords(keep)}, nil
-	default:
-		return wire.PartialResult{}, fmt.Errorf("server: unknown partial query kind %d", pq.Kind)
-	}
-}
-
-// plan answers one batched scatter-gather request: it rebuilds the query
-// plan from the wire form, compiles the ownership filter and executes the
-// whole plan in one pass over the owned records, answering every entry in
-// one reply.  Epoch semantics match partial(): a plan built for a
-// superseded ring epoch is refused so the router retries under a fresh
-// ring snapshot.  The reply is assembled through the plan's refs, so even
-// a request listing duplicate entries (which the plan deduplicates) maps
-// each requested position to its counters.
+// plan answers one scatter-gather request: it rebuilds the query plan from
+// the wire form, compiles the ownership filter (which keeps replicated
+// records out of the cluster-wide sums) and executes the whole plan in one
+// pass over the owned records, answering every entry in one reply.  A plan
+// built for a superseded ring epoch is refused so the router retries under
+// a fresh ring snapshot: merging one node's old-ring counters with
+// another's new-ring counters would silently double-count or drop the
+// records that moved between them.  The reply is assembled through the
+// plan's refs, so even a request listing duplicate entries (which the plan
+// deduplicates) maps each requested position to its counters.
 func (s *Server) plan(pq wire.PlanQuery) (wire.PlanResult, error) {
 	var epoch uint64
 	if pq.Filter != nil && pq.Filter.Epoch != 0 {

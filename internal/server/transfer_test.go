@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"strings"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -119,18 +120,17 @@ func TestSnapshotReadAndTransferPush(t *testing.T) {
 	}
 }
 
-// TestPartialQueryStaleEpoch pins the node-side guard: once the node has
-// observed epoch E, a partial query whose filter was built for an older
-// epoch is refused with the recognisable marker, while the current epoch
-// keeps working.
+// TestPartialQueryStaleEpoch pins the node-side guard on the one query
+// opcode a node serves for a router: once the node has observed epoch E, a
+// plan query whose filter was built for an older epoch is refused with the
+// recognisable marker, while the current epoch keeps working.
 func TestPartialQueryStaleEpoch(t *testing.T) {
 	srv, addr, _, _ := startTestServer(t, 0.3, 10)
 	conn := dialRaw(t, addr)
 
 	self := addr
 	mkQuery := func(epoch uint64) []byte {
-		return wire.EncodePartialQuery(wire.PartialQuery{
-			Kind: wire.PartialTotalRecords,
+		return wire.EncodePlanQuery(wire.PlanQuery{
 			Filter: &wire.Filter{
 				Epoch:  epoch,
 				Nodes:  []string{self},
@@ -138,32 +138,33 @@ func TestPartialQueryStaleEpoch(t *testing.T) {
 				Self:   self,
 				Live:   []string{self},
 			},
+			Total: true,
 		})
 	}
 	// Epoch 4 accepted and observed.
-	replyType, reply := roundTripRaw(t, conn, wire.TypePartialQuery, mkQuery(4))
-	if replyType != wire.TypePartialResult {
-		t.Fatalf("epoch-4 partial answered with type %d: %s", replyType, reply)
+	replyType, reply := roundTripRaw(t, conn, wire.TypePlanQuery, mkQuery(4))
+	if replyType != wire.TypePlanResult {
+		t.Fatalf("epoch-4 plan answered with type %d: %s", replyType, reply)
 	}
-	res, err := wire.DecodePartialResult(reply)
+	res, err := wire.DecodePlanResult(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Epoch != 4 {
-		t.Fatalf("partial result echoes epoch %d, want 4", res.Epoch)
+		t.Fatalf("plan result echoes epoch %d, want 4", res.Epoch)
 	}
 	if srv.Epoch() != 4 {
 		t.Fatalf("node observed epoch %d, want 4", srv.Epoch())
 	}
 	// Epoch 3 now stale.
-	replyType, reply = roundTripRaw(t, conn, wire.TypePartialQuery, mkQuery(3))
+	replyType, reply = roundTripRaw(t, conn, wire.TypePlanQuery, mkQuery(3))
 	if replyType != wire.TypeError || !wire.IsStaleEpoch(string(reply)) {
-		t.Fatalf("stale partial answered with type %d: %s", replyType, reply)
+		t.Fatalf("stale plan answered with type %d: %s", replyType, reply)
 	}
 	// Epoch 0 (no epoch — single-node tooling) still accepted.
-	replyType, _ = roundTripRaw(t, conn, wire.TypePartialQuery, mkQuery(0))
-	if replyType != wire.TypePartialResult {
-		t.Fatalf("epoch-less partial answered with type %d", replyType)
+	replyType, _ = roundTripRaw(t, conn, wire.TypePlanQuery, mkQuery(0))
+	if replyType != wire.TypePlanResult {
+		t.Fatalf("epoch-less plan answered with type %d", replyType)
 	}
 	// Ping also exchanges the epoch.
 	replyType, reply = roundTripRaw(t, conn, wire.TypePing, wire.EncodePingEpoch(9))
@@ -172,5 +173,24 @@ func TestPartialQueryStaleEpoch(t *testing.T) {
 	}
 	if srv.Epoch() != 9 {
 		t.Fatalf("ping did not advance the epoch: %d", srv.Epoch())
+	}
+}
+
+// TestRetiredOpcodeRefused: opcode 12, the one-evaluation query of wire
+// versions before 6, is an unknown message type to this node — answered
+// with a TypeError, not a decode attempt — and the refusal leaves the
+// connection usable.
+func TestRetiredOpcodeRefused(t *testing.T) {
+	_, addr, _, _ := startTestServer(t, 0.3, 10)
+	conn := dialRaw(t, addr)
+
+	// A well-formed v5 total-records request: kind 4, no filter.
+	replyType, reply := roundTripRaw(t, conn, 12, []byte{4, 0})
+	if replyType != wire.TypeError || !strings.Contains(string(reply), "unknown message type 12") {
+		t.Fatalf("opcode 12 answered with type %d: %s", replyType, reply)
+	}
+	replyType, reply = roundTripRaw(t, conn, wire.TypePlanQuery, wire.EncodePlanQuery(wire.PlanQuery{Total: true}))
+	if replyType != wire.TypePlanResult {
+		t.Fatalf("plan query after the refusal answered with type %d: %s", replyType, reply)
 	}
 }

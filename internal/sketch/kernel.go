@@ -93,22 +93,6 @@ func AppendRecordSuffix(dst []byte, s Sketch) []byte {
 	return s.AppendBytes(dst)
 }
 
-// EvaluateParts computes H(id, B, v, s) from a record's pre-encoded prefix
-// and suffix parts, bit-identical to Evaluate: the assembled message bytes
-// are exactly the ones Evaluate would build.  id and s are still taken so
-// sources without the fast evaluator path (the test oracle) fall back to
-// the facade transparently.
-func (k *Kernel) EvaluateParts(id bitvec.UserID, s Sketch, prefix, suffix []byte) bool {
-	if k.es == nil {
-		return k.h.Bit(id.Bytes(), k.b.Tag(), k.v.Bytes(), s.Bytes())
-	}
-	msg := append(k.scratch[:0], prefix...)
-	msg = append(msg, k.mid...)
-	msg = append(msg, suffix...)
-	k.scratch = msg
-	return k.be.BitMsg(msg)
-}
-
 // EvaluateWord evaluates a view of up to 64 records against the kernel's
 // (B, v), returning the outcomes as a packed bit word: bit i is set iff
 // record i matches.  The messages are staged together and hashed through
@@ -137,7 +121,7 @@ func (k *Kernel) EvaluateWord(records View) uint64 {
 // suffixes[i] belong to record i.  Plan executors evaluating many query
 // pairs against the same 64 records encode the parts once and replay them
 // through each pair's kernel, paying only the cached (B, v) midsection per
-// kernel.  Bit-identical to 64 EvaluateParts calls.
+// kernel.  Bit-identical to 64 Evaluate calls.
 func (k *Kernel) EvaluatePartsWord(records View, prefixes, suffixes [][]byte) uint64 {
 	if records.Len() > 64 {
 		panic("sketch: EvaluatePartsWord takes at most 64 records")
@@ -191,20 +175,6 @@ func (k *Kernel) CountMatches(records View) int {
 	return hits
 }
 
-// EvaluateAll evaluates every record against the kernel's (B, v), appending
-// one bool per record to out (useful for golden tests and derived queries
-// that need per-record bits rather than the count).
-func (k *Kernel) EvaluateAll(records View, out []bool) []bool {
-	for lo := 0; lo < records.Len(); lo += 64 {
-		n := min(64, records.Len()-lo)
-		w := k.EvaluateWord(records.Slice(lo, lo+n))
-		for i := 0; i < n; i++ {
-			out = append(out, w&(1<<uint(i)) != 0)
-		}
-	}
-	return out
-}
-
 // kernelPool recycles kernels (and their scratch buffers) across queries so
 // facade-level calls stay allocation-free after warm-up.
 var kernelPool = sync.Pool{New: func() any { return new(Kernel) }}
@@ -229,16 +199,6 @@ func (k *Kernel) Drop() {
 func (k *Kernel) Release() {
 	k.Drop()
 	kernelPool.Put(k)
-}
-
-// EvaluateAll is the batch form of Evaluate for one query (B, v) over many
-// records: shared tuple components are encoded once, then each record costs
-// two SHA-256 compressions and no allocations.
-func EvaluateAll(h prf.BitSource, records View, b bitvec.Subset, v bitvec.Vector, out []bool) []bool {
-	k := AcquireKernel(h, b, v)
-	out = k.EvaluateAll(records, out)
-	k.Release()
-	return out
 }
 
 // CountMatches is the batch counting form of Evaluate — the inner loop of

@@ -60,27 +60,32 @@ func TestKernelMatchesFacade(t *testing.T) {
 	}
 }
 
+// TestKernelCountAndEvaluateAllAgree evaluates all records one by one
+// through the scalar facade and checks that the packed word form and the
+// count built on it agree with it bit for bit, ragged last word included.
 func TestKernelCountAndEvaluateAllAgree(t *testing.T) {
 	h := kernelTestSource(0.25)
 	b := bitvec.Range(0, 6)
 	v := bitvec.MustFromString("110010")
 	records := kernelTestRecords(b, 333)
+	view := viewOf(t, records)
 
-	bits := EvaluateAll(h, viewOf(t, records), b, v, nil)
-	if len(bits) != len(records) {
-		t.Fatalf("EvaluateAll returned %d bits for %d records", len(bits), len(records))
-	}
+	k := NewKernel(h, b, v)
 	want := 0
-	for i, rec := range records {
-		one := Evaluate(h, rec.ID, b, v, rec.S)
-		if bits[i] != one {
-			t.Fatalf("EvaluateAll bit %d = %v, Evaluate = %v", i, bits[i], one)
-		}
-		if one {
-			want++
+	for lo := 0; lo < view.Len(); lo += 64 {
+		win := view.Slice(lo, min(lo+64, view.Len()))
+		w := k.EvaluateWord(win)
+		for i := 0; i < win.Len(); i++ {
+			one := Evaluate(h, win.ID(i), b, v, win.Sketch(i))
+			if w>>uint(i)&1 == 1 != one {
+				t.Fatalf("EvaluateWord bit %d = %v, Evaluate = %v", lo+i, !one, one)
+			}
+			if one {
+				want++
+			}
 		}
 	}
-	if got := CountMatches(h, viewOf(t, records), b, v); got != want {
+	if got := CountMatches(h, view, b, v); got != want {
 		t.Fatalf("CountMatches = %d, want %d", got, want)
 	}
 }

@@ -456,30 +456,37 @@ func (t *Table) Subsets() []bitvec.Subset {
 	return out
 }
 
-// UsersWithAll returns the ids of users that published a sketch for every
-// one of the given subsets, sorted.  The Appendix F combination can only use
-// those users.
-func (t *Table) UsersWithAll(subsets []bitvec.Subset) []bitvec.UserID {
+// ViewsWithAll returns one view per subset, restricted to the users that
+// published a sketch for every one of the subsets and pass keep (nil keep:
+// all of them).  The views are aligned: all have the same length and
+// record i of each belongs to the same user, in ascending id order.  They
+// are cut from one consistent state of the table — the named columns are
+// read under a single lock — into fresh arrays, so a concurrent Remove can
+// neither tear a user out from between two subsets nor change what was
+// returned.  The Appendix F combination can only use those users.
+func (t *Table) ViewsWithAll(subsets []bitvec.Subset, keep func(bitvec.UserID) bool) []View {
 	if len(subsets) == 0 {
 		return nil
 	}
-	// One exclusive section yields a consistent set of views; the
-	// intersection then walks immutable sorted columns outside any lock.
-	views := make([]View, len(subsets))
+	// One exclusive section yields a consistent set of columns; the
+	// intersection then walks immutable sorted runs outside any lock.
+	cols := make([]View, len(subsets))
 	t.mu.Lock()
 	for i, b := range subsets {
 		if c := t.lookup(b); c != nil {
 			c.fold()
-			views[i] = c.view()
+			cols[i] = c.view()
 		}
 	}
 	t.mu.Unlock()
+	out := make([]View, len(subsets))
 	var ids []bitvec.UserID
-	at := make([]int, len(views))
+	at := make([]int, len(cols))
 next:
-	for _, id := range views[0].ids {
-		for j := 1; j < len(views); j++ {
-			other := views[j].ids
+	for i, id := range cols[0].ids {
+		at[0] = i
+		for j := 1; j < len(cols); j++ {
+			other := cols[j].ids
 			for at[j] < len(other) && other[at[j]] < id {
 				at[j]++
 			}
@@ -490,9 +497,27 @@ next:
 				continue next
 			}
 		}
+		if keep != nil && !keep(id) {
+			continue
+		}
 		ids = append(ids, id)
+		for j := range out {
+			out[j].keys = append(out[j].keys, cols[j].keys[at[j]])
+		}
 	}
-	return ids
+	for j := range out {
+		out[j].subset, out[j].ids = subsets[j], ids
+	}
+	return out
+}
+
+// UsersWithAll returns the ids of users that published a sketch for every
+// one of the given subsets, sorted.
+func (t *Table) UsersWithAll(subsets []bitvec.Subset) []bitvec.UserID {
+	if len(subsets) == 0 {
+		return nil
+	}
+	return t.ViewsWithAll(subsets, nil)[0].ids
 }
 
 // Len returns the total number of stored sketches across all subsets.

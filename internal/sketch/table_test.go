@@ -296,6 +296,24 @@ func TestTableMatchesMapOracle(t *testing.T) {
 				if got := tab.UsersWithAll(pick); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: UsersWithAll(%v) has %d users, oracle %d", seed, step, pick, len(got), len(want))
 				}
+				odd := func(id bitvec.UserID) bool { return id&1 == 1 }
+				views, at := tab.ViewsWithAll(pick, odd), 0
+				for _, id := range want {
+					if !odd(id) {
+						continue
+					}
+					for j, b := range pick {
+						if at >= views[j].Len() || views[j].ID(at) != id || views[j].Sketch(at) != oracle[b.Key()][id] {
+							t.Fatalf("seed %d step %d: ViewsWithAll(%v) view %d record %d is not user %v's sketch", seed, step, pick, j, at, id)
+						}
+					}
+					at++
+				}
+				for j := range views {
+					if views[j].Len() != at {
+						t.Fatalf("seed %d step %d: ViewsWithAll(%v) view %d has %d records, oracle %d", seed, step, pick, j, views[j].Len(), at)
+					}
+				}
 			}
 		}
 		total, perUser := 0, make(map[bitvec.UserID]int)

@@ -12,13 +12,12 @@ import (
 // ProtocolVersion is the wire protocol generation.  A peer speaking a
 // different version fails the hello handshake loudly instead of producing a
 // decode panic or a silently wrong estimate.  Bump it whenever a frame
-// encoding changes incompatibly.
+// encoding changes incompatibly or an opcode is retired.
 //
-// v2 added ring epochs to Filter and PartialResult plus the rebalance
-// transfer opcodes, all of which change router↔node frame layouts.
+// v2 added ring epochs to Filter plus the rebalance transfer opcodes.
 //
-// v3 added the batched planQuery/planResult opcode pair: a router pushes a
-// whole compiled query plan to each node in one frame and merges per-entry
+// v3 added the planQuery/planResult opcode pair: a router pushes a whole
+// compiled query plan to each node in one frame and merges per-entry
 // counters, so multi-evaluation estimators cost one fan-out round trip.
 //
 // v4 hardened the wire against the uglier middle of the failure space:
@@ -35,11 +34,16 @@ import (
 // domain counts only the records inside that prefix — the mechanism that
 // keeps one tenant's estimates from ever touching another tenant's
 // sketches on a shared cluster.
-const ProtocolVersion byte = 5
+//
+// v6 retired opcodes 12 and 13, the one-evaluation-per-frame query pair:
+// planQuery is the only way to ask a node for counters.  The numbers stay
+// unassigned, and the version bump makes a router and a node of different
+// generations refuse each other at hello instead of mid-query.
+const ProtocolVersion byte = 6
 
-// Cluster message types (the scatter-gather data plane between a
-// sketchrouter and its nodes, plus the hello/ping control frames every
-// client uses).
+// Connection control frames every client uses.  (The scatter-gather data
+// plane between a sketchrouter and its nodes is the plan opcode pair, see
+// plan.go.)
 const (
 	// TypeHello opens a connection: the payload is the sender's protocol
 	// version byte.  The receiver answers TypeHelloAck with its own version
@@ -54,37 +58,11 @@ const (
 	// (nodes report "ok version=V sketches=N"; a router reports its ring,
 	// per-node liveness and ownership spans).
 	TypePong byte = 11
-	// TypePartialQuery asks a node for the raw Algorithm 2 counters of one
-	// evaluation, restricted to the records the node owns under the query's
-	// ownership filter (see Filter).
-	TypePartialQuery byte = 12
-	// TypePartialResult carries the counters back.
-	TypePartialResult byte = 13
 )
 
-// Partial query kinds.
-const (
-	// PartialFraction asks for the Algorithm 2 raw counters of one
-	// (subset, value) evaluation: match count and record count.
-	PartialFraction byte = 1
-	// PartialHistogram asks for the Appendix F match histogram over the
-	// node's users that sketched every sub-query subset.
-	PartialHistogram byte = 2
-	// PartialSubsetRecords asks how many records the node owns for one
-	// subset (the distributed tab.CountForSubset).
-	PartialSubsetRecords byte = 3
-	// PartialTotalRecords asks how many records the node owns in total
-	// (the distributed tab.Len).
-	PartialTotalRecords byte = 4
-)
-
-// Decode guards: a hostile count field must not drive a giant allocation
-// before the payload length check catches it.
-const (
-	maxFilterNodes = 1 << 12
-	maxSubQueries  = 1 << 8
-	maxHistBins    = maxSubQueries + 1
-)
+// maxFilterNodes is a decode guard: a hostile member count must not drive
+// a giant allocation before the payload length check catches it.
+const maxFilterNodes = 1 << 12
 
 // EncodeHello returns the bare hello payload for this binary's version.
 func EncodeHello() []byte { return []byte{ProtocolVersion} }
@@ -145,10 +123,10 @@ func ParsePing(b []byte) (epoch uint64, hasEpoch bool, err error) {
 // ring snapshot instead of aborting the query.
 const StaleEpochMarker = "stale ring epoch"
 
-// StaleEpochError renders the refusal a node answers an outdated partial
+// StaleEpochError renders the refusal a node answers an outdated plan
 // query with.
 func StaleEpochError(queryEpoch, nodeEpoch uint64) error {
-	return fmt.Errorf("wire: %s: query was built for ring epoch %d but this node has observed epoch %d — refusing to contribute a partial computed under a superseded ring", StaleEpochMarker, queryEpoch, nodeEpoch)
+	return fmt.Errorf("wire: %s: query was built for ring epoch %d but this node has observed epoch %d — refusing to contribute counters computed under a superseded ring", StaleEpochMarker, queryEpoch, nodeEpoch)
 }
 
 // IsStaleEpoch reports whether an error message carries the stale-epoch
@@ -180,7 +158,7 @@ func IsChecksum(msg string) bool { return strings.Contains(msg, ErrFrameChecksum
 
 // DeadlineMarker is the substring a node's deadline-abandonment error
 // carries: the query's end-to-end budget expired mid-execution, so the
-// node stopped computing a partial the router has already given up on.
+// node stopped computing an answer the router has already given up on.
 const DeadlineMarker = "deadline budget exhausted"
 
 // DeadlineError renders the abandonment a node answers (best-effort — the
@@ -247,7 +225,7 @@ func clientHandshake(rw io.ReadWriter, hello []byte) error {
 	}
 }
 
-// Filter restricts a partial query to the records its target node owns, so
+// Filter restricts a plan query to the records its target node owns, so
 // replicated records are counted exactly once across a fan-out.  The node
 // rebuilds the cluster's consistent-hash ring from Nodes and VNodes and
 // includes a record only when it is the first *live* node on the record's
@@ -256,7 +234,7 @@ func clientHandshake(rw io.ReadWriter, hello []byte) error {
 type Filter struct {
 	// Epoch is the ring generation this filter was built from.  A node
 	// that has observed a newer epoch refuses the query (StaleEpochError)
-	// instead of contributing a partial computed under a superseded ring;
+	// instead of contributing counters computed under a superseded ring;
 	// zero means "no epoch" and disables the check (single-node tools).
 	Epoch uint64
 	// Nodes is the full ring membership (placement depends on it, not on
@@ -294,33 +272,6 @@ type Filter struct {
 	// with the survivors' original answers stays bit-identical — the
 	// filter-partition argument, applied twice.
 	Failed []string
-}
-
-// PartialQuery is one scatter-gather request: which counters to compute and
-// the ownership filter to compute them under (nil filter: all records).
-type PartialQuery struct {
-	Kind   byte
-	Filter *Filter
-	// Subset and Value describe a PartialFraction; Subset alone describes a
-	// PartialSubsetRecords.
-	Subset bitvec.Subset
-	Value  bitvec.Vector
-	// Subs describes a PartialHistogram.
-	Subs []Query
-}
-
-// PartialResult carries the raw counters back.  Integers merge exactly:
-// summing Hits/Records (or Hist/Users bin-wise) over disjoint record sets
-// reproduces the counters a single node holding the union would compute.
-type PartialResult struct {
-	Kind byte
-	// Epoch echoes the query filter's ring epoch, so the router can refuse
-	// to merge partials computed under different ring generations.
-	Epoch   uint64
-	Hits    uint64
-	Records uint64
-	Users   uint64
-	Hist    []uint64
 }
 
 // appendString appends a length-prefixed string.
@@ -436,28 +387,6 @@ func readFilter(src []byte) (*Filter, []byte, error) {
 	return f, src, nil
 }
 
-// EncodePartialQuery serializes a partial query.
-func EncodePartialQuery(q PartialQuery) []byte {
-	out := make([]byte, 0, 128)
-	out = append(out, q.Kind)
-	out = appendFilter(out, q.Filter)
-	switch q.Kind {
-	case PartialFraction:
-		out = appendBytes(out, q.Subset.Tag())
-		out = appendBytes(out, q.Value.Bytes())
-	case PartialHistogram:
-		out = binary.BigEndian.AppendUint32(out, uint32(len(q.Subs)))
-		for _, s := range q.Subs {
-			out = appendBytes(out, s.Subset.Tag())
-			out = appendBytes(out, s.Value.Bytes())
-		}
-	case PartialSubsetRecords:
-		out = appendBytes(out, q.Subset.Tag())
-	case PartialTotalRecords:
-	}
-	return out
-}
-
 // readSubsetValue consumes one (subset tag, value bytes) pair.
 func readSubsetValue(src []byte) (bitvec.Subset, bitvec.Vector, []byte, error) {
 	tag, src, err := readBytes(src)
@@ -477,114 +406,4 @@ func readSubsetValue(src []byte) (bitvec.Subset, bitvec.Vector, []byte, error) {
 		return bitvec.Subset{}, bitvec.Vector{}, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return subset, value, src, nil
-}
-
-// DecodePartialQuery reverses EncodePartialQuery.
-func DecodePartialQuery(b []byte) (PartialQuery, error) {
-	if len(b) < 1 {
-		return PartialQuery{}, ErrCorrupt
-	}
-	q := PartialQuery{Kind: b[0]}
-	rest := b[1:]
-	var err error
-	if q.Filter, rest, err = readFilter(rest); err != nil {
-		return PartialQuery{}, err
-	}
-	switch q.Kind {
-	case PartialFraction:
-		if q.Subset, q.Value, rest, err = readSubsetValue(rest); err != nil {
-			return PartialQuery{}, err
-		}
-	case PartialHistogram:
-		if len(rest) < 4 {
-			return PartialQuery{}, ErrCorrupt
-		}
-		k := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		if k > maxSubQueries {
-			return PartialQuery{}, fmt.Errorf("%w: histogram query claims %d sub-queries", ErrCorrupt, k)
-		}
-		for i := uint32(0); i < k; i++ {
-			var sub Query
-			if sub.Subset, sub.Value, rest, err = readSubsetValue(rest); err != nil {
-				return PartialQuery{}, err
-			}
-			q.Subs = append(q.Subs, sub)
-		}
-	case PartialSubsetRecords:
-		var tag []byte
-		if tag, rest, err = readBytes(rest); err != nil {
-			return PartialQuery{}, err
-		}
-		if q.Subset, err = bitvec.ParseTag(tag); err != nil {
-			return PartialQuery{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	case PartialTotalRecords:
-	default:
-		return PartialQuery{}, fmt.Errorf("%w: unknown partial query kind %d", ErrCorrupt, q.Kind)
-	}
-	if len(rest) != 0 {
-		return PartialQuery{}, ErrCorrupt
-	}
-	return q, nil
-}
-
-// EncodePartialResult serializes a partial result.
-func EncodePartialResult(r PartialResult) []byte {
-	out := make([]byte, 0, 40+8*len(r.Hist))
-	out = append(out, r.Kind)
-	out = binary.BigEndian.AppendUint64(out, r.Epoch)
-	switch r.Kind {
-	case PartialFraction:
-		out = binary.BigEndian.AppendUint64(out, r.Hits)
-		out = binary.BigEndian.AppendUint64(out, r.Records)
-	case PartialHistogram:
-		out = binary.BigEndian.AppendUint64(out, r.Users)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(r.Hist)))
-		for _, c := range r.Hist {
-			out = binary.BigEndian.AppendUint64(out, c)
-		}
-	case PartialSubsetRecords, PartialTotalRecords:
-		out = binary.BigEndian.AppendUint64(out, r.Records)
-	}
-	return out
-}
-
-// DecodePartialResult reverses EncodePartialResult.
-func DecodePartialResult(b []byte) (PartialResult, error) {
-	if len(b) < 9 {
-		return PartialResult{}, ErrCorrupt
-	}
-	r := PartialResult{Kind: b[0], Epoch: binary.BigEndian.Uint64(b[1:])}
-	rest := b[9:]
-	switch r.Kind {
-	case PartialFraction:
-		if len(rest) != 16 {
-			return PartialResult{}, ErrCorrupt
-		}
-		r.Hits = binary.BigEndian.Uint64(rest)
-		r.Records = binary.BigEndian.Uint64(rest[8:])
-	case PartialHistogram:
-		if len(rest) < 12 {
-			return PartialResult{}, ErrCorrupt
-		}
-		r.Users = binary.BigEndian.Uint64(rest)
-		bins := binary.BigEndian.Uint32(rest[8:])
-		rest = rest[12:]
-		if bins > maxHistBins || uint32(len(rest)) != 8*bins {
-			return PartialResult{}, fmt.Errorf("%w: histogram result with %d bins in %d bytes", ErrCorrupt, bins, len(rest))
-		}
-		r.Hist = make([]uint64, bins)
-		for i := range r.Hist {
-			r.Hist[i] = binary.BigEndian.Uint64(rest[8*i:])
-		}
-	case PartialSubsetRecords, PartialTotalRecords:
-		if len(rest) != 8 {
-			return PartialResult{}, ErrCorrupt
-		}
-		r.Records = binary.BigEndian.Uint64(rest)
-	default:
-		return PartialResult{}, fmt.Errorf("%w: unknown partial result kind %d", ErrCorrupt, r.Kind)
-	}
-	return r, nil
 }

@@ -1,14 +1,6 @@
 package wire
 
-import (
-	"bytes"
-	"encoding/binary"
-	"errors"
-	"reflect"
-	"testing"
-
-	"sketchprivacy/internal/bitvec"
-)
+import "testing"
 
 func TestHelloRoundTrip(t *testing.T) {
 	v, err := DecodeHello(EncodeHello())
@@ -22,104 +14,5 @@ func TestHelloRoundTrip(t *testing.T) {
 		if _, err := DecodeHello(bad); err == nil {
 			t.Fatalf("DecodeHello accepted %x", bad)
 		}
-	}
-}
-
-func testFilter() *Filter {
-	return &Filter{
-		Nodes:  []string{"10.0.0.1:7071", "10.0.0.2:7071", "10.0.0.3:7071"},
-		VNodes: 64,
-		Self:   "10.0.0.2:7071",
-		Live:   []string{"10.0.0.2:7071", "10.0.0.3:7071"},
-	}
-}
-
-func TestPartialQueryRoundTrip(t *testing.T) {
-	subset := bitvec.MustSubset(0, 2, 5)
-	value := bitvec.MustFromString("101")
-	recovery := testFilter()
-	recovery.Budget = 4500
-	recovery.Failed = []string{"10.0.0.3:7071"}
-	cases := []PartialQuery{
-		{Kind: PartialFraction, Subset: subset, Value: value},
-		{Kind: PartialFraction, Filter: testFilter(), Subset: subset, Value: value},
-		{Kind: PartialFraction, Filter: recovery, Subset: subset, Value: value},
-		{Kind: PartialHistogram, Filter: testFilter(), Subs: []Query{
-			{Subset: bitvec.MustSubset(0), Value: bitvec.MustFromString("1")},
-			{Subset: bitvec.MustSubset(3), Value: bitvec.MustFromString("0")},
-		}},
-		{Kind: PartialSubsetRecords, Filter: testFilter(), Subset: subset},
-		{Kind: PartialTotalRecords},
-		{Kind: PartialTotalRecords, Filter: testFilter()},
-	}
-	for _, q := range cases {
-		enc := EncodePartialQuery(q)
-		dec, err := DecodePartialQuery(enc)
-		if err != nil {
-			t.Fatalf("kind %d: %v", q.Kind, err)
-		}
-		if !reflect.DeepEqual(normalizeQuery(q), normalizeQuery(dec)) {
-			t.Fatalf("kind %d: round trip mismatch:\n in %+v\nout %+v", q.Kind, q, dec)
-		}
-		if got := EncodePartialQuery(dec); !bytes.Equal(got, enc) {
-			t.Fatalf("kind %d: encoding not canonical", q.Kind)
-		}
-	}
-}
-
-// normalizeQuery maps a partial query to comparable form (subset and
-// vector values compare by their canonical encodings).
-func normalizeQuery(q PartialQuery) string { return string(EncodePartialQuery(q)) }
-
-func TestPartialResultRoundTrip(t *testing.T) {
-	cases := []PartialResult{
-		{Kind: PartialFraction, Hits: 123, Records: 456},
-		{Kind: PartialHistogram, Users: 99, Hist: []uint64{1, 2, 3}},
-		{Kind: PartialHistogram, Users: 0, Hist: []uint64{}},
-		{Kind: PartialSubsetRecords, Records: 7},
-		{Kind: PartialTotalRecords, Records: 0},
-	}
-	for _, r := range cases {
-		enc := EncodePartialResult(r)
-		dec, err := DecodePartialResult(enc)
-		if err != nil {
-			t.Fatalf("kind %d: %v", r.Kind, err)
-		}
-		if got := EncodePartialResult(dec); !bytes.Equal(got, enc) {
-			t.Fatalf("kind %d: encoding not canonical", r.Kind)
-		}
-		if dec.Hits != r.Hits || dec.Records != r.Records || dec.Users != r.Users || len(dec.Hist) != len(r.Hist) {
-			t.Fatalf("kind %d: round trip mismatch: %+v vs %+v", r.Kind, r, dec)
-		}
-	}
-}
-
-func TestPartialDecodeRejectsHostileInput(t *testing.T) {
-	// Unknown kinds.
-	if _, err := DecodePartialQuery([]byte{99, 0}); err == nil {
-		t.Fatal("unknown query kind accepted")
-	}
-	if _, err := DecodePartialResult([]byte{99}); err == nil {
-		t.Fatal("unknown result kind accepted")
-	}
-	// Trailing bytes after a valid query.
-	enc := EncodePartialQuery(PartialQuery{Kind: PartialTotalRecords})
-	if _, err := DecodePartialQuery(append(enc, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	// A filter claiming 2^32−1 ring members must fail cleanly before any
-	// giant allocation.
-	hostile := []byte{PartialTotalRecords, 1}
-	hostile = binary.BigEndian.AppendUint32(hostile, 64)
-	hostile = binary.BigEndian.AppendUint32(hostile, ^uint32(0))
-	if _, err := DecodePartialQuery(hostile); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("hostile member count: got %v, want ErrCorrupt", err)
-	}
-	// A histogram result whose bin count disagrees with the payload.
-	bad := []byte{PartialHistogram}
-	bad = binary.BigEndian.AppendUint64(bad, 5)
-	bad = binary.BigEndian.AppendUint32(bad, 1000)
-	if _, err := DecodePartialResult(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("hostile bin count: got %v, want ErrCorrupt", err)
 	}
 }

@@ -7,13 +7,14 @@ import (
 	"sketchprivacy/internal/bitvec"
 )
 
-// Protocol v3: batched plan push-down.  A router compiles an estimator's
-// entire evaluation list — every (subset, value) fraction, every match
-// histogram, every record-count lookup — into one PlanQuery frame and fans
-// it out once; each node answers every entry from a single pass over its
-// owned records and the router merges the per-entry counters exactly.  A
-// k-term interval decomposition or a many-path decision tree therefore
-// costs one round trip instead of one per entry.
+// Plan push-down, the scatter-gather data plane between a sketchrouter and
+// its nodes.  A router compiles an estimator's entire evaluation list —
+// every (subset, value) fraction, every match histogram, every
+// record-count lookup — into one PlanQuery frame and fans it out once; each
+// node answers every entry from a single pass over its owned records and
+// the router merges the per-entry counters exactly.  A k-term interval
+// decomposition or a many-path decision tree therefore costs one round
+// trip, not one per entry.
 const (
 	// TypePlanQuery asks a node to execute a whole query plan under the
 	// query's ownership filter, answering every entry in one reply.
@@ -34,9 +35,10 @@ const (
 	MaxPlanHists = 1 << 12
 	// MaxPlanCounts bounds a plan's record-count entries.
 	MaxPlanCounts = 1 << 12
-	// MaxPlanHistSubQueries bounds one histogram entry's sub-queries, the
-	// same cap the v2 partial-histogram decoder enforces.
-	MaxPlanHistSubQueries = maxSubQueries
+	// MaxPlanHistSubQueries bounds one histogram entry's sub-queries.
+	MaxPlanHistSubQueries = 1 << 8
+	// maxHistBins bounds one histogram result's bins.
+	maxHistBins = MaxPlanHistSubQueries + 1
 )
 
 // PlanQuery is one batched scatter-gather request: the complete evaluation
@@ -76,10 +78,9 @@ type PlanHist struct {
 }
 
 // PlanResult carries every entry's counters back, in the order the plan
-// listed them.  Like the v2 partial results, all counters are exact
-// integers that merge by addition across disjoint ownership filters, and
-// the echoed epoch lets the router refuse to merge replies computed under
-// different ring generations.
+// listed them.  All counters are exact integers that merge by addition
+// across disjoint ownership filters, and the echoed epoch lets the router
+// refuse to merge replies computed under different ring generations.
 type PlanResult struct {
 	Epoch     uint64
 	Fractions []PlanFraction
@@ -164,7 +165,7 @@ func DecodePlanQuery(b []byte) (PlanQuery, error) {
 		if k, rest, err = readU32(rest); err != nil {
 			return PlanQuery{}, err
 		}
-		if k > maxSubQueries {
+		if k > MaxPlanHistSubQueries {
 			return PlanQuery{}, fmt.Errorf("%w: plan histogram claims %d sub-queries", ErrCorrupt, k)
 		}
 		var h PlanHistQuery

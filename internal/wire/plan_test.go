@@ -1,19 +1,40 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
 )
 
-// TestPlanQueryRoundTrip pins the v3 plan frame encoding: every field
-// survives the round trip, including an empty plan and a filterless one.
+// testFilter is an ownership filter over three members, one of them down.
+func testFilter() *Filter {
+	return &Filter{
+		Nodes:  []string{"10.0.0.1:7071", "10.0.0.2:7071", "10.0.0.3:7071"},
+		VNodes: 64,
+		Self:   "10.0.0.2:7071",
+		Live:   []string{"10.0.0.2:7071", "10.0.0.3:7071"},
+	}
+}
+
+// TestPlanQueryRoundTrip pins the plan frame encoding: every field survives
+// the round trip and re-encodes to the same bytes, including an empty plan,
+// a filterless one, the total-only plan a router counts records with, and
+// a recovery filter carrying a budget, a domain and a failed set.
 func TestPlanQueryRoundTrip(t *testing.T) {
+	recovery := testFilter()
+	recovery.Epoch = 4
+	recovery.Budget = 4500
+	recovery.DomainBits, recovery.Domain = 12, 0xabc
+	recovery.Failed = []string{"10.0.0.3:7071"}
 	cases := []PlanQuery{
 		{},
 		{Total: true},
+		{Filter: testFilter(), Total: true},
+		{Filter: recovery, Fractions: []Query{{Subset: bitvec.MustSubset(0, 2, 5), Value: bitvec.MustFromString("101")}}},
 		{
 			Filter: &Filter{Epoch: 9, Nodes: []string{"a:1", "b:2", "c:3"}, VNodes: 64, Self: "c:3", Live: []string{"a:1", "c:3"}},
 			Fractions: []Query{
@@ -29,12 +50,16 @@ func TestPlanQueryRoundTrip(t *testing.T) {
 		},
 	}
 	for i, q := range cases {
-		got, err := DecodePlanQuery(EncodePlanQuery(q))
+		enc := EncodePlanQuery(q)
+		got, err := DecodePlanQuery(enc)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(normalizePlanQuery(q), normalizePlanQuery(got)) {
 			t.Fatalf("case %d: round trip changed the plan:\nin  %+v\nout %+v", i, q, got)
+		}
+		if !bytes.Equal(EncodePlanQuery(got), enc) {
+			t.Fatalf("case %d: encoding not canonical", i)
 		}
 	}
 }
@@ -54,7 +79,7 @@ func normalizePlanQuery(q PlanQuery) PlanQuery {
 	return q
 }
 
-// TestPlanResultRoundTrip pins the v3 plan result encoding.
+// TestPlanResultRoundTrip pins the plan result encoding.
 func TestPlanResultRoundTrip(t *testing.T) {
 	r := PlanResult{
 		Epoch:     7,
@@ -79,6 +104,18 @@ func TestPlanDecodeGuards(t *testing.T) {
 	hostile := append([]byte{0}, binary.BigEndian.AppendUint32(nil, 0xFFFFFFFF)...)
 	if _, err := DecodePlanQuery(hostile); err == nil {
 		t.Fatal("hostile fraction count accepted")
+	}
+	// A filter claiming 2^32-1 ring members must fail cleanly before any
+	// giant allocation, and a presence byte outside {0,1} is not a filter.
+	members := []byte{1}
+	members = binary.BigEndian.AppendUint64(members, 0)  // epoch
+	members = binary.BigEndian.AppendUint32(members, 64) // vnodes
+	members = binary.BigEndian.AppendUint32(members, 0xFFFFFFFF)
+	if _, err := DecodePlanQuery(members); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("hostile member count: got %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodePlanQuery([]byte{2}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("filter presence byte 2: got %v, want ErrCorrupt", err)
 	}
 	// A plan result whose histogram bin count exceeds the payload.
 	r := binary.BigEndian.AppendUint64(nil, 1)   // epoch

@@ -65,7 +65,7 @@ var (
 // CRC32-C of the payload and the payload itself.  The checksum is what
 // turns in-flight byte corruption from a silently wrong estimate into a
 // loud ErrFrameChecksum on the reading side: raw counters carried in
-// partial results merge into published numbers, so a flipped bit must
+// plan results merge into published numbers, so a flipped bit must
 // never decode cleanly.
 func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
 	if len(payload) > MaxFrameSize {
