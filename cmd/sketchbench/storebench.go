@@ -187,11 +187,68 @@ func storeBenchmarks(quick bool) []struct {
 				}
 			}
 		}},
+		{"store-roll", func(b *testing.B) {
+			// One op = one record rolled from the log into a segment, at
+			// the default flush threshold: the roll decodes the log's
+			// acknowledged prefix (nothing mirrors it in memory), sorts
+			// each subset's ids, writes and fsyncs the segment and empties
+			// the log.  Only the append that crosses the threshold — a
+			// 1024-record window — is timed with it; the appends that fill
+			// the log are not.  Whole logs are rolled, so the last one
+			// overshoots b.N by up to one log (under 2 % at the default
+			// benchtime).
+			dir, err := os.MkdirTemp("", "sketchbench-roll")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer os.RemoveAll(dir)
+			st, err := store.Open(store.Options{Dir: dir, Shards: 1, CompactInterval: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			const window = 1024
+			batch := make([]sketch.Published, window)
+			next := uint64(0)
+			appendWindow := func() {
+				for i := range batch {
+					// Scattered ids, as tenant-domain ids are: the roll's
+					// sort has work to do.
+					next++
+					batch[i] = storeRecord(next*0x9E3779B97F4A7C15, subset)
+				}
+				if failed, err := st.AppendBatch(batch); err != nil || len(failed) > 0 {
+					b.Fatalf("append batch: %d failed: %v", len(failed), err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.StopTimer()
+			for rolled := 0; rolled < b.N; {
+				before := st.Stats().Shards[0]
+				appendWindow()
+				perWindow := st.Stats().Shards[0].WALBytes - before.WALBytes
+				for {
+					sh := st.Stats().Shards[0]
+					if sh.WALBytes+perWindow >= store.DefaultFlushThreshold {
+						b.StartTimer()
+						appendWindow() // crosses the threshold: rolls inline
+						b.StopTimer()
+						if after := st.Stats().Shards[0]; after.WALRecords != 0 {
+							b.Fatalf("the log did not roll: %+v", after)
+						}
+						rolled += int(sh.WALRecords) + window
+						break
+					}
+					appendWindow()
+				}
+			}
+		}},
 		{"store-replay-indexed", func(b *testing.B) {
-			// Cold start from indexed v2 segments rather than a raw WAL:
-			// the data directory is flushed and compacted before timing, so
-			// one op is open + segment load (k-way merge of sorted
-			// segments) + table rehydration.
+			// Cold start from segments rather than a raw WAL: the data
+			// directory is flushed and compacted before timing, so one op
+			// is open + per-subset merge of the shards' runs + table
+			// rehydration.
 			dir, err := os.MkdirTemp("", "sketchbench-replay-indexed")
 			if err != nil {
 				b.Fatal(err)
@@ -237,9 +294,9 @@ func storeBenchmarks(quick bool) []struct {
 		}},
 		{"segment-point-lookup", func(b *testing.B) {
 			// One op = a single-record read through the segment machinery:
-			// bloom filter, sparse-index binary search, one-stride frame
-			// read.  The record set is flushed into segments first, so no
-			// lookup is served from the WAL mirror.
+			// bloom filter, run directory, sparse-index binary search, one
+			// block read.  The record set is flushed into segments first,
+			// so no lookup is served from the log.
 			dir, err := os.MkdirTemp("", "sketchbench-lookup")
 			if err != nil {
 				b.Fatal(err)
@@ -260,7 +317,7 @@ func storeBenchmarks(quick bool) []struct {
 			// Reopen with a 1-byte flush threshold so Flush rolls EVERY
 			// record into segments and compaction merges each shard to one:
 			// the measured lookups must cross the bloom filter and sparse
-			// index, not the WAL mirror.
+			// index, not the log.
 			st, err := store.Open(store.Options{Dir: dir, FlushThreshold: 1, CompactInterval: -1})
 			if err != nil {
 				b.Fatal(err)

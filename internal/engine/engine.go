@@ -85,21 +85,31 @@ func (e *Engine) AttachStore(st store.Store) error {
 	if st == nil {
 		return errors.New("engine: nil store")
 	}
-	// One Table.Load per run of records sharing a subset: the store yields
-	// each shard in (subset, user) order, so every call hands the table one
-	// id-sorted run, which it lands with a single bulk append or linear
-	// merge (and skips already-present pairs itself).  A run longer than
-	// the buffer is cut; its pieces still arrive in order.
+	var err error
+	if runs, ok := st.(store.RunIterator); ok {
+		// The durable store (also behind a wrapper that embeds it) replays
+		// itself as the table's own columns: one run per subset, ids
+		// ascending, each landing with a single column load.
+		err = runs.IterateRuns(e.table.LoadRun)
+	} else {
+		err = e.replayRecords(st)
+	}
+	if err != nil {
+		return fmt.Errorf("engine: replaying store: %w", err)
+	}
+	e.st = st
+	return nil
+}
+
+// replayRecords loads a store that yields a record at a time: one
+// Table.Load per stretch of records sharing a subset, cut at the buffer's
+// size.
+func (e *Engine) replayRecords(st store.Store) error {
 	batch := make([]sketch.Published, 0, 16384)
 	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := e.table.Load(batch); err != nil {
-			return fmt.Errorf("engine: replaying store: %w", err)
-		}
+		err := e.table.Load(batch)
 		batch = batch[:0]
-		return nil
+		return err
 	}
 	err := st.Iterate(func(p sketch.Published) error {
 		if len(batch) == cap(batch) || (len(batch) > 0 && !p.Subset.Equal(batch[0].Subset)) {
@@ -113,11 +123,7 @@ func (e *Engine) AttachStore(st store.Store) error {
 	if err != nil {
 		return err
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	e.st = st
-	return nil
+	return flush()
 }
 
 // Store returns the attached durability layer, or nil when the engine is
@@ -194,10 +200,10 @@ func (e *Engine) IngestNew(p sketch.Published) (bool, error) {
 // identical re-publish reports (false, nil) — without allocating, since
 // replicated retries make that the common duplicate — and a conflicting
 // one is rejected with Add's wording.  p.Subset comes back as the table's
-// own value for the subset (see Table.AddNew), which is what the store's
-// WAL mirror should hold: a record decoded off the wire carries a parsed
-// Subset of its own, and the mirror would pin every one of them until the
-// next roll.
+// own value for the subset (see Table.AddNew), which is what a store
+// should be handed: a record decoded off the wire carries a parsed Subset
+// of its own, and a store that holds records (store.Mem; a commit window
+// while it is queued) would pin every one of them.
 func (e *Engine) add(p *sketch.Published) (bool, error) {
 	existing, added, err := e.table.AddNew(p)
 	if err != nil {

@@ -222,8 +222,8 @@ func (r *singleAppendRecorder) Append(p sketch.Published) error {
 }
 
 // TestIngestHandsTheStoreOneSubsetValue: every record off the wire carries
-// a Subset parsed for it alone, and the durable store's WAL mirror keeps
-// what it is handed until the next roll.  Admission must therefore swap
+// a Subset parsed for it alone, and a store may hold what it is handed
+// (store.Mem does; a commit window does while queued).  Admission must therefore swap
 // each record's Subset for the table's own, so the records of a subset
 // reaching the store — singly or in a batch — all share one position array.
 func TestIngestHandsTheStoreOneSubsetValue(t *testing.T) {

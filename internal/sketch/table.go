@@ -47,7 +47,7 @@ func (v View) Len() int { return len(v.ids) }
 func (v View) ID(i int) bitvec.UserID { return v.ids[i] }
 
 // Sketch returns the sketch of record i.
-func (v View) Sketch(i int) Sketch { return unpackSketch(v.keys[i]) }
+func (v View) Sketch(i int) Sketch { return UnpackSketch(v.keys[i]) }
 
 // Slice returns the records [lo, hi) as a view sharing v's columns.
 func (v View) Slice(lo, hi int) View {
@@ -69,17 +69,27 @@ func (v View) Filter(keep func(bitvec.UserID) bool) View {
 // AppendTo appends the view's records to dst as Published values.
 func (v View) AppendTo(dst []Published) []Published {
 	for i, id := range v.ids {
-		dst = append(dst, Published{ID: id, Subset: v.subset, S: unpackSketch(v.keys[i])})
+		dst = append(dst, Published{ID: id, Subset: v.subset, S: UnpackSketch(v.keys[i])})
 	}
 	return dst
 }
 
-// packSketch packs a valid sketch (Length ≤ MaxLength = 30, so Key < 2^30)
-// into one word: the key above the length byte.
-func packSketch(s Sketch) uint64 { return s.Key<<8 | uint64(s.Length) }
+// Pack packs a valid sketch (Length ≤ MaxLength = 30, so Key < 2^30) into
+// one word: the key above the length byte.  It is the form a column holds
+// a sketch in.
+func (s Sketch) Pack() uint64 { return s.Key<<8 | uint64(s.Length) }
 
-// unpackSketch reverses packSketch.
-func unpackSketch(w uint64) Sketch { return Sketch{Key: w >> 8, Length: int(w & 0xff)} }
+// UnpackSketch reverses Pack.
+func UnpackSketch(w uint64) Sketch { return Sketch{Key: w >> 8, Length: int(w & 0xff)} }
+
+// Run is one subset's records in the table's own layout: parallel columns
+// of user ids and Pack words.  The durable store replays itself as runs, so
+// a cold start moves columns, not a Published value per record.
+type Run struct {
+	Subset bitvec.Subset
+	IDs    []bitvec.UserID
+	Keys   []uint64 // Keys[i] is the Pack word of the sketch IDs[i] published
+}
 
 // column holds one subset's records.  ids[:sorted] is the id-sorted run and
 // ids[sorted:] the unsorted tail; keys runs parallel.  Views alias the run,
@@ -196,35 +206,32 @@ func mergeRuns(aIDs []bitvec.UserID, aKeys []uint64, bIDs []bitvec.UserID, bKeys
 const loadMergeRatio = 32
 
 // loadRun adds a run of records for the column's subset, first record
-// wins.  The store replays each shard in (subset, user) order, so the run
-// is normally id-sorted and lands by a bulk append or one linear merge; a
-// run too short to pay for a merge, or an unsorted one, goes through the
-// tail record by record.
-func (c *column) loadRun(ps []Published) {
+// wins.  The store replays (subset, user)-ordered runs, so the run is
+// normally id-sorted and lands by a bulk append or one linear merge; a run
+// too short to pay for a merge, or an unsorted one, goes through the tail
+// record by record.  The caller keeps ids and keys.
+func (c *column) loadRun(ids []bitvec.UserID, keys []uint64) {
+	if len(ids) == 0 {
+		return
+	}
 	c.gen++
 	ascending := true
-	for i := 1; i < len(ps) && ascending; i++ {
-		ascending = ps[i-1].ID < ps[i].ID
+	for i := 1; i < len(ids) && ascending; i++ {
+		ascending = ids[i-1] < ids[i]
 	}
 	switch {
-	case ascending && len(c.ids) == c.sorted && (c.sorted == 0 || ps[0].ID > c.ids[c.sorted-1]):
-		c.reserve(len(ps))
-		for i := range ps {
-			c.ids, c.keys = append(c.ids, ps[i].ID), append(c.keys, packSketch(ps[i].S))
-		}
+	case ascending && len(c.ids) == c.sorted && (c.sorted == 0 || ids[0] > c.ids[c.sorted-1]):
+		c.reserve(len(ids))
+		c.ids, c.keys = append(c.ids, ids...), append(c.keys, keys...)
 		c.sorted = len(c.ids)
-	case ascending && len(ps)*loadMergeRatio >= len(c.ids):
+	case ascending && len(ids)*loadMergeRatio >= len(c.ids):
 		c.fold()
-		ids, keys := make([]bitvec.UserID, len(ps)), make([]uint64, len(ps))
-		for i := range ps {
-			ids[i], keys[i] = ps[i].ID, packSketch(ps[i].S)
-		}
 		c.ids, c.keys = mergeRuns(c.ids, c.keys, ids, keys)
 		c.sorted = len(c.ids)
 	default:
-		for i := range ps {
-			if _, dup := c.find(ps[i].ID); !dup {
-				c.insert(ps[i].ID, packSketch(ps[i].S))
+		for i, id := range ids {
+			if _, dup := c.find(id); !dup {
+				c.insert(id, keys[i])
 			}
 		}
 	}
@@ -292,9 +299,9 @@ func (t *Table) Add(p Published) error {
 // so this path must not pay Add's formatted rejection error per record.
 //
 // p.Subset is replaced by the table's own Subset value for that subset, so
-// a caller that goes on holding many records (the durable store's WAL
-// mirror) shares one Subset per column instead of pinning one per decoded
-// record.
+// a caller that goes on holding many records (the in-memory store, a
+// queued commit window) shares one Subset per column instead of pinning
+// one per decoded record.
 func (t *Table) AddNew(p *Published) (existing Sketch, added bool, err error) {
 	if !p.S.Valid() {
 		return Sketch{}, false, fmt.Errorf("sketch: invalid sketch %v", p.S)
@@ -304,9 +311,9 @@ func (t *Table) AddNew(p *Published) (existing Sketch, added bool, err error) {
 	c := t.columnFor(p.Subset)
 	p.Subset = c.subset
 	if i, dup := c.find(p.ID); dup {
-		return unpackSketch(c.keys[i]), false, nil
+		return UnpackSketch(c.keys[i]), false, nil
 	}
-	c.insert(p.ID, packSketch(p.S))
+	c.insert(p.ID, p.S.Pack())
 	c.gen++
 	return Sketch{}, true, nil
 }
@@ -325,25 +332,47 @@ func (t *Table) AddAll(ps []Published) error {
 // already present is skipped — first record wins, matching a durable
 // store's newest-first replay order — instead of being rejected like Add's
 // protocol error, because replaying a store onto a warm table is not a
-// second publish.  Each run of records sharing a subset lands under one
-// column lookup, and an id-sorted run — what a store replays — as a bulk
-// append or one linear merge rather than an index insert per record.
+// second publish.  Each stretch of records sharing a subset lands as one
+// LoadRun.
 func (t *Table) Load(ps []Published) error {
 	for i := range ps {
 		if !ps[i].S.Valid() {
 			return fmt.Errorf("sketch: invalid sketch %v", ps[i].S)
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for len(ps) > 0 {
 		n := 1
 		for n < len(ps) && ps[n].Subset.Equal(ps[0].Subset) {
 			n++
 		}
-		t.columnFor(ps[0].Subset).loadRun(ps[:n])
+		r := Run{Subset: ps[0].Subset, IDs: make([]bitvec.UserID, n), Keys: make([]uint64, n)}
+		for i, p := range ps[:n] {
+			r.IDs[i], r.Keys[i] = p.ID, p.S.Pack()
+		}
+		if err := t.LoadRun(r); err != nil {
+			return err
+		}
 		ps = ps[n:]
 	}
+	return nil
+}
+
+// LoadRun is Load for records already in column form: one column lookup,
+// and for an id-sorted run — what a store replays — one bulk append or
+// linear merge rather than an index insert per record.  The run's columns
+// are copied; the caller keeps them.
+func (t *Table) LoadRun(r Run) error {
+	if len(r.IDs) != len(r.Keys) {
+		return fmt.Errorf("sketch: run of %d ids and %d sketches", len(r.IDs), len(r.Keys))
+	}
+	for _, w := range r.Keys {
+		if s := UnpackSketch(w); !s.Valid() || s.Pack() != w {
+			return fmt.Errorf("sketch: invalid sketch %v", s)
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.columnFor(r.Subset).loadRun(r.IDs, r.Keys)
 	return nil
 }
 
@@ -381,7 +410,7 @@ func (t *Table) Get(id bitvec.UserID, b bitvec.Subset) (Sketch, bool) {
 	if !ok {
 		return Sketch{}, false
 	}
-	return unpackSketch(c.keys[i]), true
+	return UnpackSketch(c.keys[i]), true
 }
 
 // View returns the records of subset b, sorted by user id, together with

@@ -348,6 +348,41 @@ func TestTableLoadInvalidSketchLoadsNothing(t *testing.T) {
 	}
 }
 
+// TestTableLoadRun: a run lands as columns — onto an empty subset in one
+// piece, onto a warm one first record wins — and a run that is not columns
+// of valid sketches lands not at all.
+func TestTableLoadRun(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.MustSubset(0, 2)
+	word := func(key uint64) uint64 { return Sketch{Key: key, Length: 4}.Pack() }
+	if err := tab.LoadRun(Run{Subset: b, IDs: []bitvec.UserID{2, 5, 9}, Keys: []uint64{word(1), word(2), word(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.LoadRun(Run{Subset: b, IDs: []bitvec.UserID{1, 5}, Keys: []uint64{word(7), word(8)}}); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := tab.View(b)
+	want := map[bitvec.UserID]uint64{1: 7, 2: 1, 5: 2, 9: 3}
+	if v.Len() != len(want) {
+		t.Fatalf("table holds %d records, want %d", v.Len(), len(want))
+	}
+	for i := 0; i < v.Len(); i++ {
+		if v.Sketch(i).Key != want[v.ID(i)] || (i > 0 && v.ID(i-1) >= v.ID(i)) {
+			t.Fatalf("record %d = user %d sketch %v", i, v.ID(i), v.Sketch(i))
+		}
+	}
+	for name, r := range map[string]Run{
+		"a key past its length": {Subset: b, IDs: []bitvec.UserID{20}, Keys: []uint64{Sketch{Key: 99, Length: 4}.Pack()}},
+		"a length of zero":      {Subset: b, IDs: []bitvec.UserID{20}, Keys: []uint64{7 << 8}},
+		"bits above the key":    {Subset: b, IDs: []bitvec.UserID{20}, Keys: []uint64{word(1) | 1<<50}},
+		"ragged columns":        {Subset: b, IDs: []bitvec.UserID{20, 21}, Keys: []uint64{word(1)}},
+	} {
+		if err := tab.LoadRun(r); err == nil || tab.Len() != len(want) {
+			t.Errorf("LoadRun of %s = %v, table holds %d records", name, err, tab.Len())
+		}
+	}
+}
+
 // TestTableEmptiedSubsetKeepsItsGeneration: a subset whose last record is
 // removed disappears from Subsets, and publishing to it again continues the
 // generation count, so a bitmap cached before the removal cannot match.

@@ -8,9 +8,10 @@
 //
 // The durable store shards records by hash(userID) % N.  Each shard owns
 //
-//   - a write-ahead log (wal.log): length-prefixed, CRC32-checksummed
-//     records in arrival order, appended (and optionally fsynced) before
-//     the publish is acknowledged; and
+//   - a write-ahead log (wal.log): a magic, then length-prefixed,
+//     checksummed frames in arrival order, one per appended group,
+//     written (and optionally fsynced) before the publish is
+//     acknowledged; and
 //   - immutable sorted segment files (seg-NNNNNNNN.seg): produced by
 //     rolling a WAL that passed the flush threshold, written to a
 //     temporary file, fsynced and atomically renamed into place.
@@ -19,17 +20,40 @@
 // them accumulate, deduplicating by (user, subset) and keeping the newest
 // record.
 //
+// # One record layout
+//
+// The paper's disclosure per (user, subset) is an ℓ-bit key — 9 bits for a
+// million users — under a subset every other user who sketched it shares.
+// So the store never frames a record on its own.  Everywhere it holds
+// records it holds runs (run.go): a subset's tag once, a count, then user
+// ids and sketches as packed columns — the sketch table's own layout.  A
+// log frame is the runs of one appended group; a segment (format v3,
+// segment.go) is a shard's runs in subset order, ids ascending, cut into
+// checksummed blocks under a run directory, a sparse id index and a
+// per-user bloom filter; a roll sorts the log's runs into a segment, a
+// compaction merges segments' runs, and a cold start hands the engine
+// whole runs (RunIterator), one column load per subset.  A record costs
+// its 8-byte id and a 2- to 5-byte sketch word, plus about 1.5 bytes of
+// block sums, index and bloom in a segment.
+//
+// The log is mirrored nowhere: its file's acknowledged prefix is decoded
+// on demand — by a roll, or by the first read after an append — into
+// normalized runs that are dropped again at the next append.
+//
 // # Recovery
 //
-// Open loads every segment and replays every WAL.  A torn WAL tail — the
-// partial record a crash mid-write leaves behind — is detected by the
-// length/CRC framing and truncated away instead of failing the open, so a
-// SIGKILLed collector restarts with exactly the set of fully-written
-// sketches.  Segment files are written atomically and verified by
-// checksum, so corruption there is reported as an error rather than
-// silently dropped.
+// Open validates every segment and replays every WAL.  A torn WAL tail —
+// the partial frame a crash mid-write leaves behind — is detected by the
+// length/checksum framing and truncated away instead of failing the open,
+// so a SIGKILLed collector restarts with every acknowledged sketch.
+// Segment files are written atomically; Open walks each one's data area,
+// verifying every checksum and decoding every record, so corruption there
+// is reported as an error rather than silently dropped, while a damaged
+// index section — advisory, it repeats what the walk derives — is rebuilt.
 //
-// Records reuse the internal/wire sketch encoding: the bytes on disk are
-// the same public objects that travel on the wire, wrapped in the
-// per-record framing above.
+// A directory written before format v3 (per-record frames in the log, v1
+// or v2 segments) is rewritten as v3 by the first Open, file by file
+// through temporary files and renames (legacy.go); its manifest gains a
+// marker that makes an older binary refuse the directory instead of
+// misreading it.
 package store

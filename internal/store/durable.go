@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -174,7 +175,7 @@ func Open(opts Options) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	nShards, err := readManifest(opts.Dir)
+	nShards, v3, err := readManifest(opts.Dir)
 	if err != nil {
 		lock.Unlock()
 		return nil, err
@@ -194,6 +195,10 @@ func Open(opts Options) (*Durable, error) {
 		if nShards == 0 {
 			nShards = opts.Shards
 		}
+	}
+	if !v3 {
+		// Also the first open of an older directory: the marker goes down
+		// before any of its files is rewritten as v3.
 		if err := writeManifest(opts.Dir, nShards, opts.Fsync); err != nil {
 			lock.Unlock()
 			return nil, err
@@ -254,50 +259,41 @@ func Open(opts Options) (*Durable, error) {
 // shard count, written before any shard directory is created.
 const manifestName = "SHARDS"
 
-// readManifest returns the shard count recorded in dir, 0 when no
-// manifest exists yet.
-func readManifest(dir string) (int, error) {
+// manifestFormat follows the shard count in the manifest of a directory
+// that may hold v3 files.  A binary from before v3 fails to parse the line
+// and refuses the directory at once — before it reaches a v3 log, which it
+// would take for a torn legacy log and truncate.
+const manifestFormat = "v3"
+
+// readManifest returns the shard count recorded in dir — 0 when no
+// manifest exists yet — and whether the manifest already carries the v3
+// marker.
+func readManifest(dir string) (n int, v3 bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil
+			return 0, false, nil
 		}
-		return 0, err
+		return 0, false, err
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(string(data)))
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("store: corrupt shard manifest in %s: %q", dir, data)
+	fields := strings.Fields(string(data))
+	if len(fields) == 2 && fields[1] == manifestFormat {
+		v3, fields = true, fields[:1]
 	}
-	return n, nil
+	if len(fields) == 1 {
+		n, err = strconv.Atoi(fields[0])
+	}
+	if len(fields) != 1 || err != nil || n <= 0 {
+		return 0, false, fmt.Errorf("store: corrupt shard manifest in %s: %q", dir, data)
+	}
+	return n, v3, nil
 }
 
-// writeManifest atomically records the shard count in dir.  Like
-// writeSegment, the temp file is fsynced before the rename so a power
-// loss cannot leave a renamed-but-empty manifest that would make every
-// later open fail.
+// writeManifest atomically records the shard count in dir, fsynced before
+// the rename so a power loss cannot leave a renamed-but-empty manifest
+// that would make every later open fail.
 func writeManifest(dir string, n int, fsync bool) error {
-	path := filepath.Join(dir, manifestName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(strconv.Itoa(n) + "\n")); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := writeFileAtomic(filepath.Join(dir, manifestName), []byte(strconv.Itoa(n)+" "+manifestFormat+"\n")); err != nil {
 		return err
 	}
 	if fsync {
@@ -337,8 +333,9 @@ func existingShards(dir string) (int, error) {
 // shardDirName renders the canonical directory name for shard i.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
-// openShard opens shard i: lists and validates its segments, replays its
-// WAL and positions the log for appending.
+// openShard opens shard i: upgrades whatever an older version left in it,
+// lists and validates its segments, replays its WAL and positions the log
+// for appending.
 func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 	dir := filepath.Join(opts.Dir, shardDirName(i))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -348,35 +345,27 @@ func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 	if err != nil {
 		return nil, err
 	}
+	if rewrote, err := upgradeLegacy(dir, segs); err != nil {
+		return nil, err
+	} else if rewrote {
+		if segs, err = listSegments(dir); err != nil {
+			return nil, err
+		}
+	}
 	nextSeq := uint64(1)
 	for si := range segs {
-		n, version, idx, body, err := openSegment(segs[si].path)
+		// Walking the data area verifies every checksum and decodes every
+		// record, so a corrupt segment fails Open loudly, not a later read.
+		idx, err := openSegment(segs[si].path, m)
 		if err != nil {
 			return nil, err
 		}
-		// Decode eagerly: this verifies every per-frame checksum — the
-		// integrity wall for v2 record bytes, since the outer whole-file
-		// sum is not checked on open — so a corrupt segment fails Open
-		// loudly, and it feeds the first shard load without a second
-		// disk pass.
-		loaded, err := decodeSegmentRecords(version, uint32(n), body, segs[si].path)
-		if err != nil {
-			return nil, err
-		}
-		segs[si].records = n
-		segs[si].version = version
 		segs[si].idx = idx
-		segs[si].loaded = loaded
 		if segs[si].seq >= nextSeq {
 			nextSeq = segs[si].seq + 1
 		}
 	}
-	walPath := filepath.Join(dir, "wal.log")
-	records, size, err := replayWAL(walPath)
-	if err != nil {
-		return nil, err
-	}
-	w, err := openWAL(walPath, size, records, opts.Fsync, m)
+	w, err := openWAL(filepath.Join(dir, walName), opts.Fsync, m)
 	if err != nil {
 		return nil, err
 	}
@@ -398,6 +387,9 @@ func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 	}
 	return sh, nil
 }
+
+// walName is the log's file name within a shard directory.
+const walName = "wal.log"
 
 // FNV-1a 64-bit constants, inlined so the per-append hash is
 // allocation-free.
@@ -423,15 +415,21 @@ func (d *Durable) shardOf(p sketch.Published) *dshard {
 	return d.shards[userShard(p.ID, len(d.shards))]
 }
 
-// Append implements Store: the record is framed, CRC'd and written to its
-// shard's WAL before Append returns.  In fsync mode the append parks on
+// Append implements Store: the record is framed, checksummed and written
+// to its shard's WAL before Append returns.  In fsync mode the append parks on
 // the shard's group-commit window and returns only after the window's
 // shared fsync — acknowledged still means durable.  A WAL past the flush
 // threshold is rolled into a segment inline.
 func (d *Durable) Append(p sketch.Published) error {
 	sh := d.shardOf(p)
 	if sh.gc != nil {
-		return sh.gc.submit([]sketch.Published{p})
+		return sh.appendGroup([]sketch.Published{p})
+	}
+	// No commit window to join: the log's own one-record group keeps the
+	// lone-writer path allocation-free.
+	one := [1]sketch.Published{p}
+	if err := checkRecords(one[:]); err != nil {
+		return err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -450,6 +448,9 @@ func (d *Durable) Append(p sketch.Published) error {
 // whole group), or directly into the WAL otherwise.  All-or-nothing per
 // group, like wal.AppendBatch itself.
 func (sh *dshard) appendGroup(ps []sketch.Published) error {
+	if err := checkRecords(ps); err != nil {
+		return err
+	}
 	if sh.gc != nil {
 		return sh.gc.submit(ps)
 	}
@@ -559,17 +560,22 @@ func (sh *dshard) maybeRollLocked() {
 }
 
 // rollLocked flushes the shard's WAL into a fresh segment and truncates
-// the log.  The records come from the WAL's in-memory mirror, so no
-// disk re-read happens under the shard lock.  The shard lock must be
-// held.  Crash safety: the segment is durable (fsync + rename + dir
-// sync) before the WAL is truncated, so a crash in between leaves the
-// records present twice and deduplication drops the copy.
+// the log.  The records are the log's own — decoded from the file's
+// acknowledged prefix unless a read since the last append already did —
+// so a NACKed window is never rolled.  The shard lock must be held.
+// Crash safety: the segment is durable (fsync + rename + dir sync) before
+// the WAL is truncated, so a crash in between leaves the records present
+// twice and deduplication drops the copy.
 func (sh *dshard) rollLocked() error {
-	if len(sh.wal.pending) == 0 {
+	if sh.wal.records == 0 {
 		return nil
 	}
-	records := normalize(sh.wal.pending)
-	meta, err := writeSegment(sh.dir, sh.nextSeq, records)
+	runs, err := sh.wal.runs()
+	if err != nil {
+		return fmt.Errorf("store: shard %d roll: %w", sh.id, err)
+	}
+	image, idx := encodeSegment(runs)
+	meta, err := writeSegment(sh.dir, sh.nextSeq, image, idx)
 	if err != nil {
 		return fmt.Errorf("store: shard %d roll: %w", sh.id, err)
 	}
@@ -584,43 +590,13 @@ func (sh *dshard) rollLocked() error {
 	return nil
 }
 
-// loadShardLocked returns a shard's full deduplicated contents as a
-// k-way merge of its sources, oldest first so the newest duplicate wins:
-// segments are written in canonical order, so the merge is linear
-// instead of the former sort over the concatenation.  The WAL part comes
-// from the in-memory mirror, which holds exactly the acknowledged
-// records — a NACKed-but-written record never appears here.  The shard
-// lock must be held.
-func (sh *dshard) loadShardLocked() ([]sketch.Published, error) {
-	sources := make([][]sketch.Published, 0, len(sh.segs)+1)
-	for si := range sh.segs {
-		seg := &sh.segs[si]
-		var records []sketch.Published
-		var err error
-		if seg.loaded != nil {
-			// First load since open: the records were decoded (and
-			// per-frame checksummed) by openShard, so hand them over and
-			// free the cache.  Later loads (and segments rolled after
-			// open) take the disk path below.
-			records, seg.loaded = seg.loaded, nil
-		} else {
-			records, err = readSegment(seg.path)
-		}
-		if err != nil {
-			return nil, err
-		}
-		sources = append(sources, records)
-	}
-	sources = append(sources, normalize(sh.wal.pending))
-	return mergeSorted(sources), nil
-}
-
-// Lookup returns the newest record for one (user, subset) pair, seeking
-// through the WAL mirror and then each segment newest-first — bloom
-// filters skip segments without the user, the sparse index turns the
-// rest into one-stride reads — instead of materialising the shard.  A
-// segment compacted away mid-lookup triggers a retry against the fresh
-// segment list.
+// Lookup returns the newest record for one (user, subset) pair: a binary
+// search of the log's runs, then each segment newest-first — bloom
+// filters skip segments without the user, the directory and sparse index
+// turn the rest into one-block reads — instead of materialising the
+// shard.  The log is decoded at most once between appends, so lookups of a
+// quiet store stay logarithmic.  A segment compacted away mid-lookup
+// triggers a retry against the fresh segment list.
 func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, bool, error) {
 	d.mu.Lock()
 	closed := d.closed
@@ -628,18 +604,20 @@ func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, boo
 	if closed {
 		return sketch.Published{}, false, ErrClosed
 	}
-	key := recordKey{id: id, subset: subset}
 	sh := d.shards[userShard(id, len(d.shards))]
 	for attempt := 0; ; attempt++ {
 		sh.mu.Lock()
-		// Newest wins: the WAL is newer than any segment, and within it
-		// the latest append wins, so scan the mirror backwards.  The id
-		// check goes first so the subset key — whose encoding allocates —
-		// is only materialised for the scanned user's own records.
-		for i := len(sh.wal.pending) - 1; i >= 0; i-- {
-			if p := sh.wal.pending[i]; p.ID == id && p.Subset.Key() == subset {
+		// Newest wins: the WAL is newer than any segment, and its runs are
+		// already newest-wins within it.
+		runs, err := sh.wal.runs()
+		if err != nil {
+			sh.mu.Unlock()
+			return sketch.Published{}, false, err
+		}
+		if ri, ok := findRun(runs, subset); ok {
+			if i, ok := slices.BinarySearch(runs[ri].IDs, id); ok {
 				sh.mu.Unlock()
-				return p, true, nil
+				return sketch.Published{ID: id, Subset: runs[ri].Subset, S: sketch.UnpackSketch(runs[ri].Keys[i])}, true, nil
 			}
 		}
 		segs := append([]segmentMeta(nil), sh.segs...)
@@ -647,7 +625,7 @@ func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, boo
 		// Segments newest-first: a roll always outranks prior segments,
 		// and a compaction's merged output is itself newest-wins, so the
 		// first hit is the newest record.
-		p, ok, err := lookupSegments(segs, sh.m, key)
+		p, ok, err := lookupSegments(segs, sh.m, id, subset)
 		if err != nil && os.IsNotExist(err) && attempt < 3 {
 			// Compacted away between the snapshot and the read; the fresh
 			// segment list has the survivor.
@@ -657,34 +635,15 @@ func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, boo
 	}
 }
 
-// lookupSegments probes segs newest-first for key.
-func lookupSegments(segs []segmentMeta, m *metrics, key recordKey) (sketch.Published, bool, error) {
+// lookupSegments probes segs newest-first.
+func lookupSegments(segs []segmentMeta, m *metrics, id bitvec.UserID, tag string) (sketch.Published, bool, error) {
 	for i := len(segs) - 1; i >= 0; i-- {
-		p, ok, err := lookupSegment(segs[i], m, key)
+		p, ok, err := lookupSegment(segs[i], m, id, tag)
 		if err != nil || ok {
 			return p, ok, err
 		}
 	}
 	return sketch.Published{}, false, nil
-}
-
-// Iterate implements Store: shards are visited in order, each yielding
-// its deduplicated records in canonical (subset, user) order.
-func (d *Durable) Iterate(fn func(p sketch.Published) error) error {
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-		records, err := sh.loadShardLocked()
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		for _, p := range records {
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Flush implements Store: every shard's WAL is fsynced, and WALs past the
@@ -713,9 +672,9 @@ func (d *Durable) Flush() error {
 
 // RollFailing returns how many shards are in the failing-roll state: their
 // last inline WAL roll failed and none has succeeded since.  Such a shard
-// still acknowledges appends — the WAL holds them — but its log and its
-// in-memory mirror grow without bound until the segment directory is
-// writable again, so daemons report it as degraded health.
+// still acknowledges appends — the WAL holds them — but its log grows
+// without bound (and every read of it decodes all of it) until the segment
+// directory is writable again, so daemons report it as degraded health.
 func (d *Durable) RollFailing() int {
 	n := 0
 	for _, sh := range d.shards {
@@ -731,7 +690,7 @@ func (d *Durable) RollFailing() int {
 // CompactNow merges the segments of every shard holding at least min of
 // them; min is clamped to 2, since merging fewer than two segments is
 // never productive (a lone segment is already deduplicated — rolls and
-// compactions always write normalized records).  It is the synchronous
+// compactions always write normalized runs).  It is the synchronous
 // form of the background loop, for tests and operators.  The run is
 // registered with the store's waitgroup so Close waits for an in-flight
 // merge instead of releasing the directory lock while segment files are
@@ -786,18 +745,23 @@ func (sh *dshard) compact(min int) error {
 	}()
 
 	start := now(sh.m)
-	sources := make([][]sketch.Published, 0, len(snap))
-	for _, seg := range snap {
-		records, err := readSegment(seg.path)
-		if err != nil {
-			return fmt.Errorf("store: shard %d compact: %w", sh.id, err)
-		}
-		sources = append(sources, records)
+	srcs, err := openSources(snap)
+	if err != nil {
+		return fmt.Errorf("store: shard %d compact: %w", sh.id, err)
 	}
+	defer closeSources(srcs)
 	// Segments are individually sorted and deduplicated, so the merge is
-	// a linear k-way pass, newest (highest-seq) source winning ties.
-	all := mergeSorted(sources)
-	meta, err := writeSegment(sh.dir, seq, all)
+	// a k-way pass per subset, the newest (highest-seq) source winning.
+	var records uint64
+	for _, seg := range snap {
+		records += seg.idx.records()
+	}
+	w := newSegWriter(int(records))
+	if err := mergeSources(srcs, func(r run) error { w.add(r); return nil }); err != nil {
+		return fmt.Errorf("store: shard %d compact: %w", sh.id, err)
+	}
+	image, idx := w.finish()
+	meta, err := writeSegment(sh.dir, seq, image, idx)
 	if err != nil {
 		return fmt.Errorf("store: shard %d compact: %w", sh.id, err)
 	}
@@ -902,7 +866,7 @@ func (d *Durable) Stats() Stats {
 		}
 		for _, seg := range sh.segs {
 			s.SegmentBytes += seg.bytes
-			s.SegmentRecords += seg.records
+			s.SegmentRecords += seg.idx.records()
 		}
 		sh.mu.Unlock()
 		st.Shards = append(st.Shards, s)

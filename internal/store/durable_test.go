@@ -1,18 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/sketch"
-	"sketchprivacy/internal/wire"
 )
 
 // testRecord fabricates a valid published sketch for user id over subset b.
@@ -35,6 +34,66 @@ func collect(t *testing.T, st Store) []sketch.Published {
 		t.Fatalf("Iterate: %v", err)
 	}
 	return out
+}
+
+// testRuns normalizes records the way the store does: grouped by subset
+// in tag order, ids ascending, the later record winning a repeated pair.
+func testRuns(ps []sketch.Published) []run {
+	set := newRunSet()
+	for _, p := range ps {
+		set.add(p)
+	}
+	return set.normalized()
+}
+
+// flatten lists the records of runs in order.
+func flatten(runs []run) []sketch.Published {
+	var out []sketch.Published
+	for _, r := range runs {
+		for i, id := range r.IDs {
+			out = append(out, sketch.Published{ID: id, Subset: r.Subset, S: sketch.UnpackSketch(r.Keys[i])})
+		}
+	}
+	return out
+}
+
+// writeTestSegment writes records as segment seq of dir.
+func writeTestSegment(t *testing.T, dir string, seq uint64, ps []sketch.Published) segmentMeta {
+	t.Helper()
+	image, idx := encodeSegment(testRuns(ps))
+	meta, err := writeSegment(dir, seq, image, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta
+}
+
+// windowFrame returns the log frame a window of ps is written as.
+func windowFrame(t *testing.T, ps ...sketch.Published) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), walName)
+	w, err := openWAL(path, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.AppendBatch(ps); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[len(walMagic):]
+}
+
+// logRecords decodes a log image — with no side effect on any file — and
+// returns its valid prefix's records and length.
+func logRecords(t *testing.T, image []byte) ([]sketch.Published, int64) {
+	t.Helper()
+	set := newRunSet()
+	valid, _ := scanLog(image, set)
+	return flatten(set.normalized()), valid
 }
 
 // indexRecords maps (user, subset) to the stored sketch, failing on dups.
@@ -223,11 +282,12 @@ func TestDurableCrashBetweenSegmentAndTruncate(t *testing.T) {
 	}
 	// Simulate the crash: write the segment by hand, leave wal.log alone.
 	sh := st.shards[0]
-	records, _, err := replayWAL(sh.wal.path)
+	runs, err := sh.wal.runs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeSegment(sh.dir, sh.nextSeq, records); err != nil {
+	image, idx := encodeSegment(runs)
+	if _, err := writeSegment(sh.dir, sh.nextSeq, image, idx); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -276,11 +336,12 @@ func TestDurableLeftoverTmpSegmentIgnored(t *testing.T) {
 	}
 }
 
-// TestDurableCorruptSegmentFailsOpen pins the layered v2 integrity
-// contract: corruption in a record frame fails Open loudly (the eager
-// decode verifies every per-frame checksum), while corruption in the
-// advisory index/footer region degrades reads to the linear path —
-// still returning the exact records — instead of bricking the store.
+// TestDurableCorruptSegmentFailsOpen pins the layered integrity contract:
+// corruption in the data area — a record's bytes or a run's header — fails
+// Open loudly (the open-time walk verifies every checksum), while
+// corruption in the advisory index section or its checksum degrades to an
+// index rebuilt from the data area — still returning the exact records —
+// instead of bricking the store.
 func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 	setup := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -311,36 +372,52 @@ func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The one run's header starts the data area; its first block follows the
+	// header (a 16-byte tag) and the header's checksum.
+	const firstBlock = segHeaderSize + runHeaderFixed + 16 + 4
 	t.Run("record frame", func(t *testing.T) {
 		dir := setup(t)
-		// First payload byte of the first record frame.
-		corrupt(t, dir, func([]byte) int { return segV2HeaderSize + segV2FrameHdr })
-		if _, err := Open(Options{Dir: dir, CompactInterval: -1}); err == nil {
-			t.Fatal("Open must fail on a segment with a corrupt record frame")
+		corrupt(t, dir, func([]byte) int { return firstBlock }) // the record's id
+		if _, err := Open(Options{Dir: dir, CompactInterval: -1}); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("Open of a segment with a corrupt record = %v, want ErrSegmentCorrupt", err)
 		}
 	})
-	t.Run("index footer", func(t *testing.T) {
+	t.Run("run header", func(t *testing.T) {
 		dir := setup(t)
-		// A byte of the footer's inner checksum: the index is advisory,
-		// so the open degrades to index-free reads rather than failing.
-		corrupt(t, dir, func(data []byte) int { return len(data) - 16 })
-		st, err := Open(Options{Dir: dir, CompactInterval: -1})
-		if err != nil {
-			t.Fatalf("index corruption must degrade, not fail open: %v", err)
-		}
-		defer st.Close()
-		var got []sketch.Published
-		if err := st.Iterate(func(p sketch.Published) error {
-			got = append(got, p)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		want := testRecord(1, bitvec.MustSubset(0))
-		if len(got) != 1 || got[0].ID != want.ID || got[0].S != want.S || !got[0].Subset.Equal(want.Subset) {
-			t.Fatalf("degraded read returned %+v, want %+v", got, want)
+		corrupt(t, dir, func([]byte) int { return segHeaderSize + 4 }) // a tag byte
+		if _, err := Open(Options{Dir: dir, CompactInterval: -1}); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("Open of a segment with a corrupt run header = %v, want ErrSegmentCorrupt", err)
 		}
 	})
+	for name, at := range map[string]func(data []byte) int{
+		// A byte of the footer's index checksum, and one of the directory
+		// it covers: the index is advisory, so the open rebuilds it from
+		// the data area rather than failing.
+		"index footer":    func(data []byte) int { return len(data) - segFooterSize },
+		"index directory": func(data []byte) int { return int(binary.BigEndian.Uint64(data[len(data)-8:])) + 5 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := setup(t)
+			corrupt(t, dir, at)
+			reg := obs.NewRegistry()
+			st, err := Open(Options{Dir: dir, CompactInterval: -1, Metrics: reg})
+			if err != nil {
+				t.Fatalf("index corruption must degrade, not fail open: %v", err)
+			}
+			defer st.Close()
+			if n := st.shards[0].m.indexFallbacks.Value(); n != 1 {
+				t.Fatalf("store_segment_index_fallbacks_total = %v, want 1", n)
+			}
+			want := testRecord(1, bitvec.MustSubset(0))
+			got := collect(t, st)
+			if len(got) != 1 || got[0].ID != want.ID || got[0].S != want.S || !got[0].Subset.Equal(want.Subset) {
+				t.Fatalf("degraded read returned %+v, want %+v", got, want)
+			}
+			if p, ok, err := st.Lookup(want.ID, want.Subset.Key()); err != nil || !ok || p.S != want.S {
+				t.Fatalf("degraded lookup = %+v %v %v", p, ok, err)
+			}
+		})
+	}
 }
 
 func TestDurableDirLockExcludesSecondOpen(t *testing.T) {
@@ -408,10 +485,11 @@ func TestDurableCompactionDuringAppends(t *testing.T) {
 }
 
 func TestWALRepairAfterUnrecoverableWrite(t *testing.T) {
-	// A broken WAL (failed write whose rollback also failed) self-heals on
-	// the next append: everything past the acknowledged prefix is cut —
-	// torn bytes AND a fully-written record whose fsync failed, which the
-	// engine NACKed and must not resurrect — and service resumes.
+	// A broken WAL (failed write whose rollback also failed) holds bytes
+	// past its acknowledged prefix: torn ones, and possibly a whole window
+	// whose fsync failed, which the engine NACKed.  No read path may see
+	// them — every one decodes the file's acknowledged prefix and nothing
+	// else — and the next append cuts them off and resumes service.
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, Shards: 1, CompactInterval: -1})
 	if err != nil {
@@ -424,46 +502,98 @@ func TestWALRepairAfterUnrecoverableWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate the failure aftermath: a CRC-valid record that was NACKed
-	// (fsync failed after the write) followed by torn bytes, broken set.
+	// Simulate the failure aftermath: a checksum-clean window that was
+	// NACKed (fsync failed after the write) followed by torn bytes, broken
+	// set.
 	w := st.shards[0].wal
-	payload := wire.AppendPublished(nil, testRecord(99, b))
-	var hdr [walHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(append(hdr[:], payload...)); err != nil {
+	nacked := testRecord(99, b)
+	if _, err := w.f.Write(windowFrame(t, nacked)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.f.Write([]byte{0xDE, 0xAD}); err != nil {
 		t.Fatal(err)
 	}
 	w.broken = true
+	absent := func(when string) {
+		t.Helper()
+		for _, p := range collect(t, st) {
+			if p.ID == nacked.ID {
+				t.Fatalf("%s: Iterate returns the NACKed record", when)
+			}
+		}
+		for _, p := range drainBatches(t, st, 2) {
+			if p.ID == nacked.ID {
+				t.Fatalf("%s: ReadBatch streams the NACKed record", when)
+			}
+		}
+		if _, ok, err := st.Lookup(nacked.ID, b.Key()); err != nil || ok {
+			t.Fatalf("%s: Lookup of the NACKed record = %v, %v", when, ok, err)
+		}
+	}
+	absent("while broken")
 	if err := st.Append(testRecord(4, b)); err != nil {
 		t.Fatalf("append after repairable breakage: %v", err)
 	}
 	if w.broken {
 		t.Fatal("wal still marked broken after successful repair")
 	}
-	got := indexRecords(t, collect(t, st))
-	if len(got) != 4 {
+	absent("after repair")
+	if got := indexRecords(t, collect(t, st)); len(got) != 4 {
 		t.Fatalf("store has %d unique records after repair, want 4", len(got))
 	}
-	if _, resurrected := got[keyOf(testRecord(99, b))]; resurrected {
-		t.Fatal("NACKed record resurrected by repair")
-	}
-	// The on-disk log must agree: repair physically cut the NACKed record
+	// The on-disk log must agree: repair physically cut the NACKed window
 	// and the torn bytes, so a restart cannot resurrect them either.
-	onDisk, _, err := replayWAL(w.path)
+	image, err := os.ReadFile(w.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(onDisk) != 4 {
-		t.Fatalf("on-disk wal has %d records after repair, want 4", len(onDisk))
+	onDisk, valid := logRecords(t, image)
+	if len(onDisk) != 4 || valid != int64(len(image)) {
+		t.Fatalf("on-disk wal holds %d records in %d of %d bytes after repair, want 4 in all of them", len(onDisk), valid, len(image))
 	}
-	for _, p := range onDisk {
-		if p.ID == 99 {
-			t.Fatal("NACKed record still on disk after repair")
-		}
+	// A roll writes what the log holds and no more.
+	sh := st.shards[0]
+	sh.mu.Lock()
+	err = sh.rollLocked()
+	sh.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent("after the roll")
+	if got := collect(t, st); len(got) != 4 {
+		t.Fatalf("rolled store has %d records, want 4", len(got))
+	}
+}
+
+// TestRollSkipsNackedWindow: a window whose append failed after reaching
+// the file — and whose rollback failed too — is still in the file when the
+// log next rolls.  The roll decodes the acknowledged prefix only.
+func TestRollSkipsNackedWindow(t *testing.T) {
+	st, err := Open(Options{Dir: t.TempDir(), Shards: 1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	b := bitvec.MustSubset(1, 2)
+	if err := st.Append(testRecord(1, b)); err != nil {
+		t.Fatal(err)
+	}
+	sh := st.shards[0]
+	if _, err := sh.wal.f.Write(windowFrame(t, testRecord(2, b))); err != nil {
+		t.Fatal(err)
+	}
+	sh.wal.broken = true
+	sh.mu.Lock()
+	err = sh.rollLocked()
+	sh.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, st); len(got) != 1 || got[0].ID != 1 {
+		t.Fatalf("after rolling a log with a NACKed window behind it: %+v, want user 1 alone", got)
+	}
+	if n := st.Stats().Shards[0].SegmentRecords; n != 1 {
+		t.Fatalf("the roll wrote %d records, want 1", n)
 	}
 }
 
@@ -603,60 +733,75 @@ func TestDurableRollFailureBacksOffAndRecovers(t *testing.T) {
 	}
 }
 
-// TestSegmentIndexSharesSubsetKeys: the sparse index names a subset every
-// stride records, and a segment holds a handful of subsets — so both the
-// index a roll builds and the one Open parses back keep one key string per
-// run of equal subsets instead of one per entry, with the file unchanged.
-func TestSegmentIndexSharesSubsetKeys(t *testing.T) {
+// TestSegmentIndexBuiltMatchesParsed: the index a roll builds and the one
+// Open derives from the file are the same — one directory entry per
+// subset, naming the run by where it starts rather than by a copy of its
+// tag, and one first id per block — and the stored index section is the
+// layout of exactly that.
+func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	var records []sketch.Published
 	subsets := []bitvec.Subset{bitvec.Range(0, 3), bitvec.Range(0, 10)}
+	const perSubset = 10*segBlockRecords + 7
 	for _, b := range subsets {
-		for id := uint64(1); id <= 10*segIndexStride; id++ {
+		for id := uint64(1); id <= perSubset; id++ {
 			records = append(records, testRecord(id, b))
 		}
 	}
-	records = normalize(records)
-	meta, err := writeSegment(t.TempDir(), 1, records)
+	meta := writeTestSegment(t, t.TempDir(), 1, records)
+	parsed, err := openSegment(meta.path, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	_, _, parsed, _, err := openSegment(meta.path)
-	if err != nil || parsed == nil {
-		t.Fatalf("openSegment: index %v, err %v", parsed, err)
 	}
 	for name, idx := range map[string]*segIndex{"built": meta.idx, "parsed": parsed} {
-		distinct := make(map[*byte]string)
-		for i, e := range idx.entries {
-			if want := records[i*segIndexStride].Subset.Key(); e.subset != want {
-				t.Fatalf("%s index entry %d names subset %q, record has %q", name, i, e.subset, want)
+		if len(idx.runs) != len(subsets) || len(idx.firstIDs) != len(subsets)*11 {
+			t.Fatalf("%s index: %d runs and %d blocks, want %d and %d", name, len(idx.runs), len(idx.firstIDs), len(subsets), len(subsets)*11)
+		}
+		for i, r := range idx.runs {
+			if r.tag != subsets[i].Key() || !r.subset.Equal(subsets[i]) || r.count != perSubset || r.first != i*perSubset || r.block0 != i*11 {
+				t.Fatalf("%s index run %d = %+v", name, i, r)
 			}
-			distinct[unsafe.StringData(e.subset)] = e.subset
 		}
-		if len(idx.entries) != 20 || len(distinct) != len(subsets) {
-			t.Errorf("%s index: %d entries hold %d distinct key strings, want %d", name, len(idx.entries), len(distinct), len(subsets))
+		if idx.records() != uint64(len(records)) {
+			t.Fatalf("%s index counts %d records, want %d", name, idx.records(), len(records))
 		}
 	}
-}
-
-func TestSegmentHostileCountRejected(t *testing.T) {
-	// A crafted segment declaring 2^32-1 records (checksum recomputed)
-	// must produce a decode error, not a huge preallocation.
-	dir := t.TempDir()
-	meta, err := writeSegment(dir, 1, []sketch.Published{testRecord(1, bitvec.MustSubset(0))})
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(meta.idx.appendLayout(nil), parsed.appendLayout(nil)) || !bytes.Equal(meta.idx.bloom, parsed.bloom) {
+		t.Fatal("built and parsed indexes differ")
 	}
+	// 2 runs and 22 blocks: the index section is 8 bytes apiece and the
+	// bloom, however long the subsets' tags are.
 	data, err := os.ReadFile(meta.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.BigEndian.PutUint32(data[8:], 0xFFFFFFFF)
-	binary.BigEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
-	if err := os.WriteFile(meta.path, data, 0o644); err != nil {
+	indexOff := int(binary.BigEndian.Uint64(data[len(data)-8:]))
+	if got, want := len(data)-segFooterSize-indexOff, 4+2*8+4+22*8+5+len(parsed.bloom); got != want {
+		t.Fatalf("index section is %d bytes, want %d", got, want)
+	}
+}
+
+func TestSegmentHostileCountRejected(t *testing.T) {
+	// Crafted segments declaring 2^64-1 records in the header, or 2^32-1 in
+	// a run header whose checksum was recomputed, must produce a decode
+	// error, not a huge preallocation.
+	meta := writeTestSegment(t, t.TempDir(), 1, []sketch.Published{testRecord(1, bitvec.MustSubset(0))})
+	clean, err := os.ReadFile(meta.path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readSegment(meta.path); err == nil {
-		t.Fatal("segment with a hostile record count must fail to decode")
+	header := bytes.Clone(clean)
+	binary.BigEndian.PutUint64(header[len(segMagic):], ^uint64(0))
+	runHeader := bytes.Clone(clean)
+	const countAt = segHeaderSize + 4 + 16 // past the tag length and the tag
+	binary.BigEndian.PutUint32(runHeader[countAt:], ^uint32(0))
+	binary.BigEndian.PutUint32(runHeader[countAt+5:], checksum(runHeader[segHeaderSize:countAt+5]))
+	for name, image := range map[string][]byte{"segment header": header, "run header": runHeader} {
+		if err := os.WriteFile(meta.path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openSegment(meta.path, nil); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("hostile count in the %s: openSegment = %v, want ErrSegmentCorrupt", name, err)
+		}
 	}
 }
 

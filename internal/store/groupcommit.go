@@ -1,20 +1,18 @@
 package store
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sketchprivacy/internal/sketch"
-	"sketchprivacy/internal/wire"
 )
 
 // Group commit: with Options.Fsync set, every production WAL's trick for
 // durable ingest at ingest-pipeline speeds.  Concurrent Appends to a shard
 // park on a commit window; a single committer goroutine (the leader)
-// drains the window, writes every framed record in one write(2), pays ONE
+// drains the window, writes its frames in one write(2), pays ONE
 // fsync for the whole cohort and wakes everyone with the shared outcome.
 // Acknowledged still means durable — no Append returns before its record's
 // fsync — but the fsync cost is amortized over the window, so durable
@@ -35,8 +33,8 @@ import (
 //     cohort's latency hostage.
 //
 // Failure keeps the PR-2 NACK invariants: a failed write or fsync rolls
-// the WHOLE batch off the log (wal.AppendBatch truncates to the pre-batch
-// size) and every parked Append returns the error, so each engine caller
+// the WHOLE window off the log (wal.appendWindow truncates to the
+// pre-window size) and every parked Append returns the error, so each engine caller
 // rolls its own record back out of the table and nothing non-durable stays
 // queryable or can resurrect on replay.
 type groupCommit struct {
@@ -63,9 +61,9 @@ type groupCommit struct {
 	closing chan struct{}
 	wg      sync.WaitGroup
 
-	// flat is the committer-owned scratch the queued groups are flattened
-	// into each commit, reused across windows.
-	flat []sketch.Published
+	// groups is the committer-owned list of the window's record groups —
+	// slice headers, one per waiter — reused across windows.
+	groups [][]sketch.Published
 }
 
 // commitWaiter is one parked appender: its records — one for a plain
@@ -96,15 +94,7 @@ func newGroupCommit(sh *dshard, window time.Duration, maxBytes int) *groupCommit
 // in fsync mode its fsync — succeeded.  ps joins the window as one
 // all-or-nothing group.
 func (gc *groupCommit) submit(ps []sketch.Published) error {
-	frameBytes := 0
-	for _, p := range ps {
-		if n := wire.PublishedEncodedLen(p); n > maxRecordSize {
-			// Refused before joining a window: one oversized record must
-			// not fail its whole cohort.
-			return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, n)
-		}
-		frameBytes += walFrameLen(p)
-	}
+	frameBytes := windowBytes(ps)
 	gc.entering.Add(1)
 	w := commitWaiter{ps: ps, errc: make(chan error, 1)}
 	gc.mu.Lock()
@@ -172,7 +162,7 @@ func (gc *groupCommit) run() {
 	}
 }
 
-// commit drains the open window and appends it to the WAL as one batch,
+// commit drains the open window and appends it to the WAL in one write,
 // rolling the log into a segment when it crossed the flush threshold, then
 // wakes the cohort with the shared outcome.
 func (gc *groupCommit) commit() {
@@ -184,27 +174,29 @@ func (gc *groupCommit) commit() {
 	if len(batch) == 0 {
 		return
 	}
-	ps := gc.flat[:0]
+	groups, records := gc.groups[:0], 0
 	for _, w := range batch {
-		ps = append(ps, w.ps...)
+		groups = append(groups, w.ps)
+		records += len(w.ps)
 	}
-	gc.flat = ps // keep the grown buffer; AppendBatch copies, never retains
 	sh := gc.sh
 	start := now(sh.m)
 	sh.mu.Lock()
 	// No sh.closed check: Close drains the committer before closing the
 	// log files, and a queued record belongs to an Append that was
 	// accepted before the close fence — it must resolve, not leak.
-	err := sh.wal.AppendBatch(ps)
+	err := sh.wal.appendWindow(groups)
 	if err == nil {
 		if sh.m != nil {
 			sh.m.commitLatency.ObserveSince(start)
-			sh.m.commitRecords.Observe(time.Duration(len(ps)) * time.Second)
+			sh.m.commitRecords.Observe(time.Duration(records) * time.Second)
 			sh.m.commits.Inc()
 		}
 		sh.maybeRollLocked()
 	}
 	sh.mu.Unlock()
+	clear(groups) // the waiters' slices are theirs again
+	gc.groups = groups
 	for _, w := range batch {
 		w.errc <- err
 	}

@@ -24,12 +24,16 @@ type metrics struct {
 	// windows observe 1s per record, so bucket bounds and the rendered
 	// sum read directly as record counts.
 	commitRecords *obs.Histogram
-	// Indexed-segment instruments: seeks answered by the sparse index,
-	// reads that fell back to a linear scan (v1 segments or a failed
-	// index parse), and point lookups a bloom filter skipped entirely.
+	// Segment-index instruments: block reads located through a segment's
+	// directory and sparse index, segments whose stored index section was
+	// unusable at open and was rebuilt from the data area, and point
+	// lookups a bloom filter skipped entirely.
 	indexSeeks     *obs.Counter
 	indexFallbacks *obs.Counter
 	bloomSkips     *obs.Counter
+	// logDecodes counts on-demand decodes of a log: a roll or a read that
+	// found no runs kept since the last append.
+	logDecodes *obs.Counter
 }
 
 // commitRecordBuckets are the store_commit_records bounds: powers of two
@@ -45,8 +49,8 @@ var commitRecordBuckets = func() []time.Duration {
 // newMetrics registers the store's instrument families on reg.
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		appendLatency:  reg.Histogram("store_wal_append_seconds", "Latency of one WAL record append (write syscall, excluding fsync).", nil),
-		fsyncLatency:   reg.Histogram("store_wal_fsync_seconds", "Latency of the per-append WAL fsync (only recorded when Options.Fsync is on).", nil),
+		appendLatency:  reg.Histogram("store_wal_append_seconds", "Latency of one WAL window append (write syscall, excluding fsync).", nil),
+		fsyncLatency:   reg.Histogram("store_wal_fsync_seconds", "Latency of the per-window WAL fsync (only recorded when Options.Fsync is on).", nil),
 		rolls:          reg.Counter("store_wal_rolls_total", "WAL-to-segment rolls completed."),
 		rollFailures:   reg.Counter("store_roll_failures_total", "Inline WAL-to-segment roll attempts that failed (the records stay durable in the WAL; the roll is retried after another flush threshold of growth)."),
 		compactions:    reg.Counter("store_compactions_total", "Segment compaction merges completed."),
@@ -54,9 +58,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 		commits:        reg.Counter("store_commits_total", "Group-commit windows committed (each is one WAL write and, in fsync mode, one fsync)."),
 		commitLatency:  reg.Histogram("store_commit_seconds", "Latency of one group-commit window's WAL write+fsync.", nil),
 		commitRecords:  reg.Histogram("store_commit_records", "Records per committed group-commit window (bounds are record counts, not seconds).", commitRecordBuckets),
-		indexSeeks:     reg.Counter("store_segment_index_seeks_total", "Segment reads answered through the sparse key index (seek instead of full scan)."),
-		indexFallbacks: reg.Counter("store_segment_index_fallbacks_total", "Segment reads that fell back to a linear scan (v1 segment or unusable index)."),
+		indexSeeks:     reg.Counter("store_segment_index_seeks_total", "Segment reads located through the run directory and sparse id index (block reads instead of a full scan)."),
+		indexFallbacks: reg.Counter("store_segment_index_fallbacks_total", "Segments whose stored index section was unusable at open and was rebuilt from the data area."),
 		bloomSkips:     reg.Counter("store_segment_bloom_skips_total", "Point lookups skipped entirely by a segment's per-user bloom filter."),
+		logDecodes:     reg.Counter("store_wal_decodes_total", "On-demand decodes of a shard's log: a roll, read or stream that found no runs kept since the last append."),
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // BatchReader is implemented by stores that can stream their contents in
 // bounded batches without materialising a whole shard in memory.  The
 // cluster rebalance engine reads a node's records through it: the node
-// serves each read from at most one segment file (or the WAL mirror), so
-// streaming a multi-gigabyte shard never loads more than one segment at a
-// time.
+// serves each read from the blocks of at most one segment file (or the
+// log's runs), so streaming a multi-gigabyte shard never loads a segment
+// whole.
 //
 // The cursor is opaque: pass zero to start a stream and the returned next
 // cursor thereafter.  The stream is stateless on the store side, so it
@@ -58,16 +58,18 @@ const defaultBatchMax = 2048
 //
 //	[16 bits shard][2 bits phase][23 bits segment seq][23 bits offset]
 //
-// Per shard the WAL mirror streams first, then the segments in ascending
-// sequence order.  That order is what makes the stream skip-free under
+// Per shard the log streams first — its normalized runs, by record
+// ordinal — then the segments in ascending sequence order.  That order is what makes the stream skip-free under
 // concurrency: a roll moves WAL records into a segment with a sequence
 // higher than any existing one (still unread, because segments come after
 // the WAL), and a compaction merges segments into one with a higher
 // sequence than all of its inputs (so records from an unread input are
-// re-encountered, never lost).  Both events can cause re-reads, which the
+// re-encountered, never lost).  An append between two reads of the log
+// inserts into its sorted runs, which moves later records to higher
+// ordinals, never lower.  All three events can cause re-reads, which the
 // idempotent consumer absorbs.
 const (
-	curPhaseWAL  = 0 // streaming the WAL mirror at offset
+	curPhaseWAL  = 0 // streaming the log's runs at offset
 	curPhaseSeek = 1 // finding the smallest segment seq greater than seq
 	curPhaseSeg  = 2 // streaming segment seq at offset
 
@@ -98,8 +100,9 @@ func unpackCursor(v uint64) batchCursor {
 }
 
 // ReadBatch implements BatchReader for the durable store.  Each call reads
-// from at most one segment file; the shard lock is held only to snapshot
-// the WAL mirror or the segment list, never across file IO.
+// from at most one segment file, without the shard lock; the lock covers
+// the segment-list snapshot and the log phase, which may have to decode
+// the log (once per append at most).
 func (d *Durable) ReadBatch(cursor uint64, max int) ([]sketch.Published, uint64, bool, error) {
 	if max <= 0 {
 		max = defaultBatchMax
@@ -117,18 +120,38 @@ func (d *Durable) ReadBatch(cursor uint64, max int) ([]sketch.Published, uint64,
 		switch c.phase {
 		case curPhaseWAL:
 			sh.mu.Lock()
-			pending := sh.wal.pending
-			if c.off >= uint64(len(pending)) {
-				// WAL exhausted (or truncated by a roll — the rolled
+			if sh.wal.records > curOffMax {
+				sh.mu.Unlock()
+				return nil, 0, false, fmt.Errorf("store: shard %d log holds %d records, exceeding the streaming cursor range", sh.id, sh.wal.records)
+			}
+			runs, err := sh.wal.runs()
+			if err != nil {
+				sh.mu.Unlock()
+				return nil, cursor, false, err
+			}
+			before := len(out)
+			skip := int(c.off)
+			for _, r := range runs {
+				if skip >= len(r.IDs) {
+					skip -= len(r.IDs)
+					continue
+				}
+				for i := skip; i < len(r.IDs) && len(out) < max; i++ {
+					out = append(out, sketch.Published{ID: r.IDs[i], Subset: r.Subset, S: sketch.UnpackSketch(r.Keys[i])})
+				}
+				skip = 0
+				if len(out) == max {
+					break
+				}
+			}
+			sh.mu.Unlock()
+			if len(out) == before {
+				// Log exhausted (or truncated by a roll — the rolled
 				// records reappear in a not-yet-read segment).
 				c.phase, c.seq, c.off = curPhaseSeek, 0, 0
-				sh.mu.Unlock()
 				continue
 			}
-			take := min(max-len(out), len(pending)-int(c.off))
-			out = append(out, pending[c.off:int(c.off)+take]...)
-			c.off += uint64(take)
-			sh.mu.Unlock()
+			c.off += uint64(len(out) - before)
 		case curPhaseSeek:
 			sh.mu.Lock()
 			var next segmentMeta
@@ -164,15 +187,14 @@ func (d *Durable) ReadBatch(cursor uint64, max int) ([]sketch.Published, uint64,
 				c.phase = curPhaseSeek
 				continue
 			}
-			if meta.records > curOffMax {
-				return nil, 0, false, fmt.Errorf("store: shard %d segment %d holds %d records, exceeding the streaming cursor range", sh.id, c.seq, meta.records)
+			total := meta.idx.records()
+			if total > curOffMax {
+				return nil, 0, false, fmt.Errorf("store: shard %d segment %d holds %d records, exceeding the streaming cursor range", sh.id, c.seq, total)
 			}
-			if c.off >= meta.records {
+			if c.off >= total {
 				c.phase = curPhaseSeek
 				continue
 			}
-			// An indexed segment serves just the cursor's slice via a
-			// seek; a v1 segment falls back to the full read inside.
 			records, err := readSegmentRange(meta, sh.m, int(c.off), max-len(out))
 			if err != nil {
 				if os.IsNotExist(err) {
@@ -185,7 +207,7 @@ func (d *Durable) ReadBatch(cursor uint64, max int) ([]sketch.Published, uint64,
 			}
 			out = append(out, records...)
 			c.off += uint64(len(records))
-			if c.off >= meta.records {
+			if c.off >= total {
 				c.phase = curPhaseSeek
 			}
 		}

@@ -1,10 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -14,7 +15,7 @@ import (
 // fuzzSegmentRecords deterministically fabricates a normalized record set
 // from a seed: the fuzzer varies segment shape through (seed, n) while
 // the test always knows the exact expected contents.
-func fuzzSegmentRecords(seed uint64, n int) []sketch.Published {
+func fuzzSegmentRecords(seed uint64, n int) []run {
 	subsets := []bitvec.Subset{
 		bitvec.MustSubset(0),
 		bitvec.MustSubset(0, 3, 5),
@@ -31,7 +32,7 @@ func fuzzSegmentRecords(seed uint64, n int) []sketch.Published {
 			S:      sketch.Sketch{Key: x % 1024, Length: 10},
 		})
 	}
-	return normalize(records)
+	return testRuns(records)
 }
 
 // samePub compares records field-wise (Subset is not ==-comparable).
@@ -39,30 +40,33 @@ func samePub(a, b sketch.Published) bool {
 	return a.ID == b.ID && a.S == b.S && a.Subset.Equal(b.Subset)
 }
 
-// FuzzSegmentIndex round-trips fuzzer-shaped record sets through the
-// indexed segment writer, corrupts an arbitrary byte — index entries,
-// footer lengths, bloom bits, frames, anywhere — optionally recomputing
-// the whole-file checksum so the corruption reaches the index parsers
-// instead of being caught at the outer wall, and then drives every read
-// path.  The contract: reads either fail loudly or return exactly the
-// written records (falling back past the broken index); they never
-// panic, never return a wrong, missing or misattributed record, and
-// hostile 64-bit lengths never drive huge allocations.
+// FuzzSegmentIndex round-trips fuzzer-shaped record sets through the v3
+// segment writer, corrupts an arbitrary byte — the header's count, a run
+// header, a block, a block sum, the directory, the sparse index, bloom
+// bits, the footer's offset, anywhere — optionally recomputing the index
+// section's checksum so that corruption inside the section reaches the
+// cross-check against the data area instead of being caught at the
+// section's own wall, and then drives every read path.  The contract: the
+// open fails loudly, or every read returns exactly the written records
+// (through an index rebuilt past the broken one) or fails loudly; reads
+// never panic, never return a wrong, missing or misattributed record, and
+// hostile lengths never drive huge allocations.
 func FuzzSegmentIndex(f *testing.F) {
 	f.Add(uint64(1), 10, -1, byte(0), false)
 	f.Add(uint64(2), 0, -1, byte(0), false)
-	f.Add(uint64(3), 40, 9, byte(0xFF), true)     // record count, outer CRC fixed
-	f.Add(uint64(4), 40, 20, byte(0x01), true)    // early frame byte
+	f.Add(uint64(3), 40, 9, byte(0xFF), true)     // header record count
+	f.Add(uint64(4), 40, 30, byte(0x01), true)    // first run header
 	f.Add(uint64(5), 200, 4000, byte(0x80), true) // likely index/bloom territory
-	f.Add(uint64(6), 33, -9, byte(0xFF), true)    // footer: indexOff bytes
-	f.Add(uint64(7), 33, -16, byte(0xFF), true)   // footer: inner CRC
+	f.Add(uint64(6), 33, -5, byte(0xFF), true)    // footer: indexOff bytes
+	f.Add(uint64(7), 33, -12, byte(0xFF), true)   // footer: index checksum
 	f.Add(uint64(8), 64, -20, byte(0x40), true)   // bloom tail
-	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, fixOuter bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, fixIndex bool) {
 		if n < 0 || n > 300 {
 			n = int(uint(n) % 301)
 		}
-		want := fuzzSegmentRecords(seed, n)
-		image, _ := encodeSegmentV2(want)
+		wantRuns := fuzzSegmentRecords(seed, n)
+		want := flatten(wantRuns)
+		image, _ := encodeSegment(wantRuns)
 		// Negative offsets index from the end (the footer); the fuzzer
 		// reaches it without knowing the image length.
 		if corruptAt < 0 {
@@ -70,13 +74,15 @@ func FuzzSegmentIndex(f *testing.F) {
 		}
 		corrupted := false
 		if corruptAt >= 0 && corruptAt < len(image) && corruptXor != 0 {
+			indexOff := int(binary.BigEndian.Uint64(image[len(image)-8:]))
 			image[corruptAt] ^= corruptXor
 			corrupted = true
-			if fixOuter && corruptAt < len(image)-4 {
-				// Recompute the whole-file checksum over the corrupt body:
-				// models the adversarial case the inner checks exist for,
-				// where the outer wall no longer catches the damage.
-				binary.BigEndian.PutUint32(image[len(image)-4:], crc32.ChecksumIEEE(image[:len(image)-4]))
+			if sumAt := len(image) - segFooterSize; fixIndex && corruptAt >= indexOff && corruptAt < sumAt {
+				// Recompute the section's checksum over the corrupt
+				// section: models the adversarial case the cross-check
+				// exists for, where the section's wall no longer catches
+				// the damage.
+				binary.BigEndian.PutUint32(image[sumAt:], checksum(image[indexOff:sumAt]))
 			}
 		}
 		path := filepath.Join(t.TempDir(), "seg-00000001.seg")
@@ -84,23 +90,31 @@ func FuzzSegmentIndex(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		count, _, idx, _, err := openSegment(path)
+		idx, err := openSegment(path, nil)
 		if err != nil {
 			if !corrupted {
 				t.Fatalf("clean segment failed open: %v", err)
 			}
 			return // loud failure is a correct outcome for corruption
 		}
-		meta := segmentMeta{seq: 1, path: path, bytes: int64(len(image)), records: count, idx: idx}
+		meta := segmentMeta{seq: 1, path: path, bytes: int64(len(image)), idx: idx}
 
-		checkAll := func(got []sketch.Published, err error) {
-			t.Helper()
-			if err != nil {
-				if !corrupted {
-					t.Fatalf("clean segment failed read: %v", err)
-				}
-				return
+		// The full read, as replay and compaction do it.
+		srcs, err := openSources([]segmentMeta{meta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []sketch.Published
+		err = mergeSources(srcs, func(r run) error {
+			got = append(got, flatten([]run{r})...)
+			return nil
+		})
+		closeSources(srcs)
+		if err != nil {
+			if !corrupted {
+				t.Fatalf("clean segment failed read: %v", err)
 			}
+		} else {
 			if len(got) != len(want) {
 				t.Fatalf("read %d records, want %d (corrupted=%v)", len(got), len(want), corrupted)
 			}
@@ -110,23 +124,18 @@ func FuzzSegmentIndex(f *testing.F) {
 				}
 			}
 		}
-		checkAll(readSegment(path))
 
 		// Range reads across several windows, including past the end.
 		for _, from := range []int{0, 1, len(want) / 2, len(want) - 1, len(want) + 3} {
 			if from < 0 {
 				continue
 			}
-			got, err := readSegmentRange(meta, nil, from, 7)
+			got, err := readSegmentRange(meta, nil, from, 70)
 			if err != nil {
 				if !corrupted {
 					t.Fatalf("clean segment failed range read at %d: %v", from, err)
 				}
 				continue
-			}
-			wantEnd := min(from+7, len(want))
-			if from > len(want) {
-				wantEnd = from
 			}
 			if from >= len(want) {
 				if len(got) != 0 {
@@ -134,8 +143,9 @@ func FuzzSegmentIndex(f *testing.F) {
 				}
 				continue
 			}
+			wantEnd := min(from+70, len(want))
 			if len(got) != wantEnd-from {
-				t.Fatalf("range [%d,+7) returned %d records, want %d", from, len(got), wantEnd-from)
+				t.Fatalf("range [%d,+70) returned %d records, want %d", from, len(got), wantEnd-from)
 			}
 			for i, p := range got {
 				if !samePub(p, want[from+i]) {
@@ -152,7 +162,7 @@ func FuzzSegmentIndex(f *testing.F) {
 			if i%5 != 0 && len(want) > 20 {
 				continue // sample large sets to keep fuzz iterations fast
 			}
-			got, ok, err := lookupSegment(meta, nil, keyOf(p))
+			got, ok, err := lookupSegment(meta, nil, p.ID, p.Subset.Key())
 			if err != nil {
 				if !corrupted {
 					t.Fatalf("clean segment lookup failed: %v", err)
@@ -166,9 +176,118 @@ func FuzzSegmentIndex(f *testing.F) {
 				t.Fatalf("clean segment lost record %v", keyOf(p))
 			}
 		}
-		absent := recordKey{id: bitvec.UserID(7_777_777), subset: bitvec.MustSubset(8).Key()}
-		if got, ok, err := lookupSegment(meta, nil, absent); err == nil && ok {
+		if got, ok, err := lookupSegment(meta, nil, bitvec.UserID(7_777_777), bitvec.MustSubset(8).Key()); err == nil && ok {
 			t.Fatalf("lookup of a never-written key found %+v", got)
+		}
+	})
+}
+
+// fuzzLog builds a valid log of the given number of windows, each a few
+// records over up to three subsets, and returns it with the normalized
+// records it holds.
+func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), walName)
+	w, err := openWAL(path, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	subsets := []bitvec.Subset{bitvec.MustSubset(0), bitvec.MustSubset(0, 3, 5), bitvec.Range(0, 20)}
+	var all []sketch.Published
+	x := seed
+	for i := 0; i < windows; i++ {
+		x = splitmix64(x)
+		window := make([]sketch.Published, 1+x%7)
+		for j := range window {
+			x = splitmix64(x)
+			window[j] = sketch.Published{
+				ID:     bitvec.UserID(x % 50),
+				Subset: subsets[int(x>>40)%len(subsets)],
+				S:      sketch.Sketch{Key: x >> 34, Length: 30},
+			}
+		}
+		if err := w.AppendBatch(window); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, window...)
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image, flatten(testRuns(all))
+}
+
+// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of
+// windows: whatever follows — garbage, a frame claiming gigabytes, a frame
+// cut short, a whole frame with a flipped bit — replay must not panic,
+// must not allocate beyond what the file's size accounts for, must return
+// exactly the prefix's records and must truncate the file to exactly the
+// prefix.
+func FuzzWALReplay(f *testing.F) {
+	frame := func(payload []byte) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		out = binary.BigEndian.AppendUint32(out, checksum(payload))
+		return append(out, payload...)
+	}
+	f.Add(uint64(1), 3, []byte(nil))
+	f.Add(uint64(2), 0, []byte("garbage after the magic"))
+	f.Add(uint64(3), 5, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1, 2, 3})     // a 4 GiB frame
+	f.Add(uint64(4), 2, frame([]byte{0, 0, 0, 9}))                               // clean sum, 9 runs, none present
+	f.Add(uint64(5), 4, frame([]byte{0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2})) // a 4 GiB tag
+	f.Add(uint64(6), 1, frame(binary.BigEndian.AppendUint32([]byte{0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}, 1<<31)))
+	f.Add(uint64(7), 6, walMagic[:])
+	f.Fuzz(func(t *testing.T, seed uint64, windows int, tail []byte) {
+		windows = int(uint(windows) % 12)
+		tail = bytes.Clone(tail) // the fuzzer keeps its inputs
+		prefix, want := fuzzLog(t, seed, windows)
+		// The tail must not open with a whole valid window, or it would
+		// belong to the prefix: the fuzzer may keep every other byte of one.
+		if len(tail) >= walFrameHeader {
+			n := int64(binary.BigEndian.Uint32(tail))
+			if n <= int64(len(tail)-walFrameHeader) && checksum(tail[walFrameHeader:walFrameHeader+n]) == binary.BigEndian.Uint32(tail[4:]) {
+				if _, err := newRunSet().addFrame(tail[walFrameHeader : walFrameHeader+n]); err == nil {
+					tail[4] ^= 0x80
+				}
+			}
+		}
+		path := filepath.Join(t.TempDir(), walName)
+		if err := os.WriteFile(path, append(prefix, tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w, err := openWAL(path, false, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("replay of a valid prefix and %d more bytes failed: %v", len(tail), err)
+		}
+		defer w.Close()
+		// The read buffer, plus a generous multiple of the file: decoded
+		// columns and their growth.  A length field taken at its word would
+		// be gigabytes.
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*(len(prefix)+len(tail))); grew > bound {
+			t.Fatalf("replay of a %d-byte file allocated %d bytes", len(prefix)+len(tail), grew)
+		}
+		if w.size != int64(len(prefix)) {
+			t.Fatalf("replay kept %d bytes, the valid prefix is %d", w.size, len(prefix))
+		}
+		if info, err := os.Stat(path); err != nil || info.Size() != w.size {
+			t.Fatalf("file is %d bytes after replay, want the %d of the prefix (%v)", info.Size(), w.size, err)
+		}
+		runs, err := w.runs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := flatten(runs)
+		if len(got) != len(want) {
+			t.Fatalf("replay returned %d records, the prefix holds %d", len(got), len(want))
+		}
+		for i := range want {
+			if !samePub(got[i], want[i]) {
+				t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+			}
 		}
 	})
 }

@@ -1,42 +1,63 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
-	"sketchprivacy/internal/sketch"
-	"sketchprivacy/internal/wire"
+	"sketchprivacy/internal/bitvec"
 )
 
-// Segment files come in two versions, dispatched on the magic's last
-// byte.  Version 1 (the original, still fully readable):
+// Segment format v3, the only one written.  A segment is a shard's runs
+// (run.go) in subset-tag order, ids ascending within each, every record
+// (user, subset) pair at most once:
 //
-//	8  bytes magic "SKSEG\x00\x00\x01"
-//	4  bytes big-endian record count
-//	records: 4-byte big-endian length + wire.EncodePublished payload,
-//	         sorted by (subset key, user id)
-//	4  bytes big-endian CRC32 (IEEE) of everything above
+//	16 byte header: magic "SKSEG\x00\x00\x03" | 8-byte record count
+//	data area, per run:
+//	  run header (tag length, tag, count, sketch width) | 4-byte checksum
+//	  of the header | the run's columns cut into blocks of segBlockRecords
+//	  records (the last one shorter): ids, sketch words, 4-byte checksum
+//	  of the block
+//	index section (at indexOff):
+//	  4-byte run count   | per run, the 8-byte offset of its header
+//	  4-byte block count | per block, run after run, its 8-byte first id
+//	  4-byte bloom length | 1-byte probe count | per-user bloom filter
+//	12 byte footer: 4-byte checksum of the index section | 8-byte indexOff
 //
-// Version 2 adds per-record checksums, a sparse key index and a per-user
-// bloom filter so reads seek instead of scanning; see segindex.go for the
-// layout.  All new segments are written as v2; v1 segments are read via
-// the linear path (no index to seek with) so existing data directories
-// open unchanged.
+// All integers are big-endian, every checksum is checksum().  A record
+// costs its 8-byte id and its sketch word (2 bytes for the 9- to 11-bit
+// sketches of a million-user deployment); blocks, index and bloom add
+// under 1.5 bytes, and a subset's tag is paid once per segment.
 //
-// Segments of either version are written to a temporary file, fsynced
-// and renamed into place, so a segment either exists completely or not
-// at all; a whole-file checksum failure on load is real corruption and
-// reported as an error.
-var (
-	segMagicV1 = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 1}
-	segMagicV2 = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 2}
+// Integrity.  The data area carries the records and describes itself:
+// Open walks it run by run, verifying every checksum and that the walk
+// ends exactly where the footer says the index starts with exactly the
+// header's record count, and fails loudly otherwise.  The index section is
+// advisory — it repeats what the walk just derived, plus the bloom — so
+// one that fails its checksum or disagrees with the data in any entry is
+// dropped and rebuilt from the walk; a reader can be wrong about nothing.
+// Reads verify the checksum of every block they touch.
+//
+// Segments are written to a temporary file, fsynced and renamed into
+// place, so a segment either exists completely or not at all.
+var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 3}
+
+const (
+	segHeaderSize = 16 // magic + record count
+	segFooterSize = 12 // index checksum + indexOff
+	// segBlockRecords is how many records share a checksum and a sparse
+	// index entry: a point lookup reads one block (640 bytes at width 2).
+	segBlockRecords = 64
+	// segBloomBitsPerRecord and segBloomK size the per-user bloom filter
+	// (~10 bits/record, 6 probes ≈ 1% false positives).
+	segBloomBitsPerRecord = 10
+	segBloomK             = 6
 )
 
 // ErrSegmentCorrupt is returned when a segment file fails validation.
@@ -44,24 +65,13 @@ var ErrSegmentCorrupt = errors.New("store: corrupt segment")
 
 // segmentMeta tracks one on-disk segment.
 type segmentMeta struct {
-	seq     uint64
-	path    string
-	bytes   int64
-	records uint64
-	// version is the segment format version (1 or 2), set at open.
-	version int
-	// idx is the parsed v2 index, nil for v1 segments (reads scan).  It
-	// is immutable once set, like the segment itself.
+	seq   uint64
+	path  string
+	bytes int64
+	// idx locates every run and block of the segment.  It is set at open
+	// or by the writer, agrees with the file's data area by construction,
+	// and is immutable, like the segment itself.
 	idx *segIndex
-	// loaded, when non-nil, holds the records decoded eagerly at open —
-	// decoding there both verifies every per-frame checksum (so a corrupt
-	// segment fails Open loudly instead of the first read) and hands the
-	// first full shard load its records with no second disk pass.  It is
-	// consumed (nil'd) by that first load; segments written after open
-	// never carry one.  Engines attach and replay their store immediately
-	// at startup, so in practice the slice lives only between Open and
-	// the first Iterate.
-	loaded []sketch.Published
 }
 
 // segmentName renders the canonical file name for sequence number seq.
@@ -79,167 +89,278 @@ func parseSegmentName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// writeSegment atomically writes records as an indexed v2 segment seq in
-// dir and returns its metadata, index included (the writer builds the
-// index in memory, so its own output is never re-parsed).  Records must
-// already be in canonical segment order (normalize and mergeSorted do
-// this for every caller).
-func writeSegment(dir string, seq uint64, records []sketch.Published) (segmentMeta, error) {
-	buf, idx := encodeSegmentV2(records)
+// blockLen is the size of a block of n records: columns and checksum.
+func blockLen(n, width int) int { return n*(8+width) + 4 }
+
+// blocksLen is the size of the blocks holding the first n records of a
+// run; n is a whole number of blocks or the run's full count.
+func blocksLen(n, width int) int {
+	size := n / segBlockRecords * blockLen(segBlockRecords, width)
+	if rest := n % segBlockRecords; rest > 0 {
+		size += blockLen(rest, width)
+	}
+	return size
+}
+
+// segWriter assembles a segment image from runs added in tag order.
+type segWriter struct {
+	buf     []byte
+	idx     *segIndex
+	records int
+}
+
+// newSegWriter starts a segment of at most maxRecords records, which size
+// its bloom filter.
+func newSegWriter(maxRecords int) *segWriter {
+	w := &segWriter{
+		buf: make([]byte, segHeaderSize, segHeaderSize+maxRecords*12+1024),
+		idx: &segIndex{bloom: newBloom(maxRecords), bloomK: segBloomK},
+	}
+	copy(w.buf, segMagic[:])
+	return w
+}
+
+// add appends a run: ids strictly ascending, its tag above the last one's.
+func (w *segWriter) add(r run) {
+	if len(r.IDs) == 0 {
+		return
+	}
+	width := runWidth(r.Keys)
+	header := len(w.buf)
+	w.buf = appendRunHeader(w.buf, r.tag, len(r.IDs), width)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[header:]))
+	w.idx.runs = append(w.idx.runs, segRun{
+		tag: r.tag, subset: r.Subset, off: uint64(len(w.buf)), count: len(r.IDs), width: width,
+		first: w.records, block0: len(w.idx.firstIDs),
+	})
+	for at := 0; at < len(r.IDs); at += segBlockRecords {
+		end := min(at+segBlockRecords, len(r.IDs))
+		w.idx.firstIDs = append(w.idx.firstIDs, r.IDs[at])
+		block := len(w.buf)
+		w.buf = appendColumns(w.buf, r.IDs[at:end], r.Keys[at:end], width)
+		w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[block:]))
+	}
+	for _, id := range r.IDs {
+		bloomAdd(w.idx.bloom, segBloomK, uint64(id))
+	}
+	w.records += len(r.IDs)
+}
+
+// finish completes the image and returns it with the index describing it,
+// so a roll or compaction never re-parses its own output.
+func (w *segWriter) finish() ([]byte, *segIndex) {
+	binary.BigEndian.PutUint64(w.buf[len(segMagic):], uint64(w.records))
+	indexOff := len(w.buf)
+	w.buf = w.idx.appendLayout(w.buf)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(w.idx.bloom)))
+	w.buf = append(w.buf, byte(w.idx.bloomK))
+	w.buf = append(w.buf, w.idx.bloom...)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[indexOff:]))
+	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(indexOff))
+	return w.buf, w.idx
+}
+
+// encodeSegment renders normalized runs as a segment image.
+func encodeSegment(runs []run) ([]byte, *segIndex) {
+	records := 0
+	for _, r := range runs {
+		records += len(r.IDs)
+	}
+	w := newSegWriter(records)
+	for _, r := range runs {
+		w.add(r)
+	}
+	return w.finish()
+}
+
+// writeSegment atomically writes a finished image as segment seq in dir
+// and returns its metadata.
+func writeSegment(dir string, seq uint64, image []byte, idx *segIndex) (segmentMeta, error) {
 	final := filepath.Join(dir, segmentName(seq))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return segmentMeta{}, err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return segmentMeta{}, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return segmentMeta{}, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return segmentMeta{}, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err := writeFileAtomic(final, image); err != nil {
 		return segmentMeta{}, err
 	}
 	if err := syncDir(dir); err != nil {
 		return segmentMeta{}, err
 	}
-	return segmentMeta{seq: seq, path: final, bytes: int64(len(buf)), records: uint64(len(records)), version: 2, idx: idx}, nil
+	return segmentMeta{seq: seq, path: final, bytes: int64(len(image)), idx: idx}, nil
 }
 
-// segmentBody validates the file at path — length, magic, and for v1 the
-// whole-file checksum — and returns its version, declared record count
-// and the full image.  v2 images skip the outer checksum pass: every
-// region is covered by an inner check instead (per-frame sums on the
-// records, the footer's own checksum on the index, consistency
-// cross-checks on the count), and FuzzSegmentIndex proves those alone
-// keep every read path safe even when the outer sum has been recomputed
-// over a corrupt body.  Skipping the redundant pass halves the bytes
-// checksummed on the cold-start replay path, which is what lets an
-// indexed open beat raw WAL replay.
-func segmentBody(path string) (version int, count uint32, data []byte, err error) {
-	data, err = os.ReadFile(path)
+// writeFileAtomic writes data to path through a fsynced temporary file and
+// a rename, so a crash (or power loss) leaves the old file or the new one,
+// never a partial or empty one.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return 0, 0, nil, err
+		return err
 	}
-	if len(data) < len(segMagicV1)+8 {
-		return 0, 0, nil, fmt.Errorf("%w: %s is %d bytes", ErrSegmentCorrupt, path, len(data))
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	switch {
-	case string(body[:len(segMagicV1)]) == string(segMagicV1[:]):
-		version = 1
-	case string(body[:len(segMagicV2)]) == string(segMagicV2[:]):
-		version = 2
-	default:
-		return 0, 0, nil, fmt.Errorf("%w: %s has bad magic", ErrSegmentCorrupt, path)
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
 	}
-	// v1 frames carry no per-record sums, so the outer checksum is the
-	// only integrity wall — verify it before trusting a byte.
-	if version == 1 && crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tail) {
-		return 0, 0, nil, fmt.Errorf("%w: %s fails checksum", ErrSegmentCorrupt, path)
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
 	}
-	return version, binary.BigEndian.Uint32(body[len(segMagicV1):]), data, nil
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
 }
 
-// openSegment validates a segment and returns its record count, format
-// version, parsed v2 index and the whole validated file image (for
-// segmentMeta.body).  An index that fails any consistency check on an
-// otherwise checksum-clean file returns nil (reads fall back to the
-// linear path) rather than failing the open: the index is advisory.
-func openSegment(path string) (count uint64, version int, idx *segIndex, data []byte, err error) {
-	version, c, data, err := segmentBody(path)
-	if err != nil {
-		return 0, 0, nil, nil, err
+// decodeBlocks appends the count records held by src — exactly the blocks
+// of a run's stretch that starts on a block boundary — to ids and keys,
+// verifying every block's checksum.
+func decodeBlocks(src []byte, count, width int, ids []bitvec.UserID, keys []uint64) ([]bitvec.UserID, []uint64, error) {
+	if len(src) != blocksLen(count, width) {
+		return ids, keys, fmt.Errorf("%d bytes of blocks for %d records of width %d", len(src), count, width)
 	}
-	if version < 2 {
-		return uint64(c), version, nil, data, nil
+	for count > 0 {
+		n := min(count, segBlockRecords)
+		cols := src[:n*(8+width)]
+		if checksum(cols) != binary.BigEndian.Uint32(src[len(cols):]) {
+			return ids, keys, errors.New("block fails checksum")
+		}
+		var err error
+		if ids, keys, err = decodeColumns(cols, n, width, ids, keys); err != nil {
+			return ids, keys, err
+		}
+		src, count = src[blockLen(n, width):], count-n
 	}
-	idx, err = parseSegIndex(data, c, path)
-	if err != nil {
-		return uint64(c), version, nil, data, nil
-	}
-	return uint64(c), version, idx, data, nil
+	return ids, keys, nil
 }
 
-// decodeSegmentRecords walks the record frames of a segment image,
-// depending only on the header count and record framing — never on the
-// v2 index section, which makes it the safe fallback when an index is
-// absent or inconsistent.  For v2 the per-frame sums verified here are
-// the integrity wall for record bytes (the outer whole-file sum is not
-// checked on open): FuzzSegmentIndex guarantees reads never return a
-// wrong record even when the outer checksum has been recomputed over a
-// corrupt body, and the per-frame sums are what carry that guarantee.
-func decodeSegmentRecords(version int, count uint32, data []byte, path string) ([]sketch.Published, error) {
-	rest := data[len(segMagicV1)+4 : len(data)-4]
-	frameHdr := 4
-	if version >= 2 {
-		frameHdr = segV2FrameHdr
-		if len(data) < segV2HeaderSize+segV2FooterSize {
-			return nil, fmt.Errorf("%w: %s lacks a v2 footer", ErrSegmentCorrupt, path)
-		}
-		// The frame area ends exactly at the footer's index offset.  The
-		// count and the offset cross-check each other: truncating the walk
-		// anywhere else fails below as trailing bytes, so a corrupted count
-		// cannot silently return a prefix of the records.
-		indexOff := binary.BigEndian.Uint64(data[len(data)-12:])
-		if indexOff < segV2HeaderSize || indexOff > uint64(len(data)-segV2FooterSize) {
-			return nil, fmt.Errorf("%w: %s index offset %d out of range", ErrSegmentCorrupt, path, indexOff)
-		}
-		rest = data[segV2HeaderSize:indexOff]
+// walkSegment validates a v3 image's data area — trusting nothing but the
+// bytes it is reading — and returns the index the area implies, without a
+// bloom.  Every record is decoded, so a segment Open accepted holds only
+// well-formed, checksum-clean, correctly ordered records.
+func walkSegment(data []byte, path string) (*segIndex, error) {
+	corrupt := func(format string, args ...any) (*segIndex, error) {
+		return nil, fmt.Errorf("%w: %s %s", ErrSegmentCorrupt, path, fmt.Sprintf(format, args...))
 	}
-	// Cap the preallocation by what the bytes could possibly hold (each
-	// record needs at least its frame header): the count is checksummed
-	// but still input, and a crafted value must produce a decode error
-	// below, not a huge allocation here.
-	records := make([]sketch.Published, 0, min(int(count), len(rest)/frameHdr))
-	var dec wire.PublishedDecoder // records are subset-sorted: near-100% tag-cache hits
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < frameHdr {
-			return nil, fmt.Errorf("%w: %s truncated at record %d", ErrSegmentCorrupt, path, i)
-		}
-		n := binary.BigEndian.Uint32(rest)
-		var sum uint32
-		if version >= 2 {
-			sum = binary.BigEndian.Uint32(rest[4:])
-		}
-		rest = rest[frameHdr:]
-		if uint32(len(rest)) < n {
-			return nil, fmt.Errorf("%w: %s truncated at record %d", ErrSegmentCorrupt, path, i)
-		}
-		if version >= 2 && crc32.ChecksumIEEE(rest[:n]) != sum {
-			return nil, fmt.Errorf("%w: %s record %d fails checksum", ErrSegmentCorrupt, path, i)
-		}
-		p, err := dec.Decode(rest[:n])
+	if len(data) < segHeaderSize+segFooterSize {
+		return corrupt("is %d bytes", len(data))
+	}
+	if [8]byte(data[:8]) != segMagic {
+		return corrupt("has bad magic")
+	}
+	// The record count and the index offset cross-check each other through
+	// the walk: it must reach the offset exactly, with exactly the count.
+	count := binary.BigEndian.Uint64(data[len(segMagic):])
+	indexOff := binary.BigEndian.Uint64(data[len(data)-8:])
+	if indexOff < segHeaderSize || indexOff > uint64(len(data)-segFooterSize) {
+		return corrupt("index offset %d out of range", indexOff)
+	}
+	area := data[:indexOff]
+	idx := &segIndex{}
+	var ids []bitvec.UserID
+	var keys []uint64
+	off, total := segHeaderSize, 0
+	for off < len(area) {
+		h, err := parseRunHeader(area[off:])
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s record %d: %v", ErrSegmentCorrupt, path, i, err)
+			return corrupt("at offset %d: %v", off, err)
 		}
-		records = append(records, p)
-		rest = rest[n:]
+		end := off + h.size
+		if len(area)-end < 4 || checksum(area[off:end]) != binary.BigEndian.Uint32(area[end:]) {
+			return corrupt("run header at offset %d fails checksum", off)
+		}
+		tag := string(h.tag)
+		if n := len(idx.runs); n > 0 && tag <= idx.runs[n-1].tag {
+			return corrupt("run at offset %d is out of subset order", off)
+		}
+		subset, err := bitvec.ParseTag(h.tag)
+		if err != nil {
+			return corrupt("run at offset %d: %v", off, err)
+		}
+		blocks := end + 4
+		size := blocksLen(h.count, h.width)
+		if size > len(area)-blocks {
+			return corrupt("run at offset %d overruns the data area", off)
+		}
+		if ids, keys, err = decodeBlocks(area[blocks:blocks+size], h.count, h.width, ids[:0], keys[:0]); err != nil {
+			return corrupt("run at offset %d: %v", off, err)
+		}
+		if !strictlyAscending(ids) {
+			return corrupt("run at offset %d is out of user order", off)
+		}
+		idx.runs = append(idx.runs, segRun{
+			tag: tag, subset: subset, off: uint64(blocks), count: h.count, width: h.width,
+			first: total, block0: len(idx.firstIDs),
+		})
+		for at := 0; at < h.count; at += segBlockRecords {
+			idx.firstIDs = append(idx.firstIDs, ids[at])
+		}
+		off, total = blocks+size, total+h.count
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %s has %d trailing bytes", ErrSegmentCorrupt, path, len(rest))
+	if uint64(total) != count {
+		return corrupt("holds %d records, its header says %d", total, count)
 	}
-	return records, nil
+	return idx, nil
 }
 
-// readSegment loads and validates one segment file of either version from
-// disk and decodes every record.
-func readSegment(path string) ([]sketch.Published, error) {
-	version, count, data, err := segmentBody(path)
+// storedBloom returns the bloom filter of the image's index section when
+// the section passes its checksum and lists exactly the runs and blocks
+// of idx, which the walk just derived from the data area.
+func storedBloom(data []byte, idx *segIndex) (bloom []byte, k int, ok bool) {
+	indexOff := binary.BigEndian.Uint64(data[len(data)-8:]) // in range: the walk checked
+	section := data[indexOff : len(data)-segFooterSize]
+	if checksum(section) != binary.BigEndian.Uint32(data[len(data)-segFooterSize:]) {
+		return nil, 0, false
+	}
+	layout := idx.appendLayout(nil)
+	if len(section) < len(layout)+5 || !bytes.HasPrefix(section, layout) {
+		return nil, 0, false
+	}
+	rest := section[len(layout):]
+	bloomLen, k := binary.BigEndian.Uint32(rest), int(rest[4])
+	if rest = rest[5:]; uint64(bloomLen) != uint64(len(rest)) || bloomLen == 0 || k < 1 || k > 64 {
+		return nil, 0, false
+	}
+	return rest, k, true
+}
+
+// openSegment reads and validates the segment at path and returns its
+// index.  Corruption in the data area is an error; an index section that
+// cannot be used is rebuilt from the data area instead, and counted.
+func openSegment(path string, m *metrics) (*segIndex, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return decodeSegmentRecords(version, count, data, path)
+	idx, err := walkSegment(data, path)
+	if err != nil {
+		return nil, err
+	}
+	if bloom, k, ok := storedBloom(data, idx); ok {
+		// A copy: the index outlives the image, and must not pin it.
+		idx.bloom, idx.bloomK = append([]byte(nil), bloom...), k
+		return idx, nil
+	}
+	if m != nil {
+		m.indexFallbacks.Inc()
+	}
+	idx.bloom, idx.bloomK = newBloom(int(idx.records())), segBloomK
+	var ids []bitvec.UserID
+	var keys []uint64
+	for _, r := range idx.runs {
+		blocks := data[r.off : r.off+uint64(blocksLen(r.count, r.width))]
+		if ids, keys, err = decodeBlocks(blocks, r.count, r.width, ids[:0], keys[:0]); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrSegmentCorrupt, path, err)
+		}
+		for _, id := range ids {
+			bloomAdd(idx.bloom, idx.bloomK, uint64(id))
+		}
+	}
+	return idx, nil
 }
 
 // listSegments scans dir for segment files, sorted by sequence number.

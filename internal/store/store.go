@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sort"
 	"sync"
 
 	"sketchprivacy/internal/bitvec"
@@ -167,52 +166,4 @@ func (m *Mem) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{Records: uint64(len(m.records))}
-}
-
-// normalize deduplicates records by (user, subset) — the newest wins, so
-// the input must be ordered oldest source first — and sorts the
-// survivors into canonical (subset key, user id) order.  Subset keys are
-// materialised once per record rather than per comparison: rolls,
-// compaction and cold-start replay all funnel through here, so the sort
-// must not allocate O(n log n) tag encodings.
-func normalize(records []sketch.Published) []sketch.Published {
-	// Ingest runs tend to repeat the same subset back to back, so reuse
-	// the previous record's key string when the subsets match — that
-	// skips the tag encoding AND makes the sort's equal-key compares a
-	// pointer check.
-	keys := make([]string, len(records))
-	for i, p := range records {
-		if i > 0 && p.Subset.Equal(records[i-1].Subset) {
-			keys[i] = keys[i-1]
-		} else {
-			keys[i] = p.Subset.Key()
-		}
-	}
-	idx := make([]int, len(records))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if keys[ia] != keys[ib] {
-			return keys[ia] < keys[ib]
-		}
-		if records[ia].ID != records[ib].ID {
-			return records[ia].ID < records[ib].ID
-		}
-		// Arrival order breaks key ties, so duplicates of a pair sort
-		// oldest to newest and the dedup pass below keeps the last.
-		return ia < ib
-	})
-	out := make([]sketch.Published, 0, len(records))
-	for j, i := range idx {
-		if j+1 < len(idx) {
-			ni := idx[j+1]
-			if keys[ni] == keys[i] && records[ni].ID == records[i].ID {
-				continue // a newer record for the same pair follows
-			}
-		}
-		out = append(out, records[i])
-	}
-	return out
 }

@@ -18,87 +18,74 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// TestBatchTruncationEveryOffset is the group-commit tear matrix: one
-// AppendBatch writes a multi-record commit window, the log is truncated
-// at every byte offset across the whole batch, and recovery must replay
-// exactly the fully-written prefix — never an error, never a torn
-// record, never a record from beyond the cut.
+// TestBatchTruncationEveryOffset is the group-commit tear matrix: two
+// commit windows, each several records over two subsets, are written and
+// the log is truncated at every byte offset from its first byte to its
+// last.  Recovery must replay exactly the fully-written windows — never an
+// error, never part of a torn window, never a record from beyond the cut.
 func TestBatchTruncationEveryOffset(t *testing.T) {
 	dir := t.TempDir()
-	b := bitvec.MustSubset(0, 3, 5)
+	b, b2 := bitvec.MustSubset(0, 3, 5), bitvec.MustSubset(2, 6)
 	const k = 6
 	st, err := Open(Options{Dir: dir, Shards: 1, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]sketch.Published, k)
-	for i := range batch {
-		batch[i] = testRecord(uint64(i+1), b)
+	// Window w holds users w*k+1 .. w*k+k, alternating subsets.
+	window := func(w int) []sketch.Published {
+		batch := make([]sketch.Published, k)
+		for i := range batch {
+			batch[i] = testRecord(uint64(w*k+i+1), []bitvec.Subset{b, b2}[i%2])
+		}
+		return batch
 	}
-	if err := st.shards[0].wal.AppendBatch(batch); err != nil {
-		t.Fatal(err)
+	// bounds[w] is where window w starts: a cut at or past bounds[w+1]
+	// leaves windows 0..w whole.
+	bounds := []int64{st.shards[0].wal.size}
+	for w := 0; w < 2; w++ {
+		if err := st.shards[0].wal.AppendBatch(window(w)); err != nil {
+			t.Fatal(err)
+		}
+		bounds = append(bounds, st.shards[0].wal.size)
 	}
-	// The frame boundaries within the batch, to know the expected prefix
-	// at every cut.
-	bounds := make([]int64, 0, k+1)
-	off := int64(0)
-	bounds = append(bounds, off)
-	for _, p := range batch {
-		off += int64(walFrameLen(p))
-		bounds = append(bounds, off)
-	}
-	walPath := st.shards[0].wal.path
-	full, err := os.ReadFile(walPath)
+	full, err := os.ReadFile(st.shards[0].wal.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(full)) != bounds[k] {
-		t.Fatalf("batch wrote %d bytes, expected %d", len(full), bounds[k])
+	if int64(len(full)) != bounds[2] {
+		t.Fatalf("two windows wrote %d bytes, the log counts %d", len(full), bounds[2])
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	for cut := int64(0); cut <= int64(len(full)); cut++ {
-		wantRecords := 0
-		for wantRecords < k && bounds[wantRecords+1] <= cut {
-			wantRecords++
+		wantWindows := 0
+		for wantWindows < 2 && bounds[wantWindows+1] <= cut {
+			wantWindows++
 		}
-		tornDir := filepath.Join(t.TempDir(), "torn")
-		shardDir := filepath.Join(tornDir, "shard-0000")
-		if err := os.MkdirAll(shardDir, 0o755); err != nil {
-			t.Fatal(err)
+		st2, tornPath := openTornCopy(t, full[:cut])
+		got := indexRecords(t, collect(t, st2))
+		if len(got) != wantWindows*k {
+			t.Fatalf("cut=%d: recovered %d records, want the %d of %d whole windows", cut, len(got), wantWindows*k, wantWindows)
 		}
-		tornPath := filepath.Join(shardDir, "wal.log")
-		if err := os.WriteFile(tornPath, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st2, err := Open(Options{Dir: tornDir, CompactInterval: -1})
-		if err != nil {
-			t.Fatalf("cut=%d: recovery failed: %v", cut, err)
-		}
-		got := collect(t, st2)
-		if len(got) != wantRecords {
-			t.Fatalf("cut=%d: recovered %d records, want the %d-record prefix", cut, len(got), wantRecords)
-		}
-		for _, p := range got {
-			if uint64(p.ID) > uint64(wantRecords) {
-				t.Fatalf("cut=%d: recovered record %d from beyond the cut", cut, p.ID)
-			}
-			want := testRecord(uint64(p.ID), b)
-			if p.S != want.S || !p.Subset.Equal(b) {
-				t.Fatalf("cut=%d: recovered corrupted record %+v", cut, p)
+		for w := 0; w < wantWindows; w++ {
+			for _, p := range window(w) {
+				if got[keyOf(p)] != p.S {
+					t.Fatalf("cut=%d: record %d of whole window %d recovered as %v", cut, p.ID, w, got[keyOf(p)])
+				}
 			}
 		}
-		// The torn suffix must be physically gone so appends restart clean.
-		if info, err := os.Stat(tornPath); err != nil || info.Size() != bounds[wantRecords] {
-			t.Fatalf("cut=%d: wal not truncated to %d (size %v, err %v)", cut, bounds[wantRecords], info.Size(), err)
+		// The torn suffix must be physically gone so appends restart
+		// clean (a cut inside the magic leaves a new, empty log).
+		if info, err := os.Stat(tornPath); err != nil || info.Size() != bounds[wantWindows] {
+			t.Fatalf("cut=%d: wal not truncated to %d (size %v, err %v)", cut, bounds[wantWindows], info.Size(), err)
 		}
 		if err := st2.Append(testRecord(100, b)); err != nil {
 			t.Fatalf("cut=%d: append after recovery: %v", cut, err)
 		}
-		if got := collect(t, st2); len(got) != wantRecords+1 {
-			t.Fatalf("cut=%d: after recovery append, %d records, want %d", cut, len(got), wantRecords+1)
+		if got := collect(t, st2); len(got) != wantWindows*k+1 {
+			t.Fatalf("cut=%d: after recovery append, %d records, want %d", cut, len(got), wantWindows*k+1)
 		}
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
@@ -240,10 +227,14 @@ func TestSIGKILLMidCommitWindow(t *testing.T) {
 	}
 }
 
+// The legacy fixtures are hand-built, byte for byte what the old writers
+// produced, so their absence from the tree does not silence the upgrade
+// test.  legacyOrder puts records in the canonical (subset key, user id)
+// order legacy segments were written in.
+func legacyOrder(ps []sketch.Published) []sketch.Published { return flatten(testRuns(ps)) }
+
 // encodeSegmentV1 renders records in the PR-8-era unindexed segment
-// format, byte-for-byte what the old writeSegment produced: the
-// backward-compat fixtures are hand-built so the old writer's absence
-// from the tree does not silence this test.
+// format.
 func encodeSegmentV1(records []sketch.Published) []byte {
 	buf := make([]byte, 0, 16+len(records)*48)
 	buf = append(buf, segMagicV1[:]...)
@@ -255,161 +246,222 @@ func encodeSegmentV1(records []sketch.Published) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// encodeWALFrames renders records as per-append WAL frames (the framing
-// is unchanged from PR 8, so a legacy log is just one frame per record).
-func encodeWALFrames(records []sketch.Published) []byte {
-	var buf []byte
+// encodeWALFrames renders records as the per-record frames of a legacy
+// log, which are also the frames of a v2 segment.
+func encodeWALFrames(buf []byte, records []sketch.Published) []byte {
 	for _, p := range records {
-		hdr := len(buf)
-		buf = append(buf, zeroHeader[:]...)
-		buf = wire.AppendPublished(buf, p)
-		payload := buf[hdr+walHeaderSize:]
-		binary.BigEndian.PutUint32(buf[hdr:], uint32(len(payload)))
-		binary.BigEndian.PutUint32(buf[hdr+4:], crc32.ChecksumIEEE(payload))
+		payload := wire.EncodePublished(p)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+		buf = append(buf, payload...)
 	}
 	return buf
 }
 
-// TestV1DataDirBackwardCompat builds a PR-8-era data directory by hand —
-// unindexed v1 segments plus a per-append WAL — and requires the new
-// store to (1) open it and answer bit-identically to the expected
-// record set, including newest-wins overwrites spanning the v1 segment
-// and the WAL, (2) stream it through ReadBatch and find records through
-// Lookup via the index-free fallback, and (3) write every new segment
-// (roll and compaction alike) in the indexed v2 format.
+// encodeSegmentV2 renders records in the PR-9-era indexed format: frames
+// with per-record sums, a sparse key index of stride 16 that repeats the
+// subset key in every entry, a bloom filter and the 16-byte footer.
+func encodeSegmentV2(records []sketch.Published) []byte {
+	const stride = 16
+	buf := append([]byte(nil), segMagicV2[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(records)))
+	var section []byte
+	section = binary.BigEndian.AppendUint16(section, stride)
+	section = binary.BigEndian.AppendUint32(section, uint32((len(records)+stride-1)/stride))
+	bloom := make([]byte, max(8, (len(records)*10+7)/8))
+	for i, p := range records {
+		if i%stride == 0 {
+			section = binary.BigEndian.AppendUint64(section, uint64(len(buf)))
+			section = binary.BigEndian.AppendUint64(section, uint64(p.ID))
+			section = binary.BigEndian.AppendUint16(section, uint16(p.Subset.TagLen()))
+			section = p.Subset.AppendTag(section)
+		}
+		bloomAdd(bloom, 6, uint64(p.ID))
+		buf = encodeWALFrames(buf, []sketch.Published{p})
+	}
+	section = binary.BigEndian.AppendUint32(section, uint32(len(bloom)))
+	section = append(append(section, 6), bloom...)
+	indexOff := uint64(len(buf))
+	buf = append(buf, section...)
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(section))
+	buf = binary.BigEndian.AppendUint64(buf, indexOff)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// TestV1DataDirBackwardCompat is the legacy-upgrade test.  It builds an
+// old data directory by hand — per shard a v1 segment, a newer v2 segment
+// and a per-record log with a torn tail, holding overwrites of one another
+// — under a manifest without the v3 marker, and requires that Open (1)
+// serves exactly the newest-wins record set through Iterate, ReadBatch and
+// Lookup, (2) leaves every file v3 and the manifest marked, (3) does so
+// again after crashes between a rewrite and its rename and between the
+// log's segment and its new log, and (4) rewrites nothing the second time.
 func TestV1DataDirBackwardCompat(t *testing.T) {
-	dir := t.TempDir()
 	b := bitvec.MustSubset(0, 3, 5)
 	b2 := bitvec.MustSubset(1, 4)
-
-	// Shard placement must match the store's hash; build per-shard
-	// fixtures with the same function the store uses.
+	// generation g of user id's record for b: later generations overwrite.
+	gen := func(id uint64, g uint64) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: (id + 100*g) % 1024, Length: 10}}
+	}
 	const shards = 2
-	var segRecords [shards][]sketch.Published
-	var walRecords [shards][]sketch.Published
+	var v1, v2, log [shards][]sketch.Published
+	var newest []sketch.Published // oldest source first: testRuns keeps the last
+	add := func(dst *[shards][]sketch.Published, p sketch.Published) {
+		s := userShard(p.ID, shards)
+		dst[s] = append(dst[s], p)
+		newest = append(newest, p)
+	}
 	for id := uint64(1); id <= 40; id++ {
-		p := testRecord(id, b)
-		segRecords[userShard(p.ID, shards)] = append(segRecords[userShard(p.ID, shards)], p)
+		add(&v1, gen(id, 0))
 	}
-	for id := uint64(30); id <= 50; id++ {
-		// Overlaps ids 30..40: the WAL copy must win (newest wins).
-		p := testRecord(id, b2)
-		walRecords[userShard(p.ID, shards)] = append(walRecords[userShard(p.ID, shards)], p)
+	for id := uint64(20); id <= 45; id++ { // overwrites 20..40
+		add(&v2, gen(id, 1))
+		add(&v2, testRecord(id, b2))
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("2\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for id := uint64(30); id <= 50; id++ { // overwrites 30..45
+		add(&log, gen(id, 2))
 	}
-	for s := 0; s < shards; s++ {
-		shardDir := filepath.Join(dir, shardDirName(s))
-		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+	for id := uint64(30); id <= 35; id++ { // and itself: arrival order decides
+		add(&log, gen(id, 3))
+	}
+	want := indexRecords(t, flatten(testRuns(newest)))
+
+	build := func(t *testing.T) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("2\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(shardDir, segmentName(1)), encodeSegmentV1(normalize(segRecords[s])), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(shardDir, "wal.log"), encodeWALFrames(walRecords[s]), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	want := indexRecords(t, normalize(append(append([]sketch.Published{}, testRecordsRange(1, 40, b)...), testRecordsRange(30, 50, b2)...)))
-
-	st, err := Open(Options{Dir: dir, CompactInterval: -1})
-	if err != nil {
-		t.Fatalf("opening a v1 data dir: %v", err)
-	}
-	got := indexRecords(t, collect(t, st))
-	if len(got) != len(want) {
-		t.Fatalf("v1 dir yields %d records, want %d", len(got), len(want))
-	}
-	for k, s := range want {
-		if got[k] != s {
-			t.Fatalf("record %v differs after v1 open: got %v want %v", k, got[k], s)
-		}
-	}
-
-	// ReadBatch must stream the same set through the index-free fallback.
-	streamed := make(map[recordKey]sketch.Sketch)
-	cursor, done := uint64(0), false
-	for !done {
-		var batch []sketch.Published
-		var err error
-		batch, cursor, done, err = st.ReadBatch(cursor, 7)
-		if err != nil {
-			t.Fatalf("ReadBatch over v1 segments: %v", err)
-		}
-		for _, p := range batch {
-			streamed[keyOf(p)] = p.S
-		}
-	}
-	for k, s := range want {
-		if streamed[k] != s {
-			t.Fatalf("record %v differs in v1 ReadBatch stream: got %v want %v", k, streamed[k], s)
-		}
-	}
-
-	// Lookup must find v1-segment-resident and WAL-resident records alike.
-	if p, ok, err := st.Lookup(bitvec.UserID(5), b.Key()); err != nil || !ok || p.S != testRecord(5, b).S {
-		t.Fatalf("Lookup(5, b) over a v1 segment = %+v %v %v", p, ok, err)
-	}
-	if p, ok, err := st.Lookup(bitvec.UserID(45), b2.Key()); err != nil || !ok || p.S != testRecord(45, b2).S {
-		t.Fatalf("Lookup(45, b2) in the legacy WAL = %+v %v %v", p, ok, err)
-	}
-	if _, ok, err := st.Lookup(bitvec.UserID(9999), b.Key()); err != nil || ok {
-		t.Fatalf("Lookup(absent) = %v %v, want a miss", ok, err)
-	}
-
-	// The next flush must write v2: roll every WAL (Flush only rolls past
-	// the threshold, so force the roll directly) and compact, then check
-	// every segment on disk carries the v2 magic and the reopened store
-	// still answers identically.
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		err := sh.rollLocked()
-		sh.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.CompactNow(2); err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < shards; s++ {
-		shardDir := filepath.Join(dir, shardDirName(s))
-		entries, err := os.ReadDir(shardDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if _, ok := parseSegmentName(e.Name()); !ok {
-				continue
+		for s := 0; s < shards; s++ {
+			shardDir := filepath.Join(dir, shardDirName(s))
+			if err := os.MkdirAll(shardDir, 0o755); err != nil {
+				t.Fatal(err)
 			}
-			data, err := os.ReadFile(filepath.Join(shardDir, e.Name()))
+			// A torn frame follows the log's records, as a crash leaves it.
+			torn := encodeWALFrames(nil, log[s])
+			torn = append(torn, encodeWALFrames(nil, []sketch.Published{gen(999, 9)})[:20]...)
+			for name, image := range map[string][]byte{
+				segmentName(1): encodeSegmentV1(legacyOrder(v1[s])),
+				segmentName(2): encodeSegmentV2(legacyOrder(v2[s])),
+				walName:        torn,
+			} {
+				if err := os.WriteFile(filepath.Join(shardDir, name), image, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return dir
+	}
+	// check opens dir and requires the expected set on every read path and
+	// v3 files on disk; it returns every file's identity.
+	check := func(t *testing.T, dir string) map[string]os.FileInfo {
+		st, err := Open(Options{Dir: dir, CompactInterval: -1})
+		if err != nil {
+			t.Fatalf("opening a legacy data dir: %v", err)
+		}
+		defer st.Close()
+		got := indexRecords(t, collect(t, st))
+		streamed := coverage(drainBatches(t, st, 7))
+		if len(got) != len(want) || len(streamed) != len(want) {
+			t.Fatalf("legacy dir yields %d records (%d streamed), want %d", len(got), len(streamed), len(want))
+		}
+		for k, s := range want {
+			if got[k] != s || streamed[k].S != s {
+				t.Fatalf("record %v after the upgrade: iterated %v, streamed %v, want %v", k, got[k], streamed[k].S, s)
+			}
+			if p, ok, err := st.Lookup(k.id, k.subset); err != nil || !ok || p.S != s {
+				t.Fatalf("Lookup(%v) after the upgrade = %+v %v %v, want %v", k, p, ok, err, s)
+			}
+		}
+		if _, ok, err := st.Lookup(bitvec.UserID(999), b.Key()); err != nil || ok {
+			t.Fatalf("Lookup of the torn frame's user = %v %v, want a miss", ok, err)
+		}
+		files := make(map[string]os.FileInfo)
+		for s := 0; s < shards; s++ {
+			shardDir := filepath.Join(dir, shardDirName(s))
+			entries, err := os.ReadDir(shardDir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(data) < 8 || string(data[:8]) != string(segMagicV2[:]) {
-				t.Fatalf("segment %s written after upgrade is not v2", e.Name())
+			for _, e := range entries {
+				path := filepath.Join(shardDir, e.Name())
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				magic := segMagic
+				if e.Name() == walName {
+					magic = walMagic
+				} else if _, ok := parseSegmentName(e.Name()); !ok {
+					t.Fatalf("stray file %s after the upgrade", path)
+				}
+				if len(data) < 8 || [8]byte(data[:8]) != magic {
+					t.Fatalf("%s is not v3 after the upgrade", path)
+				}
+				if files[path], err = e.Info(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(Options{Dir: dir, CompactInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	got2 := indexRecords(t, collect(t, st2))
-	if len(got2) != len(want) {
-		t.Fatalf("after v2 rewrite, %d records, want %d", len(got2), len(want))
-	}
-	for k, s := range want {
-		if got2[k] != s {
-			t.Fatalf("record %v differs after v2 rewrite: got %v want %v", k, got2[k], s)
+		manifest := filepath.Join(dir, manifestName)
+		if data, err := os.ReadFile(manifest); err != nil || string(data) != "2 v3\n" {
+			t.Fatalf("manifest after the upgrade = %q, %v", data, err)
 		}
+		if files[manifest], err = os.Stat(manifest); err != nil {
+			t.Fatal(err)
+		}
+		return files
 	}
+
+	t.Run("upgrade once", func(t *testing.T) {
+		dir := build(t)
+		first := check(t, dir)
+		if len(first) != shards*4+1 {
+			t.Fatalf("%d files after the upgrade, want per shard two rewritten segments, the log's segment and the log, plus the manifest", len(first))
+		}
+		second := check(t, dir)
+		for path, info := range first {
+			if again, ok := second[path]; !ok || !os.SameFile(info, again) || !info.ModTime().Equal(again.ModTime()) {
+				t.Fatalf("a second Open rewrote %s", path)
+			}
+		}
+		if len(second) != len(first) {
+			t.Fatalf("a second Open left %d files, the first %d", len(second), len(first))
+		}
+	})
+	t.Run("crash between rewrite and rename", func(t *testing.T) {
+		dir := build(t)
+		for s := 0; s < shards; s++ {
+			// The v1 segment's v3 image was being written when the crash
+			// came: a partial temporary file beside the untouched original.
+			image, _ := encodeSegment(testRuns(v1[s]))
+			tmp := filepath.Join(dir, shardDirName(s), segmentName(1)+".tmp")
+			if err := os.WriteFile(tmp, image[:len(image)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, dir)
+	})
+	t.Run("crash between the log's segment and its new log", func(t *testing.T) {
+		dir := build(t)
+		for s := 0; s < shards; s++ {
+			writeTestSegment(t, filepath.Join(dir, shardDirName(s)), 3, log[s])
+		}
+		check(t, dir)
+	})
+	t.Run("an older binary refuses the directory", func(t *testing.T) {
+		// What a pre-v3 readManifest did with the line: Atoi of the
+		// trimmed content.  It must fail, or that binary would go on to
+		// take the v3 log for a torn legacy one and truncate it.
+		dir := build(t)
+		check(t, dir)
+		data, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := strconv.Atoi(strings.TrimSpace(string(data))); err == nil {
+			t.Fatalf("manifest %q still parses as a bare shard count", data)
+		}
+	})
 }
 
 // testRecordsRange fabricates records for ids lo..hi over b.

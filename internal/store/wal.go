@@ -1,129 +1,487 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
+	"slices"
 
+	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
 
-// walHeaderSize is the per-record framing: a 4-byte big-endian payload
-// length followed by a 4-byte big-endian CRC32 (IEEE) of the payload.
-const walHeaderSize = 8
+// Log format v3.  The log opens with an 8-byte magic — what tells it from
+// a legacy per-record log, which opens with a length — and continues with
+// one frame per appended group, the unit a commit window queues: the one
+// record of an Append, or an AppendBatch's records for the shard.
+//
+//	4 bytes big-endian payload length
+//	4 bytes big-endian checksum of the payload
+//	payload: 4 bytes big-endian run count, then the group's runs whole
+//	         (run.go): records stably grouped by subset, each group in
+//	         arrival order under its subset's tag written once
+//
+// A commit window is its groups' frames back to back: one write(2), one
+// fsync, one outcome for every record in it.  The frame, not the window,
+// is the unit on disk so that a log's bytes are a function of what was
+// appended and not of which appends happened to share a window — sizes
+// repeat from run to run.  A crash mid-write tears at most one frame,
+// which replay cuts off whole together with whatever followed it; whole
+// frames of the torn window stay, as whole records of a torn batch always
+// did — nothing of that window was acknowledged, and nothing says an
+// unacknowledged record must be lost.
+var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 3}
 
-// maxRecordSize bounds one WAL record.  Sketch records are tiny (tens of
-// bytes), so anything larger marks a torn or corrupt tail.
+const (
+	walFrameHeader = 8 // payload length + checksum
+	// maxFrameBytes bounds one frame's payload well inside its 32-bit
+	// length; only a single enormous AppendBatch group could come near it.
+	maxFrameBytes = 1 << 30
+)
+
+// maxRecordSize bounds one record, which in practice bounds its subset
+// tag: a sketch and an id are 13 bytes.
 const maxRecordSize = wire.MaxFrameSize
 
-// ErrRecordTooLarge is returned when asked to append a record exceeding
-// maxRecordSize.
-var ErrRecordTooLarge = errors.New("store: record exceeds maximum size")
+var (
+	// ErrRecordTooLarge is returned when asked to append a record exceeding
+	// maxRecordSize.
+	ErrRecordTooLarge = errors.New("store: record exceeds maximum size")
+	// ErrInvalidSketch is returned when asked to append a record whose
+	// sketch is not sketch.Sketch.Valid: the disk word has no form for it.
+	ErrInvalidSketch = errors.New("store: invalid sketch")
+	// ErrWALBroken is returned by appends after an unrecoverable write error.
+	ErrWALBroken = errors.New("store: wal broken by an unrecoverable write error")
+)
 
-// wal is one shard's write-ahead log.  Appends go straight to the file
-// with a single write(2) each — no user-space buffering — so a record is
-// in the kernel (and survives SIGKILL) the moment Append returns.  An
-// optional fsync per append extends the guarantee to machine crashes.
+// wal is one shard's write-ahead log.  A window goes straight to the file
+// with a single write(2) — no user-space buffering — so its records are in
+// the kernel (and survive SIGKILL) the moment the append returns; an
+// optional fsync per window extends the guarantee to machine crashes.
+//
+// The file is the only copy of the log's records.  log[0:size) is exactly
+// the acknowledged prefix — size never counts a window whose append
+// returned an error, and a failed write is truncated back to it — so a
+// roll or a read decodes that prefix on demand (runs) and nothing
+// per-record stays on the heap between operations.
 type wal struct {
 	f       *os.File
 	path    string
-	size    int64
-	records uint64
+	size    int64  // bytes of the acknowledged prefix, magic included
+	records uint64 // records appended since the log was last empty
 	fsync   bool
-	scratch []byte
-	// one is the reused single-record batch Append wraps around
-	// AppendBatch, keeping the lone-writer path allocation-free.
-	one [1]sketch.Published
-	// pending mirrors the log's acknowledged records in append order, so
-	// rolls and reads never re-read the file from disk (bounded by the
-	// flush threshold, a few MiB of tiny records per shard).  A record
-	// enters pending only after its append fully succeeded, which keeps a
-	// NACKed-but-written record out of segments and query results.
-	pending []sketch.Published
+
+	// Reused across appends: the window's frames being assembled, and per
+	// frame its runs' layout, each record's run within it, and the tag → run
+	// index a frame needs once it names a second subset.
+	frame  []byte
+	slots  []uint32
+	layout []frameRun
+	runOf  map[string]int
+	tagBuf []byte
+	// one and oneGroup are the single-record group and the single-group
+	// window Append and AppendBatch wrap around appendWindow, keeping the
+	// lone-writer path allocation-free; both are empty between calls.
+	one      [1]sketch.Published
+	oneGroup [1][]sketch.Published
+
+	// kept holds the normalized runs of log[0:size) from the last decode —
+	// replay's at open, or the first read's since — until the next append
+	// and no longer, so a quiet store answers every read from one decode.
+	kept   []run
+	keptOK bool
+
 	// m, when non-nil, records append/fsync latency; see metrics.go.
 	m *metrics
 	// broken is set when a failed write could not be rolled back: the
-	// on-disk log may hold torn bytes at the tail that a later append
-	// would bury mid-file, where replay would truncate acknowledged
-	// records behind the tear.  While set, Append first re-replays the
-	// log to cut the tear off; only if that repair also fails does the
-	// append itself fail.
+	// file may hold bytes past size that a later window would bury
+	// mid-file, where replay would stop short of acknowledged windows
+	// behind them.  While set, an append first cuts the file back to size;
+	// only if that repair also fails does the append itself fail.
 	broken bool
 }
 
-// ErrWALBroken is returned by appends after an unrecoverable write error.
-var ErrWALBroken = errors.New("store: wal broken by an unrecoverable write error")
+// frameRun is one subset's share of the group being framed.
+type frameRun struct {
+	subset bitvec.Subset
+	count  int
+	widest uint64 // the largest disk word among its sketches
+	// Set once the frame is laid out: the sketch width, where the run's id
+	// and word columns start in the frame, and how many are placed.
+	width          int
+	idsAt, wordsAt int
+	placed         int
+}
 
-// openWAL opens (creating if needed) the log at path for appending.
-// Callers must have replayed the file first and pass the replayed
-// records and post-truncation size.
-func openWAL(path string, size int64, records []sketch.Published, fsync bool, m *metrics) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+// openWAL opens (creating if needed) the log at path, replays it — every
+// whole window is kept, a torn tail is truncated away in place — and
+// positions it for appending.  A legacy log must have been upgraded first.
+func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &wal{f: f, path: path, size: size, records: uint64(len(records)), fsync: fsync, pending: records, m: m}, nil
+	w := &wal{f: f, path: path, fsync: fsync, m: m, runOf: make(map[string]int)}
+	if err := w.replay(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
-// Append writes one record: a one-record commit batch.
+// replay reads the file as the last process left it.  Any framing
+// violation — a short header, a length past the end of the file, a
+// checksum mismatch, a payload that is not a sequence of runs — marks the
+// end of the valid prefix: the windows before it are kept and everything
+// from it on is cut off, which is exactly the state a crash mid-append
+// leaves behind.
+func (w *wal) replay() error {
+	info, err := w.f.Stat()
+	if err != nil {
+		return err
+	}
+	size := info.Size()
+	data, err := w.readLog(size)
+	if err != nil {
+		return fmt.Errorf("store: replaying %s: %w", w.path, err)
+	}
+	switch {
+	case size < int64(len(walMagic)) && bytes.HasPrefix(walMagic[:], data):
+		// A new log, or one whose creation a crash interrupted.
+		return w.create()
+	case !bytes.HasPrefix(data, walMagic[:]):
+		return fmt.Errorf("store: %s is not a v3 log", w.path)
+	}
+	set := newRunSet()
+	valid, records := scanLog(data, set)
+	if valid != size {
+		if err := w.f.Truncate(valid); err != nil {
+			return fmt.Errorf("store: truncating torn wal tail of %s: %w", w.path, err)
+		}
+	}
+	w.size, w.records = valid, records
+	w.kept, w.keptOK = set.normalized(), true
+	return nil
+}
+
+// create writes the magic of a new log.  Nothing was ever acknowledged
+// from a file that lacks it, so a failure here only fails the open.
+func (w *wal) create() error {
+	if err := w.f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := w.f.Write(walMagic[:]); err != nil {
+		return err
+	}
+	w.size, w.records = int64(len(walMagic)), 0
+	w.kept, w.keptOK = nil, true
+	return nil
+}
+
+// readLog reads the first size bytes of the log.
+func (w *wal) readLog(size int64) ([]byte, error) {
+	data := make([]byte, size)
+	if _, err := w.f.ReadAt(data, 0); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// scanLog decodes a v3 log image into set and returns the length of its
+// valid prefix — the magic and every whole, checksum-clean, well-formed
+// frame after it — and the records that prefix holds.  What follows the
+// prefix is not an error: it is what a crash mid-append leaves.  Nothing
+// is allocated by a length field: the image bounds every frame, and the
+// columns are sized by a first pass over the frames' run headers.
+func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
+	if !bytes.HasPrefix(data, walMagic[:]) {
+		return 0, 0
+	}
+	// frames calls fn with each whole, checksum-clean frame's payload up to
+	// end, and returns where the first one that is neither — or that fn
+	// refuses — starts.
+	frames := func(end int, fn func(payload []byte) error) int {
+		off := len(walMagic)
+		for end-off >= walFrameHeader {
+			n := int64(binary.BigEndian.Uint32(data[off:]))
+			if n > int64(end-off-walFrameHeader) {
+				break
+			}
+			payload := data[off+walFrameHeader : off+walFrameHeader+int(n)]
+			if checksum(payload) != binary.BigEndian.Uint32(data[off+4:]) || fn(payload) != nil {
+				break
+			}
+			off += walFrameHeader + int(n)
+		}
+		return off
+	}
+	end := frames(len(data), set.reserve)
+	set.grow()
+	end = frames(end, func(payload []byte) error {
+		// A frame that was intact but holds no valid runs was fully written
+		// yet malformed, which atomic appends never produce.  Still the end
+		// of the valid prefix rather than a failed recovery.
+		n, err := set.addFrame(payload)
+		records += uint64(n)
+		return err
+	})
+	return int64(end), records
+}
+
+// eachRun calls fn with the header and the columns of each run of a
+// frame payload.
+func eachRun(payload []byte, fn func(h runHeader, columns []byte) error) error {
+	if len(payload) < 4 {
+		return errors.New("frame truncated")
+	}
+	runs, rest := binary.BigEndian.Uint32(payload), payload[4:]
+	for i := uint32(0); i < runs; i++ {
+		h, err := parseRunHeader(rest)
+		if err != nil {
+			return err
+		}
+		end := h.size + h.columnsLen()
+		if err := fn(h, rest[h.size:end]); err != nil {
+			return err
+		}
+		rest = rest[end:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%d bytes after the frame's last run", len(rest))
+	}
+	return nil
+}
+
+// reserve notes how many records a frame will add to each subset's run.
+func (s *runSet) reserve(payload []byte) error {
+	return eachRun(payload, func(h runHeader, _ []byte) error {
+		r, err := s.runFor(h.tag)
+		if err == nil {
+			r.reserved += h.count
+		}
+		return err
+	})
+}
+
+// grow makes room in every run for the records reserved for it.
+func (s *runSet) grow() {
+	for _, r := range s.byTag {
+		r.IDs, r.Keys = slices.Grow(r.IDs, r.reserved), slices.Grow(r.Keys, r.reserved)
+		r.reserved = 0
+	}
+}
+
+// addFrame adds the runs of one frame payload to the set, all of them or
+// — when the payload is malformed anywhere — none.
+func (s *runSet) addFrame(payload []byte) (records int, err error) {
+	s.marks = s.marks[:0]
+	err = eachRun(payload, func(h runHeader, columns []byte) error {
+		r, err := s.runFor(h.tag)
+		if err != nil {
+			return err
+		}
+		s.marks = append(s.marks, runMark{r, len(r.IDs)})
+		r.IDs, r.Keys, err = decodeColumns(columns, h.count, h.width, r.IDs, r.Keys)
+		records += h.count
+		return err
+	})
+	if err != nil {
+		for i := len(s.marks) - 1; i >= 0; i-- {
+			m := s.marks[i]
+			m.r.IDs, m.r.Keys = m.r.IDs[:m.n], m.r.Keys[:m.n]
+		}
+		return 0, err
+	}
+	return records, nil
+}
+
+// runs returns the log's records as normalized runs: one per subset in
+// tag order, ids ascending, the newest append winning a repeated (user,
+// subset) pair.  It decodes log[0:size) unless the runs of the last decode
+// are still kept.  The runs are shared and immutable; they hold exactly
+// the acknowledged records — bytes a failed append left past size are
+// never read.
+func (w *wal) runs() ([]run, error) {
+	if w.keptOK {
+		return w.kept, nil
+	}
+	data, err := w.readLog(w.size)
+	if err != nil {
+		return nil, fmt.Errorf("store: decoding %s: %w", w.path, err)
+	}
+	set := newRunSet()
+	if valid, records := scanLog(data, set); valid != w.size || records != w.records {
+		return nil, fmt.Errorf("store: decoding %s: %d of its %d acknowledged bytes (%d of %d records) are whole frames", w.path, valid, w.size, records, w.records)
+	}
+	if w.m != nil {
+		w.m.logDecodes.Inc()
+	}
+	w.kept, w.keptOK = set.normalized(), true
+	return w.kept, nil
+}
+
+// Append writes one record: a one-record window.
 func (w *wal) Append(p sketch.Published) error {
 	w.one[0] = p
-	return w.AppendBatch(w.one[:])
+	err := w.AppendBatch(w.one[:])
+	w.one[0] = sketch.Published{}
+	return err
 }
 
-// walFrameLen is the framed on-disk size of one record.
-func walFrameLen(p sketch.Published) int {
-	return walHeaderSize + wire.PublishedEncodedLen(p)
-}
-
-// zeroHeader is appended as a placeholder while framing a batch record,
-// then overwritten with the real length and checksum.
-var zeroHeader [walHeaderSize]byte
-
-// AppendBatch writes a batch of records — a commit window — with one
-// write(2) and, in fsync mode, one fsync covering every record: the
-// group-commit primitive that amortizes the durability cost over all
-// writers parked on the window.  The batch is all-or-nothing: every frame
-// is assembled in the reused scratch buffer and written in a single call,
-// and a failed write or fsync truncates the log back to its pre-batch
-// size, so no record the callers will be NACKed for can resurrect on
-// replay.  A crash mid-write can tear only the batch's tail, which replay
-// cuts back to the last fully-written record — exactly the acknowledged-
-// prefix rule, since no record of a torn batch was ever acknowledged.
+// AppendBatch writes ps as one window.
 func (w *wal) AppendBatch(ps []sketch.Published) error {
-	if len(ps) == 0 {
-		return nil
-	}
-	for _, p := range ps {
-		if n := wire.PublishedEncodedLen(p); n > maxRecordSize {
+	w.oneGroup[0] = ps
+	err := w.appendWindow(w.oneGroup[:])
+	w.oneGroup[0] = nil
+	return err
+}
+
+// checkRecords refuses records the log has no form for.  Every append
+// passes through it before it reaches a log or joins a commit window, so
+// one oversized or malformed record fails its own group, never a cohort.
+func checkRecords(ps []sketch.Published) error {
+	for i := range ps {
+		if n := wire.PublishedEncodedLen(ps[i]); n > maxRecordSize {
 			return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, n)
 		}
+		if !ps[i].S.Valid() {
+			return fmt.Errorf("%w: %v", ErrInvalidSketch, ps[i].S)
+		}
+	}
+	return nil
+}
+
+// windowBytes is about what the group ps adds to a commit window, for the
+// committer's size cap: its columns, and a run header wherever the subset
+// changes (the frame writes a subset's header once, so this is an upper
+// estimate).
+func windowBytes(ps []sketch.Published) int {
+	n := 0
+	for i := range ps {
+		n += 8 + wordWidth(diskWord(ps[i].S))
+		if i == 0 || !ps[i].Subset.Equal(ps[i-1].Subset) {
+			n += runHeaderFixed + ps[i].Subset.TagLen()
+		}
+	}
+	return n
+}
+
+// slotFor returns the index of subset b's run in the group being framed,
+// starting the run if b is new to the group.
+func (w *wal) slotFor(b bitvec.Subset) int {
+	if len(w.layout) == 0 {
+		w.layout = append(w.layout, frameRun{subset: b})
+		return 0
+	}
+	if len(w.runOf) == 0 {
+		// The group's second subset: the tag index starts with its first.
+		w.runOf[string(w.layout[0].subset.AppendTag(w.tagBuf[:0]))] = 0
+	}
+	w.tagBuf = b.AppendTag(w.tagBuf[:0])
+	if i, ok := w.runOf[string(w.tagBuf)]; ok {
+		return i
+	}
+	w.layout = append(w.layout, frameRun{subset: b})
+	w.runOf[string(w.tagBuf)] = len(w.layout) - 1
+	return len(w.layout) - 1
+}
+
+// appendFrame appends to buf the frame of one appended group: its records
+// stably grouped into runs, each run's subset in order of first
+// appearance and its records in arrival order.
+func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
+	w.layout, w.slots = w.layout[:0], w.slots[:0]
+	if len(w.runOf) > 0 {
+		clear(w.runOf)
+	}
+	cur := -1
+	for i := range ps {
+		if cur < 0 || !ps[i].Subset.Equal(w.layout[cur].subset) {
+			cur = w.slotFor(ps[i].Subset)
+		}
+		r := &w.layout[cur]
+		r.count++
+		r.widest = max(r.widest, diskWord(ps[i].S))
+		w.slots = append(w.slots, uint32(cur))
+	}
+
+	// Lay the frame out — every column's place follows from the counts —
+	// then drop each record into its run's next free row.
+	frame := len(buf)
+	buf = append(buf, make([]byte, walFrameHeader)...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.layout)))
+	for i := range w.layout {
+		r := &w.layout[i]
+		r.width = wordWidth(r.widest)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.subset.TagLen()))
+		buf = r.subset.AppendTag(buf)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.count))
+		buf = append(buf, byte(r.width))
+		r.idsAt = len(buf)
+		r.wordsAt = r.idsAt + 8*r.count
+		buf = append(buf, make([]byte, r.count*(8+r.width))...)
+	}
+	payload := buf[frame+walFrameHeader:]
+	if len(payload) > maxFrameBytes {
+		return buf, fmt.Errorf("store: appended group of %d bytes exceeds %d", len(payload), maxFrameBytes)
+	}
+	for i := range ps {
+		r := &w.layout[w.slots[i]]
+		binary.BigEndian.PutUint64(buf[r.idsAt+8*r.placed:], uint64(ps[i].ID))
+		word, at := diskWord(ps[i].S), r.wordsAt+r.width*r.placed
+		for b := r.width - 1; b >= 0; b-- {
+			buf[at+b] = byte(word)
+			word >>= 8
+		}
+		r.placed++
+	}
+	binary.BigEndian.PutUint32(buf[frame:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[frame+4:], checksum(payload))
+	return buf, nil
+}
+
+// appendWindow writes a commit window — groups, each one appender's
+// records — frame after frame with one write(2) and, in fsync mode, one
+// fsync covering every record: the group-commit primitive that amortizes
+// the durability cost over all writers parked on the window.  The window
+// is all-or-nothing to its appenders: a failed write or fsync truncates
+// the log back to its pre-window size, so no record the callers will be
+// NACKed for can resurrect on replay.  The records have passed
+// checkRecords.
+func (w *wal) appendWindow(groups [][]sketch.Published) error {
+	n := 0
+	for _, ps := range groups {
+		n += len(ps)
+	}
+	if n == 0 {
+		return nil
 	}
 	if w.broken {
 		if err := w.repair(); err != nil {
 			return fmt.Errorf("%w: %v", ErrWALBroken, err)
 		}
 	}
-	buf := w.scratch[:0]
-	for _, p := range ps {
-		hdr := len(buf)
-		buf = append(buf, zeroHeader[:]...)
-		buf = wire.AppendPublished(buf, p)
-		payload := buf[hdr+walHeaderSize:]
-		binary.BigEndian.PutUint32(buf[hdr:], uint32(len(payload)))
-		binary.BigEndian.PutUint32(buf[hdr+4:], crc32.ChecksumIEEE(payload))
+	buf := w.frame[:0]
+	for _, ps := range groups {
+		if len(ps) == 0 {
+			continue
+		}
+		var err error
+		if buf, err = w.appendFrame(buf, ps); err != nil {
+			return err
+		}
 	}
-	w.scratch = buf
+	w.frame = buf
+
 	start := now(w.m)
 	if n, err := w.f.Write(buf); err != nil {
 		// A partial write leaves torn bytes that are NOT at the tail once
-		// a later append lands after them — replay would then truncate
-		// acknowledged records.  Cut the file back to the last good
-		// record; if even that fails, refuse all further appends.
+		// a later window lands after them — replay would then stop short of
+		// acknowledged windows.  Cut the file back to the last good window;
+		// if even that fails, refuse all further appends.
 		if n > 0 {
 			if terr := w.f.Truncate(w.size); terr != nil {
 				w.broken = true
@@ -139,7 +497,7 @@ func (w *wal) AppendBatch(ps []sketch.Published) error {
 		if err := w.f.Sync(); err != nil {
 			// The write reached the kernel but stable storage is in doubt
 			// and fsync error semantics make retrying unsafe.  Roll the
-			// whole batch back out so no NACKed publish can resurrect.
+			// whole window back out so no NACKed publish can resurrect.
 			if terr := w.f.Truncate(w.size); terr != nil {
 				w.broken = true
 			}
@@ -150,21 +508,21 @@ func (w *wal) AppendBatch(ps []sketch.Published) error {
 		}
 	}
 	w.size += int64(len(buf))
-	w.records += uint64(len(ps))
-	w.pending = append(w.pending, ps...)
+	w.records += uint64(n)
+	w.kept, w.keptOK = nil, false
 	return nil
 }
 
 // repair cuts a broken log back to its acknowledged prefix.  w.size
-// never counts a record whose append returned an error, so truncating
-// to it removes both torn bytes and a fully-written record whose fsync
+// never counts a window whose append returned an error, so truncating
+// to it removes both torn bytes and a fully-written window whose fsync
 // failed after the write — a publish the caller was told failed must
-// not resurrect (replaying the log instead would count such a
-// CRC-valid record back in).  The condition that made the original
+// not resurrect (replaying the file instead would count such a
+// checksum-clean window back in).  The condition that made the original
 // rollback fail (typically a full disk) is often transient, so a later
 // append gets one repair attempt instead of the shard being down until
 // restart.  A process that dies while broken loses this protection:
-// restart replay keeps every CRC-valid record, so a NACKed publish can
+// restart replay keeps every whole window, so a NACKed publish can
 // resurrect across a crash — the fsync-failure ambiguity every WAL
 // without revocation records has.
 func (w *wal) repair() error {
@@ -184,22 +542,14 @@ func (w *wal) Sync() error { return w.f.Sync() }
 // Close closes the underlying file without syncing.
 func (w *wal) Close() error { return w.f.Close() }
 
-// Truncate empties the log after its records were rolled into a segment.
+// Truncate empties the log — down to its magic — after its records were
+// rolled into a segment.
 func (w *wal) Truncate() error {
-	if err := w.f.Truncate(0); err != nil {
+	if err := w.f.Truncate(int64(len(walMagic))); err != nil {
 		return err
 	}
-	// O_APPEND writes ignore the seek offset on POSIX, but reset it anyway
-	// so size accounting and the file offset agree on every platform.
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	w.size = 0
-	w.records = 0
-	// Keep the mirror's capacity: every consumer copies records out under
-	// the shard lock, so the backing array is never retained past a roll,
-	// and the next fill cycle skips the regrowth.
-	w.pending = w.pending[:0]
+	w.size, w.records = int64(len(walMagic)), 0
+	w.kept, w.keptOK = nil, true
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
@@ -207,57 +557,4 @@ func (w *wal) Truncate() error {
 	// unrecoverable-write state no longer applies.
 	w.broken = false
 	return nil
-}
-
-// replayWAL reads every fully-written record of the log at path and
-// truncates a torn tail in place.  A missing file is an empty log.  The
-// returned size is the file size after truncation.
-//
-// Any framing violation — short header, implausible length, short payload
-// or checksum mismatch — marks the end of the valid prefix: everything
-// before it is returned and everything from it on is cut off.  This is
-// exactly the state a crash mid-append leaves behind.
-func replayWAL(path string) (records []sketch.Published, size int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, err
-	}
-	valid := int64(0)
-	var dec wire.PublishedDecoder // replayed batches cluster by subset
-	for {
-		rest := data[valid:]
-		if len(rest) < walHeaderSize {
-			break
-		}
-		n := binary.BigEndian.Uint32(rest[0:4])
-		sum := binary.BigEndian.Uint32(rest[4:8])
-		// Compare in int64: a log past 4 GiB must not have its length
-		// truncated to uint32, or valid records would be cut off.
-		if n > maxRecordSize || int64(len(rest))-walHeaderSize < int64(n) {
-			break
-		}
-		payload := rest[walHeaderSize : walHeaderSize+int64(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		p, err := dec.Decode(payload)
-		if err != nil {
-			// The framing was intact but the payload does not decode: the
-			// record was fully written yet corrupt, which atomic appends
-			// never produce.  Still treat it as the end of the valid
-			// prefix rather than failing recovery.
-			break
-		}
-		records = append(records, p)
-		valid += walHeaderSize + int64(n)
-	}
-	if valid != int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, 0, fmt.Errorf("store: truncating torn wal tail of %s: %w", path, err)
-		}
-	}
-	return records, valid, nil
 }

@@ -42,9 +42,9 @@ const MaxFrameSize = 1 << 20
 // CRC32-C of the payload.
 const FrameHeaderSize = 9
 
-// frameCRC is the frame checksum polynomial: Castagnoli, the same family
-// the durable store frames its WAL records with, hardware-accelerated on
-// every platform this runs on.
+// frameCRC is the frame checksum polynomial: Castagnoli, the one the
+// durable store checksums its log frames and segment blocks with
+// (store.checksum), hardware-accelerated on every platform this runs on.
 var frameCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame errors.
