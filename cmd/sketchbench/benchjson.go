@@ -84,22 +84,12 @@ func kernelBenchmarks() []struct {
 				e.DigestMsg(msg)
 			}
 		}},
-		{"sha256-multi4-block", func(b *testing.B) {
-			// One op = 4 lanes × one block through the portable 4-lane
-			// kernel; compare against 4× sha256-block for the (lack of)
-			// portable speedup documented in DESIGN.md.
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				prf.MultiLaneBlockBench(4, 1)
-			}
-		}},
 		{"sha256-multi8-block", func(b *testing.B) {
 			// One op = 8 lanes × one block through the widest engine
-			// (AVX2 assembly on amd64, portable elsewhere).
+			// (AVX2 assembly on amd64, portable elsewhere); compare
+			// against 8× sha256-block.
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				prf.MultiLaneBlockBench(8, 1)
-			}
+			prf.MultiLaneBlockBench(b.N)
 		}},
 		{"prf-uint64-batch", func(b *testing.B) {
 			// One op = 64 messages through the batch evaluator at the

@@ -12,7 +12,10 @@ import (
 // carry.  It is a ratchet in both directions: a kernel dropped from the
 // code (or renamed) no longer satisfies its line, and a kernel added to
 // the code without a line here is flagged as uncovered — so the artifact
-// CI uploads can neither lose nor silently omit benchmarks.
+// CI uploads can neither lose nor silently omit benchmarks.  A line
+// ending in " allocs=0" also pins the kernel's allocation count: heap
+// allocations per operation are deterministic, so unlike ns/op they can
+// be gated on any runner.
 //
 //go:embed kernels.txt
 var expectedKernels string
@@ -27,29 +30,35 @@ func checkKernels(path string) error {
 	if err := json.Unmarshal(raw, &file); err != nil {
 		return fmt.Errorf("parsing %s: %w", path, err)
 	}
-	present := make(map[string]bool, len(file.Kernels))
+	present := make(map[string]KernelResult, len(file.Kernels))
 	for _, k := range file.Kernels {
-		if present[k.Name] {
+		if _, twice := present[k.Name]; twice {
 			return fmt.Errorf("%s lists kernel %q twice", path, k.Name)
 		}
-		present[k.Name] = true
+		present[k.Name] = k
 	}
 	covered := make(map[string]bool)
-	var missing []string
+	var missing, allocating []string
 	for _, line := range strings.Split(expectedKernels, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		names, noAllocs := strings.CutSuffix(line, " allocs=0")
 		matched := false
-		for _, alt := range strings.Split(line, "|") {
-			if present[alt] {
-				covered[alt] = true
-				matched = true
+		for _, alt := range strings.Split(names, "|") {
+			k, ok := present[alt]
+			if !ok {
+				continue
+			}
+			covered[alt] = true
+			matched = true
+			if noAllocs && k.AllocsPerOp > 0 {
+				allocating = append(allocating, fmt.Sprintf("%s (%d allocs/op)", alt, k.AllocsPerOp))
 			}
 		}
 		if !matched {
-			missing = append(missing, line)
+			missing = append(missing, names)
 		}
 	}
 	var unexpected []string
@@ -58,13 +67,16 @@ func checkKernels(path string) error {
 			unexpected = append(unexpected, name)
 		}
 	}
-	if len(missing) > 0 || len(unexpected) > 0 {
-		msg := fmt.Sprintf("kernel names in %s diverge from cmd/sketchbench/kernels.txt", path)
+	if len(missing) > 0 || len(unexpected) > 0 || len(allocating) > 0 {
+		msg := fmt.Sprintf("kernels in %s diverge from cmd/sketchbench/kernels.txt", path)
 		if len(missing) > 0 {
 			msg += fmt.Sprintf("\n  missing from artifact: %s", strings.Join(missing, ", "))
 		}
 		if len(unexpected) > 0 {
 			msg += fmt.Sprintf("\n  not in kernels.txt (add them): %s", strings.Join(unexpected, ", "))
+		}
+		if len(allocating) > 0 {
+			msg += fmt.Sprintf("\n  pinned at allocs=0 but allocating: %s", strings.Join(allocating, ", "))
 		}
 		return fmt.Errorf("%s", msg)
 	}

@@ -38,7 +38,7 @@ func main() {
 		benchJSON = flag.String("benchjson", "", "measure the kernel benchmarks and write JSON results to this path, then exit")
 		checkOnly = flag.String("checkkernels", "", "verify the BENCH.json at this path carries every kernel named in kernels.txt, then exit")
 		cpusFlag  = flag.String("cpus", "1,2,4", "comma-separated GOMAXPROCS values for the -benchjson core×lane matrix (empty skips it)")
-		lanesFlag = flag.String("lanes", "scalar,4,8", "comma-separated PRF lane widths (scalar, 4, 8) for the -benchjson matrix")
+		lanesFlag = flag.String("lanes", "scalar,8", "comma-separated PRF lane widths (scalar, 8) for the -benchjson matrix")
 	)
 	flag.Parse()
 

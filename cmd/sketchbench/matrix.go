@@ -27,8 +27,8 @@ type MatrixResult struct {
 	// exceed NumCPU (the sweep sets GOMAXPROCS explicitly); such rows show
 	// oversubscription, not extra hardware.
 	GoMaxProcs int `json:"gomaxprocs"`
-	// Lanes is the forced PRF lane policy: "scalar", "4" (portable
-	// 4-lane) or "8" (widest engine — assembly when the CPU has it).
+	// Lanes is the forced PRF lane policy: "scalar" or "8" (the 8-lane
+	// engine — assembly when the CPU has it, portable otherwise).
 	Lanes string `json:"lanes"`
 	// NsPerOp and Iterations mirror KernelResult.
 	NsPerOp    float64 `json:"ns_per_op"`
@@ -64,12 +64,10 @@ func parseMatrixLanes(spec string) ([]int, error) {
 		case "":
 		case "scalar", "1":
 			lanes = append(lanes, 1)
-		case "4":
-			lanes = append(lanes, 4)
 		case "8":
 			lanes = append(lanes, 8)
 		default:
-			return nil, fmt.Errorf("bad -lanes entry %q (want scalar, 4 or 8)", f)
+			return nil, fmt.Errorf("bad -lanes entry %q (want scalar or 8)", f)
 		}
 	}
 	if len(lanes) == 0 {

@@ -14,12 +14,14 @@ func TestMatrixFlagParsing(t *testing.T) {
 	if _, err := parseMatrixCPUs(""); err == nil {
 		t.Fatal("parseMatrixCPUs accepted empty list")
 	}
-	lanes, err := parseMatrixLanes("scalar,4,8")
-	if err != nil || len(lanes) != 3 || lanes[0] != 1 || lanes[1] != 4 || lanes[2] != 8 {
+	lanes, err := parseMatrixLanes("scalar, 8")
+	if err != nil || len(lanes) != 2 || lanes[0] != 1 || lanes[1] != 8 {
 		t.Fatalf("parseMatrixLanes: got %v, %v", lanes, err)
 	}
-	if _, err := parseMatrixLanes("16"); err == nil {
-		t.Fatal("parseMatrixLanes accepted 16")
+	for _, width := range []string{"4", "16"} {
+		if _, err := parseMatrixLanes(width); err == nil {
+			t.Fatalf("parseMatrixLanes accepted %s", width)
+		}
 	}
 	if laneName(1) != "scalar" || laneName(8) != "8" {
 		t.Fatalf("laneName: got %q, %q", laneName(1), laneName(8))

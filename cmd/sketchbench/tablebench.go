@@ -61,9 +61,10 @@ func tableBenchmarks() []struct {
 			// mixed-fresh pattern.  The table is rebuilt every 256 ops
 			// (timer stopped) so the subset stays near its nominal size.
 			subset := subsets[len(subsets)-1]
-			base := make([]sketch.Published, tableBenchUsers)
-			for i := range base {
-				base[i] = tableBenchRecord(i, subset)
+			base := sketch.Run{Subset: subset}
+			for i := 0; i < tableBenchUsers; i++ {
+				rec := tableBenchRecord(i, subset)
+				base.IDs, base.Keys = append(base.IDs, rec.ID), append(base.Keys, rec.S.Pack())
 			}
 			b.ReportAllocs()
 			var tab *sketch.Table
@@ -72,7 +73,7 @@ func tableBenchmarks() []struct {
 				if i%256 == 0 {
 					b.StopTimer()
 					tab, next = sketch.NewTable(), tableBenchUsers
-					if err := tab.Load(base); err != nil {
+					if err := tab.LoadRun(base); err != nil {
 						b.Fatal(err)
 					}
 					tab.View(subset)

@@ -42,11 +42,6 @@ type Config struct {
 	// TransferBatch is the record count per rebalance snapshot read and
 	// transfer push (default 2048).
 	TransferBatch int
-	// PublishConcurrency bounds how many replicated publishes PublishAll
-	// keeps in flight at once (default 16).  Each in-flight publish still
-	// runs the full all-live-owner protocol; the pipeline only overlaps
-	// independent records' round trips.
-	PublishConcurrency int
 	// OnTransferBatch, when set, runs after the rebalance engine finishes
 	// processing each snapshot batch.  Tests use it to freeze a precise
 	// mid-transfer moment (kill a node, run a query); metrics hooks can
@@ -100,9 +95,6 @@ func (c Config) withDefaults() Config {
 		// Larger batches would exceed the nodes' clamp and the frame
 		// limit; a misconfigured flag must not break every rebalance.
 		c.TransferBatch = wire.MaxTransferBatch
-	}
-	if c.PublishConcurrency <= 0 {
-		c.PublishConcurrency = 16
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 2 * time.Second
@@ -507,8 +499,12 @@ func (r *Router) Publish(p sketch.Published) error {
 	return errors.Join(errs...)
 }
 
+// publishConcurrency bounds how many replicated publishes PublishAll keeps
+// in flight at once.
+const publishConcurrency = 16
+
 // PublishAll publishes a batch through a bounded pipeline: up to
-// PublishConcurrency records are in flight at once, each running the full
+// publishConcurrency records are in flight at once, each running the full
 // replicated Publish protocol (all-live-owner acknowledgement, dual-write
 // under a migration, hinted handoff) — Publish is already safe under
 // concurrent callers, the pipeline only overlaps independent records'
@@ -520,16 +516,11 @@ func (r *Router) Publish(p sketch.Published) error {
 // pair has no deterministic winner; batches are expected to carry distinct
 // pairs, as every generator here does.
 func (r *Router) PublishAll(ps []sketch.Published) error {
-	if len(ps) <= 1 || r.cfg.PublishConcurrency == 1 {
-		for _, p := range ps {
-			if err := r.Publish(p); err != nil {
-				return err
-			}
-		}
-		return nil
+	if len(ps) == 1 {
+		return r.Publish(ps[0])
 	}
 	errs := make([]error, len(ps))
-	sem := make(chan struct{}, r.cfg.PublishConcurrency)
+	sem := make(chan struct{}, publishConcurrency)
 	var (
 		wg     sync.WaitGroup
 		failed atomic.Bool

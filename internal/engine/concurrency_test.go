@@ -199,6 +199,10 @@ func (f *flakyStore) Append(p sketch.Published) error {
 	return f.Store.Append(p)
 }
 
+func (f *flakyStore) AppendBatch(ps []sketch.Published) ([]int, error) {
+	return appendEach(f.Append, ps)
+}
+
 // TestEngineConcurrentIngestPlanAndRollback runs ingestion, cached plan
 // execution and durability rollbacks against one table at once (run it
 // under -race): writers insert into column tails and remove records again
@@ -292,7 +296,7 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 		t.Fatalf("table holds %d records, %d ingests were acknowledged", got, accepted.Load())
 	}
 	stored := 0
-	if err := st.Iterate(func(sketch.Published) error { stored++; return nil }); err != nil {
+	if err := st.IterateRuns(func(r sketch.Run) error { stored += len(r.IDs); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if int64(stored) != accepted.Load() {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/prf"
@@ -85,45 +84,13 @@ func (e *Engine) AttachStore(st store.Store) error {
 	if st == nil {
 		return errors.New("engine: nil store")
 	}
-	var err error
-	if runs, ok := st.(store.RunIterator); ok {
-		// The durable store (also behind a wrapper that embeds it) replays
-		// itself as the table's own columns: one run per subset, ids
-		// ascending, each landing with a single column load.
-		err = runs.IterateRuns(e.table.LoadRun)
-	} else {
-		err = e.replayRecords(st)
-	}
-	if err != nil {
+	// The store replays itself as the table's own columns: one run per
+	// subset, ids ascending, each landing with a single column load.
+	if err := st.IterateRuns(e.table.LoadRun); err != nil {
 		return fmt.Errorf("engine: replaying store: %w", err)
 	}
 	e.st = st
 	return nil
-}
-
-// replayRecords loads a store that yields a record at a time: one
-// Table.Load per stretch of records sharing a subset, cut at the buffer's
-// size.
-func (e *Engine) replayRecords(st store.Store) error {
-	batch := make([]sketch.Published, 0, 16384)
-	flush := func() error {
-		err := e.table.Load(batch)
-		batch = batch[:0]
-		return err
-	}
-	err := st.Iterate(func(p sketch.Published) error {
-		if len(batch) == cap(batch) || (len(batch) > 0 && !p.Subset.Equal(batch[0].Subset)) {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		batch = append(batch, p)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return flush()
 }
 
 // Store returns the attached durability layer, or nil when the engine is
@@ -164,14 +131,13 @@ func (e *Engine) Estimator() *query.Estimator { return e.est }
 // (each extra sketch would spend more of the user's privacy budget,
 // Corollary 3.4).
 func (e *Engine) Ingest(p sketch.Published) error {
-	_, err := e.IngestNew(p)
+	_, err := e.ingest(p)
 	return err
 }
 
-// IngestNew is Ingest reporting whether the record was newly stored; an
-// idempotent identical re-publish returns (false, nil).  The transfer path
-// uses the distinction to report how many pushed records actually moved.
-func (e *Engine) IngestNew(p sketch.Published) (bool, error) {
+// ingest is Ingest reporting whether the record was newly stored; an
+// idempotent identical re-publish returns (false, nil).
+func (e *Engine) ingest(p sketch.Published) (bool, error) {
 	if e.st == nil {
 		added, err := e.add(&p)
 		if added && e.m != nil {
@@ -260,71 +226,38 @@ func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint
 	return out, uint64(si)<<32 | uint64(off), si >= len(subsets), nil
 }
 
-// ingestBatchConcurrency is how many records of one batch ingest in
-// flight at once.  With a durable store in fsync mode the co-arriving
-// appends park on the same WAL commit windows and share fsyncs, so one
-// client batch lands as roughly one commit per touched shard instead of
-// one fsync per record; the bound mirrors Router.PublishAll's pipeline
-// width.
-const ingestBatchConcurrency = 16
-
-// IngestBatch stores a batch of published sketches.  With a durable
-// store that supports batched appends, the whole batch lands through
-// one store.AppendBatch call — roughly one commit window per touched
-// shard — and only the records the store reports failed are rolled
-// back.  Other stores ingest with bounded concurrency.  Either way,
-// after a failure no new records are started and the error of the
-// earliest failed record is returned, mirroring Router.PublishAll so
-// callers see the same earliest-failure semantics on both backends.
+// IngestBatch stores a batch of published sketches; see IngestBatchNew.
 func (e *Engine) IngestBatch(ps []sketch.Published) error {
-	if len(ps) <= 1 || e.st == nil {
-		// Without a store there is no fsync to amortize — sequential
-		// ingestion keeps the memory path allocation-free.
-		for _, p := range ps {
-			if err := e.Ingest(p); err != nil {
-				return err
-			}
+	_, err := e.IngestBatchNew(ps)
+	return err
+}
+
+// IngestBatchNew stores a batch of published sketches and reports how
+// many of them were newly stored — an idempotent identical re-publish is
+// acknowledged without counting, which is how a transfer push tells how
+// many records actually moved.  With a store attached the whole batch
+// lands through one store.AppendBatch call — roughly one commit window
+// per touched shard — and only the records the store reports failed are
+// rolled back.  After a failure no new records are admitted and the
+// error of the earliest failed record is returned, mirroring
+// Router.PublishAll so callers see the same earliest-failure semantics on
+// both backends; stored still counts the records that did land.
+func (e *Engine) IngestBatchNew(ps []sketch.Published) (stored int, err error) {
+	if len(ps) > 1 && e.st != nil {
+		return e.ingestBatchStore(ps)
+	}
+	// Without a store there is no fsync to amortize — sequential
+	// ingestion keeps the memory path allocation-free.
+	for _, p := range ps {
+		added, err := e.ingest(p)
+		if err != nil {
+			return stored, err
 		}
-		return nil
+		if added {
+			stored++
+		}
 	}
-	if ba, ok := e.st.(store.BatchAppender); ok {
-		return e.ingestBatchStore(ba, ps)
-	}
-	workers := ingestBatchConcurrency
-	if workers > len(ps) {
-		workers = len(ps)
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		errAt  = -1
-		first  error
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ps) || failed.Load() {
-					return
-				}
-				if err := e.Ingest(ps[i]); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if errAt < 0 || i < errAt {
-						errAt, first = i, err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	return stored, nil
 }
 
 // ingestBatchStore lands one client batch through the store's batched
@@ -337,7 +270,7 @@ func (e *Engine) IngestBatch(ps []sketch.Published) error {
 // record (one commit window per touched shard), and exactly the records
 // the store reports failed are removed from the table again: the PR-2
 // rollback invariant, at batch granularity.
-func (e *Engine) ingestBatchStore(ba store.BatchAppender, ps []sketch.Published) error {
+func (e *Engine) ingestBatchStore(ps []sketch.Published) (stored int, err error) {
 	touched := make([]bool, len(e.ingestMu))
 	for _, p := range ps {
 		touched[uint64(p.ID)%uint64(len(e.ingestMu))] = true
@@ -357,9 +290,9 @@ func (e *Engine) ingestBatchStore(ba store.BatchAppender, ps []sketch.Published)
 
 	// Admission, in input order: identical re-publishes are idempotent
 	// no-ops (never re-logged), a conflicting sketch is rejected and —
-	// matching the concurrent path's no-new-starts rule — stops
-	// admission of everything after it.  Records admitted before the
-	// rejection still proceed to the store.
+	// matching Router.PublishAll's no-new-starts rule — stops admission
+	// of everything after it.  Records admitted before the rejection
+	// still proceed to the store.
 	admitted := make([]sketch.Published, 0, len(ps))
 	admittedIdx := make([]int, 0, len(ps))
 	var tabErr error
@@ -378,18 +311,19 @@ func (e *Engine) ingestBatchStore(ba store.BatchAppender, ps []sketch.Published)
 	var aerr error
 	var failed []int
 	if len(admitted) > 0 {
-		failed, aerr = ba.AppendBatch(admitted)
+		failed, aerr = e.st.AppendBatch(admitted)
 		for _, f := range failed {
 			e.table.Remove(admitted[f].ID, admitted[f].Subset)
 		}
+		stored = len(admitted) - len(failed)
 		if e.m != nil {
-			e.m.ingests.Add(uint64(len(admitted) - len(failed)))
+			e.m.ingests.Add(uint64(stored))
 		}
 	}
 	if aerr != nil && (tabAt < 0 || admittedIdx[failed[0]] < tabAt) {
-		return aerr
+		return stored, aerr
 	}
-	return tabErr
+	return stored, tabErr
 }
 
 // Sketches returns the total number of stored sketches.

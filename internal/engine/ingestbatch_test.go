@@ -41,8 +41,8 @@ func batchPub(id uint64, subset bitvec.Subset) sketch.Published {
 	return sketch.Published{ID: bitvec.UserID(id), Subset: subset, S: sketch.Sketch{Key: id % 1024, Length: 10}}
 }
 
-// TestIngestBatchLandsAsOneStoreCall: a batch against a BatchAppender
-// store goes through exactly one AppendBatch call — the property that
+// TestIngestBatchLandsAsOneStoreCall: a batch against an attached store
+// goes through exactly one AppendBatch call — the property that
 // turns a gateway batch into one commit window per shard — and every
 // record is admitted and stored.
 func TestIngestBatchLandsAsOneStoreCall(t *testing.T) {
@@ -84,8 +84,8 @@ func TestIngestBatchIdempotentDuplicatesSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.batches = nil
-	if err := eng.IngestBatch([]sketch.Published{a, b, a}); err != nil {
-		t.Fatalf("batch with idempotent duplicates = %v, want acknowledged", err)
+	if stored, err := eng.IngestBatchNew([]sketch.Published{a, b, a}); err != nil || stored != 1 {
+		t.Fatalf("batch with idempotent duplicates = %d stored, %v; want the one new record acknowledged", stored, err)
 	}
 	if len(fs.batches) != 1 || len(fs.batches[0]) != 1 || fs.batches[0][0].ID != b.ID {
 		t.Fatalf("store received %v, want exactly the one new record", fs.batches)
@@ -96,7 +96,7 @@ func TestIngestBatchIdempotentDuplicatesSkipped(t *testing.T) {
 }
 
 // TestIngestBatchConflictStopsAdmission: a conflicting sketch mid-batch
-// is rejected, nothing after it is admitted (the concurrent path's
+// is rejected, nothing after it is admitted (Router.PublishAll's
 // no-new-starts rule), and the records admitted before it still land
 // durably.
 func TestIngestBatchConflictStopsAdmission(t *testing.T) {
@@ -113,9 +113,9 @@ func TestIngestBatchConflictStopsAdmission(t *testing.T) {
 	conflict := batchPub(1, subset)
 	conflict.S.Key++ // a different sketch for an existing (user, subset)
 	fs.batches = nil
-	err = eng.IngestBatch([]sketch.Published{batchPub(2, subset), conflict, batchPub(3, subset)})
-	if err == nil {
-		t.Fatal("conflicting sketch mid-batch was accepted")
+	stored, err := eng.IngestBatchNew([]sketch.Published{batchPub(2, subset), conflict, batchPub(3, subset)})
+	if err == nil || stored != 1 {
+		t.Fatalf("conflicting sketch mid-batch = %d stored, %v; want the record before it stored and an error", stored, err)
 	}
 	if len(fs.batches) != 1 || len(fs.batches[0]) != 1 || fs.batches[0][0].ID != 2 {
 		t.Fatalf("store received %v, want only the record admitted before the conflict", fs.batches)
@@ -145,8 +145,8 @@ func TestIngestBatchRollsBackExactlyFailedRecords(t *testing.T) {
 	}
 	subset := bitvec.Range(0, 2)
 	batch := []sketch.Published{batchPub(1, subset), batchPub(2, subset), batchPub(3, subset)}
-	if err := eng.IngestBatch(batch); !errors.Is(err, errDiskFull) {
-		t.Fatalf("IngestBatch with a failing store = %v, want errDiskFull", err)
+	if stored, err := eng.IngestBatchNew(batch); !errors.Is(err, errDiskFull) || stored != 2 {
+		t.Fatalf("IngestBatchNew with a failing store = %d stored, %v; want 2 and errDiskFull", stored, err)
 	}
 	if _, ok := eng.Table().Get(2, subset); ok {
 		t.Fatal("record the store failed is still queryable")
@@ -219,6 +219,25 @@ type singleAppendRecorder struct {
 func (r *singleAppendRecorder) Append(p sketch.Published) error {
 	r.got = append(r.got, p)
 	return r.Store.Append(p)
+}
+
+func (r *singleAppendRecorder) AppendBatch(ps []sketch.Published) ([]int, error) {
+	return appendEach(r.Append, ps)
+}
+
+// appendEach is AppendBatch for a fake that intercepts Append: a batch
+// reaches the fake record by record instead of passing around it into the
+// store it embeds.
+func appendEach(appendOne func(sketch.Published) error, ps []sketch.Published) (failed []int, err error) {
+	for i, p := range ps {
+		if aerr := appendOne(p); aerr != nil {
+			failed = append(failed, i)
+			if err == nil {
+				err = aerr
+			}
+		}
+	}
+	return failed, err
 }
 
 // TestIngestHandsTheStoreOneSubsetValue: every record off the wire carries

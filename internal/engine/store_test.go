@@ -127,6 +127,10 @@ func (f *failingStore) Append(p sketch.Published) error {
 	return f.Store.Append(p)
 }
 
+func (f *failingStore) AppendBatch(ps []sketch.Published) ([]int, error) {
+	return appendEach(f.Append, ps)
+}
+
 // TestEngineIngestRollsBackOnAppendFailure: a record whose durable
 // append fails must not stay queryable (it would silently vanish on
 // restart), and the user must be able to retry once the store recovers.
@@ -165,6 +169,16 @@ func TestEngineIngestRollsBackOnAppendFailure(t *testing.T) {
 	if eng.Sketches() != 3 {
 		t.Fatalf("retry not stored: %d sketches", eng.Sketches())
 	}
+	// A batch meets the failing store too: with room for one more append,
+	// exactly the first of two new records lands.
+	fs.remaining = 1
+	stored, err := eng.IngestBatchNew([]sketch.Published{pub(4), pub(5)})
+	if stored != 1 || !errors.Is(err, errDiskFull) || eng.Sketches() != 4 {
+		t.Fatalf("batch over a failing store: %d stored, %v, %d sketches; want 1, errDiskFull, 4", stored, err, eng.Sketches())
+	}
+	if _, ok := eng.Table().Get(5, subset); ok {
+		t.Fatal("the batch's rolled-back record is still in the table")
+	}
 }
 
 // gateStore blocks its first Append until released, then fails it;
@@ -185,6 +199,10 @@ func (g *gateStore) Append(p sketch.Published) error {
 		return errDiskFull
 	}
 	return g.Store.Append(p)
+}
+
+func (g *gateStore) AppendBatch(ps []sketch.Published) ([]int, error) {
+	return appendEach(g.Append, ps)
 }
 
 // TestEngineConcurrentDuplicateDuringFailedAppend: a publish retried

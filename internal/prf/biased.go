@@ -98,11 +98,6 @@ func NewBiased(key []byte, p Prob) *Biased {
 	return &Biased{f: NewFunc(key), p: p}
 }
 
-// NewBiasedFromFunc wraps an existing keyed PRF.
-func NewBiasedFromFunc(f *Func, p Prob) *Biased {
-	return &Biased{f: f, p: p}
-}
-
 // Bit implements BitSource.
 func (b *Biased) Bit(parts ...[]byte) bool {
 	return b.p.Decide(b.f.Uint64(parts...))

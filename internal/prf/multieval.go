@@ -3,18 +3,19 @@ package prf
 import "encoding/binary"
 
 // MultiEvaluator is the batch counterpart of Evaluator: it evaluates the
-// keyed PRF over many pre-encoded messages at once, packing up to Lanes()
-// messages into each pass of the multi-lane SHA-256 compression.  Like the
-// scalar evaluator it resumes from the HMAC ipad/opad midstates, so a
-// message of b post-midstate blocks costs b+1 compression passes for a
-// whole lane group instead of per message.
+// keyed PRF over many pre-encoded messages at once, packing up to 8
+// messages into each pass of the multi-lane SHA-256 compression unless the
+// lane policy (Lanes) says scalar.  Like the scalar evaluator it resumes
+// from the HMAC ipad/opad midstates, so a message of b post-midstate blocks
+// costs b+1 compression passes for a whole lane group instead of per
+// message.
 //
 // Messages of unequal length are handled by bucketing: the batch is
 // ordered by inner block count, each run of equal-size messages fills lane
 // groups, and ragged tails (a group of one) fall back to the scalar path.
 // Output is bit-identical to calling Evaluator.Uint64Msg / DigestMsg per
-// message, whatever the lane policy — FuzzMultiLaneEquivalence holds every
-// width to that.
+// message, whatever the lane policy — FuzzMultiLaneEquivalence holds both
+// widths to that.
 //
 // A MultiEvaluator is NOT safe for concurrent use — create one per
 // goroutine (the staging arrays make it a few KiB) or pool it.
@@ -55,15 +56,14 @@ func innerBlocks(n int) int { return (n + 9 + BlockSize - 1) / BlockSize }
 // long.  It allocates nothing after warm-up.
 func (m *MultiEvaluator) Uint64Batch(msgs [][]byte, out []uint64) {
 	_ = out[:len(msgs)]
-	width := Lanes()
-	if width <= 1 || len(msgs) < 2 {
+	if Lanes() == 1 || len(msgs) < 2 {
 		for i, msg := range msgs {
 			d := m.mac.sumMid(&m.h, msg)
 			out[i] = binary.BigEndian.Uint64(d[:8])
 		}
 		return
 	}
-	m.eachGroup(msgs, width, func(idx []int, k int) {
+	m.eachGroup(msgs, func(idx []int, k int) {
 		for l := 0; l < k; l++ {
 			out[idx[l]] = uint64(m.states[0][l])<<32 | uint64(m.states[1][l])
 		}
@@ -77,14 +77,13 @@ func (m *MultiEvaluator) Uint64Batch(msgs [][]byte, out []uint64) {
 // digest of msgs[i] to out[i].  out must be at least len(msgs) long.
 func (m *MultiEvaluator) DigestBatch(msgs [][]byte, out [][DigestSize]byte) {
 	_ = out[:len(msgs)]
-	width := Lanes()
-	if width <= 1 || len(msgs) < 2 {
+	if Lanes() == 1 || len(msgs) < 2 {
 		for i, msg := range msgs {
 			out[i] = m.mac.sumMid(&m.h, msg)
 		}
 		return
 	}
-	m.eachGroup(msgs, width, func(idx []int, k int) {
+	m.eachGroup(msgs, func(idx []int, k int) {
 		for l := 0; l < k; l++ {
 			d := &out[idx[l]]
 			for i := 0; i < 8; i++ {
@@ -150,7 +149,7 @@ func (m *MultiEvaluator) ExpandBatch(outs [][]byte, msgs [][]byte) {
 // eachGroup orders the batch by inner block count, carves each equal-size
 // run into lane groups and runs the multi-lane HMAC over them, calling
 // emit with the group's message indices; lone leftovers go through scalar.
-func (m *MultiEvaluator) eachGroup(msgs [][]byte, width int, emit func(idx []int, k int), scalar func(i int)) {
+func (m *MultiEvaluator) eachGroup(msgs [][]byte, emit func(idx []int, k int), scalar func(i int)) {
 	idx := m.idx[:0]
 	for i := range msgs {
 		idx = append(idx, i)
@@ -173,23 +172,20 @@ func (m *MultiEvaluator) eachGroup(msgs [][]byte, width int, emit func(idx []int
 		for hi < len(idx) && innerBlocks(len(msgs[idx[hi]])) == nb {
 			hi++
 		}
-		for glo := lo; glo < hi; glo += width {
-			k := hi - glo
-			if k > width {
-				k = width
-			}
+		for glo := lo; glo < hi; glo += lanesMax {
+			k := min(hi-glo, lanesMax)
 			if k == 1 {
 				scalar(idx[glo])
 				continue
 			}
-			for l := 0; l < width; l++ {
+			for l := 0; l < lanesMax; l++ {
 				src := glo + l
 				if src >= hi {
 					src = hi - 1 // repeat the last real message into spare lanes
 				}
 				m.group[l] = msgs[idx[src]]
 			}
-			m.hmacLanes(width, nb)
+			m.hmacLanes(nb)
 			emit(idx[glo:hi], k)
 		}
 		lo = hi
@@ -197,25 +193,25 @@ func (m *MultiEvaluator) eachGroup(msgs [][]byte, width int, emit func(idx []int
 }
 
 // hmacLanes runs the midstate-resumed HMAC over the messages staged in
-// m.group[0:width], all of inner block count nb, leaving lane l's digest
-// words in m.states[0..7][l].
-func (m *MultiEvaluator) hmacLanes(width, nb int) {
+// m.group, all of inner block count nb, leaving lane l's digest words in
+// m.states[0..7][l].
+func (m *MultiEvaluator) hmacLanes(nb int) {
 	// Inner hash: resume every lane from the ipad midstate and absorb the
 	// padded message blocks.
 	for i := 0; i < 8; i++ {
-		for l := 0; l < width; l++ {
+		for l := 0; l < lanesMax; l++ {
 			m.states[i][l] = m.mac.istate[i]
 		}
 	}
 	for b := 0; b < nb; b++ {
-		for l := 0; l < width; l++ {
+		for l := 0; l < lanesMax; l++ {
 			fillPaddedBlock(&m.blocks[l], m.group[l], b, nb)
 		}
-		m.compressLanes(width)
+		compress8(&m.states, &m.blocks, &m.w)
 	}
 	// Outer hash: one block per lane — the 32-byte inner digest, 0x80,
 	// zeros, and the bit length of the opad block plus the digest.
-	for l := 0; l < width; l++ {
+	for l := 0; l < lanesMax; l++ {
 		blk := &m.blocks[l]
 		for i := 0; i < 8; i++ {
 			binary.BigEndian.PutUint32(blk[4*i:], m.states[i][l])
@@ -227,19 +223,9 @@ func (m *MultiEvaluator) hmacLanes(width, nb int) {
 		binary.BigEndian.PutUint64(blk[BlockSize-8:], (BlockSize+DigestSize)*8)
 	}
 	for i := 0; i < 8; i++ {
-		for l := 0; l < width; l++ {
+		for l := 0; l < lanesMax; l++ {
 			m.states[i][l] = m.mac.ostate[i]
 		}
-	}
-	m.compressLanes(width)
-}
-
-// compressLanes advances the staged lanes by one block: the forced-4 mode
-// runs the portable 4-lane kernel, everything else the 8-lane engine.
-func (m *MultiEvaluator) compressLanes(width int) {
-	if width == 4 {
-		compress4Blocks(&m.states, &m.blocks, &m.w)
-		return
 	}
 	compress8(&m.states, &m.blocks, &m.w)
 }

@@ -20,7 +20,9 @@ import (
 //   - a portable pure-Go one (below), correct on every GOARCH.  It is NOT
 //     faster than the scalar path under the gc compiler — 32 live state
 //     words per 4 lanes spill out of the register file and gc does not
-//     auto-vectorize — so lane auto-selection never picks it;
+//     auto-vectorize — so lane auto-selection never picks it; it is the
+//     reference the assembly is fuzzed against and what a forced width of
+//     8 runs where there is no assembly;
 //   - an AVX2 assembly one (sha256multi_amd64.s) holding each state word
 //     as a ymm register of 8 lanes, ~5-6× the scalar throughput per block.
 //     When the CPU has it, it is the default.
@@ -29,8 +31,8 @@ import (
 // differential fuzzer FuzzMultiLaneEquivalence and the NIST-vector tests
 // in sha256multi_test.go hold them to that.
 
-// lanesMax is the widest lane count any engine supports; staging arrays
-// are sized for it and narrower modes simply use a prefix of the lanes.
+// lanesMax is the lane count of the multi-lane engines; the staging arrays
+// are sized for it.
 const lanesMax = 8
 
 // laneStates is the struct-of-arrays compression state for lanesMax lanes.
@@ -47,36 +49,31 @@ type laneSchedule = [64][lanesMax]uint32
 // detection).  It must be bit-identical to compress8Portable.
 var compress8asm func(states *laneStates, blocks *laneBlocks, w *laneSchedule)
 
-// laneMode is the configured lane policy: 0 auto, 1 scalar, 4 or 8 lanes
+// laneMode is the configured lane policy: 0 auto, 1 scalar, 8 lanes
 // forced.  See SetLanes.
 var laneMode atomic.Int32
 
 // SetLanes configures the batch evaluators' lane policy: 0 restores the
 // default automatic choice (8 lanes when the accelerated engine is
 // available, scalar otherwise — the portable multi-lane code is never a
-// win, see the package comment above), 1 forces the scalar path, and 4 or
-// 8 force the portable or widest multi-lane path regardless of profit.
-// Forcing exists for the differential fuzzer and the benchmark matrix;
-// production code leaves the policy on auto.  Every width is bit-identical.
+// win, see the package comment above), 1 forces the scalar path, and 8
+// forces the multi-lane path regardless of profit.  Forcing exists for the
+// differential fuzzer and the benchmark matrix; production code leaves the
+// policy on auto.  Both widths are bit-identical.
 func SetLanes(n int) error {
 	switch n {
-	case 0, 1, 4, 8:
+	case 0, 1, 8:
 		laneMode.Store(int32(n))
 		return nil
 	}
-	return fmt.Errorf("prf: unsupported lane width %d (want 0, 1, 4 or 8)", n)
+	return fmt.Errorf("prf: unsupported lane width %d (want 0, 1 or 8)", n)
 }
 
 // Lanes resolves the configured policy to the effective batch width the
-// evaluators will use: 1, 4 or 8.
+// evaluators will use: 1 or 8.
 func Lanes() int {
-	switch laneMode.Load() {
-	case 1:
-		return 1
-	case 4:
-		return 4
-	case 8:
-		return 8
+	if mode := laneMode.Load(); mode != 0 {
+		return int(mode)
 	}
 	if compress8asm != nil {
 		return 8
@@ -89,13 +86,12 @@ func Lanes() int {
 // batches at all).
 func HasAcceleratedLanes() bool { return compress8asm != nil }
 
-// MultiLaneBlockBench advances a local multi-lane state by n blocks at the
-// given width (4 runs the portable 4-lane kernel over lanes 0..3, 8 runs
-// the widest engine — assembly when available) and returns a state word so
+// MultiLaneBlockBench advances a local 8-lane state by n blocks through
+// the widest engine (assembly when available) and returns a state word so
 // callers keep the work observable.  It exists for the benchmark harness
-// (cmd/sketchbench), which measures the raw engines without access to the
+// (cmd/sketchbench), which measures the raw engine without access to the
 // unexported lane types; it is not part of the evaluation API.
-func MultiLaneBlockBench(width, n int) uint32 {
+func MultiLaneBlockBench(n int) uint32 {
 	var states laneStates
 	var blocks laneBlocks
 	var w laneSchedule
@@ -110,11 +106,7 @@ func MultiLaneBlockBench(width, n int) uint32 {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if width == 4 {
-			compress4Blocks(&states, &blocks, &w)
-		} else {
-			compress8(&states, &blocks, &w)
-		}
+		compress8(&states, &blocks, &w)
 	}
 	return states[0][0]
 }
@@ -138,17 +130,6 @@ func compress8Portable(states *laneStates, blocks *laneBlocks, w *laneSchedule) 
 	}
 	compress4(states, w, 0)
 	compress4(states, w, 4)
-}
-
-// compress4Blocks is compress8Portable restricted to lanes 0..3 — the
-// 4-lane engine the benchmark matrix measures in isolation.
-func compress4Blocks(states *laneStates, blocks *laneBlocks, w *laneSchedule) {
-	for i := 0; i < 16; i++ {
-		for l := 0; l < 4; l++ {
-			w[i][l] = binary.BigEndian.Uint32(blocks[l][4*i:])
-		}
-	}
-	compress4(states, w, 0)
 }
 
 // compress4 runs the SHA-256 compression rounds over lanes lo..lo+3 of the

@@ -47,26 +47,17 @@ func laneDigest(states *laneStates, l int) []byte {
 	return out
 }
 
-// multiLaneEngines enumerates every compression engine with its width.
-func multiLaneEngines() []struct {
-	name  string
-	width int
-	fn    func(*laneStates, *laneBlocks, *laneSchedule)
-} {
-	engines := []struct {
-		name  string
-		width int
-		fn    func(*laneStates, *laneBlocks, *laneSchedule)
-	}{
-		{"compress4-portable", 4, compress4Blocks},
-		{"compress8-portable", 8, compress8Portable},
-	}
+// multiLaneEngine is one 8-lane compression engine.
+type multiLaneEngine struct {
+	name string
+	fn   func(*laneStates, *laneBlocks, *laneSchedule)
+}
+
+// multiLaneEngines enumerates every compression engine.
+func multiLaneEngines() []multiLaneEngine {
+	engines := []multiLaneEngine{{"compress8-portable", compress8Portable}}
 	if compress8asm != nil {
-		engines = append(engines, struct {
-			name  string
-			width int
-			fn    func(*laneStates, *laneBlocks, *laneSchedule)
-		}{"compress8-asm", 8, compress8asm})
+		engines = append(engines, multiLaneEngine{"compress8-asm", compress8asm})
 	}
 	return engines
 }
@@ -79,9 +70,9 @@ func TestMultiLaneNISTVectors(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			// Per-lane vectors, cycled; all padded to the max block count by
 			// processing each lane's blocks in lockstep per step count.
-			lanes := make([][][BlockSize]byte, eng.width)
+			lanes := make([][][BlockSize]byte, lanesMax)
 			maxBlocks := 0
-			for l := 0; l < eng.width; l++ {
+			for l := 0; l < lanesMax; l++ {
 				lanes[l] = padBlocks([]byte(nistVectors[l%len(nistVectors)].msg))
 				if len(lanes[l]) > maxBlocks {
 					maxBlocks = len(lanes[l])
@@ -94,13 +85,13 @@ func TestMultiLaneNISTVectors(t *testing.T) {
 			var blocks laneBlocks
 			var w laneSchedule
 			for i := 0; i < 8; i++ {
-				for l := 0; l < eng.width; l++ {
+				for l := 0; l < lanesMax; l++ {
 					states[i][l] = sha256InitState[i]
 				}
 			}
-			got := make([][]byte, eng.width)
+			got := make([][]byte, lanesMax)
 			for step := 0; step < maxBlocks; step++ {
-				for l := 0; l < eng.width; l++ {
+				for l := 0; l < lanesMax; l++ {
 					b := step
 					if b >= len(lanes[l]) {
 						b = len(lanes[l]) - 1
@@ -108,13 +99,13 @@ func TestMultiLaneNISTVectors(t *testing.T) {
 					blocks[l] = lanes[l][b]
 				}
 				eng.fn(&states, &blocks, &w)
-				for l := 0; l < eng.width; l++ {
+				for l := 0; l < lanesMax; l++ {
 					if step == len(lanes[l])-1 {
 						got[l] = laneDigest(&states, l)
 					}
 				}
 			}
-			for l := 0; l < eng.width; l++ {
+			for l := 0; l < lanesMax; l++ {
 				want, _ := hex.DecodeString(nistVectors[l%len(nistVectors)].digest)
 				if !bytes.Equal(got[l], want) {
 					t.Errorf("lane %d (%q): got %x want %x",
@@ -173,7 +164,7 @@ func TestMultiEvaluatorMatchesScalar(t *testing.T) {
 		wantU[i] = ev.Uint64Msg(msg)
 		wantD[i] = ev.DigestMsg(msg)
 	}
-	for _, lanes := range []int{0, 1, 4, 8} {
+	for _, lanes := range []int{0, 1, 8} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			if err := SetLanes(lanes); err != nil {
 				t.Fatal(err)
@@ -212,7 +203,7 @@ func TestExpandBatchMatchesExpand(t *testing.T) {
 	for _, p := range parts {
 		msgs = append(msgs, encodeTuple(nil, p...))
 	}
-	for _, lanes := range []int{0, 1, 4, 8} {
+	for _, lanes := range []int{0, 1, 8} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			if err := SetLanes(lanes); err != nil {
 				t.Fatal(err)
@@ -238,7 +229,7 @@ func TestExpandBatchMatchesExpand(t *testing.T) {
 }
 
 // FuzzMultiLaneEquivalence is the differential fuzzer from the issue:
-// random message sets with ragged lengths, evaluated at every lane width,
+// random message sets with ragged lengths, evaluated at both lane widths,
 // must be bit-for-bit identical to the scalar path.
 func FuzzMultiLaneEquivalence(f *testing.F) {
 	f.Add([]byte("seed key"), []byte("hello multi-lane world"), uint64(3))
@@ -267,7 +258,7 @@ func FuzzMultiLaneEquivalence(f *testing.F) {
 			want[i] = ev.Uint64Msg(msg)
 			wantD[i] = ev.DigestMsg(msg)
 		}
-		for _, lanes := range []int{1, 4, 8} {
+		for _, lanes := range []int{1, 8} {
 			if err := SetLanes(lanes); err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +297,7 @@ func BenchmarkCompressMulti(b *testing.B) {
 					blocks[l][j] = byte(l*13 + j)
 				}
 			}
-			b.SetBytes(int64(eng.width) * BlockSize)
+			b.SetBytes(lanesMax * BlockSize)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				eng.fn(&states, &blocks, &w)

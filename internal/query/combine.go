@@ -80,7 +80,7 @@ func (e *Estimator) MatchDistribution(tab *sketch.Table, subs []SubQuery) ([]flo
 // cluster it is the exact bin-wise sum of the per-node histograms.
 func (e *Estimator) MatchDistributionFrom(src PartialSource, subs []SubQuery) ([]float64, int, error) {
 	p := NewPlan()
-	fin, err := e.planMatchDistribution(p, subs)
+	ref, err := p.AddHistogram(subs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -88,7 +88,7 @@ func (e *Estimator) MatchDistributionFrom(src PartialSource, subs []SubQuery) ([
 	if err != nil {
 		return nil, 0, err
 	}
-	return fin(res)
+	return e.matchDistributionFinisher(ref, subs)(res)
 }
 
 // UnionConjunction estimates the fraction of users satisfying every
@@ -146,52 +146,62 @@ func (e *Estimator) AtLeastOfKFrom(src PartialSource, subs []SubQuery, l int) (E
 	})
 }
 
-// virtualBit is one heterogeneously perturbed bit: the observed (public)
-// value and the probability with which it differs from the true private
-// bit.
-type virtualBit struct {
-	observed bool
+// virtualColumn is one heterogeneously perturbed bit across the aligned
+// users of an estimate: the observed (public) values as a packed column —
+// bit u&63 of word u>>6 is user u's — the true value being counted, and
+// the probability with which an observed value differs from the private
+// one.
+type virtualColumn struct {
+	observed []uint64
+	target   bool
 	flipProb float64
 }
 
 // productWeight returns the inverse-perturbation weight for one bit: the
-// entry of the 2×2 inverse channel matrix selected by (target, observed).
-// Averaging the product of these weights over users gives an unbiased
-// estimate of the fraction whose true bits equal the target pattern — the
-// natural generalization of the Appendix F inversion to bits with
-// different flip probabilities (which Appendix E's XOR bits require:
-// original bits flip with probability p, XOR bits with 2p(1−p)).
-func productWeight(target bool, bit virtualBit) (float64, error) {
-	denom := 1 - 2*bit.flipProb
+// entry of the 2×2 inverse channel matrix selected by whether the observed
+// value equals the target.  Averaging the product of these weights over
+// users gives an unbiased estimate of the fraction whose true bits equal
+// the target pattern — the natural generalization of the Appendix F
+// inversion to bits with different flip probabilities (which Appendix E's
+// XOR bits require: original bits flip with probability p, XOR bits with
+// 2p(1−p)).
+func productWeight(matches bool, flipProb float64) (float64, error) {
+	denom := 1 - 2*flipProb
 	if denom <= 0 {
-		return 0, fmt.Errorf("%w: flip probability %v is not below 1/2", ErrBadBias, bit.flipProb)
+		return 0, fmt.Errorf("%w: flip probability %v is not below 1/2", ErrBadBias, flipProb)
 	}
-	if bit.observed == target {
-		return (1 - bit.flipProb) / denom, nil
+	if matches {
+		return (1 - flipProb) / denom, nil
 	}
-	return -bit.flipProb / denom, nil
+	return -flipProb / denom, nil
 }
 
-// productFraction averages the per-user product weights.  rows[u] holds
-// user u's observed virtual bits; targets is the true pattern being counted.
-func productFraction(rows [][]virtualBit, targets []bool) (float64, error) {
-	if len(rows) == 0 {
+// productFraction averages, over users 0..users-1, the product of the
+// columns' weights in column order.
+func productFraction(cols []virtualColumn, users int) (float64, error) {
+	if users == 0 {
 		return 0, ErrNoSketches
 	}
-	var sum float64
-	for _, row := range rows {
-		if len(row) != len(targets) {
-			return 0, fmt.Errorf("%w: user row has %d bits, target has %d", ErrMismatch, len(row), len(targets))
+	weights := make([][2]float64, len(cols)) // a column's weight by observed bit
+	for i, c := range cols {
+		if len(c.observed) != (users+63)/64 {
+			return 0, fmt.Errorf("%w: column holds %d words for %d users", ErrMismatch, len(c.observed), users)
 		}
-		w := 1.0
-		for i, bit := range row {
-			wi, err := productWeight(targets[i], bit)
+		for bit := range weights[i] {
+			w, err := productWeight((bit == 1) == c.target, c.flipProb)
 			if err != nil {
 				return 0, err
 			}
-			w *= wi
+			weights[i][bit] = w
+		}
+	}
+	var sum float64
+	for u := 0; u < users; u++ {
+		w := 1.0
+		for i, c := range cols {
+			w *= weights[i][c.observed[u>>6]>>(u&63)&1]
 		}
 		sum += w
 	}
-	return sum / float64(len(rows)), nil
+	return sum / float64(users), nil
 }

@@ -275,11 +275,11 @@ func TestProductWeightUnbiasedness(t *testing.T) {
 		for _, target := range []bool{false, true} {
 			for _, truth := range []bool{false, true} {
 				// Pr[observed = truth] = 1-flip, Pr[observed != truth] = flip.
-				wSame, err := productWeight(target, virtualBit{observed: truth, flipProb: flip})
+				wSame, err := productWeight(truth == target, flip)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wDiff, err := productWeight(target, virtualBit{observed: !truth, flipProb: flip})
+				wDiff, err := productWeight(!truth == target, flip)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -294,17 +294,17 @@ func TestProductWeightUnbiasedness(t *testing.T) {
 			}
 		}
 	}
-	if _, err := productWeight(true, virtualBit{observed: true, flipProb: 0.5}); err == nil {
+	if _, err := productWeight(true, 0.5); err == nil {
 		t.Error("flip probability 1/2 accepted")
 	}
 }
 
 func TestProductFractionValidation(t *testing.T) {
-	if _, err := productFraction(nil, []bool{true}); !errors.Is(err, ErrNoSketches) {
-		t.Error("empty rows accepted")
+	col := virtualColumn{observed: []uint64{1}, target: true, flipProb: 0.2}
+	if _, err := productFraction([]virtualColumn{col}, 0); !errors.Is(err, ErrNoSketches) {
+		t.Error("no users accepted")
 	}
-	rows := [][]virtualBit{{{observed: true, flipProb: 0.2}}}
-	if _, err := productFraction(rows, []bool{true, false}); !errors.Is(err, ErrMismatch) {
-		t.Error("row/target length mismatch accepted")
+	if _, err := productFraction([]virtualColumn{col}, 65); !errors.Is(err, ErrMismatch) {
+		t.Error("column shorter than the user count accepted")
 	}
 }

@@ -78,18 +78,8 @@ func (e *Estimator) PlanFraction(p *Plan, b bitvec.Subset, v bitvec.Vector) (Est
 	}, nil
 }
 
-// planMatchDistribution registers the Appendix F histogram and returns the
-// x = V⁻¹·y solve as a finisher.
-func (e *Estimator) planMatchDistribution(p *Plan, subs []SubQuery) (func(*Results) ([]float64, int, error), error) {
-	ref, err := p.AddHistogram(subs)
-	if err != nil {
-		return nil, err
-	}
-	return e.matchDistributionFinisher(ref, subs), nil
-}
-
 // matchDistributionFinisher reduces one executed histogram entry into the
-// Appendix F match distribution.
+// Appendix F match distribution x = V⁻¹·y.
 func (e *Estimator) matchDistributionFinisher(ref HistRef, subs []SubQuery) func(*Results) ([]float64, int, error) {
 	return func(res *Results) ([]float64, int, error) {
 		hp := res.Histogram(ref)
@@ -112,6 +102,29 @@ func (e *Estimator) matchDistributionFinisher(ref HistRef, subs []SubQuery) func
 	}
 }
 
+// planMatchSlice is the shape of every Appendix F combination: register
+// the match histogram of h's sub-queries once and estimate Σ_{l=lo..hi} x[l],
+// the fraction of users satisfying between lo and hi of them, from the
+// match distribution x = V⁻¹·y.
+func (e *Estimator) planMatchSlice(p *Plan, h HistogramEval, lo, hi int) (EstimateFinisher, error) {
+	ref, err := p.addHistogram(h)
+	if err != nil {
+		return nil, err
+	}
+	dist := e.matchDistributionFinisher(ref, h.Subs)
+	return func(res *Results) (Estimate, error) {
+		x, users, err := dist(res)
+		if err != nil {
+			return Estimate{}, err
+		}
+		raw := x[lo]
+		for _, xl := range x[lo+1 : hi+1] {
+			raw += xl
+		}
+		return e.estimateFromRaw(raw, users), nil
+	}, nil
+}
+
 // PlanUnionConjunction registers an Appendix F conjunction over the union
 // of the sketched subsets; a single sub-query degrades to plain
 // Algorithm 2, skipping the matrix machinery and its conditioning penalty.
@@ -119,35 +132,12 @@ func (e *Estimator) PlanUnionConjunction(p *Plan, subs []SubQuery) (EstimateFini
 	if len(subs) == 1 {
 		return e.PlanFraction(p, subs[0].Subset, subs[0].Value)
 	}
-	fin, err := e.planMatchDistribution(p, subs)
-	if err != nil {
-		return nil, err
-	}
-	return func(res *Results) (Estimate, error) {
-		x, users, err := fin(res)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return e.estimateFromRaw(x[len(subs)], users), nil
-	}, nil
+	return e.planMatchSlice(p, HistogramEval{Subs: subs}, len(subs), len(subs))
 }
 
 // PlanNoneOf registers the none-of-the-sub-queries estimator.
 func (e *Estimator) PlanNoneOf(p *Plan, subs []SubQuery) (EstimateFinisher, error) {
-	if err := validateSubQueries(subs); err != nil {
-		return nil, err
-	}
-	fin, err := e.planMatchDistribution(p, subs)
-	if err != nil {
-		return nil, err
-	}
-	return func(res *Results) (Estimate, error) {
-		x, users, err := fin(res)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return e.estimateFromRaw(x[0], users), nil
-	}, nil
+	return e.planMatchSlice(p, HistogramEval{Subs: subs}, 0, 0)
 }
 
 // PlanExactlyOfK registers the exactly-l-of-k estimator.
@@ -155,39 +145,16 @@ func (e *Estimator) PlanExactlyOfK(p *Plan, subs []SubQuery, l int) (EstimateFin
 	if l < 0 || l > len(subs) {
 		return nil, fmt.Errorf("%w: exactly-%d-of-%d", ErrMismatch, l, len(subs))
 	}
-	fin, err := e.planMatchDistribution(p, subs)
-	if err != nil {
-		return nil, err
-	}
-	return func(res *Results) (Estimate, error) {
-		x, users, err := fin(res)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return e.estimateFromRaw(x[l], users), nil
-	}, nil
+	return e.planMatchSlice(p, HistogramEval{Subs: subs}, l, l)
 }
 
-// PlanAtLeastOfK registers the at-least-l-of-k estimator.
+// PlanAtLeastOfK registers the at-least-l-of-k estimator: the tail of the
+// match distribution.
 func (e *Estimator) PlanAtLeastOfK(p *Plan, subs []SubQuery, l int) (EstimateFinisher, error) {
 	if l < 0 || l > len(subs) {
 		return nil, fmt.Errorf("%w: at-least-%d-of-%d", ErrMismatch, l, len(subs))
 	}
-	fin, err := e.planMatchDistribution(p, subs)
-	if err != nil {
-		return nil, err
-	}
-	return func(res *Results) (Estimate, error) {
-		x, users, err := fin(res)
-		if err != nil {
-			return Estimate{}, err
-		}
-		var raw float64
-		for i := l; i < len(x); i++ {
-			raw += x[i]
-		}
-		return e.estimateFromRaw(raw, users), nil
-	}, nil
+	return e.planMatchSlice(p, HistogramEval{Subs: subs}, l, len(subs))
 }
 
 // PlanConjunctionFraction registers both halves of the conjunction
@@ -221,17 +188,7 @@ func (e *Estimator) PlanConjunctionFraction(p *Plan, c bitvec.Conjunction) (Esti
 		// exact path; dedup collapses them and no histogram exists.
 		glueFin, err = e.PlanFraction(p, subs[0].Subset, subs[0].Value)
 	} else {
-		var ref HistRef
-		if ref, err = p.AddHistogramGuarded(subs, exactRef); err == nil {
-			distFin := e.matchDistributionFinisher(ref, subs)
-			glueFin = func(res *Results) (Estimate, error) {
-				x, users, err := distFin(res)
-				if err != nil {
-					return Estimate{}, err
-				}
-				return e.estimateFromRaw(x[len(subs)], users), nil
-			}
-		}
+		glueFin, err = e.planMatchSlice(p, HistogramEval{Subs: subs, Guard: exactRef, GuardValid: true}, len(subs), len(subs))
 	}
 	if err != nil {
 		return nil, err
@@ -245,41 +202,70 @@ func (e *Estimator) PlanConjunctionFraction(p *Plan, c bitvec.Conjunction) (Esti
 	}, nil
 }
 
-// PlanFieldMean registers the Section 4.1 decomposition
-// Σᵢ 2^(k−i) · I(Aᵢ, 1): one single-bit evaluation per bit of the field.
-func (e *Estimator) PlanFieldMean(p *Plan, f bitvec.IntField) (NumericFinisher, error) {
-	fins := make([]EstimateFinisher, 0, f.Width)
-	for i := 1; i <= f.Width; i++ {
-		fin, err := e.PlanFraction(p, f.BitSubset(i), oneBit())
-		if err != nil {
-			return nil, fmt.Errorf("bit %d of field: %w", i, err)
-		}
-		fins = append(fins, fin)
-	}
+// term is one summand of a Section 4.1 decomposition: a conjunctive
+// estimate I(B, v) and the weight it enters the sum with.  i and j are the
+// indices its planner names it by; they are formatted only if it fails.
+type term struct {
+	fin  EstimateFinisher
+	w    float64
+	i, j int
+}
+
+// linear is the shape of every Section 4.1 estimator: Σ wᵢ·I(Bᵢ, vᵢ) over
+// the terms in order, clamped to the range of the estimated quantity.  The
+// sum runs over the unclamped Raw estimates so it stays unbiased; Users is
+// the smallest population any term was estimated from (0 for no terms) and
+// Queries the number of conjunctive estimates consumed.
+func linear(terms []term, label func(term) string, clamp func(float64) float64) NumericFinisher {
 	return func(res *Results) (NumericEstimate, error) {
-		var mean float64
-		users := math.MaxInt64
-		for i := 1; i <= f.Width; i++ {
-			est, err := fins[i-1](res)
+		var sum float64
+		users := 0
+		for n, t := range terms {
+			est, err := t.fin(res)
 			if err != nil {
-				return NumericEstimate{}, fmt.Errorf("bit %d of field: %w", i, err)
+				return NumericEstimate{}, fmt.Errorf("%s: %w", label(t), err)
 			}
-			weight := math.Pow(2, float64(f.Width-i))
-			// Use the unclamped estimate so the linear combination stays
-			// unbiased; the final mean is clamped to the representable range.
-			mean += weight * est.Raw
-			if est.Users < users {
+			sum += t.w * est.Raw
+			if n == 0 || est.Users < users {
 				users = est.Users
 			}
 		}
-		if mean < 0 {
-			mean = 0
+		return NumericEstimate{Value: clamp(sum), Users: users, Queries: len(terms)}, nil
+	}
+}
+
+// The labels planners name their terms by in errors.
+func bitLabel(t term) string       { return fmt.Sprintf("bit %d of field", t.i) }
+func bitPairLabel(t term) string   { return fmt.Sprintf("bits (%d,%d)", t.i, t.j) }
+func prefixLabel(t term) string    { return fmt.Sprintf("prefix %d", t.i) }
+func prefixBitLabel(t term) string { return fmt.Sprintf("prefix %d, bit %d", t.i, t.j) }
+
+// nonNegative clamps an estimate of a quantity that cannot be negative.
+func nonNegative(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	return x
+}
+
+// pow2 returns 2^n, the weight of a bit n places above the lowest.
+func pow2(n int) float64 { return math.Pow(2, float64(n)) }
+
+// PlanFieldMean registers the Section 4.1 decomposition
+// Σᵢ 2^(k−i) · I(Aᵢ, 1): one single-bit evaluation per bit of the field,
+// clamped to the representable range.
+func (e *Estimator) PlanFieldMean(p *Plan, f bitvec.IntField) (NumericFinisher, error) {
+	terms := make([]term, 0, f.Width)
+	for i := 1; i <= f.Width; i++ {
+		fin, err := e.PlanFraction(p, f.BitSubset(i), oneBit())
+		t := term{fin: fin, w: pow2(f.Width - i), i: i}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", bitLabel(t), err)
 		}
-		if max := float64(f.Max()); mean > max {
-			mean = max
-		}
-		return NumericEstimate{Value: mean, Users: users, Queries: f.Width}, nil
-	}, nil
+		terms = append(terms, t)
+	}
+	max := float64(f.Max())
+	return linear(terms, bitLabel, func(mean float64) float64 { return math.Min(nonNegative(mean), max) }), nil
 }
 
 // PlanFieldSum registers the field-sum estimator: mean × users.
@@ -298,54 +284,32 @@ func (e *Estimator) PlanFieldSum(p *Plan, f bitvec.IntField) (NumericFinisher, e
 	}, nil
 }
 
-// PlanInnerProductMean registers the k² two-bit Appendix F combinations of
-// the Section 4.1 inner-product decomposition.
+// PlanInnerProductMean registers the Section 4.1 inner-product
+// decomposition Σᵢ Σⱼ 2^((ka−i)+(kb−j)) · I(Aᵢ ∪ Bⱼ, 11): k² two-bit
+// Appendix F combinations.
 func (e *Estimator) PlanInnerProductMean(p *Plan, a, b bitvec.IntField) (NumericFinisher, error) {
-	type term struct {
-		i, j int
-		fin  EstimateFinisher
-	}
-	var terms []term
+	terms := make([]term, 0, a.Width*b.Width)
 	for i := 1; i <= a.Width; i++ {
 		for j := 1; j <= b.Width; j++ {
-			subs := []SubQuery{
+			fin, err := e.PlanUnionConjunction(p, []SubQuery{
 				{Subset: a.BitSubset(i), Value: oneBit()},
 				{Subset: b.BitSubset(j), Value: oneBit()},
-			}
-			fin, err := e.PlanUnionConjunction(p, subs)
+			})
+			t := term{fin: fin, w: pow2(a.Width - i + b.Width - j), i: i, j: j}
 			if err != nil {
-				return nil, fmt.Errorf("bits (%d,%d): %w", i, j, err)
+				return nil, fmt.Errorf("%s: %w", bitPairLabel(t), err)
 			}
-			terms = append(terms, term{i: i, j: j, fin: fin})
+			terms = append(terms, t)
 		}
 	}
-	return func(res *Results) (NumericEstimate, error) {
-		var total float64
-		users := math.MaxInt64
-		queries := 0
-		for _, t := range terms {
-			est, err := t.fin(res)
-			if err != nil {
-				return NumericEstimate{}, fmt.Errorf("bits (%d,%d): %w", t.i, t.j, err)
-			}
-			weight := math.Pow(2, float64(a.Width-t.i)+float64(b.Width-t.j))
-			total += weight * est.Raw
-			queries++
-			if est.Users < users {
-				users = est.Users
-			}
-		}
-		if total < 0 {
-			total = 0
-		}
-		return NumericEstimate{Value: total, Users: users, Queries: queries}, nil
-	}, nil
+	return linear(terms, bitPairLabel, nonNegative), nil
 }
 
-// PlanFieldLessThan registers the Section 4.1 interval decomposition: one
-// prefix evaluation per set bit of c.  The whole decomposition lands in
-// one plan, so an interval query costs one table pass locally and one
-// fan-out over a cluster instead of popcount(c) of each.
+// PlanFieldLessThan registers the Section 4.1 interval decomposition
+// Σ_{i : cᵢ=1} I(Aᵢ, c₁...c_{i−1}0): one prefix evaluation per set bit of
+// c.  The whole decomposition lands in one plan, so an interval query
+// costs one table pass locally and one fan-out over a cluster instead of
+// popcount(c) of each.
 func (e *Estimator) PlanFieldLessThan(p *Plan, f bitvec.IntField, c uint64) (NumericFinisher, error) {
 	if c > f.Max() {
 		// Every representable value is below c.
@@ -355,41 +319,19 @@ func (e *Estimator) PlanFieldLessThan(p *Plan, f bitvec.IntField, c uint64) (Num
 		}, nil
 	}
 	cBits := bitvec.FromUint(c, f.Width)
-	type term struct {
-		i   int
-		fin EstimateFinisher
-	}
 	var terms []term
 	for i := 1; i <= f.Width; i++ {
 		if !cBits.Get(i - 1) {
 			continue
 		}
 		fin, err := e.PlanFraction(p, f.PrefixSubset(i), prefixValue(c, f.Width, i))
+		t := term{fin: fin, w: 1, i: i}
 		if err != nil {
-			return nil, fmt.Errorf("prefix %d: %w", i, err)
+			return nil, fmt.Errorf("%s: %w", prefixLabel(t), err)
 		}
-		terms = append(terms, term{i: i, fin: fin})
+		terms = append(terms, t)
 	}
-	return func(res *Results) (NumericEstimate, error) {
-		var raw float64
-		users := math.MaxInt64
-		queries := 0
-		for _, t := range terms {
-			est, err := t.fin(res)
-			if err != nil {
-				return NumericEstimate{}, fmt.Errorf("prefix %d: %w", t.i, err)
-			}
-			raw += est.Raw
-			queries++
-			if est.Users < users {
-				users = est.Users
-			}
-		}
-		if users == math.MaxInt64 {
-			users = 0
-		}
-		return NumericEstimate{Value: stats.Clamp01(raw), Users: users, Queries: queries}, nil
-	}, nil
+	return linear(terms, prefixLabel, stats.Clamp01), nil
 }
 
 // PlanFieldAtMost registers the ≤ c interval query: the strict prefix
@@ -431,59 +373,33 @@ func (e *Estimator) PlanFieldAtMost(p *Plan, f bitvec.IntField, c uint64) (Numer
 }
 
 // PlanEqualAndLessThan registers the combined a = c ∧ b < d query
-// ("Combining queries together", Section 4.1).
+// ("Combining queries together", Section 4.1): the interval decomposition
+// of b < d with every prefix term glued to the equality a = c.
 func (e *Estimator) PlanEqualAndLessThan(p *Plan, a bitvec.IntField, c uint64, b bitvec.IntField, d uint64) (NumericFinisher, error) {
 	if c > a.Max() {
 		return nil, fmt.Errorf("%w: constant %d does not fit in field of width %d", ErrMismatch, c, a.Width)
 	}
 	dBits := bitvec.FromUint(d, b.Width)
 	aQuery := SubQuery{Subset: a.FullSubset(), Value: bitvec.FromUint(c, a.Width)}
-	type term struct {
-		i   int
-		fin EstimateFinisher
-	}
 	var terms []term
 	for i := 1; i <= b.Width; i++ {
 		if !dBits.Get(i - 1) {
 			continue
 		}
-		subs := []SubQuery{aQuery, {Subset: b.PrefixSubset(i), Value: prefixValue(d, b.Width, i)}}
-		fin, err := e.PlanUnionConjunction(p, subs)
+		fin, err := e.PlanUnionConjunction(p, []SubQuery{aQuery, {Subset: b.PrefixSubset(i), Value: prefixValue(d, b.Width, i)}})
+		t := term{fin: fin, w: 1, i: i}
 		if err != nil {
-			return nil, fmt.Errorf("prefix %d: %w", i, err)
+			return nil, fmt.Errorf("%s: %w", prefixLabel(t), err)
 		}
-		terms = append(terms, term{i: i, fin: fin})
+		terms = append(terms, t)
 	}
-	return func(res *Results) (NumericEstimate, error) {
-		var raw float64
-		users := math.MaxInt64
-		queries := 0
-		for _, t := range terms {
-			est, err := t.fin(res)
-			if err != nil {
-				return NumericEstimate{}, fmt.Errorf("prefix %d: %w", t.i, err)
-			}
-			raw += est.Raw
-			queries++
-			if est.Users < users {
-				users = est.Users
-			}
-		}
-		if users == math.MaxInt64 {
-			users = 0
-		}
-		return NumericEstimate{Value: stats.Clamp01(raw), Users: users, Queries: queries}, nil
-	}, nil
+	return linear(terms, prefixLabel, stats.Clamp01), nil
 }
 
 // PlanConditionalSumGivenLessThan registers the Section 4.1 double sum
 // Σ_{j : c_j=1} Σ_i 2^(k−i) I(A_j ∪ B_i, c₁...c_{j−1}0 1).
 func (e *Estimator) PlanConditionalSumGivenLessThan(p *Plan, b bitvec.IntField, a bitvec.IntField, c uint64) (NumericFinisher, error) {
 	cBits := bitvec.FromUint(c, a.Width)
-	type term struct {
-		j, i int
-		fin  EstimateFinisher
-	}
 	var terms []term
 	for j := 1; j <= a.Width; j++ {
 		if !cBits.Get(j - 1) {
@@ -491,37 +407,15 @@ func (e *Estimator) PlanConditionalSumGivenLessThan(p *Plan, b bitvec.IntField, 
 		}
 		prefixQuery := SubQuery{Subset: a.PrefixSubset(j), Value: prefixValue(c, a.Width, j)}
 		for i := 1; i <= b.Width; i++ {
-			subs := []SubQuery{prefixQuery, {Subset: b.BitSubset(i), Value: oneBit()}}
-			fin, err := e.PlanUnionConjunction(p, subs)
+			fin, err := e.PlanUnionConjunction(p, []SubQuery{prefixQuery, {Subset: b.BitSubset(i), Value: oneBit()}})
+			t := term{fin: fin, w: pow2(b.Width - i), i: j, j: i}
 			if err != nil {
-				return nil, fmt.Errorf("prefix %d, bit %d: %w", j, i, err)
+				return nil, fmt.Errorf("%s: %w", prefixBitLabel(t), err)
 			}
-			terms = append(terms, term{j: j, i: i, fin: fin})
+			terms = append(terms, t)
 		}
 	}
-	return func(res *Results) (NumericEstimate, error) {
-		var total float64
-		users := math.MaxInt64
-		queries := 0
-		for _, t := range terms {
-			est, err := t.fin(res)
-			if err != nil {
-				return NumericEstimate{}, fmt.Errorf("prefix %d, bit %d: %w", t.j, t.i, err)
-			}
-			total += math.Pow(2, float64(b.Width-t.i)) * est.Raw
-			queries++
-			if est.Users < users {
-				users = est.Users
-			}
-		}
-		if users == math.MaxInt64 {
-			users = 0
-		}
-		if total < 0 {
-			total = 0
-		}
-		return NumericEstimate{Value: total, Users: users, Queries: queries}, nil
-	}, nil
+	return linear(terms, prefixBitLabel, nonNegative), nil
 }
 
 // PlanConditionalMeanGivenLessThan registers E[b | a < c]: the conditional
@@ -556,13 +450,16 @@ func (e *Estimator) PlanConditionalMeanGivenLessThan(p *Plan, b bitvec.IntField,
 }
 
 // PlanDecisionTreeFraction registers one conjunction per accepting
-// root-to-leaf path; all paths share the plan's single execution.
+// root-to-leaf path — every user satisfies at most one, so the path
+// estimates add; all paths share the plan's single execution.
 func (e *Estimator) PlanDecisionTreeFraction(p *Plan, tree *TreeNode) (NumericFinisher, error) {
 	if err := tree.Validate(); err != nil {
 		return nil, err
 	}
 	paths := tree.AcceptingPaths()
-	for _, path := range paths {
+	label := func(t term) string { return fmt.Sprintf("path %v", paths[t.i]) }
+	terms := make([]term, 0, len(paths))
+	for i, path := range paths {
 		if path.Len() == 0 {
 			// The root itself is an accepting leaf (the only way a path can
 			// be empty): every user satisfies the tree.
@@ -571,34 +468,12 @@ func (e *Estimator) PlanDecisionTreeFraction(p *Plan, tree *TreeNode) (NumericFi
 				return NumericEstimate{Value: 1, Users: int(res.Total), Queries: 0}, nil
 			}, nil
 		}
-	}
-	type term struct {
-		path bitvec.Conjunction
-		fin  EstimateFinisher
-	}
-	var terms []term
-	for _, path := range paths {
 		fin, err := e.PlanConjunctionFraction(p, path)
+		t := term{fin: fin, w: 1, i: i}
 		if err != nil {
-			return nil, fmt.Errorf("path %v: %w", path, err)
+			return nil, fmt.Errorf("%s: %w", label(t), err)
 		}
-		terms = append(terms, term{path: path, fin: fin})
+		terms = append(terms, t)
 	}
-	return func(res *Results) (NumericEstimate, error) {
-		var raw float64
-		users := 0
-		queries := 0
-		for _, t := range terms {
-			est, err := t.fin(res)
-			if err != nil {
-				return NumericEstimate{}, fmt.Errorf("path %v: %w", t.path, err)
-			}
-			raw += est.Raw
-			queries++
-			if users == 0 || est.Users < users {
-				users = est.Users
-			}
-		}
-		return NumericEstimate{Value: stats.Clamp01(raw), Users: users, Queries: queries}, nil
-	}, nil
+	return linear(terms, label, stats.Clamp01), nil
 }

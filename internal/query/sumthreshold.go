@@ -39,109 +39,72 @@ func (e *Estimator) SumLessThanPow2(tab *sketch.Table, a, b bitvec.IntField, r i
 		return NumericEstimate{Value: 1, Users: 0, Queries: 0}, nil
 	}
 
-	// Every single-bit subset of both fields must have been sketched.
+	// Every single-bit subset of both fields must have been sketched.  The
+	// 2k views are cut from one state of the table and aligned by position,
+	// so a concurrent Remove cannot pair one state's users with another's
+	// sketches.
 	subsets := append(FieldBitSubsets(a), FieldBitSubsets(b)...)
-	users := tab.UsersWithAll(subsets)
-	if len(users) == 0 {
+	views := tab.ViewsWithAll(subsets, nil)
+	if len(views) == 0 || views[0].Len() == 0 {
 		return NumericEstimate{}, fmt.Errorf("%w: need single-bit sketches of both fields", ErrNoSketches)
 	}
+	users := views[0].Len()
 
-	p := e.p
-	qFlip := 2 * p * (1 - p)
-	one := oneBit()
-
-	// Observed (perturbed) bit views per user, MSB first (index 0 is the
-	// highest bit, matching the paper's a_u1).
-	type userBits struct {
-		oa, ob, oq []bool
-	}
-	rows := make([]userBits, len(users))
-	for ui, id := range users {
-		oa := make([]bool, k)
-		ob := make([]bool, k)
-		oq := make([]bool, k)
-		for i := 1; i <= k; i++ {
-			sa, _ := tab.Get(id, a.BitSubset(i))
-			sb, _ := tab.Get(id, b.BitSubset(i))
-			oa[i-1] = sketch.Evaluate(e.h, id, a.BitSubset(i), one, sa)
-			ob[i-1] = sketch.Evaluate(e.h, id, b.BitSubset(i), one, sb)
-			oq[i-1] = oa[i-1] != ob[i-1]
+	// Observed (perturbed) bits as packed columns, MSB first (index 0 is the
+	// highest bit, matching the paper's a_u1): bit u&63 of word u>>6 is user
+	// u's.  The virtual bit q_i = a_i ⊕ b_i is the XOR of two columns.
+	observed := make([][]uint64, 2*k)
+	for s, view := range views {
+		col := make([]uint64, (users+63)/64)
+		kn := sketch.AcquireKernel(e.h, subsets[s], oneBit())
+		for w := range col {
+			col[w] = kn.EvaluateWord(view.Slice(w*64, min(w*64+64, users)))
 		}
-		rows[ui] = userBits{oa: oa, ob: ob, oq: oq}
+		kn.Release()
+		observed[s] = col
+	}
+	oa, ob := observed[:k], observed[k:]
+	oq := make([][]uint64, k)
+	for i := range oq {
+		oq[i] = make([]uint64, len(oa[i]))
+		for w := range oq[i] {
+			oq[i][w] = oa[i][w] ^ ob[i][w]
+		}
 	}
 
-	// buildTerm assembles, for every user, the virtual-bit row of one
-	// disjunct.  lowStart is the index (0-based) of the first low bit.
+	// disjunct assembles the j-th disjunct: the high bits of a and b are
+	// zero, q is 1 from the first low position up to (excluding) j and, for
+	// j a bit position, a_j = b_j = 0; j = k is the final disjunct, q = 1 at
+	// every low position.
+	qFlip := 2 * e.p * (1 - e.p)
 	lowStart := k - r
-	buildTerm := func(j int, includeLowZero bool) ([][]virtualBit, []bool) {
-		termRows := make([][]virtualBit, len(rows))
-		var targets []bool
-		appendTarget := func(t bool) { targets = append(targets, t) }
-
-		// Describe the term's shape once via the first pass over targets.
-		// High bits of a and b must be zero.
+	disjunct := func(j int) []virtualColumn {
+		var cols []virtualColumn
 		for i := 0; i < lowStart; i++ {
-			appendTarget(false) // a_i = 0
-			appendTarget(false) // b_i = 0
+			cols = append(cols, virtualColumn{oa[i], false, e.p}, virtualColumn{ob[i], false, e.p})
 		}
-		// q must be 1 strictly above position j.
 		for i := lowStart; i < j; i++ {
-			appendTarget(true)
+			cols = append(cols, virtualColumn{oq[i], true, qFlip})
 		}
-		if includeLowZero {
-			appendTarget(false) // a_j = 0
-			appendTarget(false) // b_j = 0
+		if j < k {
+			cols = append(cols, virtualColumn{oa[j], false, e.p}, virtualColumn{ob[j], false, e.p})
 		}
-
-		for ui, ub := range rows {
-			row := make([]virtualBit, 0, len(targets))
-			for i := 0; i < lowStart; i++ {
-				row = append(row, virtualBit{observed: ub.oa[i], flipProb: p})
-				row = append(row, virtualBit{observed: ub.ob[i], flipProb: p})
-			}
-			for i := lowStart; i < j; i++ {
-				row = append(row, virtualBit{observed: ub.oq[i], flipProb: qFlip})
-			}
-			if includeLowZero {
-				row = append(row, virtualBit{observed: ub.oa[j], flipProb: p})
-				row = append(row, virtualBit{observed: ub.ob[j], flipProb: p})
-			}
-			termRows[ui] = row
-		}
-		return termRows, targets
+		return cols
 	}
 
+	// One disjunct per low position j: q = 1 above j and a_j = b_j = 0;
+	// then the final one, q = 1 at every low position (a + b = 2^r − 1).
+	// For r = 0 only the final one is left: "all bits of a and b are zero".
+	// The disjuncts are mutually exclusive, so their estimates add.
 	var raw float64
-	queries := 0
-	// One disjunct per low position j: q = 1 above j and a_j = b_j = 0.
-	for j := lowStart; j < k; j++ {
-		termRows, targets := buildTerm(j, true)
-		if len(targets) == 0 {
-			// r = 0 and j loop is empty; handled below.
-			continue
-		}
-		frac, err := productFraction(termRows, targets)
+	for j := lowStart; j <= k; j++ {
+		frac, err := productFraction(disjunct(j), users)
 		if err != nil {
 			return NumericEstimate{}, err
 		}
 		raw += frac
-		queries++
 	}
-	// Final disjunct: q = 1 at every low position (a + b = 2^r − 1) — only
-	// meaningful when there is at least one low position; for r = 0 the
-	// event is simply "all bits of a and b are zero", which is the same
-	// term with no q bits.
-	termRows, targets := buildTerm(k, false)
-	if len(targets) > 0 {
-		frac, err := productFraction(termRows, targets)
-		if err != nil {
-			return NumericEstimate{}, err
-		}
-		raw += frac
-		queries++
-	}
-
-	return NumericEstimate{Value: stats.Clamp01(raw), Users: len(users), Queries: queries}, nil
+	return NumericEstimate{Value: stats.Clamp01(raw), Users: users, Queries: r + 1}, nil
 }
 
 // NaiveSumThresholdQueries returns the number of plain conjunctive queries

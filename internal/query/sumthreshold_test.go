@@ -7,6 +7,7 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/dataset"
+	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
 )
 
@@ -116,4 +117,73 @@ func TestNaiveSumThresholdQueries(t *testing.T) {
 			t.Errorf("r=%d: virtual-bit decomposition is not cheaper", r)
 		}
 	}
+}
+
+// TestSumLessThanPow2UnderConcurrentRemove pins that Appendix E's
+// estimator reads one consistent state of the table: while a writer
+// removes and re-adds the records of one bit subset (an engine's
+// store-failure rollback), every estimate equals the estimate over the
+// full table or over the table without one of those records — never a
+// user set from one state evaluated against sketches from another.
+func TestSumLessThanPow2UnderConcurrentRemove(t *testing.T) {
+	const m, k, r = 4000, 2, 1
+	pop, a, b := twoFieldPopulation(121, m, k)
+	subsets := append(FieldBitSubsets(a), FieldBitSubsets(b)...)
+	tab, e := buildTable(t, pop, subsets, 0.25, 10, 122)
+
+	// The writer cycles over the highest ids of b's low bit, the last the
+	// estimator's user loop reaches.
+	churned := b.BitSubset(k)
+	var records []sketch.Published
+	for id := m - 7; id <= m; id++ {
+		s, ok := tab.Get(bitvec.UserID(id), churned)
+		if !ok {
+			t.Fatalf("user %d has no sketch of %v", id, churned)
+		}
+		records = append(records, sketch.Published{ID: bitvec.UserID(id), Subset: churned, S: s})
+	}
+	type state struct {
+		value uint64
+		users int
+	}
+	estimate := func() state {
+		n, err := e.SumLessThanPow2(tab, a, b, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state{math.Float64bits(n.Value), n.Users}
+	}
+	valid := map[state]bool{estimate(): true}
+	for _, rec := range records {
+		tab.Remove(rec.ID, churned)
+		valid[estimate()] = true
+		if err := tab.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i = (i + 1) % len(records) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tab.Remove(records[i].ID, churned)
+			if err := tab.Add(records[i]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for try := 0; try < 200; try++ {
+		if got := estimate(); !valid[got] {
+			t.Errorf("try %d: estimate %#x over %d users matches no single state of the table", try, got.value, got.users)
+			break
+		}
+	}
+	close(stop)
+	<-done
 }

@@ -400,24 +400,19 @@ func (s *Server) observeEpoch(epoch uint64) {
 // Epoch returns the highest ring epoch this server has observed.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// applyTransfer ingests a pushed batch through the engine's idempotent
-// republish path, reporting how many records were newly stored.  A
-// conflicting sketch — a different published object for a (user, subset)
-// pair this node already holds — aborts the batch: it means two clusters
-// disagree about a user's public record, which rebalancing must surface,
-// never paper over.
+// applyTransfer ingests a pushed batch as ONE batch through the engine's
+// idempotent republish path — on an fsynced node one commit window per
+// touched shard, not one per record — reporting how many records were
+// newly stored.  A conflicting sketch — a different published object for
+// a (user, subset) pair this node already holds — aborts the push with an
+// error naming the user: it means two clusters disagree about a user's
+// public record, which rebalancing must surface, never paper over.
 func (s *Server) applyTransfer(tp wire.TransferPush) (uint64, error) {
-	var applied uint64
-	for _, p := range tp.Records {
-		added, err := s.eng.IngestNew(p)
-		if err != nil {
-			return applied, fmt.Errorf("server: transfer of user %v: %w", p.ID, err)
-		}
-		if added {
-			applied++
-		}
+	stored, err := s.eng.IngestBatchNew(tp.Records)
+	if err != nil {
+		return 0, fmt.Errorf("server: transfer push: %w", err)
 	}
-	return applied, nil
+	return uint64(stored), nil
 }
 
 // plan answers one scatter-gather request: it rebuilds the query plan from

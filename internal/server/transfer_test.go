@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/engine"
+	"sketchprivacy/internal/obs"
+	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/sketch"
+	"sketchprivacy/internal/store"
 	"sketchprivacy/internal/wire"
 )
 
@@ -192,5 +198,93 @@ func TestRetiredOpcodeRefused(t *testing.T) {
 	replyType, reply = roundTripRaw(t, conn, wire.TypePlanQuery, wire.EncodePlanQuery(wire.PlanQuery{Total: true}))
 	if replyType != wire.TypePlanResult {
 		t.Fatalf("plan query after the refusal answered with type %d: %s", replyType, reply)
+	}
+}
+
+// TestTransferPushIsOneBatch pins that a transfer push lands through the
+// engine's batch path: on an fsynced node a 512-record push (a rebalance
+// stream's batch, a hint replay) commits in at most one window per shard —
+// not one lone publish, fsync and log frame per record — while the ack
+// still counts the newly stored records, a second identical push applies
+// nothing and a conflicting one is refused with an error naming the user.
+func TestTransferPushIsOneBatch(t *testing.T) {
+	const shards, n = 4, 512
+	reg := obs.NewRegistry()
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Shards: shards, Fsync: true, CompactInterval: -1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	h := prf.NewBiased(bytes.Repeat([]byte{0x11}, prf.MinKeyBytes), prf.MustProb(0.3))
+	eng, err := engine.NewWithStore(h, sketch.MustParams(0.3, 10), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := dialRaw(t, addr)
+
+	commits := func() float64 {
+		var text strings.Builder
+		if err := reg.RenderText(&text); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseText(text.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fams {
+			if f.Name == "store_commits_total" {
+				return f.Samples[0].Value
+			}
+		}
+		t.Fatal("store_commits_total is not exported")
+		return 0
+	}
+	push := func(records []sketch.Published) (byte, []byte) {
+		return roundTripRaw(t, conn, wire.TypeTransferPush, wire.EncodeTransferPush(wire.TransferPush{Epoch: 1, Records: records}))
+	}
+	applied := func(replyType byte, reply []byte) uint64 {
+		t.Helper()
+		if replyType != wire.TypeTransferAck {
+			t.Fatalf("transfer push answered with type %d: %s", replyType, reply)
+		}
+		ack, err := wire.DecodeTransferAck(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack.Applied
+	}
+
+	subsets := []bitvec.Subset{bitvec.MustSubset(0, 2), bitvec.MustSubset(1)}
+	records := make([]sketch.Published, n)
+	for i := range records {
+		records[i] = sketch.Published{ID: bitvec.UserID(i/2 + 1), Subset: subsets[i%2], S: sketch.Sketch{Key: uint64(i % 1024), Length: 10}}
+	}
+	before := commits()
+	if got := applied(push(records)); got != n {
+		t.Fatalf("push applied %d records, want %d", got, n)
+	}
+	if windows := commits() - before; windows < 1 || windows > shards {
+		t.Fatalf("a %d-record push took %v commit windows, want at most one per shard (%d)", n, windows, shards)
+	}
+	if eng.Sketches() != n {
+		t.Fatalf("node holds %d sketches after the push, want %d", eng.Sketches(), n)
+	}
+	before = commits()
+	if got := applied(push(records)); got != 0 || commits() != before {
+		t.Fatalf("identical re-push applied %d records in %v commit windows, want 0 in 0", got, commits()-before)
+	}
+
+	conflict := records[200]
+	conflict.S.Key ^= 1
+	fresh := sketch.Published{ID: 9001, Subset: subsets[0], S: sketch.Sketch{Key: 5, Length: 10}}
+	replyType, reply := push([]sketch.Published{fresh, conflict})
+	if replyType != wire.TypeError || !strings.Contains(string(reply), fmt.Sprintf("user %v", conflict.ID)) {
+		t.Fatalf("conflicting push answered type %d %q, want an error naming user %v", replyType, reply, conflict.ID)
 	}
 }

@@ -94,8 +94,3 @@ func Evaluate(h prf.BitSource, id bitvec.UserID, b bitvec.Subset, v bitvec.Vecto
 	}
 	return h.Bit(id.Bytes(), b.Tag(), v.Bytes(), s.Bytes())
 }
-
-// EvaluatePublished is Evaluate applied to a published record.
-func EvaluatePublished(h prf.BitSource, p Published, v bitvec.Vector) bool {
-	return Evaluate(h, p.ID, p.Subset, v, p.S)
-}

@@ -328,39 +328,14 @@ func (t *Table) AddAll(ps []Published) error {
 	return nil
 }
 
-// Load bulk-inserts records with replay semantics: a (user, subset) pair
-// already present is skipped — first record wins, matching a durable
-// store's newest-first replay order — instead of being rejected like Add's
-// protocol error, because replaying a store onto a warm table is not a
-// second publish.  Each stretch of records sharing a subset lands as one
-// LoadRun.
-func (t *Table) Load(ps []Published) error {
-	for i := range ps {
-		if !ps[i].S.Valid() {
-			return fmt.Errorf("sketch: invalid sketch %v", ps[i].S)
-		}
-	}
-	for len(ps) > 0 {
-		n := 1
-		for n < len(ps) && ps[n].Subset.Equal(ps[0].Subset) {
-			n++
-		}
-		r := Run{Subset: ps[0].Subset, IDs: make([]bitvec.UserID, n), Keys: make([]uint64, n)}
-		for i, p := range ps[:n] {
-			r.IDs[i], r.Keys[i] = p.ID, p.S.Pack()
-		}
-		if err := t.LoadRun(r); err != nil {
-			return err
-		}
-		ps = ps[n:]
-	}
-	return nil
-}
-
-// LoadRun is Load for records already in column form: one column lookup,
-// and for an id-sorted run — what a store replays — one bulk append or
-// linear merge rather than an index insert per record.  The run's columns
-// are copied; the caller keeps them.
+// LoadRun bulk-inserts one subset's records with replay semantics: a
+// (user, subset) pair already present is skipped — first record wins,
+// matching a store's newest-wins replay — instead of being rejected like
+// Add's protocol error, because replaying a store onto a warm table is not
+// a second publish.  It costs one column lookup, and for an id-sorted run
+// — what a store replays — one bulk append or linear merge rather than an
+// index insert per record.  A run holding an invalid sketch loads nothing.
+// The run's columns are copied; the caller keeps them.
 func (t *Table) LoadRun(r Run) error {
 	if len(r.IDs) != len(r.Keys) {
 		return fmt.Errorf("sketch: run of %d ids and %d sketches", len(r.IDs), len(r.Keys))
@@ -416,7 +391,7 @@ func (t *Table) Get(id bitvec.UserID, b bitvec.Subset) (Sketch, bool) {
 // View returns the records of subset b, sorted by user id, together with
 // the write generation they correspond to.  The pair is read under one
 // lock, so a bitmap computed over the view and cached under the generation
-// can never be popcounted against another record set: every Add, Load and
+// can never be popcounted against another record set: every Add, LoadRun and
 // Remove bumps the generation.  A stable subset hands out the same columns
 // to every reader; the first read after a write folds the pending inserts
 // in, a linear merge.
@@ -538,15 +513,6 @@ next:
 		out[j].subset, out[j].ids = subsets[j], ids
 	}
 	return out
-}
-
-// UsersWithAll returns the ids of users that published a sketch for every
-// one of the given subsets, sorted.
-func (t *Table) UsersWithAll(subsets []bitvec.Subset) []bitvec.UserID {
-	if len(subsets) == 0 {
-		return nil
-	}
-	return t.ViewsWithAll(subsets, nil)[0].ids
 }
 
 // Len returns the total number of stored sketches across all subsets.

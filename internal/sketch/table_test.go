@@ -87,15 +87,18 @@ func TestTableSubsetsAndUsersWithAll(t *testing.T) {
 	if len(subs) != 2 {
 		t.Fatalf("Subsets returned %d", len(subs))
 	}
-	ids := tab.UsersWithAll([]bitvec.Subset{b1, b2})
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
-		t.Errorf("UsersWithAll = %v", ids)
+	for _, v := range tab.ViewsWithAll([]bitvec.Subset{b1, b2}, nil) {
+		if v.Len() != 2 || v.ID(0) != 1 || v.ID(1) != 3 {
+			t.Errorf("ViewsWithAll holds %d users, want users 1 and 3", v.Len())
+		}
 	}
-	if tab.UsersWithAll(nil) != nil {
-		t.Error("UsersWithAll(nil) should be nil")
+	if tab.ViewsWithAll(nil, nil) != nil {
+		t.Error("ViewsWithAll of no subsets should be nil")
 	}
-	if tab.UsersWithAll([]bitvec.Subset{b1, bitvec.MustSubset(9)}) != nil {
-		t.Error("UsersWithAll with an unknown subset should be nil")
+	for _, v := range tab.ViewsWithAll([]bitvec.Subset{b1, bitvec.MustSubset(9)}, nil) {
+		if v.Len() != 0 {
+			t.Error("ViewsWithAll with an unknown subset should be empty")
+		}
 	}
 
 	per := tab.SketchesPerUser()
@@ -170,8 +173,8 @@ func (o tableOracle) sorted(b bitvec.Subset) []Published {
 }
 
 // TestTableMatchesMapOracle drives the table and a plain map through the
-// same seeded interleaving of Add, AddNew, Load (sorted shard-like runs and
-// unsorted ones, with duplicates), Remove, Get, UsersWithAll and reads, and
+// same seeded interleaving of Add, AddNew, LoadRun (sorted shard-like runs and
+// unsorted ones, with duplicates), Remove, Get, ViewsWithAll and reads, and
 // requires identical answers throughout.  Ids are drawn from a small range
 // so duplicates and removals of present records are common, and the write
 // bursts between reads are long enough that the tail folds on its own limit
@@ -260,8 +263,16 @@ func TestTableMatchesMapOracle(t *testing.T) {
 					oracle.add(p)
 					wrote[p.Subset.Key()] = true
 				}
-				if err := tab.Load(batch); err != nil {
-					t.Fatalf("seed %d step %d: Load: %v", seed, step, err)
+				// Each stretch sharing a subset lands as one run.
+				for len(batch) > 0 {
+					r := Run{Subset: batch[0].Subset}
+					for len(batch) > 0 && batch[0].Subset.Equal(r.Subset) {
+						r.IDs, r.Keys = append(r.IDs, batch[0].ID), append(r.Keys, batch[0].S.Pack())
+						batch = batch[1:]
+					}
+					if err := tab.LoadRun(r); err != nil {
+						t.Fatalf("seed %d step %d: LoadRun: %v", seed, step, err)
+					}
 				}
 			case op < 85:
 				p := record()
@@ -293,25 +304,24 @@ func TestTableMatchesMapOracle(t *testing.T) {
 					}
 				}
 				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				if got := tab.UsersWithAll(pick); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: UsersWithAll(%v) has %d users, oracle %d", seed, step, pick, len(got), len(want))
-				}
 				odd := func(id bitvec.UserID) bool { return id&1 == 1 }
-				views, at := tab.ViewsWithAll(pick, odd), 0
-				for _, id := range want {
-					if !odd(id) {
-						continue
-					}
-					for j, b := range pick {
-						if at >= views[j].Len() || views[j].ID(at) != id || views[j].Sketch(at) != oracle[b.Key()][id] {
-							t.Fatalf("seed %d step %d: ViewsWithAll(%v) view %d record %d is not user %v's sketch", seed, step, pick, j, at, id)
+				for _, keep := range []func(bitvec.UserID) bool{nil, odd} {
+					views, at := tab.ViewsWithAll(pick, keep), 0
+					for _, id := range want {
+						if keep != nil && !keep(id) {
+							continue
 						}
+						for j, b := range pick {
+							if at >= views[j].Len() || views[j].ID(at) != id || views[j].Sketch(at) != oracle[b.Key()][id] {
+								t.Fatalf("seed %d step %d: ViewsWithAll(%v) view %d record %d is not user %v's sketch", seed, step, pick, j, at, id)
+							}
+						}
+						at++
 					}
-					at++
-				}
-				for j := range views {
-					if views[j].Len() != at {
-						t.Fatalf("seed %d step %d: ViewsWithAll(%v) view %d has %d records, oracle %d", seed, step, pick, j, views[j].Len(), at)
+					for j := range views {
+						if views[j].Len() != at {
+							t.Fatalf("seed %d step %d: ViewsWithAll(%v) view %d has %d records, oracle %d", seed, step, pick, j, views[j].Len(), at)
+						}
 					}
 				}
 			}
@@ -335,16 +345,17 @@ func TestTableMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestTableLoadInvalidSketchLoadsNothing pins Load's all-or-nothing check.
+// TestTableLoadInvalidSketchLoadsNothing pins LoadRun's all-or-nothing
+// check: a valid record ahead of an invalid one is not loaded either.
 func TestTableLoadInvalidSketchLoadsNothing(t *testing.T) {
 	tab := NewTable()
-	b := bitvec.MustSubset(0)
-	err := tab.Load([]Published{
-		{ID: 1, Subset: b, S: Sketch{Key: 1, Length: 4}},
-		{ID: 2, Subset: b, S: Sketch{Key: 99, Length: 4}},
+	err := tab.LoadRun(Run{
+		Subset: bitvec.MustSubset(0),
+		IDs:    []bitvec.UserID{1, 2},
+		Keys:   []uint64{Sketch{Key: 1, Length: 4}.Pack(), Sketch{Key: 99, Length: 4}.Pack()},
 	})
 	if err == nil || tab.Len() != 0 {
-		t.Fatalf("Load with an invalid sketch = %v, table holds %d records", err, tab.Len())
+		t.Fatalf("LoadRun with an invalid sketch = %v, table holds %d records", err, tab.Len())
 	}
 }
 

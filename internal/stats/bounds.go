@@ -57,15 +57,6 @@ func RequiredUsers(eps, delta, p float64) int {
 	return int(math.Ceil(m))
 }
 
-// BinomialConfidence returns a (1-δ) two-sided Hoeffding confidence radius
-// for an empirical frequency over n samples.
-func BinomialConfidence(n int, delta float64) float64 {
-	if n <= 0 || delta <= 0 || delta >= 1 {
-		return 1
-	}
-	return math.Sqrt(math.Log(2/delta) / (2 * float64(n)))
-}
-
 // Interval is a closed interval [Lo, Hi], used to report estimates with
 // their confidence radii.
 type Interval struct {

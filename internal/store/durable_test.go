@@ -23,15 +23,17 @@ func testRecord(id uint64, b bitvec.Subset) sketch.Published {
 	}
 }
 
-// collect drains a store's Iterate into a slice.
+// collect drains a store's IterateRuns into a slice of records.
 func collect(t *testing.T, st Store) []sketch.Published {
 	t.Helper()
 	var out []sketch.Published
-	if err := st.Iterate(func(p sketch.Published) error {
-		out = append(out, p)
+	if err := st.IterateRuns(func(r sketch.Run) error {
+		for i, id := range r.IDs {
+			out = append(out, sketch.Published{ID: id, Subset: r.Subset, S: sketch.UnpackSketch(r.Keys[i])})
+		}
 		return nil
 	}); err != nil {
-		t.Fatalf("Iterate: %v", err)
+		t.Fatalf("IterateRuns: %v", err)
 	}
 	return out
 }
@@ -830,8 +832,8 @@ func TestMemStoreSemanticsMatchDurable(t *testing.T) {
 		}
 	}
 	newer := sketch.Published{ID: 3, Subset: b, S: sketch.Sketch{Key: 999, Length: 10}}
-	if err := m.Append(newer); err != nil {
-		t.Fatal(err)
+	if failed, err := m.AppendBatch([]sketch.Published{testRecord(5, b), newer}); err != nil || failed != nil {
+		t.Fatalf("AppendBatch = %v, %v", failed, err)
 	}
 	got := indexRecords(t, collect(t, m))
 	if len(got) != 5 {

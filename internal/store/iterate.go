@@ -8,10 +8,9 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// RunIterator is implemented by stores that can replay their contents as
-// whole runs — one subset's records as id and sketch columns — instead of
-// a record at a time.  The engine rehydrates its table through it: each
-// run lands with one column load.
+// RunIterator is the part of Store that replays its contents as whole
+// runs — one subset's records as id and sketch columns.  The engine
+// rehydrates its table through it: each run lands with one column load.
 type RunIterator interface {
 	// IterateRuns calls fn with every stored record, deduplicated (the
 	// newest record for a (user, subset) pair wins), as one run per subset
@@ -148,8 +147,8 @@ func (d *Durable) IterateRuns(fn func(r sketch.Run) error) error {
 	return mergeSources(srcs, func(r run) error { return fn(r.Run) })
 }
 
-// Iterate implements Store: every record, deduplicated, in canonical
-// (subset, user) order.
+// Iterate is IterateRuns a record at a time: every record, deduplicated,
+// in canonical (subset, user) order.
 func (d *Durable) Iterate(fn func(p sketch.Published) error) error {
 	return d.IterateRuns(func(r sketch.Run) error {
 		for i, id := range r.IDs {

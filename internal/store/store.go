@@ -8,17 +8,16 @@ import (
 )
 
 // Store is the persistence interface the engine writes published sketches
-// through.  Implementations must be safe for concurrent use.
+// through — one record or one batch at a time — and rehydrates its
+// in-memory table from on startup, as whole runs.  Implementations must be
+// safe for concurrent use.
 type Store interface {
 	// Append durably records one published sketch.  When Append returns
 	// nil the record must survive a crash of the process (subject to the
 	// implementation's fsync policy for machine crashes).
 	Append(p sketch.Published) error
-	// Iterate calls fn for every stored record with (user, subset)
-	// deduplication applied — the newest record for a pair wins.  It is
-	// how the engine rehydrates its in-memory table on startup.
-	// Iteration stops at the first error, which is returned.
-	Iterate(fn func(p sketch.Published) error) error
+	BatchAppender
+	RunIterator
 	// Flush makes every appended record durable (fsync) and rolls any WAL
 	// past the flush threshold into a segment.
 	Flush() error
@@ -29,8 +28,8 @@ type Store interface {
 	Stats() Stats
 }
 
-// BatchAppender is implemented by stores that can land many records in
-// one durability operation — the durable store groups a batch into one
+// BatchAppender is the part of Store that lands many records in one
+// durability operation — the durable store groups a batch into one
 // commit-window entry (one fsync, one scheduler park) per touched
 // shard, which is what carries batched ingest to millions of records
 // per second while every acknowledged record is still durable.
@@ -139,16 +138,24 @@ func (m *Mem) Append(p sketch.Published) error {
 	return nil
 }
 
-// Iterate implements Store.
-func (m *Mem) Iterate(fn func(p sketch.Published) error) error {
+// AppendBatch implements Store; an in-memory append cannot fail.
+func (m *Mem) AppendBatch(ps []sketch.Published) ([]int, error) {
+	for _, p := range ps {
+		m.Append(p)
+	}
+	return nil, nil
+}
+
+// IterateRuns implements Store.
+func (m *Mem) IterateRuns(fn func(r sketch.Run) error) error {
 	m.mu.Lock()
-	out := make([]sketch.Published, 0, len(m.order))
+	set := newRunSet()
 	for _, k := range m.order {
-		out = append(out, m.records[k])
+		set.add(m.records[k])
 	}
 	m.mu.Unlock()
-	for _, p := range out {
-		if err := fn(p); err != nil {
+	for _, r := range set.normalized() {
+		if err := fn(r.Run); err != nil {
 			return err
 		}
 	}
