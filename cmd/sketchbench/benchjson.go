@@ -45,8 +45,11 @@ type BenchFile struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	// AcceleratedLanes records whether the multi-lane SHA-256 assembly
 	// engine was active, qualifying the multi-lane kernels and the matrix.
-	AcceleratedLanes bool           `json:"accelerated_lanes"`
-	Kernels          []KernelResult `json:"kernels"`
+	AcceleratedLanes bool `json:"accelerated_lanes"`
+	// Quick records that the run had -quick, which makes several kernels
+	// ten times smaller: kernels.txt pins bytes/op at those sizes.
+	Quick   bool           `json:"quick"`
+	Kernels []KernelResult `json:"kernels"`
 	// Matrix is the core-count × lane-width sweep of the query kernels
 	// (see runMatrix); empty when the matrix was skipped.
 	Matrix []MatrixResult `json:"matrix,omitempty"`
@@ -182,6 +185,7 @@ func writeBenchJSON(path string, quick bool, cpusSpec, lanesSpec string) error {
 		NumCPU:           runtime.NumCPU(),
 		GoMaxProcs:       runtime.GOMAXPROCS(0),
 		AcceleratedLanes: prf.HasAcceleratedLanes(),
+		Quick:            quick,
 	}
 	benches := kernelBenchmarks()
 	benches = append(benches, tableBenchmarks()...)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 )
 
@@ -12,10 +13,13 @@ import (
 // carry.  It is a ratchet in both directions: a kernel dropped from the
 // code (or renamed) no longer satisfies its line, and a kernel added to
 // the code without a line here is flagged as uncovered — so the artifact
-// CI uploads can neither lose nor silently omit benchmarks.  A line
-// ending in " allocs=0" also pins the kernel's allocation count: heap
-// allocations per operation are deterministic, so unlike ns/op they can
-// be gated on any runner.
+// CI uploads can neither lose nor silently omit benchmarks.  After the
+// name(s) a line may pin the kernel's heap use, " allocs=0" and
+// " bytes<=N": allocations and allocated bytes per operation are
+// deterministic, so unlike ns/op they can be gated on any runner.  A byte
+// pin is the reading of a -quick run, the artifact every PR produces —
+// the replay kernels move ten times the records without the flag — and is
+// checked against no other.
 //
 //go:embed kernels.txt
 var expectedKernels string
@@ -40,11 +44,22 @@ func checkKernels(path string) error {
 	covered := make(map[string]bool)
 	var missing, allocating []string
 	for _, line := range strings.Split(expectedKernels, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		names, noAllocs := strings.CutSuffix(line, " allocs=0")
+		names, noAllocs, maxBytes := fields[0], false, int64(-1)
+		for _, pin := range fields[1:] {
+			if n, ok := strings.CutPrefix(pin, "bytes<="); ok {
+				if maxBytes, err = strconv.ParseInt(n, 10, 64); err != nil || maxBytes < 0 {
+					return fmt.Errorf("kernels.txt: %q: bad byte count in %q", line, pin)
+				}
+			} else if pin == "allocs=0" {
+				noAllocs = true
+			} else {
+				return fmt.Errorf("kernels.txt: %q: unknown pin %q", line, pin)
+			}
+		}
 		matched := false
 		for _, alt := range strings.Split(names, "|") {
 			k, ok := present[alt]
@@ -55,6 +70,9 @@ func checkKernels(path string) error {
 			matched = true
 			if noAllocs && k.AllocsPerOp > 0 {
 				allocating = append(allocating, fmt.Sprintf("%s (%d allocs/op)", alt, k.AllocsPerOp))
+			}
+			if file.Quick && maxBytes >= 0 && k.BytesPerOp > maxBytes {
+				allocating = append(allocating, fmt.Sprintf("%s (%d bytes/op, pinned at %d)", alt, k.BytesPerOp, maxBytes))
 			}
 		}
 		if !matched {
@@ -76,7 +94,7 @@ func checkKernels(path string) error {
 			msg += fmt.Sprintf("\n  not in kernels.txt (add them): %s", strings.Join(unexpected, ", "))
 		}
 		if len(allocating) > 0 {
-			msg += fmt.Sprintf("\n  pinned at allocs=0 but allocating: %s", strings.Join(allocating, ", "))
+			msg += fmt.Sprintf("\n  allocating past their pins: %s", strings.Join(allocating, ", "))
 		}
 		return fmt.Errorf("%s", msg)
 	}

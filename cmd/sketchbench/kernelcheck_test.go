@@ -4,25 +4,36 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestCheckKernelsGatesNamesAndAllocations feeds checkKernels artifacts
 // built from kernels.txt itself: the complete list passes, a dropped
-// kernel and an unlisted one fail, and a kernel pinned at allocs=0 fails
-// once it reports an allocation while an unpinned one may allocate.
+// kernel and an unlisted one fail, a kernel pinned at allocs=0 fails
+// once it reports an allocation while an unpinned one may allocate, and a
+// kernel pinned at bytes<=N fails one byte past N — in a -quick artifact,
+// whose sizes the pins are readings of.
 func TestCheckKernelsGatesNamesAndAllocations(t *testing.T) {
 	var full []KernelResult
+	pinnedBytes := make(map[string]int64)
 	for _, line := range strings.Split(expectedKernels, "\n") {
-		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		name, _, _ := strings.Cut(strings.TrimSuffix(line, " allocs=0"), "|")
+		name, _, _ := strings.Cut(fields[0], "|")
 		full = append(full, KernelResult{Name: name})
+		for _, pin := range fields[1:] {
+			if n, ok := strings.CutPrefix(pin, "bytes<="); ok {
+				pinnedBytes[name], _ = strconv.ParseInt(n, 10, 64)
+			}
+		}
 	}
+	quick := true
 	check := func(kernels []KernelResult) error {
-		raw, err := json.Marshal(BenchFile{Kernels: kernels})
+		raw, err := json.Marshal(BenchFile{Quick: quick, Kernels: kernels})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,5 +66,34 @@ func TestCheckKernelsGatesNamesAndAllocations(t *testing.T) {
 	}
 	if err := check(with("conjunctive-query-10k", 69)); err != nil {
 		t.Errorf("an unpinned kernel may not allocate: %v", err)
+	}
+	withBytes := func(name string, bytes int64) []KernelResult {
+		out := with("", 0)
+		for i := range out {
+			if out[i].Name == name {
+				out[i].BytesPerOp = bytes
+			}
+		}
+		return out
+	}
+	for _, name := range []string{"table-ingest", "table-write-then-read", "store-replay-100k", "store-replay-indexed"} {
+		pin, ok := pinnedBytes[name]
+		if !ok {
+			t.Errorf("kernels.txt no longer pins the bytes/op of %s", name)
+			continue
+		}
+		if err := check(withBytes(name, pin)); err != nil {
+			t.Errorf("%s at its pin of %d bytes/op is refused: %v", name, pin, err)
+		}
+		if err := check(withBytes(name, pin+1)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s one byte past its pin of %d bytes/op passes: %v", name, pin, err)
+		}
+	}
+	if err := check(withBytes("conjunctive-query-10k", 1<<40)); err != nil {
+		t.Errorf("a kernel with no byte pin may not allocate bytes: %v", err)
+	}
+	quick = false
+	if err := check(withBytes("store-replay-indexed", 1<<40)); err != nil {
+		t.Errorf("a full-size artifact is held to the -quick byte pins: %v", err)
 	}
 }

@@ -64,7 +64,7 @@ func tableBenchmarks() []struct {
 			base := sketch.Run{Subset: subset}
 			for i := 0; i < tableBenchUsers; i++ {
 				rec := tableBenchRecord(i, subset)
-				base.IDs, base.Keys = append(base.IDs, rec.ID), append(base.Keys, rec.S.Pack())
+				base.IDs, base.Keys = append(base.IDs, rec.ID), base.Keys.Append(rec.S.Pack())
 			}
 			b.ReportAllocs()
 			var tab *sketch.Table
@@ -73,7 +73,8 @@ func tableBenchmarks() []struct {
 				if i%256 == 0 {
 					b.StopTimer()
 					tab, next = sketch.NewTable(), tableBenchUsers
-					if err := tab.LoadRun(base); err != nil {
+					// The table owns what it loads; base is loaded again.
+					if err := tab.LoadRun(base.Clone()); err != nil {
 						b.Fatal(err)
 					}
 					tab.View(subset)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -117,21 +118,46 @@ func TestEnginePlanCacheWarmRepeat(t *testing.T) {
 	}
 }
 
-// TestEnginePlanCacheEviction bounds the cache: overflowing it must evict
-// rather than grow without limit, and answers stay correct afterwards.
+// TestEnginePlanCacheEviction bounds the cache in bytes, whatever the
+// size of a bitmap: 5000 distinct bitmaps of a million-record view — 596 MB
+// if all were kept — never hold more than the budget, an evicted key that is
+// Put again is served again, and answers stay correct afterwards.
 func TestEnginePlanCacheEviction(t *testing.T) {
 	eng, subset, _ := planEngine(t, 64)
-	for i := 0; i < maxPlanCacheEntries+64; i++ {
+	const records = 1_000_000
+	words := make([]uint64, records/64) // shared: the cache counts sizes, not arrays
+	held := func() int {
+		n := 0
+		for k, e := range eng.cache.m {
+			n += e.cost(k)
+		}
+		return n
+	}
+	for i := 0; i < 5000; i++ {
 		v := bitvec.FromUint(uint64(i)%16, 4)
 		if _, err := eng.Conjunction(subset, v); err != nil {
 			t.Fatal(err)
 		}
 		// Distinct keys beyond the 16 possible values: synthesize entries
 		// directly, as real queries over a 4-bit subset cannot exceed 16.
-		eng.cache.Put(string(rune(i))+"synthetic", 1, 64, []uint64{0})
+		eng.cache.Put(fmt.Sprint("synthetic-", i), 1, records, words)
+		if eng.cache.bytes > planCacheBudget || eng.cache.bytes != held() {
+			t.Fatalf("after %d bitmaps the cache counts %d bytes and holds %d, budget %d", i+1, eng.cache.bytes, held(), planCacheBudget)
+		}
 	}
-	if got := len(eng.cache.m); got > maxPlanCacheEntries {
-		t.Fatalf("cache grew past its bound: %d entries", got)
+	if n := len(eng.cache.m); n < planCacheBudget/2/(8*len(words)+1024) {
+		t.Fatalf("the cache kept %d entries: eviction goes to about half the budget, not to nothing", n)
+	}
+	if _, ok := eng.cache.Get("synthetic-0", 1, records); ok {
+		t.Fatal("the first of 5000 bitmaps is still cached: nothing was evicted")
+	}
+	eng.cache.Put("synthetic-0", 1, records, words)
+	if _, ok := eng.cache.Get("synthetic-0", 1, records); !ok {
+		t.Fatal("a key Put again after its eviction is not served")
+	}
+	eng.cache.Put("too-large", 1, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1))
+	if _, ok := eng.cache.Get("too-large", 1, 64*(planCacheBudget/8+1)); ok || eng.cache.bytes > planCacheBudget {
+		t.Fatal("a bitmap larger than the budget was cached")
 	}
 	want, err := eng.Estimator().FractionFrom(eng.Estimator().TableSource(eng.Table()), subset, bitvec.MustFromString("0101"))
 	if err != nil {

@@ -9,11 +9,18 @@ import (
 	"sketchprivacy/internal/query"
 )
 
-// maxPlanCacheEntries bounds the bitmap cache; past it, roughly half the
-// entries are evicted so a pathological query mix cannot grow memory
-// without bound.  At the default ten-bit sketches a full cache of 10k-record
-// bitmaps is ~5 MB.
-const maxPlanCacheEntries = 4096
+// planCacheBudget bounds the bitmap cache in bytes — keys, bitmap words
+// and planCacheEntryOverhead per entry; past it, entries are evicted down
+// to about half so a pathological query mix cannot grow memory without
+// bound.  A bitmap is one bit per record of its subset, so the budget is
+// some 24 000 entries over 10k-record subsets, 7 700 at the fleet
+// benchmark's 33k records per node and subset (where the cap of 4096
+// entries this replaces let 17 MB in) and 260 over a million-record subset
+// (where that cap let 512 MB in).
+const (
+	planCacheBudget        = 32 << 20
+	planCacheEntryOverhead = 128 // map slot, entry and key header, rounded up
+)
 
 // planCache is the engine's query.BitmapCache: per-(subset, value)
 // evaluation bitmaps versioned by the table's per-subset write generation.
@@ -25,6 +32,8 @@ const maxPlanCacheEntries = 4096
 type planCache struct {
 	mu sync.RWMutex
 	m  map[string]planCacheEntry
+	// bytes is what the entries of m cost against planCacheBudget.
+	bytes int
 	// hits/misses count Get outcomes for the engine_plan_cache_* series.
 	// They are always counted — one uncontended atomic add next to a map
 	// lookup — and only exposed when a registry is attached.
@@ -58,20 +67,40 @@ func (c *planCache) Get(key string, gen uint64, records int) ([]uint64, bool) {
 	return e.words, true
 }
 
+// cost is what an entry counts against planCacheBudget.
+func (e planCacheEntry) cost(key string) int {
+	return len(key) + 8*len(e.words) + planCacheEntryOverhead
+}
+
 // Put implements query.BitmapCache.  The stored words are shared and must
-// not be mutated afterwards (the executor never does).
+// not be mutated afterwards (the executor never does).  A bitmap the whole
+// budget could not hold is not cached.
 func (c *planCache) Put(key string, gen uint64, records int, words []uint64) {
+	e := planCacheEntry{gen: gen, records: records, words: words}
+	cost := e.cost(key)
+	if cost > planCacheBudget {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.m) >= maxPlanCacheEntries {
-		for k := range c.m {
-			delete(c.m, k)
-			if len(c.m) <= maxPlanCacheEntries/2 {
+	if old, ok := c.m[key]; ok {
+		delete(c.m, key)
+		c.bytes -= old.cost(key)
+	}
+	if c.bytes+cost > planCacheBudget {
+		// Down to half the budget, or to what leaves room for a bitmap
+		// larger than that.
+		room := min(planCacheBudget/2, planCacheBudget-cost)
+		for k, old := range c.m {
+			if c.bytes <= room {
 				break
 			}
+			delete(c.m, k)
+			c.bytes -= old.cost(k)
 		}
 	}
-	c.m[key] = planCacheEntry{gen: gen, records: records, words: words}
+	c.m[key] = e
+	c.bytes += cost
 }
 
 // ExecutePlan runs an entire compiled query plan in one parallel sharded

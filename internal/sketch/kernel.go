@@ -109,7 +109,7 @@ func (k *Kernel) EvaluateWord(records View) uint64 {
 		offs = append(offs, len(buf))
 		buf = AppendRecordPrefix(buf, id)
 		buf = append(buf, k.mid...)
-		buf = AppendRecordSuffix(buf, UnpackSketch(records.keys[i]))
+		buf = AppendRecordSuffix(buf, records.keys.Sketch(i))
 	}
 	offs = append(offs, len(buf))
 	k.msgBuf, k.offs = buf, offs
@@ -146,7 +146,7 @@ func (k *Kernel) EvaluatePartsWord(records View, prefixes, suffixes [][]byte) ui
 func (k *Kernel) slowWord(records View) uint64 {
 	var w uint64
 	for i, id := range records.ids {
-		if k.h.Bit(id.Bytes(), k.b.Tag(), k.v.Bytes(), UnpackSketch(records.keys[i]).Bytes()) {
+		if k.h.Bit(id.Bytes(), k.b.Tag(), k.v.Bytes(), records.keys.Sketch(i).Bytes()) {
 			w |= 1 << uint(i)
 		}
 	}

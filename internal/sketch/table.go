@@ -14,10 +14,13 @@ import (
 // everything in a Table is public.
 //
 // Each subset's records live once, in a column: user ids and packed sketch
-// keys side by side, an id-sorted run followed by a short unsorted tail of
-// recent inserts.  A read folds the tail into a fresh sorted run and hands
-// the run itself out as an immutable View, so the Algorithm 2 record loop
-// walks contiguous memory, allocation-free, while ingestion proceeds.
+// words (Words) side by side, an id-sorted run sized exactly and, apart
+// from it, a short unsorted tail of recent inserts.  A read folds the tail
+// into a fresh sorted run and hands the run itself out as an immutable
+// View, so the Algorithm 2 record loop walks contiguous memory,
+// allocation-free, while ingestion proceeds — and a subset that is only
+// read holds its 8-byte ids, its sketches at their own width (2 bytes for
+// a 9-bit sketch) and nothing else.
 type Table struct {
 	mu sync.RWMutex
 	// cols is keyed by Subset.Key.  A column outlives its last record, so a
@@ -32,12 +35,14 @@ func NewTable() *Table {
 }
 
 // View is one subset's records at one write generation, sorted by user id:
-// parallel id and sketch-key columns that are never written again once
-// handed out.  The zero View is empty.
+// parallel id and sketch-word columns that are never written again once
+// handed out — a later sketch too wide for the column lands in new arrays,
+// so a held view reads what it read when it was taken.  The zero View is
+// empty.
 type View struct {
 	subset bitvec.Subset
 	ids    []bitvec.UserID
-	keys   []uint64 // packSketch words, keys[i] belonging to ids[i]
+	keys   Words // keys.At(i) is the Pack word of the sketch ids[i] published
 }
 
 // Len returns the number of records in the view.
@@ -47,11 +52,11 @@ func (v View) Len() int { return len(v.ids) }
 func (v View) ID(i int) bitvec.UserID { return v.ids[i] }
 
 // Sketch returns the sketch of record i.
-func (v View) Sketch(i int) Sketch { return UnpackSketch(v.keys[i]) }
+func (v View) Sketch(i int) Sketch { return v.keys.Sketch(i) }
 
 // Slice returns the records [lo, hi) as a view sharing v's columns.
 func (v View) Slice(lo, hi int) View {
-	return View{subset: v.subset, ids: v.ids[lo:hi:hi], keys: v.keys[lo:hi:hi]}
+	return View{subset: v.subset, ids: v.ids[lo:hi:hi], keys: v.keys.Slice(lo, hi)}
 }
 
 // Filter returns the records of v whose user passes keep, in fresh columns.
@@ -60,7 +65,7 @@ func (v View) Filter(keep func(bitvec.UserID) bool) View {
 	for i, id := range v.ids {
 		if keep(id) {
 			out.ids = append(out.ids, id)
-			out.keys = append(out.keys, v.keys[i])
+			out.keys = out.keys.Append(v.keys.At(i))
 		}
 	}
 	return out
@@ -69,18 +74,10 @@ func (v View) Filter(keep func(bitvec.UserID) bool) View {
 // AppendTo appends the view's records to dst as Published values.
 func (v View) AppendTo(dst []Published) []Published {
 	for i, id := range v.ids {
-		dst = append(dst, Published{ID: id, Subset: v.subset, S: UnpackSketch(v.keys[i])})
+		dst = append(dst, Published{ID: id, Subset: v.subset, S: v.keys.Sketch(i)})
 	}
 	return dst
 }
-
-// Pack packs a valid sketch (Length ≤ MaxLength = 30, so Key < 2^30) into
-// one word: the key above the length byte.  It is the form a column holds
-// a sketch in.
-func (s Sketch) Pack() uint64 { return s.Key<<8 | uint64(s.Length) }
-
-// UnpackSketch reverses Pack.
-func UnpackSketch(w uint64) Sketch { return Sketch{Key: w >> 8, Length: int(w & 0xff)} }
 
 // Run is one subset's records in the table's own layout: parallel columns
 // of user ids and Pack words.  The durable store replays itself as runs, so
@@ -88,20 +85,33 @@ func UnpackSketch(w uint64) Sketch { return Sketch{Key: w >> 8, Length: int(w & 
 type Run struct {
 	Subset bitvec.Subset
 	IDs    []bitvec.UserID
-	Keys   []uint64 // Keys[i] is the Pack word of the sketch IDs[i] published
+	Keys   Words // Keys.At(i) is the Pack word of the sketch IDs[i] published
 }
 
-// column holds one subset's records.  ids[:sorted] is the id-sorted run and
-// ids[sorted:] the unsorted tail; keys runs parallel.  Views alias the run,
-// so nothing below index sorted is ever written: inserts append past it,
-// a tail removal swaps within the tail, and a fold or a removal from the
-// run builds new arrays.
+// Record returns record i of the run.
+func (r Run) Record(i int) Published {
+	return Published{ID: r.IDs[i], Subset: r.Subset, S: r.Keys.Sketch(i)}
+}
+
+// Clone returns a copy of the run that shares no column with it.
+func (r Run) Clone() Run {
+	return Run{Subset: r.Subset, IDs: slices.Clone(r.IDs), Keys: r.Keys.Clone()}
+}
+
+// column holds one subset's records in two parts.  ids and keys are the
+// id-sorted run: sized exactly, and never written once set — views alias
+// them, so a fold, a removal from the run or a load builds new arrays.
+// tailIDs and tailKeys are the recent inserts in arrival order, in small
+// arrays of their own that no view reaches.  Each part holds its sketches
+// at the width of its widest (Words); a fold writes the new run at the
+// wider of the two.
 type column struct {
-	subset bitvec.Subset
-	ids    []bitvec.UserID
-	keys   []uint64
-	sorted int
-	// tail maps the id of each tail record to its offset past sorted; the
+	subset   bitvec.Subset
+	ids      []bitvec.UserID
+	keys     Words
+	tailIDs  []bitvec.UserID
+	tailKeys Words
+	// tail maps the id of each tail record to its offset in tailIDs; the
 	// run needs no index, it is binary-searched.
 	tail map[bitvec.UserID]int
 	// gen counts the writes to the column.  A cached evaluation bitmap
@@ -114,89 +124,125 @@ type column struct {
 // tailLimit is how long the tail of an n-record run may grow before an
 // insert folds it: a fixed fraction of the run, so folding costs amortised
 // O(1) copies per insert, plus a floor that spares small columns a fold per
-// handful of inserts.
-func tailLimit(n int) int { return n/8 + 256 }
+// handful of inserts.  The floor is also the room a tail's arrays start
+// with, which spares every fold's successor their first eight doublings.
+func tailLimit(n int) int { return n/8 + tailFloor }
 
-// newColumns returns empty id and key arrays with room for n records and
-// the tail that may follow them.
-func newColumns(n int) ([]bitvec.UserID, []uint64) {
-	c := n + tailLimit(n)
-	return make([]bitvec.UserID, 0, c), make([]uint64, 0, c)
-}
+const tailFloor = 256
 
-// find returns the index of id's record and whether the column holds one.
+// len returns the number of records the column holds.
+func (c *column) len() int { return len(c.ids) + len(c.tailIDs) }
+
+// find returns the index of id's record — below len(c.ids) in the run, its
+// tail offset past that otherwise — and whether the column holds one.
 func (c *column) find(id bitvec.UserID) (int, bool) {
-	if i, ok := slices.BinarySearch(c.ids[:c.sorted], id); ok {
+	if i, ok := slices.BinarySearch(c.ids, id); ok {
 		return i, true
 	}
 	off, ok := c.tail[id]
-	return c.sorted + off, ok
+	return len(c.ids) + off, ok
+}
+
+// sketch returns the sketch of the record at index i, as find numbers them.
+func (c *column) sketch(i int) Sketch {
+	if i < len(c.ids) {
+		return c.keys.Sketch(i)
+	}
+	return c.tailKeys.Sketch(i - len(c.ids))
 }
 
 // insert appends a record whose id the column does not hold.
-func (c *column) insert(id bitvec.UserID, key uint64) {
-	if len(c.ids)-c.sorted >= tailLimit(c.sorted) {
+func (c *column) insert(id bitvec.UserID, word uint64) {
+	if len(c.tailIDs) >= tailLimit(len(c.ids)) {
 		c.fold()
 	}
-	c.reserve(1)
 	if c.tail == nil {
 		c.tail = make(map[bitvec.UserID]int)
+		c.tailIDs, c.tailKeys = make([]bitvec.UserID, 0, tailFloor), MakeWords(c.keys.Width(), 0, tailFloor)
 	}
-	c.tail[id] = len(c.ids) - c.sorted
-	c.ids = append(c.ids, id)
-	c.keys = append(c.keys, key)
+	c.tail[id] = len(c.tailIDs)
+	c.tailIDs = append(c.tailIDs, id)
+	c.tailKeys = c.tailKeys.Append(word)
 }
 
-// reserve makes room for extra more records, moving to larger arrays when
-// the current ones are full.
-func (c *column) reserve(extra int) {
-	if len(c.ids)+extra <= cap(c.ids) {
-		return
-	}
-	ids, keys := newColumns(len(c.ids) + extra)
-	c.ids, c.keys = append(ids, c.ids...), append(keys, c.keys...)
-}
-
-// fold merges the tail into a fresh sorted run.
+// fold merges the tail into a fresh sorted run and drops it.
 func (c *column) fold() {
-	if len(c.ids) == c.sorted {
+	if len(c.tailIDs) == 0 {
 		return
 	}
-	// Sorting the tail where it lies is safe: no view reaches past sorted.
-	sort.Sort(byID{c.ids[c.sorted:], c.keys[c.sorted:]})
-	c.ids, c.keys = mergeRuns(c.ids[:c.sorted], c.keys[:c.sorted], c.ids[c.sorted:], c.keys[c.sorted:])
-	c.sorted = len(c.ids)
-	c.tail = nil
+	tailIDs, tailKeys := SortByID(c.tailIDs, c.tailKeys)
+	c.ids, c.keys = mergeRuns(c.ids, c.keys, tailIDs, tailKeys)
+	c.tailIDs, c.tailKeys, c.tail = nil, Words{}, nil
 }
 
-// byID sorts parallel id and key columns by id.
-type byID struct {
-	ids  []bitvec.UserID
-	keys []uint64
+// SortByID returns parallel id and key columns sorted by id, equal ids
+// keeping their order, in the arrays it was given or in fresh ones of the
+// same length: a least-significant-byte radix sort over the id bytes that
+// differ at all.  A store sorts a full log — a few hundred thousand records
+// — at every roll, restart and first read after an append, and the table
+// sorts a column's tail at every fold — a quarter of the cost of ingest
+// under sort.Sort: what makes the linear sort worth its thirty lines.
+func SortByID(ids []bitvec.UserID, keys Words) ([]bitvec.UserID, Words) {
+	n := len(ids)
+	if slices.IsSorted(ids) {
+		// Users numbered as they enrol publish in id order more often than not.
+		return ids, keys
+	}
+	if n < 64 {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
+				ids[j-1], ids[j] = ids[j], ids[j-1]
+				keys.Swap(j-1, j)
+			}
+		}
+		return ids, keys
+	}
+	// One pass counts every digit; a digit all ids share needs no pass.
+	var counts [8][256]int
+	for _, id := range ids {
+		for d := range counts {
+			counts[d][byte(id>>(8*d))]++
+		}
+	}
+	dstIDs, dstKeys := make([]bitvec.UserID, n), MakeWords(keys.Width(), n, n)
+	for d := range counts {
+		next, shift := &counts[d], 8*d
+		if next[byte(ids[0]>>shift)] == n {
+			continue
+		}
+		at := 0
+		for b, c := range next {
+			next[b], at = at, at+c
+		}
+		for i, id := range ids {
+			b := byte(id >> shift)
+			dstIDs[next[b]] = id
+			dstKeys.Set(next[b], keys.At(i))
+			next[b]++
+		}
+		ids, dstIDs, keys, dstKeys = dstIDs, ids, dstKeys, keys
+	}
+	return ids, keys
 }
 
-func (s byID) Len() int           { return len(s.ids) }
-func (s byID) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s byID) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-// mergeRuns merges two id-sorted runs into fresh arrays, first record
-// wins: an id of b already in a, or repeated within b, is dropped.
-func mergeRuns(aIDs []bitvec.UserID, aKeys []uint64, bIDs []bitvec.UserID, bKeys []uint64) ([]bitvec.UserID, []uint64) {
-	ids, keys := newColumns(len(aIDs) + len(bIDs))
+// mergeRuns merges two id-sorted runs into fresh arrays with room for
+// nothing more, first record wins: an id of b already in a, or repeated
+// within b, is dropped.  Stretches of a between two ids of b move whole.
+func mergeRuns(aIDs []bitvec.UserID, aKeys Words, bIDs []bitvec.UserID, bKeys Words) ([]bitvec.UserID, Words) {
+	n := len(aIDs) + len(bIDs)
+	ids, keys := make([]bitvec.UserID, 0, n), MakeWords(max(aKeys.Width(), bKeys.Width()), 0, n)
 	i := 0
 	for j, id := range bIDs {
+		from := i
 		for i < len(aIDs) && aIDs[i] <= id {
-			ids, keys = append(ids, aIDs[i]), append(keys, aKeys[i])
 			i++
 		}
+		ids, keys = append(ids, aIDs[from:i]...), keys.AppendWords(aKeys.Slice(from, i))
 		if len(ids) == 0 || ids[len(ids)-1] != id {
-			ids, keys = append(ids, id), append(keys, bKeys[j])
+			ids, keys = append(ids, id), keys.AppendWords(bKeys.Slice(j, j+1))
 		}
 	}
-	return append(ids, aIDs[i:]...), append(keys, aKeys[i:]...)
+	return append(ids, aIDs[i:]...), keys.AppendWords(aKeys.Slice(i, len(aIDs)))
 }
 
 // loadMergeRatio is how many stored records a sorted run being loaded may
@@ -206,11 +252,12 @@ func mergeRuns(aIDs []bitvec.UserID, aKeys []uint64, bIDs []bitvec.UserID, bKeys
 const loadMergeRatio = 32
 
 // loadRun adds a run of records for the column's subset, first record
-// wins.  The store replays (subset, user)-ordered runs, so the run is
-// normally id-sorted and lands by a bulk append or one linear merge; a run
-// too short to pay for a merge, or an unsorted one, goes through the tail
-// record by record.  The caller keeps ids and keys.
-func (c *column) loadRun(ids []bitvec.UserID, keys []uint64) {
+// wins, and owns ids and keys from here on.  The store replays (subset,
+// user)-ordered runs, so the run is normally id-sorted: onto an empty
+// column it becomes the column's run as it is, onto a warm one it lands by
+// one linear merge; a run too short to pay for a merge, or an unsorted
+// one, goes through the tail record by record.
+func (c *column) loadRun(ids []bitvec.UserID, keys Words) {
 	if len(ids) == 0 {
 		return
 	}
@@ -220,45 +267,42 @@ func (c *column) loadRun(ids []bitvec.UserID, keys []uint64) {
 		ascending = ids[i-1] < ids[i]
 	}
 	switch {
-	case ascending && len(c.ids) == c.sorted && (c.sorted == 0 || ids[0] > c.ids[c.sorted-1]):
-		c.reserve(len(ids))
-		c.ids, c.keys = append(c.ids, ids...), append(c.keys, keys...)
-		c.sorted = len(c.ids)
-	case ascending && len(ids)*loadMergeRatio >= len(c.ids):
+	case ascending && c.len() == 0:
+		c.ids, c.keys = ids, keys
+	case ascending && len(ids)*loadMergeRatio >= c.len():
 		c.fold()
 		c.ids, c.keys = mergeRuns(c.ids, c.keys, ids, keys)
-		c.sorted = len(c.ids)
 	default:
 		for i, id := range ids {
 			if _, dup := c.find(id); !dup {
-				c.insert(id, keys[i])
+				c.insert(id, keys.At(i))
 			}
 		}
 	}
 }
 
-// remove deletes the record at index i.
+// remove deletes the record at index i, as find numbers them.
 func (c *column) remove(i int) {
-	last := len(c.ids) - 1
-	if i >= c.sorted {
-		delete(c.tail, c.ids[i])
-		if i != last {
-			c.ids[i], c.keys[i] = c.ids[last], c.keys[last]
-			c.tail[c.ids[i]] = i - c.sorted
+	n := len(c.ids)
+	if i >= n {
+		off, last := i-n, len(c.tailIDs)-1
+		delete(c.tail, c.tailIDs[off])
+		if off != last {
+			c.tailIDs[off] = c.tailIDs[last]
+			c.tailKeys.Set(off, c.tailKeys.At(last))
+			c.tail[c.tailIDs[off]] = off
 		}
-		c.ids, c.keys = c.ids[:last], c.keys[:last]
+		c.tailIDs, c.tailKeys = c.tailIDs[:last], c.tailKeys.Slice(0, last)
 		return
 	}
-	// Tail offsets are relative to sorted, so they survive the shift.
-	ids, keys := newColumns(last)
+	ids, keys := make([]bitvec.UserID, 0, n-1), MakeWords(c.keys.Width(), 0, n-1)
 	c.ids = append(append(ids, c.ids[:i]...), c.ids[i+1:]...)
-	c.keys = append(append(keys, c.keys[:i]...), c.keys[i+1:]...)
-	c.sorted--
+	c.keys = keys.AppendWords(c.keys.Slice(0, i)).AppendWords(c.keys.Slice(i+1, n))
 }
 
 // view returns the sorted run; the tail must have been folded.
 func (c *column) view() View {
-	return View{subset: c.subset, ids: c.ids[:c.sorted:c.sorted], keys: c.keys[:c.sorted:c.sorted]}
+	return View{subset: c.subset, ids: c.ids, keys: c.keys}
 }
 
 // lookup returns the column of subset b, or nil.  The tag of a subset of
@@ -311,7 +355,7 @@ func (t *Table) AddNew(p *Published) (existing Sketch, added bool, err error) {
 	c := t.columnFor(p.Subset)
 	p.Subset = c.subset
 	if i, dup := c.find(p.ID); dup {
-		return UnpackSketch(c.keys[i]), false, nil
+		return c.sketch(i), false, nil
 	}
 	c.insert(p.ID, p.S.Pack())
 	c.gen++
@@ -333,17 +377,17 @@ func (t *Table) AddAll(ps []Published) error {
 // matching a store's newest-wins replay — instead of being rejected like
 // Add's protocol error, because replaying a store onto a warm table is not
 // a second publish.  It costs one column lookup, and for an id-sorted run
-// — what a store replays — one bulk append or linear merge rather than an
-// index insert per record.  A run holding an invalid sketch loads nothing.
-// The run's columns are copied; the caller keeps them.
+// — what a store replays — no copy at all or one linear merge rather than
+// an index insert per record.  A run holding an invalid sketch loads nothing.
+// The table takes ownership of the run's columns — an id-sorted run onto an
+// empty subset becomes the subset's column as it is, with no copy — so a
+// caller that goes on using them loads a Clone.
 func (t *Table) LoadRun(r Run) error {
-	if len(r.IDs) != len(r.Keys) {
-		return fmt.Errorf("sketch: run of %d ids and %d sketches", len(r.IDs), len(r.Keys))
+	if len(r.IDs) != r.Keys.Len() {
+		return fmt.Errorf("sketch: run of %d ids and %d sketches", len(r.IDs), r.Keys.Len())
 	}
-	for _, w := range r.Keys {
-		if s := UnpackSketch(w); !s.Valid() || s.Pack() != w {
-			return fmt.Errorf("sketch: invalid sketch %v", s)
-		}
+	if err := r.Keys.Check(); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -385,7 +429,7 @@ func (t *Table) Get(id bitvec.UserID, b bitvec.Subset) (Sketch, bool) {
 	if !ok {
 		return Sketch{}, false
 	}
-	return UnpackSketch(c.keys[i]), true
+	return c.sketch(i), true
 }
 
 // View returns the records of subset b, sorted by user id, together with
@@ -402,7 +446,7 @@ func (t *Table) View(b bitvec.Subset) (View, uint64) {
 		t.mu.RUnlock()
 		return View{}, 0
 	}
-	if len(c.ids) == c.sorted {
+	if len(c.tailIDs) == 0 {
 		v, gen := c.view(), c.gen
 		t.mu.RUnlock()
 		return v, gen
@@ -433,7 +477,7 @@ func (t *Table) CountForSubset(b bitvec.Subset) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if c := t.lookup(b); c != nil {
-		return len(c.ids)
+		return c.len()
 	}
 	return 0
 }
@@ -448,7 +492,7 @@ func (t *Table) Subsets() []bitvec.Subset {
 	defer t.mu.RUnlock()
 	keys := make([]string, 0, len(t.cols))
 	for k, c := range t.cols {
-		if len(c.ids) > 0 {
+		if c.len() > 0 {
 			keys = append(keys, k)
 		}
 	}
@@ -506,7 +550,7 @@ next:
 		}
 		ids = append(ids, id)
 		for j := range out {
-			out[j].keys = append(out[j].keys, cols[j].keys[at[j]])
+			out[j].keys = out[j].keys.Append(cols[j].keys.At(at[j]))
 		}
 	}
 	for j := range out {
@@ -521,7 +565,7 @@ func (t *Table) Len() int {
 	defer t.mu.RUnlock()
 	n := 0
 	for _, c := range t.cols {
-		n += len(c.ids)
+		n += c.len()
 	}
 	return n
 }
@@ -534,6 +578,9 @@ func (t *Table) SketchesPerUser() map[bitvec.UserID]int {
 	out := make(map[bitvec.UserID]int)
 	for _, c := range t.cols {
 		for _, id := range c.ids {
+			out[id]++
+		}
+		for _, id := range c.tailIDs {
 			out[id]++
 		}
 	}

@@ -11,6 +11,15 @@ import (
 	"sketchprivacy/internal/bitvec"
 )
 
+// testWords returns a column of the given Pack words.
+func testWords(words ...uint64) Words {
+	var k Words
+	for _, w := range words {
+		k = k.Append(w)
+	}
+	return k
+}
+
 func TestTableAddGetAndDuplicates(t *testing.T) {
 	tab := NewTable()
 	b := bitvec.MustSubset(0, 2)
@@ -179,15 +188,21 @@ func (o tableOracle) sorted(b bitvec.Subset) []Published {
 // so duplicates and removals of present records are common, and the write
 // bursts between reads are long enough that the tail folds on its own limit
 // as well as on reads, so removals hit both the sorted run and the tail.
+// Sketch lengths are drawn from a set covering every word width, 1 to 5
+// bytes, that widens as the steps go by: columns start narrow, hold mixed
+// widths in run and tail, and are re-encoded wider several times.  The
+// first steps are all loads, so runs land on empty columns too.
 func TestTableMatchesMapOracle(t *testing.T) {
 	subsets := []bitvec.Subset{bitvec.MustSubset(0), bitvec.MustSubset(1, 2), bitvec.Range(0, 5)}
+	lengths := []int{1, 8, 9, 16, 17, 24, 30}
 	for seed := int64(1); seed <= 2; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab, oracle := NewTable(), tableOracle{}
 		gens := make(map[string]uint64)
 		wrote := make(map[string]bool)
+		step := 0
 		record := func() Published {
-			length := 1 + rng.Intn(MaxLength)
+			length := lengths[rng.Intn(1+min(step/350, len(lengths)-1))]
 			return Published{
 				ID:     bitvec.UserID(rng.Intn(6000)),
 				Subset: subsets[rng.Intn(len(subsets))],
@@ -214,8 +229,12 @@ func TestTableMatchesMapOracle(t *testing.T) {
 			}
 			gens[b.Key()], wrote[b.Key()] = gen, false
 		}
-		for step := 0; step < 2500; step++ {
-			switch op := rng.Intn(100); {
+		for ; step < 2500; step++ {
+			op := rng.Intn(100)
+			if step < 3 {
+				op = 60 // a load
+			}
+			switch {
 			case op < 35:
 				p := record()
 				ok := oracle.add(p)
@@ -267,7 +286,7 @@ func TestTableMatchesMapOracle(t *testing.T) {
 				for len(batch) > 0 {
 					r := Run{Subset: batch[0].Subset}
 					for len(batch) > 0 && batch[0].Subset.Equal(r.Subset) {
-						r.IDs, r.Keys = append(r.IDs, batch[0].ID), append(r.Keys, batch[0].S.Pack())
+						r.IDs, r.Keys = append(r.IDs, batch[0].ID), r.Keys.Append(batch[0].S.Pack())
 						batch = batch[1:]
 					}
 					if err := tab.LoadRun(r); err != nil {
@@ -352,7 +371,7 @@ func TestTableLoadInvalidSketchLoadsNothing(t *testing.T) {
 	err := tab.LoadRun(Run{
 		Subset: bitvec.MustSubset(0),
 		IDs:    []bitvec.UserID{1, 2},
-		Keys:   []uint64{Sketch{Key: 1, Length: 4}.Pack(), Sketch{Key: 99, Length: 4}.Pack()},
+		Keys:   testWords(Sketch{Key: 1, Length: 4}.Pack(), Sketch{Key: 99, Length: 4}.Pack()),
 	})
 	if err == nil || tab.Len() != 0 {
 		t.Fatalf("LoadRun with an invalid sketch = %v, table holds %d records", err, tab.Len())
@@ -366,10 +385,10 @@ func TestTableLoadRun(t *testing.T) {
 	tab := NewTable()
 	b := bitvec.MustSubset(0, 2)
 	word := func(key uint64) uint64 { return Sketch{Key: key, Length: 4}.Pack() }
-	if err := tab.LoadRun(Run{Subset: b, IDs: []bitvec.UserID{2, 5, 9}, Keys: []uint64{word(1), word(2), word(3)}}); err != nil {
+	if err := tab.LoadRun(Run{Subset: b, IDs: []bitvec.UserID{2, 5, 9}, Keys: testWords(word(1), word(2), word(3))}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.LoadRun(Run{Subset: b, IDs: []bitvec.UserID{1, 5}, Keys: []uint64{word(7), word(8)}}); err != nil {
+	if err := tab.LoadRun(Run{Subset: b, IDs: []bitvec.UserID{1, 5}, Keys: testWords(word(7), word(8))}); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := tab.View(b)
@@ -383,10 +402,12 @@ func TestTableLoadRun(t *testing.T) {
 		}
 	}
 	for name, r := range map[string]Run{
-		"a key past its length": {Subset: b, IDs: []bitvec.UserID{20}, Keys: []uint64{Sketch{Key: 99, Length: 4}.Pack()}},
-		"a length of zero":      {Subset: b, IDs: []bitvec.UserID{20}, Keys: []uint64{7 << 8}},
-		"bits above the key":    {Subset: b, IDs: []bitvec.UserID{20}, Keys: []uint64{word(1) | 1<<50}},
-		"ragged columns":        {Subset: b, IDs: []bitvec.UserID{20, 21}, Keys: []uint64{word(1)}},
+		"a key past its length": {Subset: b, IDs: []bitvec.UserID{20}, Keys: testWords(Sketch{Key: 99, Length: 4}.Pack())},
+		"a length of zero":      {Subset: b, IDs: []bitvec.UserID{20}, Keys: testWords(7 << 5)},
+		"a length past 30":      {Subset: b, IDs: []bitvec.UserID{20}, Keys: testWords(31)},
+		"bits above the key":    {Subset: b, IDs: []bitvec.UserID{20}, Keys: testWords(word(1) | 1<<34)},
+		"a word of eight bytes": {Subset: b, IDs: []bitvec.UserID{20}, Keys: testWords(word(1) | 1<<60)},
+		"ragged columns":        {Subset: b, IDs: []bitvec.UserID{20, 21}, Keys: testWords(word(1))},
 	} {
 		if err := tab.LoadRun(r); err == nil || tab.Len() != len(want) {
 			t.Errorf("LoadRun of %s = %v, table holds %d records", name, err, tab.Len())
@@ -503,7 +524,179 @@ func TestTableSnapshotRetainsNothing(t *testing.T) {
 	if slack := uint64(n * 48 / 20); after > before+slack {
 		t.Fatalf("heap grew from %d to %d bytes across a dropped Snapshot: the table retains it", before, after)
 	}
-	if perRecord := float64(before) / n; perRecord > 24 {
-		t.Errorf("table holds %.1f heap bytes per record, want the 16-byte columns plus bounded slack", perRecord)
+	if perRecord := float64(before) / n; perRecord > 14 {
+		t.Errorf("the whole heap is %.1f bytes per record, want the 10-byte columns and the test binary's own few bytes", perRecord)
 	}
+}
+
+// TestTableLoadRunArms pins which way a run lands, by the column's state
+// after it: an id-sorted run onto an empty column becomes the column's run
+// as it is — the very arrays, no copy — a sorted run of some size onto a
+// warm column is merged into a run sized exactly, and a short or unsorted
+// one waits in the tail.
+func TestTableLoadRunArms(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.MustSubset(4)
+	word := Sketch{Key: 300, Length: 9}.Pack()
+	first := Run{Subset: b}
+	for id := 0; id < 1000; id++ {
+		first.IDs, first.Keys = append(first.IDs, bitvec.UserID(2*id)), first.Keys.Append(word)
+	}
+	if err := tab.LoadRun(first); err != nil {
+		t.Fatal(err)
+	}
+	c := tab.cols[b.Key()]
+	if &c.ids[0] != &first.IDs[0] || &c.keys.b[0] != &first.Keys.b[0] || len(c.tailIDs) != 0 {
+		t.Fatal("a sorted run onto an empty column was copied, not adopted")
+	}
+	merged := Run{Subset: b}
+	for id := 0; id < 100; id++ {
+		merged.IDs, merged.Keys = append(merged.IDs, bitvec.UserID(20*id+1)), merged.Keys.Append(word)
+	}
+	if err := tab.LoadRun(merged); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.ids) != 1100 || cap(c.ids) != 1100 || cap(c.keys.b) != 1100*2 || len(c.tailIDs) != 0 {
+		t.Fatalf("after a merged load the run is %d records in room for %d ids and %d word bytes, tail %d; want 1100 sized exactly", len(c.ids), cap(c.ids), cap(c.keys.b), len(c.tailIDs))
+	}
+	if err := tab.LoadRun(Run{Subset: b, IDs: []bitvec.UserID{7, 5}, Keys: testWords(word, word)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.ids) != 1100 || len(c.tailIDs) != 2 || tab.CountForSubset(b) != 1102 {
+		t.Fatalf("after a short unsorted load the run is %d records and the tail %d, want 1100 and 2", len(c.ids), len(c.tailIDs))
+	}
+	if v, _ := tab.View(b); v.Len() != 1102 || cap(c.ids) != 1102 || len(c.tailIDs) != 0 || c.tail != nil {
+		t.Fatalf("after a read the run is %d records in room for %d and the tail %d", v.Len(), cap(c.ids), len(c.tailIDs))
+	}
+}
+
+// TestTableViewSurvivesWidening: a view taken while every sketch of its
+// column fits two bytes reads bit-identical sketches after wider sketches
+// arrived — through the tail, by loaded runs, across folds and removals —
+// and re-encoded the column three times, while readers go on reading the
+// old view and taking new ones beside the writer.
+func TestTableViewSurvivesWidening(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.Range(0, 3)
+	for id := 0; id < 3000; id++ {
+		if err := tab.Add(Published{ID: bitvec.UserID(3 * id), Subset: b, S: Sketch{Key: uint64(id) % 512, Length: 9}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, _ := tab.View(b)
+	want := held.AppendTo(nil)
+	if held.keys.Width() != 2 {
+		t.Fatalf("a column of 9-bit sketches is %d bytes wide, want 2", held.keys.Width())
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got := held.AppendTo(nil); !reflect.DeepEqual(got, want) {
+					t.Error("a held view changed while wider sketches arrived")
+					return
+				}
+				now, _ := tab.View(b)
+				for i := 0; i < now.Len(); i++ {
+					if s := now.Sketch(i); !s.Valid() || (i > 0 && now.ID(i-1) >= now.ID(i)) {
+						t.Errorf("a view taken beside the writer holds %v for user %v at %d", s, now.ID(i), i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(5))
+	widths := make(map[int]bool)
+	for step, length := range []int{16, 24, 30} {
+		for i := 0; i < 700; i++ {
+			id := bitvec.UserID(3*rng.Intn(4000) + 1 + step%2)
+			s := Sketch{Key: rng.Uint64() % (1 << uint(length)), Length: length}
+			switch rng.Intn(4) {
+			case 0:
+				tab.Remove(bitvec.UserID(3*rng.Intn(3000)), b)
+			case 1:
+				run := Run{Subset: b}
+				for j := 0; j < 40; j++ {
+					run.IDs, run.Keys = append(run.IDs, id+bitvec.UserID(3*j)), run.Keys.Append(s.Pack())
+				}
+				if err := tab.LoadRun(run); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				_, _, _ = tab.AddNew(&Published{ID: id, Subset: b, S: s})
+			}
+		}
+		now, _ := tab.View(b)
+		widths[now.keys.Width()] = true
+	}
+	close(done)
+	readers.Wait()
+	if got := held.AppendTo(nil); !reflect.DeepEqual(got, want) {
+		t.Fatal("a held view changed across three widenings of its column")
+	}
+	if held.keys.Width() != 2 || len(widths) != 3 || !widths[MaxWordWidth] {
+		t.Fatalf("the held view is %d bytes wide and the column went through widths %v; want 2, and three widths up to %d", held.keys.Width(), widths, MaxWordWidth)
+	}
+}
+
+// TestTableHeapBytesPerRecord is the ratchet under the fleet benchmark's
+// heap_bytes_per_record: ten subsets of 35 000 nine-bit sketches — one
+// node's share of that benchmark — ingested record by record in scattered
+// id order and read once cost their 8-byte ids and 2-byte sketch words and
+// next to nothing more, and with a thousand unread inserts waiting in each
+// column's tail, index and all, the table still stays within 13 bytes a
+// record.  A wider word or headroom behind the run fails the first bound
+// (16 bytes of columns did, at 18), a heavier tail the second.
+func TestTableHeapBytesPerRecord(t *testing.T) {
+	const users, fresh = 35_000, 1000
+	subsets := make([]bitvec.Subset, 10)
+	for i := range subsets {
+		subsets[i] = bitvec.Range(0, i+1)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	tab := NewTable()
+	ingest := func(from, to int) {
+		for i := from; i < to; i++ {
+			id := uint64(i+1) * 0x9E3779B97F4A7C15
+			for _, b := range subsets {
+				if _, added, err := tab.AddNew(&Published{ID: bitvec.UserID(id), Subset: b, S: Sketch{Key: id >> 55, Length: 9}}); err != nil || !added {
+					t.Fatalf("AddNew(%v) = added %v, %v", id, added, err)
+				}
+			}
+		}
+	}
+	ingest(0, users)
+	for _, b := range subsets {
+		if v, _ := tab.View(b); v.Len() != users {
+			t.Fatalf("subset %v reads %d records, want %d", b, v.Len(), users)
+		}
+	}
+	perRecord := float64(heap()-before) / float64(users*len(subsets))
+	t.Logf("read: %.2f heap bytes per record", perRecord)
+	if perRecord > 10.5 {
+		t.Errorf("a read table holds %.2f heap bytes per record, want ≤ 10.5: an 8-byte id, a 2-byte sketch, nothing else", perRecord)
+	}
+	ingest(users, users+fresh)
+	perRecord = float64(heap()-before) / float64((users+fresh)*len(subsets))
+	t.Logf("with unread inserts: %.2f heap bytes per record", perRecord)
+	if perRecord > 13 {
+		t.Errorf("with %d unread inserts per column the table holds %.2f heap bytes per record, want ≤ 13", fresh, perRecord)
+	}
+	runtime.KeepAlive(tab)
 }

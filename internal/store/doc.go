@@ -36,6 +36,16 @@
 // its 8-byte id and a 2- to 5-byte sketch word, plus about 1.5 bytes of
 // block sums, index and bloom in a segment.
 //
+// The sketch word is the table's as well: a run's word column on disk is
+// the bytes of a sketch.Words — sketch.Sketch.Pack words, big-endian, at
+// the width of the run's widest — and sketch.Words is what every run in
+// memory holds.  Encoding a run copies that column when the widths agree
+// and decoding one copies it back after checking that every word unpacks
+// to a valid sketch; sorting, deduplicating and merging move words of that
+// width, so a decoded log costs 10 bytes a record, not 16.  The runs a
+// replay hands out are fresh and belong to the callback: the table adopts
+// them as its columns.
+//
 // The log is mirrored nowhere: its file's acknowledged prefix is decoded
 // on demand — by a roll, or by the first read after an append — into
 // normalized runs that are dropped again at the next append.

@@ -617,7 +617,7 @@ func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, boo
 		if ri, ok := findRun(runs, subset); ok {
 			if i, ok := slices.BinarySearch(runs[ri].IDs, id); ok {
 				sh.mu.Unlock()
-				return sketch.Published{ID: id, Subset: runs[ri].Subset, S: sketch.UnpackSketch(runs[ri].Keys[i])}, true, nil
+				return runs[ri].Record(i), true, nil
 			}
 		}
 		segs := append([]segmentMeta(nil), sh.segs...)

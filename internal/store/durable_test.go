@@ -28,8 +28,8 @@ func collect(t *testing.T, st Store) []sketch.Published {
 	t.Helper()
 	var out []sketch.Published
 	if err := st.IterateRuns(func(r sketch.Run) error {
-		for i, id := range r.IDs {
-			out = append(out, sketch.Published{ID: id, Subset: r.Subset, S: sketch.UnpackSketch(r.Keys[i])})
+		for i := range r.IDs {
+			out = append(out, r.Record(i))
 		}
 		return nil
 	}); err != nil {
@@ -52,8 +52,8 @@ func testRuns(ps []sketch.Published) []run {
 func flatten(runs []run) []sketch.Published {
 	var out []sketch.Published
 	for _, r := range runs {
-		for i, id := range r.IDs {
-			out = append(out, sketch.Published{ID: id, Subset: r.Subset, S: sketch.UnpackSketch(r.Keys[i])})
+		for i := range r.IDs {
+			out = append(out, r.Record(i))
 		}
 	}
 	return out

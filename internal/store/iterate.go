@@ -32,7 +32,7 @@ type runSource struct {
 	// Reused from subset to subset when reading a segment.
 	raw  []byte
 	ids  []bitvec.UserID
-	keys []uint64
+	keys sketch.Words
 }
 
 // subsets calls fn with the tag and subset of each of the source's runs.
@@ -61,7 +61,7 @@ func (s *runSource) load(tag string) (sketch.Run, error) {
 		return sketch.Run{}, nil
 	}
 	var err error
-	s.raw, s.ids, s.keys, err = readBlocks(s.f, s.idx, r, 0, r.count, s.raw, s.ids[:0], s.keys[:0])
+	s.raw, s.ids, s.keys, err = readBlocks(s.f, s.idx, r, 0, r.count, s.raw, s.ids[:0], s.keys.Reset(r.width))
 	return sketch.Run{Subset: r.subset, IDs: s.ids, Keys: s.keys}, err
 }
 
@@ -151,8 +151,8 @@ func (d *Durable) IterateRuns(fn func(r sketch.Run) error) error {
 // in canonical (subset, user) order.
 func (d *Durable) Iterate(fn func(p sketch.Published) error) error {
 	return d.IterateRuns(func(r sketch.Run) error {
-		for i, id := range r.IDs {
-			if err := fn(sketch.Published{ID: id, Subset: r.Subset, S: sketch.UnpackSketch(r.Keys[i])}); err != nil {
+		for i := range r.IDs {
+			if err := fn(r.Record(i)); err != nil {
 				return err
 			}
 		}

@@ -73,7 +73,7 @@ func (s *runSet) add(p sketch.Published) {
 	if err != nil {
 		panic(err) // the tag of a valid Subset parses
 	}
-	r.IDs, r.Keys = append(r.IDs, p.ID), append(r.Keys, p.S.Pack())
+	r.IDs, r.Keys = append(r.IDs, p.ID), r.Keys.Append(p.S.Pack())
 }
 
 // decodeLegacySegment decodes a v1 or v2 segment image.  Every declared

@@ -137,7 +137,7 @@ func (d *Durable) ReadBatch(cursor uint64, max int) ([]sketch.Published, uint64,
 					continue
 				}
 				for i := skip; i < len(r.IDs) && len(out) < max; i++ {
-					out = append(out, sketch.Published{ID: r.IDs[i], Subset: r.Subset, S: sketch.UnpackSketch(r.Keys[i])})
+					out = append(out, r.Record(i))
 				}
 				skip = 0
 				if len(out) == max {

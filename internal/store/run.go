@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -12,11 +11,13 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// The store has one record layout, the table's: a run is one subset's
-// records as parallel columns of user ids and packed sketches, under the
-// subset's tag written once.  A commit window in the log, a segment on
-// disk, a roll, a compaction and a replay all move runs; nothing in the
-// store holds a sketch.Published per record.
+// The store has one record layout, the table's, and one sketch word, the
+// table's too: a run is one subset's records as parallel columns of user
+// ids and packed sketches (sketch.Words), under the subset's tag written
+// once.  A commit window in the log, a segment on disk, a roll, a
+// compaction and a replay all move runs; nothing in the store holds a
+// sketch.Published per record, and nothing holds a sketch wider than the
+// widest of its column.
 //
 // On disk a run is
 //
@@ -25,20 +26,19 @@ import (
 //	1 byte  sketch width w (1..5)
 //
 // followed by its columns — count ids of 8 bytes, then count sketch words
-// of w bytes, all big-endian.  A sketch word is the key above a 5-bit
-// length (sketch.MaxLength is 30), so the benchmark deployment's 9-bit
-// sketches take 2 bytes and a record 10; w is the width the run's widest
-// word needs.  The log writes a window's run whole; a segment cuts the
-// columns into checksummed blocks (segment.go).
+// of w bytes, all big-endian.  A sketch word is sketch.Sketch.Pack — the
+// key above a 5-bit length (sketch.MaxLength is 30) — so the benchmark
+// deployment's 9-bit sketches take 2 bytes and a record 10; w is the width
+// the run's widest word needs (sketch.Words.MinWidth).  The word column is
+// a sketch.Words' own bytes: a column held at w is written with a copy and
+// read back with a checked one.  The log writes a window's run whole; a
+// segment cuts the columns into checksummed blocks (segment.go).
 type run struct {
 	tag string // the subset's canonical tag, Subset.Key: what runs sort by
 	sketch.Run
 }
 
-const (
-	runHeaderFixed = 4 + 4 + 1 // tag length, record count, width
-	maxSketchWidth = 5         // a 30-bit key above a 5-bit length
-)
+const runHeaderFixed = 4 + 4 + 1 // tag length, record count, width
 
 // castagnoli is the CRC-32C table; checksum is the one integrity function
 // of every v3 structure the store writes — log frames, segment run
@@ -47,21 +47,6 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
-
-// diskWord is the on-disk form of a sketch.
-func diskWord(s sketch.Sketch) uint64 { return s.Key<<5 | uint64(s.Length) }
-
-// wordWidth is how many bytes the word w needs.
-func wordWidth(w uint64) int { return max(1, (bits.Len64(w)+7)/8) }
-
-// runWidth is the sketch width of a run holding these Pack words.
-func runWidth(keys []uint64) int {
-	var widest uint64
-	for _, k := range keys {
-		widest = max(widest, diskWord(sketch.UnpackSketch(k)))
-	}
-	return wordWidth(widest)
-}
 
 // appendRunHeader appends a run's header.
 func appendRunHeader(dst []byte, tag string, count, width int) []byte {
@@ -97,7 +82,7 @@ func parseRunHeader(src []byte) (runHeader, error) {
 	h := runHeader{tag: src[4 : 4+tagLen], size: runHeaderFixed + int(tagLen)}
 	count := uint64(binary.BigEndian.Uint32(src[4+tagLen:]))
 	h.width = int(src[h.size-1])
-	if h.width < 1 || h.width > maxSketchWidth {
+	if h.width < 1 || h.width > sketch.MaxWordWidth {
 		return runHeader{}, fmt.Errorf("run sketch width %d", h.width)
 	}
 	if count == 0 || count > uint64(len(src)-h.size)/uint64(8+h.width) {
@@ -107,40 +92,28 @@ func parseRunHeader(src []byte) (runHeader, error) {
 	return h, nil
 }
 
-// appendColumns appends the columns of ids and their Pack words.
-func appendColumns(dst []byte, ids []bitvec.UserID, keys []uint64, width int) []byte {
+// appendColumns appends the columns of ids and their words, width bytes a
+// word.
+func appendColumns(dst []byte, ids []bitvec.UserID, keys sketch.Words, width int) []byte {
 	for _, id := range ids {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(id))
 	}
-	for _, k := range keys {
-		w := diskWord(sketch.UnpackSketch(k))
-		for shift := 8 * (width - 1); shift >= 0; shift -= 8 {
-			dst = append(dst, byte(w>>shift))
-		}
-	}
-	return dst
+	return keys.AppendTo(dst, width)
 }
 
 // decodeColumns appends the n records whose columns src holds exactly to
-// ids and keys, refusing a word that is no valid sketch.
-func decodeColumns(src []byte, n, width int, ids []bitvec.UserID, keys []uint64) ([]bitvec.UserID, []uint64, error) {
+// ids and keys, refusing — before it appends any — a word that is no valid
+// sketch.
+func decodeColumns(src []byte, n, width int, ids []bitvec.UserID, keys sketch.Words) ([]bitvec.UserID, sketch.Words, error) {
 	if len(src) != n*(8+width) {
 		return ids, keys, fmt.Errorf("%d-byte columns for %d records of width %d", len(src), n, width)
 	}
+	keys, err := keys.AppendEncoded(src[8*n:], width)
+	if err != nil {
+		return ids, keys, err
+	}
 	for i := 0; i < n; i++ {
 		ids = append(ids, bitvec.UserID(binary.BigEndian.Uint64(src[8*i:])))
-	}
-	words := src[8*n:]
-	for i := 0; i < n; i++ {
-		var w uint64
-		for _, c := range words[i*width : (i+1)*width] {
-			w = w<<8 | uint64(c)
-		}
-		s := sketch.Sketch{Key: w >> 5, Length: int(w & 31)}
-		if !s.Valid() {
-			return ids, keys, fmt.Errorf("sketch word %#x is no valid sketch", w)
-		}
-		keys = append(keys, s.Pack())
 	}
 	return ids, keys, nil
 }
@@ -176,10 +149,11 @@ type runMark struct {
 }
 
 // growingRun is a run a runSet is still adding to; reserved counts the
-// records about to be added, so that the columns are sized once.
+// records about to be added and width is that of the widest run among
+// them, so that the columns are sized once.
 type growingRun struct {
 	run
-	reserved int
+	reserved, width int
 }
 
 func newRunSet() *runSet { return &runSet{byTag: make(map[string]*growingRun)} }
@@ -212,16 +186,17 @@ func (s *runSet) normalized() []run {
 			continue // named only by a frame that was then refused
 		}
 		if !strictlyAscending(r.IDs) {
-			sortByID(r.IDs, r.Keys)
+			r.IDs, r.Keys = sketch.SortByID(r.IDs, r.Keys)
 			n := 0
 			for i, id := range r.IDs {
 				if i+1 < len(r.IDs) && r.IDs[i+1] == id {
 					continue // a newer arrival for the same user follows
 				}
-				r.IDs[n], r.Keys[n] = id, r.Keys[i]
+				r.IDs[n] = id
+				r.Keys.Set(n, r.Keys.At(i))
 				n++
 			}
-			r.IDs, r.Keys = r.IDs[:n], r.Keys[:n]
+			r.IDs, r.Keys = r.IDs[:n], r.Keys.Slice(0, n)
 		}
 		out = append(out, r.run)
 	}
@@ -234,73 +209,27 @@ func findRun(runs []run, tag string) (int, bool) {
 	return slices.BinarySearchFunc(runs, tag, func(r run, tag string) int { return strings.Compare(r.tag, tag) })
 }
 
-// sortByID sorts parallel id and key columns by id, equal ids keeping
-// their order: a least-significant-byte radix sort over the id bytes that
-// differ at all.  A full log is a few hundred thousand records and every
-// roll, restart and first read after an append sorts it, which is what
-// makes the linear sort worth its thirty lines over sort.Stable.
-func sortByID(ids []bitvec.UserID, keys []uint64) {
-	n := len(ids)
-	if n < 64 {
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-				ids[j-1], ids[j] = ids[j], ids[j-1]
-				keys[j-1], keys[j] = keys[j], keys[j-1]
-			}
-		}
-		return
-	}
-	// One pass counts every digit; a digit all ids share needs no pass.
-	var counts [8][256]int
-	for _, id := range ids {
-		for d := range counts {
-			counts[d][byte(id>>(8*d))]++
-		}
-	}
-	srcIDs, srcKeys := ids, keys
-	dstIDs, dstKeys := make([]bitvec.UserID, n), make([]uint64, n)
-	for d := range counts {
-		next, shift := &counts[d], 8*d
-		if next[byte(srcIDs[0]>>shift)] == n {
-			continue
-		}
-		at := 0
-		for b, c := range next {
-			next[b], at = at, at+c
-		}
-		for i, id := range srcIDs {
-			b := byte(id >> shift)
-			dstIDs[next[b]], dstKeys[next[b]] = id, srcKeys[i]
-			next[b]++
-		}
-		srcIDs, dstIDs, srcKeys, dstKeys = dstIDs, srcIDs, dstKeys, srcKeys
-	}
-	if &srcIDs[0] != &ids[0] {
-		copy(ids, srcIDs)
-		copy(keys, srcKeys)
-	}
-}
-
 // mergeColumns merges id-ascending sources of one subset, oldest first,
 // into fresh columns: ids ascending, the newest source winning an id two
-// of them hold.  The sources are left as they were.
-func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, []uint64) {
-	total := 0
+// of them hold, the words at the width of the widest source.  The sources
+// are left as they were.
+func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, sketch.Words) {
+	total, width := 0, 0
 	// heap orders the unfinished sources by (next id, age); each entry is
 	// what is left of its source.
 	type cursor struct {
 		ids  []bitvec.UserID
-		keys []uint64
+		keys sketch.Words
 		age  int
 	}
 	heap := make([]cursor, 0, len(srcs))
 	for age, s := range srcs {
 		if len(s.IDs) > 0 {
 			heap = append(heap, cursor{s.IDs, s.Keys, age})
-			total += len(s.IDs)
+			total, width = total+len(s.IDs), max(width, s.Keys.Width())
 		}
 	}
-	ids, keys := make([]bitvec.UserID, 0, total), make([]uint64, 0, total)
+	ids, keys := make([]bitvec.UserID, 0, total), sketch.MakeWords(width, 0, total)
 	less := func(a, b cursor) bool {
 		return a.ids[0] < b.ids[0] || (a.ids[0] == b.ids[0] && a.age < b.age)
 	}
@@ -326,11 +255,11 @@ func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, []uint64) {
 		top := &heap[0]
 		// Equal ids leave the heap oldest first, so a repeat overwrites.
 		if n := len(ids); n > 0 && ids[n-1] == top.ids[0] {
-			keys[n-1] = top.keys[0]
+			keys.Set(n-1, top.keys.At(0))
 		} else {
-			ids, keys = append(ids, top.ids[0]), append(keys, top.keys[0])
+			ids, keys = append(ids, top.ids[0]), keys.Append(top.keys.At(0))
 		}
-		top.ids, top.keys = top.ids[1:], top.keys[1:]
+		top.ids, top.keys = top.ids[1:], top.keys.Slice(1, len(top.ids))
 		if len(top.ids) == 0 {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
@@ -340,10 +269,10 @@ func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, []uint64) {
 	if len(heap) == 1 {
 		rest := heap[0]
 		if n := len(ids); n > 0 && ids[n-1] == rest.ids[0] {
-			keys[n-1] = rest.keys[0]
-			rest.ids, rest.keys = rest.ids[1:], rest.keys[1:]
+			keys.Set(n-1, rest.keys.At(0))
+			rest.ids, rest.keys = rest.ids[1:], rest.keys.Slice(1, len(rest.ids))
 		}
-		ids, keys = append(ids, rest.ids...), append(keys, rest.keys...)
+		ids, keys = append(ids, rest.ids...), keys.AppendWords(rest.keys)
 	}
 	return ids, keys
 }

@@ -114,7 +114,7 @@ func bloomTest(bloom []byte, k int, user uint64) bool {
 // must pass every block checksum, ascend, and start each block on the id
 // the index has for it: the index was checked against this file at open,
 // so a disagreement now is corruption, reported loudly.
-func readBlocks(f *os.File, x *segIndex, r segRun, lo, hi int, raw []byte, ids []bitvec.UserID, keys []uint64) ([]byte, []bitvec.UserID, []uint64, error) {
+func readBlocks(f *os.File, x *segIndex, r segRun, lo, hi int, raw []byte, ids []bitvec.UserID, keys sketch.Words) ([]byte, []bitvec.UserID, sketch.Words, error) {
 	start, size := blocksLen(lo, r.width), blocksLen(hi, r.width)-blocksLen(lo, r.width)
 	raw = slices.Grow(raw[:0], size)[:size]
 	if _, err := f.ReadAt(raw, int64(r.off)+int64(start)); err != nil {
@@ -156,7 +156,7 @@ func readSegmentRange(meta segmentMeta, m *metrics, from, n int) ([]sketch.Publi
 	out := make([]sketch.Published, 0, n)
 	var raw []byte
 	var ids []bitvec.UserID
-	var keys []uint64
+	var keys sketch.Words
 	// The run holding ordinal from: the last one starting at or before it.
 	ri := sort.Search(len(x.runs), func(i int) bool { return x.runs[i].first > from }) - 1
 	for ; len(out) < n; ri++ {
@@ -165,11 +165,11 @@ func readSegmentRange(meta segmentMeta, m *metrics, from, n int) ([]sketch.Publi
 		hi := min(r.count, lo+n-len(out))
 		blockLo := lo / segBlockRecords * segBlockRecords
 		blockHi := min(r.count, (hi+segBlockRecords-1)/segBlockRecords*segBlockRecords)
-		if raw, ids, keys, err = readBlocks(f, x, r, blockLo, blockHi, raw, ids[:0], keys[:0]); err != nil {
+		if raw, ids, keys, err = readBlocks(f, x, r, blockLo, blockHi, raw, ids[:0], keys.Reset(r.width)); err != nil {
 			return nil, err
 		}
 		for i := lo - blockLo; i < hi-blockLo; i++ {
-			out = append(out, sketch.Published{ID: ids[i], Subset: r.subset, S: sketch.UnpackSketch(keys[i])})
+			out = append(out, sketch.Published{ID: ids[i], Subset: r.subset, S: keys.Sketch(i)})
 		}
 		from = r.first + r.count
 	}
@@ -208,7 +208,7 @@ func lookupSegment(meta segmentMeta, m *metrics, id bitvec.UserID, tag string) (
 		m.indexSeeks.Inc()
 	}
 	lo := b * segBlockRecords
-	_, ids, keys, err := readBlocks(f, x, r, lo, min(r.count, lo+segBlockRecords), nil, nil, nil)
+	_, ids, keys, err := readBlocks(f, x, r, lo, min(r.count, lo+segBlockRecords), nil, nil, sketch.Words{})
 	if err != nil {
 		return sketch.Published{}, false, err
 	}
@@ -216,5 +216,5 @@ func lookupSegment(meta segmentMeta, m *metrics, id bitvec.UserID, tag string) (
 	if !ok {
 		return sketch.Published{}, false, nil
 	}
-	return sketch.Published{ID: id, Subset: r.subset, S: sketch.UnpackSketch(keys[i])}, true, nil
+	return sketch.Published{ID: id, Subset: r.subset, S: keys.Sketch(i)}, true, nil
 }

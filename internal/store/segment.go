@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/sketch"
 )
 
 // Segment format v3, the only one written.  A segment is a shard's runs
@@ -125,7 +126,7 @@ func (w *segWriter) add(r run) {
 	if len(r.IDs) == 0 {
 		return
 	}
-	width := runWidth(r.Keys)
+	width := r.Keys.MinWidth()
 	header := len(w.buf)
 	w.buf = appendRunHeader(w.buf, r.tag, len(r.IDs), width)
 	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[header:]))
@@ -137,7 +138,7 @@ func (w *segWriter) add(r run) {
 		end := min(at+segBlockRecords, len(r.IDs))
 		w.idx.firstIDs = append(w.idx.firstIDs, r.IDs[at])
 		block := len(w.buf)
-		w.buf = appendColumns(w.buf, r.IDs[at:end], r.Keys[at:end], width)
+		w.buf = appendColumns(w.buf, r.IDs[at:end], r.Keys.Slice(at, end), width)
 		w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[block:]))
 	}
 	for _, id := range r.IDs {
@@ -219,7 +220,7 @@ func writeFileAtomic(path string, data []byte) error {
 // decodeBlocks appends the count records held by src — exactly the blocks
 // of a run's stretch that starts on a block boundary — to ids and keys,
 // verifying every block's checksum.
-func decodeBlocks(src []byte, count, width int, ids []bitvec.UserID, keys []uint64) ([]bitvec.UserID, []uint64, error) {
+func decodeBlocks(src []byte, count, width int, ids []bitvec.UserID, keys sketch.Words) ([]bitvec.UserID, sketch.Words, error) {
 	if len(src) != blocksLen(count, width) {
 		return ids, keys, fmt.Errorf("%d bytes of blocks for %d records of width %d", len(src), count, width)
 	}
@@ -262,7 +263,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	area := data[:indexOff]
 	idx := &segIndex{}
 	var ids []bitvec.UserID
-	var keys []uint64
+	var keys sketch.Words
 	off, total := segHeaderSize, 0
 	for off < len(area) {
 		h, err := parseRunHeader(area[off:])
@@ -286,7 +287,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 		if size > len(area)-blocks {
 			return corrupt("run at offset %d overruns the data area", off)
 		}
-		if ids, keys, err = decodeBlocks(area[blocks:blocks+size], h.count, h.width, ids[:0], keys[:0]); err != nil {
+		if ids, keys, err = decodeBlocks(area[blocks:blocks+size], h.count, h.width, ids[:0], keys.Reset(h.width)); err != nil {
 			return corrupt("run at offset %d: %v", off, err)
 		}
 		if !strictlyAscending(ids) {
@@ -350,10 +351,10 @@ func openSegment(path string, m *metrics) (*segIndex, error) {
 	}
 	idx.bloom, idx.bloomK = newBloom(int(idx.records())), segBloomK
 	var ids []bitvec.UserID
-	var keys []uint64
+	var keys sketch.Words
 	for _, r := range idx.runs {
 		blocks := data[r.off : r.off+uint64(blocksLen(r.count, r.width))]
-		if ids, keys, err = decodeBlocks(blocks, r.count, r.width, ids[:0], keys[:0]); err != nil {
+		if ids, keys, err = decodeBlocks(blocks, r.count, r.width, ids[:0], keys.Reset(r.width)); err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrSegmentCorrupt, path, err)
 		}
 		for _, id := range ids {

@@ -108,7 +108,7 @@ type wal struct {
 type frameRun struct {
 	subset bitvec.Subset
 	count  int
-	widest uint64 // the largest disk word among its sketches
+	widest uint64 // the largest Pack word among its sketches
 	// Set once the frame is laid out: the sketch width, where the run's id
 	// and word columns start in the frame, and how many are placed.
 	width          int
@@ -260,7 +260,7 @@ func (s *runSet) reserve(payload []byte) error {
 	return eachRun(payload, func(h runHeader, _ []byte) error {
 		r, err := s.runFor(h.tag)
 		if err == nil {
-			r.reserved += h.count
+			r.reserved, r.width = r.reserved+h.count, max(r.width, h.width)
 		}
 		return err
 	})
@@ -269,7 +269,8 @@ func (s *runSet) reserve(payload []byte) error {
 // grow makes room in every run for the records reserved for it.
 func (s *runSet) grow() {
 	for _, r := range s.byTag {
-		r.IDs, r.Keys = slices.Grow(r.IDs, r.reserved), slices.Grow(r.Keys, r.reserved)
+		r.IDs = slices.Grow(r.IDs, r.reserved)
+		r.Keys = sketch.MakeWords(r.width, 0, r.Keys.Len()+r.reserved).AppendWords(r.Keys)
 		r.reserved = 0
 	}
 }
@@ -291,7 +292,7 @@ func (s *runSet) addFrame(payload []byte) (records int, err error) {
 	if err != nil {
 		for i := len(s.marks) - 1; i >= 0; i-- {
 			m := s.marks[i]
-			m.r.IDs, m.r.Keys = m.r.IDs[:m.n], m.r.Keys[:m.n]
+			m.r.IDs, m.r.Keys = m.r.IDs[:m.n], m.r.Keys.Slice(0, m.n)
 		}
 		return 0, err
 	}
@@ -361,7 +362,7 @@ func checkRecords(ps []sketch.Published) error {
 func windowBytes(ps []sketch.Published) int {
 	n := 0
 	for i := range ps {
-		n += 8 + wordWidth(diskWord(ps[i].S))
+		n += 8 + sketch.WordWidth(ps[i].S.Pack())
 		if i == 0 || !ps[i].Subset.Equal(ps[i-1].Subset) {
 			n += runHeaderFixed + ps[i].Subset.TagLen()
 		}
@@ -404,7 +405,7 @@ func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 		}
 		r := &w.layout[cur]
 		r.count++
-		r.widest = max(r.widest, diskWord(ps[i].S))
+		r.widest = max(r.widest, ps[i].S.Pack())
 		w.slots = append(w.slots, uint32(cur))
 	}
 
@@ -415,7 +416,7 @@ func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.layout)))
 	for i := range w.layout {
 		r := &w.layout[i]
-		r.width = wordWidth(r.widest)
+		r.width = sketch.WordWidth(r.widest)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(r.subset.TagLen()))
 		buf = r.subset.AppendTag(buf)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(r.count))
@@ -431,7 +432,7 @@ func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 	for i := range ps {
 		r := &w.layout[w.slots[i]]
 		binary.BigEndian.PutUint64(buf[r.idsAt+8*r.placed:], uint64(ps[i].ID))
-		word, at := diskWord(ps[i].S), r.wordsAt+r.width*r.placed
+		word, at := ps[i].S.Pack(), r.wordsAt+r.width*r.placed
 		for b := r.width - 1; b >= 0; b-- {
 			buf[at+b] = byte(word)
 			word >>= 8
