@@ -294,8 +294,7 @@ func storeBenchmarks(quick bool) []struct {
 		}},
 		{"segment-point-lookup", func(b *testing.B) {
 			// One op = a single-record read through the segment machinery:
-			// bloom filter, run directory, sparse-index binary search, one
-			// block read.  The record set is flushed into segments first,
+			// run directory, sparse-index binary search, one block read.  The record set is flushed into segments first,
 			// so no lookup is served from the log.
 			dir, err := os.MkdirTemp("", "sketchbench-lookup")
 			if err != nil {
@@ -316,7 +315,7 @@ func storeBenchmarks(quick bool) []struct {
 			}
 			// Reopen with a 1-byte flush threshold so Flush rolls EVERY
 			// record into segments and compaction merges each shard to one:
-			// the measured lookups must cross the bloom filter and sparse
+			// the measured lookups must cross the run directory and sparse
 			// index, not the log.
 			st, err := store.Open(store.Options{Dir: dir, FlushThreshold: 1, CompactInterval: -1})
 			if err != nil {

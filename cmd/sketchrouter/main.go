@@ -14,7 +14,9 @@
 // With -metrics-addr the router serves Prometheus /metrics and /healthz
 // (and net/http/pprof with -pprof): per-attempt fan-out RTT and publish
 // replication latency histograms, the fan-out robustness counters,
-// per-node breaker and hint-queue collectors, and live rebalance progress.
+// per-node breaker and hint-queue collectors, live rebalance progress, and
+// the client port's own server_* families (frames, sheds, idle closes,
+// checksum refusals) — the port runs a node's connection loop and guards.
 // /healthz reports 503 while zero members are live.
 //
 // The router speaks the same wire protocol as sketchd, so sketchctl (and
@@ -56,6 +58,7 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/server"
 )
 
 func main() {
@@ -68,7 +71,7 @@ func main() {
 		p           = flag.Float64("p", 0.3, "bias parameter p (must match the nodes)")
 		hints       = flag.Bool("hinted-handoff", true, "queue publishes for briefly-down replicas and replay them on return")
 		maxHints    = flag.Int("max-hints", 4096, "hint queue cap per down replica (at the cap, publishes fail loudly)")
-		batch       = flag.Int("transfer-batch", 2048, "records per rebalance snapshot read and transfer push")
+		batch       = flag.Int("transfer-batch", 2048, "most records per rebalance snapshot read and transfer push (a frame holds fewer when subsets are wide)")
 		reqTO       = flag.Duration("request-timeout", 10*time.Second, "end-to-end budget of one fan-out attempt (carried to the nodes in every filter)")
 		hedge       = flag.Duration("hedge-delay", 0, "wait on a silent node before re-asking its slice from surviving replicas (0: request-timeout/4)")
 		transTO     = flag.Duration("transfer-timeout", 60*time.Second, "budget of one rebalance snapshot read or transfer push")
@@ -116,10 +119,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	front := server.NewFrontend(router)
 	var msrv *obs.Server
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		router.RegisterMetrics(reg)
+		front.RegisterMetrics(reg)
 		// The router is healthy while at least one member answers pings:
 		// with zero live nodes every query and publish would refuse anyway.
 		health := func() error {
@@ -138,7 +143,6 @@ func main() {
 		fmt.Printf("metrics listening on %s\n", msrv.Addr())
 	}
 
-	front := cluster.NewFrontend(router)
 	bound, err := front.Listen(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -16,6 +18,7 @@ import (
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
+	"sketchprivacy/internal/wire"
 )
 
 // startProc2 launches a daemon that reports two listening lines (the
@@ -240,8 +243,40 @@ func TestFleetMetricsEndpointsLive(t *testing.T) {
 		}
 	}
 
-	// Router scrape: fan-out RTT and publish replication are live.
+	// The router's client port is a node's connection loop: a frame with a
+	// flipped payload bit is answered with the checksum error, not a
+	// silent hang-up, and counted.
+	raw, err := net.Dial("tcp", routerAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, wire.TypeRebalanceStatus, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	frame.Bytes()[frame.Len()-1] ^= 0x01
+	if _, err := raw.Write(frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if msgType, reply, err := wire.ReadFrame(raw); err != nil || msgType != wire.TypeError || !strings.Contains(string(reply), wire.ErrFrameChecksum.Error()) {
+		t.Fatalf("sketchrouter answered a corrupt frame with type %d %q (%v), want the checksum error", msgType, reply, err)
+	}
+
+	// Router scrape: fan-out RTT and publish replication are live, and so
+	// are the client port's own families.
 	rfams := lintScrape(t, "sketchrouter", scrape(t, "http://"+routerMetrics+"/metrics"))
+	if f := rfams["server_frames_total"]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value < n+2 {
+		t.Errorf("sketchrouter: server_frames_total missing or below the %d frames of the drill: %+v", n+2, f)
+	}
+	if f := rfams["server_checksum_errors_total"]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value != 1 {
+		t.Errorf("sketchrouter: server_checksum_errors_total != 1 after one corrupt frame: %+v", f)
+	}
+	for _, name := range []string{"server_overloads_total", "server_idle_closes_total", "server_inflight", "server_inflight_limit"} {
+		if rfams[name] == nil {
+			t.Errorf("sketchrouter: %s missing from /metrics", name)
+		}
+	}
 	for _, h := range []string{"cluster_fanout_rtt_seconds", "cluster_publish_seconds"} {
 		if got := histCountOf(t, "sketchrouter", rfams, h); got == 0 {
 			t.Errorf("sketchrouter: %s_count = 0 after the drill", h)

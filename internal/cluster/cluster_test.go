@@ -332,7 +332,7 @@ func TestClusterRefusesPartialCoverage(t *testing.T) {
 func TestClusterFrontendServesWireClients(t *testing.T) {
 	nodes := startNodes(t, 3)
 	r := startRouter(t, nodes, 2)
-	front := cluster.NewFrontend(r)
+	front := server.NewFrontend(r)
 	addr, err := front.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

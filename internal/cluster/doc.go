@@ -39,4 +39,8 @@
 // ownership filter; a node that has seen epoch E refuses plan queries
 // stamped E−1, so a fan-out racing a cutover retries under a fresh
 // snapshot instead of merging counters computed under different rings.
+//
+// The package has no listener of its own: server.Frontend puts a Router on
+// the wire through the connection loop a node's server runs (server imports
+// cluster, never the reverse).
 package cluster

@@ -55,8 +55,10 @@ type node struct {
 	closed   bool
 	// hints queues records this member missed while down; replayed (and
 	// drained) by the router's sweep when the member returns.  While any
-	// hint is pending the member is excluded from query fan-outs.
-	hints []sketch.Published
+	// hint is pending — queued, or taken by a replay whose push has not
+	// been acknowledged yet — the member is excluded from query fan-outs.
+	hints     []sketch.Published
+	replaying int
 }
 
 // isAlive reports whether the node is currently considered live
@@ -73,7 +75,7 @@ func (n *node) isAlive() bool {
 func (n *node) queryLive() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.alive && len(n.hints) == 0
+	return n.alive && len(n.hints) == 0 && n.replaying == 0
 }
 
 // addHint queues a record the node missed, refusing past the cap.
@@ -87,7 +89,8 @@ func (n *node) addHint(p sketch.Published, max int) bool {
 	return true
 }
 
-// takeHints removes and returns up to max queued hints.
+// takeHints removes and returns up to max queued hints for a replay, which
+// settleHints must end.
 func (n *node) takeHints(max int) []sketch.Published {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -101,14 +104,19 @@ func (n *node) takeHints(max int) []sketch.Published {
 	if len(n.hints) == 0 {
 		n.hints = nil
 	}
+	n.replaying++
 	return out
 }
 
-// requeueHints puts hints back after a failed replay.
-func (n *node) requeueHints(hs []sketch.Published) {
+// settleHints ends a replay: the node acknowledged the taken hints, or the
+// push failed and failed goes back to the head of the queue.
+func (n *node) settleHints(failed []sketch.Published) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.hints = append(hs, n.hints...)
+	n.replaying--
+	if len(failed) > 0 {
+		n.hints = append(failed, n.hints...)
+	}
 }
 
 // probeDue reports whether a dead node's backoff has elapsed, so the ping

@@ -239,10 +239,11 @@ func (r *Router) rebalance(old, newRing *Ring, mig *migration) error {
 		if !ok {
 			return fmt.Errorf("cluster: transfer destination %s has no member handle", dest)
 		}
-		if err := r.pushTransfer(n, records); err != nil {
+		frames, err := r.pushTransfer(n, records)
+		mig.batches.Add(uint64(frames))
+		if err != nil {
 			return err
 		}
-		mig.batches.Add(1)
 		pending[dest] = pending[dest][:0]
 		return nil
 	}

@@ -39,8 +39,9 @@ type Config struct {
 	// At the cap, publishes that would need another hint fail instead —
 	// bounded memory, and the all-live-owner guarantee degrades loudly.
 	MaxHintsPerNode int
-	// TransferBatch is the record count per rebalance snapshot read and
-	// transfer push (default 2048).
+	// TransferBatch is the most records per rebalance snapshot read and
+	// transfer push (default 2048); records over wide subsets travel in
+	// fewer per frame, as many as its bytes hold.
 	TransferBatch int
 	// OnTransferBatch, when set, runs after the rebalance engine finishes
 	// processing each snapshot batch.  Tests use it to freeze a precise
@@ -92,8 +93,8 @@ func (c Config) withDefaults() Config {
 		c.TransferBatch = 2048
 	}
 	if c.TransferBatch > wire.MaxTransferBatch {
-		// Larger batches would exceed the nodes' clamp and the frame
-		// limit; a misconfigured flag must not break every rebalance.
+		// Larger batches would exceed the nodes' clamp; a misconfigured
+		// flag must not break every rebalance.
 		c.TransferBatch = wire.MaxTransferBatch
 	}
 	if c.DialTimeout == 0 {
@@ -324,34 +325,44 @@ func (r *Router) replayHints(n *node) {
 		if len(hints) == 0 {
 			return
 		}
-		if err := r.pushTransfer(n, hints); err != nil {
-			n.requeueHints(hints)
+		if _, err := r.pushTransfer(n, hints); err != nil {
+			n.settleHints(hints)
 			return
 		}
+		n.settleHints(nil)
 	}
 }
 
-// pushTransfer delivers one idempotent record batch to a node under the
-// current epoch, bounded by the bulk TransferTimeout rather than the
-// query RequestTimeout — a full batch write can legitimately outlast a
-// query exchange.
-func (r *Router) pushTransfer(n *node, records []sketch.Published) error {
-	payload := wire.EncodeTransferPush(wire.TransferPush{Epoch: r.Epoch(), Records: records})
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.TransferTimeout)
-	defer cancel()
-	replyType, reply, err := n.roundTripCtx(ctx, wire.TypeTransferPush, payload)
-	if err != nil {
-		return err
+// pushTransfer delivers an idempotent record batch to a node under the
+// current epoch and reports how many frames that took: a batch is cut by
+// record count upstream but a frame is bounded by bytes, so wide subsets
+// split it (wire.FrameBatch).  Each frame is bounded by the bulk
+// TransferTimeout rather than the query RequestTimeout — a full batch
+// write can legitimately outlast a query exchange.
+func (r *Router) pushTransfer(n *node, records []sketch.Published) (frames int, err error) {
+	for ; len(records) > 0; frames++ {
+		fit, err := wire.FrameBatch(records)
+		if err != nil {
+			return frames, err
+		}
+		payload := wire.EncodeTransferPush(wire.TransferPush{Epoch: r.Epoch(), Records: records[:fit]})
+		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.TransferTimeout)
+		replyType, reply, err := n.roundTripCtx(ctx, wire.TypeTransferPush, payload)
+		cancel()
+		switch {
+		case err != nil:
+			return frames, err
+		case replyType == wire.TypeError:
+			return frames, fmt.Errorf("cluster: node %s refused transfer: %s", n.addr, reply)
+		case replyType != wire.TypeTransferAck:
+			return frames, fmt.Errorf("cluster: node %s: unexpected transfer reply type %d", n.addr, replyType)
+		}
+		if _, err := wire.DecodeTransferAck(reply); err != nil {
+			return frames, err
+		}
+		records = records[fit:]
 	}
-	switch replyType {
-	case wire.TypeTransferAck:
-		_, err := wire.DecodeTransferAck(reply)
-		return err
-	case wire.TypeError:
-		return fmt.Errorf("cluster: node %s refused transfer: %s", n.addr, reply)
-	default:
-		return fmt.Errorf("cluster: node %s: unexpected transfer reply type %d", n.addr, replyType)
-	}
+	return frames, nil
 }
 
 // Estimator returns the estimator the router reduces merged counters with.

@@ -302,7 +302,7 @@ func TestClusterHTTPBitIdenticalToBinaryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fe := cluster.NewFrontend(h.r)
+	fe := server.NewFrontend(h.r)
 	feAddr, err := fe.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 
@@ -8,6 +9,9 @@ import (
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
+
+// ErrRemote wraps an error message reported by the server.
+var ErrRemote = errors.New("server: remote error")
 
 // Client is a connection to a collection server.  It is not safe for
 // concurrent use; open one client per goroutine.
@@ -34,25 +38,33 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
+// call runs one exchange: it sends a request frame and reads the one frame
+// every request is answered with — the wanted reply type's payload, the
+// server's TypeError text as an ErrRemote, or a type this client does not
+// expect there, named by its number.
+func (c *Client) call(msgType byte, payload []byte, wantReply byte) ([]byte, error) {
+	if err := wire.WriteFrame(c.conn, msgType, payload); err != nil {
+		return nil, err
+	}
+	replyType, reply, err := wire.ReadFrame(c.conn)
+	switch {
+	case err != nil:
+		return nil, err
+	case replyType == wantReply:
+		return reply, nil
+	case replyType == wire.TypeError:
+		return nil, fmt.Errorf("%w: %s", ErrRemote, reply)
+	default:
+		return nil, fmt.Errorf("%w: unexpected reply type %d", ErrRemote, replyType)
+	}
+}
+
 // Ping requests the peer's liveness text: a node reports its version and
 // sketch count, a router reports ring membership, per-node liveness and
 // ownership spans.
 func (c *Client) Ping() (string, error) {
-	if err := wire.WriteFrame(c.conn, wire.TypePing, nil); err != nil {
-		return "", err
-	}
-	msgType, payload, err := wire.ReadFrame(c.conn)
-	if err != nil {
-		return "", err
-	}
-	switch msgType {
-	case wire.TypePong:
-		return string(payload), nil
-	case wire.TypeError:
-		return "", fmt.Errorf("%w: %s", ErrRemote, payload)
-	default:
-		return "", fmt.Errorf("%w: unexpected reply type %d", ErrRemote, msgType)
-	}
+	text, err := c.call(wire.TypePing, nil, wire.TypePong)
+	return string(text), err
 }
 
 // Close closes the connection.
@@ -63,98 +75,47 @@ func (c *Client) Close() error { return c.conn.Close() }
 // ownership onto the node and cut the ring over (watch RebalanceStatus
 // from another connection for progress).
 func (c *Client) Join(node string) error {
-	return c.admin(wire.TypeJoin, node)
+	_, err := c.call(wire.TypeJoin, []byte(node), wire.TypeAck)
+	return err
 }
 
 // Drain asks a sketchrouter to move node's ownership away and retire it
 // from the ring.  Synchronous, like Join.
 func (c *Client) Drain(node string) error {
-	return c.admin(wire.TypeDrain, node)
-}
-
-// admin runs one address-carrying admin exchange.
-func (c *Client) admin(msgType byte, node string) error {
-	if err := wire.WriteFrame(c.conn, msgType, []byte(node)); err != nil {
-		return err
-	}
-	replyType, payload, err := wire.ReadFrame(c.conn)
-	if err != nil {
-		return err
-	}
-	switch replyType {
-	case wire.TypeAck:
-		return nil
-	case wire.TypeError:
-		return fmt.Errorf("%w: %s", ErrRemote, payload)
-	default:
-		return fmt.Errorf("%w: unexpected reply type %d", ErrRemote, replyType)
-	}
+	_, err := c.call(wire.TypeDrain, []byte(node), wire.TypeAck)
+	return err
 }
 
 // RebalanceStatus asks a sketchrouter for its membership-change state.
 func (c *Client) RebalanceStatus() (string, error) {
-	if err := wire.WriteFrame(c.conn, wire.TypeRebalanceStatus, nil); err != nil {
-		return "", err
-	}
-	replyType, payload, err := wire.ReadFrame(c.conn)
-	if err != nil {
-		return "", err
-	}
-	switch replyType {
-	case wire.TypePong:
-		return string(payload), nil
-	case wire.TypeError:
-		return "", fmt.Errorf("%w: %s", ErrRemote, payload)
-	default:
-		return "", fmt.Errorf("%w: unexpected reply type %d", ErrRemote, replyType)
-	}
+	text, err := c.call(wire.TypeRebalanceStatus, nil, wire.TypePong)
+	return string(text), err
 }
 
 // Publish sends one published sketch and waits for the acknowledgement.
 func (c *Client) Publish(p sketch.Published) error {
-	if err := wire.WriteFrame(c.conn, wire.TypePublish, wire.EncodePublished(p)); err != nil {
-		return err
-	}
-	msgType, payload, err := wire.ReadFrame(c.conn)
-	if err != nil {
-		return err
-	}
-	switch msgType {
-	case wire.TypeAck:
-		return nil
-	case wire.TypeError:
-		return fmt.Errorf("%w: %s", ErrRemote, payload)
-	default:
-		return fmt.Errorf("%w: unexpected reply type %d", ErrRemote, msgType)
-	}
+	_, err := c.call(wire.TypePublish, wire.EncodePublished(p), wire.TypeAck)
+	return err
 }
 
-// PublishAll publishes a batch in chunked TypePublishBatch frames (at
-// most MaxTransferBatch records each), stopping at the first error.
-// Each frame lands through the server's batched ingest — roughly one
-// fsync'd commit window per touched store shard — and its single ack
-// means every record in the chunk is durable.  On error the caller
-// cannot assume which records of the failed chunk landed; re-publishing
-// the whole batch is safe because ingestion is idempotent.
+// PublishAll publishes a batch in chunked TypePublishBatch frames — each
+// the leading records that fit one frame, at most MaxTransferBatch of them
+// — stopping at the first error.  Each frame lands through the server's
+// batched ingest — roughly one fsync'd commit window per touched store
+// shard — and its single ack means every record in the chunk is durable.
+// On error the caller cannot assume which records of the failed chunk
+// landed; re-publishing the whole batch is safe because ingestion is
+// idempotent.
 func (c *Client) PublishAll(ps []sketch.Published) error {
 	for len(ps) > 0 {
-		n := min(len(ps), wire.MaxTransferBatch)
-		chunk := ps[:n]
-		ps = ps[n:]
-		if err := wire.WriteFrame(c.conn, wire.TypePublishBatch, wire.EncodePublishBatch(chunk)); err != nil {
-			return err
-		}
-		msgType, payload, err := wire.ReadFrame(c.conn)
+		n, err := wire.FrameBatch(ps[:min(len(ps), wire.MaxTransferBatch)])
 		if err != nil {
 			return err
 		}
-		switch msgType {
-		case wire.TypeAck:
-		case wire.TypeError:
-			return fmt.Errorf("%w: %s", ErrRemote, payload)
-		default:
-			return fmt.Errorf("%w: unexpected reply type %d", ErrRemote, msgType)
+		if _, err := c.call(wire.TypePublishBatch, wire.EncodePublishBatch(ps[:n]), wire.TypeAck); err != nil {
+			return err
 		}
+		ps = ps[n:]
 	}
 	return nil
 }
@@ -162,40 +123,20 @@ func (c *Client) PublishAll(ps []sketch.Published) error {
 // Stats requests the server's stats report: mechanism parameters,
 // per-subset record counts and durable-store sizes.
 func (c *Client) Stats() (wire.Stats, error) {
-	if err := wire.WriteFrame(c.conn, wire.TypeStats, nil); err != nil {
-		return wire.Stats{}, err
-	}
-	msgType, payload, err := wire.ReadFrame(c.conn)
+	reply, err := c.call(wire.TypeStats, nil, wire.TypeStatsReply)
 	if err != nil {
 		return wire.Stats{}, err
 	}
-	switch msgType {
-	case wire.TypeStatsReply:
-		return wire.DecodeStats(payload)
-	case wire.TypeError:
-		return wire.Stats{}, fmt.Errorf("%w: %s", ErrRemote, payload)
-	default:
-		return wire.Stats{}, fmt.Errorf("%w: unexpected reply type %d", ErrRemote, msgType)
-	}
+	return wire.DecodeStats(reply)
 }
 
 // QueryConjunction runs a conjunctive query remotely and returns the
 // estimated fraction, the unclamped raw estimate and the number of users
 // it was computed over.
 func (c *Client) QueryConjunction(b bitvec.Subset, v bitvec.Vector) (wire.Result, error) {
-	if err := wire.WriteFrame(c.conn, wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: b, Value: v})); err != nil {
-		return wire.Result{}, err
-	}
-	msgType, payload, err := wire.ReadFrame(c.conn)
+	reply, err := c.call(wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: b, Value: v}), wire.TypeResult)
 	if err != nil {
 		return wire.Result{}, err
 	}
-	switch msgType {
-	case wire.TypeResult:
-		return wire.DecodeResult(payload)
-	case wire.TypeError:
-		return wire.Result{}, fmt.Errorf("%w: %s", ErrRemote, payload)
-	default:
-		return wire.Result{}, fmt.Errorf("%w: unexpected reply type %d", ErrRemote, msgType)
-	}
+	return wire.DecodeResult(reply)
 }

@@ -1,0 +1,110 @@
+package server
+
+import (
+	"encoding/hex"
+	"reflect"
+	"testing"
+
+	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/sketch"
+	"sketchprivacy/internal/wire"
+)
+
+// TestRecordedConversation replays one fixed conversation against a node —
+// every opcode it serves, the error paths, an unknown and a retired opcode
+// — and compares each reply frame, type and payload bytes, with literals
+// recorded from the commit before the connection loop was shared with the
+// router.  A node answers the same request bytes with the same reply bytes,
+// error texts included; a refactor of the loop or of a dispatch arm that
+// moves one byte fails here.  The stats reply is compared decoded.
+func TestRecordedConversation(t *testing.T) {
+	_, addr, _, _ := startTestServer(t, 0.3, 10)
+	conn := dialRaw(t, addr)
+
+	b0, b1 := bitvec.MustSubset(0, 2), bitvec.MustSubset(1)
+	rec := func(id uint64, b bitvec.Subset, key uint64) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: key, Length: 10}}
+	}
+	plan := wire.PlanQuery{
+		Fractions: []wire.Query{{Subset: b0, Value: bitvec.MustFromString("10")}, {Subset: b1, Value: bitvec.MustFromString("1")}},
+		Hists:     []wire.PlanHistQuery{{Subs: []wire.Query{{Subset: b0, Value: bitvec.MustFromString("11")}, {Subset: b1, Value: bitvec.MustFromString("0")}}}},
+		Counts:    []bitvec.Subset{b0, bitvec.MustSubset(5)},
+		Total:     true,
+	}
+	steps := []struct {
+		name      string
+		msgType   byte
+		payload   []byte
+		replyType byte
+		reply     string // hex, or the error text for a TypeError
+	}{
+		{"hello", wire.TypeHello, wire.EncodeHello(), wire.TypeHelloAck, "06"},
+		{"hello with an epoch", wire.TypeHello, wire.EncodeHelloEpoch(3), wire.TypeHelloAck, "06"},
+		{"ping", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=6 sketches=0 epoch=3"))},
+		{"ping with an epoch", wire.TypePing, wire.EncodePingEpoch(4), wire.TypePong, hex.EncodeToString([]byte("ok version=6 sketches=0 epoch=4"))},
+		{"publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 5)), wire.TypeAck, ""},
+		{"identical re-publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 5)), wire.TypeAck, ""},
+		{"conflicting publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 6)), wire.TypeError,
+			"sketch: user user-1 already published a sketch for subset {0,2}"},
+		{"corrupt publish", wire.TypePublish, []byte{1, 2, 3}, wire.TypeError, "wire: corrupt payload"},
+		{"publish batch", wire.TypePublishBatch, wire.EncodePublishBatch([]sketch.Published{rec(2, b0, 9), rec(3, b0, 700), rec(2, b1, 1)}), wire.TypeAck, ""},
+		{"corrupt publish batch", wire.TypePublishBatch, []byte{0, 0, 0, 1, 9, 9, 9, 9}, wire.TypeError, "wire: corrupt payload: transfer frame CRC mismatch"},
+		{"query", wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: b0, Value: bitvec.MustFromString("10")}), wire.TypeResult,
+			"3fb55555555555543fb55555555555540000000000000003"},
+		{"query on a subset nobody sketched", wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: bitvec.MustSubset(7), Value: bitvec.MustFromString("1")}), wire.TypeError,
+			"query: no sketches available for the requested subset: {7}"},
+		{"query with a short value", wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: b0, Value: bitvec.MustFromString("1")}), wire.TypeError,
+			"query: query shape mismatch: subset of size 2 queried with value of length 1"},
+		{"plan query", wire.TypePlanQuery, wire.EncodePlanQuery(plan), wire.TypePlanResult,
+			"00000000000000000000000200000000000000010000000000000003000000000000000100000000000000010000000100000000000000010000000300000000000000010000000000000000000000000000000000000002000000000000000300000000000000000000000000000004"},
+		{"plan query under a superseded epoch", wire.TypePlanQuery, wire.EncodePlanQuery(wire.PlanQuery{Filter: &wire.Filter{Epoch: 2}, Total: true}), wire.TypeError,
+			"wire: stale ring epoch: query was built for ring epoch 2 but this node has observed epoch 4 — refusing to contribute counters computed under a superseded ring"},
+		{"corrupt plan query", wire.TypePlanQuery, []byte{7}, wire.TypeError,
+			"wire: corrupt payload: filter presence byte 7"},
+		{"snapshot read", wire.TypeSnapshotRead, wire.EncodeSnapshotRead(wire.SnapshotRead{Max: 3}), wire.TypeSnapshotBatch,
+			"000000010000000200000000030000002300000000000000020000001000000000000000010000000000000001000000030a00010000002b000000000000000100000018000000000000000200000000000000000000000000000002000000030a00050000002b000000000000000200000018000000000000000200000000000000000000000000000002000000030a0009c8714efa"},
+		{"snapshot read from the returned cursor", wire.TypeSnapshotRead, wire.EncodeSnapshotRead(wire.SnapshotRead{Cursor: 1<<32 | 2, Max: 3}), wire.TypeSnapshotBatch,
+			"000000020000000001000000010000002b000000000000000300000018000000000000000200000000000000000000000000000002000000030a02bc3e52f24d"},
+		{"corrupt snapshot read", wire.TypeSnapshotRead, []byte{0}, wire.TypeError,
+			"wire: corrupt payload"},
+		{"transfer push", wire.TypeTransferPush, wire.EncodeTransferPush(wire.TransferPush{Epoch: 5, Records: []sketch.Published{rec(3, b0, 700), rec(9, b1, 2)}}), wire.TypeTransferAck,
+			"0000000000000001"},
+		{"conflicting transfer push", wire.TypeTransferPush, wire.EncodeTransferPush(wire.TransferPush{Epoch: 5, Records: []sketch.Published{rec(9, b1, 3)}}), wire.TypeError,
+			"server: transfer push: sketch: user user-9 already published a sketch for subset {1}"},
+		{"an unknown opcode", 99, []byte("x"), wire.TypeError, "server: unknown message type 99"},
+		{"a retired opcode", 12, []byte{4, 0}, wire.TypeError, "server: unknown message type 12"},
+		{"a router's admin opcode", wire.TypeJoin, []byte("127.0.0.1:1"), wire.TypeError, "server: unknown message type 18"},
+		{"ping after it all", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=6 sketches=5 epoch=5"))},
+	}
+	for _, s := range steps {
+		replyType, reply := roundTripRaw(t, conn, s.msgType, s.payload)
+		got := hex.EncodeToString(reply)
+		if replyType == wire.TypeError {
+			got = string(reply)
+		}
+		if replyType != s.replyType || got != s.reply {
+			t.Errorf("%s: reply type %d %q, recorded type %d %q", s.name, replyType, got, s.replyType, s.reply)
+		}
+	}
+
+	replyType, reply := roundTripRaw(t, conn, wire.TypeStats, nil)
+	if replyType != wire.TypeStatsReply {
+		t.Fatalf("stats answered with type %d: %s", replyType, reply)
+	}
+	got, err := wire.DecodeStats(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wire.Stats{
+		Params: "p=0.3 ℓ=10 bits (privacy ratio 29.64, failure prob 1.14e-42)", P: 0.3, SketchBits: 10, Sketches: 5,
+		Subsets: []wire.SubsetCount{
+			{Subset: "{1}", Positions: []int{1}, Count: 2},
+			{Subset: "{0,2}", Positions: []int{0, 2}, Count: 3},
+		},
+		// The stats frame itself holds the one in-flight slot it reports.
+		Robustness: &wire.Robustness{InFlight: 1, MaxInFlight: 256},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stats reply %+v robustness %+v, recorded %+v", got, got.Robustness, want)
+	}
+}

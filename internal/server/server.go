@@ -9,8 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,47 +18,12 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// Config parameterizes a Server's robustness guards.  The zero value gets
-// defaults, so server.New keeps working unchanged.
-type Config struct {
-	// ReadIdleTimeout bounds how long a connection may sit silent between
-	// frames (default 5m): a client that wedges mid-frame or goes away
-	// without closing stops holding a handler goroutine and a socket
-	// forever.  A fresh deadline is armed before every frame read, so a
-	// chatty connection never times out.
-	ReadIdleTimeout time.Duration
-	// MaxInFlight bounds how many frames the server executes concurrently
-	// across all connections (default 256).  Past it, requests are shed
-	// with wire.OverloadError — a retryable refusal — instead of queueing
-	// unboundedly; a misbehaving client cannot wedge the node for others.
-	MaxInFlight int
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.ReadIdleTimeout == 0 {
-		c.ReadIdleTimeout = 5 * time.Minute
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 256
-	}
-	return c
-}
-
 // Server accepts publish and query frames over TCP and applies them to an
 // engine.
 type Server struct {
+	*endpoint
 	eng *engine.Engine
-	cfg Config
 
-	// inflight is the frame-execution semaphore implementing MaxInFlight.
-	inflight chan struct{}
-
-	// Robustness counters, reported in stats.
-	frames           atomic.Uint64 // frames served, all message types
-	overloads        atomic.Uint64 // frames shed by the in-flight guard
-	idleCloses       atomic.Uint64 // connections closed by the idle timeout
-	checksumErrors   atomic.Uint64 // frames refused with a CRC mismatch
 	deadlineAbandons atomic.Uint64 // plans abandoned mid-execution on budget expiry
 
 	// epoch is the highest ring epoch this node has observed, learned from
@@ -69,12 +32,6 @@ type Server struct {
 	// so results computed under a superseded ring are never merged into an
 	// estimate — the router retries under a fresh ring snapshot instead.
 	epoch atomic.Uint64
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
 }
 
 // New creates a server around an engine with default guards.
@@ -84,261 +41,118 @@ func New(eng *engine.Engine) *Server {
 
 // NewWithConfig creates a server with explicit robustness guards.
 func NewWithConfig(eng *engine.Engine, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	return &Server{
-		eng:      eng,
-		cfg:      cfg,
-		inflight: make(chan struct{}, cfg.MaxInFlight),
-		conns:    make(map[net.Conn]struct{}),
-	}
+	s := &Server{eng: eng}
+	s.endpoint = newEndpoint(cfg, s.dispatch)
+	return s
 }
 
-// Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
-// returns the bound address.  Serving happens on background goroutines
-// until Close is called.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	return s.Serve(ln), nil
+// conjunctionReply frames a conjunction estimate, or passes its error on.
+func conjunctionReply(est query.Estimate, err error) (byte, []byte, error) {
+	res := wire.Result{Fraction: est.Fraction, Raw: est.Raw, Users: uint64(est.Users)}
+	return wire.TypeResult, wire.EncodeResult(res), err
 }
 
-// Serve starts accepting connections from an already-bound listener and
-// returns its address.  Fault-injection tests pass a faultnet-wrapped
-// listener through here; Listen delegates to it for the common case.
-func (s *Server) Serve(ln net.Listener) string {
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String()
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-// Close stops the listener, closes every open connection and waits for
-// the handler goroutines to finish.  Closing the connections (rather
-// than waiting for clients to hang up) is what lets a daemon with idle
-// clients still reach its final store flush on shutdown.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	ln := s.listener
-	s.closed = true
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// track registers a live connection, or refuses it when the server is
-// already closing.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// handle serves one connection until it closes, a protocol error occurs,
-// the idle timeout fires or the server shuts down.  Every frame passes
-// the in-flight guard before executing: past MaxInFlight concurrently
-// executing frames the request is shed with a retryable overload refusal,
-// so a flood of expensive plans degrades into refusals instead of
-// unbounded queueing.
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	if !s.track(conn) {
-		return
-	}
-	defer s.untrack(conn)
-	for {
-		// Arm a fresh idle deadline before each frame read: a connection
-		// that goes silent mid-frame or disappears without closing is
-		// reaped instead of pinning a goroutine and a socket forever.
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadIdleTimeout)); err != nil {
-			return
-		}
-		msgType, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.idleCloses.Add(1)
-			}
-			if errors.Is(err, wire.ErrFrameChecksum) {
-				// The frame was read in full, so the stream is still
-				// framed — but its bytes cannot be trusted.  Report the
-				// corruption and hang up; the client redials.
-				s.checksumErrors.Add(1)
-				s.writeError(conn, err)
-			}
-			return
-		}
-		select {
-		case s.inflight <- struct{}{}:
-		default:
-			s.overloads.Add(1)
-			s.writeError(conn, wire.OverloadError(cap(s.inflight)))
-			continue
-		}
-		keep := s.serveFrame(conn, msgType, payload)
-		<-s.inflight
-		if !keep {
-			return
-		}
-	}
-}
-
-// serveFrame executes one frame, reporting whether the connection should
-// stay open.
-func (s *Server) serveFrame(conn net.Conn, msgType byte, payload []byte) bool {
-	s.frames.Add(1)
+// dispatch is a node's side of the protocol: every frame is applied to the
+// engine.
+func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
 	switch msgType {
 	case wire.TypePublish:
 		pub, err := wire.DecodePublished(payload)
 		if err != nil {
-			s.writeError(conn, err)
-			return true
+			return 0, nil, err
 		}
-		if err := s.eng.Ingest(pub); err != nil {
-			s.writeError(conn, err)
-			return true
-		}
-		_ = wire.WriteFrame(conn, wire.TypeAck, nil)
+		return wire.TypeAck, nil, s.eng.Ingest(pub)
 	case wire.TypePublishBatch:
 		ps, err := wire.DecodePublishBatch(payload)
 		if err != nil {
-			s.writeError(conn, err)
-			return true
+			return 0, nil, err
 		}
 		// The batched ingest path: one commit-window entry per touched
 		// store shard for the whole batch.  The single ack means every
 		// record is durable; on error the client re-publishes the batch
 		// through the idempotent path.
-		if err := s.eng.IngestBatch(ps); err != nil {
-			s.writeError(conn, err)
-			return true
-		}
-		_ = wire.WriteFrame(conn, wire.TypeAck, nil)
+		return wire.TypeAck, nil, s.eng.IngestBatch(ps)
 	case wire.TypeQuery:
 		q, err := wire.DecodeQuery(payload)
 		if err != nil {
-			s.writeError(conn, err)
-			return true
+			return 0, nil, err
 		}
-		est, err := s.eng.Conjunction(q.Subset, q.Value)
-		if err != nil {
-			s.writeError(conn, err)
-			return true
-		}
-		res := wire.Result{Fraction: est.Fraction, Raw: est.Raw, Users: uint64(est.Users)}
-		_ = wire.WriteFrame(conn, wire.TypeResult, wire.EncodeResult(res))
+		return conjunctionReply(s.eng.Conjunction(q.Subset, q.Value))
 	case wire.TypeStats:
-		// Unlike publish/query replies, a stats payload has no fixed
-		// size bound, so a frame-too-large failure must still send
-		// *something* or the client blocks forever awaiting a reply.
-		if err := wire.WriteFrame(conn, wire.TypeStatsReply, wire.EncodeStats(s.stats())); err != nil {
-			s.writeError(conn, err)
-		}
+		return wire.TypeStatsReply, wire.EncodeStats(s.stats()), nil
 	case wire.TypeHello:
 		if err := wire.CheckHello(payload); err != nil {
-			// Fail the handshake loudly and hang up: a mixed-version
-			// peer's subsequent frames would decode as garbage, so the
-			// refusal must end the connection, not just warn.
-			s.writeError(conn, err)
-			return false
+			return 0, nil, err
 		}
 		if _, epoch, has, err := wire.ParseHello(payload); err == nil && has {
 			s.observeEpoch(epoch)
 		}
-		_ = wire.WriteFrame(conn, wire.TypeHelloAck, wire.EncodeHello())
+		return wire.TypeHelloAck, wire.EncodeHello(), nil
 	case wire.TypePing:
 		if epoch, has, err := wire.ParsePing(payload); err == nil && has {
 			s.observeEpoch(epoch)
 		}
 		pong := fmt.Sprintf("ok version=%d sketches=%d epoch=%d",
 			wire.ProtocolVersion, s.eng.Sketches(), s.epoch.Load())
-		_ = wire.WriteFrame(conn, wire.TypePong, []byte(pong))
+		return wire.TypePong, []byte(pong), nil
 	case wire.TypePlanQuery:
 		pq, err := wire.DecodePlanQuery(payload)
 		if err != nil {
-			s.writeError(conn, err)
-			return true
+			return 0, nil, err
 		}
 		res, err := s.plan(pq)
-		if err != nil {
-			s.writeError(conn, err)
-			return true
-		}
-		_ = wire.WriteFrame(conn, wire.TypePlanResult, wire.EncodePlanResult(res))
+		return wire.TypePlanResult, wire.EncodePlanResult(res), err
 	case wire.TypeSnapshotRead:
 		req, err := wire.DecodeSnapshotRead(payload)
 		if err != nil {
-			s.writeError(conn, err)
-			return true
+			return 0, nil, err
 		}
-		// Clamp the peer's limit: an oversized Max would materialise
-		// the whole store in one reply (and overflow the frame limit
-		// anyway).
-		max := int(req.Max)
-		if max <= 0 || max > wire.MaxTransferBatch {
-			max = wire.MaxTransferBatch
-		}
-		records, next, done, err := s.eng.SnapshotBatch(req.Cursor, max)
-		if err != nil {
-			s.writeError(conn, err)
-			return true
-		}
-		batch := wire.SnapshotBatch{Next: next, Done: done, Records: records}
-		if err := wire.WriteFrame(conn, wire.TypeSnapshotBatch, wire.EncodeSnapshotBatch(batch)); err != nil {
-			s.writeError(conn, err)
-		}
+		batch, err := s.snapshot(req)
+		return wire.TypeSnapshotBatch, wire.EncodeSnapshotBatch(batch), err
 	case wire.TypeTransferPush:
 		tp, err := wire.DecodeTransferPush(payload)
 		if err != nil {
-			s.writeError(conn, err)
-			return true
+			return 0, nil, err
 		}
 		s.observeEpoch(tp.Epoch)
-		applied, err := s.applyTransfer(tp)
+		// The push lands as ONE batch through the engine's idempotent
+		// republish path — on an fsynced node one commit window per
+		// touched shard, not one per record.  A conflicting sketch — a
+		// different published object for a (user, subset) pair this node
+		// already holds — aborts the push with an error naming the user:
+		// two clusters disagree about a user's public record, which
+		// rebalancing must surface, never paper over.
+		stored, err := s.eng.IngestBatchNew(tp.Records)
 		if err != nil {
-			s.writeError(conn, err)
-			return true
+			return 0, nil, fmt.Errorf("server: transfer push: %w", err)
 		}
-		_ = wire.WriteFrame(conn, wire.TypeTransferAck, wire.EncodeTransferAck(wire.TransferAck{Applied: applied}))
+		return wire.TypeTransferAck, wire.EncodeTransferAck(wire.TransferAck{Applied: uint64(stored)}), nil
 	default:
-		s.writeError(conn, fmt.Errorf("server: unknown message type %d", msgType))
+		return 0, nil, fmt.Errorf("server: unknown message type %d", msgType)
 	}
-	return true
+}
+
+// snapshot reads one batch of the rebalance stream.  The peer's limit is
+// clamped (an oversized Max would materialise the whole store in one
+// reply), and a batch cut by record count is then cut by bytes: the
+// stream is stateless, so when wide subsets make the records outgrow one
+// frame the same cursor is re-read with the count that fits.
+func (s *Server) snapshot(req wire.SnapshotRead) (wire.SnapshotBatch, error) {
+	max := int(req.Max)
+	if max <= 0 || max > wire.MaxTransferBatch {
+		max = wire.MaxTransferBatch
+	}
+	for {
+		records, next, done, err := s.eng.SnapshotBatch(req.Cursor, max)
+		if err != nil {
+			return wire.SnapshotBatch{}, err
+		}
+		if max, err = wire.FrameBatch(records); err != nil {
+			return wire.SnapshotBatch{}, err
+		} else if max == len(records) {
+			return wire.SnapshotBatch{Next: next, Done: done, Records: records}, nil
+		}
+	}
 }
 
 // stats assembles the TypeStats report: mechanism parameters, per-subset
@@ -372,14 +186,7 @@ func (s *Server) stats() wire.Stats {
 		ss := st.Stats()
 		ws := &wire.StoreStats{Dir: ss.Dir, Records: ss.Records}
 		for _, sh := range ss.Shards {
-			ws.Shards = append(ws.Shards, wire.ShardStats{
-				Shard:          sh.Shard,
-				WALBytes:       sh.WALBytes,
-				WALRecords:     sh.WALRecords,
-				Segments:       sh.Segments,
-				SegmentBytes:   sh.SegmentBytes,
-				SegmentRecords: sh.SegmentRecords,
-			})
+			ws.Shards = append(ws.Shards, wire.ShardStats(sh))
 		}
 		rep.Store = ws
 	}
@@ -399,21 +206,6 @@ func (s *Server) observeEpoch(epoch uint64) {
 
 // Epoch returns the highest ring epoch this server has observed.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
-
-// applyTransfer ingests a pushed batch as ONE batch through the engine's
-// idempotent republish path — on an fsynced node one commit window per
-// touched shard, not one per record — reporting how many records were
-// newly stored.  A conflicting sketch — a different published object for
-// a (user, subset) pair this node already holds — aborts the push with an
-// error naming the user: it means two clusters disagree about a user's
-// public record, which rebalancing must surface, never paper over.
-func (s *Server) applyTransfer(tp wire.TransferPush) (uint64, error) {
-	stored, err := s.eng.IngestBatchNew(tp.Records)
-	if err != nil {
-		return 0, fmt.Errorf("server: transfer push: %w", err)
-	}
-	return uint64(stored), nil
-}
 
 // plan answers one scatter-gather request: it rebuilds the query plan from
 // the wire form, compiles the ownership filter (which keeps replicated
@@ -503,10 +295,3 @@ func (s *Server) plan(pq wire.PlanQuery) (wire.PlanResult, error) {
 	out.Total = res.Total
 	return out, nil
 }
-
-func (s *Server) writeError(conn net.Conn, err error) {
-	_ = wire.WriteFrame(conn, wire.TypeError, []byte(err.Error()))
-}
-
-// ErrRemote wraps an error message reported by the server.
-var ErrRemote = errors.New("server: remote error")

@@ -228,13 +228,3 @@ func TestServerReportsErrors(t *testing.T) {
 		t.Errorf("connection unusable after error: %v", err)
 	}
 }
-
-func TestServerCloseStopsAccepting(t *testing.T) {
-	srv, addr, _, _ := startTestServer(t, 0.3, 8)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Dial(addr); err == nil {
-		t.Error("dial succeeded after Close")
-	}
-}

@@ -182,25 +182,6 @@ func TestPartialQueryStaleEpoch(t *testing.T) {
 	}
 }
 
-// TestRetiredOpcodeRefused: opcode 12, the one-evaluation query of wire
-// versions before 6, is an unknown message type to this node — answered
-// with a TypeError, not a decode attempt — and the refusal leaves the
-// connection usable.
-func TestRetiredOpcodeRefused(t *testing.T) {
-	_, addr, _, _ := startTestServer(t, 0.3, 10)
-	conn := dialRaw(t, addr)
-
-	// A well-formed v5 total-records request: kind 4, no filter.
-	replyType, reply := roundTripRaw(t, conn, 12, []byte{4, 0})
-	if replyType != wire.TypeError || !strings.Contains(string(reply), "unknown message type 12") {
-		t.Fatalf("opcode 12 answered with type %d: %s", replyType, reply)
-	}
-	replyType, reply = roundTripRaw(t, conn, wire.TypePlanQuery, wire.EncodePlanQuery(wire.PlanQuery{Total: true}))
-	if replyType != wire.TypePlanResult {
-		t.Fatalf("plan query after the refusal answered with type %d: %s", replyType, reply)
-	}
-}
-
 // TestTransferPushIsOneBatch pins that a transfer push lands through the
 // engine's batch path: on an fsynced node a 512-record push (a rebalance
 // stream's batch, a hint replay) commits in at most one window per shard —

@@ -20,35 +20,6 @@ func startVersionServer(t *testing.T) string {
 	return addr
 }
 
-// TestVersionHandshakeMismatch is the mixed-version regression test: a
-// peer announcing a different protocol version must be refused with a
-// clear error naming both versions — never a decode panic or a silently
-// wrong answer.
-func TestVersionHandshakeMismatch(t *testing.T) {
-	addr := startVersionServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeHello, []byte{wire.ProtocolVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	msgType, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgType != wire.TypeError {
-		t.Fatalf("future-version hello answered with type %d, want TypeError", msgType)
-	}
-	msg := string(payload)
-	if !strings.Contains(msg, "version mismatch") ||
-		!strings.Contains(msg, fmt.Sprintf("v%d", wire.ProtocolVersion+1)) ||
-		!strings.Contains(msg, fmt.Sprintf("v%d", wire.ProtocolVersion)) {
-		t.Fatalf("mismatch error does not name both versions: %q", msg)
-	}
-}
-
 // TestDialRefusesPreHandshakeServer: dialing a peer too old to know the
 // hello opcode (it answers with its unknown-message error, as the
 // pre-cluster server did) fails loudly at Dial time.

@@ -29,12 +29,13 @@
 // ids and sketches as packed columns — the sketch table's own layout.  A
 // log frame is the runs of one appended group; a segment (format v3,
 // segment.go) is a shard's runs in subset order, ids ascending, cut into
-// checksummed blocks under a run directory, a sparse id index and a
-// per-user bloom filter; a roll sorts the log's runs into a segment, a
-// compaction merges segments' runs, and a cold start hands the engine
-// whole runs (RunIterator), one column load per subset.  A record costs
-// its 8-byte id and a 2- to 5-byte sketch word, plus about 1.5 bytes of
-// block sums, index and bloom in a segment.
+// checksummed blocks, and nothing else — the run directory and sparse id
+// index its readers use are derived from those bytes at Open and kept in
+// memory; a roll sorts the log's runs into a segment, a compaction merges
+// segments' runs, and a cold start hands the engine whole runs
+// (RunIterator), one column load per subset.  A record costs its 8-byte id
+// and a 2- to 5-byte sketch word, plus 1/16 byte of block sums in a
+// segment.
 //
 // The sketch word is the table's as well: a run's word column on disk is
 // the bytes of a sketch.Words — sketch.Sketch.Pack words, big-endian, at

@@ -37,9 +37,6 @@ const (
 	// window before fsyncing it.  The window closes early the moment no
 	// Append is mid-entry, so a lone writer never pays it.
 	DefaultFsyncWindow = 2 * time.Millisecond
-	// DefaultCommitBytes caps one commit window's framed bytes — the
-	// size of the single write(2) a full window becomes.
-	DefaultCommitBytes = 1 << 20
 )
 
 // ErrClosed is returned by operations on a closed store.
@@ -69,9 +66,6 @@ type Options struct {
 	// stragglers, not a floor added to every append.  Only meaningful with
 	// Fsync; without it appends need no batching to be fast.
 	FsyncWindow time.Duration
-	// CommitBytes caps the framed size of one commit window (default
-	// DefaultCommitBytes); a full window commits immediately.
-	CommitBytes int
 	// FlushThreshold is the WAL size in bytes that triggers a roll into a
 	// segment (default DefaultFlushThreshold).
 	FlushThreshold int64
@@ -106,9 +100,6 @@ func (o Options) withDefaults() Options {
 		o.FsyncWindow = DefaultFsyncWindow
 	} else if o.FsyncWindow < 0 {
 		o.FsyncWindow = 0
-	}
-	if o.CommitBytes <= 0 {
-		o.CommitBytes = DefaultCommitBytes
 	}
 	return o
 }
@@ -356,7 +347,7 @@ func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 	for si := range segs {
 		// Walking the data area verifies every checksum and decodes every
 		// record, so a corrupt segment fails Open loudly, not a later read.
-		idx, err := openSegment(segs[si].path, m)
+		idx, err := openSegment(segs[si].path)
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +374,7 @@ func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 	}
 	sh := &dshard{id: i, dir: dir, wal: w, segs: segs, nextSeq: nextSeq, flushThreshold: opts.FlushThreshold, m: m}
 	if opts.Fsync {
-		sh.gc = newGroupCommit(sh, opts.FsyncWindow, opts.CommitBytes)
+		sh.gc = newGroupCommit(sh, opts.FsyncWindow)
 	}
 	return sh, nil
 }
@@ -591,10 +582,10 @@ func (sh *dshard) rollLocked() error {
 }
 
 // Lookup returns the newest record for one (user, subset) pair: a binary
-// search of the log's runs, then each segment newest-first — bloom
-// filters skip segments without the user, the directory and sparse index
-// turn the rest into one-block reads — instead of materialising the
-// shard.  The log is decoded at most once between appends, so lookups of a
+// search of the log's runs, then each segment newest-first — the
+// in-memory run directory and sparse index skip a segment without the
+// subset or below the id and turn the rest into one-block reads — instead
+// of materialising the shard.  The log is decoded at most once between appends, so lookups of a
 // quiet store stay logarithmic.  A segment compacted away mid-lookup
 // triggers a retry against the fresh segment list.
 func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, bool, error) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -338,12 +339,12 @@ func TestDurableLeftoverTmpSegmentIgnored(t *testing.T) {
 	}
 }
 
-// TestDurableCorruptSegmentFailsOpen pins the layered integrity contract:
+// TestDurableCorruptSegmentFailsOpen pins the integrity contract:
 // corruption in the data area — a record's bytes or a run's header — fails
-// Open loudly (the open-time walk verifies every checksum), while
-// corruption in the advisory index section or its checksum degrades to an
-// index rebuilt from the data area — still returning the exact records —
-// instead of bricking the store.
+// Open loudly (the open-time walk verifies every checksum), while damage to
+// what no reader reads — the footer's section checksum, or the index
+// directory an older binary stored beside the data — changes nothing: the
+// store opens and returns the exact records.
 func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 	setup := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -391,32 +392,43 @@ func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 			t.Fatalf("Open of a segment with a corrupt run header = %v, want ErrSegmentCorrupt", err)
 		}
 	})
-	for name, at := range map[string]func(data []byte) int{
-		// A byte of the footer's index checksum, and one of the directory
-		// it covers: the index is advisory, so the open rebuilds it from
-		// the data area rather than failing.
-		"index footer":    func(data []byte) int { return len(data) - segFooterSize },
-		"index directory": func(data []byte) int { return int(binary.BigEndian.Uint64(data[len(data)-8:])) + 5 },
+	for name, tc := range map[string]struct {
+		parentWritten bool
+		at            func(data []byte) int
+	}{
+		// A byte of the footer's section checksum, and one of the directory
+		// in the section of a segment the parent commit wrote: the reader
+		// derives its index from the data area and skips both.
+		"index footer":    {false, func(data []byte) int { return len(data) - segFooterSize }},
+		"index directory": {true, func(data []byte) int { return int(binary.BigEndian.Uint64(data[len(data)-8:])) + 5 }},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := setup(t)
-			corrupt(t, dir, at)
-			reg := obs.NewRegistry()
-			st, err := Open(Options{Dir: dir, CompactInterval: -1, Metrics: reg})
+			want := []sketch.Published{testRecord(1, bitvec.MustSubset(0))}
+			if tc.parentWritten {
+				image, runs := readParentFixture(t)
+				if err := os.WriteFile(filepath.Join(dir, "shard-0000", segmentName(1)), image, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				want = flatten(runs)
+			}
+			corrupt(t, dir, tc.at)
+			st, err := Open(Options{Dir: dir, CompactInterval: -1})
 			if err != nil {
-				t.Fatalf("index corruption must degrade, not fail open: %v", err)
+				t.Fatalf("damage outside the data area must not fail open: %v", err)
 			}
 			defer st.Close()
-			if n := st.shards[0].m.indexFallbacks.Value(); n != 1 {
-				t.Fatalf("store_segment_index_fallbacks_total = %v, want 1", n)
-			}
-			want := testRecord(1, bitvec.MustSubset(0))
 			got := collect(t, st)
-			if len(got) != 1 || got[0].ID != want.ID || got[0].S != want.S || !got[0].Subset.Equal(want.Subset) {
-				t.Fatalf("degraded read returned %+v, want %+v", got, want)
+			if len(got) != len(want) {
+				t.Fatalf("read %d records, want %d", len(got), len(want))
 			}
-			if p, ok, err := st.Lookup(want.ID, want.Subset.Key()); err != nil || !ok || p.S != want.S {
-				t.Fatalf("degraded lookup = %+v %v %v", p, ok, err)
+			for i, p := range want {
+				if !samePub(got[i], p) {
+					t.Fatalf("record %d = %+v, want %+v", i, got[i], p)
+				}
+				if l, ok, err := st.Lookup(p.ID, p.Subset.Key()); err != nil || !ok || l.S != p.S {
+					t.Fatalf("lookup of %v = %+v %v %v", p.ID, l, ok, err)
+				}
 			}
 		})
 	}
@@ -737,9 +749,8 @@ func TestDurableRollFailureBacksOffAndRecovers(t *testing.T) {
 
 // TestSegmentIndexBuiltMatchesParsed: the index a roll builds and the one
 // Open derives from the file are the same — one directory entry per
-// subset, naming the run by where it starts rather than by a copy of its
-// tag, and one first id per block — and the stored index section is the
-// layout of exactly that.
+// subset, naming the run by where it starts, and one first id per block —
+// and none of it is stored: the file ends at its data area's footer.
 func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	var records []sketch.Published
 	subsets := []bitvec.Subset{bitvec.Range(0, 3), bitvec.Range(0, 10)}
@@ -750,7 +761,7 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 		}
 	}
 	meta := writeTestSegment(t, t.TempDir(), 1, records)
-	parsed, err := openSegment(meta.path, nil)
+	parsed, err := openSegment(meta.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -767,18 +778,25 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 			t.Fatalf("%s index counts %d records, want %d", name, idx.records(), len(records))
 		}
 	}
-	if !bytes.Equal(meta.idx.appendLayout(nil), parsed.appendLayout(nil)) || !bytes.Equal(meta.idx.bloom, parsed.bloom) {
+	if !reflect.DeepEqual(meta.idx, parsed) {
 		t.Fatal("built and parsed indexes differ")
 	}
-	// 2 runs and 22 blocks: the index section is 8 bytes apiece and the
-	// bloom, however long the subsets' tags are.
+	// 2 run headers, 1414 records at 10 bytes, 22 block sums and the two
+	// fixed ends: nothing per record beyond its columns' sixteenth byte.
 	data, err := os.ReadFile(meta.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexOff := int(binary.BigEndian.Uint64(data[len(data)-8:]))
-	if got, want := len(data)-segFooterSize-indexOff, 4+2*8+4+22*8+5+len(parsed.bloom); got != want {
-		t.Fatalf("index section is %d bytes, want %d", got, want)
+	areaEnd := int(binary.BigEndian.Uint64(data[len(data)-8:]))
+	if areaEnd != len(data)-segFooterSize {
+		t.Fatalf("%d bytes between the data area and the footer, want none", len(data)-segFooterSize-areaEnd)
+	}
+	headers := 0
+	for _, b := range subsets {
+		headers += runHeaderFixed + b.TagLen() + 4
+	}
+	if want := segHeaderSize + headers + len(records)*10 + 22*4 + segFooterSize; len(data) != want {
+		t.Fatalf("segment is %d bytes, want %d", len(data), want)
 	}
 }
 
@@ -801,7 +819,7 @@ func TestSegmentHostileCountRejected(t *testing.T) {
 		if err := os.WriteFile(meta.path, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openSegment(meta.path, nil); !errors.Is(err, ErrSegmentCorrupt) {
+		if _, err := openSegment(meta.path); !errors.Is(err, ErrSegmentCorrupt) {
 			t.Fatalf("hostile count in the %s: openSegment = %v, want ErrSegmentCorrupt", name, err)
 		}
 	}

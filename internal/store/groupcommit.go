@@ -26,8 +26,8 @@ import (
 //     immediately with no added latency, and N parked writers commit as one
 //     batch the moment the previous commit's fsync returns — the window IS
 //     the in-flight commit, à la LevelDB's writer queue.
-//   - the size cap (Options.CommitBytes): bounds one write's memory and
-//     the blast radius of a torn batch.
+//   - the size cap (commitBytes): bounds one write's memory and the blast
+//     radius of a torn batch.
 //   - the window deadline (Options.FsyncWindow, measured from the first
 //     queued record): bounds how long a descheduled straggler can hold the
 //     cohort's latency hostage.
@@ -38,9 +38,8 @@ import (
 // rolls its own record back out of the table and nothing non-durable stays
 // queryable or can resurrect on replay.
 type groupCommit struct {
-	sh      *dshard
-	window  time.Duration
-	maxByte int
+	sh     *dshard
+	window time.Duration
 
 	// entering counts Appends between store entry and enqueue — the
 	// stragglers the committer gives a beat to join the open window.
@@ -76,11 +75,14 @@ type commitWaiter struct {
 	errc chan error
 }
 
-func newGroupCommit(sh *dshard, window time.Duration, maxBytes int) *groupCommit {
+// commitBytes caps one commit window's framed bytes — the size of the
+// single write(2) a full window becomes; a full window commits immediately.
+const commitBytes = 1 << 20
+
+func newGroupCommit(sh *dshard, window time.Duration) *groupCommit {
 	gc := &groupCommit{
 		sh:      sh,
 		window:  window,
-		maxByte: maxBytes,
 		arrived: make(chan struct{}, 1),
 		closing: make(chan struct{}),
 	}
@@ -144,7 +146,7 @@ func (gc *groupCommit) run() {
 			}
 			continue
 		}
-		if !closed && bytes < gc.maxByte && gc.entering.Load() > 0 {
+		if !closed && bytes < commitBytes && gc.entering.Load() > 0 {
 			// Stragglers are mid-Append; give them until the window
 			// deadline to join, re-evaluating on every enqueue.
 			if wait := gc.window - time.Since(start); wait > 0 {

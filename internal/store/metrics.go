@@ -24,13 +24,9 @@ type metrics struct {
 	// windows observe 1s per record, so bucket bounds and the rendered
 	// sum read directly as record counts.
 	commitRecords *obs.Histogram
-	// Segment-index instruments: block reads located through a segment's
-	// directory and sparse index, segments whose stored index section was
-	// unusable at open and was rebuilt from the data area, and point
-	// lookups a bloom filter skipped entirely.
-	indexSeeks     *obs.Counter
-	indexFallbacks *obs.Counter
-	bloomSkips     *obs.Counter
+	// indexSeeks counts block reads located through a segment's directory
+	// and sparse index.
+	indexSeeks *obs.Counter
 	// logDecodes counts on-demand decodes of a log: a roll or a read that
 	// found no runs kept since the last append.
 	logDecodes *obs.Counter
@@ -59,8 +55,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		commitLatency:  reg.Histogram("store_commit_seconds", "Latency of one group-commit window's WAL write+fsync.", nil),
 		commitRecords:  reg.Histogram("store_commit_records", "Records per committed group-commit window (bounds are record counts, not seconds).", commitRecordBuckets),
 		indexSeeks:     reg.Counter("store_segment_index_seeks_total", "Segment reads located through the run directory and sparse id index (block reads instead of a full scan)."),
-		indexFallbacks: reg.Counter("store_segment_index_fallbacks_total", "Segments whose stored index section was unusable at open and was rebuilt from the data area."),
-		bloomSkips:     reg.Counter("store_segment_bloom_skips_total", "Point lookups skipped entirely by a segment's per-user bloom filter."),
 		logDecodes:     reg.Counter("store_wal_decodes_total", "On-demand decodes of a shard's log: a roll, read or stream that found no runs kept since the last append."),
 	}
 }

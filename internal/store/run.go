@@ -215,29 +215,26 @@ func findRun(runs []run, tag string) (int, bool) {
 // are left as they were.
 func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, sketch.Words) {
 	total, width := 0, 0
-	// heap orders the unfinished sources by (next id, age); each entry is
-	// what is left of its source.
+	// heap orders the unfinished sources by (next id, age): an entry is a
+	// source's next id and its index in srcs, which is its age; next[src]
+	// is how much of it has been merged.
 	type cursor struct {
-		ids  []bitvec.UserID
-		keys sketch.Words
-		age  int
+		id  bitvec.UserID
+		src int
 	}
-	heap := make([]cursor, 0, len(srcs))
-	for age, s := range srcs {
+	heap, next := make([]cursor, 0, len(srcs)), make([]int, len(srcs))
+	for src, s := range srcs {
 		if len(s.IDs) > 0 {
-			heap = append(heap, cursor{s.IDs, s.Keys, age})
+			heap = append(heap, cursor{s.IDs[0], src})
 			total, width = total+len(s.IDs), max(width, s.Keys.Width())
 		}
 	}
 	ids, keys := make([]bitvec.UserID, 0, total), sketch.MakeWords(width, 0, total)
-	less := func(a, b cursor) bool {
-		return a.ids[0] < b.ids[0] || (a.ids[0] == b.ids[0] && a.age < b.age)
-	}
-	down := func(i int) {
+	down := func(heap []cursor, i int) {
 		for {
 			least := i
 			for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
-				if less(heap[c], heap[least]) {
+				if heap[c].id < heap[least].id || (heap[c].id == heap[least].id && heap[c].src < heap[least].src) {
 					least = c
 				}
 			}
@@ -249,30 +246,33 @@ func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, sketch.Words) {
 		}
 	}
 	for i := len(heap)/2 - 1; i >= 0; i-- {
-		down(i)
+		down(heap, i)
 	}
 	for len(heap) > 1 {
-		top := &heap[0]
+		top := heap[0]
+		s, at := srcs[top.src], next[top.src]
 		// Equal ids leave the heap oldest first, so a repeat overwrites.
-		if n := len(ids); n > 0 && ids[n-1] == top.ids[0] {
-			keys.Set(n-1, top.keys.At(0))
+		if n := len(ids); n > 0 && ids[n-1] == top.id {
+			keys.Set(n-1, s.Keys.At(at))
 		} else {
-			ids, keys = append(ids, top.ids[0]), keys.Append(top.keys.At(0))
+			ids, keys = append(ids, top.id), keys.Append(s.Keys.At(at))
 		}
-		top.ids, top.keys = top.ids[1:], top.keys.Slice(1, len(top.ids))
-		if len(top.ids) == 0 {
+		if at++; at < len(s.IDs) {
+			heap[0].id = s.IDs[at]
+		} else {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
 		}
-		down(0)
+		next[top.src] = at
+		down(heap, 0)
 	}
 	if len(heap) == 1 {
-		rest := heap[0]
-		if n := len(ids); n > 0 && ids[n-1] == rest.ids[0] {
-			keys.Set(n-1, rest.keys.At(0))
-			rest.ids, rest.keys = rest.ids[1:], rest.keys.Slice(1, len(rest.ids))
+		s, at := srcs[heap[0].src], next[heap[0].src]
+		if n := len(ids); n > 0 && ids[n-1] == s.IDs[at] {
+			keys.Set(n-1, s.Keys.At(at))
+			at++
 		}
-		ids, keys = append(ids, rest.ids...), keys.AppendWords(rest.keys)
+		ids, keys = append(ids, s.IDs[at:]...), keys.AppendWords(s.Keys.Slice(at, len(s.IDs)))
 	}
 	return ids, keys
 }

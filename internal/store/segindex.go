@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"slices"
@@ -13,15 +12,14 @@ import (
 )
 
 // segIndex is one segment's index, kept in memory for the segment's
-// lifetime: a directory of its runs, the first id of every block, and the
-// per-user bloom filter — about 1.4 bytes per record, the bloom most of it.
+// lifetime: a directory of its runs and the first id of every block — an
+// eighth of a byte per record.  It is never stored: the writer has it in
+// hand and Open derives it from the data area it validates anyway.
 type segIndex struct {
 	runs []segRun // in tag order
 	// firstIDs is the sparse id index: the first id of every block, run
 	// after run (run r's blocks start at r.block0).
 	firstIDs []bitvec.UserID
-	bloom    []byte
-	bloomK   int
 }
 
 // segRun locates one run of a segment.
@@ -44,22 +42,6 @@ func (x *segIndex) records() uint64 {
 	return uint64(last.first + last.count)
 }
 
-// appendLayout appends the index section up to the bloom: the run
-// directory — each run named by the offset of its header, not by a copy
-// of its key — and the sparse id index.
-func (x *segIndex) appendLayout(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(x.runs)))
-	for _, r := range x.runs {
-		header := r.off - uint64(runHeaderFixed+len(r.tag)+4)
-		dst = binary.BigEndian.AppendUint64(dst, header)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(x.firstIDs)))
-	for _, id := range x.firstIDs {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(id))
-	}
-	return dst
-}
-
 // find returns the run of the subset with the given tag.
 func (x *segIndex) find(tag string) (segRun, bool) {
 	i, ok := slices.BinarySearchFunc(x.runs, tag, func(r segRun, tag string) int { return strings.Compare(r.tag, tag) })
@@ -67,45 +49,6 @@ func (x *segIndex) find(tag string) (segRun, bool) {
 		return segRun{}, false
 	}
 	return x.runs[i], true
-}
-
-// splitmix64 is the bloom filter's mixer: cheap, well-distributed, and
-// stable across processes (the filter is persisted).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// newBloom returns an empty filter sized for the given number of records.
-func newBloom(records int) []byte {
-	return make([]byte, (max(64, records*segBloomBitsPerRecord)+7)/8)
-}
-
-// bloomAdd sets user's k bits via double hashing (h1 + i*h2).
-func bloomAdd(bloom []byte, k int, user uint64) {
-	bits := uint64(len(bloom)) * 8
-	h1 := splitmix64(user)
-	h2 := splitmix64(user ^ 0x5bf03635)
-	for i := 0; i < k; i++ {
-		bit := (h1 + uint64(i)*h2) % bits
-		bloom[bit/8] |= 1 << (bit % 8)
-	}
-}
-
-// bloomTest reports whether user may be present; false is definitive.
-func bloomTest(bloom []byte, k int, user uint64) bool {
-	bits := uint64(len(bloom)) * 8
-	h1 := splitmix64(user)
-	h2 := splitmix64(user ^ 0x5bf03635)
-	for i := 0; i < k; i++ {
-		bit := (h1 + uint64(i)*h2) % bits
-		if bloom[bit/8]&(1<<(bit%8)) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // readBlocks reads and decodes the blocks of run r that hold its records
@@ -177,17 +120,11 @@ func readSegmentRange(meta segmentMeta, m *metrics, from, n int) ([]sketch.Publi
 }
 
 // lookupSegment finds user id's record for the subset tagged tag in one
-// segment: bloom filter first (a miss skips the file entirely), then the
-// run directory, a binary search of the run's block first-ids and a
-// one-block read.
+// segment: the run directory, a binary search of the run's block first-ids
+// — both in memory, so a subset or an id range the segment does not hold
+// costs no read — and a one-block read.
 func lookupSegment(meta segmentMeta, m *metrics, id bitvec.UserID, tag string) (sketch.Published, bool, error) {
 	x := meta.idx
-	if !bloomTest(x.bloom, x.bloomK, uint64(id)) {
-		if m != nil {
-			m.bloomSkips.Inc()
-		}
-		return sketch.Published{}, false, nil
-	}
 	r, ok := x.find(tag)
 	if !ok {
 		return sketch.Published{}, false, nil

@@ -35,38 +35,49 @@ func fuzzSegmentRecords(seed uint64, n int) []run {
 	return testRuns(records)
 }
 
+// splitmix64 mixes the fuzz seeds into record sets and log windows.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // samePub compares records field-wise (Subset is not ==-comparable).
 func samePub(a, b sketch.Published) bool {
 	return a.ID == b.ID && a.S == b.S && a.Subset.Equal(b.Subset)
 }
 
-// FuzzSegmentIndex round-trips fuzzer-shaped record sets through the v3
-// segment writer, corrupts an arbitrary byte — the header's count, a run
-// header, a block, a block sum, the directory, the sparse index, bloom
-// bits, the footer's offset, anywhere — optionally recomputing the index
-// section's checksum so that corruption inside the section reaches the
-// cross-check against the data area instead of being caught at the
-// section's own wall, and then drives every read path.  The contract: the
-// open fails loudly, or every read returns exactly the written records
-// (through an index rebuilt past the broken one) or fails loudly; reads
-// never panic, never return a wrong, missing or misattributed record, and
-// hostile lengths never drive huge allocations.
+// FuzzSegmentIndex corrupts an arbitrary byte — the header's count, a run
+// header, a block, a block sum, the footer's data-area end, anywhere — of
+// a segment written here from a fuzzer-shaped record set or, with
+// fixture, of the committed segment an older binary wrote, whose stored
+// index section and bloom filter this reader skips: damage there must be
+// as harmless as the section is unread.  Then it drives every read path.
+// The contract: the open fails loudly, or every read returns exactly the
+// written records or fails loudly; reads never panic, never return a
+// wrong, missing or misattributed record, and hostile lengths never drive
+// huge allocations.
 func FuzzSegmentIndex(f *testing.F) {
 	f.Add(uint64(1), 10, -1, byte(0), false)
 	f.Add(uint64(2), 0, -1, byte(0), false)
-	f.Add(uint64(3), 40, 9, byte(0xFF), true)     // header record count
-	f.Add(uint64(4), 40, 30, byte(0x01), true)    // first run header
-	f.Add(uint64(5), 200, 4000, byte(0x80), true) // likely index/bloom territory
-	f.Add(uint64(6), 33, -5, byte(0xFF), true)    // footer: indexOff bytes
-	f.Add(uint64(7), 33, -12, byte(0xFF), true)   // footer: index checksum
-	f.Add(uint64(8), 64, -20, byte(0x40), true)   // bloom tail
-	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, fixIndex bool) {
+	f.Add(uint64(3), 40, 9, byte(0xFF), false)    // header record count
+	f.Add(uint64(4), 40, 30, byte(0x01), false)   // first run header
+	f.Add(uint64(5), 200, 1500, byte(0x80), true) // a block of the fixture's long run
+	f.Add(uint64(6), 33, -5, byte(0xFF), false)   // footer: data-area end
+	f.Add(uint64(7), 33, -12, byte(0xFF), true)   // footer: the skipped section's checksum
+	f.Add(uint64(8), 64, -20, byte(0x40), true)   // the fixture's bloom tail
+	fixtureImage, fixtureRuns := readParentFixture(f)
+	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, fixture bool) {
 		if n < 0 || n > 300 {
 			n = int(uint(n) % 301)
 		}
 		wantRuns := fuzzSegmentRecords(seed, n)
-		want := flatten(wantRuns)
 		image, _ := encodeSegment(wantRuns)
+		if fixture {
+			wantRuns, image = fixtureRuns, bytes.Clone(fixtureImage)
+		}
+		want := flatten(wantRuns)
 		// Negative offsets index from the end (the footer); the fuzzer
 		// reaches it without knowing the image length.
 		if corruptAt < 0 {
@@ -74,23 +85,15 @@ func FuzzSegmentIndex(f *testing.F) {
 		}
 		corrupted := false
 		if corruptAt >= 0 && corruptAt < len(image) && corruptXor != 0 {
-			indexOff := int(binary.BigEndian.Uint64(image[len(image)-8:]))
 			image[corruptAt] ^= corruptXor
 			corrupted = true
-			if sumAt := len(image) - segFooterSize; fixIndex && corruptAt >= indexOff && corruptAt < sumAt {
-				// Recompute the section's checksum over the corrupt
-				// section: models the adversarial case the cross-check
-				// exists for, where the section's wall no longer catches
-				// the damage.
-				binary.BigEndian.PutUint32(image[sumAt:], checksum(image[indexOff:sumAt]))
-			}
 		}
 		path := filepath.Join(t.TempDir(), "seg-00000001.seg")
 		if err := os.WriteFile(path, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
-		idx, err := openSegment(path, nil)
+		idx, err := openSegment(path)
 		if err != nil {
 			if !corrupted {
 				t.Fatalf("clean segment failed open: %v", err)

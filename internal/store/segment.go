@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,25 +24,26 @@ import (
 //	  of the header | the run's columns cut into blocks of segBlockRecords
 //	  records (the last one shorter): ids, sketch words, 4-byte checksum
 //	  of the block
-//	index section (at indexOff):
-//	  4-byte run count   | per run, the 8-byte offset of its header
-//	  4-byte block count | per block, run after run, its 8-byte first id
-//	  4-byte bloom length | 1-byte probe count | per-user bloom filter
-//	12 byte footer: 4-byte checksum of the index section | 8-byte indexOff
+//	12 byte footer: 4-byte checksum of nothing | 8-byte data-area end
 //
 // All integers are big-endian, every checksum is checksum().  A record
 // costs its 8-byte id and its sketch word (2 bytes for the 9- to 11-bit
-// sketches of a million-user deployment); blocks, index and bloom add
-// under 1.5 bytes, and a subset's tag is paid once per segment.
+// sketches of a million-user deployment); block sums add 1/16 byte, and a
+// subset's tag is paid once per segment.
 //
 // Integrity.  The data area carries the records and describes itself:
 // Open walks it run by run, verifying every checksum and that the walk
-// ends exactly where the footer says the index starts with exactly the
-// header's record count, and fails loudly otherwise.  The index section is
-// advisory — it repeats what the walk just derived, plus the bloom — so
-// one that fails its checksum or disagrees with the data in any entry is
-// dropped and rebuilt from the walk; a reader can be wrong about nothing.
-// Reads verify the checksum of every block they touch.
+// ends exactly where the footer says the data area does with exactly the
+// header's record count, and fails loudly otherwise.  The run directory
+// and the sparse id index a reader uses are what that walk derives —
+// nothing a reader trusts is stored beside the data, so it can be wrong
+// about nothing.  Reads verify the checksum of every block they touch.
+//
+// Between the data area's end and the footer, segments written before the
+// index was derived hold a stored copy of it and a bloom filter, under the
+// footer's checksum; the section is skipped, not parsed, and a segment
+// written now has an empty one — which is what an older binary's
+// unusable-index arm expects, so the format is v3 in both directions.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
@@ -51,14 +51,10 @@ var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 3}
 
 const (
 	segHeaderSize = 16 // magic + record count
-	segFooterSize = 12 // index checksum + indexOff
+	segFooterSize = 12 // checksum of the empty section + data-area end
 	// segBlockRecords is how many records share a checksum and a sparse
 	// index entry: a point lookup reads one block (640 bytes at width 2).
 	segBlockRecords = 64
-	// segBloomBitsPerRecord and segBloomK size the per-user bloom filter
-	// (~10 bits/record, 6 probes ≈ 1% false positives).
-	segBloomBitsPerRecord = 10
-	segBloomK             = 6
 )
 
 // ErrSegmentCorrupt is returned when a segment file fails validation.
@@ -111,11 +107,11 @@ type segWriter struct {
 }
 
 // newSegWriter starts a segment of at most maxRecords records, which size
-// its bloom filter.
+// its buffer.
 func newSegWriter(maxRecords int) *segWriter {
 	w := &segWriter{
 		buf: make([]byte, segHeaderSize, segHeaderSize+maxRecords*12+1024),
-		idx: &segIndex{bloom: newBloom(maxRecords), bloomK: segBloomK},
+		idx: &segIndex{},
 	}
 	copy(w.buf, segMagic[:])
 	return w
@@ -141,9 +137,6 @@ func (w *segWriter) add(r run) {
 		w.buf = appendColumns(w.buf, r.IDs[at:end], r.Keys.Slice(at, end), width)
 		w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[block:]))
 	}
-	for _, id := range r.IDs {
-		bloomAdd(w.idx.bloom, segBloomK, uint64(id))
-	}
 	w.records += len(r.IDs)
 }
 
@@ -151,13 +144,9 @@ func (w *segWriter) add(r run) {
 // so a roll or compaction never re-parses its own output.
 func (w *segWriter) finish() ([]byte, *segIndex) {
 	binary.BigEndian.PutUint64(w.buf[len(segMagic):], uint64(w.records))
-	indexOff := len(w.buf)
-	w.buf = w.idx.appendLayout(w.buf)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(w.idx.bloom)))
-	w.buf = append(w.buf, byte(w.idx.bloomK))
-	w.buf = append(w.buf, w.idx.bloom...)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[indexOff:]))
-	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(indexOff))
+	end := len(w.buf)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(nil))
+	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(end))
 	return w.buf, w.idx
 }
 
@@ -240,9 +229,9 @@ func decodeBlocks(src []byte, count, width int, ids []bitvec.UserID, keys sketch
 }
 
 // walkSegment validates a v3 image's data area — trusting nothing but the
-// bytes it is reading — and returns the index the area implies, without a
-// bloom.  Every record is decoded, so a segment Open accepted holds only
-// well-formed, checksum-clean, correctly ordered records.
+// bytes it is reading — and returns the index the area implies.  Every
+// record is decoded, so a segment Open accepted holds only well-formed,
+// checksum-clean, correctly ordered records.
 func walkSegment(data []byte, path string) (*segIndex, error) {
 	corrupt := func(format string, args ...any) (*segIndex, error) {
 		return nil, fmt.Errorf("%w: %s %s", ErrSegmentCorrupt, path, fmt.Sprintf(format, args...))
@@ -253,14 +242,15 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	if [8]byte(data[:8]) != segMagic {
 		return corrupt("has bad magic")
 	}
-	// The record count and the index offset cross-check each other through
-	// the walk: it must reach the offset exactly, with exactly the count.
+	// The record count and the data area's end cross-check each other
+	// through the walk: it must reach the end exactly, with exactly the
+	// count.  Whatever lies between the end and the footer is skipped.
 	count := binary.BigEndian.Uint64(data[len(segMagic):])
-	indexOff := binary.BigEndian.Uint64(data[len(data)-8:])
-	if indexOff < segHeaderSize || indexOff > uint64(len(data)-segFooterSize) {
-		return corrupt("index offset %d out of range", indexOff)
+	areaEnd := binary.BigEndian.Uint64(data[len(data)-8:])
+	if areaEnd < segHeaderSize || areaEnd > uint64(len(data)-segFooterSize) {
+		return corrupt("data area end %d out of range", areaEnd)
 	}
-	area := data[:indexOff]
+	area := data[:areaEnd]
 	idx := &segIndex{}
 	var ids []bitvec.UserID
 	var keys sketch.Words
@@ -308,60 +298,14 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	return idx, nil
 }
 
-// storedBloom returns the bloom filter of the image's index section when
-// the section passes its checksum and lists exactly the runs and blocks
-// of idx, which the walk just derived from the data area.
-func storedBloom(data []byte, idx *segIndex) (bloom []byte, k int, ok bool) {
-	indexOff := binary.BigEndian.Uint64(data[len(data)-8:]) // in range: the walk checked
-	section := data[indexOff : len(data)-segFooterSize]
-	if checksum(section) != binary.BigEndian.Uint32(data[len(data)-segFooterSize:]) {
-		return nil, 0, false
-	}
-	layout := idx.appendLayout(nil)
-	if len(section) < len(layout)+5 || !bytes.HasPrefix(section, layout) {
-		return nil, 0, false
-	}
-	rest := section[len(layout):]
-	bloomLen, k := binary.BigEndian.Uint32(rest), int(rest[4])
-	if rest = rest[5:]; uint64(bloomLen) != uint64(len(rest)) || bloomLen == 0 || k < 1 || k > 64 {
-		return nil, 0, false
-	}
-	return rest, k, true
-}
-
 // openSegment reads and validates the segment at path and returns its
-// index.  Corruption in the data area is an error; an index section that
-// cannot be used is rebuilt from the data area instead, and counted.
-func openSegment(path string, m *metrics) (*segIndex, error) {
+// index.
+func openSegment(path string) (*segIndex, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := walkSegment(data, path)
-	if err != nil {
-		return nil, err
-	}
-	if bloom, k, ok := storedBloom(data, idx); ok {
-		// A copy: the index outlives the image, and must not pin it.
-		idx.bloom, idx.bloomK = append([]byte(nil), bloom...), k
-		return idx, nil
-	}
-	if m != nil {
-		m.indexFallbacks.Inc()
-	}
-	idx.bloom, idx.bloomK = newBloom(int(idx.records())), segBloomK
-	var ids []bitvec.UserID
-	var keys sketch.Words
-	for _, r := range idx.runs {
-		blocks := data[r.off : r.off+uint64(blocksLen(r.count, r.width))]
-		if ids, keys, err = decodeBlocks(blocks, r.count, r.width, ids[:0], keys.Reset(r.width)); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrSegmentCorrupt, path, err)
-		}
-		for _, id := range ids {
-			bloomAdd(idx.bloom, idx.bloomK, uint64(id))
-		}
-	}
-	return idx, nil
+	return walkSegment(data, path)
 }
 
 // listSegments scans dir for segment files, sorted by sequence number.

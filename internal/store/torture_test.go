@@ -260,7 +260,8 @@ func encodeWALFrames(buf []byte, records []sketch.Published) []byte {
 
 // encodeSegmentV2 renders records in the PR-9-era indexed format: frames
 // with per-record sums, a sparse key index of stride 16 that repeats the
-// subset key in every entry, a bloom filter and the 16-byte footer.
+// subset key in every entry, a bloom filter — which the legacy reader
+// never reads, so its bits are left clear — and the 16-byte footer.
 func encodeSegmentV2(records []sketch.Published) []byte {
 	const stride = 16
 	buf := append([]byte(nil), segMagicV2[:]...)
@@ -276,7 +277,6 @@ func encodeSegmentV2(records []sketch.Published) []byte {
 			section = binary.BigEndian.AppendUint16(section, uint16(p.Subset.TagLen()))
 			section = p.Subset.AppendTag(section)
 		}
-		bloomAdd(bloom, 6, uint64(p.ID))
 		buf = encodeWALFrames(buf, []sketch.Published{p})
 	}
 	section = binary.BigEndian.AppendUint32(section, uint32(len(bloom)))

@@ -15,8 +15,8 @@ import "sketchprivacy/internal/sketch"
 const TypePublishBatch byte = 23
 
 // EncodePublishBatch serializes a publish batch with a trailing CRC32
-// over the body.  Callers keep batches at or under MaxTransferBatch
-// records so the frame stays within MaxFrameSize.
+// over the body.  Callers cut batches with FrameBatch so the frame stays
+// within MaxFrameSize.
 func EncodePublishBatch(ps []sketch.Published) []byte {
 	return appendCRC(appendRecords(make([]byte, 0, 64), ps))
 }

@@ -44,13 +44,38 @@ const (
 // batches are further bounded by MaxFrameSize.
 const maxTransferRecords = 1 << 16
 
-// MaxTransferBatch is the record count per snapshot read or transfer push
-// a well-behaved peer uses: typical sketch records keep 8192 of them
-// comfortably under MaxFrameSize.  Nodes clamp incoming SnapshotRead
-// limits to it (a hostile Max must not materialise a whole store in one
-// reply), and the router clamps its configured transfer batch the same
-// way.
+// MaxTransferBatch is the most records a well-behaved peer puts in one
+// publish batch, snapshot batch or transfer push.  It bounds a hostile
+// peer, not a frame: nodes clamp incoming SnapshotRead limits to it (a
+// hostile Max must not materialise a whole store in one reply), and the
+// router clamps its configured transfer batch the same way.  Whether that
+// many records fit a frame depends on how wide their subsets are — senders
+// cut by bytes, with FrameBatch.
 const MaxTransferBatch = 8192
+
+// batchFrameOverhead is what the largest batch frame spends outside its
+// records: a snapshot batch's cursor, done byte and record count, and the
+// trailing CRC.
+const batchFrameOverhead = 8 + 1 + 4 + 4
+
+// FrameBatch returns how many leading records of ps fit one batch frame
+// (TypePublishBatch, TypeSnapshotBatch, TypeTransferPush): every record
+// costs its encoding and a 4-byte length, which for a k-position subset
+// is 31 + 8k bytes, so 8192 records outgrow MaxFrameSize from k = 13.
+// The count is at least 1 for a non-empty ps; a first record that no
+// frame can hold is an error naming its user.
+func FrameBatch(ps []sketch.Published) (int, error) {
+	size := batchFrameOverhead
+	for i, p := range ps {
+		if size += 4 + PublishedEncodedLen(p); size > MaxFrameSize {
+			if i == 0 {
+				return 0, fmt.Errorf("%w: the record of %v for subset %v is %d bytes", ErrFrameTooLarge, p.ID, p.Subset, PublishedEncodedLen(p))
+			}
+			return i, nil
+		}
+	}
+	return len(ps), nil
+}
 
 // SnapshotRead is one streaming read request: an opaque cursor (zero
 // starts the stream; later values come from the previous SnapshotBatch)

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -133,5 +135,56 @@ func TestTransferDecodeRejectsHostileCounts(t *testing.T) {
 	body = append(body, 0xFF, 0xFF, 0xFF, 0xFF)
 	if _, err := DecodeTransferPush(appendCRC(body)); err == nil {
 		t.Fatal("hostile record count accepted")
+	}
+}
+
+// TestFrameBatchCutsByBytes pins the helper every batch sender cuts with:
+// the records it admits encode to a frame WriteFrame accepts under the
+// largest batch header, one more would not, and the count where 8192
+// records stop fitting is the subset width the arithmetic says (a record
+// over k positions costs 31 + 8k bytes with its length prefix).
+func TestFrameBatchCutsByBytes(t *testing.T) {
+	records := func(n, positions int) []sketch.Published {
+		b := bitvec.Range(0, positions)
+		ps := make([]sketch.Published, n)
+		for i := range ps {
+			ps[i] = sketch.Published{ID: bitvec.UserID(i + 1), Subset: b, S: sketch.Sketch{Key: uint64(i) % 512, Length: 9}}
+		}
+		return ps
+	}
+	if got := len(EncodePublishBatch(records(1, 13))) - 8; got != 31+8*13 {
+		t.Fatalf("a batched 13-position record costs %d bytes, want %d", got, 31+8*13)
+	}
+	for _, tc := range []struct {
+		n, positions int
+		whole        bool
+	}{
+		{MaxTransferBatch, 1, true}, {MaxTransferBatch, 12, true}, {MaxTransferBatch, 13, false},
+		{2048, 60, true}, {2048, 61, false}, {0, 1, true},
+	} {
+		ps := records(tc.n, tc.positions)
+		fit, err := FrameBatch(ps)
+		if err != nil || (fit == len(ps)) != tc.whole {
+			t.Fatalf("FrameBatch of %d records over %d positions = %d, %v; fits whole: want %v", tc.n, tc.positions, fit, err, tc.whole)
+		}
+		if len(ps) == 0 {
+			continue
+		}
+		if fit < 1 {
+			t.Fatalf("FrameBatch admitted %d of %d records", fit, len(ps))
+		}
+		if size := len(EncodeSnapshotBatch(SnapshotBatch{Records: ps[:fit]})); size > MaxFrameSize {
+			t.Fatalf("the %d admitted records encode to %d bytes, past the frame limit", fit, size)
+		}
+		if fit < len(ps) {
+			if size := len(EncodePublishBatch(ps[:fit+1])); size <= MaxFrameSize {
+				t.Fatalf("FrameBatch stopped at %d records though %d encode to %d bytes", fit, fit+1, size)
+			}
+		}
+	}
+	// One record no frame holds: a typed error naming the user.
+	huge := sketch.Published{ID: 77, Subset: bitvec.Range(0, MaxFrameSize/8), S: sketch.Sketch{Key: 1, Length: 9}}
+	if fit, err := FrameBatch([]sketch.Published{huge, huge}); !errors.Is(err, ErrFrameTooLarge) || fit != 0 || !strings.Contains(err.Error(), "user-77") {
+		t.Fatalf("FrameBatch of an oversized record = %d, %v", fit, err)
 	}
 }
