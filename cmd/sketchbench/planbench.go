@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
+	"sketchprivacy/internal/wire"
 )
 
 // planIntervalRecords sizes the interval-query kernels; quick shrinks the
@@ -16,6 +18,11 @@ const (
 	planIntervalRecords      = 10_000
 	planIntervalRecordsQuick = 5_000
 )
+
+// planFilteredRecords sizes plan-warm-cache-filtered so that ONE keep mask
+// (records ÷ 8 = 8 KiB) outweighs everything else the warm executor
+// allocates per query; the bytes<=N pin in kernels.txt sits below it.
+const planFilteredRecords = 1 << 16
 
 // planField is the 8-bit attribute the interval kernels query.
 func planField() bitvec.IntField { return bitvec.MustIntField(0, 8) }
@@ -38,7 +45,8 @@ func loadPlanTable(b *testing.B, tab *sketch.Table, subsets []bitvec.Subset, n i
 // decomposition pushed to a 3-node cluster in one planQuery fan-out, and
 // the warm-cache repeat of the conjunctive-query-10k workload, where the
 // engine's generation-versioned bitmap cache reduces the whole query to a
-// popcount.
+// popcount, and a node's filtered share of the interval query with its
+// keep masks in the same cache.
 func planBenchmarks(quick bool) []struct {
 	name string
 	fn   func(b *testing.B)
@@ -138,6 +146,39 @@ func planBenchmarks(quick bool) []struct {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Conjunction(subset, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"plan-warm-cache-filtered", func(b *testing.B) {
+			// A node's share of a cached interval query: the compiled
+			// FieldAtMost plan under a compiled 3-node ownership filter,
+			// evaluation bitmaps and keep masks both warm.  kernels.txt
+			// pins its bytes/op below the size of one keep mask, so a
+			// change that quietly rebuilds a mask per query fails
+			// -checkkernels on a deterministic figure, not on a timing.
+			h := prf.NewBiased(benchKey(), prf.MustProb(0.3))
+			eng, err := engine.New(h, sketch.MustParams(0.3, 10))
+			if err != nil {
+				b.Fatal(err)
+			}
+			loadPlanTable(b, eng.Table(), query.FieldPrefixSubsets(f), planFilteredRecords)
+			plan := query.NewPlan()
+			if _, err := eng.Estimator().PlanFieldAtMost(plan, f, c); err != nil {
+				b.Fatal(err)
+			}
+			nodes := []string{"10.0.0.1:7171", "10.0.0.2:7171", "10.0.0.3:7171"}
+			keep, err := cluster.CompileFilter(&wire.Filter{Nodes: nodes, VNodes: 64, Self: nodes[0], Live: nodes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.ExecutePlan(plan, keep); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.ExecutePlan(plan, keep); err != nil {
 					b.Fatal(err)
 				}
 			}

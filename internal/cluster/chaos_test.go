@@ -127,22 +127,26 @@ func runChaos(t *testing.T, seed uint64) {
 		if err != nil {
 			t.Fatalf("seed %d: reference %s failed: %v", seed, q.name, err)
 		}
-		var got interface{}
-		for attempt := 0; attempt < 20; attempt++ {
-			got, err = q.run()
-			if err == nil {
-				break
+		// Answered twice: the second answer finds the first one's keep
+		// masks cached, under whatever live set the chaos has moved to.
+		for answer := 0; answer < 2; answer++ {
+			var got interface{}
+			for attempt := 0; attempt < 20; attempt++ {
+				got, err = q.run()
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, cluster.ErrPartialCoverage) && !isRetryableChaos(err) {
+					t.Fatalf("seed %d: %s aborted with a non-coverage error: %v", seed, q.name, err)
+				}
+				time.Sleep(100 * time.Millisecond)
 			}
-			if !errors.Is(err, cluster.ErrPartialCoverage) && !isRetryableChaos(err) {
-				t.Fatalf("seed %d: %s aborted with a non-coverage error: %v", seed, q.name, err)
+			if err != nil {
+				t.Fatalf("seed %d: %s never recovered: %v", seed, q.name, err)
 			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		if err != nil {
-			t.Fatalf("seed %d: %s never recovered: %v", seed, q.name, err)
-		}
-		if got != want {
-			t.Fatalf("seed %d: %s answered %+v, reference says %+v", seed, q.name, got, want)
+			if got != want {
+				t.Fatalf("seed %d: %s answer %d is %+v, reference says %+v", seed, q.name, answer, got, want)
+			}
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/dataset"
 	"sketchprivacy/internal/engine"
+	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/server"
@@ -30,33 +31,35 @@ func testSource() *prf.Biased {
 	return prf.NewBiased(bytes.Repeat([]byte{0x5a}, prf.MinKeyBytes), prf.MustProb(testP))
 }
 
-// testNode is one in-process sketchd: an engine behind a real TCP server.
+// testNode is one in-process sketchd: an engine behind a real TCP server,
+// its engine metrics on a registry of its own.
 type testNode struct {
 	addr string
 	eng  *engine.Engine
 	srv  *server.Server
+	reg  *obs.Registry
 }
 
 // startNodes brings up n loopback nodes and registers their teardown.
 func startNodes(t *testing.T, n int) []*testNode {
 	t.Helper()
-	h := testSource()
-	params := sketch.MustParams(testP, testLength)
 	nodes := make([]*testNode, n)
 	for i := range nodes {
-		eng, err := engine.New(h, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := server.New(eng)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = &testNode{addr: addr, eng: eng, srv: srv}
-		t.Cleanup(func() { srv.Close() })
+		nodes[i] = startNodeAt(t, "", nil)
 	}
 	return nodes
+}
+
+// keepMaskHits sums the nodes' engine_keep_mask_hits_total: the keep-mask
+// lookups their bitmap caches served.  A never-stale test reads it to know
+// the masks were warm when the ring moved under them.
+func keepMaskHits(t *testing.T, nodes ...*testNode) float64 {
+	t.Helper()
+	var hits float64
+	for _, n := range nodes {
+		hits += metricValue(t, renderRegistry(t, n.reg), "engine_keep_mask_hits_total")
+	}
+	return hits
 }
 
 // startRouter builds a fast-paced router over the nodes.

@@ -10,6 +10,7 @@ import (
 
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/faultnet"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/wire"
 )
 
@@ -100,6 +101,17 @@ func TestResetMidFanoutRecoveryExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := referenceEngine(t, pubs)
+	want, err := ref.FieldAtMost(field, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Asked twice while everything is up, so the survivors go into the
+	// recovery round holding warm keep masks for the all-live ring.
+	for ask := 0; ask < 2; ask++ {
+		if got, err := r.FieldAtMost(field, 9); err != nil || got != want {
+			t.Fatalf("healthy answer %+v (err %v) differs from reference %+v", got, err, want)
+		}
+	}
 
 	// Reset every future connection to node 0 a few bytes into the frame
 	// payload, and kill the pooled connections so the plan takes effect.
@@ -110,10 +122,6 @@ func TestResetMidFanoutRecoveryExact(t *testing.T) {
 	got, err := r.FieldAtMost(field, 9)
 	if err != nil {
 		t.Fatalf("query across a mid-frame reset failed: %v", err)
-	}
-	want, err := ref.FieldAtMost(field, 9)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("recovered answer %+v differs from reference %+v", got, want)
@@ -222,6 +230,84 @@ func TestPartitionHealRejoin(t *testing.T) {
 	fab.HealBoth(linkTo(nodes[0].addr), nodes[0].addr)
 	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
 	assertClusterMatchesReference(t, r, ref, subset, field)
+}
+
+// TestDeckIdenticalThroughDeathAndReturn is the fleet-level never-stale
+// proof for cached keep masks: a fixed deck of queries is answered with
+// every node up (twice, so the masks are cached), again while node 0 dies
+// partway through the deck — the query in flight is finished by recovery
+// filters carrying Failed, the ones after it by the shrunken live set —
+// and again once the node is back, and every answer of every stage is the
+// same bits.  Each stage is another filter key on the same nodes over the
+// same records, so a mask served across keys shows up as a count that
+// moved.
+func TestDeckIdenticalThroughDeathAndReturn(t *testing.T) {
+	fab := faultnet.NewFabric(6)
+	nodes := startNodes(t, 3)
+	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = faultDialer(fab)
+		cfg.RequestTimeout = time.Second
+		cfg.HedgeDelay = 100 * time.Millisecond
+		cfg.BackoffMax = 300 * time.Millisecond
+	})
+	pubs, subset, field := planWorkload(t, 150, 76)
+	if err := r.PublishAll(pubs); err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceEngine(t, pubs)
+	over := func(src query.PartialSource, e *query.Estimator) []func() (interface{}, error) {
+		return []func() (interface{}, error){
+			func() (interface{}, error) { return e.FieldAtMostFrom(src, field, 3) },
+			func() (interface{}, error) { return e.FieldAtMostFrom(src, field, 9) },
+			func() (interface{}, error) { return e.FieldMeanFrom(src, field) },
+			func() (interface{}, error) { return e.FieldAtMostFrom(src, field, 12) },
+			func() (interface{}, error) { return subsetRecords(src, subset) },
+			func() (interface{}, error) { return src.TotalRecords() },
+		}
+	}
+	deck := over(r, ref.Estimator())
+	var want []interface{}
+	for i, q := range over(ref.Source(nil), ref.Estimator()) {
+		w, err := q()
+		if err != nil {
+			t.Fatalf("reference query %d: %v", i, err)
+		}
+		want = append(want, w)
+	}
+	// pass asks the deck once; before runs ahead of the query it names.
+	pass := func(stage string, at int, before func()) {
+		t.Helper()
+		for i, q := range deck {
+			if i == at {
+				before()
+			}
+			if got, err := q(); err != nil || got != want[i] {
+				t.Fatalf("%s: query %d answered %+v (err %v), want %+v", stage, i, got, err, want[i])
+			}
+		}
+	}
+
+	pass("all up", -1, nil)
+	cold := keepMaskHits(t, nodes...)
+	pass("all up, masks warm", -1, nil)
+	if keepMaskHits(t, nodes...) == cold {
+		t.Fatal("the repeated deck read no cached keep mask: the stages below would prove nothing about stale ones")
+	}
+
+	recoveries := r.FanoutCounters().Recoveries
+	pass("node 0 dies mid-deck", len(deck)/2, func() {
+		fab.PartitionBoth(linkTo(nodes[0].addr), nodes[0].addr)
+	})
+	if r.FanoutCounters().Recoveries == recoveries {
+		t.Fatal("no fan-out was finished by a recovery round: the recovery filters went unexercised")
+	}
+	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
+	pass("node 0 dead", -1, nil)
+
+	fab.HealBoth(linkTo(nodes[0].addr), nodes[0].addr)
+	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
+	pass("node 0 back", -1, nil)
+	pass("node 0 back, masks warm", -1, nil)
 }
 
 // TestPartialCoverageTyped kills RF nodes and checks the refusal is the

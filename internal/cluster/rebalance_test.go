@@ -12,6 +12,7 @@ import (
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
+	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
@@ -32,6 +33,8 @@ func startNodeAt(t *testing.T, addr string, st store.Store) *testNode {
 			t.Fatal(err)
 		}
 	}
+	reg := obs.NewRegistry()
+	eng.SetMetrics(reg)
 	srv := server.New(eng)
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -40,7 +43,7 @@ func startNodeAt(t *testing.T, addr string, st store.Store) *testNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &testNode{addr: bound, eng: eng, srv: srv}
+	n := &testNode{addr: bound, eng: eng, srv: srv, reg: reg}
 	t.Cleanup(func() { srv.Close() })
 	return n
 }
@@ -156,6 +159,14 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		t.Fatalf("fresh router at epoch %d, want 1", got)
 	}
 
+	// Asked again, so every node answers the step that follows with keep
+	// masks cached under the 2-node ring: a mask that outlived its
+	// predicate would double-count or drop exactly the records that move.
+	assertClusterMatchesReference(t, r, ref, subset, field)
+	if keepMaskHits(t, nodes...) == 0 {
+		t.Fatal("a repeated query read no cached keep mask: the join below would prove nothing about stale ones")
+	}
+
 	// Step 1: join a 3rd node.  Mid-transfer the hook (a) asserts the
 	// acceptance queries still match the reference bit for bit and (b)
 	// publishes fresh records, which the migration dual-write must land on
@@ -226,7 +237,9 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Step 2: drain node 1, with the same mid-transfer checks.
+	// Step 2: drain node 1, with the same mid-transfer checks — and the
+	// 3-node ring's masks warm, as before the join.
+	assertClusterMatchesReference(t, r, ref, subset, field)
 	midDrainChecks := 0
 	setHook(func() {
 		if midDrainChecks >= 3 {

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -121,13 +123,19 @@ func (r *Ring) Nodes() []string {
 // VNodes returns the virtual-node count per member.
 func (r *Ring) VNodes() int { return r.vnodes }
 
+// arc returns the index of the ring point that ends the arc placement hash
+// h lands in — the first point at or past h, or len(points) for the arc
+// that wraps to point 0 (walkFrom reduces it).
+func (r *Ring) arc(h uint64) int {
+	return sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+}
+
 // walk visits the distinct members of id's preference list in order,
-// stopping when visit returns false or every member was seen.  Ownership
-// filters call it once per record, so the common ≤64-member case keeps the
-// seen set in a register instead of allocating.
+// stopping when visit returns false or every member was seen.  The
+// common ≤64-member case keeps the seen set in a register instead of
+// allocating.
 func (r *Ring) walk(id bitvec.UserID, visit func(node string) bool) {
-	h := hashUserID(id)
-	r.walkFrom(sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h }), visit)
+	r.walkFrom(r.arc(hashUserID(id)), visit)
 }
 
 // walkFrom is walk starting at a known ring-point index: every id hashing
@@ -186,9 +194,15 @@ func (r *Ring) Owners(id bitvec.UserID, rf int) []string {
 // live — the node that answers for id's records in a scatter-gather
 // fan-out.  It reports false when no live node exists.
 func (r *Ring) FirstLive(id bitvec.UserID, live map[string]bool) (string, bool) {
+	return r.firstLiveFrom(r.arc(hashUserID(id)), live)
+}
+
+// firstLiveFrom is FirstLive for every id whose placement hash lands in
+// the arc ending at ring point start.
+func (r *Ring) firstLiveFrom(start int, live map[string]bool) (string, bool) {
 	var owner string
 	found := false
-	r.walk(id, func(n string) bool {
+	r.walkFrom(start, func(n string) bool {
 		if live[n] {
 			owner, found = n, true
 			return false
@@ -316,7 +330,12 @@ func (r *Ring) UnreachableSpans(rf int, live map[string]bool) []Span {
 // the conjunction of the ownership check and the domain check, so a
 // domained fan-out counts exactly the querying tenant's slice of each
 // node's records and nothing else.
-func CompileFilter(f *wire.Filter) (query.UserFilter, error) {
+//
+// Every id hashing into one arc of the ring shares its preference walk, so
+// the walks are done here, once per ring point, and the predicate is
+// placement hash → arc lookup → slice read, with no map lookup or walk per
+// record.  The compiled filter's Key is FilterKey(f).
+func CompileFilter(f *wire.Filter) (*query.UserFilter, error) {
 	if f == nil {
 		return nil, nil
 	}
@@ -345,21 +364,6 @@ func CompileFilter(f *wire.Filter) (query.UserFilter, error) {
 		live[n] = true
 	}
 	self := f.Self
-	inDomain := func(bitvec.UserID) bool { return true }
-	if bits := f.DomainBits; bits > 0 {
-		shift := 64 - uint(bits)
-		tag := f.Domain
-		inDomain = func(id bitvec.UserID) bool { return uint64(id)>>shift == tag }
-	}
-	if len(f.Failed) == 0 {
-		return func(id bitvec.UserID) bool {
-			if !inDomain(id) {
-				return false
-			}
-			owner, ok := ring.FirstLive(id, live)
-			return ok && owner == self
-		}, nil
-	}
 	failed := make(map[string]bool, len(f.Failed))
 	survivors := make(map[string]bool, len(f.Live))
 	for n := range live {
@@ -378,15 +382,80 @@ func CompileFilter(f *wire.Filter) (query.UserFilter, error) {
 	if len(survivors) == 0 {
 		return nil, errors.New("cluster: recovery filter has no surviving nodes")
 	}
-	return func(id bitvec.UserID) bool {
-		if !inDomain(id) {
+	// ends[i] is ring point i's hash and answers[i] whether self answers
+	// for the ids of the arc ending there; one more entry of each — a
+	// hash nothing exceeds, and the first arc's answer again — stands for
+	// the ids past the last point, whose walk wraps to the first.
+	n := len(ring.points)
+	ends := make([]uint64, n+1)
+	answers := make([]bool, n+1)
+	for i, pt := range ring.points {
+		ends[i] = pt.hash
+		owner, ok := ring.firstLiveFrom(i, live)
+		if len(failed) == 0 {
+			answers[i] = ok && owner == self
+		} else if ok && failed[owner] {
+			next, ok := ring.firstLiveFrom(i, survivors)
+			answers[i] = ok && next == self
+		}
+	}
+	ends[n], answers[n] = math.MaxUint64, answers[0]
+	// Placement hashes are uniform, so a table over their top bits with at
+	// least one bucket per point — first[b] is the first point at or past
+	// b<<bucketShift — leaves the search a step or two instead of log n
+	// unpredictable branches.
+	bucketShift := 64 - uint(bits.Len(uint(n)))
+	first := make([]int32, 1<<(64-bucketShift))
+	for b, i := 0, 0; b < len(first); b++ {
+		for ends[i]>>bucketShift < uint64(b) {
+			i++
+		}
+		first[b] = int32(i)
+	}
+	domain := Domain{Bits: f.DomainBits, Tag: f.Domain}
+	keep := func(id bitvec.UserID) bool {
+		if !domain.Keep(id) {
 			return false
 		}
-		owner, ok := ring.FirstLive(id, live)
-		if !ok || !failed[owner] {
-			return false
+		h := hashUserID(id)
+		i := first[h>>bucketShift]
+		for ends[i] < h {
+			i++
 		}
-		next, ok := ring.FirstLive(id, survivors)
-		return ok && next == self
-	}, nil
+		return answers[i]
+	}
+	return &query.UserFilter{Keep: keep, Key: FilterKey(f)}, nil
+}
+
+// FilterKey returns the identity of the predicate CompileFilter builds
+// from f: a SHA-256 digest of exactly the fields that predicate reads —
+// ring membership, vnode count, the addressed node, the live and failed
+// sets (as sets: sorted, duplicates dropped) and the tenant domain — and
+// of nothing it does not (Epoch, Budget).  Equal keys therefore mean equal
+// predicates by construction, which is what lets a node cache a compiled
+// filter and its keep masks under the key with no invalidation protocol:
+// a join, drain, death, recovery slice or other tenant is another key.
+// Nodes is hashed in the order given although placement sorts it: a key
+// finer than the predicate costs a cache miss, a coarser one would serve
+// one node's mask to another and double-count a replica.
+func FilterKey(f *wire.Filter) string {
+	set := func(in []string) []string {
+		out := slices.Clone(in)
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	buf := binary.BigEndian.AppendUint32(nil, f.VNodes)
+	buf = append(buf, f.DomainBits)
+	if f.DomainBits > 0 { // the predicate ignores Domain without bits
+		buf = binary.BigEndian.AppendUint64(buf, f.Domain)
+	}
+	for _, list := range [][]string{f.Nodes, {f.Self}, set(f.Live), set(f.Failed)} {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(list)))
+		for _, n := range list {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(n)))
+			buf = append(buf, n...)
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
 }

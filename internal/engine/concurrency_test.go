@@ -210,8 +210,9 @@ func (f *flakyStore) AppendBatch(ps []sketch.Published) ([]int, error) {
 // and scan the views they get.  Every answer must be internally consistent
 // — all entries of one subset see one record set — and once the writers
 // stop, the cached executor must agree with an uncached pass over the same
-// table and with the store's own contents, so no bitmap computed against a
-// record set that was rolled back can have stayed in the cache.
+// table and with the store's own contents, so no bitmap or keep mask
+// computed against a record set that was rolled back can have stayed in the
+// cache.
 func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -234,9 +235,15 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 		}
 	}
 
+	// One reader each: no filter, and two filters with a key, whose keep
+	// masks share the cache (and its rollbacks) with the bitmaps.
+	keeps := []*query.UserFilter{
+		nil,
+		{Keep: func(id bitvec.UserID) bool { return id%2 == 0 }, Key: "even"},
+		{Keep: func(id bitvec.UserID) bool { return id%3 == 0 }, Key: "third"},
+	}
 	const (
 		writers   = 4
-		readers   = 3
 		perWriter = 1500
 	)
 	var (
@@ -264,9 +271,9 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 			}
 		}(w)
 	}
-	for r := 0; r < readers; r++ {
+	for _, keep := range keeps {
 		wg.Add(1)
-		go func() {
+		go func(keep *query.UserFilter) {
 			defer wg.Done()
 			for {
 				select {
@@ -274,7 +281,7 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 					return
 				default:
 				}
-				res, err := eng.ExecutePlan(plan, nil)
+				res, err := eng.ExecutePlan(plan, keep)
 				if err != nil {
 					t.Errorf("ExecutePlan: %v", err)
 					return
@@ -286,7 +293,7 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 					}
 				}
 			}
-		}()
+		}(keep)
 	}
 	writing.Wait()
 	close(stop)
@@ -302,15 +309,17 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 	if int64(stored) != accepted.Load() {
 		t.Fatalf("store holds %d records, %d ingests were acknowledged", stored, accepted.Load())
 	}
-	cached, err := eng.ExecutePlan(plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := eng.Estimator().ExecutePlanOver(eng.Table(), plan, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cached.Fractions, fresh.Fractions) {
-		t.Fatalf("cached plan answer %+v differs from an uncached pass %+v", cached.Fractions, fresh.Fractions)
+	for _, keep := range keeps {
+		cached, err := eng.ExecutePlan(plan, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := eng.Estimator().ExecutePlanOver(eng.Table(), plan, keep, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cached.Fractions, fresh.Fractions) {
+			t.Fatalf("cached plan answer %+v differs from an uncached pass %+v", cached.Fractions, fresh.Fractions)
+		}
 	}
 }

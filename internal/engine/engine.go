@@ -341,7 +341,7 @@ func (e *Engine) Conjunction(b bitvec.Subset, v bitvec.Vector) (query.Estimate, 
 // whose user passes keep (nil: all records): plan execution routed through
 // the engine's one-pass batch executor and bitmap cache.  The gateway's
 // single-node mode passes a tenant's domain filter.
-func (e *Engine) Source(keep query.UserFilter) query.PartialSource {
+func (e *Engine) Source(keep *query.UserFilter) query.PartialSource {
 	return engineSource{e: e, keep: keep}
 }
 

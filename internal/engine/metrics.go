@@ -15,9 +15,10 @@ type engineMetrics struct {
 
 // SetMetrics registers the engine's instrument families on reg and starts
 // recording: plan-execution latency, ingest and rebalance-snapshot
-// counters, plus render-time gauges for the table size and bitmap-cache
-// hit/miss counters (the cache counts always; the registry only exposes
-// them).  Call once, before the engine starts serving.
+// counters, plus render-time gauges for the table size and the cache's
+// hit/miss counters, evaluation bitmaps and keep masks apart (the cache
+// counts always; the registry only exposes them).  Call once, before the
+// engine starts serving.
 func (e *Engine) SetMetrics(reg *obs.Registry) {
 	e.m = &engineMetrics{
 		planExec:      reg.Histogram("engine_plan_exec_seconds", "Latency of one compiled-plan execution over the local table.", nil),
@@ -30,4 +31,8 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 		func() uint64 { return e.cache.hits.Load() })
 	reg.CounterFunc("engine_plan_cache_misses_total", "Plan-executor bitmap cache misses (stale generation or absent).",
 		func() uint64 { return e.cache.misses.Load() })
+	reg.CounterFunc("engine_keep_mask_hits_total", "Ownership keep-mask lookups served from the bitmap cache.",
+		func() uint64 { return e.cache.maskHits.Load() })
+	reg.CounterFunc("engine_keep_mask_misses_total", "Ownership keep masks rebuilt over a subset's records (stale generation, new filter key or absent).",
+		func() uint64 { return e.cache.maskMisses.Load() })
 }

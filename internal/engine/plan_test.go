@@ -140,7 +140,7 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 		}
 		// Distinct keys beyond the 16 possible values: synthesize entries
 		// directly, as real queries over a 4-bit subset cannot exceed 16.
-		eng.cache.Put(fmt.Sprint("synthetic-", i), 1, records, words)
+		eng.cache.Put(query.CacheKey{Entry: fmt.Sprint("synthetic-", i)}, 1, records, words)
 		if eng.cache.bytes > planCacheBudget || eng.cache.bytes != held() {
 			t.Fatalf("after %d bitmaps the cache counts %d bytes and holds %d, budget %d", i+1, eng.cache.bytes, held(), planCacheBudget)
 		}
@@ -148,15 +148,15 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 	if n := len(eng.cache.m); n < planCacheBudget/2/(8*len(words)+1024) {
 		t.Fatalf("the cache kept %d entries: eviction goes to about half the budget, not to nothing", n)
 	}
-	if _, ok := eng.cache.Get("synthetic-0", 1, records); ok {
+	if _, ok := eng.cache.Get(query.CacheKey{Entry: "synthetic-0"}, 1, records); ok {
 		t.Fatal("the first of 5000 bitmaps is still cached: nothing was evicted")
 	}
-	eng.cache.Put("synthetic-0", 1, records, words)
-	if _, ok := eng.cache.Get("synthetic-0", 1, records); !ok {
+	eng.cache.Put(query.CacheKey{Entry: "synthetic-0"}, 1, records, words)
+	if _, ok := eng.cache.Get(query.CacheKey{Entry: "synthetic-0"}, 1, records); !ok {
 		t.Fatal("a key Put again after its eviction is not served")
 	}
-	eng.cache.Put("too-large", 1, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1))
-	if _, ok := eng.cache.Get("too-large", 1, 64*(planCacheBudget/8+1)); ok || eng.cache.bytes > planCacheBudget {
+	eng.cache.Put(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1))
+	if _, ok := eng.cache.Get(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1)); ok || eng.cache.bytes > planCacheBudget {
 		t.Fatal("a bitmap larger than the budget was cached")
 	}
 	want, err := eng.Estimator().FractionFrom(eng.Estimator().TableSource(eng.Table()), subset, bitvec.MustFromString("0101"))
@@ -170,4 +170,58 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 	if want != got {
 		t.Fatalf("post-eviction answer differs from the uncached pass: %+v vs %+v", got, want)
 	}
+}
+
+// TestEngineKeepMaskCachedPerFilterKey: a filter with a key has its keep
+// mask built once per (subset, key) and generation — a repeat, a total
+// count and a subset count all read the cached mask; another key or an
+// ingest builds another — while a key-less filter never touches the
+// cache, and the evaluation-bitmap counters count evaluation bitmaps only,
+// whatever the filter.
+func TestEngineKeepMaskCachedPerFilterKey(t *testing.T) {
+	eng, subset, _ := planEngine(t, 300)
+	plan := query.NewPlan()
+	ref, err := plan.AddFraction(subset, bitvec.MustFromString("1010"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := plan.AddSubsetRecords(subset)
+	even := func(id bitvec.UserID) bool { return id%2 == 0 }
+	third := func(id bitvec.UserID) bool { return id%3 == 0 }
+	type counters struct{ hits, misses, maskHits, maskMisses uint64 }
+	read := func() counters {
+		c := eng.cache
+		return counters{c.hits.Load(), c.misses.Load(), c.maskHits.Load(), c.maskMisses.Load()}
+	}
+	run := func(keep *query.UserFilter, wantRecords uint64, want counters) {
+		t.Helper()
+		res, err := eng.ExecutePlan(plan, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Fraction(ref).Records; got != wantRecords || res.Count(count) != wantRecords {
+			t.Fatalf("counted %d records (subset count %d), want %d", got, res.Count(count), wantRecords)
+		}
+		if got := read(); got != want {
+			t.Fatalf("cache counters %+v, want %+v", got, want)
+		}
+	}
+	// The fraction's lookup, then the subset count's, per execution.
+	run(&query.UserFilter{Keep: even, Key: "even"}, 150, counters{0, 1, 1, 1})
+	run(&query.UserFilter{Keep: even, Key: "even"}, 150, counters{1, 1, 3, 1})
+	run(&query.UserFilter{Keep: third, Key: "third"}, 100, counters{2, 1, 4, 2})
+	run(&query.UserFilter{Keep: even, Key: "even"}, 150, counters{3, 1, 6, 2})
+	run(&query.UserFilter{Keep: third}, 100, counters{4, 1, 6, 2})
+	run(nil, 300, counters{5, 1, 6, 2})
+	if n, err := eng.Source(&query.UserFilter{Keep: even, Key: "even"}).TotalRecords(); err != nil || n != 4*150 {
+		t.Fatalf("filtered total %d (err %v), want %d", n, err, 4*150)
+	}
+	if got, want := read(), (counters{5, 1, 7, 5}); got != want { // the other three subsets' masks are new
+		t.Fatalf("after a filtered total the cache counters are %+v, want %+v", got, want)
+	}
+	// A write retires the subset's mask with its bitmaps.
+	if err := eng.Ingest(sketch.Published{ID: 9002, Subset: subset, S: sketch.Sketch{Length: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	run(&query.UserFilter{Keep: even, Key: "even"}, 151, counters{5, 2, 8, 6})
 }

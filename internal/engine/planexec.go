@@ -23,22 +23,25 @@ const (
 )
 
 // planCache is the engine's query.BitmapCache: per-(subset, value)
-// evaluation bitmaps versioned by the table's per-subset write generation.
+// evaluation bitmaps and per-(subset, filter key) keep masks, versioned by
+// the table's per-subset write generation.
 // An ingest into a subset bumps the generation (see Table.View), so
 // every cached bitmap for that subset goes stale implicitly — the epoch
 // check at Get is the invalidation.  Within a generation, a repeated or
 // overlapping evaluation (interval prefixes share entries across queries)
-// reduces to a popcount of the cached bitmap.
+// reduces to a popcount of the cached bitmap against the cached mask.
 type planCache struct {
 	mu sync.RWMutex
-	m  map[string]planCacheEntry
+	m  map[query.CacheKey]planCacheEntry
 	// bytes is what the entries of m cost against planCacheBudget.
 	bytes int
-	// hits/misses count Get outcomes for the engine_plan_cache_* series.
-	// They are always counted — one uncontended atomic add next to a map
-	// lookup — and only exposed when a registry is attached.
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	// hits/misses count Get outcomes for evaluation bitmaps (the
+	// engine_plan_cache_* series), maskHits/maskMisses for keep masks
+	// (engine_keep_mask_*).  They are always counted — one uncontended
+	// atomic add next to a map lookup — and only exposed when a registry
+	// is attached.
+	hits, misses         atomic.Uint64
+	maskHits, maskMisses atomic.Uint64
 }
 
 // planCacheEntry pairs a bitmap with the generation and record count it
@@ -51,31 +54,35 @@ type planCacheEntry struct {
 
 // newPlanCache returns an empty cache.
 func newPlanCache() *planCache {
-	return &planCache{m: make(map[string]planCacheEntry)}
+	return &planCache{m: make(map[query.CacheKey]planCacheEntry)}
 }
 
 // Get implements query.BitmapCache.
-func (c *planCache) Get(key string, gen uint64, records int) ([]uint64, bool) {
+func (c *planCache) Get(key query.CacheKey, gen uint64, records int) ([]uint64, bool) {
+	hits, misses := &c.hits, &c.misses
+	if key.Filter != "" {
+		hits, misses = &c.maskHits, &c.maskMisses
+	}
 	c.mu.RLock()
 	e, ok := c.m[key]
 	c.mu.RUnlock()
 	if !ok || e.gen != gen || e.records != records {
-		c.misses.Add(1)
+		misses.Add(1)
 		return nil, false
 	}
-	c.hits.Add(1)
+	hits.Add(1)
 	return e.words, true
 }
 
 // cost is what an entry counts against planCacheBudget.
-func (e planCacheEntry) cost(key string) int {
-	return len(key) + 8*len(e.words) + planCacheEntryOverhead
+func (e planCacheEntry) cost(key query.CacheKey) int {
+	return len(key.Entry) + len(key.Filter) + 8*len(e.words) + planCacheEntryOverhead
 }
 
 // Put implements query.BitmapCache.  The stored words are shared and must
 // not be mutated afterwards (the executor never does).  A bitmap the whole
 // budget could not hold is not cached.
-func (c *planCache) Put(key string, gen uint64, records int, words []uint64) {
+func (c *planCache) Put(key query.CacheKey, gen uint64, records int, words []uint64) {
 	e := planCacheEntry{gen: gen, records: records, words: words}
 	cost := e.cost(key)
 	if cost > planCacheBudget {
@@ -109,8 +116,9 @@ func (c *planCache) Put(key string, gen uint64, records int, words []uint64) {
 // from the generation-versioned bitmap cache.  keep restricts the counters
 // to records whose user passes the filter (nil: all records) — the cluster
 // node path — without bypassing the cache, since bitmaps are computed over
-// the full snapshot and filtered at counting time.
-func (e *Engine) ExecutePlan(p *query.Plan, keep query.UserFilter) (*query.Results, error) {
+// the full snapshot and filtered at counting time by a keep mask the same
+// cache holds per filter key.
+func (e *Engine) ExecutePlan(p *query.Plan, keep *query.UserFilter) (*query.Results, error) {
 	if e.m != nil {
 		defer e.m.planExec.ObserveSince(time.Now())
 	}
@@ -121,7 +129,7 @@ func (e *Engine) ExecutePlan(p *query.Plan, keep query.UserFilter) (*query.Resul
 // abandoned with ctx.Err() at the next work-unit boundary once the context
 // ends.  The cluster node runs plan queries under the router's end-to-end
 // deadline budget through this.
-func (e *Engine) ExecutePlanCtx(ctx context.Context, p *query.Plan, keep query.UserFilter) (*query.Results, error) {
+func (e *Engine) ExecutePlanCtx(ctx context.Context, p *query.Plan, keep *query.UserFilter) (*query.Results, error) {
 	if e.m != nil {
 		defer e.m.planExec.ObserveSince(time.Now())
 	}
@@ -133,7 +141,7 @@ func (e *Engine) ExecutePlanCtx(ctx context.Context, p *query.Plan, keep query.U
 // (nil: all records).
 type engineSource struct {
 	e    *Engine
-	keep query.UserFilter
+	keep *query.UserFilter
 }
 
 // Execute implements query.PartialSource.
@@ -143,5 +151,5 @@ func (s engineSource) Execute(p *query.Plan) (*query.Results, error) {
 
 // TotalRecords implements query.PartialSource.
 func (s engineSource) TotalRecords() (uint64, error) {
-	return query.TotalRecordsOf(s.e.table, s.keep), nil
+	return query.TotalRecordsOf(s.e.table, s.keep, s.e.cache), nil
 }

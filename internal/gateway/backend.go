@@ -91,7 +91,8 @@ func (b RouterBackend) FanoutCounters() cluster.FanoutCounters { return b.R.Fano
 // single-node mode.  A domain restriction becomes the keep filter of the
 // engine's cached plan executor, so tenancy semantics are identical to
 // fleet mode and bitmap caching still applies (bitmaps cover the full
-// snapshot; the filter bites at counting time).
+// snapshot; the filter bites at counting time, through a key-less mask
+// rebuilt per query — a shift and a compare per record).
 type EngineBackend struct{ E *engine.Engine }
 
 // PublishAll implements Backend via the engine's batched ingest.
@@ -102,7 +103,7 @@ func (b EngineBackend) Source(d cluster.Domain) query.PartialSource {
 	if d.Bits == 0 {
 		return b.E.Source(nil)
 	}
-	return b.E.Source(d.Keep)
+	return b.E.Source(&query.UserFilter{Keep: d.Keep})
 }
 
 // Estimator implements Backend.

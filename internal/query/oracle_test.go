@@ -17,12 +17,12 @@ import (
 type oracleSource struct {
 	h    prf.BitSource
 	tabs []*sketch.Table
-	keep UserFilter
+	keep *UserFilter
 }
 
 // oracleOver returns the oracle for e's public function over the tables
 // (one table, or the disjoint shards of a modelled cluster) under keep.
-func oracleOver(e *Estimator, keep UserFilter, tabs ...*sketch.Table) oracleSource {
+func oracleOver(e *Estimator, keep *UserFilter, tabs ...*sketch.Table) oracleSource {
 	return oracleSource{h: e.h, tabs: tabs, keep: keep}
 }
 
@@ -63,7 +63,7 @@ func (o oracleSource) TotalRecords() (uint64, error) {
 func (o oracleSource) kept(tab *sketch.Table, b bitvec.Subset) []sketch.Published {
 	var out []sketch.Published
 	for _, rec := range tab.Snapshot(b) {
-		if o.keep == nil || o.keep(rec.ID) {
+		if o.keep == nil || o.keep.Keep(rec.ID) {
 			out = append(out, rec)
 		}
 	}

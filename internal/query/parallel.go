@@ -34,7 +34,7 @@ func workersFor(n int) int {
 // cannot tear a user between two subsets.  The user loop is sharded across
 // workers on 64-user words; each worker holds one kernel per sub-query and
 // evaluates a word of users at a time through the multi-lane batch path.
-func matchHistogram(h prf.BitSource, tab *sketch.Table, subs []SubQuery, keep UserFilter) HistPartial {
+func matchHistogram(h prf.BitSource, tab *sketch.Table, subs []SubQuery, keep func(bitvec.UserID) bool) HistPartial {
 	k := len(subs)
 	subsets := make([]bitvec.Subset, k)
 	for i, s := range subs {

@@ -53,11 +53,28 @@ func (h HistPartial) Merge(o HistPartial) (HistPartial, error) {
 	return out, nil
 }
 
-// UserFilter restricts an evaluation to the records whose user it accepts.
-// A nil UserFilter accepts everything.  The cluster layer uses it to assign
-// each record to exactly one live replica, so replicated records are
-// counted once across a scatter-gather fan-out.
-type UserFilter func(bitvec.UserID) bool
+// UserFilter restricts an evaluation to the records whose user Keep
+// accepts.  A nil *UserFilter accepts everything.  The cluster layer uses
+// it to assign each record to exactly one live replica, so replicated
+// records are counted once across a scatter-gather fan-out.
+type UserFilter struct {
+	// Keep is the predicate.
+	Keep func(bitvec.UserID) bool
+	// Key is the predicate's identity: two filters with the same non-empty
+	// Key accept exactly the same users, so a subset's keep mask built
+	// under one may be served to the other from a BitmapCache.  Whoever
+	// sets it owns that promise (cluster.CompileFilter derives it from the
+	// predicate's inputs).  A filter with an empty Key is never cached.
+	Key string
+}
+
+// pred returns the per-user predicate, nil for a nil filter.
+func (f *UserFilter) pred() func(bitvec.UserID) bool {
+	if f == nil {
+		return nil
+	}
+	return f.Keep
+}
 
 // PartialSource answers compiled plans.  Every estimator — Algorithm 2
 // fractions, the numeric, interval and tree decompositions, the Appendix F
@@ -93,34 +110,29 @@ func (s tableSource) Execute(p *Plan) (*Results, error) {
 }
 
 func (s tableSource) TotalRecords() (uint64, error) {
-	return TotalRecordsOf(s.tab, nil), nil
+	return TotalRecordsOf(s.tab, nil, nil), nil
 }
 
 // SubsetRecordsOf counts the table's records for subset b whose user
-// passes keep.
-func SubsetRecordsOf(tab *sketch.Table, b bitvec.Subset, keep UserFilter) uint64 {
+// passes keep: the popcount of the subset's keep mask, which a filter with
+// a Key reads from (and leaves in) cache.
+func SubsetRecordsOf(tab *sketch.Table, b bitvec.Subset, keep *UserFilter, cache BitmapCache) uint64 {
 	if keep == nil {
 		return uint64(tab.CountForSubset(b))
 	}
-	records, _ := tab.View(b)
-	var n uint64
-	for i := 0; i < records.Len(); i++ {
-		if keep(records.ID(i)) {
-			n++
-		}
-	}
-	return n
+	records, gen := tab.View(b)
+	return popcount(keepMask(b, records, gen, keep, cache))
 }
 
 // TotalRecordsOf counts the table's records across all subsets whose user
 // passes keep.
-func TotalRecordsOf(tab *sketch.Table, keep UserFilter) uint64 {
+func TotalRecordsOf(tab *sketch.Table, keep *UserFilter, cache BitmapCache) uint64 {
 	if keep == nil {
 		return uint64(tab.Len())
 	}
 	var n uint64
 	for _, b := range tab.Subsets() {
-		n += SubsetRecordsOf(tab, b, keep)
+		n += SubsetRecordsOf(tab, b, keep, cache)
 	}
 	return n
 }

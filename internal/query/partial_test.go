@@ -133,7 +133,7 @@ func TestUserFilterPartitionExactness(t *testing.T) {
 	var merged Partial
 	for part := 0; part < 3; part++ {
 		part := part
-		keep := func(id bitvec.UserID) bool { return uint64(id)%3 == uint64(part) }
+		keep := &UserFilter{Keep: func(id bitvec.UserID) bool { return uint64(id)%3 == uint64(part) }}
 		got, err := est.ExecutePlanOver(tab, plan, keep, nil)
 		if err != nil {
 			t.Fatal(err)

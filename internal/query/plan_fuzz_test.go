@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,6 +17,10 @@ import (
 var fuzzFixture struct {
 	once sync.Once
 	tab  *sketch.Table
+	// recs is every record the fuzzer's writes may toggle: the table's
+	// own, then those of as many users it does not hold at the start, so
+	// a toggle is as likely an Add as a Remove.
+	recs []sketch.Published
 	est  *Estimator
 	err  error
 }
@@ -32,9 +37,10 @@ func fuzzSubsets() []bitvec.Subset {
 	}
 }
 
-// fuzzTable lazily builds the shared fixture: 400 six-bit profiles
-// sketched over every subset except the last two of fuzzSubsets.
-func fuzzTable() (*sketch.Table, *Estimator, error) {
+// fuzzTable lazily builds the shared fixture: 800 six-bit profiles
+// sketched over every subset except the last two of fuzzSubsets, the
+// first 400 of them in the table.
+func fuzzTable() (*sketch.Table, []sketch.Published, *Estimator, error) {
 	fuzzFixture.once.Do(func() {
 		const p = 0.3
 		h := testSource(p)
@@ -50,14 +56,18 @@ func fuzzTable() (*sketch.Table, *Estimator, error) {
 		}
 		subsets := fuzzSubsets()
 		subsets = subsets[:len(subsets)-2]
-		pop := dataset.UniformBinary(99, 400, 6, 0.5)
+		pop := dataset.UniformBinary(99, 800, 6, 0.5)
 		tab := sketch.NewTable()
 		rng := stats.NewRNG(77)
-		for _, profile := range pop.Profiles {
+		for i, profile := range pop.Profiles {
 			pubs, err := sk.SketchAll(rng, profile, subsets)
 			if err != nil {
 				fuzzFixture.err = err
 				return
+			}
+			fuzzFixture.recs = append(fuzzFixture.recs, pubs...)
+			if i >= 400 {
+				continue
 			}
 			if err := tab.AddAll(pubs); err != nil {
 				fuzzFixture.err = err
@@ -66,32 +76,28 @@ func fuzzTable() (*sketch.Table, *Estimator, error) {
 		}
 		fuzzFixture.tab, fuzzFixture.est = tab, est
 	})
-	return fuzzFixture.tab, fuzzFixture.est, fuzzFixture.err
+	return fuzzFixture.tab, fuzzFixture.recs, fuzzFixture.est, fuzzFixture.err
 }
 
-// mapCache is a minimal BitmapCache for the fuzzer's warm-execution leg.
-type mapCache struct {
-	m map[string]struct {
-		gen     uint64
-		records int
-		words   []uint64
-	}
+// mapCache is a minimal BitmapCache for the fuzzer's cached legs.
+type mapCache map[CacheKey]mapCacheEntry
+
+type mapCacheEntry struct {
+	gen     uint64
+	records int
+	words   []uint64
 }
 
-func (c *mapCache) Get(key string, gen uint64, records int) ([]uint64, bool) {
-	e, ok := c.m[key]
+func (c mapCache) Get(key CacheKey, gen uint64, records int) ([]uint64, bool) {
+	e, ok := c[key]
 	if !ok || e.gen != gen || e.records != records {
 		return nil, false
 	}
 	return e.words, true
 }
 
-func (c *mapCache) Put(key string, gen uint64, records int, words []uint64) {
-	c.m[key] = struct {
-		gen     uint64
-		records int
-		words   []uint64
-	}{gen, records, words}
+func (c mapCache) Put(key CacheKey, gen uint64, records int, words []uint64) {
+	c[key] = mapCacheEntry{gen, records, words}
 }
 
 // FuzzPlanEquivalence drives random plans — arbitrary mixes of fraction
@@ -101,15 +107,22 @@ func (c *mapCache) Put(key string, gen uint64, records int, words []uint64) {
 // scalar serial oracle (oracle_test.go).  This is the differential
 // guarantee the read path rests on: batching, packed words, sharding and
 // caching are an execution strategy, never a semantics change.
+//
+// The cached leg is the never-stale proof for keep masks: ONE cache serves
+// filter A, filter B (another key, another predicate), A again and two
+// key-less filters, with fuzzer-chosen Add/Remove writes before each pass,
+// and every pass must equal the oracle under its own filter on the table
+// as it then stands.  A mask served across keys, across a write or to a
+// filter without a key is a counter that differs.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add([]byte{0})
-	f.Add([]byte{0, 3, 1, 0, 2, 5, 3, 2, 4})
-	f.Add([]byte{2, 2, 1, 0, 1, 1, 0, 9, 1, 1})
-	f.Add([]byte{1, 10, 255, 1, 9, 0, 4, 3, 10, 2})
-	f.Add([]byte{5, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{0, 0, 1, 0, 3, 1, 0, 2, 5, 3, 2, 4})
+	f.Add([]byte{1, 7, 9, 2, 2, 1, 0, 1, 1, 0, 9, 1, 1})
+	f.Add([]byte{2, 200, 3, 1, 10, 255, 1, 9, 0, 4, 3, 10, 2})
+	f.Add([]byte{1, 31, 64, 5, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, est, err := fuzzTable()
+		tab, recs, est, err := fuzzTable()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,6 +145,10 @@ func FuzzPlanEquivalence(f *testing.F) {
 			}
 			return v
 		}
+		// The first three bytes choose the cold leg's filter and the
+		// cached leg's writes; the rest build the plan.
+		coldKeep := next()
+		writes := rand.New(rand.NewSource(int64(next())<<8 | int64(next())))
 		plan := NewPlan()
 		for ops := 0; pos < len(data) && ops < 24; ops++ {
 			switch next() % 6 {
@@ -167,13 +184,12 @@ func FuzzPlanEquivalence(f *testing.F) {
 				}
 			}
 		}
-		var keep UserFilter
-		switch next() % 3 {
-		case 1:
-			keep = func(id bitvec.UserID) bool { return uint64(id)%2 == 0 }
-		case 2:
-			keep = func(id bitvec.UserID) bool { return uint64(id)%3 == 1 }
+		mod := func(m, r uint64) func(bitvec.UserID) bool {
+			return func(id bitvec.UserID) bool { return uint64(id)%m == r }
 		}
+		filterA := &UserFilter{Keep: mod(2, 0), Key: "A"}
+		filterB := &UserFilter{Keep: mod(3, 1), Key: "B"}
+		keep := []*UserFilter{nil, filterA, filterB}[coldKeep%3]
 
 		want, err := oracleOver(est, keep, tab).Execute(plan)
 		if err != nil {
@@ -186,18 +202,43 @@ func FuzzPlanEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("batched execution differs from the oracle:\noracle %+v\nbatch  %+v", want, got)
 		}
-		cache := &mapCache{m: make(map[string]struct {
-			gen     uint64
-			records int
-			words   []uint64
-		})}
-		for pass := 0; pass < 2; pass++ {
-			warm, err := est.ExecutePlanOver(tab, plan, keep, cache)
-			if err != nil {
-				t.Fatalf("cached pass %d errored: %v", pass, err)
+
+		// toggle removes a record the table holds and adds one it does
+		// not; whatever an iteration toggled is toggled back when it ends,
+		// so every iteration starts from the fixture's record set.
+		toggled := make(map[int]bool)
+		toggle := func(i int) {
+			if r := recs[i]; !tab.Remove(r.ID, r.Subset) {
+				if err := tab.Add(r); err != nil {
+					t.Fatalf("re-adding a removed record errored: %v", err)
+				}
 			}
-			if !reflect.DeepEqual(want, warm) {
-				t.Fatalf("cached pass %d differs from the oracle:\noracle %+v\ncached %+v", pass, want, warm)
+			toggled[i] = !toggled[i]
+		}
+		defer func() {
+			for i, odd := range toggled {
+				if odd {
+					toggle(i)
+				}
+			}
+		}()
+		cache := mapCache{}
+		for pass, keep := range []*UserFilter{filterA, filterB, filterA, {Keep: mod(5, 2)}, {Keep: mod(7, 3)}} {
+			for n := writes.Intn(4); n > 0; n-- {
+				toggle(writes.Intn(len(recs)))
+			}
+			want, err := oracleOver(est, keep, tab).Execute(plan)
+			if err != nil {
+				t.Fatalf("oracle errored: %v", err)
+			}
+			for run := 0; run < 2; run++ {
+				warm, err := est.ExecutePlanOver(tab, plan, keep, cache)
+				if err != nil {
+					t.Fatalf("cached pass %d run %d errored: %v", pass, run, err)
+				}
+				if !reflect.DeepEqual(want, warm) {
+					t.Fatalf("cached pass %d run %d differs from the oracle:\noracle %+v\ncached %+v", pass, run, want, warm)
+				}
 			}
 		}
 	})

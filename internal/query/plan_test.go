@@ -244,7 +244,7 @@ func TestPlanFilteredExecutionMatchesSerial(t *testing.T) {
 	fa := bitvec.MustIntField(0, 4)
 	subsets := append([]bitvec.Subset{bitvec.Range(0, 3)}, FieldBitSubsets(fa)...)
 	tab, est := buildTable(t, pop, dedupSubsets(subsets), p, 10, 3)
-	keep := func(id bitvec.UserID) bool { return uint64(id)%3 != 0 }
+	keep := &UserFilter{Keep: func(id bitvec.UserID) bool { return uint64(id)%3 != 0 }}
 
 	plan := NewPlan()
 	if _, err := est.PlanFieldMean(plan, fa); err != nil {
@@ -267,6 +267,56 @@ func TestPlanFilteredExecutionMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("filtered plan execution differs:\nwant %+v\ngot  %+v", want, got)
 	}
+}
+
+// TestKeepMaskRetiredByEqualSizedWrite: a Remove and an Add that leave a
+// subset as long as it was still retire its cached keep mask — the
+// generation versions a mask, the length only guards it.
+func TestKeepMaskRetiredByEqualSizedWrite(t *testing.T) {
+	pop := dataset.UniformBinary(8, 300, 4, 0.5)
+	subset := bitvec.Range(0, 3)
+	tab, est := buildTable(t, pop, []bitvec.Subset{subset}, 0.3, 10, 4)
+	plan := NewPlan()
+	if _, err := plan.AddFraction(subset, bitvec.MustFromString("011")); err != nil {
+		t.Fatal(err)
+	}
+	plan.AddSubsetRecords(subset)
+	keep := &UserFilter{Keep: func(id bitvec.UserID) bool { return id%2 == 0 }, Key: "even"}
+	cache := mapCache{}
+	check := func(stage string) {
+		t.Helper()
+		want, err := oracleOver(est, keep, tab).Execute(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			got, err := est.ExecutePlanOver(tab, plan, keep, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s, run %d: cached execution %+v, oracle %+v", stage, run, got, want)
+			}
+		}
+	}
+	check("before the writes")
+	// A kept user leaves and a dropped one arrives: same length, and the
+	// ids after the gap keep their positions, so only the mask can tell.
+	view, _ := tab.View(subset)
+	gone := sketch.Published{ID: view.ID(10), Subset: subset, S: view.Sketch(10)}
+	if gone.ID%2 != 0 {
+		gone = sketch.Published{ID: view.ID(11), Subset: subset, S: view.Sketch(11)}
+	}
+	if !tab.Remove(gone.ID, subset) {
+		t.Fatal("the record to remove is not in the table")
+	}
+	if err := tab.Add(sketch.Published{ID: gone.ID + 1_000_001, Subset: subset, S: gone.S}); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := tab.View(subset); after.Len() != view.Len() {
+		t.Fatalf("the writes changed the subset's length: %d → %d", view.Len(), after.Len())
+	}
+	check("after an equal-sized write")
 }
 
 // TestGuardedHistogramSkipped pins the guarded-fallback optimization: a

@@ -10,18 +10,28 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// BitmapCache caches per-(subset, value) evaluation bitmaps across plan
+// CacheKey names one cached bitmap over a subset's sorted view: an
+// evaluation bitmap (Entry is FractionEval.Key, Filter empty) or the keep
+// mask of a filter (Entry is the subset's key, Filter is UserFilter.Key).
+// A mask is cached only under a non-empty filter key, so the two kinds
+// cannot collide.
+type CacheKey struct {
+	Entry  string
+	Filter string
+}
+
+// BitmapCache caches evaluation bitmaps and keep masks across plan
 // executions.  A bitmap is one bit per record of a subset's sorted view;
 // it is valid only for the table generation it was computed at,
 // so implementations key entries by generation and a write to the subset
 // (which bumps the generation) invalidates them implicitly.  The engine
 // provides the durable implementation; a nil cache simply recomputes.
 type BitmapCache interface {
-	// Get returns the cached bitmap for a fraction evaluation key, if one
-	// exists for exactly this generation and record count.
-	Get(key string, gen uint64, records int) ([]uint64, bool)
+	// Get returns the cached bitmap under key, if one exists for exactly
+	// this generation and record count.
+	Get(key CacheKey, gen uint64, records int) ([]uint64, bool)
 	// Put stores a computed bitmap.  The words become shared and immutable.
-	Put(key string, gen uint64, records int, words []uint64)
+	Put(key CacheKey, gen uint64, records int, words []uint64)
 }
 
 // ExecutePlanOver runs an entire plan against one table in a single
@@ -38,8 +48,9 @@ type BitmapCache interface {
 //
 // keep restricts every counter to records whose user passes the filter:
 // bitmaps are computed over the full snapshot (making them cacheable
-// regardless of filter) and the filter is applied at counting time.
-func (e *Estimator) ExecutePlanOver(tab *sketch.Table, p *Plan, keep UserFilter, cache BitmapCache) (*Results, error) {
+// regardless of filter) and the filter is applied at counting time, as a
+// keep mask that is itself cached when the filter has a Key.
+func (e *Estimator) ExecutePlanOver(tab *sketch.Table, p *Plan, keep *UserFilter, cache BitmapCache) (*Results, error) {
 	return e.ExecutePlanOverCtx(context.Background(), tab, p, keep, cache)
 }
 
@@ -51,7 +62,7 @@ func (e *Estimator) ExecutePlanOver(tab *sketch.Table, p *Plan, keep UserFilter,
 // stop burning cores.  The granularity is a whole subset group, which
 // keeps the hot record loop check-free; groups are milliseconds even at
 // the largest benchmarked tables, so cancellation latency stays small.
-func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p *Plan, keep UserFilter, cache BitmapCache) (*Results, error) {
+func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p *Plan, keep *UserFilter, cache BitmapCache) (*Results, error) {
 	res := newResults(p)
 
 	// Group fraction entries by subset so each subset's snapshot is walked
@@ -83,7 +94,7 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 		var missJ []int
 		for j, ei := range g.entries {
 			if cache != nil {
-				if w, ok := cache.Get(p.fractions[ei].Key(), gen, n); ok {
+				if w, ok := cache.Get(CacheKey{Entry: p.fractions[ei].Key()}, gen, n); ok {
 					bitmaps[j] = w
 					continue
 				}
@@ -99,14 +110,14 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 			for c, j := range missJ {
 				bitmaps[j] = computed[c]
 				if cache != nil {
-					cache.Put(p.fractions[g.entries[j]].Key(), gen, n, computed[c])
+					cache.Put(CacheKey{Entry: p.fractions[g.entries[j]].Key()}, gen, n, computed[c])
 				}
 			}
 		}
 
 		// Counting: an unfiltered query popcounts the bitmap directly; a
-		// filtered one popcounts against the subset's keep mask, computed
-		// once and shared by every evaluation of the subset.
+		// filtered one popcounts against the subset's keep mask, shared by
+		// every evaluation of the subset.
 		if keep == nil {
 			for j, ei := range g.entries {
 				if n == 0 {
@@ -117,7 +128,7 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 			}
 			continue
 		}
-		mask := keepMask(snap, keep)
+		mask := keepMask(g.subset, snap, gen, keep, cache)
 		kept := popcount(mask)
 		for j, ei := range g.entries {
 			if kept == 0 {
@@ -140,16 +151,16 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res.Hists[i] = matchHistogram(e.h, tab, h.Subs, keep)
+		res.Hists[i] = matchHistogram(e.h, tab, h.Subs, keep.pred())
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for i, b := range p.counts {
-		res.Counts[i] = SubsetRecordsOf(tab, b, keep)
+		res.Counts[i] = SubsetRecordsOf(tab, b, keep, cache)
 	}
 	if p.total {
-		res.Total = TotalRecordsOf(tab, keep)
+		res.Total = TotalRecordsOf(tab, keep, cache)
 	}
 	return res, nil
 }
@@ -236,14 +247,33 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval) [][
 	return out
 }
 
-// keepMask builds the filter bitmap: bit i set iff record i's user passes
-// keep.
-func keepMask(records sketch.View, keep UserFilter) []uint64 {
-	mask := make([]uint64, (records.Len()+63)/64)
-	for i := 0; i < records.Len(); i++ {
-		if keep(records.ID(i)) {
+// keepMask returns the filter bitmap of subset b's view: bit i set iff
+// record i's user passes keep.  A filter with a Key reads its mask from the
+// cache and leaves a built one there, under (subset, filter key) at the
+// view's generation and length: equal keys mean equal predicates, so the
+// only thing that can change the mask is a write to the subset — the same
+// generation bump that retires its evaluation bitmaps.
+func keepMask(b bitvec.Subset, records sketch.View, gen uint64, keep *UserFilter, cache BitmapCache) []uint64 {
+	n := records.Len()
+	if n == 0 {
+		return nil
+	}
+	cached := cache != nil && keep.Key != ""
+	var key CacheKey
+	if cached {
+		key = CacheKey{Entry: b.Key(), Filter: keep.Key}
+		if mask, ok := cache.Get(key, gen, n); ok {
+			return mask
+		}
+	}
+	mask := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if keep.Keep(records.ID(i)) {
 			mask[i>>6] |= uint64(1) << uint(i&63)
 		}
+	}
+	if cached {
+		cache.Put(key, gen, n, mask)
 	}
 	return mask
 }

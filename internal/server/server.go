@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,6 +33,46 @@ type Server struct {
 	// so results computed under a superseded ring are never merged into an
 	// estimate — the router retries under a fresh ring snapshot instead.
 	epoch atomic.Uint64
+
+	filters filterMemo
+}
+
+// filterMemo keeps the last few compiled ownership filters by key, so a
+// node builds a ring and its per-arc answers once per predicate instead of
+// once per query.  The live ring plus a recovery variant is the steady
+// state; a membership change or another tenant's domain is one more key,
+// and past the bound the oldest goes (a miss costs one CompileFilter, what
+// every query paid before).
+type filterMemo struct {
+	mu     sync.Mutex
+	recent [8]*query.UserFilter
+	next   int // the slot the next compiled filter replaces
+}
+
+// compile is cluster.CompileFilter, memoised under cluster.FilterKey: the
+// key covers every field compilation reads, so a hit is the filter (and
+// the verdict on its validity) a fresh compilation would produce.
+func (m *filterMemo) compile(f *wire.Filter) (*query.UserFilter, error) {
+	if f == nil {
+		return nil, nil
+	}
+	key := cluster.FilterKey(f)
+	// Held across a miss's compilation: the queries of one fan-out wave
+	// that all meet a new ring compile it once, not once each.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, keep := range m.recent {
+		if keep != nil && keep.Key == key {
+			return keep, nil
+		}
+	}
+	keep, err := cluster.CompileFilter(f)
+	if err != nil {
+		return nil, err
+	}
+	m.recent[m.next] = keep
+	m.next = (m.next + 1) % len(m.recent)
+	return keep, nil
 }
 
 // New creates a server around an engine with default guards.
@@ -209,8 +250,9 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
 // plan answers one scatter-gather request: it rebuilds the query plan from
 // the wire form, compiles the ownership filter (which keeps replicated
-// records out of the cluster-wide sums) and executes the whole plan in one
-// pass over the owned records, answering every entry in one reply.  A plan
+// records out of the cluster-wide sums) once per filter identity and
+// executes the whole plan in one pass over the owned records, answering
+// every entry in one reply.  A plan
 // built for a superseded ring epoch is refused so the router retries under
 // a fresh ring snapshot: merging one node's old-ring counters with
 // another's new-ring counters would silently double-count or drop the
@@ -226,7 +268,7 @@ func (s *Server) plan(pq wire.PlanQuery) (wire.PlanResult, error) {
 		}
 		s.observeEpoch(epoch)
 	}
-	keep, err := cluster.CompileFilter(pq.Filter)
+	keep, err := s.filters.compile(pq.Filter)
 	if err != nil {
 		return wire.PlanResult{}, err
 	}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
@@ -268,4 +270,58 @@ func TestTransferPushIsOneBatch(t *testing.T) {
 	if replyType != wire.TypeError || !strings.Contains(string(reply), fmt.Sprintf("user %v", conflict.ID)) {
 		t.Fatalf("conflicting push answered type %d %q, want an error naming user %v", replyType, reply, conflict.ID)
 	}
+}
+
+// TestFilterMemoCompilesOncePerIdentity: a node compiles an ownership
+// filter once per predicate — another epoch or budget is the same compiled
+// filter, another addressee or live set is another — keeps only the last
+// few, and never remembers a filter that failed to compile.
+func TestFilterMemoCompilesOncePerIdentity(t *testing.T) {
+	nodes := []string{"a:1", "b:1", "c:1"}
+	var m filterMemo
+	first, err := m.compile(&wire.Filter{Epoch: 1, Budget: 50, Nodes: nodes, VNodes: 8, Self: "a:1", Live: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.compile(&wire.Filter{Epoch: 2, Nodes: nodes, VNodes: 8, Self: "a:1", Live: []string{"c:1", "b:1", "a:1"}})
+	if err != nil || again != first {
+		t.Fatalf("the same predicate under another epoch, budget and live order was compiled again (err %v)", err)
+	}
+	recovery, err := m.compile(&wire.Filter{Nodes: nodes, VNodes: 8, Self: "a:1", Live: nodes, Failed: nodes[2:]})
+	if err != nil || recovery == first || recovery.Key == first.Key {
+		t.Fatalf("a recovery slice shares the live filter's identity (err %v)", err)
+	}
+	if _, err := m.compile(&wire.Filter{Nodes: nodes, VNodes: 8, Self: "x:1", Live: nodes}); err == nil {
+		t.Fatal("a filter addressed to a non-member compiled")
+	}
+	if keep, err := m.compile(nil); keep != nil || err != nil {
+		t.Fatalf("no filter compiled to %v, %v", keep, err)
+	}
+	// Enough other identities to push the first out, then it compiles anew.
+	for i := range m.recent {
+		if _, err := m.compile(&wire.Filter{Nodes: nodes, VNodes: uint32(16 + i), Self: "a:1", Live: nodes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evicted, err := m.compile(&wire.Filter{Nodes: nodes, VNodes: 8, Self: "a:1", Live: nodes})
+	if err != nil || evicted == first || evicted.Key != first.Key {
+		t.Fatalf("the memo is unbounded, or a recompiled filter changed identity (err %v)", err)
+	}
+	// Connections compile concurrently, more identities than slots: every
+	// caller gets the filter of the identity it asked for.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				f := &wire.Filter{Nodes: nodes, VNodes: uint32(1 + (g+i)%12), Self: "a:1", Live: nodes}
+				if keep, err := m.compile(f); err != nil || keep.Key != cluster.FilterKey(f) {
+					t.Errorf("concurrent compile returned another identity's filter (err %v)", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
