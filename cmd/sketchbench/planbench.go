@@ -167,11 +167,7 @@ func planBenchmarks(quick bool) []struct {
 			if _, err := eng.Estimator().PlanFieldAtMost(plan, f, c); err != nil {
 				b.Fatal(err)
 			}
-			nodes := []string{"10.0.0.1:7171", "10.0.0.2:7171", "10.0.0.3:7171"}
-			keep, err := cluster.CompileFilter(&wire.Filter{Nodes: nodes, VNodes: 64, Self: nodes[0], Live: nodes})
-			if err != nil {
-				b.Fatal(err)
-			}
+			keep := planBenchFilter(b)
 			if _, err := eng.ExecutePlan(plan, keep); err != nil {
 				b.Fatal(err)
 			}
@@ -183,5 +179,71 @@ func planBenchmarks(quick bool) []struct {
 				}
 			}
 		}},
+		{"plan-histogram-cold", func(b *testing.B) { planHistogramBench(b, false, false) }},
+		{"plan-histogram-cold-filtered", func(b *testing.B) { planHistogramBench(b, false, true) }},
+		{"plan-histogram-warm", func(b *testing.B) { planHistogramBench(b, true, false) }},
+		{"plan-histogram-warm-filtered", func(b *testing.B) { planHistogramBench(b, true, true) }},
+	}
+}
+
+// planBenchFilter compiles the first node's ownership filter of an all-live
+// 3-node ring, the filter a cluster node executes its share of a query
+// under.
+func planBenchFilter(b *testing.B) *query.UserFilter {
+	nodes := []string{"10.0.0.1:7171", "10.0.0.2:7171", "10.0.0.3:7171"}
+	keep, err := cluster.CompileFilter(&wire.Filter{Nodes: nodes, VNodes: 64, Self: nodes[0], Live: nodes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return keep
+}
+
+// planHistogramBench measures one Appendix F match histogram of three
+// sub-queries, each over its own 16-bit subset of plan-warm-cache's 10 000
+// users, through the engine and its cache.  A warm run repeats one plan
+// the engine answered before the timer started; a cold run asks every op
+// for values no earlier op named, so all three sub-queries miss the cache
+// — under the filter, the case a fleet node is in whenever a write has moved
+// the generation since the histogram was last asked.
+// kernels.txt pins the warm runs' bytes/op below one column of the table,
+// so a histogram that goes back to materialising aligned copies of its
+// subsets per query fails -checkkernels.
+func planHistogramBench(b *testing.B, warm, filtered bool) {
+	h := prf.NewBiased(benchKey(), prf.MustProb(0.25))
+	eng, err := engine.New(h, sketch.MustParams(0.25, 10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	subsets := []bitvec.Subset{bitvec.Range(0, 16), bitvec.Range(16, 32), bitvec.Range(32, 48)}
+	loadPlanTable(b, eng.Table(), subsets, 10_000)
+	var keep *query.UserFilter
+	if filtered {
+		keep = planBenchFilter(b)
+	}
+	plans := make([]*query.Plan, 1)
+	if !warm {
+		plans = make([]*query.Plan, b.N)
+	}
+	for i := range plans {
+		subs := make([]query.SubQuery, len(subsets))
+		for j, subset := range subsets {
+			subs[j] = query.SubQuery{Subset: subset, Value: bitvec.FromUint(uint64(i), 16)}
+		}
+		plans[i] = query.NewPlan()
+		if _, err := plans[i].AddHistogram(subs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if warm {
+		if _, err := eng.ExecutePlan(plans[0], keep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.ExecutePlan(plans[i%len(plans)], keep); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -170,8 +170,13 @@ func (s Subset) AppendTag(dst []byte) []byte {
 	return dst
 }
 
-// Key returns the Tag as a string, convenient for use as a map key.
-func (s Subset) Key() string { return string(s.Tag()) }
+// Key returns the Tag as a string, convenient for use as a map key.  The
+// tag of a subset of up to 16 positions is built on the stack, so the
+// string is the one allocation.
+func (s Subset) Key() string {
+	var buf [8 + 8*16]byte
+	return string(s.AppendTag(buf[:0]))
+}
 
 // ParseTag reconstructs a subset from its Tag encoding.
 func ParseTag(b []byte) (Subset, error) {

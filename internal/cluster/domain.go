@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
+
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/query"
-	"sketchprivacy/internal/wire"
 )
 
 // Domain names one tenant's slice of the 64-bit user-id space: the ids
@@ -30,29 +31,24 @@ func (d Domain) Keep(id bitvec.UserID) bool {
 	return d.Bits == 0 || uint64(id)>>(64-uint(d.Bits)) == d.Tag
 }
 
-// stamp writes the domain restriction into a fan-out filter.
-func (d Domain) stamp(f *wire.Filter) {
-	f.DomainBits = d.Bits
-	f.Domain = d.Tag
-}
-
-// TotalRecords implements query.PartialSource.
-func (r *Router) TotalRecords() (uint64, error) {
-	return r.totalRecords(Domain{})
-}
-
-// totalRecords counts every record across the cluster within d with a
-// total-only plan, so the count shares the plan fan-out's deadline budget,
-// hedging and replica recovery.
-func (r *Router) totalRecords(d Domain) (uint64, error) {
-	p := query.NewPlan()
-	p.AddTotalRecords()
-	res, err := r.executeDomain(d, p)
-	if err != nil {
-		return 0, err
+// Filter returns the domain as a record filter — nil for the zero Domain —
+// whose Key is exactly the two fields Keep reads, so a tenant's keep masks
+// are cached under it (query.UserFilter.Key) and no other domain's can be
+// served in their place.  A single engine behind the gateway filters by it;
+// a cluster node compiles the same restriction into its ownership filter
+// (CompileFilter), whose 32-byte FilterKey this 9-byte key cannot equal.
+func (d Domain) Filter() *query.UserFilter {
+	if d.Bits == 0 {
+		return nil
 	}
-	return res.Total, nil
+	key := binary.BigEndian.AppendUint64([]byte{d.Bits}, d.Tag)
+	return &query.UserFilter{Keep: d.Keep, Key: string(key)}
 }
+
+// TotalRecords implements query.PartialSource: a total-only plan, so the
+// count shares the plan fan-out's deadline budget, hedging and replica
+// recovery.
+func (r *Router) TotalRecords() (uint64, error) { return query.TotalRecordsVia(r.Execute) }
 
 // domainSource is a query.PartialSource view of the router restricted to
 // one tenant domain: every fan-out it issues carries the domain in its
@@ -73,9 +69,7 @@ func (r *Router) DomainSource(d Domain) query.PartialSource {
 	return domainSource{r: r, d: d}
 }
 
-func (s domainSource) TotalRecords() (uint64, error) {
-	return s.r.totalRecords(s.d)
-}
+func (s domainSource) TotalRecords() (uint64, error) { return query.TotalRecordsVia(s.Execute) }
 
 func (s domainSource) Execute(p *query.Plan) (*query.Results, error) {
 	return s.r.executeDomain(s.d, p)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/wire"
 )
 
@@ -92,64 +93,63 @@ type errStaleSnapshot struct{ err error }
 func (e errStaleSnapshot) Error() string { return e.err.Error() }
 func (e errStaleSnapshot) Unwrap() error { return e.err }
 
-// exchange runs one filtered plan query against one node and classifies
-// the reply: a decoded result, an errNodeFailed (transport failure, epoch
-// mismatch, retryable refusal), a context.Canceled pass-through (the
-// caller hedged away from this exchange — says nothing about the node),
-// or a plain error (semantic refusal; retries are pointless).
-func exchange(ctx context.Context, n *node, payload []byte, epoch uint64) (wire.PlanResult, error) {
-	var zero wire.PlanResult
-	gotType, reply, err := n.roundTripCtx(ctx, wire.TypePlanQuery, payload)
+// exchange runs one plan under one ownership filter against one node and
+// classifies the reply: the node's results, an errNodeFailed (transport
+// failure, epoch mismatch, retryable refusal), a context.Canceled
+// pass-through (the caller hedged away from this exchange — says nothing
+// about the node), or a plain error (semantic refusal; retries are
+// pointless).
+func exchange(ctx context.Context, n *node, f *wire.Filter, p *query.Plan) (*query.Results, error) {
+	gotType, reply, err := n.roundTripCtx(ctx, wire.TypePlanQuery, wire.EncodePlanQuery(f, p))
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			return zero, err
+			return nil, err
 		}
-		return zero, errNodeFailed{err}
+		return nil, errNodeFailed{err}
 	}
 	switch gotType {
 	case wire.TypePlanResult:
-		res, derr := wire.DecodePlanResult(reply)
+		epoch, res, derr := wire.DecodePlanResult(reply)
 		if derr != nil {
-			return zero, errNodeFailed{fmt.Errorf("cluster: node %s: %w", n.addr, derr)}
+			return nil, errNodeFailed{fmt.Errorf("cluster: node %s: %w", n.addr, derr)}
 		}
 		// The echoed epoch is the one the node computed under: replies
 		// from different ring generations are never mixed.
-		if res.Epoch != epoch {
-			return zero, errStaleSnapshot{fmt.Errorf("cluster: node %s answered for ring epoch %d, fan-out ran at %d", n.addr, res.Epoch, epoch)}
+		if epoch != f.Epoch {
+			return nil, errStaleSnapshot{fmt.Errorf("cluster: node %s answered for ring epoch %d, fan-out ran at %d", n.addr, epoch, f.Epoch)}
 		}
 		return res, nil
 	case wire.TypeError:
 		msg := string(reply)
 		if wire.IsStaleEpoch(msg) {
-			return zero, errStaleSnapshot{fmt.Errorf("cluster: node %s: %s", n.addr, msg)}
+			return nil, errStaleSnapshot{fmt.Errorf("cluster: node %s: %s", n.addr, msg)}
 		}
 		if wire.IsOverload(msg) || wire.IsChecksum(msg) {
-			return zero, errNodeFailed{fmt.Errorf("cluster: node %s: %s", n.addr, msg)}
+			return nil, errNodeFailed{fmt.Errorf("cluster: node %s: %s", n.addr, msg)}
 		}
-		return zero, fmt.Errorf("cluster: node %s: %s", n.addr, msg)
+		return nil, fmt.Errorf("cluster: node %s: %s", n.addr, msg)
 	default:
-		return zero, errNodeFailed{fmt.Errorf("cluster: node %s: unexpected reply type %d", n.addr, gotType)}
+		return nil, errNodeFailed{fmt.Errorf("cluster: node %s: unexpected reply type %d", n.addr, gotType)}
 	}
 }
 
-// scatterGather runs one plan query across all live nodes and collects the
-// decoded replies.  Each attempt takes one consistent (ring, epoch, live
-// set) snapshot, runs under one RequestTimeout-bounded context whose
-// remaining budget rides in every filter, and degrades in stages: a single slow or failed node is absorbed by replica-aware
+// scatterGather runs one plan, restricted to the domain d, across all live
+// nodes and collects their results.  Each attempt takes one consistent
+// (ring, epoch, live set) snapshot, runs under one RequestTimeout-bounded
+// context whose remaining budget rides in every filter, and degrades in
+// stages: a single slow or failed node is absorbed by replica-aware
 // recovery inside the attempt (see fanoutOnce); only stale epochs and
 // unrecoverable failures restart the whole fan-out on a fresh snapshot;
 // and when ≥RF members are down the attempt refuses with a typed
 // *CoverageError instead of merging over a truncated record set.
-//
-// encode builds one plan-query payload from the per-node ownership filter.
-func scatterGather(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult, error) {
+func scatterGather(r *Router, d Domain, p *query.Plan) ([]*query.Results, error) {
 	var lastErr error
 	maxAttempts := len(r.Members()) + 2
 	for attempt := 0; attempt <= maxAttempts; attempt++ {
 		if attempt > 0 {
 			r.fo.retries.Add(1)
 		}
-		results, retry, err := fanoutOnce(r, encode)
+		results, retry, err := fanoutOnce(r, d, p)
 		if err == nil {
 			return results, nil
 		}
@@ -164,13 +164,13 @@ func scatterGather(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResu
 // outcome carries one original exchange's result back to the event loop.
 type outcome struct {
 	i   int
-	res wire.PlanResult
+	res *query.Results
 	err error
 }
 
 // recOutcome carries one recovery round's results (one per survivor).
 type recOutcome struct {
-	res []wire.PlanResult
+	res []*query.Results
 	err error
 }
 
@@ -194,7 +194,7 @@ type recOutcome struct {
 // retry=true asks the caller to rerun on a fresh snapshot (stale epoch, a
 // survivor failing mid-recovery, unrecoverable failure counts); a
 // *CoverageError (retry=false) is final.
-func fanoutOnce(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult, bool, error) {
+func fanoutOnce(r *Router, d Domain, p *query.Plan) ([]*query.Results, bool, error) {
 	r.mu.RLock()
 	ring, order, epoch := r.ring, r.order, r.epoch.Load()
 	handles := make([]*node, len(order))
@@ -240,13 +240,15 @@ func fanoutOnce(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult,
 	}
 	mkFilter := func(self string, failed []string) *wire.Filter {
 		return &wire.Filter{
-			Epoch:  epoch,
-			Nodes:  order,
-			VNodes: uint32(r.cfg.VNodes),
-			Self:   self,
-			Live:   live,
-			Budget: budget(),
-			Failed: failed,
+			Epoch:      epoch,
+			Nodes:      order,
+			VNodes:     uint32(r.cfg.VNodes),
+			Self:       self,
+			Live:       live,
+			Budget:     budget(),
+			DomainBits: d.Bits,
+			Domain:     d.Tag,
+			Failed:     failed,
 		}
 	}
 
@@ -260,7 +262,7 @@ func fanoutOnce(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult,
 			if r.om != nil {
 				start = time.Now()
 			}
-			res, err := exchange(cctx, n, encode(mkFilter(n.addr, nil)), epoch)
+			res, err := exchange(cctx, n, mkFilter(n.addr, nil), p)
 			if r.om != nil {
 				r.om.fanoutRTT.ObserveSince(start)
 			}
@@ -268,7 +270,7 @@ func fanoutOnce(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult,
 		}(i, liveHandles[i])
 	}
 
-	res := make([]wire.PlanResult, len(live))
+	res := make([]*query.Results, len(live))
 	okAt := make([]bool, len(live))
 	failedAt := make([]bool, len(live))
 	suspect := make([]bool, len(live))
@@ -283,15 +285,15 @@ func fanoutOnce(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult,
 	recovering := false
 	recoveryDone := false
 	recoveredByHedge := false
-	var recResults []wire.PlanResult
+	var recResults []*query.Results
 	recCh := make(chan recOutcome, 1)
 
-	finishOriginals := func() ([]wire.PlanResult, bool, error) {
+	finishOriginals := func() ([]*query.Results, bool, error) {
 		r.fo.lastCoverage.Store(fmt.Sprintf("ok epoch=%d live=%d/%d recovered=0", epoch, len(live), len(order)))
 		return res, false, nil
 	}
-	finishRecovered := func() ([]wire.PlanResult, bool, error) {
-		out := make([]wire.PlanResult, 0, len(live))
+	finishRecovered := func() ([]*query.Results, bool, error) {
+		out := make([]*query.Results, 0, len(live))
 		nsus := 0
 		for i := range live {
 			if suspect[i] {
@@ -350,14 +352,14 @@ func fanoutOnce(r *Router, encode func(*wire.Filter) []byte) ([]wire.PlanResult,
 						}
 					}
 					go func() {
-						out := make([]wire.PlanResult, len(survIdx))
+						out := make([]*query.Results, len(survIdx))
 						errs := make([]error, len(survIdx))
 						var wg sync.WaitGroup
 						for k, i := range survIdx {
 							wg.Add(1)
 							go func(k, i int) {
 								defer wg.Done()
-								out[k], errs[k] = exchange(ctx, liveHandles[i], encode(mkFilter(live[i], failedAddrs)), epoch)
+								out[k], errs[k] = exchange(ctx, liveHandles[i], mkFilter(live[i], failedAddrs), p)
 							}(k, i)
 						}
 						wg.Wait()

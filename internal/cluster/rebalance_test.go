@@ -13,6 +13,7 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/obs"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
@@ -566,17 +567,16 @@ func TestClusterStaleEpochRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := r.Members()
-	pq := wire.PlanQuery{
-		Filter: &wire.Filter{
-			Epoch:  1,
-			Nodes:  members,
-			VNodes: 32,
-			Self:   nodes[0].addr,
-			Live:   members,
-		},
-		Total: true,
+	stale := &wire.Filter{
+		Epoch:  1,
+		Nodes:  members,
+		VNodes: 32,
+		Self:   nodes[0].addr,
+		Live:   members,
 	}
-	if err := wire.WriteFrame(conn, wire.TypePlanQuery, wire.EncodePlanQuery(pq)); err != nil {
+	total := query.NewPlan()
+	total.AddTotalRecords()
+	if err := wire.WriteFrame(conn, wire.TypePlanQuery, wire.EncodePlanQuery(stale, total)); err != nil {
 		t.Fatal(err)
 	}
 	msgType, payload, err := wire.ReadFrame(conn)

@@ -598,48 +598,14 @@ func (r *Router) executeDomain(d Domain, p *query.Plan) (*query.Results, error) 
 			return nil, fmt.Errorf("cluster: plan histogram with %d sub-queries exceeds the wire limit %d", len(h.Subs), wire.MaxPlanHistSubQueries)
 		}
 	}
-	wf := make([]wire.Query, len(fracs))
-	for i, f := range fracs {
-		wf[i] = wire.Query{Subset: f.Subset, Value: f.Value}
-	}
-	wh := make([]wire.PlanHistQuery, len(hists))
-	for i, h := range hists {
-		subs := make([]wire.Query, len(h.Subs))
-		for j, s := range h.Subs {
-			subs[j] = wire.Query{Subset: s.Subset, Value: s.Value}
-		}
-		wh[i] = wire.PlanHistQuery{Subs: subs, Guard: uint32(h.Guard), HasGuard: h.GuardValid}
-	}
-	results, err := scatterGather(r, func(f *wire.Filter) []byte {
-		d.stamp(f)
-		return wire.EncodePlanQuery(wire.PlanQuery{
-			Filter:    f,
-			Fractions: wf,
-			Hists:     wh,
-			Counts:    counts,
-			Total:     p.NeedsTotal(),
-		})
-	})
+	results, err := scatterGather(r, d, p)
 	if err != nil {
 		return nil, err
 	}
 	for _, res := range results {
-		if len(res.Fractions) != len(fracs) || len(res.Hists) != len(hists) || len(res.Counts) != len(counts) {
-			return nil, fmt.Errorf("cluster: node answered a %d/%d/%d-entry plan with %d/%d/%d results",
-				len(fracs), len(hists), len(counts), len(res.Fractions), len(res.Hists), len(res.Counts))
+		if err := merged.Merge(res); err != nil {
+			return nil, fmt.Errorf("cluster: a node's answer does not fit the plan: %w", err)
 		}
-		for i, f := range res.Fractions {
-			merged.Fractions[i] = merged.Fractions[i].Merge(query.Partial{Hits: f.Hits, Records: f.Records})
-		}
-		for i, h := range res.Hists {
-			if merged.Hists[i], err = merged.Hists[i].Merge(query.HistPartial{Hist: h.Hist, Users: h.Users}); err != nil {
-				return nil, err
-			}
-		}
-		for i, c := range res.Counts {
-			merged.Counts[i] += c
-		}
-		merged.Total += res.Total
 	}
 	return merged, nil
 }

@@ -150,6 +150,4 @@ func (s engineSource) Execute(p *query.Plan) (*query.Results, error) {
 }
 
 // TotalRecords implements query.PartialSource.
-func (s engineSource) TotalRecords() (uint64, error) {
-	return query.TotalRecordsOf(s.e.table, s.keep, s.e.cache), nil
-}
+func (s engineSource) TotalRecords() (uint64, error) { return query.TotalRecordsVia(s.Execute) }

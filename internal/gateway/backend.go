@@ -90,9 +90,9 @@ func (b RouterBackend) FanoutCounters() cluster.FanoutCounters { return b.R.Fano
 // EngineBackend fronts a single in-process engine: the gateway's
 // single-node mode.  A domain restriction becomes the keep filter of the
 // engine's cached plan executor, so tenancy semantics are identical to
-// fleet mode and bitmap caching still applies (bitmaps cover the full
-// snapshot; the filter bites at counting time, through a key-less mask
-// rebuilt per query — a shift and a compare per record).
+// fleet mode and caching still applies (bitmaps cover the full view; the
+// filter bites at counting time, through a keep mask cached under the
+// domain's own key, as a fleet node caches its ownership masks).
 type EngineBackend struct{ E *engine.Engine }
 
 // PublishAll implements Backend via the engine's batched ingest.
@@ -100,10 +100,7 @@ func (b EngineBackend) PublishAll(ps []sketch.Published) error { return b.E.Inge
 
 // Source implements Backend: the engine's source, filtered to the domain.
 func (b EngineBackend) Source(d cluster.Domain) query.PartialSource {
-	if d.Bits == 0 {
-		return b.E.Source(nil)
-	}
-	return b.E.Source(&query.UserFilter{Keep: d.Keep})
+	return b.E.Source(d.Filter())
 }
 
 // Estimator implements Backend.

@@ -433,8 +433,10 @@ func TestQueryEndpointsTable(t *testing.T) {
 		})
 	}
 
-	if status, apiErr, _ := tg.call(t, "POST", "/v1/query/no-such-kind", acmeKey, map[string]any{}); status != http.StatusNotFound || apiErr.Code != codeNotFound {
-		t.Fatalf("unknown kind: HTTP %d code %q", status, apiErr.Code)
+	const unknownKind = `unknown estimator "no-such-kind"; known kinds: at-least-of-k, conjunction, exactly-of-k, field-at-most, ` +
+		`field-less-than, field-mean, field-sum, fraction, interval, none-of, tree, union`
+	if status, apiErr, _ := tg.call(t, "POST", "/v1/query/no-such-kind", acmeKey, map[string]any{}); status != http.StatusNotFound || apiErr.Code != codeNotFound || apiErr.Message != unknownKind {
+		t.Fatalf("unknown kind: HTTP %d code %q message %q, want 404 %q", status, apiErr.Code, apiErr.Message, unknownKind)
 	}
 	if status, apiErr, _ := tg.call(t, "POST", "/v1/query/fraction", acmeKey, map[string]any{"subset": []int{0}, "value": "101"}); status != http.StatusBadRequest || apiErr.Code != codeBadRequest {
 		t.Fatalf("shape mismatch: HTTP %d code %q, want 400 bad_request", status, apiErr.Code)

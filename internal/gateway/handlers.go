@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
+	"strings"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/query"
@@ -82,16 +84,14 @@ var estimators = map[string]estimatorFunc{
 	"tree":            queryTree,
 }
 
-// estimatorKinds renders the registry's keys for the 404 message.
+// estimatorKinds renders the registry's keys, sorted, for the 404 message.
 func estimatorKinds() string {
-	names := ""
+	names := make([]string, 0, len(estimators))
 	for k := range estimators {
-		if names != "" {
-			names += ", "
-		}
-		names += k
+		names = append(names, k)
 	}
-	return names
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
 
 // queryFraction answers the basic Algorithm 2 estimate I(B, v).

@@ -2,13 +2,18 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/cluster"
+	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/query"
 )
 
 func testMaster() []byte { return bytes.Repeat([]byte{0x5a}, prf.MinKeyBytes) }
@@ -170,5 +175,94 @@ func TestEffectiveIDDomainMapping(t *testing.T) {
 	}
 	if _, err := acme.EffectiveID(acme.MaxUserID() + 1); err == nil {
 		t.Fatal("out-of-range id admitted")
+	}
+}
+
+// TestSingleNodeTenantMaskCached: in single-node mode a tenant's domain
+// filter carries the domain's key (cluster.Domain.Filter), so the engine
+// caches the tenant's keep mask as a fleet node caches an ownership mask —
+// the second identical query advances engine_keep_mask_hits_total and
+// builds nothing, a filter with that key is answered without one call of
+// its predicate — and no tenant is ever served another's mask.
+func TestSingleNodeTenantMaskCached(t *testing.T) {
+	tg := startGateway(t, defaultKeyring, nil)
+	reg := obs.NewRegistry()
+	tg.eng.SetMetrics(reg)
+	masks := func() (hits, misses float64) {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.RenderText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		families, err := obs.ParseText(sb.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range families {
+			switch f.Name {
+			case "engine_keep_mask_hits_total":
+				hits = f.Samples[0].Value
+			case "engine_keep_mask_misses_total":
+				misses = f.Samples[0].Value
+			}
+		}
+		return hits, misses
+	}
+	subset := []int{0, 2, 4}
+	users := func(key string) int {
+		t.Helper()
+		var got estimateResponse
+		status, apiErr, raw := tg.call(t, "POST", "/v1/query/fraction", key, map[string]any{"subset": subset, "value": "111"})
+		if status != http.StatusOK {
+			t.Fatalf("query: HTTP %d (%s)", status, apiErr.Message)
+		}
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		return got.Users
+	}
+	// The same tenant-relative ids under both tenants, in one table.
+	tg.publishProfiles(t, acmeKey, 30, 10, subset)
+	tg.publishProfiles(t, globexKey, 12, 4, subset)
+
+	if n := users(acmeKey); n != 30 {
+		t.Fatalf("acme's first query counted %d users, want 30", n)
+	}
+	if hits, misses := masks(); hits != 0 || misses != 1 {
+		t.Fatalf("after acme's first query: %v mask hits, %v misses, want 0 and 1", hits, misses)
+	}
+	if n := users(acmeKey); n != 30 {
+		t.Fatalf("acme's second query counted %d users, want 30", n)
+	}
+	if hits, misses := masks(); hits != 1 || misses != 1 {
+		t.Fatalf("after acme's second query: %v mask hits, %v misses, want 1 and 1", hits, misses)
+	}
+	// Globex's mask is another key: built, not borrowed; then acme's again.
+	if n := users(globexKey); n != 12 {
+		t.Fatalf("globex counted %d users, want its own 12", n)
+	}
+	if hits, misses := masks(); hits != 1 || misses != 2 {
+		t.Fatalf("after globex's first query: %v mask hits, %v misses, want 1 and 2", hits, misses)
+	}
+	if a, g := users(acmeKey), users(globexKey); a != 30 || g != 12 {
+		t.Fatalf("with both masks cached acme counts %d users and globex %d, want 30 and 12", a, g)
+	}
+
+	// The key is the domain's: a filter of acme's key is served acme's mask
+	// and its predicate is never asked.
+	acme, _ := tg.ring.Lookup(acmeKey)
+	globex, _ := tg.ring.Lookup(globexKey)
+	filter := acme.Domain.Filter()
+	if other := globex.Domain.Filter(); filter.Key == "" || filter.Key == other.Key {
+		t.Fatalf("domain filter keys %q and %q must be non-empty and distinct", filter.Key, other.Key)
+	}
+	if (cluster.Domain{}).Filter() != nil {
+		t.Fatal("the zero domain restricts nothing and must have no filter")
+	}
+	calls := 0
+	counting := &query.UserFilter{Key: filter.Key, Keep: func(id bitvec.UserID) bool { calls++; return filter.Keep(id) }}
+	est, err := tg.eng.Estimator().FractionFrom(tg.eng.Source(counting), bitvec.MustSubset(subset...), bitvec.MustFromString("111"))
+	if err != nil || est.Users != 30 || calls != 0 {
+		t.Fatalf("a filter of acme's key counted %d users (err %v) with %d predicate calls, want 30 with none", est.Users, err, calls)
 	}
 }

@@ -75,9 +75,9 @@ func (e *Estimator) MatchDistribution(tab *sketch.Table, subs []SubQuery) ([]flo
 }
 
 // MatchDistributionFrom is MatchDistribution over any partial source.  The
-// raw histogram comes from a one-entry plan — locally the per-user
-// evaluation loop is sharded across workers (see matchHistogram); over a
-// cluster it is the exact bin-wise sum of the per-node histograms.
+// raw histogram comes from a one-entry plan — locally a join over the
+// sub-queries' evaluation bitmaps (see cut.histogram); over a cluster it is
+// the exact bin-wise sum of the per-node histograms.
 func (e *Estimator) MatchDistributionFrom(src PartialSource, subs []SubQuery) ([]float64, int, error) {
 	p := NewPlan()
 	ref, err := p.AddHistogram(subs)

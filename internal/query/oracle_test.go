@@ -30,34 +30,15 @@ func oracleOver(e *Estimator, keep *UserFilter, tabs ...*sketch.Table) oracleSou
 func (o oracleSource) Execute(p *Plan) (*Results, error) {
 	merged := newResults(p)
 	for _, tab := range o.tabs {
-		res := o.executeOne(tab, p)
-		for i, f := range res.Fractions {
-			merged.Fractions[i] = merged.Fractions[i].Merge(f)
+		if err := merged.Merge(o.executeOne(tab, p)); err != nil {
+			return nil, err
 		}
-		for i, h := range res.Hists {
-			var err error
-			if merged.Hists[i], err = merged.Hists[i].Merge(h); err != nil {
-				return nil, err
-			}
-		}
-		for i, c := range res.Counts {
-			merged.Counts[i] += c
-		}
-		merged.Total += res.Total
 	}
 	return merged, nil
 }
 
 // TotalRecords implements PartialSource.
-func (o oracleSource) TotalRecords() (uint64, error) {
-	p := NewPlan()
-	p.AddTotalRecords()
-	res, err := o.Execute(p)
-	if err != nil {
-		return 0, err
-	}
-	return res.Total, nil
-}
+func (o oracleSource) TotalRecords() (uint64, error) { return TotalRecordsVia(o.Execute) }
 
 // kept returns the records of one subset whose user passes the filter.
 func (o oracleSource) kept(tab *sketch.Table, b bitvec.Subset) []sketch.Published {

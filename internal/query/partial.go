@@ -68,14 +68,6 @@ type UserFilter struct {
 	Key string
 }
 
-// pred returns the per-user predicate, nil for a nil filter.
-func (f *UserFilter) pred() func(bitvec.UserID) bool {
-	if f == nil {
-		return nil
-	}
-	return f.Keep
-}
-
 // PartialSource answers compiled plans.  Every estimator — Algorithm 2
 // fractions, the numeric, interval and tree decompositions, the Appendix F
 // combinations — compiles what it needs into a Plan and runs it through
@@ -109,32 +101,19 @@ func (s tableSource) Execute(p *Plan) (*Results, error) {
 	return s.e.ExecutePlanOver(s.tab, p, nil, nil)
 }
 
-func (s tableSource) TotalRecords() (uint64, error) {
-	return TotalRecordsOf(s.tab, nil, nil), nil
-}
+func (s tableSource) TotalRecords() (uint64, error) { return TotalRecordsVia(s.Execute) }
 
-// SubsetRecordsOf counts the table's records for subset b whose user
-// passes keep: the popcount of the subset's keep mask, which a filter with
-// a Key reads from (and leaves in) cache.
-func SubsetRecordsOf(tab *sketch.Table, b bitvec.Subset, keep *UserFilter, cache BitmapCache) uint64 {
-	if keep == nil {
-		return uint64(tab.CountForSubset(b))
+// TotalRecordsVia answers PartialSource.TotalRecords with the total-only
+// plan, so a source counts its records the way it counts everything else:
+// under its filter, from its cache, over its fan-out.
+func TotalRecordsVia(execute func(*Plan) (*Results, error)) (uint64, error) {
+	p := NewPlan()
+	p.AddTotalRecords()
+	res, err := execute(p)
+	if err != nil {
+		return 0, err
 	}
-	records, gen := tab.View(b)
-	return popcount(keepMask(b, records, gen, keep, cache))
-}
-
-// TotalRecordsOf counts the table's records across all subsets whose user
-// passes keep.
-func TotalRecordsOf(tab *sketch.Table, keep *UserFilter, cache BitmapCache) uint64 {
-	if keep == nil {
-		return uint64(tab.Len())
-	}
-	var n uint64
-	for _, b := range tab.Subsets() {
-		n += SubsetRecordsOf(tab, b, keep, cache)
-	}
-	return n
+	return res.Total, nil
 }
 
 // validateFractionShape checks the Algorithm 2 query shape.

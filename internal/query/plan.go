@@ -43,17 +43,19 @@ type (
 )
 
 // FractionEval is one Algorithm 2 raw-counter evaluation: how many records
-// of the subset match the value, and how many records were evaluated.
-type FractionEval struct {
-	Subset bitvec.Subset
-	Value  bitvec.Vector
-}
+// of the subset match the value, and how many records were evaluated.  It
+// is the (subset, value) pair a histogram's SubQuery is: either way the
+// fact asked of a record is the bit H(id, B, v, s).
+type FractionEval = SubQuery
 
 // Key returns the dedup key of the evaluation.  Both components are
 // self-delimiting (the subset tag and the value encoding carry their own
-// lengths), so plain concatenation is collision-free.
+// lengths), so plain concatenation is collision-free.  For a subset of up
+// to 16 positions it is assembled on the stack: the string is the one
+// allocation, on the executor's per-pair cache-lookup path too.
 func (f FractionEval) Key() string {
-	return f.Subset.Key() + string(f.Value.Bytes())
+	var buf [8 + 8*16 + 16]byte
+	return string(f.Value.AppendBytes(f.Subset.AppendTag(buf[:0])))
 }
 
 // HistogramEval is one Appendix F match-histogram evaluation over a list of
@@ -213,6 +215,29 @@ func (r *Results) Histogram(ref HistRef) HistPartial { return r.Hists[ref] }
 
 // Count returns one planned subset record count.
 func (r *Results) Count(ref CountRef) uint64 { return r.Counts[ref] }
+
+// Merge adds to r the counters o holds for the same plan over a disjoint
+// record set: how a router sums its nodes' answers, entry by entry.
+func (r *Results) Merge(o *Results) error {
+	if len(o.Fractions) != len(r.Fractions) || len(o.Hists) != len(r.Hists) || len(o.Counts) != len(r.Counts) {
+		return fmt.Errorf("%w: merging %d/%d/%d fraction, histogram and count results into %d/%d/%d",
+			ErrMismatch, len(o.Fractions), len(o.Hists), len(o.Counts), len(r.Fractions), len(r.Hists), len(r.Counts))
+	}
+	for i, f := range o.Fractions {
+		r.Fractions[i] = r.Fractions[i].Merge(f)
+	}
+	for i, h := range o.Hists {
+		var err error
+		if r.Hists[i], err = r.Hists[i].Merge(h); err != nil {
+			return err
+		}
+	}
+	for i, c := range o.Counts {
+		r.Counts[i] += c
+	}
+	r.Total += o.Total
+	return nil
+}
 
 // newResults allocates a result set shaped for the plan.
 func newResults(p *Plan) *Results {

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"sketchprivacy/internal/bitvec"
@@ -34,20 +35,22 @@ type BitmapCache interface {
 	Put(key CacheKey, gen uint64, records int, words []uint64)
 }
 
-// ExecutePlanOver runs an entire plan against one table in a single
-// batched pass per touched subset: the record loop is sharded across
-// GOMAXPROCS workers, each record's shared PRF message parts (tuple header,
-// user id, sketch key) are encoded once and reused across every fraction
-// evaluation of the subset, and the per-entry results are bitmaps — one
-// bit per snapshot record — so an attached cache reduces repeated and
-// overlapping evaluations to popcounts.  The counters produced are
-// bit-identical to evaluating H once per record and entry in a serial
+// ExecutePlanOver runs an entire plan against one table.  The execution
+// reads ONE state of the table — every subset the plan touches is cut
+// under one lock (see cut) — and every (subset, value) pair the plan
+// mentions, a fraction entry or a histogram's sub-query alike, becomes an
+// evaluation bitmap over its subset's view: the record loop is sharded
+// across GOMAXPROCS workers, each record's shared PRF message parts (tuple
+// header, user id, sketch key) are encoded once and reused across every
+// pair of the subset, and an attached cache reduces repeated and
+// overlapping evaluations to popcounts and joins.  The counters produced
+// are bit-identical to evaluating H once per record and entry in a serial
 // loop (FuzzPlanEquivalence asserts this against the scalar oracle in
 // oracle_test.go): evaluation H is deterministic per record, so batching,
 // sharding and caching cannot change any count.
 //
 // keep restricts every counter to records whose user passes the filter:
-// bitmaps are computed over the full snapshot (making them cacheable
+// bitmaps are computed over the full view (making them cacheable
 // regardless of filter) and the filter is applied at counting time, as a
 // keep mask that is itself cached when the filter has a Key.
 func (e *Estimator) ExecutePlanOver(tab *sketch.Table, p *Plan, keep *UserFilter, cache BitmapCache) (*Results, error) {
@@ -55,114 +58,268 @@ func (e *Estimator) ExecutePlanOver(tab *sketch.Table, p *Plan, keep *UserFilter
 }
 
 // ExecutePlanOverCtx is ExecutePlanOver bounded by a context: the executor
-// checks ctx at every work-unit boundary (between subset groups, before
-// each histogram) and abandons the plan with ctx.Err() once it is done.
-// A distributed node runs queries under the router's end-to-end deadline
-// budget through this — work the router has stopped waiting for should
-// stop burning cores.  The granularity is a whole subset group, which
-// keeps the hot record loop check-free; groups are milliseconds even at
-// the largest benchmarked tables, so cancellation latency stays small.
+// checks ctx at every work-unit boundary (before each subset's scan) and
+// abandons the plan with ctx.Err() once it is done.  A distributed node
+// runs queries under the router's end-to-end deadline budget through this
+// — work the router has stopped waiting for should stop burning cores.
+// The granularity is a whole subset, which keeps the hot record loop
+// check-free; a scan is milliseconds even at the largest benchmarked
+// tables, so cancellation latency stays small.
 func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p *Plan, keep *UserFilter, cache BitmapCache) (*Results, error) {
+	// Every subset the plan touches — a guarded histogram's too, whether
+	// or not it will be needed — is read in the one cut.
+	subsets := make([]bitvec.Subset, 0, len(p.fractions)+len(p.counts))
+	for _, f := range p.fractions {
+		subsets = append(subsets, f.Subset)
+	}
+	for _, h := range p.hists {
+		for _, s := range h.Subs {
+			subsets = append(subsets, s.Subset)
+		}
+	}
+	x := e.cutTable(tab, append(subsets, p.counts...), p.total, keep, cache)
+
 	res := newResults(p)
-
-	// Group fraction entries by subset so each subset's snapshot is walked
-	// once for all its pending evaluations.
-	type group struct {
-		subset  bitvec.Subset
-		entries []int
+	bitmaps, err := x.bitmaps(ctx, p.fractions)
+	if err != nil {
+		return nil, err
 	}
-	var groups []group
-	byKey := make(map[string]int)
 	for i, f := range p.fractions {
-		k := f.Subset.Key()
-		gi, ok := byKey[k]
-		if !ok {
-			gi = len(groups)
-			groups = append(groups, group{subset: f.Subset})
-			byKey[k] = gi
-		}
-		groups[gi].entries = append(groups[gi].entries, i)
+		res.Fractions[i] = x.count(x.at(f.Subset), bitmaps[i])
 	}
-
-	for _, g := range groups {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		snap, gen := tab.View(g.subset)
-		n := snap.Len()
-		bitmaps := make([][]uint64, len(g.entries))
-		var missJ []int
-		for j, ei := range g.entries {
-			if cache != nil {
-				if w, ok := cache.Get(CacheKey{Entry: p.fractions[ei].Key()}, gen, n); ok {
-					bitmaps[j] = w
-					continue
-				}
-			}
-			missJ = append(missJ, j)
-		}
-		if len(missJ) > 0 && n > 0 {
-			missed := make([]FractionEval, len(missJ))
-			for c, j := range missJ {
-				missed[c] = p.fractions[g.entries[j]]
-			}
-			computed := evalBitmaps(e.h, snap, missed)
-			for c, j := range missJ {
-				bitmaps[j] = computed[c]
-				if cache != nil {
-					cache.Put(CacheKey{Entry: p.fractions[g.entries[j]].Key()}, gen, n, computed[c])
-				}
-			}
-		}
-
-		// Counting: an unfiltered query popcounts the bitmap directly; a
-		// filtered one popcounts against the subset's keep mask, shared by
-		// every evaluation of the subset.
-		if keep == nil {
-			for j, ei := range g.entries {
-				if n == 0 {
-					res.Fractions[ei] = Partial{}
-					continue
-				}
-				res.Fractions[ei] = Partial{Hits: popcount(bitmaps[j]), Records: uint64(n)}
-			}
-			continue
-		}
-		mask := keepMask(g.subset, snap, gen, keep, cache)
-		kept := popcount(mask)
-		for j, ei := range g.entries {
-			if kept == 0 {
-				res.Fractions[ei] = Partial{}
-				continue
-			}
-			res.Fractions[ei] = Partial{Hits: popcountAnd(bitmaps[j], mask), Records: kept}
-		}
-	}
-
-	// Histograms run over a different record universe (users holding every
-	// sub-query subset), already sharded internally.  Fractions were
-	// computed above, so guards can fire: a histogram whose guard counted
-	// records is the conjunction estimator's unused gluing fallback and is
-	// skipped rather than paid for.
+	// The fractions are in, so guards can fire: a histogram whose guard
+	// counted records is the conjunction estimator's unused gluing fallback
+	// and pays nothing.
 	for i, h := range p.hists {
 		if h.Skipped(res.Fractions) {
 			continue
 		}
+		cols, users, err := x.columns(ctx, h.Subs)
+		if err != nil {
+			return nil, err
+		}
+		hist := make([]uint64, len(h.Subs)+1)
+		for u := 0; u < users; u++ {
+			matches := 0
+			for _, col := range cols {
+				matches += int(col[u>>6] >> uint(u&63) & 1)
+			}
+			hist[matches]++
+		}
+		res.Hists[i] = HistPartial{Hist: hist, Users: uint64(users)}
+	}
+	for i, b := range p.counts {
+		res.Counts[i] = x.records(x.at(b))
+	}
+	if p.total {
+		for si := range x.subs {
+			res.Total += x.records(si)
+		}
+	}
+	return res, nil
+}
+
+// cut is one state of a table as one execution reads it: the views of
+// every subset the execution touches, taken under one lock (Table.Views),
+// and the filter's keep masks over them.  Everything a plan reports — a
+// fraction's hits, a histogram's bins, a subset's record count, the total
+// — is a popcount or a join over evaluation bitmaps and masks of these
+// views, so all of it describes the same records, whatever is written
+// meanwhile.
+type cut struct {
+	h     prf.BitSource
+	keep  *UserFilter
+	cache BitmapCache
+	index map[string]int // Subset.Key → the subset's position in subs
+	subs  []cutSubset
+}
+
+// cutSubset is one subset of a cut: the key it is cached under, its view,
+// and the filter's keep mask over the view once that has been fetched.
+type cutSubset struct {
+	key  string
+	view sketch.View
+	mask []uint64
+}
+
+// cutTable reads the subsets (a subset may be listed more than once) and,
+// with all set, every other subset the table holds, in one Table.Views call.
+func (e *Estimator) cutTable(tab *sketch.Table, subsets []bitvec.Subset, all bool, keep *UserFilter, cache BitmapCache) cut {
+	x := cut{h: e.h, keep: keep, cache: cache, index: make(map[string]int)}
+	views := tab.Views(subsets, all)
+	x.subs = make([]cutSubset, 0, len(views))
+	for _, v := range views {
+		if x.at(v.Subset()) < 0 {
+			key := v.Subset().Key()
+			x.index[key] = len(x.subs)
+			x.subs = append(x.subs, cutSubset{key: key, view: v})
+		}
+	}
+	return x
+}
+
+// at returns the position of subset b in the cut, -1 if it has none.
+func (x *cut) at(b bitvec.Subset) int {
+	var buf [8 + 8*16]byte // as in Table.lookup: looking a subset up allocates no key
+	if si, ok := x.index[string(b.AppendTag(buf[:0]))]; ok {
+		return si
+	}
+	return -1
+}
+
+// bitmaps returns the evaluation bitmap of each pair over its subset's
+// whole view — bit i is H on record i — subset by subset: from the cache
+// where it holds one for the view's generation, the rest in one sharded
+// pass over the view, left in the cache afterwards.  ctx is checked before
+// each subset's pass.
+func (x *cut) bitmaps(ctx context.Context, pairs []FractionEval) ([][]uint64, error) {
+	out := make([][]uint64, len(pairs))
+	groups := make([][]int, len(x.subs)) // the pairs of each subset, by position
+	for i, f := range pairs {
+		si := x.at(f.Subset)
+		groups[si] = append(groups[si], i)
+	}
+	for si, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res.Hists[i] = matchHistogram(e.h, tab, h.Subs, keep.pred())
+		records := x.subs[si].view
+		n, gen := records.Len(), records.Gen()
+		var missed []FractionEval
+		var missedAt []int
+		for _, i := range group {
+			if x.cache != nil {
+				if w, ok := x.cache.Get(CacheKey{Entry: pairs[i].Key()}, gen, n); ok {
+					out[i] = w
+					continue
+				}
+			}
+			missed, missedAt = append(missed, pairs[i]), append(missedAt, i)
+		}
+		if len(missed) == 0 || n == 0 {
+			continue
+		}
+		for c, w := range evalBitmaps(x.h, records, missed) {
+			out[missedAt[c]] = w
+			if x.cache != nil {
+				x.cache.Put(CacheKey{Entry: missed[c].Key()}, gen, n, w)
+			}
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	return out, nil
+}
+
+// mask returns the keep mask of subset si's view, nil when nothing is
+// filtered out (no filter, or no records).  It is fetched or built once
+// per cut.
+func (x *cut) mask(si int) []uint64 {
+	if x.keep != nil && x.subs[si].mask == nil {
+		x.subs[si].mask = x.keepMask(si)
 	}
-	for i, b := range p.counts {
-		res.Counts[i] = SubsetRecordsOf(tab, b, keep, cache)
+	return x.subs[si].mask
+}
+
+// records counts the records of subset si whose user the filter keeps.
+func (x *cut) records(si int) uint64 {
+	if x.keep == nil {
+		return uint64(x.subs[si].view.Len())
 	}
-	if p.total {
-		res.Total = TotalRecordsOf(tab, keep, cache)
+	return popcount(x.mask(si))
+}
+
+// count returns the Algorithm 2 counters of a pair of subset si from its
+// bitmap: over how many kept records, and on how many of them H is 1.
+func (x *cut) count(si int, bitmap []uint64) Partial {
+	records := x.records(si)
+	if records == 0 {
+		return Partial{}
 	}
-	return res, nil
+	if x.keep == nil {
+		return Partial{Hits: popcount(bitmap), Records: records}
+	}
+	return Partial{Hits: popcountAnd(bitmap, x.mask(si)), Records: records}
+}
+
+// columns joins the pairs by user: column j holds pair j's bit for each
+// kept user with a record in every pair's subset, the users in ascending id
+// order (see alignedColumns).  A histogram bins the per-user sum of the
+// columns; Appendix E multiplies weights along them.
+func (x *cut) columns(ctx context.Context, pairs []FractionEval) (cols [][]uint64, users int, err error) {
+	if len(pairs) == 0 {
+		return nil, 0, nil
+	}
+	bitmaps, err := x.bitmaps(ctx, pairs)
+	if err != nil {
+		return nil, 0, err
+	}
+	ids := make([][]bitvec.UserID, len(pairs))
+	for j, f := range pairs {
+		ids[j] = x.subs[x.at(f.Subset)].view.IDs()
+	}
+	cols, users = alignedColumns(ids, bitmaps, x.mask(x.at(pairs[0].Subset)))
+	return cols, users, nil
+}
+
+// alignedColumns is a sort-merge join of sorted id columns.  For every
+// user who is in each of them — and whose position in ids[0] mask keeps; a
+// nil mask keeps all — it gathers the user's bit of each bitmaps[j], a
+// bitmap over ids[j], into bit u&63 of word u>>6 of column j, u being the
+// user's rank among the joined users.  The columns are aligned: bit u of
+// every column belongs to the same user.  Nothing is copied but those
+// bits, and one id column may be listed several times.
+func alignedColumns(ids [][]bitvec.UserID, bitmaps [][]uint64, mask []uint64) (cols [][]uint64, users int) {
+	most := len(ids[0])
+	for _, other := range ids[1:] {
+		most = min(most, len(other))
+	}
+	words := (most + 63) / 64
+	backing := make([]uint64, len(ids)*words)
+	cols = make([][]uint64, len(ids))
+	for j := range cols {
+		cols[j] = backing[j*words : (j+1)*words]
+	}
+	at := make([]int, len(ids)) // at[j] is the join's position in ids[j]
+next:
+	for i, id := range ids[0] {
+		at[0] = i
+		for j := 1; j < len(ids); j++ {
+			other, a := ids[j], at[j]
+			for a < len(other) && other[a] < id {
+				a++
+			}
+			at[j] = a
+			if a == len(other) {
+				break next
+			}
+			if other[a] != id {
+				continue next
+			}
+		}
+		if mask != nil && mask[i>>6]>>uint(i&63)&1 == 0 {
+			continue
+		}
+		for j, a := range at {
+			cols[j][users>>6] |= (bitmaps[j][a>>6] >> uint(a&63) & 1) << uint(users&63)
+		}
+		users++
+	}
+	for j := range cols {
+		cols[j] = cols[j][:(users+63)/64]
+	}
+	return cols, users
+}
+
+// minRecordsPerWorker is the smallest record shard worth a goroutine: below
+// this, spawn-and-join overhead outweighs the ~2 SHA-256 compressions per
+// record, so small tables stay on the caller's goroutine.
+const minRecordsPerWorker = 1024
+
+// workersFor returns how many goroutines to shard n records across.
+func workersFor(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minRecordsPerWorker))
 }
 
 // evalBitmaps computes one evaluation bitmap per fraction entry over the
@@ -247,33 +404,33 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval) [][
 	return out
 }
 
-// keepMask returns the filter bitmap of subset b's view: bit i set iff
-// record i's user passes keep.  A filter with a Key reads its mask from the
-// cache and leaves a built one there, under (subset, filter key) at the
-// view's generation and length: equal keys mean equal predicates, so the
-// only thing that can change the mask is a write to the subset — the same
-// generation bump that retires its evaluation bitmaps.
-func keepMask(b bitvec.Subset, records sketch.View, gen uint64, keep *UserFilter, cache BitmapCache) []uint64 {
-	n := records.Len()
+// keepMask returns the filter bitmap of subset si's view: bit i set iff
+// record i's user passes the filter.  A filter with a Key reads its mask
+// from the cache and leaves a built one there, under (subset, filter key)
+// at the view's generation and length: equal keys mean equal predicates,
+// so the only thing that can change the mask is a write to the subset — the
+// same generation bump that retires its evaluation bitmaps.
+func (x *cut) keepMask(si int) []uint64 {
+	records := x.subs[si].view
+	n, gen := records.Len(), records.Gen()
 	if n == 0 {
 		return nil
 	}
-	cached := cache != nil && keep.Key != ""
-	var key CacheKey
+	cached := x.cache != nil && x.keep.Key != ""
+	key := CacheKey{Entry: x.subs[si].key, Filter: x.keep.Key}
 	if cached {
-		key = CacheKey{Entry: b.Key(), Filter: keep.Key}
-		if mask, ok := cache.Get(key, gen, n); ok {
+		if mask, ok := x.cache.Get(key, gen, n); ok {
 			return mask
 		}
 	}
 	mask := make([]uint64, (n+63)/64)
-	for i := 0; i < n; i++ {
-		if keep.Keep(records.ID(i)) {
+	for i, id := range records.IDs() {
+		if x.keep.Keep(id) {
 			mask[i>>6] |= uint64(1) << uint(i&63)
 		}
 	}
 	if cached {
-		cache.Put(key, gen, n, mask)
+		x.cache.Put(key, gen, n, mask)
 	}
 	return mask
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -40,28 +41,23 @@ func (e *Estimator) SumLessThanPow2(tab *sketch.Table, a, b bitvec.IntField, r i
 	}
 
 	// Every single-bit subset of both fields must have been sketched.  The
-	// 2k views are cut from one state of the table and aligned by position,
-	// so a concurrent Remove cannot pair one state's users with another's
-	// sketches.
+	// observed (perturbed) bits are the evaluation bitmaps of the 2k pairs
+	// (bit subset, "1"), read from one state of the table and joined by user
+	// into aligned packed columns, MSB first (index 0 is the highest bit,
+	// matching the paper's a_u1): bit u&63 of word u>>6 is user u's.  The
+	// virtual bit q_i = a_i ⊕ b_i is the XOR of two columns.
 	subsets := append(FieldBitSubsets(a), FieldBitSubsets(b)...)
-	views := tab.ViewsWithAll(subsets, nil)
-	if len(views) == 0 || views[0].Len() == 0 {
-		return NumericEstimate{}, fmt.Errorf("%w: need single-bit sketches of both fields", ErrNoSketches)
+	pairs := make([]FractionEval, 2*k)
+	for s, subset := range subsets {
+		pairs[s] = FractionEval{Subset: subset, Value: oneBit()}
 	}
-	users := views[0].Len()
-
-	// Observed (perturbed) bits as packed columns, MSB first (index 0 is the
-	// highest bit, matching the paper's a_u1): bit u&63 of word u>>6 is user
-	// u's.  The virtual bit q_i = a_i ⊕ b_i is the XOR of two columns.
-	observed := make([][]uint64, 2*k)
-	for s, view := range views {
-		col := make([]uint64, (users+63)/64)
-		kn := sketch.AcquireKernel(e.h, subsets[s], oneBit())
-		for w := range col {
-			col[w] = kn.EvaluateWord(view.Slice(w*64, min(w*64+64, users)))
-		}
-		kn.Release()
-		observed[s] = col
+	x := e.cutTable(tab, subsets, false, nil, nil)
+	observed, users, err := x.columns(context.Background(), pairs)
+	if err != nil {
+		return NumericEstimate{}, err
+	}
+	if users == 0 {
+		return NumericEstimate{}, fmt.Errorf("%w: need single-bit sketches of both fields", ErrNoSketches)
 	}
 	oa, ob := observed[:k], observed[k:]
 	oq := make([][]uint64, k)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"time"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/sketch"
@@ -25,17 +26,39 @@ type Client struct {
 // — or one too old to know the hello opcode — refuses the connection with
 // a clear error instead of failing later with a decode error or a garbage
 // estimate.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+//
+// Connecting and the handshake are each bounded (dialTimeout,
+// helloTimeout), so a peer that accepts and then says nothing fails the
+// dial instead of hanging it; the connection carries no deadline
+// afterwards — Join and Drain are synchronous and legitimately long.
+func Dial(addr string) (*Client, error) { return dial(addr, dialTimeout, helloTimeout) }
+
+// dialTimeout is the router's own bound on a dial to a node
+// (cluster.Config.DialTimeout's default); the hello is one small frame each
+// way and gets as long again.
+const (
+	dialTimeout  = 2 * time.Second
+	helloTimeout = 2 * time.Second
+)
+
+// dial is Dial with its two bounds given.
+func dial(addr string, connect, hello time.Duration) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, connect)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn}
-	if err := wire.ClientHandshake(conn); err != nil {
+	err = conn.SetDeadline(time.Now().Add(hello))
+	if err == nil {
+		err = wire.ClientHandshake(conn)
+	}
+	if err == nil {
+		err = conn.SetDeadline(time.Time{})
+	}
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
 	}
-	return c, nil
+	return &Client{conn: conn}, nil
 }
 
 // call runs one exchange: it sends a request frame and reads the one frame

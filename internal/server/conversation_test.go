@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/hex"
 	"reflect"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
@@ -25,11 +27,46 @@ func TestRecordedConversation(t *testing.T) {
 	rec := func(id uint64, b bitvec.Subset, key uint64) sketch.Published {
 		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: key, Length: 10}}
 	}
-	plan := wire.PlanQuery{
-		Fractions: []wire.Query{{Subset: b0, Value: bitvec.MustFromString("10")}, {Subset: b1, Value: bitvec.MustFromString("1")}},
-		Hists:     []wire.PlanHistQuery{{Subs: []wire.Query{{Subset: b0, Value: bitvec.MustFromString("11")}, {Subset: b1, Value: bitvec.MustFromString("0")}}}},
-		Counts:    []bitvec.Subset{b0, bitvec.MustSubset(5)},
-		Total:     true,
+	// The plan requests are literals too, recorded from the commit before
+	// the frame became the encoding of query.Plan itself: two fractions
+	// ({0,2} = 10, {1} = 1), one histogram ({0,2} = 11, {1} = 0), the counts
+	// of {0,2} and {5} and the total, under no filter; and the total alone
+	// under a filter that carries nothing but epoch 2.
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	planQuery := unhex("0000000002" +
+		"00000018000000000000000200000000000000000000000000000002" + "0000001000000000000000020100000000000000" +
+		"0000001000000000000000010000000000000001" + "0000001000000000000000010100000000000000" +
+		"00000001" + "00000002" +
+		"00000018000000000000000200000000000000000000000000000002" + "0000001000000000000000020300000000000000" +
+		"0000001000000000000000010000000000000001" + "0000001000000000000000010000000000000000" + "00" +
+		"00000002" +
+		"00000018000000000000000200000000000000000000000000000002" + "0000001000000000000000010000000000000005" +
+		"01")
+	stalePlanQuery := unhex("01000000000000000200000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001")
+	// The encoder still writes those bytes for those plans.
+	plan := query.NewPlan()
+	for _, f := range []query.FractionEval{{Subset: b0, Value: bitvec.MustFromString("10")}, {Subset: b1, Value: bitvec.MustFromString("1")}} {
+		if _, err := plan.AddFraction(f.Subset, f.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := plan.AddHistogram([]query.SubQuery{{Subset: b0, Value: bitvec.MustFromString("11")}, {Subset: b1, Value: bitvec.MustFromString("0")}}); err != nil {
+		t.Fatal(err)
+	}
+	plan.AddSubsetRecords(b0)
+	plan.AddSubsetRecords(bitvec.MustSubset(5))
+	plan.AddTotalRecords()
+	if got := wire.EncodePlanQuery(nil, plan); !bytes.Equal(got, planQuery) {
+		t.Errorf("the plan encodes to %x, recorded %x", got, planQuery)
+	}
+	if got := wire.EncodePlanQuery(&wire.Filter{Epoch: 2}, totalPlan()); !bytes.Equal(got, stalePlanQuery) {
+		t.Errorf("the stale total-only plan encodes to %x, recorded %x", got, stalePlanQuery)
 	}
 	steps := []struct {
 		name      string
@@ -55,9 +92,9 @@ func TestRecordedConversation(t *testing.T) {
 			"query: no sketches available for the requested subset: {7}"},
 		{"query with a short value", wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: b0, Value: bitvec.MustFromString("1")}), wire.TypeError,
 			"query: query shape mismatch: subset of size 2 queried with value of length 1"},
-		{"plan query", wire.TypePlanQuery, wire.EncodePlanQuery(plan), wire.TypePlanResult,
+		{"plan query", wire.TypePlanQuery, planQuery, wire.TypePlanResult,
 			"00000000000000000000000200000000000000010000000000000003000000000000000100000000000000010000000100000000000000010000000300000000000000010000000000000000000000000000000000000002000000000000000300000000000000000000000000000004"},
-		{"plan query under a superseded epoch", wire.TypePlanQuery, wire.EncodePlanQuery(wire.PlanQuery{Filter: &wire.Filter{Epoch: 2}, Total: true}), wire.TypeError,
+		{"plan query under a superseded epoch", wire.TypePlanQuery, stalePlanQuery, wire.TypeError,
 			"wire: stale ring epoch: query was built for ring epoch 2 but this node has observed epoch 4 — refusing to contribute counters computed under a superseded ring"},
 		{"corrupt plan query", wire.TypePlanQuery, []byte{7}, wire.TypeError,
 			"wire: corrupt payload: filter presence byte 7"},

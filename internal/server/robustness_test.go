@@ -340,7 +340,7 @@ func TestRetiredOpcodeRefused(t *testing.T) {
 			}
 		}
 		if ep.node != nil {
-			replyType, reply := roundTripRaw(t, conn, wire.TypePlanQuery, wire.EncodePlanQuery(wire.PlanQuery{Total: true}))
+			replyType, reply := roundTripRaw(t, conn, wire.TypePlanQuery, wire.EncodePlanQuery(nil, totalPlan()))
 			if replyType != wire.TypePlanResult {
 				t.Fatalf("plan query after the refusal answered with type %d: %s", replyType, reply)
 			}
@@ -546,5 +546,47 @@ func TestServeThroughFaultnetListener(t *testing.T) {
 	}
 	if rep.Robustness == nil || rep.Robustness.IdleCloses != 0 {
 		t.Fatalf("slow-but-live client tripped the reaper: %+v", rep.Robustness)
+	}
+}
+
+// TestDialBoundsTheHello: a peer that accepts and then blackholes — the
+// socket opens, the hello is swallowed, nothing answers — fails the dial
+// within the hello bound instead of hanging it forever; and against a live
+// peer the bound is lifted once the handshake is done, so a connection
+// idle (or inside a long synchronous Join) past it still works.
+func TestDialBoundsTheHello(t *testing.T) {
+	eng, err := engine.New(testSource(), sketch.MustParams(0.25, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := faultnet.NewFabric(5).Endpoint("server")
+	addr := srv.Serve(ep.Listen(ln, "client"))
+	t.Cleanup(func() { srv.Close() })
+
+	const hello = 100 * time.Millisecond
+	cli, err := dial(addr, time.Second, hello)
+	if err != nil {
+		t.Fatalf("dial of a live peer: %v", err)
+	}
+	defer cli.Close()
+	time.Sleep(2 * hello)
+	if _, err := cli.Ping(); err != nil {
+		t.Fatalf("ping %v after the handshake, past the hello bound: %v", 2*hello, err)
+	}
+
+	ep.Blackhole()
+	start := time.Now()
+	dark, err := dial(addr, time.Second, hello)
+	if err == nil {
+		dark.Close()
+		t.Fatal("dial of a peer that accepts and then says nothing succeeded")
+	}
+	if took := time.Since(start); !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "timeout") || took > 20*hello {
+		t.Fatalf("dial of a blackholed peer failed with %v after %v, want a timeout within the hello bound", err, took)
 	}
 }

@@ -137,12 +137,15 @@ func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
 			wire.ProtocolVersion, s.eng.Sketches(), s.epoch.Load())
 		return wire.TypePong, []byte(pong), nil
 	case wire.TypePlanQuery:
-		pq, err := wire.DecodePlanQuery(payload)
+		f, p, err := wire.DecodePlanQuery(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, err := s.plan(pq)
-		return wire.TypePlanResult, wire.EncodePlanResult(res), err
+		epoch, res, err := s.plan(f, p)
+		if err != nil {
+			return 0, nil, err
+		}
+		return wire.TypePlanResult, wire.EncodePlanResult(epoch, res), nil
 	case wire.TypeSnapshotRead:
 		req, err := wire.DecodeSnapshotRead(payload)
 		if err != nil {
@@ -248,92 +251,40 @@ func (s *Server) observeEpoch(epoch uint64) {
 // Epoch returns the highest ring epoch this server has observed.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// plan answers one scatter-gather request: it rebuilds the query plan from
-// the wire form, compiles the ownership filter (which keeps replicated
-// records out of the cluster-wide sums) once per filter identity and
-// executes the whole plan in one pass over the owned records, answering
-// every entry in one reply.  A plan
-// built for a superseded ring epoch is refused so the router retries under
-// a fresh ring snapshot: merging one node's old-ring counters with
-// another's new-ring counters would silently double-count or drop the
-// records that moved between them.  The reply is assembled through the
-// plan's refs, so even a request listing duplicate entries (which the plan
-// deduplicates) maps each requested position to its counters.
-func (s *Server) plan(pq wire.PlanQuery) (wire.PlanResult, error) {
-	var epoch uint64
-	if pq.Filter != nil && pq.Filter.Epoch != 0 {
-		epoch = pq.Filter.Epoch
+// plan answers one scatter-gather request: it compiles the ownership
+// filter (which keeps replicated records out of the cluster-wide sums) once
+// per filter identity and executes the decoded plan in one pass over the
+// owned records, answering every entry in one reply, under the epoch it
+// returns.  A plan built for a superseded ring epoch is refused so the
+// router retries under a fresh ring snapshot: merging one node's old-ring
+// counters with another's new-ring counters would silently double-count or
+// drop the records that moved between them.
+func (s *Server) plan(f *wire.Filter, p *query.Plan) (epoch uint64, res *query.Results, err error) {
+	if f != nil && f.Epoch != 0 {
+		epoch = f.Epoch
 		if cur := s.epoch.Load(); epoch < cur {
-			return wire.PlanResult{}, wire.StaleEpochError(epoch, cur)
+			return 0, nil, wire.StaleEpochError(epoch, cur)
 		}
 		s.observeEpoch(epoch)
 	}
-	keep, err := s.filters.compile(pq.Filter)
+	keep, err := s.filters.compile(f)
 	if err != nil {
-		return wire.PlanResult{}, err
-	}
-	p := query.NewPlan()
-	fracRefs := make([]query.FracRef, len(pq.Fractions))
-	for i, f := range pq.Fractions {
-		if fracRefs[i], err = p.AddFraction(f.Subset, f.Value); err != nil {
-			return wire.PlanResult{}, err
-		}
-	}
-	histRefs := make([]query.HistRef, len(pq.Hists))
-	for i, h := range pq.Hists {
-		subs := make([]query.SubQuery, len(h.Subs))
-		for j, q := range h.Subs {
-			subs[j] = query.SubQuery{Subset: q.Subset, Value: q.Value}
-		}
-		if h.HasGuard {
-			// The wire guard indexes the request's fraction list; map it
-			// through the dedup to this plan's ref (the decoder already
-			// bounds-checked it).
-			histRefs[i], err = p.AddHistogramGuarded(subs, fracRefs[h.Guard])
-		} else {
-			histRefs[i], err = p.AddHistogram(subs)
-		}
-		if err != nil {
-			return wire.PlanResult{}, err
-		}
-	}
-	countRefs := make([]query.CountRef, len(pq.Counts))
-	for i, b := range pq.Counts {
-		countRefs[i] = p.AddSubsetRecords(b)
-	}
-	if pq.Total {
-		p.AddTotalRecords()
+		return 0, nil, err
 	}
 	// Execute under the query's remaining end-to-end budget, when the
 	// filter carries one: work the router has stopped waiting for is
 	// abandoned at the next work-unit boundary instead of burning cores
 	// to compute an answer nobody reads.
 	ctx := context.Background()
-	if pq.Filter != nil && pq.Filter.Budget > 0 {
+	if f != nil && f.Budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(pq.Filter.Budget)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(f.Budget)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := s.eng.ExecutePlanCtx(ctx, p, keep)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.deadlineAbandons.Add(1)
-			return wire.PlanResult{}, wire.DeadlineError(pq.Filter.Budget)
-		}
-		return wire.PlanResult{}, err
+	res, err = s.eng.ExecutePlanCtx(ctx, p, keep)
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.deadlineAbandons.Add(1)
+		err = wire.DeadlineError(f.Budget)
 	}
-	out := wire.PlanResult{Epoch: epoch}
-	for _, ref := range fracRefs {
-		part := res.Fraction(ref)
-		out.Fractions = append(out.Fractions, wire.PlanFraction{Hits: part.Hits, Records: part.Records})
-	}
-	for _, ref := range histRefs {
-		hp := res.Histogram(ref)
-		out.Hists = append(out.Hists, wire.PlanHist{Users: hp.Users, Hist: hp.Hist})
-	}
-	for _, ref := range countRefs {
-		out.Counts = append(out.Counts, res.Count(ref))
-	}
-	out.Total = res.Total
-	return out, nil
+	return epoch, res, err
 }

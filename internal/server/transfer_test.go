@@ -13,6 +13,7 @@ import (
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/store"
 	"sketchprivacy/internal/wire"
@@ -128,6 +129,13 @@ func TestSnapshotReadAndTransferPush(t *testing.T) {
 	}
 }
 
+// totalPlan is the total-only plan a router counts records with.
+func totalPlan() *query.Plan {
+	p := query.NewPlan()
+	p.AddTotalRecords()
+	return p
+}
+
 // TestPartialQueryStaleEpoch pins the node-side guard on the one query
 // opcode a node serves for a router: once the node has observed epoch E, a
 // plan query whose filter was built for an older epoch is refused with the
@@ -138,28 +146,25 @@ func TestPartialQueryStaleEpoch(t *testing.T) {
 
 	self := addr
 	mkQuery := func(epoch uint64) []byte {
-		return wire.EncodePlanQuery(wire.PlanQuery{
-			Filter: &wire.Filter{
-				Epoch:  epoch,
-				Nodes:  []string{self},
-				VNodes: 8,
-				Self:   self,
-				Live:   []string{self},
-			},
-			Total: true,
-		})
+		return wire.EncodePlanQuery(&wire.Filter{
+			Epoch:  epoch,
+			Nodes:  []string{self},
+			VNodes: 8,
+			Self:   self,
+			Live:   []string{self},
+		}, totalPlan())
 	}
 	// Epoch 4 accepted and observed.
 	replyType, reply := roundTripRaw(t, conn, wire.TypePlanQuery, mkQuery(4))
 	if replyType != wire.TypePlanResult {
 		t.Fatalf("epoch-4 plan answered with type %d: %s", replyType, reply)
 	}
-	res, err := wire.DecodePlanResult(reply)
+	epoch, _, err := wire.DecodePlanResult(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Epoch != 4 {
-		t.Fatalf("plan result echoes epoch %d, want 4", res.Epoch)
+	if epoch != 4 {
+		t.Fatalf("plan result echoes epoch %d, want 4", epoch)
 	}
 	if srv.Epoch() != 4 {
 		t.Fatalf("node observed epoch %d, want 4", srv.Epoch())

@@ -41,9 +41,19 @@ func NewTable() *Table {
 // empty.
 type View struct {
 	subset bitvec.Subset
+	gen    uint64
 	ids    []bitvec.UserID
 	keys   Words // keys.At(i) is the Pack word of the sketch ids[i] published
 }
+
+// Subset returns the subset whose records the view holds.
+func (v View) Subset() bitvec.Subset { return v.subset }
+
+// Gen returns the subset's write generation the view was cut at: it moves
+// with every write to the subset, so whatever was computed over a view stays
+// valid exactly while a fresh view reports the same generation and length.
+// A subset the table never held is at generation 0.
+func (v View) Gen() uint64 { return v.gen }
 
 // Len returns the number of records in the view.
 func (v View) Len() int { return len(v.ids) }
@@ -51,24 +61,16 @@ func (v View) Len() int { return len(v.ids) }
 // ID returns the user id of record i.
 func (v View) ID(i int) bitvec.UserID { return v.ids[i] }
 
+// IDs returns the user ids of the records, ascending.  The slice is the
+// view's own column, shared with every holder of the view: read-only.
+func (v View) IDs() []bitvec.UserID { return v.ids }
+
 // Sketch returns the sketch of record i.
 func (v View) Sketch(i int) Sketch { return v.keys.Sketch(i) }
 
 // Slice returns the records [lo, hi) as a view sharing v's columns.
 func (v View) Slice(lo, hi int) View {
-	return View{subset: v.subset, ids: v.ids[lo:hi:hi], keys: v.keys.Slice(lo, hi)}
-}
-
-// Filter returns the records of v whose user passes keep, in fresh columns.
-func (v View) Filter(keep func(bitvec.UserID) bool) View {
-	out := View{subset: v.subset}
-	for i, id := range v.ids {
-		if keep(id) {
-			out.ids = append(out.ids, id)
-			out.keys = out.keys.Append(v.keys.At(i))
-		}
-	}
-	return out
+	return View{subset: v.subset, gen: v.gen, ids: v.ids[lo:hi:hi], keys: v.keys.Slice(lo, hi)}
 }
 
 // AppendTo appends the view's records to dst as Published values.
@@ -302,7 +304,7 @@ func (c *column) remove(i int) {
 
 // view returns the sorted run; the tail must have been folded.
 func (c *column) view() View {
-	return View{subset: c.subset, ids: c.ids, keys: c.keys}
+	return View{subset: c.subset, gen: c.gen, ids: c.ids, keys: c.keys}
 }
 
 // lookup returns the column of subset b, or nil.  The tag of a subset of
@@ -440,24 +442,8 @@ func (t *Table) Get(id bitvec.UserID, b bitvec.Subset) (Sketch, bool) {
 // to every reader; the first read after a write folds the pending inserts
 // in, a linear merge.
 func (t *Table) View(b bitvec.Subset) (View, uint64) {
-	t.mu.RLock()
-	c := t.lookup(b)
-	if c == nil {
-		t.mu.RUnlock()
-		return View{}, 0
-	}
-	if len(c.tailIDs) == 0 {
-		v, gen := c.view(), c.gen
-		t.mu.RUnlock()
-		return v, gen
-	}
-	t.mu.RUnlock()
-	// Columns are never dropped from the map, so c is still the subset's
-	// column under the write lock.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c.fold()
-	return c.view(), c.gen
+	v := t.Views([]bitvec.Subset{b}, false)[0]
+	return v, v.gen
 }
 
 // Snapshot returns the records for subset b, sorted by user id, as a fresh
@@ -490,6 +476,17 @@ func (t *Table) HasSubset(b bitvec.Subset) bool { return t.CountForSubset(b) > 0
 func (t *Table) Subsets() []bitvec.Subset {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	cols := t.sortedColumns()
+	out := make([]bitvec.Subset, len(cols))
+	for i, c := range cols {
+		out[i] = c.subset
+	}
+	return out
+}
+
+// sortedColumns returns the columns that hold records, sorted by their
+// subset's canonical tag.  The caller holds the lock.
+func (t *Table) sortedColumns() []*column {
 	keys := make([]string, 0, len(t.cols))
 	for k, c := range t.cols {
 		if c.len() > 0 {
@@ -497,66 +494,66 @@ func (t *Table) Subsets() []bitvec.Subset {
 		}
 	}
 	sort.Strings(keys)
-	out := make([]bitvec.Subset, len(keys))
+	out := make([]*column, len(keys))
 	for i, k := range keys {
-		out[i] = t.cols[k].subset
+		out[i] = t.cols[k]
 	}
 	return out
 }
 
-// ViewsWithAll returns one view per subset, restricted to the users that
-// published a sketch for every one of the subsets and pass keep (nil keep:
-// all of them).  The views are aligned: all have the same length and
-// record i of each belongs to the same user, in ascending id order.  They
-// are cut from one consistent state of the table — the named columns are
-// read under a single lock — into fresh arrays, so a concurrent Remove can
-// neither tear a user out from between two subsets nor change what was
-// returned.  The Appendix F combination can only use those users.
-func (t *Table) ViewsWithAll(subsets []bitvec.Subset, keep func(bitvec.UserID) bool) []View {
-	if len(subsets) == 0 {
-		return nil
+// Views returns the views of the listed subsets, in the order listed, and
+// after them — with all set — of every subset that holds records, in
+// Subsets order and whether listed or not: how a total is counted in the
+// same state as everything else.  They are cut from ONE state of the table:
+// the columns are read under a single lock, so no write falls between two
+// of them and a user a writer adds to A and then B is never seen in B
+// without A.  The views are the columns themselves (see View), not copies;
+// a subset the table does not hold reads as an empty View of that subset at
+// generation 0.  When a column has pending inserts that lock is the write
+// lock and every such column is folded inside it — ingest waits for all of
+// them at once, where reading the subsets one by one made it wait for each.
+func (t *Table) Views(subsets []bitvec.Subset, all bool) []View {
+	t.mu.RLock()
+	views, ok := t.views(subsets, all, false)
+	t.mu.RUnlock()
+	if ok {
+		return views
 	}
-	// One exclusive section yields a consistent set of columns; the
-	// intersection then walks immutable sorted runs outside any lock.
-	cols := make([]View, len(subsets))
 	t.mu.Lock()
-	for i, b := range subsets {
-		if c := t.lookup(b); c != nil {
-			c.fold()
-			cols[i] = c.view()
-		}
+	defer t.mu.Unlock()
+	views, _ = t.views(subsets, all, true)
+	return views
+}
+
+// views is Views under the lock the caller holds.  With fold set — under
+// the write lock — pending inserts are folded in first; without it, a
+// column that has any stops the cut and ok is false.
+func (t *Table) views(subsets []bitvec.Subset, all, fold bool) (views []View, ok bool) {
+	var every []*column
+	if all {
+		every = t.sortedColumns()
 	}
-	t.mu.Unlock()
-	out := make([]View, len(subsets))
-	var ids []bitvec.UserID
-	at := make([]int, len(cols))
-next:
-	for i, id := range cols[0].ids {
-		at[0] = i
-		for j := 1; j < len(cols); j++ {
-			other := cols[j].ids
-			for at[j] < len(other) && other[at[j]] < id {
-				at[j]++
-			}
-			if at[j] == len(other) {
-				break next
-			}
-			if other[at[j]] != id {
-				continue next
-			}
+	views = make([]View, len(subsets)+len(every))
+	for i := range views {
+		var c *column
+		if i < len(subsets) {
+			c = t.lookup(subsets[i])
+		} else {
+			c = every[i-len(subsets)]
 		}
-		if keep != nil && !keep(id) {
+		if c == nil {
+			views[i] = View{subset: subsets[i]}
 			continue
 		}
-		ids = append(ids, id)
-		for j := range out {
-			out[j].keys = out[j].keys.Append(cols[j].keys.At(at[j]))
+		if fold {
+			c.fold()
 		}
+		if len(c.tailIDs) > 0 {
+			return nil, false
+		}
+		views[i] = c.view()
 	}
-	for j := range out {
-		out[j].subset, out[j].ids = subsets[j], ids
-	}
-	return out
+	return views, true
 }
 
 // Len returns the total number of stored sketches across all subsets.

@@ -96,18 +96,21 @@ func TestTableSubsetsAndUsersWithAll(t *testing.T) {
 	if len(subs) != 2 {
 		t.Fatalf("Subsets returned %d", len(subs))
 	}
-	for _, v := range tab.ViewsWithAll([]bitvec.Subset{b1, b2}, nil) {
-		if v.Len() != 2 || v.ID(0) != 1 || v.ID(1) != 3 {
-			t.Errorf("ViewsWithAll holds %d users, want users 1 and 3", v.Len())
+	listed := []bitvec.Subset{b1, bitvec.MustSubset(9), b2, b1}
+	views := tab.Views(listed, false)
+	for i, want := range []int{3, 0, 2, 3} {
+		if views[i].Len() != want || (views[i].Gen() == 0) != (want == 0) || !views[i].Subset().Equal(listed[i]) {
+			t.Errorf("Views: view %d holds %d records of %v at generation %d, want %d of %v", i, views[i].Len(), views[i].Subset(), views[i].Gen(), want, listed[i])
 		}
 	}
-	if tab.ViewsWithAll(nil, nil) != nil {
-		t.Error("ViewsWithAll of no subsets should be nil")
+	if views[2].ID(0) != 1 || views[2].ID(1) != 3 {
+		t.Errorf("Views: the view of %v reads %v", b2, views[2])
 	}
-	for _, v := range tab.ViewsWithAll([]bitvec.Subset{b1, bitvec.MustSubset(9)}, nil) {
-		if v.Len() != 0 {
-			t.Error("ViewsWithAll with an unknown subset should be empty")
-		}
+	if len(tab.Views(nil, false)) != 0 || len(tab.Views([]bitvec.Subset{}, false)) != 0 {
+		t.Error("Views of no list, nil or empty, should name no subset")
+	}
+	if views = tab.Views([]bitvec.Subset{b2}, true); len(views) != 3 || !views[0].Subset().Equal(b2) || !views[1].Subset().Equal(subs[0]) || !views[2].Subset().Equal(subs[1]) {
+		t.Errorf("Views with all set should hold the listed subset and then every subset, in Subsets order; got %v", views)
 	}
 
 	per := tab.SketchesPerUser()
@@ -183,7 +186,7 @@ func (o tableOracle) sorted(b bitvec.Subset) []Published {
 
 // TestTableMatchesMapOracle drives the table and a plain map through the
 // same seeded interleaving of Add, AddNew, LoadRun (sorted shard-like runs and
-// unsorted ones, with duplicates), Remove, Get, ViewsWithAll and reads, and
+// unsorted ones, with duplicates), Remove, Get, Views and reads, and
 // requires identical answers throughout.  Ids are drawn from a small range
 // so duplicates and removals of present records are common, and the write
 // bursts between reads are long enough that the tail folds on its own limit
@@ -310,36 +313,29 @@ func TestTableMatchesMapOracle(t *testing.T) {
 			case op < 97:
 				check(subsets[rng.Intn(len(subsets))])
 			default:
-				pick := subsets[:1+rng.Intn(len(subsets))]
-				var want []bitvec.UserID
-				for id := range oracle[pick[0].Key()] {
-					all := true
-					for _, b := range pick[1:] {
-						_, ok := oracle[b.Key()][id]
-						all = all && ok
-					}
-					if all {
-						want = append(want, id)
-					}
+				// Several views from one call: any selection, repeats and
+				// all, reads as the oracle does, at View's generations; with
+				// all set, every subset that holds records follows.
+				var pick []bitvec.Subset
+				for n := rng.Intn(5); n > 0; n-- {
+					pick = append(pick, subsets[rng.Intn(len(subsets))])
 				}
-				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				odd := func(id bitvec.UserID) bool { return id&1 == 1 }
-				for _, keep := range []func(bitvec.UserID) bool{nil, odd} {
-					views, at := tab.ViewsWithAll(pick, keep), 0
-					for _, id := range want {
-						if keep != nil && !keep(id) {
-							continue
-						}
-						for j, b := range pick {
-							if at >= views[j].Len() || views[j].ID(at) != id || views[j].Sketch(at) != oracle[b.Key()][id] {
-								t.Fatalf("seed %d step %d: ViewsWithAll(%v) view %d record %d is not user %v's sketch", seed, step, pick, j, at, id)
-							}
-						}
-						at++
+				all := rng.Intn(2) == 0
+				views := tab.Views(pick, all)
+				if all {
+					pick = append(pick, tab.Subsets()...)
+				}
+				if len(views) != len(pick) {
+					t.Fatalf("seed %d step %d: Views(%v, %v) holds %d views", seed, step, pick, all, len(views))
+				}
+				for j, b := range pick {
+					want := oracle.sorted(b)
+					if _, gen := tab.View(b); views[j].Len() != len(want) || views[j].Gen() != gen || !views[j].Subset().Equal(b) {
+						t.Fatalf("seed %d step %d: Views(%v) view %d has %d records of %v at generation %d, oracle %d of %v at %d", seed, step, pick, j, views[j].Len(), views[j].Subset(), views[j].Gen(), len(want), b, gen)
 					}
-					for j := range views {
-						if views[j].Len() != at {
-							t.Fatalf("seed %d step %d: ViewsWithAll(%v) view %d has %d records, oracle %d", seed, step, pick, j, views[j].Len(), at)
+					for i, p := range want {
+						if views[j].ID(i) != p.ID || views[j].Sketch(i) != p.S {
+							t.Fatalf("seed %d step %d: Views(%v) view %d record %d is not the oracle's", seed, step, pick, j, i)
 						}
 					}
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 )
 
@@ -39,33 +40,30 @@ func FuzzDecode(f *testing.F) {
 	f.Add(EncodeHello())
 	// Plan frames: a batched multi-entry query and its result, and the
 	// total-only query a router counts records with.
-	f.Add(EncodePlanQuery(PlanQuery{
-		Filter: &Filter{Epoch: 3, Nodes: []string{"a:1", "b:1"}, VNodes: 8, Self: "b:1", Live: []string{"a:1", "b:1"}},
-		Fractions: []Query{
-			{Subset: bitvec.MustSubset(0), Value: bitvec.MustFromString("1")},
-			{Subset: bitvec.MustSubset(0, 1), Value: bitvec.MustFromString("10")},
-		},
-		Hists: []PlanHistQuery{
-			{Subs: []Query{{Subset: bitvec.MustSubset(2), Value: bitvec.MustFromString("1")}}},
-			{Subs: []Query{{Subset: bitvec.MustSubset(2), Value: bitvec.MustFromString("1")}, {Subset: bitvec.MustSubset(4), Value: bitvec.MustFromString("0")}}, Guard: 1, HasGuard: true},
-		},
-		Counts: []bitvec.Subset{bitvec.MustSubset(0)},
-		Total:  true,
-	}))
-	f.Add(EncodePlanQuery(PlanQuery{
-		Filter: &Filter{Epoch: 3, Nodes: []string{"a:1", "b:1"}, VNodes: 8, Self: "a:1", Live: []string{"a:1", "b:1"}, Budget: 5000},
-		Total:  true,
-	}))
+	f.Add(EncodePlanQuery(
+		&Filter{Epoch: 3, Nodes: []string{"a:1", "b:1"}, VNodes: 8, Self: "b:1", Live: []string{"a:1", "b:1"}},
+		planSpec{
+			fractions: []query.FractionEval{pair("1", 0), pair("10", 0, 1)},
+			hists: []query.HistogramEval{
+				{Subs: subs(pair("1", 2))},
+				{Subs: subs(pair("1", 2), pair("0", 4)), Guard: 1, GuardValid: true},
+			},
+			counts: []bitvec.Subset{bitvec.MustSubset(0)},
+			total:  true,
+		}.build(f)))
+	f.Add(EncodePlanQuery(
+		&Filter{Epoch: 3, Nodes: []string{"a:1", "b:1"}, VNodes: 8, Self: "a:1", Live: []string{"a:1", "b:1"}, Budget: 5000},
+		planSpec{total: true}.build(f)))
 	// A recovery fan-out's filter: failed set, tenant domain and budget.
-	f.Add(EncodePlanQuery(PlanQuery{
-		Filter: &Filter{Epoch: 3, Nodes: []string{"a:1", "b:1", "c:1"}, VNodes: 8, Self: "a:1", Live: []string{"a:1", "b:1", "c:1"},
+	f.Add(EncodePlanQuery(
+		&Filter{Epoch: 3, Nodes: []string{"a:1", "b:1", "c:1"}, VNodes: 8, Self: "a:1", Live: []string{"a:1", "b:1", "c:1"},
 			Budget: 4500, DomainBits: 12, Domain: 0xabc, Failed: []string{"c:1"}},
-		Counts: []bitvec.Subset{bitvec.MustSubset(0, 2)},
-	}))
-	f.Add(EncodePlanResult(PlanResult{
-		Epoch:     3,
-		Fractions: []PlanFraction{{Hits: 4, Records: 10}, {Hits: 1, Records: 10}},
-		Hists:     []PlanHist{{Users: 10, Hist: []uint64{4, 5, 1}}},
+		planSpec{counts: []bitvec.Subset{bitvec.MustSubset(0, 2)}}.build(f)))
+	// A frame no plan encodes to: it repeats a fraction entry.
+	f.Add(rawPlan([]query.FractionEval{pair("1", 0), pair("1", 0)}, nil, nil))
+	f.Add(EncodePlanResult(3, &query.Results{
+		Fractions: []query.Partial{{Hits: 4, Records: 10}, {Hits: 1, Records: 10}},
+		Hists:     []query.HistPartial{{Users: 10, Hist: []uint64{4, 5, 1}}},
 		Counts:    []uint64{10},
 		Total:     20,
 	}))
@@ -88,13 +86,15 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("DecodeResult accepted non-canonical input:\n in %x\nout %x", data, got)
 			}
 		}
-		if q, err := DecodePlanQuery(data); err == nil {
-			if got := EncodePlanQuery(q); !bytes.Equal(got, data) {
+		// A plan frame decodes straight into the query.Plan a node executes:
+		// one that decodes is the encoding of that plan, entry for entry.
+		if filter, plan, err := DecodePlanQuery(data); err == nil {
+			if got := EncodePlanQuery(filter, plan); !bytes.Equal(got, data) {
 				t.Fatalf("DecodePlanQuery accepted non-canonical input:\n in %x\nout %x", data, got)
 			}
 		}
-		if r, err := DecodePlanResult(data); err == nil {
-			if got := EncodePlanResult(r); !bytes.Equal(got, data) {
+		if epoch, r, err := DecodePlanResult(data); err == nil {
+			if got := EncodePlanResult(epoch, r); !bytes.Equal(got, data) {
 				t.Fatalf("DecodePlanResult accepted non-canonical input:\n in %x\nout %x", data, got)
 			}
 		}

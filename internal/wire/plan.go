@@ -5,13 +5,15 @@ import (
 	"fmt"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/query"
 )
 
 // Plan push-down, the scatter-gather data plane between a sketchrouter and
 // its nodes.  A router compiles an estimator's entire evaluation list —
 // every (subset, value) fraction, every match histogram, every
-// record-count lookup — into one PlanQuery frame and fans it out once; each
-// node answers every entry from a single pass over its owned records and
+// record-count lookup — into one query.Plan, the planQuery frame is that
+// plan's encoding, and it is fanned out once; each node answers every entry
+// from a single pass over its owned records with its query.Results, and
 // the router merges the per-entry counters exactly.  A k-term interval
 // decomposition or a many-path decision tree therefore costs one round
 // trip, not one per entry.
@@ -41,87 +43,47 @@ const (
 	maxHistBins = MaxPlanHistSubQueries + 1
 )
 
-// PlanQuery is one batched scatter-gather request: the complete evaluation
-// list of a compiled query plan plus the ownership filter to execute it
-// under (nil filter: all records).
-type PlanQuery struct {
-	Filter *Filter
-	// Fractions lists the (subset, value) Algorithm 2 evaluations.
-	Fractions []Query
-	// Hists lists the Appendix F match-histogram evaluations.
-	Hists []PlanHistQuery
-	// Counts lists the subsets whose record counts the plan needs.
-	Counts []bitvec.Subset
-	// Total asks for the all-subsets record count.
-	Total bool
-}
-
-// PlanHistQuery is one histogram evaluation of a plan: its sub-queries
-// and, when HasGuard, the index of the fraction entry whose non-empty
-// result lets the node skip this histogram (the conjunction estimator's
-// unused gluing fallback — see query.HistogramEval).
-type PlanHistQuery struct {
-	Subs     []Query
-	Guard    uint32
-	HasGuard bool
-}
-
-// PlanFraction carries the raw counters of one fraction entry.
-type PlanFraction struct {
-	Hits, Records uint64
-}
-
-// PlanHist carries the raw counters of one histogram entry.
-type PlanHist struct {
-	Users uint64
-	Hist  []uint64
-}
-
-// PlanResult carries every entry's counters back, in the order the plan
-// listed them.  All counters are exact integers that merge by addition
-// across disjoint ownership filters, and the echoed epoch lets the router
-// refuse to merge replies computed under different ring generations.
-type PlanResult struct {
-	Epoch     uint64
-	Fractions []PlanFraction
-	Hists     []PlanHist
-	Counts    []uint64
-	Total     uint64
-}
-
-// EncodePlanQuery serializes a plan query.
-func EncodePlanQuery(q PlanQuery) []byte {
+// EncodePlanQuery serializes a compiled plan — the frame is the plan, entry
+// for entry in the plan's own order — under the ownership filter to execute
+// it with (nil filter: all records).
+func EncodePlanQuery(f *Filter, p *query.Plan) []byte {
 	out := make([]byte, 0, 256)
-	out = appendFilter(out, q.Filter)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(q.Fractions)))
-	for _, f := range q.Fractions {
-		out = appendBytes(out, f.Subset.Tag())
-		out = appendBytes(out, f.Value.Bytes())
+	out = appendFilter(out, f)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(p.Fractions())))
+	for _, e := range p.Fractions() {
+		out = appendSubsetValue(out, e.Subset, e.Value)
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(q.Hists)))
-	for _, h := range q.Hists {
+	out = binary.BigEndian.AppendUint32(out, uint32(len(p.Histograms())))
+	for _, h := range p.Histograms() {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(h.Subs)))
 		for _, s := range h.Subs {
-			out = appendBytes(out, s.Subset.Tag())
-			out = appendBytes(out, s.Value.Bytes())
+			out = appendSubsetValue(out, s.Subset, s.Value)
 		}
-		if h.HasGuard {
+		// The guard is the index of the fraction entry whose non-empty
+		// result lets the node skip this histogram (see
+		// query.HistogramEval).
+		if h.GuardValid {
 			out = append(out, 1)
-			out = binary.BigEndian.AppendUint32(out, h.Guard)
+			out = binary.BigEndian.AppendUint32(out, uint32(h.Guard))
 		} else {
 			out = append(out, 0)
 		}
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(q.Counts)))
-	for _, b := range q.Counts {
+	out = binary.BigEndian.AppendUint32(out, uint32(len(p.CountSubsets())))
+	for _, b := range p.CountSubsets() {
 		out = appendBytes(out, b.Tag())
 	}
-	if q.Total {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+	if p.NeedsTotal() {
+		return append(out, 1)
 	}
-	return out
+	return append(out, 0)
+}
+
+// appendSubsetValue appends one (subset tag, value bytes) pair, each behind
+// its 4-byte length, straight into dst.
+func appendSubsetValue(dst []byte, b bitvec.Subset, v bitvec.Vector) []byte {
+	dst = b.AppendTag(binary.BigEndian.AppendUint32(dst, uint32(b.TagLen())))
+	return v.AppendBytes(binary.BigEndian.AppendUint32(dst, uint32(v.EncodedLen())))
 }
 
 // readU32 consumes a big-endian uint32.
@@ -132,105 +94,126 @@ func readU32(src []byte) (uint32, []byte, error) {
 	return binary.BigEndian.Uint32(src), src[4:], nil
 }
 
-// DecodePlanQuery reverses EncodePlanQuery.
-func DecodePlanQuery(b []byte) (PlanQuery, error) {
-	var q PlanQuery
-	var err error
-	rest := b
-	if q.Filter, rest, err = readFilter(rest); err != nil {
-		return PlanQuery{}, err
+// readCount consumes a big-endian uint32 entry count of at most max.
+func readCount(src []byte, max uint32, what string) (uint32, []byte, error) {
+	n, rest, err := readU32(src)
+	if err == nil && n > max {
+		err = fmt.Errorf("%w: plan claims %d %s", ErrCorrupt, n, what)
 	}
+	return n, rest, err
+}
+
+// readFlag consumes a byte that must be 0 or 1.
+func readFlag(src []byte, what string) (bool, []byte, error) {
+	if len(src) < 1 {
+		return false, nil, ErrCorrupt
+	}
+	if src[0] > 1 {
+		return false, nil, fmt.Errorf("%w: %s flag %d", ErrCorrupt, what, src[0])
+	}
+	return src[0] == 1, src[1:], nil
+}
+
+// DecodePlanQuery reverses EncodePlanQuery, rebuilding the plan through
+// its own Add methods.  Whatever cannot be a plan's encoding is ErrCorrupt,
+// one class at the wire boundary: an entry the plan refuses (the wrong
+// shape, a guard that names no fraction entry), and a frame that repeats an
+// entry — which a plan, deduplicated as it is built, never encodes to — so
+// position i of the frame is entry i of the plan and of the reply.
+func DecodePlanQuery(b []byte) (*Filter, *query.Plan, error) {
+	f, rest, err := readFilter(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := query.NewPlan()
 	var n uint32
-	if n, rest, err = readU32(rest); err != nil {
-		return PlanQuery{}, err
-	}
-	if n > MaxPlanFractions {
-		return PlanQuery{}, fmt.Errorf("%w: plan claims %d fraction entries", ErrCorrupt, n)
+	if n, rest, err = readCount(rest, MaxPlanFractions, "fraction entries"); err != nil {
+		return nil, nil, err
 	}
 	for i := uint32(0); i < n; i++ {
-		var f Query
-		if f.Subset, f.Value, rest, err = readSubsetValue(rest); err != nil {
-			return PlanQuery{}, err
+		var subset bitvec.Subset
+		var value bitvec.Vector
+		if subset, value, rest, err = readSubsetValue(rest); err != nil {
+			return nil, nil, err
 		}
-		q.Fractions = append(q.Fractions, f)
+		if ref, err := p.AddFraction(subset, value); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		} else if uint32(ref) != i {
+			return nil, nil, fmt.Errorf("%w: plan fraction entry %d repeats entry %d", ErrCorrupt, i, ref)
+		}
 	}
-	if n, rest, err = readU32(rest); err != nil {
-		return PlanQuery{}, err
-	}
-	if n > MaxPlanHists {
-		return PlanQuery{}, fmt.Errorf("%w: plan claims %d histogram entries", ErrCorrupt, n)
+	if n, rest, err = readCount(rest, MaxPlanHists, "histogram entries"); err != nil {
+		return nil, nil, err
 	}
 	for i := uint32(0); i < n; i++ {
 		var k uint32
-		if k, rest, err = readU32(rest); err != nil {
-			return PlanQuery{}, err
+		if k, rest, err = readCount(rest, MaxPlanHistSubQueries, "sub-queries of a histogram"); err != nil {
+			return nil, nil, err
 		}
-		if k > MaxPlanHistSubQueries {
-			return PlanQuery{}, fmt.Errorf("%w: plan histogram claims %d sub-queries", ErrCorrupt, k)
-		}
-		var h PlanHistQuery
-		h.Subs = make([]Query, 0, k)
-		for j := uint32(0); j < k; j++ {
-			var s Query
-			if s.Subset, s.Value, rest, err = readSubsetValue(rest); err != nil {
-				return PlanQuery{}, err
+		subs := make([]query.SubQuery, k)
+		for j := range subs {
+			if subs[j].Subset, subs[j].Value, rest, err = readSubsetValue(rest); err != nil {
+				return nil, nil, err
 			}
-			h.Subs = append(h.Subs, s)
 		}
-		if len(rest) < 1 {
-			return PlanQuery{}, ErrCorrupt
+		var guarded bool
+		if guarded, rest, err = readFlag(rest, "histogram guard"); err != nil {
+			return nil, nil, err
 		}
-		switch rest[0] {
-		case 0:
-			rest = rest[1:]
-		case 1:
-			rest = rest[1:]
-			if h.Guard, rest, err = readU32(rest); err != nil {
-				return PlanQuery{}, err
+		var ref query.HistRef
+		if guarded {
+			var guard uint32
+			if guard, rest, err = readU32(rest); err != nil {
+				return nil, nil, err
 			}
-			if uint64(h.Guard) >= uint64(len(q.Fractions)) {
-				return PlanQuery{}, fmt.Errorf("%w: histogram guard %d with %d fraction entries", ErrCorrupt, h.Guard, len(q.Fractions))
-			}
-			h.HasGuard = true
-		default:
-			return PlanQuery{}, fmt.Errorf("%w: histogram guard flag %d", ErrCorrupt, rest[0])
+			ref, err = p.AddHistogramGuarded(subs, query.FracRef(guard))
+		} else {
+			ref, err = p.AddHistogram(subs)
 		}
-		q.Hists = append(q.Hists, h)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if uint32(ref) != i {
+			return nil, nil, fmt.Errorf("%w: plan histogram entry %d repeats entry %d", ErrCorrupt, i, ref)
+		}
 	}
-	if n, rest, err = readU32(rest); err != nil {
-		return PlanQuery{}, err
-	}
-	if n > MaxPlanCounts {
-		return PlanQuery{}, fmt.Errorf("%w: plan claims %d count entries", ErrCorrupt, n)
+	if n, rest, err = readCount(rest, MaxPlanCounts, "count entries"); err != nil {
+		return nil, nil, err
 	}
 	for i := uint32(0); i < n; i++ {
 		var tag []byte
 		if tag, rest, err = readBytes(rest); err != nil {
-			return PlanQuery{}, err
+			return nil, nil, err
 		}
 		subset, err := bitvec.ParseTag(tag)
 		if err != nil {
-			return PlanQuery{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		q.Counts = append(q.Counts, subset)
+		if ref := p.AddSubsetRecords(subset); uint32(ref) != i {
+			return nil, nil, fmt.Errorf("%w: plan count entry %d repeats entry %d", ErrCorrupt, i, ref)
+		}
 	}
-	if len(rest) != 1 {
-		return PlanQuery{}, ErrCorrupt
+	total, rest, err := readFlag(rest, "plan total")
+	if err != nil {
+		return nil, nil, err
 	}
-	switch rest[0] {
-	case 0:
-	case 1:
-		q.Total = true
-	default:
-		return PlanQuery{}, fmt.Errorf("%w: plan total flag %d", ErrCorrupt, rest[0])
+	if len(rest) != 0 {
+		return nil, nil, ErrCorrupt
 	}
-	return q, nil
+	if total {
+		p.AddTotalRecords()
+	}
+	return f, p, nil
 }
 
-// EncodePlanResult serializes a plan result.
-func EncodePlanResult(r PlanResult) []byte {
+// EncodePlanResult serializes a plan's executed counters, in the order the
+// plan listed its entries, after the ring epoch they were computed under:
+// all counters are exact integers that merge by addition across disjoint
+// ownership filters, and the echoed epoch lets the router refuse to merge
+// replies computed under different ring generations.
+func EncodePlanResult(epoch uint64, r *query.Results) []byte {
 	out := make([]byte, 0, 32+16*len(r.Fractions)+8*len(r.Counts))
-	out = binary.BigEndian.AppendUint64(out, r.Epoch)
+	out = binary.BigEndian.AppendUint64(out, epoch)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Fractions)))
 	for _, f := range r.Fractions {
 		out = binary.BigEndian.AppendUint64(out, f.Hits)
@@ -260,43 +243,41 @@ func readU64(src []byte) (uint64, []byte, error) {
 }
 
 // DecodePlanResult reverses EncodePlanResult.
-func DecodePlanResult(b []byte) (PlanResult, error) {
-	var r PlanResult
-	var err error
+func DecodePlanResult(b []byte) (epoch uint64, r *query.Results, err error) {
+	r = &query.Results{}
 	rest := b
-	if r.Epoch, rest, err = readU64(rest); err != nil {
-		return PlanResult{}, err
+	if epoch, rest, err = readU64(rest); err != nil {
+		return 0, nil, err
 	}
 	var n uint32
 	if n, rest, err = readU32(rest); err != nil {
-		return PlanResult{}, err
+		return 0, nil, err
 	}
 	if n > MaxPlanFractions || uint64(len(rest)) < 16*uint64(n) {
-		return PlanResult{}, fmt.Errorf("%w: plan result claims %d fraction entries in %d bytes", ErrCorrupt, n, len(rest))
+		return 0, nil, fmt.Errorf("%w: plan result claims %d fraction entries in %d bytes", ErrCorrupt, n, len(rest))
 	}
-	for i := uint32(0); i < n; i++ {
-		var f PlanFraction
-		f.Hits, rest, _ = readU64(rest)
-		f.Records, rest, _ = readU64(rest)
-		r.Fractions = append(r.Fractions, f)
+	r.Fractions = make([]query.Partial, n)
+	for i := range r.Fractions {
+		r.Fractions[i].Hits, rest, _ = readU64(rest)
+		r.Fractions[i].Records, rest, _ = readU64(rest)
 	}
 	if n, rest, err = readU32(rest); err != nil {
-		return PlanResult{}, err
+		return 0, nil, err
 	}
 	if n > MaxPlanHists {
-		return PlanResult{}, fmt.Errorf("%w: plan result claims %d histogram entries", ErrCorrupt, n)
+		return 0, nil, fmt.Errorf("%w: plan result claims %d histogram entries", ErrCorrupt, n)
 	}
 	for i := uint32(0); i < n; i++ {
-		var h PlanHist
+		var h query.HistPartial
 		if h.Users, rest, err = readU64(rest); err != nil {
-			return PlanResult{}, err
+			return 0, nil, err
 		}
 		var bins uint32
 		if bins, rest, err = readU32(rest); err != nil {
-			return PlanResult{}, err
+			return 0, nil, err
 		}
 		if bins > maxHistBins || uint64(len(rest)) < 8*uint64(bins) {
-			return PlanResult{}, fmt.Errorf("%w: plan histogram result with %d bins in %d bytes", ErrCorrupt, bins, len(rest))
+			return 0, nil, fmt.Errorf("%w: plan histogram result with %d bins in %d bytes", ErrCorrupt, bins, len(rest))
 		}
 		h.Hist = make([]uint64, bins)
 		for j := range h.Hist {
@@ -305,21 +286,20 @@ func DecodePlanResult(b []byte) (PlanResult, error) {
 		r.Hists = append(r.Hists, h)
 	}
 	if n, rest, err = readU32(rest); err != nil {
-		return PlanResult{}, err
+		return 0, nil, err
 	}
 	if n > MaxPlanCounts || uint64(len(rest)) < 8*uint64(n) {
-		return PlanResult{}, fmt.Errorf("%w: plan result claims %d count entries in %d bytes", ErrCorrupt, n, len(rest))
+		return 0, nil, fmt.Errorf("%w: plan result claims %d count entries in %d bytes", ErrCorrupt, n, len(rest))
 	}
-	for i := uint32(0); i < n; i++ {
-		var c uint64
-		c, rest, _ = readU64(rest)
-		r.Counts = append(r.Counts, c)
+	r.Counts = make([]uint64, n)
+	for i := range r.Counts {
+		r.Counts[i], rest, _ = readU64(rest)
 	}
 	if r.Total, rest, err = readU64(rest); err != nil {
-		return PlanResult{}, err
+		return 0, nil, err
 	}
 	if len(rest) != 0 {
-		return PlanResult{}, ErrCorrupt
+		return 0, nil, ErrCorrupt
 	}
-	return r, nil
+	return epoch, r, nil
 }

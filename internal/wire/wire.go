@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 )
 
@@ -205,42 +206,22 @@ func decodePublished(b []byte, d *PublishedDecoder) (sketch.Published, error) {
 	return sketch.Published{ID: id, Subset: subset, S: s}, nil
 }
 
-// Query is a conjunctive query over one sketched subset.
-type Query struct {
-	Subset bitvec.Subset
-	Value  bitvec.Vector
-}
+// Query is a conjunctive query over one sketched subset: the plan's own
+// (subset, value) pair.
+type Query = query.FractionEval
 
 // EncodeQuery serializes a query.
 func EncodeQuery(q Query) []byte {
-	out := make([]byte, 0, 64)
-	out = appendBytes(out, q.Subset.Tag())
-	out = appendBytes(out, q.Value.Bytes())
-	return out
+	return appendSubsetValue(make([]byte, 0, 64), q.Subset, q.Value)
 }
 
 // DecodeQuery reverses EncodeQuery.
 func DecodeQuery(b []byte) (Query, error) {
-	tag, rest, err := readBytes(b)
-	if err != nil {
-		return Query{}, err
+	subset, value, rest, err := readSubsetValue(b)
+	if err == nil && len(rest) != 0 {
+		err = ErrCorrupt
 	}
-	subset, err := bitvec.ParseTag(tag)
-	if err != nil {
-		return Query{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	vb, rest, err := readBytes(rest)
-	if err != nil {
-		return Query{}, err
-	}
-	if len(rest) != 0 {
-		return Query{}, ErrCorrupt
-	}
-	value, err := bitvec.ParseBytes(vb)
-	if err != nil {
-		return Query{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return Query{Subset: subset, Value: value}, nil
+	return Query{Subset: subset, Value: value}, err
 }
 
 // Result carries a frequency estimate back to the analyst.
