@@ -151,11 +151,12 @@ func BenchmarkConjunctiveQuery(b *testing.B) {
 	h := benchSource(p)
 	est, _ := query.NewEstimator(h)
 	tab, subset := benchQueryTable(b, h, p)
+	src := est.TableSource(tab)
 	v := bitvec.MustFromString("1010")
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Fraction(tab, subset, v); err != nil {
+		if _, err := est.Fraction(src, subset, v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -162,11 +162,12 @@ func kernelBenchmarks() []struct {
 					b.Fatal(err)
 				}
 			}
+			src := est.TableSource(tab)
 			v := bitvec.MustFromString("1010")
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.Fraction(tab, subset, v); err != nil {
+				if _, err := est.Fraction(src, subset, v); err != nil {
 					b.Fatal(err)
 				}
 			}

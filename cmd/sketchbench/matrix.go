@@ -116,6 +116,7 @@ func matrixCells() ([]struct {
 			return nil, err
 		}
 	}
+	conjSrc := est.TableSource(conjTab)
 	v := bitvec.MustFromString("1010")
 
 	// plan-interval-local: the multi-entry interval plan over prefix
@@ -144,7 +145,7 @@ func matrixCells() ([]struct {
 		{"conjunctive-query-10k", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.Fraction(conjTab, conjSubset, v); err != nil {
+				if _, err := est.Fraction(conjSrc, conjSubset, v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,7 +153,7 @@ func matrixCells() ([]struct {
 		{"plan-interval-local", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := estPlan.FieldAtMostFrom(src, f, c); err != nil {
+				if _, err := estPlan.FieldAtMost(src, f, c); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -75,7 +75,7 @@ func planBenchmarks(quick bool) []struct {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.FieldAtMostFrom(src, f, c); err != nil {
+				if _, err := est.FieldAtMost(src, f, c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -113,10 +113,11 @@ func planBenchmarks(quick bool) []struct {
 					}
 				}
 			}
+			est := r.Estimator()
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.FieldAtMost(f, c); err != nil {
+				if _, err := est.FieldAtMost(r, f, c); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -191,10 +191,11 @@ func routerBenchmarks(quick bool) []struct {
 					}
 				}
 			}
+			est := r.Estimator()
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Conjunction(subset, value); err != nil {
+				if _, err := est.Fraction(r, subset, value); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -49,7 +49,6 @@
 package main
 
 import (
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -92,7 +91,7 @@ func main() {
 		p       = flag.Float64("p", 0.3, "bias parameter p")
 		users   = flag.Int("users", 1_000_000, "expected population size")
 		tau     = flag.Float64("tau", 1e-6, "sketch failure probability")
-		keyHex  = flag.String("keyhex", "", "hex-encoded generator key (must match the daemon)")
+		keyHex  = flag.String("keyhex", "", "hex-encoded generator key (>= 38 bytes; must match the daemon)")
 		router  = flag.Bool("router", false, "the address is a sketchrouter: stats reports cluster status")
 		useHTTP = flag.Bool("http", false, "the address is a sketchgate: speak the HTTP/JSON API instead of the wire protocol")
 		apiKey  = flag.String("api-key", "", "tenant API key for -http mode")
@@ -102,16 +101,9 @@ func main() {
 		fail("usage: sketchctl [flags] publish|query|stats|ping|join|drain|rebalance-status|metrics [subcommand flags]")
 	}
 
-	key := make([]byte, prf.MinKeyBytes)
-	for i := range key {
-		key[i] = byte(0x42 + i)
-	}
-	if *keyHex != "" {
-		k, err := hex.DecodeString(*keyHex)
-		if err != nil {
-			fail("bad -keyhex: %v", err)
-		}
-		key = k
+	key, err := prf.GeneratorKey(*keyHex)
+	if err != nil {
+		fail("bad -keyhex: %v", err)
 	}
 	prob, err := prf.NewProb(*p)
 	if err != nil {

@@ -35,7 +35,6 @@
 package main
 
 import (
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -57,7 +56,7 @@ func main() {
 		p           = flag.Float64("p", 0.3, "bias parameter p (0 < p < 1/2)")
 		users       = flag.Int("users", 1_000_000, "expected population size (sets the Lemma 3.1 sketch length)")
 		tau         = flag.Float64("tau", 1e-6, "sketch failure probability")
-		keyHex      = flag.String("keyhex", "", "hex-encoded generator key (>= 38 bytes)")
+		keyHex      = flag.String("keyhex", "", "hex-encoded generator key (>= 38 bytes; shorter is refused)")
 		dataDir     = flag.String("data-dir", "", "durable store directory (empty: memory-only)")
 		shards      = flag.Int("shards", store.DefaultShards, "store shard count for a fresh -data-dir")
 		fsync       = flag.Bool("fsync", false, "fsync the WAL before acknowledging publishes (survives machine crashes, not just process crashes); concurrent publishes share group-commit fsyncs")
@@ -69,15 +68,12 @@ func main() {
 	)
 	flag.Parse()
 
-	key := devKey()
-	if *keyHex != "" {
-		k, err := hex.DecodeString(*keyHex)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -keyhex: %v\n", err)
-			os.Exit(2)
-		}
-		key = k
-	} else {
+	key, err := prf.GeneratorKey(*keyHex)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -keyhex: %v\n", err)
+		os.Exit(2)
+	}
+	if *keyHex == "" {
 		fmt.Fprintln(os.Stderr, "warning: using the built-in development generator key; pass -keyhex in production")
 	}
 
@@ -191,15 +187,4 @@ func storeHealth(st *store.Durable) func() error {
 		}
 		return nil
 	}
-}
-
-// devKey is the deterministic development generator key (38 bytes ≥ 300
-// bits).  It exists so the quickstart works without ceremony; production
-// deployments must supply their own via -keyhex.
-func devKey() []byte {
-	key := make([]byte, prf.MinKeyBytes)
-	for i := range key {
-		key[i] = byte(0x42 + i)
-	}
-	return key
 }

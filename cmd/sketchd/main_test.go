@@ -200,7 +200,7 @@ func TestSIGKILLMidIngestRecovery(t *testing.T) {
 
 	// The restarted daemon's answer must be bit-identical to an
 	// in-process engine over exactly the recovered set.
-	key := devKey()
+	key, _ := prf.GeneratorKey("") // the development key the daemon ran with
 	h := prf.NewBiased(key, prf.MustProb(p))
 	ref, err := engine.New(h, params)
 	if err != nil {

@@ -45,7 +45,6 @@
 package main
 
 import (
-	"encoding/hex"
 	"fmt"
 	"net"
 	"net/http"
@@ -79,7 +78,7 @@ func main() {
 		p        = flag.Float64("p", 0.3, "bias parameter p (must match the fleet)")
 		users    = flag.Int("users", 1_000_000, "expected population size")
 		tau      = flag.Float64("tau", 1e-6, "sketch failure probability")
-		keyHex   = flag.String("keyhex", "", "hex-encoded generator key (must match the fleet)")
+		keyHex   = flag.String("keyhex", "", "hex-encoded generator key (>= 38 bytes; must match the fleet)")
 		rf       = flag.Int("rf", 2, "replication factor (fleet mode)")
 		inflight = flag.Int("max-inflight", 256, "concurrent request cap; past it requests shed 503 (0: uncapped)")
 		maxBatch = flag.Int("max-batch", gateway.DefaultMaxBatch, "records per publish request")
@@ -95,16 +94,9 @@ func main() {
 		fail("sketchgate requires exactly one of -nodes or -single")
 	}
 
-	key := make([]byte, prf.MinKeyBytes)
-	for i := range key {
-		key[i] = byte(0x42 + i)
-	}
-	if *keyHex != "" {
-		k, err := hex.DecodeString(*keyHex)
-		if err != nil {
-			fail("bad -keyhex: %v", err)
-		}
-		key = k
+	key, err := prf.GeneratorKey(*keyHex)
+	if err != nil {
+		fail("bad -keyhex: %v", err)
 	}
 	prob, err := prf.NewProb(*p)
 	if err != nil {
@@ -120,6 +112,7 @@ func main() {
 		fail("%v", err)
 	}
 
+	reg := obs.NewRegistry()
 	var (
 		backend gateway.Backend
 		admin   gateway.AdminBackend
@@ -130,6 +123,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
+		eng.SetMetrics(reg)
 		backend = gateway.EngineBackend{E: eng}
 	} else {
 		var nodes []string
@@ -159,7 +153,7 @@ func main() {
 		Hash:        h,
 		MaxInFlight: *inflight,
 		MaxBatch:    *maxBatch,
-		Obs:         obs.NewRegistry(),
+		Obs:         reg,
 		EnablePprof: *pprofOn,
 	})
 	if err != nil {

@@ -92,11 +92,9 @@ func main() {
 	}
 
 	// The router never evaluates H — only the bias p enters its estimate
-	// arithmetic — so a deterministic placeholder key is sound here.
-	key := make([]byte, prf.MinKeyBytes)
-	for i := range key {
-		key[i] = byte(0x42 + i)
-	}
+	// arithmetic — so it takes no -keyhex and the development key is a
+	// sound placeholder (the empty string cannot fail to decode).
+	key, _ := prf.GeneratorKey("")
 	prob, err := prf.NewProb(*p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

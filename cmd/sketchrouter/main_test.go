@@ -229,13 +229,10 @@ func TestRouterSIGKILLNodeFailover(t *testing.T) {
 	}
 }
 
-// routerDevKey mirrors sketchd's built-in development key, which the
-// nodes in this test run with.
+// routerDevKey is the built-in development key, which the sketchd nodes
+// in these tests run with (they are started without -keyhex).
 func routerDevKey() []byte {
-	key := make([]byte, prf.MinKeyBytes)
-	for i := range key {
-		key[i] = byte(0x42 + i)
-	}
+	key, _ := prf.GeneratorKey("")
 	return key
 }
 

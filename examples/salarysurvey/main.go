@@ -134,7 +134,7 @@ func main() {
 			condCount++
 		}
 	}
-	est, err := engine.Estimator().ConditionalMeanGivenLessThan(engine.Table(), salary, age, 40)
+	est, err := engine.Estimator().ConditionalMeanGivenLessThan(engine.Source(nil), salary, age, 40)
 	if err != nil {
 		log.Fatal(err)
 	}

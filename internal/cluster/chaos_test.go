@@ -103,7 +103,7 @@ func runChaos(t *testing.T, seed uint64) {
 			time.Sleep(50 * time.Millisecond)
 		}
 		if err != nil {
-			t.Fatalf("seed %d: publish %d/%d never succeeded: %v", seed, i, len(pubs), err)
+			t.Fatalf("seed %d: publish %d/%d never succeeded: %v\n%s", seed, i, len(pubs), err, routerEvidence(r))
 		}
 	}
 
@@ -115,14 +115,14 @@ func runChaos(t *testing.T, seed uint64) {
 		run  func() (interface{}, error)
 		want func() (interface{}, error)
 	}{
-		{"field-at-most", func() (interface{}, error) { return r.FieldAtMost(field, 9) },
+		{"field-at-most", func() (interface{}, error) { return r.Estimator().FieldAtMost(r, field, 9) },
 			func() (interface{}, error) { return ref.FieldAtMost(field, 9) }},
-		{"field-mean", func() (interface{}, error) { return r.FieldMean(field) },
+		{"field-mean", func() (interface{}, error) { return r.Estimator().FieldMean(r, field) },
 			func() (interface{}, error) { return ref.FieldMean(field) }},
 		{"subset-records", func() (interface{}, error) { return subsetRecords(r, subset) },
 			func() (interface{}, error) { return subsetRecords(ref.Source(nil), subset) }},
 	}
-	for _, q := range queries {
+	for i, q := range queries {
 		want, err := q.want()
 		if err != nil {
 			t.Fatalf("seed %d: reference %s failed: %v", seed, q.name, err)
@@ -137,15 +137,16 @@ func runChaos(t *testing.T, seed uint64) {
 					break
 				}
 				if !errors.Is(err, cluster.ErrPartialCoverage) && !isRetryableChaos(err) {
-					t.Fatalf("seed %d: %s aborted with a non-coverage error: %v", seed, q.name, err)
+					t.Fatalf("seed %d: query %d (%s), answer %d, attempt %d aborted with a non-coverage error: %v\n%s",
+						seed, i, q.name, answer, attempt, err, routerEvidence(r))
 				}
 				time.Sleep(100 * time.Millisecond)
 			}
 			if err != nil {
-				t.Fatalf("seed %d: %s never recovered: %v", seed, q.name, err)
+				t.Fatalf("seed %d: query %d (%s), answer %d never recovered: %v\n%s", seed, i, q.name, answer, err, routerEvidence(r))
 			}
 			if got != want {
-				t.Fatalf("seed %d: %s answer %d is %+v, reference says %+v", seed, q.name, answer, got, want)
+				t.Fatalf("seed %d: query %d (%s), answer %d is %+v, reference says %+v\n%s", seed, i, q.name, answer, got, want, routerEvidence(r))
 			}
 		}
 	}

@@ -148,7 +148,7 @@ func assertClusterMatchesReference(t *testing.T, r *cluster.Router, ref *engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Conjunction(subset, value)
+	got, err := r.Estimator().Fraction(r, subset, value)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func assertClusterMatchesReference(t *testing.T, r *cluster.Router, ref *engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMean, err := r.FieldMean(field)
+	gotMean, err := r.Estimator().FieldMean(r, field)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func assertClusterMatchesReference(t *testing.T, r *cluster.Router, ref *engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotU, err := r.UnionConjunction(subs)
+	gotU, err := r.Estimator().UnionConjunction(r, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func assertClusterMatchesReference(t *testing.T, r *cluster.Router, ref *engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotX, err := r.ExactlyOfK(subs, 1)
+	gotX, err := r.Estimator().ExactlyOfK(r, subs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestClusterRefusesPartialCoverage(t *testing.T) {
 	if err := nodes[1].srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := r.Conjunction(subset, bitvec.MustFromString("1010"))
+	_, err := r.Estimator().Fraction(r, subset, bitvec.MustFromString("1010"))
 	if err == nil {
 		t.Fatal("query answered with 2 of 3 nodes dead at rf=2")
 	}
@@ -462,7 +462,7 @@ func TestClusterConcurrentIngestAndQuery(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := r.Conjunction(subset, value); err != nil && !strings.Contains(err.Error(), "no sketches") {
+				if _, err := r.Estimator().Fraction(r, subset, value); err != nil && !strings.Contains(err.Error(), "no sketches") {
 					errCh <- err
 					return
 				}
@@ -491,7 +491,7 @@ func TestClusterConcurrentIngestAndQuery(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	got, err := r.Conjunction(subset, bitvec.MustFromString("1100"))
+	got, err := r.Estimator().Fraction(r, subset, bitvec.MustFromString("1100"))
 	if err != nil {
 		t.Fatal(err)
 	}

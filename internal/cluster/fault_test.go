@@ -26,6 +26,14 @@ func faultDialer(f *faultnet.Fabric) func(addr string, timeout time.Duration) (n
 // linkTo names the dial-side endpoint for one node.
 func linkTo(addr string) string { return "to:" + addr }
 
+// routerEvidence is what a fault test's failure carries beside its own
+// message — which nodes the router believed alive, what its fan-outs had
+// done, and the status page an operator would have read — so that one
+// failure in many runs is evidence, not a prompt to run it again.
+func routerEvidence(r *cluster.Router) string {
+	return fmt.Sprintf("live nodes %v\nfan-out counters %+v\n%s", r.LiveNodes(), r.FanoutCounters(), r.Status())
+}
+
 // flushPools kills the router's pooled connections to one node by
 // bouncing a partition: live connections are injected with a reset, so
 // the next exchange falls through to a fresh dial, which picks up the
@@ -59,7 +67,7 @@ func TestBlackholeQueryLatencyBounded(t *testing.T) {
 	fab.Endpoint(linkTo(nodes[0].addr)).Blackhole()
 
 	start := time.Now()
-	got, err := r.FieldAtMost(field, 9)
+	got, err := r.Estimator().FieldAtMost(r, field, 9)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("query against a blackholed replica failed: %v", err)
@@ -108,7 +116,7 @@ func TestResetMidFanoutRecoveryExact(t *testing.T) {
 	// Asked twice while everything is up, so the survivors go into the
 	// recovery round holding warm keep masks for the all-live ring.
 	for ask := 0; ask < 2; ask++ {
-		if got, err := r.FieldAtMost(field, 9); err != nil || got != want {
+		if got, err := r.Estimator().FieldAtMost(r, field, 9); err != nil || got != want {
 			t.Fatalf("healthy answer %+v (err %v) differs from reference %+v", got, err, want)
 		}
 	}
@@ -119,7 +127,7 @@ func TestResetMidFanoutRecoveryExact(t *testing.T) {
 	ep.SetDefaultPlan(faultnet.Plan{}.WithReset(int64(wire.FrameHeaderSize) + 2))
 	flushPools(fab, nodes[0].addr)
 
-	got, err := r.FieldAtMost(field, 9)
+	got, err := r.Estimator().FieldAtMost(r, field, 9)
 	if err != nil {
 		t.Fatalf("query across a mid-frame reset failed: %v", err)
 	}
@@ -176,7 +184,7 @@ func TestTornWriteAtEveryFrameBoundary(t *testing.T) {
 		t.Run(fmt.Sprintf("tear-at-%d", off), func(t *testing.T) {
 			ep.SetDefaultPlan(faultnet.Plan{TearAt: []int64{off}})
 			start := time.Now()
-			got, err := r.FieldAtMost(field, 9)
+			got, err := r.Estimator().FieldAtMost(r, field, 9)
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatalf("torn write at offset %d failed the query: %v", off, err)
@@ -213,7 +221,7 @@ func TestPartitionHealRejoin(t *testing.T) {
 	fab.PartitionBoth(linkTo(nodes[0].addr), nodes[0].addr)
 
 	// Mid-partition, before and after the sweep marks the node dead.
-	got, err := r.FieldAtMost(field, 9)
+	got, err := r.Estimator().FieldAtMost(r, field, 9)
 	if err != nil {
 		t.Fatalf("query during partition failed: %v", err)
 	}
@@ -242,7 +250,8 @@ func TestPartitionHealRejoin(t *testing.T) {
 // same records, so a mask served across keys shows up as a count that
 // moved.
 func TestDeckIdenticalThroughDeathAndReturn(t *testing.T) {
-	fab := faultnet.NewFabric(6)
+	const fabricSeed = 6
+	fab := faultnet.NewFabric(fabricSeed)
 	nodes := startNodes(t, 3)
 	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
 		cfg.Dial = faultDialer(fab)
@@ -257,10 +266,10 @@ func TestDeckIdenticalThroughDeathAndReturn(t *testing.T) {
 	ref := referenceEngine(t, pubs)
 	over := func(src query.PartialSource, e *query.Estimator) []func() (interface{}, error) {
 		return []func() (interface{}, error){
-			func() (interface{}, error) { return e.FieldAtMostFrom(src, field, 3) },
-			func() (interface{}, error) { return e.FieldAtMostFrom(src, field, 9) },
-			func() (interface{}, error) { return e.FieldMeanFrom(src, field) },
-			func() (interface{}, error) { return e.FieldAtMostFrom(src, field, 12) },
+			func() (interface{}, error) { return e.FieldAtMost(src, field, 3) },
+			func() (interface{}, error) { return e.FieldAtMost(src, field, 9) },
+			func() (interface{}, error) { return e.FieldMean(src, field) },
+			func() (interface{}, error) { return e.FieldAtMost(src, field, 12) },
 			func() (interface{}, error) { return subsetRecords(src, subset) },
 			func() (interface{}, error) { return src.TotalRecords() },
 		}
@@ -282,7 +291,8 @@ func TestDeckIdenticalThroughDeathAndReturn(t *testing.T) {
 				before()
 			}
 			if got, err := q(); err != nil || got != want[i] {
-				t.Fatalf("%s: query %d answered %+v (err %v), want %+v", stage, i, got, err, want[i])
+				t.Fatalf("fabric seed %d, stage %q: query %d answered %+v (err %v), want %+v\n%s",
+					fabricSeed, stage, i, got, err, want[i], routerEvidence(r))
 			}
 		}
 	}
@@ -328,7 +338,7 @@ func TestPartialCoverageTyped(t *testing.T) {
 	nodes[1].srv.Close()
 	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 1 })
 
-	_, err := r.FieldAtMost(field, 9)
+	_, err := r.Estimator().FieldAtMost(r, field, 9)
 	if err == nil {
 		t.Fatal("query with RF nodes down succeeded; it must refuse a partial answer")
 	}

@@ -74,7 +74,7 @@ func TestRouterMetricsExpositionLintClean(t *testing.T) {
 	pubs, subset, _ := clusterWorkload(t, 120, 9)
 	publishAllParallel(t, r, pubs)
 	value := bitvec.MustFromString(strings.Repeat("1", len(subset.Positions())))
-	if _, err := r.Conjunction(subset, value); err != nil {
+	if _, err := r.Estimator().Fraction(r, subset, value); err != nil {
 		t.Fatalf("conjunction: %v", err)
 	}
 

@@ -218,11 +218,11 @@ func TestPlanPushDownSingleFanoutRTT(t *testing.T) {
 		run  func() error
 	}{
 		{"FieldLessThan", func() error {
-			want, err := ref.Estimator().FieldLessThan(ref.Table(), field, 11)
+			want, err := ref.Estimator().FieldLessThan(ref.Source(nil), field, 11)
 			if err != nil {
 				return err
 			}
-			got, err := r.FieldLessThan(field, 11)
+			got, err := r.Estimator().FieldLessThan(r, field, 11)
 			if err != nil {
 				return err
 			}
@@ -236,7 +236,7 @@ func TestPlanPushDownSingleFanoutRTT(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			got, err := r.FieldAtMost(field, 9)
+			got, err := r.Estimator().FieldAtMost(r, field, 9)
 			if err != nil {
 				return err
 			}
@@ -250,7 +250,7 @@ func TestPlanPushDownSingleFanoutRTT(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			got, err := r.ExactlyOfK(subs, 2)
+			got, err := r.Estimator().ExactlyOfK(r, subs, 2)
 			if err != nil {
 				return err
 			}
@@ -264,7 +264,7 @@ func TestPlanPushDownSingleFanoutRTT(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			got, err := r.DecisionTree(tree)
+			got, err := r.Estimator().DecisionTreeFraction(r, tree)
 			if err != nil {
 				return err
 			}
@@ -344,7 +344,7 @@ func TestPlanPushDownStaleEpochRetry(t *testing.T) {
 	}
 	done := make(chan answer, 1)
 	go func() {
-		est, err := r.FieldAtMost(field, 9)
+		est, err := r.Estimator().FieldAtMost(r, field, 9)
 		done <- answer{est, err}
 	}()
 
@@ -412,11 +412,11 @@ func TestPlanPushDownDurableBitIdentical(t *testing.T) {
 	ref := referenceEngine(t, pubs)
 	assertClusterMatchesReference(t, r, ref, subset, field)
 
-	wantLess, err := ref.Estimator().FieldLessThan(ref.Table(), field, 13)
+	wantLess, err := ref.Estimator().FieldLessThan(ref.Source(nil), field, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLess, err := r.FieldLessThan(field, 13)
+	gotLess, err := r.Estimator().FieldLessThan(r, field, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestPlanPushDownDurableBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTree, err := r.DecisionTree(tree)
+	gotTree, err := r.Estimator().DecisionTreeFraction(r, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -622,7 +622,7 @@ func TestFreshRouterAdoptsAdvancedEpoch(t *testing.T) {
 	if got := r1.Epoch(); got != 2 {
 		t.Fatalf("post-join epoch %d, want 2", got)
 	}
-	want, err := r1.Conjunction(subset, bitvec.MustFromString("1010"))
+	want, err := r1.Estimator().Fraction(r1, subset, bitvec.MustFromString("1010"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +637,7 @@ func TestFreshRouterAdoptsAdvancedEpoch(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	got, err := r2.Conjunction(subset, bitvec.MustFromString("1010"))
+	got, err := r2.Estimator().Fraction(r2, subset, bitvec.MustFromString("1010"))
 	if err != nil {
 		t.Fatalf("fresh router's query refused after epoch adoption: %v", err)
 	}

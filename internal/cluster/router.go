@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
@@ -608,52 +607,6 @@ func (r *Router) executeDomain(d Domain, p *query.Plan) (*query.Results, error) 
 		}
 	}
 	return merged, nil
-}
-
-// Conjunction answers the basic Algorithm 2 query over the cluster.
-func (r *Router) Conjunction(b bitvec.Subset, v bitvec.Vector) (query.Estimate, error) {
-	return r.est.FractionFrom(r, b, v)
-}
-
-// ConjunctionLiterals answers a conjunction given as literals, using exact
-// subsets when available and Appendix F gluing otherwise.
-func (r *Router) ConjunctionLiterals(c bitvec.Conjunction) (query.Estimate, error) {
-	return r.est.ConjunctionFractionFrom(r, c)
-}
-
-// UnionConjunction answers a conjunction over the union of several
-// sketched subsets (Appendix F) over the cluster.
-func (r *Router) UnionConjunction(subs []query.SubQuery) (query.Estimate, error) {
-	return r.est.UnionConjunctionFrom(r, subs)
-}
-
-// ExactlyOfK answers "exactly l of these k sub-queries hold" over the
-// cluster.
-func (r *Router) ExactlyOfK(subs []query.SubQuery, l int) (query.Estimate, error) {
-	return r.est.ExactlyOfKFrom(r, subs, l)
-}
-
-// FieldMean answers the Section 4.1 mean query over the cluster.
-func (r *Router) FieldMean(f bitvec.IntField) (query.NumericEstimate, error) {
-	return r.est.FieldMeanFrom(r, f)
-}
-
-// FieldLessThan answers the Section 4.1 interval query value < c over the
-// cluster: the whole prefix decomposition rides one plan fan-out.
-func (r *Router) FieldLessThan(f bitvec.IntField, c uint64) (query.NumericEstimate, error) {
-	return r.est.FieldLessThanFrom(r, f, c)
-}
-
-// FieldAtMost answers the Section 4.1 interval query value ≤ c over the
-// cluster.
-func (r *Router) FieldAtMost(f bitvec.IntField, c uint64) (query.NumericEstimate, error) {
-	return r.est.FieldAtMostFrom(r, f, c)
-}
-
-// DecisionTree answers the Section 4.1 decision-tree query over the
-// cluster.
-func (r *Router) DecisionTree(tree *query.TreeNode) (query.NumericEstimate, error) {
-	return r.est.DecisionTreeFractionFrom(r, tree)
 }
 
 // Status renders the router's view of the cluster: ring shape, epoch,

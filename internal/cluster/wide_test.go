@@ -89,7 +89,7 @@ func TestWideSubsetsCutByBytes(t *testing.T) {
 	}
 	same := func(when string) {
 		t.Helper()
-		got, err := r.Conjunction(wide, value)
+		got, err := r.Estimator().Fraction(r, wide, value)
 		if err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}

@@ -334,7 +334,7 @@ func (e *Engine) Subsets() []bitvec.Subset { return e.table.Subsets() }
 
 // Conjunction answers the basic Algorithm 2 query.
 func (e *Engine) Conjunction(b bitvec.Subset, v bitvec.Vector) (query.Estimate, error) {
-	return e.est.FractionFrom(e.Source(nil), b, v)
+	return e.est.Fraction(e.Source(nil), b, v)
 }
 
 // Source returns the engine as a plan source restricted to the records
@@ -348,33 +348,33 @@ func (e *Engine) Source(keep *query.UserFilter) query.PartialSource {
 // ConjunctionLiterals answers a conjunction given as literals, using exact
 // subsets when available and Appendix F gluing otherwise.
 func (e *Engine) ConjunctionLiterals(c bitvec.Conjunction) (query.Estimate, error) {
-	return e.est.ConjunctionFractionFrom(e.Source(nil), c)
+	return e.est.ConjunctionFraction(e.Source(nil), c)
 }
 
 // UnionConjunction answers a conjunction over the union of several sketched
 // subsets (Appendix F).
 func (e *Engine) UnionConjunction(subs []query.SubQuery) (query.Estimate, error) {
-	return e.est.UnionConjunctionFrom(e.Source(nil), subs)
+	return e.est.UnionConjunction(e.Source(nil), subs)
 }
 
 // ExactlyOfK answers "exactly l of these k sub-queries hold".
 func (e *Engine) ExactlyOfK(subs []query.SubQuery, l int) (query.Estimate, error) {
-	return e.est.ExactlyOfKFrom(e.Source(nil), subs, l)
+	return e.est.ExactlyOfK(e.Source(nil), subs, l)
 }
 
 // FieldMean answers the Section 4.1 mean query for an integer field.
 func (e *Engine) FieldMean(f bitvec.IntField) (query.NumericEstimate, error) {
-	return e.est.FieldMeanFrom(e.Source(nil), f)
+	return e.est.FieldMean(e.Source(nil), f)
 }
 
 // FieldAtMost answers the Section 4.1 interval query value ≤ c.
 func (e *Engine) FieldAtMost(f bitvec.IntField, c uint64) (query.NumericEstimate, error) {
-	return e.est.FieldAtMostFrom(e.Source(nil), f, c)
+	return e.est.FieldAtMost(e.Source(nil), f, c)
 }
 
 // DecisionTree answers the Section 4.1 decision-tree query.
 func (e *Engine) DecisionTree(tree *query.TreeNode) (query.NumericEstimate, error) {
-	return e.est.DecisionTreeFractionFrom(e.Source(nil), tree)
+	return e.est.DecisionTreeFraction(e.Source(nil), tree)
 }
 
 // SumLessThanPow2 answers the Appendix E query a + b < 2^r.

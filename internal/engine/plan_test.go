@@ -66,7 +66,7 @@ func TestEnginePlanCacheWarmRepeat(t *testing.T) {
 		t.Fatalf("warm repeat differs: cold %+v warm %+v", cold, warm)
 	}
 	// The uncached table pass must agree with the cached answer.
-	uncached, err := eng.Estimator().FractionFrom(eng.Estimator().TableSource(eng.Table()), subset, v)
+	uncached, err := eng.Estimator().Fraction(eng.Estimator().TableSource(eng.Table()), subset, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEnginePlanCacheWarmRepeat(t *testing.T) {
 	if after.Users != cold.Users+1 {
 		t.Fatalf("post-ingest query served a stale cache: %d users, want %d", after.Users, cold.Users+1)
 	}
-	uncachedAfter, err := eng.Estimator().FractionFrom(eng.Estimator().TableSource(eng.Table()), subset, v)
+	uncachedAfter, err := eng.Estimator().Fraction(eng.Estimator().TableSource(eng.Table()), subset, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 	if _, ok := eng.cache.Get(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1)); ok || eng.cache.bytes > planCacheBudget {
 		t.Fatal("a bitmap larger than the budget was cached")
 	}
-	want, err := eng.Estimator().FractionFrom(eng.Estimator().TableSource(eng.Table()), subset, bitvec.MustFromString("0101"))
+	want, err := eng.Estimator().Fraction(eng.Estimator().TableSource(eng.Table()), subset, bitvec.MustFromString("0101"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ func RunE1(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	src := est.TableSource(tab)
 	t := &Table{
 		ID:      "E1",
 		Caption: "8 values of a 3-bit subset: estimated vs true frequency (p=0.3)",
@@ -39,7 +40,7 @@ func RunE1(cfg Config) (*Table, error) {
 	for x := uint64(0); x < 8; x++ {
 		v := bitvec.FromUint(x, 3)
 		truth := pop.TrueFraction(b, v)
-		e, err := est.Fraction(tab, b, v)
+		e, err := est.Fraction(src, b, v)
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +263,7 @@ func RunE6(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			e, err := est.Fraction(tab, b, v)
+			e, err := est.Fraction(est.TableSource(tab), b, v)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -320,6 +321,7 @@ func RunE7(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	src := est.TableSource(tab)
 
 	// Warner side.
 	w, err := baseline.NewWarner(p)
@@ -343,7 +345,7 @@ func RunE7(cfg Config) (*Table, error) {
 			v.Set(j, true)
 		}
 		truth := pop.TrueFraction(b, v)
-		se, err := est.Fraction(tab, b, v)
+		se, err := est.Fraction(src, b, v)
 		if err != nil {
 			return nil, err
 		}
@@ -397,13 +399,14 @@ func RunE8(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	src := est.TableSource(tab)
 	one := bitvec.MustFromString("1")
 	subs := make([]query.SubQuery, 4)
 	for i := range subs {
 		subs[i] = query.SubQuery{Subset: subsets[i], Value: one}
 	}
 	truth := pop.TrueFraction(bitvec.Range(0, 4), bitvec.MustFromString("1111"))
-	e, err := est.UnionConjunction(tab, subs)
+	e, err := est.UnionConjunction(src, subs)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +417,7 @@ func RunE8(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	direct, err := estU.Fraction(tabU, bitvec.Range(0, 4), bitvec.MustFromString("1111"))
+	direct, err := estU.Fraction(estU.TableSource(tabU), bitvec.Range(0, 4), bitvec.MustFromString("1111"))
 	if err != nil {
 		return nil, err
 	}

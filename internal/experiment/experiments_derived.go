@@ -46,6 +46,7 @@ func RunE9(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	src := est.TableSource(tab)
 	t := &Table{
 		ID:      "E9",
 		Caption: "Numeric queries from per-bit sketches (p=0.25)",
@@ -56,7 +57,7 @@ func RunE9(cfg Config) (*Table, error) {
 		field bitvec.IntField
 	}{{"mean(age)", age}, {"mean(salary)", salary}} {
 		truth := pop.TrueMean(tc.field)
-		e, err := est.FieldMean(tab, tc.field)
+		e, err := est.FieldMean(src, tc.field)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +65,7 @@ func RunE9(cfg Config) (*Table, error) {
 	}
 	if !cfg.Quick {
 		truth := pop.TrueInnerProductMean(age, salary)
-		e, err := est.InnerProductMean(tab, age, salary)
+		e, err := est.InnerProductMean(src, age, salary)
 		if err != nil {
 			return nil, err
 		}
@@ -84,6 +85,7 @@ func RunE10(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	src := est.TableSource(tab)
 	t := &Table{
 		ID:      "E10",
 		Caption: "Interval and combined queries (p=0.25)",
@@ -101,7 +103,7 @@ func RunE10(cfg Config) (*Table, error) {
 			}
 		}
 		truth /= float64(m)
-		e, err := est.FieldAtMost(tab, salary, c)
+		e, err := est.FieldAtMost(src, salary, c)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +118,7 @@ func RunE10(cfg Config) (*Table, error) {
 			truthCount++
 		}
 	}
-	e, err := est.ConditionalMeanGivenLessThan(tab, salary, age, c)
+	e, err := est.ConditionalMeanGivenLessThan(src, salary, age, c)
 	if err != nil {
 		return nil, err
 	}
@@ -195,6 +197,7 @@ func RunE12(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	src := est.TableSource(tab)
 	t := &Table{
 		ID:      "E12",
 		Caption: "Decision trees and exactly-l-of-k (epidemiology workload, p=0.25)",
@@ -207,7 +210,7 @@ func RunE12(cfg Config) (*Table, error) {
 		}
 	}
 	truthTree /= float64(m)
-	e, err := est.DecisionTreeFraction(tab, tree)
+	e, err := est.DecisionTreeFraction(src, tree)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +238,7 @@ func RunE12(cfg Config) (*Table, error) {
 	}
 	for _, l := range ls {
 		truth := truthCounts[l] / float64(m)
-		el, err := est.ExactlyOfK(tab, subs, l)
+		el, err := est.ExactlyOfK(src, subs, l)
 		if err != nil {
 			return nil, err
 		}

@@ -451,7 +451,7 @@ func TestClusterGatewayChaos(t *testing.T) {
 	if err := ref.IngestBatch(refPubs); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Estimator().FractionFrom(EngineBackend{E: ref}.Source(acme.Domain),
+	want, err := ref.Estimator().Fraction(EngineBackend{E: ref}.Source(acme.Domain),
 		sub, bitvec.MustFromString("111"))
 	if err != nil {
 		t.Fatal(err)

@@ -154,7 +154,7 @@ func TestHTTPQueryMatchesDirectEstimator(t *testing.T) {
 
 	acme, _ := tg.ring.Lookup(acmeKey)
 	src := EngineBackend{E: tg.eng}.Source(acme.Domain)
-	want, err := tg.eng.Estimator().FractionFrom(src,
+	want, err := tg.eng.Estimator().Fraction(src,
 		bitvec.MustSubset(0, 2, 4), bitvec.MustFromString("111"))
 	if err != nil {
 		t.Fatal(err)

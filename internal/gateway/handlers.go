@@ -66,9 +66,9 @@ func badQuery(err error) error {
 type estimatorFunc func(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error)
 
 // estimators is the query registry: route suffix → estimator.  Every entry
-// funnels through a *From variant, which compiles the estimator's whole
-// conjunctive decomposition into one plan and executes it with a single
-// src.Execute call.
+// asks est.X(src, …), which compiles the estimator's whole conjunctive
+// decomposition into one plan and executes it with a single src.Execute
+// call.
 var estimators = map[string]estimatorFunc{
 	"fraction":        queryFraction,
 	"conjunction":     queryConjunction,
@@ -104,7 +104,7 @@ func queryFraction(est *query.Estimator, src query.PartialSource, req *queryRequ
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	e, err := est.FractionFrom(src, sub, v)
+	e, err := est.Fraction(src, sub, v)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func queryConjunction(est *query.Estimator, src query.PartialSource, req *queryR
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	e, err := est.ConjunctionFractionFrom(src, bitvec.ConjunctionOf(sub, v))
+	e, err := est.ConjunctionFraction(src, bitvec.ConjunctionOf(sub, v))
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func queryUnion(est *query.Estimator, src query.PartialSource, req *queryRequest
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	e, err := est.UnionConjunctionFrom(src, subs)
+	e, err := est.UnionConjunction(src, subs)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func queryNoneOf(est *query.Estimator, src query.PartialSource, req *queryReques
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	e, err := est.NoneOfFrom(src, subs)
+	e, err := est.NoneOf(src, subs)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func queryExactlyOfK(est *query.Estimator, src query.PartialSource, req *queryRe
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	e, err := est.ExactlyOfKFrom(src, subs, req.L)
+	e, err := est.ExactlyOfK(src, subs, req.L)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func queryAtLeastOfK(est *query.Estimator, src query.PartialSource, req *queryRe
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	e, err := est.AtLeastOfKFrom(src, subs, req.L)
+	e, err := est.AtLeastOfK(src, subs, req.L)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func queryFieldMean(est *query.Estimator, src query.PartialSource, req *queryReq
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	n, err := est.FieldMeanFrom(src, f)
+	n, err := est.FieldMean(src, f)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func queryFieldSum(est *query.Estimator, src query.PartialSource, req *queryRequ
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	n, err := est.FieldSumFrom(src, f)
+	n, err := est.FieldSum(src, f)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +215,7 @@ func queryFieldLessThan(est *query.Estimator, src query.PartialSource, req *quer
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	n, err := est.FieldLessThanFrom(src, f, req.C)
+	n, err := est.FieldLessThan(src, f, req.C)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func queryFieldAtMost(est *query.Estimator, src query.PartialSource, req *queryR
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	n, err := est.FieldAtMostFrom(src, f, req.C)
+	n, err := est.FieldAtMost(src, f, req.C)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +289,7 @@ func queryTree(est *query.Estimator, src query.PartialSource, req *queryRequest)
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	n, err := est.DecisionTreeFractionFrom(src, tree)
+	n, err := est.DecisionTreeFraction(src, tree)
 	if err != nil {
 		return nil, err
 	}

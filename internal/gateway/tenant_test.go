@@ -261,7 +261,7 @@ func TestSingleNodeTenantMaskCached(t *testing.T) {
 	}
 	calls := 0
 	counting := &query.UserFilter{Key: filter.Key, Keep: func(id bitvec.UserID) bool { calls++; return filter.Keep(id) }}
-	est, err := tg.eng.Estimator().FractionFrom(tg.eng.Source(counting), bitvec.MustSubset(subset...), bitvec.MustFromString("111"))
+	est, err := tg.eng.Estimator().Fraction(tg.eng.Source(counting), bitvec.MustSubset(subset...), bitvec.MustFromString("111"))
 	if err != nil || est.Users != 30 || calls != 0 {
 		t.Fatalf("a filter of acme's key counted %d users (err %v) with %d predicate calls, want 30 with none", est.Users, err, calls)
 	}

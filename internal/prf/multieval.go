@@ -30,10 +30,6 @@ type MultiEvaluator struct {
 	// group holds the current lane group's messages; unused lanes repeat
 	// the last real message so every lane compresses valid data.
 	group [lanesMax][]byte
-	// expand scratch: per-round extended messages and their digests.
-	extBuf []byte
-	exts   [][]byte
-	digs   [][DigestSize]byte
 }
 
 // NewMultiEvaluator returns a fresh batch evaluation handle for this
@@ -93,57 +89,6 @@ func (m *MultiEvaluator) DigestBatch(msgs [][]byte, out [][DigestSize]byte) {
 	}, func(i int) {
 		out[i] = m.mac.sumMid(&m.h, msgs[i])
 	})
-}
-
-// ExpandBatch fills each outs[i] with the counter-mode pseudorandom stream
-// derived from msgs[i], bit-identical to Evaluator.Expand on the same
-// tuple encoding: round c of message i digests msgs[i] followed by the
-// 8-byte big-endian counter c.  Lane packing happens across messages
-// within each round, so expanding many keys at once batches the way the
-// query kernels do.
-func (m *MultiEvaluator) ExpandBatch(outs [][]byte, msgs [][]byte) {
-	_ = msgs[:len(outs)]
-	if cap(m.exts) < len(outs) {
-		m.exts = make([][]byte, len(outs))
-		m.digs = make([][DigestSize]byte, len(outs))
-	}
-	done := make([]int, 0, 16) // bytes produced per output; small batches stay on the stack
-	for range outs {
-		done = append(done, 0)
-	}
-	for counter := uint64(0); ; counter++ {
-		buf := m.extBuf[:0]
-		exts, digs := m.exts[:0], m.digs[:0]
-		starts := make([]int, 0, 16)
-		pend := make([]int, 0, 16)
-		for i, out := range outs {
-			if done[i] >= len(out) {
-				continue
-			}
-			starts = append(starts, len(buf))
-			buf = append(buf, msgs[i]...)
-			buf = binary.BigEndian.AppendUint64(buf, counter)
-			pend = append(pend, i)
-		}
-		if len(pend) == 0 {
-			m.extBuf = buf
-			return
-		}
-		for j, i := range pend {
-			end := len(buf)
-			if j+1 < len(pend) {
-				end = starts[j+1]
-			}
-			exts = append(exts, buf[starts[j]:end])
-			_ = i
-		}
-		digs = digs[:len(exts)]
-		m.DigestBatch(exts, digs)
-		for j, i := range pend {
-			done[i] += copy(outs[i][done[i]:], digs[j][:])
-		}
-		m.extBuf = buf
-	}
 }
 
 // eachGroup orders the batch by inner block count, carves each equal-size

@@ -1,6 +1,7 @@
 package prf
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -14,9 +15,35 @@ const MinKeyBits = 300
 // MinKeyBytes is MinKeyBits rounded up to whole bytes.
 const MinKeyBytes = (MinKeyBits + 7) / 8
 
-// ErrShortKey is returned by NewFunc when the supplied generator key is
-// shorter than MinKeyBytes and strict key checking was requested.
+// ErrShortKey is returned by GeneratorKey when the supplied generator key
+// is shorter than MinKeyBytes.
 var ErrShortKey = errors.New("prf: generator key shorter than 300 bits")
+
+// GeneratorKey is where a generator key enters from outside the program:
+// it decodes the -keyhex value of a daemon or client and refuses, with
+// ErrShortKey, a key shorter than the 300 bits the paper asks of H's
+// generator.  The empty string selects the deterministic development key
+// (MinKeyBytes bytes, the same in every binary, so a quickstart fleet
+// agrees on H without ceremony); production deployments pass their own.
+// The constructors below keep accepting a key of any length — tests key
+// them with short strings.
+func GeneratorKey(keyHex string) ([]byte, error) {
+	if keyHex == "" {
+		key := make([]byte, MinKeyBytes)
+		for i := range key {
+			key[i] = byte(0x42 + i)
+		}
+		return key, nil
+	}
+	key, err := hex.DecodeString(keyHex)
+	if err != nil {
+		return nil, fmt.Errorf("prf: generator key is not hex: %w", err)
+	}
+	if len(key) < MinKeyBytes {
+		return nil, fmt.Errorf("%w: got %d bits, want >= %d", ErrShortKey, len(key)*8, MinKeyBits)
+	}
+	return key, nil
+}
 
 // Func is the keyed pseudorandom function H used throughout the paper.  It
 // maps an arbitrary tuple of byte strings to uniform pseudorandom output via
@@ -32,7 +59,8 @@ type Func struct {
 
 // NewFunc creates a keyed pseudorandom function from a generator key.  The
 // key should be at least MinKeyBytes long; shorter keys are accepted (they
-// are useful in tests) but NewFuncStrict rejects them.
+// are useful in tests) — GeneratorKey, which every binary reads its key
+// through, is what rejects them.
 func NewFunc(key []byte) *Func {
 	f := &Func{mac: newHMACState(key)}
 	f.pool.New = func() any { return &Evaluator{mac: f.mac} }
@@ -42,15 +70,6 @@ func NewFunc(key []byte) *Func {
 // acquire returns a pooled evaluator; release returns it.
 func (f *Func) acquire() *Evaluator  { return f.pool.Get().(*Evaluator) }
 func (f *Func) release(e *Evaluator) { f.pool.Put(e) }
-
-// NewFuncStrict is like NewFunc but returns ErrShortKey when the key is
-// shorter than the paper's recommended 300 bits.
-func NewFuncStrict(key []byte) (*Func, error) {
-	if len(key) < MinKeyBytes {
-		return nil, fmt.Errorf("%w: got %d bits, want >= %d", ErrShortKey, len(key)*8, MinKeyBits)
-	}
-	return NewFunc(key), nil
-}
 
 // encodeTuple appends an unambiguous encoding of parts to dst: the number of
 // parts, then each part length-prefixed.  Length prefixing guarantees that

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,13 +12,27 @@ import (
 
 func testKey() []byte { return bytes.Repeat([]byte{0x42}, MinKeyBytes) }
 
-func TestNewFuncStrictKeyLength(t *testing.T) {
-	if _, err := NewFuncStrict(make([]byte, MinKeyBytes-1)); !errors.Is(err, ErrShortKey) {
-		t.Errorf("short key: got err %v, want ErrShortKey", err)
+// TestGeneratorKeyLength: the one place a key enters from outside refuses
+// 37 bytes and accepts 38; the library constructors accept any length.
+func TestGeneratorKeyLength(t *testing.T) {
+	if _, err := GeneratorKey(strings.Repeat("ab", MinKeyBytes-1)); !errors.Is(err, ErrShortKey) {
+		t.Errorf("%d-byte key: got err %v, want ErrShortKey", MinKeyBytes-1, err)
 	}
-	if _, err := NewFuncStrict(make([]byte, MinKeyBytes)); err != nil {
-		t.Errorf("long-enough key: unexpected error %v", err)
+	if _, err := GeneratorKey("00"); !errors.Is(err, ErrShortKey) {
+		t.Errorf("1-byte key: got err %v, want ErrShortKey", err)
 	}
+	key, err := GeneratorKey(strings.Repeat("ab", MinKeyBytes))
+	if err != nil || !bytes.Equal(key, bytes.Repeat([]byte{0xab}, MinKeyBytes)) {
+		t.Errorf("%d-byte key: got %x, err %v", MinKeyBytes, key, err)
+	}
+	if _, err := GeneratorKey("not hex"); err == nil || errors.Is(err, ErrShortKey) {
+		t.Errorf("non-hex key: got err %v, want a decode error", err)
+	}
+	dev, err := GeneratorKey("")
+	if err != nil || len(dev) != MinKeyBytes {
+		t.Errorf("development key: %d bytes, err %v", len(dev), err)
+	}
+	NewFunc([]byte("short")).Uint64([]byte("x")) // constructors stay permissive
 }
 
 func TestFuncDeterministic(t *testing.T) {

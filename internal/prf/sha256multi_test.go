@@ -186,48 +186,6 @@ func TestMultiEvaluatorMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestExpandBatchMatchesExpand checks the counter-mode batch expansion is
-// bit-identical to the scalar Expand over the same tuple encodings.
-func TestExpandBatchMatchesExpand(t *testing.T) {
-	defer SetLanes(0)
-	f := NewFunc([]byte("expand-batch equivalence test key!"))
-	ev := f.NewEvaluator()
-	parts := [][][]byte{
-		{[]byte("alpha")},
-		{[]byte("beta"), []byte("gamma")},
-		{[]byte(""), []byte("delta"), bytes.Repeat([]byte{0xab}, 90)},
-		{bytes.Repeat([]byte{7}, 200)},
-	}
-	sizes := []int{1, 32, 33, 64, 100}
-	var msgs [][]byte
-	for _, p := range parts {
-		msgs = append(msgs, encodeTuple(nil, p...))
-	}
-	for _, lanes := range []int{0, 1, 8} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			if err := SetLanes(lanes); err != nil {
-				t.Fatal(err)
-			}
-			me := f.NewMultiEvaluator()
-			for _, size := range sizes {
-				want := make([][]byte, len(parts))
-				outs := make([][]byte, len(parts))
-				for i, p := range parts {
-					want[i] = make([]byte, size)
-					ev.Expand(want[i], p...)
-					outs[i] = make([]byte, size)
-				}
-				me.ExpandBatch(outs, msgs)
-				for i := range outs {
-					if !bytes.Equal(outs[i], want[i]) {
-						t.Errorf("size %d msg %d: got %x want %x", size, i, outs[i], want[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // FuzzMultiLaneEquivalence is the differential fuzzer from the issue:
 // random message sets with ragged lengths, evaluated at both lane widths,
 // must be bit-for-bit identical to the scalar path.

@@ -5,7 +5,6 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/linalg"
-	"sketchprivacy/internal/sketch"
 )
 
 // SubQuery is one component of a combined query: a sketched subset together
@@ -70,15 +69,13 @@ func Conditioning(k int, p float64) float64 {
 // users whose profile satisfies exactly l of the k sub-queries.  It solves
 // the Appendix F system x = V⁻¹·y.  Entries of x may fall slightly outside
 // [0, 1] by sampling noise; callers that need probabilities should clamp.
-func (e *Estimator) MatchDistribution(tab *sketch.Table, subs []SubQuery) ([]float64, int, error) {
-	return e.MatchDistributionFrom(e.TableSource(tab), subs)
-}
-
-// MatchDistributionFrom is MatchDistribution over any partial source.  The
-// raw histogram comes from a one-entry plan — locally a join over the
+//
+// The raw histogram comes from a one-entry plan — locally a join over the
 // sub-queries' evaluation bitmaps (see cut.histogram); over a cluster it is
-// the exact bin-wise sum of the per-node histograms.
-func (e *Estimator) MatchDistributionFrom(src PartialSource, subs []SubQuery) ([]float64, int, error) {
+// the exact bin-wise sum of the per-node histograms.  It has no exported
+// planner: the Appendix F estimators below register the histogram
+// themselves and reduce a slice of this distribution.
+func (e *Estimator) MatchDistribution(src PartialSource, subs []SubQuery) ([]float64, int, error) {
 	p := NewPlan()
 	ref, err := p.AddHistogram(subs)
 	if err != nil {
@@ -94,13 +91,8 @@ func (e *Estimator) MatchDistributionFrom(src PartialSource, subs []SubQuery) ([
 // UnionConjunction estimates the fraction of users satisfying every
 // sub-query simultaneously — a conjunctive query over the union
 // B₁ ∪ ... ∪ B_q of the sketched subsets (Appendix F).
-func (e *Estimator) UnionConjunction(tab *sketch.Table, subs []SubQuery) (Estimate, error) {
-	return e.UnionConjunctionFrom(e.TableSource(tab), subs)
-}
-
-// UnionConjunctionFrom is UnionConjunction over any partial source.
-func (e *Estimator) UnionConjunctionFrom(src PartialSource, subs []SubQuery) (Estimate, error) {
-	return runEstimate(src, func(p *Plan) (EstimateFinisher, error) {
+func (e *Estimator) UnionConjunction(src PartialSource, subs []SubQuery) (Estimate, error) {
+	return run(src, func(p *Plan) (EstimateFinisher, error) {
 		return e.PlanUnionConjunction(p, subs)
 	})
 }
@@ -108,13 +100,8 @@ func (e *Estimator) UnionConjunctionFrom(src PartialSource, subs []SubQuery) (Es
 // NoneOf estimates the fraction of users satisfying none of the sub-queries,
 // which Appendix F notes can be used to answer disjunctions of conjunctions
 // (1 − NoneOf is the fraction satisfying at least one).
-func (e *Estimator) NoneOf(tab *sketch.Table, subs []SubQuery) (Estimate, error) {
-	return e.NoneOfFrom(e.TableSource(tab), subs)
-}
-
-// NoneOfFrom is NoneOf over any partial source.
-func (e *Estimator) NoneOfFrom(src PartialSource, subs []SubQuery) (Estimate, error) {
-	return runEstimate(src, func(p *Plan) (EstimateFinisher, error) {
+func (e *Estimator) NoneOf(src PartialSource, subs []SubQuery) (Estimate, error) {
+	return run(src, func(p *Plan) (EstimateFinisher, error) {
 		return e.PlanNoneOf(p, subs)
 	})
 }
@@ -122,26 +109,16 @@ func (e *Estimator) NoneOfFrom(src PartialSource, subs []SubQuery) (Estimate, er
 // ExactlyOfK estimates the fraction of users satisfying exactly l of the k
 // sub-queries ("one can estimate the fraction of users that satisfy exactly
 // l out of k bits in the query", Section 4.1).
-func (e *Estimator) ExactlyOfK(tab *sketch.Table, subs []SubQuery, l int) (Estimate, error) {
-	return e.ExactlyOfKFrom(e.TableSource(tab), subs, l)
-}
-
-// ExactlyOfKFrom is ExactlyOfK over any partial source.
-func (e *Estimator) ExactlyOfKFrom(src PartialSource, subs []SubQuery, l int) (Estimate, error) {
-	return runEstimate(src, func(p *Plan) (EstimateFinisher, error) {
+func (e *Estimator) ExactlyOfK(src PartialSource, subs []SubQuery, l int) (Estimate, error) {
+	return run(src, func(p *Plan) (EstimateFinisher, error) {
 		return e.PlanExactlyOfK(p, subs, l)
 	})
 }
 
 // AtLeastOfK estimates the fraction of users satisfying at least l of the k
 // sub-queries, by summing the tail of the match distribution.
-func (e *Estimator) AtLeastOfK(tab *sketch.Table, subs []SubQuery, l int) (Estimate, error) {
-	return e.AtLeastOfKFrom(e.TableSource(tab), subs, l)
-}
-
-// AtLeastOfKFrom is AtLeastOfK over any partial source.
-func (e *Estimator) AtLeastOfKFrom(src PartialSource, subs []SubQuery, l int) (Estimate, error) {
-	return runEstimate(src, func(p *Plan) (EstimateFinisher, error) {
+func (e *Estimator) AtLeastOfK(src PartialSource, subs []SubQuery, l int) (Estimate, error) {
+	return run(src, func(p *Plan) (EstimateFinisher, error) {
 		return e.PlanAtLeastOfK(p, subs, l)
 	})
 }

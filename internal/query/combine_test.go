@@ -148,14 +148,14 @@ func TestUnionConjunctionRecoversTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, e := buildTable(t, pop, []bitvec.Subset{b1, b2, b3}, p, 10, 13)
+	src, e := buildSource(t, pop, []bitvec.Subset{b1, b2, b3}, p, 10, 13)
 
 	subs := []SubQuery{
 		{Subset: b1, Value: bitvec.MustFromString("10")},
 		{Subset: b2, Value: bitvec.MustFromString("1")},
 		{Subset: b3, Value: bitvec.MustFromString("10")},
 	}
-	est, err := e.UnionConjunction(tab, subs)
+	est, err := e.UnionConjunction(src, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +175,14 @@ func TestMatchDistributionAndExactlyOfK(t *testing.T) {
 	// Three independent bits with known marginals.
 	pop := dataset.UniformBinary(71, m, 3, 0.5)
 	subsets := []bitvec.Subset{bitvec.MustSubset(0), bitvec.MustSubset(1), bitvec.MustSubset(2)}
-	tab, e := buildTable(t, pop, subsets, p, 10, 17)
+	src, e := buildSource(t, pop, subsets, p, 10, 17)
 	one := bitvec.MustFromString("1")
 	subs := []SubQuery{
 		{Subset: subsets[0], Value: one},
 		{Subset: subsets[1], Value: one},
 		{Subset: subsets[2], Value: one},
 	}
-	x, users, err := e.MatchDistribution(tab, subs)
+	x, users, err := e.MatchDistribution(src, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestMatchDistributionAndExactlyOfK(t *testing.T) {
 		if math.Abs(x[l]-truth[l]) > 0.07 {
 			t.Errorf("match distribution x[%d] = %v, truth %v", l, x[l], truth[l])
 		}
-		est, err := e.ExactlyOfK(tab, subs, l)
+		est, err := e.ExactlyOfK(src, subs, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestMatchDistributionAndExactlyOfK(t *testing.T) {
 		}
 	}
 	// AtLeastOfK(0) is everything.
-	all, err := e.AtLeastOfK(tab, subs, 0)
+	all, err := e.AtLeastOfK(src, subs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestMatchDistributionAndExactlyOfK(t *testing.T) {
 		t.Errorf("AtLeastOfK(0) raw = %v, want ~1", all.Raw)
 	}
 	// NoneOf matches x[0].
-	none, err := e.NoneOf(tab, subs)
+	none, err := e.NoneOf(src, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +226,10 @@ func TestMatchDistributionAndExactlyOfK(t *testing.T) {
 		t.Errorf("NoneOf = %v, x[0] = %v", none.Raw, x[0])
 	}
 	// Out-of-range l rejected.
-	if _, err := e.ExactlyOfK(tab, subs, 4); !errors.Is(err, ErrMismatch) {
+	if _, err := e.ExactlyOfK(src, subs, 4); !errors.Is(err, ErrMismatch) {
 		t.Error("ExactlyOfK out of range accepted")
 	}
-	if _, err := e.AtLeastOfK(tab, subs, -1); !errors.Is(err, ErrMismatch) {
+	if _, err := e.AtLeastOfK(src, subs, -1); !errors.Is(err, ErrMismatch) {
 		t.Error("AtLeastOfK out of range accepted")
 	}
 }
@@ -237,29 +237,29 @@ func TestMatchDistributionAndExactlyOfK(t *testing.T) {
 func TestCombineValidation(t *testing.T) {
 	pop := dataset.UniformBinary(81, 100, 4, 0.5)
 	b := bitvec.MustSubset(0)
-	tab, e := buildTable(t, pop, []bitvec.Subset{b}, 0.3, 8, 3)
+	src, e := buildSource(t, pop, []bitvec.Subset{b}, 0.3, 8, 3)
 	one := bitvec.MustFromString("1")
 
-	if _, err := e.UnionConjunction(tab, nil); !errors.Is(err, ErrMismatch) {
+	if _, err := e.UnionConjunction(src, nil); !errors.Is(err, ErrMismatch) {
 		t.Error("empty sub-query list accepted")
 	}
 	bad := []SubQuery{{Subset: b, Value: bitvec.MustFromString("11")}}
-	if _, _, err := e.MatchDistribution(tab, bad); !errors.Is(err, ErrMismatch) {
+	if _, _, err := e.MatchDistribution(src, bad); !errors.Is(err, ErrMismatch) {
 		t.Error("mismatched sub-query accepted")
 	}
 	missing := []SubQuery{{Subset: b, Value: one}, {Subset: bitvec.MustSubset(3), Value: one}}
-	if _, err := e.UnionConjunction(tab, missing); !errors.Is(err, ErrNoSketches) {
+	if _, err := e.UnionConjunction(src, missing); !errors.Is(err, ErrNoSketches) {
 		t.Error("missing subset accepted")
 	}
-	if _, err := e.NoneOf(tab, nil); !errors.Is(err, ErrMismatch) {
+	if _, err := e.NoneOf(src, nil); !errors.Is(err, ErrMismatch) {
 		t.Error("NoneOf with no sub-queries accepted")
 	}
 	// Single sub-query short-circuits to Algorithm 2.
-	est, err := e.UnionConjunction(tab, []SubQuery{{Subset: b, Value: one}})
+	est, err := e.UnionConjunction(src, []SubQuery{{Subset: b, Value: one}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := e.Fraction(tab, b, one)
+	direct, err := e.Fraction(src, b, one)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"sketchprivacy/internal/bitvec"
-	"sketchprivacy/internal/sketch"
-)
+import "sketchprivacy/internal/bitvec"
 
 // Fraction runs Algorithm 2: it estimates the fraction of users whose
 // projection onto the sketched subset b equals v, using the sketches
@@ -13,19 +10,18 @@ import (
 // exp(−ε²(1−2p)²M/4) (Lemma 4.1), independent of |b| — the paper's
 // headline utility property.
 //
-// The M-record evaluation loop runs on the zero-allocation batch kernel,
-// sharded across GOMAXPROCS worker goroutines for large tables; the derived
-// estimators (numeric, interval, tree, combine) inherit the parallel path
-// through their Fraction and match-distribution fan-outs.  Fraction is
-// FractionFrom over the local table source; a cluster router substitutes
-// its scatter-gather source and gets bit-identical estimates.
-func (e *Estimator) Fraction(tab *sketch.Table, b bitvec.Subset, v bitvec.Vector) (Estimate, error) {
-	return e.FractionFrom(e.TableSource(tab), b, v)
-}
-
-// Count is Fraction scaled to a user count estimate.
-func (e *Estimator) Count(tab *sketch.Table, b bitvec.Subset, v bitvec.Vector) (float64, error) {
-	return e.CountFrom(e.TableSource(tab), b, v)
+// It reduces the source's raw counters into the debiased estimate.  Over a
+// TableSource the M-record evaluation loop runs on the zero-allocation
+// batch kernel, sharded across GOMAXPROCS worker goroutines for large
+// tables; the derived estimators (numeric, interval, tree, combine) inherit
+// the parallel path through their fraction and match-distribution entries.
+// Over a cluster router the merged counters are the same integers a single
+// node holding the union of the records would compute, so the estimate is
+// bit-identical.  Estimate.Count scales it to a user count.
+func (e *Estimator) Fraction(src PartialSource, b bitvec.Subset, v bitvec.Vector) (Estimate, error) {
+	return run(src, func(p *Plan) (EstimateFinisher, error) {
+		return e.PlanFraction(p, b, v)
+	})
 }
 
 // ConjunctionFraction estimates the fraction of users satisfying an
@@ -35,17 +31,13 @@ func (e *Estimator) Count(tab *sketch.Table, b bitvec.Subset, v bitvec.Vector) (
 // single-bit sketches of each literal's attribute through the Appendix F
 // combination, which only requires per-attribute sketches but pays the
 // combination's conditioning penalty.
-func (e *Estimator) ConjunctionFraction(tab *sketch.Table, c bitvec.Conjunction) (Estimate, error) {
-	return e.ConjunctionFractionFrom(e.TableSource(tab), c)
-}
-
-// ConjunctionFractionFrom is ConjunctionFraction over any partial source.
+//
 // Both the exact-subset evaluation and the Appendix F gluing fallback ride
 // one plan execution; the finisher prefers the exact path and falls back
-// only on ErrNoSketches, so no separate HasSubset probe (which over a
+// only on ErrNoSketches, so no separate probe for the subset (which over a
 // cluster source would cost a second full fan-out) is ever needed.
-func (e *Estimator) ConjunctionFractionFrom(src PartialSource, c bitvec.Conjunction) (Estimate, error) {
-	return runEstimate(src, func(p *Plan) (EstimateFinisher, error) {
+func (e *Estimator) ConjunctionFraction(src PartialSource, c bitvec.Conjunction) (Estimate, error) {
+	return run(src, func(p *Plan) (EstimateFinisher, error) {
 		return e.PlanConjunctionFraction(p, c)
 	})
 }

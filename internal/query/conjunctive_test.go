@@ -58,15 +58,15 @@ func TestEstimateAccessors(t *testing.T) {
 func TestFractionInputValidation(t *testing.T) {
 	pop := dataset.UniformBinary(1, 200, 8, 0.5)
 	b := bitvec.MustSubset(0, 1)
-	tab, e := buildTable(t, pop, []bitvec.Subset{b}, 0.3, 8, 99)
+	src, e := buildSource(t, pop, []bitvec.Subset{b}, 0.3, 8, 99)
 
-	if _, err := e.Fraction(tab, b, bitvec.MustFromString("1")); !errors.Is(err, ErrMismatch) {
+	if _, err := e.Fraction(src, b, bitvec.MustFromString("1")); !errors.Is(err, ErrMismatch) {
 		t.Errorf("length mismatch err = %v", err)
 	}
-	if _, err := e.Fraction(tab, bitvec.MustSubset(), bitvec.New(0)); !errors.Is(err, ErrMismatch) {
+	if _, err := e.Fraction(src, bitvec.MustSubset(), bitvec.New(0)); !errors.Is(err, ErrMismatch) {
 		t.Errorf("empty subset err = %v", err)
 	}
-	if _, err := e.Fraction(tab, bitvec.MustSubset(5, 6), bitvec.MustFromString("10")); !errors.Is(err, ErrNoSketches) {
+	if _, err := e.Fraction(src, bitvec.MustSubset(5, 6), bitvec.MustFromString("10")); !errors.Is(err, ErrNoSketches) {
 		t.Errorf("missing subset err = %v", err)
 	}
 }
@@ -84,8 +84,8 @@ func TestFractionRecoversPlantedFrequency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, e := buildTable(t, pop, []bitvec.Subset{b}, p, 10, 5)
-		est, err := e.Fraction(tab, b, v)
+		src, e := buildSource(t, pop, []bitvec.Subset{b}, p, 10, 5)
+		est, err := e.Fraction(src, b, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +118,8 @@ func TestFractionErrorIndependentOfSubsetSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, e := buildTable(t, pop, []bitvec.Subset{b}, p, 10, uint64(7+k))
-		est, err := e.Fraction(tab, b, v)
+		src, e := buildSource(t, pop, []bitvec.Subset{b}, p, 10, uint64(7+k))
+		est, err := e.Fraction(src, b, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,17 +139,14 @@ func TestCountMatchesFraction(t *testing.T) {
 	pop := dataset.UniformBinary(3, 4000, 6, 0.5)
 	b := bitvec.MustSubset(0, 2)
 	v := bitvec.MustFromString("11")
-	tab, e := buildTable(t, pop, []bitvec.Subset{b}, 0.3, 9, 1)
-	est, err := e.Fraction(tab, b, v)
+	src, e := buildSource(t, pop, []bitvec.Subset{b}, 0.3, 9, 1)
+	est, err := e.Fraction(src, b, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := e.Count(tab, b, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cnt-est.Count()) > 1e-9 {
-		t.Errorf("Count=%v, Estimate.Count=%v", cnt, est.Count())
+	cnt := est.Count()
+	if cnt != est.Fraction*float64(est.Users) {
+		t.Errorf("Count=%v, want Fraction %v × Users %d", cnt, est.Fraction, est.Users)
 	}
 	truth := float64(pop.TrueCount(b, v))
 	if math.Abs(cnt-truth) > 0.15*4000 {
@@ -174,8 +171,8 @@ func TestConjunctionFractionExactAndGluedPaths(t *testing.T) {
 	truth := groundTruthConjunction(pop, conj)
 
 	exactSubset, _ := conj.Split()
-	exactTab, e := buildTable(t, pop, []bitvec.Subset{exactSubset}, p, 10, 31)
-	exact, err := e.ConjunctionFraction(exactTab, conj)
+	exactSrc, e := buildSource(t, pop, []bitvec.Subset{exactSubset}, p, 10, 31)
+	exact, err := e.ConjunctionFraction(exactSrc, conj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +184,8 @@ func TestConjunctionFractionExactAndGluedPaths(t *testing.T) {
 		bitvec.MustSubset(dataset.EpiHIV),
 		bitvec.MustSubset(dataset.EpiAIDS),
 	}
-	gluedTab, e2 := buildTable(t, pop, bitSubsets, p, 10, 32)
-	glued, err := e2.ConjunctionFraction(gluedTab, conj)
+	gluedSrc, e2 := buildSource(t, pop, bitSubsets, p, 10, 32)
+	glued, err := e2.ConjunctionFraction(gluedSrc, conj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +193,7 @@ func TestConjunctionFractionExactAndGluedPaths(t *testing.T) {
 		t.Errorf("glued path: %v vs truth %v", glued.Fraction, truth)
 	}
 	// Empty conjunction is rejected.
-	if _, err := e.ConjunctionFraction(exactTab, bitvec.Conjunction(nil)); !errors.Is(err, ErrMismatch) {
+	if _, err := e.ConjunctionFraction(exactSrc, bitvec.Conjunction(nil)); !errors.Is(err, ErrMismatch) {
 		t.Errorf("empty conjunction err = %v", err)
 	}
 }
@@ -216,8 +213,8 @@ func TestFractionWithOracleMatchesPRF(t *testing.T) {
 	truth := pop.TrueFraction(b, v)
 
 	// PRF-backed path (shared helper).
-	tab, e := buildTable(t, pop, []bitvec.Subset{b}, p, 10, 77)
-	prfEst, err := e.Fraction(tab, b, v)
+	src, e := buildSource(t, pop, []bitvec.Subset{b}, p, 10, 77)
+	prfEst, err := e.Fraction(src, b, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +229,7 @@ func TestFractionWithOracleMatchesPRF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleEst, err := eo.Fraction(skOracle, b, v)
+	oracleEst, err := eo.Fraction(eo.TableSource(skOracle), b, v)
 	if err != nil {
 		t.Fatal(err)
 	}

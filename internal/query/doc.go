@@ -24,13 +24,18 @@
 // All estimators consume only public objects: the sketch table and the
 // public p-biased function H.
 //
-// There is one read path.  Every estimator compiles the raw counters it
-// needs — (subset, value) match counts, Appendix F match histograms,
-// record counts — into a Plan, runs it through PartialSource.Execute in
-// one batch and reduces the Results with a finisher; a PartialSource is a
-// local table (TableSource), an engine or a cluster router, and Execute
-// plus TotalRecords is its whole surface.  The counters are exact
-// integers that merge by addition across disjoint record sets.  The
+// There is one read path and one way to ask.  An estimator X has two
+// forms: X(src PartialSource, …) answers it, and PlanX(p *Plan, …)
+// registers it on a plan so that several estimators share one execution.
+// Every estimator compiles the raw counters it needs — (subset, value)
+// match counts, Appendix F match histograms, record counts — into a Plan,
+// runs it through PartialSource.Execute in one batch and reduces the
+// Results with a finisher; a PartialSource is a local table
+// (Estimator.TableSource, the one adapter from a *sketch.Table), an engine
+// or a cluster router, and Execute plus TotalRecords is its whole surface.
+// The counters are exact integers that merge by addition across disjoint
+// record sets — which is why SumLessThanPow2, whose product weights join
+// each user's own bits, is the one estimator that takes a table.  The
 // executor (ExecutePlanOver) is differenced against one slow reference,
 // the scalar serial oracle in oracle_test.go.
 package query

@@ -25,6 +25,7 @@ func TestEstimatorGoldenBits(t *testing.T) {
 	subsets = append(subsets, FieldPrefixSubsets(a)[1:]...)
 	subsets = append(subsets, FieldPrefixSubsets(b)[1:]...)
 	tab, e := buildTable(t, pop, subsets, 0.25, 10, 1602)
+	src := e.TableSource(tab)
 
 	var got []string
 	num := func(name string, n NumericEstimate, err error) {
@@ -47,61 +48,61 @@ func TestEstimatorGoldenBits(t *testing.T) {
 	wide := bitvec.MustIntField(0, 5)
 
 	// Algorithm 2.
-	x, err := e.Fraction(tab, a.PrefixSubset(2), vec("10"))
+	x, err := e.Fraction(src, a.PrefixSubset(2), vec("10"))
 	est("fraction", x, err)
-	x, err = e.Fraction(tab, bitvec.MustSubset(9), vec("1"))
+	x, err = e.Fraction(src, bitvec.MustSubset(9), vec("1"))
 	est("fraction/unsketched", x, err)
-	x, err = e.Fraction(tab, a.PrefixSubset(2), vec("1"))
+	x, err = e.Fraction(src, a.PrefixSubset(2), vec("1"))
 	est("fraction/shape", x, err)
-	cnt, err := e.Count(tab, b.FullSubset(), vec("011"))
-	num("count", NumericEstimate{Value: cnt}, err)
-	x, err = e.ConjunctionFraction(tab, bitvec.MustConjunction(lit(0, true), lit(1, false)))
+	x, err = e.Fraction(src, b.FullSubset(), vec("011"))
+	num("count", NumericEstimate{Value: x.Count()}, err)
+	x, err = e.ConjunctionFraction(src, bitvec.MustConjunction(lit(0, true), lit(1, false)))
 	est("conjunction/exact", x, err)
-	x, err = e.ConjunctionFraction(tab, bitvec.MustConjunction(lit(0, true), lit(4, false), lit(5, true)))
+	x, err = e.ConjunctionFraction(src, bitvec.MustConjunction(lit(0, true), lit(4, false), lit(5, true)))
 	est("conjunction/glued", x, err)
-	x, err = e.ConjunctionFraction(tab, bitvec.MustConjunction(lit(4, true)))
+	x, err = e.ConjunctionFraction(src, bitvec.MustConjunction(lit(4, true)))
 	est("conjunction/one-literal", x, err)
-	x, err = e.ConjunctionFraction(tab, bitvec.MustConjunction(lit(0, true), lit(9, true)))
+	x, err = e.ConjunctionFraction(src, bitvec.MustConjunction(lit(0, true), lit(9, true)))
 	est("conjunction/unsketched", x, err)
-	x, err = e.ConjunctionFraction(tab, bitvec.Conjunction{})
+	x, err = e.ConjunctionFraction(src, bitvec.Conjunction{})
 	est("conjunction/empty", x, err)
 
 	// Section 4.1.
-	n, err := e.FieldMean(tab, a)
+	n, err := e.FieldMean(src, a)
 	num("mean", n, err)
-	n, err = e.FieldMean(tab, unsketched)
+	n, err = e.FieldMean(src, unsketched)
 	num("mean/unsketched", n, err)
-	n, err = e.FieldSum(tab, b)
+	n, err = e.FieldSum(src, b)
 	num("sum", n, err)
-	n, err = e.InnerProductMean(tab, a, b)
+	n, err = e.InnerProductMean(src, a, b)
 	num("inner-product", n, err)
-	n, err = e.InnerProductMean(tab, a, unsketched)
+	n, err = e.InnerProductMean(src, a, unsketched)
 	num("inner-product/unsketched", n, err)
 	for _, c := range []uint64{0, 1, 5, 7, 8} {
-		n, err = e.FieldLessThan(tab, a, c)
+		n, err = e.FieldLessThan(src, a, c)
 		num(fmt.Sprintf("less-than/%d", c), n, err)
-		n, err = e.FieldAtMost(tab, b, c)
+		n, err = e.FieldAtMost(src, b, c)
 		num(fmt.Sprintf("at-most/%d", c), n, err)
 	}
-	n, err = e.FieldLessThan(tab, unsketched, 2)
+	n, err = e.FieldLessThan(src, unsketched, 2)
 	num("less-than/unsketched", n, err)
-	n, err = e.FieldAtMost(tab, wide, 6)
+	n, err = e.FieldAtMost(src, wide, 6)
 	num("at-most/unsketched-equality", n, err)
 	for _, d := range []uint64{0, 3, 6} {
-		n, err = e.EqualAndLessThan(tab, a, 5, b, d)
+		n, err = e.EqualAndLessThan(src, a, 5, b, d)
 		num(fmt.Sprintf("equal-and-less-than/%d", d), n, err)
 	}
-	n, err = e.EqualAndLessThan(tab, a, 8, b, 3)
+	n, err = e.EqualAndLessThan(src, a, 8, b, 3)
 	num("equal-and-less-than/constant-too-wide", n, err)
-	n, err = e.EqualAndLessThan(tab, a, 5, unsketched, 3)
+	n, err = e.EqualAndLessThan(src, a, 5, unsketched, 3)
 	num("equal-and-less-than/unsketched", n, err)
 	for _, c := range []uint64{0, 3, 6} {
-		n, err = e.ConditionalSumGivenLessThan(tab, b, a, c)
+		n, err = e.ConditionalSumGivenLessThan(src, b, a, c)
 		num(fmt.Sprintf("conditional-sum/%d", c), n, err)
-		n, err = e.ConditionalMeanGivenLessThan(tab, b, a, c)
+		n, err = e.ConditionalMeanGivenLessThan(src, b, a, c)
 		num(fmt.Sprintf("conditional-mean/%d", c), n, err)
 	}
-	n, err = e.ConditionalSumGivenLessThan(tab, unsketched, a, 3)
+	n, err = e.ConditionalSumGivenLessThan(src, unsketched, a, 3)
 	num("conditional-sum/unsketched", n, err)
 	trees := []struct {
 		name string
@@ -114,7 +115,7 @@ func TestEstimatorGoldenBits(t *testing.T) {
 		{"repeated-attribute", Node(0, Leaf(false), Node(0, Leaf(true), Leaf(false)))},
 	}
 	for _, tc := range trees {
-		n, err = e.DecisionTreeFraction(tab, tc.tree)
+		n, err = e.DecisionTreeFraction(src, tc.tree)
 		num("tree/"+tc.name, n, err)
 	}
 
@@ -134,30 +135,30 @@ func TestEstimatorGoldenBits(t *testing.T) {
 		{Subset: b.BitSubset(1), Value: vec("1")},
 		{Subset: b.PrefixSubset(3), Value: vec("110")},
 	}
-	dist, users, err := e.MatchDistribution(tab, subs)
+	dist, users, err := e.MatchDistribution(src, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l, xl := range dist {
 		got = append(got, fmt.Sprintf("match-distribution[%d]: %#016x users %d", l, math.Float64bits(xl), users))
 	}
-	x, err = e.UnionConjunction(tab, subs)
+	x, err = e.UnionConjunction(src, subs)
 	est("union", x, err)
-	x, err = e.UnionConjunction(tab, subs[:1])
+	x, err = e.UnionConjunction(src, subs[:1])
 	est("union/one", x, err)
-	x, err = e.UnionConjunction(tab, nil)
+	x, err = e.UnionConjunction(src, nil)
 	est("union/none", x, err)
-	x, err = e.NoneOf(tab, subs)
+	x, err = e.NoneOf(src, subs)
 	est("none-of", x, err)
-	x, err = e.NoneOf(tab, []SubQuery{{Subset: a.PrefixSubset(2), Value: vec("1")}})
+	x, err = e.NoneOf(src, []SubQuery{{Subset: a.PrefixSubset(2), Value: vec("1")}})
 	est("none-of/shape", x, err)
 	for l := -1; l <= len(subs)+1; l++ {
-		x, err = e.ExactlyOfK(tab, subs, l)
+		x, err = e.ExactlyOfK(src, subs, l)
 		est(fmt.Sprintf("exactly/%d", l), x, err)
-		x, err = e.AtLeastOfK(tab, subs, l)
+		x, err = e.AtLeastOfK(src, subs, l)
 		est(fmt.Sprintf("at-least/%d", l), x, err)
 	}
-	x, err = e.NoneOf(tab, []SubQuery{subs[0], {Subset: bitvec.MustSubset(9), Value: vec("1")}})
+	x, err = e.NoneOf(src, []SubQuery{subs[0], {Subset: bitvec.MustSubset(9), Value: vec("1")}})
 	est("none-of/unsketched", x, err)
 
 	want := strings.Split(strings.TrimSpace(estimatorGolden), "\n")

@@ -53,6 +53,14 @@ func buildTable(t *testing.T, pop *dataset.Population, subsets []bitvec.Subset, 
 	return tab, est
 }
 
+// buildSource is buildTable for tests that only ask estimators: the table
+// behind its one adapter.
+func buildSource(t *testing.T, pop *dataset.Population, subsets []bitvec.Subset, p float64, length int, seed uint64) (PartialSource, *Estimator) {
+	t.Helper()
+	tab, est := buildTable(t, pop, subsets, p, length, seed)
+	return est.TableSource(tab), est
+}
+
 // sketchWithSource sketches every profile of pop on every subset against an
 // arbitrary bit source (used by the PRF-vs-oracle ablation tests).
 func sketchWithSource(h prf.BitSource, p float64, length int, pop *dataset.Population, subsets []bitvec.Subset) (*sketch.Table, error) {

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"sketchprivacy/internal/bitvec"
-	"sketchprivacy/internal/sketch"
-)
+import "sketchprivacy/internal/bitvec"
 
 // prefixValue returns the first i bits of c's width-k binary representation
 // with the last of those bits forced to zero — the query value
@@ -25,15 +22,10 @@ func prefixValue(c uint64, width, i int) bitvec.Vector {
 //	|{u : a_u < c}| = Σ_{i : c_i = 1} I(A_i, c₁...c_{i−1}0).
 //
 // It requires sketches of the prefix subsets A_i for every i with c_i = 1.
-func (e *Estimator) FieldLessThan(tab *sketch.Table, f bitvec.IntField, c uint64) (NumericEstimate, error) {
-	return e.FieldLessThanFrom(e.TableSource(tab), f, c)
-}
-
-// FieldLessThanFrom is FieldLessThan over any partial source.  The whole
-// popcount(c)-term prefix decomposition compiles into one plan, so it
-// costs one table pass locally and one fan-out over a cluster.
-func (e *Estimator) FieldLessThanFrom(src PartialSource, f bitvec.IntField, c uint64) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+// The whole popcount(c)-term prefix decomposition compiles into one plan,
+// so it costs one table pass locally and one fan-out over a cluster.
+func (e *Estimator) FieldLessThan(src PartialSource, f bitvec.IntField, c uint64) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanFieldLessThan(p, f, c)
 	})
 }
@@ -42,13 +34,8 @@ func (e *Estimator) FieldLessThanFrom(src PartialSource, f bitvec.IntField, c ui
 // FieldLessThan plus one equality query I(A, c) on the full field subset
 // (the paper's formula targets the strict inequality; the equality term
 // completes it).
-func (e *Estimator) FieldAtMost(tab *sketch.Table, f bitvec.IntField, c uint64) (NumericEstimate, error) {
-	return e.FieldAtMostFrom(e.TableSource(tab), f, c)
-}
-
-// FieldAtMostFrom is FieldAtMost over any partial source.
-func (e *Estimator) FieldAtMostFrom(src PartialSource, f bitvec.IntField, c uint64) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+func (e *Estimator) FieldAtMost(src PartialSource, f bitvec.IntField, c uint64) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanFieldAtMost(p, f, c)
 	})
 }
@@ -58,13 +45,8 @@ func (e *Estimator) FieldAtMostFrom(src PartialSource, f bitvec.IntField, c uint
 // term I(A ∪ B_i, c‖d₁...d_{i−1}0) is glued from the sketch of the full
 // subset A and the sketch of the prefix subset B_i via the Appendix F
 // combination, so no union subset needs to have been sketched.
-func (e *Estimator) EqualAndLessThan(tab *sketch.Table, a bitvec.IntField, c uint64, b bitvec.IntField, d uint64) (NumericEstimate, error) {
-	return e.EqualAndLessThanFrom(e.TableSource(tab), a, c, b, d)
-}
-
-// EqualAndLessThanFrom is EqualAndLessThan over any partial source.
-func (e *Estimator) EqualAndLessThanFrom(src PartialSource, a bitvec.IntField, c uint64, b bitvec.IntField, d uint64) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+func (e *Estimator) EqualAndLessThan(src PartialSource, a bitvec.IntField, c uint64, b bitvec.IntField, d uint64) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanEqualAndLessThan(p, a, c, b, d)
 	})
 }
@@ -74,28 +56,17 @@ func (e *Estimator) EqualAndLessThanFrom(src PartialSource, a bitvec.IntField, c
 // attribute a is below c.  Section 4.1 writes it as the double sum
 // Σ_{j : c_j=1} Σ_i 2^(k−i) I(A_j ∪ B_i, c₁...c_{j−1}0 1); each term is
 // glued from the prefix sketch of a and the single-bit sketch of b.
-func (e *Estimator) ConditionalSumGivenLessThan(tab *sketch.Table, b bitvec.IntField, a bitvec.IntField, c uint64) (NumericEstimate, error) {
-	return e.ConditionalSumGivenLessThanFrom(e.TableSource(tab), b, a, c)
-}
-
-// ConditionalSumGivenLessThanFrom is ConditionalSumGivenLessThan over any
-// partial source.
-func (e *Estimator) ConditionalSumGivenLessThanFrom(src PartialSource, b bitvec.IntField, a bitvec.IntField, c uint64) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+func (e *Estimator) ConditionalSumGivenLessThan(src PartialSource, b bitvec.IntField, a bitvec.IntField, c uint64) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanConditionalSumGivenLessThan(p, b, a, c)
 	})
 }
 
 // ConditionalMeanGivenLessThan estimates E[b | a < c]: the conditional sum
-// divided by the estimated fraction of users with a < c.
-func (e *Estimator) ConditionalMeanGivenLessThan(tab *sketch.Table, b bitvec.IntField, a bitvec.IntField, c uint64) (NumericEstimate, error) {
-	return e.ConditionalMeanGivenLessThanFrom(e.TableSource(tab), b, a, c)
-}
-
-// ConditionalMeanGivenLessThanFrom is ConditionalMeanGivenLessThan over any
-// partial source; numerator and denominator share one plan execution.
-func (e *Estimator) ConditionalMeanGivenLessThanFrom(src PartialSource, b bitvec.IntField, a bitvec.IntField, c uint64) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+// divided by the estimated fraction of users with a < c; numerator and
+// denominator share one plan execution.
+func (e *Estimator) ConditionalMeanGivenLessThan(src PartialSource, b bitvec.IntField, a bitvec.IntField, c uint64) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanConditionalMeanGivenLessThan(p, b, a, c)
 	})
 }

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"sketchprivacy/internal/bitvec"
-	"sketchprivacy/internal/sketch"
-)
+import "sketchprivacy/internal/bitvec"
 
 // oneBit is the length-1 value vector "1"; zeroBit is "0".
 func oneBit() bitvec.Vector  { return bitvec.MustFromString("1") }
@@ -22,27 +19,17 @@ type NumericEstimate struct {
 // FieldMean estimates the population mean of a k-bit integer attribute from
 // single-bit sketches of each of its bits, using the Section 4.1
 // decomposition Σᵢ 2^(k−i) · I(Aᵢ, 1).  It requires a sketch of every
-// single-bit subset {Aᵢ} of the field.
-func (e *Estimator) FieldMean(tab *sketch.Table, f bitvec.IntField) (NumericEstimate, error) {
-	return e.FieldMeanFrom(e.TableSource(tab), f)
-}
-
-// FieldMeanFrom is FieldMean over any partial source: the whole per-bit
-// decomposition compiles into one plan, so it costs one batched execution.
-func (e *Estimator) FieldMeanFrom(src PartialSource, f bitvec.IntField) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+// single-bit subset {Aᵢ} of the field.  The whole per-bit decomposition
+// compiles into one plan, so it costs one batched execution.
+func (e *Estimator) FieldMean(src PartialSource, f bitvec.IntField) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanFieldMean(p, f)
 	})
 }
 
 // FieldSum estimates the population sum of a field: mean × users.
-func (e *Estimator) FieldSum(tab *sketch.Table, f bitvec.IntField) (NumericEstimate, error) {
-	return e.FieldSumFrom(e.TableSource(tab), f)
-}
-
-// FieldSumFrom is FieldSum over any partial source.
-func (e *Estimator) FieldSumFrom(src PartialSource, f bitvec.IntField) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+func (e *Estimator) FieldSum(src PartialSource, f bitvec.IntField) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanFieldSum(p, f)
 	})
 }
@@ -52,15 +39,10 @@ func (e *Estimator) FieldSumFrom(src PartialSource, f bitvec.IntField) (NumericE
 // queries Σᵢ Σⱼ 2^((ka−i)+(kb−j)) · I(Aᵢ ∪ Bⱼ, 11).  Each two-bit frequency
 // is glued from the fields' single-bit sketches via the Appendix F
 // combination, so only per-bit sketches are required ("we do not have to
-// sketch each pair AᵢBⱼ").
-func (e *Estimator) InnerProductMean(tab *sketch.Table, a, b bitvec.IntField) (NumericEstimate, error) {
-	return e.InnerProductMeanFrom(e.TableSource(tab), a, b)
-}
-
-// InnerProductMeanFrom is InnerProductMean over any partial source: all k²
-// two-bit combinations ride one plan execution.
-func (e *Estimator) InnerProductMeanFrom(src PartialSource, a, b bitvec.IntField) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+// sketch each pair AᵢBⱼ").  All k² two-bit combinations ride one plan
+// execution.
+func (e *Estimator) InnerProductMean(src PartialSource, a, b bitvec.IntField) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanInnerProductMean(p, a, b)
 	})
 }

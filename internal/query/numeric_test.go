@@ -45,14 +45,14 @@ func TestFieldMeanAndSum(t *testing.T) {
 	p := 0.25
 	pop, age, salary := smallSalaryPopulation(5, m)
 	subsets := append(FieldBitSubsets(age), FieldBitSubsets(salary)...)
-	tab, e := buildTable(t, pop, subsets, p, 10, 9)
+	src, e := buildSource(t, pop, subsets, p, 10, 9)
 
 	for _, tc := range []struct {
 		name  string
 		field bitvec.IntField
 	}{{"age", age}, {"salary", salary}} {
 		truth := pop.TrueMean(tc.field)
-		est, err := e.FieldMean(tab, tc.field)
+		est, err := e.FieldMean(src, tc.field)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestFieldMeanAndSum(t *testing.T) {
 		if stats.RelativeError(est.Value, truth) > 0.08 {
 			t.Errorf("%s mean estimate %v vs truth %v", tc.name, est.Value, truth)
 		}
-		sum, err := e.FieldSum(tab, tc.field)
+		sum, err := e.FieldSum(src, tc.field)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestFieldMeanAndSum(t *testing.T) {
 	}
 	// Missing sketches surface as ErrNoSketches.
 	other := bitvec.MustIntField(50, 3)
-	if _, err := e.FieldMean(tab, other); !errors.Is(err, ErrNoSketches) {
+	if _, err := e.FieldMean(src, other); !errors.Is(err, ErrNoSketches) {
 		t.Errorf("missing field err = %v", err)
 	}
 }
@@ -99,10 +99,10 @@ func TestInnerProductMean(t *testing.T) {
 		pop.Profiles[u] = bitvec.Profile{ID: bitvec.UserID(u + 1), Data: d}
 	}
 	subsets := append(FieldBitSubsets(a), FieldBitSubsets(b)...)
-	tab, e := buildTable(t, pop, subsets, p, 10, 45)
+	src, e := buildSource(t, pop, subsets, p, 10, 45)
 
 	truth := pop.TrueInnerProductMean(a, b)
-	est, err := e.InnerProductMean(tab, a, b)
+	est, err := e.InnerProductMean(src, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFieldLessThanAndAtMost(t *testing.T) {
 	// The last prefix subset is the full field, which also serves the
 	// equality term of FieldAtMost.
 	subsets := FieldPrefixSubsets(salary)
-	tab, e := buildTable(t, pop, subsets, p, 10, 10)
+	src, e := buildSource(t, pop, subsets, p, 10, 10)
 
 	for _, c := range []uint64{0, 7, 20, 40, 63} {
 		truthLess := 0.0
@@ -132,7 +132,7 @@ func TestFieldLessThanAndAtMost(t *testing.T) {
 			}
 		}
 		truthLess /= float64(m)
-		less, err := e.FieldLessThan(tab, salary, c)
+		less, err := e.FieldLessThan(src, salary, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestFieldLessThanAndAtMost(t *testing.T) {
 			t.Errorf("c=%d: LessThan %v vs truth %v", c, less.Value, truthLess)
 		}
 		truthAtMost := pop.TrueFractionAtMost(salary, c)
-		atMost, err := e.FieldAtMost(tab, salary, c)
+		atMost, err := e.FieldAtMost(src, salary, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestFieldLessThanAndAtMost(t *testing.T) {
 		}
 	}
 	// c beyond the representable range short-circuits to 1.
-	big, err := e.FieldAtMost(tab, salary, salary.Max()+5)
+	big, err := e.FieldAtMost(src, salary, salary.Max()+5)
 	if err != nil || big.Value != 1 {
 		t.Errorf("AtMost beyond range = %v, %v", big.Value, err)
 	}
-	bigLess, err := e.FieldLessThan(tab, salary, salary.Max()+5)
+	bigLess, err := e.FieldLessThan(src, salary, salary.Max()+5)
 	if err != nil || bigLess.Value != 1 {
 		t.Errorf("LessThan beyond range = %v, %v", bigLess.Value, err)
 	}
@@ -179,7 +179,7 @@ func TestEqualAndLessThan(t *testing.T) {
 		pop.Profiles[u] = bitvec.Profile{ID: bitvec.UserID(u + 1), Data: d}
 	}
 	subsets := append([]bitvec.Subset{a.FullSubset()}, FieldPrefixSubsets(b)...)
-	tab, e := buildTable(t, pop, subsets, p, 10, 53)
+	src, e := buildSource(t, pop, subsets, p, 10, 53)
 
 	c, dThr := uint64(2), uint64(9)
 	truth := 0.0
@@ -189,14 +189,14 @@ func TestEqualAndLessThan(t *testing.T) {
 		}
 	}
 	truth /= float64(m)
-	est, err := e.EqualAndLessThan(tab, a, c, b, dThr)
+	est, err := e.EqualAndLessThan(src, a, c, b, dThr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(est.Value-truth) > 0.07 {
 		t.Errorf("EqualAndLessThan %v vs truth %v", est.Value, truth)
 	}
-	if _, err := e.EqualAndLessThan(tab, a, 9, b, dThr); !errors.Is(err, ErrMismatch) {
+	if _, err := e.EqualAndLessThan(src, a, 9, b, dThr); !errors.Is(err, ErrMismatch) {
 		t.Error("constant outside the field accepted")
 	}
 }
@@ -223,7 +223,7 @@ func TestConditionalMeanGivenLessThan(t *testing.T) {
 		pop.Profiles[u] = bitvec.Profile{ID: bitvec.UserID(u + 1), Data: d}
 	}
 	subsets := append(FieldPrefixSubsets(a), FieldBitSubsets(b)...)
-	tab, e := buildTable(t, pop, subsets, p, 10, 63)
+	src, e := buildSource(t, pop, subsets, p, 10, 63)
 
 	c := uint64(4)
 	var truthSum, truthCount float64
@@ -235,7 +235,7 @@ func TestConditionalMeanGivenLessThan(t *testing.T) {
 	}
 	truthMean := truthSum / truthCount
 
-	est, err := e.ConditionalMeanGivenLessThan(tab, b, a, c)
+	est, err := e.ConditionalMeanGivenLessThan(src, b, a, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,8 +89,10 @@ type tableSource struct {
 	tab *sketch.Table
 }
 
-// TableSource returns the local-table PartialSource the table-based
-// estimator methods run on.
+// TableSource returns the PartialSource over a local table — the one
+// adapter between a *sketch.Table and the estimators.  It holds no state
+// beyond the two pointers; callers with a table build it once and ask
+// every estimator through it.
 func (e *Estimator) TableSource(tab *sketch.Table) PartialSource {
 	return tableSource{e: e, tab: tab}
 }
@@ -125,24 +127,4 @@ func validateFractionShape(b bitvec.Subset, v bitvec.Vector) error {
 		return fmt.Errorf("%w: empty subset", ErrMismatch)
 	}
 	return nil
-}
-
-// FractionFrom is Algorithm 2 over any partial source: it reduces the
-// source's raw counters into the debiased estimate.  Over TableSource it is
-// exactly Fraction; over a cluster router the merged counters are the same
-// integers a single node holding the union of the records would compute,
-// so the estimate is bit-identical.
-func (e *Estimator) FractionFrom(src PartialSource, b bitvec.Subset, v bitvec.Vector) (Estimate, error) {
-	return runEstimate(src, func(p *Plan) (EstimateFinisher, error) {
-		return e.PlanFraction(p, b, v)
-	})
-}
-
-// CountFrom is FractionFrom scaled to a user count estimate.
-func (e *Estimator) CountFrom(src PartialSource, b bitvec.Subset, v bitvec.Vector) (float64, error) {
-	est, err := e.FractionFrom(src, b, v)
-	if err != nil {
-		return 0, err
-	}
-	return est.Count(), nil
 }

@@ -47,14 +47,15 @@ func TestMergedPartialsBitIdentical(t *testing.T) {
 	// The cluster router, modelled in-process with no networking: the
 	// scalar oracle answering each of three disjoint shards and merging.
 	src := oracleOver(est, nil, splitTable(t, tab, 3)...)
+	whole := est.TableSource(tab)
 
 	conjSubset := bitvec.Range(0, 4)
 	conjValue := bitvec.MustFromString("1010")
-	want, err := est.Fraction(tab, conjSubset, conjValue)
+	want, err := est.Fraction(whole, conjSubset, conjValue)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := est.FractionFrom(src, conjSubset, conjValue)
+	got, err := est.Fraction(src, conjSubset, conjValue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestMergedPartialsBitIdentical(t *testing.T) {
 		t.Fatalf("merged Fraction differs: %+v vs %+v", want, got)
 	}
 
-	wantMean, err := est.FieldMean(tab, field)
+	wantMean, err := est.FieldMean(whole, field)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMean, err := est.FieldMeanFrom(src, field)
+	gotMean, err := est.FieldMean(src, field)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestMergedPartialsBitIdentical(t *testing.T) {
 		{Subset: field.BitSubset(1), Value: bitvec.MustFromString("1")},
 		{Subset: field.BitSubset(2), Value: bitvec.MustFromString("1")},
 	}
-	wantU, err := est.UnionConjunction(tab, subs)
+	wantU, err := est.UnionConjunction(whole, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotU, err := est.UnionConjunctionFrom(src, subs)
+	gotU, err := est.UnionConjunction(src, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestMergedPartialsBitIdentical(t *testing.T) {
 		t.Fatalf("merged UnionConjunction differs: %+v vs %+v", wantU, gotU)
 	}
 
-	wantX, err := est.ExactlyOfK(tab, subs, 1)
+	wantX, err := est.ExactlyOfK(whole, subs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotX, err := est.ExactlyOfKFrom(src, subs, 1)
+	gotX, err := est.ExactlyOfK(src, subs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +158,18 @@ func TestUserFilterPartitionExactness(t *testing.T) {
 
 // TestFractionFromEmptySourceErrors pins the error contract: partial
 // sources report emptiness as zero counters, and the estimator converts a
-// zero merge into ErrNoSketches exactly like the table path.
+// zero merge into ErrNoSketches exactly as over a table.
 func TestFractionFromEmptySourceErrors(t *testing.T) {
 	est, err := NewEstimator(testSource(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := oracleOver(est, nil, sketch.NewTable())
-	if _, err := est.FractionFrom(src, bitvec.MustSubset(0), bitvec.MustFromString("1")); err == nil {
+	if _, err := est.Fraction(src, bitvec.MustSubset(0), bitvec.MustFromString("1")); err == nil {
 		t.Fatal("empty source did not error")
 	}
-	// Shape validation precedes source access, matching Fraction.
-	if _, err := est.FractionFrom(src, bitvec.MustSubset(0, 1), bitvec.MustFromString("1")); err == nil {
+	// Shape validation precedes source access.
+	if _, err := est.Fraction(src, bitvec.MustSubset(0, 1), bitvec.MustFromString("1")); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }

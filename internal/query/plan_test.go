@@ -65,38 +65,38 @@ func TestPlanPathBitIdenticalToPerCall(t *testing.T) {
 		run  func(src PartialSource) (any, error)
 	}
 	cases := []estCase{
-		{"Fraction", func(s PartialSource) (any, error) { return est.FractionFrom(s, conjSubset, conjValue) }},
-		{"UnionConjunction", func(s PartialSource) (any, error) { return est.UnionConjunctionFrom(s, subs) }},
-		{"UnionConjunction1", func(s PartialSource) (any, error) { return est.UnionConjunctionFrom(s, subs[:1]) }},
-		{"ExactlyOfK", func(s PartialSource) (any, error) { return est.ExactlyOfKFrom(s, subs, 2) }},
-		{"AtLeastOfK", func(s PartialSource) (any, error) { return est.AtLeastOfKFrom(s, subs, 1) }},
-		{"NoneOf", func(s PartialSource) (any, error) { return est.NoneOfFrom(s, subs) }},
+		{"Fraction", func(s PartialSource) (any, error) { return est.Fraction(s, conjSubset, conjValue) }},
+		{"UnionConjunction", func(s PartialSource) (any, error) { return est.UnionConjunction(s, subs) }},
+		{"UnionConjunction1", func(s PartialSource) (any, error) { return est.UnionConjunction(s, subs[:1]) }},
+		{"ExactlyOfK", func(s PartialSource) (any, error) { return est.ExactlyOfK(s, subs, 2) }},
+		{"AtLeastOfK", func(s PartialSource) (any, error) { return est.AtLeastOfK(s, subs, 1) }},
+		{"NoneOf", func(s PartialSource) (any, error) { return est.NoneOf(s, subs) }},
 		{"ConjunctionExact", func(s PartialSource) (any, error) {
-			return est.ConjunctionFractionFrom(s, bitvec.MustConjunction(
+			return est.ConjunctionFraction(s, bitvec.MustConjunction(
 				bitvec.Literal{Position: 0, Value: true}, bitvec.Literal{Position: 1, Value: false},
 				bitvec.Literal{Position: 2, Value: true}, bitvec.Literal{Position: 3, Value: false}))
 		}},
 		{"ConjunctionGlued", func(s PartialSource) (any, error) {
 			// {0,5} was never sketched as a subset: exercises the
 			// ErrNoSketches fallback onto Appendix F gluing.
-			return est.ConjunctionFractionFrom(s, bitvec.MustConjunction(
+			return est.ConjunctionFraction(s, bitvec.MustConjunction(
 				bitvec.Literal{Position: 0, Value: true}, bitvec.Literal{Position: 5, Value: true}))
 		}},
-		{"FieldMean", func(s PartialSource) (any, error) { return est.FieldMeanFrom(s, fa) }},
-		{"FieldSum", func(s PartialSource) (any, error) { return est.FieldSumFrom(s, fa) }},
-		{"FieldLessThan", func(s PartialSource) (any, error) { return est.FieldLessThanFrom(s, fa, 11) }},
-		{"FieldLessThanZero", func(s PartialSource) (any, error) { return est.FieldLessThanFrom(s, fa, 0) }},
-		{"FieldLessThanAll", func(s PartialSource) (any, error) { return est.FieldLessThanFrom(s, fa, fa.Max()+1) }},
-		{"FieldAtMost", func(s PartialSource) (any, error) { return est.FieldAtMostFrom(s, fb, 9) }},
-		{"FieldAtMostAll", func(s PartialSource) (any, error) { return est.FieldAtMostFrom(s, fb, fb.Max()) }},
-		{"InnerProductMean", func(s PartialSource) (any, error) { return est.InnerProductMeanFrom(s, fa, fb) }},
-		{"EqualAndLessThan", func(s PartialSource) (any, error) { return est.EqualAndLessThanFrom(s, fb, 6, fa, 13) }},
-		{"ConditionalSum", func(s PartialSource) (any, error) { return est.ConditionalSumGivenLessThanFrom(s, fb, fa, 10) }},
-		{"ConditionalMean", func(s PartialSource) (any, error) { return est.ConditionalMeanGivenLessThanFrom(s, fb, fa, 10) }},
-		{"DecisionTree", func(s PartialSource) (any, error) { return est.DecisionTreeFractionFrom(s, tree) }},
-		{"DecisionTreeAllAccept", func(s PartialSource) (any, error) { return est.DecisionTreeFractionFrom(s, Leaf(true)) }},
+		{"FieldMean", func(s PartialSource) (any, error) { return est.FieldMean(s, fa) }},
+		{"FieldSum", func(s PartialSource) (any, error) { return est.FieldSum(s, fa) }},
+		{"FieldLessThan", func(s PartialSource) (any, error) { return est.FieldLessThan(s, fa, 11) }},
+		{"FieldLessThanZero", func(s PartialSource) (any, error) { return est.FieldLessThan(s, fa, 0) }},
+		{"FieldLessThanAll", func(s PartialSource) (any, error) { return est.FieldLessThan(s, fa, fa.Max()+1) }},
+		{"FieldAtMost", func(s PartialSource) (any, error) { return est.FieldAtMost(s, fb, 9) }},
+		{"FieldAtMostAll", func(s PartialSource) (any, error) { return est.FieldAtMost(s, fb, fb.Max()) }},
+		{"InnerProductMean", func(s PartialSource) (any, error) { return est.InnerProductMean(s, fa, fb) }},
+		{"EqualAndLessThan", func(s PartialSource) (any, error) { return est.EqualAndLessThan(s, fb, 6, fa, 13) }},
+		{"ConditionalSum", func(s PartialSource) (any, error) { return est.ConditionalSumGivenLessThan(s, fb, fa, 10) }},
+		{"ConditionalMean", func(s PartialSource) (any, error) { return est.ConditionalMeanGivenLessThan(s, fb, fa, 10) }},
+		{"DecisionTree", func(s PartialSource) (any, error) { return est.DecisionTreeFraction(s, tree) }},
+		{"DecisionTreeAllAccept", func(s PartialSource) (any, error) { return est.DecisionTreeFraction(s, Leaf(true)) }},
 		{"MatchDistribution", func(s PartialSource) (any, error) {
-			x, users, err := est.MatchDistributionFrom(s, subs)
+			x, users, err := est.MatchDistribution(s, subs)
 			return struct {
 				X     []float64
 				Users int
@@ -142,27 +142,27 @@ func TestPlanErrorEquivalence(t *testing.T) {
 		run  func(src PartialSource) error
 	}{
 		{"NoSketches", func(s PartialSource) error {
-			_, err := est.FractionFrom(s, bitvec.MustSubset(9), oneBit())
+			_, err := est.Fraction(s, bitvec.MustSubset(9), oneBit())
 			return err
 		}},
 		{"ShapeMismatch", func(s PartialSource) error {
-			_, err := est.FractionFrom(s, bitvec.Range(0, 4), oneBit())
+			_, err := est.Fraction(s, bitvec.Range(0, 4), oneBit())
 			return err
 		}},
 		{"EmptySubset", func(s PartialSource) error {
-			_, err := est.FractionFrom(s, bitvec.Subset{}, bitvec.New(0))
+			_, err := est.Fraction(s, bitvec.Subset{}, bitvec.New(0))
 			return err
 		}},
 		{"IntervalMissingPrefix", func(s PartialSource) error {
-			_, err := est.FieldLessThanFrom(s, missing, 9)
+			_, err := est.FieldLessThan(s, missing, 9)
 			return err
 		}},
 		{"ExactlyBounds", func(s PartialSource) error {
-			_, err := est.ExactlyOfKFrom(s, []SubQuery{{Subset: fa.BitSubset(1), Value: oneBit()}}, 5)
+			_, err := est.ExactlyOfK(s, []SubQuery{{Subset: fa.BitSubset(1), Value: oneBit()}}, 5)
 			return err
 		}},
 		{"NoSubQueries", func(s PartialSource) error {
-			_, err := est.UnionConjunctionFrom(s, nil)
+			_, err := est.UnionConjunction(s, nil)
 			return err
 		}},
 	}
@@ -178,7 +178,7 @@ func TestPlanErrorEquivalence(t *testing.T) {
 	}
 	// ErrNoSketches identity must survive the plan path so callers'
 	// errors.Is checks (and the conjunction fallback) keep working.
-	if _, err := est.FractionFrom(batch, bitvec.MustSubset(9), oneBit()); !errors.Is(err, ErrNoSketches) {
+	if _, err := est.Fraction(batch, bitvec.MustSubset(9), oneBit()); !errors.Is(err, ErrNoSketches) {
 		t.Fatalf("plan path lost ErrNoSketches identity: %v", err)
 	}
 }
@@ -352,7 +352,7 @@ func TestGuardedHistogramSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := est.ConjunctionFractionFrom(oracle, exact)
+	want, err := est.ConjunctionFraction(oracle, exact)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,13 @@ import (
 // This file holds the plan-builder form of every estimator.  Each planner
 // registers the raw-counter evaluations its estimator needs on a Plan and
 // returns a finisher that reduces the executed Results into the estimate.
-// The arithmetic inside the finishers is the estimator logic itself: the
-// XxxFrom entry points are one plan build, one batched Execute and one
-// finish, and the execution strategy (one-pass table scan, one-fan-out
-// cluster push-down) is the only variable.  Finishers run in the order
-// their evaluations were registered, which fixes error precedence.
+// The arithmetic inside the finishers is the estimator logic itself: an
+// estimator's entry point X(src, …) is run over PlanX — one plan build, one
+// batched Execute and one finish — and the execution strategy (one-pass
+// table scan, one-fan-out cluster push-down) is the only variable.  A
+// planner stays exported beside its entry point because it is how several
+// estimators ride one execution.  Finishers run in the order their
+// evaluations were registered, which fixes error precedence.
 
 // EstimateFinisher reduces executed plan results into a frequency
 // estimate.
@@ -26,32 +28,18 @@ type EstimateFinisher func(*Results) (Estimate, error)
 // NumericFinisher reduces executed plan results into a numeric estimate.
 type NumericFinisher func(*Results) (NumericEstimate, error)
 
-// runEstimate builds a one-off plan with the planner, executes it on the
-// source and finishes — the shared body of the Estimate-valued XxxFrom
-// entry points.
-func runEstimate(src PartialSource, plan func(*Plan) (EstimateFinisher, error)) (Estimate, error) {
+// run builds a one-off plan with the planner, executes it on the source
+// and finishes — the whole body of every X(src, …) entry point.
+func run[T any, F ~func(*Results) (T, error)](src PartialSource, plan func(*Plan) (F, error)) (T, error) {
+	var zero T
 	p := NewPlan()
 	fin, err := plan(p)
 	if err != nil {
-		return Estimate{}, err
+		return zero, err
 	}
 	res, err := src.Execute(p)
 	if err != nil {
-		return Estimate{}, err
-	}
-	return fin(res)
-}
-
-// runNumeric is runEstimate for NumericEstimate-valued estimators.
-func runNumeric(src PartialSource, plan func(*Plan) (NumericFinisher, error)) (NumericEstimate, error) {
-	p := NewPlan()
-	fin, err := plan(p)
-	if err != nil {
-		return NumericEstimate{}, err
-	}
-	res, err := src.Execute(p)
-	if err != nil {
-		return NumericEstimate{}, err
+		return zero, err
 	}
 	return fin(res)
 }

@@ -27,6 +27,11 @@ import (
 // perturbed bits (p for the original bits, 2p(1−p) for the virtual ones)
 // and is estimated with the product-form inverse-channel estimator; the
 // disjuncts are mutually exclusive, so their estimates add.
+//
+// It is the one estimator that takes a table and not a PartialSource: the
+// product weights join each user's own observed bits across 2k subsets,
+// and no counter that merges by addition across record sets carries that
+// per-user alignment.
 func (e *Estimator) SumLessThanPow2(tab *sketch.Table, a, b bitvec.IntField, r int) (NumericEstimate, error) {
 	if a.Width != b.Width {
 		return NumericEstimate{}, fmt.Errorf("%w: fields have widths %d and %d", ErrMismatch, a.Width, b.Width)

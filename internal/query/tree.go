@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sketchprivacy/internal/bitvec"
-	"sketchprivacy/internal/sketch"
 )
 
 // TreeNode is a node of a binary decision tree over profile attributes.
@@ -99,20 +98,14 @@ func (n *TreeNode) AcceptingPaths() []bitvec.Conjunction {
 // tree: the sum over accepting paths of each path's conjunctive-query
 // estimate.  Paths with an exactly-sketched subset use Algorithm 2
 // directly; otherwise single-bit sketches are glued via Appendix F (see
-// ConjunctionFraction).
+// ConjunctionFraction).  Every accepting path's conjunction (exact subset
+// and Appendix F fallback alike) rides one plan execution — one table pass
+// locally, one fan-out over a cluster, however many paths the tree has.
 //
 // A tree whose every leaf accepts has fraction exactly 1 and consumes no
 // queries.
-func (e *Estimator) DecisionTreeFraction(tab *sketch.Table, tree *TreeNode) (NumericEstimate, error) {
-	return e.DecisionTreeFractionFrom(e.TableSource(tab), tree)
-}
-
-// DecisionTreeFractionFrom is DecisionTreeFraction over any partial
-// source: every accepting path's conjunction (exact subset and Appendix F
-// fallback alike) rides one plan execution — one table pass locally, one
-// fan-out over a cluster, however many paths the tree has.
-func (e *Estimator) DecisionTreeFractionFrom(src PartialSource, tree *TreeNode) (NumericEstimate, error) {
-	return runNumeric(src, func(p *Plan) (NumericFinisher, error) {
+func (e *Estimator) DecisionTreeFraction(src PartialSource, tree *TreeNode) (NumericEstimate, error) {
+	return run(src, func(p *Plan) (NumericFinisher, error) {
 		return e.PlanDecisionTreeFraction(p, tree)
 	})
 }

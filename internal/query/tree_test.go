@@ -86,7 +86,7 @@ func TestDecisionTreeFractionExactSubsets(t *testing.T) {
 		b, _ := path.Split()
 		subsets = append(subsets, b)
 	}
-	tab, e := buildTable(t, pop, subsets, p, 10, 92)
+	src, e := buildSource(t, pop, subsets, p, 10, 92)
 
 	truth := 0.0
 	for _, pr := range pop.Profiles {
@@ -96,7 +96,7 @@ func TestDecisionTreeFractionExactSubsets(t *testing.T) {
 	}
 	truth /= float64(m)
 
-	est, err := e.DecisionTreeFraction(tab, tree)
+	est, err := e.DecisionTreeFraction(src, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDecisionTreeFractionGluedFromSingleBits(t *testing.T) {
 	for i := 0; i < dataset.EpiWidth; i++ {
 		subsets = append(subsets, bitvec.MustSubset(i))
 	}
-	tab, e := buildTable(t, pop, subsets, p, 10, 94)
+	src, e := buildSource(t, pop, subsets, p, 10, 94)
 
 	truth := 0.0
 	for _, pr := range pop.Profiles {
@@ -130,7 +130,7 @@ func TestDecisionTreeFractionGluedFromSingleBits(t *testing.T) {
 	}
 	truth /= float64(m)
 
-	est, err := e.DecisionTreeFraction(tab, tree)
+	est, err := e.DecisionTreeFraction(src, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,10 @@ func TestDecisionTreeFractionGluedFromSingleBits(t *testing.T) {
 
 func TestDecisionTreeDegenerateCases(t *testing.T) {
 	pop := dataset.UniformBinary(95, 500, 4, 0.5)
-	tab, e := buildTable(t, pop, []bitvec.Subset{bitvec.MustSubset(0)}, 0.3, 8, 96)
+	src, e := buildSource(t, pop, []bitvec.Subset{bitvec.MustSubset(0)}, 0.3, 8, 96)
 
 	// All-accepting tree: fraction 1 and no queries.
-	est, err := e.DecisionTreeFraction(tab, Leaf(true))
+	est, err := e.DecisionTreeFraction(src, Leaf(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDecisionTreeDegenerateCases(t *testing.T) {
 		t.Errorf("all-accept tree: %+v", est)
 	}
 	// All-rejecting tree: fraction 0.
-	est, err = e.DecisionTreeFraction(tab, Leaf(false))
+	est, err = e.DecisionTreeFraction(src, Leaf(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDecisionTreeDegenerateCases(t *testing.T) {
 		t.Errorf("all-reject tree: %+v", est)
 	}
 	// Invalid tree surfaces its validation error.
-	if _, err := e.DecisionTreeFraction(tab, Node(0, nil, Leaf(true))); err == nil {
+	if _, err := e.DecisionTreeFraction(src, Node(0, nil, Leaf(true))); err == nil {
 		t.Error("invalid tree accepted")
 	}
 }

@@ -55,7 +55,7 @@ func (f *Frontend) dispatch(msgType byte, payload []byte) (byte, []byte, error) 
 		if err != nil {
 			return 0, nil, err
 		}
-		return conjunctionReply(f.r.Conjunction(q.Subset, q.Value))
+		return conjunctionReply(f.r.Estimator().Fraction(f.r, q.Subset, q.Value))
 	case wire.TypeStats:
 		return 0, nil, fmt.Errorf("cluster: stats is a per-node report; ping the router for cluster status")
 	case wire.TypePlanQuery:

@@ -468,9 +468,6 @@ func (t *Table) CountForSubset(b bitvec.Subset) int {
 	return 0
 }
 
-// HasSubset reports whether any sketches exist for subset b.
-func (t *Table) HasSubset(b bitvec.Subset) bool { return t.CountForSubset(b) > 0 }
-
 // Subsets returns the distinct subsets present, sorted by their canonical
 // tag so the order is deterministic.
 func (t *Table) Subsets() []bitvec.Subset {
@@ -565,21 +562,4 @@ func (t *Table) Len() int {
 		n += c.len()
 	}
 	return n
-}
-
-// SketchesPerUser returns how many sketches each user has published; the
-// privacy auditor uses it to report per-user ε budgets.
-func (t *Table) SketchesPerUser() map[bitvec.UserID]int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[bitvec.UserID]int)
-	for _, c := range t.cols {
-		for _, id := range c.ids {
-			out[id]++
-		}
-		for _, id := range c.tailIDs {
-			out[id]++
-		}
-	}
-	return out
 }

@@ -62,11 +62,11 @@ func TestTableForSubsetSortedAndCounts(t *testing.T) {
 			t.Error("Snapshot not sorted by user id")
 		}
 	}
-	if tab.CountForSubset(b) != 4 || !tab.HasSubset(b) {
-		t.Error("CountForSubset/HasSubset wrong")
+	if tab.CountForSubset(b) != 4 {
+		t.Error("CountForSubset wrong")
 	}
-	if tab.HasSubset(bitvec.MustSubset(9)) {
-		t.Error("HasSubset true for unknown subset")
+	if tab.CountForSubset(bitvec.MustSubset(9)) != 0 {
+		t.Error("CountForSubset non-zero for unknown subset")
 	}
 	if tab.Len() != 4 {
 		t.Errorf("Len = %d", tab.Len())
@@ -111,11 +111,6 @@ func TestTableSubsetsAndUsersWithAll(t *testing.T) {
 	}
 	if views = tab.Views([]bitvec.Subset{b2}, true); len(views) != 3 || !views[0].Subset().Equal(b2) || !views[1].Subset().Equal(subs[0]) || !views[2].Subset().Equal(subs[1]) {
 		t.Errorf("Views with all set should hold the listed subset and then every subset, in Subsets order; got %v", views)
-	}
-
-	per := tab.SketchesPerUser()
-	if per[1] != 2 || per[2] != 1 || per[3] != 2 {
-		t.Errorf("SketchesPerUser = %v", per)
 	}
 }
 
@@ -341,21 +336,18 @@ func TestTableMatchesMapOracle(t *testing.T) {
 				}
 			}
 		}
-		total, perUser := 0, make(map[bitvec.UserID]int)
+		total := 0
 		var present []bitvec.Subset
 		for _, b := range subsets {
 			check(b)
 			total += len(oracle[b.Key()])
-			for id := range oracle[b.Key()] {
-				perUser[id]++
-			}
 			if len(oracle[b.Key()]) > 0 {
 				present = append(present, b)
 			}
 		}
 		sort.Slice(present, func(i, j int) bool { return present[i].Key() < present[j].Key() })
-		if tab.Len() != total || !reflect.DeepEqual(tab.SketchesPerUser(), perUser) || !reflect.DeepEqual(tab.Subsets(), present) {
-			t.Fatalf("seed %d: Len %d (oracle %d), SketchesPerUser or Subsets differ from the oracle", seed, tab.Len(), total)
+		if tab.Len() != total || !reflect.DeepEqual(tab.Subsets(), present) {
+			t.Fatalf("seed %d: Len %d (oracle %d), or Subsets differ from the oracle", seed, tab.Len(), total)
 		}
 	}
 }
@@ -422,7 +414,7 @@ func TestTableEmptiedSubsetKeepsItsGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, before := tab.View(b)
-	if !tab.Remove(7, b) || tab.HasSubset(b) || len(tab.Subsets()) != 0 {
+	if !tab.Remove(7, b) || tab.CountForSubset(b) != 0 || len(tab.Subsets()) != 0 {
 		t.Fatal("removing the only record must empty the subset")
 	}
 	if err := tab.Add(p); err != nil {

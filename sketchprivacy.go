@@ -61,7 +61,11 @@ type (
 	Sketcher = sketch.Sketcher
 	// Table is the analyst-side store of published sketches.
 	Table = sketch.Table
-	// Estimator answers queries from a Table (Algorithm 2 and Section 4.1).
+	// Estimator holds every query of the paper (Algorithm 2, Section 4.1,
+	// Appendices E and F), each asked one way: est.X(src, …) over a plan
+	// source — an Engine's Source(nil), or a Table behind
+	// est.TableSource(tab).  Engine's own query methods are that call
+	// over its cached source.
 	Estimator = query.Estimator
 	// Estimate is a frequency estimate with its confidence machinery.
 	Estimate = query.Estimate
