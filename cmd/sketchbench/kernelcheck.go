@@ -14,12 +14,12 @@ import (
 // code (or renamed) no longer satisfies its line, and a kernel added to
 // the code without a line here is flagged as uncovered — so the artifact
 // CI uploads can neither lose nor silently omit benchmarks.  After the
-// name(s) a line may pin the kernel's heap use, " allocs=0" and
-// " bytes<=N": allocations and allocated bytes per operation are
+// name(s) a line may pin the kernel's heap use, " allocs=0", " allocs<=N"
+// and " bytes<=N": allocations and allocated bytes per operation are
 // deterministic, so unlike ns/op they can be gated on any runner.  A byte
-// pin is the reading of a -quick run, the artifact every PR produces —
-// the replay kernels move ten times the records without the flag — and is
-// checked against no other.
+// or a counted-allocation pin is the reading of a -quick run, the artifact
+// every PR produces — the replay kernels move ten times the records
+// without the flag — and is checked against no other.
 //
 //go:embed kernels.txt
 var expectedKernels string
@@ -48,11 +48,15 @@ func checkKernels(path string) error {
 		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		names, noAllocs, maxBytes := fields[0], false, int64(-1)
+		names, noAllocs, maxAllocs, maxBytes := fields[0], false, int64(-1), int64(-1)
 		for _, pin := range fields[1:] {
 			if n, ok := strings.CutPrefix(pin, "bytes<="); ok {
 				if maxBytes, err = strconv.ParseInt(n, 10, 64); err != nil || maxBytes < 0 {
 					return fmt.Errorf("kernels.txt: %q: bad byte count in %q", line, pin)
+				}
+			} else if n, ok := strings.CutPrefix(pin, "allocs<="); ok {
+				if maxAllocs, err = strconv.ParseInt(n, 10, 64); err != nil || maxAllocs < 0 {
+					return fmt.Errorf("kernels.txt: %q: bad allocation count in %q", line, pin)
 				}
 			} else if pin == "allocs=0" {
 				noAllocs = true
@@ -70,6 +74,9 @@ func checkKernels(path string) error {
 			matched = true
 			if noAllocs && k.AllocsPerOp > 0 {
 				allocating = append(allocating, fmt.Sprintf("%s (%d allocs/op)", alt, k.AllocsPerOp))
+			}
+			if file.Quick && maxAllocs >= 0 && k.AllocsPerOp > maxAllocs {
+				allocating = append(allocating, fmt.Sprintf("%s (%d allocs/op, pinned at %d)", alt, k.AllocsPerOp, maxAllocs))
 			}
 			if file.Quick && maxBytes >= 0 && k.BytesPerOp > maxBytes {
 				allocating = append(allocating, fmt.Sprintf("%s (%d bytes/op, pinned at %d)", alt, k.BytesPerOp, maxBytes))

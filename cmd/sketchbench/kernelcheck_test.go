@@ -13,11 +13,11 @@ import (
 // built from kernels.txt itself: the complete list passes, a dropped
 // kernel and an unlisted one fail, a kernel pinned at allocs=0 fails
 // once it reports an allocation while an unpinned one may allocate, and a
-// kernel pinned at bytes<=N fails one byte past N — in a -quick artifact,
-// whose sizes the pins are readings of.
+// kernel pinned at bytes<=N or allocs<=N fails one byte or one allocation
+// past N — in a -quick artifact, whose sizes the pins are readings of.
 func TestCheckKernelsGatesNamesAndAllocations(t *testing.T) {
 	var full []KernelResult
-	pinnedBytes := make(map[string]int64)
+	pinnedBytes, pinnedAllocs := make(map[string]int64), make(map[string]int64)
 	for _, line := range strings.Split(expectedKernels, "\n") {
 		fields := strings.Fields(line)
 		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
@@ -28,6 +28,9 @@ func TestCheckKernelsGatesNamesAndAllocations(t *testing.T) {
 		for _, pin := range fields[1:] {
 			if n, ok := strings.CutPrefix(pin, "bytes<="); ok {
 				pinnedBytes[name], _ = strconv.ParseInt(n, 10, 64)
+			}
+			if n, ok := strings.CutPrefix(pin, "allocs<="); ok {
+				pinnedAllocs[name], _ = strconv.ParseInt(n, 10, 64)
 			}
 		}
 	}
@@ -92,8 +95,24 @@ func TestCheckKernelsGatesNamesAndAllocations(t *testing.T) {
 	if err := check(withBytes("conjunctive-query-10k", 1<<40)); err != nil {
 		t.Errorf("a kernel with no byte pin may not allocate bytes: %v", err)
 	}
+	for _, name := range []string{"table-write-then-read", "store-replay-100k", "store-replay-indexed"} {
+		pin, ok := pinnedAllocs[name]
+		if !ok {
+			t.Errorf("kernels.txt no longer pins the allocs/op of %s", name)
+			continue
+		}
+		if err := check(with(name, pin)); err != nil {
+			t.Errorf("%s at its pin of %d allocs/op is refused: %v", name, pin, err)
+		}
+		if err := check(with(name, pin+1)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s one allocation past its pin of %d allocs/op passes: %v", name, pin, err)
+		}
+	}
 	quick = false
 	if err := check(withBytes("store-replay-indexed", 1<<40)); err != nil {
 		t.Errorf("a full-size artifact is held to the -quick byte pins: %v", err)
+	}
+	if err := check(with("store-replay-indexed", 1<<40)); err != nil {
+		t.Errorf("a full-size artifact is held to the -quick allocation pins: %v", err)
 	}
 }

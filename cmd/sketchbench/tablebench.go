@@ -25,10 +25,60 @@ func tableBenchRecord(i int, subset bitvec.Subset) sketch.Published {
 	return sketch.Published{ID: bitvec.UserID(id), Subset: subset, S: sketch.Sketch{Key: id >> 55, Length: 9}}
 }
 
+// tableBenchBase returns the 35k-record run the write-then-read kernels
+// start from, as a store replays one: ids ascending.
+func tableBenchBase(subset bitvec.Subset) sketch.Run {
+	ids, keys := make([]bitvec.UserID, tableBenchUsers), sketch.MakeWords(2, 0, tableBenchUsers)
+	for i := range ids {
+		rec := tableBenchRecord(i, subset)
+		ids[i], keys = rec.ID, keys.Append(rec.S.Pack())
+	}
+	ids, keys = sketch.SortByID(ids, keys)
+	return sketch.Run{Subset: subset, IDs: sketch.MakeIDs(ids), Keys: keys}
+}
+
+// tableWriteThenRead is the body of the write-then-read kernels.  One op =
+// 32 new users published to a 35k-record subset, then the subset handed to
+// read: every read meets pending writes, the mixed-fresh pattern.  The
+// table is rebuilt every 256 ops (timer stopped) so the subset stays near
+// its nominal size.
+func tableWriteThenRead(b *testing.B, subset bitvec.Subset, read func(v sketch.View)) {
+	base := tableBenchBase(subset)
+	b.ReportAllocs()
+	var tab *sketch.Table
+	next := 0
+	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			b.StopTimer()
+			tab, next = sketch.NewTable(), tableBenchUsers
+			// The table owns what it loads; base is loaded again.
+			if err := tab.LoadRun(base.Clone()); err != nil {
+				b.Fatal(err)
+			}
+			tab.View(subset)
+			b.StartTimer()
+		}
+		for j := 0; j < tableBenchFresh; j++ {
+			rec := tableBenchRecord(next, subset)
+			next++
+			if _, _, err := tab.AddNew(&rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		v, _ := tab.View(subset)
+		if v.Len() != next {
+			b.Fatalf("read %d records after %d writes", v.Len(), next)
+		}
+		read(v)
+	}
+}
+
 // tableBenchmarks measures the sketch table's write side, which the plan
 // kernels (all reads over a finished table) do not: the per-record cost of
 // ingest, in time and in allocated bytes, and the cost of a read that
-// follows a burst of writes to the subset it reads.
+// follows a burst of writes to the subset it reads.  The ids of all three
+// are hashed over 64 bits and arrive in scattered order: the case an id
+// column can only hold raw, and a fold can move no block of whole.
 func tableBenchmarks() []struct {
 	name string
 	fn   func(b *testing.B)
@@ -56,40 +106,25 @@ func tableBenchmarks() []struct {
 			}
 		}},
 		{"table-write-then-read", func(b *testing.B) {
-			// One op = 32 new users published to a 35k-record subset, then
-			// the subset read: every read meets pending writes, the
-			// mixed-fresh pattern.  The table is rebuilt every 256 ops
-			// (timer stopped) so the subset stays near its nominal size.
-			subset := subsets[len(subsets)-1]
-			base := sketch.Run{Subset: subset}
-			for i := 0; i < tableBenchUsers; i++ {
-				rec := tableBenchRecord(i, subset)
-				base.IDs, base.Keys = append(base.IDs, rec.ID), base.Keys.Append(rec.S.Pack())
-			}
-			b.ReportAllocs()
-			var tab *sketch.Table
-			next := 0
-			for i := 0; i < b.N; i++ {
-				if i%256 == 0 {
-					b.StopTimer()
-					tab, next = sketch.NewTable(), tableBenchUsers
-					// The table owns what it loads; base is loaded again.
-					if err := tab.LoadRun(base.Clone()); err != nil {
-						b.Fatal(err)
-					}
-					tab.View(subset)
-					b.StartTimer()
-				}
-				for j := 0; j < tableBenchFresh; j++ {
-					rec := tableBenchRecord(next, subset)
-					next++
-					if _, _, err := tab.AddNew(&rec); err != nil {
-						b.Fatal(err)
+			// The read takes the view — which folds the 32 writes in — and
+			// looks at none of its records.
+			tableWriteThenRead(b, subsets[len(subsets)-1], func(sketch.View) {})
+		}},
+		{"table-read-hashed-ids", func(b *testing.B) {
+			// The same, and the read then decodes every id of the view, as a
+			// keep mask or a join does: what holding hashed ids in raw blocks
+			// costs a reader, fold and decode together.
+			var sum bitvec.UserID
+			tableWriteThenRead(b, subsets[len(subsets)-1], func(v sketch.View) {
+				var buf [sketch.IDBlockLen]bitvec.UserID
+				for k, blocks := 0, v.IDs().Blocks(); k < blocks; k++ {
+					for _, id := range v.IDs().Block(k, &buf) {
+						sum ^= id
 					}
 				}
-				if v, _ := tab.View(subset); v.Len() != next {
-					b.Fatalf("read %d records after %d writes", v.Len(), next)
-				}
+			})
+			if sum == 1 {
+				b.Log("the ids cancel to 1") // keeps the decode loop's result live
 			}
 		}},
 	}

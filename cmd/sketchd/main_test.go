@@ -314,3 +314,36 @@ func TestHealthzDegradedWhileWALRollFails(t *testing.T) {
 		t.Fatal("no segment rolled after the directory came back")
 	}
 }
+
+// TestPreV3DataDirRefused: started on a data directory last written before
+// store format v3 — data under a manifest without a format marker — the
+// daemon prints store.ErrFormatTooOld, which names the version that still
+// upgrades such a directory, exits non-zero and listens on nothing.
+func TestPreV3DataDirRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real daemon; skipped in -short")
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "sketchd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building sketchd: %v", err)
+	}
+	dataDir := filepath.Join(tmp, "data")
+	if err := os.MkdirAll(filepath.Join(dataDir, "shard-0000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{"SHARDS": "1\n", "shard-0000/wal.log": "\x00\x00\x00\x04\xde\xad\xbe\xef\x01\x02\x03\x04"} {
+		if err := os.WriteFile(filepath.Join(dataDir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-data-dir", dataDir).CombinedOutput()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() == 0 {
+		t.Fatalf("sketchd on a pre-v3 directory: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), store.ErrFormatTooOld.Error()) || strings.Contains(string(out), "listening") {
+		t.Fatalf("sketchd on a pre-v3 directory printed:\n%s", out)
+	}
+}

@@ -303,7 +303,7 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 		t.Fatalf("table holds %d records, %d ingests were acknowledged", got, accepted.Load())
 	}
 	stored := 0
-	if err := st.IterateRuns(func(r sketch.Run) error { stored += len(r.IDs); return nil }); err != nil {
+	if err := st.IterateRuns(func(r sketch.Run) error { stored += r.Len(); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if int64(stored) != accepted.Load() {

@@ -255,12 +255,34 @@ func (x *cut) columns(ctx context.Context, pairs []FractionEval) (cols [][]uint6
 	if err != nil {
 		return nil, 0, err
 	}
-	ids := make([][]bitvec.UserID, len(pairs))
+	ids := make([]sketch.IDs, len(pairs))
 	for j, f := range pairs {
 		ids[j] = x.subs[x.at(f.Subset)].view.IDs()
 	}
 	cols, users = alignedColumns(ids, bitmaps, x.mask(x.at(pairs[0].Subset)))
 	return cols, users, nil
+}
+
+// joinColumn is one id column as the join reads it: the decoded block the
+// join stands in and where in the column that block starts.
+type joinColumn struct {
+	ids sketch.IDs
+	lo  int // the column position of block[0]
+	n   int // how many ids block holds
+	// block is an array, not the slice Block returns, so that a joinColumn
+	// points nowhere into itself and a few of them can live on the stack.
+	block [sketch.IDBlockLen]bitvec.UserID
+}
+
+// refill decodes the block that holds position at, or reports that the
+// column ends before it.
+func (c *joinColumn) refill(at int) bool {
+	if at >= c.ids.Len() {
+		return false
+	}
+	k := at / sketch.IDBlockLen
+	c.n, c.lo = len(c.ids.Block(k, &c.block)), k*sketch.IDBlockLen
+	return true
 }
 
 // alignedColumns is a sort-merge join of sorted id columns.  For every
@@ -269,11 +291,14 @@ func (x *cut) columns(ctx context.Context, pairs []FractionEval) (cols [][]uint6
 // bitmap over ids[j], into bit u&63 of word u>>6 of column j, u being the
 // user's rank among the joined users.  The columns are aligned: bit u of
 // every column belongs to the same user.  Nothing is copied but those
-// bits, and one id column may be listed several times.
-func alignedColumns(ids [][]bitvec.UserID, bitmaps [][]uint64, mask []uint64) (cols [][]uint64, users int) {
-	most := len(ids[0])
+// bits — each column is decoded a 64-id block at a time, as the join
+// reaches it, and where all of them stand at one and the same block, as
+// the subsets every user published do throughout, the block joins itself
+// undecoded — and one id column may be listed several times.
+func alignedColumns(ids []sketch.IDs, bitmaps [][]uint64, mask []uint64) (cols [][]uint64, users int) {
+	most := ids[0].Len()
 	for _, other := range ids[1:] {
-		most = min(most, len(other))
+		most = min(most, other.Len())
 	}
 	words := (most + 63) / 64
 	backing := make([]uint64, len(ids)*words)
@@ -281,30 +306,77 @@ func alignedColumns(ids [][]bitvec.UserID, bitmaps [][]uint64, mask []uint64) (c
 	for j := range cols {
 		cols[j] = backing[j*words : (j+1)*words]
 	}
-	at := make([]int, len(ids)) // at[j] is the join's position in ids[j]
-next:
-	for i, id := range ids[0] {
-		at[0] = i
-		for j := 1; j < len(ids); j++ {
-			other, a := ids[j], at[j]
-			for a < len(other) && other[a] < id {
-				a++
-			}
-			at[j] = a
-			if a == len(other) {
-				break next
-			}
-			if other[a] != id {
-				continue next
-			}
+	// The usual handful of columns is joined from the stack.
+	var fewColumns [4]joinColumn
+	var fewAt [4]int
+	join, at := fewColumns[:0], fewAt[:0] // at[j] is the join's position in ids[j]
+	if len(ids) > len(fewColumns) {
+		join, at = make([]joinColumn, 0, len(ids)), make([]int, 0, len(ids))
+	}
+	for _, column := range ids {
+		join, at = append(join, joinColumn{ids: column}), append(at, 0)
+	}
+scan:
+	for k, blocks := 0, ids[0].Blocks(); k < blocks; k++ {
+		at[0] = k * sketch.IDBlockLen
+		same := true
+		for j := 1; j < len(join) && same; j++ {
+			same = at[j]%sketch.IDBlockLen == 0 && ids[0].SameBlock(k, ids[j], at[j]/sketch.IDBlockLen)
 		}
-		if mask != nil && mask[i>>6]>>uint(i&63)&1 == 0 {
+		if same {
+			// User o of the block is at the same offset in every column;
+			// a whole block of kept users is a word of each bitmap.
+			m := min(sketch.IDBlockLen, ids[0].Len()-at[0])
+			if whole := mask == nil || mask[k] == ^uint64(0); whole && m == 64 && users&63 == 0 {
+				for j, a := range at {
+					cols[j][users>>6], at[j] = bitmaps[j][a>>6], a+m
+				}
+				users += m
+				continue
+			}
+			for o := 0; o < m; o++ {
+				if mask == nil || mask[k]>>uint(o)&1 == 1 {
+					for j, a := range at {
+						cols[j][users>>6] |= (bitmaps[j][a>>6] >> uint(a&63) & 1) << uint(users&63)
+					}
+					users++
+				}
+				for j := range at {
+					at[j]++
+				}
+			}
 			continue
 		}
-		for j, a := range at {
-			cols[j][users>>6] |= (bitmaps[j][a>>6] >> uint(a&63) & 1) << uint(users&63)
+	next:
+		for o, id := range ids[0].Block(k, &join[0].block) {
+			at[0] = k*sketch.IDBlockLen + o
+			for j := 1; j < len(join); j++ {
+				// Forward to the first id at or above id, block after block.
+				c := &join[j]
+				window, a := c.block[:c.n], at[j]-c.lo
+				for {
+					for a < len(window) && window[a] < id {
+						a++
+					}
+					if at[j] = c.lo + a; a < len(window) {
+						break
+					}
+					if !c.refill(at[j]) {
+						break scan
+					}
+					window, a = c.block[:c.n], at[j]-c.lo
+				}
+				if window[a] != id {
+					continue next
+				}
+			}
+			if mask == nil || mask[k]>>uint(o)&1 == 1 {
+				for j, a := range at {
+					cols[j][users>>6] |= (bitmaps[j][a>>6] >> uint(a&63) & 1) << uint(users&63)
+				}
+				users++
+			}
 		}
-		users++
 	}
 	for j := range cols {
 		cols[j] = cols[j][:(users+63)/64]
@@ -359,6 +431,7 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval) [][
 		// word multiples), so a window maps onto exactly one output word.
 		var partBuf []byte
 		var offs []int
+		var ids [sketch.IDBlockLen]bitvec.UserID
 		prefixes := make([][]byte, 0, 64)
 		suffixes := make([][]byte, 0, 64)
 		for lo < hi {
@@ -368,9 +441,9 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval) [][
 			}
 			win := records.Slice(lo, lo+n)
 			partBuf, offs = partBuf[:0], offs[:0]
-			for i := 0; i < n; i++ {
+			for i, id := range records.IDs().Block(lo>>6, &ids) {
 				offs = append(offs, len(partBuf))
-				partBuf = sketch.AppendRecordPrefix(partBuf, win.ID(i))
+				partBuf = sketch.AppendRecordPrefix(partBuf, id)
 				offs = append(offs, len(partBuf))
 				partBuf = sketch.AppendRecordSuffix(partBuf, win.Sketch(i))
 			}
@@ -424,9 +497,12 @@ func (x *cut) keepMask(si int) []uint64 {
 		}
 	}
 	mask := make([]uint64, (n+63)/64)
-	for i, id := range records.IDs() {
-		if x.keep.Keep(id) {
-			mask[i>>6] |= uint64(1) << uint(i&63)
+	var buf [sketch.IDBlockLen]bitvec.UserID
+	for w := range mask {
+		for i, id := range records.IDs().Block(w, &buf) {
+			if x.keep.Keep(id) {
+				mask[w] |= uint64(1) << uint(i)
+			}
 		}
 	}
 	if cached {

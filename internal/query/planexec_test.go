@@ -239,7 +239,7 @@ func TestAlignedColumnsMatchMapOracle(t *testing.T) {
 	}
 	bit := func(words []uint64, i int) uint64 { return words[i>>6] >> uint(i&63) & 1 }
 	for _, pick := range [][]int{{0, 1}, {1, 0}, {0, 1, 2}, {2, 5, 1, 0}, {0, 0}, {1, 2, 1}, {0, 3}, {3, 0}, {3}, {0, 4}, {4, 0}, {5}, {5, 1}} {
-		views, ids, bitmaps := make([]sketch.View, len(pick)), make([][]bitvec.UserID, len(pick)), make([][]uint64, len(pick))
+		views, ids, bitmaps := make([]sketch.View, len(pick)), make([]sketch.IDs, len(pick)), make([][]uint64, len(pick))
 		for j, s := range pick {
 			views[j], ids[j], bitmaps[j] = all[s], all[s].IDs(), random(all[s].Len())
 		}

@@ -23,11 +23,15 @@
 //     concurrency-safe columnar store of them — which is all an analyst
 //     ever sees — and the immutable id-sorted view of one subset that the
 //     estimators scan;
-//   - Words and Run: the one packed form of a sketch — Sketch.Pack, the
-//     key above a 5-bit length, a column of them held at the byte width of
-//     its widest, so the paper's ⌈log log O(M)⌉-bit disclosure costs 2
-//     bytes beside its user's 8-byte id in the table, in a store's files
-//     and everywhere between — and one subset's records as such columns,
+//   - Words, IDs and Run: the one packed form of a sketch — Sketch.Pack,
+//     the key above a 5-bit length, a column of them held at the byte width
+//     of its widest, so the paper's ⌈log log O(M)⌉-bit disclosure costs 2
+//     bytes — the one form of a sorted column of user ids — blocks of 64
+//     held as a first id and the differences from id to id at the width a
+//     block's widest needs, so the public id beside the sketch costs a
+//     little over a byte where users were numbered as they enrolled, and
+//     its 8 bytes where ids are hashed — in the table, in a store's files
+//     and everywhere between; and one subset's records as such columns,
 //     the unit a store replays and the table loads;
 //   - Evaluate: the H(id, B, v, s) evaluation shared with the query
 //     estimators.

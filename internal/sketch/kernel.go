@@ -105,7 +105,8 @@ func (k *Kernel) EvaluateWord(records View) uint64 {
 		return k.slowWord(records)
 	}
 	buf, offs := k.msgBuf[:0], k.offs[:0]
-	for i, id := range records.ids {
+	var ids [IDBlockLen]bitvec.UserID
+	for i, id := range records.ids.Block(0, &ids) {
 		offs = append(offs, len(buf))
 		buf = AppendRecordPrefix(buf, id)
 		buf = append(buf, k.mid...)
@@ -130,7 +131,7 @@ func (k *Kernel) EvaluatePartsWord(records View, prefixes, suffixes [][]byte) ui
 		return k.slowWord(records)
 	}
 	buf, offs := k.msgBuf[:0], k.offs[:0]
-	for i := range records.ids {
+	for i := range prefixes[:records.Len()] {
 		offs = append(offs, len(buf))
 		buf = append(buf, prefixes[i]...)
 		buf = append(buf, k.mid...)
@@ -145,7 +146,8 @@ func (k *Kernel) EvaluatePartsWord(records View, prefixes, suffixes [][]byte) ui
 // path (the test oracle): one facade call per record.
 func (k *Kernel) slowWord(records View) uint64 {
 	var w uint64
-	for i, id := range records.ids {
+	var ids [IDBlockLen]bitvec.UserID
+	for i, id := range records.ids.Block(0, &ids) {
 		if k.h.Bit(id.Bytes(), k.b.Tag(), k.v.Bytes(), records.keys.Sketch(i).Bytes()) {
 			w |= 1 << uint(i)
 		}

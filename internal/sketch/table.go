@@ -13,14 +13,15 @@ import (
 // attribute subset they describe.  It is the analyst-side view of the world:
 // everything in a Table is public.
 //
-// Each subset's records live once, in a column: user ids and packed sketch
-// words (Words) side by side, an id-sorted run sized exactly and, apart
-// from it, a short unsorted tail of recent inserts.  A read folds the tail
-// into a fresh sorted run and hands the run itself out as an immutable
+// Each subset's records live once, in a column: user ids (IDs) and packed
+// sketch words (Words) side by side, an id-sorted run sized exactly and,
+// apart from it, a short unsorted tail of recent inserts.  A read folds the
+// tail into a fresh sorted run and hands the run itself out as an immutable
 // View, so the Algorithm 2 record loop walks contiguous memory,
 // allocation-free, while ingestion proceeds — and a subset that is only
-// read holds its 8-byte ids, its sketches at their own width (2 bytes for
-// a 9-bit sketch) and nothing else.
+// read holds its ids as the differences between them (a little over a byte
+// for ids numbered as users enrol), its sketches at their own width (2
+// bytes for a 9-bit sketch) and nothing else.
 type Table struct {
 	mu sync.RWMutex
 	// cols is keyed by Subset.Key.  A column outlives its last record, so a
@@ -42,8 +43,8 @@ func NewTable() *Table {
 type View struct {
 	subset bitvec.Subset
 	gen    uint64
-	ids    []bitvec.UserID
-	keys   Words // keys.At(i) is the Pack word of the sketch ids[i] published
+	ids    IDs
+	keys   Words // keys.At(i) is the Pack word of the sketch id i published
 }
 
 // Subset returns the subset whose records the view holds.
@@ -56,48 +57,67 @@ func (v View) Subset() bitvec.Subset { return v.subset }
 func (v View) Gen() uint64 { return v.gen }
 
 // Len returns the number of records in the view.
-func (v View) Len() int { return len(v.ids) }
+func (v View) Len() int { return v.ids.Len() }
 
-// ID returns the user id of record i.
-func (v View) ID(i int) bitvec.UserID { return v.ids[i] }
+// ID returns the user id of record i; a loop over the records reads
+// IDs().Block instead.
+func (v View) ID(i int) bitvec.UserID { return v.ids.At(i) }
 
-// IDs returns the user ids of the records, ascending.  The slice is the
-// view's own column, shared with every holder of the view: read-only.
-func (v View) IDs() []bitvec.UserID { return v.ids }
+// IDs returns the user ids of the records, ascending: the view's own
+// column, which a sequential reader decodes a 64-record block at a time.
+func (v View) IDs() IDs { return v.ids }
 
 // Sketch returns the sketch of record i.
 func (v View) Sketch(i int) Sketch { return v.keys.Sketch(i) }
 
 // Slice returns the records [lo, hi) as a view sharing v's columns.
 func (v View) Slice(lo, hi int) View {
-	return View{subset: v.subset, gen: v.gen, ids: v.ids[lo:hi:hi], keys: v.keys.Slice(lo, hi)}
+	return View{subset: v.subset, gen: v.gen, ids: v.ids.Slice(lo, hi), keys: v.keys.Slice(lo, hi)}
 }
 
 // AppendTo appends the view's records to dst as Published values.
 func (v View) AppendTo(dst []Published) []Published {
-	for i, id := range v.ids {
-		dst = append(dst, Published{ID: id, Subset: v.subset, S: v.keys.Sketch(i)})
+	return Run{Subset: v.subset, IDs: v.ids, Keys: v.keys}.AppendTo(dst)
+}
+
+// Run is one subset's records in the table's own layout: parallel columns
+// of user ids, ascending, and Pack words.  The durable store replays itself
+// as runs, so a cold start moves columns, not a Published value per record.
+type Run struct {
+	Subset bitvec.Subset
+	IDs    IDs
+	Keys   Words // Keys.At(i) is the Pack word of the sketch id i published
+}
+
+// Len returns the number of records in the run.
+func (r Run) Len() int { return r.IDs.Len() }
+
+// Record returns record i of the run; a loop over the records reads
+// AppendTo or IDs.Block instead.
+func (r Run) Record(i int) Published {
+	return Published{ID: r.IDs.At(i), Subset: r.Subset, S: r.Keys.Sketch(i)}
+}
+
+// Slice returns records [lo, hi) as a run sharing r's columns.
+func (r Run) Slice(lo, hi int) Run {
+	return Run{Subset: r.Subset, IDs: r.IDs.Slice(lo, hi), Keys: r.Keys.Slice(lo, hi)}
+}
+
+// AppendTo appends the run's records to dst as Published values.
+func (r Run) AppendTo(dst []Published) []Published {
+	var buf [IDBlockLen]bitvec.UserID
+	for k, blocks := 0, r.IDs.Blocks(); k < blocks; k++ {
+		for j, id := range r.IDs.Block(k, &buf) {
+			dst = append(dst, Published{ID: id, Subset: r.Subset, S: r.Keys.Sketch(k*IDBlockLen + j)})
+		}
 	}
 	return dst
 }
 
-// Run is one subset's records in the table's own layout: parallel columns
-// of user ids and Pack words.  The durable store replays itself as runs, so
-// a cold start moves columns, not a Published value per record.
-type Run struct {
-	Subset bitvec.Subset
-	IDs    []bitvec.UserID
-	Keys   Words // Keys.At(i) is the Pack word of the sketch IDs[i] published
-}
-
-// Record returns record i of the run.
-func (r Run) Record(i int) Published {
-	return Published{ID: r.IDs[i], Subset: r.Subset, S: r.Keys.Sketch(i)}
-}
-
-// Clone returns a copy of the run that shares no column with it.
+// Clone returns a copy of the run that shares nothing writable with it:
+// an id column is immutable, the words are copied.
 func (r Run) Clone() Run {
-	return Run{Subset: r.Subset, IDs: slices.Clone(r.IDs), Keys: r.Keys.Clone()}
+	return Run{Subset: r.Subset, IDs: r.IDs, Keys: r.Keys.Clone()}
 }
 
 // column holds one subset's records in two parts.  ids and keys are the
@@ -109,7 +129,7 @@ func (r Run) Clone() Run {
 // wider of the two.
 type column struct {
 	subset   bitvec.Subset
-	ids      []bitvec.UserID
+	ids      IDs
 	keys     Words
 	tailIDs  []bitvec.UserID
 	tailKeys Words
@@ -133,29 +153,29 @@ func tailLimit(n int) int { return n/8 + tailFloor }
 const tailFloor = 256
 
 // len returns the number of records the column holds.
-func (c *column) len() int { return len(c.ids) + len(c.tailIDs) }
+func (c *column) len() int { return c.ids.Len() + len(c.tailIDs) }
 
-// find returns the index of id's record — below len(c.ids) in the run, its
+// find returns the index of id's record — below c.ids.Len() in the run, its
 // tail offset past that otherwise — and whether the column holds one.
 func (c *column) find(id bitvec.UserID) (int, bool) {
-	if i, ok := slices.BinarySearch(c.ids, id); ok {
+	if i, ok := c.ids.Find(id); ok {
 		return i, true
 	}
 	off, ok := c.tail[id]
-	return len(c.ids) + off, ok
+	return c.ids.Len() + off, ok
 }
 
 // sketch returns the sketch of the record at index i, as find numbers them.
 func (c *column) sketch(i int) Sketch {
-	if i < len(c.ids) {
-		return c.keys.Sketch(i)
+	if n := c.ids.Len(); i >= n {
+		return c.tailKeys.Sketch(i - n)
 	}
-	return c.tailKeys.Sketch(i - len(c.ids))
+	return c.keys.Sketch(i)
 }
 
 // insert appends a record whose id the column does not hold.
 func (c *column) insert(id bitvec.UserID, word uint64) {
-	if len(c.tailIDs) >= tailLimit(len(c.ids)) {
+	if len(c.tailIDs) >= tailLimit(c.ids.Len()) {
 		c.fold()
 	}
 	if c.tail == nil {
@@ -227,24 +247,36 @@ func SortByID(ids []bitvec.UserID, keys Words) ([]bitvec.UserID, Words) {
 	return ids, keys
 }
 
-// mergeRuns merges two id-sorted runs into fresh arrays with room for
-// nothing more, first record wins: an id of b already in a, or repeated
-// within b, is dropped.  Stretches of a between two ids of b move whole.
-func mergeRuns(aIDs []bitvec.UserID, aKeys Words, bIDs []bitvec.UserID, bKeys Words) ([]bitvec.UserID, Words) {
-	n := len(aIDs) + len(bIDs)
-	ids, keys := make([]bitvec.UserID, 0, n), MakeWords(max(aKeys.Width(), bKeys.Width()), 0, n)
+// mergeRuns merges a sorted run and sorted ids into a fresh run sized to
+// what it holds, first record wins: an id of b already in a, or repeated
+// within b, is dropped.  Stretches of a between two ids of b move whole —
+// as bytes, where they cover whole blocks of a and land on a block boundary,
+// which is everything but a's last block when b's users enrolled after a's,
+// and wherever they stand in a raw block (IDBuilder.AppendIDs).
+func mergeRuns(a IDs, aKeys Words, b []bitvec.UserID, bKeys Words) (IDs, Words) {
+	n := a.Len() + len(b)
+	var ids IDBuilder
+	// b is taken to code as a does — the column's users enrolled the same
+	// way — plus a block's fixed bytes.
+	ids.Grow(n, a.Bytes()+(a.Bytes()*len(b)+a.Len())/(a.Len()+1)+2*len(b)/IDBlockLen+9)
+	keys := MakeWords(max(aKeys.Width(), bKeys.Width()), 0, n)
+	var cur IDCursor
+	cur.Reset(a)
 	i := 0
-	for j, id := range bIDs {
+	for j, id := range b {
 		from := i
-		for i < len(aIDs) && aIDs[i] <= id {
-			i++
+		var held bool // a already holds id
+		i, held = cur.upTo(i, id)
+		ids.AppendIDs(&cur, from, i)
+		keys = keys.AppendWords(aKeys.Slice(from, i))
+		if held || (j > 0 && b[j-1] == id) {
+			continue
 		}
-		ids, keys = append(ids, aIDs[from:i]...), keys.AppendWords(aKeys.Slice(from, i))
-		if len(ids) == 0 || ids[len(ids)-1] != id {
-			ids, keys = append(ids, id), keys.AppendWords(bKeys.Slice(j, j+1))
-		}
+		ids.Append(id)
+		keys = keys.AppendWords(bKeys.Slice(j, j+1))
 	}
-	return append(ids, aIDs[i:]...), keys.AppendWords(aKeys.Slice(i, len(aIDs)))
+	ids.AppendIDs(&cur, i, a.Len())
+	return ids.IDs(), keys.AppendWords(aKeys.Slice(i, a.Len()))
 }
 
 // loadMergeRatio is how many stored records a sorted run being loaded may
@@ -254,38 +286,35 @@ func mergeRuns(aIDs []bitvec.UserID, aKeys Words, bIDs []bitvec.UserID, bKeys Wo
 const loadMergeRatio = 32
 
 // loadRun adds a run of records for the column's subset, first record
-// wins, and owns ids and keys from here on.  The store replays (subset,
-// user)-ordered runs, so the run is normally id-sorted: onto an empty
-// column it becomes the column's run as it is, onto a warm one it lands by
-// one linear merge; a run too short to pay for a merge, or an unsorted
-// one, goes through the tail record by record.
-func (c *column) loadRun(ids []bitvec.UserID, keys Words) {
-	if len(ids) == 0 {
+// wins, and keeps ids and keys from here on.  The store replays (subset,
+// user)-ordered runs: onto an empty column one becomes the column's run as
+// it is, onto a warm one it lands by one linear merge; a run too short to
+// pay for a merge goes through the tail record by record.
+func (c *column) loadRun(ids IDs, keys Words) {
+	if ids.Len() == 0 {
 		return
 	}
 	c.gen++
-	ascending := true
-	for i := 1; i < len(ids) && ascending; i++ {
-		ascending = ids[i-1] < ids[i]
-	}
-	switch {
-	case ascending && c.len() == 0:
+	if c.len() == 0 {
 		c.ids, c.keys = ids, keys
-	case ascending && len(ids)*loadMergeRatio >= c.len():
+		return
+	}
+	raw := ids.AppendTo(nil)
+	if len(raw)*loadMergeRatio >= c.len() {
 		c.fold()
-		c.ids, c.keys = mergeRuns(c.ids, c.keys, ids, keys)
-	default:
-		for i, id := range ids {
-			if _, dup := c.find(id); !dup {
-				c.insert(id, keys.At(i))
-			}
+		c.ids, c.keys = mergeRuns(c.ids, c.keys, raw, keys)
+		return
+	}
+	for i, id := range raw {
+		if _, dup := c.find(id); !dup {
+			c.insert(id, keys.At(i))
 		}
 	}
 }
 
 // remove deletes the record at index i, as find numbers them.
 func (c *column) remove(i int) {
-	n := len(c.ids)
+	n := c.ids.Len()
 	if i >= n {
 		off, last := i-n, len(c.tailIDs)-1
 		delete(c.tail, c.tailIDs[off])
@@ -297,8 +326,14 @@ func (c *column) remove(i int) {
 		c.tailIDs, c.tailKeys = c.tailIDs[:last], c.tailKeys.Slice(0, last)
 		return
 	}
-	ids, keys := make([]bitvec.UserID, 0, n-1), MakeWords(c.keys.Width(), 0, n-1)
-	c.ids = append(append(ids, c.ids[:i]...), c.ids[i+1:]...)
+	var ids IDBuilder
+	ids.Grow(n-1, c.ids.Bytes()+IDBlockLen)
+	var cur IDCursor
+	cur.Reset(c.ids)
+	ids.AppendIDs(&cur, 0, i)
+	ids.AppendIDs(&cur, i+1, n)
+	c.ids = ids.IDs()
+	keys := MakeWords(c.keys.Width(), 0, n-1)
 	c.keys = keys.AppendWords(c.keys.Slice(0, i)).AppendWords(c.keys.Slice(i+1, n))
 }
 
@@ -378,15 +413,15 @@ func (t *Table) AddAll(ps []Published) error {
 // (user, subset) pair already present is skipped — first record wins,
 // matching a store's newest-wins replay — instead of being rejected like
 // Add's protocol error, because replaying a store onto a warm table is not
-// a second publish.  It costs one column lookup, and for an id-sorted run
-// — what a store replays — no copy at all or one linear merge rather than
-// an index insert per record.  A run holding an invalid sketch loads nothing.
-// The table takes ownership of the run's columns — an id-sorted run onto an
-// empty subset becomes the subset's column as it is, with no copy — so a
-// caller that goes on using them loads a Clone.
+// a second publish.  It costs one column lookup, and no copy at all or one
+// linear merge rather than an index insert per record.  A run holding an
+// invalid sketch loads nothing.
+// The table takes ownership of the run's columns — a run onto an empty
+// subset becomes the subset's column as it is, with no copy — so a caller
+// that goes on writing to them loads a Clone.
 func (t *Table) LoadRun(r Run) error {
-	if len(r.IDs) != r.Keys.Len() {
-		return fmt.Errorf("sketch: run of %d ids and %d sketches", len(r.IDs), r.Keys.Len())
+	if r.IDs.Len() != r.Keys.Len() {
+		return fmt.Errorf("sketch: run of %d ids and %d sketches", r.IDs.Len(), r.Keys.Len())
 	}
 	if err := r.Keys.Check(); err != nil {
 		return err

@@ -27,25 +27,30 @@
 // So the store never frames a record on its own.  Everywhere it holds
 // records it holds runs (run.go): a subset's tag once, a count, then user
 // ids and sketches as packed columns — the sketch table's own layout.  A
-// log frame is the runs of one appended group; a segment (format v3,
+// log frame is the runs of one appended group; a segment (format v4,
 // segment.go) is a shard's runs in subset order, ids ascending, cut into
-// checksummed blocks, and nothing else — the run directory and sparse id
-// index its readers use are derived from those bytes at Open and kept in
-// memory; a roll sorts the log's runs into a segment, a compaction merges
-// segments' runs, and a cold start hands the engine whole runs
-// (RunIterator), one column load per subset.  A record costs its 8-byte id
-// and a 2- to 5-byte sketch word, plus 1/16 byte of block sums in a
-// segment.
+// checksummed blocks, and nothing else — the run directory, the sparse id
+// index and the block offsets its readers use are derived from those
+// bytes at Open and kept in memory; a roll sorts the log's runs into a
+// segment, a compaction merges segments' runs, and a cold start hands the
+// engine whole runs (RunIterator), one column load per subset.
 //
-// The sketch word is the table's as well: a run's word column on disk is
-// the bytes of a sketch.Words — sketch.Sketch.Pack words, big-endian, at
-// the width of the run's widest — and sketch.Words is what every run in
-// memory holds.  Encoding a run copies that column when the widths agree
-// and decoding one copies it back after checking that every word unpacks
-// to a valid sketch; sorting, deduplicating and merging move words of that
-// width, so a decoded log costs 10 bytes a record, not 16.  The runs a
-// replay hands out are fresh and belong to the callback: the table adopts
-// them as its columns.
+// Both columns are the table's own.  A run's ids are an id column
+// (sketch.IDs): blocks of 64 ids, each a width byte, a first id and the
+// differences from id to id at that width — a byte where users were
+// numbered as they enrolled — or the ids raw where they lie far apart or,
+// in a log frame, arrived out of order.  A run's sketches are the bytes of
+// a sketch.Words — sketch.Sketch.Pack words, big-endian, at the width of
+// the run's widest.  So a record whose user enrolled next to its
+// neighbours costs 1.1 bytes of id and a 2- to 5-byte sketch word, plus
+// 1/16 byte of block sums in a segment; a record under a hashed id costs
+// its 8 bytes as it always did.  Writing a run copies its columns and
+// reading one copies them back after checking them — the ids' widths,
+// lengths and ascent, that every word unpacks to a valid sketch — and
+// sorting, deduplicating and merging move ids by the block and words of
+// that width.  Only a log being decoded holds ids at 8 bytes, for as long
+// as it takes to sort them.  The runs a replay hands out are fresh and
+// belong to the callback: the table adopts them as its columns.
 //
 // The log is mirrored nowhere: its file's acknowledged prefix is decoded
 // on demand — by a roll, or by the first read after an append — into
@@ -59,12 +64,15 @@
 // so a SIGKILLed collector restarts with every acknowledged sketch.
 // Segment files are written atomically; Open walks each one's data area,
 // verifying every checksum and decoding every record, so corruption there
-// is reported as an error rather than silently dropped, while a damaged
-// index section — advisory, it repeats what the walk derives — is rebuilt.
+// is reported as an error rather than silently dropped.
 //
-// A directory written before format v3 (per-record frames in the log, v1
-// or v2 segments) is rewritten as v3 by the first Open, file by file
-// through temporary files and renames (legacy.go); its manifest gains a
-// marker that makes an older binary refuse the directory instead of
-// misreading it.
+// # Older formats
+//
+// Format v3 — the same files with ids at 8 bytes — is the one old format
+// the store reads (v3.go).  The first Open of a v3 directory marks its
+// manifest, which makes a v3 binary refuse the directory instead of
+// misreading it, and rolls each v3 log into a v4 segment before serving;
+// v3 segments are read where they lie until a compaction merges them into
+// v4 ones.  Nothing writes v3.  A directory older than that is refused
+// with ErrFormatTooOld.
 package store

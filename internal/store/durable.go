@@ -7,7 +7,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +40,14 @@ const (
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
+
+// ErrFormatTooOld is returned by Open for a data directory that holds data
+// but whose manifest carries no format marker: it was last written before
+// store format v3 (per-record logs, v1 or v2 segments), which this version
+// no longer reads.  The last version that upgrades such a directory in
+// place is the one that wrote format v3 (PR 21 of this repository); open
+// the directory once with it, then with this one.
+var ErrFormatTooOld = errors.New("store: data directory predates store format v3, which is the oldest this version reads; open it once with a version that writes format v3 (the last that upgrades it) and then with this one")
 
 // Options configures a durable store.
 type Options struct {
@@ -166,7 +173,7 @@ func Open(opts Options) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	nShards, v3, err := readManifest(opts.Dir)
+	nShards, format, err := readManifest(opts.Dir)
 	if err != nil {
 		lock.Unlock()
 		return nil, err
@@ -175,6 +182,17 @@ func Open(opts Options) (*Durable, error) {
 	if err != nil {
 		lock.Unlock()
 		return nil, err
+	}
+	if format == "" {
+		// No marker: a new directory, one a crash left before any record
+		// was acknowledged — or one from before v3.
+		if old, err := holdsData(opts.Dir, found); err != nil || old {
+			lock.Unlock()
+			if err == nil {
+				err = fmt.Errorf("%w: %s", ErrFormatTooOld, opts.Dir)
+			}
+			return nil, err
+		}
 	}
 	if nShards == 0 {
 		// No manifest: adopt any shard directories already present (a
@@ -187,9 +205,10 @@ func Open(opts Options) (*Durable, error) {
 			nShards = opts.Shards
 		}
 	}
-	if !v3 {
-		// Also the first open of an older directory: the marker goes down
-		// before any of its files is rewritten as v3.
+	if format != manifestFormat {
+		// Also the first open of a v3 directory: the marker goes down before
+		// any v4 file is written into it, so a v3 binary refuses the
+		// directory from here on instead of truncating a v4 log as torn.
 		if err := writeManifest(opts.Dir, nShards, opts.Fsync); err != nil {
 			lock.Unlock()
 			return nil, err
@@ -251,33 +270,56 @@ func Open(opts Options) (*Durable, error) {
 const manifestName = "SHARDS"
 
 // manifestFormat follows the shard count in the manifest of a directory
-// that may hold v3 files.  A binary from before v3 fails to parse the line
-// and refuses the directory at once — before it reaches a v3 log, which it
-// would take for a torn legacy log and truncate.
-const manifestFormat = "v3"
+// that may hold v4 files.  An older binary fails to parse the line and
+// refuses the directory at once — before it reaches a v4 log, which it
+// would take for a torn log of its own format and truncate.
+const manifestFormat = "v4"
 
 // readManifest returns the shard count recorded in dir — 0 when no
-// manifest exists yet — and whether the manifest already carries the v3
-// marker.
-func readManifest(dir string) (n int, v3 bool, err error) {
+// manifest exists yet — and the format marker after it: manifestFormat,
+// "v3" for a directory this version upgrades, or none.
+func readManifest(dir string) (n int, format string, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, false, nil
+			return 0, "", nil
 		}
-		return 0, false, err
+		return 0, "", err
 	}
 	fields := strings.Fields(string(data))
-	if len(fields) == 2 && fields[1] == manifestFormat {
-		v3, fields = true, fields[:1]
+	if len(fields) == 2 && (fields[1] == manifestFormat || fields[1] == "v3") {
+		format, fields = fields[1], fields[:1]
 	}
 	if len(fields) == 1 {
 		n, err = strconv.Atoi(fields[0])
 	}
 	if len(fields) != 1 || err != nil || n <= 0 {
-		return 0, false, fmt.Errorf("store: corrupt shard manifest in %s: %q", dir, data)
+		return 0, "", fmt.Errorf("store: corrupt shard manifest in %s: %q", dir, data)
 	}
-	return n, v3, nil
+	return n, format, nil
+}
+
+// holdsData reports whether any of dir's first n shard directories holds
+// a segment or a log with anything in it.
+func holdsData(dir string, n int) (bool, error) {
+	for i := 0; i < n; i++ {
+		entries, err := os.ReadDir(filepath.Join(dir, shardDirName(i)))
+		if err != nil {
+			return false, err
+		}
+		for _, e := range entries {
+			_, seg := parseSegmentName(e.Name())
+			if !seg && e.Name() != walName {
+				continue
+			}
+			if info, err := e.Info(); err != nil {
+				return false, err
+			} else if info.Size() > 0 {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
 }
 
 // writeManifest atomically records the shard count in dir, fsynced before
@@ -324,9 +366,9 @@ func existingShards(dir string) (int, error) {
 // shardDirName renders the canonical directory name for shard i.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
-// openShard opens shard i: upgrades whatever an older version left in it,
-// lists and validates its segments, replays its WAL and positions the log
-// for appending.
+// openShard opens shard i: rolls a log a v3 version left in it, lists and
+// validates its segments, replays its WAL and positions the log for
+// appending.
 func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 	dir := filepath.Join(opts.Dir, shardDirName(i))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -336,12 +378,17 @@ func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rewrote, err := upgradeLegacy(dir, segs); err != nil {
+	if len(segs) > 0 {
+		// A v3 log's records are newer than every segment.
+		_, err = rollV3Log(dir, segs[len(segs)-1].seq+1)
+	} else {
+		_, err = rollV3Log(dir, 1)
+	}
+	if err != nil {
 		return nil, err
-	} else if rewrote {
-		if segs, err = listSegments(dir); err != nil {
-			return nil, err
-		}
+	}
+	if segs, err = listSegments(dir); err != nil {
+		return nil, err
 	}
 	nextSeq := uint64(1)
 	for si := range segs {
@@ -606,7 +653,7 @@ func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, boo
 			return sketch.Published{}, false, err
 		}
 		if ri, ok := findRun(runs, subset); ok {
-			if i, ok := slices.BinarySearch(runs[ri].IDs, id); ok {
+			if i, ok := runs[ri].IDs.Find(id); ok {
 				sh.mu.Unlock()
 				return runs[ri].Record(i), true, nil
 			}
@@ -743,11 +790,13 @@ func (sh *dshard) compact(min int) error {
 	defer closeSources(srcs)
 	// Segments are individually sorted and deduplicated, so the merge is
 	// a k-way pass per subset, the newest (highest-seq) source winning.
-	var records uint64
+	// The merged image is about the size of what it merges, less whatever
+	// they repeat.
+	var size int64
 	for _, seg := range snap {
-		records += seg.idx.records()
+		size += seg.bytes
 	}
-	w := newSegWriter(int(records))
+	w := newSegWriter(int(size))
 	if err := mergeSources(srcs, func(r run) error { w.add(r); return nil }); err != nil {
 		return fmt.Errorf("store: shard %d compact: %w", sh.id, err)
 	}

@@ -29,9 +29,7 @@ func collect(t *testing.T, st Store) []sketch.Published {
 	t.Helper()
 	var out []sketch.Published
 	if err := st.IterateRuns(func(r sketch.Run) error {
-		for i := range r.IDs {
-			out = append(out, r.Record(i))
-		}
+		out = r.AppendTo(out)
 		return nil
 	}); err != nil {
 		t.Fatalf("IterateRuns: %v", err)
@@ -53,9 +51,7 @@ func testRuns(ps []sketch.Published) []run {
 func flatten(runs []run) []sketch.Published {
 	var out []sketch.Published
 	for _, r := range runs {
-		for i := range r.IDs {
-			out = append(out, r.Record(i))
-		}
+		out = r.AppendTo(out)
 	}
 	return out
 }
@@ -781,8 +777,9 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	if !reflect.DeepEqual(meta.idx, parsed) {
 		t.Fatal("built and parsed indexes differ")
 	}
-	// 2 run headers, 1414 records at 10 bytes, 22 block sums and the two
-	// fixed ends: nothing per record beyond its columns' sixteenth byte.
+	// 2 run headers, per run ten full blocks of ids 1 apart (a width byte, a
+	// first id, 63 one-byte differences) and one of 7, 2 bytes of sketch a
+	// record, 22 block sums and the two fixed ends.
 	data, err := os.ReadFile(meta.path)
 	if err != nil {
 		t.Fatal(err)
@@ -795,7 +792,8 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	for _, b := range subsets {
 		headers += runHeaderFixed + b.TagLen() + 4
 	}
-	if want := segHeaderSize + headers + len(records)*10 + 22*4 + segFooterSize; len(data) != want {
+	ids := 10*(1+8+63) + (1 + 8 + 6)
+	if want := segHeaderSize + headers + len(subsets)*ids + len(records)*2 + 22*4 + segFooterSize; len(data) != want {
 		t.Fatalf("segment is %d bytes, want %d", len(data), want)
 	}
 }

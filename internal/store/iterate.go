@@ -31,7 +31,6 @@ type runSource struct {
 
 	// Reused from subset to subset when reading a segment.
 	raw  []byte
-	ids  []bitvec.UserID
 	keys sketch.Words
 }
 
@@ -48,7 +47,7 @@ func (s *runSource) subsets(fn func(tag string, subset bitvec.Subset)) {
 }
 
 // load returns the source's run for tag, empty if it has none.  The
-// columns are valid until the next load.
+// word column is valid until the next load.
 func (s *runSource) load(tag string) (sketch.Run, error) {
 	if s.idx == nil {
 		if i, ok := findRun(s.log, tag); ok {
@@ -60,9 +59,9 @@ func (s *runSource) load(tag string) (sketch.Run, error) {
 	if !ok {
 		return sketch.Run{}, nil
 	}
-	var err error
-	s.raw, s.ids, s.keys, err = readBlocks(s.f, s.idx, r, 0, r.count, s.raw, s.ids[:0], s.keys.Reset(r.width))
-	return sketch.Run{Subset: r.subset, IDs: s.ids, Keys: s.keys}, err
+	raw, part, err := readBlocks(s.f, s.idx, r, 0, r.count, s.raw, s.keys)
+	s.raw, s.keys = raw, part.Keys
+	return part, err
 }
 
 // mergeSources calls emit with every subset's records across srcs as one
@@ -150,9 +149,11 @@ func (d *Durable) IterateRuns(fn func(r sketch.Run) error) error {
 // Iterate is IterateRuns a record at a time: every record, deduplicated,
 // in canonical (subset, user) order.
 func (d *Durable) Iterate(fn func(p sketch.Published) error) error {
+	var records []sketch.Published
 	return d.IterateRuns(func(r sketch.Run) error {
-		for i := range r.IDs {
-			if err := fn(r.Record(i)); err != nil {
+		records = r.AppendTo(records[:0])
+		for _, p := range records {
+			if err := fn(p); err != nil {
 				return err
 			}
 		}

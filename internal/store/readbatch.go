@@ -132,13 +132,11 @@ func (d *Durable) ReadBatch(cursor uint64, max int) ([]sketch.Published, uint64,
 			before := len(out)
 			skip := int(c.off)
 			for _, r := range runs {
-				if skip >= len(r.IDs) {
-					skip -= len(r.IDs)
+				if skip >= r.Len() {
+					skip -= r.Len()
 					continue
 				}
-				for i := skip; i < len(r.IDs) && len(out) < max; i++ {
-					out = append(out, r.Record(i))
-				}
+				out = r.Slice(skip, min(r.Len(), skip+max-len(out))).AppendTo(out)
 				skip = 0
 				if len(out) == max {
 					break

@@ -11,28 +11,35 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// The store has one record layout, the table's, and one sketch word, the
-// table's too: a run is one subset's records as parallel columns of user
-// ids and packed sketches (sketch.Words), under the subset's tag written
-// once.  A commit window in the log, a segment on disk, a roll, a
+// The store has one record layout, the table's, and one coding of each of
+// its columns, the table's too: a run is one subset's records as parallel
+// columns of user ids (sketch.IDs: blocks of 64 ids held as the differences
+// between them) and packed sketches (sketch.Words), under the subset's tag
+// written once.  A commit window in the log, a segment on disk, a roll, a
 // compaction and a replay all move runs; nothing in the store holds a
-// sketch.Published per record, and nothing holds a sketch wider than the
-// widest of its column.
+// sketch.Published per record, a sketch wider than the widest of its
+// column, or — outside the records of a log still in arrival order — an id
+// at 8 bytes.
 //
-// On disk a run is
+// On disk (format v4) a run is
 //
 //	4 bytes big-endian tag length | the subset tag (bitvec.Subset.Tag)
 //	4 bytes big-endian record count (≥ 1)
 //	1 byte  sketch width w (1..5)
 //
-// followed by its columns — count ids of 8 bytes, then count sketch words
-// of w bytes, all big-endian.  A sketch word is sketch.Sketch.Pack — the
-// key above a 5-bit length (sketch.MaxLength is 30) — so the benchmark
-// deployment's 9-bit sketches take 2 bytes and a record 10; w is the width
-// the run's widest word needs (sketch.Words.MinWidth).  The word column is
-// a sketch.Words' own bytes: a column held at w is written with a copy and
-// read back with a checked one.  The log writes a window's run whole; a
-// segment cuts the columns into checksummed blocks (segment.go).
+// followed by its columns: the count ids as an id column — blocks of 64,
+// each a width byte, a first id and the differences from id to id at that
+// width, or the ids raw where they do not ascend (sketch/ids.go has the
+// layout and the argument for a width per block) — and count sketch words
+// of w bytes, big-endian.  A sketch word is sketch.Sketch.Pack — the key
+// above a 5-bit length (sketch.MaxLength is 30) — so the benchmark
+// deployment's 9-bit sketches take 2 bytes and a record whose users were
+// numbered as they enrolled a little over 3; w is the width the run's
+// widest word needs (sketch.Words.MinWidth).  Both columns are the table's
+// own bytes: a column in memory is written with a copy and read back with
+// a checked one.  The log writes a window's run whole, ids in arrival
+// order; a segment cuts the columns into checksummed blocks, one id block
+// and its words each (segment.go).
 type run struct {
 	tag string // the subset's canonical tag, Subset.Key: what runs sort by
 	sketch.Run
@@ -41,9 +48,8 @@ type run struct {
 const runHeaderFixed = 4 + 4 + 1 // tag length, record count, width
 
 // castagnoli is the CRC-32C table; checksum is the one integrity function
-// of every v3 structure the store writes — log frames, segment run
-// headers, blocks and index sections.  (wire frames use the same
-// polynomial; only the legacy decoder still reads IEEE sums.)
+// of every structure the store writes — log frames, segment run headers
+// and blocks.  (wire frames use the same polynomial.)
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
@@ -64,14 +70,14 @@ type runHeader struct {
 	size  int // bytes the header occupies
 }
 
-// columnsLen is the size of the header's columns when written whole.
-func (h runHeader) columnsLen() int { return h.count * (8 + h.width) }
-
 // parseRunHeader reads the run header at the front of src.  Every field
 // is input: lengths are checked against what src holds before anything is
-// sliced, and a count the bytes after the header could not hold is
-// refused, so no later allocation can exceed the file it came from.
-func parseRunHeader(src []byte) (runHeader, error) {
+// sliced, and a count the bytes after the header could not hold — however
+// they are coded, a record is a byte of id and one of sketch, and a block
+// of ids 8 bytes more (in a v3 file: 8 bytes of id) — is refused, so what
+// is later allocated for the count is a bounded multiple of the file it
+// came from.
+func parseRunHeader(src []byte, v3 bool) (runHeader, error) {
 	if len(src) < runHeaderFixed {
 		return runHeader{}, fmt.Errorf("run header truncated at %d bytes", len(src))
 	}
@@ -85,57 +91,32 @@ func parseRunHeader(src []byte) (runHeader, error) {
 	if h.width < 1 || h.width > sketch.MaxWordWidth {
 		return runHeader{}, fmt.Errorf("run sketch width %d", h.width)
 	}
-	if count == 0 || count > uint64(len(src)-h.size)/uint64(8+h.width) {
-		return runHeader{}, fmt.Errorf("run of %d records in %d bytes", count, len(src)-h.size)
+	rest := uint64(len(src) - h.size)
+	if count == 0 || count > rest || leastColumnsLen(int(count), h.width, v3) > rest {
+		return runHeader{}, fmt.Errorf("run of %d records in %d bytes", count, rest)
 	}
 	h.count = int(count)
 	return h, nil
 }
 
-// appendColumns appends the columns of ids and their words, width bytes a
-// word.
-func appendColumns(dst []byte, ids []bitvec.UserID, keys sketch.Words, width int) []byte {
-	for _, id := range ids {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(id))
+// leastColumnsLen is the least the columns of count records can occupy.
+func leastColumnsLen(count, width int, v3 bool) uint64 {
+	if v3 {
+		return uint64(count) * uint64(8+width)
 	}
-	return keys.AppendTo(dst, width)
-}
-
-// decodeColumns appends the n records whose columns src holds exactly to
-// ids and keys, refusing — before it appends any — a word that is no valid
-// sketch.
-func decodeColumns(src []byte, n, width int, ids []bitvec.UserID, keys sketch.Words) ([]bitvec.UserID, sketch.Words, error) {
-	if len(src) != n*(8+width) {
-		return ids, keys, fmt.Errorf("%d-byte columns for %d records of width %d", len(src), n, width)
-	}
-	keys, err := keys.AppendEncoded(src[8*n:], width)
-	if err != nil {
-		return ids, keys, err
-	}
-	for i := 0; i < n; i++ {
-		ids = append(ids, bitvec.UserID(binary.BigEndian.Uint64(src[8*i:])))
-	}
-	return ids, keys, nil
-}
-
-// strictlyAscending reports whether ids holds no duplicate and is sorted.
-func strictlyAscending(ids []bitvec.UserID) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			return false
-		}
-	}
-	return true
+	return uint64(sketch.MinIDBlocksLen(count)) + uint64(count)*uint64(width)
 }
 
 // runSet gathers records in arrival order, one growing run per subset,
 // and normalizes them: ids ascending within a run, the newest arrival
 // winning a repeated id, runs in tag order.  It is how a log's windows
-// (and a legacy file's records) become the runs everything else reads.
+// become the runs everything else reads.
 type runSet struct {
+	// v3 says the frames added are a v3 log's (v3.go); nothing else differs.
+	v3    bool
 	byTag map[string]*growingRun
-	// last short-cuts the lookup: consecutive runs of a window, and
-	// consecutive records of a legacy file, mostly name the same subset.
+	// last short-cuts the lookup: consecutive runs of a window mostly name
+	// the same subset.
 	last   *growingRun
 	tagBuf []byte
 	// marks remembers how long each run was before the frame being added,
@@ -148,11 +129,15 @@ type runMark struct {
 	n int
 }
 
-// growingRun is a run a runSet is still adding to; reserved counts the
-// records about to be added and width is that of the widest run among
-// them, so that the columns are sized once.
+// growingRun is a run a runSet is still adding to, its ids raw and in
+// arrival order — the one place outside a table's tail where they are;
+// reserved counts the records about to be added and width is that of the
+// widest run among them, so that the columns are sized once.
 type growingRun struct {
-	run
+	tag             string
+	subset          bitvec.Subset
+	ids             []bitvec.UserID
+	keys            sketch.Words
 	reserved, width int
 }
 
@@ -170,11 +155,21 @@ func (s *runSet) runFor(tag []byte) (*growingRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		r = &growingRun{run: run{tag: string(tag), Run: sketch.Run{Subset: subset}}}
+		r = &growingRun{tag: string(tag), subset: subset}
 		s.byTag[r.tag] = r
 	}
 	s.last = r
 	return r, nil
+}
+
+// add appends one record to its subset's run.
+func (s *runSet) add(p sketch.Published) {
+	s.tagBuf = p.Subset.AppendTag(s.tagBuf[:0])
+	r, err := s.runFor(s.tagBuf)
+	if err != nil {
+		panic(err) // the tag of a valid Subset parses
+	}
+	r.ids, r.keys = append(r.ids, p.ID), r.keys.Append(p.S.Pack())
 }
 
 // normalized returns the set's runs, normalized.  The set must not be
@@ -182,23 +177,24 @@ func (s *runSet) runFor(tag []byte) (*growingRun, error) {
 func (s *runSet) normalized() []run {
 	out := make([]run, 0, len(s.byTag))
 	for _, r := range s.byTag {
-		if len(r.IDs) == 0 {
+		if len(r.ids) == 0 {
 			continue // named only by a frame that was then refused
 		}
-		if !strictlyAscending(r.IDs) {
-			r.IDs, r.Keys = sketch.SortByID(r.IDs, r.Keys)
+		ids, keys := r.ids, r.keys
+		if !sketch.Ascends(ids) {
+			ids, keys = sketch.SortByID(ids, keys)
 			n := 0
-			for i, id := range r.IDs {
-				if i+1 < len(r.IDs) && r.IDs[i+1] == id {
+			for i, id := range ids {
+				if i+1 < len(ids) && ids[i+1] == id {
 					continue // a newer arrival for the same user follows
 				}
-				r.IDs[n] = id
-				r.Keys.Set(n, r.Keys.At(i))
+				ids[n] = id
+				keys.Set(n, keys.At(i))
 				n++
 			}
-			r.IDs, r.Keys = r.IDs[:n], r.Keys.Slice(0, n)
+			ids, keys = ids[:n], keys.Slice(0, n)
 		}
-		out = append(out, r.run)
+		out = append(out, run{tag: r.tag, Run: sketch.Run{Subset: r.subset, IDs: sketch.MakeIDs(ids), Keys: keys}})
 	}
 	slices.SortFunc(out, func(a, b run) int { return strings.Compare(a.tag, b.tag) })
 	return out
@@ -209,27 +205,30 @@ func findRun(runs []run, tag string) (int, bool) {
 	return slices.BinarySearchFunc(runs, tag, func(r run, tag string) int { return strings.Compare(r.tag, tag) })
 }
 
-// mergeColumns merges id-ascending sources of one subset, oldest first,
-// into fresh columns: ids ascending, the newest source winning an id two
-// of them hold, the words at the width of the widest source.  The sources
-// are left as they were.
-func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, sketch.Words) {
-	total, width := 0, 0
+// mergeColumns merges the sources of one subset, oldest first, into fresh
+// columns: ids ascending, the newest source winning an id two of them
+// hold, the words at the width of the widest source.  The sources are left
+// as they were.
+func mergeColumns(srcs []sketch.Run) (sketch.IDs, sketch.Words) {
+	total, size, width := 0, 0, 0
 	// heap orders the unfinished sources by (next id, age): an entry is a
 	// source's next id and its index in srcs, which is its age; next[src]
-	// is how much of it has been merged.
+	// is how much of it has been merged, read through cur[src].
 	type cursor struct {
 		id  bitvec.UserID
 		src int
 	}
-	heap, next := make([]cursor, 0, len(srcs)), make([]int, len(srcs))
+	heap, next, cur := make([]cursor, 0, len(srcs)), make([]int, len(srcs)), make([]sketch.IDCursor, len(srcs))
 	for src, s := range srcs {
-		if len(s.IDs) > 0 {
-			heap = append(heap, cursor{s.IDs[0], src})
-			total, width = total+len(s.IDs), max(width, s.Keys.Width())
+		if s.Len() > 0 {
+			cur[src].Reset(s.IDs)
+			heap = append(heap, cursor{cur[src].At(0), src})
+			total, size, width = total+s.Len(), size+s.IDs.Bytes(), max(width, s.Keys.Width())
 		}
 	}
-	ids, keys := make([]bitvec.UserID, 0, total), sketch.MakeWords(width, 0, total)
+	var ids sketch.IDBuilder
+	ids.Grow(total, size)
+	keys := sketch.MakeWords(width, 0, total)
 	down := func(heap []cursor, i int) {
 		for {
 			least := i
@@ -248,17 +247,25 @@ func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, sketch.Words) {
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		down(heap, i)
 	}
-	for len(heap) > 1 {
+	// Equal ids leave the heap oldest first, so a repeat overwrites.
+	for len(heap) > 0 {
 		top := heap[0]
-		s, at := srcs[top.src], next[top.src]
-		// Equal ids leave the heap oldest first, so a repeat overwrites.
-		if n := len(ids); n > 0 && ids[n-1] == top.id {
+		s, at := &srcs[top.src], next[top.src]
+		if n := ids.Len(); n > 0 && ids.Last() == top.id {
 			keys.Set(n-1, s.Keys.At(at))
 		} else {
-			ids, keys = append(ids, top.id), keys.Append(s.Keys.At(at))
+			ids.Append(top.id)
+			keys = keys.Append(s.Keys.At(at))
 		}
-		if at++; at < len(s.IDs) {
-			heap[0].id = s.IDs[at]
+		at++
+		if len(heap) == 1 {
+			// What is left of the last source moves whole.
+			ids.AppendIDs(&cur[top.src], at, s.Len())
+			keys = keys.AppendWords(s.Keys.Slice(at, s.Len()))
+			break
+		}
+		if at < s.Len() {
+			heap[0].id = cur[top.src].At(at)
 		} else {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
@@ -266,13 +273,5 @@ func mergeColumns(srcs []sketch.Run) ([]bitvec.UserID, sketch.Words) {
 		next[top.src] = at
 		down(heap, 0)
 	}
-	if len(heap) == 1 {
-		s, at := srcs[heap[0].src], next[heap[0].src]
-		if n := len(ids); n > 0 && ids[n-1] == s.IDs[at] {
-			keys.Set(n-1, s.Keys.At(at))
-			at++
-		}
-		ids, keys = append(ids, s.IDs[at:]...), keys.AppendWords(s.Keys.Slice(at, len(s.IDs)))
-	}
-	return ids, keys
+	return ids.IDs(), keys
 }

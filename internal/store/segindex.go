@@ -12,25 +12,42 @@ import (
 )
 
 // segIndex is one segment's index, kept in memory for the segment's
-// lifetime: a directory of its runs and the first id of every block — an
-// eighth of a byte per record.  It is never stored: the writer has it in
-// hand and Open derives it from the data area it validates anyway.
+// lifetime: a directory of its runs and the first id and file offset of
+// every block — a quarter of a byte per record.  It is never stored: the
+// writer has it in hand and Open derives it from the data area it
+// validates anyway.
 type segIndex struct {
+	v3   bool     // the segment's blocks hold 8-byte ids (v3.go)
 	runs []segRun // in tag order
-	// firstIDs is the sparse id index: the first id of every block, run
-	// after run (run r's blocks start at r.block0).
-	firstIDs []bitvec.UserID
+	// firstIDs is the sparse id index, the first id of every block, and
+	// blockOffs where each block starts in the file, both run after run
+	// (run r's blocks start at r.block0).
+	firstIDs  []bitvec.UserID
+	blockOffs []int64
 }
 
 // segRun locates one run of a segment.
 type segRun struct {
 	tag    string
 	subset bitvec.Subset
-	off    uint64 // file offset of the run's first block
+	end    int64 // file offset past the run's last block
 	count  int
 	width  int
 	first  int // ordinal of the run's first record within the segment
-	block0 int // index of the run's first block in firstIDs
+	block0 int // index of the run's first block in firstIDs and blockOffs
+}
+
+// blocks is how many blocks run r has.
+func (r segRun) blocks() int { return (r.count + segBlockRecords - 1) / segBlockRecords }
+
+// span returns where the blocks holding records [lo, hi) of run r — lo a
+// block boundary, hi another or the run's count — start and end in the file.
+func (x *segIndex) span(r segRun, lo, hi int) (start, end int64) {
+	start, end = x.blockOffs[r.block0+lo/segBlockRecords], r.end
+	if b := (hi + segBlockRecords - 1) / segBlockRecords; b < r.blocks() {
+		end = x.blockOffs[r.block0+b]
+	}
+	return start, end
 }
 
 // records is the segment's record count.
@@ -52,31 +69,38 @@ func (x *segIndex) find(tag string) (segRun, bool) {
 }
 
 // readBlocks reads and decodes the blocks of run r that hold its records
-// [lo, hi) — lo a block boundary, hi another or the run's count — into
-// ids and keys, reusing raw as the read buffer.  What the file holds there
-// must pass every block checksum, ascend, and start each block on the id
-// the index has for it: the index was checked against this file at open,
-// so a disagreement now is corruption, reported loudly.
-func readBlocks(f *os.File, x *segIndex, r segRun, lo, hi int, raw []byte, ids []bitvec.UserID, keys sketch.Words) ([]byte, []bitvec.UserID, sketch.Words, error) {
-	start, size := blocksLen(lo, r.width), blocksLen(hi, r.width)-blocksLen(lo, r.width)
-	raw = slices.Grow(raw[:0], size)[:size]
-	if _, err := f.ReadAt(raw, int64(r.off)+int64(start)); err != nil {
-		return raw, ids, keys, fmt.Errorf("%w: %s: reading subset %v records [%d,%d): %v", ErrSegmentCorrupt, f.Name(), r.subset, lo, hi, err)
+// [lo, hi) — lo a block boundary, hi another or the run's count — reusing
+// raw as the read buffer and keys' room.  What the file holds there must
+// pass every block checksum, ascend, and start each block on the id the
+// index has for it: the index was checked against this file at open, so a
+// disagreement now is corruption, reported loudly.
+func readBlocks(f *os.File, x *segIndex, r segRun, lo, hi int, raw []byte, keys sketch.Words) ([]byte, sketch.Run, error) {
+	corrupt := func(err error) ([]byte, sketch.Run, error) {
+		return raw, sketch.Run{}, fmt.Errorf("%w: %s: subset %v records [%d,%d): %v", ErrSegmentCorrupt, f.Name(), r.subset, lo, hi, err)
 	}
-	base := len(ids)
-	ids, keys, err := decodeBlocks(raw, hi-lo, r.width, ids, keys)
-	if err == nil && !strictlyAscending(ids[base:]) {
-		err = fmt.Errorf("ids out of order")
+	start, end := x.span(r, lo, hi)
+	raw = slices.Grow(raw[:0], int(end-start))[:end-start]
+	if _, err := f.ReadAt(raw, start); err != nil {
+		return corrupt(fmt.Errorf("reading: %v", err))
 	}
-	for at := lo; err == nil && at < hi; at += segBlockRecords {
-		if want := x.firstIDs[r.block0+at/segBlockRecords]; ids[base+at-lo] != want {
-			err = fmt.Errorf("block %d starts at user %d, the index says %d", at/segBlockRecords, ids[base+at-lo], want)
+	var ids sketch.IDBuilder
+	ids.Grow(hi-lo, len(raw))
+	keys = keys.Reset(r.width)
+	src := raw
+	for at := lo; at < hi; at += segBlockRecords {
+		size, first, more, err := decodeBlock(src, min(hi-at, segBlockRecords), r.width, x.v3, &ids, keys)
+		if err != nil {
+			return corrupt(err)
 		}
+		if want := x.firstIDs[r.block0+at/segBlockRecords]; first != want {
+			return corrupt(fmt.Errorf("block %d starts at user %d, the index says %d", at/segBlockRecords, first, want))
+		}
+		src, keys = src[size:], more
 	}
-	if err != nil {
-		return raw, ids, keys, fmt.Errorf("%w: %s: subset %v records [%d,%d): %v", ErrSegmentCorrupt, f.Name(), r.subset, lo, hi, err)
+	if len(src) != 0 {
+		return corrupt(fmt.Errorf("%d bytes after the last block", len(src)))
 	}
-	return raw, ids, keys, nil
+	return raw, sketch.Run{Subset: r.subset, IDs: ids.IDs(), Keys: keys}, nil
 }
 
 // readSegmentRange returns up to n records of the segment starting at
@@ -98,8 +122,7 @@ func readSegmentRange(meta segmentMeta, m *metrics, from, n int) ([]sketch.Publi
 	n = min(n, total-from)
 	out := make([]sketch.Published, 0, n)
 	var raw []byte
-	var ids []bitvec.UserID
-	var keys sketch.Words
+	var part sketch.Run
 	// The run holding ordinal from: the last one starting at or before it.
 	ri := sort.Search(len(x.runs), func(i int) bool { return x.runs[i].first > from }) - 1
 	for ; len(out) < n; ri++ {
@@ -108,12 +131,10 @@ func readSegmentRange(meta segmentMeta, m *metrics, from, n int) ([]sketch.Publi
 		hi := min(r.count, lo+n-len(out))
 		blockLo := lo / segBlockRecords * segBlockRecords
 		blockHi := min(r.count, (hi+segBlockRecords-1)/segBlockRecords*segBlockRecords)
-		if raw, ids, keys, err = readBlocks(f, x, r, blockLo, blockHi, raw, ids[:0], keys.Reset(r.width)); err != nil {
+		if raw, part, err = readBlocks(f, x, r, blockLo, blockHi, raw, part.Keys); err != nil {
 			return nil, err
 		}
-		for i := lo - blockLo; i < hi-blockLo; i++ {
-			out = append(out, sketch.Published{ID: ids[i], Subset: r.subset, S: keys.Sketch(i)})
-		}
+		out = part.Slice(lo-blockLo, hi-blockLo).AppendTo(out)
 		from = r.first + r.count
 	}
 	return out, nil
@@ -129,7 +150,7 @@ func lookupSegment(meta segmentMeta, m *metrics, id bitvec.UserID, tag string) (
 	if !ok {
 		return sketch.Published{}, false, nil
 	}
-	blocks := x.firstIDs[r.block0 : r.block0+(r.count+segBlockRecords-1)/segBlockRecords]
+	blocks := x.firstIDs[r.block0 : r.block0+r.blocks()]
 	// The last block starting at or below id; an id below the run's first
 	// is absent.
 	b := sort.Search(len(blocks), func(i int) bool { return blocks[i] > id }) - 1
@@ -145,13 +166,13 @@ func lookupSegment(meta segmentMeta, m *metrics, id bitvec.UserID, tag string) (
 		m.indexSeeks.Inc()
 	}
 	lo := b * segBlockRecords
-	_, ids, keys, err := readBlocks(f, x, r, lo, min(r.count, lo+segBlockRecords), nil, nil, sketch.Words{})
+	_, block, err := readBlocks(f, x, r, lo, min(r.count, lo+segBlockRecords), nil, sketch.Words{})
 	if err != nil {
 		return sketch.Published{}, false, err
 	}
-	i, ok := slices.BinarySearch(ids, id)
+	i, ok := block.IDs.Find(id)
 	if !ok {
 		return sketch.Published{}, false, nil
 	}
-	return sketch.Published{ID: id, Subset: r.subset, S: keys.Sketch(i)}, true, nil
+	return block.Record(i), true, nil
 }

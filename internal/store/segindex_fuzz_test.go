@@ -49,11 +49,13 @@ func samePub(a, b sketch.Published) bool {
 }
 
 // FuzzSegmentIndex corrupts an arbitrary byte — the header's count, a run
-// header, a block, a block sum, the footer's data-area end, anywhere — of
-// a segment written here from a fuzzer-shaped record set or, with
-// fixture, of the committed segment an older binary wrote, whose stored
-// index section and bloom filter this reader skips: damage there must be
-// as harmless as the section is unread.  Then it drives every read path.
+// header, a block's width byte, first id, differences or words, a block
+// sum, the footer's data-area end, anywhere — of a v4 segment written here
+// from a fuzzer-shaped record set or, with fixture, of the committed v3
+// segment an older binary wrote, whose 8-byte ids go through the v3 reader
+// and whose stored index section and bloom filter this reader skips: damage
+// there must be as harmless as the section is unread.  Then it drives
+// every read path.
 // The contract: the open fails loudly, or every read returns exactly the
 // written records or fails loudly; reads never panic, never return a
 // wrong, missing or misattributed record, and hostile lengths never drive
@@ -67,6 +69,10 @@ func FuzzSegmentIndex(f *testing.F) {
 	f.Add(uint64(6), 33, -5, byte(0xFF), false)   // footer: data-area end
 	f.Add(uint64(7), 33, -12, byte(0xFF), true)   // footer: the skipped section's checksum
 	f.Add(uint64(8), 64, -20, byte(0x40), true)   // the fixture's bloom tail
+	f.Add(uint64(9), 40, 45, byte(0x09), false)   // v4: the first block's width byte
+	f.Add(uint64(10), 40, 46, byte(0x80), false)  // v4: the first block's first id
+	f.Add(uint64(11), 300, 60, byte(0x01), false) // v4: a difference of the first block
+	f.Add(uint64(12), 300, 200, byte(0xFF), false)
 	fixtureImage, fixtureRuns := readParentFixture(f)
 	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, fixture bool) {
 		if n < 0 || n > 300 {
@@ -222,7 +228,7 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 	return image, flatten(testRuns(all))
 }
 
-// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of
+// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v4
 // windows: whatever follows — garbage, a frame claiming gigabytes, a frame
 // cut short, a whole frame with a flipped bit — replay must not panic,
 // must not allocate beyond what the file's size accounts for, must return
@@ -241,6 +247,14 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint64(5), 4, frame([]byte{0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2})) // a 4 GiB tag
 	f.Add(uint64(6), 1, frame(binary.BigEndian.AppendUint32([]byte{0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}, 1<<31)))
 	f.Add(uint64(7), 6, walMagic[:])
+	// Whole, checksum-clean frames whose one run's id column is malformed:
+	// a zero difference, a width of 9, one block where the count wants two,
+	// differences that sum past 2⁶⁴.
+	tag := bitvec.MustSubset(0).Key()
+	f.Add(uint64(8), 2, frame(framePayload(tag, 3, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 1, 0x21, 0x21, 0x21})))
+	f.Add(uint64(9), 2, frame(framePayload(tag, 2, 1, []byte{9, 0, 0, 0, 0, 0, 0, 0, 5, 1, 0x21, 0x21})))
+	f.Add(uint64(10), 3, frame(framePayload(tag, 70, 1, append(append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1}, bytes.Repeat([]byte{1}, 63)...), bytes.Repeat([]byte{0x21}, 70)...))))
+	f.Add(uint64(11), 1, frame(framePayload(tag, 2, 1, []byte{4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 9, 0x21, 0x21})))
 	f.Fuzz(func(t *testing.T, seed uint64, windows int, tail []byte) {
 		windows = int(uint(windows) % 12)
 		tail = bytes.Clone(tail) // the fuzzer keeps its inputs

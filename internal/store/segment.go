@@ -14,47 +14,53 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// Segment format v3, the only one written.  A segment is a shard's runs
+// Segment format v4, the only one written.  A segment is a shard's runs
 // (run.go) in subset-tag order, ids ascending within each, every record
 // (user, subset) pair at most once:
 //
-//	16 byte header: magic "SKSEG\x00\x00\x03" | 8-byte record count
+//	16 byte header: magic "SKSEG\x00\x00\x04" | 8-byte record count
 //	data area, per run:
 //	  run header (tag length, tag, count, sketch width) | 4-byte checksum
 //	  of the header | the run's columns cut into blocks of segBlockRecords
-//	  records (the last one shorter): ids, sketch words, 4-byte checksum
-//	  of the block
+//	  records (the last one shorter): the block of the id column (a width
+//	  byte, a first id, differences — sketch/ids.go), the records' sketch
+//	  words, 4-byte checksum of the block
 //	12 byte footer: 4-byte checksum of nothing | 8-byte data-area end
 //
 // All integers are big-endian, every checksum is checksum().  A record
-// costs its 8-byte id and its sketch word (2 bytes for the 9- to 11-bit
-// sketches of a million-user deployment); block sums add 1/16 byte, and a
-// subset's tag is paid once per segment.
+// costs its id's share of a block — a little over a byte where users were
+// numbered as they enrolled, 8 and 1/64 where ids are hashes — and its
+// sketch word (2 bytes for the 9- to 11-bit sketches of a million-user
+// deployment); block sums add 1/16 byte, and a subset's tag is paid once
+// per segment.  A block's size follows from its width byte, so blocks are
+// found by walking them, never by arithmetic on a record number.
 //
 // Integrity.  The data area carries the records and describes itself:
 // Open walks it run by run, verifying every checksum and that the walk
 // ends exactly where the footer says the data area does with exactly the
-// header's record count, and fails loudly otherwise.  The run directory
-// and the sparse id index a reader uses are what that walk derives —
-// nothing a reader trusts is stored beside the data, so it can be wrong
-// about nothing.  Reads verify the checksum of every block they touch.
+// header's record count, and fails loudly otherwise.  The run directory,
+// the sparse id index and the block offsets a reader uses are what that
+// walk derives — nothing a reader trusts is stored beside the data, so it
+// can be wrong about nothing.  Reads verify the checksum of every block
+// they touch.
 //
-// Between the data area's end and the footer, segments written before the
-// index was derived hold a stored copy of it and a bloom filter, under the
-// footer's checksum; the section is skipped, not parsed, and a segment
-// written now has an empty one — which is what an older binary's
-// unusable-index arm expects, so the format is v3 in both directions.
+// Whatever lies between the data area's end and the footer is skipped (v3
+// segments written before the index was derived hold a stored copy of it
+// there); a segment written now has nothing there.  A v3 segment — the
+// same file with magic 3 and blocks of 8-byte ids — is read where it lies
+// (v3.go) until a compaction merges it into a v4 one.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
-var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 3}
+var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 4}
 
 const (
 	segHeaderSize = 16 // magic + record count
 	segFooterSize = 12 // checksum of the empty section + data-area end
 	// segBlockRecords is how many records share a checksum and a sparse
-	// index entry: a point lookup reads one block (640 bytes at width 2).
-	segBlockRecords = 64
+	// index entry: a point lookup reads one block (about 200 bytes at
+	// width 2 where ids are dense).
+	segBlockRecords = sketch.IDBlockLen
 )
 
 // ErrSegmentCorrupt is returned when a segment file fails validation.
@@ -86,19 +92,6 @@ func parseSegmentName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// blockLen is the size of a block of n records: columns and checksum.
-func blockLen(n, width int) int { return n*(8+width) + 4 }
-
-// blocksLen is the size of the blocks holding the first n records of a
-// run; n is a whole number of blocks or the run's full count.
-func blocksLen(n, width int) int {
-	size := n / segBlockRecords * blockLen(segBlockRecords, width)
-	if rest := n % segBlockRecords; rest > 0 {
-		size += blockLen(rest, width)
-	}
-	return size
-}
-
 // segWriter assembles a segment image from runs added in tag order.
 type segWriter struct {
 	buf     []byte
@@ -106,38 +99,46 @@ type segWriter struct {
 	records int
 }
 
-// newSegWriter starts a segment of at most maxRecords records, which size
-// its buffer.
-func newSegWriter(maxRecords int) *segWriter {
-	w := &segWriter{
-		buf: make([]byte, segHeaderSize, segHeaderSize+maxRecords*12+1024),
-		idx: &segIndex{},
-	}
+// newSegWriter starts a segment whose image is about size bytes.
+func newSegWriter(size int) *segWriter {
+	w := &segWriter{buf: make([]byte, segHeaderSize, size), idx: &segIndex{}}
 	copy(w.buf, segMagic[:])
 	return w
 }
 
+// segmentSize is the size of the image of runs.
+func segmentSize(runs []run) int {
+	size := segHeaderSize + segFooterSize
+	for _, r := range runs {
+		size += runHeaderFixed + len(r.tag) + 4 + r.IDs.Bytes() + r.Len()*r.Keys.Width() + 4*r.IDs.Blocks()
+	}
+	return size
+}
+
 // add appends a run: ids strictly ascending, its tag above the last one's.
 func (w *segWriter) add(r run) {
-	if len(r.IDs) == 0 {
+	if r.Len() == 0 {
 		return
 	}
 	width := r.Keys.MinWidth()
 	header := len(w.buf)
-	w.buf = appendRunHeader(w.buf, r.tag, len(r.IDs), width)
+	w.buf = appendRunHeader(w.buf, r.tag, r.Len(), width)
 	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[header:]))
 	w.idx.runs = append(w.idx.runs, segRun{
-		tag: r.tag, subset: r.Subset, off: uint64(len(w.buf)), count: len(r.IDs), width: width,
+		tag: r.tag, subset: r.Subset, count: r.Len(), width: width,
 		first: w.records, block0: len(w.idx.firstIDs),
 	})
-	for at := 0; at < len(r.IDs); at += segBlockRecords {
-		end := min(at+segBlockRecords, len(r.IDs))
-		w.idx.firstIDs = append(w.idx.firstIDs, r.IDs[at])
+	for k, blocks := 0, r.IDs.Blocks(); k < blocks; k++ {
+		at := k * segBlockRecords
+		w.idx.firstIDs = append(w.idx.firstIDs, r.IDs.BlockFirst(k))
+		w.idx.blockOffs = append(w.idx.blockOffs, int64(len(w.buf)))
 		block := len(w.buf)
-		w.buf = appendColumns(w.buf, r.IDs[at:end], r.Keys.Slice(at, end), width)
+		w.buf = append(w.buf, r.IDs.BlockBytes(k)...)
+		w.buf = r.Keys.Slice(at, min(at+segBlockRecords, r.Len())).AppendTo(w.buf, width)
 		w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[block:]))
 	}
-	w.records += len(r.IDs)
+	w.idx.runs[len(w.idx.runs)-1].end = int64(len(w.buf))
+	w.records += r.Len()
 }
 
 // finish completes the image and returns it with the index describing it,
@@ -152,11 +153,7 @@ func (w *segWriter) finish() ([]byte, *segIndex) {
 
 // encodeSegment renders normalized runs as a segment image.
 func encodeSegment(runs []run) ([]byte, *segIndex) {
-	records := 0
-	for _, r := range runs {
-		records += len(r.IDs)
-	}
-	w := newSegWriter(records)
+	w := newSegWriter(segmentSize(runs))
 	for _, r := range runs {
 		w.add(r)
 	}
@@ -206,29 +203,39 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// decodeBlocks appends the count records held by src — exactly the blocks
-// of a run's stretch that starts on a block boundary — to ids and keys,
-// verifying every block's checksum.
-func decodeBlocks(src []byte, count, width int, ids []bitvec.UserID, keys sketch.Words) ([]bitvec.UserID, sketch.Words, error) {
-	if len(src) != blocksLen(count, width) {
-		return ids, keys, fmt.Errorf("%d bytes of blocks for %d records of width %d", len(src), count, width)
-	}
-	for count > 0 {
-		n := min(count, segBlockRecords)
-		cols := src[:n*(8+width)]
-		if checksum(cols) != binary.BigEndian.Uint32(src[len(cols):]) {
-			return ids, keys, errors.New("block fails checksum")
-		}
+// decodeBlock appends the block of m records at the front of src — input
+// — to ids and keys and returns its size and first id.  It verifies the
+// block's checksum, that every word is a valid sketch and that the ids
+// ascend from what ids already holds; on an error what was appended is
+// undefined and the caller drops both columns.
+func decodeBlock(src []byte, m, width int, v3 bool, ids *sketch.IDBuilder, keys sketch.Words) (int, bitvec.UserID, sketch.Words, error) {
+	idsLen := 8 * m
+	if !v3 {
 		var err error
-		if ids, keys, err = decodeColumns(cols, n, width, ids, keys); err != nil {
-			return ids, keys, err
+		if idsLen, err = sketch.IDBlocksLen(src, m); err != nil {
+			return 0, 0, keys, err
 		}
-		src, count = src[blockLen(n, width):], count-n
 	}
-	return ids, keys, nil
+	end := idsLen + m*width
+	if len(src) < end+4 {
+		return 0, 0, keys, fmt.Errorf("block of %d bytes in %d", end+4, len(src))
+	}
+	if checksum(src[:end]) != binary.BigEndian.Uint32(src[end:]) {
+		return 0, 0, keys, errors.New("block fails checksum")
+	}
+	if v3 {
+		first, keys, err := decodeBlockV3(src[:end], m, width, ids, keys)
+		return end + 4, first, keys, err
+	}
+	keys, err := keys.AppendEncoded(src[idsLen:end], width)
+	if err != nil {
+		return 0, 0, keys, err
+	}
+	_, first, err := ids.AppendBlock(src[:idsLen], m)
+	return end + 4, first, keys, err
 }
 
-// walkSegment validates a v3 image's data area — trusting nothing but the
+// walkSegment validates an image's data area — trusting nothing but the
 // bytes it is reading — and returns the index the area implies.  Every
 // record is decoded, so a segment Open accepted holds only well-formed,
 // checksum-clean, correctly ordered records.
@@ -239,7 +246,8 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	if len(data) < segHeaderSize+segFooterSize {
 		return corrupt("is %d bytes", len(data))
 	}
-	if [8]byte(data[:8]) != segMagic {
+	idx := &segIndex{v3: [8]byte(data[:8]) == segMagicV3}
+	if !idx.v3 && [8]byte(data[:8]) != segMagic {
 		return corrupt("has bad magic")
 	}
 	// The record count and the data area's end cross-check each other
@@ -251,12 +259,10 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 		return corrupt("data area end %d out of range", areaEnd)
 	}
 	area := data[:areaEnd]
-	idx := &segIndex{}
-	var ids []bitvec.UserID
 	var keys sketch.Words
 	off, total := segHeaderSize, 0
 	for off < len(area) {
-		h, err := parseRunHeader(area[off:])
+		h, err := parseRunHeader(area[off:], idx.v3)
 		if err != nil {
 			return corrupt("at offset %d: %v", off, err)
 		}
@@ -272,25 +278,24 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 		if err != nil {
 			return corrupt("run at offset %d: %v", off, err)
 		}
-		blocks := end + 4
-		size := blocksLen(h.count, h.width)
-		if size > len(area)-blocks {
-			return corrupt("run at offset %d overruns the data area", off)
+		r := segRun{tag: tag, subset: subset, count: h.count, width: h.width, first: total, block0: len(idx.firstIDs)}
+		// The run's ids are gathered only to hold each block against the one
+		// before it: they cost their coded bytes, which the file bounds.
+		var ids sketch.IDBuilder
+		keys = keys.Reset(h.width)
+		at := end + 4
+		for left := h.count; left > 0; left -= segBlockRecords {
+			// The words are only checked: every block lands on the same room.
+			size, first, _, err := decodeBlock(area[at:], min(left, segBlockRecords), h.width, idx.v3, &ids, keys)
+			if err != nil {
+				return corrupt("run at offset %d: %v", off, err)
+			}
+			idx.firstIDs, idx.blockOffs = append(idx.firstIDs, first), append(idx.blockOffs, int64(at))
+			at += size
 		}
-		if ids, keys, err = decodeBlocks(area[blocks:blocks+size], h.count, h.width, ids[:0], keys.Reset(h.width)); err != nil {
-			return corrupt("run at offset %d: %v", off, err)
-		}
-		if !strictlyAscending(ids) {
-			return corrupt("run at offset %d is out of user order", off)
-		}
-		idx.runs = append(idx.runs, segRun{
-			tag: tag, subset: subset, off: uint64(blocks), count: h.count, width: h.width,
-			first: total, block0: len(idx.firstIDs),
-		})
-		for at := 0; at < h.count; at += segBlockRecords {
-			idx.firstIDs = append(idx.firstIDs, ids[at])
-		}
-		off, total = blocks+size, total+h.count
+		r.end = int64(at)
+		idx.runs = append(idx.runs, r)
+		off, total = at, total+h.count
 	}
 	if uint64(total) != count {
 		return corrupt("holds %d records, its header says %d", total, count)

@@ -2,9 +2,9 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,7 +15,6 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/sketch"
-	"sketchprivacy/internal/wire"
 )
 
 // TestBatchTruncationEveryOffset is the group-commit tear matrix: two
@@ -227,123 +226,28 @@ func TestSIGKILLMidCommitWindow(t *testing.T) {
 	}
 }
 
-// The legacy fixtures are hand-built, byte for byte what the old writers
-// produced, so their absence from the tree does not silence the upgrade
-// test.  legacyOrder puts records in the canonical (subset key, user id)
-// order legacy segments were written in.
-func legacyOrder(ps []sketch.Published) []sketch.Published { return flatten(testRuns(ps)) }
-
-// encodeSegmentV1 renders records in the PR-8-era unindexed segment
-// format.
-func encodeSegmentV1(records []sketch.Published) []byte {
-	buf := make([]byte, 0, 16+len(records)*48)
-	buf = append(buf, segMagicV1[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(records)))
-	for _, p := range records {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(wire.PublishedEncodedLen(p)))
-		buf = wire.AppendPublished(buf, p)
-	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-// encodeWALFrames renders records as the per-record frames of a legacy
-// log, which are also the frames of a v2 segment.
-func encodeWALFrames(buf []byte, records []sketch.Published) []byte {
-	for _, p := range records {
-		payload := wire.EncodePublished(p)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-		buf = append(buf, payload...)
-	}
-	return buf
-}
-
-// encodeSegmentV2 renders records in the PR-9-era indexed format: frames
-// with per-record sums, a sparse key index of stride 16 that repeats the
-// subset key in every entry, a bloom filter — which the legacy reader
-// never reads, so its bits are left clear — and the 16-byte footer.
-func encodeSegmentV2(records []sketch.Published) []byte {
-	const stride = 16
-	buf := append([]byte(nil), segMagicV2[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(records)))
-	var section []byte
-	section = binary.BigEndian.AppendUint16(section, stride)
-	section = binary.BigEndian.AppendUint32(section, uint32((len(records)+stride-1)/stride))
-	bloom := make([]byte, max(8, (len(records)*10+7)/8))
-	for i, p := range records {
-		if i%stride == 0 {
-			section = binary.BigEndian.AppendUint64(section, uint64(len(buf)))
-			section = binary.BigEndian.AppendUint64(section, uint64(p.ID))
-			section = binary.BigEndian.AppendUint16(section, uint16(p.Subset.TagLen()))
-			section = p.Subset.AppendTag(section)
-		}
-		buf = encodeWALFrames(buf, []sketch.Published{p})
-	}
-	section = binary.BigEndian.AppendUint32(section, uint32(len(bloom)))
-	section = append(append(section, 6), bloom...)
-	indexOff := uint64(len(buf))
-	buf = append(buf, section...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(section))
-	buf = binary.BigEndian.AppendUint64(buf, indexOff)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-// TestV1DataDirBackwardCompat is the legacy-upgrade test.  It builds an
-// old data directory by hand — per shard a v1 segment, a newer v2 segment
-// and a per-record log with a torn tail, holding overwrites of one another
-// — under a manifest without the v3 marker, and requires that Open (1)
-// serves exactly the newest-wins record set through Iterate, ReadBatch and
-// Lookup, (2) leaves every file v3 and the manifest marked, (3) does so
-// again after crashes between a rewrite and its rename and between the
-// log's segment and its new log, and (4) rewrites nothing the second time.
-func TestV1DataDirBackwardCompat(t *testing.T) {
-	b := bitvec.MustSubset(0, 3, 5)
-	b2 := bitvec.MustSubset(1, 4)
-	// generation g of user id's record for b: later generations overwrite.
-	gen := func(id uint64, g uint64) sketch.Published {
-		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: (id + 100*g) % 1024, Length: 10}}
-	}
-	const shards = 2
-	var v1, v2, log [shards][]sketch.Published
-	var newest []sketch.Published // oldest source first: testRuns keeps the last
-	add := func(dst *[shards][]sketch.Published, p sketch.Published) {
-		s := userShard(p.ID, shards)
-		dst[s] = append(dst[s], p)
-		newest = append(newest, p)
-	}
-	for id := uint64(1); id <= 40; id++ {
-		add(&v1, gen(id, 0))
-	}
-	for id := uint64(20); id <= 45; id++ { // overwrites 20..40
-		add(&v2, gen(id, 1))
-		add(&v2, testRecord(id, b2))
-	}
-	for id := uint64(30); id <= 50; id++ { // overwrites 30..45
-		add(&log, gen(id, 2))
-	}
-	for id := uint64(30); id <= 35; id++ { // and itself: arrival order decides
-		add(&log, gen(id, 3))
-	}
-	want := indexRecords(t, flatten(testRuns(newest)))
-
-	build := func(t *testing.T) string {
+// TestPreV3DirRefused: a data directory that holds data under a manifest
+// without a format marker — or under none — was last written before format
+// v3, whose upgrade path is gone: Open returns ErrFormatTooOld and touches
+// nothing, where it once rewrote every file.  A directory in the same
+// state that holds no data is one a crash left at creation, and opens.
+func TestPreV3DirRefused(t *testing.T) {
+	// A per-record log as the old versions wrote it: a length, an IEEE
+	// sum, a payload.  No reader is left to ask what the payload says.
+	oldLog := []byte{0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}
+	build := func(t *testing.T, manifest string, files map[string][]byte) string {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("2\n"), 0o644); err != nil {
-			t.Fatal(err)
+		if manifest != "" {
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for s := 0; s < shards; s++ {
+		for s := 0; s < 2; s++ {
 			shardDir := filepath.Join(dir, shardDirName(s))
 			if err := os.MkdirAll(shardDir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			// A torn frame follows the log's records, as a crash leaves it.
-			torn := encodeWALFrames(nil, log[s])
-			torn = append(torn, encodeWALFrames(nil, []sketch.Published{gen(999, 9)})[:20]...)
-			for name, image := range map[string][]byte{
-				segmentName(1): encodeSegmentV1(legacyOrder(v1[s])),
-				segmentName(2): encodeSegmentV2(legacyOrder(v2[s])),
-				walName:        torn,
-			} {
+			for name, image := range files {
 				if err := os.WriteFile(filepath.Join(shardDir, name), image, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -351,115 +255,49 @@ func TestV1DataDirBackwardCompat(t *testing.T) {
 		}
 		return dir
 	}
-	// check opens dir and requires the expected set on every read path and
-	// v3 files on disk; it returns every file's identity.
-	check := func(t *testing.T, dir string) map[string]os.FileInfo {
+	for name, c := range map[string]struct {
+		manifest string
+		files    map[string][]byte
+	}{
+		"a log under a bare shard count": {"2\n", map[string][]byte{walName: oldLog}},
+		"a segment under a bare shard count": {"2\n", map[string][]byte{
+			walName: nil, segmentName(1): append([]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 1}, oldLog...),
+		}},
+		"a log and no manifest": {"", map[string][]byte{walName: oldLog}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := build(t, c.manifest, c.files)
+			st, err := Open(Options{Dir: dir, CompactInterval: -1})
+			if !errors.Is(err, ErrFormatTooOld) {
+				if err == nil {
+					st.Close()
+				}
+				t.Fatalf("Open = %v, want ErrFormatTooOld", err)
+			}
+			if !strings.Contains(err.Error(), "format v3") || !strings.Contains(err.Error(), dir) {
+				t.Fatalf("the refusal %q names neither the version that upgrades the directory nor the directory", err)
+			}
+			if data, err := os.ReadFile(filepath.Join(dir, manifestName)); string(data) != c.manifest && !(c.manifest == "" && os.IsNotExist(err)) {
+				t.Fatalf("the refused Open left the manifest %q, %v", data, err)
+			}
+			for s := 0; s < 2; s++ {
+				for name, image := range c.files {
+					if data, err := os.ReadFile(filepath.Join(dir, shardDirName(s), name)); err != nil || !bytes.Equal(data, image) {
+						t.Fatalf("the refused Open touched shard %d's %s (%v)", s, name, err)
+					}
+				}
+			}
+		})
+	}
+	t.Run("no data under a bare shard count", func(t *testing.T) {
+		dir := build(t, "2\n", map[string][]byte{walName: nil})
 		st, err := Open(Options{Dir: dir, CompactInterval: -1})
 		if err != nil {
-			t.Fatalf("opening a legacy data dir: %v", err)
+			t.Fatalf("a directory a crash left at its creation does not open: %v", err)
 		}
 		defer st.Close()
-		got := indexRecords(t, collect(t, st))
-		streamed := coverage(drainBatches(t, st, 7))
-		if len(got) != len(want) || len(streamed) != len(want) {
-			t.Fatalf("legacy dir yields %d records (%d streamed), want %d", len(got), len(streamed), len(want))
-		}
-		for k, s := range want {
-			if got[k] != s || streamed[k].S != s {
-				t.Fatalf("record %v after the upgrade: iterated %v, streamed %v, want %v", k, got[k], streamed[k].S, s)
-			}
-			if p, ok, err := st.Lookup(k.id, k.subset); err != nil || !ok || p.S != s {
-				t.Fatalf("Lookup(%v) after the upgrade = %+v %v %v, want %v", k, p, ok, err, s)
-			}
-		}
-		if _, ok, err := st.Lookup(bitvec.UserID(999), b.Key()); err != nil || ok {
-			t.Fatalf("Lookup of the torn frame's user = %v %v, want a miss", ok, err)
-		}
-		files := make(map[string]os.FileInfo)
-		for s := 0; s < shards; s++ {
-			shardDir := filepath.Join(dir, shardDirName(s))
-			entries, err := os.ReadDir(shardDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				path := filepath.Join(shardDir, e.Name())
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				magic := segMagic
-				if e.Name() == walName {
-					magic = walMagic
-				} else if _, ok := parseSegmentName(e.Name()); !ok {
-					t.Fatalf("stray file %s after the upgrade", path)
-				}
-				if len(data) < 8 || [8]byte(data[:8]) != magic {
-					t.Fatalf("%s is not v3 after the upgrade", path)
-				}
-				if files[path], err = e.Info(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		manifest := filepath.Join(dir, manifestName)
-		if data, err := os.ReadFile(manifest); err != nil || string(data) != "2 v3\n" {
-			t.Fatalf("manifest after the upgrade = %q, %v", data, err)
-		}
-		if files[manifest], err = os.Stat(manifest); err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
-
-	t.Run("upgrade once", func(t *testing.T) {
-		dir := build(t)
-		first := check(t, dir)
-		if len(first) != shards*4+1 {
-			t.Fatalf("%d files after the upgrade, want per shard two rewritten segments, the log's segment and the log, plus the manifest", len(first))
-		}
-		second := check(t, dir)
-		for path, info := range first {
-			if again, ok := second[path]; !ok || !os.SameFile(info, again) || !info.ModTime().Equal(again.ModTime()) {
-				t.Fatalf("a second Open rewrote %s", path)
-			}
-		}
-		if len(second) != len(first) {
-			t.Fatalf("a second Open left %d files, the first %d", len(second), len(first))
-		}
-	})
-	t.Run("crash between rewrite and rename", func(t *testing.T) {
-		dir := build(t)
-		for s := 0; s < shards; s++ {
-			// The v1 segment's v3 image was being written when the crash
-			// came: a partial temporary file beside the untouched original.
-			image, _ := encodeSegment(testRuns(v1[s]))
-			tmp := filepath.Join(dir, shardDirName(s), segmentName(1)+".tmp")
-			if err := os.WriteFile(tmp, image[:len(image)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check(t, dir)
-	})
-	t.Run("crash between the log's segment and its new log", func(t *testing.T) {
-		dir := build(t)
-		for s := 0; s < shards; s++ {
-			writeTestSegment(t, filepath.Join(dir, shardDirName(s)), 3, log[s])
-		}
-		check(t, dir)
-	})
-	t.Run("an older binary refuses the directory", func(t *testing.T) {
-		// What a pre-v3 readManifest did with the line: Atoi of the
-		// trimmed content.  It must fail, or that binary would go on to
-		// take the v3 log for a torn legacy one and truncate it.
-		dir := build(t)
-		check(t, dir)
-		data, err := os.ReadFile(filepath.Join(dir, manifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := strconv.Atoi(strings.TrimSpace(string(data))); err == nil {
-			t.Fatalf("manifest %q still parses as a bare shard count", data)
+		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v4\n" {
+			t.Fatalf("manifest = %q, %v", data, err)
 		}
 	})
 }

@@ -13,8 +13,7 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// Log format v3.  The log opens with an 8-byte magic — what tells it from
-// a legacy per-record log, which opens with a length — and continues with
+// Log format v4.  The log opens with an 8-byte magic and continues with
 // one frame per appended group, the unit a commit window queues: the one
 // record of an Append, or an AppendBatch's records for the shard.
 //
@@ -22,7 +21,11 @@ import (
 //	4 bytes big-endian checksum of the payload
 //	payload: 4 bytes big-endian run count, then the group's runs whole
 //	         (run.go): records stably grouped by subset, each group in
-//	         arrival order under its subset's tag written once
+//	         arrival order under its subset's tag written once, its ids
+//	         as an id column — a batch of users numbered as they enrolled
+//	         ascends and costs a byte an id, a group that does not is
+//	         written raw, and a lone record's frame is a byte longer than
+//	         its 8-byte id made it
 //
 // A commit window is its groups' frames back to back: one write(2), one
 // fsync, one outcome for every record in it.  The frame, not the window,
@@ -33,7 +36,7 @@ import (
 // frames of the torn window stay, as whole records of a torn batch always
 // did — nothing of that window was acknowledged, and nothing says an
 // unacknowledged record must be lost.
-var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 3}
+var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 4}
 
 const (
 	walFrameHeader = 8 // payload length + checksum
@@ -75,11 +78,13 @@ type wal struct {
 	fsync   bool
 
 	// Reused across appends: the window's frames being assembled, and per
-	// frame its runs' layout, each record's run within it, and the tag → run
-	// index a frame needs once it names a second subset.
+	// frame its runs' layout, each record's run within it, the records' ids
+	// gathered run by run, and the tag → run index a frame needs once it
+	// names a second subset.
 	frame  []byte
 	slots  []uint32
 	layout []frameRun
+	ids    []bitvec.UserID
 	runOf  map[string]int
 	tagBuf []byte
 	// one and oneGroup are the single-record group and the single-group
@@ -109,16 +114,15 @@ type frameRun struct {
 	subset bitvec.Subset
 	count  int
 	widest uint64 // the largest Pack word among its sketches
-	// Set once the frame is laid out: the sketch width, where the run's id
-	// and word columns start in the frame, and how many are placed.
-	width          int
-	idsAt, wordsAt int
-	placed         int
+	// Set once the group is counted and the frame laid out: where the run's
+	// ids start among those gathered, its sketch width, where its word column
+	// starts in the frame, and how many records are placed.
+	at, width, wordsAt, placed int
 }
 
 // openWAL opens (creating if needed) the log at path, replays it — every
 // whole window is kept, a torn tail is truncated away in place — and
-// positions it for appending.  A legacy log must have been upgraded first.
+// positions it for appending.  A v3 log must have been rolled first (v3.go).
 func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -153,7 +157,7 @@ func (w *wal) replay() error {
 		// A new log, or one whose creation a crash interrupted.
 		return w.create()
 	case !bytes.HasPrefix(data, walMagic[:]):
-		return fmt.Errorf("store: %s is not a v3 log", w.path)
+		return fmt.Errorf("store: %s is not a v4 log", w.path)
 	}
 	set := newRunSet()
 	valid, records := scanLog(data, set)
@@ -190,14 +194,19 @@ func (w *wal) readLog(size int64) ([]byte, error) {
 	return data, nil
 }
 
-// scanLog decodes a v3 log image into set and returns the length of its
+// scanLog decodes a log image into set and returns the length of its
 // valid prefix — the magic and every whole, checksum-clean, well-formed
 // frame after it — and the records that prefix holds.  What follows the
 // prefix is not an error: it is what a crash mid-append leaves.  Nothing
 // is allocated by a length field: the image bounds every frame, and the
-// columns are sized by a first pass over the frames' run headers.
+// columns are sized by a first pass over the frames' run headers, each
+// count checked against the bytes its columns occupy.
 func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
-	if !bytes.HasPrefix(data, walMagic[:]) {
+	magic := walMagic
+	if set.v3 {
+		magic = walMagicV3
+	}
+	if !bytes.HasPrefix(data, magic[:]) {
 		return 0, 0
 	}
 	// frames calls fn with each whole, checksum-clean frame's payload up to
@@ -231,20 +240,29 @@ func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
 	return int64(end), records
 }
 
-// eachRun calls fn with the header and the columns of each run of a
-// frame payload.
-func eachRun(payload []byte, fn func(h runHeader, columns []byte) error) error {
+// eachRun calls fn with the header and the columns of each run of a frame
+// payload: the id column, idsLen bytes, and the word column after it.
+func eachRun(payload []byte, v3 bool, fn func(h runHeader, columns []byte, idsLen int) error) error {
 	if len(payload) < 4 {
 		return errors.New("frame truncated")
 	}
 	runs, rest := binary.BigEndian.Uint32(payload), payload[4:]
 	for i := uint32(0); i < runs; i++ {
-		h, err := parseRunHeader(rest)
+		h, err := parseRunHeader(rest, v3)
 		if err != nil {
 			return err
 		}
-		end := h.size + h.columnsLen()
-		if err := fn(h, rest[h.size:end]); err != nil {
+		idsLen := 8 * h.count
+		if !v3 {
+			if idsLen, err = sketch.IDBlocksLen(rest[h.size:], h.count); err != nil {
+				return err
+			}
+		}
+		end := h.size + idsLen + h.count*h.width
+		if end > len(rest) {
+			return fmt.Errorf("run of %d records overruns its frame", h.count)
+		}
+		if err := fn(h, rest[h.size:end], idsLen); err != nil {
 			return err
 		}
 		rest = rest[end:]
@@ -257,7 +275,7 @@ func eachRun(payload []byte, fn func(h runHeader, columns []byte) error) error {
 
 // reserve notes how many records a frame will add to each subset's run.
 func (s *runSet) reserve(payload []byte) error {
-	return eachRun(payload, func(h runHeader, _ []byte) error {
+	return eachRun(payload, s.v3, func(h runHeader, _ []byte, _ int) error {
 		r, err := s.runFor(h.tag)
 		if err == nil {
 			r.reserved, r.width = r.reserved+h.count, max(r.width, h.width)
@@ -269,8 +287,8 @@ func (s *runSet) reserve(payload []byte) error {
 // grow makes room in every run for the records reserved for it.
 func (s *runSet) grow() {
 	for _, r := range s.byTag {
-		r.IDs = slices.Grow(r.IDs, r.reserved)
-		r.Keys = sketch.MakeWords(r.width, 0, r.Keys.Len()+r.reserved).AppendWords(r.Keys)
+		r.ids = slices.Grow(r.ids, r.reserved)
+		r.keys = sketch.MakeWords(r.width, 0, r.keys.Len()+r.reserved).AppendWords(r.keys)
 		r.reserved = 0
 	}
 }
@@ -279,20 +297,27 @@ func (s *runSet) grow() {
 // — when the payload is malformed anywhere — none.
 func (s *runSet) addFrame(payload []byte) (records int, err error) {
 	s.marks = s.marks[:0]
-	err = eachRun(payload, func(h runHeader, columns []byte) error {
+	err = eachRun(payload, s.v3, func(h runHeader, columns []byte, idsLen int) error {
 		r, err := s.runFor(h.tag)
 		if err != nil {
 			return err
 		}
-		s.marks = append(s.marks, runMark{r, len(r.IDs)})
-		r.IDs, r.Keys, err = decodeColumns(columns, h.count, h.width, r.IDs, r.Keys)
+		s.marks = append(s.marks, runMark{r, len(r.ids)})
 		records += h.count
+		if s.v3 {
+			r.ids, r.keys, err = decodeColumns(columns, h.count, h.width, r.ids, r.keys)
+			return err
+		}
+		if r.keys, err = r.keys.AppendEncoded(columns[idsLen:], h.width); err != nil {
+			return err
+		}
+		r.ids, _, err = sketch.DecodeIDBlocks(r.ids, columns[:idsLen], h.count)
 		return err
 	})
 	if err != nil {
 		for i := len(s.marks) - 1; i >= 0; i-- {
 			m := s.marks[i]
-			m.r.IDs, m.r.Keys = m.r.IDs[:m.n], m.r.Keys.Slice(0, m.n)
+			m.r.ids, m.r.keys = m.r.ids[:m.n], m.r.keys.Slice(0, m.n)
 		}
 		return 0, err
 	}
@@ -356,9 +381,9 @@ func checkRecords(ps []sketch.Published) error {
 }
 
 // windowBytes is about what the group ps adds to a commit window, for the
-// committer's size cap: its columns, and a run header wherever the subset
-// changes (the frame writes a subset's header once, so this is an upper
-// estimate).
+// committer's size cap: its columns with the ids raw, and a run header
+// wherever the subset changes (the frame writes a subset's header once and
+// codes ids that ascend, so this is an upper estimate).
 func windowBytes(ps []sketch.Published) int {
 	n := 0
 	for i := range ps {
@@ -409,35 +434,45 @@ func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 		w.slots = append(w.slots, uint32(cur))
 	}
 
-	// Lay the frame out — every column's place follows from the counts —
-	// then drop each record into its run's next free row.
+	// Gather the ids run by run — every run's place follows from the counts
+	// — and lay the frame out: a run's header, its ids as an id column, room
+	// for its words.  Then drop each record's word into its run's next row.
+	at := 0
+	for i := range w.layout {
+		w.layout[i].at, at = at, at+w.layout[i].count
+	}
+	w.ids = slices.Grow(w.ids[:0], len(ps))[:len(ps)]
+	for i := range ps {
+		r := &w.layout[w.slots[i]]
+		w.ids[r.at+r.placed] = ps[i].ID
+		r.placed++
+	}
 	frame := len(buf)
 	buf = append(buf, make([]byte, walFrameHeader)...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.layout)))
 	for i := range w.layout {
 		r := &w.layout[i]
-		r.width = sketch.WordWidth(r.widest)
+		r.width, r.placed = sketch.WordWidth(r.widest), 0
 		buf = binary.BigEndian.AppendUint32(buf, uint32(r.subset.TagLen()))
 		buf = r.subset.AppendTag(buf)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(r.count))
 		buf = append(buf, byte(r.width))
-		r.idsAt = len(buf)
-		r.wordsAt = r.idsAt + 8*r.count
-		buf = append(buf, make([]byte, r.count*(8+r.width))...)
-	}
-	payload := buf[frame+walFrameHeader:]
-	if len(payload) > maxFrameBytes {
-		return buf, fmt.Errorf("store: appended group of %d bytes exceeds %d", len(payload), maxFrameBytes)
+		buf = sketch.AppendIDBlocks(buf, w.ids[r.at:r.at+r.count])
+		r.wordsAt = len(buf)
+		buf = append(buf, make([]byte, r.count*r.width)...)
 	}
 	for i := range ps {
 		r := &w.layout[w.slots[i]]
-		binary.BigEndian.PutUint64(buf[r.idsAt+8*r.placed:], uint64(ps[i].ID))
 		word, at := ps[i].S.Pack(), r.wordsAt+r.width*r.placed
 		for b := r.width - 1; b >= 0; b-- {
 			buf[at+b] = byte(word)
 			word >>= 8
 		}
 		r.placed++
+	}
+	payload := buf[frame+walFrameHeader:]
+	if len(payload) > maxFrameBytes {
+		return buf, fmt.Errorf("store: appended group of %d bytes exceeds %d", len(payload), maxFrameBytes)
 	}
 	binary.BigEndian.PutUint32(buf[frame:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[frame+4:], checksum(payload))

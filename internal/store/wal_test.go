@@ -23,6 +23,10 @@ func openTornCopy(t *testing.T, image []byte) (*Durable, string) {
 	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A log is never older than its directory's manifest.
+	if err := writeManifest(dir, 1, false); err != nil {
+		t.Fatal(err)
+	}
 	st, err := Open(Options{Dir: dir, CompactInterval: -1})
 	if err != nil {
 		t.Fatalf("recovery of a %d-byte log failed: %v", len(image), err)
@@ -197,8 +201,9 @@ func TestWALWindowGroupsRunsStably(t *testing.T) {
 	newer := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1 << 29, Length: 30}}
 	window := []sketch.Published{testRecord(9, b2), older, testRecord(3, b2), testRecord(8, b), newer}
 	frame := windowFrame(t, window...)
-	// One frame: 4+4 header, run count, then b2's run (first seen) and b's.
-	wantLen := walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 2*(8+2)) + (runHeaderFixed + b.TagLen() + 3*(8+5))
+	// One frame: 4+4 header, run count, then b2's run (first seen) and b's,
+	// neither in id order, so each one raw block: a width byte and 8-byte ids.
+	wantLen := walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 1 + 2*(8+2)) + (runHeaderFixed + b.TagLen() + 1 + 3*(8+5))
 	if len(frame) != wantLen {
 		t.Fatalf("window frame is %d bytes, want %d", len(frame), wantLen)
 	}

@@ -12,16 +12,42 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// referenceColumns encodes records — one subset's, ids ascending — as the
-// columns of a v3 run the way the store did while it still held sketches as
-// 8-byte words, knowing nothing of sketch.Words or Pack: ids, then each
-// sketch as its key above a 5-bit length in the bytes the widest needs.
-// It returns the columns and that width.
-func referenceColumns(records []sketch.Published) ([]byte, int) {
+// referenceColumns encodes records — one subset's, in the order given —
+// as the columns of a run, knowing nothing of sketch.IDs, sketch.Words or
+// Pack: the ids — as format v3 held them, 8 bytes each, or as v4 does, in
+// blocks of 64 that are a width byte, a first id and the differences at
+// that width, or width 8 and the ids raw where they do not ascend or lie
+// 2³² apart — then each sketch as its key above a 5-bit length in the bytes
+// the widest needs.  It returns the columns and that width.
+func referenceColumns(records []sketch.Published, v3 bool) ([]byte, int) {
 	var out []byte
+	for at := 0; at < len(records); at += 64 {
+		block := records[at:min(at+64, len(records))]
+		w := 1
+		for i := 1; i < len(block); i++ {
+			switch d := uint64(block[i].ID) - uint64(block[i-1].ID); {
+			case block[i].ID <= block[i-1].ID || d >= 1<<32:
+				w = 8
+			case w < 8:
+				w = max(w, (bits.Len64(d)+7)/8)
+			}
+		}
+		if !v3 {
+			out = append(out, byte(w))
+		}
+		for i, p := range block {
+			if v3 || w == 8 || i == 0 {
+				out = binary.BigEndian.AppendUint64(out, uint64(p.ID))
+				continue
+			}
+			d := uint64(p.ID) - uint64(block[i-1].ID)
+			for shift := 8 * (w - 1); shift >= 0; shift -= 8 {
+				out = append(out, byte(d>>shift))
+			}
+		}
+	}
 	widest := uint64(0)
 	for _, p := range records {
-		out = binary.BigEndian.AppendUint64(out, uint64(p.ID))
 		widest = max(widest, p.S.Key<<5|uint64(p.S.Length))
 	}
 	width := max(1, (bits.Len64(widest)+7)/8)
@@ -34,6 +60,13 @@ func referenceColumns(records []sketch.Published) ([]byte, int) {
 	return out, width
 }
 
+// framePayload is the payload of a log frame holding one run: the columns
+// cols of n records of tag's subset, width bytes a sketch.
+func framePayload(tag string, n, width int, cols []byte) []byte {
+	payload := binary.BigEndian.AppendUint32(nil, 1)
+	return append(appendRunHeader(payload, tag, n, width), cols...)
+}
+
 // FuzzColumnWords drives one table column and the store's run machinery
 // with an op stream read from the fuzzer's bytes, against a map: inserts,
 // removals and loaded runs of sketches whose packed words are 1 to 5 bytes
@@ -41,9 +74,9 @@ func referenceColumns(records []sketch.Published) ([]byte, int) {
 // re-encoded wider at arbitrary points.  A loaded run is gathered the way a
 // log's frames are (arrival order, repeats, newest wins), sorted, deduplicated
 // and handed to the table for keeps.  Throughout, the column must read as
-// the map does; and written as a v3 run its bytes must be the ones the
-// store has always written for those records (referenceColumns), decode
-// back to the same column — also onto words of another width, also split
+// the map does; and written as a run its bytes must be the ones the format
+// says (referenceColumns), decode back to the same column — from a v4
+// frame and from v3 columns, also onto words of another width, also split
 // and merged — and, loaded into an empty table, read the same again.
 func FuzzColumnWords(f *testing.F) {
 	// FuzzWALReplay's corpus, for what its bytes do as ops, and streams that
@@ -105,36 +138,44 @@ func FuzzColumnWords(f *testing.F) {
 				return
 			}
 			runs := testRuns(want)
-			ids, keys := runs[0].IDs, runs[0].Keys
-			wantBytes, wantWidth := referenceColumns(want)
+			ids, keys := runs[0].IDs.AppendTo(nil), runs[0].Keys
+			wantBytes, wantWidth := referenceColumns(want, false)
 			width := keys.MinWidth()
-			if got := appendColumns(nil, ids, keys, width); width != wantWidth || !bytes.Equal(got, wantBytes) {
-				t.Fatalf("%d records are written %d bytes wide as %x, want %d bytes wide, %x", len(want), width, got, wantWidth, wantBytes)
+			written := keys.AppendTo(sketch.AppendIDBlocks(nil, ids), width)
+			if width != wantWidth || !bytes.Equal(written, wantBytes) {
+				t.Fatalf("%d records are written %d bytes wide as %x, want %d bytes wide, %x", len(want), width, written, wantWidth, wantBytes)
 			}
-			gotIDs, gotKeys, err := decodeColumns(wantBytes, len(want), width, nil, sketch.Words{})
+			set := newRunSet()
+			if n, err := set.addFrame(framePayload(b.Key(), len(want), width, wantBytes)); err != nil || n != len(want) {
+				t.Fatalf("the frame of the reference columns adds %d records, %v", n, err)
+			}
+			same("the decoded frame", flatten(set.normalized()), want)
+			// What a v3 file holds of them, through the one reader left.
+			v3Bytes, _ := referenceColumns(want, true)
+			gotIDs, gotKeys, err := decodeColumns(v3Bytes, len(want), width, nil, sketch.Words{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			same("the decoded run", flatten([]run{{Run: sketch.Run{Subset: b, IDs: gotIDs, Keys: gotKeys}}}), want)
-			if again := appendColumns(nil, gotIDs, gotKeys, width); !bytes.Equal(again, wantBytes) {
-				t.Fatalf("the decoded run is written back as %x, want %x", again, wantBytes)
+			runOf := func(ids []bitvec.UserID, keys sketch.Words) sketch.Run {
+				return sketch.Run{Subset: b, IDs: sketch.MakeIDs(ids), Keys: keys}
 			}
+			same("the decoded v3 run", runOf(gotIDs, gotKeys).AppendTo(nil), want)
 			// Onto words of every other width, and as two halves merged.
 			for w := 1; w <= sketch.MaxWordWidth; w++ {
-				_, onto, err := decodeColumns(wantBytes, len(want), width, nil, sketch.MakeWords(w, 0, 1))
+				_, onto, err := decodeColumns(v3Bytes, len(want), width, nil, sketch.MakeWords(w, 0, 1))
 				if err != nil {
 					t.Fatal(err)
 				}
-				same("the run decoded onto other words", flatten([]run{{Run: sketch.Run{Subset: b, IDs: gotIDs, Keys: onto}}}), want)
+				same("the run decoded onto other words", runOf(gotIDs, onto).AppendTo(nil), want)
 			}
 			half := len(want) / 2
 			mergedIDs, mergedKeys := mergeColumns([]sketch.Run{
-				{IDs: gotIDs[half:], Keys: gotKeys.Slice(half, len(want))},
-				{IDs: gotIDs[:half], Keys: gotKeys.Slice(0, half).Clone()},
+				runOf(gotIDs[half:], gotKeys.Slice(half, len(want))),
+				runOf(gotIDs[:half], gotKeys.Slice(0, half).Clone()),
 			})
-			same("the merged halves", flatten([]run{{Run: sketch.Run{Subset: b, IDs: mergedIDs, Keys: mergedKeys}}}), want)
+			same("the merged halves", sketch.Run{Subset: b, IDs: mergedIDs, Keys: mergedKeys}.AppendTo(nil), want)
 			fresh := sketch.NewTable()
-			if err := fresh.LoadRun(sketch.Run{Subset: b, IDs: gotIDs, Keys: gotKeys}); err != nil {
+			if err := fresh.LoadRun(runOf(gotIDs, gotKeys)); err != nil {
 				t.Fatal(err)
 			}
 			same("the reloaded column", fresh.Snapshot(b), want)
@@ -173,10 +214,10 @@ func FuzzColumnWords(f *testing.F) {
 					newest[p.ID] = p.S
 				}
 				runs := set.normalized()
-				if len(runs) != 1 || len(runs[0].IDs) != len(newest) || !strictlyAscending(runs[0].IDs) {
-					t.Fatalf("%d arrivals of %d users normalize to %d runs, the first of %d records", n, len(newest), len(runs), len(runs[0].IDs))
+				if len(runs) != 1 || runs[0].Len() != len(newest) || !sketch.Ascends(runs[0].IDs.AppendTo(nil)) {
+					t.Fatalf("%d arrivals of %d users normalize to %d runs, the first of %d records", n, len(newest), len(runs), runs[0].Len())
 				}
-				for i, id := range runs[0].IDs {
+				for i, id := range runs[0].IDs.AppendTo(nil) {
 					if got := runs[0].Keys.Sketch(i); got != newest[id] {
 						t.Fatalf("the normalized run holds %v for user %v, the newest arrival is %v", got, id, newest[id])
 					}
@@ -212,18 +253,19 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 		"a key past its length": 0xFF<<5 | 3,
 	} {
 		t.Run(name, func(t *testing.T) {
-			cols, width := referenceColumns(good)
+			v3Cols, width := referenceColumns(good, true)
 			if width != 2 {
 				t.Fatalf("the test's records are %d bytes wide, want 2", width)
 			}
-			binary.BigEndian.PutUint16(cols[len(cols)-2:], word)
-			if _, keys, err := decodeColumns(cols, len(good), width, nil, sketch.Words{}); err == nil || keys.Len() != 0 {
+			binary.BigEndian.PutUint16(v3Cols[len(v3Cols)-2:], word)
+			if _, keys, err := decodeColumns(v3Cols, len(good), width, nil, sketch.Words{}); err == nil || keys.Len() != 0 {
 				t.Fatalf("decodeColumns = %v with %d words kept", err, keys.Len())
 			}
+			cols, _ := referenceColumns(good, false)
+			binary.BigEndian.PutUint16(cols[len(cols)-2:], word)
 
 			// A log: one good frame, then a frame whose run ends in the word.
-			payload := binary.BigEndian.AppendUint32(nil, 1)
-			payload = append(appendRunHeader(payload, b.Key(), len(good), width), cols...)
+			payload := framePayload(b.Key(), len(good), width, cols)
 			bad := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
 			bad = append(binary.BigEndian.AppendUint32(bad, checksum(payload)), payload...)
 			first := windowFrame(t, testRecord(9, b))
