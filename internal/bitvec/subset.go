@@ -94,14 +94,25 @@ func (s Subset) Max() int {
 
 // Project returns the projection d_B: the bits of d at the subset's
 // positions, in subset order.  It panics if the profile is too short.
-func (s Subset) Project(d Vector) Vector {
-	out := New(len(s.positions))
+func (s Subset) Project(d Vector) Vector { return s.ProjectInto(Vector{}, d) }
+
+// ProjectInto is Project building its result in dst's storage when that is
+// large enough (dst's old contents are lost), so a caller that projects once
+// per record — Algorithm 1 does — allocates once, not per call.
+func (s Subset) ProjectInto(dst, d Vector) Vector {
+	n := len(s.positions)
+	if nw := (n + 63) / 64; cap(dst.words) < nw {
+		dst = New(n)
+	} else {
+		dst = Vector{n: n, words: dst.words[:nw]}
+		clear(dst.words)
+	}
 	for i, p := range s.positions {
 		if d.Get(p) {
-			out.Set(i, true)
+			dst.Set(i, true)
 		}
 	}
-	return out
+	return dst
 }
 
 // Union returns a subset containing the positions of s followed by the

@@ -51,6 +51,30 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// ProjectInto reuses the destination's storage, so whatever an earlier and
+// wider projection left there must not show through, and a destination too
+// small must grow.
+func TestProjectIntoReusesStorage(t *testing.T) {
+	wide := Range(0, 70)
+	ones := New(70)
+	for i := 0; i < 70; i++ {
+		ones.Set(i, true)
+	}
+	buf := wide.ProjectInto(Vector{}, ones)
+	if !buf.Equal(ones) {
+		t.Fatalf("projection grown from nothing = %s", buf)
+	}
+	d := MustFromString("10110")
+	s := MustSubset(4, 3, 0)
+	got := s.ProjectInto(buf, d)
+	if !got.Equal(s.Project(d)) || got.String() != "011" {
+		t.Errorf("projection into dirty storage = %s, want 011", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { got = s.ProjectInto(got, d) }); n != 0 {
+		t.Errorf("ProjectInto with room allocates %v times a call", n)
+	}
+}
+
 func TestContainsAndMax(t *testing.T) {
 	s := MustSubset(5, 1, 9)
 	if !s.Contains(9) || s.Contains(2) {

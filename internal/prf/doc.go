@@ -9,15 +9,22 @@
 // MD5 and WHIRLPOOL) followed by a comparison of the hash output, read as a
 // binary fraction, against the binary expansion of p.
 //
-// This package provides that construction from scratch using only the
-// standard library:
+// This package provides that construction using only the standard library:
 //
+//   - HMAC-SHA-256 (hmac.go) to key the function with a global database
+//     key, mirroring the paper's "global pseudorandom function for the
+//     entire database" whose generator key is at least 300 bits.  The
+//     engine that evaluates it — "scalar" throughout this repository — is
+//     the toolchain's crypto/sha256 (SHA-NI or AVX2 on amd64, ARMv8-SHA2 on
+//     arm64, generic Go under -tags purego), resumed from the key's saved
+//     ipad/opad midstates so a short-message evaluation costs two or three
+//     compressions and no allocation; batches of same-shape messages go
+//     through an 8-lane AVX2 compress of this package's own where the CPU
+//     has it (sha256multi.go).
 //   - A FIPS 180-4 SHA-256 implementation (sha256.go) written from the
-//     primitive operations, so the repository carries no external or
-//     crypto-package dependency and the whole pipeline is auditable.
-//   - HMAC over that hash (hmac.go) to key the function with a global
-//     database key, mirroring the paper's "global pseudorandom function for
-//     the entire database" whose generator key is at least 300 bits.
+//     primitive operations, and the direct RFC 2104 HMAC over it: the
+//     reference both engines are differenced against, so the whole
+//     pipeline stays auditable in one place whatever hardware runs it.
 //   - A counter-mode expander (prf.go) that turns the keyed hash into an
 //     arbitrary-length pseudorandom stream and fixed-width integers.
 //   - The p-biased bit extraction (biased.go): interpret the first 64 bits

@@ -3,13 +3,14 @@ package prf
 import "encoding/binary"
 
 // Evaluator is a cheap per-goroutine handle on a keyed PRF.  It owns its
-// hasher state and scratch buffer, so evaluations are lock-free and
-// allocation-free; the key material itself is shared immutably with the
-// parent Func.  An Evaluator is NOT safe for concurrent use — create one
-// per goroutine (they are small) or use the thread-safe Func facade.
+// hash (the scalar engine, see resumed) and scratch buffer, so evaluations
+// are lock-free and allocation-free; the key material itself is shared
+// immutably with the parent Func.  An Evaluator is NOT safe for concurrent
+// use — create one per goroutine (they are small) or use the thread-safe
+// Func facade.
 type Evaluator struct {
 	mac     *hmacState
-	h       Hasher
+	eng     resumed
 	scratch []byte
 }
 
@@ -29,7 +30,7 @@ func (e *Evaluator) Rebind(f *Func) { e.mac = f.mac }
 // has already tuple-encoded (see AppendTupleHeader/AppendPart).  This is
 // the allocation-free core every other evaluation method reduces to.
 func (e *Evaluator) DigestMsg(msg []byte) [DigestSize]byte {
-	return e.mac.sumMid(&e.h, msg)
+	return e.eng.hmac(e.mac, msg)
 }
 
 // Uint64Msg is DigestMsg truncated to a uniform 64-bit integer.

@@ -94,21 +94,94 @@ func TestEvaluatorExpandMatchesFunc(t *testing.T) {
 	}
 }
 
+// TestEvaluatorRebindSwitchesKeys: a handle resumes from its key's saved
+// midstates, so one that kept anything of the old key across Rebind would
+// answer — silently, and wrongly — under another tenant's key.  Every kind
+// of handle that holds resumed state is an input: the scalar evaluator, and
+// the batch evaluator at both lane policies (its scalar arm is the same
+// engine).
 func TestEvaluatorRebindSwitchesKeys(t *testing.T) {
+	defer SetLanes(0)
 	f1 := NewFunc(testKey())
 	f2 := NewFunc(bytes.Repeat([]byte{0x43}, MinKeyBytes))
-	e := f1.NewEvaluator()
-	d1 := e.Digest([]byte("x"))
-	e.Rebind(f2)
-	if e.Digest([]byte("x")) == d1 {
-		t.Error("Rebind to a different key did not change output")
+	msg := encodeTuple(nil, []byte("x"))
+	batch := func(m *MultiEvaluator) [DigestSize]byte {
+		// Two equal messages fill a lane group; a lone one would take the
+		// scalar arm at any policy.
+		var out [2][DigestSize]byte
+		m.DigestBatch([][]byte{msg, msg}, out[:])
+		if out[0] != out[1] {
+			t.Fatalf("DigestBatch of one message twice: %x and %x", out[0], out[1])
+		}
+		return out[0]
 	}
-	if e.Digest([]byte("x")) != f2.Digest([]byte("x")) {
-		t.Error("rebound evaluator disagrees with its new Func")
+	e, m := f1.NewEvaluator(), f1.NewMultiEvaluator()
+	handles := []struct {
+		name   string
+		lanes  int
+		rebind func(*Func)
+		digest func() [DigestSize]byte
+	}{
+		{"Evaluator", 0, e.Rebind, func() [DigestSize]byte { return e.DigestMsg(msg) }},
+		{"MultiEvaluator/scalar", 1, m.Rebind, func() [DigestSize]byte { return batch(m) }},
+		{"MultiEvaluator/8", 8, m.Rebind, func() [DigestSize]byte { return batch(m) }},
 	}
-	e.Rebind(f1)
-	if e.Digest([]byte("x")) != d1 {
-		t.Error("rebinding back did not restore output")
+	for _, h := range handles {
+		t.Run(h.name, func(t *testing.T) {
+			if err := SetLanes(h.lanes); err != nil {
+				t.Fatal(err)
+			}
+			h.rebind(f1)
+			d1 := h.digest()
+			if d1 != f1.Digest([]byte("x")) {
+				t.Fatal("handle disagrees with the Func it was made from")
+			}
+			h.rebind(f2)
+			if h.digest() == d1 {
+				t.Error("Rebind to a different key did not change output")
+			}
+			if h.digest() != f2.Digest([]byte("x")) {
+				t.Error("rebound handle disagrees with its new Func")
+			}
+			h.rebind(f1)
+			if h.digest() != d1 {
+				t.Error("rebinding back did not restore output")
+			}
+		})
+	}
+}
+
+// TestEvaluationAllocatesNothing keeps the scalar engine's promise inside
+// tier-1: the toolchain's hash is reached through an interface, and Sum(b)
+// through an interface is exactly where a toolchain or a refactor could
+// make the digest buffer escape per call.  The kernel ratchet
+// (cmd/sketchbench/kernels.txt) pins the same thing from the outside.
+func TestEvaluationAllocatesNothing(t *testing.T) {
+	defer SetLanes(0)
+	b := NewBiased(testKey(), MustProb(0.3))
+	msg := bytes.Repeat([]byte{0x11}, 150)
+	e := b.Func().NewEvaluator()
+	if n := testing.AllocsPerRun(100, func() { e.DigestMsg(msg) }); n != 0 {
+		t.Errorf("Evaluator.DigestMsg allocates %v times a call", n)
+	}
+	be := b.NewBitEvaluator()
+	if n := testing.AllocsPerRun(100, func() { be.BitMsg(msg) }); n != 0 {
+		t.Errorf("BitEvaluator.BitMsg allocates %v times a call", n)
+	}
+	msgs := make([][]byte, 64)
+	for i := range msgs {
+		msgs[i] = bytes.Repeat([]byte{byte(i)}, 150)
+	}
+	out := make([]uint64, len(msgs))
+	for _, lanes := range []int{1, 8} {
+		if err := SetLanes(lanes); err != nil {
+			t.Fatal(err)
+		}
+		me := b.Func().NewMultiEvaluator()
+		me.Uint64Batch(msgs, out) // warm-up: the index slice grows once
+		if n := testing.AllocsPerRun(20, func() { me.Uint64Batch(msgs, out) }); n != 0 {
+			t.Errorf("lanes %d: Uint64Batch allocates %v times a call", lanes, n)
+		}
 	}
 }
 

@@ -1,10 +1,23 @@
 package prf
 
-// HMAC-SHA-256 (RFC 2104) over the from-scratch SHA-256 implementation.
-// The keyed hash is the cryptographic heart of the public function H: the
-// database operator publishes a single long generator key (the paper asks
-// for at least 300 bits) and every evaluation of H is an HMAC of the input
-// tuple under that key.
+import (
+	"crypto/sha256"
+	"encoding"
+	"hash"
+)
+
+// HMAC-SHA-256 (RFC 2104).  The keyed hash is the cryptographic heart of
+// the public function H: the database operator publishes a single long
+// generator key (the paper asks for at least 300 bits) and every
+// evaluation of H is an HMAC of the input tuple under that key.
+//
+// Two implementations live here.  HMAC below is the direct RFC 2104
+// construction over the from-scratch hash of sha256.go — four or more
+// compressions a call, never on a hot path: it is the reference.  The
+// engine every evaluation runs is hmacState + resumed: the toolchain's
+// SHA-256 (crypto/sha256 — SHA-NI or AVX2 on amd64, ARMv8-SHA2 on arm64,
+// its generic block under -tags purego) resumed from the key's saved
+// ipad/opad midstates.  The tests difference one against the other.
 
 // HMAC computes HMAC-SHA-256 of msg under key.
 func HMAC(key, msg []byte) [DigestSize]byte {
@@ -36,56 +49,114 @@ func HMAC(key, msg []byte) [DigestSize]byte {
 	return out
 }
 
-// hmacState holds the per-key HMAC precomputation: the padded key blocks
-// and, crucially, the SHA-256 midstates reached after compressing them.
-// The midstates are what make evaluation cheap — each HMAC resumes from
-// them instead of re-compressing the 64-byte ipad/opad blocks, saving two
-// of the four compressions a short-message HMAC otherwise costs.  The
+// hmacState holds the per-key HMAC precomputation: the SHA-256 midstates
+// reached after compressing the padded key blocks.  The midstates are what
+// make evaluation cheap — each HMAC resumes from them instead of
+// re-compressing the 64-byte ipad/opad blocks, saving two of the four
+// compressions a short-message HMAC otherwise costs.  Each midstate is
+// kept twice, once per engine: marshaled, as the toolchain's hash saves
+// itself (what crypto/hmac keeps inside itself), for the scalar engine to
+// restore; and as raw state words for the 8-lane engine to broadcast.  The
 // struct is immutable after construction, so any number of goroutines can
 // evaluate against it concurrently without synchronisation.
 type hmacState struct {
-	ipad [BlockSize]byte
-	opad [BlockSize]byte
-	// istate/ostate are the compression states after absorbing ipad/opad.
-	istate [8]uint32
-	ostate [8]uint32
+	// inner/outer are the toolchain hash's MarshalBinary after absorbing
+	// ipad/opad.
+	inner, outer []byte
+	// istate/ostate are the same two compression states as words, taken
+	// from the from-scratch compress.
+	istate, ostate [8]uint32
 }
 
 func newHMACState(key []byte) *hmacState {
 	var k [BlockSize]byte
 	if len(key) > BlockSize {
-		d := Sum256(key)
+		d := sha256.Sum256(key)
 		copy(k[:], d[:])
 	} else {
 		copy(k[:], key)
 	}
-	s := &hmacState{}
+	var ipad, opad [BlockSize]byte
 	for i := 0; i < BlockSize; i++ {
-		s.ipad[i] = k[i] ^ 0x36
-		s.opad[i] = k[i] ^ 0x5c
+		ipad[i] = k[i] ^ 0x36
+		opad[i] = k[i] ^ 0x5c
 	}
+	s := &hmacState{inner: marshalAfter(ipad[:]), outer: marshalAfter(opad[:])}
 	s.istate = sha256InitState
-	compress(&s.istate, s.ipad[:])
+	compress(&s.istate, ipad[:])
 	s.ostate = sha256InitState
-	compress(&s.ostate, s.opad[:])
+	compress(&s.ostate, opad[:])
 	return s
 }
 
-// sum computes HMAC(key, msg) using the precomputed midstates.
-func (s *hmacState) sum(msg []byte) [DigestSize]byte {
-	var h Hasher
-	return s.sumMid(&h, msg)
+// resumableHash is what the scalar engine needs of the toolchain's
+// SHA-256: the hash, and restoring it from a saved state.
+type resumableHash interface {
+	hash.Hash
+	encoding.BinaryUnmarshaler
 }
 
-// sumMid computes HMAC(key, msg) resuming from the cached midstates, using
-// h as scratch hasher state.  It performs no allocations: the only
-// compressions executed are for the message itself and the two final
-// padding blocks.
-func (s *hmacState) sumMid(h *Hasher, msg []byte) [DigestSize]byte {
-	h.resetToMidstate(s.istate, 1)
-	h.Write(msg)
-	inner := h.SumDigest()
-	h.resetToMidstate(s.ostate, 1)
-	h.Write(inner[:])
-	return h.SumDigest()
+// marshalAfter returns the toolchain hash's saved state after absorbing
+// prefix (a pad block; nothing, for the initial state).
+func marshalAfter(prefix []byte) []byte {
+	h := sha256.New()
+	h.Write(prefix)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("prf: crypto/sha256 state does not marshal: " + err.Error())
+	}
+	return state
+}
+
+// resumed is the scalar engine's per-handle state: one toolchain hash,
+// restored from a key's midstate twice per evaluation, and the digest
+// buffer it sums into.  Nothing of a key outlives an evaluation in it, so
+// rebinding a handle to another key is a pointer swap on the handle and no
+// business of this struct.  The zero value is ready to use; the hash is
+// made on first use because handles are embedded by value in pooled
+// structs (sketch.Kernel) that start as zero values.
+type resumed struct {
+	h   resumableHash
+	sum [DigestSize]byte
+}
+
+// hmac computes HMAC(key, msg) resuming from s's cached midstates.  It
+// performs no allocations: the only compressions executed are for the
+// message itself and the two final padding blocks.
+func (r *resumed) hmac(s *hmacState, msg []byte) [DigestSize]byte {
+	r.sumFrom(s.inner, msg)
+	r.sumFrom(s.outer, r.sum[:])
+	return r.sum
+}
+
+// sumFrom leaves in r.sum the digest of msg hashed on from a saved state.
+func (r *resumed) sumFrom(state, msg []byte) {
+	if r.h == nil {
+		r.h = sha256.New().(resumableHash)
+	}
+	if err := r.h.UnmarshalBinary(state); err != nil {
+		panic("prf: crypto/sha256 refused its own saved state: " + err.Error())
+	}
+	r.h.Write(msg)
+	r.h.Sum(r.sum[:0])
+}
+
+// ScalarBlockBench hashes one 64-byte message n times through the scalar
+// engine — the toolchain hash restored from a saved state (the initial
+// one), written, and summed into the handle's own buffer: the steps of
+// half an evaluation, two compressions — and returns a digest byte so
+// callers keep the work observable.  Like MultiLaneBlockBench it exists
+// for the benchmark harness (cmd/sketchbench, the root benchmarks); it is
+// not part of the evaluation API.
+func ScalarBlockBench(n int) byte {
+	var r resumed
+	initial := marshalAfter(nil)
+	var msg [BlockSize]byte
+	for i := range msg {
+		msg[i] = 0x7e
+	}
+	for i := 0; i < n; i++ {
+		r.sumFrom(initial, msg[:])
+	}
+	return r.sum[0]
 }

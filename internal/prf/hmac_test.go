@@ -67,21 +67,51 @@ func TestHMACVectors(t *testing.T) {
 	}
 }
 
+// TestHMACStateMatchesOneShot holds the engines to the reference across
+// every padding boundary: each message length 0…200 (the inner hash's last
+// block fills at 55/56 and 119/120, the message's own at 63/64 and 127/128)
+// under keys shorter than, equal to and longer than a block (a longer one
+// is hashed first), through every entry point that reaches the midstates —
+// the scalar engine behind Evaluator and Func, and the batch evaluator at
+// both lane policies — against the direct RFC 2104 construction over the
+// from-scratch hash.
 func TestHMACStateMatchesOneShot(t *testing.T) {
-	key := []byte("a-generator-key-that-is-reused-many-times")
-	st := newHMACState(key)
-	msgs := [][]byte{
-		nil,
-		[]byte(""),
-		[]byte("a"),
-		[]byte("the same state must be reusable across messages"),
-		bytes.Repeat([]byte{0xff}, 500),
+	defer SetLanes(0)
+	const maxLen = 200
+	data := make([]byte, maxLen)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
 	}
-	for _, m := range msgs {
-		got := st.sum(m)
-		want := HMAC(key, m)
-		if got != want {
-			t.Errorf("hmacState.sum(%q) = %x, want %x", m, got, want)
+	msgs := make([][]byte, maxLen+1)
+	for n := range msgs {
+		msgs[n] = data[:n]
+	}
+	want := make([][DigestSize]byte, len(msgs))
+	got := make([][DigestSize]byte, len(msgs))
+	for _, keyLen := range []int{0, 1, 38, 63, 64, 65, 200} {
+		key := bytes.Repeat([]byte{0xa7}, keyLen)
+		f := NewFunc(key)
+		e := f.NewEvaluator()
+		for n, m := range msgs {
+			want[n] = HMAC(key, m)
+			if d := e.DigestMsg(m); d != want[n] {
+				t.Fatalf("key %d B, msg %d B: Evaluator.DigestMsg = %x, want %x", keyLen, n, d, want[n])
+			}
+			// Func.Digest tuple-encodes its parts: 16 more bytes of message.
+			if d, w := f.Digest(m), HMAC(key, encodeTuple(nil, m)); d != w {
+				t.Fatalf("key %d B, part %d B: Func.Digest = %x, want %x", keyLen, n, d, w)
+			}
+		}
+		for _, lanes := range []int{1, 8} {
+			if err := SetLanes(lanes); err != nil {
+				t.Fatal(err)
+			}
+			f.NewMultiEvaluator().DigestBatch(msgs, got)
+			for n := range msgs {
+				if got[n] != want[n] {
+					t.Fatalf("key %d B, msg %d B, lanes %d: DigestBatch = %x, want %x", keyLen, n, lanes, got[n], want[n])
+				}
+			}
 		}
 	}
 }

@@ -12,10 +12,11 @@ import "encoding/binary"
 //
 // Messages of unequal length are handled by bucketing: the batch is
 // ordered by inner block count, each run of equal-size messages fills lane
-// groups, and ragged tails (a group of one) fall back to the scalar path.
-// Output is bit-identical to calling Evaluator.Uint64Msg / DigestMsg per
-// message, whatever the lane policy — FuzzMultiLaneEquivalence holds both
-// widths to that.
+// groups, and ragged tails (a group of one) fall back to the scalar engine
+// (eng — the same one an Evaluator runs, and the whole of the work under
+// lane policy 1).  Output is bit-identical to calling Evaluator.Uint64Msg /
+// DigestMsg per message, whatever the lane policy — FuzzMultiLaneEquivalence
+// holds both widths to that.
 //
 // A MultiEvaluator is NOT safe for concurrent use — create one per
 // goroutine (the staging arrays make it a few KiB) or pool it.
@@ -24,7 +25,7 @@ type MultiEvaluator struct {
 	states laneStates
 	blocks laneBlocks
 	w      laneSchedule
-	h      Hasher // scalar fallback for lone messages
+	eng    resumed // the scalar engine: lane policy 1 and lone messages
 	// idx orders the batch by inner block count without allocating.
 	idx []int
 	// group holds the current lane group's messages; unused lanes repeat
@@ -54,7 +55,7 @@ func (m *MultiEvaluator) Uint64Batch(msgs [][]byte, out []uint64) {
 	_ = out[:len(msgs)]
 	if Lanes() == 1 || len(msgs) < 2 {
 		for i, msg := range msgs {
-			d := m.mac.sumMid(&m.h, msg)
+			d := m.eng.hmac(m.mac, msg)
 			out[i] = binary.BigEndian.Uint64(d[:8])
 		}
 		return
@@ -64,7 +65,7 @@ func (m *MultiEvaluator) Uint64Batch(msgs [][]byte, out []uint64) {
 			out[idx[l]] = uint64(m.states[0][l])<<32 | uint64(m.states[1][l])
 		}
 	}, func(i int) {
-		d := m.mac.sumMid(&m.h, msgs[i])
+		d := m.eng.hmac(m.mac, msgs[i])
 		out[i] = binary.BigEndian.Uint64(d[:8])
 	})
 }
@@ -75,7 +76,7 @@ func (m *MultiEvaluator) DigestBatch(msgs [][]byte, out [][DigestSize]byte) {
 	_ = out[:len(msgs)]
 	if Lanes() == 1 || len(msgs) < 2 {
 		for i, msg := range msgs {
-			out[i] = m.mac.sumMid(&m.h, msg)
+			out[i] = m.eng.hmac(m.mac, msg)
 		}
 		return
 	}
@@ -87,7 +88,7 @@ func (m *MultiEvaluator) DigestBatch(msgs [][]byte, out [][DigestSize]byte) {
 			}
 		}
 	}, func(i int) {
-		out[i] = m.mac.sumMid(&m.h, msgs[i])
+		out[i] = m.eng.hmac(m.mac, msgs[i])
 	})
 }
 

@@ -5,8 +5,16 @@ import "encoding/binary"
 // This file contains a from-scratch implementation of SHA-256 as specified
 // in FIPS 180-4.  The paper instantiates its public pseudorandom function
 // with a collision-free hash (MD5 or WHIRLPOOL); SHA-256 plays that role
-// here.  Only encoding/binary is used, so the construction is entirely
-// self-contained and easy to audit.
+// here.  Only encoding/binary is used, so the function H is written out in
+// this repository from the primitive operations and is easy to audit.
+//
+// It is the reference, not the engine.  Evaluations of H run the
+// toolchain's crypto/sha256 (hmac.go: hardware SHA where the CPU has it)
+// and, in batches on AVX2, the 8-lane assembly (sha256multi_amd64.s); both
+// are held bit-identical to this code by the NIST and RFC 4231 vectors,
+// TestHMACStateMatchesOneShot and FuzzMultiLaneEquivalence.  What still
+// runs it outside tests: compress extracts, once per key, the raw ipad/opad
+// state words the 8-lane engine resumes from.
 
 // DigestSize is the size of a SHA-256 digest in bytes.
 const DigestSize = 32
@@ -115,16 +123,6 @@ func (h *Hasher) SumDigest() [DigestSize]byte {
 		binary.BigEndian.PutUint32(out[4*i:], s)
 	}
 	return out
-}
-
-// resetToMidstate restores the hasher to a captured compression state as if
-// prefixBlocks whole 64-byte blocks had already been written.  HMAC uses it
-// to resume from the cached ipad/opad midstates instead of re-compressing
-// the padded key on every evaluation.
-func (h *Hasher) resetToMidstate(state [8]uint32, prefixBlocks uint64) {
-	h.state = state
-	h.bufLen = 0
-	h.length = prefixBlocks * BlockSize
 }
 
 // Sum256 returns the SHA-256 digest of data.

@@ -188,7 +188,9 @@ func TestMultiEvaluatorMatchesScalar(t *testing.T) {
 
 // FuzzMultiLaneEquivalence is the differential fuzzer from the issue:
 // random message sets with ragged lengths, evaluated at both lane widths,
-// must be bit-for-bit identical to the scalar path.
+// must be bit-for-bit identical to the scalar path — and the scalar path to
+// the reference (prf.HMAC over the from-scratch hash), so that neither
+// engine is only ever compared with the other.
 func FuzzMultiLaneEquivalence(f *testing.F) {
 	f.Add([]byte("seed key"), []byte("hello multi-lane world"), uint64(3))
 	f.Add([]byte(""), []byte{}, uint64(0))
@@ -215,6 +217,9 @@ func FuzzMultiLaneEquivalence(f *testing.F) {
 		for i, msg := range msgs {
 			want[i] = ev.Uint64Msg(msg)
 			wantD[i] = ev.DigestMsg(msg)
+			if ref := HMAC(key, msg); wantD[i] != ref {
+				t.Fatalf("scalar DigestMsg[%d] (len %d): got %x, reference %x", i, len(msg), wantD[i], ref)
+			}
 		}
 		for _, lanes := range []int{1, 8} {
 			if err := SetLanes(lanes); err != nil {

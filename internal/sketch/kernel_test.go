@@ -6,6 +6,7 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/stats"
 )
 
 func kernelTestSource(p float64) *prf.Biased {
@@ -133,6 +134,46 @@ func TestKernelReuseAcrossQueries(t *testing.T) {
 				t.Fatalf("query %d: reused kernel disagrees for %v", qi, rec.ID)
 			}
 		}
+	}
+}
+
+// TestKernelEvaluateAllocatesNothing and the Sketcher test below keep the
+// per-record paths of Algorithm 2 and Algorithm 1 allocation-free inside
+// tier-1 (the kernel ratchet pins evaluate-kernel and sketch-one from the
+// outside): the scalar PRF engine sums through an interface into a buffer
+// the kernel's embedded evaluator owns, which must not escape per call.
+func TestKernelEvaluateAllocatesNothing(t *testing.T) {
+	k := NewKernel(kernelTestSource(0.3), bitvec.Range(0, 8), bitvec.FromUint(0x5A, 8))
+	s := Sketch{Key: 123, Length: 10}
+	k.Evaluate(1, s) // warm-up: the message scratch grows once
+	id := bitvec.UserID(1)
+	if n := testing.AllocsPerRun(100, func() { id++; k.Evaluate(id, s) }); n != 0 {
+		t.Errorf("Kernel.Evaluate allocates %v times a call", n)
+	}
+}
+
+// The search runs over a scratch the test owns, not sketcherPool's: a
+// sync.Pool drops one Put in four under -race and all of them at a GC, and
+// the New that follows would be counted here.  The pooled wrapper is pinned
+// from the outside (sketch-one allocs=0 in cmd/sketchbench/kernels.txt).
+func TestSketchSearchAllocatesNothing(t *testing.T) {
+	sk, err := NewSketcher(kernelTestSource(0.3), MustParams(0.3, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sketcherPool.New().(*sketcherScratch)
+	subset := bitvec.Range(0, 8)
+	profile := bitvec.Profile{ID: 1, Data: bitvec.FromUint(0xA5, 8)}
+	rng := stats.NewRNG(1)
+	search := func() {
+		profile.ID++
+		if _, err := sc.search(sk, rng, profile, subset); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search() // warm-up: the value words and the kernel's buffers grow once
+	if n := testing.AllocsPerRun(200, search); n != 0 {
+		t.Errorf("Algorithm 1's key search allocates %v times a call", n)
 	}
 }
 

@@ -52,11 +52,13 @@ func (sk *Sketcher) Sketch(rng *stats.RNG, profile bitvec.Profile, b bitvec.Subs
 	return res.S, err
 }
 
-// sketcherScratch bundles the reusable state of one SketchDetailed call —
-// the batch evaluation kernel and the lazy-shuffle bookkeeping — so the hot
-// path stays allocation-free across calls.
+// sketcherScratch bundles the reusable state of one run of Algorithm 1 —
+// the batch evaluation kernel, the projected value d_B it is reset to and
+// the lazy-shuffle bookkeeping — so the hot path stays allocation-free
+// across calls.
 type sketcherScratch struct {
 	kernel  Kernel
+	value   bitvec.Vector
 	swapped map[int]uint64
 }
 
@@ -72,19 +74,23 @@ func (sk *Sketcher) SketchDetailed(rng *stats.RNG, profile bitvec.Profile, b bit
 	if b.Max() >= profile.Data.Len() {
 		return Result{}, fmt.Errorf("sketch: subset position %d outside profile of width %d", b.Max(), profile.Data.Len())
 	}
-	value := b.Project(profile.Data)
+	sc := sketcherPool.Get().(*sketcherScratch)
+	defer sketcherPool.Put(sc)
+	return sc.search(sk, rng, profile, b)
+}
+
+// search is the key search of Algorithm 1 over sc's storage; apart from
+// that storage growing to a wider subset it allocates nothing.
+func (sc *sketcherScratch) search(sk *Sketcher, rng *stats.RNG, profile bitvec.Profile, b bitvec.Subset) (Result, error) {
 	accept := sk.Params.AcceptProb()
 	l := sk.Params.Length
 	space := sk.Params.KeySpace()
 
-	sc := sketcherPool.Get().(*sketcherScratch)
-	sc.kernel.Reset(sk.H, b, value)
+	sc.value = b.ProjectInto(sc.value, profile.Data)
+	sc.kernel.Reset(sk.H, b, sc.value)
+	defer sc.kernel.Drop()
 	clear(sc.swapped)
 	swapped := sc.swapped
-	defer func() {
-		sc.kernel.Drop()
-		sketcherPool.Put(sc)
-	}()
 
 	// Sample keys uniformly at random *without replacement* (step 1 of
 	// Algorithm 1) using a lazy Fisher–Yates shuffle: position i of the
@@ -100,7 +106,6 @@ func (sk *Sketcher) SketchDetailed(rng *stats.RNG, profile bitvec.Profile, b bit
 		if !ok {
 			kj = uint64(j)
 		}
-		swapped[i], swapped[j] = kj, ki
 		candidate := Sketch{Key: kj, Length: l}
 
 		if sc.kernel.Evaluate(profile.ID, candidate) {
@@ -111,6 +116,11 @@ func (sk *Sketcher) SketchDetailed(rng *stats.RNG, profile bitvec.Profile, b bit
 		if rng.Bernoulli(accept) {
 			return Result{S: candidate, Iterations: i + 1}, nil
 		}
+		// The search goes on: position j takes what position i held.
+		// Position i is never drawn again, so its half of the swap is not
+		// written — and a search that ends on its first key, as ≈ 43 % do
+		// at p = 0.3, never touches the map.
+		swapped[j] = ki
 	}
 	return Result{Iterations: space}, fmt.Errorf("%w: ℓ=%d", ErrExhausted, l)
 }
