@@ -162,9 +162,10 @@ func BenchmarkConjunctiveQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkCountMatchesBatch measures the single-goroutine batch kernel
-// over the same 10,000-record table — the per-shard work of the parallel
-// query path, with no goroutine or estimator overhead.
+// BenchmarkCountMatchesBatch measures Algorithm 2's record loop on a single
+// goroutine over the same 10,000-record table — the Stage and Word calls a
+// plan's scan worker makes per 64 records, with no goroutine or estimator
+// overhead.
 func BenchmarkCountMatchesBatch(b *testing.B) {
 	p := 0.25
 	h := benchSource(p)
@@ -242,13 +243,4 @@ func BenchmarkAblationOracle(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSHA256 measures the scalar engine (the toolchain's SHA-256,
-// resumed from a saved state) on a 64-byte message, the primitive
-// underneath every evaluation of H.
-func BenchmarkSHA256(b *testing.B) {
-	b.SetBytes(64)
-	b.ReportAllocs()
-	prf.ScalarBlockBench(b.N)
 }

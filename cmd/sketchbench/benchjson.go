@@ -71,13 +71,6 @@ func kernelBenchmarks() []struct {
 		name string
 		fn   func(b *testing.B)
 	}{
-		{"sha256-block", func(b *testing.B) {
-			// One op = one 64-byte message (two compressions) through
-			// the scalar engine: the toolchain's SHA-256 resumed from a
-			// saved state, as each half of an evaluation runs it.
-			b.ReportAllocs()
-			prf.ScalarBlockBench(b.N)
-		}},
 		{"hmac-midstate", func(b *testing.B) {
 			f := prf.NewFunc(benchKey())
 			e := f.NewEvaluator()
@@ -89,8 +82,9 @@ func kernelBenchmarks() []struct {
 		}},
 		{"sha256-multi8-block", func(b *testing.B) {
 			// One op = 8 lanes × one block through the widest engine
-			// (AVX2 assembly on amd64, portable elsewhere); compare
-			// against 8× sha256-block.
+			// (AVX2 assembly on amd64, portable elsewhere): eight
+			// compressions, where hmac-midstate ÷ 2 is the scalar
+			// engine's cost of two and a state restore.
 			b.ReportAllocs()
 			prf.MultiLaneBlockBench(b.N)
 		}},

@@ -68,15 +68,20 @@ func TestChaosRandomSeeds(t *testing.T) {
 }
 
 // runChaos is one cell of the chaos matrix: a 3-node RF=2 cluster whose
-// router links all run seeded fault plans.  Publishes and queries retry a
-// bounded number of times (replication makes individual failures
-// survivable; ErrPartialCoverage means both replicas of some span were
-// down at once, which the ping loop heals).  What must hold throughout:
+// router links all run seeded fault plans.  Publishes retry until a
+// deadline and queries a bounded number of times (replication makes
+// individual failures survivable; ErrPartialCoverage means both replicas
+// of some span were down at once, which the ping loop heals).  What must
+// hold throughout:
 // an acknowledged publish is never lost, and an answered query is
 // bit-identical to the reference engine holding every record.
 func runChaos(t *testing.T, seed uint64) {
 	fab := faultnet.NewFabric(seed)
 	nodes := startNodes(t, 3)
+	// revive is the longest the router leaves a node it lost out of its
+	// fan-outs: a breaker's full backoff, then the ping sweep that readmits
+	// it.
+	var revive time.Duration
 	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
 		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 			ep := fab.Endpoint("to:" + addr)
@@ -87,20 +92,23 @@ func runChaos(t *testing.T, seed uint64) {
 		cfg.RequestTimeout = 500 * time.Millisecond
 		cfg.HedgeDelay = 100 * time.Millisecond
 		cfg.BackoffMax = 500 * time.Millisecond
+		revive = cfg.BackoffMax + cfg.PingInterval
 	})
 	pubs, subset, field := planWorkload(t, 60, seed|1)
 	ref := referenceEngine(t, pubs)
 
-	// Publish record by record with bounded retries: replicated ingest is
-	// idempotent per (user, subset), so a partially-acknowledged attempt
-	// converges on retry.
+	// Publish record by record, retrying until a deadline: replicated
+	// ingest is idempotent per (user, subset), so a partially-acknowledged
+	// attempt converges on retry.  The deadline is several revivals long,
+	// not a count of sleeps: the box runs every package's tests at once,
+	// and a record that still fails after that is the router's doing, with
+	// its state attached.
 	for i, p := range pubs {
-		var err error
-		for attempt := 0; attempt < 40; attempt++ {
-			if err = r.Publish(p); err == nil {
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
+		deadline := time.Now().Add(10 * revive)
+		err := r.Publish(p)
+		for err != nil && time.Now().Before(deadline) {
+			time.Sleep(20 * time.Millisecond)
+			err = r.Publish(p)
 		}
 		if err != nil {
 			t.Fatalf("seed %d: publish %d/%d never succeeded: %v\n%s", seed, i, len(pubs), err, routerEvidence(r))

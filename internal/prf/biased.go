@@ -112,86 +112,3 @@ func (b *Biased) Prob() Prob { return b.p }
 // Func returns the underlying keyed PRF, for callers that also need uniform
 // output (for example the dataset generators share one generator key).
 func (b *Biased) Func() *Func { return b.f }
-
-// BitEvaluator is the per-goroutine counterpart of Biased: a lock-free,
-// allocation-free handle that evaluates the p-biased function using its own
-// hasher and scratch state.  Output is bit-identical to Biased.Bit.  Not
-// safe for concurrent use; create (or bind) one per goroutine.
-type BitEvaluator struct {
-	ev Evaluator
-	p  Prob
-	// Lazily created batch path for BitMsgs64 (multi-lane SHA-256); nil
-	// until the first batched call so scalar users pay nothing.
-	me *MultiEvaluator
-	us []uint64
-}
-
-// NewBitEvaluator returns a fresh evaluation handle for this biased source.
-func (b *Biased) NewBitEvaluator() *BitEvaluator {
-	be := &BitEvaluator{}
-	b.BindEvaluator(be)
-	return be
-}
-
-// BindEvaluator points be at this source's key schedule and bias, reusing
-// be's internal buffers.  It lets pools and batch kernels recycle evaluator
-// state across queries and keys without reallocating.
-func (b *Biased) BindEvaluator(be *BitEvaluator) {
-	be.ev.Rebind(b.f)
-	be.p = b.p
-}
-
-// Bit evaluates the p-biased function on the input tuple.
-func (be *BitEvaluator) Bit(parts ...[]byte) bool {
-	return be.p.Decide(be.ev.Uint64(parts...))
-}
-
-// BitMsg evaluates the p-biased function on a message the caller has
-// already tuple-encoded (see AppendTupleHeader/AppendPart).  This is the
-// zero-allocation fast path batch kernels use.
-func (be *BitEvaluator) BitMsg(msg []byte) bool {
-	return be.p.Decide(be.ev.Uint64Msg(msg))
-}
-
-// BitMsgs64 evaluates the p-biased function on up to 64 tuple-encoded
-// messages at once, returning the outcomes as a packed bit word: bit i is
-// set iff the function is 1 on msgs[i].  The messages are hashed through
-// the multi-lane batch evaluator (see MultiEvaluator), so on architectures
-// with an accelerated engine this is several times faster than 64 BitMsg
-// calls while remaining bit-identical to them.  Allocation-free after the
-// first call.
-func (be *BitEvaluator) BitMsgs64(msgs [][]byte) uint64 {
-	if len(msgs) > 64 {
-		panic("prf: BitMsgs64 takes at most 64 messages")
-	}
-	if be.me == nil {
-		be.me = &MultiEvaluator{}
-	}
-	be.me.mac = be.ev.mac
-	if cap(be.us) < len(msgs) {
-		be.us = make([]uint64, 64)
-	}
-	us := be.us[:len(msgs)]
-	be.me.Uint64Batch(msgs, us)
-	var w uint64
-	for i, u := range us {
-		if be.p.Decide(u) {
-			w |= 1 << uint(i)
-		}
-	}
-	return w
-}
-
-// Bias returns p, the probability that Bit is true on a fresh tuple.
-func (be *BitEvaluator) Bias() float64 { return be.p.Float() }
-
-// EvaluatorSource is the optional fast-path interface implemented by bit
-// sources that can hand out cheap per-goroutine evaluation handles.  Batch
-// kernels type-assert for it and fall back to the plain BitSource interface
-// (e.g. for the truly random Oracle) when it is absent.
-type EvaluatorSource interface {
-	BitSource
-	// BindEvaluator retargets an existing handle at this source, reusing
-	// its buffers.
-	BindEvaluator(be *BitEvaluator)
-}

@@ -29,7 +29,10 @@
 //     arbitrary-length pseudorandom stream and fixed-width integers.
 //   - The p-biased bit extraction (biased.go): interpret the first 64 bits
 //     of the PRF output as a fixed-point fraction in [0,1) and report 1 when
-//     it falls below the threshold encoding of p.
+//     it falls below the threshold encoding of p (Prob.Decide).  Biased is
+//     the thread-safe form; a record loop binds a MultiEvaluator to
+//     Biased.Func() and thresholds its outputs against Biased.Prob() itself
+//     (sketch.Kernel).
 //   - A truly random oracle (oracle.go) with the same interface, backed by a
 //     lazily populated table of independent coin flips.  The paper's utility
 //     proofs are carried out against a truly random function and then

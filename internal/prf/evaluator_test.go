@@ -164,10 +164,6 @@ func TestEvaluationAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { e.DigestMsg(msg) }); n != 0 {
 		t.Errorf("Evaluator.DigestMsg allocates %v times a call", n)
 	}
-	be := b.NewBitEvaluator()
-	if n := testing.AllocsPerRun(100, func() { be.BitMsg(msg) }); n != 0 {
-		t.Errorf("BitEvaluator.BitMsg allocates %v times a call", n)
-	}
 	msgs := make([][]byte, 64)
 	for i := range msgs {
 		msgs[i] = bytes.Repeat([]byte{byte(i)}, 150)
@@ -182,19 +178,8 @@ func TestEvaluationAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { me.Uint64Batch(msgs, out) }); n != 0 {
 			t.Errorf("lanes %d: Uint64Batch allocates %v times a call", lanes, n)
 		}
-	}
-}
-
-func TestBitEvaluatorMatchesBiased(t *testing.T) {
-	b := NewBiased(testKey(), MustProb(0.3))
-	be := b.NewBitEvaluator()
-	if be.Bias() != 0.3 {
-		t.Fatalf("Bias() = %v, want 0.3", be.Bias())
-	}
-	for i := 0; i < 500; i++ {
-		in := []byte{byte(i), byte(i >> 8)}
-		if be.Bit(in) != b.Bit(in) {
-			t.Fatalf("BitEvaluator.Bit disagrees with Biased.Bit at %d", i)
+		if n := testing.AllocsPerRun(100, func() { me.Uint64Msg(msg) }); n != 0 {
+			t.Errorf("lanes %d: Uint64Msg allocates %v times a call", lanes, n)
 		}
 	}
 }

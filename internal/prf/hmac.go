@@ -97,7 +97,7 @@ type resumableHash interface {
 }
 
 // marshalAfter returns the toolchain hash's saved state after absorbing
-// prefix (a pad block; nothing, for the initial state).
+// prefix (a pad block).
 func marshalAfter(prefix []byte) []byte {
 	h := sha256.New()
 	h.Write(prefix)
@@ -139,24 +139,4 @@ func (r *resumed) sumFrom(state, msg []byte) {
 	}
 	r.h.Write(msg)
 	r.h.Sum(r.sum[:0])
-}
-
-// ScalarBlockBench hashes one 64-byte message n times through the scalar
-// engine — the toolchain hash restored from a saved state (the initial
-// one), written, and summed into the handle's own buffer: the steps of
-// half an evaluation, two compressions — and returns a digest byte so
-// callers keep the work observable.  Like MultiLaneBlockBench it exists
-// for the benchmark harness (cmd/sketchbench, the root benchmarks); it is
-// not part of the evaluation API.
-func ScalarBlockBench(n int) byte {
-	var r resumed
-	initial := marshalAfter(nil)
-	var msg [BlockSize]byte
-	for i := range msg {
-		msg[i] = 0x7e
-	}
-	for i := 0; i < n; i++ {
-		r.sumFrom(initial, msg[:])
-	}
-	return r.sum[0]
 }

@@ -48,6 +48,15 @@ func (m *MultiEvaluator) Rebind(f *Func) { m.mac = f.mac }
 // the 8-byte bit length), rounded up to whole blocks.
 func innerBlocks(n int) int { return (n + 9 + BlockSize - 1) / BlockSize }
 
+// Uint64Msg evaluates the PRF on one tuple-encoded message through the
+// scalar engine, whatever the lane policy: the output Uint64Batch writes
+// for it.  With it the handle that scans batches (Algorithm 2) also answers
+// lone messages (Algorithm 1's candidate keys).
+func (m *MultiEvaluator) Uint64Msg(msg []byte) uint64 {
+	d := m.eng.hmac(m.mac, msg)
+	return binary.BigEndian.Uint64(d[:8])
+}
+
 // Uint64Batch evaluates the PRF on every message, writing the uniform
 // 64-bit output of msgs[i] to out[i].  out must be at least len(msgs)
 // long.  It allocates nothing after warm-up.
@@ -55,8 +64,7 @@ func (m *MultiEvaluator) Uint64Batch(msgs [][]byte, out []uint64) {
 	_ = out[:len(msgs)]
 	if Lanes() == 1 || len(msgs) < 2 {
 		for i, msg := range msgs {
-			d := m.eng.hmac(m.mac, msg)
-			out[i] = binary.BigEndian.Uint64(d[:8])
+			out[i] = m.Uint64Msg(msg)
 		}
 		return
 	}
@@ -65,8 +73,7 @@ func (m *MultiEvaluator) Uint64Batch(msgs [][]byte, out []uint64) {
 			out[idx[l]] = uint64(m.states[0][l])<<32 | uint64(m.states[1][l])
 		}
 	}, func(i int) {
-		d := m.eng.hmac(m.mac, msgs[i])
-		out[i] = binary.BigEndian.Uint64(d[:8])
+		out[i] = m.Uint64Msg(msgs[i])
 	})
 }
 

@@ -178,6 +178,9 @@ func TestMultiEvaluatorMatchesScalar(t *testing.T) {
 				if gotU[i] != wantU[i] {
 					t.Errorf("Uint64Batch[%d] (len %d): got %016x want %016x", i, len(msgs[i]), gotU[i], wantU[i])
 				}
+				if got := me.Uint64Msg(msgs[i]); got != wantU[i] {
+					t.Errorf("Uint64Msg[%d] (len %d): got %016x want %016x", i, len(msgs[i]), got, wantU[i])
+				}
 				if gotD[i] != wantD[i] {
 					t.Errorf("DigestBatch[%d] (len %d): got %x want %x", i, len(msgs[i]), gotD[i], wantD[i])
 				}

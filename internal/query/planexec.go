@@ -397,9 +397,8 @@ func workersFor(n int) int {
 // evalBitmaps computes one evaluation bitmap per fraction entry over the
 // view, sharding the record loop across workers on 64-record
 // boundaries so no two workers touch the same output word.  Each worker
-// owns one pooled kernel per entry plus shared prefix/suffix scratch, so
-// a record's id and sketch parts are encoded once for all entries and
-// every evaluation stays on the zero-allocation midstate-cached path.
+// owns one pooled kernel per entry and one window they share, so a
+// record is decoded from the view's columns once for all entries.
 func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval) [][]uint64 {
 	n := records.Len()
 	nw := (n + 63) / 64
@@ -424,40 +423,15 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval) [][
 				k.Release()
 			}
 		}()
-		// Word-at-a-time: each 64-record window's prefix and suffix parts
-		// are encoded once into contiguous scratch, then replayed through
-		// every kernel's multi-lane batch path, which packs the 64 PRF
-		// messages into 8-wide SHA-256 lanes.  lo is 64-aligned (chunks are
-		// word multiples), so a window maps onto exactly one output word.
-		var partBuf []byte
-		var offs []int
-		var ids [sketch.IDBlockLen]bitvec.UserID
-		prefixes := make([][]byte, 0, 64)
-		suffixes := make([][]byte, 0, 64)
-		for lo < hi {
-			n := hi - lo
-			if n > 64 {
-				n = 64
-			}
-			win := records.Slice(lo, lo+n)
-			partBuf, offs = partBuf[:0], offs[:0]
-			for i, id := range records.IDs().Block(lo>>6, &ids) {
-				offs = append(offs, len(partBuf))
-				partBuf = sketch.AppendRecordPrefix(partBuf, id)
-				offs = append(offs, len(partBuf))
-				partBuf = sketch.AppendRecordSuffix(partBuf, win.Sketch(i))
-			}
-			offs = append(offs, len(partBuf))
-			prefixes, suffixes = prefixes[:0], suffixes[:0]
-			for i := 0; i < n; i++ {
-				prefixes = append(prefixes, partBuf[offs[2*i]:offs[2*i+1]])
-				suffixes = append(suffixes, partBuf[offs[2*i+1]:offs[2*i+2]])
-			}
-			w := lo >> 6
+		// lo is 64-aligned (chunks are word multiples), so a staged window
+		// maps onto exactly one output word; staged once, it is replayed
+		// through every entry's kernel.
+		var win sketch.Window
+		for w := lo >> 6; w<<6 < hi; w++ {
+			win.Stage(records, w)
 			for j, k := range kernels {
-				out[j][w] |= k.EvaluatePartsWord(win, prefixes, suffixes)
+				out[j][w] = k.Word(&win)
 			}
-			lo += n
 		}
 	}
 	if workers <= 1 || chunk >= n {

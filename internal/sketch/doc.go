@@ -33,6 +33,13 @@
 //     its 8 bytes where ids are hashed — in the table, in a store's files
 //     and everywhere between; and one subset's records as such columns,
 //     the unit a store replays and the table loads;
-//   - Evaluate: the H(id, B, v, s) evaluation shared with the query
-//     estimators.
+//   - Kernel, Window and Evaluate: the H(id, B, v, s) evaluation shared
+//     with the query estimators, and the one place that knows how a record
+//     becomes H's message.  A Kernel is specialised to a query pair (B, v)
+//     and bound to the deployment's key and p; Kernel.Evaluate answers one
+//     record (Algorithm 1's candidate keys), and Kernel.Word answers the 64
+//     records a Window decoded from a View, as a packed word (Algorithm 2's
+//     record loop; CountMatches is that loop on one goroutine).  A source
+//     that is not the keyed PRF — the random oracle of the ablations — is
+//     asked through its Bit method instead.
 package sketch

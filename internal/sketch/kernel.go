@@ -9,32 +9,36 @@ import (
 	"sketchprivacy/internal/prf"
 )
 
-// Kernel is a single-goroutine batch evaluator for the public function H,
+// Kernel is a single-goroutine evaluator of the public function H,
 // specialised to one query pair (B, v).  The tuple components every record
 // of an Algorithm 2 query shares — the subset tag and the candidate value —
-// are encoded once at Reset; per-record evaluation then only splices the
-// 8-byte user id and the sketch key into reusable scratch and runs the
-// midstate-cached HMAC, performing no allocations and taking no locks.
+// are encoded once at Reset; evaluation splices them between each record's
+// id part and sketch part, hashes through the PRF handle the kernel binds to
+// the deployment's key, and thresholds the uniform outputs against the
+// deployment's p itself, performing no allocations and taking no locks.
 //
 // A Kernel is not safe for concurrent use.  Parallel record loops create
 // one per worker goroutine (directly or via AcquireKernel).
 type Kernel struct {
-	h  prf.BitSource
-	es prf.EvaluatorSource // nil → fall back to h.Bit
-	be prf.BitEvaluator
-
+	h prf.BitSource
 	b bitvec.Subset
 	v bitvec.Vector
+	// keyed says h is the pseudorandom H (*prf.Biased), evaluated through
+	// me and p; any other source — the truly random Oracle of the ablations
+	// — is asked through its Bit method, one record at a time.
+	keyed bool
+	me    prf.MultiEvaluator
+	p     prf.Prob
 	// mid holds the length-prefixed (B, v) tuple parts shared by every
 	// record of the query.
-	mid     []byte
-	scratch []byte
-	// Word-batch staging: up to 64 assembled messages live contiguously in
-	// msgBuf, sliced out via offs after the buffer stops growing (so the
-	// sub-slices never alias a stale backing array).
-	msgBuf []byte
-	offs   []int
-	msgs   [][]byte
+	mid []byte
+	// buf holds the assembled messages of one evaluation — one for
+	// Evaluate, a window's for Word, sliced out at offs as msgs — and us
+	// their uniform outputs.
+	buf  []byte
+	offs []int
+	msgs [][]byte
+	us   [IDBlockLen]uint64
 }
 
 // NewKernel returns a kernel specialised to (h, b, v).
@@ -48,136 +52,111 @@ func NewKernel(h prf.BitSource, b bitvec.Subset, v bitvec.Vector) *Kernel {
 // its internal buffers.
 func (k *Kernel) Reset(h prf.BitSource, b bitvec.Subset, v bitvec.Vector) {
 	k.h, k.b, k.v = h, b, v
-	k.es = nil
-	if es, ok := h.(prf.EvaluatorSource); ok {
-		k.es = es
-		es.BindEvaluator(&k.be)
-		mid := prf.AppendPartHeader(k.mid[:0], b.TagLen())
-		mid = b.AppendTag(mid)
-		mid = prf.AppendPartHeader(mid, v.EncodedLen())
-		k.mid = v.AppendBytes(mid)
+	biased, ok := h.(*prf.Biased)
+	k.keyed = ok
+	if !ok {
+		return
 	}
+	k.me.Rebind(biased.Func())
+	k.p = biased.Prob()
+	mid := prf.AppendPartHeader(k.mid[:0], b.TagLen())
+	mid = b.AppendTag(mid)
+	mid = prf.AppendPartHeader(mid, v.EncodedLen())
+	k.mid = v.AppendBytes(mid)
 }
 
-// Evaluate computes H(id, B, v, s) for one record, bit-identical to the
-// package-level Evaluate.
-func (k *Kernel) Evaluate(id bitvec.UserID, s Sketch) bool {
-	if k.es == nil {
-		return k.h.Bit(id.Bytes(), k.b.Tag(), k.v.Bytes(), s.Bytes())
-	}
-	msg := prf.AppendTupleHeader(k.scratch[:0], 4)
-	msg = prf.AppendPartHeader(msg, 8)
-	msg = binary.BigEndian.AppendUint64(msg, uint64(id))
-	msg = append(msg, k.mid...)
-	msg = prf.AppendPartHeader(msg, s.EncodedLen())
-	msg = s.AppendBytes(msg)
-	k.scratch = msg
-	return k.be.BitMsg(msg)
-}
-
-// AppendRecordPrefix appends the tuple header and user-id part of the PRF
-// message — the parts shared by every (B, v) evaluation of one record.  A
-// plan executor evaluating many query pairs against the same record encodes
-// this prefix (and the sketch suffix) once and reuses it across kernels,
-// so each extra pair costs only the kernel's cached (B, v) midsection.
+// AppendRecordPrefix appends the tuple header and user-id part of H's
+// message — what every (B, v) evaluation of one record starts with.
 func AppendRecordPrefix(dst []byte, id bitvec.UserID) []byte {
 	dst = prf.AppendTupleHeader(dst, 4)
 	dst = prf.AppendPartHeader(dst, 8)
 	return binary.BigEndian.AppendUint64(dst, uint64(id))
 }
 
-// AppendRecordSuffix appends the sketch-key part of the PRF message, shared
-// by every (B, v) evaluation of one record.
+// AppendRecordSuffix appends the sketch-key part of H's message — what
+// every (B, v) evaluation of one record ends with.
 func AppendRecordSuffix(dst []byte, s Sketch) []byte {
 	dst = prf.AppendPartHeader(dst, s.EncodedLen())
 	return s.AppendBytes(dst)
 }
 
-// EvaluateWord evaluates a view of up to 64 records against the kernel's
-// (B, v), returning the outcomes as a packed bit word: bit i is set iff
-// record i matches.  The messages are staged together and hashed through
-// the multi-lane PRF batch path, bit-identical to 64 Evaluate calls.
-func (k *Kernel) EvaluateWord(records View) uint64 {
-	if records.Len() > 64 {
-		panic("sketch: EvaluateWord takes at most 64 records")
+// Evaluate computes H(id, B, v, s) for one record: Algorithm 1's step for
+// a candidate key, over the scalar PRF engine whatever the lane policy.
+func (k *Kernel) Evaluate(id bitvec.UserID, s Sketch) bool {
+	if !k.keyed {
+		return k.h.Bit(id.Bytes(), k.b.Tag(), k.v.Bytes(), s.Bytes())
 	}
-	if k.es == nil {
-		return k.slowWord(records)
-	}
-	buf, offs := k.msgBuf[:0], k.offs[:0]
-	var ids [IDBlockLen]bitvec.UserID
-	for i, id := range records.ids.Block(0, &ids) {
-		offs = append(offs, len(buf))
-		buf = AppendRecordPrefix(buf, id)
-		buf = append(buf, k.mid...)
-		buf = AppendRecordSuffix(buf, records.keys.Sketch(i))
-	}
-	offs = append(offs, len(buf))
-	k.msgBuf, k.offs = buf, offs
-	return k.be.BitMsgs64(k.sliceMsgs(records.Len()))
+	k.buf = k.appendMessage(k.buf[:0], id, s)
+	return k.p.Decide(k.me.Uint64Msg(k.buf))
 }
 
-// EvaluatePartsWord is EvaluateWord over pre-encoded per-record prefix and
-// suffix parts (see AppendRecordPrefix/AppendRecordSuffix): prefixes[i] and
-// suffixes[i] belong to record i.  Plan executors evaluating many query
-// pairs against the same 64 records encode the parts once and replay them
-// through each pair's kernel, paying only the cached (B, v) midsection per
-// kernel.  Bit-identical to 64 Evaluate calls.
-func (k *Kernel) EvaluatePartsWord(records View, prefixes, suffixes [][]byte) uint64 {
-	if records.Len() > 64 {
-		panic("sketch: EvaluatePartsWord takes at most 64 records")
-	}
-	if k.es == nil {
-		return k.slowWord(records)
-	}
-	buf, offs := k.msgBuf[:0], k.offs[:0]
-	for i := range prefixes[:records.Len()] {
-		offs = append(offs, len(buf))
-		buf = append(buf, prefixes[i]...)
-		buf = append(buf, k.mid...)
-		buf = append(buf, suffixes[i]...)
-	}
-	offs = append(offs, len(buf))
-	k.msgBuf, k.offs = buf, offs
-	return k.be.BitMsgs64(k.sliceMsgs(records.Len()))
+// appendMessage appends H's message for record (id, s) at the kernel's
+// (B, v): the tuple (id, B, v, s) in prf's encoding.
+func (k *Kernel) appendMessage(dst []byte, id bitvec.UserID, s Sketch) []byte {
+	dst = AppendRecordPrefix(dst, id)
+	dst = append(dst, k.mid...)
+	return AppendRecordSuffix(dst, s)
 }
 
-// slowWord is the word evaluation for sources without the fast evaluator
-// path (the test oracle): one facade call per record.
-func (k *Kernel) slowWord(records View) uint64 {
-	var w uint64
-	var ids [IDBlockLen]bitvec.UserID
-	for i, id := range records.ids.Block(0, &ids) {
-		if k.h.Bit(id.Bytes(), k.b.Tag(), k.v.Bytes(), records.keys.Sketch(i).Bytes()) {
-			w |= 1 << uint(i)
+// Window is up to 64 records of a View staged for evaluation: their ids
+// decoded from the view's id column and their sketches unpacked from its
+// word column, once, for every (B, v) asked of the same records — one
+// Kernel each.  It holds copies, not the view.  The zero Window is ready to
+// Stage; one belongs to one goroutine.
+type Window struct {
+	n        int
+	ids      [IDBlockLen]bitvec.UserID
+	sketches [IDBlockLen]Sketch
+}
+
+// Stage stages window w of the view — records [64w, 64w+64), fewer at the
+// end: the records bit word w of an evaluation bitmap speaks of.
+func (win *Window) Stage(records View, w int) {
+	win.n = len(records.ids.Block(w, &win.ids))
+	for i := range win.sketches[:win.n] {
+		win.sketches[i] = records.keys.Sketch(w*IDBlockLen + i)
+	}
+}
+
+// Word evaluates the staged records against the kernel's (B, v) and returns
+// the outcomes packed: bit i is set iff H is 1 on record i.  It is the one
+// step of Algorithm 2's record loop: the messages are assembled contiguously
+// and hashed as a batch, 8 lanes wide or scalar by the lane policy,
+// bit-identical to an Evaluate call per record.
+func (k *Kernel) Word(win *Window) uint64 {
+	var word uint64
+	if !k.keyed {
+		for i, id := range win.ids[:win.n] {
+			if k.Evaluate(id, win.sketches[i]) {
+				word |= 1 << uint(i)
+			}
+		}
+		return word
+	}
+	buf, offs := k.buf[:0], k.offs[:0]
+	for i, id := range win.ids[:win.n] {
+		offs = append(offs, len(buf))
+		buf = k.appendMessage(buf, id, win.sketches[i])
+	}
+	offs = append(offs, len(buf))
+	// Sliced out only now that the buffer has stopped growing, so no
+	// message aliases a backing array an append left behind.
+	msgs := k.msgs[:0]
+	for i := 0; i < win.n; i++ {
+		msgs = append(msgs, buf[offs[i]:offs[i+1]])
+	}
+	k.buf, k.offs, k.msgs = buf, offs, msgs
+	us := k.us[:win.n]
+	k.me.Uint64Batch(msgs, us)
+	for i, u := range us {
+		if k.p.Decide(u) {
+			word |= 1 << uint(i)
 		}
 	}
-	return w
+	return word
 }
 
-// sliceMsgs carves the first n staged messages out of msgBuf using the
-// recorded offsets, after all appends are done.
-func (k *Kernel) sliceMsgs(n int) [][]byte {
-	msgs := k.msgs[:0]
-	for i := 0; i < n; i++ {
-		msgs = append(msgs, k.msgBuf[k.offs[i]:k.offs[i+1]])
-	}
-	k.msgs = msgs
-	return msgs
-}
-
-// CountMatches evaluates every record against the kernel's (B, v) and
-// returns how many evaluate to 1 — the inner sum of Algorithm 2.  Records
-// are processed 64 at a time through the multi-lane batch path.
-func (k *Kernel) CountMatches(records View) int {
-	hits := 0
-	for lo := 0; lo < records.Len(); lo += 64 {
-		hits += bits.OnesCount64(k.EvaluateWord(records.Slice(lo, min(lo+64, records.Len()))))
-	}
-	return hits
-}
-
-// kernelPool recycles kernels (and their scratch buffers) across queries so
+// kernelPool recycles kernels (and their buffers) across queries so
 // facade-level calls stay allocation-free after warm-up.
 var kernelPool = sync.Pool{New: func() any { return new(Kernel) }}
 
@@ -192,7 +171,7 @@ func AcquireKernel(h prf.BitSource, b bitvec.Subset, v bitvec.Vector) *Kernel {
 // Drop clears the kernel's references to the query objects while keeping
 // its buffers, so embedding structs can pool the kernel themselves.
 func (k *Kernel) Drop() {
-	k.h, k.es = nil, nil
+	k.h, k.keyed = nil, false
 	k.b, k.v = bitvec.Subset{}, bitvec.Vector{}
 }
 
@@ -203,11 +182,17 @@ func (k *Kernel) Release() {
 	kernelPool.Put(k)
 }
 
-// CountMatches is the batch counting form of Evaluate — the inner loop of
-// Algorithm 2 for a single goroutine.
+// CountMatches returns how many records evaluate to 1 at (b, v) — the inner
+// sum of Algorithm 2 on a single goroutine, by the two calls a plan's scan
+// workers make per 64 records: Stage, then Word.
 func CountMatches(h prf.BitSource, records View, b bitvec.Subset, v bitvec.Vector) int {
 	k := AcquireKernel(h, b, v)
-	hits := k.CountMatches(records)
+	var win Window
+	hits := 0
+	for w, words := 0, records.ids.Blocks(); w < words; w++ {
+		win.Stage(records, w)
+		hits += bits.OnesCount64(k.Word(&win))
+	}
 	k.Release()
 	return hits
 }

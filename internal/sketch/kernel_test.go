@@ -61,50 +61,114 @@ func TestKernelMatchesFacade(t *testing.T) {
 	}
 }
 
-// TestKernelCountAndEvaluateAllAgree evaluates all records one by one
-// through the scalar facade and checks that the packed word form and the
-// count built on it agree with it bit for bit, ragged last word included.
+// wordBits stages every window of the view through win and returns the
+// kernel's packed words as one outcome per record, failing on a bit set
+// past a window's last record.
+func wordBits(t *testing.T, k *Kernel, win *Window, view View) []bool {
+	t.Helper()
+	var out []bool
+	for w := 0; w*IDBlockLen < view.Len(); w++ {
+		win.Stage(view, w)
+		word := k.Word(win)
+		n := min(IDBlockLen, view.Len()-w*IDBlockLen)
+		if word>>uint(n) != 0 {
+			t.Fatalf("window %d of %d records: word %064b has bits past the last", w, n, word)
+		}
+		for i := 0; i < n; i++ {
+			out = append(out, word>>uint(i)&1 == 1)
+		}
+	}
+	return out
+}
+
+// TestKernelCountAndEvaluateAllAgree evaluates records one by one through
+// the scalar facade and checks that the packed word form and the count
+// built on it agree with it bit for bit — over views of 1, 63 and 64
+// records, one whose last window is short and one cut from the middle of a
+// column, all staged through the same window, so a word that read what an
+// earlier Stage left behind would show.
 func TestKernelCountAndEvaluateAllAgree(t *testing.T) {
 	h := kernelTestSource(0.25)
 	b := bitvec.Range(0, 6)
 	v := bitvec.MustFromString("110010")
-	records := kernelTestRecords(b, 333)
-	view := viewOf(t, records)
+	full := viewOf(t, kernelTestRecords(b, 333))
 
 	k := NewKernel(h, b, v)
-	want := 0
-	for lo := 0; lo < view.Len(); lo += 64 {
-		win := view.Slice(lo, min(lo+64, view.Len()))
-		w := k.EvaluateWord(win)
-		for i := 0; i < win.Len(); i++ {
-			one := Evaluate(h, win.ID(i), b, v, win.Sketch(i))
-			if w>>uint(i)&1 == 1 != one {
-				t.Fatalf("EvaluateWord bit %d = %v, Evaluate = %v", lo+i, !one, one)
+	var win Window
+	for _, view := range []View{full, full.Slice(0, 1), full.Slice(0, 64), full.Slice(0, 63), full.Slice(5, 200)} {
+		want := 0
+		for i, got := range wordBits(t, k, &win, view) {
+			one := Evaluate(h, view.ID(i), b, v, view.Sketch(i))
+			if got != one {
+				t.Fatalf("%d records: Word bit %d = %v, Evaluate = %v", view.Len(), i, got, one)
 			}
 			if one {
 				want++
 			}
 		}
-	}
-	if got := CountMatches(h, view, b, v); got != want {
-		t.Fatalf("CountMatches = %d, want %d", got, want)
+		if got := CountMatches(h, view, b, v); got != want {
+			t.Fatalf("%d records: CountMatches = %d, want %d", view.Len(), got, want)
+		}
 	}
 }
 
-// TestKernelOracleFallback checks the non-PRF BitSource path (the truly
-// random Oracle does not implement EvaluatorSource) still goes through the
-// kernel API unchanged.
+// TestKernelMatchesBiased holds both kernel entry points to the varargs
+// definition of H, record by record, at both lane policies — the kernel
+// binds the PRF handle and thresholds its outputs itself — and the staged
+// word path to allocating nothing once its buffers have grown.
+func TestKernelMatchesBiased(t *testing.T) {
+	defer prf.SetLanes(0)
+	h := kernelTestSource(0.3)
+	b := bitvec.MustSubset(3, 1, 4, 15)
+	v := bitvec.MustFromString("1010")
+	view := viewOf(t, kernelTestRecords(b, 200))
+	for _, lanes := range []int{1, 8} {
+		if err := prf.SetLanes(lanes); err != nil {
+			t.Fatal(err)
+		}
+		k := NewKernel(h, b, v)
+		var win Window
+		for i, got := range wordBits(t, k, &win, view) {
+			id, s := view.ID(i), view.Sketch(i)
+			want := h.Bit(id.Bytes(), b.Tag(), v.Bytes(), s.Bytes())
+			if got != want {
+				t.Fatalf("lanes %d: Word disagrees with Biased.Bit at record %d", lanes, i)
+			}
+			if k.Evaluate(id, s) != want {
+				t.Fatalf("lanes %d: Evaluate disagrees with Biased.Bit at record %d", lanes, i)
+			}
+		}
+		w := 0
+		stageAndWord := func() {
+			win.Stage(view, w%3)
+			k.Word(&win)
+			w++
+		}
+		if n := testing.AllocsPerRun(30, stageAndWord); n != 0 {
+			t.Errorf("lanes %d: Stage and Word allocate %v times a window", lanes, n)
+		}
+	}
+}
+
+// TestKernelOracleFallback checks that a source that is not the keyed PRF
+// (the truly random Oracle) goes through the kernel API unchanged, a record
+// or a window at a time.
 func TestKernelOracleFallback(t *testing.T) {
 	o := prf.NewOracle(11, prf.MustProb(0.3))
 	b := bitvec.MustSubset(0, 2)
 	v := bitvec.MustFromString("01")
-	records := kernelTestRecords(b, 50)
+	view := viewOf(t, kernelTestRecords(b, 70))
 
 	k := NewKernel(o, b, v)
-	for _, rec := range records {
-		want := o.Bit(rec.ID.Bytes(), b.Tag(), v.Bytes(), rec.S.Bytes())
-		if got := k.Evaluate(rec.ID, rec.S); got != want {
-			t.Fatalf("oracle fallback disagrees for %v", rec.ID)
+	var win Window
+	for i, got := range wordBits(t, k, &win, view) {
+		id, s := view.ID(i), view.Sketch(i)
+		want := o.Bit(id.Bytes(), b.Tag(), v.Bytes(), s.Bytes())
+		if got != want {
+			t.Fatalf("oracle fallback: Word disagrees at record %d", i)
+		}
+		if k.Evaluate(id, s) != want {
+			t.Fatalf("oracle fallback: Evaluate disagrees for %v", id)
 		}
 	}
 }

@@ -82,15 +82,11 @@ type Published struct {
 // Evaluate computes H(id, B, v, s) — the public evaluation shared by
 // Algorithm 1 (during sketch generation) and Algorithm 2 (during querying).
 // Anyone holding the published sketch can compute it for any candidate
-// value v.  When h supports per-goroutine evaluators, the call goes through
-// a pooled zero-allocation kernel; loops over many records for one (B, v)
-// should hold a Kernel directly instead.
+// value v.  The call goes through a pooled kernel; loops over many records
+// for one (B, v) should hold a Kernel directly instead.
 func Evaluate(h prf.BitSource, id bitvec.UserID, b bitvec.Subset, v bitvec.Vector, s Sketch) bool {
-	if _, ok := h.(prf.EvaluatorSource); ok {
-		k := AcquireKernel(h, b, v)
-		r := k.Evaluate(id, s)
-		k.Release()
-		return r
-	}
-	return h.Bit(id.Bytes(), b.Tag(), v.Bytes(), s.Bytes())
+	k := AcquireKernel(h, b, v)
+	r := k.Evaluate(id, s)
+	k.Release()
+	return r
 }

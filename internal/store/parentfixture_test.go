@@ -392,3 +392,83 @@ func TestParentWrittenV3DirOpens(t *testing.T) {
 		check(t, dir, func(*Durable) {})
 	})
 }
+
+// TestLoneV3SegmentOutlivesCompaction pins why the v3 reader cannot go by
+// the calendar: a shard that holds ONE v3 segment keeps it for ever.  A
+// compaction needs two segments to merge (compact clamps its threshold to
+// 2, the background loop's is DefaultCompactThreshold), so nothing rewrites
+// a lone one — it is read where it lies by every later Open, under a
+// manifest that already says v4.  The precondition for deleting v3.go is an
+// Open that rewrites every v3 file it finds, shipped one release earlier
+// (doc.go "Older formats").
+func TestLoneV3SegmentOutlivesCompaction(t *testing.T) {
+	dir := t.TempDir()
+	shard := filepath.Join(dir, shardDirName(0))
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The fixture without its log: a shard whose last act under the v3
+	// binary was a roll.
+	for _, name := range []string{manifestName, filepath.Join(shardDirName(0), segmentName(1))} {
+		data, err := os.ReadFile(filepath.Join(parentDirPath, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := flatten(testRuns(parentDirSegment()))
+	replays := func(st *Durable) {
+		t.Helper()
+		got := collect(t, st)
+		if len(got) != len(want) {
+			t.Fatalf("replayed %d records, the segment holds %d", len(got), len(want))
+		}
+		for i := range got {
+			if !samePub(got[i], want[i]) {
+				t.Fatalf("record %d = %+v, the segment holds %+v", i, got[i], want[i])
+			}
+		}
+	}
+	segment := filepath.Join(shard, segmentName(1))
+	before, err := os.Stat(segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := Open(Options{Dir: dir, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replays(st)
+	if err := st.CompactNow(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(Options{Dir: dir, CompactInterval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	replays(st)
+
+	data, err := os.ReadFile(segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if [8]byte(data[:8]) != segMagicV3 || !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
+		t.Fatalf("the lone v3 segment was rewritten (magic %q)", data[:8])
+	}
+	if segs, err := filepath.Glob(filepath.Join(shard, "seg-*")); err != nil || len(segs) != 1 {
+		t.Fatalf("segments after Open, CompactNow(1), Close, Open: %v, %v", segs, err)
+	}
+	if m, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(m) != "1 v4\n" {
+		t.Fatalf("manifest = %q, %v: the v3 segment should lie under a manifest that says v4", m, err)
+	}
+}

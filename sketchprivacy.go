@@ -75,9 +75,11 @@ type (
 	Engine = engine.Engine
 	// RNG supplies the user's private coin flips.
 	RNG = stats.RNG
-	// Kernel is a per-goroutine batch evaluator of the public function H,
-	// specialised to one (subset, value) query pair; loops over many
-	// records should hold one instead of calling the facade per record.
+	// Kernel is a per-goroutine evaluator of the public function H,
+	// specialised to one (subset, value) query pair: its Evaluate method
+	// computes H(id, B, v, s) for one record without allocating, so loops
+	// over many records should hold one instead of calling the facade per
+	// record.
 	Kernel = sketch.Kernel
 	// Store is the durability interface the engine persists sketches
 	// through (internal/store: sharded WAL + immutable segments).
@@ -86,8 +88,8 @@ type (
 	StoreOptions = store.Options
 )
 
-// NewKernel returns a batch evaluation kernel for one query pair.  Kernels
-// are single-goroutine; parallel loops create one per worker.
+// NewKernel returns an evaluation kernel for one query pair.  Kernels are
+// single-goroutine; parallel loops create one per worker.
 func NewKernel(h prf.BitSource, b Subset, v Vector) *Kernel { return sketch.NewKernel(h, b, v) }
 
 // NewSource returns the public p-biased pseudorandom function H backed by
