@@ -206,10 +206,11 @@ func planBenchmarks(quick bool) []struct {
 				}
 			}
 		}},
-		{"plan-histogram-cold", func(b *testing.B) { planHistogramBench(b, false, false) }},
-		{"plan-histogram-cold-filtered", func(b *testing.B) { planHistogramBench(b, false, true) }},
-		{"plan-histogram-warm", func(b *testing.B) { planHistogramBench(b, true, false) }},
-		{"plan-histogram-warm-filtered", func(b *testing.B) { planHistogramBench(b, true, true) }},
+		{"plan-histogram-cold", func(b *testing.B) { planHistogramBench(b, false, false, false) }},
+		{"plan-histogram-cold-filtered", func(b *testing.B) { planHistogramBench(b, false, true, false) }},
+		{"plan-histogram-warm", func(b *testing.B) { planHistogramBench(b, true, false, false) }},
+		{"plan-histogram-warm-filtered", func(b *testing.B) { planHistogramBench(b, true, true, false) }},
+		{"plan-histogram-warm-unequal-filtered", func(b *testing.B) { planHistogramBench(b, true, true, true) }},
 	}
 }
 
@@ -234,15 +235,32 @@ func planBenchFilter(b *testing.B) *query.UserFilter {
 // the generation since the histogram was last asked.
 // kernels.txt pins the warm runs' bytes/op below one column of the table,
 // so a histogram that goes back to materialising aligned copies of its
-// subsets per query fails -checkkernels.
-func planHistogramBench(b *testing.B, warm, filtered bool) {
+// subsets per query fails -checkkernels.  With unequal set, the three
+// subsets are 10 000 of 15 000 users each but not the same ones (see
+// unequalMember): the join forwards its columns id by id and carries each
+// column's rank by its own keep mask, where equal subsets copy each 64-user
+// block's kept bits whole.
+func planHistogramBench(b *testing.B, warm, filtered, unequal bool) {
 	h := prf.NewBiased(benchKey(), prf.MustProb(0.25))
 	eng, err := engine.New(h, sketch.MustParams(0.25, 10))
 	if err != nil {
 		b.Fatal(err)
 	}
 	subsets := []bitvec.Subset{bitvec.Range(0, 16), bitvec.Range(16, 32), bitvec.Range(32, 48)}
-	loadPlanTable(b, eng.Table(), subsets, 10_000)
+	if unequal {
+		for j, subset := range subsets {
+			for id := uint64(1); id <= 15_000; id++ {
+				if !unequalMember(j, id) {
+					continue
+				}
+				if err := eng.Table().Add(routerRecord(id, subset)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	} else {
+		loadPlanTable(b, eng.Table(), subsets, 10_000)
+	}
 	var keep *query.UserFilter
 	if filtered {
 		keep = planBenchFilter(b)
@@ -272,5 +290,20 @@ func planHistogramBench(b *testing.B, warm, filtered bool) {
 		if _, err := eng.ExecutePlan(plans[i%len(plans)], keep); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// unequalMember says whether user id holds subset j of the unequal
+// histogram kernel: ids 1 to 10 000, 3 001 to 13 000, and those of 1 to
+// 15 000 that 3 does not divide — overlapping subsets, 4 667 users in all
+// three, of which no two ever share a 64-id block.
+func unequalMember(j int, id uint64) bool {
+	switch j {
+	case 0:
+		return id <= 10_000
+	case 1:
+		return id > 3_000 && id <= 13_000
+	default:
+		return id%3 != 0
 	}
 }

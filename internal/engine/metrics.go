@@ -15,10 +15,11 @@ type engineMetrics struct {
 
 // SetMetrics registers the engine's instrument families on reg and starts
 // recording: plan-execution latency, ingest and rebalance-snapshot
-// counters, plus render-time gauges for the table size, the cache's
-// hit/miss counters, evaluation bitmaps and keep masks apart, and the
-// evaluations of H its misses cost (the cache counts always; the registry
-// only exposes them).  Call once, before the engine starts serving.
+// counters, plus render-time gauges for the table size and the cache's
+// size in bytes and entries, the cache's hit/miss counters, evaluation
+// bitmaps and keep masks apart, and the evaluations of H its misses cost
+// (the cache counts always; the registry only exposes them).  Call once,
+// before the engine starts serving.
 func (e *Engine) SetMetrics(reg *obs.Registry) {
 	e.m = &engineMetrics{
 		planExec:      reg.Histogram("engine_plan_exec_seconds", "Latency of one compiled-plan execution over the local table.", nil),
@@ -27,6 +28,10 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 	}
 	reg.GaugeFunc("engine_sketches", "Sketch records currently in the in-memory table.",
 		func() float64 { return float64(e.table.Len()) })
+	reg.GaugeFunc("engine_plan_cache_bytes", "Bytes the plan cache's evaluation bitmaps and keep masks are charged against its 32 MiB budget: words, keys and a fixed overhead an entry.",
+		func() float64 { bytes, _ := e.cache.size(); return float64(bytes) })
+	reg.GaugeFunc("engine_plan_cache_entries", "Evaluation bitmaps and keep masks the plan cache holds.",
+		func() float64 { _, entries := e.cache.size(); return float64(entries) })
 	reg.CounterFunc("engine_plan_cache_hits_total", "Plan-executor bitmap cache hits.",
 		func() uint64 { return e.cache.hits.Load() })
 	reg.CounterFunc("engine_plan_cache_misses_total", "Plan-executor bitmap cache misses (stale generation or absent).",

@@ -172,6 +172,39 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 	}
 }
 
+// TestPlanCacheChargesKeptWords: a bitmap evaluated under a filter that
+// keeps k of a view's n records is ⌈k/64⌉ words, and the cache charges it
+// 8·⌈k/64⌉ bytes plus its key and the fixed overhead — the keep mask beside
+// it is the one entry a bit per record of the view — and the size the
+// metrics gauges read is that sum.
+func TestPlanCacheChargesKeptWords(t *testing.T) {
+	const users = 1000 // ids 1 to 1000: the view is 16 words, a third of it 6
+	eng, subset, _ := planEngine(t, users)
+	pair := query.FractionEval{Subset: subset, Value: bitvec.MustFromString("0110")}
+	plan := query.NewPlan()
+	if _, err := plan.AddFraction(pair.Subset, pair.Value); err != nil {
+		t.Fatal(err)
+	}
+	keep := &query.UserFilter{Key: "third", Keep: func(id bitvec.UserID) bool { return id%3 == 0 }}
+	if _, err := eng.ExecutePlan(plan, keep); err != nil {
+		t.Fatal(err)
+	}
+	const kept = users / 3
+	bitmap, ok := eng.cache.m[query.CacheKey{Entry: pair.Key(), Filter: keep.Key}]
+	if !ok || len(bitmap.words) != (kept+63)/64 {
+		t.Fatalf("the filtered bitmap is cached %v with %d words, want %d for %d kept records", ok, len(bitmap.words), (kept+63)/64, kept)
+	}
+	mask, ok := eng.cache.m[query.CacheKey{Mask: true, Entry: subset.Key(), Filter: keep.Key}]
+	if !ok || len(mask.words) != (users+63)/64 {
+		t.Fatalf("the keep mask is cached %v with %d words, want %d", ok, len(mask.words), (users+63)/64)
+	}
+	want := 8*((kept+63)/64) + len(pair.Key()) + len(keep.Key) + planCacheEntryOverhead +
+		8*((users+63)/64) + len(subset.Key()) + len(keep.Key) + planCacheEntryOverhead
+	if bytes, entries := eng.cache.size(); bytes != want || entries != 2 {
+		t.Fatalf("the cache charges %d bytes for %d entries, want %d for 2", bytes, entries, want)
+	}
+}
+
 // TestEngineKeepMaskCachedPerFilterKey: a filter with a key has its keep
 // mask built once per (subset, key) and generation — a repeat, a total
 // count and a subset count all read the cached mask; another key or an

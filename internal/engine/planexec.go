@@ -12,19 +12,22 @@ import (
 // planCacheBudget bounds the bitmap cache in bytes — keys, bitmap words
 // and planCacheEntryOverhead per entry; past it, entries are evicted down
 // to about half so a pathological query mix cannot grow memory without
-// bound.  A bitmap is one bit per record of its subset, so the budget is
-// some 24 000 entries over 10k-record subsets, 7 700 at the fleet
-// benchmark's 33k records per node and subset (where the cap of 4096
-// entries this replaces let 17 MB in) and 260 over a million-record subset
-// (where that cap let 512 MB in).
+// bound.  An evaluation bitmap is one bit per record its filter keeps, so
+// the budget is some 24 000 unfiltered entries over 10k-record subsets,
+// 14 700 at the fleet benchmark's ≈ 16.7k records a node owns of its 33k
+// per subset (where the cap of 4096 entries this replaces let 17 MB in, and
+// bitmaps over the whole view held 7 700) and 260 over a million-record
+// subset (where that cap let 512 MB in).
 const (
 	planCacheBudget        = 32 << 20
 	planCacheEntryOverhead = 128 // map slot, entry and key header, rounded up
 )
 
 // planCache is the engine's query.BitmapCache: per-(subset, value, filter
-// key) evaluation bitmaps and per-(subset, filter key) keep masks, versioned
-// by the table's per-subset write generation.
+// key) evaluation bitmaps — a bit per record the filter keeps, so T tenants'
+// entries for one pair hold one view's bits between them — and
+// per-(subset, filter key) keep masks, a bit per record of the view,
+// versioned by the table's per-subset write generation.
 // An ingest into a subset bumps the generation (see Table.View), so
 // every cached bitmap for that subset goes stale implicitly — the epoch
 // check at Get is the invalidation.  Within a generation, a repeated or
@@ -74,6 +77,14 @@ func (c *planCache) Get(key query.CacheKey, gen uint64, records int) ([]uint64, 
 	}
 	hits.Add(1)
 	return e.words, true
+}
+
+// size returns what the entries cost against planCacheBudget and how many
+// there are (the engine_plan_cache_bytes and _entries gauges).
+func (c *planCache) size() (bytes, entries int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.bytes, len(c.m)
 }
 
 // cost is what an entry counts against planCacheBudget.

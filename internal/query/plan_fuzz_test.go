@@ -3,6 +3,7 @@ package query
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -37,9 +38,28 @@ func fuzzSubsets() []bitvec.Subset {
 	}
 }
 
-// fuzzTable lazily builds the shared fixture: 800 six-bit profiles
-// sketched over every subset except the last two of fuzzSubsets, the
-// first 400 of them in the table.
+// unequalSubsets are two subsets the fixture sketches for some users only
+// (see holdsUnequal), so a histogram over them and a subset every user holds
+// joins columns of unequal membership.
+func unequalSubsets() []bitvec.Subset {
+	return []bitvec.Subset{bitvec.Range(1, 3), bitvec.MustSubset(2, 4)}
+}
+
+// holdsUnequal reports whether user i of the fixture has sketched unequal
+// subset s: the first is missing every third user, the second 48 users of
+// every 128 — whole 64-id blocks and the ends of others.
+func holdsUnequal(s, i int) bool {
+	if s == 0 {
+		return i%3 != 0
+	}
+	return i%128 < 80
+}
+
+// fuzzTable lazily builds the shared fixture: 1200 six-bit profiles
+// sketched over every subset except the last two of fuzzSubsets, and over
+// the unequal subsets where holdsUnequal says so, the first 600 of them in
+// the table — enough that eight pairs over a subset under a filter keeping
+// half of it shard the scan.
 func fuzzTable() (*sketch.Table, []sketch.Published, *Estimator, error) {
 	fuzzFixture.once.Do(func() {
 		const p = 0.3
@@ -56,17 +76,23 @@ func fuzzTable() (*sketch.Table, []sketch.Published, *Estimator, error) {
 		}
 		subsets := fuzzSubsets()
 		subsets = subsets[:len(subsets)-2]
-		pop := dataset.UniformBinary(99, 800, 6, 0.5)
+		pop := dataset.UniformBinary(99, 1200, 6, 0.5)
 		tab := sketch.NewTable()
 		rng := stats.NewRNG(77)
 		for i, profile := range pop.Profiles {
-			pubs, err := sk.SketchAll(rng, profile, subsets)
+			sketched := subsets
+			for s, b := range unequalSubsets() {
+				if holdsUnequal(s, i) {
+					sketched = append(sketched[:len(sketched):len(sketched)], b)
+				}
+			}
+			pubs, err := sk.SketchAll(rng, profile, sketched)
 			if err != nil {
 				fuzzFixture.err = err
 				return
 			}
 			fuzzFixture.recs = append(fuzzFixture.recs, pubs...)
-			if i >= 400 {
+			if i >= 600 {
 				continue
 			}
 			if err := tab.AddAll(pubs); err != nil {
@@ -117,15 +143,28 @@ func (c mapCache) Evaluated(uint64) {}
 // Add/Remove writes before each pass, and every pass must equal the oracle
 // under its own filter on the table as it then stands.  A mask or a bitmap
 // served across keys, across a write, between a filtered and an unfiltered
-// execution or to a filter without a key is a counter that differs.
+// execution or to a filter without a key is a counter that differs.  Each
+// pass also asks a histogram over the two unequal subsets and one every
+// user holds, in a fuzzer-chosen order: a bitmap holds a bit per record its
+// filter keeps, so the join reads each column's bit at that column's own
+// rank, advanced over blocks the columns do not share — from bitmaps the
+// cache serves on every repeat.  A rank read off the wrong column, or a
+// word two scan workers share and one of them dropped, is a bin that
+// differs.  The function runs at GOMAXPROCS 4, so a scan shards whatever
+// the runner's core count.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 0, 1, 0, 3, 1, 0, 2, 5, 3, 2, 4})
 	f.Add([]byte{1, 7, 9, 2, 2, 1, 0, 1, 1, 0, 9, 1, 1})
 	f.Add([]byte{2, 200, 3, 1, 10, 255, 1, 9, 0, 4, 3, 10, 2})
 	f.Add([]byte{1, 31, 64, 5, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	// Every value of two three-bit subsets, eight pairs a subset: under
+	// filter A the scans shard, and their shards meet inside an output
+	// word.
+	f.Add([]byte{1, 5, 7, 0, 7, 0, 0, 0, 0, 7, 1, 0, 0, 0, 7, 0, 1, 0, 0, 7, 1, 1, 0, 0, 7, 0, 0, 1, 0, 7, 1, 0, 1, 0, 7, 0, 1, 1, 0, 7, 1, 1, 1, 0, 8, 0, 0, 0, 0, 8, 1, 0, 0, 0, 8, 0, 1, 0, 0, 8, 1, 1, 0, 0, 8, 0, 0, 1, 0, 8, 1, 0, 1, 0, 8, 0, 1, 1, 0, 8, 1, 1, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 		tab, recs, est, err := fuzzTable()
 		if err != nil {
 			t.Fatal(err)
@@ -226,22 +265,34 @@ func FuzzPlanEquivalence(f *testing.F) {
 				}
 			}
 		}()
+		joined := append(unequalSubsets(), subsets[writes.Intn(len(subsets)-2)])
+		subs := make([]SubQuery, 0, len(joined))
+		for _, i := range writes.Perm(len(joined)) {
+			b := joined[i]
+			subs = append(subs, SubQuery{Subset: b, Value: bitvec.FromUint(uint64(writes.Intn(1<<b.Len())), b.Len())})
+		}
+		unequal := NewPlan()
+		if _, err := unequal.AddHistogram(subs); err != nil {
+			t.Fatalf("AddHistogram of well-shaped sub-queries errored: %v", err)
+		}
 		cache := mapCache{}
 		for pass, keep := range []*UserFilter{filterA, filterB, filterA, nil, {Keep: mod(5, 2)}, nil, {Keep: mod(7, 3)}} {
 			for n := writes.Intn(4); n > 0; n-- {
 				toggle(writes.Intn(len(recs)))
 			}
-			want, err := oracleOver(est, keep, tab).Execute(plan)
-			if err != nil {
-				t.Fatalf("oracle errored: %v", err)
-			}
-			for run := 0; run < 2; run++ {
-				warm, err := est.ExecutePlanOver(tab, plan, keep, cache)
+			for _, plan := range []*Plan{plan, unequal} {
+				want, err := oracleOver(est, keep, tab).Execute(plan)
 				if err != nil {
-					t.Fatalf("cached pass %d run %d errored: %v", pass, run, err)
+					t.Fatalf("oracle errored: %v", err)
 				}
-				if !reflect.DeepEqual(want, warm) {
-					t.Fatalf("cached pass %d run %d differs from the oracle:\noracle %+v\ncached %+v", pass, run, want, warm)
+				for run := 0; run < 2; run++ {
+					warm, err := est.ExecutePlanOver(tab, plan, keep, cache)
+					if err != nil {
+						t.Fatalf("cached pass %d run %d errored: %v", pass, run, err)
+					}
+					if !reflect.DeepEqual(want, warm) {
+						t.Fatalf("cached pass %d run %d differs from the oracle:\noracle %+v\ncached %+v", pass, run, want, warm)
+					}
 				}
 			}
 		}

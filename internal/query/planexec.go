@@ -24,11 +24,14 @@ type CacheKey struct {
 }
 
 // BitmapCache caches evaluation bitmaps and keep masks across plan
-// executions.  A bitmap is one bit per record of a subset's sorted view;
-// it is valid only for the table generation it was computed at,
-// so implementations key entries by generation and a write to the subset
-// (which bumps the generation) invalidates them implicitly.  The engine
-// provides the durable implementation; a nil cache simply recomputes.
+// executions.  A keep mask is one bit per record of a subset's sorted view;
+// an evaluation bitmap is one bit per record its filter keeps, in view
+// order (per record of the view without a filter), so under a filter it is
+// ⌈kept/64⌉ words however large the view.  Both are valid only for the
+// table generation they were computed at, so implementations key entries
+// by generation and a write to the subset (which bumps the generation)
+// invalidates them implicitly.  The engine provides the durable
+// implementation; a nil cache simply recomputes.
 type BitmapCache interface {
 	// Get returns the cached bitmap under key, if one exists for exactly
 	// this generation and record count.
@@ -58,9 +61,9 @@ type BitmapCache interface {
 // keep restricts every counter to records whose user passes the filter,
 // and H is evaluated on those records only: each subset's keep mask —
 // itself cached when the filter has a Key — is fetched before its pairs are
-// scanned, and a bitmap holds zeros outside it.  Such a bitmap is cached
-// under the filter's Key beside the pair's; under a filter without a Key it
-// is not cached at all.
+// scanned, and a bitmap holds a bit for each record the mask keeps and for
+// no other.  Such a bitmap is cached under the filter's Key beside the
+// pair's; under a filter without a Key it is not cached at all.
 func (e *Estimator) ExecutePlanOver(tab *sketch.Table, p *Plan, keep *UserFilter, cache BitmapCache) (*Results, error) {
 	return e.ExecutePlanOverCtx(context.Background(), tab, p, keep, cache)
 }
@@ -177,8 +180,8 @@ func (x *cut) at(b bitvec.Subset) int {
 }
 
 // bitmaps returns the evaluation bitmap of each pair over its subset's
-// view — bit i is H on record i where the filter keeps record i, 0
-// elsewhere — subset by subset: from the cache where it holds one for the
+// view — bit r is H on the r-th record the filter keeps (record r without
+// a filter) — subset by subset: from the cache where it holds one for the
 // view's generation and the filter's Key, the rest in one sharded pass over
 // the records the subset's keep mask keeps, left in the cache afterwards.
 // A filter without a Key names no bitmap, so its bitmaps are neither looked
@@ -256,7 +259,7 @@ func (x *cut) records(si int) uint64 {
 
 // count returns the Algorithm 2 counters of a pair of subset si from its
 // bitmap: over how many kept records, and on how many of them H is 1 — the
-// bitmap's popcount, it being 0 wherever the filter does not keep.
+// bitmap's popcount, it holding a bit for the kept records only.
 func (x *cut) count(si int, bitmap []uint64) Partial {
 	records := x.records(si)
 	if records == 0 {
@@ -277,11 +280,12 @@ func (x *cut) columns(ctx context.Context, pairs []FractionEval) (cols [][]uint6
 	if err != nil {
 		return nil, 0, err
 	}
-	ids := make([]sketch.IDs, len(pairs))
+	ids, masks := make([]sketch.IDs, len(pairs)), make([][]uint64, len(pairs))
 	for j, f := range pairs {
-		ids[j] = x.subs[x.at(f.Subset)].view.IDs()
+		si := x.at(f.Subset)
+		ids[j], masks[j] = x.subs[si].view.IDs(), x.mask(si)
 	}
-	cols, users = alignedColumns(ids, bitmaps, x.mask(x.at(pairs[0].Subset)))
+	cols, users = alignedColumns(ids, bitmaps, masks)
 	return cols, users, nil
 }
 
@@ -308,35 +312,42 @@ func (c *joinColumn) refill(at int) bool {
 }
 
 // alignedColumns is a sort-merge join of sorted id columns.  For every
-// user who is in each of them — and whose position in ids[0] mask keeps; a
-// nil mask keeps all — it gathers the user's bit of each bitmaps[j], a
-// bitmap over ids[j], into bit u&63 of word u>>6 of column j, u being the
-// user's rank among the joined users.  The columns are aligned: bit u of
-// every column belongs to the same user.  Nothing is copied but those
-// bits — each column is decoded a 64-id block at a time, as the join
-// reaches it, and where all of them stand at one and the same block, as
-// the subsets every user published do throughout, the block joins itself
-// undecoded — and one id column may be listed several times.
-func alignedColumns(ids []sketch.IDs, bitmaps [][]uint64, mask []uint64) (cols [][]uint64, users int) {
-	most := ids[0].Len()
-	for _, other := range ids[1:] {
-		most = min(most, other.Len())
+// user who is in each of them and kept — masks[j] is column j's keep mask,
+// nil keeping all, and the masks are one filter's, so a user one of them
+// keeps every one of them keeps — it gathers the user's bit of each
+// bitmaps[j] into bit u&63 of word u>>6 of column j, u being the user's
+// rank among the joined users.  bitmaps[j] holds a bit per record masks[j]
+// keeps, in column order, so a user's bit is at its rank among its
+// column's kept records: the join carries each column's rank beside its
+// position, advancing it by the popcount of the mask bits it passes, and
+// builds no prefix array.  The columns are aligned: bit u of every column
+// belongs to the same user.  Nothing is copied but those bits — each column
+// is decoded a 64-id block at a time, as the join reaches it, and where all
+// of them stand at one and the same block, as the subsets every user
+// published do throughout, the block joins itself undecoded, each column's
+// run of the block's kept bits copied whole — and one id column may be
+// listed several times.
+func alignedColumns(ids []sketch.IDs, bitmaps, masks [][]uint64) (cols [][]uint64, users int) {
+	words := len(bitmaps[0]) // no column joins more users than it keeps
+	for _, bitmap := range bitmaps[1:] {
+		words = min(words, len(bitmap))
 	}
-	words := (most + 63) / 64
 	backing := make([]uint64, len(ids)*words)
 	cols = make([][]uint64, len(ids))
 	for j := range cols {
 		cols[j] = backing[j*words : (j+1)*words]
 	}
-	// The usual handful of columns is joined from the stack.
+	// The usual handful of columns is joined from the stack.  at[j] is the
+	// join's position in ids[j], rank[j] how many records before it masks[j]
+	// keeps: where its bit is in bitmaps[j].
 	var fewColumns [4]joinColumn
-	var fewAt [4]int
-	join, at := fewColumns[:0], fewAt[:0] // at[j] is the join's position in ids[j]
+	var fewAt, fewRank [4]int
+	join, at, rank := fewColumns[:0], fewAt[:0], fewRank[:0]
 	if len(ids) > len(fewColumns) {
-		join, at = make([]joinColumn, 0, len(ids)), make([]int, 0, len(ids))
+		join, at, rank = make([]joinColumn, 0, len(ids)), make([]int, 0, len(ids)), make([]int, 0, len(ids))
 	}
 	for _, column := range ids {
-		join, at = append(join, joinColumn{ids: column}), append(at, 0)
+		join, at, rank = append(join, joinColumn{ids: column}), append(at, 0), append(rank, 0)
 	}
 scan:
 	for k, blocks := 0, ids[0].Blocks(); k < blocks; k++ {
@@ -346,40 +357,37 @@ scan:
 			same = at[j]%sketch.IDBlockLen == 0 && ids[0].SameBlock(k, ids[j], at[j]/sketch.IDBlockLen)
 		}
 		if same {
-			// User o of the block is at the same offset in every column;
-			// a whole block of kept users is a word of each bitmap.
-			m := min(sketch.IDBlockLen, ids[0].Len()-at[0])
-			if whole := mask == nil || mask[k] == ^uint64(0); whole && m == 64 && users&63 == 0 {
-				for j, a := range at {
-					cols[j][users>>6], at[j] = bitmaps[j][a>>6], a+m
+			// User o of the block is at the same offset in every column, and
+			// kept in all of them or in none: the block's kept users are the
+			// next c bits of each bitmap.
+			if c := windowKept(masks[0], ids[0].Len(), k); c > 0 {
+				for j, r := range rank {
+					depositBits(cols[j], users, bitsAt(bitmaps[j], r, c), c)
+					rank[j] = r + c
 				}
-				users += m
-				continue
+				users += c
 			}
-			for o := 0; o < m; o++ {
-				if mask == nil || mask[k]>>uint(o)&1 == 1 {
-					for j, a := range at {
-						cols[j][users>>6] |= (bitmaps[j][a>>6] >> uint(a&63) & 1) << uint(users&63)
-					}
-					users++
-				}
-				for j := range at {
-					at[j]++
-				}
+			m := min(sketch.IDBlockLen, ids[0].Len()-at[0])
+			for j := range at {
+				at[j] += m
 			}
 			continue
 		}
 	next:
 		for o, id := range ids[0].Block(k, &join[0].block) {
-			at[0] = k*sketch.IDBlockLen + o
+			if masks[0] != nil && masks[0][k]>>uint(o)&1 == 0 {
+				continue
+			}
 			for j := 1; j < len(join); j++ {
-				// Forward to the first id at or above id, block after block.
+				// Forward to the first id at or above id, block after block,
+				// the rank with it.
 				c := &join[j]
 				window, a := c.block[:c.n], at[j]-c.lo
 				for {
 					for a < len(window) && window[a] < id {
 						a++
 					}
+					rank[j] += keptIn(masks[j], at[j], c.lo+a)
 					if at[j] = c.lo + a; a < len(window) {
 						break
 					}
@@ -389,21 +397,62 @@ scan:
 					window, a = c.block[:c.n], at[j]-c.lo
 				}
 				if window[a] != id {
+					rank[0]++
 					continue next
 				}
 			}
-			if mask == nil || mask[k]>>uint(o)&1 == 1 {
-				for j, a := range at {
-					cols[j][users>>6] |= (bitmaps[j][a>>6] >> uint(a&63) & 1) << uint(users&63)
-				}
-				users++
+			for j, r := range rank {
+				cols[j][users>>6] |= (bitmaps[j][r>>6] >> uint(r&63) & 1) << uint(users&63)
 			}
+			users++
+			rank[0]++
 		}
 	}
 	for j := range cols {
 		cols[j] = cols[j][:(users+63)/64]
 	}
 	return cols, users
+}
+
+// keptIn counts the positions in [from, to) that mask keeps; a nil mask
+// keeps all.
+func keptIn(mask []uint64, from, to int) int {
+	if mask == nil {
+		return to - from
+	}
+	n := 0
+	for from < to {
+		end := min(to, (from|63)+1) // the end of from's word
+		word := mask[from>>6] >> uint(from&63)
+		if span := end - from; span < 64 {
+			word &= 1<<uint(span) - 1
+		}
+		n += bits.OnesCount64(word)
+		from = end
+	}
+	return n
+}
+
+// bitsAt returns bits [r, r+c) of bitmap in the low c bits, 0 < c ≤ 64.
+func bitsAt(bitmap []uint64, r, c int) uint64 {
+	w, sh := r>>6, uint(r&63)
+	x := bitmap[w] >> sh
+	if int(sh)+c > 64 {
+		x |= bitmap[w+1] << (64 - sh)
+	}
+	if c < 64 {
+		x &= 1<<uint(c) - 1
+	}
+	return x
+}
+
+// depositBits ORs the low c bits of x into bits [u, u+c) of dst.
+func depositBits(dst []uint64, u int, x uint64, c int) {
+	w, sh := u>>6, uint(u&63)
+	dst[w] |= x << sh
+	if int(sh)+c > 64 {
+		dst[w+1] |= x >> (64 - sh)
+	}
 }
 
 // minRecordsPerWorker is the smallest record shard worth a goroutine: below
@@ -416,28 +465,66 @@ func workersFor(n int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), n/minRecordsPerWorker))
 }
 
+// windowKept returns how many records of 64-record window w of an n-record
+// view keep keeps; a nil keep keeps all.
+func windowKept(keep []uint64, n, w int) int {
+	if keep == nil {
+		return min(sketch.IDBlockLen, n-w*sketch.IDBlockLen)
+	}
+	return bits.OnesCount64(keep[w])
+}
+
+// scanShard is what one scan worker evaluates: windows [lo, hi) of a view,
+// whose first kept record is the rank-th — where its bits start in every
+// evaluation bitmap.
+type scanShard struct{ lo, hi, rank int }
+
+// splitKept cuts the windows of an n-record view into at most parts shards
+// of about kept/parts kept records each — within a window's 64 records of
+// it — by the windows' ranks, the popcount of keep before them (a nil keep
+// keeps all n).  A tenant's contiguous id range, all of whose kept records
+// may lie in a few windows, is split as evenly as an interleaved ownership
+// filter is.  Windows past the last kept record, and shards that would keep
+// nothing, are left out.
+func splitKept(keep []uint64, n, kept, parts int) []scanShard {
+	windows := (n + sketch.IDBlockLen - 1) / sketch.IDBlockLen
+	shards := make([]scanShard, 0, parts)
+	lo, rank := 0, 0
+	for i := 1; i <= parts; i++ {
+		s := scanShard{lo: lo, hi: lo, rank: rank}
+		for s.hi < windows && rank < i*kept/parts {
+			rank += windowKept(keep, n, s.hi)
+			s.hi++
+		}
+		if rank > s.rank {
+			shards = append(shards, s)
+		}
+		lo = s.hi
+	}
+	return shards
+}
+
 // evalBitmaps computes one evaluation bitmap per fraction entry over the
 // records of the view that keep keeps (a nil keep keeps all; kept is how
-// many it keeps), sharding the record loop across workers on 64-record
-// boundaries so no two workers touch the same output word.  Each worker
-// owns one pooled kernel per entry and one window they share, so a
-// record is decoded from the view's columns once for all entries.  A
-// window keep keeps nothing of is not staged: its words stay 0.
+// many it keeps): ⌈kept/64⌉ words, bit r H on the r-th kept record.  Each
+// window's outcomes are appended at its rank.  The record loop is sharded
+// across workers by splitKept, so each worker evaluates about the same
+// number of kept records, however they lie in the view.  Each worker owns
+// one pooled kernel per entry and one window they share, so a record is
+// decoded from the view's columns once for all entries.  A window keep keeps
+// nothing of is not staged.
+//
+// A worker writes every word its records fill alone, and its first word —
+// which the worker before it ends in unless its rank is a multiple of 64 —
+// into its own slot, ORed into the bitmap once both are done; so no two
+// workers write one word.
 func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval, keep []uint64, kept int) [][]uint64 {
 	n := records.Len()
-	nw := (n + 63) / 64
 	out := make([][]uint64, len(evals))
 	for j := range out {
-		out[j] = make([]uint64, nw)
+		out[j] = make([]uint64, (kept+63)/64)
 	}
-	workers := workersFor(kept * len(evals))
-	// Round the shard size up to a word boundary; workers then never share
-	// an output word, so the bit sets need no synchronisation.
-	chunk := ((n+workers-1)/workers + 63) &^ 63
-	if chunk == 0 {
-		chunk = 64
-	}
-	eval := func(lo, hi int) {
+	eval := func(s scanShard, head []uint64) {
 		kernels := make([]*sketch.Kernel, len(evals))
 		for j, ev := range evals {
 			kernels[j] = sketch.AcquireKernel(h, ev.Subset, ev.Value)
@@ -447,11 +534,19 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval, kee
 				k.Release()
 			}
 		}()
-		// lo is 64-aligned (chunks are word multiples), so a staged window
-		// maps onto exactly one output word; staged once, it is replayed
-		// through every entry's kernel.
+		// Word at of each bitmap holds fill bits so far, acc[j] of bitmap j.
+		acc := make([]uint64, len(evals))
+		at, fill := s.rank>>6, s.rank&63
+		store := func(j int) {
+			if at == s.rank>>6 && s.rank&63 != 0 {
+				head[j] = acc[j]
+			} else {
+				out[j][at] = acc[j]
+			}
+		}
+		// A window is staged once and replayed through every entry's kernel.
 		var win sketch.Window
-		for w := lo >> 6; w<<6 < hi; w++ {
+		for w := s.lo; w < s.hi; w++ {
 			m := ^uint64(0)
 			if keep != nil {
 				if m = keep[w]; m == 0 {
@@ -459,25 +554,51 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval, kee
 				}
 			}
 			win.Stage(records, w, m)
+			c := windowKept(keep, n, w)
+			full := fill+c >= 64
 			for j, k := range kernels {
-				out[j][w] = k.Word(&win)
+				word := k.Word(&win)
+				acc[j] |= word << uint(fill)
+				if full {
+					store(j)
+					acc[j] = word >> uint(64-fill) // all of word's bits went in when fill is 0
+				}
+			}
+			if fill += c; full {
+				fill -= 64
+				at++
+			}
+		}
+		if fill > 0 {
+			for j := range acc {
+				store(j)
 			}
 		}
 	}
-	if workers <= 1 || chunk >= n {
-		eval(0, n)
+	shards := splitKept(keep, n, kept, workersFor(kept*len(evals)))
+	if len(shards) <= 1 {
+		for _, s := range shards {
+			eval(s, nil) // rank 0: no word shared
+		}
 		return out
 	}
+	heads := make([]uint64, len(shards)*len(evals))
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
+	for i, s := range shards {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(s scanShard, head []uint64) {
 			defer wg.Done()
-			eval(lo, hi)
-		}(lo, hi)
+			eval(s, head)
+		}(s, heads[i*len(evals):(i+1)*len(evals)])
 	}
 	wg.Wait()
+	for i, s := range shards {
+		if s.rank&63 != 0 {
+			for j := range out {
+				out[j][s.rank>>6] |= heads[i*len(evals)+j]
+			}
+		}
+	}
 	return out
 }
 

@@ -3,6 +3,7 @@ package query
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -186,6 +187,118 @@ func TestFilteredScanEvaluatesKeptOnly(t *testing.T) {
 	run("a contiguous range", tenant, entries*(users-640))
 }
 
+// scatteredOwner is an interleaved ownership predicate: about a third of
+// the ids, in runs of a few, the way a ring's arcs fall over dense ids.
+func scatteredOwner(id bitvec.UserID) bool {
+	x := uint64(id/3) * 0x9E3779B97F4A7C15
+	return x>>61 < 3
+}
+
+// maskOf returns the keep mask of pred over ids 0 to n-1.
+func maskOf(n int, pred func(bitvec.UserID) bool) []uint64 {
+	mask := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if pred(bitvec.UserID(i)) {
+			mask[i>>6] |= 1 << uint(i&63)
+		}
+	}
+	return mask
+}
+
+// TestSplitKeptEvensKeptRecords: a scan's shards hold about kept/parts kept
+// records each, within a window of it, however the kept records lie — a
+// tenant's contiguous id range, all of whose records would fall into one
+// or two shards cut by record count, as well as an interleaved ownership
+// filter — and the shards run back to back, each starting at its rank.
+func TestSplitKeptEvensKeptRecords(t *testing.T) {
+	const n, parts = 20_000, 4
+	for name, mask := range map[string][]uint64{
+		"contiguous range": maskOf(n, func(id bitvec.UserID) bool { return id >= 15_000 && id < 19_000 }),
+		"interleaved":      maskOf(n, scatteredOwner),
+		"no filter":        nil,
+	} {
+		kept := n
+		if mask != nil {
+			kept = int(popcount(mask))
+		}
+		shards := splitKept(mask, n, kept, parts)
+		if len(shards) != parts {
+			t.Fatalf("%s: %d shards, want %d", name, len(shards), parts)
+		}
+		rank := 0
+		for i, s := range shards {
+			if i > 0 && s.lo != shards[i-1].hi {
+				t.Fatalf("%s: shard %d starts at window %d, the one before ends at %d", name, i, s.lo, shards[i-1].hi)
+			}
+			got := 0
+			for w := s.lo; w < s.hi; w++ {
+				got += windowKept(mask, n, w)
+			}
+			if s.rank != rank || got < kept/parts-64 || got > kept/parts+64 {
+				t.Fatalf("%s: shard %d at rank %d (want %d) keeps %d records, want %d ± 64", name, i, s.rank, rank, got, kept/parts)
+			}
+			rank += got
+		}
+		if rank != kept {
+			t.Fatalf("%s: the shards keep %d records, the mask %d", name, rank, kept)
+		}
+	}
+}
+
+// TestEvalBitmapsShardedMatchesSerial: the bitmaps a scan sharded across
+// four workers builds equal, word for word, the ones one worker builds and
+// the kept records' outcomes in view order — under filters whose shards
+// meet inside an output word, so the word two workers share is written
+// through the merge of their halves.
+func TestEvalBitmapsShardedMatchesSerial(t *testing.T) {
+	const users = 6000
+	b := bitvec.Range(0, 3)
+	tab, est := buildTable(t, dataset.UniformBinary(17, users, 3, 0.5), []bitvec.Subset{b}, 0.3, 10, 19)
+	view, _ := tab.View(b)
+	evals := []FractionEval{{Subset: b, Value: bitvec.MustFromString("101")}, {Subset: b, Value: bitvec.MustFromString("011")}}
+	for name, pred := range map[string]func(bitvec.UserID) bool{
+		"contiguous range": func(id bitvec.UserID) bool { return id > 1000 && id <= 4037 },
+		"interleaved":      scatteredOwner,
+		"no filter":        nil,
+	} {
+		var mask []uint64
+		kept := view.Len()
+		if pred != nil {
+			mask = make([]uint64, (view.Len()+63)/64)
+			for i := 0; i < view.Len(); i++ {
+				if pred(view.ID(i)) {
+					mask[i>>6] |= 1 << uint(i&63)
+				}
+			}
+			kept = int(popcount(mask))
+		}
+		prev := runtime.GOMAXPROCS(1)
+		serial := evalBitmaps(est.h, view, evals, mask, kept)
+		runtime.GOMAXPROCS(4)
+		sharded := evalBitmaps(est.h, view, evals, mask, kept)
+		runtime.GOMAXPROCS(prev)
+		if !reflect.DeepEqual(serial, sharded) {
+			t.Fatalf("%s: four workers built other words than one", name)
+		}
+		for j, ev := range evals {
+			if len(serial[j]) != (kept+63)/64 {
+				t.Fatalf("%s: a bitmap of %d words over %d kept records", name, len(serial[j]), kept)
+			}
+			r := 0
+			for i := 0; i < view.Len(); i++ {
+				if pred != nil && !pred(view.ID(i)) {
+					continue
+				}
+				want := sketch.Evaluate(est.h, view.ID(i), ev.Subset, ev.Value, view.Sketch(i))
+				if got := serial[j][r>>6]>>uint(r&63)&1 == 1; got != want {
+					t.Fatalf("%s: pair %d, kept record %d (view record %d): bit %v, H %v", name, j, r, i, got, want)
+				}
+				r++
+			}
+		}
+	}
+}
+
 // TestPlanReadsOneTableState: every counter of a plan describes the same
 // state of the table.  A writer adds a user to subset A and then to B, and
 // removes them from B and then from A, so in every state of the table B's
@@ -279,8 +392,11 @@ func TestPlanReadsOneTableState(t *testing.T) {
 
 // TestAlignedColumnsMatchMapOracle differences the sort-merge join against
 // a map: over views of unequal length, disjoint ones, an empty one, one
-// subset named twice and a single view, masked and not, column j holds
-// exactly the bits of bitmap j for the users every view holds, in id order.
+// subset named twice and a single view, unfiltered and under two filters —
+// one keeping a random half of the users, one a contiguous id range, so
+// whole blocks are kept and dropped — each column's bitmap holding one bit
+// per record its own mask keeps, column j holds exactly the bits of bitmap
+// j for the kept users every view holds, in id order.
 func TestAlignedColumnsMatchMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tab := sketch.NewTable()
@@ -304,44 +420,60 @@ func TestAlignedColumnsMatchMapOracle(t *testing.T) {
 		}
 	}
 	all := tab.Views(subsets, false)
-	random := func(n int) []uint64 {
-		words := make([]uint64, (n+63)/64)
-		for w := range words {
-			words[w] = rng.Uint64()
-		}
-		return words
+	half := make(map[bitvec.UserID]bool)
+	for id := 0; id < 500; id++ {
+		half[bitvec.UserID(id)] = rng.Intn(2) == 0
+	}
+	filters := map[string]func(bitvec.UserID) bool{
+		"none":  nil,
+		"half":  func(id bitvec.UserID) bool { return half[id] },
+		"range": func(id bitvec.UserID) bool { return id >= 130 && id < 390 },
 	}
 	bit := func(words []uint64, i int) uint64 { return words[i>>6] >> uint(i&63) & 1 }
-	for _, pick := range [][]int{{0, 1}, {1, 0}, {0, 1, 2}, {2, 5, 1, 0}, {0, 0}, {1, 2, 1}, {0, 3}, {3, 0}, {3}, {0, 4}, {4, 0}, {5}, {5, 1}} {
-		views, ids, bitmaps := make([]sketch.View, len(pick)), make([]sketch.IDs, len(pick)), make([][]uint64, len(pick))
-		for j, s := range pick {
-			views[j], ids[j], bitmaps[j] = all[s], all[s].IDs(), random(all[s].Len())
-		}
-		for _, mask := range [][]uint64{nil, random(views[0].Len())} {
-			// The oracle: each view as a map from user to bit, the users of
-			// view 0 in id order, kept by their position in view 0.
-			bits := make([]map[bitvec.UserID]uint64, len(views))
-			for j, v := range views {
-				bits[j] = make(map[bitvec.UserID]uint64, v.Len())
-				for i := 0; i < v.Len(); i++ {
-					bits[j][v.ID(i)] = bit(bitmaps[j], i)
+	for _, pick := range [][]int{{0, 1}, {1, 0}, {0, 1, 2}, {2, 5, 1, 0}, {0, 0}, {1, 2, 1}, {0, 3}, {3, 0}, {3}, {0, 4}, {4, 0}, {5}, {5, 1}, {0, 2, 5, 1, 2}} {
+		for name, keeps := range filters {
+			views, ids := make([]sketch.View, len(pick)), make([]sketch.IDs, len(pick))
+			masks, bitmaps := make([][]uint64, len(pick)), make([][]uint64, len(pick))
+			// The oracle: each view as a map from kept user to the bit at
+			// the user's rank among the view's kept records.
+			held := make([]map[bitvec.UserID]uint64, len(pick))
+			for j, s := range pick {
+				views[j], ids[j] = all[s], all[s].IDs()
+				held[j] = make(map[bitvec.UserID]uint64)
+				if keeps != nil {
+					masks[j] = make([]uint64, (views[j].Len()+63)/64)
+				}
+				var kept []bitvec.UserID
+				for i := 0; i < views[j].Len(); i++ {
+					if id := views[j].ID(i); keeps == nil || keeps(id) {
+						if masks[j] != nil {
+							masks[j][i>>6] |= 1 << uint(i&63)
+						}
+						kept = append(kept, id)
+					}
+				}
+				bitmaps[j] = make([]uint64, (len(kept)+63)/64)
+				for r, id := range kept {
+					b := uint64(rng.Intn(2))
+					bitmaps[j][r>>6] |= b << uint(r&63)
+					held[j][id] = b
 				}
 			}
 			var want [][]uint64
 			for i := 0; i < views[0].Len(); i++ {
 				row := make([]uint64, len(views))
-				everywhere := mask == nil || bit(mask, i) == 1
+				everywhere := true
 				for j := range views {
-					b, ok := bits[j][views[0].ID(i)]
+					b, ok := held[j][views[0].ID(i)]
 					row[j], everywhere = b, everywhere && ok
 				}
 				if everywhere {
 					want = append(want, row)
 				}
 			}
-			cols, users := alignedColumns(ids, bitmaps, mask)
+			cols, users := alignedColumns(ids, bitmaps, masks)
 			if users != len(want) || len(cols) != len(views) {
-				t.Fatalf("views %v, mask %v: joined %d users in %d columns, oracle %d in %d", pick, mask != nil, users, len(cols), len(want), len(views))
+				t.Fatalf("views %v, filter %s: joined %d users in %d columns, oracle %d in %d", pick, name, users, len(cols), len(want), len(views))
 			}
 			for j, col := range cols {
 				if len(col) != (users+63)/64 {
@@ -349,7 +481,7 @@ func TestAlignedColumnsMatchMapOracle(t *testing.T) {
 				}
 				for u, row := range want {
 					if bit(col, u) != row[j] {
-						t.Fatalf("views %v, mask %v: column %d bit %d is %d, oracle %d", pick, mask != nil, j, u, bit(col, u), row[j])
+						t.Fatalf("views %v, filter %s: column %d bit %d is %d, oracle %d", pick, name, j, u, bit(col, u), row[j])
 					}
 				}
 				if tail := users & 63; tail != 0 && col[len(col)-1]>>uint(tail) != 0 {

@@ -9,6 +9,7 @@ import (
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
 	"sketchprivacy/internal/store"
@@ -126,6 +127,17 @@ func TestNodeMetricsExpositionLintClean(t *testing.T) {
 		if len(f.Samples) != 1 || f.Samples[0].Value < want {
 			t.Fatalf("%s = %+v, want >= %v", name, f.Samples, want)
 		}
+	}
+	// The query left one bitmap in the plan cache — one word over the 32
+	// records, unfiltered, so no keep mask — charged its word, its key and
+	// the fixed overhead of an entry.
+	key := query.FractionEval{Subset: subset, Value: bitvec.MustFromString("10")}.Key()
+	entries, size := fams["engine_plan_cache_entries"], fams["engine_plan_cache_bytes"]
+	if entries == nil || size == nil || len(entries.Samples) != 1 || len(size.Samples) != 1 {
+		t.Fatalf("engine_plan_cache_entries %+v, engine_plan_cache_bytes %+v: want one sample each", entries, size)
+	}
+	if n, b := entries.Samples[0].Value, size.Samples[0].Value; n != 1 || b <= float64(8+len(key)) || b > float64(8+len(key)+1024) {
+		t.Fatalf("the plan cache holds %v entries of %v bytes, want 1 of 8 + %d key bytes + an entry's overhead", n, b, len(key))
 	}
 	// The per-shard store gauges carry a shard label per configured shard.
 	f := fams["store_wal_records"]

@@ -42,8 +42,9 @@
 //     packed word (Algorithm 2's record loop; CountMatches is that loop on
 //     one goroutine).  Window.Stage takes the window's keep word and stages
 //     only the records it keeps — a filtered scan evaluates H on those
-//     alone, its outcomes landing at their window positions and 0 at the
-//     others; all ones stages the window whole.  A source
+//     alone, its outcomes packed low in staging order, the bits a bitmap
+//     over the kept records appends; all ones stages the window whole, each
+//     outcome at its window position.  A source
 //     that is not the keyed PRF — the random oracle of the ablations — is
 //     asked through its Bit method instead.
 package sketch

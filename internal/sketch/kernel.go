@@ -101,27 +101,24 @@ func (k *Kernel) appendMessage(dst []byte, id bitvec.UserID, s Sketch) []byte {
 // Window is up to 64 records of a View staged for evaluation: their ids
 // decoded from the view's id column and their sketches unpacked from its
 // word column, once, for every (B, v) asked of the same records — one
-// Kernel each.  It holds copies, not the view.  The zero Window is ready to
-// Stage; one belongs to one goroutine.
+// Kernel each.  It holds copies, not the view, of the staged records only,
+// in view order: record j of ids and sketches is the j-th record the keep
+// word kept.  The zero Window is ready to Stage; one belongs to one
+// goroutine.
 type Window struct {
-	n int
-	// kept holds the window positions of the n staged records: record j of
-	// ids and sketches is the one at the j-th set bit.
-	kept     uint64
+	n        int
 	ids      [IDBlockLen]bitvec.UserID
 	sketches [IDBlockLen]Sketch
 }
 
 // Stage stages the records of window w of the view — records [64w, 64w+64),
-// fewer at the end: the records bit word w of an evaluation bitmap speaks
-// of — that keep selects, bit i standing for record 64w+i; ^uint64(0)
-// stages them all.  Only a staged record is evaluated, so a filtered scan
-// pays for the records its filter keeps.
+// fewer at the end — that keep selects, bit i standing for record 64w+i;
+// ^uint64(0) stages them all.  Only a staged record is evaluated, so a
+// filtered scan pays for the records its filter keeps.
 func (win *Window) Stage(records View, w int, keep uint64) {
 	if n := len(records.ids.Block(w, &win.ids)); n < IDBlockLen {
 		keep &= 1<<uint(n) - 1
 	}
-	win.kept = keep
 	keys, base, n := records.keys, w*IDBlockLen, 0
 	for ; keep != 0; keep &= keep - 1 {
 		i := bits.TrailingZeros64(keep)
@@ -133,20 +130,20 @@ func (win *Window) Stage(records View, w int, keep uint64) {
 }
 
 // Word evaluates the staged records against the kernel's (B, v) and returns
-// the outcomes packed at their window positions: bit i is set iff record i
-// was staged and H is 1 on it.  It is the one step of Algorithm 2's record
-// loop: the messages are assembled contiguously and hashed as a batch, 8
-// lanes wide or scalar by the lane policy, bit-identical to an Evaluate call
-// per record.
+// the outcomes in staging order: bit j is H on the j-th staged record, and
+// the bits above the last staged record are 0.  Without a keep word that is
+// the window's records at their window positions; under one it is the kept
+// records packed low, the bits an evaluation bitmap over the kept records
+// appends.  It is the one step of Algorithm 2's record loop: the messages
+// are assembled contiguously and hashed as a batch, 8 lanes wide or scalar
+// by the lane policy, bit-identical to an Evaluate call per record.
 func (k *Kernel) Word(win *Window) uint64 {
 	var word uint64
-	at := win.kept // the lowest set bit is the position of the next outcome
 	if !k.keyed {
 		for i, id := range win.ids[:win.n] {
 			if k.Evaluate(id, win.sketches[i]) {
-				word |= at & -at
+				word |= 1 << uint(i)
 			}
-			at &= at - 1
 		}
 		return word
 	}
@@ -165,11 +162,10 @@ func (k *Kernel) Word(win *Window) uint64 {
 	k.buf, k.offs, k.msgs = buf, offs, msgs
 	us := k.us[:win.n]
 	k.me.Uint64Batch(msgs, us)
-	for _, u := range us {
+	for i, u := range us {
 		if k.p.Decide(u) {
-			word |= at & -at
+			word |= 1 << uint(i)
 		}
-		at &= at - 1
 	}
 	return word
 }

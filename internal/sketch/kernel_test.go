@@ -125,9 +125,21 @@ func (c *countingBits) Bit(parts ...[]byte) bool {
 	return c.BitSource.Bit(parts...)
 }
 
+// packKept returns the bits of word that keep selects, packed low in order:
+// bit j of the result is word's bit at keep's j-th set bit.
+func packKept(word, keep uint64) uint64 {
+	var out uint64
+	for j := 0; keep != 0; keep &= keep - 1 {
+		out |= (word >> uint(bits.TrailingZeros64(keep)) & 1) << uint(j)
+		j++
+	}
+	return out
+}
+
 // TestWindowStagesOnlyKept: a window staged under a keep word evaluates the
-// records it keeps and no others, and the word it yields is the full
-// window's word with every other bit cleared — on the keyed PRF at both lane
+// records it keeps and no others, and the word it yields holds their
+// outcomes in staging order — bit j the full window's bit at the j-th kept
+// record, nothing above the kept count — on the keyed PRF at both lane
 // policies and through the fallback arm, over a view whose last window is
 // short, with keep bits set past its end, through ONE reused window.
 func TestWindowStagesOnlyKept(t *testing.T) {
@@ -154,7 +166,7 @@ func TestWindowStagesOnlyKept(t *testing.T) {
 				for _, keep := range keeps {
 					before := counting.evals
 					win.Stage(view, w, keep)
-					if got, want := k.Word(&win), full&keep&valid; got != want {
+					if got, want := k.Word(&win), packKept(full, keep&valid); got != want {
 						t.Fatalf("lanes %d, %T, window %d, keep %016x: word %016x, want %016x", lanes, h, w, keep, got, want)
 					}
 					if h == counting && counting.evals-before != bits.OnesCount64(keep&valid) {
