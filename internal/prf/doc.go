@@ -20,13 +20,19 @@
 //     ipad/opad midstates so a short-message evaluation costs two or three
 //     compressions and no allocation; batches of same-shape messages go
 //     through an 8-lane AVX2 compress of this package's own where the CPU
-//     has it (sha256multi.go).
-//   - A FIPS 180-4 SHA-256 implementation (sha256.go) written from the
-//     primitive operations, and the direct RFC 2104 HMAC over it: the
-//     reference both engines are differenced against, so the whole
+//     has it (sha256multi.go), which also computes the raw midstate words
+//     it broadcasts.  These two are the only SHA-256 code the package
+//     runs.
+//   - Two handles on H: Func, thread-safe, pools the scalar engine for
+//     lone tuples (prf.go: a counter-mode expander that turns the keyed
+//     hash into an arbitrary-length pseudorandom stream and fixed-width
+//     integers); MultiEvaluator, one per goroutine, evaluates batches of
+//     pre-encoded messages on the 8-lane engine and lone ones on the
+//     scalar engine (multieval.go).
+//   - A FIPS 180-4 SHA-256 written from the primitive operations, and the
+//     direct RFC 2104 HMAC over it, are the reference both engines are
+//     differenced against — test code (sha256ref_test.go), so the whole
 //     pipeline stays auditable in one place whatever hardware runs it.
-//   - A counter-mode expander (prf.go) that turns the keyed hash into an
-//     arbitrary-length pseudorandom stream and fixed-width integers.
 //   - The p-biased bit extraction (biased.go): interpret the first 64 bits
 //     of the PRF output as a fixed-point fraction in [0,1) and report 1 when
 //     it falls below the threshold encoding of p (Prob.Decide).  Biased is

@@ -11,60 +11,31 @@ import (
 // generator key (the paper asks for at least 300 bits) and every
 // evaluation of H is an HMAC of the input tuple under that key.
 //
-// Two implementations live here.  HMAC below is the direct RFC 2104
-// construction over the from-scratch hash of sha256.go — four or more
-// compressions a call, never on a hot path: it is the reference.  The
-// engine every evaluation runs is hmacState + resumed: the toolchain's
-// SHA-256 (crypto/sha256 — SHA-NI or AVX2 on amd64, ARMv8-SHA2 on arm64,
-// its generic block under -tags purego) resumed from the key's saved
-// ipad/opad midstates.  The tests difference one against the other.
-
-// HMAC computes HMAC-SHA-256 of msg under key.
-func HMAC(key, msg []byte) [DigestSize]byte {
-	var k [BlockSize]byte
-	if len(key) > BlockSize {
-		d := Sum256(key)
-		copy(k[:], d[:])
-	} else {
-		copy(k[:], key)
-	}
-
-	var ipad, opad [BlockSize]byte
-	for i := 0; i < BlockSize; i++ {
-		ipad[i] = k[i] ^ 0x36
-		opad[i] = k[i] ^ 0x5c
-	}
-
-	inner := NewHasher()
-	inner.Write(ipad[:])
-	inner.Write(msg)
-	innerSum := inner.Sum(nil)
-
-	outer := NewHasher()
-	outer.Write(opad[:])
-	outer.Write(innerSum)
-
-	var out [DigestSize]byte
-	copy(out[:], outer.Sum(nil))
-	return out
-}
+// The key schedule lives here, and the scalar engine every lone
+// evaluation runs: hmacState + resumed, the toolchain's SHA-256
+// (crypto/sha256 — SHA-NI or AVX2 on amd64, ARMv8-SHA2 on arm64, its
+// generic block under -tags purego) resumed from the key's saved ipad/opad
+// midstates.  The direct RFC 2104 construction over a from-scratch FIPS
+// 180-4 hash is the reference both engines are differenced against; it is
+// test code (sha256ref_test.go), not part of the product.
 
 // hmacState holds the per-key HMAC precomputation: the SHA-256 midstates
 // reached after compressing the padded key blocks.  The midstates are what
 // make evaluation cheap — each HMAC resumes from them instead of
 // re-compressing the 64-byte ipad/opad blocks, saving two of the four
 // compressions a short-message HMAC otherwise costs.  Each midstate is
-// kept twice, once per engine: marshaled, as the toolchain's hash saves
-// itself (what crypto/hmac keeps inside itself), for the scalar engine to
-// restore; and as raw state words for the 8-lane engine to broadcast.  The
-// struct is immutable after construction, so any number of goroutines can
-// evaluate against it concurrently without synchronisation.
+// kept twice, once per engine and computed by that engine: marshaled, as
+// the toolchain's hash saves itself (what crypto/hmac keeps inside
+// itself), for the scalar engine to restore; and as raw state words for
+// the 8-lane engine to broadcast.  The struct is immutable after
+// construction, so any number of goroutines can evaluate against it
+// concurrently without synchronisation.
 type hmacState struct {
 	// inner/outer are the toolchain hash's MarshalBinary after absorbing
 	// ipad/opad.
 	inner, outer []byte
-	// istate/ostate are the same two compression states as words, taken
-	// from the from-scratch compress.
+	// istate/ostate are the same two compression states as words, from one
+	// compress8 pass: lane 0 absorbs ipad, lane 1 opad.
 	istate, ostate [8]uint32
 }
 
@@ -76,16 +47,24 @@ func newHMACState(key []byte) *hmacState {
 	} else {
 		copy(k[:], key)
 	}
-	var ipad, opad [BlockSize]byte
+	var blocks laneBlocks
+	ipad, opad := &blocks[0], &blocks[1]
 	for i := 0; i < BlockSize; i++ {
 		ipad[i] = k[i] ^ 0x36
 		opad[i] = k[i] ^ 0x5c
 	}
 	s := &hmacState{inner: marshalAfter(ipad[:]), outer: marshalAfter(opad[:])}
-	s.istate = sha256InitState
-	compress(&s.istate, ipad[:])
-	s.ostate = sha256InitState
-	compress(&s.ostate, opad[:])
+	var states laneStates
+	var w laneSchedule
+	for i := range states {
+		for l := range states[i] {
+			states[i][l] = sha256InitState[i]
+		}
+	}
+	compress8(&states, &blocks, &w)
+	for i := range states {
+		s.istate[i], s.ostate[i] = states[i][0], states[i][1]
+	}
 	return s
 }
 

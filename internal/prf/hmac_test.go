@@ -72,9 +72,12 @@ func TestHMACVectors(t *testing.T) {
 // block fills at 55/56 and 119/120, the message's own at 63/64 and 127/128)
 // under keys shorter than, equal to and longer than a block (a longer one
 // is hashed first), through every entry point that reaches the midstates —
-// the scalar engine behind Evaluator and Func, and the batch evaluator at
-// both lane policies — against the direct RFC 2104 construction over the
-// from-scratch hash.
+// the scalar engine behind Func and a lone message, and the batch
+// evaluator at both lane policies — against the direct RFC 2104
+// construction over the from-scratch hash.  The 8-lane engine's raw
+// midstate words, which compress8 computes at key construction, are held
+// word for word to the reference compress over the pad blocks, so a wrong
+// one is named before it shows as a digest mismatch.
 func TestHMACStateMatchesOneShot(t *testing.T) {
 	defer SetLanes(0)
 	const maxLen = 200
@@ -91,11 +94,21 @@ func TestHMACStateMatchesOneShot(t *testing.T) {
 	for _, keyLen := range []int{0, 1, 38, 63, 64, 65, 200} {
 		key := bytes.Repeat([]byte{0xa7}, keyLen)
 		f := NewFunc(key)
-		e := f.NewEvaluator()
+		ipad, opad := hmacPads(key)
+		istate, ostate := sha256InitState, sha256InitState
+		compress(&istate, ipad[:])
+		compress(&ostate, opad[:])
+		if f.mac.istate != istate {
+			t.Fatalf("key %d B: istate = %08x, want %08x", keyLen, f.mac.istate, istate)
+		}
+		if f.mac.ostate != ostate {
+			t.Fatalf("key %d B: ostate = %08x, want %08x", keyLen, f.mac.ostate, ostate)
+		}
+		me := f.NewMultiEvaluator()
 		for n, m := range msgs {
 			want[n] = HMAC(key, m)
-			if d := e.DigestMsg(m); d != want[n] {
-				t.Fatalf("key %d B, msg %d B: Evaluator.DigestMsg = %x, want %x", keyLen, n, d, want[n])
+			if d := digestOne(me, m); d != want[n] {
+				t.Fatalf("key %d B, msg %d B: lone DigestBatch = %x, want %x", keyLen, n, d, want[n])
 			}
 			// Func.Digest tuple-encodes its parts: 16 more bytes of message.
 			if d, w := f.Digest(m), HMAC(key, encodeTuple(nil, m)); d != w {
@@ -106,7 +119,7 @@ func TestHMACStateMatchesOneShot(t *testing.T) {
 			if err := SetLanes(lanes); err != nil {
 				t.Fatal(err)
 			}
-			f.NewMultiEvaluator().DigestBatch(msgs, got)
+			me.DigestBatch(msgs, got)
 			for n := range msgs {
 				if got[n] != want[n] {
 					t.Fatalf("key %d B, msg %d B, lanes %d: DigestBatch = %x, want %x", keyLen, n, lanes, got[n], want[n])

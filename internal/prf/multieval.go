@@ -2,21 +2,21 @@ package prf
 
 import "encoding/binary"
 
-// MultiEvaluator is the batch counterpart of Evaluator: it evaluates the
-// keyed PRF over many pre-encoded messages at once, packing up to 8
-// messages into each pass of the multi-lane SHA-256 compression unless the
-// lane policy (Lanes) says scalar.  Like the scalar evaluator it resumes
-// from the HMAC ipad/opad midstates, so a message of b post-midstate blocks
-// costs b+1 compression passes for a whole lane group instead of per
-// message.
+// MultiEvaluator is the per-goroutine handle on a keyed PRF: it evaluates
+// the PRF over many pre-encoded messages at once, packing up to 8 messages
+// into each pass of the multi-lane SHA-256 compression unless the lane
+// policy (Lanes) says scalar, and over a lone message through the scalar
+// engine (Uint64Msg).  Like the scalar engine it resumes from the HMAC
+// ipad/opad midstates, so a message of b post-midstate blocks costs b+1
+// compression passes for a whole lane group instead of per message.
 //
 // Messages of unequal length are handled by bucketing: the batch is
 // ordered by inner block count, each run of equal-size messages fills lane
 // groups, and ragged tails (a group of one) fall back to the scalar engine
-// (eng — the same one an Evaluator runs, and the whole of the work under
-// lane policy 1).  Output is bit-identical to calling Evaluator.Uint64Msg /
-// DigestMsg per message, whatever the lane policy — FuzzMultiLaneEquivalence
-// holds both widths to that.
+// (eng — the same one Func runs, and the whole of the work under lane
+// policy 1).  Output is bit-identical to evaluating each message alone,
+// whatever the lane policy — FuzzMultiLaneEquivalence holds both widths to
+// that.
 //
 // A MultiEvaluator is NOT safe for concurrent use — create one per
 // goroutine (the staging arrays make it a few KiB) or pool it.

@@ -1,6 +1,7 @@
 package prf
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -49,12 +50,18 @@ func GeneratorKey(keyHex string) ([]byte, error) {
 // maps an arbitrary tuple of byte strings to uniform pseudorandom output via
 // HMAC-SHA-256 in counter mode.  A Func is safe for concurrent use and
 // lock-free: the key schedule (with its cached ipad/opad midstates) is
-// immutable and shared, while per-call hasher and scratch state lives in
-// pooled per-goroutine Evaluators.  Hot loops should hold an Evaluator
-// directly (see NewEvaluator) and skip the pool round-trip entirely.
+// immutable and shared, while the scalar engine and the buffer a tuple is
+// encoded into are pooled per call.  Hot loops hold a MultiEvaluator (see
+// NewMultiEvaluator) and skip the pool round-trip entirely.
 type Func struct {
 	mac  *hmacState
-	pool sync.Pool // of *Evaluator
+	pool sync.Pool // of *scratch
+}
+
+// scratch is what one evaluation through Func needs of its own.
+type scratch struct {
+	eng resumed
+	buf []byte
 }
 
 // NewFunc creates a keyed pseudorandom function from a generator key.  The
@@ -63,13 +70,9 @@ type Func struct {
 // through, is what rejects them.
 func NewFunc(key []byte) *Func {
 	f := &Func{mac: newHMACState(key)}
-	f.pool.New = func() any { return &Evaluator{mac: f.mac} }
+	f.pool.New = func() any { return new(scratch) }
 	return f
 }
-
-// acquire returns a pooled evaluator; release returns it.
-func (f *Func) acquire() *Evaluator  { return f.pool.Get().(*Evaluator) }
-func (f *Func) release(e *Evaluator) { f.pool.Put(e) }
 
 // encodeTuple appends an unambiguous encoding of parts to dst: the number of
 // parts, then each part length-prefixed.  Length prefixing guarantees that
@@ -83,28 +86,43 @@ func encodeTuple(dst []byte, parts ...[]byte) []byte {
 	return dst
 }
 
+// Tuple-encoding append helpers.  They expose the exact wire format of
+// encodeTuple so batch kernels can assemble messages incrementally into
+// caller-owned scratch — encoding shared tuple components once and splicing
+// the varying ones per record — while staying bit-compatible with the
+// varargs path.
+
+// AppendTupleHeader appends the part-count prefix of the tuple encoding.
+func AppendTupleHeader(dst []byte, parts int) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(parts))
+}
+
+// AppendPartHeader appends the length prefix for a part of n bytes; the
+// caller must follow it with exactly n bytes of part content.
+func AppendPartHeader(dst []byte, n int) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(n))
+}
+
+// AppendPart appends one complete length-prefixed tuple part.
+func AppendPart(dst, part []byte) []byte {
+	dst = AppendPartHeader(dst, len(part))
+	return append(dst, part...)
+}
+
 // Digest returns the 32-byte PRF output for the given input tuple.
 func (f *Func) Digest(parts ...[]byte) [DigestSize]byte {
-	e := f.acquire()
-	d := e.Digest(parts...)
-	f.release(e)
+	s := f.pool.Get().(*scratch)
+	s.buf = encodeTuple(s.buf[:0], parts...)
+	d := s.eng.hmac(f.mac, s.buf)
+	f.pool.Put(s)
 	return d
 }
 
 // Uint64 returns a uniform pseudorandom 64-bit integer derived from the
 // input tuple.
 func (f *Func) Uint64(parts ...[]byte) uint64 {
-	e := f.acquire()
-	u := e.Uint64(parts...)
-	f.release(e)
-	return u
-}
-
-// Float64 returns a uniform pseudorandom value in [0,1) derived from the
-// input tuple.
-func (f *Func) Float64(parts ...[]byte) float64 {
-	// 53 bits of mantissa.
-	return float64(f.Uint64(parts...)>>11) / (1 << 53)
+	d := f.Digest(parts...)
+	return binary.BigEndian.Uint64(d[:8])
 }
 
 // Expand fills out with a pseudorandom stream derived from the input tuple,
@@ -112,9 +130,19 @@ func (f *Func) Float64(parts ...[]byte) float64 {
 // independent blocks, so arbitrarily long streams can be derived from a
 // single tuple.
 func (f *Func) Expand(out []byte, parts ...[]byte) {
-	e := f.acquire()
-	e.Expand(out, parts...)
-	f.release(e)
+	s := f.pool.Get().(*scratch)
+	base := encodeTuple(s.buf[:0], parts...)
+	n := 0
+	var ctr [8]byte
+	for counter := uint64(0); n < len(out); counter++ {
+		binary.BigEndian.PutUint64(ctr[:], counter)
+		msg := append(base, ctr[:]...)
+		d := s.eng.hmac(f.mac, msg)
+		n += copy(out[n:], d[:])
+		base = msg[:len(base)]
+	}
+	s.buf = base
+	f.pool.Put(s)
 }
 
 // DeriveKey derives a sub-key of the requested length from the generator

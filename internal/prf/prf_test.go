@@ -94,23 +94,17 @@ func TestFuncTupleBoundariesProperty(t *testing.T) {
 	}
 }
 
-func TestFloat64Range(t *testing.T) {
-	f := NewFunc(testKey())
-	for i := 0; i < 1000; i++ {
-		v := f.Float64([]byte{byte(i), byte(i >> 8)})
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 out of range: %v", v)
-		}
-	}
-}
-
-func TestFloat64ApproximatelyUniform(t *testing.T) {
+// TestUint64ApproximatelyUniform reads the top 53 bits of each output as a
+// fraction in [0,1) — the bits Prob.Decide compares first — and checks
+// their first two moments and decile counts.
+func TestUint64ApproximatelyUniform(t *testing.T) {
 	f := NewFunc(testKey())
 	const n = 20000
 	var sum, sumSq float64
 	buckets := make([]int, 10)
 	for i := 0; i < n; i++ {
-		v := f.Float64([]byte("uniformity"), []byte{byte(i), byte(i >> 8), byte(i >> 16)})
+		u := f.Uint64([]byte("uniformity"), []byte{byte(i), byte(i >> 8), byte(i >> 16)})
+		v := float64(u>>11) / (1 << 53)
 		sum += v
 		sumSq += v * v
 		buckets[int(v*10)]++

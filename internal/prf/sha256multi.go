@@ -31,9 +31,12 @@ import (
 //     rate on an AVX2 CPU without it.  When the CPU has AVX2, it is the
 //     default (DESIGN.md "Lane model" has the matrix behind that).
 //
-// Both produce bit-identical digests to the from-scratch compress; the
-// differential fuzzer FuzzMultiLaneEquivalence and the NIST-vector tests
-// in sha256multi_test.go hold them to that.
+// Both produce bit-identical digests to the from-scratch compress of the
+// test reference (sha256ref_test.go); the differential fuzzer
+// FuzzMultiLaneEquivalence and the NIST-vector tests in
+// sha256multi_test.go hold them to that.  Besides batches, compress8 also
+// computes each key's raw ipad/opad state words once, at key construction
+// (newHMACState), so the words it broadcasts are its own.
 
 // lanesMax is the lane count of the multi-lane engines; the staging arrays
 // are sized for it.

@@ -145,12 +145,12 @@ func TestCompress8EnginesAgree(t *testing.T) {
 }
 
 // TestMultiEvaluatorMatchesScalar checks every batch entry point against
-// the scalar evaluator at every lane policy, over ragged message lengths
-// that cross block boundaries.
+// the scalar engine (a lone message) at every lane policy, over ragged
+// message lengths that cross block boundaries.
 func TestMultiEvaluatorMatchesScalar(t *testing.T) {
 	defer SetLanes(0)
 	f := NewFunc([]byte("multi-lane equivalence test key, 38 bytes"))
-	ev := f.NewEvaluator()
+	ev := f.NewMultiEvaluator()
 	var msgs [][]byte
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{0, 1, 7, 54, 55, 56, 63, 64, 65, 118, 119, 120, 127, 128, 200, 54, 55, 300, 64, 0} {
@@ -162,7 +162,7 @@ func TestMultiEvaluatorMatchesScalar(t *testing.T) {
 	wantD := make([][DigestSize]byte, len(msgs))
 	for i, msg := range msgs {
 		wantU[i] = ev.Uint64Msg(msg)
-		wantD[i] = ev.DigestMsg(msg)
+		wantD[i] = digestOne(ev, msg)
 	}
 	for _, lanes := range []int{0, 1, 8} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
@@ -189,11 +189,12 @@ func TestMultiEvaluatorMatchesScalar(t *testing.T) {
 	}
 }
 
-// FuzzMultiLaneEquivalence is the differential fuzzer from the issue:
-// random message sets with ragged lengths, evaluated at both lane widths,
-// must be bit-for-bit identical to the scalar path — and the scalar path to
-// the reference (prf.HMAC over the from-scratch hash), so that neither
-// engine is only ever compared with the other.
+// FuzzMultiLaneEquivalence is the differential fuzzer over the product's
+// two SHA-256 engines and the reference: random message sets with ragged
+// lengths, evaluated at both lane widths, must be bit-for-bit identical to
+// the scalar path (each message alone) — and the scalar path to the
+// reference (HMAC over the from-scratch hash of sha256ref_test.go), so
+// that neither engine is only ever compared with the other.
 func FuzzMultiLaneEquivalence(f *testing.F) {
 	f.Add([]byte("seed key"), []byte("hello multi-lane world"), uint64(3))
 	f.Add([]byte(""), []byte{}, uint64(0))
@@ -201,7 +202,7 @@ func FuzzMultiLaneEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key, data []byte, cuts uint64) {
 		defer SetLanes(0)
 		fn := NewFunc(key)
-		ev := fn.NewEvaluator()
+		ev := fn.NewMultiEvaluator()
 		// Carve data into up to 16 messages at pseudo-random cut points so
 		// lengths are ragged and lane groups have tails.
 		var msgs [][]byte
@@ -219,9 +220,9 @@ func FuzzMultiLaneEquivalence(f *testing.F) {
 		wantD := make([][DigestSize]byte, len(msgs))
 		for i, msg := range msgs {
 			want[i] = ev.Uint64Msg(msg)
-			wantD[i] = ev.DigestMsg(msg)
+			wantD[i] = digestOne(ev, msg)
 			if ref := HMAC(key, msg); wantD[i] != ref {
-				t.Fatalf("scalar DigestMsg[%d] (len %d): got %x, reference %x", i, len(msg), wantD[i], ref)
+				t.Fatalf("scalar digest[%d] (len %d): got %x, reference %x", i, len(msg), wantD[i], ref)
 			}
 		}
 		for _, lanes := range []int{1, 8} {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"sketchprivacy/internal/sketch"
 )
 
 // ErrInvalid is returned for out-of-range privacy parameters.
@@ -41,25 +43,25 @@ func Compose(ratios ...float64) (float64, error) {
 }
 
 // SketchRatio returns the Lemma 3.3 per-sketch likelihood-ratio bound
-// ((1−p)/p)⁴ for bias p ∈ (0, 1/2).
+// ((1−p)/p)⁴ for bias p ∈ (0, 1/2).  The arithmetic is
+// sketch.Params.PrivacyRatio's; this adds the validation.
 func SketchRatio(p float64) (float64, error) {
 	if math.IsNaN(p) || p <= 0 || p >= 0.5 {
 		return 0, fmt.Errorf("%w: bias %v must lie in (0, 1/2)", ErrInvalid, p)
 	}
-	return math.Pow((1-p)/p, 4), nil
+	return sketch.Params{P: p}.PrivacyRatio(), nil
 }
 
 // SketchEpsilon returns the ε for publishing l sketches at bias p
-// (Corollary 3.4).
+// (Corollary 3.4), computed by sketch.Params.Epsilon.
 func SketchEpsilon(p float64, l int) (float64, error) {
 	if l < 0 {
 		return 0, fmt.Errorf("%w: negative sketch count %d", ErrInvalid, l)
 	}
-	r, err := SketchRatio(p)
-	if err != nil {
+	if _, err := SketchRatio(p); err != nil {
 		return 0, err
 	}
-	return math.Pow(r, float64(l)) - 1, nil
+	return sketch.Params{P: p}.Epsilon(l), nil
 }
 
 // BitFlipRatio returns the per-bit likelihood ratio (1−p)/p of Warner's

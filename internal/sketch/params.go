@@ -140,7 +140,7 @@ func MinLength(p float64, m int, tau float64) (int, error) {
 	if m < 1 {
 		return 0, fmt.Errorf("sketch: population size %d must be positive", m)
 	}
-	if tau <= 0 || tau >= 1 {
+	if math.IsNaN(tau) || tau <= 0 || tau >= 1 {
 		return 0, fmt.Errorf("sketch: failure probability %v must lie in (0,1)", tau)
 	}
 	iterations := math.Log(float64(m)/tau) / -math.Log(1-p*p)
@@ -159,7 +159,7 @@ func MinLength(p float64, m int, tau float64) (int, error) {
 // ratio within 1 ± ε (to first order).  It returns an error when the
 // resulting p would leave (0, 1/2).
 func BiasForBudget(eps float64, l int) (float64, error) {
-	if eps <= 0 || l < 1 {
+	if math.IsNaN(eps) || eps <= 0 || l < 1 {
 		return 0, fmt.Errorf("sketch: invalid privacy budget eps=%v l=%d", eps, l)
 	}
 	p := 0.5 - eps/(16*float64(l))

@@ -106,17 +106,25 @@ func TestMinLengthPaperRemarkTenBits(t *testing.T) {
 }
 
 func TestMinLengthValidation(t *testing.T) {
-	if _, err := MinLength(0.5, 100, 0.01); err == nil {
-		t.Error("p=0.5 accepted")
-	}
-	if _, err := MinLength(0.3, 0, 0.01); err == nil {
-		t.Error("m=0 accepted")
-	}
-	if _, err := MinLength(0.3, 100, 0); err == nil {
-		t.Error("tau=0 accepted")
-	}
-	if _, err := MinLength(0.3, 100, 1); err == nil {
-		t.Error("tau=1 accepted")
+	for _, c := range []struct {
+		p   float64
+		m   int
+		tau float64
+	}{
+		{0.5, 100, 0.01},
+		{math.NaN(), 100, 0.01},
+		{0.3, 0, 0.01},
+		{0.3, 100, 0},
+		{0.3, 100, 1},
+		// A NaN τ fails every comparison: unrefused it would give ℓ = 1.
+		{0.3, 100, math.NaN()},
+	} {
+		if l, err := MinLength(c.p, c.m, c.tau); err == nil {
+			t.Errorf("MinLength(%v, %d, %v) = %d, accepted", c.p, c.m, c.tau, l)
+		}
+		if _, err := ParamsFor(c.p, c.m, c.tau); err == nil {
+			t.Errorf("ParamsFor(%v, %d, %v) accepted", c.p, c.m, c.tau)
+		}
 	}
 }
 
@@ -168,14 +176,19 @@ func TestBiasForBudget(t *testing.T) {
 	if eps < 0.1*0.9 || eps > 0.1*1.2 {
 		t.Errorf("Epsilon(4) at the prescribed bias = %v, want close to 0.1", eps)
 	}
-	if _, err := BiasForBudget(0, 4); err == nil {
-		t.Error("zero budget accepted")
-	}
-	if _, err := BiasForBudget(0.5, 0); err == nil {
-		t.Error("zero sketches accepted")
-	}
-	if _, err := BiasForBudget(100, 1); err == nil {
-		t.Error("budget that forces p<=0 accepted")
+	for _, c := range []struct {
+		name string
+		eps  float64
+		l    int
+	}{
+		{"zero budget", 0, 4},
+		{"NaN budget", math.NaN(), 4},
+		{"zero sketches", 0.5, 0},
+		{"budget that forces p<=0", 100, 1},
+	} {
+		if p, err := BiasForBudget(c.eps, c.l); err == nil {
+			t.Errorf("%s: BiasForBudget(%v, %d) = %v, accepted", c.name, c.eps, c.l, p)
+		}
 	}
 }
 

@@ -93,7 +93,7 @@ type (
 func NewKernel(h prf.BitSource, b Subset, v Vector) *Kernel { return sketch.NewKernel(h, b, v) }
 
 // NewSource returns the public p-biased pseudorandom function H backed by
-// the from-scratch SHA-256 HMAC, keyed with the database's generator key
+// HMAC-SHA-256, keyed with the database's generator key
 // (the paper asks for at least 300 bits; prf.MinKeyBytes).
 func NewSource(generatorKey []byte, p float64) (*prf.Biased, error) {
 	prob, err := prf.NewProb(p)
