@@ -1,6 +1,6 @@
 // Command sketchctl is the client for sketchd: it can act as a user
 // (sketch a profile locally and publish only the sketch) or as an analyst
-// (run a conjunctive query remotely).
+// (ask the daemon for a conjunctive query's counters and debias them here).
 //
 // Usage:
 //
@@ -45,7 +45,9 @@
 // JSON stats report is a node-level endpoint).
 //
 // The -p, -users, -tau and -keyhex flags must match the daemon's
-// configuration (they define the public function H and the sketch length).
+// configuration (they define the public function H and the sketch length);
+// -p also debiases every query answer, whether a node or a router sent the
+// counters.
 package main
 
 import (
@@ -58,6 +60,7 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
@@ -172,12 +175,16 @@ func main() {
 		if err != nil {
 			fail("bad value: %v", err)
 		}
-		res, err := cli.QueryConjunction(parseSubset(*subsetStr), value)
+		est, err := query.NewEstimator(h)
+		if err != nil {
+			fail("%v", err)
+		}
+		res, err := est.Fraction(cli, parseSubset(*subsetStr), value)
 		if err != nil {
 			fail("query failed: %v", err)
 		}
 		fmt.Printf("estimated fraction %.4f (raw %.4f) over %d users; estimated count %.0f\n",
-			res.Fraction, res.Raw, res.Users, res.Fraction*float64(res.Users))
+			res.Fraction, res.Raw, res.Users, res.Count())
 	case "ping":
 		status, err := cli.Ping()
 		if err != nil {

@@ -1,7 +1,8 @@
 // Command sketchd is the sketch-collection daemon: it listens on TCP,
-// accepts published sketches from users and answers conjunctive queries
-// from analysts.  Everything it stores is public (sketches only), so the
-// daemon needs no more trust than a bulletin board.
+// accepts published sketches from users and answers analysts' query plans
+// with raw counters, which the analyst debiases.  Everything it stores is
+// public (sketches only), so the daemon needs no more trust than a
+// bulletin board.
 //
 // Usage:
 //

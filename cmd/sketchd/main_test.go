@@ -224,11 +224,11 @@ func TestSIGKILLMidIngestRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli2.Close()
-	got, err := cli2.QueryConjunction(subset, value)
+	got, err := ref.Estimator().Fraction(cli2, subset, value)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Users != uint64(len(recovered)) {
+	if got.Users != len(recovered) {
 		t.Fatalf("restarted daemon answers over %d users, want the %d recovered", got.Users, len(recovered))
 	}
 	if got.Fraction != want.Fraction || got.Raw != want.Raw {

@@ -1,15 +1,15 @@
 // Command sketchrouter fronts a cluster of sketchd nodes: it places every
 // published sketch on an owner node plus RF−1 replicas along a
 // consistent-hash ring (FNV-1a over the user id, virtual nodes), and
-// answers analyst queries by fanning partial-aggregate requests out to
-// every live node and merging the raw counters exactly — the distributed
-// estimate is bit-identical to a single sketchd holding every record.
+// answers analyst plans by fanning them out to every live node and merging
+// the raw counters exactly — the analyst's estimate is bit-identical to one
+// over a single sketchd holding every record.
 //
 // Usage:
 //
 //	sketchrouter -addr 127.0.0.1:7080 \
 //	        -nodes 127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073 \
-//	        -rf 2 -p 0.3 -metrics-addr 127.0.0.1:9080 [-pprof]
+//	        -rf 2 -metrics-addr 127.0.0.1:9080 [-pprof]
 //
 // With -metrics-addr the router serves Prometheus /metrics and /healthz
 // (and net/http/pprof with -pprof): per-attempt fan-out RTT and publish
@@ -22,8 +22,8 @@
 // The router speaks the same wire protocol as sketchd, so sketchctl (and
 // any other client) can publish and query through it unchanged; `sketchctl
 // ping` returns the router's per-node liveness, sketch counts and ring
-// ownership spans.  Only the bias -p enters the router's arithmetic — the
-// generator key stays on users, analysts and nodes.
+// ownership spans.  The router holds neither the generator key nor the
+// bias: it adds counters, and the asker debiases them.
 //
 // Nodes are health-checked with periodic pings and marked dead with
 // exponential backoff.  A publish is acknowledged only after every live
@@ -57,7 +57,6 @@ import (
 
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/obs"
-	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/server"
 )
 
@@ -68,7 +67,6 @@ func main() {
 		rf          = flag.Int("rf", 2, "replication factor: copies of every sketch")
 		vnodes      = flag.Int("vnodes", 64, "virtual nodes per member on the placement ring")
 		pingIvl     = flag.Duration("ping-interval", 2*time.Second, "node health-check period")
-		p           = flag.Float64("p", 0.3, "bias parameter p (must match the nodes)")
 		hints       = flag.Bool("hinted-handoff", true, "queue publishes for briefly-down replicas and replay them on return")
 		maxHints    = flag.Int("max-hints", 4096, "hint queue cap per down replica (at the cap, publishes fail loudly)")
 		batch       = flag.Int("transfer-batch", 2048, "most records per rebalance snapshot read and transfer push (a frame holds fewer when subsets are wide)")
@@ -91,16 +89,10 @@ func main() {
 		}
 	}
 
-	// The router never evaluates H — only the bias p enters its estimate
-	// arithmetic — so it takes no -keyhex and the development key is a
-	// sound placeholder (the empty string cannot fail to decode).
-	key, _ := prf.GeneratorKey("")
-	prob, err := prf.NewProb(*p)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	router, err := cluster.NewRouter(prf.NewBiased(key, prob), cluster.Config{
+	// The router never evaluates H and never debiases: its clients ask for
+	// merged counters and finish the estimate under their own -p, so it
+	// takes neither a key nor a bias.
+	router, err := cluster.NewRouter(nil, cluster.Config{
 		Nodes:           nodes,
 		Replication:     *rf,
 		VNodes:          *vnodes,

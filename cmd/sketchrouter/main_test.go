@@ -65,9 +65,10 @@ func startProc(t *testing.T, bin string, prefix string, args ...string) (*exec.C
 // real 3-sketchd cluster behind a real sketchrouter, one node SIGKILLed
 // after a batch of acknowledged publishes.  Every acknowledged sketch must
 // stay queryable with estimates bit-identical to a single engine holding
-// the full record set, and publishes owned by the dead node must fail
-// loudly (never a false acknowledgement) while publishes owned by the
-// survivors keep succeeding.
+// the full record set — through the Go client and through the sketchctl
+// binary, whose printed line must be the reference's to the digit — and
+// publishes owned by the dead node must fail loudly (never a false
+// acknowledgement) while publishes owned by the survivors keep succeeding.
 func TestRouterSIGKILLNodeFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemons; skipped in -short")
@@ -75,6 +76,7 @@ func TestRouterSIGKILLNodeFailover(t *testing.T) {
 	tmp := t.TempDir()
 	sketchdBin := buildBinary(t, tmp, "sketchprivacy/cmd/sketchd", "sketchd")
 	routerBin := buildBinary(t, tmp, ".", "sketchrouter")
+	ctlBin := buildBinary(t, tmp, "sketchprivacy/cmd/sketchctl", "sketchctl")
 
 	const (
 		users = 5000
@@ -120,7 +122,6 @@ func TestRouterSIGKILLNodeFailover(t *testing.T) {
 		"-addr", "127.0.0.1:0",
 		"-nodes", strings.Join(nodeAddrs, ","),
 		"-rf", fmt.Sprint(rf),
-		"-p", fmt.Sprint(p),
 		"-ping-interval", "200ms",
 		"-hinted-handoff=false",
 	)
@@ -157,10 +158,13 @@ func TestRouterSIGKILLNodeFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// What sketchctl prints for the reference estimate.
+	wantLine := fmt.Sprintf("estimated fraction %.4f (raw %.4f) over %d users; estimated count %.0f\n",
+		want.Fraction, want.Raw, want.Users, want.Count())
 
 	check := func(context string) {
 		t.Helper()
-		got, err := cli.QueryConjunction(subset, value)
+		got, err := ref.Estimator().Fraction(cli, subset, value)
 		if err != nil {
 			t.Fatalf("%s: query: %v", context, err)
 		}
@@ -170,6 +174,16 @@ func TestRouterSIGKILLNodeFailover(t *testing.T) {
 		if got.Fraction != want.Fraction || got.Raw != want.Raw {
 			t.Fatalf("%s: estimate (%v, %v) differs from reference (%v, %v)",
 				context, got.Fraction, got.Raw, want.Fraction, want.Raw)
+		}
+		ctl := exec.Command(ctlBin, "-addr", routerAddr, "-users", fmt.Sprint(users), "-p", fmt.Sprint(p), "-tau", fmt.Sprint(tau),
+			"query", "-subset", "0,1,2", "-value", "101")
+		ctl.Stderr = os.Stderr
+		line, err := ctl.Output()
+		if err != nil {
+			t.Fatalf("%s: sketchctl query: %v", context, err)
+		}
+		if string(line) != wantLine {
+			t.Fatalf("%s: sketchctl printed %q, the reference reads %q", context, line, wantLine)
 		}
 	}
 	check("all nodes up")
@@ -294,7 +308,6 @@ func TestRouterLiveJoinRebalanceDrainCycle(t *testing.T) {
 		"-addr", "127.0.0.1:0",
 		"-nodes", strings.Join(nodeAddrs[:2], ","),
 		"-rf", fmt.Sprint(rf),
-		"-p", fmt.Sprint(p),
 		"-ping-interval", "100ms",
 		"-transfer-batch", "128",
 	)
@@ -330,7 +343,7 @@ func TestRouterLiveJoinRebalanceDrainCycle(t *testing.T) {
 	}
 	check := func(context string) {
 		t.Helper()
-		got, err := cli.QueryConjunction(subset, value)
+		got, err := ref.Estimator().Fraction(cli, subset, value)
 		if err != nil {
 			t.Fatalf("%s: query: %v", context, err)
 		}

@@ -18,6 +18,7 @@ import (
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
@@ -169,7 +170,7 @@ func TestFleetMetricsEndpointsLive(t *testing.T) {
 	routerCmd, routerMetrics, routerAddr := startProc2(t, routerBin, "metrics listening on ", "sketchrouter listening on ",
 		"-addr", "127.0.0.1:0",
 		"-nodes", strings.Join(nodeAddrs, ","),
-		"-rf", "2", "-p", fmt.Sprint(p),
+		"-rf", "2",
 		"-metrics-addr", "127.0.0.1:0")
 	defer func() {
 		routerCmd.Process.Signal(os.Interrupt)
@@ -209,7 +210,11 @@ func TestFleetMetricsEndpointsLive(t *testing.T) {
 			t.Fatalf("publish %d: %v", id, err)
 		}
 	}
-	if _, err := cli.QueryConjunction(subset, bitvec.MustFromString("101")); err != nil {
+	est, err := query.NewEstimator(prf.NewBiased(routerDevKey(), prf.MustProb(p)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := est.Fraction(cli, subset, bitvec.MustFromString("101")); err != nil {
 		t.Fatalf("query: %v", err)
 	}
 	// An authenticated gateway request moves its request counter.

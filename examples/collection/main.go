@@ -1,10 +1,10 @@
 // Collection example: the full client/server deployment over localhost TCP,
 // on top of the durable store.  A sketchd-style server is started
 // in-process with a data directory, simulated users connect and publish
-// their sketches over the wire protocol, an analyst client runs a remote
-// conjunctive query — and then the server is torn down and rebuilt from
-// the data directory alone, demonstrating that the published sketch table
-// survives a restart.
+// their sketches over the wire protocol, an analyst client asks the server
+// for a conjunctive query's counters and debiases them — and then the
+// server is torn down and rebuilt from the data directory alone,
+// demonstrating that the published sketch table survives a restart.
 //
 //	go run ./examples/collection
 //
@@ -127,13 +127,18 @@ func main() {
 	wg.Wait()
 	fmt.Printf("users published %d sketches over TCP (fsync'd, group-committed)\n", eng.Sketches())
 
-	// Analyst client runs a remote query.
+	// Analyst client runs a remote query: the server counts, the analyst's
+	// own estimator debiases.
+	est, err := sketchprivacy.NewEstimator(h)
+	if err != nil {
+		log.Fatal(err)
+	}
 	analyst, err := server.Dial(addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer analyst.Close()
-	res, err := analyst.QueryConjunction(subset, bitvec.MustFromString("10"))
+	res, err := est.Fraction(analyst, subset, bitvec.MustFromString("10"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -168,7 +173,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer analyst2.Close()
-	res2, err := analyst2.QueryConjunction(subset, bitvec.MustFromString("10"))
+	res2, err := est.Fraction(analyst2, subset, bitvec.MustFromString("10"))
 	if err != nil {
 		log.Fatal(err)
 	}

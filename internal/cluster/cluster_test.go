@@ -329,6 +329,10 @@ func TestClusterRefusesPartialCoverage(t *testing.T) {
 	}
 }
 
+// A wire client is a plan source like the router and the engine: every
+// estimator asks a node or a router through it.
+var _ query.PartialSource = (*server.Client)(nil)
+
 // TestClusterFrontendServesWireClients: the router frontend speaks the
 // node protocol, so an unmodified client publishes and queries through it,
 // and ping returns the cluster status.
@@ -358,13 +362,14 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cli.QueryConjunction(subset, value)
+	// The client is a plan source: the router merges the counters, the
+	// asker's estimator debiases them.
+	got, err := r.Estimator().Fraction(cli, subset, value)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Fraction != want.Fraction || got.Raw != want.Raw || got.Users != uint64(want.Users) {
-		t.Fatalf("frontend query (%v, %v, %d) differs from reference (%v, %v, %d)",
-			got.Fraction, got.Raw, got.Users, want.Fraction, want.Raw, want.Users)
+	if !sameEstimate(got, want) {
+		t.Fatalf("frontend query %+v differs from reference %+v", got, want)
 	}
 
 	status, err := cli.Ping()
@@ -388,9 +393,10 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 		t.Fatal("conflicting publish through the router was acknowledged")
 	}
 
-	// The frontend serves full queries only: the retired one-evaluation
-	// opcode 12 is an unknown message type, and the refusal leaves the
-	// connection usable.
+	// The frontend serves unfiltered plans only: ownership filters are the
+	// router's to set, so a plan carrying one is refused by name; the
+	// retired one-evaluation opcode 12 is an unknown message type; and
+	// neither refusal ends the connection.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -398,6 +404,13 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 	defer conn.Close()
 	if err := wire.ClientHandshake(conn); err != nil {
 		t.Fatal(err)
+	}
+	filtered := wire.EncodePlanQuery(&wire.Filter{Nodes: []string{nodes[0].addr}, VNodes: 8, Self: nodes[0].addr}, query.NewPlan())
+	if err := wire.WriteFrame(conn, wire.TypePlanQuery, filtered); err != nil {
+		t.Fatal(err)
+	}
+	if msgType, payload, err := wire.ReadFrame(conn); err != nil || msgType != wire.TypeError || string(payload) != server.ErrFilteredPlan.Error() {
+		t.Fatalf("a filtered plan answered with type %d (%v): %s", msgType, err, payload)
 	}
 	if err := wire.WriteFrame(conn, 12, []byte{4, 0}); err != nil {
 		t.Fatal(err)

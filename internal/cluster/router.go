@@ -180,17 +180,22 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// NewRouter builds a router over the configured membership.  h must be the
-// deployment's public function (only its bias p enters the estimate
-// arithmetic on the router; evaluations happen on the nodes).  The initial
+// NewRouter builds a router over the configured membership.  h is the
+// deployment's public function, which only Estimator hands out (its bias p
+// is what debiases merged counters; evaluations happen on the nodes).  With
+// h nil the router has no Estimator: it merges counters for askers that
+// debias them themselves, as sketchrouter's wire clients do.  The initial
 // health sweep runs synchronously so a router started against a partially
 // dead cluster begins with an accurate live set; unreachable nodes are
 // marked dead, not errors.
 func NewRouter(h prf.BitSource, cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	est, err := query.NewEstimator(h)
-	if err != nil {
-		return nil, err
+	var est *query.Estimator
+	if h != nil {
+		var err error
+		if est, err = query.NewEstimator(h); err != nil {
+			return nil, err
+		}
 	}
 	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
 	if err != nil {
@@ -364,7 +369,8 @@ func (r *Router) pushTransfer(n *node, records []sketch.Published) (frames int, 
 	return frames, nil
 }
 
-// Estimator returns the estimator the router reduces merged counters with.
+// Estimator returns the estimator the router reduces merged counters with,
+// or nil for a router built without a source.
 func (r *Router) Estimator() *query.Estimator { return r.est }
 
 // Ring returns the current placement ring.

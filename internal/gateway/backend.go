@@ -90,9 +90,10 @@ func (b RouterBackend) FanoutCounters() cluster.FanoutCounters { return b.R.Fano
 // EngineBackend fronts a single in-process engine: the gateway's
 // single-node mode.  A domain restriction becomes the keep filter of the
 // engine's cached plan executor, so tenancy semantics are identical to
-// fleet mode and caching still applies (bitmaps cover the full view; the
-// filter bites at counting time, through a keep mask cached under the
-// domain's own key, as a fleet node caches its ownership masks).
+// fleet mode and caching still applies: H runs only on the records the
+// domain keeps (its keep mask, cached under the domain's own key, as a
+// fleet node caches its ownership masks), and each evaluation bitmap holds
+// one bit per kept record, cached under that key too.
 type EngineBackend struct{ E *engine.Engine }
 
 // PublishAll implements Backend via the engine's batched ingest.

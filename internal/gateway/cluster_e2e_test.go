@@ -313,11 +313,11 @@ func TestClusterHTTPBitIdenticalToBinaryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	want, err := cli.QueryConjunction(bitvec.Range(0, 4), bitvec.MustFromString("1010"))
+	want, err := h.r.Estimator().Fraction(cli, bitvec.Range(0, 4), bitvec.MustFromString("1010"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Fraction != want.Fraction || got.Raw != want.Raw || uint64(got.Users) != want.Users {
+	if got.Fraction != want.Fraction || got.Raw != want.Raw || got.Users != want.Users {
 		t.Fatalf("HTTP answer %+v differs from the binary wire path %+v", got, want)
 	}
 	if want.Users != 30 {

@@ -6,7 +6,7 @@ import (
 	"net"
 	"time"
 
-	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
@@ -153,13 +153,27 @@ func (c *Client) Stats() (wire.Stats, error) {
 	return wire.DecodeStats(reply)
 }
 
-// QueryConjunction runs a conjunctive query remotely and returns the
-// estimated fraction, the unclamped raw estimate and the number of users
-// it was computed over.
-func (c *Client) QueryConjunction(b bitvec.Subset, v bitvec.Vector) (wire.Result, error) {
-	reply, err := c.call(wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: b, Value: v}), wire.TypeResult)
+// Execute implements query.PartialSource: the plan travels as one
+// unfiltered planQuery frame, to a node (its every record) or a router (the
+// cluster's, merged exactly), and the raw counters come back for the
+// caller's estimator to debias — est.Fraction(cli, b, v) asks a remote
+// peer exactly as it asks an engine.  The reply is input: one that does
+// not answer every entry of the plan is refused.
+func (c *Client) Execute(p *query.Plan) (*query.Results, error) {
+	reply, err := c.call(wire.TypePlanQuery, wire.EncodePlanQuery(nil, p), wire.TypePlanResult)
 	if err != nil {
-		return wire.Result{}, err
+		return nil, err
 	}
-	return wire.DecodeResult(reply)
+	_, res, err := wire.DecodePlanResult(reply)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Fractions) != len(p.Fractions()) || len(res.Hists) != len(p.Histograms()) || len(res.Counts) != len(p.CountSubsets()) {
+		return nil, fmt.Errorf("server: the reply does not fit the plan: %w: %d/%d/%d fraction, histogram and count results for %d/%d/%d entries",
+			query.ErrMismatch, len(res.Fractions), len(res.Hists), len(res.Counts), len(p.Fractions()), len(p.Histograms()), len(p.CountSubsets()))
+	}
+	return res, nil
 }
+
+// TotalRecords implements query.PartialSource with the total-only plan.
+func (c *Client) TotalRecords() (uint64, error) { return query.TotalRecordsVia(c.Execute) }

@@ -13,12 +13,13 @@ import (
 )
 
 // TestRecordedConversation replays one fixed conversation against a node —
-// every opcode it serves, the error paths, an unknown and a retired opcode
-// — and compares each reply frame, type and payload bytes, with literals
-// recorded from the commit before the connection loop was shared with the
-// router.  A node answers the same request bytes with the same reply bytes,
-// error texts included; a refactor of the loop or of a dispatch arm that
-// moves one byte fails here.  The stats reply is compared decoded.
+// every opcode it serves, the error paths, an unknown opcode and the
+// retired ones — and compares each reply frame, type and payload bytes,
+// with literals recorded from the commit before the connection loop was
+// shared with the router.  A node answers the same request bytes with the
+// same reply bytes, error texts included; a refactor of the loop or of a
+// dispatch arm that moves one byte fails here.  The stats reply is
+// compared decoded.
 func TestRecordedConversation(t *testing.T) {
 	_, addr, _, _ := startTestServer(t, 0.3, 10)
 	conn := dialRaw(t, addr)
@@ -75,10 +76,10 @@ func TestRecordedConversation(t *testing.T) {
 		replyType byte
 		reply     string // hex, or the error text for a TypeError
 	}{
-		{"hello", wire.TypeHello, wire.EncodeHello(), wire.TypeHelloAck, "06"},
-		{"hello with an epoch", wire.TypeHello, wire.EncodeHelloEpoch(3), wire.TypeHelloAck, "06"},
-		{"ping", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=6 sketches=0 epoch=3"))},
-		{"ping with an epoch", wire.TypePing, wire.EncodePingEpoch(4), wire.TypePong, hex.EncodeToString([]byte("ok version=6 sketches=0 epoch=4"))},
+		{"hello", wire.TypeHello, wire.EncodeHello(), wire.TypeHelloAck, "07"},
+		{"hello with an epoch", wire.TypeHello, wire.EncodeHelloEpoch(3), wire.TypeHelloAck, "07"},
+		{"ping", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=7 sketches=0 epoch=3"))},
+		{"ping with an epoch", wire.TypePing, wire.EncodePingEpoch(4), wire.TypePong, hex.EncodeToString([]byte("ok version=7 sketches=0 epoch=4"))},
 		{"publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 5)), wire.TypeAck, ""},
 		{"identical re-publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 5)), wire.TypeAck, ""},
 		{"conflicting publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 6)), wire.TypeError,
@@ -86,12 +87,12 @@ func TestRecordedConversation(t *testing.T) {
 		{"corrupt publish", wire.TypePublish, []byte{1, 2, 3}, wire.TypeError, "wire: corrupt payload"},
 		{"publish batch", wire.TypePublishBatch, wire.EncodePublishBatch([]sketch.Published{rec(2, b0, 9), rec(3, b0, 700), rec(2, b1, 1)}), wire.TypeAck, ""},
 		{"corrupt publish batch", wire.TypePublishBatch, []byte{0, 0, 0, 1, 9, 9, 9, 9}, wire.TypeError, "wire: corrupt payload: transfer frame CRC mismatch"},
-		{"query", wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: b0, Value: bitvec.MustFromString("10")}), wire.TypeResult,
-			"3fb55555555555543fb55555555555540000000000000003"},
-		{"query on a subset nobody sketched", wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: bitvec.MustSubset(7), Value: bitvec.MustFromString("1")}), wire.TypeError,
-			"query: no sketches available for the requested subset: {7}"},
-		{"query with a short value", wire.TypeQuery, wire.EncodeQuery(wire.Query{Subset: b0, Value: bitvec.MustFromString("1")}), wire.TypeError,
-			"query: query shape mismatch: subset of size 2 queried with value of length 1"},
+		// Opcodes 2 and 3 carry the bytes a v6 analyst's query ({0,2} = 10)
+		// and its answer were.
+		{"a retired opcode: the one-conjunction query", 2, unhex("00000018000000000000000200000000000000000000000000000002" + "0000001000000000000000020100000000000000"), wire.TypeError,
+			"server: unknown message type 2"},
+		{"a retired opcode: its finished estimate", 3, unhex("3fb55555555555543fb55555555555540000000000000003"), wire.TypeError,
+			"server: unknown message type 3"},
 		{"plan query", wire.TypePlanQuery, planQuery, wire.TypePlanResult,
 			"00000000000000000000000200000000000000010000000000000003000000000000000100000000000000010000000100000000000000010000000300000000000000010000000000000000000000000000000000000002000000000000000300000000000000000000000000000004"},
 		{"plan query under a superseded epoch", wire.TypePlanQuery, stalePlanQuery, wire.TypeError,
@@ -111,7 +112,7 @@ func TestRecordedConversation(t *testing.T) {
 		{"an unknown opcode", 99, []byte("x"), wire.TypeError, "server: unknown message type 99"},
 		{"a retired opcode", 12, []byte{4, 0}, wire.TypeError, "server: unknown message type 12"},
 		{"a router's admin opcode", wire.TypeJoin, []byte("127.0.0.1:1"), wire.TypeError, "server: unknown message type 18"},
-		{"ping after it all", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=6 sketches=5 epoch=5"))},
+		{"ping after it all", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=7 sketches=5 epoch=5"))},
 	}
 	for _, s := range steps {
 		replyType, reply := roundTripRaw(t, conn, s.msgType, s.payload)

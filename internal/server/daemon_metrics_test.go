@@ -107,7 +107,7 @@ func TestNodeMetricsExpositionLintClean(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cli.QueryConjunction(subset, bitvec.MustFromString("10")); err != nil {
+	if _, err := eng.Estimator().Fraction(cli, subset, bitvec.MustFromString("10")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -8,11 +9,17 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
+// ErrFilteredPlan refuses a plan sent to a router with an ownership filter:
+// filters are what a router puts on the plans it fans out to its nodes, so
+// one arriving at a router is a node's request sent to the wrong address.
+var ErrFilteredPlan = errors.New("cluster: a router answers unfiltered plans only; ownership filters are for its nodes")
+
 // Frontend serves a router over TCP with the same wire protocol a sketchd
 // node speaks: users publish through it (replicated by the ring) and
-// analysts query through it (scatter-gathered and merged exactly), so
-// existing clients work against a cluster unchanged.  It is the node's
-// connection loop with a router's dispatch, under the default Config.
+// analysts ask it for a plan's counters (scatter-gathered and merged
+// exactly), so existing clients work against a cluster unchanged.  It is
+// the node's connection loop with a router's dispatch, under the default
+// Config.
 type Frontend struct {
 	*endpoint
 	r *cluster.Router
@@ -26,7 +33,7 @@ func NewFrontend(r *cluster.Router) *Frontend {
 	return f
 }
 
-// dispatch is a router's side of the protocol: publishes and queries go to
+// dispatch is a router's side of the protocol: publishes and plans go to
 // the ring, the admin opcodes change its membership, and the node-level
 // opcodes are refused by name.
 func (f *Frontend) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
@@ -50,16 +57,21 @@ func (f *Frontend) dispatch(msgType byte, payload []byte) (byte, []byte, error) 
 		// the same earliest-failure semantics the node's batched ingest
 		// gives, so wire clients see one ack per batch on both surfaces.
 		return wire.TypeAck, nil, f.r.PublishAll(ps)
-	case wire.TypeQuery:
-		q, err := wire.DecodeQuery(payload)
+	case wire.TypePlanQuery:
+		filter, p, err := wire.DecodePlanQuery(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		return conjunctionReply(f.r.Estimator().Fraction(f.r, q.Subset, q.Value))
+		if filter != nil {
+			return 0, nil, ErrFilteredPlan
+		}
+		res, err := f.r.Execute(p)
+		if err != nil {
+			return 0, nil, err
+		}
+		return wire.TypePlanResult, wire.EncodePlanResult(0, res), nil
 	case wire.TypeStats:
 		return 0, nil, fmt.Errorf("cluster: stats is a per-node report; ping the router for cluster status")
-	case wire.TypePlanQuery:
-		return 0, nil, fmt.Errorf("cluster: plan queries are node-level; send full queries to the router")
 	case wire.TypeJoin:
 		// Synchronous by design: the ack means the rebalance streamed and
 		// the ring cut over.  The frame holds one in-flight slot for that

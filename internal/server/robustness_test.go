@@ -295,42 +295,47 @@ func TestServerCloseStopsAccepting(t *testing.T) {
 }
 
 // TestVersionHandshakeMismatch is the mixed-version regression test: a
-// peer announcing a different protocol version must be refused with a
-// clear error naming both versions — never a decode panic or a silently
-// wrong answer — and the refusal ends the connection.
+// peer announcing a different protocol version (the one before this
+// binary's, or one after it) must be refused with a clear error naming
+// both versions — never a decode panic or a silently wrong answer — and the
+// refusal ends the connection.
 func TestVersionHandshakeMismatch(t *testing.T) {
 	forEachEndpoint(t, Config{}, func(t *testing.T, ep testEndpoint) {
-		conn, err := net.Dial("tcp", ep.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		msgType, payload := roundTripRaw(t, conn, wire.TypeHello, []byte{wire.ProtocolVersion + 1})
-		if msgType != wire.TypeError {
-			t.Fatalf("future-version hello answered with type %d, want TypeError", msgType)
-		}
-		msg := string(payload)
-		if !strings.Contains(msg, "version mismatch") ||
-			!strings.Contains(msg, fmt.Sprintf("v%d", wire.ProtocolVersion+1)) ||
-			!strings.Contains(msg, fmt.Sprintf("v%d", wire.ProtocolVersion)) {
-			t.Fatalf("mismatch error does not name both versions: %q", msg)
-		}
-		if _, _, err := wire.ReadFrame(conn); err == nil {
-			t.Fatal("connection still open after a refused hello")
+		for _, peer := range []byte{wire.ProtocolVersion - 1, wire.ProtocolVersion + 1} {
+			conn, err := net.Dial("tcp", ep.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			msgType, payload := roundTripRaw(t, conn, wire.TypeHello, []byte{peer})
+			if msgType != wire.TypeError {
+				t.Fatalf("v%d hello answered with type %d, want TypeError", peer, msgType)
+			}
+			msg := string(payload)
+			if !strings.Contains(msg, "version mismatch") ||
+				!strings.Contains(msg, fmt.Sprintf("v%d", peer)) ||
+				!strings.Contains(msg, fmt.Sprintf("v%d", wire.ProtocolVersion)) {
+				t.Fatalf("mismatch error does not name both versions: %q", msg)
+			}
+			if _, _, err := wire.ReadFrame(conn); err == nil {
+				t.Fatalf("connection still open after a refused v%d hello", peer)
+			}
 		}
 	})
 }
 
-// TestRetiredOpcodeRefused: opcode 12, the one-evaluation query of wire
-// versions before 6, and an opcode nobody ever assigned are unknown
-// message types to both endpoints — answered with a TypeError, not a
-// decode attempt — and the refusal leaves the connection usable.
+// TestRetiredOpcodeRefused: opcodes 2 and 3, the analyst's one-conjunction
+// query and its estimate of wire versions before 7, opcode 12, the
+// one-evaluation query of versions before 6, and an opcode nobody ever
+// assigned are unknown message types to both endpoints — answered with a
+// TypeError, not a decode attempt — and the refusal leaves the connection
+// usable for the plan query that replaced them.
 func TestRetiredOpcodeRefused(t *testing.T) {
 	forEachEndpoint(t, Config{}, func(t *testing.T, ep testEndpoint) {
 		conn := dialRaw(t, ep.addr)
 		// Opcode 12 carries a well-formed v5 total-records request: kind
 		// 4, no filter.
-		for _, opcode := range []byte{12, 200} {
+		for _, opcode := range []byte{2, 3, 12, 200} {
 			replyType, reply := roundTripRaw(t, conn, opcode, []byte{4, 0})
 			if replyType != wire.TypeError || !strings.Contains(string(reply), fmt.Sprintf("unknown message type %d", opcode)) {
 				t.Fatalf("opcode %d answered with type %d: %s", opcode, replyType, reply)
@@ -339,11 +344,9 @@ func TestRetiredOpcodeRefused(t *testing.T) {
 				t.Fatalf("ping after the refusal answered with type %d: %s", replyType, reply)
 			}
 		}
-		if ep.node != nil {
-			replyType, reply := roundTripRaw(t, conn, wire.TypePlanQuery, wire.EncodePlanQuery(nil, totalPlan()))
-			if replyType != wire.TypePlanResult {
-				t.Fatalf("plan query after the refusal answered with type %d: %s", replyType, reply)
-			}
+		replyType, reply := roundTripRaw(t, conn, wire.TypePlanQuery, wire.EncodePlanQuery(nil, totalPlan()))
+		if replyType != wire.TypePlanResult {
+			t.Fatalf("plan query after the refusal answered with type %d: %s", replyType, reply)
 		}
 	})
 }
@@ -381,7 +384,7 @@ func TestOversizedReplyBecomesErrorFrame(t *testing.T) {
 		return msgType, payload, nil
 	})
 	conn := dialRaw(t, addr)
-	for _, replyType := range []byte{wire.TypeAck, wire.TypeResult, wire.TypePong, wire.TypeStatsReply, wire.TypePlanResult, wire.TypeSnapshotBatch, wire.TypeTransferAck, 99} {
+	for _, replyType := range []byte{wire.TypeAck, wire.TypePong, wire.TypeStatsReply, wire.TypePlanResult, wire.TypeSnapshotBatch, wire.TypeTransferAck, 99} {
 		gotType, reply := roundTripRaw(t, conn, replyType, nil)
 		if gotType != wire.TypeError || !strings.Contains(string(reply), wire.ErrFrameTooLarge.Error()) {
 			t.Fatalf("an oversized reply of type %d was answered with type %d: %.80s", replyType, gotType, reply)
@@ -419,10 +422,7 @@ func TestClientCallMapsReplies(t *testing.T) {
 		{"Publish", wire.TypePublish, func(c *Client) error { return c.Publish(pub) }},
 		{"PublishAll", wire.TypePublishBatch, func(c *Client) error { return c.PublishAll([]sketch.Published{pub}) }},
 		{"Stats", wire.TypeStats, func(c *Client) error { _, err := c.Stats(); return err }},
-		{"QueryConjunction", wire.TypeQuery, func(c *Client) error {
-			_, err := c.QueryConjunction(pub.Subset, bitvec.MustFromString("1"))
-			return err
-		}},
+		{"Execute", wire.TypePlanQuery, func(c *Client) error { _, err := c.Execute(totalPlan()); return err }},
 		{"Ping", wire.TypePing, func(c *Client) error { _, err := c.Ping(); return err }},
 	}
 	odd, err := Dial(addr)

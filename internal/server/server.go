@@ -1,8 +1,8 @@
 // Package server provides the TCP collection daemon and its client: users
-// publish sketches over the wire protocol, analysts run conjunctive queries
-// remotely.  The server holds only public objects (the sketch table), so it
-// needs no more trust than a bulletin board — exactly the deployment the
-// paper's no-trusted-party mode calls for.
+// publish sketches over the wire protocol, analysts ask for a plan's raw
+// counters and debias them locally.  The server holds only public objects
+// (the sketch table), so it needs no more trust than a bulletin board —
+// exactly the deployment the paper's no-trusted-party mode calls for.
 package server
 
 import (
@@ -87,12 +87,6 @@ func NewWithConfig(eng *engine.Engine, cfg Config) *Server {
 	return s
 }
 
-// conjunctionReply frames a conjunction estimate, or passes its error on.
-func conjunctionReply(est query.Estimate, err error) (byte, []byte, error) {
-	res := wire.Result{Fraction: est.Fraction, Raw: est.Raw, Users: uint64(est.Users)}
-	return wire.TypeResult, wire.EncodeResult(res), err
-}
-
 // dispatch is a node's side of the protocol: every frame is applied to the
 // engine.
 func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
@@ -113,12 +107,6 @@ func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
 		// record is durable; on error the client re-publishes the batch
 		// through the idempotent path.
 		return wire.TypeAck, nil, s.eng.IngestBatch(ps)
-	case wire.TypeQuery:
-		q, err := wire.DecodeQuery(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return conjunctionReply(s.eng.Conjunction(q.Subset, q.Value))
 	case wire.TypeStats:
 		return wire.TypeStatsReply, wire.EncodeStats(s.stats()), nil
 	case wire.TypeHello:

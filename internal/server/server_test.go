@@ -11,6 +11,7 @@ import (
 	"sketchprivacy/internal/dataset"
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
 )
@@ -85,8 +86,12 @@ func TestPublishAndQueryOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
+	est, err := query.NewEstimator(h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v := bitvec.MustFromString("11")
-	res, err := cli.QueryConjunction(subset, v)
+	res, err := est.Fraction(cli, subset, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +117,10 @@ func TestConcurrentPublishAndQueryOverTCP(t *testing.T) {
 	subset := bitvec.MustSubset(0, 1)
 	v := bitvec.MustFromString("11")
 	sk, err := sketch.NewSketcher(h, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := query.NewEstimator(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +186,7 @@ func TestConcurrentPublishAndQueryOverTCP(t *testing.T) {
 			}
 			defer cli.Close()
 			for i := 0; i < 25; i++ {
-				res, err := cli.QueryConjunction(subset, v)
+				res, err := est.Fraction(cli, subset, v)
 				if err != nil {
 					errCh <- err
 					return
@@ -197,17 +206,22 @@ func TestConcurrentPublishAndQueryOverTCP(t *testing.T) {
 }
 
 func TestServerReportsErrors(t *testing.T) {
-	_, addr, _, _ := startTestServer(t, 0.3, 8)
+	_, addr, h, _ := startTestServer(t, 0.3, 8)
 	cli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
+	est, err := query.NewEstimator(h)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Query for a subset nobody sketched.
-	_, err = cli.QueryConjunction(bitvec.MustSubset(7), bitvec.MustFromString("1"))
-	if !errors.Is(err, ErrRemote) {
-		t.Errorf("expected remote error, got %v", err)
+	// Query for a subset nobody sketched: the node answers zero counters,
+	// and the asker's estimator finds no sketches in them.
+	_, err = est.Fraction(cli, bitvec.MustSubset(7), bitvec.MustFromString("1"))
+	if !errors.Is(err, query.ErrNoSketches) {
+		t.Errorf("expected no sketches, got %v", err)
 	}
 	// Re-publishing the identical sketch is an idempotent ack (replicated
 	// publish retries depend on it); a conflicting sketch for the same

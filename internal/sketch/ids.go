@@ -31,7 +31,7 @@ const maxDeltaWidth = 4
 
 // An id column is coded in blocks of IDBlockLen ids, the last one shorter:
 //
-//	1 byte  w, the block's width (1..8)
+//	1 byte  w, the block's width (1..4, or 8)
 //	w < 8:  the first id, 8 bytes, then each later id as the difference
 //	        from the one before it, w bytes — the ids strictly ascend
 //	w = 8:  the ids themselves, 8 bytes each, in whatever order they came
@@ -159,6 +159,16 @@ func Ascends(ids []bitvec.UserID) bool {
 	return true
 }
 
+// checkIDWidth refuses a block width no writer writes: widths 5 to 7 are
+// malformed however well their differences ascend, since differences that
+// wide are written raw.
+func checkIDWidth(w int) error {
+	if (w < 1 || w > maxDeltaWidth) && w != rawIDWidth {
+		return fmt.Errorf("id block width %d", w)
+	}
+	return nil
+}
+
 // checkIDBlock decodes the block of m ids at the front of src, which is
 // input, into dst and returns the block's size, or an error if src holds
 // no well-formed block of m ids there.  A block of differences ascends by
@@ -172,8 +182,8 @@ func checkIDBlock(src []byte, m int, dst *[IDBlockLen]bitvec.UserID) (size int, 
 		return 0, errors.New("id block truncated")
 	}
 	w := int(src[0])
-	if w < 1 || w > rawIDWidth {
-		return 0, fmt.Errorf("id block width %d", w)
+	if err := checkIDWidth(w); err != nil {
+		return 0, err
 	}
 	if size = idBlockSize(m, w); size > len(src) {
 		return 0, fmt.Errorf("id block of %d bytes in %d", size, len(src))
@@ -194,8 +204,8 @@ func IDBlocksLen(src []byte, n int) (int, error) {
 			return 0, errors.New("id column truncated")
 		}
 		w := int(src[size])
-		if w < 1 || w > rawIDWidth {
-			return 0, fmt.Errorf("id block width %d", w)
+		if err := checkIDWidth(w); err != nil {
+			return 0, err
 		}
 		size += idBlockSize(min(n, IDBlockLen), w)
 	}

@@ -71,6 +71,7 @@ func FuzzColumnIDs(f *testing.F) {
 	f.Add(uint64(5), byte(4), []byte{0x04, 0x04, 0x04, 0x04, 0x01, 0x02, 0x03, 0x05, 0x07}, []byte{2, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1}) // a sum past 2⁶⁴
 	f.Add(uint64(6), byte(0), bytes.Repeat([]byte{0x0C, 0x00}, 60), []byte{200, 9, 1, 2, 3})                                                                 // width 9; more ids than bytes
 	f.Add(uint64(7), byte(1), bytes.Repeat([]byte{0x14, 0x06, 0x03}, 40), append([]byte{70, 1, 0, 0, 0, 0, 0, 0, 0, 1}, make([]byte, 63)...))                // one block where two are due
+	f.Add(uint64(8), byte(2), []byte{0x05, 0x07}, []byte{3, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1})                                        // width 5, ascending: no writer writes it
 	b := bitvec.MustSubset(1, 4)
 	f.Fuzz(func(t *testing.T, seed uint64, shape byte, ops, hostile []byte) {
 		ops = ops[:min(len(ops), 300)]
@@ -270,6 +271,15 @@ func FuzzColumnIDs(f *testing.F) {
 			t.Fatalf("DecodeIDBlocks of %d ids returned %d from %d of %d bytes", n, len(decoded), size, len(src))
 		}
 		if parseErr == nil {
+			// Widths 5 to 7 were never written: a column holding one is
+			// malformed, however its differences ascend.
+			for off, left := 0, n; left > 0; left -= sketch.IDBlockLen {
+				if w := src[off]; w >= 5 && w <= 7 {
+					t.Fatalf("the checked append of %d ids in %x accepted a block of width %d", n, src, w)
+				}
+				blk, _ := sketch.IDBlocksLen(src[off:], min(left, sketch.IDBlockLen))
+				off += blk
+			}
 			got := parsed.AppendTo(nil)
 			if parsed.Len() != n || len(got) != n || !sketch.Ascends(got) || decodeErr != nil || size != len(src) || !slices.Equal(got, decoded) {
 				t.Fatalf("the checked append of %d ids in %x = %v (DecodeIDBlocks: %v, %d bytes, %v)", n, src, got, decoded, size, decodeErr)

@@ -240,31 +240,41 @@ func FuzzColumnWords(f *testing.F) {
 	})
 }
 
-// TestDecodeRefusesInvalidWord: a word that packs no valid sketch is
-// refused wherever bytes from disk become columns, however clean the
-// checksums over it — the log's replay ends before its frame, a segment
-// holding it fails to open — and nothing of its run is kept.
+// TestDecodeRefusesInvalidWord: a word that packs no valid sketch, or an
+// id block of a width no writer writes, is refused wherever bytes from disk
+// become columns, however clean the checksums over it — the log's replay
+// ends before its frame, a segment holding it fails to open — and nothing
+// of its run is kept.
 func TestDecodeRefusesInvalidWord(t *testing.T) {
 	b := bitvec.MustSubset(0, 3)
 	good := []sketch.Published{testRecord(1001, b), testRecord(1002, b), testRecord(1003, b)}
-	for name, word := range map[string]uint16{
-		"a length of zero":      7 << 5,
-		"a length past 30":      31,
-		"a key past its length": 0xFF<<5 | 3,
+	for name, tc := range map[string]struct {
+		word uint16 // the last record's word, when set
+		ids  []byte // the run's id column, when set
+	}{
+		"a length of zero":      {word: 7 << 5},
+		"a length past 30":      {word: 31},
+		"a key past its length": {word: 0xFF<<5 | 3},
+		// The three ids 1 apart at width 5: well-formed but for the width.
+		"an id block of width 5": {ids: []byte{5, 0, 0, 0, 0, 0, 0, 0x03, 0xE9, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			v3Cols, width := referenceColumns(good, true)
 			if width != 2 {
 				t.Fatalf("the test's records are %d bytes wide, want 2", width)
 			}
-			binary.BigEndian.PutUint16(v3Cols[len(v3Cols)-2:], word)
-			if _, keys, err := decodeColumns(v3Cols, len(good), width, nil, sketch.Words{}); err == nil || keys.Len() != 0 {
-				t.Fatalf("decodeColumns = %v with %d words kept", err, keys.Len())
-			}
 			cols, _ := referenceColumns(good, false)
-			binary.BigEndian.PutUint16(cols[len(cols)-2:], word)
+			if tc.ids != nil {
+				cols = append(bytes.Clone(tc.ids), cols[len(cols)-len(good)*width:]...)
+			} else {
+				binary.BigEndian.PutUint16(v3Cols[len(v3Cols)-2:], tc.word)
+				if _, keys, err := decodeColumns(v3Cols, len(good), width, nil, sketch.Words{}); err == nil || keys.Len() != 0 {
+					t.Fatalf("decodeColumns = %v with %d words kept", err, keys.Len())
+				}
+				binary.BigEndian.PutUint16(cols[len(cols)-2:], tc.word)
+			}
 
-			// A log: one good frame, then a frame whose run ends in the word.
+			// A log: one good frame, then a frame whose run holds the columns.
 			payload := framePayload(b.Key(), len(good), width, cols)
 			bad := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
 			bad = append(binary.BigEndian.AppendUint32(bad, checksum(payload)), payload...)
@@ -275,11 +285,13 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 				t.Fatalf("replay kept %d bytes and %+v, want the first frame's %d bytes and user 9 alone", valid, got, len(walMagic)+len(first))
 			}
 
-			// A segment: the same run as its one block, every sum recomputed.
+			// A segment: the same run as its one block, every sum and the
+			// data area's end recomputed.
 			image, _ = encodeSegment(testRuns(good))
 			block := segHeaderSize + runHeaderFixed + len(b.Key()) + 4
-			copy(image[block:], cols)
-			binary.BigEndian.PutUint32(image[block+len(cols):], checksum(cols))
+			image = binary.BigEndian.AppendUint32(append(image[:block:block], cols...), checksum(cols))
+			end := len(image)
+			image = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(image, checksum(nil)), uint64(end))
 			if _, err := walkSegment(image, "seg"); !errors.Is(err, ErrSegmentCorrupt) {
 				t.Fatalf("walkSegment = %v, want ErrSegmentCorrupt", err)
 			}

@@ -12,38 +12,20 @@ import (
 // ProtocolVersion is the wire protocol generation.  A peer speaking a
 // different version fails the hello handshake loudly instead of producing a
 // decode panic or a silently wrong estimate.  Bump it whenever a frame
-// encoding changes incompatibly or an opcode is retired.
+// encoding changes incompatibly or an opcode is retired; a retired number
+// is never assigned again.
 //
-// v2 added ring epochs to Filter plus the rebalance transfer opcodes.
+// The contract: every frame carries a CRC32-C of its payload; planQuery is
+// the one way to ask, a node and a router answer it with raw counters, and
+// the asker debiases them; an ownership filter (ring epoch, live and failed
+// members, deadline budget, tenant domain) rides only router→node plans.
 //
-// v3 added the planQuery/planResult opcode pair: a router pushes a whole
-// compiled query plan to each node in one frame and merges per-entry
-// counters, so multi-evaluation estimators cost one fan-out round trip.
-//
-// v4 hardened the wire against the uglier middle of the failure space:
-// every frame header carries a CRC32-C of its payload (in-flight byte
-// corruption fails loudly instead of merging flipped counters into an
-// estimate), and ownership filters carry an end-to-end deadline budget
-// plus an optional failed-node set, so nodes abandon work their router
-// stopped waiting for and a fan-out can re-ask only a dead replica's
-// slice of the user space.
-//
-// v5 added the tenant domain restriction to ownership filters
-// (Filter.DomainBits/Filter.Domain): the HTTP gateway assigns each tenant
-// a disjoint high-bit prefix of the user-id space, and a query carrying a
-// domain counts only the records inside that prefix — the mechanism that
-// keeps one tenant's estimates from ever touching another tenant's
-// sketches on a shared cluster.
-//
-// v6 retired opcodes 12 and 13, the one-evaluation-per-frame query pair:
-// planQuery is the only way to ask a node for counters.  The numbers stay
-// unassigned, and the version bump makes a router and a node of different
-// generations refuse each other at hello instead of mid-query.
-const ProtocolVersion byte = 6
+// v7 retired opcodes 2 and 3, the analyst's one-conjunction query and its
+// finished estimate (v6 had retired 12 and 13).
+const ProtocolVersion byte = 7
 
-// Connection control frames every client uses.  (The scatter-gather data
-// plane between a sketchrouter and its nodes is the plan opcode pair, see
-// plan.go.)
+// Connection control frames every client uses.  (Queries, from an analyst
+// or a router, are the plan opcode pair, see plan.go.)
 const (
 	// TypeHello opens a connection: the payload is the sender's protocol
 	// version byte.  The receiver answers TypeHelloAck with its own version

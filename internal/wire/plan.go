@@ -16,10 +16,12 @@ import (
 // from a single pass over its owned records with its query.Results, and
 // the router merges the per-entry counters exactly.  A k-term interval
 // decomposition or a many-path decision tree therefore costs one round
-// trip, not one per entry.
+// trip, not one per entry.  An analyst asks the same frame with no filter,
+// of a node or of a router, and debiases the counters itself.
 const (
 	// TypePlanQuery asks a node to execute a whole query plan under the
-	// query's ownership filter, answering every entry in one reply.
+	// query's ownership filter (none: every record it holds), answering
+	// every entry in one reply.  A router answers it unfiltered only.
 	TypePlanQuery byte = 21
 	// TypePlanResult carries the per-entry counters back, positionally
 	// aligned with the plan that was sent.

@@ -1,6 +1,6 @@
 // Package wire defines the compact binary protocol the collection server
 // and client speak: length-prefixed frames carrying published sketches,
-// conjunctive queries and their results.  The encoding reuses the canonical
+// compiled query plans and their raw counters.  The encoding reuses the canonical
 // byte forms of the underlying types (subset tags, value vectors, sketch
 // keys), so the bytes on the wire are exactly the public objects of the
 // paper — experiment E16 measures their size directly.
@@ -13,21 +13,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"sketchprivacy/internal/bitvec"
-	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 )
 
-// Message types.
+// Message types.  2 and 3 are retired and stay unassigned (see
+// ProtocolVersion).
 const (
 	// TypePublish carries one published sketch from a user to the collector.
 	TypePublish byte = 1
-	// TypeQuery carries a conjunctive query from an analyst.
-	TypeQuery byte = 2
-	// TypeResult carries a query result back to the analyst.
-	TypeResult byte = 3
 	// TypeAck acknowledges a publish.
 	TypeAck byte = 4
 	// TypeError carries a protocol- or query-level error message.
@@ -204,52 +199,6 @@ func decodePublished(b []byte, d *PublishedDecoder) (sketch.Published, error) {
 		return sketch.Published{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return sketch.Published{ID: id, Subset: subset, S: s}, nil
-}
-
-// Query is a conjunctive query over one sketched subset: the plan's own
-// (subset, value) pair.
-type Query = query.FractionEval
-
-// EncodeQuery serializes a query.
-func EncodeQuery(q Query) []byte {
-	return appendSubsetValue(make([]byte, 0, 64), q.Subset, q.Value)
-}
-
-// DecodeQuery reverses EncodeQuery.
-func DecodeQuery(b []byte) (Query, error) {
-	subset, value, rest, err := readSubsetValue(b)
-	if err == nil && len(rest) != 0 {
-		err = ErrCorrupt
-	}
-	return Query{Subset: subset, Value: value}, err
-}
-
-// Result carries a frequency estimate back to the analyst.
-type Result struct {
-	Fraction float64
-	Raw      float64
-	Users    uint64
-}
-
-// EncodeResult serializes a result.
-func EncodeResult(r Result) []byte {
-	out := make([]byte, 24)
-	binary.BigEndian.PutUint64(out[0:], math.Float64bits(r.Fraction))
-	binary.BigEndian.PutUint64(out[8:], math.Float64bits(r.Raw))
-	binary.BigEndian.PutUint64(out[16:], r.Users)
-	return out
-}
-
-// DecodeResult reverses EncodeResult.
-func DecodeResult(b []byte) (Result, error) {
-	if len(b) != 24 {
-		return Result{}, ErrCorrupt
-	}
-	return Result{
-		Fraction: math.Float64frombits(binary.BigEndian.Uint64(b[0:])),
-		Raw:      math.Float64frombits(binary.BigEndian.Uint64(b[8:])),
-		Users:    binary.BigEndian.Uint64(b[16:]),
-	}, nil
 }
 
 // PublishedWireSize returns the number of bytes a published sketch occupies

@@ -132,29 +132,3 @@ func TestDecodePublishedRejectsCorrupt(t *testing.T) {
 		}
 	}
 }
-
-func TestQueryAndResultRoundTrip(t *testing.T) {
-	q := Query{Subset: bitvec.MustSubset(2, 5), Value: bitvec.MustFromString("10")}
-	back, err := DecodeQuery(EncodeQuery(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Subset.Equal(q.Subset) || !back.Value.Equal(q.Value) {
-		t.Errorf("query round trip gave %+v", back)
-	}
-	if _, err := DecodeQuery([]byte{1, 2}); err == nil {
-		t.Error("corrupt query accepted")
-	}
-
-	r := Result{Fraction: 0.25, Raw: 0.251, Users: 10000}
-	rb, err := DecodeResult(EncodeResult(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb != r {
-		t.Errorf("result round trip gave %+v", rb)
-	}
-	if _, err := DecodeResult([]byte{1}); !errors.Is(err, ErrCorrupt) {
-		t.Error("corrupt result accepted")
-	}
-}
