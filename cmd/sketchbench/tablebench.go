@@ -25,6 +25,36 @@ func tableBenchRecord(i int, subset bitvec.Subset) sketch.Published {
 	return sketch.Published{ID: bitvec.UserID(id), Subset: subset, S: sketch.Sketch{Key: id >> 55, Length: 9}}
 }
 
+// tableBenchDenseRecord fabricates user i's record for a subset with a
+// fleet-shaped id: a tenant's tag above users numbered as they enrol, two
+// of every three of them on this node, so ids ascend as users publish.
+func tableBenchDenseRecord(i int, subset bitvec.Subset) sketch.Published {
+	id := uint64(7<<40 | (1 + 3*i/2))
+	return sketch.Published{ID: bitvec.UserID(id), Subset: subset, S: sketch.Sketch{Key: id * 0x9E3779B97F4A7C15 >> 55, Length: 9}}
+}
+
+// tableIngest is the body of the per-record ingest kernels.  One op = one
+// record admitted, users publishing their ten subsets in turn; a fresh
+// table every 10 × 35k records, so bytes/op is what a node's table
+// allocates per record held (columns, folds and index together).
+func tableIngest(b *testing.B, subsets []bitvec.Subset, record func(int, bitvec.Subset) sketch.Published) {
+	b.ReportAllocs()
+	var tab *sketch.Table
+	for i := 0; i < b.N; i++ {
+		if i%(tableBenchUsers*len(subsets)) == 0 {
+			tab = sketch.NewTable()
+		}
+		rec := record(i/len(subsets)%tableBenchUsers, subsets[i%len(subsets)])
+		if _, added, err := tab.AddNew(&rec); err != nil || !added {
+			b.Fatalf("AddNew(%v) = added %v, %v", rec.ID, added, err)
+		}
+	}
+}
+
+// tableBenchBatch is how many records one batch of table-ingest-batch
+// carries: a bulk import's chunk.
+const tableBenchBatch = 8192
+
 // tableBenchBase returns the 35k-record run the write-then-read kernels
 // start from, as a store replays one: ids ascending.
 func tableBenchBase(subset bitvec.Subset) sketch.Run {
@@ -76,9 +106,11 @@ func tableWriteThenRead(b *testing.B, subset bitvec.Subset, read func(v sketch.V
 // tableBenchmarks measures the sketch table's write side, which the plan
 // kernels (all reads over a finished table) do not: the per-record cost of
 // ingest, in time and in allocated bytes, and the cost of a read that
-// follows a burst of writes to the subset it reads.  The ids of all three
-// are hashed over 64 bits and arrive in scattered order: the case an id
-// column can only hold raw, and a fold can move no block of whole.
+// follows a burst of writes to the subset it reads.  The ids of
+// table-ingest and the read kernels are hashed over 64 bits and arrive in
+// scattered order: the case an id column can only hold raw, and a fold can
+// move no block of whole.  table-ingest-dense and table-ingest-batch ingest
+// fleet-shaped ids, record by record and as a bulk import's batches.
 func tableBenchmarks() []struct {
 	name string
 	fn   func(b *testing.B)
@@ -89,20 +121,32 @@ func tableBenchmarks() []struct {
 		fn   func(b *testing.B)
 	}{
 		{"table-ingest", func(b *testing.B) {
-			// One op = one record admitted, users publishing their ten
-			// subsets in turn; a fresh table every 10 × 35k records, so
-			// bytes/op is what a node's table allocates per record held
-			// (columns, folds and index together).
+			tableIngest(b, subsets, tableBenchRecord)
+		}},
+		{"table-ingest-dense", func(b *testing.B) {
+			tableIngest(b, subsets, tableBenchDenseRecord)
+		}},
+		{"table-ingest-batch", func(b *testing.B) {
+			// table-ingest-dense's records, user-major, landed through the
+			// batch path (Probe, then Land) in 8192-record chunks — the
+			// preload's shape.  One op is still one record.
 			b.ReportAllocs()
+			perTable := tableBenchUsers * len(subsets)
 			var tab *sketch.Table
-			for i := 0; i < b.N; i++ {
-				if i%(tableBenchUsers*len(subsets)) == 0 {
+			chunk := make([]sketch.Published, 0, tableBenchBatch)
+			for i := 0; i < b.N; {
+				if i%perTable == 0 {
 					tab = sketch.NewTable()
 				}
-				rec := tableBenchRecord(i/len(subsets)%tableBenchUsers, subsets[i%len(subsets)])
-				if _, added, err := tab.AddNew(&rec); err != nil || !added {
-					b.Fatalf("AddNew(%v) = added %v, %v", rec.ID, added, err)
+				chunk = chunk[:0]
+				for end := min(b.N, i+tableBenchBatch, (i/perTable+1)*perTable); i < end; i++ {
+					chunk = append(chunk, tableBenchDenseRecord(i/len(subsets)%tableBenchUsers, subsets[i%len(subsets)]))
 				}
+				batch, err := tab.Probe(chunk)
+				if err != nil || batch.Len() != len(chunk) {
+					b.Fatalf("Probe admitted %d of %d records: %v", batch.Len(), len(chunk), err)
+				}
+				tab.Land(batch)
 			}
 		}},
 		{"table-write-then-read", func(b *testing.B) {

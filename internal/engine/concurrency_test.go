@@ -206,8 +206,9 @@ func (f *flakyStore) AppendBatch(ps []sketch.Published) ([]int, error) {
 // TestEngineConcurrentIngestPlanAndRollback runs ingestion, cached plan
 // execution and durability rollbacks against one table at once (run it
 // under -race): writers insert into column tails and remove records again
-// when the store refuses them, while readers fold tails into fresh runs
-// and scan the views they get.  Every answer must be internally consistent
+// when the store refuses them, or land batches of what the store made
+// durable, while readers fold tails into fresh runs and scan the views they
+// get.  Every answer must be internally consistent
 // — all entries of one subset see one record set — and once the writers
 // stop, the cached executor must agree with an uncached pass over the same
 // table and with the store's own contents, so no bitmap or keep mask
@@ -252,20 +253,34 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 		stop     = make(chan struct{})
 		accepted atomic.Int64
 	)
+	// Half the writers publish record by record, half in batches of 30,
+	// whose records land after their append as a run merged into the
+	// column, or through the tail while the column is large.
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		writing.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			defer writing.Done()
-			for i := 0; i < perWriter; i++ {
-				id := bitvec.UserID(w*perWriter + i + 1)
-				err := eng.Ingest(sketch.Published{ID: id, Subset: subset, S: sketch.Sketch{Key: uint64(id) % 1024, Length: 10}})
-				switch {
-				case err == nil:
-					accepted.Add(1)
-				case !errors.Is(err, errDiskFull):
-					t.Errorf("Ingest(%d): %v", id, err)
+			step := 1 + w%2*29
+			for i := 0; i < perWriter; i += step {
+				batch := make([]sketch.Published, step)
+				for j := range batch {
+					id := bitvec.UserID(w*perWriter + i + j + 1)
+					batch[j] = sketch.Published{ID: id, Subset: subset, S: sketch.Sketch{Key: uint64(id) % 1024, Length: 10}}
+				}
+				var stored int
+				var err error
+				if step == 1 {
+					if err = eng.Ingest(batch[0]); err == nil {
+						stored = 1
+					}
+				} else {
+					stored, err = eng.IngestBatchNew(batch)
+				}
+				accepted.Add(int64(stored))
+				if err != nil && !errors.Is(err, errDiskFull) {
+					t.Errorf("ingest of users %d to %d: %v", batch[0].ID, batch[step-1].ID, err)
 					return
 				}
 			}

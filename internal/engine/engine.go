@@ -22,6 +22,9 @@ var (
 	ErrNotConfigured = errors.New("engine: subset not configured for sketching")
 )
 
+// ingestStripes is how many stripe locks ingestion takes, a user's by id.
+const ingestStripes = 64
+
 // Engine is the analyst-facing aggregation service for the trusted-party-
 // free mode: a public sketch store plus the estimators.
 type Engine struct {
@@ -29,15 +32,16 @@ type Engine struct {
 	est    *query.Estimator
 	table  *sketch.Table
 	// st, when non-nil, is the durability layer: Ingest appends to it
-	// after the in-memory table accepts the record, and AttachStore
-	// rehydrates the table from it on startup.
+	// after the in-memory table accepts the record, a batch before its
+	// records land, and AttachStore rehydrates the table from it on
+	// startup.
 	st store.Store
 	// ingestMu stripes (by user ID) serialize the table-add + durable-
 	// append pair: without them a concurrent duplicate publish could be
 	// NACKed against a record that a failed append then rolls back,
 	// leaving the sketch in neither table nor store while both callers
 	// saw an error.  Queries never touch these locks.
-	ingestMu [64]sync.Mutex
+	ingestMu [ingestStripes]sync.Mutex
 	// cache holds per-(subset, value) evaluation bitmaps for the plan
 	// executor, versioned by table write generation so ingests invalidate
 	// them implicitly.
@@ -115,12 +119,14 @@ func (e *Engine) Estimator() *query.Estimator { return e.est }
 // A failed durable append rolls the record back out of the table before
 // returning the error: the publish is not acknowledged, nothing
 // non-durable stays queryable (a query racing the failed append can
-// transiently see the record for the append's duration — accepted, as
-// closing it would need a pending-invisible table state), and the user
-// can retry once the store recovers.  The add+append pair runs under a
-// per-user stripe lock so a
-// concurrent publish for the same (user, subset) waits for the outcome
-// instead of being rejected against a record about to roll back.
+// transiently see the record for the append's duration — accepted for a
+// lone record; a batch probes, appends and only then lands, see
+// IngestBatchNew), and the user can retry once the store recovers.  The
+// add+append pair runs under a per-user stripe lock, taken with or without
+// a store, so a concurrent publish for the same (user, subset) waits for
+// the outcome instead of being rejected against a record about to roll
+// back, and a batch's probe-to-land window sees no other writer of its
+// pairs.
 //
 // Re-publishing the *identical* sketch for a (user, subset) pair is an
 // idempotent no-op, acknowledged without touching the store: the same
@@ -131,35 +137,23 @@ func (e *Engine) Estimator() *query.Estimator { return e.est }
 // (each extra sketch would spend more of the user's privacy budget,
 // Corollary 3.4).
 func (e *Engine) Ingest(p sketch.Published) error {
-	_, err := e.ingest(p)
-	return err
-}
-
-// ingest is Ingest reporting whether the record was newly stored; an
-// idempotent identical re-publish returns (false, nil).
-func (e *Engine) ingest(p sketch.Published) (bool, error) {
-	if e.st == nil {
-		added, err := e.add(&p)
-		if added && e.m != nil {
-			e.m.ingests.Inc()
-		}
-		return added, err
-	}
-	mu := &e.ingestMu[uint64(p.ID)%uint64(len(e.ingestMu))]
+	mu := &e.ingestMu[uint64(p.ID)%ingestStripes]
 	mu.Lock()
 	defer mu.Unlock()
 	added, err := e.add(&p)
 	if err != nil || !added {
-		return false, err
+		return err
 	}
-	if err := e.st.Append(p); err != nil {
-		e.table.Remove(p.ID, p.Subset)
-		return false, err
+	if e.st != nil {
+		if err := e.st.Append(p); err != nil {
+			e.table.Remove(p.ID, p.Subset)
+			return err
+		}
 	}
 	if e.m != nil {
 		e.m.ingests.Inc()
 	}
-	return true, nil
+	return nil
 }
 
 // add inserts p into the table, reporting whether it was newly added.  An
@@ -235,45 +229,26 @@ func (e *Engine) IngestBatch(ps []sketch.Published) error {
 // IngestBatchNew stores a batch of published sketches and reports how
 // many of them were newly stored — an idempotent identical re-publish is
 // acknowledged without counting, which is how a transfer push tells how
-// many records actually moved.  With a store attached the whole batch
-// lands through one store.AppendBatch call — roughly one commit window
-// per touched shard — and only the records the store reports failed are
-// rolled back.  After a failure no new records are admitted and the
-// error of the earliest failed record is returned, mirroring
-// Router.PublishAll so callers see the same earliest-failure semantics on
-// both backends; stored still counts the records that did land.
+// many records actually moved.  Admission runs in input order, repeats
+// within the batch included: an identical re-publish is skipped, and a
+// conflicting sketch (Corollary 3.4) or an invalid one stops admission of
+// everything after it — Router.PublishAll's no-new-starts rule — while the
+// records admitted before it still land.
+//
+// One path, with or without a store: under every touched ingest stripe —
+// acquired in ascending order, so batches cannot deadlock each other or a
+// single Ingest — the table probes the whole batch under its read lock
+// (Table.Probe); with a store attached, one store.AppendBatch call carries
+// the admitted records (one commit window per touched shard); then exactly
+// the records the store made durable land, each subset's as one sorted run
+// merged into its column (Table.Land).  Nothing of a batch is visible
+// before it is durable, and nothing is ever rolled back.  A store error
+// wins over the conflict, being the earlier failure — every admitted
+// record precedes the conflict — and stored counts what landed.
 func (e *Engine) IngestBatchNew(ps []sketch.Published) (stored int, err error) {
-	if len(ps) > 1 && e.st != nil {
-		return e.ingestBatchStore(ps)
-	}
-	// Without a store there is no fsync to amortize — sequential
-	// ingestion keeps the memory path allocation-free.
+	var touched [ingestStripes]bool
 	for _, p := range ps {
-		added, err := e.ingest(p)
-		if err != nil {
-			return stored, err
-		}
-		if added {
-			stored++
-		}
-	}
-	return stored, nil
-}
-
-// ingestBatchStore lands one client batch through the store's batched
-// append.  Table adds run first, under EVERY touched ingest stripe —
-// acquired in ascending order, so batches cannot deadlock each other or
-// a single Ingest (which locks exactly one stripe) — meaning a
-// concurrent publish for any pair in the batch waits for the batch's
-// durability outcome instead of acknowledging against a record that may
-// roll back.  Then one store.AppendBatch call carries every admitted
-// record (one commit window per touched shard), and exactly the records
-// the store reports failed are removed from the table again: the PR-2
-// rollback invariant, at batch granularity.
-func (e *Engine) ingestBatchStore(ps []sketch.Published) (stored int, err error) {
-	touched := make([]bool, len(e.ingestMu))
-	for _, p := range ps {
-		touched[uint64(p.ID)%uint64(len(e.ingestMu))] = true
+		touched[uint64(p.ID)%ingestStripes] = true
 	}
 	for i := range e.ingestMu {
 		if touched[i] {
@@ -288,42 +263,24 @@ func (e *Engine) ingestBatchStore(ps []sketch.Published) (stored int, err error)
 		}
 	}()
 
-	// Admission, in input order: identical re-publishes are idempotent
-	// no-ops (never re-logged), a conflicting sketch is rejected and —
-	// matching Router.PublishAll's no-new-starts rule — stops admission
-	// of everything after it.  Records admitted before the rejection
-	// still proceed to the store.
-	admitted := make([]sketch.Published, 0, len(ps))
-	admittedIdx := make([]int, 0, len(ps))
-	var tabErr error
-	tabAt := -1
-	for i, p := range ps {
-		added, err := e.add(&p)
-		if err != nil {
-			tabErr, tabAt = err, i
-			break
+	b, err := e.table.Probe(ps)
+	if e.st != nil && b.Len() > 0 {
+		failed, aerr := e.st.AppendBatch(b.Records())
+		if aerr != nil && len(failed) == 0 {
+			// The store's contract names what failed; a store that names
+			// nothing may have lost anything, so nothing is acknowledged.
+			return 0, aerr
 		}
-		if added {
-			admitted = append(admitted, p)
-			admittedIdx = append(admittedIdx, i)
+		b.Drop(failed)
+		if aerr != nil {
+			err = aerr
 		}
 	}
-	var aerr error
-	var failed []int
-	if len(admitted) > 0 {
-		failed, aerr = e.st.AppendBatch(admitted)
-		for _, f := range failed {
-			e.table.Remove(admitted[f].ID, admitted[f].Subset)
-		}
-		stored = len(admitted) - len(failed)
-		if e.m != nil {
-			e.m.ingests.Add(uint64(stored))
-		}
+	stored = e.table.Land(b)
+	if e.m != nil {
+		e.m.ingests.Add(uint64(stored))
 	}
-	if aerr != nil && (tabAt < 0 || admittedIdx[failed[0]] < tabAt) {
-		return stored, aerr
-	}
-	return stored, tabErr
+	return stored, err
 }
 
 // Sketches returns the total number of stored sketches.

@@ -18,6 +18,9 @@ type fakeBatchStore struct {
 	failIdx map[int]bool // indices within the next AppendBatch call to fail
 	err     error        // error returned when any index failed
 	batches [][]sketch.Published
+	// during, when set, runs once the appends are made and before
+	// AppendBatch returns: where a query racing the batch would look.
+	during func()
 }
 
 func (f *fakeBatchStore) AppendBatch(ps []sketch.Published) (failed []int, err error) {
@@ -30,6 +33,9 @@ func (f *fakeBatchStore) AppendBatch(ps []sketch.Published) (failed []int, err e
 		if err := f.Store.Append(p); err != nil {
 			return nil, err
 		}
+	}
+	if f.during != nil {
+		f.during()
 	}
 	if len(failed) > 0 {
 		return failed, f.err
@@ -132,10 +138,11 @@ func TestIngestBatchConflictStopsAdmission(t *testing.T) {
 }
 
 // TestIngestBatchRollsBackExactlyFailedRecords: when the store reports a
-// partial failure, the engine removes exactly the failed records from
-// the table — durable records must stay (replay would resurrect them),
-// non-durable ones must not answer queries — and the failed records are
-// retryable once the store recovers.
+// partial failure, exactly the records it made durable land — durable
+// records must stay (replay would resurrect them), and a record whose
+// append failed is never visible: not to a view taken while the append is
+// in flight, when nothing of the batch has landed yet, and not after it
+// returns.  The failed records are retryable once the store recovers.
 func TestIngestBatchRollsBackExactlyFailedRecords(t *testing.T) {
 	p := 0.3
 	fs := &fakeBatchStore{Store: store.NewMem(), failIdx: map[int]bool{1: true}, err: errDiskFull}
@@ -144,8 +151,18 @@ func TestIngestBatchRollsBackExactlyFailedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	subset := bitvec.Range(0, 2)
+	looked := false
+	fs.during = func() {
+		looked = true
+		if v, _ := eng.Table().View(subset); v.Len() != 0 {
+			t.Errorf("a view taken during the append holds %d records of the batch, want none before it is durable", v.Len())
+		}
+		if _, ok := eng.Table().Get(2, subset); ok {
+			t.Error("the record whose append failed is visible while the append is in flight")
+		}
+	}
 	batch := []sketch.Published{batchPub(1, subset), batchPub(2, subset), batchPub(3, subset)}
-	if stored, err := eng.IngestBatchNew(batch); !errors.Is(err, errDiskFull) || stored != 2 {
+	if stored, err := eng.IngestBatchNew(batch); !errors.Is(err, errDiskFull) || stored != 2 || !looked {
 		t.Fatalf("IngestBatchNew with a failing store = %d stored, %v; want 2 and errDiskFull", stored, err)
 	}
 	if _, ok := eng.Table().Get(2, subset); ok {
@@ -157,7 +174,7 @@ func TestIngestBatchRollsBackExactlyFailedRecords(t *testing.T) {
 		}
 	}
 	// Store recovers; retrying just the failed record succeeds.
-	fs.failIdx = nil
+	fs.failIdx, fs.during = nil, nil
 	if err := eng.IngestBatch([]sketch.Published{batch[1]}); err != nil {
 		t.Fatalf("retry after recovery = %v", err)
 	}
@@ -292,5 +309,81 @@ func TestIngestHandsTheStoreOneSubsetValue(t *testing.T) {
 		if positions(rec.Subset) != positions(one.got[0].Subset) {
 			t.Fatalf("record %v reached the store with a Subset of its own", rec.ID)
 		}
+	}
+}
+
+// silentFailStore fails every AppendBatch without naming a record: what
+// store.BatchAppender's contract forbids and a store may still do.
+type silentFailStore struct {
+	store.Store
+}
+
+func (silentFailStore) AppendBatch([]sketch.Published) ([]int, error) { return nil, errDiskFull }
+
+// TestIngestBatchStoreErrorNamingNothing: a store that errs with an empty
+// failed list may have lost any of the batch, so nothing of it lands or is
+// counted and the store's error is returned — whether or not a conflict
+// stopped admission partway, since every admitted record precedes it.
+func TestIngestBatchStoreErrorNamingNothing(t *testing.T) {
+	p := 0.3
+	eng, err := NewWithStore(testSource(p), sketch.MustParams(p, 10), silentFailStore{store.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subset := bitvec.Range(0, 2)
+	if err := eng.table.Add(batchPub(1, subset)); err != nil {
+		t.Fatal(err)
+	}
+	conflict := batchPub(1, subset)
+	conflict.S.Key++
+	for _, tc := range []struct {
+		name  string
+		batch []sketch.Published
+	}{
+		{"no conflict", []sketch.Published{batchPub(2, subset), batchPub(3, subset)}},
+		{"a mid-batch conflict", []sketch.Published{batchPub(2, subset), conflict, batchPub(3, subset)}},
+	} {
+		stored, err := eng.IngestBatchNew(tc.batch)
+		if stored != 0 || !errors.Is(err, errDiskFull) || eng.Sketches() != 1 {
+			t.Errorf("%s: a store failing without naming records = %d stored, %v, %d sketches; want 0, errDiskFull, 1", tc.name, stored, err, eng.Sketches())
+		}
+	}
+}
+
+// TestIngestBatchRetiresCachedPlan: a cached plan entry serves its repeat
+// without evaluating H, and a batch into its subset — one generation bump
+// as it lands — makes the next execution evaluate again and count the new
+// users, agreeing with an uncached pass.
+func TestIngestBatchRetiresCachedPlan(t *testing.T) {
+	eng, subset, _ := planEngine(t, 500)
+	v := bitvec.MustFromString("1010")
+	cold, err := eng.Conjunction(subset, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals := eng.cache.evals.Load()
+	if _, err := eng.Conjunction(subset, v); err != nil || eng.cache.evals.Load() != evals {
+		t.Fatalf("a warm repeat evaluated H %d more times (%v), want 0", eng.cache.evals.Load()-evals, err)
+	}
+	batch := make([]sketch.Published, 100)
+	for i := range batch {
+		batch[i] = sketch.Published{ID: bitvec.UserID(10_000 + i), Subset: subset, S: sketch.Sketch{Key: uint64(i) % 1024, Length: 10}}
+	}
+	if stored, err := eng.IngestBatchNew(batch); err != nil || stored != len(batch) {
+		t.Fatalf("IngestBatchNew = %d, %v", stored, err)
+	}
+	after, err := eng.Conjunction(subset, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.cache.evals.Load() == evals || after.Users != cold.Users+len(batch) {
+		t.Fatalf("after a batch into the subset: %d users (want %d), %d new evaluations (want > 0)", after.Users, cold.Users+len(batch), eng.cache.evals.Load()-evals)
+	}
+	uncached, err := eng.Estimator().Fraction(eng.Estimator().TableSource(eng.Table()), subset, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != uncached {
+		t.Fatalf("the re-evaluated answer %+v differs from an uncached pass %+v", after, uncached)
 	}
 }

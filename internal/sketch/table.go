@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -133,9 +134,12 @@ type column struct {
 	keys     Words
 	tailIDs  []bitvec.UserID
 	tailKeys Words
-	// tail maps the id of each tail record to its offset in tailIDs; the
-	// run needs no index, it is binary-searched.
-	tail map[bitvec.UserID]int
+	// index locates the tail's records by id: open addressing over tail
+	// offsets + 1 (0 is a free slot), a power of two at most half full,
+	// probed linearly from the id's hash.  With it a tail record holds
+	// ≈ 20 B of heap, where a map index made it ≈ 49; the run needs no
+	// index, it is binary-searched.
+	index []uint32
 	// gen counts the writes to the column.  A cached evaluation bitmap
 	// keyed by (gen, record count) is valid exactly as long as no write
 	// touched the subset; folding does not bump it, the record set is the
@@ -161,8 +165,52 @@ func (c *column) find(id bitvec.UserID) (int, bool) {
 	if i, ok := c.ids.Find(id); ok {
 		return i, true
 	}
-	off, ok := c.tail[id]
-	return c.ids.Len() + off, ok
+	return c.findTail(id)
+}
+
+// findTail is find for an id the run does not hold.
+func (c *column) findTail(id bitvec.UserID) (int, bool) {
+	if len(c.index) == 0 {
+		return 0, false
+	}
+	mask := len(c.index) - 1
+	for h := tailSlot(id, mask); ; h = (h + 1) & mask {
+		switch off := c.index[h]; {
+		case off == 0:
+			return 0, false
+		case c.tailIDs[off-1] == id:
+			return c.ids.Len() + int(off-1), true
+		}
+	}
+}
+
+// tailSlot is where the probe for id starts in an index of mask+1 slots: the
+// top bits of a Fibonacci hash, which spreads ids numbered one apart as well
+// as hashed ones.
+func tailSlot(id bitvec.UserID, mask int) int {
+	return int(uint64(id) * 0x9E3779B97F4A7C15 >> (64 - bits.Len(uint(mask))))
+}
+
+// indexTail enters tail record off in the index.
+func (c *column) indexTail(off int) {
+	mask := len(c.index) - 1
+	h := tailSlot(c.tailIDs[off], mask)
+	for c.index[h] != 0 {
+		h = (h + 1) & mask
+	}
+	c.index[h] = uint32(off + 1)
+}
+
+// reindex rebuilds the index over the tail in size slots.
+func (c *column) reindex(size int) {
+	if size == len(c.index) {
+		clear(c.index)
+	} else {
+		c.index = make([]uint32, size)
+	}
+	for off := range c.tailIDs {
+		c.indexTail(off)
+	}
 }
 
 // sketch returns the sketch of the record at index i, as find numbers them.
@@ -178,13 +226,16 @@ func (c *column) insert(id bitvec.UserID, word uint64) {
 	if len(c.tailIDs) >= tailLimit(c.ids.Len()) {
 		c.fold()
 	}
-	if c.tail == nil {
-		c.tail = make(map[bitvec.UserID]int)
+	switch {
+	case c.index == nil:
 		c.tailIDs, c.tailKeys = make([]bitvec.UserID, 0, tailFloor), MakeWords(c.keys.Width(), 0, tailFloor)
+		c.index = make([]uint32, 2*tailFloor)
+	case 2*(len(c.tailIDs)+1) > len(c.index):
+		c.reindex(2 * len(c.index))
 	}
-	c.tail[id] = len(c.tailIDs)
 	c.tailIDs = append(c.tailIDs, id)
 	c.tailKeys = c.tailKeys.Append(word)
+	c.indexTail(len(c.tailIDs) - 1)
 }
 
 // fold merges the tail into a fresh sorted run and drops it.
@@ -194,7 +245,7 @@ func (c *column) fold() {
 	}
 	tailIDs, tailKeys := SortByID(c.tailIDs, c.tailKeys)
 	c.ids, c.keys = mergeRuns(c.ids, c.keys, tailIDs, tailKeys)
-	c.tailIDs, c.tailKeys, c.tail = nil, Words{}, nil
+	c.tailIDs, c.tailKeys, c.index = nil, Words{}, nil
 }
 
 // SortByID returns parallel id and key columns sorted by id, equal ids
@@ -279,51 +330,68 @@ func mergeRuns(a IDs, aKeys Words, b []bitvec.UserID, bKeys Words) (IDs, Words) 
 	return ids.IDs(), keys.AppendWords(aKeys.Slice(i, a.Len()))
 }
 
-// loadMergeRatio is how many stored records a sorted run being loaded may
-// copy per record of its own: merging copies the whole column, the tail
-// costs an index insert and a share of a later fold per record, and the two
-// meet near this ratio.
-const loadMergeRatio = 32
+// loadMergeRatio is how many stored records a sorted run being landed may
+// copy per record of its own.  A merge costs 3–4 ns per record of the
+// column it rebuilds, even over hashed ids (table-write-then-read: 105–145
+// µs for 32 records onto 35k, the 32 tail inserts included); the tail
+// costs 340–380 ns per record, an index insert and a share of a later fold
+// (table-ingest).  The two meet where a run of m records lands on a column
+// of ≈ 85·m to 125·m, and a merge leaves no tail behind — a tail record
+// holds ≈ 20 B of heap, a run record of fleet-shaped ids ≈ 3.4 — so the
+// ratio sits in that range, at a round 100.  It must stay at 44 or more
+// for a bulk import to merge: an 8192-record chunk over ten subsets is
+// ≈ 820 records a subset, landing on columns of up to 36k.
+const loadMergeRatio = 100
 
 // loadRun adds a run of records for the column's subset, first record
 // wins, and keeps ids and keys from here on.  The store replays (subset,
 // user)-ordered runs: onto an empty column one becomes the column's run as
-// it is, onto a warm one it lands by one linear merge; a run too short to
-// pay for a merge goes through the tail record by record.
+// it is, with no copy; otherwise it lands as land lands a batch.
 func (c *column) loadRun(ids IDs, keys Words) {
 	if ids.Len() == 0 {
 		return
 	}
-	c.gen++
 	if c.len() == 0 {
+		c.gen++
 		c.ids, c.keys = ids, keys
 		return
 	}
-	raw := ids.AppendTo(nil)
-	if len(raw)*loadMergeRatio >= c.len() {
+	c.land(ids.AppendTo(nil), keys)
+}
+
+// land adds records for the column's subset — ids strictly ascending, keys
+// beside them and sized to them — first record wins, as one write: onto an
+// empty column they become its run, onto a warm one they land by one linear
+// merge that leaves no tail, and a run too short to pay for a merge goes
+// through the tail record by record.
+func (c *column) land(ids []bitvec.UserID, keys Words) {
+	c.gen++
+	switch {
+	case c.len() == 0:
+		c.ids, c.keys = MakeIDs(ids), keys
+	case len(ids)*loadMergeRatio >= c.len():
 		c.fold()
-		c.ids, c.keys = mergeRuns(c.ids, c.keys, raw, keys)
-		return
-	}
-	for i, id := range raw {
-		if _, dup := c.find(id); !dup {
-			c.insert(id, keys.At(i))
+		c.ids, c.keys = mergeRuns(c.ids, c.keys, ids, keys)
+	default:
+		for i, id := range ids {
+			if _, dup := c.find(id); !dup {
+				c.insert(id, keys.At(i))
+			}
 		}
 	}
 }
 
-// remove deletes the record at index i, as find numbers them.
+// remove deletes the record at index i, as find numbers them.  A tail
+// record is swapped for the last and the index rebuilt, O(tail): removal is
+// the rare rollback of a single ingest whose append failed.
 func (c *column) remove(i int) {
 	n := c.ids.Len()
 	if i >= n {
 		off, last := i-n, len(c.tailIDs)-1
-		delete(c.tail, c.tailIDs[off])
-		if off != last {
-			c.tailIDs[off] = c.tailIDs[last]
-			c.tailKeys.Set(off, c.tailKeys.At(last))
-			c.tail[c.tailIDs[off]] = off
-		}
+		c.tailIDs[off] = c.tailIDs[last]
+		c.tailKeys.Set(off, c.tailKeys.At(last))
 		c.tailIDs, c.tailKeys = c.tailIDs[:last], c.tailKeys.Slice(0, last)
+		c.reindex(len(c.index))
 		return
 	}
 	var ids IDBuilder
@@ -414,8 +482,10 @@ func (t *Table) AddAll(ps []Published) error {
 // matching a store's newest-wins replay — instead of being rejected like
 // Add's protocol error, because replaying a store onto a warm table is not
 // a second publish.  It costs one column lookup, and no copy at all or one
-// linear merge rather than an index insert per record.  A run holding an
-// invalid sketch loads nothing.
+// linear merge rather than an index insert per record — unless the run is
+// shorter than a 100th of the column (loadMergeRatio), which lands through
+// the tail as a batch that short does (Land).  A run holding an invalid
+// sketch loads nothing.
 // The table takes ownership of the run's columns — a run onto an empty
 // subset becomes the subset's column as it is, with no copy — so a caller
 // that goes on writing to them loads a Clone.

@@ -197,8 +197,10 @@ func (o tableOracle) sorted(b bitvec.Subset) []Published {
 }
 
 // TestTableMatchesMapOracle drives the table and a plain map through the
-// same seeded interleaving of Add, AddNew, LoadRun (shard-like runs, dense
-// and sparse, short and long, repeating stored ids), Remove, Get, Views and reads, and
+// same seeded interleaving of Add, AddNew, batches (Probe and Land: repeats
+// within a batch, identical re-publishes, now and then a conflict or an
+// invalid sketch), LoadRun (shard-like runs, dense and sparse, short and
+// long, repeating stored ids), Remove, Get, Views and reads, and
 // requires identical answers throughout.  Ids are drawn from a small range
 // so duplicates and removals of present records are common, and the write
 // bursts between reads are long enough that the tail folds on its own limit
@@ -250,13 +252,65 @@ func TestTableMatchesMapOracle(t *testing.T) {
 				op = 60 // a load
 			}
 			switch {
-			case op < 35:
+			case op < 30:
 				p := record()
 				ok := oracle.add(p)
 				if err := tab.Add(p); (err == nil) != ok {
 					t.Fatalf("seed %d step %d: Add(%v) = %v, oracle added=%v", seed, step, p, err, ok)
 				}
 				wrote[p.Subset.Key()] = wrote[p.Subset.Key()] || ok
+			case op < 35:
+				// An ingested batch: mostly new records, some repeated
+				// within it and some re-publishing what the table holds —
+				// identical but for one in a few hundred, a conflict — and
+				// one in a thousand invalid, its sketches of any width.  The
+				// oracle admits in input order, skips what it holds
+				// identically and stops at the first conflict or invalid
+				// sketch.
+				batch := make([]Published, 1+rng.Intn(300))
+				planned := tableOracle{}
+				for i := range batch {
+					p := record()
+					if rng.Intn(3) == 0 {
+						length := lengths[rng.Intn(len(lengths))]
+						p.S = Sketch{Key: rng.Uint64() % (1 << uint(length)), Length: length}
+					}
+					if i > 0 && rng.Intn(8) == 0 {
+						p.ID, p.Subset = batch[rng.Intn(i)].ID, batch[rng.Intn(i)].Subset
+					}
+					held, had := oracle[p.Subset.Key()][p.ID]
+					if !had {
+						held, had = planned[p.Subset.Key()][p.ID]
+					}
+					if had && rng.Intn(300) != 0 {
+						p.S = held
+					}
+					if rng.Intn(1000) == 0 {
+						p.S.Key = 1 << uint(p.S.Length)
+					}
+					planned.add(p)
+					batch[i] = p
+				}
+				admitted, refused := 0, false
+				for _, p := range batch {
+					held, had := oracle[p.Subset.Key()][p.ID]
+					if !p.S.Valid() || (had && held != p.S) {
+						refused = true
+						break
+					}
+					if !had {
+						oracle.add(p)
+						wrote[p.Subset.Key()] = true
+						admitted++
+					}
+				}
+				b, err := tab.Probe(batch)
+				if (err != nil) != refused || b.Len() != admitted {
+					t.Fatalf("seed %d step %d: Probe admitted %d records, %v; the oracle %d, refused=%v", seed, step, b.Len(), err, admitted, refused)
+				}
+				if got := tab.Land(b); got != admitted {
+					t.Fatalf("seed %d step %d: Land added %d records, the oracle %d", seed, step, got, admitted)
+				}
 			case op < 60:
 				p := record()
 				held, had := oracle[p.Subset.Key()][p.ID]
@@ -367,6 +421,62 @@ func TestTableMatchesMapOracle(t *testing.T) {
 		if tab.Len() != total || !reflect.DeepEqual(tab.Subsets(), present) {
 			t.Fatalf("seed %d: Len %d (oracle %d), or Subsets differ from the oracle", seed, tab.Len(), total)
 		}
+	}
+}
+
+// TestTableTailIndexFindsEveryRecord: the tail's flat index answers for
+// every record across inserts that double it, folds that drop it and
+// removals that swap the tail's last record into the hole, over dense ids
+// and hashed ones alike: each held id is found with its own sketch, a
+// removed one is not, and none is admitted twice.
+func TestTableTailIndexFindsEveryRecord(t *testing.T) {
+	for _, shape := range []struct {
+		name string
+		id   func(u int) bitvec.UserID
+	}{
+		{"dense ids", func(u int) bitvec.UserID { return bitvec.UserID(7<<40 | u) }},
+		{"hashed ids", func(u int) bitvec.UserID { return bitvec.UserID(uint64(u+1) * 0x9E3779B97F4A7C15) }},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			tab := NewTable()
+			b := bitvec.MustSubset(2)
+			rng := rand.New(rand.NewSource(3))
+			held := make(map[bitvec.UserID]Sketch)
+			grew := false
+			for step := 0; step < 6000; step++ {
+				id := shape.id(rng.Intn(2000))
+				_, had := held[id]
+				if rng.Intn(4) == 0 {
+					delete(held, id)
+					if tab.Remove(id, b) != had {
+						t.Fatalf("step %d: Remove(%v) = %v, held %v", step, id, !had, had)
+					}
+				} else {
+					s := Sketch{Key: uint64(rng.Intn(512)), Length: 9}
+					if _, added, err := tab.AddNew(&Published{ID: id, Subset: b, S: s}); err != nil || added == had {
+						t.Fatalf("step %d: AddNew(%v) = added %v, %v; held %v", step, id, added, err, had)
+					}
+					if !had {
+						held[id] = s
+					}
+				}
+				grew = grew || len(tab.cols[b.Key()].index) > 2*tailFloor
+				if step%10 != 0 {
+					continue
+				}
+				for id, s := range held {
+					if got, ok := tab.Get(id, b); !ok || got != s {
+						t.Fatalf("step %d: Get(%v) = %v, %v; want %v", step, id, got, ok, s)
+					}
+				}
+				if tab.Len() != len(held) {
+					t.Fatalf("step %d: the table holds %d records, want %d", step, tab.Len(), len(held))
+				}
+			}
+			if !grew {
+				t.Fatal("the tail's index never doubled")
+			}
+		})
 	}
 }
 
@@ -579,7 +689,7 @@ func TestTableLoadRunArms(t *testing.T) {
 	if c.ids.Len() != 1100 || len(c.tailIDs) != 2 || tab.CountForSubset(b) != 1102 {
 		t.Fatalf("after a short load the run is %d records and the tail %d, want 1100 and 2", c.ids.Len(), len(c.tailIDs))
 	}
-	if v, _ := tab.View(b); v.Len() != 1102 || c.ids.Len() != 1102 || !snug() || len(c.tailIDs) != 0 || c.tail != nil {
+	if v, _ := tab.View(b); v.Len() != 1102 || c.ids.Len() != 1102 || !snug() || len(c.tailIDs) != 0 || c.index != nil {
 		t.Fatalf("after a read the run is %d records in %d id bytes with room for %d and the tail %d", v.Len(), len(c.ids.b), cap(c.ids.b), len(c.tailIDs))
 	}
 }
@@ -667,14 +777,18 @@ func TestTableViewSurvivesWidening(t *testing.T) {
 // node's share of that benchmark — ingested record by record and read once
 // cost their ids and 2-byte sketch words and next to nothing more, and
 // with a thousand unread inserts waiting in each column's tail, index and
-// all, the table stays within 3 bytes a record of that.  The ids come two
-// ways.  Fleet-shaped — a tenant's tag above users numbered as they
-// enrolled, two of every three of them on this node — they are held as
-// 1-byte differences: 1.25 bytes each with their block's first id and
-// offset.  Hashed over all 64 bits, in scattered order, they gain nothing
-// and must lose nothing: 8 bytes and an eighth each, under the bound that
-// held when the column was a []uint64.  A wider word or headroom behind
-// the run fails a first bound, a heavier tail a second.
+// all, the table stays within half a byte a record of that (≈ 20 B a tail
+// record, a third of it the flat index).  Landed as a bulk import lands
+// them — 8192-record user-major batches through Probe and Land — and never
+// read, the same records are within the read bound: a batch merges into
+// its run and leaves no tail.  The ids come two ways.  Fleet-shaped — a
+// tenant's tag above users numbered as they enrolled, two of every three
+// of them on this node — they are held as 1-byte differences: 1.25 bytes
+// each with their block's first id and offset.  Hashed over all 64 bits,
+// in scattered order, they gain nothing and must lose nothing: 8 bytes and
+// an eighth each, under the bound that held when the column was a
+// []uint64.  A wider word or headroom behind the run fails a first bound,
+// a heavier tail a second, a batch that leaves a tail a third.
 func TestTableHeapBytesPerRecord(t *testing.T) {
 	const users, fresh = 35_000, 1000
 	for _, shape := range []struct {
@@ -682,8 +796,8 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 		id           func(i int) uint64
 		read, unread float64
 	}{
-		{"fleet-shaped ids", func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }, 3.8, 6.5},
-		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, 10.5, 13},
+		{"fleet-shaped ids", func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }, 3.8, 4.2},
+		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, 10.5, 11.0},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			subsets := make([]bitvec.Subset, 10)
@@ -725,6 +839,29 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			t.Logf("with unread inserts: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.unread {
 				t.Errorf("with %d unread inserts per column the table holds %.2f heap bytes per record, want ≤ %.1f", fresh, perRecord, shape.unread)
+			}
+			runtime.KeepAlive(tab)
+
+			tab = nil
+			before = heap()
+			tab = NewTable()
+			var chunk []Published
+			for i := 0; i < users*len(subsets); i += len(chunk) {
+				chunk = chunk[:0]
+				for j := i; j < min(i+8192, users*len(subsets)); j++ {
+					id := shape.id(j / len(subsets))
+					chunk = append(chunk, Published{ID: bitvec.UserID(id), Subset: subsets[j%len(subsets)], S: Sketch{Key: id * 0x9E3779B97F4A7C15 >> 55, Length: 9}})
+				}
+				b, err := tab.Probe(chunk)
+				if err != nil || tab.Land(b) != len(chunk) {
+					t.Fatalf("a batch of %d new records landed %d: %v", len(chunk), b.Len(), err)
+				}
+			}
+			chunk = nil
+			perRecord = float64(heap()-before) / float64(users*len(subsets))
+			t.Logf("landed in batches, unread: %.2f heap bytes per record", perRecord)
+			if perRecord > shape.read {
+				t.Errorf("landed in batches and never read, the table holds %.2f heap bytes per record, want ≤ %.1f: a tail remains", perRecord, shape.read)
 			}
 			runtime.KeepAlive(tab)
 		})

@@ -69,9 +69,11 @@ func framePayload(tag string, n, width int, cols []byte) []byte {
 
 // FuzzColumnWords drives one table column and the store's run machinery
 // with an op stream read from the fuzzer's bytes, against a map: inserts,
-// removals and loaded runs of sketches whose packed words are 1 to 5 bytes
-// wide, in any mixture, so the column and every run on the way are
-// re-encoded wider at arbitrary points.  A loaded run is gathered the way a
+// removals, ingested batches and loaded runs of sketches whose packed words
+// are 1 to 5 bytes wide, in any mixture, so the column and every run on the
+// way are re-encoded wider at arbitrary points.  A batch repeats users
+// within itself and re-publishes held ones, now and then with another
+// sketch, which stops its admission there.  A loaded run is gathered the way a
 // log's frames are (arrival order, repeats, newest wins), sorted, deduplicated
 // and handed to the table for keeps.  Throughout, the column must read as
 // the map does; and written as a run its bytes must be the ones the format
@@ -182,7 +184,52 @@ func FuzzColumnWords(f *testing.F) {
 		}
 		for _, c := range ops {
 			switch c & 7 {
-			case 0, 1, 2:
+			case 2:
+				// An ingested batch of up to 48 arrivals (every fourth 64
+				// more, enough to merge into the column), of the byte's mixed
+				// widths: an arrival whose pair the column or an earlier
+				// arrival holds re-publishes that sketch, but for one in
+				// eight, a conflict.  The map admits in input order and
+				// stops at the first conflict.
+				n := 1 + int(c>>3)%48
+				if c&0x18 == 0x18 {
+					n += 64
+				}
+				batch, planned := make([]sketch.Published, n), make(map[bitvec.UserID]sketch.Sketch)
+				for i := range batch {
+					p := record(c + byte(i)<<5)
+					held, had := oracle[p.ID]
+					if !had {
+						held, had = planned[p.ID]
+					}
+					if had && x%8 != 0 {
+						p.S = held
+					}
+					if _, ok := planned[p.ID]; !ok {
+						planned[p.ID] = p.S
+					}
+					batch[i] = p
+				}
+				admitted, refused := 0, false
+				for _, p := range batch {
+					held, had := oracle[p.ID]
+					if had && held != p.S {
+						refused = true
+						break
+					}
+					if !had {
+						oracle[p.ID] = p.S
+						admitted++
+					}
+				}
+				bt, err := tab.Probe(batch)
+				if (err != nil) != refused || bt.Len() != admitted {
+					t.Fatalf("Probe of %d arrivals admitted %d, %v; the map %d, refused=%v", n, bt.Len(), err, admitted, refused)
+				}
+				if got := tab.Land(bt); got != admitted {
+					t.Fatalf("Land added %d records, the map %d", got, admitted)
+				}
+			case 0, 1:
 				p := record(c)
 				held, had := oracle[p.ID]
 				existing, added, err := tab.AddNew(&p)
