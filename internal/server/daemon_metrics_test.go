@@ -139,6 +139,17 @@ func TestNodeMetricsExpositionLintClean(t *testing.T) {
 	if n, b := entries.Samples[0].Value, size.Samples[0].Value; n != 1 || b <= float64(8+len(key)) || b > float64(8+len(key)+1024) {
 		t.Fatalf("the plan cache holds %v entries of %v bytes, want 1 of 8 + %d key bytes + an entry's overhead", n, b, len(key))
 	}
+	// Computed once and not asked for again, the bitmap waits on
+	// probation: all of the charge, nothing admitted, nothing rejected.
+	for name, want := range map[string]float64{
+		"engine_plan_cache_probation_bytes": size.Samples[0].Value,
+		"engine_plan_cache_admitted_total":  0,
+		"engine_plan_cache_rejected_total":  0,
+	} {
+		if f := fams[name]; f == nil || len(f.Samples) != 1 || f.Samples[0].Value != want {
+			t.Fatalf("%s = %+v, want one sample of %v", name, f, want)
+		}
+	}
 	// The per-shard store gauges carry a shard label per configured shard.
 	f := fams["store_wal_records"]
 	if f == nil {
