@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/engine"
+	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 )
@@ -15,6 +17,9 @@ const (
 	// tableBenchFresh is how many users one write-then-read op publishes
 	// before it reads: the mixed-fresh workload's batch.
 	tableBenchFresh = 32
+	// engineBenchColumn is how many records engine-ingest-lone's column
+	// holds before its lone publishes arrive.
+	engineBenchColumn = 40_000
 )
 
 // tableBenchRecord fabricates user i's record for a subset.  The ids are
@@ -55,10 +60,11 @@ func tableIngest(b *testing.B, subsets []bitvec.Subset, record func(int, bitvec.
 // carries: a bulk import's chunk.
 const tableBenchBatch = 8192
 
-// tableBenchBase returns the 35k-record run the write-then-read kernels
-// start from, as a store replays one: ids ascending.
-func tableBenchBase(subset bitvec.Subset) sketch.Run {
-	ids, keys := make([]bitvec.UserID, tableBenchUsers), sketch.MakeWords(2, 0, tableBenchUsers)
+// tableBenchBase returns the n-record run the write-then-read kernels (35k)
+// and engine-ingest-lone (40k) start from, as a store replays one: ids
+// ascending.
+func tableBenchBase(subset bitvec.Subset, n int) sketch.Run {
+	ids, keys := make([]bitvec.UserID, n), sketch.MakeWords(2, 0, n)
 	for i := range ids {
 		rec := tableBenchRecord(i, subset)
 		ids[i], keys = rec.ID, keys.Append(rec.S.Pack())
@@ -73,7 +79,7 @@ func tableBenchBase(subset bitvec.Subset) sketch.Run {
 // table is rebuilt every 256 ops (timer stopped) so the subset stays near
 // its nominal size.
 func tableWriteThenRead(b *testing.B, subset bitvec.Subset, read func(v sketch.View)) {
-	base := tableBenchBase(subset)
+	base := tableBenchBase(subset, tableBenchUsers)
 	b.ReportAllocs()
 	var tab *sketch.Table
 	next := 0
@@ -111,6 +117,8 @@ func tableWriteThenRead(b *testing.B, subset bitvec.Subset, read func(v sketch.V
 // scattered order: the case an id column can only hold raw, and a fold can
 // move no block of whole.  table-ingest-dense and table-ingest-batch ingest
 // fleet-shaped ids, record by record and as a bulk import's batches.
+// engine-ingest-lone is the write path one published record takes through
+// the engine, memory-only: a batch of one, probed and landed.
 func tableBenchmarks() []struct {
 	name string
 	fn   func(b *testing.B)
@@ -147,6 +155,37 @@ func tableBenchmarks() []struct {
 					b.Fatalf("Probe admitted %d of %d records: %v", batch.Len(), len(chunk), err)
 				}
 				tab.Land(batch)
+			}
+		}},
+		{"engine-ingest-lone", func(b *testing.B) {
+			// One op = one Engine.Ingest of a fresh user, hashed id, onto a
+			// warm 40k-record column: its probe, its land into the tail and
+			// its share of a fold.  The engine is rebuilt every 8192 ops
+			// (timer stopped), past one fold of the tail.
+			subset := subsets[len(subsets)-1]
+			base := tableBenchBase(subset, engineBenchColumn)
+			h := prf.NewBiased(benchKey(), prf.MustProb(0.3))
+			b.ReportAllocs()
+			var eng *engine.Engine
+			next := 0
+			for i := 0; i < b.N; i++ {
+				if i%8192 == 0 {
+					b.StopTimer()
+					var err error
+					if eng, err = engine.New(h, sketch.MustParams(0.3, 9)); err != nil {
+						b.Fatal(err)
+					}
+					// The table owns what it loads; base is loaded again.
+					if err := eng.Table().LoadRun(base.Clone()); err != nil {
+						b.Fatal(err)
+					}
+					next = engineBenchColumn
+					b.StartTimer()
+				}
+				if err := eng.Ingest(tableBenchRecord(next, subset)); err != nil {
+					b.Fatal(err)
+				}
+				next++
 			}
 		}},
 		{"table-write-then-read", func(b *testing.B) {

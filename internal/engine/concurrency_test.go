@@ -185,36 +185,35 @@ func TestFractionParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// flakyStore refuses every third append, so a steady share of ingests is
-// rolled back out of the table while queries read it.
+// flakyStore refuses every third record, so a steady share of ingests fails
+// its append while queries read the table.
 type flakyStore struct {
 	store.Store
 	calls atomic.Uint64
 }
 
-func (f *flakyStore) Append(p sketch.Published) error {
+func (f *flakyStore) appendRecord(p sketch.Published) error {
 	if f.calls.Add(1)%3 == 0 {
 		return errDiskFull
 	}
-	return f.Store.Append(p)
+	return appendOne(f.Store, p)
 }
 
 func (f *flakyStore) AppendBatch(ps []sketch.Published) ([]int, error) {
-	return appendEach(f.Append, ps)
+	return appendEach(f.appendRecord, ps)
 }
 
-// TestEngineConcurrentIngestPlanAndRollback runs ingestion, cached plan
-// execution and durability rollbacks against one table at once (run it
-// under -race): writers insert into column tails and remove records again
-// when the store refuses them, or land batches of what the store made
-// durable, while readers fold tails into fresh runs and scan the views they
-// get.  Every answer must be internally consistent
-// — all entries of one subset see one record set — and once the writers
-// stop, the cached executor must agree with an uncached pass over the same
-// table and with the store's own contents, so no bitmap or keep mask
-// computed against a record set that was rolled back can have stayed in the
-// cache.
-func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
+// TestEngineConcurrentIngestPlanAndFailedAppends runs ingestion, cached
+// plan execution and failed durable appends against one table at once (run
+// it under -race): writers publish record by record or in batches, and
+// exactly what the store made durable lands — into column tails, or as runs
+// merged into the column — while readers fold tails into fresh runs and scan
+// the views they get.  Every answer must be internally consistent — all
+// entries of one subset see one record set — and once the writers stop, the
+// cached executor must agree with an uncached pass over the same table and
+// with the store's own contents, so no bitmap or keep mask computed against
+// a record the store refused can be in the cache.
+func TestEngineConcurrentIngestPlanAndFailedAppends(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -237,7 +236,7 @@ func TestEngineConcurrentIngestPlanAndRollback(t *testing.T) {
 	}
 
 	// One reader each: no filter, and two filters with a key, whose keep
-	// masks share the cache (and its rollbacks) with the bitmaps.
+	// masks share the cache with the bitmaps.
 	keeps := []*query.UserFilter{
 		nil,
 		{Keep: func(id bitvec.UserID) bool { return id%2 == 0 }, Key: "even"},

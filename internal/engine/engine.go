@@ -31,16 +31,14 @@ type Engine struct {
 	params sketch.Params
 	est    *query.Estimator
 	table  *sketch.Table
-	// st, when non-nil, is the durability layer: Ingest appends to it
-	// after the in-memory table accepts the record, a batch before its
-	// records land, and AttachStore rehydrates the table from it on
-	// startup.
+	// st, when non-nil, is the durability layer: every write appends to it
+	// after the table probes the records and before they land, and
+	// AttachStore rehydrates the table from it on startup.
 	st store.Store
-	// ingestMu stripes (by user ID) serialize the table-add + durable-
-	// append pair: without them a concurrent duplicate publish could be
-	// NACKed against a record that a failed append then rolls back,
-	// leaving the sketch in neither table nor store while both callers
-	// saw an error.  Queries never touch these locks.
+	// ingestMu stripes (by user ID) serialize a write's probe, append and
+	// land: without them two publishes of one (user, subset) could both
+	// pass the probe and both be appended.  Queries never touch these
+	// locks.
 	ingestMu [ingestStripes]sync.Mutex
 	// cache holds per-(subset, value) evaluation bitmaps for the plan
 	// executor, versioned by table write generation so ingests invalidate
@@ -105,28 +103,22 @@ func (e *Engine) Store() store.Store { return e.st }
 func (e *Engine) Params() sketch.Params { return e.params }
 
 // Table exposes the underlying public sketch store (read-mostly; ingestion
-// should go through Ingest so duplicate handling stays in one place).
+// should go through Ingest or IngestBatchNew so duplicate handling and
+// durability stay in one place).
 func (e *Engine) Table() *sketch.Table { return e.table }
 
 // Estimator exposes the underlying query estimator.
 func (e *Engine) Estimator() *query.Estimator { return e.est }
 
-// Ingest stores one published sketch: first into the in-memory table
-// (which enforces the one-sketch-per-(user, subset) budget rule), then
-// into the durable store when one is attached.  The table-first order
-// keeps duplicate publishes out of the log entirely, so replay can apply
-// newest-wins deduplication without ever resurrecting a rejected record.
-// A failed durable append rolls the record back out of the table before
-// returning the error: the publish is not acknowledged, nothing
-// non-durable stays queryable (a query racing the failed append can
-// transiently see the record for the append's duration — accepted for a
-// lone record; a batch probes, appends and only then lands, see
-// IngestBatchNew), and the user can retry once the store recovers.  The
-// add+append pair runs under a per-user stripe lock, taken with or without
-// a store, so a concurrent publish for the same (user, subset) waits for
-// the outcome instead of being rejected against a record about to roll
-// back, and a batch's probe-to-land window sees no other writer of its
-// pairs.
+// Ingest stores one published sketch as a batch of one (IngestBatchNew):
+// the table probes it (which enforces the one-sketch-per-(user, subset)
+// budget rule), the durable store appends it when one is attached, and only
+// then does it land.  A duplicate publish therefore never reaches the log,
+// nothing is queryable before it is durable, and a failed append leaves
+// nothing to take back: the publish is not acknowledged, and the user can
+// retry once the store recovers.  The probe-to-land window runs under the
+// user's stripe lock, so a concurrent publish for the same (user, subset)
+// waits for the outcome instead of racing it.
 //
 // Re-publishing the *identical* sketch for a (user, subset) pair is an
 // idempotent no-op, acknowledged without touching the store: the same
@@ -137,45 +129,8 @@ func (e *Engine) Estimator() *query.Estimator { return e.est }
 // (each extra sketch would spend more of the user's privacy budget,
 // Corollary 3.4).
 func (e *Engine) Ingest(p sketch.Published) error {
-	mu := &e.ingestMu[uint64(p.ID)%ingestStripes]
-	mu.Lock()
-	defer mu.Unlock()
-	added, err := e.add(&p)
-	if err != nil || !added {
-		return err
-	}
-	if e.st != nil {
-		if err := e.st.Append(p); err != nil {
-			e.table.Remove(p.ID, p.Subset)
-			return err
-		}
-	}
-	if e.m != nil {
-		e.m.ingests.Inc()
-	}
-	return nil
-}
-
-// add inserts p into the table, reporting whether it was newly added.  An
-// identical re-publish reports (false, nil) — without allocating, since
-// replicated retries make that the common duplicate — and a conflicting
-// one is rejected with Add's wording.  p.Subset comes back as the table's
-// own value for the subset (see Table.AddNew), which is what a store
-// should be handed: a record decoded off the wire carries a parsed Subset
-// of its own, and a store that holds records (store.Mem; a commit window
-// while it is queued) would pin every one of them.
-func (e *Engine) add(p *sketch.Published) (bool, error) {
-	existing, added, err := e.table.AddNew(p)
-	if err != nil {
-		return false, err
-	}
-	if added {
-		return true, nil
-	}
-	if existing == p.S {
-		return false, nil
-	}
-	return false, fmt.Errorf("sketch: user %v already published a sketch for subset %v", p.ID, p.Subset)
+	_, err := e.IngestBatchNew([]sketch.Published{p})
+	return err
 }
 
 // SnapshotBatch streams the engine's stored records in bounded batches for
@@ -201,9 +156,9 @@ func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint
 		}
 	}
 	// Table path.  The cursor packs (subset index, record offset) over the
-	// sorted subset list; both only grow under ingestion (the memory-only
-	// engine never removes), so a concurrent insert can shift a position
-	// right — causing a re-read — but never left past unread records.
+	// sorted subset list; both only grow under ingestion (no write removes a
+	// record), so a concurrent insert can shift a position right — causing
+	// a re-read — but never left past unread records.
 	subsets := e.table.Subsets()
 	si, off := int(cursor>>32), int(cursor&0xFFFFFFFF)
 	var out []sketch.Published
@@ -235,9 +190,9 @@ func (e *Engine) IngestBatch(ps []sketch.Published) error {
 // everything after it — Router.PublishAll's no-new-starts rule — while the
 // records admitted before it still land.
 //
-// One path, with or without a store: under every touched ingest stripe —
-// acquired in ascending order, so batches cannot deadlock each other or a
-// single Ingest — the table probes the whole batch under its read lock
+// The one write path, with or without a store: under every touched ingest
+// stripe — acquired in ascending order, so batches cannot deadlock each
+// other — the table probes the whole batch under its read lock
 // (Table.Probe); with a store attached, one store.AppendBatch call carries
 // the admitted records (one commit window per touched shard); then exactly
 // the records the store made durable land, each subset's as one sorted run

@@ -12,7 +12,7 @@ import (
 
 // fakeBatchStore records AppendBatch traffic and fails configurable
 // indices, standing in for the durable store so the tests can pin down
-// the engine's admission/rollback bookkeeping exactly.
+// the engine's admission and landing bookkeeping exactly.
 type fakeBatchStore struct {
 	store.Store
 	failIdx map[int]bool // indices within the next AppendBatch call to fail
@@ -30,7 +30,7 @@ func (f *fakeBatchStore) AppendBatch(ps []sketch.Published) (failed []int, err e
 			failed = append(failed, i)
 			continue
 		}
-		if err := f.Store.Append(p); err != nil {
+		if err := appendOne(f.Store, p); err != nil {
 			return nil, err
 		}
 	}
@@ -137,13 +137,13 @@ func TestIngestBatchConflictStopsAdmission(t *testing.T) {
 	}
 }
 
-// TestIngestBatchRollsBackExactlyFailedRecords: when the store reports a
+// TestIngestBatchLandsExactlyDurableRecords: when the store reports a
 // partial failure, exactly the records it made durable land — durable
 // records must stay (replay would resurrect them), and a record whose
 // append failed is never visible: not to a view taken while the append is
 // in flight, when nothing of the batch has landed yet, and not after it
 // returns.  The failed records are retryable once the store recovers.
-func TestIngestBatchRollsBackExactlyFailedRecords(t *testing.T) {
+func TestIngestBatchLandsExactlyDurableRecords(t *testing.T) {
 	p := 0.3
 	fs := &fakeBatchStore{Store: store.NewMem(), failIdx: map[int]bool{1: true}, err: errDiskFull}
 	eng, err := NewWithStore(testSource(p), sketch.MustParams(p, 10), fs)
@@ -170,7 +170,7 @@ func TestIngestBatchRollsBackExactlyFailedRecords(t *testing.T) {
 	}
 	for _, id := range []uint64{1, 3} {
 		if _, ok := eng.Table().Get(bitvec.UserID(id), subset); !ok {
-			t.Fatalf("durable record %d was rolled back alongside the failed one", id)
+			t.Fatalf("durable record %d was withheld alongside the failed one", id)
 		}
 	}
 	// Store recovers; retrying just the failed record succeeds.
@@ -227,24 +227,15 @@ func TestIngestBatchDurableRoundTrip(t *testing.T) {
 	}
 }
 
-// singleAppendRecorder records the records single Appends hand the store.
-type singleAppendRecorder struct {
-	store.Store
-	got []sketch.Published
+// appendOne appends p to st as a batch of one.
+func appendOne(st store.Store, p sketch.Published) error {
+	_, err := st.AppendBatch([]sketch.Published{p})
+	return err
 }
 
-func (r *singleAppendRecorder) Append(p sketch.Published) error {
-	r.got = append(r.got, p)
-	return r.Store.Append(p)
-}
-
-func (r *singleAppendRecorder) AppendBatch(ps []sketch.Published) ([]int, error) {
-	return appendEach(r.Append, ps)
-}
-
-// appendEach is AppendBatch for a fake that intercepts Append: a batch
-// reaches the fake record by record instead of passing around it into the
-// store it embeds.
+// appendEach is AppendBatch for a fake that intercepts records one by one:
+// a batch reaches the fake record by record instead of passing around it
+// into the store it embeds.
 func appendEach(appendOne func(sketch.Published) error, ps []sketch.Published) (failed []int, err error) {
 	for i, p := range ps {
 		if aerr := appendOne(p); aerr != nil {
@@ -295,8 +286,8 @@ func TestIngestHandsTheStoreOneSubsetValue(t *testing.T) {
 		}
 	}
 
-	one := &singleAppendRecorder{Store: store.NewMem()}
-	eng, err = NewWithStore(testSource(p), sketch.MustParams(p, 10), one)
+	fs = &fakeBatchStore{Store: store.NewMem()}
+	eng, err = NewWithStore(testSource(p), sketch.MustParams(p, 10), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,9 +296,9 @@ func TestIngestHandsTheStoreOneSubsetValue(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, rec := range one.got {
-		if positions(rec.Subset) != positions(one.got[0].Subset) {
-			t.Fatalf("record %v reached the store with a Subset of its own", rec.ID)
+	for _, one := range fs.batches {
+		if positions(one[0].Subset) != positions(fs.batches[0][0].Subset) {
+			t.Fatalf("record %v reached the store with a Subset of its own", one[0].ID)
 		}
 	}
 }

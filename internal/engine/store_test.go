@@ -2,12 +2,14 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
 	"sketchprivacy/internal/store"
@@ -111,7 +113,7 @@ func TestEngineMemStoreMatchesDurable(t *testing.T) {
 	}
 }
 
-// failingStore errors on Append after a set number of successes.
+// failingStore fails every record after a set number of successes.
 type failingStore struct {
 	store.Store
 	remaining int
@@ -119,22 +121,22 @@ type failingStore struct {
 
 var errDiskFull = errors.New("synthetic disk full")
 
-func (f *failingStore) Append(p sketch.Published) error {
+func (f *failingStore) appendRecord(p sketch.Published) error {
 	if f.remaining <= 0 {
 		return errDiskFull
 	}
 	f.remaining--
-	return f.Store.Append(p)
+	return appendOne(f.Store, p)
 }
 
 func (f *failingStore) AppendBatch(ps []sketch.Published) ([]int, error) {
-	return appendEach(f.Append, ps)
+	return appendEach(f.appendRecord, ps)
 }
 
-// TestEngineIngestRollsBackOnAppendFailure: a record whose durable
-// append fails must not stay queryable (it would silently vanish on
-// restart), and the user must be able to retry once the store recovers.
-func TestEngineIngestRollsBackOnAppendFailure(t *testing.T) {
+// TestEngineIngestFailedAppendLandsNothing: a record whose durable append
+// fails is not queryable (it would silently vanish on restart), and the
+// user can retry once the store recovers.
+func TestEngineIngestFailedAppendLandsNothing(t *testing.T) {
 	p := 0.3
 	params := sketch.MustParams(p, 10)
 	fs := &failingStore{Store: store.NewMem(), remaining: 2}
@@ -159,7 +161,7 @@ func TestEngineIngestRollsBackOnAppendFailure(t *testing.T) {
 		t.Fatalf("failed ingest left %d sketches queryable, want 2", eng.Sketches())
 	}
 	if _, ok := eng.Table().Get(3, subset); ok {
-		t.Fatal("rolled-back record still in the table")
+		t.Fatal("the record whose append failed is in the table")
 	}
 	// Store recovers; the same user retries successfully.
 	fs.remaining = 10
@@ -177,11 +179,11 @@ func TestEngineIngestRollsBackOnAppendFailure(t *testing.T) {
 		t.Fatalf("batch over a failing store: %d stored, %v, %d sketches; want 1, errDiskFull, 4", stored, err, eng.Sketches())
 	}
 	if _, ok := eng.Table().Get(5, subset); ok {
-		t.Fatal("the batch's rolled-back record is still in the table")
+		t.Fatal("the batch's record whose append failed is in the table")
 	}
 }
 
-// gateStore blocks its first Append until released, then fails it;
+// gateStore parks its first AppendBatch until released, then fails it;
 // later appends pass through.  Calls for one user are serialized by the
 // engine's stripe lock, so the fields need no extra synchronization.
 type gateStore struct {
@@ -191,25 +193,25 @@ type gateStore struct {
 	failed  bool
 }
 
-func (g *gateStore) Append(p sketch.Published) error {
+func (g *gateStore) AppendBatch(ps []sketch.Published) ([]int, error) {
 	if !g.failed {
 		g.failed = true
 		close(g.entered)
 		<-g.release
-		return errDiskFull
+		failed := make([]int, len(ps))
+		for i := range failed {
+			failed[i] = i
+		}
+		return failed, errDiskFull
 	}
-	return g.Store.Append(p)
-}
-
-func (g *gateStore) AppendBatch(ps []sketch.Published) ([]int, error) {
-	return appendEach(g.Append, ps)
+	return g.Store.AppendBatch(ps)
 }
 
 // TestEngineConcurrentDuplicateDuringFailedAppend: a publish retried
 // while the first attempt's durable append is in flight must wait for
-// the outcome, not be NACKed as a duplicate of a record that the failed
-// append then rolls back — that would leave the sketch in neither table
-// nor store with both callers told it failed for different reasons.
+// the outcome, not be NACKed as a duplicate of a record the failed append
+// never made durable — that would leave the sketch in neither table nor
+// store with both callers told it failed for different reasons.
 func TestEngineConcurrentDuplicateDuringFailedAppend(t *testing.T) {
 	p := 0.3
 	params := sketch.MustParams(p, 10)
@@ -230,10 +232,83 @@ func TestEngineConcurrentDuplicateDuringFailedAppend(t *testing.T) {
 		t.Fatalf("first ingest = %v, want errDiskFull", err)
 	}
 	if err := <-retryErr; err != nil {
-		t.Fatalf("concurrent retry = %v, want success after the rollback", err)
+		t.Fatalf("concurrent retry = %v, want success after the failed append", err)
 	}
 	if _, ok := eng.Table().Get(7, subset); !ok {
 		t.Fatal("record missing from the table after the successful retry")
+	}
+}
+
+// TestEngineLoneIngestInvisibleUntilDurable: a lone publish is a batch of
+// one, so nothing of it is queryable while its durable append is in flight
+// — not to Get, CountForSubset or a plan that counts the subset — and an
+// append that fails leaves nothing behind: the record is absent, and the
+// plan cache, warmed during the append, answers as an uncached pass does.
+// A retry lands it.
+func TestEngineLoneIngestInvisibleUntilDurable(t *testing.T) {
+	const p = 0.3
+	gs := &gateStore{Store: store.NewMem(), entered: make(chan struct{}), release: make(chan struct{})}
+	eng, err := NewWithStore(testSource(p), sketch.MustParams(p, 10), gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs.failed = true // the seed passes the gate
+	subset := bitvec.Range(0, 2)
+	for id := uint64(1); id <= 10; id++ {
+		if err := eng.Ingest(batchPub(id, subset)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := query.NewPlan()
+	if _, err := eng.Estimator().PlanFraction(plan, subset, bitvec.MustFromString("01")); err != nil {
+		t.Fatal(err)
+	}
+	count := plan.AddSubsetRecords(subset)
+	absent := func(when string) {
+		t.Helper()
+		if _, ok := eng.Table().Get(7_000, subset); ok {
+			t.Fatalf("%s: Get finds the record", when)
+		}
+		if n := eng.Table().CountForSubset(subset); n != 10 {
+			t.Fatalf("%s: CountForSubset = %d, want the 10 durable records", when, n)
+		}
+		res, err := eng.ExecutePlan(plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Count(count); n != 10 || res.Fractions[0].Records != 10 {
+			t.Fatalf("%s: a plan counts %d records and scans %d, want 10", when, n, res.Fractions[0].Records)
+		}
+		fresh, err := eng.Estimator().ExecutePlanOver(eng.Table(), plan, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, fresh) {
+			t.Fatalf("%s: the cached plan answers %+v, an uncached pass %+v", when, res, fresh)
+		}
+	}
+
+	gs.failed = false
+	lone := batchPub(7_000, subset)
+	ingested := make(chan error, 1)
+	go func() { ingested <- eng.Ingest(lone) }()
+	<-gs.entered
+	absent("while its append is parked")
+	close(gs.release)
+	if err := <-ingested; !errors.Is(err, errDiskFull) {
+		t.Fatalf("Ingest over a failing append = %v, want errDiskFull", err)
+	}
+	absent("after its append failed")
+
+	if err := eng.Ingest(lone); err != nil {
+		t.Fatalf("retry = %v", err)
+	}
+	res, err := eng.ExecutePlan(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := eng.Table().Get(lone.ID, subset); !ok || got != lone.S || res.Count(count) != 11 {
+		t.Fatalf("after the retry: Get = (%v, %v), the plan counts %d; want the record and 11", got, ok, res.Count(count))
 	}
 }
 

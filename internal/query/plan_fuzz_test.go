@@ -18,10 +18,10 @@ import (
 var fuzzFixture struct {
 	once sync.Once
 	tab  *sketch.Table
-	// recs is every record the fuzzer's writes may toggle: the table's
-	// own, then those of as many users it does not hold at the start, so
-	// a toggle is as likely an Add as a Remove.
+	// recs is the table's records, recs[:held], then those of as many
+	// users it does not hold, which the fuzzer's writes add to a copy.
 	recs []sketch.Published
+	held int
 	est  *Estimator
 	err  error
 }
@@ -60,7 +60,7 @@ func holdsUnequal(s, i int) bool {
 // the unequal subsets where holdsUnequal says so, the first 600 of them in
 // the table — enough that eight pairs over a subset under a filter keeping
 // half of it shard the scan.
-func fuzzTable() (*sketch.Table, []sketch.Published, *Estimator, error) {
+func fuzzTable() (*sketch.Table, []sketch.Published, int, *Estimator, error) {
 	fuzzFixture.once.Do(func() {
 		const p = 0.3
 		h := testSource(p)
@@ -95,6 +95,7 @@ func fuzzTable() (*sketch.Table, []sketch.Published, *Estimator, error) {
 			if i >= 600 {
 				continue
 			}
+			fuzzFixture.held = len(fuzzFixture.recs)
 			if err := tab.AddAll(pubs); err != nil {
 				fuzzFixture.err = err
 				return
@@ -102,7 +103,7 @@ func fuzzTable() (*sketch.Table, []sketch.Published, *Estimator, error) {
 		}
 		fuzzFixture.tab, fuzzFixture.est = tab, est
 	})
-	return fuzzFixture.tab, fuzzFixture.recs, fuzzFixture.est, fuzzFixture.err
+	return fuzzFixture.tab, fuzzFixture.recs, fuzzFixture.held, fuzzFixture.est, fuzzFixture.err
 }
 
 // mapCache is a minimal BitmapCache for the fuzzer's cached legs.
@@ -139,9 +140,10 @@ func (c mapCache) Evaluated(uint64) {}
 // The cached leg is the never-stale proof for keep masks and for the
 // bitmaps evaluated under them: ONE cache serves filter A, filter B
 // (another key, another predicate), A again, no filter, a key-less filter,
-// no filter again and another key-less filter, with fuzzer-chosen
-// Add/Remove writes before each pass, and every pass must equal the oracle
-// under its own filter on the table as it then stands.  A mask or a bitmap
+// no filter again and another key-less filter, over a copy of the fixture
+// table that fuzzer-chosen writes grow before each pass — held-back records
+// landed as a batch — and every pass must equal the oracle under its own
+// filter on the table as it then stands.  A mask or a bitmap
 // served across keys, across a write, between a filtered and an unfiltered
 // execution or to a filter without a key is a counter that differs.  Each
 // pass also asks a histogram over the two unequal subsets and one every
@@ -165,7 +167,7 @@ func FuzzPlanEquivalence(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-		tab, recs, est, err := fuzzTable()
+		tab, recs, held, est, err := fuzzTable()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,25 +248,15 @@ func FuzzPlanEquivalence(f *testing.F) {
 			t.Fatalf("batched execution differs from the oracle:\noracle %+v\nbatch  %+v", want, got)
 		}
 
-		// toggle removes a record the table holds and adds one it does
-		// not; whatever an iteration toggled is toggled back when it ends,
-		// so every iteration starts from the fixture's record set.
-		toggled := make(map[int]bool)
-		toggle := func(i int) {
-			if r := recs[i]; !tab.Remove(r.ID, r.Subset) {
-				if err := tab.Add(r); err != nil {
-					t.Fatalf("re-adding a removed record errored: %v", err)
-				}
-			}
-			toggled[i] = !toggled[i]
+		// The cached leg writes to a table of its own, which starts as the
+		// fixture's and grows by held-back records only: a column never
+		// gives a record back.
+		grown := sketch.NewTable()
+		all, err := grown.Probe(recs[:held])
+		if err != nil {
+			t.Fatal(err)
 		}
-		defer func() {
-			for i, odd := range toggled {
-				if odd {
-					toggle(i)
-				}
-			}
-		}()
+		grown.Land(all)
 		joined := append(unequalSubsets(), subsets[writes.Intn(len(subsets)-2)])
 		subs := make([]SubQuery, 0, len(joined))
 		for _, i := range writes.Perm(len(joined)) {
@@ -277,16 +269,22 @@ func FuzzPlanEquivalence(f *testing.F) {
 		}
 		cache := mapCache{}
 		for pass, keep := range []*UserFilter{filterA, filterB, filterA, nil, {Keep: mod(5, 2)}, nil, {Keep: mod(7, 3)}} {
+			var batch []sketch.Published
 			for n := writes.Intn(4); n > 0; n-- {
-				toggle(writes.Intn(len(recs)))
+				batch = append(batch, recs[held+writes.Intn(len(recs)-held)])
 			}
+			b, err := grown.Probe(batch)
+			if err != nil {
+				t.Fatalf("probing held-back records errored: %v", err)
+			}
+			grown.Land(b)
 			for _, plan := range []*Plan{plan, unequal} {
-				want, err := oracleOver(est, keep, tab).Execute(plan)
+				want, err := oracleOver(est, keep, grown).Execute(plan)
 				if err != nil {
 					t.Fatalf("oracle errored: %v", err)
 				}
 				for run := 0; run < 2; run++ {
-					warm, err := est.ExecutePlanOver(tab, plan, keep, cache)
+					warm, err := est.ExecutePlanOver(grown, plan, keep, cache)
 					if err != nil {
 						t.Fatalf("cached pass %d run %d errored: %v", pass, run, err)
 					}

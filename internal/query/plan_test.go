@@ -3,6 +3,8 @@ package query
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -269,9 +271,10 @@ func TestPlanFilteredExecutionMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestKeepMaskRetiredByEqualSizedWrite: a Remove and an Add that leave a
-// subset as long as it was still retire its cached keep mask — the
-// generation versions a mask, the length only guards it.
+// TestKeepMaskRetiredByEqualSizedWrite: a write that adds only users the
+// filter drops leaves the filtered subset as long as it was, and still
+// retires its cached keep mask — a mask holds a bit per record of the
+// subset, and the generation versions it.
 func TestKeepMaskRetiredByEqualSizedWrite(t *testing.T) {
 	pop := dataset.UniformBinary(8, 300, 4, 0.5)
 	subset := bitvec.Range(0, 3)
@@ -300,23 +303,31 @@ func TestKeepMaskRetiredByEqualSizedWrite(t *testing.T) {
 		}
 	}
 	check("before the writes")
-	// A kept user leaves and a dropped one arrives: same length, and the
-	// ids after the gap keep their positions, so only the mask can tell.
+	// Three users the filter drops arrive: the kept users are the same as
+	// before, the subset three records longer.
 	view, _ := tab.View(subset)
-	gone := sketch.Published{ID: view.ID(10), Subset: subset, S: view.Sketch(10)}
-	if gone.ID%2 != 0 {
-		gone = sketch.Published{ID: view.ID(11), Subset: subset, S: view.Sketch(11)}
+	kept := func(v sketch.View) (n int) {
+		for i := 0; i < v.Len(); i++ {
+			if keep.Keep(v.ID(i)) {
+				n++
+			}
+		}
+		return n
 	}
-	if !tab.Remove(gone.ID, subset) {
-		t.Fatal("the record to remove is not in the table")
+	added := 0
+	for id := view.ID(0) + 1; added < 3; id++ {
+		if _, held := tab.Get(id, subset); held || keep.Keep(id) {
+			continue
+		}
+		if err := tab.Add(sketch.Published{ID: id, Subset: subset, S: view.Sketch(added)}); err != nil {
+			t.Fatal(err)
+		}
+		added++
 	}
-	if err := tab.Add(sketch.Published{ID: gone.ID + 1_000_001, Subset: subset, S: gone.S}); err != nil {
-		t.Fatal(err)
+	if after, _ := tab.View(subset); kept(after) != kept(view) || after.Len() != view.Len()+added {
+		t.Fatalf("the writes changed the kept users: %d → %d of %d → %d", kept(view), kept(after), view.Len(), after.Len())
 	}
-	if after, _ := tab.View(subset); after.Len() != view.Len() {
-		t.Fatalf("the writes changed the subset's length: %d → %d", view.Len(), after.Len())
-	}
-	check("after an equal-sized write")
+	check("after a write of dropped users only")
 }
 
 // TestGuardedHistogramSkipped pins the guarded-fallback optimization: a
@@ -365,12 +376,12 @@ func TestGuardedHistogramSkipped(t *testing.T) {
 	}
 }
 
-// TestHistogramUnderConcurrentRemove pins that a histogram entry is
-// answered from one consistent state of the table: a writer removing and
-// re-adding sketches (an engine's store-failure rollback) between the
-// executor's steps must not fail the plan or tear a user between two
-// subsets.
-func TestHistogramUnderConcurrentRemove(t *testing.T) {
+// TestHistogramUnderConcurrentAdd pins that a histogram entry is answered
+// from one consistent state of the table: while a writer adds users to the
+// second subset in a fixed order — each in the middle of the id order,
+// between two it holds — every answer is the histogram of the table after
+// some prefix of that order, never a user torn between two states.
+func TestHistogramUnderConcurrentAdd(t *testing.T) {
 	const users = 20000
 	est, err := NewEstimator(testSource(0.3))
 	if err != nil {
@@ -381,10 +392,32 @@ func TestHistogramUnderConcurrentRemove(t *testing.T) {
 	rec := func(id int, b bitvec.Subset) sketch.Published {
 		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: uint64(id % 1024), Length: 10}}
 	}
+	// b1 holds every user and b2 the even ones; the writer adds the odd ones
+	// to b2, ascending.  prefix[k] is the histogram after its first k adds.
+	bin := func(id int) (n int) {
+		for _, b := range []bitvec.Subset{b1, b2} {
+			if sketch.Evaluate(est.h, bitvec.UserID(id), b, oneBit(), rec(id, b).S) {
+				n++
+			}
+		}
+		return n
+	}
+	prefix := [][]uint64{make([]uint64, 3)}
 	for id := 0; id < users; id++ {
-		if err := tab.AddAll([]sketch.Published{rec(id, b1), rec(id, b2)}); err != nil {
+		if err := tab.Add(rec(id, b1)); err != nil {
 			t.Fatal(err)
 		}
+		if id%2 == 0 {
+			if err := tab.Add(rec(id, b2)); err != nil {
+				t.Fatal(err)
+			}
+			prefix[0][bin(id)]++
+		}
+	}
+	for id := 1; id < users; id += 2 {
+		next := slices.Clone(prefix[len(prefix)-1])
+		next[bin(id)]++
+		prefix = append(prefix, next)
 	}
 	plan := NewPlan()
 	ref, err := plan.AddHistogram([]SubQuery{{Subset: b1, Value: oneBit()}, {Subset: b2, Value: oneBit()}})
@@ -395,17 +428,17 @@ func TestHistogramUnderConcurrentRemove(t *testing.T) {
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		for id := 0; ; id = (id + 1) % users {
+		for id := 1; id < users; id += 2 {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			tab.Remove(bitvec.UserID(id), b2)
 			if err := tab.Add(rec(id, b2)); err != nil {
 				t.Error(err)
 				return
 			}
+			runtime.Gosched()
 		}
 	}()
 	for try := 0; try < 50; try++ {
@@ -415,13 +448,8 @@ func TestHistogramUnderConcurrentRemove(t *testing.T) {
 			break
 		}
 		hp := res.Histogram(ref)
-		var sum uint64
-		for _, c := range hp.Hist {
-			sum += c
-		}
-		// At most one user is out of the table at any moment.
-		if hp.Users < users-1 || hp.Users > users || sum != hp.Users {
-			t.Errorf("try %d: histogram covers %d users in bins summing to %d, want %d or %d", try, hp.Users, sum, users-1, users)
+		if k := int(hp.Users) - users/2; k < 0 || k >= len(prefix) || !slices.Equal(hp.Hist, prefix[k]) {
+			t.Errorf("try %d: histogram %v over %d users is not the histogram of a prefix of the writes", try, hp.Hist, hp.Users)
 			break
 		}
 	}

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -119,71 +120,82 @@ func TestNaiveSumThresholdQueries(t *testing.T) {
 	}
 }
 
-// TestSumLessThanPow2UnderConcurrentRemove pins that Appendix E's
-// estimator reads one consistent state of the table: while a writer
-// removes and re-adds the records of one bit subset (an engine's
-// store-failure rollback), every estimate equals the estimate over the
-// full table or over the table without one of those records — never a
-// user set from one state evaluated against sketches from another.
-func TestSumLessThanPow2UnderConcurrentRemove(t *testing.T) {
+// TestSumLessThanPow2UnderConcurrentAdd pins that Appendix E's estimator
+// reads one consistent state of the table: while a writer adds the held-back
+// sketches of one bit subset in a fixed order, every estimate equals the
+// estimate over the table after some prefix of that order — never a user
+// set from one state evaluated against sketches from another.
+func TestSumLessThanPow2UnderConcurrentAdd(t *testing.T) {
 	const m, k, r = 4000, 2, 1
 	pop, a, b := twoFieldPopulation(121, m, k)
 	subsets := append(FieldBitSubsets(a), FieldBitSubsets(b)...)
-	tab, e := buildTable(t, pop, subsets, 0.25, 10, 122)
+	full, e := buildTable(t, pop, subsets, 0.25, 10, 122)
 
-	// The writer cycles over the highest ids of b's low bit, the last the
-	// estimator's user loop reaches.
+	// The writer adds the sketches of b's low bit for the highest ids, the
+	// last the estimator's user loop reaches; each round's table starts
+	// without them.
 	churned := b.BitSubset(k)
 	var records []sketch.Published
 	for id := m - 7; id <= m; id++ {
-		s, ok := tab.Get(bitvec.UserID(id), churned)
+		s, ok := full.Get(bitvec.UserID(id), churned)
 		if !ok {
 			t.Fatalf("user %d has no sketch of %v", id, churned)
 		}
 		records = append(records, sketch.Published{ID: bitvec.UserID(id), Subset: churned, S: s})
 	}
+	withheld := func() *sketch.Table {
+		tab := sketch.NewTable()
+		for _, s := range full.Subsets() {
+			for _, p := range full.Snapshot(s) {
+				if s.Equal(churned) && p.ID >= records[0].ID {
+					continue
+				}
+				if err := tab.Add(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return tab
+	}
 	type state struct {
 		value uint64
 		users int
 	}
-	estimate := func() state {
+	estimate := func(tab *sketch.Table) state {
 		n, err := e.SumLessThanPow2(tab, a, b, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return state{math.Float64bits(n.Value), n.Users}
 	}
-	valid := map[state]bool{estimate(): true}
+	tab := withheld()
+	valid := map[state]bool{estimate(tab): true}
 	for _, rec := range records {
-		tab.Remove(rec.ID, churned)
-		valid[estimate()] = true
 		if err := tab.Add(rec); err != nil {
 			t.Fatal(err)
 		}
+		valid[estimate(tab)] = true
 	}
 
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; ; i = (i + 1) % len(records) {
-			select {
-			case <-stop:
-				return
-			default:
+	for round := 0; round < 25 && !t.Failed(); round++ {
+		tab := withheld()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, rec := range records {
+				if err := tab.Add(rec); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
 			}
-			tab.Remove(records[i].ID, churned)
-			if err := tab.Add(records[i]); err != nil {
-				t.Error(err)
-				return
+		}()
+		for try := 0; try < 4; try++ {
+			if got := estimate(tab); !valid[got] {
+				t.Errorf("round %d try %d: estimate %#x over %d users matches no prefix of the writes", round, try, got.value, got.users)
+				break
 			}
 		}
-	}()
-	for try := 0; try < 200; try++ {
-		if got := estimate(); !valid[got] {
-			t.Errorf("try %d: estimate %#x over %d users matches no single state of the table", try, got.value, got.users)
-			break
-		}
+		<-done
 	}
-	close(stop)
-	<-done
 }

@@ -90,7 +90,7 @@ func (t *Table) Probe(ps []Published) (*Batch, error) {
 	cut, err := len(ps), error(nil)
 	// Each record's group, then each group's share of one id array, filled
 	// in input order and sorted.
-	byTag := make(map[string]int)
+	var byTag map[string]int
 	g := -1
 	for i := range ps {
 		p := &ps[i]
@@ -98,7 +98,7 @@ func (t *Table) Probe(ps []Published) (*Batch, error) {
 			cut, err = i, fmt.Errorf("sketch: invalid sketch %v", p.S)
 			break
 		}
-		g = b.groupOf(p.Subset, g, byTag)
+		g = b.groupOf(p.Subset, g, &byTag)
 		b.groups[g].n++
 		b.slot[i] = int32(g + 1)
 	}
@@ -187,18 +187,29 @@ func (grp *batchGroup) sort() {
 // groupOf returns the group of subset s, adding one if the batch has none:
 // the group of the record before (last) or the one after it are tried first
 // — a batch is mostly subset by subset or user by user — and then the map
-// of every group by tag.
-func (b *Batch) groupOf(s bitvec.Subset, last int, byTag map[string]int) int {
+// of every group by tag, which is made when the batch reaches its second
+// subset: a batch of one subset, a lone record's included, needs none.
+func (b *Batch) groupOf(s bitvec.Subset, last int, byTag *map[string]int) int {
 	for _, g := range [2]int{last, last + 1} {
 		if g >= 0 && g < len(b.groups) && b.groups[g].subset.Equal(s) {
 			return g
 		}
 	}
-	var buf [8 + 8*16]byte
-	if g, ok := byTag[string(s.AppendTag(buf[:0]))]; ok {
-		return g
+	switch len(b.groups) {
+	case 0:
+	case 1:
+		// The batch's second subset (its first, the only group, was tried as
+		// last): the tag index starts with the first.
+		*byTag = map[string]int{b.groups[0].subset.Key(): 0}
+	default:
+		var buf [8 + 8*16]byte
+		if g, ok := (*byTag)[string(s.AppendTag(buf[:0]))]; ok {
+			return g
+		}
 	}
-	byTag[s.Key()] = len(b.groups)
+	if *byTag != nil {
+		(*byTag)[s.Key()] = len(b.groups)
+	}
 	b.groups = append(b.groups, batchGroup{subset: s})
 	return len(b.groups) - 1
 }

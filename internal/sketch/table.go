@@ -25,9 +25,9 @@ import (
 // bytes for a 9-bit sketch) and nothing else.
 type Table struct {
 	mu sync.RWMutex
-	// cols is keyed by Subset.Key.  A column outlives its last record, so a
-	// subset emptied by Remove and published to again keeps counting its
-	// generation from where it was.
+	// cols is keyed by Subset.Key.  A column only grows: no write removes
+	// or replaces a record (a sketch is published once per user and subset,
+	// Corollary 3.4), so a record a view holds is in every later view.
 	cols map[string]*column
 }
 
@@ -123,7 +123,7 @@ func (r Run) Clone() Run {
 
 // column holds one subset's records in two parts.  ids and keys are the
 // id-sorted run: sized exactly, and never written once set — views alias
-// them, so a fold, a removal from the run or a load builds new arrays.
+// them, so a fold or a load builds new arrays.
 // tailIDs and tailKeys are the recent inserts in arrival order, in small
 // arrays of their own that no view reaches.  Each part holds its sketches
 // at the width of its widest (Words); a fold writes the new run at the
@@ -203,11 +203,7 @@ func (c *column) indexTail(off int) {
 
 // reindex rebuilds the index over the tail in size slots.
 func (c *column) reindex(size int) {
-	if size == len(c.index) {
-		clear(c.index)
-	} else {
-		c.index = make([]uint32, size)
-	}
+	c.index = make([]uint32, size)
 	for off := range c.tailIDs {
 		c.indexTail(off)
 	}
@@ -381,30 +377,6 @@ func (c *column) land(ids []bitvec.UserID, keys Words) {
 	}
 }
 
-// remove deletes the record at index i, as find numbers them.  A tail
-// record is swapped for the last and the index rebuilt, O(tail): removal is
-// the rare rollback of a single ingest whose append failed.
-func (c *column) remove(i int) {
-	n := c.ids.Len()
-	if i >= n {
-		off, last := i-n, len(c.tailIDs)-1
-		c.tailIDs[off] = c.tailIDs[last]
-		c.tailKeys.Set(off, c.tailKeys.At(last))
-		c.tailIDs, c.tailKeys = c.tailIDs[:last], c.tailKeys.Slice(0, last)
-		c.reindex(len(c.index))
-		return
-	}
-	var ids IDBuilder
-	ids.Grow(n-1, c.ids.Bytes()+IDBlockLen)
-	var cur IDCursor
-	cur.Reset(c.ids)
-	ids.AppendIDs(&cur, 0, i)
-	ids.AppendIDs(&cur, i+1, n)
-	c.ids = ids.IDs()
-	keys := MakeWords(c.keys.Width(), 0, n-1)
-	c.keys = keys.AppendWords(c.keys.Slice(0, i)).AppendWords(c.keys.Slice(i+1, n))
-}
-
 // view returns the sorted run; the tail must have been folded.
 func (c *column) view() View {
 	return View{subset: c.subset, gen: c.gen, ids: c.ids, keys: c.keys}
@@ -443,9 +415,7 @@ func (t *Table) Add(p Published) error {
 // AddNew inserts p unless its (user, subset) pair already holds a sketch,
 // in which case the existing sketch is returned with added=false and NO
 // error: the caller decides whether the duplicate is an idempotent
-// re-publish or a budget violation.  The engine's ingest path is hot under
-// cluster retry convergence — every replicated retry is a duplicate here —
-// so this path must not pay Add's formatted rejection error per record.
+// re-publish or a budget violation.
 //
 // p.Subset is replaced by the table's own Subset value for that subset, so
 // a caller that goes on holding many records (the in-memory store, a
@@ -502,28 +472,6 @@ func (t *Table) LoadRun(r Run) error {
 	return nil
 }
 
-// Remove deletes the record user id published for subset b, reporting
-// whether one existed.  It exists for the engine's durability rollback —
-// a record whose durable append failed must not stay queryable, or it
-// would influence analysts until the restart silently drops it — and is
-// not a user-facing "unpublish": the privacy spend of a published sketch
-// is not recoverable.
-func (t *Table) Remove(id bitvec.UserID, b bitvec.Subset) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := t.lookup(b)
-	if c == nil {
-		return false
-	}
-	i, ok := c.find(id)
-	if !ok {
-		return false
-	}
-	c.remove(i)
-	c.gen++
-	return true
-}
-
 // Get returns the sketch user id published for subset b, if any.
 func (t *Table) Get(id bitvec.UserID, b bitvec.Subset) (Sketch, bool) {
 	t.mu.RLock()
@@ -542,10 +490,10 @@ func (t *Table) Get(id bitvec.UserID, b bitvec.Subset) (Sketch, bool) {
 // View returns the records of subset b, sorted by user id, together with
 // the write generation they correspond to.  The pair is read under one
 // lock, so a bitmap computed over the view and cached under the generation
-// can never be popcounted against another record set: every Add, LoadRun and
-// Remove bumps the generation.  A stable subset hands out the same columns
-// to every reader; the first read after a write folds the pending inserts
-// in, a linear merge.
+// can never be popcounted against another record set: every write — Add,
+// AddNew, Land, LoadRun — bumps the generation.  A stable subset hands out
+// the same columns to every reader; the first read after a write folds the
+// pending inserts in, a linear merge.
 func (t *Table) View(b bitvec.Subset) (View, uint64) {
 	v := t.Views([]bitvec.Subset{b}, false)[0]
 	return v, v.gen

@@ -28,6 +28,41 @@ func testRun(b bitvec.Subset, ps []Published) Run {
 	return r
 }
 
+// landTestBatch probes and lands a batch of eight users from id up, three
+// apart, each with the sketch (key, length); users the table holds are
+// re-published as they are held, so the batch is never refused.
+func landTestBatch(t *testing.T, tab *Table, b bitvec.Subset, id bitvec.UserID, key uint64, length int) {
+	t.Helper()
+	batch := make([]Published, 8)
+	for j := range batch {
+		p := Published{ID: id + bitvec.UserID(3*j), Subset: b, S: Sketch{Key: key, Length: length}}
+		if held, ok := tab.Get(p.ID, b); ok {
+			p.S = held
+		}
+		batch[j] = p
+	}
+	bt, err := tab.Probe(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Land(bt)
+}
+
+// viewWithin reports whether every record of old is in v with the same
+// sketch.
+func viewWithin(old, v View) bool {
+	j := 0
+	for i := 0; i < old.Len(); i++ {
+		for j < v.Len() && v.ID(j) < old.ID(i) {
+			j++
+		}
+		if j == v.Len() || v.ID(j) != old.ID(i) || v.Sketch(j) != old.Sketch(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // testWords returns a column of the given Pack words.
 func testWords(words ...uint64) Words {
 	var k Words
@@ -200,12 +235,14 @@ func (o tableOracle) sorted(b bitvec.Subset) []Published {
 // same seeded interleaving of Add, AddNew, batches (Probe and Land: repeats
 // within a batch, identical re-publishes, now and then a conflict or an
 // invalid sketch), LoadRun (shard-like runs, dense and sparse, short and
-// long, repeating stored ids), Remove, Get, Views and reads, and
-// requires identical answers throughout.  Ids are drawn from a small range
-// so duplicates and removals of present records are common, and the write
-// bursts between reads are long enough that the tail folds on its own limit
-// as well as on reads, so removals hit both the sorted run and the tail.
-// Sketch lengths are drawn from a set covering every word width, 1 to 5
+// long, repeating stored ids), Get, Views and reads, and requires identical
+// answers throughout.  Ids are drawn from a small range so duplicates of
+// present records are common, and the write bursts between reads are long
+// enough that the tail folds on its own limit as well as on reads, so
+// duplicates meet both the sorted run and the tail.  After every step the
+// column has only grown: no CountForSubset falls, a sample of the records of
+// the view each subset last read is held with the same sketch, and at every
+// read the whole of that older view is in the fresh one.  Sketch lengths are drawn from a set covering every word width, 1 to 5
 // bytes, that widens as the steps go by: columns start narrow, hold mixed
 // widths in run and tail, and are re-encoded wider several times.  The
 // first steps are all loads, so runs land on empty columns too.
@@ -226,10 +263,33 @@ func TestTableMatchesMapOracle(t *testing.T) {
 				S:      Sketch{Key: rng.Uint64() % (1 << uint(length)), Length: length},
 			}
 		}
+		// A column only grows: what a view held stays held, as it was.
+		heldViews, counts := make(map[string]View), make(map[string]int)
+		sample := rand.New(rand.NewSource(seed))
+		grown := func() {
+			t.Helper()
+			for _, b := range subsets {
+				n, old := tab.CountForSubset(b), heldViews[b.Key()]
+				if n < counts[b.Key()] {
+					t.Fatalf("seed %d step %d subset %v: CountForSubset fell from %d to %d", seed, step, b, counts[b.Key()], n)
+				}
+				counts[b.Key()] = n
+				for k := min(4, old.Len()); k > 0; k-- {
+					i := sample.Intn(old.Len())
+					if got, ok := tab.Get(old.ID(i), b); !ok || got != old.Sketch(i) {
+						t.Fatalf("seed %d step %d subset %v: user %v, held as %v by an earlier view, reads (%v, %v)", seed, step, b, old.ID(i), old.Sketch(i), got, ok)
+					}
+				}
+			}
+		}
 		check := func(b bitvec.Subset) {
 			t.Helper()
 			want := oracle.sorted(b)
 			v, gen := tab.View(b)
+			if old := heldViews[b.Key()]; !viewWithin(old, v) {
+				t.Fatalf("seed %d step %d subset %v: a view of %d records taken earlier is not within the fresh one of %d", seed, step, b, old.Len(), v.Len())
+			}
+			heldViews[b.Key()] = v
 			if v.Len() != len(want) || tab.CountForSubset(b) != len(want) {
 				t.Fatalf("seed %d subset %v: view has %d records, CountForSubset %d, oracle %d", seed, b, v.Len(), tab.CountForSubset(b), len(want))
 			}
@@ -363,14 +423,6 @@ func TestTableMatchesMapOracle(t *testing.T) {
 						t.Fatalf("seed %d step %d: LoadRun: %v", seed, step, err)
 					}
 				}
-			case op < 85:
-				p := record()
-				_, had := oracle[p.Subset.Key()][p.ID]
-				delete(oracle[p.Subset.Key()], p.ID)
-				if got := tab.Remove(p.ID, p.Subset); got != had {
-					t.Fatalf("seed %d step %d: Remove(%v, %v) = %v, oracle had=%v", seed, step, p.ID, p.Subset, got, had)
-				}
-				wrote[p.Subset.Key()] = wrote[p.Subset.Key()] || had
 			case op < 95:
 				p := record()
 				want, had := oracle[p.Subset.Key()][p.ID]
@@ -407,6 +459,7 @@ func TestTableMatchesMapOracle(t *testing.T) {
 					}
 				}
 			}
+			grown()
 		}
 		total := 0
 		var present []bitvec.Subset
@@ -425,10 +478,9 @@ func TestTableMatchesMapOracle(t *testing.T) {
 }
 
 // TestTableTailIndexFindsEveryRecord: the tail's flat index answers for
-// every record across inserts that double it, folds that drop it and
-// removals that swap the tail's last record into the hole, over dense ids
-// and hashed ones alike: each held id is found with its own sketch, a
-// removed one is not, and none is admitted twice.
+// every record across inserts that double it and folds that drop it, over
+// dense ids and hashed ones alike: each held id is found with its own
+// sketch, and none is admitted twice.
 func TestTableTailIndexFindsEveryRecord(t *testing.T) {
 	for _, shape := range []struct {
 		name string
@@ -446,19 +498,12 @@ func TestTableTailIndexFindsEveryRecord(t *testing.T) {
 			for step := 0; step < 6000; step++ {
 				id := shape.id(rng.Intn(2000))
 				_, had := held[id]
-				if rng.Intn(4) == 0 {
-					delete(held, id)
-					if tab.Remove(id, b) != had {
-						t.Fatalf("step %d: Remove(%v) = %v, held %v", step, id, !had, had)
-					}
-				} else {
-					s := Sketch{Key: uint64(rng.Intn(512)), Length: 9}
-					if _, added, err := tab.AddNew(&Published{ID: id, Subset: b, S: s}); err != nil || added == had {
-						t.Fatalf("step %d: AddNew(%v) = added %v, %v; held %v", step, id, added, err, had)
-					}
-					if !had {
-						held[id] = s
-					}
+				s := Sketch{Key: uint64(rng.Intn(512)), Length: 9}
+				if _, added, err := tab.AddNew(&Published{ID: id, Subset: b, S: s}); err != nil || added == had {
+					t.Fatalf("step %d: AddNew(%v) = added %v, %v; held %v", step, id, added, err, had)
+				}
+				if !had {
+					held[id] = s
 				}
 				grew = grew || len(tab.cols[b.Key()].index) > 2*tailFloor
 				if step%10 != 0 {
@@ -531,32 +576,10 @@ func TestTableLoadRun(t *testing.T) {
 	}
 }
 
-// TestTableEmptiedSubsetKeepsItsGeneration: a subset whose last record is
-// removed disappears from Subsets, and publishing to it again continues the
-// generation count, so a bitmap cached before the removal cannot match.
-func TestTableEmptiedSubsetKeepsItsGeneration(t *testing.T) {
-	tab := NewTable()
-	b := bitvec.MustSubset(3)
-	p := Published{ID: 7, Subset: b, S: Sketch{Key: 1, Length: 4}}
-	if err := tab.Add(p); err != nil {
-		t.Fatal(err)
-	}
-	_, before := tab.View(b)
-	if !tab.Remove(7, b) || tab.CountForSubset(b) != 0 || len(tab.Subsets()) != 0 {
-		t.Fatal("removing the only record must empty the subset")
-	}
-	if err := tab.Add(p); err != nil {
-		t.Fatal(err)
-	}
-	if v, after := tab.View(b); v.Len() != 1 || after <= before {
-		t.Fatalf("recreated subset: %d records at generation %d, was %d before the removal", v.Len(), after, before)
-	}
-}
-
 // TestTableViewIsImmutable holds a view across ten thousand later inserts
-// and removals — which fold the tail many times, rebuild the run for every
-// removal from it, and outgrow the arrays the view aliases — and requires
-// its ids and sketches to read exactly as they did when it was taken.
+// and landed batches — which fold the tail many times, merge new runs, and
+// outgrow the arrays the view aliases — and requires its ids and sketches to
+// read exactly as they did when it was taken.
 func TestTableViewIsImmutable(t *testing.T) {
 	tab := NewTable()
 	b := bitvec.Range(0, 3)
@@ -572,7 +595,7 @@ func TestTableViewIsImmutable(t *testing.T) {
 		id := bitvec.UserID(rng.Intn(6000))
 		switch rng.Intn(4) {
 		case 0:
-			tab.Remove(id, b)
+			landTestBatch(t, tab, b, id, uint64(step)%512, 9)
 		case 1:
 			tab.View(b)
 		default:
@@ -696,8 +719,8 @@ func TestTableLoadRunArms(t *testing.T) {
 
 // TestTableViewSurvivesWidening: a view taken while every sketch of its
 // column fits two bytes reads bit-identical sketches after wider sketches
-// arrived — through the tail, by loaded runs, across folds and removals —
-// and re-encoded the column three times, while readers go on reading the
+// arrived — through the tail, by loaded runs and landed batches, across
+// folds — and re-encoded the column three times, while readers go on reading the
 // old view and taking new ones beside the writer.
 func TestTableViewSurvivesWidening(t *testing.T) {
 	tab := NewTable()
@@ -746,7 +769,7 @@ func TestTableViewSurvivesWidening(t *testing.T) {
 			s := Sketch{Key: rng.Uint64() % (1 << uint(length)), Length: length}
 			switch rng.Intn(4) {
 			case 0:
-				tab.Remove(bitvec.UserID(3*rng.Intn(3000)), b)
+				landTestBatch(t, tab, b, id, s.Key, length)
 			case 1:
 				var run []Published
 				for j := 0; j < 40; j++ {

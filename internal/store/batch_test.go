@@ -55,7 +55,7 @@ func TestAppendBatchDurableAndQueryable(t *testing.T) {
 
 // TestAppendBatchEmptyAndClosed: an empty batch is a no-op, and a batch
 // against a closed store reports EVERY index failed with ErrClosed —
-// callers roll back precisely what the store says, so the failed list
+// callers land precisely what the store does not name, so the failed list
 // must be complete even when nothing was attempted.
 func TestAppendBatchEmptyAndClosed(t *testing.T) {
 	dir := t.TempDir()
@@ -142,6 +142,15 @@ func TestAppendBatchOversizeFailsOnlyItsShardGroup(t *testing.T) {
 	}
 	if _, ok, _ := st.Lookup(batch[2].ID, b.Key()); ok {
 		t.Fatalf("record %d from the failed group became queryable", batch[2].ID)
+	}
+	// A batch wholly on one shard is appended as it stands, and fails as
+	// one group too: every index, in order.
+	failed, err = st.AppendBatch(batch[1:3])
+	if !errors.Is(err, ErrRecordTooLarge) || len(failed) != 2 || failed[0] != 0 || failed[1] != 1 {
+		t.Fatalf("one-shard AppendBatch with an oversize record = (%v, %v), want both indices and ErrRecordTooLarge", failed, err)
+	}
+	if _, ok, _ := st.Lookup(batch[2].ID, b.Key()); ok {
+		t.Fatalf("record %d from the failed one-shard batch became queryable", batch[2].ID)
 	}
 	// The failed shard is not poisoned: a clean follow-up batch to both
 	// shards succeeds.

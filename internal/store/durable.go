@@ -453,11 +453,11 @@ func (d *Durable) shardOf(p sketch.Published) *dshard {
 	return d.shards[userShard(p.ID, len(d.shards))]
 }
 
-// Append implements Store: the record is framed, checksummed and written
-// to its shard's WAL before Append returns.  In fsync mode the append parks on
-// the shard's group-commit window and returns only after the window's
-// shared fsync — acknowledged still means durable.  A WAL past the flush
-// threshold is rolled into a segment inline.
+// Append durably records one published sketch: the record is framed,
+// checksummed and written to its shard's WAL before Append returns.  In
+// fsync mode the append parks on the shard's group-commit window and
+// returns only after the window's shared fsync — acknowledged still means
+// durable.  A WAL past the flush threshold is rolled into a segment inline.
 func (d *Durable) Append(p sketch.Published) error {
 	sh := d.shardOf(p)
 	if sh.gc != nil {
@@ -509,15 +509,16 @@ func (sh *dshard) appendGroup(ps []sketch.Published) error {
 // batch costs roughly one fsync — and one scheduler park — per touched
 // shard instead of one per record.  Durability on success matches
 // Append: when a record's index is absent from failed, it survives a
-// crash.
+// crash.  A batch whose records all fall in one shard — a lone record's
+// among them — is appended on the caller's goroutine, as it stands.
 //
 // Atomicity is per shard, not per call: each shard group is
 // all-or-nothing (a failed write truncates the whole group off that
 // shard's log), but other shards' groups may already be durable and are
 // NOT undone — fsynced records cannot be taken back without breaking
 // replay.  failed reports exactly the records that did not become
-// durable, in ascending input order, so callers roll back precisely
-// those and nothing else.
+// durable, in ascending input order, so the caller lands the others and
+// withholds precisely those.
 func (d *Durable) AppendBatch(ps []sketch.Published) (failed []int, err error) {
 	if len(ps) == 0 {
 		return nil, nil
@@ -527,6 +528,12 @@ func (d *Durable) AppendBatch(ps []sketch.Published) (failed []int, err error) {
 	d.mu.Unlock()
 	if closed {
 		return seqIndices(len(ps)), ErrClosed
+	}
+	if s, ok := d.oneShard(ps); ok {
+		if err := d.shards[s].appendGroup(ps); err != nil {
+			return seqIndices(len(ps)), err
+		}
+		return nil, nil
 	}
 	groups := make([][]sketch.Published, len(d.shards))
 	idxs := make([][]int, len(d.shards))
@@ -562,6 +569,18 @@ func (d *Durable) AppendBatch(ps []sketch.Published) (failed []int, err error) {
 	return failed, err
 }
 
+// oneShard returns the shard of ps's records and true if they all fall in
+// one.
+func (d *Durable) oneShard(ps []sketch.Published) (int, bool) {
+	s := userShard(ps[0].ID, len(d.shards))
+	for _, p := range ps[1:] {
+		if userShard(p.ID, len(d.shards)) != s {
+			return 0, false
+		}
+	}
+	return s, true
+}
+
 // seqIndices returns [0, 1, ..., n-1].
 func seqIndices(n int) []int {
 	out := make([]int, n)
@@ -575,7 +594,7 @@ func seqIndices(n int) []int {
 // threshold, backing off after a failed roll.  The shard lock must be
 // held.  A failed roll is a maintenance problem, not an append failure:
 // the records are already durable in the WAL, and surfacing the error to
-// the appender would make the engine NACK and roll back records the log
+// the appender would make the engine NACK and withhold records the log
 // would resurrect on replay.  Count the failure, log the transition into
 // the failing state (RollFailing reports it until a roll succeeds), back
 // off until the WAL grows by another threshold, and let Flush/Close

@@ -843,7 +843,7 @@ func TestMemStoreSemanticsMatchDurable(t *testing.T) {
 	b := bitvec.MustSubset(0, 1)
 	m := NewMem()
 	for i := uint64(1); i <= 5; i++ {
-		if err := m.Append(testRecord(i, b)); err != nil {
+		if _, err := m.AppendBatch([]sketch.Published{testRecord(i, b)}); err != nil {
 			t.Fatal(err)
 		}
 	}

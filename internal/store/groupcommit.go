@@ -32,11 +32,12 @@ import (
 //     queued record): bounds how long a descheduled straggler can hold the
 //     cohort's latency hostage.
 //
-// Failure keeps the PR-2 NACK invariants: a failed write or fsync rolls
-// the WHOLE window off the log (wal.appendWindow truncates to the
-// pre-window size) and every parked Append returns the error, so each engine caller
-// rolls its own record back out of the table and nothing non-durable stays
-// queryable or can resurrect on replay.
+// Failure keeps the NACK invariants: a failed write or fsync rolls the
+// WHOLE window off the log (wal.appendWindow truncates to the pre-window
+// size) and every parked appender returns the error, so the engine lands
+// none of those records — it probes a write, appends it and only then
+// lands it — and nothing non-durable is ever queryable or can resurrect on
+// replay.
 type groupCommit struct {
 	sh     *dshard
 	window time.Duration

@@ -54,7 +54,7 @@ func parseIDs(src []byte, n int) (sketch.IDs, error) {
 }
 
 // FuzzColumnIDs drives one table column with an op stream read from the
-// fuzzer's bytes, against a map — inserts, removals and loaded runs of ids
+// fuzzer's bytes, against a map — inserts and loaded runs of ids
 // of every shape fuzzID knows — with a View held across every write that
 // must go on reading what it read.  Throughout, the column must read as the
 // map does through every reader an id column has (At, Find, the block
@@ -203,7 +203,7 @@ func FuzzColumnIDs(f *testing.F) {
 		}
 		for _, c := range ops {
 			switch c & 7 {
-			case 0, 1, 2, 3:
+			case 0, 1, 2, 3, 4:
 				// An insert; every fourth op byte picks a run of neighbours,
 				// so tails hold stretches as well as strays.
 				id := user()
@@ -215,12 +215,6 @@ func FuzzColumnIDs(f *testing.F) {
 					oracle[id] = true
 					id++
 				}
-			case 4:
-				id := user()
-				if tab.Remove(id, b) != oracle[id] {
-					t.Fatalf("Remove(%v) = %v, the map had=%v", id, !oracle[id], oracle[id])
-				}
-				delete(oracle, id)
 			case 5:
 				// A run as a store replays it: up to 150 users, sorted.
 				var ps []sketch.Published

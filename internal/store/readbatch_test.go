@@ -54,7 +54,7 @@ func TestMemReadBatchCoversEverything(t *testing.T) {
 	m := NewMem()
 	const n = 1000
 	for i := uint64(1); i <= n; i++ {
-		if err := m.Append(batchRecord(i)); err != nil {
+		if _, err := m.AppendBatch([]sketch.Published{batchRecord(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

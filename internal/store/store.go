@@ -8,14 +8,10 @@ import (
 )
 
 // Store is the persistence interface the engine writes published sketches
-// through — one record or one batch at a time — and rehydrates its
-// in-memory table from on startup, as whole runs.  Implementations must be
-// safe for concurrent use.
+// through — a batch at a time, a lone publish being a batch of one — and
+// rehydrates its in-memory table from on startup, as whole runs.
+// Implementations must be safe for concurrent use.
 type Store interface {
-	// Append durably records one published sketch.  When Append returns
-	// nil the record must survive a crash of the process (subject to the
-	// implementation's fsync policy for machine crashes).
-	Append(p sketch.Published) error
 	BatchAppender
 	RunIterator
 	// Flush makes every appended record durable (fsync) and rolls any WAL
@@ -34,13 +30,15 @@ type Store interface {
 // shard, which is what carries batched ingest to millions of records
 // per second while every acknowledged record is still durable.
 type BatchAppender interface {
-	// AppendBatch appends every record of ps whose index is absent from
-	// failed with Append's durability guarantee.  Atomicity is per
-	// internal grouping (per shard for the durable store), not per call:
-	// on error, failed lists exactly the records that did NOT become
-	// durable, in ascending input order, and err is the earliest failed
-	// record's cause.  Records outside failed are durable and stay —
-	// callers reconcile by rolling back precisely the failed ones.
+	// AppendBatch durably records every record of ps whose index is absent
+	// from failed: once it returns, those records must survive a crash of
+	// the process (subject to the implementation's fsync policy for machine
+	// crashes).  Atomicity is per internal grouping (per shard for the
+	// durable store), not per call: on error, failed lists exactly the
+	// records that did NOT become durable, in ascending input order, and
+	// err is the earliest failed record's cause.  Records outside failed
+	// are durable and stay — the engine lands exactly those, and withholds
+	// the failed ones, which it never made visible.
 	AppendBatch(ps []sketch.Published) (failed []int, err error)
 }
 
@@ -125,23 +123,18 @@ func NewMem() *Mem {
 	return &Mem{records: make(map[recordKey]sketch.Published)}
 }
 
-// Append implements Store.  Re-appending a (user, subset) pair overwrites
-// the previous record, matching the durable store's newest-wins merge.
-func (m *Mem) Append(p sketch.Published) error {
+// AppendBatch implements Store; an in-memory append cannot fail.
+// Re-appending a (user, subset) pair overwrites the previous record,
+// matching the durable store's newest-wins merge.
+func (m *Mem) AppendBatch(ps []sketch.Published) ([]int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := keyOf(p)
-	if _, ok := m.records[k]; !ok {
-		m.order = append(m.order, k)
-	}
-	m.records[k] = p
-	return nil
-}
-
-// AppendBatch implements Store; an in-memory append cannot fail.
-func (m *Mem) AppendBatch(ps []sketch.Published) ([]int, error) {
 	for _, p := range ps {
-		m.Append(p)
+		k := keyOf(p)
+		if _, ok := m.records[k]; !ok {
+			m.order = append(m.order, k)
+		}
+		m.records[k] = p
 	}
 	return nil, nil
 }

@@ -69,7 +69,7 @@ func framePayload(tag string, n, width int, cols []byte) []byte {
 
 // FuzzColumnWords drives one table column and the store's run machinery
 // with an op stream read from the fuzzer's bytes, against a map: inserts,
-// removals, ingested batches and loaded runs of sketches whose packed words
+// ingested batches and loaded runs of sketches whose packed words
 // are 1 to 5 bytes wide, in any mixture, so the column and every run on the
 // way are re-encoded wider at arbitrary points.  A batch repeats users
 // within itself and re-publishes held ones, now and then with another
@@ -229,7 +229,7 @@ func FuzzColumnWords(f *testing.F) {
 				if got := tab.Land(bt); got != admitted {
 					t.Fatalf("Land added %d records, the map %d", got, admitted)
 				}
-			case 0, 1:
+			case 0, 1, 3:
 				p := record(c)
 				held, had := oracle[p.ID]
 				existing, added, err := tab.AddNew(&p)
@@ -238,13 +238,6 @@ func FuzzColumnWords(f *testing.F) {
 				}
 				if added {
 					oracle[p.ID] = p.S
-				}
-			case 3:
-				id := record(c).ID
-				_, had := oracle[id]
-				delete(oracle, id)
-				if tab.Remove(id, b) != had {
-					t.Fatalf("Remove(%v) = %v, the map had=%v", id, !had, had)
 				}
 			case 4, 5:
 				// A run as a log yields it: up to 48 arrivals, the newest
