@@ -69,10 +69,9 @@ func main() {
 		pingIvl     = flag.Duration("ping-interval", 2*time.Second, "node health-check period")
 		hints       = flag.Bool("hinted-handoff", true, "queue publishes for briefly-down replicas and replay them on return")
 		maxHints    = flag.Int("max-hints", 4096, "hint queue cap per down replica (at the cap, publishes fail loudly)")
-		batch       = flag.Int("transfer-batch", 2048, "most records per rebalance snapshot read and transfer push (a frame holds fewer when subsets are wide)")
 		reqTO       = flag.Duration("request-timeout", 10*time.Second, "end-to-end budget of one fan-out attempt (carried to the nodes in every filter)")
 		hedge       = flag.Duration("hedge-delay", 0, "wait on a silent node before re-asking its slice from surviving replicas (0: request-timeout/4)")
-		transTO     = flag.Duration("transfer-timeout", 60*time.Second, "budget of one rebalance snapshot read or transfer push")
+		transTO     = flag.Duration("transfer-timeout", 60*time.Second, "budget of one rebalance snapshot read or batch push")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address (empty: disabled)")
 		pprofOn     = flag.Bool("pprof", false, "also mount net/http/pprof on the metrics address")
 	)
@@ -99,7 +98,6 @@ func main() {
 		PingInterval:    *pingIvl,
 		HintedHandoff:   *hints,
 		MaxHintsPerNode: *maxHints,
-		TransferBatch:   *batch,
 		RequestTimeout:  *reqTO,
 		HedgeDelay:      *hedge,
 		TransferTimeout: *transTO,

@@ -309,7 +309,6 @@ func TestRouterLiveJoinRebalanceDrainCycle(t *testing.T) {
 		"-nodes", strings.Join(nodeAddrs[:2], ","),
 		"-rf", fmt.Sprint(rf),
 		"-ping-interval", "100ms",
-		"-transfer-batch", "128",
 	)
 	defer func() {
 		routerCmd.Process.Signal(os.Interrupt)

@@ -394,9 +394,9 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 	}
 
 	// The frontend serves unfiltered plans only: ownership filters are the
-	// router's to set, so a plan carrying one is refused by name; the
-	// retired one-evaluation opcode 12 is an unknown message type; and
-	// neither refusal ends the connection.
+	// router's to set, so a plan carrying one is refused by name, as is a
+	// batch carrying a ring epoch; the retired one-evaluation opcode 12 is
+	// an unknown message type; and no refusal ends the connection.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -411,6 +411,21 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 	}
 	if msgType, payload, err := wire.ReadFrame(conn); err != nil || msgType != wire.TypeError || string(payload) != server.ErrFilteredPlan.Error() {
 		t.Fatalf("a filtered plan answered with type %d (%v): %s", msgType, err, payload)
+	}
+	// A batch stamped with a ring epoch is the push a router sends its
+	// nodes: the frontend refuses it by name and publishes none of it.
+	stray := pubs[0]
+	stray.ID = 1 << 40
+	if err := wire.WriteFrame(conn, wire.TypePublishBatch, wire.EncodePublishBatch(r.Epoch(), []sketch.Published{stray})); err != nil {
+		t.Fatal(err)
+	}
+	if msgType, payload, err := wire.ReadFrame(conn); err != nil || msgType != wire.TypeError || string(payload) != server.ErrEpochBatch.Error() {
+		t.Fatalf("an epoch-stamped batch answered with type %d (%v): %s", msgType, err, payload)
+	}
+	for _, n := range nodes {
+		if _, ok := n.eng.Table().Get(stray.ID, stray.Subset); ok {
+			t.Fatalf("node %s holds a record of the refused batch", n.addr)
+		}
 	}
 	if err := wire.WriteFrame(conn, 12, []byte{4, 0}); err != nil {
 		t.Fatal(err)

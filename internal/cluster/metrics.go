@@ -80,7 +80,7 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { _, scanned, _, _ := r.migSnapshot(); return float64(scanned) })
 	reg.GaugeFunc("cluster_rebalance_moved", "Record copies pushed to new owners by the active migration (0 when idle).",
 		func() float64 { _, _, moved, _ := r.migSnapshot(); return float64(moved) })
-	reg.GaugeFunc("cluster_rebalance_batches", "Transfer pushes sent by the active migration (0 when idle).",
+	reg.GaugeFunc("cluster_rebalance_batches", "Batch frames pushed by the active migration (0 when idle).",
 		func() float64 { _, _, _, batches := r.migSnapshot(); return float64(batches) })
 }
 

@@ -162,7 +162,7 @@ func TestRebalanceScrapeMovedMonotonic(t *testing.T) {
 	render = nil
 
 	if len(scrapes) < 2 {
-		t.Fatalf("only %d mid-rebalance scrapes — shrink the transfer batch", len(scrapes))
+		t.Fatalf("only %d mid-rebalance scrapes — grow the workload", len(scrapes))
 	}
 	for i, s := range scrapes {
 		if s.active != 1 {

@@ -23,7 +23,7 @@ type migration struct {
 	started time.Time
 	scanned atomic.Uint64 // records examined across source streams
 	moved   atomic.Uint64 // record copies pushed to new owners
-	batches atomic.Uint64 // transfer pushes sent
+	batches atomic.Uint64 // batch frames pushed
 }
 
 // progress renders one line of live migration state.
@@ -210,7 +210,6 @@ func (r *Router) RebalanceStatus() string {
 func (r *Router) rebalance(old, newRing *Ring, mig *migration) error {
 	rf := r.cfg.Replication
 	newRF := min(rf, len(newRing.Nodes()))
-	batchSize := r.cfg.TransferBatch
 
 	// One live snapshot drives source responsibility for the whole stream;
 	// a node dying mid-stream fails the rebalance loudly rather than
@@ -258,7 +257,7 @@ func (r *Router) rebalance(old, newRing *Ring, mig *migration) error {
 		}
 		cursor := uint64(0)
 		for {
-			batch, err := r.snapshotRead(srcNode, cursor, batchSize)
+			batch, err := r.snapshotRead(srcNode, cursor)
 			if err != nil {
 				return err
 			}
@@ -275,7 +274,7 @@ func (r *Router) rebalance(old, newRing *Ring, mig *migration) error {
 					}
 					pending[dest] = append(pending[dest], p)
 					mig.moved.Add(1)
-					if len(pending[dest]) >= batchSize {
+					if len(pending[dest]) >= wire.MaxTransferBatch {
 						if err := flush(dest); err != nil {
 							return err
 						}
@@ -302,10 +301,11 @@ func (r *Router) rebalance(old, newRing *Ring, mig *migration) error {
 	return nil
 }
 
-// snapshotRead fetches one batch of a member's records, bounded by the
-// bulk TransferTimeout (a full batch read can outlast a query exchange).
-func (r *Router) snapshotRead(n *node, cursor uint64, max int) (wire.SnapshotBatch, error) {
-	req := wire.EncodeSnapshotRead(wire.SnapshotRead{Cursor: cursor, Max: uint32(max)})
+// snapshotRead fetches one batch of a member's records, at most
+// wire.MaxTransferBatch of them, bounded by the bulk TransferTimeout (a full
+// batch read can outlast a query exchange).
+func (r *Router) snapshotRead(n *node, cursor uint64) (wire.SnapshotBatch, error) {
+	req := wire.EncodeSnapshotRead(wire.SnapshotRead{Cursor: cursor, Max: wire.MaxTransferBatch})
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.TransferTimeout)
 	defer cancel()
 	replyType, reply, err := n.roundTripCtx(ctx, wire.TypeSnapshotRead, req)

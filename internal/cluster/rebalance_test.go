@@ -49,9 +49,10 @@ func startNodeAt(t *testing.T, addr string, st store.Store) *testNode {
 	return n
 }
 
-// startDynamicRouter builds a fast-paced router with a small transfer
-// batch (so rebalances take several batches and the mid-transfer hook has
-// moments to fire) and an optional per-batch hook.
+// startDynamicRouter builds a fast-paced router with hinted handoff and an
+// optional hook that runs after each snapshot batch of a rebalance: one per
+// wire.MaxTransferBatch records a source holds, so a stream over two or more
+// sources gives it a moment to fire between them.
 func startDynamicRouter(t *testing.T, nodes []*testNode, rf int, hook func()) *cluster.Router {
 	t.Helper()
 	addrs := make([]string, len(nodes))
@@ -65,7 +66,6 @@ func startDynamicRouter(t *testing.T, nodes []*testNode, rf int, hook func()) *c
 		PingInterval:    50 * time.Millisecond,
 		BackoffBase:     25 * time.Millisecond,
 		BackoffMax:      250 * time.Millisecond,
-		TransferBatch:   512,
 		OnTransferBatch: hook,
 		HintedHandoff:   true,
 	})
@@ -200,12 +200,13 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		}
 		freshID++
 	})
+	firings := hookFirings.Load()
 	if err := r.Join(node3.addr); err != nil {
 		t.Fatal(err)
 	}
 	setHook(nil)
-	if midJoinChecks == 0 {
-		t.Fatal("the join finished without a single mid-transfer check — shrink the transfer batch")
+	if n := hookFirings.Load() - firings; midJoinChecks == 0 || n < 2 {
+		t.Fatalf("the join ran %d mid-transfer checks over %d snapshot batches, want ≥ 1 over ≥ 2 — grow the workload", midJoinChecks, n)
 	}
 	if got := r.Epoch(); got != 2 {
 		t.Fatalf("post-join epoch %d, want 2", got)
@@ -249,12 +250,13 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		midDrainChecks++
 		assertClusterMatchesReference(t, r, ref, subset, field)
 	})
+	firings = hookFirings.Load()
 	if err := r.Drain(nodes[0].addr); err != nil {
 		t.Fatal(err)
 	}
 	setHook(nil)
-	if midDrainChecks == 0 {
-		t.Fatal("the drain finished without a single mid-transfer check")
+	if n := hookFirings.Load() - firings; midDrainChecks == 0 || n < 2 {
+		t.Fatalf("the drain ran %d mid-transfer checks over %d snapshot batches, want ≥ 1 over ≥ 2", midDrainChecks, n)
 	}
 	if got := r.Epoch(); got != 3 {
 		t.Fatalf("post-drain epoch %d, want 3", got)
@@ -398,14 +400,22 @@ func TestClusterJoinSurvivesDestinationKill(t *testing.T) {
 
 // TestClusterJoinSurvivesSourceKill: killing a transfer source
 // mid-rebalance fails the join loudly; with one dead node under RF=2 the
-// cluster still answers exactly over the surviving replicas.
+// cluster still answers exactly over the surviving replicas.  The victim is
+// the last source the stream reads, killed after the first source's batch,
+// so it dies before it is read.
 func TestClusterJoinSurvivesSourceKill(t *testing.T) {
 	nodes := startNodes(t, 3)
 	var killOnce sync.Once
-	r := startDynamicRouter(t, nodes, 2, func() {
+	var r *cluster.Router
+	r = startDynamicRouter(t, nodes, 2, func() {
 		killOnce.Do(func() {
-			if err := nodes[1].srv.Close(); err != nil {
-				t.Error(err)
+			members := r.Members()
+			for _, n := range nodes {
+				if n.addr == members[len(members)-1] {
+					if err := n.srv.Close(); err != nil {
+						t.Error(err)
+					}
+				}
 			}
 		})
 	})

@@ -38,10 +38,6 @@ type Config struct {
 	// At the cap, publishes that would need another hint fail instead —
 	// bounded memory, and the all-live-owner guarantee degrades loudly.
 	MaxHintsPerNode int
-	// TransferBatch is the most records per rebalance snapshot read and
-	// transfer push (default 2048); records over wide subsets travel in
-	// fewer per frame, as many as its bytes hold.
-	TransferBatch int
 	// OnTransferBatch, when set, runs after the rebalance engine finishes
 	// processing each snapshot batch.  Tests use it to freeze a precise
 	// mid-transfer moment (kill a node, run a query); metrics hooks can
@@ -61,7 +57,7 @@ type Config struct {
 	// delays a query by about HedgeDelay plus the recovery round trip, not
 	// by the full RequestTimeout.
 	HedgeDelay time.Duration
-	// TransferTimeout bounds one rebalance snapshot read or transfer push
+	// TransferTimeout bounds one rebalance snapshot read or batch push
 	// (default 60s): bulk record batches legitimately take longer than the
 	// query RequestTimeout.
 	TransferTimeout time.Duration
@@ -87,14 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxHintsPerNode == 0 {
 		c.MaxHintsPerNode = 4096
-	}
-	if c.TransferBatch <= 0 {
-		c.TransferBatch = 2048
-	}
-	if c.TransferBatch > wire.MaxTransferBatch {
-		// Larger batches would exceed the nodes' clamp; a misconfigured
-		// flag must not break every rebalance.
-		c.TransferBatch = wire.MaxTransferBatch
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 2 * time.Second
@@ -319,13 +307,13 @@ func (r *Router) sweep() {
 }
 
 // replayHints pushes a returned node's queued publishes back to it in
-// transfer batches.  Until the queue drains the node stays out of query
+// batch frames.  Until the queue drains the node stays out of query
 // fan-outs (queryLive is false), so an estimate never runs over its
 // incomplete record set; the replay itself is idempotent, like every
 // transfer.
 func (r *Router) replayHints(n *node) {
 	for {
-		hints := n.takeHints(r.cfg.TransferBatch)
+		hints := n.takeHints(wire.MaxTransferBatch)
 		if len(hints) == 0 {
 			return
 		}
@@ -337,11 +325,11 @@ func (r *Router) replayHints(n *node) {
 	}
 }
 
-// pushTransfer delivers an idempotent record batch to a node under the
-// current epoch and reports how many frames that took: a batch is cut by
-// record count upstream but a frame is bounded by bytes, so wide subsets
-// split it (wire.FrameBatch).  Each frame is bounded by the bulk
-// TransferTimeout rather than the query RequestTimeout — a full batch
+// pushTransfer delivers an idempotent record batch to a node as publish
+// batch frames stamped with the current ring epoch, and reports how many
+// frames that took: wire.FrameBatch cuts the batch by record count and by
+// bytes, so wide subsets split it further.  Each frame is bounded by the
+// bulk TransferTimeout rather than the query RequestTimeout — a full batch
 // write can legitimately outlast a query exchange.
 func (r *Router) pushTransfer(n *node, records []sketch.Published) (frames int, err error) {
 	for ; len(records) > 0; frames++ {
@@ -349,20 +337,17 @@ func (r *Router) pushTransfer(n *node, records []sketch.Published) (frames int, 
 		if err != nil {
 			return frames, err
 		}
-		payload := wire.EncodeTransferPush(wire.TransferPush{Epoch: r.Epoch(), Records: records[:fit]})
+		payload := wire.EncodePublishBatch(r.Epoch(), records[:fit])
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.TransferTimeout)
-		replyType, reply, err := n.roundTripCtx(ctx, wire.TypeTransferPush, payload)
+		replyType, reply, err := n.roundTripCtx(ctx, wire.TypePublishBatch, payload)
 		cancel()
 		switch {
 		case err != nil:
 			return frames, err
 		case replyType == wire.TypeError:
 			return frames, fmt.Errorf("cluster: node %s refused transfer: %s", n.addr, reply)
-		case replyType != wire.TypeTransferAck:
+		case replyType != wire.TypeAck:
 			return frames, fmt.Errorf("cluster: node %s: unexpected transfer reply type %d", n.addr, replyType)
-		}
-		if _, err := wire.DecodeTransferAck(reply); err != nil {
-			return frames, err
 		}
 		records = records[fit:]
 	}

@@ -68,7 +68,6 @@ func TestWideSubsetsCutByBytes(t *testing.T) {
 	// The same batch to the router endpoint.
 	nodes := startNodes(t, 3)
 	r := startRouterCfg(t, nodes, 2, func(c *cluster.Config) {
-		c.TransferBatch = wire.MaxTransferBatch
 		c.HintedHandoff = true
 		c.MaxHintsPerNode = wire.MaxTransferBatch
 		c.PingInterval = 50 * time.Millisecond

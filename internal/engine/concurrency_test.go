@@ -268,19 +268,38 @@ func TestEngineConcurrentIngestPlanAndFailedAppends(t *testing.T) {
 					id := bitvec.UserID(w*perWriter + i + j + 1)
 					batch[j] = sketch.Published{ID: id, Subset: subset, S: sketch.Sketch{Key: uint64(id) % 1024, Length: 10}}
 				}
-				var stored int
 				var err error
 				if step == 1 {
-					if err = eng.Ingest(batch[0]); err == nil {
-						stored = 1
-					}
+					err = eng.Ingest(batch[0])
 				} else {
-					stored, err = eng.IngestBatchNew(batch)
+					err = eng.IngestBatch(batch)
 				}
-				accepted.Add(int64(stored))
 				if err != nil && !errors.Is(err, errDiskFull) {
 					t.Errorf("ingest of users %d to %d: %v", batch[0].ID, batch[step-1].ID, err)
 					return
+				}
+				if err == nil {
+					// An ack means every record is durable and landed.
+					for _, p := range batch {
+						if _, ok := eng.Table().Get(p.ID, subset); !ok {
+							t.Errorf("acknowledged ingest of user %d did not land", p.ID)
+							return
+						}
+					}
+					accepted.Add(int64(step))
+					continue
+				}
+				if step == 1 {
+					continue
+				}
+				// A batch cut short by a full disk lands what its store
+				// made durable.  The ids are this writer's alone and a
+				// record never leaves the table, so what it holds of them
+				// now is what this call stored.
+				for _, p := range batch {
+					if _, ok := eng.Table().Get(p.ID, subset); ok {
+						accepted.Add(1)
+					}
 				}
 			}
 		}(w)

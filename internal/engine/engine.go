@@ -103,14 +103,14 @@ func (e *Engine) Store() store.Store { return e.st }
 func (e *Engine) Params() sketch.Params { return e.params }
 
 // Table exposes the underlying public sketch store (read-mostly; ingestion
-// should go through Ingest or IngestBatchNew so duplicate handling and
+// should go through Ingest or IngestBatch so duplicate handling and
 // durability stay in one place).
 func (e *Engine) Table() *sketch.Table { return e.table }
 
 // Estimator exposes the underlying query estimator.
 func (e *Engine) Estimator() *query.Estimator { return e.est }
 
-// Ingest stores one published sketch as a batch of one (IngestBatchNew):
+// Ingest stores one published sketch as a batch of one (IngestBatch):
 // the table probes it (which enforces the one-sketch-per-(user, subset)
 // budget rule), the durable store appends it when one is attached, and only
 // then does it land.  A duplicate publish therefore never reaches the log,
@@ -129,8 +129,7 @@ func (e *Engine) Estimator() *query.Estimator { return e.est }
 // (each extra sketch would spend more of the user's privacy budget,
 // Corollary 3.4).
 func (e *Engine) Ingest(p sketch.Published) error {
-	_, err := e.IngestBatchNew([]sketch.Published{p})
-	return err
+	return e.IngestBatch([]sketch.Published{p})
 }
 
 // SnapshotBatch streams the engine's stored records in bounded batches for
@@ -175,20 +174,11 @@ func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint
 	return out, uint64(si)<<32 | uint64(off), si >= len(subsets), nil
 }
 
-// IngestBatch stores a batch of published sketches; see IngestBatchNew.
-func (e *Engine) IngestBatch(ps []sketch.Published) error {
-	_, err := e.IngestBatchNew(ps)
-	return err
-}
-
-// IngestBatchNew stores a batch of published sketches and reports how
-// many of them were newly stored — an idempotent identical re-publish is
-// acknowledged without counting, which is how a transfer push tells how
-// many records actually moved.  Admission runs in input order, repeats
-// within the batch included: an identical re-publish is skipped, and a
-// conflicting sketch (Corollary 3.4) or an invalid one stops admission of
-// everything after it — Router.PublishAll's no-new-starts rule — while the
-// records admitted before it still land.
+// IngestBatch stores a batch of published sketches.  Admission runs in
+// input order, repeats within the batch included: an identical re-publish
+// is skipped, and a conflicting sketch (Corollary 3.4) or an invalid one
+// stops admission of everything after it — Router.PublishAll's
+// no-new-starts rule — while the records admitted before it still land.
 //
 // The one write path, with or without a store: under every touched ingest
 // stripe — acquired in ascending order, so batches cannot deadlock each
@@ -199,8 +189,8 @@ func (e *Engine) IngestBatch(ps []sketch.Published) error {
 // merged into its column (Table.Land).  Nothing of a batch is visible
 // before it is durable, and nothing is ever rolled back.  A store error
 // wins over the conflict, being the earlier failure — every admitted
-// record precedes the conflict — and stored counts what landed.
-func (e *Engine) IngestBatchNew(ps []sketch.Published) (stored int, err error) {
+// record precedes the conflict.
+func (e *Engine) IngestBatch(ps []sketch.Published) error {
 	var touched [ingestStripes]bool
 	for _, p := range ps {
 		touched[uint64(p.ID)%ingestStripes] = true
@@ -224,18 +214,18 @@ func (e *Engine) IngestBatchNew(ps []sketch.Published) (stored int, err error) {
 		if aerr != nil && len(failed) == 0 {
 			// The store's contract names what failed; a store that names
 			// nothing may have lost anything, so nothing is acknowledged.
-			return 0, aerr
+			return aerr
 		}
 		b.Drop(failed)
 		if aerr != nil {
 			err = aerr
 		}
 	}
-	stored = e.table.Land(b)
+	stored := e.table.Land(b)
 	if e.m != nil {
 		e.m.ingests.Add(uint64(stored))
 	}
-	return stored, err
+	return err
 }
 
 // Sketches returns the total number of stored sketches.

@@ -90,8 +90,8 @@ func TestIngestBatchIdempotentDuplicatesSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.batches = nil
-	if stored, err := eng.IngestBatchNew([]sketch.Published{a, b, a}); err != nil || stored != 1 {
-		t.Fatalf("batch with idempotent duplicates = %d stored, %v; want the one new record acknowledged", stored, err)
+	if err := eng.IngestBatch([]sketch.Published{a, b, a}); err != nil {
+		t.Fatalf("batch with idempotent duplicates: %v", err)
 	}
 	if len(fs.batches) != 1 || len(fs.batches[0]) != 1 || fs.batches[0][0].ID != b.ID {
 		t.Fatalf("store received %v, want exactly the one new record", fs.batches)
@@ -119,8 +119,8 @@ func TestIngestBatchConflictStopsAdmission(t *testing.T) {
 	conflict := batchPub(1, subset)
 	conflict.S.Key++ // a different sketch for an existing (user, subset)
 	fs.batches = nil
-	stored, err := eng.IngestBatchNew([]sketch.Published{batchPub(2, subset), conflict, batchPub(3, subset)})
-	if err == nil || stored != 1 {
+	err = eng.IngestBatch([]sketch.Published{batchPub(2, subset), conflict, batchPub(3, subset)})
+	if stored := eng.Sketches() - 1; err == nil || stored != 1 {
 		t.Fatalf("conflicting sketch mid-batch = %d stored, %v; want the record before it stored and an error", stored, err)
 	}
 	if len(fs.batches) != 1 || len(fs.batches[0]) != 1 || fs.batches[0][0].ID != 2 {
@@ -162,8 +162,8 @@ func TestIngestBatchLandsExactlyDurableRecords(t *testing.T) {
 		}
 	}
 	batch := []sketch.Published{batchPub(1, subset), batchPub(2, subset), batchPub(3, subset)}
-	if stored, err := eng.IngestBatchNew(batch); !errors.Is(err, errDiskFull) || stored != 2 || !looked {
-		t.Fatalf("IngestBatchNew with a failing store = %d stored, %v; want 2 and errDiskFull", stored, err)
+	if err := eng.IngestBatch(batch); !errors.Is(err, errDiskFull) || eng.Sketches() != 2 || !looked {
+		t.Fatalf("IngestBatch with a failing store = %d stored, %v; want 2 and errDiskFull", eng.Sketches(), err)
 	}
 	if _, ok := eng.Table().Get(2, subset); ok {
 		t.Fatal("record the store failed is still queryable")
@@ -334,9 +334,8 @@ func TestIngestBatchStoreErrorNamingNothing(t *testing.T) {
 		{"no conflict", []sketch.Published{batchPub(2, subset), batchPub(3, subset)}},
 		{"a mid-batch conflict", []sketch.Published{batchPub(2, subset), conflict, batchPub(3, subset)}},
 	} {
-		stored, err := eng.IngestBatchNew(tc.batch)
-		if stored != 0 || !errors.Is(err, errDiskFull) || eng.Sketches() != 1 {
-			t.Errorf("%s: a store failing without naming records = %d stored, %v, %d sketches; want 0, errDiskFull, 1", tc.name, stored, err, eng.Sketches())
+		if err := eng.IngestBatch(tc.batch); !errors.Is(err, errDiskFull) || eng.Sketches() != 1 {
+			t.Errorf("%s: a store failing without naming records = %v, %d sketches; want errDiskFull, 1", tc.name, err, eng.Sketches())
 		}
 	}
 }
@@ -360,8 +359,8 @@ func TestIngestBatchRetiresCachedPlan(t *testing.T) {
 	for i := range batch {
 		batch[i] = sketch.Published{ID: bitvec.UserID(10_000 + i), Subset: subset, S: sketch.Sketch{Key: uint64(i) % 1024, Length: 10}}
 	}
-	if stored, err := eng.IngestBatchNew(batch); err != nil || stored != len(batch) {
-		t.Fatalf("IngestBatchNew = %d, %v", stored, err)
+	if err := eng.IngestBatch(batch); err != nil {
+		t.Fatalf("IngestBatch: %v", err)
 	}
 	after, err := eng.Conjunction(subset, v)
 	if err != nil {

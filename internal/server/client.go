@@ -121,21 +121,21 @@ func (c *Client) Publish(p sketch.Published) error {
 	return err
 }
 
-// PublishAll publishes a batch in chunked TypePublishBatch frames — each
-// the leading records that fit one frame, at most MaxTransferBatch of them
-// — stopping at the first error.  Each frame lands through the server's
-// batched ingest — roughly one fsync'd commit window per touched store
-// shard — and its single ack means every record in the chunk is durable.
-// On error the caller cannot assume which records of the failed chunk
-// landed; re-publishing the whole batch is safe because ingestion is
-// idempotent.
+// PublishAll publishes a batch in chunked TypePublishBatch frames under
+// no ring epoch — each the leading records that fit one frame
+// (wire.FrameBatch) — stopping at the first error.  Each frame lands
+// through the server's batched ingest — roughly one fsync'd commit window
+// per touched store shard — and its single ack means every record in the
+// chunk is durable.  On error the caller cannot assume which records of
+// the failed chunk landed; re-publishing the whole batch is safe because
+// ingestion is idempotent.
 func (c *Client) PublishAll(ps []sketch.Published) error {
 	for len(ps) > 0 {
-		n, err := wire.FrameBatch(ps[:min(len(ps), wire.MaxTransferBatch)])
+		n, err := wire.FrameBatch(ps)
 		if err != nil {
 			return err
 		}
-		if _, err := c.call(wire.TypePublishBatch, wire.EncodePublishBatch(ps[:n]), wire.TypeAck); err != nil {
+		if _, err := c.call(wire.TypePublishBatch, wire.EncodePublishBatch(0, ps[:n]), wire.TypeAck); err != nil {
 			return err
 		}
 		ps = ps[n:]

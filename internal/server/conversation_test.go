@@ -16,10 +16,12 @@ import (
 // every opcode it serves, the error paths, an unknown opcode and the
 // retired ones — and compares each reply frame, type and payload bytes,
 // with literals recorded from the commit before the connection loop was
-// shared with the router.  A node answers the same request bytes with the
-// same reply bytes, error texts included; a refactor of the loop or of a
-// dispatch arm that moves one byte fails here.  The stats reply is
-// compared decoded.
+// shared with the router, and re-recorded for wire v8: the version byte,
+// the epoch every batch frame now carries, the retired transfer opcodes 16
+// and 17, and the conflict text of a router's push, which is a batch's.  A
+// node answers the same request bytes with the same reply bytes, error
+// texts included; a refactor of the loop or of a dispatch arm that moves
+// one byte fails here.  The stats reply is compared decoded.
 func TestRecordedConversation(t *testing.T) {
 	_, addr, _, _ := startTestServer(t, 0.3, 10)
 	conn := dialRaw(t, addr)
@@ -69,6 +71,14 @@ func TestRecordedConversation(t *testing.T) {
 	if got := wire.EncodePlanQuery(&wire.Filter{Epoch: 2}, totalPlan()); !bytes.Equal(got, stalePlanQuery) {
 		t.Errorf("the stale total-only plan encodes to %x, recorded %x", got, stalePlanQuery)
 	}
+	// A router's push under ring epoch 5, recorded from the v7 transfer
+	// push of the same records: a v8 batch frame is that byte layout.
+	pushPayload := unhex("0000000000000005" + "00000002" +
+		"0000002b000000000000000300000018000000000000000200000000000000000000000000000002000000030a02bc" +
+		"000000230000000000000009000000100000000000000001000000000000000100000003" + "0a0002" + "21f723ac")
+	if got := wire.EncodePublishBatch(5, []sketch.Published{rec(3, b0, 700), rec(9, b1, 2)}); !bytes.Equal(got, pushPayload) {
+		t.Errorf("the epoch-5 batch encodes to %x, recorded %x", got, pushPayload)
+	}
 	steps := []struct {
 		name      string
 		msgType   byte
@@ -76,16 +86,16 @@ func TestRecordedConversation(t *testing.T) {
 		replyType byte
 		reply     string // hex, or the error text for a TypeError
 	}{
-		{"hello", wire.TypeHello, wire.EncodeHello(), wire.TypeHelloAck, "07"},
-		{"hello with an epoch", wire.TypeHello, wire.EncodeHelloEpoch(3), wire.TypeHelloAck, "07"},
-		{"ping", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=7 sketches=0 epoch=3"))},
-		{"ping with an epoch", wire.TypePing, wire.EncodePingEpoch(4), wire.TypePong, hex.EncodeToString([]byte("ok version=7 sketches=0 epoch=4"))},
+		{"hello", wire.TypeHello, wire.EncodeHello(), wire.TypeHelloAck, "08"},
+		{"hello with an epoch", wire.TypeHello, wire.EncodeHelloEpoch(3), wire.TypeHelloAck, "08"},
+		{"ping", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=8 sketches=0 epoch=3"))},
+		{"ping with an epoch", wire.TypePing, wire.EncodePingEpoch(4), wire.TypePong, hex.EncodeToString([]byte("ok version=8 sketches=0 epoch=4"))},
 		{"publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 5)), wire.TypeAck, ""},
 		{"identical re-publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 5)), wire.TypeAck, ""},
 		{"conflicting publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 6)), wire.TypeError,
 			"sketch: user user-1 already published a sketch for subset {0,2}"},
 		{"corrupt publish", wire.TypePublish, []byte{1, 2, 3}, wire.TypeError, "wire: corrupt payload"},
-		{"publish batch", wire.TypePublishBatch, wire.EncodePublishBatch([]sketch.Published{rec(2, b0, 9), rec(3, b0, 700), rec(2, b1, 1)}), wire.TypeAck, ""},
+		{"publish batch", wire.TypePublishBatch, wire.EncodePublishBatch(0, []sketch.Published{rec(2, b0, 9), rec(3, b0, 700), rec(2, b1, 1)}), wire.TypeAck, ""},
 		{"corrupt publish batch", wire.TypePublishBatch, []byte{0, 0, 0, 1, 9, 9, 9, 9}, wire.TypeError, "wire: corrupt payload: transfer frame CRC mismatch"},
 		// Opcodes 2 and 3 carry the bytes a v6 analyst's query ({0,2} = 10)
 		// and its answer were.
@@ -105,14 +115,19 @@ func TestRecordedConversation(t *testing.T) {
 			"000000020000000001000000010000002b000000000000000300000018000000000000000200000000000000000000000000000002000000030a02bc3e52f24d"},
 		{"corrupt snapshot read", wire.TypeSnapshotRead, []byte{0}, wire.TypeError,
 			"wire: corrupt payload"},
-		{"transfer push", wire.TypeTransferPush, wire.EncodeTransferPush(wire.TransferPush{Epoch: 5, Records: []sketch.Published{rec(3, b0, 700), rec(9, b1, 2)}}), wire.TypeTransferAck,
-			"0000000000000001"},
-		{"conflicting transfer push", wire.TypeTransferPush, wire.EncodeTransferPush(wire.TransferPush{Epoch: 5, Records: []sketch.Published{rec(9, b1, 3)}}), wire.TypeError,
-			"server: transfer push: sketch: user user-9 already published a sketch for subset {1}"},
+		// A router's push is a batch under its ring epoch: acknowledged empty,
+		// and the node observes epoch 5.  Its payload is the byte layout
+		// opcode 16 carried, which a v8 node no longer knows — nor 17, the
+		// ack that counted the one newly applied record.
+		{"a router's batch under its epoch", wire.TypePublishBatch, pushPayload, wire.TypeAck, ""},
+		{"a conflicting batch under the epoch", wire.TypePublishBatch, wire.EncodePublishBatch(5, []sketch.Published{rec(9, b1, 3)}), wire.TypeError,
+			"sketch: user user-9 already published a sketch for subset {1}"},
+		{"a retired opcode: the transfer push", 16, pushPayload, wire.TypeError, "server: unknown message type 16"},
+		{"a retired opcode: its ack", 17, unhex("0000000000000001"), wire.TypeError, "server: unknown message type 17"},
 		{"an unknown opcode", 99, []byte("x"), wire.TypeError, "server: unknown message type 99"},
 		{"a retired opcode", 12, []byte{4, 0}, wire.TypeError, "server: unknown message type 12"},
 		{"a router's admin opcode", wire.TypeJoin, []byte("127.0.0.1:1"), wire.TypeError, "server: unknown message type 18"},
-		{"ping after it all", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=7 sketches=5 epoch=5"))},
+		{"ping after it all", wire.TypePing, nil, wire.TypePong, hex.EncodeToString([]byte("ok version=8 sketches=5 epoch=5"))},
 	}
 	for _, s := range steps {
 		replyType, reply := roundTripRaw(t, conn, s.msgType, s.payload)

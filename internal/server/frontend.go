@@ -14,6 +14,12 @@ import (
 // one arriving at a router is a node's request sent to the wrong address.
 var ErrFilteredPlan = errors.New("cluster: a router answers unfiltered plans only; ownership filters are for its nodes")
 
+// ErrEpochBatch refuses a publish batch sent to a router with a ring epoch:
+// an epoch is what a router stamps on the rebalance pushes and hint replays
+// it sends its nodes, so one arriving at a router is a node-level transfer
+// sent to the wrong address.  Nothing of it is published.
+var ErrEpochBatch = errors.New("cluster: a router takes client batches only; an epoch-stamped batch is a transfer for its nodes")
+
 // Frontend serves a router over TCP with the same wire protocol a sketchd
 // node speaks: users publish through it (replicated by the ring) and
 // analysts ask it for a plan's counters (scatter-gathered and merged
@@ -49,9 +55,12 @@ func (f *Frontend) dispatch(msgType byte, payload []byte) (byte, []byte, error) 
 		}
 		return wire.TypeAck, nil, f.r.Publish(pub)
 	case wire.TypePublishBatch:
-		ps, err := wire.DecodePublishBatch(payload)
+		epoch, ps, err := wire.DecodePublishBatch(payload)
 		if err != nil {
 			return 0, nil, err
+		}
+		if epoch != 0 {
+			return 0, nil, ErrEpochBatch
 		}
 		// The router's replicated batch publish: a pipelined fan-out with
 		// the same earliest-failure semantics the node's batched ingest
@@ -82,8 +91,8 @@ func (f *Frontend) dispatch(msgType byte, payload []byte) (byte, []byte, error) 
 		return wire.TypeAck, nil, f.r.Drain(strings.TrimSpace(string(payload)))
 	case wire.TypeRebalanceStatus:
 		return wire.TypePong, []byte(f.r.RebalanceStatus()), nil
-	case wire.TypeSnapshotRead, wire.TypeTransferPush:
-		return 0, nil, fmt.Errorf("cluster: transfer opcodes are node-level; the router originates them during a rebalance")
+	case wire.TypeSnapshotRead:
+		return 0, nil, fmt.Errorf("cluster: snapshot reads are node-level; the router originates them during a rebalance")
 	default:
 		return 0, nil, fmt.Errorf("cluster: unknown message type %d", msgType)
 	}

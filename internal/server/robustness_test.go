@@ -384,7 +384,7 @@ func TestOversizedReplyBecomesErrorFrame(t *testing.T) {
 		return msgType, payload, nil
 	})
 	conn := dialRaw(t, addr)
-	for _, replyType := range []byte{wire.TypeAck, wire.TypePong, wire.TypeStatsReply, wire.TypePlanResult, wire.TypeSnapshotBatch, wire.TypeTransferAck, 99} {
+	for _, replyType := range []byte{wire.TypeAck, wire.TypePong, wire.TypeStatsReply, wire.TypePlanResult, wire.TypeSnapshotBatch, 99} {
 		gotType, reply := roundTripRaw(t, conn, replyType, nil)
 		if gotType != wire.TypeError || !strings.Contains(string(reply), wire.ErrFrameTooLarge.Error()) {
 			t.Fatalf("an oversized reply of type %d was answered with type %d: %.80s", replyType, gotType, reply)

@@ -28,7 +28,7 @@ type Server struct {
 	deadlineAbandons atomic.Uint64 // plans abandoned mid-execution on budget expiry
 
 	// epoch is the highest ring epoch this node has observed, learned from
-	// hello handshakes, pings, ownership filters and transfer pushes.  A
+	// hello handshakes, pings, ownership filters and a router's batches.  A
 	// plan query built for an older epoch is refused (wire.StaleEpochError)
 	// so results computed under a superseded ring are never merged into an
 	// estimate — the router retries under a fresh ring snapshot instead.
@@ -98,14 +98,20 @@ func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
 		}
 		return wire.TypeAck, nil, s.eng.Ingest(pub)
 	case wire.TypePublishBatch:
-		ps, err := wire.DecodePublishBatch(payload)
+		epoch, ps, err := wire.DecodePublishBatch(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		// The batched ingest path: one commit-window entry per touched
-		// store shard for the whole batch.  The single ack means every
-		// record is durable; on error the client re-publishes the batch
-		// through the idempotent path.
+		// A client's batch carries epoch 0; a router's rebalance push or
+		// hint replay carries its ring epoch.  Either lands as ONE batch
+		// through the engine's idempotent republish path — on an fsynced
+		// node one commit window per touched shard, not one per record —
+		// and the single ack means every record is durable.  A conflicting
+		// sketch (a different published object for a (user, subset) pair
+		// this node already holds) refuses the batch with an error naming
+		// the user: for a push, two clusters disagree about a user's public
+		// record, which rebalancing must surface, never paper over.
+		s.observeEpoch(epoch)
 		return wire.TypeAck, nil, s.eng.IngestBatch(ps)
 	case wire.TypeStats:
 		return wire.TypeStatsReply, wire.EncodeStats(s.stats()), nil
@@ -141,24 +147,6 @@ func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
 		}
 		batch, err := s.snapshot(req)
 		return wire.TypeSnapshotBatch, wire.EncodeSnapshotBatch(batch), err
-	case wire.TypeTransferPush:
-		tp, err := wire.DecodeTransferPush(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		s.observeEpoch(tp.Epoch)
-		// The push lands as ONE batch through the engine's idempotent
-		// republish path — on an fsynced node one commit window per
-		// touched shard, not one per record.  A conflicting sketch — a
-		// different published object for a (user, subset) pair this node
-		// already holds — aborts the push with an error naming the user:
-		// two clusters disagree about a user's public record, which
-		// rebalancing must surface, never paper over.
-		stored, err := s.eng.IngestBatchNew(tp.Records)
-		if err != nil {
-			return 0, nil, fmt.Errorf("server: transfer push: %w", err)
-		}
-		return wire.TypeTransferAck, wire.EncodeTransferAck(wire.TransferAck{Applied: uint64(stored)}), nil
 	default:
 		return 0, nil, fmt.Errorf("server: unknown message type %d", msgType)
 	}

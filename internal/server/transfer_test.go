@@ -46,11 +46,12 @@ func roundTripRaw(t *testing.T, conn net.Conn, msgType byte, payload []byte) (by
 	return replyType, reply
 }
 
-// TestSnapshotReadAndTransferPush drives the rebalance data plane at the
-// node level: records pushed in a transfer batch become queryable, a
-// re-push is idempotent (zero newly applied), the snapshot stream returns
-// exactly the stored records, and a conflicting transfer is refused.
-func TestSnapshotReadAndTransferPush(t *testing.T) {
+// TestSnapshotReadAndBatchPush drives the rebalance data plane at the node
+// level: records a router pushes in a batch frame under its ring epoch
+// become queryable and advance the node's epoch, a re-push is idempotent
+// (nothing newly stored), the snapshot stream returns exactly the stored
+// records, and a conflicting push is refused with the user named.
+func TestSnapshotReadAndBatchPush(t *testing.T) {
 	srv, addr, _, _ := startTestServer(t, 0.3, 10)
 	conn := dialRaw(t, addr)
 
@@ -59,29 +60,25 @@ func TestSnapshotReadAndTransferPush(t *testing.T) {
 		{ID: 2, Subset: bitvec.MustSubset(0, 2), S: sketch.Sketch{Key: 8, Length: 10}},
 		{ID: 2, Subset: bitvec.MustSubset(1), S: sketch.Sketch{Key: 9, Length: 10}},
 	}
-	push := wire.EncodeTransferPush(wire.TransferPush{Epoch: 5, Records: records})
-	replyType, reply := roundTripRaw(t, conn, wire.TypeTransferPush, push)
-	if replyType != wire.TypeTransferAck {
-		t.Fatalf("transfer push answered with type %d: %s", replyType, reply)
+	push := wire.EncodePublishBatch(5, records)
+	replyType, reply := roundTripRaw(t, conn, wire.TypePublishBatch, push)
+	if replyType != wire.TypeAck || len(reply) != 0 {
+		t.Fatalf("batch push answered with type %d: %s", replyType, reply)
 	}
-	ack, err := wire.DecodeTransferAck(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Applied != 3 {
-		t.Fatalf("push applied %d records, want 3", ack.Applied)
+	if got := srv.eng.Sketches(); got != 3 {
+		t.Fatalf("push stored %d records, want 3", got)
 	}
 	if srv.Epoch() != 5 {
 		t.Fatalf("push did not advance the node epoch: %d", srv.Epoch())
 	}
 
-	// Idempotent re-push: acknowledged, nothing newly applied.
-	replyType, reply = roundTripRaw(t, conn, wire.TypeTransferPush, push)
-	if replyType != wire.TypeTransferAck {
+	// Idempotent re-push: acknowledged, nothing newly stored.
+	replyType, reply = roundTripRaw(t, conn, wire.TypePublishBatch, push)
+	if replyType != wire.TypeAck {
 		t.Fatalf("re-push answered with type %d: %s", replyType, reply)
 	}
-	if ack, err = wire.DecodeTransferAck(reply); err != nil || ack.Applied != 0 {
-		t.Fatalf("re-push applied %d records (%v), want 0", ack.Applied, err)
+	if got := srv.eng.Sketches(); got != 3 {
+		t.Fatalf("re-push left %d records, want 3", got)
 	}
 
 	// Snapshot stream returns exactly the stored records.
@@ -122,10 +119,10 @@ func TestSnapshotReadAndTransferPush(t *testing.T) {
 	// A conflicting sketch for an existing (user, subset) is refused.
 	conflict := records[0]
 	conflict.S.Key ^= 1
-	bad := wire.EncodeTransferPush(wire.TransferPush{Epoch: 5, Records: []sketch.Published{conflict}})
-	replyType, reply = roundTripRaw(t, conn, wire.TypeTransferPush, bad)
-	if replyType != wire.TypeError {
-		t.Fatalf("conflicting transfer answered with type %d, want TypeError", replyType)
+	bad := wire.EncodePublishBatch(5, []sketch.Published{conflict})
+	replyType, reply = roundTripRaw(t, conn, wire.TypePublishBatch, bad)
+	if replyType != wire.TypeError || !strings.Contains(string(reply), fmt.Sprintf("user %v", conflict.ID)) {
+		t.Fatalf("conflicting push answered type %d %q, want an error naming user %v", replyType, reply, conflict.ID)
 	}
 }
 
@@ -189,13 +186,13 @@ func TestPartialQueryStaleEpoch(t *testing.T) {
 	}
 }
 
-// TestTransferPushIsOneBatch pins that a transfer push lands through the
-// engine's batch path: on an fsynced node a 512-record push (a rebalance
-// stream's batch, a hint replay) commits in at most one window per shard —
-// not one lone publish, fsync and log frame per record — while the ack
-// still counts the newly stored records, a second identical push applies
-// nothing and a conflicting one is refused with an error naming the user.
-func TestTransferPushIsOneBatch(t *testing.T) {
+// TestBatchPushLandsAsOneBatch pins that a router's batch push lands
+// through the engine's batch path: on an fsynced node a 512-record push (a
+// rebalance stream's batch, a hint replay) commits in at most one window
+// per shard — not one lone publish, fsync and log frame per record — a
+// second identical push stores nothing and takes no window, and a
+// conflicting one is refused with an error naming the user.
+func TestBatchPushLandsAsOneBatch(t *testing.T) {
 	const shards, n = 4, 512
 	reg := obs.NewRegistry()
 	st, err := store.Open(store.Options{Dir: t.TempDir(), Shards: shards, Fsync: true, CompactInterval: -1, Metrics: reg})
@@ -234,18 +231,16 @@ func TestTransferPushIsOneBatch(t *testing.T) {
 		return 0
 	}
 	push := func(records []sketch.Published) (byte, []byte) {
-		return roundTripRaw(t, conn, wire.TypeTransferPush, wire.EncodeTransferPush(wire.TransferPush{Epoch: 1, Records: records}))
+		return roundTripRaw(t, conn, wire.TypePublishBatch, wire.EncodePublishBatch(1, records))
 	}
-	applied := func(replyType byte, reply []byte) uint64 {
+	// stored pushes records and reports how many the node newly holds.
+	stored := func(records []sketch.Published) int {
 		t.Helper()
-		if replyType != wire.TypeTransferAck {
-			t.Fatalf("transfer push answered with type %d: %s", replyType, reply)
+		before := eng.Sketches()
+		if replyType, reply := push(records); replyType != wire.TypeAck {
+			t.Fatalf("batch push answered with type %d: %s", replyType, reply)
 		}
-		ack, err := wire.DecodeTransferAck(reply)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ack.Applied
+		return eng.Sketches() - before
 	}
 
 	subsets := []bitvec.Subset{bitvec.MustSubset(0, 2), bitvec.MustSubset(1)}
@@ -254,18 +249,15 @@ func TestTransferPushIsOneBatch(t *testing.T) {
 		records[i] = sketch.Published{ID: bitvec.UserID(i/2 + 1), Subset: subsets[i%2], S: sketch.Sketch{Key: uint64(i % 1024), Length: 10}}
 	}
 	before := commits()
-	if got := applied(push(records)); got != n {
-		t.Fatalf("push applied %d records, want %d", got, n)
+	if got := stored(records); got != n {
+		t.Fatalf("push stored %d records, want %d", got, n)
 	}
 	if windows := commits() - before; windows < 1 || windows > shards {
 		t.Fatalf("a %d-record push took %v commit windows, want at most one per shard (%d)", n, windows, shards)
 	}
-	if eng.Sketches() != n {
-		t.Fatalf("node holds %d sketches after the push, want %d", eng.Sketches(), n)
-	}
 	before = commits()
-	if got := applied(push(records)); got != 0 || commits() != before {
-		t.Fatalf("identical re-push applied %d records in %v commit windows, want 0 in 0", got, commits()-before)
+	if got := stored(records); got != 0 || commits() != before {
+		t.Fatalf("identical re-push stored %d records in %v commit windows, want 0 in 0", got, commits()-before)
 	}
 
 	conflict := records[200]

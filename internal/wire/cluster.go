@@ -18,11 +18,13 @@ import (
 // The contract: every frame carries a CRC32-C of its payload; planQuery is
 // the one way to ask, a node and a router answer it with raw counters, and
 // the asker debiases them; an ownership filter (ring epoch, live and failed
-// members, deadline budget, tenant domain) rides only router→node plans.
+// members, deadline budget, tenant domain) rides only router→node plans;
+// a batch of records, from a client or a router, is one publish batch.
 //
-// v7 retired opcodes 2 and 3, the analyst's one-conjunction query and its
-// finished estimate (v6 had retired 12 and 13).
-const ProtocolVersion byte = 7
+// v8 retired opcodes 16 and 17, the rebalance transfer push and its ack: a
+// batch of records between processes is one TypePublishBatch frame, which
+// now carries a ring epoch (v7 had retired 2 and 3, v6 12 and 13).
+const ProtocolVersion byte = 8
 
 // Connection control frames every client uses.  (Queries, from an analyst
 // or a router, are the plan opcode pair, see plan.go.)

@@ -103,13 +103,14 @@ func encodeLenPrefixed(b []byte) []byte {
 	return append(out, b...)
 }
 
-// FuzzTransferDecode drives the rebalance transfer decoders — snapshot
-// reads/batches, transfer pushes/acks and the epoch-carrying hello and
-// ping payloads — with arbitrary bytes.  Same contract as FuzzDecode:
-// malformed input errors (never panics), and accepted input is canonical
-// (re-encoding reproduces it bit for bit).  The CRC trailer makes the
-// canonical property trivial for the framed batches, but the fuzzer still
-// guards the count fields and record sub-decoders.
+// FuzzTransferDecode drives the decoders of the frames that move records
+// between processes — snapshot reads/batches, the epoch-carrying publish
+// batch, and the epoch-carrying hello and ping payloads — with arbitrary
+// bytes.  Same contract as FuzzDecode: malformed input errors (never
+// panics), and accepted input is canonical (re-encoding reproduces it bit
+// for bit).  The CRC trailer makes the canonical property trivial for the
+// framed batches, but the fuzzer still guards the count fields — no batch
+// decodes to more than MaxTransferBatch records — and record sub-decoders.
 func FuzzTransferDecode(f *testing.F) {
 	records := []sketch.Published{
 		{ID: 9, Subset: bitvec.MustSubset(0, 3), S: sketch.Sketch{Key: 4, Length: 10}},
@@ -117,8 +118,8 @@ func FuzzTransferDecode(f *testing.F) {
 	}
 	f.Add(EncodeSnapshotRead(SnapshotRead{Cursor: 7, Max: 256}))
 	f.Add(EncodeSnapshotBatch(SnapshotBatch{Next: 8, Done: true, Records: records}))
-	f.Add(EncodeTransferPush(TransferPush{Epoch: 3, Records: records}))
-	f.Add(EncodeTransferAck(TransferAck{Applied: 2}))
+	f.Add(EncodePublishBatch(3, records))
+	f.Add(EncodePublishBatch(0, records))
 	f.Add(EncodeHelloEpoch(12))
 	f.Add(EncodePingEpoch(12))
 	// A batch whose count field promises far more records than the payload
@@ -129,6 +130,17 @@ func FuzzTransferDecode(f *testing.F) {
 	f.Add(appendCRC(hostile))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
+	// The batch frames internal/server's TestRecordedConversation sends a
+	// node: a client's batch, a router's push under epoch 5, the push that
+	// conflicts with it, and a corrupt batch.
+	b0, b1 := bitvec.MustSubset(0, 2), bitvec.MustSubset(1)
+	rec := func(id uint64, b bitvec.Subset, key uint64) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: key, Length: 10}}
+	}
+	f.Add(EncodePublishBatch(0, []sketch.Published{rec(2, b0, 9), rec(3, b0, 700), rec(2, b1, 1)}))
+	f.Add(EncodePublishBatch(5, []sketch.Published{rec(3, b0, 700), rec(9, b1, 2)}))
+	f.Add(EncodePublishBatch(5, []sketch.Published{rec(9, b1, 3)}))
+	f.Add([]byte{0, 0, 0, 1, 9, 9, 9, 9})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := DecodeSnapshotRead(data); err == nil {
@@ -141,14 +153,12 @@ func FuzzTransferDecode(f *testing.F) {
 				t.Fatalf("DecodeSnapshotBatch accepted non-canonical input:\n in %x\nout %x", data, got)
 			}
 		}
-		if tp, err := DecodeTransferPush(data); err == nil {
-			if got := EncodeTransferPush(tp); !bytes.Equal(got, data) {
-				t.Fatalf("DecodeTransferPush accepted non-canonical input:\n in %x\nout %x", data, got)
+		if epoch, ps, err := DecodePublishBatch(data); err == nil {
+			if len(ps) > MaxTransferBatch {
+				t.Fatalf("DecodePublishBatch accepted %d records, past %d", len(ps), MaxTransferBatch)
 			}
-		}
-		if a, err := DecodeTransferAck(data); err == nil {
-			if got := EncodeTransferAck(a); !bytes.Equal(got, data) {
-				t.Fatalf("DecodeTransferAck accepted non-canonical input:\n in %x\nout %x", data, got)
+			if got := EncodePublishBatch(epoch, ps); !bytes.Equal(got, data) {
+				t.Fatalf("DecodePublishBatch accepted non-canonical input:\n in %x\nout %x", data, got)
 			}
 		}
 		// The extended hello/ping payload parsers must never panic; their

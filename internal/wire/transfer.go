@@ -8,9 +8,10 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// Rebalance message types: the data plane that moves sketches between
-// nodes when the ring membership changes, plus the admin opcodes a
-// sketchrouter accepts to drive a membership change.
+// Rebalance message types: the snapshot stream a router reads a node's
+// records with when the ring membership changes, plus the admin opcodes a
+// sketchrouter accepts to drive a membership change.  The records that move
+// travel as TypePublishBatch frames stamped with the ring epoch.
 const (
 	// TypeSnapshotRead asks a node for one batch of its stored records,
 	// starting at an opaque cursor (payload: SnapshotRead).  The router
@@ -19,14 +20,6 @@ const (
 	// TypeSnapshotBatch carries a batch of records back plus the cursor
 	// for the next read (payload: SnapshotBatch, CRC-framed).
 	TypeSnapshotBatch byte = 15
-	// TypeTransferPush delivers a batch of records to their new owner
-	// during a rebalance (payload: TransferPush, CRC-framed).  The
-	// receiver ingests each record through the engine's idempotent
-	// identical-republish path, so duplicated pushes converge.
-	TypeTransferPush byte = 16
-	// TypeTransferAck acknowledges a push with the number of records that
-	// were newly applied (payload: TransferAck).
-	TypeTransferAck byte = 17
 	// TypeJoin asks a router to add a node to the live cluster (payload:
 	// the node address as raw bytes); the router rebalances and answers
 	// TypeAck only after the ring cutover.
@@ -40,17 +33,12 @@ const (
 	TypeRebalanceStatus byte = 20
 )
 
-// maxTransferRecords bounds a hostile batch count before allocation; real
-// batches are further bounded by MaxFrameSize.
-const maxTransferRecords = 1 << 16
-
-// MaxTransferBatch is the most records a well-behaved peer puts in one
-// publish batch, snapshot batch or transfer push.  It bounds a hostile
-// peer, not a frame: nodes clamp incoming SnapshotRead limits to it (a
-// hostile Max must not materialise a whole store in one reply), and the
-// router clamps its configured transfer batch the same way.  Whether that
-// many records fit a frame depends on how wide their subsets are — senders
-// cut by bytes, with FrameBatch.
+// MaxTransferBatch is the most records one batch frame carries, a publish
+// batch or a snapshot batch: decoders refuse a larger count before
+// allocating, nodes clamp incoming SnapshotRead limits to it (a hostile Max
+// must not materialise a whole store in one reply), and FrameBatch never
+// admits more.  Whether that many records fit a frame depends on how wide
+// their subsets are — FrameBatch cuts by bytes as well.
 const MaxTransferBatch = 8192
 
 // batchFrameOverhead is what the largest batch frame spends outside its
@@ -59,12 +47,14 @@ const MaxTransferBatch = 8192
 const batchFrameOverhead = 8 + 1 + 4 + 4
 
 // FrameBatch returns how many leading records of ps fit one batch frame
-// (TypePublishBatch, TypeSnapshotBatch, TypeTransferPush): every record
-// costs its encoding and a 4-byte length, which for a k-position subset
-// is 31 + 8k bytes, so 8192 records outgrow MaxFrameSize from k = 13.
-// The count is at least 1 for a non-empty ps; a first record that no
-// frame can hold is an error naming its user.
+// (TypePublishBatch, TypeSnapshotBatch): at most MaxTransferBatch, and no
+// more than the frame's bytes hold — every record costs its encoding and a
+// 4-byte length, which for a k-position subset is 31 + 8k bytes, so 8192
+// records outgrow MaxFrameSize from k = 13.  The count is at least 1 for a
+// non-empty ps; a first record that no frame can hold is an error naming
+// its user.
 func FrameBatch(ps []sketch.Published) (int, error) {
+	ps = ps[:min(len(ps), MaxTransferBatch)]
 	size := batchFrameOverhead
 	for i, p := range ps {
 		if size += 4 + PublishedEncodedLen(p); size > MaxFrameSize {
@@ -155,57 +145,6 @@ func DecodeSnapshotBatch(b []byte) (SnapshotBatch, error) {
 	return sb, nil
 }
 
-// TransferPush is one batch of records delivered to their new owner, tagged
-// with the ring epoch the rebalance runs under.
-type TransferPush struct {
-	Epoch   uint64
-	Records []sketch.Published
-}
-
-// EncodeTransferPush serializes a push with a trailing CRC32 over the body.
-func EncodeTransferPush(tp TransferPush) []byte {
-	out := make([]byte, 0, 64)
-	out = binary.BigEndian.AppendUint64(out, tp.Epoch)
-	out = appendRecords(out, tp.Records)
-	return appendCRC(out)
-}
-
-// DecodeTransferPush reverses EncodeTransferPush, verifying the CRC.
-func DecodeTransferPush(b []byte) (TransferPush, error) {
-	body, err := checkCRC(b)
-	if err != nil {
-		return TransferPush{}, err
-	}
-	if len(body) < 8 {
-		return TransferPush{}, ErrCorrupt
-	}
-	tp := TransferPush{Epoch: binary.BigEndian.Uint64(body)}
-	tp.Records, err = readRecords(body[8:])
-	if err != nil {
-		return TransferPush{}, err
-	}
-	return tp, nil
-}
-
-// TransferAck reports how many of a push's records were newly applied (the
-// rest were already present — the idempotent path).
-type TransferAck struct {
-	Applied uint64
-}
-
-// EncodeTransferAck serializes a transfer acknowledgement.
-func EncodeTransferAck(a TransferAck) []byte {
-	return binary.BigEndian.AppendUint64(nil, a.Applied)
-}
-
-// DecodeTransferAck reverses EncodeTransferAck.
-func DecodeTransferAck(b []byte) (TransferAck, error) {
-	if len(b) != 8 {
-		return TransferAck{}, ErrCorrupt
-	}
-	return TransferAck{Applied: binary.BigEndian.Uint64(b)}, nil
-}
-
 // appendRecords appends a count-prefixed list of length-prefixed
 // EncodePublished records.
 func appendRecords(dst []byte, records []sketch.Published) []byte {
@@ -225,8 +164,8 @@ func readRecords(src []byte) ([]sketch.Published, error) {
 	}
 	n := binary.BigEndian.Uint32(src)
 	src = src[4:]
-	if n > maxTransferRecords {
-		return nil, fmt.Errorf("%w: transfer batch claims %d records", ErrCorrupt, n)
+	if n > MaxTransferBatch {
+		return nil, fmt.Errorf("%w: a batch frame claims %d records, past %d", ErrCorrupt, n, MaxTransferBatch)
 	}
 	if n == 0 {
 		if len(src) != 0 {

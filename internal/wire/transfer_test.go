@@ -95,32 +95,8 @@ func TestSnapshotBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTransferPushRoundTrip(t *testing.T) {
-	tp := TransferPush{Epoch: 5, Records: transferRecords()}
-	enc := EncodeTransferPush(tp)
-	got, err := DecodeTransferPush(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != tp.Epoch || !reflect.DeepEqual(got.Records, tp.Records) {
-		t.Fatalf("round trip: got %+v want %+v", got, tp)
-	}
-	a, err := DecodeTransferAck(EncodeTransferAck(TransferAck{Applied: 3}))
-	if err != nil || a.Applied != 3 {
-		t.Fatalf("transfer ack round trip: %+v, %v", a, err)
-	}
-}
-
 func TestTransferCRCDetectsCorruption(t *testing.T) {
-	enc := EncodeTransferPush(TransferPush{Epoch: 1, Records: transferRecords()})
-	for _, flip := range []int{0, 8, len(enc) / 2, len(enc) - 1} {
-		bad := append([]byte(nil), enc...)
-		bad[flip] ^= 0x40
-		if _, err := DecodeTransferPush(bad); err == nil {
-			t.Fatalf("corruption at byte %d went undetected", flip)
-		}
-	}
-	enc = EncodeSnapshotBatch(SnapshotBatch{Next: 4, Records: transferRecords()})
+	enc := EncodeSnapshotBatch(SnapshotBatch{Next: 4, Records: transferRecords()})
 	bad := append([]byte(nil), enc...)
 	bad[len(bad)/2] ^= 0x01
 	if _, err := DecodeSnapshotBatch(bad); err == nil {
@@ -128,13 +104,37 @@ func TestTransferCRCDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestTransferDecodeRejectsHostileCounts: one record bound holds on both
+// sides of a batch frame.  A count past MaxTransferBatch is refused as
+// corrupt before allocating — whether it is 2^32-1 or one more than the
+// bound over well-formed records that would fit the frame's bytes — and
+// FrameBatch never admits more than the bound, however small the records.
 func TestTransferDecodeRejectsHostileCounts(t *testing.T) {
-	// A batch claiming 2^32-1 records must fail on the count guard, not
-	// allocate first.
 	body := []byte{0, 0, 0, 0, 0, 0, 0, 9} // epoch
 	body = append(body, 0xFF, 0xFF, 0xFF, 0xFF)
-	if _, err := DecodeTransferPush(appendCRC(body)); err == nil {
+	if _, _, err := DecodePublishBatch(appendCRC(body)); err == nil {
 		t.Fatal("hostile record count accepted")
+	}
+
+	ps := make([]sketch.Published, MaxTransferBatch+1)
+	for i := range ps {
+		ps[i] = sketch.Published{ID: bitvec.UserID(i + 1), Subset: bitvec.MustSubset(3), S: sketch.Sketch{Key: uint64(i) % 512, Length: 9}}
+	}
+	over := EncodePublishBatch(7, ps)
+	if len(over) > MaxFrameSize {
+		t.Fatalf("%d one-position records encode to %d bytes, past the frame limit: the case tests bytes, not the count", len(ps), len(over))
+	}
+	if _, _, err := DecodePublishBatch(over); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a batch frame of %d well-formed records decoded (%v), want ErrCorrupt", len(ps), err)
+	}
+	if _, err := DecodeSnapshotBatch(EncodeSnapshotBatch(SnapshotBatch{Records: ps})); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a snapshot batch of %d records decoded (%v), want ErrCorrupt", len(ps), err)
+	}
+	if _, got, err := DecodePublishBatch(EncodePublishBatch(7, ps[:MaxTransferBatch])); err != nil || len(got) != MaxTransferBatch {
+		t.Fatalf("a batch of exactly %d records decoded to %d (%v)", MaxTransferBatch, len(got), err)
+	}
+	if fit, err := FrameBatch(ps); err != nil || fit != MaxTransferBatch {
+		t.Fatalf("FrameBatch of %d one-position records = %d, %v; want %d", len(ps), fit, err, MaxTransferBatch)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestFrameBatchCutsByBytes(t *testing.T) {
 		}
 		return ps
 	}
-	if got := len(EncodePublishBatch(records(1, 13))) - 8; got != 31+8*13 {
+	if got := len(EncodePublishBatch(0, records(1, 13))) - 16; got != 31+8*13 {
 		t.Fatalf("a batched 13-position record costs %d bytes, want %d", got, 31+8*13)
 	}
 	for _, tc := range []struct {
@@ -177,7 +177,7 @@ func TestFrameBatchCutsByBytes(t *testing.T) {
 			t.Fatalf("the %d admitted records encode to %d bytes, past the frame limit", fit, size)
 		}
 		if fit < len(ps) {
-			if size := len(EncodePublishBatch(ps[:fit+1])); size <= MaxFrameSize {
+			if size := len(EncodePublishBatch(0, ps[:fit+1])); size <= MaxFrameSize {
 				t.Fatalf("FrameBatch stopped at %d records though %d encode to %d bytes", fit, fit+1, size)
 			}
 		}
