@@ -64,7 +64,7 @@ const tableBenchBatch = 8192
 // and engine-ingest-lone (40k) start from, as a store replays one: ids
 // ascending.
 func tableBenchBase(subset bitvec.Subset, n int) sketch.Run {
-	ids, keys := make([]bitvec.UserID, n), sketch.MakeWords(2, 0, n)
+	ids, keys := make([]bitvec.UserID, n), sketch.MakeWords(sketch.ShapeOf(tableBenchRecord(0, subset).S.Pack()), 0, n)
 	for i := range ids {
 		rec := tableBenchRecord(i, subset)
 		ids[i], keys = rec.ID, keys.Append(rec.S.Pack())

@@ -168,19 +168,10 @@ func (t *Table) Probe(ps []Published) (*Batch, error) {
 }
 
 // sort sorts the group's records by id, equal ids keeping their input
-// order: at once where the ids ascend, through SortByID otherwise, which
-// carries the input indices beside the ids as 4-byte words.
+// order, the input indices carried beside them.
 func (grp *batchGroup) sort() {
-	if slices.IsSorted(grp.ids) {
-		return
-	}
-	carried := MakeWords(4, len(grp.at), len(grp.at))
-	for j, i := range grp.at {
-		carried.Set(j, uint64(i))
-	}
-	grp.ids, carried = SortByID(grp.ids, carried)
-	for j := range grp.at {
-		grp.at[j] = int32(carried.At(j))
+	if !slices.IsSorted(grp.ids) {
+		grp.ids, grp.at = sortIDs(grp.ids, grp.at)
 	}
 }
 
@@ -226,25 +217,28 @@ func (t *Table) Land(b *Batch) int {
 		keys   Words
 	}
 	// The runs are built before the write lock is taken: each group's
-	// admitted records, ascending, their words at the width of the widest.
+	// admitted records, ascending, their words in the shape that holds them
+	// all.
 	runs := make([]run, 0, len(b.groups))
 	for g := range b.groups {
 		grp := &b.groups[g]
-		kept, widest := 0, uint64(0)
+		kept, shape := 0, Shape(0)
 		for j, i := range grp.at {
 			if b.slot[i] != 0 {
 				grp.ids[kept], grp.at[kept] = grp.ids[j], i
 				kept++
-				widest = max(widest, b.ps[i].S.Pack())
+				shape = shape.Join(ShapeOf(b.ps[i].S.Pack()))
 			}
 		}
 		if kept == 0 {
 			continue
 		}
-		keys := MakeWords(WordWidth(widest), kept, kept)
-		for j, i := range grp.at[:kept] {
-			keys.Set(j, b.ps[i].S.Pack())
+		keys, bits := MakeWords(shape, kept, kept), shape.bits()
+		bw := newBitWriter(keys.w, 0)
+		for _, i := range grp.at[:kept] {
+			bw.put(shape.encode(b.ps[i].S.Pack()), bits)
 		}
+		bw.flush()
 		runs = append(runs, run{grp.subset, grp.ids[:kept], keys})
 	}
 	t.mu.Lock()

@@ -24,15 +24,18 @@
 //     ever sees — and the immutable id-sorted view of one subset that the
 //     estimators scan;
 //   - Words, IDs and Run: the one packed form of a sketch — Sketch.Pack,
-//     the key above a 5-bit length, a column of them held at the byte width
-//     of its widest, so the paper's ⌈log log O(M)⌉-bit disclosure costs 2
-//     bytes — the one form of a sorted column of user ids — blocks of 64
-//     held as a first id and the differences from id to id at the width a
-//     block's widest needs, so the public id beside the sketch costs a
-//     little over a byte where users were numbered as they enrolled, and
-//     its 8 bytes where ids are hashed — in the table, in a store's files
-//     and everywhere between; and one subset's records as such columns,
-//     the unit a store replays and the table loads;
+//     the key above a 5-bit length, a column of them held as ℓ written once
+//     and each key in ℓ bits, so the paper's ⌈log log O(M)⌉-bit disclosure
+//     costs exactly that in memory (a store run writes the words at the
+//     byte width of its widest, 2 bytes at ℓ = 9, through Words.AppendTo
+//     and reads them through Words.AppendEncoded) — the one form of a
+//     sorted column of user ids — blocks of 64 held as a first id and the
+//     differences from id to id at the width a block's widest needs, so
+//     the public id beside the sketch costs a little over a byte where
+//     users were numbered as they enrolled, and its 8 bytes where ids are
+//     hashed — in the table, in a store's files and everywhere between;
+//     and one subset's records as such columns, the unit a store replays
+//     and the table loads;
 //   - Kernel, Window and Evaluate: the H(id, B, v, s) evaluation shared
 //     with the query estimators, and the one place that knows how a record
 //     becomes H's message.  A Kernel is specialised to a query pair (B, v)

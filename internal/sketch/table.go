@@ -21,8 +21,8 @@ import (
 // View, so the Algorithm 2 record loop walks contiguous memory,
 // allocation-free, while ingestion proceeds — and a subset that is only
 // read holds its ids as the differences between them (a little over a byte
-// for ids numbered as users enrol), its sketches at their own width (2
-// bytes for a 9-bit sketch) and nothing else.
+// for ids numbered as users enrol), its sketches' keys in their own ℓ bits
+// (9 bits for a 9-bit sketch, the length written once) and nothing else.
 type Table struct {
 	mu sync.RWMutex
 	// cols is keyed by Subset.Key.  A column only grows: no write removes
@@ -126,8 +126,8 @@ func (r Run) Clone() Run {
 // them, so a fold or a load builds new arrays.
 // tailIDs and tailKeys are the recent inserts in arrival order, in small
 // arrays of their own that no view reaches.  Each part holds its sketches
-// at the width of its widest (Words); a fold writes the new run at the
-// wider of the two.
+// in the shape that holds them all (Words); a fold writes the new run in
+// the Join of the two.
 type column struct {
 	subset   bitvec.Subset
 	ids      IDs
@@ -224,7 +224,7 @@ func (c *column) insert(id bitvec.UserID, word uint64) {
 	}
 	switch {
 	case c.index == nil:
-		c.tailIDs, c.tailKeys = make([]bitvec.UserID, 0, tailFloor), MakeWords(c.keys.Width(), 0, tailFloor)
+		c.tailIDs, c.tailKeys = make([]bitvec.UserID, 0, tailFloor), MakeWords(c.keys.Shape(), 0, tailFloor)
 		c.index = make([]uint32, 2*tailFloor)
 	case 2*(len(c.tailIDs)+1) > len(c.index):
 		c.reindex(2 * len(c.index))
@@ -245,12 +245,11 @@ func (c *column) fold() {
 }
 
 // SortByID returns parallel id and key columns sorted by id, equal ids
-// keeping their order, in the arrays it was given or in fresh ones of the
-// same length: a least-significant-byte radix sort over the id bytes that
-// differ at all.  A store sorts a full log — a few hundred thousand records
-// — at every roll, restart and first read after an append, and the table
-// sorts a column's tail at every fold — a quarter of the cost of ingest
-// under sort.Sort: what makes the linear sort worth its thirty lines.
+// keeping their order: the ids in the array they were given or in a fresh
+// one of the same length, the keys in place under 64 records and gathered
+// into a fresh column of their shape otherwise.  A store sorts a full log
+// — a few hundred thousand records — at every roll, restart and first read
+// after an append, and the table sorts a column's tail at every fold.
 func SortByID(ids []bitvec.UserID, keys Words) ([]bitvec.UserID, Words) {
 	n := len(ids)
 	if slices.IsSorted(ids) {
@@ -266,6 +265,37 @@ func SortByID(ids []bitvec.UserID, keys Words) ([]bitvec.UserID, Words) {
 		}
 		return ids, keys
 	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	ids, perm = sortIDs(ids, perm)
+	sorted, b := MakeWords(keys.shape, n, n), keys.shape.bits()
+	bw := newBitWriter(sorted.w, 0)
+	for _, i := range perm {
+		bw.put(keys.raw(int(i)), b)
+	}
+	bw.flush()
+	return ids, sorted
+}
+
+// sortIDs sorts ids, equal ids keeping their order, and carries at beside
+// them — at[j] moves with ids[j] — in the arrays it was given or in fresh
+// ones of the same length: an insertion sort under 64 ids, and otherwise a
+// least-significant-byte radix sort over the id bytes that differ at all,
+// a quarter of the cost of ingest under sort.Sort: what makes the linear
+// sort worth its thirty lines.
+func sortIDs(ids []bitvec.UserID, at []int32) ([]bitvec.UserID, []int32) {
+	n := len(ids)
+	if n < 64 {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
+				ids[j-1], ids[j] = ids[j], ids[j-1]
+				at[j-1], at[j] = at[j], at[j-1]
+			}
+		}
+		return ids, at
+	}
 	// One pass counts every digit; a digit all ids share needs no pass.
 	var counts [8][256]int
 	for _, id := range ids {
@@ -273,25 +303,24 @@ func SortByID(ids []bitvec.UserID, keys Words) ([]bitvec.UserID, Words) {
 			counts[d][byte(id>>(8*d))]++
 		}
 	}
-	dstIDs, dstKeys := make([]bitvec.UserID, n), MakeWords(keys.Width(), n, n)
+	dstIDs, dstAt := make([]bitvec.UserID, n), make([]int32, n)
 	for d := range counts {
 		next, shift := &counts[d], 8*d
 		if next[byte(ids[0]>>shift)] == n {
 			continue
 		}
-		at := 0
+		pos := 0
 		for b, c := range next {
-			next[b], at = at, at+c
+			next[b], pos = pos, pos+c
 		}
 		for i, id := range ids {
 			b := byte(id >> shift)
-			dstIDs[next[b]] = id
-			dstKeys.Set(next[b], keys.At(i))
+			dstIDs[next[b]], dstAt[next[b]] = id, at[i]
 			next[b]++
 		}
-		ids, dstIDs, keys, dstKeys = dstIDs, ids, dstKeys, keys
+		ids, dstIDs, at, dstAt = dstIDs, ids, dstAt, at
 	}
-	return ids, keys
+	return ids, at
 }
 
 // mergeRuns merges a sorted run and sorted ids into a fresh run sized to
@@ -306,7 +335,7 @@ func mergeRuns(a IDs, aKeys Words, b []bitvec.UserID, bKeys Words) (IDs, Words) 
 	// b is taken to code as a does — the column's users enrolled the same
 	// way — plus a block's fixed bytes.
 	ids.Grow(n, a.Bytes()+(a.Bytes()*len(b)+a.Len())/(a.Len()+1)+2*len(b)/IDBlockLen+9)
-	keys := MakeWords(max(aKeys.Width(), bKeys.Width()), 0, n)
+	keys := MakeWords(aKeys.Shape().Join(bKeys.Shape()), 0, n)
 	var cur IDCursor
 	cur.Reset(a)
 	i := 0
@@ -315,15 +344,16 @@ func mergeRuns(a IDs, aKeys Words, b []bitvec.UserID, bKeys Words) (IDs, Words) 
 		var held bool // a already holds id
 		i, held = cur.upTo(i, id)
 		ids.AppendIDs(&cur, from, i)
-		keys = keys.AppendWords(aKeys.Slice(from, i))
+		keys.appendRange(&aKeys, from, i)
 		if held || (j > 0 && b[j-1] == id) {
 			continue
 		}
 		ids.Append(id)
-		keys = keys.AppendWords(bKeys.Slice(j, j+1))
+		keys.appendRange(&bKeys, j, j+1)
 	}
 	ids.AppendIDs(&cur, i, a.Len())
-	return ids.IDs(), keys.AppendWords(aKeys.Slice(i, a.Len()))
+	keys.appendRange(&aKeys, i, a.Len())
+	return ids.IDs(), keys
 }
 
 // loadMergeRatio is how many stored records a sorted run being landed may

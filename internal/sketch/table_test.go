@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -231,6 +232,58 @@ func (o tableOracle) sorted(b bitvec.Subset) []Published {
 	return out
 }
 
+// checkWords drives copies of the column k, which holds want, the ways a
+// column is driven between a table and a store, and fails the test unless
+// each reads as a slice of sketches would: a word of another length
+// re-encodes a column of one length, every earlier sketch as it was;
+// slices cut at any bit are appended to columns ending at any other, of
+// the same shape and of another; Set and Swap write one word each.  k
+// itself must read as it did.
+func checkWords(t *testing.T, k Words, want []Sketch, rng *rand.Rand) {
+	t.Helper()
+	same := func(what string, got Words, want []Sketch) {
+		t.Helper()
+		if got.Len() != len(want) {
+			t.Fatalf("%s: %d words, want %d", what, got.Len(), len(want))
+		}
+		for i, s := range want {
+			if got.Sketch(i) != s || got.At(i) != s.Pack() {
+				t.Fatalf("%s: word %d of %d reads %v, want %v", what, i, len(want), got.Sketch(i), s)
+			}
+		}
+	}
+	n := len(want)
+	foreign := Sketch{Key: uint64(rng.Intn(2)), Length: 1 + rng.Intn(MaxLength)}
+	if k.shape == Shape(foreign.Length) {
+		foreign.Length = foreign.Length%MaxLength + 1
+	}
+	grown := k.Clone().Append(foreign.Pack())
+	if k.shape != 0 && k.shape <= MaxLength && grown.shape == k.shape {
+		t.Fatalf("a column of %d-bit sketches kept its shape for a %d-bit one", k.shape, foreign.Length)
+	}
+	grownWant := append(slices.Clone(want), foreign)
+	same("a column that met another length", grown, grownWant)
+	for j := 0; j < 3; j++ {
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		into := rng.Intn(n + 1)
+		same("a slice appended to a column of another shape", grown.Slice(into/3, into).Clone().AppendWords(k.Slice(lo, hi)), append(slices.Clone(grownWant[into/3:into]), want[lo:hi]...))
+		same("a slice appended to a slice of its shape", k.Slice(into/3, into).Clone().AppendWords(k.Slice(lo, hi)), append(slices.Clone(want[into/3:into]), want[lo:hi]...))
+	}
+	if n > 0 {
+		written, model := k.Clone(), slices.Clone(want)
+		for j := 0; j < 8; j++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			written.Swap(a, b)
+			model[a], model[b] = model[b], model[a]
+			written.Set(b, written.At(a))
+			model[b] = model[a]
+		}
+		same("a column written by Set and Swap", written, model)
+	}
+	same("the column driven", k, want)
+}
+
 // TestTableMatchesMapOracle drives the table and a plain map through the
 // same seeded interleaving of Add, AddNew, batches (Probe and Land: repeats
 // within a batch, identical re-publishes, now and then a conflict or an
@@ -242,10 +295,12 @@ func (o tableOracle) sorted(b bitvec.Subset) []Published {
 // duplicates meet both the sorted run and the tail.  After every step the
 // column has only grown: no CountForSubset falls, a sample of the records of
 // the view each subset last read is held with the same sketch, and at every
-// read the whole of that older view is in the fresh one.  Sketch lengths are drawn from a set covering every word width, 1 to 5
-// bytes, that widens as the steps go by: columns start narrow, hold mixed
-// widths in run and tail, and are re-encoded wider several times.  The
-// first steps are all loads, so runs land on empty columns too.
+// read the whole of that older view is in the fresh one, and its words
+// hold up under checkWords.  Sketch lengths are drawn from a set covering
+// every word width, 1 to 5 bytes, that widens as the steps go by: columns
+// start at one length, hold mixed lengths in run and tail, and are
+// re-encoded wider several times.  The first steps are all loads, so runs
+// land on empty columns too.
 func TestTableMatchesMapOracle(t *testing.T) {
 	subsets := []bitvec.Subset{bitvec.MustSubset(0), bitvec.MustSubset(1, 2), bitvec.Range(0, 5)}
 	lengths := []int{1, 8, 9, 16, 17, 24, 30}
@@ -301,6 +356,11 @@ func TestTableMatchesMapOracle(t *testing.T) {
 			if got := tab.Snapshot(b); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d subset %v: Snapshot differs from the oracle", seed, b)
 			}
+			sketches := make([]Sketch, len(want))
+			for i, p := range want {
+				sketches[i] = p.S
+			}
+			checkWords(t, v.keys, sketches, sample)
 			if wrote[b.Key()] == (gen == gens[b.Key()]) {
 				t.Fatalf("seed %d subset %v: generation %d after %d, wrote=%v", seed, b, gen, gens[b.Key()], wrote[b.Key()])
 			}
@@ -693,15 +753,15 @@ func TestTableLoadRunArms(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := tab.cols[b.Key()]
-	if &c.ids.b[0] != &first.IDs.b[0] || &c.keys.b[0] != &first.Keys.b[0] || len(c.tailIDs) != 0 {
+	if &c.ids.b[0] != &first.IDs.b[0] || &c.keys.w[0] != &first.Keys.w[0] || len(c.tailIDs) != 0 {
 		t.Fatal("a run onto an empty column was copied, not adopted")
 	}
 	if err := tab.LoadRun(run(100, func(i int) bitvec.UserID { return bitvec.UserID(20*i + 1) })); err != nil {
 		t.Fatal(err)
 	}
 	snug := func() bool { return cap(c.ids.b)-len(c.ids.b) <= len(c.ids.b)/64 }
-	if c.ids.Len() != 1100 || !snug() || cap(c.keys.b) != 1100*2 || len(c.tailIDs) != 0 {
-		t.Fatalf("after a merged load the run is %d records in %d id bytes with room for %d, and %d word bytes, tail %d; want 1100 with no room to speak of", c.ids.Len(), len(c.ids.b), cap(c.ids.b), cap(c.keys.b), len(c.tailIDs))
+	if c.ids.Len() != 1100 || !snug() || cap(c.keys.w) != span(1100*9) || len(c.tailIDs) != 0 {
+		t.Fatalf("after a merged load the run is %d records in %d id bytes with room for %d, and %d 64-bit words of sketches, tail %d; want 1100 with no room to speak of", c.ids.Len(), len(c.ids.b), cap(c.ids.b), cap(c.keys.w), len(c.tailIDs))
 	}
 	if perID := float64(len(c.ids.b)) / 1100; perID > 1.2 {
 		t.Fatalf("ids 1 and 2 apart take %.2f bytes each, want a byte and their share of a block's 9", perID)
@@ -718,10 +778,11 @@ func TestTableLoadRunArms(t *testing.T) {
 }
 
 // TestTableViewSurvivesWidening: a view taken while every sketch of its
-// column fits two bytes reads bit-identical sketches after wider sketches
-// arrived — through the tail, by loaded runs and landed batches, across
-// folds — and re-encoded the column three times, while readers go on reading the
-// old view and taking new ones beside the writer.
+// column is 9 bits long, so that the column holds 9-bit keys, reads
+// bit-identical sketches after longer sketches arrived — through the tail,
+// by loaded runs and landed batches, across folds — and re-encoded the
+// column three times, as whole words ever wider, while readers go on
+// reading the old view and taking new ones beside the writer.
 func TestTableViewSurvivesWidening(t *testing.T) {
 	tab := NewTable()
 	b := bitvec.Range(0, 3)
@@ -732,8 +793,8 @@ func TestTableViewSurvivesWidening(t *testing.T) {
 	}
 	held, _ := tab.View(b)
 	want := held.AppendTo(nil)
-	if held.keys.Width() != 2 {
-		t.Fatalf("a column of 9-bit sketches is %d bytes wide, want 2", held.keys.Width())
+	if held.keys.Shape() != 9 {
+		t.Fatalf("a column of 9-bit sketches has shape %d, want 9", held.keys.Shape())
 	}
 	done := make(chan struct{})
 	var readers sync.WaitGroup
@@ -762,7 +823,7 @@ func TestTableViewSurvivesWidening(t *testing.T) {
 		}()
 	}
 	rng := rand.New(rand.NewSource(5))
-	widths := make(map[int]bool)
+	shapes := make(map[Shape]bool)
 	for step, length := range []int{16, 24, 30} {
 		for i := 0; i < 700; i++ {
 			id := bitvec.UserID(3*rng.Intn(4000) + 1 + step%2)
@@ -783,25 +844,25 @@ func TestTableViewSurvivesWidening(t *testing.T) {
 			}
 		}
 		now, _ := tab.View(b)
-		widths[now.keys.Width()] = true
+		shapes[now.keys.Shape()] = true
 	}
 	close(done)
 	readers.Wait()
 	if got := held.AppendTo(nil); !reflect.DeepEqual(got, want) {
 		t.Fatal("a held view changed across three widenings of its column")
 	}
-	if held.keys.Width() != 2 || len(widths) != 3 || !widths[MaxWordWidth] {
-		t.Fatalf("the held view is %d bytes wide and the column went through widths %v; want 2, and three widths up to %d", held.keys.Width(), widths, MaxWordWidth)
+	if held.keys.Shape() != 9 || len(shapes) != 3 || !shapes[wholeWords(MaxLength+5)] {
+		t.Fatalf("the held view has shape %d and the column went through shapes %v; want 9, and three up to whole %d-bit words", held.keys.Shape(), shapes, MaxLength+5)
 	}
 }
 
 // TestTableHeapBytesPerRecord is the ratchet under the fleet benchmark's
 // heap_bytes_per_record: ten subsets of 35 000 nine-bit sketches — one
 // node's share of that benchmark — ingested record by record and read once
-// cost their ids and 2-byte sketch words and next to nothing more, and
-// with a thousand unread inserts waiting in each column's tail, index and
-// all, the table stays within half a byte a record of that (≈ 20 B a tail
-// record, a third of it the flat index).  Landed as a bulk import lands
+// cost their ids and 9-bit keys, the length written once per column, and
+// next to nothing more, and with a thousand unread inserts waiting in each
+// column's tail, index and all, the table stays within half a byte a
+// record of that (≈ 20 B a tail record, a third of it the flat index).  Landed as a bulk import lands
 // them — 8192-record user-major batches through Probe and Land — and never
 // read, the same records are within the read bound: a batch merges into
 // its run and leaves no tail.  The ids come two ways.  Fleet-shaped — a
@@ -809,8 +870,8 @@ func TestTableViewSurvivesWidening(t *testing.T) {
 // of them on this node — they are held as 1-byte differences: 1.25 bytes
 // each with their block's first id and offset.  Hashed over all 64 bits,
 // in scattered order, they gain nothing and must lose nothing: 8 bytes and
-// an eighth each, under the bound that held when the column was a
-// []uint64.  A wider word or headroom behind the run fails a first bound,
+// an eighth each.  A key held in more than its ℓ bits, or headroom behind
+// the run, fails a first bound,
 // a heavier tail a second, a batch that leaves a tail a third.
 func TestTableHeapBytesPerRecord(t *testing.T) {
 	const users, fresh = 35_000, 1000
@@ -819,8 +880,8 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 		id           func(i int) uint64
 		read, unread float64
 	}{
-		{"fleet-shaped ids", func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }, 3.8, 4.2},
-		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, 10.5, 11.0},
+		{"fleet-shaped ids", func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }, 2.7, 3.2},
+		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, 9.8, 10.0},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			subsets := make([]bitvec.Subset, 10)
@@ -855,7 +916,7 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			perRecord := float64(heap()-before) / float64(users*len(subsets))
 			t.Logf("read: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.read {
-				t.Errorf("a read table holds %.2f heap bytes per record, want ≤ %.1f: an id, a 2-byte sketch, nothing else", perRecord, shape.read)
+				t.Errorf("a read table holds %.2f heap bytes per record, want ≤ %.1f: an id, a 9-bit key, nothing else", perRecord, shape.read)
 			}
 			ingest(users, users+fresh)
 			perRecord = float64(heap()-before) / float64((users+fresh)*len(subsets))

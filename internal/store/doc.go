@@ -39,18 +39,20 @@
 // (sketch.IDs): blocks of 64 ids, each a width byte, a first id and the
 // differences from id to id at that width — a byte where users were
 // numbered as they enrolled — or the ids raw where they lie far apart or,
-// in a log frame, arrived out of order.  A run's sketches are the bytes of
-// a sketch.Words — sketch.Sketch.Pack words, big-endian, at the width of
-// the run's widest.  So a record whose user enrolled next to its
-// neighbours costs 1.1 bytes of id and a 2- to 5-byte sketch word, plus
-// 1/16 byte of block sums in a segment; a record under a hashed id costs
-// its 8 bytes as it always did.  Writing a run copies its columns and
-// reading one copies them back after checking them — the ids' widths,
-// lengths and ascent, that every word unpacks to a valid sketch — and
-// sorting, deduplicating and merging move ids by the block and words of
-// that width.  Only a log being decoded holds ids at 8 bytes, for as long
-// as it takes to sort them.  The runs a replay hands out are fresh and
-// belong to the callback: the table adopts them as its columns.
+// in a log frame, arrived out of order.  A run's sketches are
+// sketch.Sketch.Pack words, big-endian, at the width of the run's widest,
+// which a sketch.Words — ℓ bits a key in memory — writes and reads at
+// that width (AppendTo, AppendEncoded).  So a record whose user enrolled
+// next to its neighbours costs 1.1 bytes of id and a 2- to 5-byte sketch
+// word, plus 1/16 byte of block sums in a segment; a record under a
+// hashed id costs its 8 bytes as it always did.  Writing a run copies its
+// id column and converts its words, and reading one does the same back
+// after checking them — the ids' widths, lengths and ascent, that every
+// word unpacks to a valid sketch — and sorting, deduplicating and merging
+// move ids by the block and words by their bits.  Only a log being
+// decoded holds ids at 8 bytes, for as long as it takes to sort them.  The
+// runs a replay hands out are fresh and belong to the callback: the table
+// adopts them as its columns.
 //
 // The log is mirrored nowhere: its file's acknowledged prefix is decoded
 // on demand — by a roll, or by the first read after an append — into

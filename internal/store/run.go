@@ -35,9 +35,11 @@ import (
 // above a 5-bit length (sketch.MaxLength is 30) — so the benchmark
 // deployment's 9-bit sketches take 2 bytes and a record whose users were
 // numbered as they enrolled a little over 3; w is the width the run's
-// widest word needs (sketch.Words.MinWidth).  Both columns are the table's
-// own bytes: a column in memory is written with a copy and read back with
-// a checked one.  The log writes a window's run whole, ids in arrival
+// widest word needs (sketch.Words.MinWidth).  The id column is the
+// table's own bytes, written with a copy and read back with a checked
+// one; the word column is where memory's ℓ bits a key meet the disk's w
+// bytes a word, converted both ways by sketch.Words.AppendTo and
+// AppendEncoded and nowhere else.  The log writes a window's run whole, ids in arrival
 // order; a segment cuts the columns into checksummed blocks, one id block
 // and its words each (segment.go).
 type run struct {
@@ -131,14 +133,15 @@ type runMark struct {
 
 // growingRun is a run a runSet is still adding to, its ids raw and in
 // arrival order — the one place outside a table's tail where they are;
-// reserved counts the records about to be added and width is that of the
-// widest run among them, so that the columns are sized once.
+// reserved counts the records about to be added and shape is that of the
+// first word of each run among them, so that the columns are sized once.
 type growingRun struct {
-	tag             string
-	subset          bitvec.Subset
-	ids             []bitvec.UserID
-	keys            sketch.Words
-	reserved, width int
+	tag      string
+	subset   bitvec.Subset
+	ids      []bitvec.UserID
+	keys     sketch.Words
+	reserved int
+	shape    sketch.Shape
 }
 
 func newRunSet() *runSet { return &runSet{byTag: make(map[string]*growingRun)} }
@@ -207,10 +210,10 @@ func findRun(runs []run, tag string) (int, bool) {
 
 // mergeColumns merges the sources of one subset, oldest first, into fresh
 // columns: ids ascending, the newest source winning an id two of them
-// hold, the words at the width of the widest source.  The sources are left
+// hold, the words in the Join of the sources' shapes.  The sources are left
 // as they were.
 func mergeColumns(srcs []sketch.Run) (sketch.IDs, sketch.Words) {
-	total, size, width := 0, 0, 0
+	total, size, shape := 0, 0, sketch.Shape(0)
 	// heap orders the unfinished sources by (next id, age): an entry is a
 	// source's next id and its index in srcs, which is its age; next[src]
 	// is how much of it has been merged, read through cur[src].
@@ -223,12 +226,12 @@ func mergeColumns(srcs []sketch.Run) (sketch.IDs, sketch.Words) {
 		if s.Len() > 0 {
 			cur[src].Reset(s.IDs)
 			heap = append(heap, cursor{cur[src].At(0), src})
-			total, size, width = total+s.Len(), size+s.IDs.Bytes(), max(width, s.Keys.Width())
+			total, size, shape = total+s.Len(), size+s.IDs.Bytes(), shape.Join(s.Keys.Shape())
 		}
 	}
 	var ids sketch.IDBuilder
 	ids.Grow(total, size)
-	keys := sketch.MakeWords(width, 0, total)
+	keys := sketch.MakeWords(shape, 0, total)
 	down := func(heap []cursor, i int) {
 		for {
 			least := i

@@ -85,7 +85,7 @@ func readBlocks(f *os.File, x *segIndex, r segRun, lo, hi int, raw []byte, keys 
 	}
 	var ids sketch.IDBuilder
 	ids.Grow(hi-lo, len(raw))
-	keys = keys.Reset(r.width)
+	keys = keys.Reset()
 	src := raw
 	for at := lo; at < hi; at += segBlockRecords {
 		size, first, more, err := decodeBlock(src, min(hi-at, segBlockRecords), r.width, x.v3, &ids, keys)

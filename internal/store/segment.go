@@ -30,9 +30,11 @@ import (
 // All integers are big-endian, every checksum is checksum().  A record
 // costs its id's share of a block — a little over a byte where users were
 // numbered as they enrolled, 8 and 1/64 where ids are hashes — and its
-// sketch word (2 bytes for the 9- to 11-bit sketches of a million-user
-// deployment); block sums add 1/16 byte, and a subset's tag is paid once
-// per segment.  A block's size follows from its width byte, so blocks are
+// sketch word at the run's byte width (2 bytes for the 9- to 11-bit
+// sketches of a million-user deployment, whose keys memory holds in 9 to
+// 11 bits: a block's words are converted as they are written and read,
+// by sketch.Words.AppendTo and AppendEncoded); block sums add 1/16 byte,
+// and a subset's tag is paid once per segment.  A block's size follows from its width byte, so blocks are
 // found by walking them, never by arithmetic on a record number.
 //
 // Integrity.  The data area carries the records and describes itself:
@@ -106,11 +108,12 @@ func newSegWriter(size int) *segWriter {
 	return w
 }
 
-// segmentSize is the size of the image of runs.
+// segmentSize is the size of the image of runs: their words at the width
+// each is written at, not the bits memory holds them in.
 func segmentSize(runs []run) int {
 	size := segHeaderSize + segFooterSize
 	for _, r := range runs {
-		size += runHeaderFixed + len(r.tag) + 4 + r.IDs.Bytes() + r.Len()*r.Keys.Width() + 4*r.IDs.Blocks()
+		size += runHeaderFixed + len(r.tag) + 4 + r.IDs.Bytes() + r.Len()*r.Keys.MinWidth() + 4*r.IDs.Blocks()
 	}
 	return size
 }
@@ -282,7 +285,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 		// The run's ids are gathered only to hold each block against the one
 		// before it: they cost their coded bytes, which the file bounds.
 		var ids sketch.IDBuilder
-		keys = keys.Reset(h.width)
+		keys = keys.Reset()
 		at := end + 4
 		for left := h.count; left > 0; left -= segBlockRecords {
 			// The words are only checked: every block lands on the same room.

@@ -275,12 +275,20 @@ func eachRun(payload []byte, v3 bool, fn func(h runHeader, columns []byte, idsLe
 
 // reserve notes how many records a frame will add to each subset's run.
 func (s *runSet) reserve(payload []byte) error {
-	return eachRun(payload, s.v3, func(h runHeader, _ []byte, _ int) error {
+	return eachRun(payload, s.v3, func(h runHeader, columns []byte, idsLen int) error {
 		r, err := s.runFor(h.tag)
-		if err == nil {
-			r.reserved, r.width = r.reserved+h.count, max(r.width, h.width)
+		if err != nil {
+			return err
 		}
-		return err
+		// The run's first word stands for its shape: a deployment's
+		// sketches share one length, and a word of another re-encodes the
+		// run's column when it is added.
+		var word uint64
+		for _, c := range columns[idsLen : idsLen+h.width] {
+			word = word<<8 | uint64(c)
+		}
+		r.reserved, r.shape = r.reserved+h.count, r.shape.Join(sketch.ShapeOf(word))
+		return nil
 	})
 }
 
@@ -288,7 +296,7 @@ func (s *runSet) reserve(payload []byte) error {
 func (s *runSet) grow() {
 	for _, r := range s.byTag {
 		r.ids = slices.Grow(r.ids, r.reserved)
-		r.keys = sketch.MakeWords(r.width, 0, r.keys.Len()+r.reserved).AppendWords(r.keys)
+		r.keys = sketch.MakeWords(r.shape, 0, r.keys.Len()+r.reserved).AppendWords(r.keys)
 		r.reserved = 0
 	}
 }

@@ -60,6 +60,19 @@ func referenceColumns(records []sketch.Published, v3 bool) ([]byte, int) {
 	return out, width
 }
 
+// sameSketches fails the test unless the column k reads as want.
+func sameSketches(t *testing.T, what string, k sketch.Words, want []sketch.Sketch) {
+	t.Helper()
+	if k.Len() != len(want) {
+		t.Fatalf("%s: %d words, want %d", what, k.Len(), len(want))
+	}
+	for i, s := range want {
+		if got := k.Sketch(i); got != s || k.At(i) != s.Pack() {
+			t.Fatalf("%s: word %d of %d reads %v (%#x), want %v", what, i, len(want), got, k.At(i), s)
+		}
+	}
+}
+
 // framePayload is the payload of a log frame holding one run: the columns
 // cols of n records of tag's subset, width bytes a sketch.
 func framePayload(tag string, n, width int, cols []byte) []byte {
@@ -78,8 +91,11 @@ func framePayload(tag string, n, width int, cols []byte) []byte {
 // and handed to the table for keeps.  Throughout, the column must read as
 // the map does; and written as a run its bytes must be the ones the format
 // says (referenceColumns), decode back to the same column — from a v4
-// frame and from v3 columns, also onto words of another width, also split
-// and merged — and, loaded into an empty table, read the same again.
+// frame and from v3 columns, also onto words of another shape, also split
+// and merged — and, loaded into an empty table, read the same again.  The
+// words themselves are driven on the way: a column of one length meets
+// another and is re-encoded, slices cut at any bit are appended to columns
+// ending at any other, and Set and Swap write single words.
 func FuzzColumnWords(f *testing.F) {
 	// FuzzWALReplay's corpus, for what its bytes do as ops, and streams that
 	// widen a column step by step and back-load narrow runs under wide ones.
@@ -162,14 +178,70 @@ func FuzzColumnWords(f *testing.F) {
 				return sketch.Run{Subset: b, IDs: sketch.MakeIDs(ids), Keys: keys}
 			}
 			same("the decoded v3 run", runOf(gotIDs, gotKeys).AppendTo(nil), want)
-			// Onto words of every other width, and as two halves merged.
-			for w := 1; w <= sketch.MaxWordWidth; w++ {
-				_, onto, err := decodeColumns(v3Bytes, len(want), width, nil, sketch.MakeWords(w, 0, 1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				same("the run decoded onto other words", runOf(gotIDs, onto).AppendTo(nil), want)
+			wantSketches := make([]sketch.Sketch, len(want))
+			for i, p := range want {
+				wantSketches[i] = p.S
 			}
+			// Onto a column of every other shape — one length, or whole words —
+			// holding a word that must read as it did.
+			for _, length := range []int{1, 9, 16, 30} {
+				first := sketch.Sketch{Key: x % (1 << uint(length)), Length: length}
+				for _, shape := range []sketch.Shape{sketch.ShapeOf(first.Pack()), sketch.ShapeOf(first.Pack()).Join(sketch.ShapeOf(sketch.Sketch{Length: 31 - length}.Pack()))} {
+					_, onto, err := decodeColumns(v3Bytes, len(want), width, nil, sketch.MakeWords(shape, 0, 1).Append(first.Pack()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameSketches(t, "the run decoded onto other words", onto, append([]sketch.Sketch{first}, wantSketches...))
+				}
+			}
+			// A column of one length that meets another is re-encoded, every
+			// earlier sketch as it was, and so is one that meets a column of
+			// another shape; the column it grew from reads as before.
+			length := want[0].S.Length
+			var single sketch.Words
+			model := make([]sketch.Sketch, 0, 2*len(want)+1)
+			for _, p := range want {
+				s := sketch.Sketch{Key: p.S.Key % (1 << uint(length)), Length: length}
+				single, model = single.Append(s.Pack()), append(model, s)
+			}
+			foreign := sketch.Sketch{Key: x % 2, Length: length%sketch.MaxLength + 1}
+			grown := single.Append(foreign.Pack())
+			if single.Shape() != sketch.ShapeOf(model[0].Pack()) || grown.Shape() == single.Shape() {
+				t.Fatalf("a column of %d-bit sketches has shape %d, and %d after a %d-bit one", length, single.Shape(), grown.Shape(), foreign.Length)
+			}
+			sameSketches(t, "the column of one length", single, model)
+			model = append(model, foreign)
+			sameSketches(t, "the column that met another length", grown, model)
+			sameSketches(t, "the column that met another shape", grown.AppendWords(gotKeys), append(model, wantSketches...))
+			// Slices cut at any bit, also of a slice, appended 64 bits at a
+			// time into columns ending at other bits, of the same shape or
+			// another.
+			for k := 0; k < 4; k++ {
+				x = splitmix64(x)
+				lo := int(x % uint64(len(want)+1))
+				hi := lo + int(x>>16%uint64(len(want)-lo+1))
+				part, partModel := gotKeys.Slice(lo, hi), wantSketches[lo:hi]
+				if k%2 == 1 && hi > lo {
+					part, partModel = part.Slice(1, hi-lo), partModel[1:]
+				}
+				into := int(x >> 32 % uint64(len(want)+1))
+				sameSketches(t, "a slice appended to a slice", gotKeys.Slice(into/3, into).Clone().AppendWords(part), append(slices.Clone(wantSketches[into/3:into]), partModel...))
+				sameSketches(t, "a slice appended to another shape", grown.Slice(into/3, into).Clone().AppendWords(part), append(slices.Clone(model[into/3:into]), partModel...))
+				sameSketches(t, "the slice", part, partModel)
+			}
+			// Set and Swap write a word's bits and no other's.
+			rewritten, rewrittenModel := gotKeys.Clone(), slices.Clone(wantSketches)
+			for k := 0; k < 8; k++ {
+				x = splitmix64(x)
+				i, j := int(x%uint64(len(want))), int(x>>32%uint64(len(want)))
+				rewritten.Swap(i, j)
+				rewrittenModel[i], rewrittenModel[j] = rewrittenModel[j], rewrittenModel[i]
+				rewritten.Set(j, rewritten.At((i+j)/2))
+				rewrittenModel[j] = rewrittenModel[(i+j)/2]
+			}
+			sameSketches(t, "the column written by Set and Swap", rewritten, rewrittenModel)
+			sameSketches(t, "the column it was cloned from", gotKeys, wantSketches)
+			// As two halves merged.
 			half := len(want) / 2
 			mergedIDs, mergedKeys := mergeColumns([]sketch.Run{
 				runOf(gotIDs[half:], gotKeys.Slice(half, len(want))),
@@ -295,6 +367,9 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 		"a length of zero":      {word: 7 << 5},
 		"a length past 30":      {word: 31},
 		"a key past its length": {word: 0xFF<<5 | 3},
+		// At the length of the run's other words: refused on the one-pass
+		// path a run of one length decodes through.
+		"a key past the run's own length": {word: 1<<10<<5 | 10},
 		// The three ids 1 apart at width 5: well-formed but for the width.
 		"an id block of width 5": {ids: []byte{5, 0, 0, 0, 0, 0, 0, 0x03, 0xE9, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}},
 	} {
