@@ -233,7 +233,7 @@ func (t *Table) Land(b *Batch) int {
 		if kept == 0 {
 			continue
 		}
-		keys, bits := MakeWords(shape, kept, kept), shape.bits()
+		keys, bits := MakeWords(shape, kept, kept), shape.Bits()
 		bw := newBitWriter(keys.w, 0)
 		for _, i := range grp.at[:kept] {
 			bw.put(shape.encode(b.ps[i].S.Pack()), bits)

@@ -26,9 +26,9 @@
 //   - Words, IDs and Run: the one packed form of a sketch — Sketch.Pack,
 //     the key above a 5-bit length, a column of them held as ℓ written once
 //     and each key in ℓ bits, so the paper's ⌈log log O(M)⌉-bit disclosure
-//     costs exactly that in memory (a store run writes the words at the
-//     byte width of its widest, 2 bytes at ℓ = 9, through Words.AppendTo
-//     and reads them through Words.AppendEncoded) — the one form of a
+//     costs exactly that in memory and on disk (a store run writes the
+//     column's bits through Words.AppendBits and reads them back, checked,
+//     through Words.AppendBitsFrom) — the one form of a
 //     sorted column of user ids — blocks of 64 held as a first id and the
 //     differences from id to id at the width a block's widest needs, so
 //     the public id beside the sketch costs a little over a byte where

@@ -270,7 +270,7 @@ func SortByID(ids []bitvec.UserID, keys Words) ([]bitvec.UserID, Words) {
 		perm[i] = int32(i)
 	}
 	ids, perm = sortIDs(ids, perm)
-	sorted, b := MakeWords(keys.shape, n, n), keys.shape.bits()
+	sorted, b := MakeWords(keys.shape, n, n), keys.shape.Bits()
 	bw := newBitWriter(sorted.w, 0)
 	for _, i := range perm {
 		bw.put(keys.raw(int(i)), b)

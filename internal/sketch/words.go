@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -8,20 +9,12 @@ import (
 
 // Pack packs a valid sketch (Length ≤ MaxLength = 30, so Key < 2^30) into
 // one word, the key above a 5-bit length.  It is the only packed form of a
-// sketch: what a column is read as, what a store run writes, what the
-// record loop decodes.
+// sketch: what a column is read as, what a column of mixed lengths holds,
+// what the record loop decodes.
 func (s Sketch) Pack() uint64 { return s.Key<<5 | uint64(s.Length) }
 
 // UnpackSketch reverses Pack.
 func UnpackSketch(word uint64) Sketch { return Sketch{Key: word >> 5, Length: int(word & 31)} }
-
-// MaxWordWidth is how many bytes the Pack word of the longest valid sketch
-// needs: a 30-bit key above a 5-bit length.
-const MaxWordWidth = 5
-
-// WordWidth is how many bytes a Pack word needs: the width a store run
-// writes it at.
-func WordWidth(word uint64) int { return max(1, (bits.Len64(word)+7)/8) }
 
 // A Shape is how a column holds its words.  A column whose sketches share
 // one length ℓ — a deployment's do, its Params fix ℓ — has shape ℓ: it
@@ -35,6 +28,11 @@ type Shape uint8
 // wholeWords is the shape of whole Pack words of up to n bits (1..64):
 // the shapes up to MaxLength are the single-length ones.
 func wholeWords(n int) Shape { return Shape(MaxLength + n) }
+
+// MaxShape is the widest shape a column of valid sketches takes: whole
+// Pack words of the longest, a 30-bit key above a 5-bit length.  A word
+// column on disk has a shape from 1 to MaxShape.
+const MaxShape = Shape(MaxLength + MaxLength + 5)
 
 // ShapeOf returns the shape of a column holding word alone.
 func ShapeOf(word uint64) Shape {
@@ -57,8 +55,9 @@ func (s Shape) Join(t Shape) Shape {
 	return wholeWords(max(s.widest(), t.widest()))
 }
 
-// bits is how many bits a word of shape s occupies in its column.
-func (s Shape) bits() int {
+// Bits is how many bits a word of shape s occupies in its column, in
+// memory and on disk.
+func (s Shape) Bits() int {
 	if s <= MaxLength {
 		return int(s)
 	}
@@ -70,7 +69,7 @@ func (s Shape) widest() int {
 	if s <= MaxLength {
 		return int(s) + 5
 	}
-	return s.bits()
+	return s.Bits()
 }
 
 // fits reports whether a column of shape s holds word as it is.
@@ -78,7 +77,7 @@ func (s Shape) fits(word uint64) bool {
 	if s <= MaxLength {
 		return s != 0 && word&31 == uint64(s) && word>>5 < 1<<s
 	}
-	return bits.Len64(word) <= s.bits()
+	return bits.Len64(word) <= s.Bits()
 }
 
 // encode and decode convert between a Pack word and what a column of
@@ -102,8 +101,9 @@ func (s Shape) decode(raw uint64) uint64 {
 // million-user deployment hold 9 bits a record.  A column that meets a
 // word its shape does not hold is re-encoded at the Join of the two — rare:
 // a deployment's sketches share one length — and never narrows.  The bits
-// are the column's in memory only: a store run writes and reads its words
-// at a byte width of its own, through AppendTo and AppendEncoded.
+// are the column's on disk too: a store run writes them and reads them
+// back, checked, through AppendBits and AppendBitsFrom, and a WordWriter
+// writes the same bytes a word at a time.
 //
 // Like a slice, a Words value shares its storage with the values it was
 // sliced from or appended into.  The zero Words is empty.
@@ -123,7 +123,7 @@ func span(n int) int { return (n + 63) >> 6 }
 // MakeWords returns a column of n zero words of the given shape with room
 // for capacity, like make([]T, n, capacity).
 func MakeWords(shape Shape, n, capacity int) Words {
-	b := shape.bits()
+	b := shape.Bits()
 	return Words{shape: shape, n: n, w: make([]uint64, span(n*b), span(capacity*b))}
 }
 
@@ -138,7 +138,7 @@ func (k Words) raw(i int) uint64 {
 	if uint(i) >= uint(k.n) {
 		panic(fmt.Sprintf("sketch: word %d of %d", i, k.n))
 	}
-	b := k.shape.bits()
+	b := k.shape.Bits()
 	p := int(k.off) + i*b
 	q, r := p>>6, uint(p&63)
 	x := k.w[q] >> r
@@ -153,7 +153,7 @@ func (k Words) setRaw(i int, x uint64) {
 	if uint(i) >= uint(k.n) {
 		panic(fmt.Sprintf("sketch: word %d of %d", i, k.n))
 	}
-	b := k.shape.bits()
+	b := k.shape.Bits()
 	p := int(k.off) + i*b
 	q, r := p>>6, uint(p&63)
 	mask := uint64(1)<<uint(b) - 1
@@ -196,7 +196,7 @@ func (k Words) Slice(lo, hi int) Words {
 	if lo < 0 || hi < lo || hi > k.n {
 		panic(fmt.Sprintf("sketch: words [%d:%d] of %d", lo, hi, k.n))
 	}
-	b := k.shape.bits()
+	b := k.shape.Bits()
 	from, to := int(k.off)+lo*b, int(k.off)+hi*b
 	return Words{shape: k.shape, off: uint8(from & 63), n: hi - lo, w: k.w[from>>6 : span(to)]}
 }
@@ -209,18 +209,6 @@ func (k Words) Reset() Words { return Words{w: k.w[:0]} }
 func (k Words) Clone() Words {
 	k.w = slices.Clone(k.w)
 	return k
-}
-
-// MinWidth is the narrowest byte width that holds every word of k: the
-// width a store run of these words is written at.
-func (k Words) MinWidth() int {
-	// No word of the shape needs more than most bytes, so the scan stops at
-	// the first that does: under one length, all but a few keys do.
-	most, widest := (k.shape.widest()+7)/8, uint64(0)
-	for i := 0; i < k.n && WordWidth(widest) < most; i++ {
-		widest = max(widest, k.At(i))
-	}
-	return WordWidth(widest)
 }
 
 // Check returns an error unless every word packs a valid sketch: at once
@@ -241,7 +229,7 @@ func (k Words) Check() error {
 // starts at; the storage is extended to hold them, as append would extend
 // a slice.
 func (k *Words) grow(n int) int {
-	b := k.shape.bits()
+	b := k.shape.Bits()
 	at := int(k.off) + k.n*b
 	if need := span(at + n*b); need > len(k.w) {
 		k.w = slices.Grow(k.w, need-len(k.w))[:need]
@@ -316,7 +304,7 @@ func (k Words) Append(word uint64) Words {
 	if !k.shape.fits(word) {
 		k = k.reshaped(k.shape.Join(ShapeOf(word)))
 	}
-	putBits(k.w, k.grow(1), k.shape.encode(word), k.shape.bits())
+	putBits(k.w, k.grow(1), k.shape.encode(word), k.shape.Bits())
 	return k
 }
 
@@ -339,7 +327,7 @@ func (k *Words) appendRange(o *Words, lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	b, at := k.shape.bits(), k.grow(hi-lo)
+	b, at := k.shape.Bits(), k.grow(hi-lo)
 	if o.shape != k.shape {
 		bw := newBitWriter(k.w, at)
 		for i := lo; i < hi; i++ {
@@ -375,75 +363,129 @@ func copyBits(dst []uint64, at int, src []uint64, from, n int) {
 	}
 }
 
-// AppendTo appends k's words to dst at width bytes each, big-endian, which
-// must hold them (MinWidth): the word column of a store run.
-func (k Words) AppendTo(dst []byte, width int) []byte {
-	for i := 0; i < k.n; i++ {
-		word := k.At(i)
-		for s := 8 * (width - 1); s >= 0; s -= 8 {
-			dst = append(dst, byte(word>>uint(s)))
+// AppendBits appends k's words to dst as a store run's word column holds
+// them: the column's bits, ⌈Len·Bits/8⌉ bytes, low bit first, the pad bits
+// of the last byte zero — a copy of what memory holds, 64 bits at a time.
+func (k Words) AppendBits(dst []byte) []byte {
+	n := k.n * k.shape.Bits()
+	for p := 0; p < n; p += 64 {
+		m := min(64, n-p)
+		x := bitsAt(k.w, int(k.off)+p, m)
+		if m == 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, x)
+			continue
+		}
+		for ; m > 0; m -= 8 {
+			dst = append(dst, byte(x))
+			x >>= 8
 		}
 	}
 	return dst
 }
 
-// AppendEncoded appends the words of a store run's word column — src,
-// width bytes a word, big-endian — after checking that each packs a valid
-// sketch; it appends nothing otherwise.  It is where bytes from disk
-// become a column.
-func (k Words) AppendEncoded(src []byte, width int) (Words, error) {
-	n, sh := len(src)/width, k.shape
-	if sh == 0 && n > 0 {
-		sh = ShapeOf(decodeWord(src[:width]))
+// AppendBitsFrom appends the n words of a store run's word column — src,
+// exactly the bytes AppendBits writes for n words of the given shape — after
+// checking them: a shape a column of valid sketches has (1 to MaxShape), pad
+// bits of zero, and under whole words every word a valid sketch (a key of
+// one length is one whatever its bits).  It appends nothing otherwise.  It
+// is where bytes from disk become a column: a copy of the bits when the
+// column has that shape or none yet, word by word into the Join of the two
+// otherwise.
+func (k Words) AppendBitsFrom(src []byte, shape Shape, n int) (Words, error) {
+	if shape == 0 || shape > MaxShape {
+		return k, fmt.Errorf("sketch: a word column of shape %d", shape)
 	}
-	if sh <= MaxLength {
-		// One length, the column's or the first word's: one pass, checking
-		// each word as it is written, while every word has that length.
-		out := k
-		if out.shape != sh {
-			out = out.reshaped(sh)
-		}
-		bw, i := newBitWriter(out.w, out.grow(n)), 0
-		for ; i < n; i++ {
-			word := decodeWord(src[i*width : (i+1)*width])
-			if word&31 != uint64(sh) || word>>5 >= 1<<sh {
-				break
+	b := shape.Bits()
+	if len(src) != (n*b+7)/8 {
+		return k, fmt.Errorf("sketch: %d bytes for %d words of shape %d", len(src), n, shape)
+	}
+	if pad := n * b & 7; pad != 0 && src[len(src)-1]>>uint(pad) != 0 {
+		return k, fmt.Errorf("sketch: pad bits %#x after %d words of shape %d", src[len(src)-1]>>uint(pad), n, shape)
+	}
+	if shape > MaxLength {
+		for i := 0; i < n; i++ {
+			if word := streamAt(src, i*b, b); !UnpackSketch(word).Valid() {
+				return k, fmt.Errorf("sketch: word %#x is no valid sketch", word)
 			}
-			bw.put(word>>5, int(sh))
 		}
-		if i == n {
-			bw.flush()
-			return out, nil
-		}
-		sh = k.shape
 	}
-	for i := 0; i < n; i++ {
-		word := decodeWord(src[i*width : (i+1)*width])
-		s := UnpackSketch(word)
-		if !s.Valid() {
-			return k, fmt.Errorf("sketch: word %#x is no valid sketch", word)
-		}
-		sh = sh.Join(Shape(s.Length))
+	if n == 0 {
+		return k, nil
 	}
+	sh := k.shape.Join(shape)
 	if sh != k.shape {
 		k = k.reshaped(sh)
 	}
-	b := sh.bits()
 	bw := newBitWriter(k.w, k.grow(n))
-	for i := 0; i < n; i++ {
-		bw.put(sh.encode(decodeWord(src[i*width:(i+1)*width])), b)
+	if sh == shape {
+		for p, total := 0, n*b; p < total; p += 64 {
+			m := min(64, total-p)
+			bw.put(loadLE(src[p>>3:], m), m)
+		}
+	} else {
+		for i, to := 0, sh.Bits(); i < n; i++ {
+			bw.put(sh.encode(shape.decode(streamAt(src, i*b, b))), to)
+		}
 	}
 	bw.flush()
 	return k, nil
 }
 
-// decodeWord reads a word written big-endian in len(src) bytes.
-func decodeWord(src []byte) uint64 {
-	var word uint64
-	for _, c := range src {
-		word = word<<8 | uint64(c)
+// A WordWriter writes words one at a time into a word column laid out as
+// AppendBits lays it out, from a byte offset of a buffer on: what a store's
+// log writes a run's column with, straight from the sketches it is given,
+// when the run's records arrive between other runs'.  The bytes from the
+// offset on must be the room reserved for the column, ⌈n·Bits/8⌉ for n
+// words; Flush writes the last, partial byte.
+type WordWriter struct {
+	shape Shape
+	next  int    // the byte of the buffer it fills next
+	acc   uint64 // the bits it holds for it, and any after
+	held  uint   // how many bits acc holds
+}
+
+// NewWordWriter returns a writer of words of the given shape into a buffer
+// from byte at on.
+func NewWordWriter(shape Shape, at int) WordWriter { return WordWriter{shape: shape, next: at} }
+
+// Put writes word, which the shape must hold, into dst.
+func (ww *WordWriter) Put(dst []byte, word uint64) {
+	if !ww.shape.fits(word) {
+		panic(fmt.Sprintf("sketch: word %#x does not fit a column of shape %d", word, ww.shape))
 	}
-	return word
+	ww.acc |= ww.shape.encode(word) << ww.held
+	for ww.held += uint(ww.shape.Bits()); ww.held >= 8; ww.held -= 8 {
+		dst[ww.next] = byte(ww.acc)
+		ww.next, ww.acc = ww.next+1, ww.acc>>8
+	}
+}
+
+// Flush writes the bits put since the last whole byte, if any, into dst,
+// the pad bits above them zero.
+func (ww *WordWriter) Flush(dst []byte) {
+	if ww.held > 0 {
+		dst[ww.next] = byte(ww.acc)
+	}
+}
+
+// loadLE returns the m ≤ 64 bits of a little-endian byte stream src from
+// its first bit on, reading only the bytes they occupy.
+func loadLE(src []byte, m int) uint64 {
+	if m == 64 {
+		return binary.LittleEndian.Uint64(src)
+	}
+	var x uint64
+	for i := 0; 8*i < m; i++ {
+		x |= uint64(src[i]) << (8 * uint(i))
+	}
+	return x & (1<<uint(m) - 1)
+}
+
+// streamAt returns the m ≤ 57 bits of a little-endian byte stream src from
+// bit p on.
+func streamAt(src []byte, p, m int) uint64 {
+	q, r := p>>3, uint(p&7)
+	return loadLE(src[q:], int(r)+m) >> r
 }
 
 // reshaped returns k re-encoded at shape sh, which holds every word of k,
@@ -452,9 +494,9 @@ func (k Words) reshaped(sh Shape) Words {
 	if k.n == 0 {
 		return Words{shape: sh, off: k.off, w: k.w}
 	}
-	out := MakeWords(sh, k.n, (64*cap(k.w)-int(k.off))/k.shape.bits())
+	out := MakeWords(sh, k.n, (64*cap(k.w)-int(k.off))/k.shape.Bits())
 	bw := newBitWriter(out.w, 0)
-	for i, b := 0, sh.bits(); i < k.n; i++ {
+	for i, b := 0, sh.Bits(); i < k.n; i++ {
 		bw.put(sh.encode(k.At(i)), b)
 	}
 	bw.flush()

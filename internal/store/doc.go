@@ -25,31 +25,33 @@
 // The paper's disclosure per (user, subset) is an ℓ-bit key — 9 bits for a
 // million users — under a subset every other user who sketched it shares.
 // So the store never frames a record on its own.  Everywhere it holds
-// records it holds runs (run.go): a subset's tag once, a count, then user
-// ids and sketches as packed columns — the sketch table's own layout.  A
-// log frame is the runs of one appended group; a segment (format v4,
-// segment.go) is a shard's runs in subset order, ids ascending, cut into
-// checksummed blocks, and nothing else — the run directory, the sparse id
-// index and the block offsets its readers use are derived from those
-// bytes at Open and kept in memory; a roll sorts the log's runs into a
-// segment, a compaction merges segments' runs, and a cold start hands the
-// engine whole runs (RunIterator), one column load per subset.
+// records it holds runs (run.go): a subset's tag once, a count, the words'
+// shape, then user ids and sketches as packed columns — the sketch table's
+// own layout.  A log frame is the runs of one appended group; a segment
+// (format v5, segment.go) is a shard's runs in subset order, ids
+// ascending, cut into checksummed blocks, and nothing else — the run
+// directory, the sparse id index and the block offsets its readers use are
+// derived from those bytes at Open and kept in memory; a roll sorts the
+// log's runs into a segment, a compaction merges segments' runs, and a
+// cold start hands the engine whole runs (RunIterator), one column load
+// per subset.
 //
-// Both columns are the table's own.  A run's ids are an id column
-// (sketch.IDs): blocks of 64 ids, each a width byte, a first id and the
-// differences from id to id at that width — a byte where users were
+// Both columns are the table's own, bit for bit.  A run's ids are an id
+// column (sketch.IDs): blocks of 64 ids, each a width byte, a first id and
+// the differences from id to id at that width — a byte where users were
 // numbered as they enrolled — or the ids raw where they lie far apart or,
-// in a log frame, arrived out of order.  A run's sketches are
-// sketch.Sketch.Pack words, big-endian, at the width of the run's widest,
-// which a sketch.Words — ℓ bits a key in memory — writes and reads at
-// that width (AppendTo, AppendEncoded).  So a record whose user enrolled
-// next to its neighbours costs 1.1 bytes of id and a 2- to 5-byte sketch
-// word, plus 1/16 byte of block sums in a segment; a record under a
-// hashed id costs its 8 bytes as it always did.  Writing a run copies its
-// id column and converts its words, and reading one does the same back
-// after checking them — the ids' widths, lengths and ascent, that every
-// word unpacks to a valid sketch — and sorting, deduplicating and merging
-// move ids by the block and words by their bits.  Only a log being
+// in a log frame, arrived out of order.  A run's sketches are a
+// sketch.Words' bits: ℓ written once, as the shape in the run header, and
+// each key in ℓ bits (whole sketch.Sketch.Pack words at the width of the
+// widest where a run's lengths differ), written and read by
+// sketch.Words.AppendBits and AppendBitsFrom.  So a record whose user
+// enrolled next to its neighbours costs 1.1 bytes of id and 9 bits of key,
+// plus 1/16 byte of block sums in a segment; a record under a hashed id
+// costs its 8 bytes as it always did.  Writing a run copies its columns,
+// and reading one does the same back after checking them — the ids'
+// widths, lengths and ascent, the words' shape and zero pad bits, and that
+// a whole word unpacks to a valid sketch — and sorting, deduplicating and
+// merging move ids by the block and words by their bits.  Only a log being
 // decoded holds ids at 8 bytes, for as long as it takes to sort them.  The
 // runs a replay hands out are fresh and belong to the callback: the table
 // adopts them as its columns.
@@ -70,20 +72,19 @@
 //
 // # Older formats
 //
-// Format v3 — the same files with ids at 8 bytes — is the one old format
-// the store reads (v3.go).  The first Open of a v3 directory marks its
-// manifest, which makes a v3 binary refuse the directory instead of
-// misreading it, and rolls each v3 log into a v4 segment before serving;
-// v3 segments are read where they lie until a compaction merges them into
-// v4 ones.  Nothing writes v3.  A directory older than that is refused
-// with ErrFormatTooOld.
+// Formats v3 and v4 — a run's sketches as big-endian Pack words at a byte
+// width, and in v3 its ids at 8 bytes — are read by one file (oldformat.go)
+// and only to be converted.  The first Open of a v3 or v4 directory marks
+// its manifest as converting, which makes an older binary refuse the
+// directory instead of misreading it, and then, before each shard serves,
+// rewrites every old file of it as v5 (convertShard): a log becomes a
+// segment beside a new empty log, a segment is rewritten at its own seq,
+// each through a temporary file, fsync and rename.  The manifest says v5
+// only once no old file is left, so a crash mid-way resumes from each
+// file's magic and the serving path reads v5 alone.  Nothing writes v3 or
+// v4.  A directory older than v3 is refused with ErrFormatTooOld.
 //
-// The v3 reader has no date to go by.  A compaction merges two segments or
-// more, so a shard holding a single v3 segment keeps it for as long as it
-// rolls nothing (TestLoneV3SegmentOutlivesCompaction), and the manifest is
-// marked before the logs are rolled, so a crash between the two leaves a
-// v3 log under a manifest that says v4: the manifest cannot tell a later
-// binary that no v3 file is left.  Before v3.go is deleted, one release
-// must ship an Open that rewrites every v3 file it finds — each v3 segment
-// as well as each v3 log; the release after it may refuse the format.
+// Once no directory a version before v5 wrote is left to open, the
+// release after this one deletes oldformat.go whole, and with it the
+// conversion.
 package store

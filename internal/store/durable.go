@@ -205,11 +205,17 @@ func Open(opts Options) (*Durable, error) {
 			nShards = opts.Shards
 		}
 	}
-	if format != manifestFormat {
-		// Also the first open of a v3 directory: the marker goes down before
-		// any v4 file is written into it, so a v3 binary refuses the
-		// directory from here on instead of truncating a v4 log as torn.
-		if err := writeManifest(opts.Dir, nShards, opts.Fsync); err != nil {
+	// A new directory is marked v5 at once.  One an older version wrote is
+	// marked as converting before the first v5 file is written into it, so
+	// that no older binary opens it again, and v5 only once every shard is
+	// converted: a crash in between leaves the mark, and the next Open
+	// carries on from each file's magic.
+	convert, mark := format != "" && format != manifestFormat, manifestFormat
+	if convert {
+		mark = manifestConverting
+	}
+	if format != mark {
+		if err := writeManifest(opts.Dir, nShards, mark, opts.Fsync || convert); err != nil {
 			lock.Unlock()
 			return nil, err
 		}
@@ -234,12 +240,19 @@ func Open(opts Options) (*Durable, error) {
 		openWG.Add(1)
 		go func(i int) {
 			defer openWG.Done()
-			d.shards[i], openErrs[i] = openShard(opts, i, m)
+			d.shards[i], openErrs[i] = openShard(opts, i, m, convert)
 		}(i)
 	}
 	openWG.Wait()
 	for _, err := range openErrs {
 		if err != nil {
+			d.closeShards()
+			lock.Unlock()
+			return nil, err
+		}
+	}
+	if convert {
+		if err := writeManifest(opts.Dir, nShards, manifestFormat, true); err != nil {
 			d.closeShards()
 			lock.Unlock()
 			return nil, err
@@ -270,14 +283,22 @@ func Open(opts Options) (*Durable, error) {
 const manifestName = "SHARDS"
 
 // manifestFormat follows the shard count in the manifest of a directory
-// that may hold v4 files.  An older binary fails to parse the line and
-// refuses the directory at once — before it reaches a v4 log, which it
-// would take for a torn log of its own format and truncate.
-const manifestFormat = "v4"
+// that holds v5 files and no others.  An older binary fails to parse the
+// line and refuses the directory at once — before it reaches a v5 log,
+// which it would take for a torn log of its own format and truncate.
+const manifestFormat = "v5"
+
+// manifestConverting is the mark of a directory whose v3 or v4 files Open
+// is converting: v5 files may lie beside older ones.  An older binary
+// refuses it as it refuses manifestFormat, and this one carries the
+// conversion on.
+const manifestConverting = "v5-converting"
 
 // readManifest returns the shard count recorded in dir — 0 when no
 // manifest exists yet — and the format marker after it: manifestFormat,
-// "v3" for a directory this version upgrades, or none.
+// manifestConverting, "v3" or "v4" for a directory this version converts,
+// or none.  Any other marker is refused: a directory of a format newer
+// than this version's.
 func readManifest(dir string) (n int, format string, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -287,8 +308,11 @@ func readManifest(dir string) (n int, format string, err error) {
 		return 0, "", err
 	}
 	fields := strings.Fields(string(data))
-	if len(fields) == 2 && (fields[1] == manifestFormat || fields[1] == "v3") {
-		format, fields = fields[1], fields[:1]
+	if len(fields) == 2 {
+		switch fields[1] {
+		case manifestFormat, manifestConverting, "v4", "v3":
+			format, fields = fields[1], fields[:1]
+		}
 	}
 	if len(fields) == 1 {
 		n, err = strconv.Atoi(fields[0])
@@ -322,14 +346,15 @@ func holdsData(dir string, n int) (bool, error) {
 	return false, nil
 }
 
-// writeManifest atomically records the shard count in dir, fsynced before
-// the rename so a power loss cannot leave a renamed-but-empty manifest
-// that would make every later open fail.
-func writeManifest(dir string, n int, fsync bool) error {
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), []byte(strconv.Itoa(n)+" "+manifestFormat+"\n")); err != nil {
+// writeManifest atomically records the shard count and the format marker
+// in dir, fsynced before the rename so a power loss cannot leave a
+// renamed-but-empty manifest that would make every later open fail; sync
+// makes the rename itself durable.
+func writeManifest(dir string, n int, format string, sync bool) error {
+	if err := writeFileAtomic(filepath.Join(dir, manifestName), []byte(strconv.Itoa(n)+" "+format+"\n")); err != nil {
 		return err
 	}
-	if fsync {
+	if sync {
 		return syncDir(dir)
 	}
 	return nil
@@ -366,28 +391,21 @@ func existingShards(dir string) (int, error) {
 // shardDirName renders the canonical directory name for shard i.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
-// openShard opens shard i: rolls a log a v3 version left in it, lists and
-// validates its segments, replays its WAL and positions the log for
-// appending.
-func openShard(opts Options, i int, m *metrics) (*dshard, error) {
+// openShard opens shard i: converts, when asked, what an older version
+// left in it, lists and validates its segments, replays its WAL and
+// positions the log for appending.
+func openShard(opts Options, i int, m *metrics, convert bool) (*dshard, error) {
 	dir := filepath.Join(opts.Dir, shardDirName(i))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if convert {
+		if err := convertShard(dir); err != nil {
+			return nil, err
+		}
+	}
 	segs, err := listSegments(dir)
 	if err != nil {
-		return nil, err
-	}
-	if len(segs) > 0 {
-		// A v3 log's records are newer than every segment.
-		_, err = rollV3Log(dir, segs[len(segs)-1].seq+1)
-	} else {
-		_, err = rollV3Log(dir, 1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if segs, err = listSegments(dir); err != nil {
 		return nil, err
 	}
 	nextSeq := uint64(1)
@@ -428,6 +446,67 @@ func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 
 // walName is the log's file name within a shard directory.
 const walName = "wal.log"
+
+// convertShard rewrites every file of a shard directory that an older
+// format wrote (oldformat.go) as v5, and nothing else:
+//
+//  1. a log of an older format becomes segment seq, newer than every
+//     other, holding its acknowledged records — the valid prefix, as a
+//     replay keeps it — beside a new empty v5 log;
+//  2. every segment of an older format, a lone one included, is rewritten
+//     at its own seq.
+//
+// Each file goes through a fsynced temporary file and a rename, so a crash
+// leaves it old or new, and the next Open carries on from the magics: a
+// crash between a log's segment and its new log leaves the records in
+// both, which deduplication absorbs.
+func convertShard(dir string) error {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return err
+	}
+	failed := func(path string, err error) error {
+		return fmt.Errorf("store: converting %s to format v5: %w", path, err)
+	}
+	logPath := filepath.Join(dir, walName)
+	data, err := os.ReadFile(logPath)
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	if runs, old := decodeOldLog(data); old {
+		if len(runs) > 0 {
+			seq := uint64(1)
+			if len(segs) > 0 {
+				seq = segs[len(segs)-1].seq + 1
+			}
+			image, idx := encodeSegment(runs)
+			if _, err := writeSegment(dir, seq, image, idx); err != nil {
+				return failed(logPath, err)
+			}
+		}
+		if err := writeFileAtomic(logPath, walMagic[:]); err != nil {
+			return failed(logPath, err)
+		}
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			return err
+		}
+		runs, old, err := decodeOldSegment(data, seg.path)
+		if err != nil {
+			return err
+		}
+		if !old {
+			continue // v5 already, or of no format, which walkSegment refuses
+		}
+		image, _ := encodeSegment(runs)
+		if err := writeFileAtomic(seg.path, image); err != nil {
+			return failed(seg.path, err)
+		}
+	}
+	return syncDir(dir)
+}
 
 // FNV-1a 64-bit constants, inlined so the per-append hash is
 // allocation-free.

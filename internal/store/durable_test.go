@@ -406,6 +406,10 @@ func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 				if err := os.WriteFile(filepath.Join(dir, "shard-0000", segmentName(1)), image, 0o644); err != nil {
 					t.Fatal(err)
 				}
+				// Under the manifest its binary wrote: Open converts it.
+				if err := writeManifest(dir, 1, "v3", false); err != nil {
+					t.Fatal(err)
+				}
 				want = flatten(runs)
 			}
 			corrupt(t, dir, tc.at)
@@ -632,7 +636,7 @@ func TestDurableManifestHealsCrashMidCreation(t *testing.T) {
 	// directories; the manifest (written before any of them) pins N so
 	// the store cannot silently shrink to the prefix.
 	dir := t.TempDir()
-	if err := writeManifest(dir, 4, false); err != nil {
+	if err := writeManifest(dir, 4, manifestFormat, false); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -661,7 +665,7 @@ func TestDurableManifestMismatchFailsOpen(t *testing.T) {
 	}
 	// More shard directories than the manifest records means the manifest
 	// and the data disagree — refuse rather than guess the modulus.
-	if err := writeManifest(dir, 2, false); err != nil {
+	if err := writeManifest(dir, 2, manifestFormat, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(Options{Dir: dir, CompactInterval: -1}); err == nil {
@@ -778,8 +782,9 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 		t.Fatal("built and parsed indexes differ")
 	}
 	// 2 run headers, per run ten full blocks of ids 1 apart (a width byte, a
-	// first id, 63 one-byte differences) and one of 7, 2 bytes of sketch a
-	// record, 22 block sums and the two fixed ends.
+	// first id, 63 one-byte differences) and one of 7, 10 bits of key a
+	// record (the sketches are ℓ = 10: 80 bytes a full block), 22 block
+	// sums and the two fixed ends.
 	data, err := os.ReadFile(meta.path)
 	if err != nil {
 		t.Fatal(err)
@@ -793,7 +798,7 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 		headers += runHeaderFixed + b.TagLen() + 4
 	}
 	ids := 10*(1+8+63) + (1 + 8 + 6)
-	if want := segHeaderSize + headers + len(subsets)*ids + len(records)*2 + 22*4 + segFooterSize; len(data) != want {
+	if want := segHeaderSize + headers + len(subsets)*(ids+(perSubset*10+7)/8) + 22*4 + segFooterSize; len(data) != want {
 		t.Fatalf("segment is %d bytes, want %d", len(data), want)
 	}
 }

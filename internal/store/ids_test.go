@@ -164,8 +164,8 @@ func FuzzColumnIDs(f *testing.F) {
 			for i, id := range want {
 				records[i] = record(id)
 			}
-			cols, width := referenceColumns(records, false)
-			if wantIDs := cols[:len(cols)-len(want)*width]; !bytes.Equal(coded, wantIDs) || ids.Bytes() != len(wantIDs) {
+			wantIDs, wantWords, shape := referenceColumns(records, 5, 0)
+			if !bytes.Equal(coded, wantIDs) || ids.Bytes() != len(wantIDs) {
 				t.Fatalf("%d ids are held as %x, the format says %x", len(want), coded, wantIDs)
 			}
 			if got := sketch.AppendIDBlocks(nil, want); !bytes.Equal(got, coded) {
@@ -183,7 +183,7 @@ func FuzzColumnIDs(f *testing.F) {
 				return
 			}
 			set := newRunSet()
-			if n, err := set.addFrame(framePayload(b.Key(), len(want), width, cols)); err != nil || n != len(want) {
+			if n, err := set.addFrame(framePayload(b.Key(), len(want), shape, append(wantIDs, wantWords...))); err != nil || n != len(want) {
 				t.Fatalf("the frame of the reference columns adds %d records, %v", n, err)
 			}
 			runs := set.normalized()
@@ -281,7 +281,7 @@ func FuzzColumnIDs(f *testing.F) {
 		}
 		// A frame whose one run is the hostile column under honest words.
 		if n > 0 {
-			cols := append(bytes.Clone(src), bytes.Repeat([]byte{0x21}, n)...)
+			cols := append(bytes.Clone(src), onesBits(n)...)
 			set := newRunSet()
 			got, err := set.addFrame(framePayload(b.Key(), n, 1, cols))
 			if (err == nil) != (decodeErr == nil && size == len(src)) || (err == nil && got != n) {

@@ -17,37 +17,40 @@ import (
 // between them) and packed sketches (sketch.Words), under the subset's tag
 // written once.  A commit window in the log, a segment on disk, a roll, a
 // compaction and a replay all move runs; nothing in the store holds a
-// sketch.Published per record, a sketch wider than the widest of its
-// column, or — outside the records of a log still in arrival order — an id
-// at 8 bytes.
+// sketch.Published per record, a sketch in more bits than its column's
+// shape gives it, or — outside the records of a log still in arrival
+// order — an id at 8 bytes.
 //
-// On disk (format v4) a run is
+// On disk (format v5) a run is
 //
 //	4 bytes big-endian tag length | the subset tag (bitvec.Subset.Tag)
 //	4 bytes big-endian record count (≥ 1)
-//	1 byte  sketch width w (1..5)
+//	1 byte  the word column's shape (sketch.Shape, 1..sketch.MaxShape)
 //
 // followed by its columns: the count ids as an id column — blocks of 64,
 // each a width byte, a first id and the differences from id to id at that
 // width, or the ids raw where they do not ascend (sketch/ids.go has the
-// layout and the argument for a width per block) — and count sketch words
-// of w bytes, big-endian.  A sketch word is sketch.Sketch.Pack — the key
-// above a 5-bit length (sketch.MaxLength is 30) — so the benchmark
-// deployment's 9-bit sketches take 2 bytes and a record whose users were
-// numbered as they enrolled a little over 3; w is the width the run's
-// widest word needs (sketch.Words.MinWidth).  The id column is the
-// table's own bytes, written with a copy and read back with a checked
-// one; the word column is where memory's ℓ bits a key meet the disk's w
-// bytes a word, converted both ways by sketch.Words.AppendTo and
-// AppendEncoded and nowhere else.  The log writes a window's run whole, ids in arrival
-// order; a segment cuts the columns into checksummed blocks, one id block
-// and its words each (segment.go).
+// layout and the argument for a width per block) — and the count words as
+// the column holds them in memory: Shape.Bits bits each, ⌈count·bits/8⌉
+// bytes, low bit first, the pad bits of the last byte zero.  A shape of 1
+// to 30 is one length ℓ, whose keys alone are written, ℓ bits each: the
+// paper's ⌈log log O(M)⌉-bit disclosure and nothing else, 9 bits for the
+// benchmark deployment's sketches, 72 bytes for a block of 64.  A higher
+// shape s holds whole sketch.Sketch.Pack words — the key above a 5-bit
+// length — in s − 30 bits each, as many as the writer's column gave them
+// and at least the widest needs: a column that met a second length.  Both
+// columns are the table's own bits, written with a copy and
+// read back with a checked one (sketch.IDBuilder.AppendBlock,
+// sketch.Words.AppendBits and AppendBitsFrom, and nowhere else).  The log
+// writes a window's run whole, ids in arrival order; a segment cuts the
+// columns into checksummed blocks, one id block and its words each
+// (segment.go).
 type run struct {
 	tag string // the subset's canonical tag, Subset.Key: what runs sort by
 	sketch.Run
 }
 
-const runHeaderFixed = 4 + 4 + 1 // tag length, record count, width
+const runHeaderFixed = 4 + 4 + 1 // tag length, record count, shape
 
 // castagnoli is the CRC-32C table; checksum is the one integrity function
 // of every structure the store writes — log frames, segment run headers
@@ -57,29 +60,29 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // appendRunHeader appends a run's header.
-func appendRunHeader(dst []byte, tag string, count, width int) []byte {
+func appendRunHeader(dst []byte, tag string, count int, shape sketch.Shape) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(tag)))
 	dst = append(dst, tag...)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(count))
-	return append(dst, byte(width))
+	return append(dst, byte(shape))
 }
 
 // runHeader is a parsed run header; tag aliases the parsed bytes.
 type runHeader struct {
 	tag   []byte
 	count int
-	width int
+	shape sketch.Shape
 	size  int // bytes the header occupies
 }
 
 // parseRunHeader reads the run header at the front of src.  Every field
 // is input: lengths are checked against what src holds before anything is
-// sliced, and a count the bytes after the header could not hold — however
-// they are coded, a record is a byte of id and one of sketch, and a block
-// of ids 8 bytes more (in a v3 file: 8 bytes of id) — is refused, so what
-// is later allocated for the count is a bounded multiple of the file it
-// came from.
-func parseRunHeader(src []byte, v3 bool) (runHeader, error) {
+// sliced, a shape no column of valid sketches has is refused, and so is a
+// count whose columns the bytes after the header could not hold — at the
+// least an id block's 8 bytes and a byte an id, and the words' bits — so
+// that what is later allocated for the count is a bounded multiple of the
+// file it came from.
+func parseRunHeader(src []byte) (runHeader, error) {
 	if len(src) < runHeaderFixed {
 		return runHeader{}, fmt.Errorf("run header truncated at %d bytes", len(src))
 	}
@@ -89,33 +92,27 @@ func parseRunHeader(src []byte, v3 bool) (runHeader, error) {
 	}
 	h := runHeader{tag: src[4 : 4+tagLen], size: runHeaderFixed + int(tagLen)}
 	count := uint64(binary.BigEndian.Uint32(src[4+tagLen:]))
-	h.width = int(src[h.size-1])
-	if h.width < 1 || h.width > sketch.MaxWordWidth {
-		return runHeader{}, fmt.Errorf("run sketch width %d", h.width)
+	if h.shape = sketch.Shape(src[h.size-1]); h.shape == 0 || h.shape > sketch.MaxShape {
+		return runHeader{}, fmt.Errorf("run word shape %d", h.shape)
 	}
 	rest := uint64(len(src) - h.size)
-	if count == 0 || count > rest || leastColumnsLen(int(count), h.width, v3) > rest {
+	if count == 0 || count > rest || uint64(sketch.MinIDBlocksLen(int(count))+wordsLen(int(count), h.shape)) > rest {
 		return runHeader{}, fmt.Errorf("run of %d records in %d bytes", count, rest)
 	}
 	h.count = int(count)
 	return h, nil
 }
 
-// leastColumnsLen is the least the columns of count records can occupy.
-func leastColumnsLen(count, width int, v3 bool) uint64 {
-	if v3 {
-		return uint64(count) * uint64(8+width)
-	}
-	return uint64(sketch.MinIDBlocksLen(count)) + uint64(count)*uint64(width)
-}
+// wordsLen is how many bytes n words of the given shape occupy on disk.
+// Blocks of 64 words are whole bytes, so a segment's blocks of a run take
+// what the run's words take in one piece.
+func wordsLen(n int, shape sketch.Shape) int { return (n*shape.Bits() + 7) / 8 }
 
 // runSet gathers records in arrival order, one growing run per subset,
 // and normalizes them: ids ascending within a run, the newest arrival
 // winning a repeated id, runs in tag order.  It is how a log's windows
 // become the runs everything else reads.
 type runSet struct {
-	// v3 says the frames added are a v3 log's (v3.go); nothing else differs.
-	v3    bool
 	byTag map[string]*growingRun
 	// last short-cuts the lookup: consecutive runs of a window mostly name
 	// the same subset.
@@ -133,8 +130,8 @@ type runMark struct {
 
 // growingRun is a run a runSet is still adding to, its ids raw and in
 // arrival order — the one place outside a table's tail where they are;
-// reserved counts the records about to be added and shape is that of the
-// first word of each run among them, so that the columns are sized once.
+// reserved counts the records about to be added and shape is the Join of
+// their runs' shapes, so that the columns are sized once.
 type growingRun struct {
 	tag      string
 	subset   bitvec.Subset

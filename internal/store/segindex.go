@@ -17,7 +17,6 @@ import (
 // writer has it in hand and Open derives it from the data area it
 // validates anyway.
 type segIndex struct {
-	v3   bool     // the segment's blocks hold 8-byte ids (v3.go)
 	runs []segRun // in tag order
 	// firstIDs is the sparse id index, the first id of every block, and
 	// blockOffs where each block starts in the file, both run after run
@@ -32,9 +31,9 @@ type segRun struct {
 	subset bitvec.Subset
 	end    int64 // file offset past the run's last block
 	count  int
-	width  int
-	first  int // ordinal of the run's first record within the segment
-	block0 int // index of the run's first block in firstIDs and blockOffs
+	shape  sketch.Shape // the shape of the run's words
+	first  int          // ordinal of the run's first record within the segment
+	block0 int          // index of the run's first block in firstIDs and blockOffs
 }
 
 // blocks is how many blocks run r has.
@@ -88,7 +87,7 @@ func readBlocks(f *os.File, x *segIndex, r segRun, lo, hi int, raw []byte, keys 
 	keys = keys.Reset()
 	src := raw
 	for at := lo; at < hi; at += segBlockRecords {
-		size, first, more, err := decodeBlock(src, min(hi-at, segBlockRecords), r.width, x.v3, &ids, keys)
+		size, first, more, err := decodeBlock(src, min(hi-at, segBlockRecords), r.shape, &ids, keys)
 		if err != nil {
 			return corrupt(err)
 		}

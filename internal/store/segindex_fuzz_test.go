@@ -49,13 +49,14 @@ func samePub(a, b sketch.Published) bool {
 }
 
 // FuzzSegmentIndex corrupts an arbitrary byte — the header's count, a run
-// header, a block's width byte, first id, differences or words, a block
-// sum, the footer's data-area end, anywhere — of a v4 segment written here
-// from a fuzzer-shaped record set or, with fixture, of the committed v3
-// segment an older binary wrote, whose 8-byte ids go through the v3 reader
-// and whose stored index section and bloom filter this reader skips: damage
-// there must be as harmless as the section is unread.  Then it drives
-// every read path.
+// header and its shape byte, a block's width byte, first id, differences
+// or words and their pad bits, a block sum, the footer's data-area end,
+// anywhere — of a v5 segment written here from a fuzzer-shaped record set
+// or, with fixture, of the committed v3 segment an older binary wrote,
+// which goes through the older formats' reader as Open's conversion takes
+// it (its stored index section and bloom filter are skipped: damage there
+// must be as harmless as the section is unread) and is read as the v5
+// segment that conversion writes.  Then it drives every read path.
 // The contract: the open fails loudly, or every read returns exactly the
 // written records or fails loudly; reads never panic, never return a
 // wrong, missing or misattributed record, and hostile lengths never drive
@@ -73,6 +74,11 @@ func FuzzSegmentIndex(f *testing.F) {
 	f.Add(uint64(10), 40, 46, byte(0x80), false)  // v4: the first block's first id
 	f.Add(uint64(11), 300, 60, byte(0x01), false) // v4: a difference of the first block
 	f.Add(uint64(12), 300, 200, byte(0xFF), false)
+	f.Add(uint64(13), 40, 40, byte(0x41), false) // v5: the first run's shape byte
+	// v5: the last byte of the first run's last block of words, pad bits
+	// and all.
+	_, padIdx := encodeSegment(fuzzSegmentRecords(14, 45))
+	f.Add(uint64(14), 45, int(padIdx.runs[0].end)-5, byte(0x80), false)
 	fixtureImage, fixtureRuns := readParentFixture(f)
 	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, fixture bool) {
 		if n < 0 || n > 300 {
@@ -93,6 +99,18 @@ func FuzzSegmentIndex(f *testing.F) {
 		if corruptAt >= 0 && corruptAt < len(image) && corruptXor != 0 {
 			image[corruptAt] ^= corruptXor
 			corrupted = true
+		}
+		if fixture {
+			runs, old, err := decodeOldSegment(image, "fixture")
+			if err != nil {
+				if !corrupted {
+					t.Fatalf("the clean fixture does not convert: %v", err)
+				}
+				return // loud failure is a correct outcome for corruption
+			}
+			if old {
+				image, _ = encodeSegment(runs)
+			}
 		}
 		path := filepath.Join(t.TempDir(), "seg-00000001.seg")
 		if err := os.WriteFile(path, image, 0o644); err != nil {
@@ -228,7 +246,7 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 	return image, flatten(testRuns(all))
 }
 
-// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v4
+// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v5
 // windows: whatever follows — garbage, a frame claiming gigabytes, a frame
 // cut short, a whole frame with a flipped bit — replay must not panic,
 // must not allocate beyond what the file's size accounts for, must return
@@ -249,12 +267,21 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint64(7), 6, walMagic[:])
 	// Whole, checksum-clean frames whose one run's id column is malformed:
 	// a zero difference, a width of 9, one block where the count wants two,
-	// differences that sum past 2⁶⁴.
+	// differences that sum past 2⁶⁴ — under words of shape 1, a bit a key.
 	tag := bitvec.MustSubset(0).Key()
-	f.Add(uint64(8), 2, frame(framePayload(tag, 3, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 1, 0x21, 0x21, 0x21})))
-	f.Add(uint64(9), 2, frame(framePayload(tag, 2, 1, []byte{9, 0, 0, 0, 0, 0, 0, 0, 5, 1, 0x21, 0x21})))
-	f.Add(uint64(10), 3, frame(framePayload(tag, 70, 1, append(append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1}, bytes.Repeat([]byte{1}, 63)...), bytes.Repeat([]byte{0x21}, 70)...))))
-	f.Add(uint64(11), 1, frame(framePayload(tag, 2, 1, []byte{4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 9, 0x21, 0x21})))
+	ones := onesBits
+	f.Add(uint64(8), 2, frame(framePayload(tag, 3, 1, append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 1}, ones(3)...))))
+	f.Add(uint64(9), 2, frame(framePayload(tag, 2, 1, append([]byte{9, 0, 0, 0, 0, 0, 0, 0, 5, 1}, ones(2)...))))
+	f.Add(uint64(10), 3, frame(framePayload(tag, 70, 1, append(append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1}, bytes.Repeat([]byte{1}, 63)...), ones(70)...))))
+	f.Add(uint64(11), 1, frame(framePayload(tag, 2, 1, append([]byte{4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 9}, ones(2)...))))
+	// And frames whose ids are sound and whose words are not: a shape byte
+	// of 0 and one past the widest, a pad bit set, a word of length 31
+	// under whole 35-bit words.
+	ids := []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1}
+	f.Add(uint64(12), 2, frame(framePayload(tag, 3, 0, append(bytes.Clone(ids), ones(3)...))))
+	f.Add(uint64(13), 2, frame(framePayload(tag, 3, byte(sketch.MaxShape)+1, append(bytes.Clone(ids), make([]byte, 14)...))))
+	f.Add(uint64(14), 2, frame(framePayload(tag, 3, 1, append(bytes.Clone(ids), 0x0F))))
+	f.Add(uint64(15), 2, frame(framePayload(tag, 3, byte(sketch.MaxShape), append(bytes.Clone(ids), packBits([]uint64{0x21, 0x21, 31}, 35)...))))
 	f.Fuzz(func(t *testing.T, seed uint64, windows int, tail []byte) {
 		windows = int(uint(windows) % 12)
 		tail = bytes.Clone(tail) // the fuzzer keeps its inputs

@@ -14,28 +14,29 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// Segment format v4, the only one written.  A segment is a shard's runs
-// (run.go) in subset-tag order, ids ascending within each, every record
-// (user, subset) pair at most once:
+// Segment format v5, the only one written or read.  A segment is a
+// shard's runs (run.go) in subset-tag order, ids ascending within each,
+// every record (user, subset) pair at most once:
 //
-//	16 byte header: magic "SKSEG\x00\x00\x04" | 8-byte record count
+//	16 byte header: magic "SKSEG\x00\x00\x05" | 8-byte record count
 //	data area, per run:
-//	  run header (tag length, tag, count, sketch width) | 4-byte checksum
+//	  run header (tag length, tag, count, word shape) | 4-byte checksum
 //	  of the header | the run's columns cut into blocks of segBlockRecords
 //	  records (the last one shorter): the block of the id column (a width
-//	  byte, a first id, differences — sketch/ids.go), the records' sketch
-//	  words, 4-byte checksum of the block
+//	  byte, a first id, differences — sketch/ids.go), the records' words
+//	  at the run's shape, 4-byte checksum of the block
 //	12 byte footer: 4-byte checksum of nothing | 8-byte data-area end
 //
 // All integers are big-endian, every checksum is checksum().  A record
 // costs its id's share of a block — a little over a byte where users were
 // numbered as they enrolled, 8 and 1/64 where ids are hashes — and its
-// sketch word at the run's byte width (2 bytes for the 9- to 11-bit
-// sketches of a million-user deployment, whose keys memory holds in 9 to
-// 11 bits: a block's words are converted as they are written and read,
-// by sketch.Words.AppendTo and AppendEncoded); block sums add 1/16 byte,
-// and a subset's tag is paid once per segment.  A block's size follows from its width byte, so blocks are
-// found by walking them, never by arithmetic on a record number.
+// sketch in the bits memory holds it in: ℓ bits under one length ℓ, so a
+// block of 64 of the 9-bit sketches of a million-user deployment holds 72
+// bytes of words, a copy of the column's bits (sketch.Words.AppendBits and
+// AppendBitsFrom); block sums add 1/16 byte, and a subset's tag is paid
+// once per segment.  A block's size follows from its width byte and the
+// run's shape, so blocks are found by walking them, never by arithmetic on
+// a record number.
 //
 // Integrity.  The data area carries the records and describes itself:
 // Open walks it run by run, verifying every checksum and that the walk
@@ -44,24 +45,22 @@ import (
 // the sparse id index and the block offsets a reader uses are what that
 // walk derives — nothing a reader trusts is stored beside the data, so it
 // can be wrong about nothing.  Reads verify the checksum of every block
-// they touch.
+// they touch.  Whatever lies between the data area's end and the footer is
+// skipped; a segment written now has nothing there.
 //
-// Whatever lies between the data area's end and the footer is skipped (v3
-// segments written before the index was derived hold a stored copy of it
-// there); a segment written now has nothing there.  A v3 segment — the
-// same file with magic 3 and blocks of 8-byte ids — is read where it lies
-// (v3.go) until a compaction merges it into a v4 one.
+// A segment of an older format (v3, v4) is rewritten as a v5 one before
+// its shard serves (convertShard), so these readers meet v5 alone.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
-var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 4}
+var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 5}
 
 const (
 	segHeaderSize = 16 // magic + record count
 	segFooterSize = 12 // checksum of the empty section + data-area end
 	// segBlockRecords is how many records share a checksum and a sparse
-	// index entry: a point lookup reads one block (about 200 bytes at
-	// width 2 where ids are dense).
+	// index entry: a point lookup reads one block (about 150 bytes at
+	// ℓ = 9 where ids are dense: 72 of ids, 72 of words, 4 of checksum).
 	segBlockRecords = sketch.IDBlockLen
 )
 
@@ -108,12 +107,11 @@ func newSegWriter(size int) *segWriter {
 	return w
 }
 
-// segmentSize is the size of the image of runs: their words at the width
-// each is written at, not the bits memory holds them in.
+// segmentSize is the size of the image of runs.
 func segmentSize(runs []run) int {
 	size := segHeaderSize + segFooterSize
 	for _, r := range runs {
-		size += runHeaderFixed + len(r.tag) + 4 + r.IDs.Bytes() + r.Len()*r.Keys.MinWidth() + 4*r.IDs.Blocks()
+		size += runHeaderFixed + len(r.tag) + 4 + r.IDs.Bytes() + wordsLen(r.Len(), r.Keys.Shape()) + 4*r.IDs.Blocks()
 	}
 	return size
 }
@@ -123,12 +121,12 @@ func (w *segWriter) add(r run) {
 	if r.Len() == 0 {
 		return
 	}
-	width := r.Keys.MinWidth()
+	shape := r.Keys.Shape()
 	header := len(w.buf)
-	w.buf = appendRunHeader(w.buf, r.tag, r.Len(), width)
+	w.buf = appendRunHeader(w.buf, r.tag, r.Len(), shape)
 	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[header:]))
 	w.idx.runs = append(w.idx.runs, segRun{
-		tag: r.tag, subset: r.Subset, count: r.Len(), width: width,
+		tag: r.tag, subset: r.Subset, count: r.Len(), shape: shape,
 		first: w.records, block0: len(w.idx.firstIDs),
 	})
 	for k, blocks := 0, r.IDs.Blocks(); k < blocks; k++ {
@@ -137,7 +135,7 @@ func (w *segWriter) add(r run) {
 		w.idx.blockOffs = append(w.idx.blockOffs, int64(len(w.buf)))
 		block := len(w.buf)
 		w.buf = append(w.buf, r.IDs.BlockBytes(k)...)
-		w.buf = r.Keys.Slice(at, min(at+segBlockRecords, r.Len())).AppendTo(w.buf, width)
+		w.buf = r.Keys.Slice(at, min(at+segBlockRecords, r.Len())).AppendBits(w.buf)
 		w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[block:]))
 	}
 	w.idx.runs[len(w.idx.runs)-1].end = int64(len(w.buf))
@@ -203,35 +201,36 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
+	if afterRename != nil {
+		return afterRename(path)
+	}
 	return nil
 }
 
+// afterRename, when set, is called after each rename writeFileAtomic
+// makes, and an error it returns is writeFileAtomic's: a test stops a
+// format conversion there, at each of its steps in turn, as a crash would.
+var afterRename func(path string) error
+
 // decodeBlock appends the block of m records at the front of src — input
 // — to ids and keys and returns its size and first id.  It verifies the
-// block's checksum, that every word is a valid sketch and that the ids
-// ascend from what ids already holds; on an error what was appended is
-// undefined and the caller drops both columns.
-func decodeBlock(src []byte, m, width int, v3 bool, ids *sketch.IDBuilder, keys sketch.Words) (int, bitvec.UserID, sketch.Words, error) {
-	idsLen := 8 * m
-	if !v3 {
-		var err error
-		if idsLen, err = sketch.IDBlocksLen(src, m); err != nil {
-			return 0, 0, keys, err
-		}
+// block's checksum, that its words are what a column of the run's shape
+// holds of valid sketches and that the ids ascend from what ids already
+// holds; on an error what was appended is undefined and the caller drops
+// both columns.
+func decodeBlock(src []byte, m int, shape sketch.Shape, ids *sketch.IDBuilder, keys sketch.Words) (int, bitvec.UserID, sketch.Words, error) {
+	idsLen, err := sketch.IDBlocksLen(src, m)
+	if err != nil {
+		return 0, 0, keys, err
 	}
-	end := idsLen + m*width
+	end := idsLen + wordsLen(m, shape)
 	if len(src) < end+4 {
 		return 0, 0, keys, fmt.Errorf("block of %d bytes in %d", end+4, len(src))
 	}
 	if checksum(src[:end]) != binary.BigEndian.Uint32(src[end:]) {
 		return 0, 0, keys, errors.New("block fails checksum")
 	}
-	if v3 {
-		first, keys, err := decodeBlockV3(src[:end], m, width, ids, keys)
-		return end + 4, first, keys, err
-	}
-	keys, err := keys.AppendEncoded(src[idsLen:end], width)
-	if err != nil {
+	if keys, err = keys.AppendBitsFrom(src[idsLen:end], shape, m); err != nil {
 		return 0, 0, keys, err
 	}
 	_, first, err := ids.AppendBlock(src[:idsLen], m)
@@ -249,10 +248,10 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	if len(data) < segHeaderSize+segFooterSize {
 		return corrupt("is %d bytes", len(data))
 	}
-	idx := &segIndex{v3: [8]byte(data[:8]) == segMagicV3}
-	if !idx.v3 && [8]byte(data[:8]) != segMagic {
-		return corrupt("has bad magic")
+	if [8]byte(data[:8]) != segMagic {
+		return corrupt("has magic %q, not v5's", data[:8])
 	}
+	idx := &segIndex{}
 	// The record count and the data area's end cross-check each other
 	// through the walk: it must reach the end exactly, with exactly the
 	// count.  Whatever lies between the end and the footer is skipped.
@@ -265,7 +264,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	var keys sketch.Words
 	off, total := segHeaderSize, 0
 	for off < len(area) {
-		h, err := parseRunHeader(area[off:], idx.v3)
+		h, err := parseRunHeader(area[off:])
 		if err != nil {
 			return corrupt("at offset %d: %v", off, err)
 		}
@@ -281,7 +280,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 		if err != nil {
 			return corrupt("run at offset %d: %v", off, err)
 		}
-		r := segRun{tag: tag, subset: subset, count: h.count, width: h.width, first: total, block0: len(idx.firstIDs)}
+		r := segRun{tag: tag, subset: subset, count: h.count, shape: h.shape, first: total, block0: len(idx.firstIDs)}
 		// The run's ids are gathered only to hold each block against the one
 		// before it: they cost their coded bytes, which the file bounds.
 		var ids sketch.IDBuilder
@@ -289,7 +288,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 		at := end + 4
 		for left := h.count; left > 0; left -= segBlockRecords {
 			// The words are only checked: every block lands on the same room.
-			size, first, _, err := decodeBlock(area[at:], min(left, segBlockRecords), h.width, idx.v3, &ids, keys)
+			size, first, _, err := decodeBlock(area[at:], min(left, segBlockRecords), h.shape, &ids, keys)
 			if err != nil {
 				return corrupt("run at offset %d: %v", off, err)
 			}

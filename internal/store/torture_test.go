@@ -296,7 +296,7 @@ func TestPreV3DirRefused(t *testing.T) {
 			t.Fatalf("a directory a crash left at its creation does not open: %v", err)
 		}
 		defer st.Close()
-		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v4\n" {
+		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v5\n" {
 			t.Fatalf("manifest = %q, %v", data, err)
 		}
 	})

@@ -13,7 +13,7 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// Log format v4.  The log opens with an 8-byte magic and continues with
+// Log format v5.  The log opens with an 8-byte magic and continues with
 // one frame per appended group, the unit a commit window queues: the one
 // record of an Append, or an AppendBatch's records for the shard.
 //
@@ -25,7 +25,8 @@ import (
 //	         as an id column — a batch of users numbered as they enrolled
 //	         ascends and costs a byte an id, a group that does not is
 //	         written raw, and a lone record's frame is a byte longer than
-//	         its 8-byte id made it
+//	         its 8-byte id made it — and its words as a segment block holds
+//	         them, ℓ bits a key under one length, ⌈count·ℓ/8⌉ bytes
 //
 // A commit window is its groups' frames back to back: one write(2), one
 // fsync, one outcome for every record in it.  The frame, not the window,
@@ -36,7 +37,7 @@ import (
 // frames of the torn window stay, as whole records of a torn batch always
 // did — nothing of that window was acknowledged, and nothing says an
 // unacknowledged record must be lost.
-var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 4}
+var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 5}
 
 const (
 	walFrameHeader = 8 // payload length + checksum
@@ -46,7 +47,7 @@ const (
 )
 
 // maxRecordSize bounds one record, which in practice bounds its subset
-// tag: a sketch and an id are 13 bytes.
+// tag: an id and a sketch are at most 8 bytes and 35 bits.
 const maxRecordSize = wire.MaxFrameSize
 
 var (
@@ -54,7 +55,7 @@ var (
 	// maxRecordSize.
 	ErrRecordTooLarge = errors.New("store: record exceeds maximum size")
 	// ErrInvalidSketch is returned when asked to append a record whose
-	// sketch is not sketch.Sketch.Valid: the disk word has no form for it.
+	// sketch is not sketch.Sketch.Valid: a word column has no form for it.
 	ErrInvalidSketch = errors.New("store: invalid sketch")
 	// ErrWALBroken is returned by appends after an unrecoverable write error.
 	ErrWALBroken = errors.New("store: wal broken by an unrecoverable write error")
@@ -113,16 +114,18 @@ type wal struct {
 type frameRun struct {
 	subset bitvec.Subset
 	count  int
-	widest uint64 // the largest Pack word among its sketches
+	shape  sketch.Shape // the Join of its sketches' shapes
 	// Set once the group is counted and the frame laid out: where the run's
-	// ids start among those gathered, its sketch width, where its word column
-	// starts in the frame, and how many records are placed.
-	at, width, wordsAt, placed int
+	// ids start among those gathered, how many are placed, and the writer of
+	// its word column in the frame.
+	at, placed int
+	words      sketch.WordWriter
 }
 
 // openWAL opens (creating if needed) the log at path, replays it — every
 // whole window is kept, a torn tail is truncated away in place — and
-// positions it for appending.  A v3 log must have been rolled first (v3.go).
+// positions it for appending.  A log of an older format must have been
+// converted first (convertShard).
 func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -157,7 +160,7 @@ func (w *wal) replay() error {
 		// A new log, or one whose creation a crash interrupted.
 		return w.create()
 	case !bytes.HasPrefix(data, walMagic[:]):
-		return fmt.Errorf("store: %s is not a v4 log", w.path)
+		return fmt.Errorf("store: %s is not a v5 log", w.path)
 	}
 	set := newRunSet()
 	valid, records := scanLog(data, set)
@@ -202,34 +205,12 @@ func (w *wal) readLog(size int64) ([]byte, error) {
 // columns are sized by a first pass over the frames' run headers, each
 // count checked against the bytes its columns occupy.
 func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
-	magic := walMagic
-	if set.v3 {
-		magic = walMagicV3
-	}
-	if !bytes.HasPrefix(data, magic[:]) {
+	if !bytes.HasPrefix(data, walMagic[:]) {
 		return 0, 0
 	}
-	// frames calls fn with each whole, checksum-clean frame's payload up to
-	// end, and returns where the first one that is neither — or that fn
-	// refuses — starts.
-	frames := func(end int, fn func(payload []byte) error) int {
-		off := len(walMagic)
-		for end-off >= walFrameHeader {
-			n := int64(binary.BigEndian.Uint32(data[off:]))
-			if n > int64(end-off-walFrameHeader) {
-				break
-			}
-			payload := data[off+walFrameHeader : off+walFrameHeader+int(n)]
-			if checksum(payload) != binary.BigEndian.Uint32(data[off+4:]) || fn(payload) != nil {
-				break
-			}
-			off += walFrameHeader + int(n)
-		}
-		return off
-	}
-	end := frames(len(data), set.reserve)
+	end := eachFrame(data, len(data), set.reserve)
 	set.grow()
-	end = frames(end, func(payload []byte) error {
+	end = eachFrame(data, end, func(payload []byte) error {
 		// A frame that was intact but holds no valid runs was fully written
 		// yet malformed, which atomic appends never produce.  Still the end
 		// of the valid prefix rather than a failed recovery.
@@ -240,25 +221,42 @@ func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
 	return int64(end), records
 }
 
+// eachFrame calls fn with the payload of each whole, checksum-clean frame
+// of a log image after its magic, up to end, and returns where the first
+// one that is neither — or that fn refuses — starts.
+func eachFrame(data []byte, end int, fn func(payload []byte) error) int {
+	off := len(walMagic)
+	for end-off >= walFrameHeader {
+		n := int64(binary.BigEndian.Uint32(data[off:]))
+		if n > int64(end-off-walFrameHeader) {
+			break
+		}
+		payload := data[off+walFrameHeader : off+walFrameHeader+int(n)]
+		if checksum(payload) != binary.BigEndian.Uint32(data[off+4:]) || fn(payload) != nil {
+			break
+		}
+		off += walFrameHeader + int(n)
+	}
+	return off
+}
+
 // eachRun calls fn with the header and the columns of each run of a frame
 // payload: the id column, idsLen bytes, and the word column after it.
-func eachRun(payload []byte, v3 bool, fn func(h runHeader, columns []byte, idsLen int) error) error {
+func eachRun(payload []byte, fn func(h runHeader, columns []byte, idsLen int) error) error {
 	if len(payload) < 4 {
 		return errors.New("frame truncated")
 	}
 	runs, rest := binary.BigEndian.Uint32(payload), payload[4:]
 	for i := uint32(0); i < runs; i++ {
-		h, err := parseRunHeader(rest, v3)
+		h, err := parseRunHeader(rest)
 		if err != nil {
 			return err
 		}
-		idsLen := 8 * h.count
-		if !v3 {
-			if idsLen, err = sketch.IDBlocksLen(rest[h.size:], h.count); err != nil {
-				return err
-			}
+		idsLen, err := sketch.IDBlocksLen(rest[h.size:], h.count)
+		if err != nil {
+			return err
 		}
-		end := h.size + idsLen + h.count*h.width
+		end := h.size + idsLen + wordsLen(h.count, h.shape)
 		if end > len(rest) {
 			return fmt.Errorf("run of %d records overruns its frame", h.count)
 		}
@@ -275,19 +273,12 @@ func eachRun(payload []byte, v3 bool, fn func(h runHeader, columns []byte, idsLe
 
 // reserve notes how many records a frame will add to each subset's run.
 func (s *runSet) reserve(payload []byte) error {
-	return eachRun(payload, s.v3, func(h runHeader, columns []byte, idsLen int) error {
+	return eachRun(payload, func(h runHeader, _ []byte, _ int) error {
 		r, err := s.runFor(h.tag)
 		if err != nil {
 			return err
 		}
-		// The run's first word stands for its shape: a deployment's
-		// sketches share one length, and a word of another re-encodes the
-		// run's column when it is added.
-		var word uint64
-		for _, c := range columns[idsLen : idsLen+h.width] {
-			word = word<<8 | uint64(c)
-		}
-		r.reserved, r.shape = r.reserved+h.count, r.shape.Join(sketch.ShapeOf(word))
+		r.reserved, r.shape = r.reserved+h.count, r.shape.Join(h.shape)
 		return nil
 	})
 }
@@ -305,18 +296,14 @@ func (s *runSet) grow() {
 // — when the payload is malformed anywhere — none.
 func (s *runSet) addFrame(payload []byte) (records int, err error) {
 	s.marks = s.marks[:0]
-	err = eachRun(payload, s.v3, func(h runHeader, columns []byte, idsLen int) error {
+	err = eachRun(payload, func(h runHeader, columns []byte, idsLen int) error {
 		r, err := s.runFor(h.tag)
 		if err != nil {
 			return err
 		}
 		s.marks = append(s.marks, runMark{r, len(r.ids)})
 		records += h.count
-		if s.v3 {
-			r.ids, r.keys, err = decodeColumns(columns, h.count, h.width, r.ids, r.keys)
-			return err
-		}
-		if r.keys, err = r.keys.AppendEncoded(columns[idsLen:], h.width); err != nil {
+		if r.keys, err = r.keys.AppendBitsFrom(columns[idsLen:], h.shape, h.count); err != nil {
 			return err
 		}
 		r.ids, _, err = sketch.DecodeIDBlocks(r.ids, columns[:idsLen], h.count)
@@ -389,13 +376,14 @@ func checkRecords(ps []sketch.Published) error {
 }
 
 // windowBytes is about what the group ps adds to a commit window, for the
-// committer's size cap: its columns with the ids raw, and a run header
-// wherever the subset changes (the frame writes a subset's header once and
-// codes ids that ascend, so this is an upper estimate).
+// committer's size cap: its columns with the ids raw and each sketch in
+// the bytes of its Pack word, and a run header wherever the subset changes
+// (the frame writes a subset's header once, codes ids that ascend and
+// writes a key of one length in ℓ bits, so this is an upper estimate).
 func windowBytes(ps []sketch.Published) int {
 	n := 0
 	for i := range ps {
-		n += 8 + sketch.WordWidth(ps[i].S.Pack())
+		n += 8 + (ps[i].S.Length+5+7)/8
 		if i == 0 || !ps[i].Subset.Equal(ps[i-1].Subset) {
 			n += runHeaderFixed + ps[i].Subset.TagLen()
 		}
@@ -438,13 +426,15 @@ func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 		}
 		r := &w.layout[cur]
 		r.count++
-		r.widest = max(r.widest, ps[i].S.Pack())
+		r.shape = r.shape.Join(sketch.ShapeOf(ps[i].S.Pack()))
 		w.slots = append(w.slots, uint32(cur))
 	}
 
 	// Gather the ids run by run — every run's place follows from the counts
 	// — and lay the frame out: a run's header, its ids as an id column, room
-	// for its words.  Then drop each record's word into its run's next row.
+	// for its words.  Then write each record's word into its run's column,
+	// each run through a word writer of its own, in arrival order: the bytes
+	// sketch.Words.AppendBits writes for the run's column.
 	at := 0
 	for i := range w.layout {
 		w.layout[i].at, at = at, at+w.layout[i].count
@@ -460,23 +450,19 @@ func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.layout)))
 	for i := range w.layout {
 		r := &w.layout[i]
-		r.width, r.placed = sketch.WordWidth(r.widest), 0
 		buf = binary.BigEndian.AppendUint32(buf, uint32(r.subset.TagLen()))
 		buf = r.subset.AppendTag(buf)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(r.count))
-		buf = append(buf, byte(r.width))
+		buf = append(buf, byte(r.shape))
 		buf = sketch.AppendIDBlocks(buf, w.ids[r.at:r.at+r.count])
-		r.wordsAt = len(buf)
-		buf = append(buf, make([]byte, r.count*r.width)...)
+		r.words = sketch.NewWordWriter(r.shape, len(buf))
+		buf = append(buf, make([]byte, wordsLen(r.count, r.shape))...)
 	}
 	for i := range ps {
-		r := &w.layout[w.slots[i]]
-		word, at := ps[i].S.Pack(), r.wordsAt+r.width*r.placed
-		for b := r.width - 1; b >= 0; b-- {
-			buf[at+b] = byte(word)
-			word >>= 8
-		}
-		r.placed++
+		w.layout[w.slots[i]].words.Put(buf, ps[i].S.Pack())
+	}
+	for i := range w.layout {
+		w.layout[i].words.Flush(buf)
 	}
 	payload := buf[frame+walFrameHeader:]
 	if len(payload) > maxFrameBytes {

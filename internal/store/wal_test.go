@@ -24,7 +24,7 @@ func openTornCopy(t *testing.T, image []byte) (*Durable, string) {
 		t.Fatal(err)
 	}
 	// A log is never older than its directory's manifest.
-	if err := writeManifest(dir, 1, false); err != nil {
+	if err := writeManifest(dir, 1, manifestFormat, false); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(Options{Dir: dir, CompactInterval: -1})
@@ -202,8 +202,10 @@ func TestWALWindowGroupsRunsStably(t *testing.T) {
 	window := []sketch.Published{testRecord(9, b2), older, testRecord(3, b2), testRecord(8, b), newer}
 	frame := windowFrame(t, window...)
 	// One frame: 4+4 header, run count, then b2's run (first seen) and b's,
-	// neither in id order, so each one raw block: a width byte and 8-byte ids.
-	wantLen := walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 1 + 2*(8+2)) + (runHeaderFixed + b.TagLen() + 1 + 3*(8+5))
+	// neither in id order, so each one raw block: a width byte and 8-byte
+	// ids.  b2's two 10-bit keys take 20 bits; b's lengths differ, so its
+	// three words are whole 35-bit Pack words, the widest's bits.
+	wantLen := walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 1 + 2*8 + (2*10+7)/8) + (runHeaderFixed + b.TagLen() + 1 + 3*8 + (3*35+7)/8)
 	if len(frame) != wantLen {
 		t.Fatalf("window frame is %d bytes, want %d", len(frame), wantLen)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/bits"
 	"slices"
 	"testing"
@@ -13,14 +14,19 @@ import (
 )
 
 // referenceColumns encodes records — one subset's, in the order given —
-// as the columns of a run, knowing nothing of sketch.IDs, sketch.Words or
-// Pack: the ids — as format v3 held them, 8 bytes each, or as v4 does, in
-// blocks of 64 that are a width byte, a first id and the differences at
-// that width, or width 8 and the ids raw where they do not ascend or lie
-// 2³² apart — then each sketch as its key above a 5-bit length in the bytes
-// the widest needs.  It returns the columns and that width.
-func referenceColumns(records []sketch.Published, v3 bool) ([]byte, int) {
-	var out []byte
+// as the columns of a run in format v3, v4 or v5, knowing nothing of
+// sketch.IDs, sketch.Words or Pack: the ids — as v3 held them, 8 bytes
+// each, or as v4 and v5 do, in blocks of 64 that are a width byte, a first
+// id and the differences at that width, or width 8 and the ids raw where
+// they do not ascend or lie 2³² apart — then the sketches.  v3 and v4
+// write each as its key above a 5-bit length in the bytes the widest
+// needs, big-endian, and the header byte is that width; v5 writes the
+// keys alone in ℓ bits each when every sketch has length ℓ, and whole words
+// otherwise, low bit first (packBits), and the header byte is ℓ, or 30 +
+// the word's bits.  The writer chooses how wide whole words are — whole
+// bits, from the widest word's to 35; 0 means ℓmax + 5 — and a width
+// outside that range has no header byte: 0.
+func referenceColumns(records []sketch.Published, format, whole int) (ids, words []byte, header byte) {
 	for at := 0; at < len(records); at += 64 {
 		block := records[at:min(at+64, len(records))]
 		w := 1
@@ -32,32 +38,74 @@ func referenceColumns(records []sketch.Published, v3 bool) ([]byte, int) {
 				w = max(w, (bits.Len64(d)+7)/8)
 			}
 		}
-		if !v3 {
-			out = append(out, byte(w))
+		if format > 3 {
+			ids = append(ids, byte(w))
 		}
 		for i, p := range block {
-			if v3 || w == 8 || i == 0 {
-				out = binary.BigEndian.AppendUint64(out, uint64(p.ID))
+			if format == 3 || w == 8 || i == 0 {
+				ids = binary.BigEndian.AppendUint64(ids, uint64(p.ID))
 				continue
 			}
 			d := uint64(p.ID) - uint64(block[i-1].ID)
 			for shift := 8 * (w - 1); shift >= 0; shift -= 8 {
-				out = append(out, byte(d>>shift))
+				ids = append(ids, byte(d>>shift))
 			}
 		}
 	}
-	widest := uint64(0)
-	for _, p := range records {
-		widest = max(widest, p.S.Key<<5|uint64(p.S.Length))
+	packed := make([]uint64, len(records))
+	widest, longest, oneLength := uint64(0), 0, true
+	for i, p := range records {
+		packed[i] = p.S.Key<<5 | uint64(p.S.Length)
+		widest, longest = max(widest, packed[i]), max(longest, p.S.Length)
+		oneLength = oneLength && p.S.Length == records[0].S.Length
+	}
+	if format == 5 {
+		if oneLength {
+			keys := make([]uint64, len(records))
+			for i, p := range records {
+				keys[i] = p.S.Key
+			}
+			return ids, packBits(keys, longest), byte(longest)
+		}
+		if whole == 0 {
+			whole = longest + 5
+		}
+		if whole < bits.Len64(widest) || whole > 35 {
+			return ids, nil, 0
+		}
+		return ids, packBits(packed, whole), byte(30 + whole)
 	}
 	width := max(1, (bits.Len64(widest)+7)/8)
-	for _, p := range records {
-		word := p.S.Key<<5 | uint64(p.S.Length)
+	for _, word := range packed {
 		for shift := 8 * (width - 1); shift >= 0; shift -= 8 {
-			out = append(out, byte(word>>shift))
+			words = append(words, byte(word>>shift))
 		}
 	}
-	return out, width
+	return ids, words, byte(width)
+}
+
+// onesBits is packBits of n words of 1, one bit each: the v5 column of n
+// keys of 1 at ℓ = 1.
+func onesBits(n int) []byte {
+	words := make([]uint64, n)
+	for i := range words {
+		words[i] = 1
+	}
+	return packBits(words, 1)
+}
+
+// packBits writes words of b bits each one bit at a time, low bit first,
+// into ⌈len·b/8⌉ bytes: the v5 word column.
+func packBits(words []uint64, b int) []byte {
+	out := make([]byte, (len(words)*b+7)/8)
+	for i, w := range words {
+		for j := 0; j < b; j++ {
+			if w>>uint(j)&1 == 1 {
+				out[(i*b+j)/8] |= 1 << uint((i*b+j)%8)
+			}
+		}
+	}
+	return out
 }
 
 // sameSketches fails the test unless the column k reads as want.
@@ -74,10 +122,10 @@ func sameSketches(t *testing.T, what string, k sketch.Words, want []sketch.Sketc
 }
 
 // framePayload is the payload of a log frame holding one run: the columns
-// cols of n records of tag's subset, width bytes a sketch.
-func framePayload(tag string, n, width int, cols []byte) []byte {
+// cols of n records of tag's subset, under the header byte given.
+func framePayload(tag string, n int, header byte, cols []byte) []byte {
 	payload := binary.BigEndian.AppendUint32(nil, 1)
-	return append(appendRunHeader(payload, tag, n, width), cols...)
+	return append(appendRunHeader(payload, tag, n, sketch.Shape(header)), cols...)
 }
 
 // FuzzColumnWords drives one table column and the store's run machinery
@@ -157,41 +205,68 @@ func FuzzColumnWords(f *testing.F) {
 			}
 			runs := testRuns(want)
 			ids, keys := runs[0].IDs.AppendTo(nil), runs[0].Keys
-			wantBytes, wantWidth := referenceColumns(want, false)
-			width := keys.MinWidth()
-			written := keys.AppendTo(sketch.AppendIDBlocks(nil, ids), width)
-			if width != wantWidth || !bytes.Equal(written, wantBytes) {
-				t.Fatalf("%d records are written %d bytes wide as %x, want %d bytes wide, %x", len(want), width, written, wantWidth, wantBytes)
+			whole := 0
+			if keys.Shape() > sketch.MaxLength {
+				whole = keys.Shape().Bits()
 			}
-			set := newRunSet()
-			if n, err := set.addFrame(framePayload(b.Key(), len(want), width, wantBytes)); err != nil || n != len(want) {
-				t.Fatalf("the frame of the reference columns adds %d records, %v", n, err)
+			wantIDs, wantWords, wantShape := referenceColumns(want, 5, whole)
+			written := keys.AppendBits(sketch.AppendIDBlocks(nil, ids))
+			if keys.Shape() != sketch.Shape(wantShape) || !bytes.Equal(written, append(bytes.Clone(wantIDs), wantWords...)) {
+				t.Fatalf("%d records are written at shape %d as %x, want shape %d, %x%x", len(want), keys.Shape(), written, wantShape, wantIDs, wantWords)
 			}
-			same("the decoded frame", flatten(set.normalized()), want)
-			// What a v3 file holds of them, through the one reader left.
-			v3Bytes, _ := referenceColumns(want, true)
-			gotIDs, gotKeys, err := decodeColumns(v3Bytes, len(want), width, nil, sketch.Words{})
+			// The log writes the records' frame from the sketches themselves,
+			// whole words at a width of its own choosing.
+			frame, err := (&wal{runOf: make(map[string]int)}).appendFrame(nil, want)
 			if err != nil {
 				t.Fatal(err)
 			}
+			frameShape := int(frame[walFrameHeader+4+runHeaderFixed+len(b.Key())-1])
+			frameIDs, frameWords, refShape := referenceColumns(want, 5, max(0, frameShape-sketch.MaxLength))
+			if payload := framePayload(b.Key(), len(want), refShape, append(frameIDs, frameWords...)); !bytes.Equal(frame[walFrameHeader:], payload) {
+				t.Fatalf("the log frames %d records as %x; want %x", len(want), frame[walFrameHeader:], payload)
+			}
+			set := newRunSet()
+			if n, err := set.addFrame(frame[walFrameHeader:]); err != nil || n != len(want) {
+				t.Fatalf("the frame of the reference columns adds %d records, %v", n, err)
+			}
+			same("the decoded frame", flatten(set.normalized()), want)
 			runOf := func(ids []bitvec.UserID, keys sketch.Words) sketch.Run {
 				return sketch.Run{Subset: b, IDs: sketch.MakeIDs(ids), Keys: keys}
 			}
-			same("the decoded v3 run", runOf(gotIDs, gotKeys).AppendTo(nil), want)
+			// What a v3 or a v4 file holds of them, through the one reader
+			// of the older formats left.
+			var gotIDs []bitvec.UserID
+			var gotKeys sketch.Words
+			for _, format := range []int{3, 4} {
+				oldIDs, oldWords, width := referenceColumns(want, format, 0)
+				var size int
+				var err error
+				gotIDs, gotKeys, size, err = decodeOldColumns(append(oldIDs, oldWords...), len(want), int(width), format == 3, nil, sketch.Words{})
+				if err != nil || size != len(oldIDs)+len(oldWords) {
+					t.Fatalf("the v%d columns decode %d of their %d bytes, %v", format, size, len(oldIDs)+len(oldWords), err)
+				}
+				same(fmt.Sprintf("the decoded v%d run", format), runOf(gotIDs, gotKeys).AppendTo(nil), want)
+			}
 			wantSketches := make([]sketch.Sketch, len(want))
 			for i, p := range want {
 				wantSketches[i] = p.S
 			}
 			// Onto a column of every other shape — one length, or whole words —
-			// holding a word that must read as it did.
+			// holding a word that must read as it did: the v5 words through
+			// the checked copy, the v4 ones through the older reader.
+			_, v4Words, v4Width := referenceColumns(want, 4, 0)
 			for _, length := range []int{1, 9, 16, 30} {
 				first := sketch.Sketch{Key: x % (1 << uint(length)), Length: length}
 				for _, shape := range []sketch.Shape{sketch.ShapeOf(first.Pack()), sketch.ShapeOf(first.Pack()).Join(sketch.ShapeOf(sketch.Sketch{Length: 31 - length}.Pack()))} {
-					_, onto, err := decodeColumns(v3Bytes, len(want), width, nil, sketch.MakeWords(shape, 0, 1).Append(first.Pack()))
+					onto, err := sketch.MakeWords(shape, 0, 1).Append(first.Pack()).AppendBitsFrom(wantWords, sketch.Shape(wantShape), len(want))
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameSketches(t, "the run decoded onto other words", onto, append([]sketch.Sketch{first}, wantSketches...))
+					sameSketches(t, "the v5 words decoded onto other words", onto, append([]sketch.Sketch{first}, wantSketches...))
+					if onto, err = appendEncoded(sketch.MakeWords(shape, 0, 1).Append(first.Pack()), v4Words, int(v4Width)); err != nil {
+						t.Fatal(err)
+					}
+					sameSketches(t, "the v4 words decoded onto other words", onto, append([]sketch.Sketch{first}, wantSketches...))
 				}
 			}
 			// A column of one length that meets another is re-encoded, every
@@ -352,45 +427,77 @@ func FuzzColumnWords(f *testing.F) {
 	})
 }
 
-// TestDecodeRefusesInvalidWord: a word that packs no valid sketch, or an
-// id block of a width no writer writes, is refused wherever bytes from disk
-// become columns, however clean the checksums over it — the log's replay
-// ends before its frame, a segment holding it fails to open — and nothing
-// of its run is kept.
+// TestDecodeRefusesInvalidWord: a word column a v5 writer never writes —
+// a word that packs no valid sketch under whole words, pad bits that are
+// not zero, a shape byte no column of valid sketches has — or an id block
+// of a width no writer writes is refused wherever bytes from disk become
+// columns, however clean the checksums over it: the log's replay ends
+// before its frame, a segment holding it fails to open, and nothing of its
+// run is kept.  The words that pack no valid sketch are refused by the
+// older formats' reader too.
 func TestDecodeRefusesInvalidWord(t *testing.T) {
 	b := bitvec.MustSubset(0, 3)
 	good := []sketch.Published{testRecord(1001, b), testRecord(1002, b), testRecord(1003, b)}
+	goodIDs, goodWords, goodShape := referenceColumns(good, 5, 0)
+	if goodShape != 10 || len(goodWords) != 4 {
+		t.Fatalf("the test's records are of shape %d in %d bytes, want 10 in 4", goodShape, len(goodWords))
+	}
 	for name, tc := range map[string]struct {
-		word uint16 // the last record's word, when set
-		ids  []byte // the run's id column, when set
+		word  uint64 // the last record's word, when set: the run is whole words of 16 bits or more
+		ids   []byte // the run's id column, when set
+		pad   bool   // a pad bit of the last byte set
+		shape byte   // the header's shape byte, when set
 	}{
 		"a length of zero":      {word: 7 << 5},
 		"a length past 30":      {word: 31},
 		"a key past its length": {word: 0xFF<<5 | 3},
-		// At the length of the run's other words: refused on the one-pass
-		// path a run of one length decodes through.
-		"a key past the run's own length": {word: 1<<10<<5 | 10},
+		// At the length of the run's other words.
+		"a key past the run's own length":          {word: 1<<10<<5 | 10},
+		"an invalid word under a whole-word shape": {word: 1<<34 | 31},
 		// The three ids 1 apart at width 5: well-formed but for the width.
-		"an id block of width 5": {ids: []byte{5, 0, 0, 0, 0, 0, 0, 0x03, 0xE9, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}},
+		"an id block of width 5":       {ids: []byte{5, 0, 0, 0, 0, 0, 0, 0x03, 0xE9, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}},
+		"non-zero pad bits":            {pad: true},
+		"shape byte 0":                 {shape: 0xFF},
+		"a shape byte past the widest": {shape: byte(sketch.MaxShape) + 1},
 	} {
 		t.Run(name, func(t *testing.T) {
-			v3Cols, width := referenceColumns(good, true)
-			if width != 2 {
-				t.Fatalf("the test's records are %d bytes wide, want 2", width)
-			}
-			cols, _ := referenceColumns(good, false)
-			if tc.ids != nil {
-				cols = append(bytes.Clone(tc.ids), cols[len(cols)-len(good)*width:]...)
-			} else {
-				binary.BigEndian.PutUint16(v3Cols[len(v3Cols)-2:], tc.word)
-				if _, keys, err := decodeColumns(v3Cols, len(good), width, nil, sketch.Words{}); err == nil || keys.Len() != 0 {
-					t.Fatalf("decodeColumns = %v with %d words kept", err, keys.Len())
+			ids, words, shape := bytes.Clone(goodIDs), bytes.Clone(goodWords), goodShape
+			switch {
+			case tc.ids != nil:
+				ids = bytes.Clone(tc.ids)
+			case tc.word != 0:
+				packed := make([]uint64, len(good))
+				for i, p := range good {
+					packed[i] = p.S.Pack()
 				}
-				binary.BigEndian.PutUint16(cols[len(cols)-2:], tc.word)
+				packed[len(packed)-1] = tc.word
+				width := max(16, bits.Len64(tc.word))
+				words, shape = packBits(packed, width), byte(sketch.MaxLength+width)
+				// The older formats' reader refuses the word too.
+				for _, format := range []int{3, 4} {
+					oldIDs, oldWords, width := referenceColumns(good, format, 0)
+					if width != 2 {
+						t.Fatalf("the test's records are %d bytes wide in v%d, want 2", width, format)
+					}
+					if tc.word >= 1<<16 {
+						continue // wider than the run's words
+					}
+					binary.BigEndian.PutUint16(oldWords[len(oldWords)-2:], uint16(tc.word))
+					if _, keys, _, err := decodeOldColumns(append(oldIDs, oldWords...), len(good), 2, format == 3, nil, sketch.Words{}); err == nil || keys.Len() != 0 {
+						t.Fatalf("the v%d reader = %v with %d words kept", format, err, keys.Len())
+					}
+				}
+			case tc.pad:
+				words[len(words)-1] |= 0x80
+			case tc.shape == 0xFF:
+				shape = 0
+			case tc.shape != 0:
+				shape = tc.shape
 			}
+			cols := append(ids, words...)
 
 			// A log: one good frame, then a frame whose run holds the columns.
-			payload := framePayload(b.Key(), len(good), width, cols)
+			payload := framePayload(b.Key(), len(good), shape, cols)
 			bad := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
 			bad = append(binary.BigEndian.AppendUint32(bad, checksum(payload)), payload...)
 			first := windowFrame(t, testRecord(9, b))
@@ -401,15 +508,25 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 			}
 
 			// A segment: the same run as its one block, every sum and the
-			// data area's end recomputed.
-			image, _ = encodeSegment(testRuns(good))
-			block := segHeaderSize + runHeaderFixed + len(b.Key()) + 4
-			image = binary.BigEndian.AppendUint32(append(image[:block:block], cols...), checksum(cols))
-			end := len(image)
-			image = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(image, checksum(nil)), uint64(end))
-			if _, err := walkSegment(image, "seg"); !errors.Is(err, ErrSegmentCorrupt) {
+			// data area's end computed.
+			if _, err := walkSegment(oneBlockSegment(b.Key(), len(good), shape, cols), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
 				t.Fatalf("walkSegment = %v, want ErrSegmentCorrupt", err)
 			}
 		})
 	}
+	// The same construction of the good columns opens.
+	if _, err := walkSegment(oneBlockSegment(b.Key(), len(good), goodShape, append(goodIDs, goodWords...)), "seg"); err != nil {
+		t.Fatalf("the good columns as a segment: %v", err)
+	}
+}
+
+// oneBlockSegment is a segment image holding one run of n records, its
+// columns one block, under the header byte given; every sum is computed.
+func oneBlockSegment(tag string, n int, header byte, cols []byte) []byte {
+	image := binary.BigEndian.AppendUint64(segMagic[:len(segMagic):len(segMagic)], uint64(n))
+	image = appendRunHeader(image, tag, n, sketch.Shape(header))
+	image = binary.BigEndian.AppendUint32(image, checksum(image[segHeaderSize:]))
+	image = binary.BigEndian.AppendUint32(append(image, cols...), checksum(cols))
+	end := len(image)
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(image, checksum(nil)), uint64(end))
 }
