@@ -222,7 +222,7 @@ func main() {
 			fmt.Println("store: memory-only (no -data-dir)")
 			return
 		}
-		fmt.Printf("store: %s, %d raw records\n", rep.Store.Dir, rep.Store.Records)
+		fmt.Printf("store: %s, %d raw records, %d set aside (not of ℓ = %d)\n", rep.Store.Dir, rep.Store.Records, rep.SetAsideRecords, rep.SketchBits)
 		for _, sh := range rep.Store.Shards {
 			fmt.Printf("  shard %04d: wal %7d B / %6d records, %d segments %8d B / %6d records\n",
 				sh.Shard, sh.WALBytes, sh.WALRecords, sh.Segments, sh.SegmentBytes, sh.SegmentRecords)

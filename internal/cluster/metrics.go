@@ -36,6 +36,8 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		func() uint64 { return r.fo.hedges.Load() })
 	reg.CounterFunc("cluster_fanout_refusals_total", "Coverage refusals returned instead of partial answers.",
 		func() uint64 { return r.fo.refusals.Load() })
+	reg.CounterFunc("cluster_hints_refused_total", "Hinted-handoff records dropped because their returning node refused them for good (wire.RefusedMarker).",
+		func() uint64 { return r.hintsRefused.Load() })
 	reg.GaugeFunc("cluster_ring_epoch", "Current ring generation (bumped at every rebalance cutover).",
 		func() float64 { return float64(r.epoch.Load()) })
 	reg.GaugeFunc("cluster_members", "Configured cluster members.",

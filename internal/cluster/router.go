@@ -153,6 +153,9 @@ type Router struct {
 	// fo aggregates the fan-out robustness counters (retries, recoveries,
 	// hedges, coverage refusals) surfaced through Status.
 	fo fanoutStats
+	// hintsRefused counts hints dropped because their node refused them
+	// with wire.RefusedMarker: records it will never admit.
+	hintsRefused atomic.Uint64
 
 	// om, when non-nil, holds the router's latency histograms; see
 	// metrics.go.  Left nil, the publish and fan-out paths pay one branch.
@@ -310,19 +313,44 @@ func (r *Router) sweep() {
 // batch frames.  Until the queue drains the node stays out of query
 // fan-outs (queryLive is false), so an estimate never runs over its
 // incomplete record set; the replay itself is idempotent, like every
-// transfer.
+// transfer.  A hint the node refuses for good (wire.IsRefused) — the
+// stray one a publish its live replicas refused leaves behind, queued
+// before the sends — is dropped and counted, or it would head the queue
+// forever and keep the node out of every fan-out: a refused frame is
+// pushed again a record at a time, so only the refused records go.  Any
+// other failure leaves the hints queued for the next sweep.
 func (r *Router) replayHints(n *node) {
 	for {
 		hints := n.takeHints(wire.MaxTransferBatch)
 		if len(hints) == 0 {
 			return
 		}
-		if _, err := r.pushTransfer(n, hints); err != nil {
+		_, err := r.pushTransfer(n, hints)
+		if err != nil && wire.IsRefused(err.Error()) {
+			hints, err = r.pushEach(n, hints)
+		}
+		if err != nil {
 			n.settleHints(hints)
 			return
 		}
 		n.settleHints(nil)
 	}
+}
+
+// pushEach pushes records to n one at a time, dropping — and counting —
+// each the node refuses; on any other failure it returns the records not
+// yet delivered with the error.
+func (r *Router) pushEach(n *node, records []sketch.Published) ([]sketch.Published, error) {
+	for len(records) > 0 {
+		if _, err := r.pushTransfer(n, records[:1]); err != nil {
+			if !wire.IsRefused(err.Error()) {
+				return records, err
+			}
+			r.hintsRefused.Add(1)
+		}
+		records = records[1:]
+	}
+	return nil, nil
 }
 
 // pushTransfer delivers an idempotent record batch to a node as publish

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sketchprivacy/internal/bitvec"
@@ -35,6 +36,9 @@ type Engine struct {
 	// after the table probes the records and before they land, and
 	// AttachStore rehydrates the table from it on startup.
 	st store.Store
+	// skipped counts the stored records AttachStore did not load, their
+	// sketches not of the deployment's length.
+	skipped uint64
 	// ingestMu stripes (by user ID) serialize a write's probe, append and
 	// land: without them two publishes of one (user, subset) could both
 	// pass the probe and both be appended.  Queries never touch these
@@ -81,19 +85,34 @@ func NewWithStore(h prf.BitSource, params sketch.Params, st store.Store) (*Engin
 // subsequent ingest through it.  It must be called before the engine
 // starts serving: the replay loads st's records (deduplicated,
 // newest-wins) into the table, skipping (user, subset) pairs already
-// present in memory.
+// present in memory.  The engine is the authority on ℓ over what it
+// loads: a stored run of another length than the deployment's — written
+// before nodes refused one — is not loaded, and SetAsideRecords counts it.
 func (e *Engine) AttachStore(st store.Store) error {
 	if st == nil {
 		return errors.New("engine: nil store")
 	}
 	// The store replays itself as the table's own columns: one run per
-	// subset, ids ascending, each landing with a single column load.
-	if err := st.IterateRuns(e.table.LoadRun); err != nil {
+	// subset and length, ids ascending, each landing with a single column
+	// load.
+	err := st.IterateRuns(func(r sketch.Run) error {
+		if r.Keys.Shape() != sketch.Shape(e.params.Length) {
+			e.skipped += uint64(r.Len())
+			return nil
+		}
+		return e.table.LoadRun(r)
+	})
+	if err != nil {
 		return fmt.Errorf("engine: replaying store: %w", err)
 	}
 	e.st = st
 	return nil
 }
+
+// SetAsideRecords returns how many stored records the engine does not
+// serve, their sketches not of the deployment's length: the runs
+// AttachStore skipped.
+func (e *Engine) SetAsideRecords() uint64 { return e.skipped }
 
 // Store returns the attached durability layer, or nil when the engine is
 // memory-only.
@@ -141,7 +160,10 @@ func (e *Engine) Ingest(p sketch.Published) error {
 // record present when the stream started is returned at least once
 // (duplicates possible under concurrent ingestion — consumers are
 // idempotent), and records published mid-stream may be omitted (the
-// router's migration dual-write covers them).
+// router's migration dual-write covers them).  Only records of the
+// deployment's length are streamed, so a receiving node never has to refuse
+// one: a batch from the store may hold fewer than max records, none even,
+// short of the end.
 func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint64, bool, error) {
 	if max <= 0 {
 		max = 2048
@@ -151,7 +173,8 @@ func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint
 	}
 	if e.st != nil {
 		if br, ok := e.st.(store.BatchReader); ok {
-			return br.ReadBatch(cursor, max)
+			records, next, done, err := br.ReadBatch(cursor, max)
+			return slices.DeleteFunc(records, func(p sketch.Published) bool { return p.S.Length != e.params.Length }), next, done, err
 		}
 	}
 	// Table path.  The cursor packs (subset index, record offset) over the
@@ -176,9 +199,13 @@ func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint
 
 // IngestBatch stores a batch of published sketches.  Admission runs in
 // input order, repeats within the batch included: an identical re-publish
-// is skipped, and a conflicting sketch (Corollary 3.4) or an invalid one
-// stops admission of everything after it — Router.PublishAll's
-// no-new-starts rule — while the records admitted before it still land.
+// is skipped, and a refused record stops admission of everything after it
+// — Router.PublishAll's no-new-starts rule — while the records admitted
+// before it still land.  A record is refused when its sketch is invalid,
+// conflicts with one its (user, subset) pair holds (sketch.ErrConflict,
+// Corollary 3.4), or is not of the deployment's length ℓ
+// (sketch.ErrForeignLength, Lemma 3.1): every publish, batch, hint replay
+// and rebalance push reaches the table through here.
 //
 // The one write path, with or without a store: under every touched ingest
 // stripe — acquired in ascending order, so batches cannot deadlock each
@@ -208,7 +235,17 @@ func (e *Engine) IngestBatch(ps []sketch.Published) error {
 		}
 	}()
 
-	b, err := e.table.Probe(ps)
+	cut, lerr := len(ps), error(nil)
+	for i := range ps {
+		if ps[i].S.Length != e.params.Length {
+			cut, lerr = i, fmt.Errorf("%w: user %v's sketch for subset %v has ℓ = %d, the deployment's ℓ = %d", sketch.ErrForeignLength, ps[i].ID, ps[i].Subset, ps[i].S.Length, e.params.Length)
+			break
+		}
+	}
+	b, err := e.table.Probe(ps[:cut])
+	if err == nil {
+		err = lerr
+	}
 	if e.st != nil && b.Len() > 0 {
 		failed, aerr := e.st.AppendBatch(b.Records())
 		if aerr != nil && len(failed) == 0 {

@@ -135,6 +135,43 @@ func TestIngestBatchConflictStopsAdmission(t *testing.T) {
 	if got, _ := eng.Table().Get(1, subset); got != batchPub(1, subset).S {
 		t.Fatal("conflicting sketch overwrote the original")
 	}
+	if !errors.Is(err, sketch.ErrConflict) {
+		t.Fatalf("the conflict's error %v is no sketch.ErrConflict", err)
+	}
+}
+
+// TestIngestBatchForeignLengthStopsAdmission: a node admits the
+// deployment's ℓ alone.  A record of another length mid-batch is refused
+// with sketch.ErrForeignLength — a subset the node does not hold yet
+// included, which a record of another length would otherwise have given
+// that length — nothing after it is admitted, and the records before it
+// land durably; a batch of one, the lone publish, is refused whole.
+func TestIngestBatchForeignLengthStopsAdmission(t *testing.T) {
+	p := 0.3
+	fs := &fakeBatchStore{Store: store.NewMem()}
+	eng, err := NewWithStore(testSource(p), sketch.MustParams(p, 10), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, other := bitvec.Range(0, 2), bitvec.Range(0, 3)
+	long := func(id uint64, b bitvec.Subset) sketch.Published {
+		r := batchPub(id, b)
+		r.S.Length = 20
+		return r
+	}
+	err = eng.IngestBatch([]sketch.Published{batchPub(2, other), batchPub(3, fresh), long(4, fresh), batchPub(5, fresh), batchPub(6, other)})
+	if !errors.Is(err, sketch.ErrForeignLength) || eng.Sketches() != 2 {
+		t.Fatalf("a 20-bit sketch mid-batch at ℓ = 10 = %d stored, %v; want the two records before it and sketch.ErrForeignLength", eng.Sketches(), err)
+	}
+	if len(fs.batches) != 1 || len(fs.batches[0]) != 2 || fs.batches[0][0].ID != 2 || fs.batches[0][1].ID != 3 {
+		t.Fatalf("store received %v, want only the two records admitted before the foreign length", fs.batches)
+	}
+	if err := eng.Ingest(long(7, bitvec.Range(0, 4))); !errors.Is(err, sketch.ErrForeignLength) || eng.Sketches() != 2 || len(fs.batches) != 1 {
+		t.Fatalf("a lone 20-bit publish at ℓ = 10 = %v, %d stored, %d store calls", err, eng.Sketches(), len(fs.batches))
+	}
+	if got := eng.Table().Subsets(); len(got) != 2 {
+		t.Fatalf("the table holds subsets %v, want the two the admitted records name", got)
+	}
 }
 
 // TestIngestBatchLandsExactlyDurableRecords: when the store reports a

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -413,4 +415,164 @@ func TestEngineConcurrentDurableIngestAndQuery(t *testing.T) {
 	if recovered != total {
 		t.Fatalf("durable store recovered %d records, want %d", recovered, total)
 	}
+}
+
+// copyStoreFixture copies a one-shard data directory the store package
+// commits as a fixture into a fresh directory.
+func copyStoreFixture(t *testing.T, name string) string {
+	t.Helper()
+	src, dir := filepath.Join("..", "store", "testdata", name), t.TempDir()
+	err := filepath.WalkDir(src, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestEngineServesItsLengthOverOlderStores: an engine at ℓ = 9 over each
+// directory an older binary wrote with sketches of other lengths — the v4
+// fixture (subsets at ℓ = 9, 17 and 30, one at 9 and 17 together), the v5
+// one (subsets at ℓ = 9 and 20, two of them at both) — loads exactly the
+// stored 9-bit records and no other, streams exactly those to a
+// rebalance, and counts the runs it skipped in SetAsideRecords.  The
+// numbers are the fixtures' (internal/store's parentV4DirGroups and
+// parentV5DirGroups).
+func TestEngineServesItsLengthOverOlderStores(t *testing.T) {
+	for _, fixture := range []struct {
+		name   string
+		served int    // the 9-bit records
+		aside  uint64 // the others
+	}{
+		{"dir-parent-v4", 422, 245},
+		{"dir-parent-v5", 583, 94},
+	} {
+		t.Run(fixture.name, func(t *testing.T) {
+			st, err := store.Open(store.Options{Dir: copyStoreFixture(t, fixture.name), CompactInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			byLength := make(map[int]int)
+			if err := st.IterateRuns(func(r sketch.Run) error { byLength[int(r.Keys.Shape())] += r.Len(); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewWithStore(testSource(0.3), sketch.MustParams(0.3, 9), st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Sketches() != fixture.served || byLength[9] != fixture.served {
+				t.Fatalf("the engine holds %d records, the store %d of ℓ = 9; want %d", eng.Sketches(), byLength[9], fixture.served)
+			}
+			if got := eng.SetAsideRecords(); got != fixture.aside {
+				t.Fatalf("SetAsideRecords = %d (the store's records by length %v); want %d", got, byLength, fixture.aside)
+			}
+			var streamed []sketch.Published
+			for cursor, done := uint64(0), false; !done; {
+				var batch []sketch.Published
+				if batch, cursor, done, err = eng.SnapshotBatch(cursor, 50); err != nil {
+					t.Fatal(err)
+				}
+				streamed = append(streamed, batch...)
+			}
+			type pair struct {
+				id     bitvec.UserID
+				subset string
+			}
+			// The stream may pass an older copy of a record on its way to
+			// the newest, as it always may.
+			seen := make(map[pair]bool)
+			for _, p := range streamed {
+				if _, ok := eng.Table().Get(p.ID, p.Subset); p.S.Length != 9 || !ok {
+					t.Fatalf("the rebalance stream carries %+v, which the engine does not serve", p)
+				}
+				seen[pair{p.ID, p.Subset.Key()}] = true
+			}
+			if len(seen) != fixture.served {
+				t.Fatalf("the rebalance stream carries %d of the %d records the engine serves", len(seen), fixture.served)
+			}
+		})
+	}
+}
+
+// TestEngineKeepsItsLengthBesideAnother: over the v5 fixture, whose subset
+// {0} holds 40 records of ℓ = 20 alone, an engine at ℓ = 9 skips them and
+// admits 9-bit publishes into {0} — those users' re-publishes among them,
+// which OPERATIONS.md asks of an operator.  The acknowledged records stay
+// served across a roll, a compaction and a reopen: the store keeps the
+// subset's two lengths as runs of their own, and the next engine loads the
+// 9-bit one and skips the same 20-bit one.
+func TestEngineKeepsItsLengthBesideAnother(t *testing.T) {
+	dir := copyStoreFixture(t, "dir-parent-v5")
+	open := func() (*store.Durable, *Engine) {
+		t.Helper()
+		st, err := store.Open(store.Options{Dir: dir, FlushThreshold: 1, CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewWithStore(testSource(0.3), sketch.MustParams(0.3, 9), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, eng
+	}
+	st, eng := open()
+	served, aside := eng.Sketches(), eng.SetAsideRecords()
+	b := bitvec.MustSubset(0)
+	if _, ok := eng.Table().Get(1, b); ok || aside != 94 {
+		t.Fatalf("the engine over the fixture serves {0} or sets %d records aside, want none served and 94", aside)
+	}
+	var ps []sketch.Published
+	for i := uint64(0); i < 50; i++ {
+		// The first 40 are the users the fixture holds at ℓ = 20.
+		ps = append(ps, sketch.Published{ID: bitvec.UserID(i*0x9E3779B97F4A7C15 | 1), Subset: b, S: sketch.Sketch{Key: i * 7 % 512, Length: 9}})
+	}
+	if err := eng.IngestBatch(ps); err != nil {
+		t.Fatal(err)
+	}
+	requireServed := func(eng *Engine, when string) {
+		t.Helper()
+		if eng.Sketches() != served+len(ps) || eng.SetAsideRecords() != aside {
+			t.Fatalf("%s: the engine holds %d records and sets %d aside, want %d and %d", when, eng.Sketches(), eng.SetAsideRecords(), served+len(ps), aside)
+		}
+		for _, p := range ps {
+			if got, ok := eng.Table().Get(p.ID, p.Subset); !ok || got != p.S {
+				t.Fatalf("%s: user %v's acknowledged 9-bit record is %v, %v", when, p.ID, got, ok)
+			}
+		}
+	}
+	requireServed(eng, "after the publish")
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats().Shards[0].WALRecords != 0 {
+		t.Fatal("the flush rolled nothing")
+	}
+	if err := st.CompactNow(2); err != nil {
+		t.Fatalf("compacting {0} at two lengths: %v", err)
+	}
+	if st.Stats().Shards[0].Segments != 1 {
+		t.Fatalf("%d segments after the compaction, want 1", st.Stats().Shards[0].Segments)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, eng = open()
+	defer st.Close()
+	requireServed(eng, "after a roll, a compaction and a reopen")
 }

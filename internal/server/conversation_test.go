@@ -18,8 +18,9 @@ import (
 // with literals recorded from the commit before the connection loop was
 // shared with the router, and re-recorded for wire v8: the version byte,
 // the epoch every batch frame now carries, the retired transfer opcodes 16
-// and 17, and the conflict text of a router's push, which is a batch's.  A
-// node answers the same request bytes with the same reply bytes, error
+// and 17, and the conflict text of a router's push, which is a batch's —
+// and once more when a conflict became an admission refusal, its text
+// carrying wire.RefusedMarker and sketch.ErrConflict's.  A node answers the same request bytes with the same reply bytes, error
 // texts included; a refactor of the loop or of a dispatch arm that moves
 // one byte fails here.  The stats reply is compared decoded.
 func TestRecordedConversation(t *testing.T) {
@@ -93,7 +94,7 @@ func TestRecordedConversation(t *testing.T) {
 		{"publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 5)), wire.TypeAck, ""},
 		{"identical re-publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 5)), wire.TypeAck, ""},
 		{"conflicting publish", wire.TypePublish, wire.EncodePublished(rec(1, b0, 6)), wire.TypeError,
-			"sketch: user user-1 already published a sketch for subset {0,2}"},
+			"wire: admission refused: sketch: conflicting sketch: user user-1 already published a sketch for subset {0,2}"},
 		{"corrupt publish", wire.TypePublish, []byte{1, 2, 3}, wire.TypeError, "wire: corrupt payload"},
 		{"publish batch", wire.TypePublishBatch, wire.EncodePublishBatch(0, []sketch.Published{rec(2, b0, 9), rec(3, b0, 700), rec(2, b1, 1)}), wire.TypeAck, ""},
 		{"corrupt publish batch", wire.TypePublishBatch, []byte{0, 0, 0, 1, 9, 9, 9, 9}, wire.TypeError, "wire: corrupt payload: transfer frame CRC mismatch"},
@@ -121,7 +122,7 @@ func TestRecordedConversation(t *testing.T) {
 		// ack that counted the one newly applied record.
 		{"a router's batch under its epoch", wire.TypePublishBatch, pushPayload, wire.TypeAck, ""},
 		{"a conflicting batch under the epoch", wire.TypePublishBatch, wire.EncodePublishBatch(5, []sketch.Published{rec(9, b1, 3)}), wire.TypeError,
-			"sketch: user user-9 already published a sketch for subset {1}"},
+			"wire: admission refused: sketch: conflicting sketch: user user-9 already published a sketch for subset {1}"},
 		{"a retired opcode: the transfer push", 16, pushPayload, wire.TypeError, "server: unknown message type 16"},
 		{"a retired opcode: its ack", 17, unhex("0000000000000001"), wire.TypeError, "server: unknown message type 17"},
 		{"an unknown opcode", 99, []byte("x"), wire.TypeError, "server: unknown message type 99"},

@@ -8,6 +8,7 @@ import (
 	"sketchprivacy/internal/dataset"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
+	"sketchprivacy/internal/wire"
 )
 
 // TestPublishBatchOverTCP drives the batched publish path end to end: one
@@ -73,5 +74,40 @@ func TestPublishBatchOverTCP(t *testing.T) {
 	}
 	if got := eng.Sketches(); got != m {
 		t.Fatalf("engine holds %d sketches after rejected conflict, want %d", got, m)
+	}
+	if err := cli.PublishAll([]sketch.Published{conflict}); !wire.IsRefused(err.Error()) {
+		t.Fatalf("the conflict's reply %v carries no admission-refusal marker", err)
+	}
+}
+
+// TestForeignLengthRefusedOverTCP: a node admits its ℓ alone.  A batch
+// whose third record is of another length lands the two before it and is
+// answered with an error carrying wire.RefusedMarker; so is a lone publish
+// of another length, which lands nothing.  The stats report counts no
+// record set aside on a node whose store never held another length.
+func TestForeignLengthRefusedOverTCP(t *testing.T) {
+	srv, addr, _, params := startTestServer(t, 0.25, 10)
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	b := bitvec.MustSubset(0, 1)
+	rec := func(id uint64, length int) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: id % 4, Length: length}}
+	}
+	err = cli.PublishAll([]sketch.Published{rec(1, params.Length), rec(2, params.Length), rec(3, params.Length+1), rec(4, params.Length)})
+	if err == nil || !wire.IsRefused(err.Error()) || srv.eng.Sketches() != 2 {
+		t.Fatalf("a batch with a foreign length third = %v, %d stored; want the two before it and a refusal", err, srv.eng.Sketches())
+	}
+	if err := cli.Publish(rec(5, params.Length-1)); err == nil || !wire.IsRefused(err.Error()) || srv.eng.Sketches() != 2 {
+		t.Fatalf("a lone publish of a foreign length = %v, %d stored", err, srv.eng.Sketches())
+	}
+	st, err := cli.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SetAsideRecords != 0 || st.Sketches != 2 {
+		t.Fatalf("stats report %d records set aside and %d sketches, want 0 and 2", st.SetAsideRecords, st.Sketches)
 	}
 }

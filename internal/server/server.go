@@ -16,6 +16,7 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/query"
+	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
 
@@ -96,7 +97,7 @@ func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		return wire.TypeAck, nil, s.eng.Ingest(pub)
+		return wire.TypeAck, nil, refusal(s.eng.Ingest(pub))
 	case wire.TypePublishBatch:
 		epoch, ps, err := wire.DecodePublishBatch(payload)
 		if err != nil {
@@ -110,9 +111,10 @@ func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
 		// sketch (a different published object for a (user, subset) pair
 		// this node already holds) refuses the batch with an error naming
 		// the user: for a push, two clusters disagree about a user's public
-		// record, which rebalancing must surface, never paper over.
+		// record, which rebalancing must surface, never paper over.  So
+		// does a sketch of another length than the node's ℓ.
 		s.observeEpoch(epoch)
-		return wire.TypeAck, nil, s.eng.IngestBatch(ps)
+		return wire.TypeAck, nil, refusal(s.eng.IngestBatch(ps))
 	case wire.TypeStats:
 		return wire.TypeStatsReply, wire.EncodeStats(s.stats()), nil
 	case wire.TypeHello:
@@ -152,6 +154,16 @@ func (s *Server) dispatch(msgType byte, payload []byte) (byte, []byte, error) {
 	}
 }
 
+// refusal marks an admission refusal — a conflicting sketch or one of a
+// foreign length — with wire.RefusedMarker, so a router tells a record the
+// node will never take from a failure worth retrying.
+func refusal(err error) error {
+	if errors.Is(err, sketch.ErrConflict) || errors.Is(err, sketch.ErrForeignLength) {
+		return wire.RefusedError(err)
+	}
+	return err
+}
+
 // snapshot reads one batch of the rebalance stream.  The peer's limit is
 // clamped (an oversized Max would materialise the whole store in one
 // reply), and a batch cut by record count is then cut by bytes: the
@@ -182,10 +194,11 @@ func (s *Server) stats() wire.Stats {
 	params := s.eng.Params()
 	tab := s.eng.Table()
 	rep := wire.Stats{
-		Params:     params.String(),
-		P:          params.P,
-		SketchBits: params.Length,
-		Sketches:   uint64(s.eng.Sketches()),
+		Params:          params.String(),
+		P:               params.P,
+		SketchBits:      params.Length,
+		Sketches:        uint64(s.eng.Sketches()),
+		SetAsideRecords: s.eng.SetAsideRecords(),
 		Robustness: &wire.Robustness{
 			InFlight:         len(s.inflight),
 			MaxInFlight:      cap(s.inflight),

@@ -26,6 +26,7 @@ type batchGroup struct {
 	// subset is the table's own value for the subset if it held the
 	// subset when probed, the first record's otherwise.
 	subset bitvec.Subset
+	first  int // the input index of its first record
 	n      int // the group's records, before the cut
 	ids    []bitvec.UserID
 	at     []int32 // the input index of each id
@@ -75,11 +76,13 @@ func (b *Batch) Drop(failed []int) {
 // Probe reads a batch against the table, under its read lock, and returns
 // the records the table admits as new, as AddNew would one by one in input
 // order: a record whose (user, subset) pair the table — or an earlier record
-// of the batch — already holds is not admitted, and where its sketch is
-// another one (Corollary 3.4), or the record's sketch is invalid, admission
-// stops there and the error names that record.  Nothing is written: the
-// admitted records land with Land, and until then the caller keeps other
-// writers off their pairs.
+// of the batch — already holds is not admitted.  Admission stops at the
+// first record that is refused, and the error names that record: a sketch
+// that is invalid, one for a pair that holds another (ErrConflict), or one
+// whose length is not its subset's (ErrForeignLength) — the column's, or
+// for a subset the table does not hold yet the length of the batch's first
+// record for it.  Nothing is written: the admitted records land with Land,
+// and until then the caller keeps other writers off their pairs.
 //
 // The records are grouped by subset and each group sorted by id — at once
 // where the ids ascend — before the lock is taken, so a repeat is the
@@ -98,7 +101,11 @@ func (t *Table) Probe(ps []Published) (*Batch, error) {
 			cut, err = i, fmt.Errorf("sketch: invalid sketch %v", p.S)
 			break
 		}
-		g = b.groupOf(p.Subset, g, &byTag)
+		g = b.groupOf(p.Subset, i, g, &byTag)
+		if want := ps[b.groups[g].first].S.Length; p.S.Length != want {
+			cut, err = i, foreignLength(p.ID, p.Subset, p.S.Length, want)
+			break
+		}
 		b.groups[g].n++
 		b.slot[i] = int32(g + 1)
 	}
@@ -125,6 +132,9 @@ func (t *Table) Probe(ps []Published) (*Batch, error) {
 		if c != nil {
 			grp.subset = c.subset
 			run.Reset(c.ids)
+			if ferr := c.admits(ps[grp.first].ID, ps[grp.first].S.Length); ferr != nil && grp.first < cut {
+				cut, err = grp.first, ferr
+			}
 		}
 		for j := 0; j < len(grp.ids); {
 			id, first := grp.ids[j], grp.at[j]
@@ -149,7 +159,7 @@ func (t *Table) Probe(ps []Published) (*Batch, error) {
 				i := int(grp.at[k])
 				b.slot[i] = 0
 				if ps[i].S != have && i < cut {
-					cut, err = i, fmt.Errorf("sketch: user %v already published a sketch for subset %v", ps[i].ID, ps[i].Subset)
+					cut, err = i, conflict(&ps[i])
 				}
 			}
 			j = k
@@ -175,12 +185,13 @@ func (grp *batchGroup) sort() {
 	}
 }
 
-// groupOf returns the group of subset s, adding one if the batch has none:
+// groupOf returns the group of subset s, adding one — first is the input
+// index of its record — if the batch has none:
 // the group of the record before (last) or the one after it are tried first
 // — a batch is mostly subset by subset or user by user — and then the map
 // of every group by tag, which is made when the batch reaches its second
 // subset: a batch of one subset, a lone record's included, needs none.
-func (b *Batch) groupOf(s bitvec.Subset, last int, byTag *map[string]int) int {
+func (b *Batch) groupOf(s bitvec.Subset, first, last int, byTag *map[string]int) int {
 	for _, g := range [2]int{last, last + 1} {
 		if g >= 0 && g < len(b.groups) && b.groups[g].subset.Equal(s) {
 			return g
@@ -201,7 +212,7 @@ func (b *Batch) groupOf(s bitvec.Subset, last int, byTag *map[string]int) int {
 	if *byTag != nil {
 		(*byTag)[s.Key()] = len(b.groups)
 	}
-	b.groups = append(b.groups, batchGroup{subset: s})
+	b.groups = append(b.groups, batchGroup{subset: s, first: first})
 	return len(b.groups) - 1
 }
 
@@ -217,26 +228,25 @@ func (t *Table) Land(b *Batch) int {
 		keys   Words
 	}
 	// The runs are built before the write lock is taken: each group's
-	// admitted records, ascending, their words in the shape that holds them
-	// all.
+	// admitted records, ascending, their keys at the group's one length.
 	runs := make([]run, 0, len(b.groups))
 	for g := range b.groups {
 		grp := &b.groups[g]
-		kept, shape := 0, Shape(0)
+		kept := 0
 		for j, i := range grp.at {
 			if b.slot[i] != 0 {
 				grp.ids[kept], grp.at[kept] = grp.ids[j], i
 				kept++
-				shape = shape.Join(ShapeOf(b.ps[i].S.Pack()))
 			}
 		}
 		if kept == 0 {
 			continue
 		}
+		shape := Shape(b.ps[grp.first].S.Length)
 		keys, bits := MakeWords(shape, kept, kept), shape.Bits()
 		bw := newBitWriter(keys.w, 0)
 		for _, i := range grp.at[:kept] {
-			bw.put(shape.encode(b.ps[i].S.Pack()), bits)
+			bw.put(b.ps[i].S.Key, bits)
 		}
 		bw.flush()
 		runs = append(runs, run{grp.subset, grp.ids[:kept], keys})

@@ -11,13 +11,16 @@ import (
 // TestTableProbeAdmitsInInputOrder pins Probe's admission against what
 // AddNew one record at a time admits: an identical re-publish — of a held
 // record or of one earlier in the batch — is skipped, and the first
-// conflicting or invalid record stops admission there, its error naming it,
-// with what came before it still admitted.
+// conflicting or invalid record, or the first of a foreign length — not its
+// column's, or for a subset the table does not hold the length of the
+// batch's first record for it — stops admission there, its error naming
+// it, with what came before it still admitted.
 func TestTableProbeAdmitsInInputOrder(t *testing.T) {
 	b0, b1 := bitvec.MustSubset(0), bitvec.MustSubset(1, 2)
 	pub := func(id bitvec.UserID, b bitvec.Subset, key uint64) Published {
 		return Published{ID: id, Subset: b, S: Sketch{Key: key, Length: 4}}
 	}
+	long := func(p Published) Published { p.S.Length = 9; return p }
 	for _, tc := range []struct {
 		name  string
 		batch []Published
@@ -31,6 +34,11 @@ func TestTableProbeAdmitsInInputOrder(t *testing.T) {
 		{"a conflict in the batch", []Published{pub(9, b0, 1), pub(8, b0, 1), pub(9, b0, 2), pub(7, b0, 1)}, []bitvec.UserID{9, 8}, "user user-9 already published"},
 		{"the earlier of two refusals", []Published{pub(6, b0, 1), pub(6, b0, 3), pub(1, b0, 8), pub(2, b0, 99)}, []bitvec.UserID{6}, "user user-6 already published"},
 		{"an invalid sketch", []Published{pub(6, b0, 1), pub(2, b0, 99), pub(1, b0, 8)}, []bitvec.UserID{6}, "invalid sketch"},
+		{"a foreign length against the column", []Published{pub(6, b1, 1), pub(5, b0, 1), long(pub(2, b0, 3)), pub(3, b0, 1)}, []bitvec.UserID{6, 5}, "user user-2's sketch for subset {0} has ℓ = 9, the subset's have ℓ = 4"},
+		{"a foreign length held by the column", []Published{pub(6, b0, 1), long(pub(1, b0, 7))}, []bitvec.UserID{6}, "foreign sketch length"},
+		{"a foreign length in a fresh subset", []Published{long(pub(6, b1, 1)), long(pub(5, b1, 2)), pub(4, b1, 3), long(pub(3, b1, 4))}, []bitvec.UserID{6, 5}, "user user-4's sketch for subset {1,2} has ℓ = 4, the subset's have ℓ = 9"},
+		{"a fresh subset's first record of a foreign length", []Published{pub(6, b1, 1), long(pub(5, b0, 1)), pub(4, b0, 1)}, []bitvec.UserID{6}, "user user-5's sketch"},
+		{"the earlier of a conflict and a foreign length", []Published{pub(6, b0, 1), long(pub(4, b1, 1)), pub(1, b0, 8)}, []bitvec.UserID{6, 4}, "user user-1 already published"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tab := NewTable()

@@ -25,7 +25,9 @@
 //     estimators scan;
 //   - Words, IDs and Run: the one packed form of a sketch — Sketch.Pack,
 //     the key above a 5-bit length, a column of them held as ℓ written once
-//     and each key in ℓ bits, so the paper's ⌈log log O(M)⌉-bit disclosure
+//     and each key in ℓ bits, one length a column (Table refuses another
+//     with ErrForeignLength, a conflicting re-publish with ErrConflict),
+//     so the paper's ⌈log log O(M)⌉-bit disclosure
 //     costs exactly that in memory and on disk (a store run writes the
 //     column's bits through Words.AppendBits and reads them back, checked,
 //     through Words.AppendBitsFrom) — the one form of a

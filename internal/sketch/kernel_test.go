@@ -14,12 +14,13 @@ func kernelTestSource(p float64) *prf.Biased {
 	return prf.NewBiased(bytes.Repeat([]byte{0x42}, prf.MinKeyBytes), prf.MustProb(p))
 }
 
-// kernelTestRecords builds a deterministic spread of records across ids,
-// sketch keys and lengths.
+// kernelTestRecords builds a deterministic spread of records across ids
+// and sketch keys, at a length that depends on the subset: a subset's
+// sketches share one.
 func kernelTestRecords(b bitvec.Subset, n int) []Published {
 	out := make([]Published, n)
+	length := 4 + 3*b.Len()%7
 	for i := range out {
-		length := 4 + i%7
 		out[i] = Published{
 			ID:     bitvec.UserID(i * 37),
 			Subset: b,

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -13,6 +14,11 @@ import (
 // Table is a concurrency-safe store of published sketches, organised by the
 // attribute subset they describe.  It is the analyst-side view of the world:
 // everything in a Table is public.
+//
+// A subset's sketches share one length: the first record a column takes
+// sets it, and a write of another length is refused with ErrForeignLength
+// (a deployment fixes ℓ, Lemma 3.1).  A second, different sketch for a
+// (user, subset) pair is refused with ErrConflict (Corollary 3.4).
 //
 // Each subset's records live once, in a column: user ids (IDs) and packed
 // sketch words (Words) side by side, an id-sorted run sized exactly and,
@@ -38,9 +44,8 @@ func NewTable() *Table {
 
 // View is one subset's records at one write generation, sorted by user id:
 // parallel id and sketch-word columns that are never written again once
-// handed out — a later sketch too wide for the column lands in new arrays,
-// so a held view reads what it read when it was taken.  The zero View is
-// empty.
+// handed out — a later write lands in new arrays, so a held view reads
+// what it read when it was taken.  The zero View is empty.
 type View struct {
 	subset bitvec.Subset
 	gen    uint64
@@ -125,9 +130,8 @@ func (r Run) Clone() Run {
 // id-sorted run: sized exactly, and never written once set — views alias
 // them, so a fold or a load builds new arrays.
 // tailIDs and tailKeys are the recent inserts in arrival order, in small
-// arrays of their own that no view reaches.  Each part holds its sketches
-// in the shape that holds them all (Words); a fold writes the new run in
-// the Join of the two.
+// arrays of their own that no view reaches.  Both parts hold their
+// sketches at the column's one length (shape).
 type column struct {
 	subset   bitvec.Subset
 	ids      IDs
@@ -158,6 +162,25 @@ const tailFloor = 256
 
 // len returns the number of records the column holds.
 func (c *column) len() int { return c.ids.Len() + len(c.tailIDs) }
+
+// shape returns the length the column's sketches share, 0 while it holds
+// none.
+func (c *column) shape() Shape {
+	if c.keys.Len() > 0 {
+		return c.keys.Shape()
+	}
+	return c.tailKeys.Shape()
+}
+
+// admits returns nil if the column takes sketches of the given length — its
+// own, or any while it holds none — and the ErrForeignLength refusal of
+// user id's otherwise.
+func (c *column) admits(id bitvec.UserID, length int) error {
+	if sh := c.shape(); c.len() > 0 && sh != Shape(length) {
+		return foreignLength(id, c.subset, length, int(sh))
+	}
+	return nil
+}
 
 // find returns the index of id's record — below c.ids.Len() in the run, its
 // tail offset past that otherwise — and whether the column holds one.
@@ -325,17 +348,22 @@ func sortIDs(ids []bitvec.UserID, at []int32) ([]bitvec.UserID, []int32) {
 
 // mergeRuns merges a sorted run and sorted ids into a fresh run sized to
 // what it holds, first record wins: an id of b already in a, or repeated
-// within b, is dropped.  Stretches of a between two ids of b move whole —
-// as bytes, where they cover whole blocks of a and land on a block boundary,
-// which is everything but a's last block when b's users enrolled after a's,
-// and wherever they stand in a raw block (IDBuilder.AppendIDs).
+// within b, is dropped.  The keys of both are of one length.  Stretches of
+// a between two ids of b move whole — as bytes, where they cover whole
+// blocks of a and land on a block boundary, which is everything but a's
+// last block when b's users enrolled after a's, and wherever they stand in
+// a raw block (IDBuilder.AppendIDs).
 func mergeRuns(a IDs, aKeys Words, b []bitvec.UserID, bKeys Words) (IDs, Words) {
 	n := a.Len() + len(b)
 	var ids IDBuilder
 	// b is taken to code as a does — the column's users enrolled the same
 	// way — plus a block's fixed bytes.
 	ids.Grow(n, a.Bytes()+(a.Bytes()*len(b)+a.Len())/(a.Len()+1)+2*len(b)/IDBlockLen+9)
-	keys := MakeWords(aKeys.Shape().Join(bKeys.Shape()), 0, n)
+	shape := aKeys.Shape()
+	if aKeys.Len() == 0 {
+		shape = bKeys.Shape()
+	}
+	keys := MakeWords(shape, 0, n)
 	var cur IDCursor
 	cur.Reset(a)
 	i := 0
@@ -430,14 +458,34 @@ func (t *Table) columnFor(b bitvec.Subset) *column {
 	return c
 }
 
+// ErrConflict refuses a second, different sketch for a (user, subset) pair
+// the table holds: each additional sketch would spend more of the user's
+// privacy budget (Corollary 3.4), so it is refused rather than silently
+// overwriting.
+var ErrConflict = errors.New("sketch: conflicting sketch")
+
+// ErrForeignLength refuses a sketch whose length is not its subset's: a
+// deployment fixes one ℓ (Lemma 3.1), and a column holds one length.
+var ErrForeignLength = errors.New("sketch: foreign sketch length")
+
+// conflict is the ErrConflict refusal of p.
+func conflict(p *Published) error {
+	return fmt.Errorf("%w: user %v already published a sketch for subset %v", ErrConflict, p.ID, p.Subset)
+}
+
+// foreignLength is the ErrForeignLength refusal of user id's sketch of the
+// given length for subset b, whose sketches have another.
+func foreignLength(id bitvec.UserID, b bitvec.Subset, length, want int) error {
+	return fmt.Errorf("%w: user %v's sketch for subset %v has ℓ = %d, the subset's have ℓ = %d", ErrForeignLength, id, b, length, want)
+}
+
 // Add inserts a published sketch.  Re-publishing for the same (user, subset)
-// pair is rejected: each additional sketch would spend more of the user's
-// privacy budget (Corollary 3.4), so the store treats it as a protocol
-// error rather than silently overwriting.
+// pair is rejected with ErrConflict, the identical sketch included: Add is
+// the strict form of AddNew.
 func (t *Table) Add(p Published) error {
 	_, added, err := t.AddNew(&p)
 	if err == nil && !added {
-		err = fmt.Errorf("sketch: user %v already published a sketch for subset %v", p.ID, p.Subset)
+		err = conflict(&p)
 	}
 	return err
 }
@@ -445,7 +493,8 @@ func (t *Table) Add(p Published) error {
 // AddNew inserts p unless its (user, subset) pair already holds a sketch,
 // in which case the existing sketch is returned with added=false and NO
 // error: the caller decides whether the duplicate is an idempotent
-// re-publish or a budget violation.
+// re-publish or a budget violation.  A sketch whose length is not its
+// subset's is refused with ErrForeignLength.
 //
 // p.Subset is replaced by the table's own Subset value for that subset, so
 // a caller that goes on holding many records (the in-memory store, a
@@ -459,6 +508,9 @@ func (t *Table) AddNew(p *Published) (existing Sketch, added bool, err error) {
 	defer t.mu.Unlock()
 	c := t.columnFor(p.Subset)
 	p.Subset = c.subset
+	if err := c.admits(p.ID, p.S.Length); err != nil {
+		return Sketch{}, false, err
+	}
 	if i, dup := c.find(p.ID); dup {
 		return c.sketch(i), false, nil
 	}
@@ -484,8 +536,8 @@ func (t *Table) AddAll(ps []Published) error {
 // a second publish.  It costs one column lookup, and no copy at all or one
 // linear merge rather than an index insert per record — unless the run is
 // shorter than a 100th of the column (loadMergeRatio), which lands through
-// the tail as a batch that short does (Land).  A run holding an invalid
-// sketch loads nothing.
+// the tail as a batch that short does (Land).  A run of another length than
+// the subset's loads nothing and is refused with ErrForeignLength.
 // The table takes ownership of the run's columns — a run onto an empty
 // subset becomes the subset's column as it is, with no copy — so a caller
 // that goes on writing to them loads a Clone.
@@ -493,12 +545,16 @@ func (t *Table) LoadRun(r Run) error {
 	if r.IDs.Len() != r.Keys.Len() {
 		return fmt.Errorf("sketch: run of %d ids and %d sketches", r.IDs.Len(), r.Keys.Len())
 	}
-	if err := r.Keys.Check(); err != nil {
-		return err
+	if r.Len() == 0 {
+		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.columnFor(r.Subset).loadRun(r.IDs, r.Keys)
+	c := t.columnFor(r.Subset)
+	if err := c.admits(r.IDs.At(0), int(r.Keys.Shape())); err != nil {
+		return err
+	}
+	c.loadRun(r.IDs, r.Keys)
 	return nil
 }
 

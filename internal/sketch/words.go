@@ -3,107 +3,45 @@ package sketch
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 )
 
 // Pack packs a valid sketch (Length ≤ MaxLength = 30, so Key < 2^30) into
 // one word, the key above a 5-bit length.  It is the only packed form of a
-// sketch: what a column is read as, what a column of mixed lengths holds,
-// what the record loop decodes.
+// sketch: what a column is read and written as, what the record loop
+// decodes.
 func (s Sketch) Pack() uint64 { return s.Key<<5 | uint64(s.Length) }
 
 // UnpackSketch reverses Pack.
 func UnpackSketch(word uint64) Sketch { return Sketch{Key: word >> 5, Length: int(word & 31)} }
 
-// A Shape is how a column holds its words.  A column whose sketches share
-// one length ℓ — a deployment's do, its Params fix ℓ — has shape ℓ: it
+// A Shape is how a column holds its words: the one length ℓ, 1 to
+// MaxLength, its sketches share.  A deployment's Params fix ℓ and
+// admission refuses any other (Table.Probe, ErrForeignLength), so a column
 // holds ℓ once and each sketch's key in exactly ℓ bits, the paper's
-// ⌈log log O(M)⌉-bit disclosure and nothing else.  A column that meets a
-// second length, or a word that packs no valid sketch, holds whole Pack
-// words instead, each in the bits the widest needs.  The zero Shape is a
+// ⌈log log O(M)⌉-bit disclosure and nothing else.  The zero Shape is a
 // column's before its first word.
 type Shape uint8
 
-// wholeWords is the shape of whole Pack words of up to n bits (1..64):
-// the shapes up to MaxLength are the single-length ones.
-func wholeWords(n int) Shape { return Shape(MaxLength + n) }
-
-// MaxShape is the widest shape a column of valid sketches takes: whole
-// Pack words of the longest, a 30-bit key above a 5-bit length.  A word
-// column on disk has a shape from 1 to MaxShape.
-const MaxShape = Shape(MaxLength + MaxLength + 5)
-
-// ShapeOf returns the shape of a column holding word alone.
-func ShapeOf(word uint64) Shape {
-	if s := UnpackSketch(word); s.Valid() {
-		return Shape(s.Length)
-	}
-	return wholeWords(max(1, bits.Len64(word)))
-}
-
-// Join returns the narrowest shape that holds the words of both s and t:
-// either one when the other is the same or zero, whole words wide enough
-// for the wider of the two otherwise.
-func (s Shape) Join(t Shape) Shape {
-	switch {
-	case s == t || t == 0:
-		return s
-	case s == 0:
-		return t
-	}
-	return wholeWords(max(s.widest(), t.widest()))
-}
-
 // Bits is how many bits a word of shape s occupies in its column, in
-// memory and on disk.
-func (s Shape) Bits() int {
-	if s <= MaxLength {
-		return int(s)
-	}
-	return int(s - MaxLength)
-}
+// memory and on disk: its key's.
+func (s Shape) Bits() int { return int(s) }
 
-// widest is how many bits the widest Pack word of shape s has.
-func (s Shape) widest() int {
-	if s <= MaxLength {
-		return int(s) + 5
-	}
-	return s.Bits()
-}
-
-// fits reports whether a column of shape s holds word as it is.
+// fits reports whether a column of shape s holds word: a valid sketch of
+// length s.
 func (s Shape) fits(word uint64) bool {
-	if s <= MaxLength {
-		return s != 0 && word&31 == uint64(s) && word>>5 < 1<<s
-	}
-	return bits.Len64(word) <= s.Bits()
+	return s != 0 && s <= MaxLength && word&31 == uint64(s) && word>>5 < 1<<s
 }
 
-// encode and decode convert between a Pack word and what a column of
-// shape s holds of it: the key alone under one length, the word otherwise.
-func (s Shape) encode(word uint64) uint64 {
-	if s <= MaxLength {
-		return word >> 5
-	}
-	return word
-}
-
-func (s Shape) decode(raw uint64) uint64 {
-	if s <= MaxLength {
-		return raw<<5 | uint64(s)
-	}
-	return raw
-}
-
-// Words is a column of Pack words, bit-packed: each word takes exactly the
-// bits its column's Shape gives it, so the 9-bit sketches of a
-// million-user deployment hold 9 bits a record.  A column that meets a
-// word its shape does not hold is re-encoded at the Join of the two — rare:
-// a deployment's sketches share one length — and never narrows.  The bits
-// are the column's on disk too: a store run writes them and reads them
-// back, checked, through AppendBits and AppendBitsFrom, and a WordWriter
-// writes the same bytes a word at a time.
+// Words is a column of Pack words of one length, bit-packed: each word
+// takes exactly the bits its column's Shape gives it, so the 9-bit
+// sketches of a million-user deployment hold 9 bits a record.  A column
+// takes its shape from its first word and holds no other: appending a
+// sketch of another length is a programming error, which admission rules
+// out before a word reaches a column.  The bits are the column's on disk
+// too: a store run writes them and reads them back, checked, through
+// AppendBits and AppendBitsFrom, and a WordWriter writes the same bytes a
+// word at a time.
 //
 // Like a slice, a Words value shares its storage with the values it was
 // sliced from or appended into.  The zero Words is empty.
@@ -111,9 +49,9 @@ type Words struct {
 	shape Shape
 	off   uint8 // the bit of w[0] where word 0 starts
 	n     int
-	// w holds word i at bits [off + i·b, off + (i+1)·b), b the shape's bits,
-	// counted from the low bit of w[0] up; it is exactly as long as the
-	// words need.  Bits past the last word are undefined.
+	// w holds word i's key at bits [off + i·b, off + (i+1)·b), b the shape's
+	// bits, counted from the low bit of w[0] up; it is exactly as long as
+	// the words need.  Bits past the last word are undefined.
 	w []uint64
 }
 
@@ -130,10 +68,10 @@ func MakeWords(shape Shape, n, capacity int) Words {
 // Len returns the number of words.
 func (k Words) Len() int { return k.n }
 
-// Shape returns how the column holds its words.
+// Shape returns how the column holds its words: their one length.
 func (k Words) Shape() Shape { return k.shape }
 
-// raw returns what the column holds of word i.
+// raw returns the key of word i.
 func (k Words) raw(i int) uint64 {
 	if uint(i) >= uint(k.n) {
 		panic(fmt.Sprintf("sketch: word %d of %d", i, k.n))
@@ -148,7 +86,7 @@ func (k Words) raw(i int) uint64 {
 	return x & (1<<uint(b) - 1)
 }
 
-// setRaw overwrites what the column holds of word i with x.
+// setRaw overwrites the key of word i with x.
 func (k Words) setRaw(i int, x uint64) {
 	if uint(i) >= uint(k.n) {
 		panic(fmt.Sprintf("sketch: word %d of %d", i, k.n))
@@ -164,22 +102,22 @@ func (k Words) setRaw(i int, x uint64) {
 }
 
 // At returns word i.
-func (k Words) At(i int) uint64 { return k.shape.decode(k.raw(i)) }
+func (k Words) At(i int) uint64 { return k.raw(i)<<5 | uint64(k.shape) }
 
 // Sketch returns the sketch word i packs.
-func (k Words) Sketch(i int) Sketch {
-	if k.shape <= MaxLength {
-		return Sketch{Key: k.raw(i), Length: int(k.shape)}
-	}
-	return UnpackSketch(k.raw(i))
-}
+func (k Words) Sketch(i int) Sketch { return Sketch{Key: k.raw(i), Length: int(k.shape)} }
 
-// Set overwrites word i with a word the column's shape holds.
-func (k Words) Set(i int, word uint64) {
+// mustFit panics unless the column's shape holds word.
+func (k Words) mustFit(word uint64) {
 	if !k.shape.fits(word) {
 		panic(fmt.Sprintf("sketch: word %#x does not fit a column of shape %d", word, k.shape))
 	}
-	k.setRaw(i, k.shape.encode(word))
+}
+
+// Set overwrites word i with a word of the column's length.
+func (k Words) Set(i int, word uint64) {
+	k.mustFit(word)
+	k.setRaw(i, word>>5)
 }
 
 // Swap exchanges words i and j.
@@ -211,18 +149,16 @@ func (k Words) Clone() Words {
 	return k
 }
 
-// Check returns an error unless every word packs a valid sketch: at once
-// under one length, whose shape holds nothing else.
-func (k Words) Check() error {
-	if k.shape <= MaxLength {
-		return nil
+// takeShape gives an empty column the shape of the words about to be
+// appended to it, and panics if a non-empty column has another: the one
+// length a column holds.
+func (k *Words) takeShape(shape Shape) {
+	switch {
+	case k.n == 0:
+		k.shape = shape
+	case shape != k.shape:
+		panic(fmt.Sprintf("sketch: words of shape %d appended to a column of shape %d", shape, k.shape))
 	}
-	for i := 0; i < k.n; i++ {
-		if !k.Sketch(i).Valid() {
-			return fmt.Errorf("sketch: word %#x is no valid sketch", k.At(i))
-		}
-	}
-	return nil
 }
 
 // grow makes room for n more words and returns the bit the first of them
@@ -298,44 +234,37 @@ func bitsAt(w []uint64, p, m int) uint64 {
 	return x & (1<<uint(m) - 1)
 }
 
-// Append appends one word, re-encoding the column if its shape does not
-// hold the word.
+// Append appends one word, which the column's length — or, for an empty
+// column, any valid sketch's — must hold.
 func (k Words) Append(word uint64) Words {
-	if !k.shape.fits(word) {
-		k = k.reshaped(k.shape.Join(ShapeOf(word)))
+	if k.n == 0 {
+		k.shape = Shape(word & 31)
 	}
-	putBits(k.w, k.grow(1), k.shape.encode(word), k.shape.Bits())
+	k.mustFit(word)
+	putBits(k.w, k.grow(1), word>>5, k.shape.Bits())
 	return k
 }
 
-// AppendWords appends the words of o: 64 bits at a time when the shapes
-// agree, word by word into the Join of the two otherwise.
+// AppendWords appends the words of o, which must be of k's length unless
+// k is empty, 64 bits at a time.
 func (k Words) AppendWords(o Words) Words {
 	if o.n == 0 {
 		return k
 	}
-	if sh := k.shape.Join(o.shape); sh != k.shape {
-		k = k.reshaped(sh)
-	}
+	k.takeShape(o.shape)
 	k.appendRange(&o, 0, o.n)
 	return k
 }
 
-// appendRange is AppendWords(o.Slice(lo, hi)) for a column whose shape
-// holds o's words.
+// appendRange is AppendWords(o.Slice(lo, hi)) for a column of o's shape.
 func (k *Words) appendRange(o *Words, lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	b, at := k.shape.Bits(), k.grow(hi-lo)
 	if o.shape != k.shape {
-		bw := newBitWriter(k.w, at)
-		for i := lo; i < hi; i++ {
-			bw.put(k.shape.encode(o.At(i)), b)
-		}
-		bw.flush()
-		return
+		panic(fmt.Sprintf("sketch: words of shape %d appended to a column of shape %d", o.shape, k.shape))
 	}
+	b, at := k.shape.Bits(), k.grow(hi-lo)
 	copyBits(k.w, at, o.w, int(o.off)+lo*b, (hi-lo)*b)
 }
 
@@ -384,16 +313,17 @@ func (k Words) AppendBits(dst []byte) []byte {
 }
 
 // AppendBitsFrom appends the n words of a store run's word column — src,
-// exactly the bytes AppendBits writes for n words of the given shape — after
-// checking them: a shape a column of valid sketches has (1 to MaxShape), pad
-// bits of zero, and under whole words every word a valid sketch (a key of
-// one length is one whatever its bits).  It appends nothing otherwise.  It
-// is where bytes from disk become a column: a copy of the bits when the
-// column has that shape or none yet, word by word into the Join of the two
-// otherwise.
+// exactly the bytes AppendBits writes for n words of the given shape —
+// after checking them: a shape of one length (1 to MaxLength), the column's
+// own unless it is empty, and pad bits of zero; a key of one length is a
+// valid sketch whatever its bits.  It appends nothing otherwise.  It is
+// where bytes from disk become a column, as a copy of the bits.
 func (k Words) AppendBitsFrom(src []byte, shape Shape, n int) (Words, error) {
-	if shape == 0 || shape > MaxShape {
+	if shape == 0 || shape > MaxLength {
 		return k, fmt.Errorf("sketch: a word column of shape %d", shape)
+	}
+	if k.n > 0 && shape != k.shape {
+		return k, fmt.Errorf("sketch: words of shape %d for a column of shape %d", shape, k.shape)
 	}
 	b := shape.Bits()
 	if len(src) != (n*b+7)/8 {
@@ -402,30 +332,14 @@ func (k Words) AppendBitsFrom(src []byte, shape Shape, n int) (Words, error) {
 	if pad := n * b & 7; pad != 0 && src[len(src)-1]>>uint(pad) != 0 {
 		return k, fmt.Errorf("sketch: pad bits %#x after %d words of shape %d", src[len(src)-1]>>uint(pad), n, shape)
 	}
-	if shape > MaxLength {
-		for i := 0; i < n; i++ {
-			if word := streamAt(src, i*b, b); !UnpackSketch(word).Valid() {
-				return k, fmt.Errorf("sketch: word %#x is no valid sketch", word)
-			}
-		}
-	}
 	if n == 0 {
 		return k, nil
 	}
-	sh := k.shape.Join(shape)
-	if sh != k.shape {
-		k = k.reshaped(sh)
-	}
+	k.shape = shape
 	bw := newBitWriter(k.w, k.grow(n))
-	if sh == shape {
-		for p, total := 0, n*b; p < total; p += 64 {
-			m := min(64, total-p)
-			bw.put(loadLE(src[p>>3:], m), m)
-		}
-	} else {
-		for i, to := 0, sh.Bits(); i < n; i++ {
-			bw.put(sh.encode(shape.decode(streamAt(src, i*b, b))), to)
-		}
+	for p, total := 0, n*b; p < total; p += 64 {
+		m := min(64, total-p)
+		bw.put(loadLE(src[p>>3:], m), m)
 	}
 	bw.flush()
 	return k, nil
@@ -448,12 +362,12 @@ type WordWriter struct {
 // from byte at on.
 func NewWordWriter(shape Shape, at int) WordWriter { return WordWriter{shape: shape, next: at} }
 
-// Put writes word, which the shape must hold, into dst.
+// Put writes word, a sketch of the writer's length, into dst.
 func (ww *WordWriter) Put(dst []byte, word uint64) {
 	if !ww.shape.fits(word) {
 		panic(fmt.Sprintf("sketch: word %#x does not fit a column of shape %d", word, ww.shape))
 	}
-	ww.acc |= ww.shape.encode(word) << ww.held
+	ww.acc |= word >> 5 << ww.held
 	for ww.held += uint(ww.shape.Bits()); ww.held >= 8; ww.held -= 8 {
 		dst[ww.next] = byte(ww.acc)
 		ww.next, ww.acc = ww.next+1, ww.acc>>8
@@ -479,26 +393,4 @@ func loadLE(src []byte, m int) uint64 {
 		x |= uint64(src[i]) << (8 * uint(i))
 	}
 	return x & (1<<uint(m) - 1)
-}
-
-// streamAt returns the m ≤ 57 bits of a little-endian byte stream src from
-// bit p on.
-func streamAt(src []byte, p, m int) uint64 {
-	q, r := p>>3, uint(p&7)
-	return loadLE(src[q:], int(r)+m) >> r
-}
-
-// reshaped returns k re-encoded at shape sh, which holds every word of k,
-// with room for as many words as k had; an empty k keeps its storage.
-func (k Words) reshaped(sh Shape) Words {
-	if k.n == 0 {
-		return Words{shape: sh, off: k.off, w: k.w}
-	}
-	out := MakeWords(sh, k.n, (64*cap(k.w)-int(k.off))/k.shape.Bits())
-	bw := newBitWriter(out.w, 0)
-	for i, b := 0, sh.Bits(); i < k.n; i++ {
-		bw.put(sh.encode(k.At(i)), b)
-	}
-	bw.flush()
-	return out
 }

@@ -17,8 +17,8 @@
 //     temporary file, fsynced and atomically renamed into place.
 //
 // A background compaction loop merges a shard's segments once enough of
-// them accumulate, deduplicating by (user, subset) and keeping the newest
-// record.
+// them accumulate, deduplicating by (user, subset, length) and keeping the
+// newest record.
 //
 // # One record layout
 //
@@ -42,15 +42,15 @@
 // numbered as they enrolled — or the ids raw where they lie far apart or,
 // in a log frame, arrived out of order.  A run's sketches are a
 // sketch.Words' bits: ℓ written once, as the shape in the run header, and
-// each key in ℓ bits (whole sketch.Sketch.Pack words at the width of the
-// widest where a run's lengths differ), written and read by
-// sketch.Words.AppendBits and AppendBitsFrom.  So a record whose user
+// each key in ℓ bits, written and read by sketch.Words.AppendBits and
+// AppendBitsFrom.  A subset has one length in a shard's files, as in a
+// table's column: the engine admits its deployment's ℓ alone.  So a record whose user
 // enrolled next to its neighbours costs 1.1 bytes of id and 9 bits of key,
 // plus 1/16 byte of block sums in a segment; a record under a hashed id
 // costs its 8 bytes as it always did.  Writing a run copies its columns,
 // and reading one does the same back after checking them — the ids'
-// widths, lengths and ascent, the words' shape and zero pad bits, and that
-// a whole word unpacks to a valid sketch — and sorting, deduplicating and
+// widths, lengths and ascent, the words' shape and zero pad bits — and
+// sorting, deduplicating and
 // merging move ids by the block and words by their bits.  Only a log being
 // decoded holds ids at 8 bytes, for as long as it takes to sort them.  The
 // runs a replay hands out are fresh and belong to the callback: the table
@@ -74,15 +74,24 @@
 //
 // Formats v3 and v4 — a run's sketches as big-endian Pack words at a byte
 // width, and in v3 its ids at 8 bytes — are read by one file (oldformat.go)
-// and only to be converted.  The first Open of a v3 or v4 directory marks
-// its manifest as converting, which makes an older binary refuse the
-// directory instead of misreading it, and then, before each shard serves,
-// rewrites every old file of it as v5 (convertShard): a log becomes a
-// segment beside a new empty log, a segment is rewritten at its own seq,
-// each through a temporary file, fsync and rename.  The manifest says v5
-// only once no old file is left, so a crash mid-way resumes from each
-// file's magic and the serving path reads v5 alone.  Nothing writes v3 or
-// v4.  A directory older than v3 is refused with ErrFormatTooOld.
+// and only to be converted; so is a run of whole Pack words (a shape past
+// 30), which an older binary wrote in v5 for a column that met two
+// lengths.  The first Open of a v3 or v4 directory marks its manifest as
+// converting, which makes an older binary refuse the directory instead of
+// misreading it, and then, before each shard serves, rewrites what it
+// holds of the older forms (convertShard), one file at a time: a log
+// becomes a segment beside a new empty log, a segment is rewritten at its
+// own seq, each through a temporary file, fsync and rename, every record
+// kept and a run of two lengths split into a run per length.  A v5 shard
+// found holding whole words is converted the same way under its v5 mark.
+// The manifest says v5 only once nothing of the older forms is left, so a
+// crash mid-way resumes and the serving path reads v5 runs of one length
+// alone.  Nothing writes the older forms.  A directory older than v3 is
+// refused with ErrFormatTooOld.
+//
+// The store keeps a subset's records of two lengths as runs of their own,
+// deduplicated each on its own; which length a deployment serves is its
+// engine's to decide (engine.AttachStore).
 //
 // Once no directory a version before v5 wrote is left to open, the
 // release after this one deletes oldformat.go whole, and with it the

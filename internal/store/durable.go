@@ -160,7 +160,9 @@ type Durable struct {
 
 // Open opens (creating if necessary) a durable store in opts.Dir,
 // replaying every shard's WAL — truncating torn tails — and validating
-// every segment.  The returned store is ready for Append and Iterate.
+// every segment.  A shard an older version wrote — files of format v3 or
+// v4, or a run of whole words — is converted first (convertShard).  The
+// returned store is ready for Append and Iterate.
 func Open(opts Options) (*Durable, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -209,7 +211,9 @@ func Open(opts Options) (*Durable, error) {
 	// marked as converting before the first v5 file is written into it, so
 	// that no older binary opens it again, and v5 only once every shard is
 	// converted: a crash in between leaves the mark, and the next Open
-	// carries on from each file's magic.
+	// carries on from each file's magic.  A v5 directory keeps its mark
+	// while a file of whole words in it is rewritten: that file goes
+	// whole, and the next Open finds any that a crash left.
 	convert, mark := format != "" && format != manifestFormat, manifestFormat
 	if convert {
 		mark = manifestConverting
@@ -393,7 +397,8 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
 // openShard opens shard i: converts, when asked, what an older version
 // left in it, lists and validates its segments, replays its WAL and
-// positions the log for appending.
+// positions the log for appending.  A shard found to hold a run of whole
+// words is converted and opened again.
 func openShard(opts Options, i int, m *metrics, convert bool) (*dshard, error) {
 	dir := filepath.Join(opts.Dir, shardDirName(i))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -404,6 +409,20 @@ func openShard(opts Options, i int, m *metrics, convert bool) (*dshard, error) {
 			return nil, err
 		}
 	}
+	sh, err := openShardFiles(opts, i, dir, m)
+	if errors.Is(err, errWholeWords) {
+		if err := convertShard(dir); err != nil {
+			return nil, err
+		}
+		sh, err = openShardFiles(opts, i, dir, m)
+	}
+	return sh, err
+}
+
+// openShardFiles opens the files of shard i in dir, failing with
+// errWholeWords — having written nothing — where a segment or the log
+// holds a run of whole words.
+func openShardFiles(opts Options, i int, dir string, m *metrics) (*dshard, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -446,67 +465,6 @@ func openShard(opts Options, i int, m *metrics, convert bool) (*dshard, error) {
 
 // walName is the log's file name within a shard directory.
 const walName = "wal.log"
-
-// convertShard rewrites every file of a shard directory that an older
-// format wrote (oldformat.go) as v5, and nothing else:
-//
-//  1. a log of an older format becomes segment seq, newer than every
-//     other, holding its acknowledged records — the valid prefix, as a
-//     replay keeps it — beside a new empty v5 log;
-//  2. every segment of an older format, a lone one included, is rewritten
-//     at its own seq.
-//
-// Each file goes through a fsynced temporary file and a rename, so a crash
-// leaves it old or new, and the next Open carries on from the magics: a
-// crash between a log's segment and its new log leaves the records in
-// both, which deduplication absorbs.
-func convertShard(dir string) error {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	failed := func(path string, err error) error {
-		return fmt.Errorf("store: converting %s to format v5: %w", path, err)
-	}
-	logPath := filepath.Join(dir, walName)
-	data, err := os.ReadFile(logPath)
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	if runs, old := decodeOldLog(data); old {
-		if len(runs) > 0 {
-			seq := uint64(1)
-			if len(segs) > 0 {
-				seq = segs[len(segs)-1].seq + 1
-			}
-			image, idx := encodeSegment(runs)
-			if _, err := writeSegment(dir, seq, image, idx); err != nil {
-				return failed(logPath, err)
-			}
-		}
-		if err := writeFileAtomic(logPath, walMagic[:]); err != nil {
-			return failed(logPath, err)
-		}
-	}
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			return err
-		}
-		runs, old, err := decodeOldSegment(data, seg.path)
-		if err != nil {
-			return err
-		}
-		if !old {
-			continue // v5 already, or of no format, which walkSegment refuses
-		}
-		image, _ := encodeSegment(runs)
-		if err := writeFileAtomic(seg.path, image); err != nil {
-			return failed(seg.path, err)
-		}
-	}
-	return syncDir(dir)
-}
 
 // FNV-1a 64-bit constants, inlined so the per-append hash is
 // allocation-free.
@@ -726,7 +684,8 @@ func (sh *dshard) rollLocked() error {
 	return nil
 }
 
-// Lookup returns the newest record for one (user, subset) pair: a binary
+// Lookup returns the newest record for one (user, subset) pair — of the
+// shorter length where the newest file holding one holds two: a binary
 // search of the log's runs, then each segment newest-first — the
 // in-memory run directory and sparse index skip a segment without the
 // subset or below the id and turn the rest into one-block reads — instead
@@ -750,10 +709,10 @@ func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, boo
 			sh.mu.Unlock()
 			return sketch.Published{}, false, err
 		}
-		if ri, ok := findRun(runs, subset); ok {
-			if i, ok := runs[ri].IDs.Find(id); ok {
+		for _, r := range runsOf(runs, subset) {
+			if i, ok := r.IDs.Find(id); ok {
 				sh.mu.Unlock()
-				return runs[ri].Record(i), true, nil
+				return r.Record(i), true, nil
 			}
 		}
 		segs := append([]segmentMeta(nil), sh.segs...)
@@ -849,8 +808,8 @@ func (d *Durable) CompactNow(min int) error {
 }
 
 // compact merges the shard's current segments into one when it has at
-// least min of them, deduplicating by (user, subset) with the newest
-// record winning.  The WAL is untouched: it is always newer than any
+// least min of them, deduplicating by (user, subset, length) with the
+// newest record winning.  The WAL is untouched: it is always newer than any
 // segment, so queries and iteration still resolve correctly.
 //
 // The merge itself runs without the shard lock so appends are never

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,7 +93,7 @@ func windowFrame(t *testing.T, ps ...sketch.Published) []byte {
 func logRecords(t *testing.T, image []byte) ([]sketch.Published, int64) {
 	t.Helper()
 	set := newRunSet()
-	valid, _ := scanLog(image, set)
+	valid, _, _ := scanLog(image, set)
 	return flatten(set.normalized()), valid
 }
 
@@ -866,4 +868,116 @@ func TestMemStoreSemanticsMatchDurable(t *testing.T) {
 	if st := m.Stats(); st.Records != 5 {
 		t.Fatalf("mem Stats.Records = %d, want 5", st.Records)
 	}
+}
+
+// TestSubsetAtTwoLengths: the store holds one subset's records of two
+// lengths as two runs, deduplicated each on its own, and neither refuses
+// nor joins them — in one group, in the log beside a segment, across a
+// roll, a compaction and a reopen, which converts nothing and writes no
+// file.  A user holding a record at each length keeps both; Lookup, within
+// one file, answers with the shorter.
+func TestSubsetAtTwoLengths(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, Shards: 1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bitvec.MustSubset(0, 2)
+	rec := func(id uint64, length int) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: (id + uint64(length)) % (1 << length), Length: length}}
+	}
+	var short, long []sketch.Published
+	for id := uint64(1); id <= 90; id++ {
+		long = append(long, rec(id, 20))
+		if id > 60 {
+			short = append(short, rec(id, 9))
+		}
+	}
+	// A group of both lengths, then a roll, then lone appends of the short
+	// length and the new users' long records into the log.
+	var mixed []sketch.Published
+	for i := 0; i < 60; i++ {
+		mixed = append(mixed, long[i])
+		if i < 10 {
+			mixed = append(mixed, short[i])
+		}
+	}
+	if _, err := st.AppendBatch(mixed); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.shards[0].rollLocked(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(slices.Clone(short[10:]), long[60:]...) {
+		if err := st.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(st *Durable, when string) {
+		t.Helper()
+		var runs []sketch.Run
+		if err := st.IterateRuns(func(r sketch.Run) error { runs = append(runs, r); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 2 || runs[0].Keys.Shape() != 9 || runs[1].Keys.Shape() != 20 {
+			t.Fatalf("%s: IterateRuns handed out %d runs, want a 9-bit one and then a 20-bit one", when, len(runs))
+		}
+		for i, want := range [][]sketch.Published{short, long} {
+			if got := runs[i].AppendTo(nil); !slices.EqualFunc(got, want, samePub) {
+				t.Fatalf("%s: run %d holds %d records, want the %d of its length", when, i, len(got), len(want))
+			}
+		}
+		if got := collect(t, st); len(got) != len(short)+len(long) {
+			t.Fatalf("%s: Iterate yields %d records, want %d", when, len(got), len(short)+len(long))
+		}
+		for i, p := range long {
+			got, ok, err := st.Lookup(p.ID, b.Key())
+			if err != nil || !ok || !samePub(got, p) && (i < 60 || !samePub(got, short[i-60])) {
+				t.Fatalf("%s: Lookup(%d) = %v, %v, %v", when, p.ID, got, ok, err)
+			}
+		}
+	}
+	check(st, "before a compaction")
+	if err := st.shards[0].rollLocked(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CompactNow(2); err != nil {
+		t.Fatalf("compacting a subset held at two lengths: %v", err)
+	}
+	check(st, "after a roll and a compaction")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirState(t, dir)
+	if st, err = Open(Options{Dir: dir, CompactInterval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	check(st, "after a reopen")
+	if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the reopen changed the directory: %v, was %v", after, before)
+	}
+}
+
+// dirState returns the bytes and the modification time of every file
+// under dir.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	state := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		info, err := e.Info()
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		state[path] = fmt.Sprintf("%x@%v", data, info.ModTime().UnixNano())
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
 }

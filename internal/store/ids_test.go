@@ -288,7 +288,7 @@ func FuzzColumnIDs(f *testing.F) {
 				t.Fatalf("a frame of the hostile column adds %d records, %v; DecodeIDBlocks read %d of %d bytes, %v", got, err, size, len(src), decodeErr)
 			}
 			if err == nil {
-				ids := set.byTag[b.Key()].ids
+				ids := set.byKey[b.Key()+"\x01"].ids
 				if !slices.Equal(ids, decoded) {
 					t.Fatalf("the frame decodes the column to %v, DecodeIDBlocks to %v", ids, decoded)
 				}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"os"
 	"slices"
 
@@ -13,9 +14,10 @@ import (
 // rehydrates its table through it: each run lands with one column load.
 type RunIterator interface {
 	// IterateRuns calls fn with every stored record, deduplicated (the
-	// newest record for a (user, subset) pair wins), as one run per subset
-	// in subset-tag order, user ids ascending.  fn owns the run's columns.
-	// Iteration stops at the first error, which is returned.
+	// newest record for a (user, subset, sketch length) wins), as one run
+	// per subset and length in subset-tag order, shortest first, user ids
+	// ascending.  fn owns the run's columns.  Iteration stops at the first
+	// error, which is returned.
 	IterateRuns(fn func(r sketch.Run) error) error
 }
 
@@ -46,29 +48,38 @@ func (s *runSource) subsets(fn func(tag string, subset bitvec.Subset)) {
 	}
 }
 
-// load returns the source's run for tag, empty if it has none.  The
-// word column is valid until the next load.
-func (s *runSource) load(tag string) (sketch.Run, error) {
+// load appends the source's runs for tag, one a length, to parts.  The
+// word column of a segment's first is valid until the next load.
+func (s *runSource) load(tag string, parts []sketch.Run) ([]sketch.Run, error) {
 	if s.idx == nil {
-		if i, ok := findRun(s.log, tag); ok {
-			return s.log[i].Run, nil
+		for _, r := range runsOf(s.log, tag) {
+			parts = append(parts, r.Run)
 		}
-		return sketch.Run{}, nil
+		return parts, nil
 	}
-	r, ok := s.idx.find(tag)
-	if !ok {
-		return sketch.Run{}, nil
+	for i, r := range s.idx.find(tag) {
+		keys := s.keys
+		if i > 0 {
+			keys = sketch.Words{} // the first run's column is still in use
+		}
+		raw, part, err := readBlocks(s.f, s.idx, r, 0, r.count, s.raw, keys)
+		if err != nil {
+			return parts, err
+		}
+		if s.raw = raw; i == 0 {
+			s.keys = part.Keys
+		}
+		parts = append(parts, part)
 	}
-	raw, part, err := readBlocks(s.f, s.idx, r, 0, r.count, s.raw, s.keys)
-	s.raw, s.keys = raw, part.Keys
-	return part, err
+	return parts, nil
 }
 
 // mergeSources calls emit with every subset's records across srcs as one
-// run — ids ascending, the later source winning a (user, subset) pair two
-// of them hold — in tag order.  Sources that can hold the same pair must
-// be listed oldest first; sources of different shards never share a user.
-// One subset is in memory at a time.  Each emitted run's columns are fresh.
+// run per length — ids ascending, the later source winning a (user,
+// subset, length) two of them hold — in tag order, shortest first.
+// Sources that can hold the same pair must be listed oldest first; sources
+// of different shards never share a user.  One subset is in memory at a
+// time.  Each emitted run's columns are fresh.
 func mergeSources(srcs []runSource, emit func(run) error) error {
 	subsets := make(map[string]bitvec.Subset)
 	for i := range srcs {
@@ -83,15 +94,22 @@ func mergeSources(srcs []runSource, emit func(run) error) error {
 	for _, tag := range tags {
 		parts = parts[:0]
 		for i := range srcs {
-			part, err := srcs[i].load(tag)
-			if err != nil {
+			var err error
+			if parts, err = srcs[i].load(tag, parts); err != nil {
 				return err
 			}
-			parts = append(parts, part)
 		}
-		ids, keys := mergeColumns(parts)
-		if err := emit(run{tag: tag, Run: sketch.Run{Subset: subsets[tag], IDs: ids, Keys: keys}}); err != nil {
-			return err
+		slices.SortStableFunc(parts, func(a, b sketch.Run) int { return cmp.Compare(a.Keys.Shape(), b.Keys.Shape()) })
+		for len(parts) > 0 {
+			n := 1
+			for n < len(parts) && parts[n].Keys.Shape() == parts[0].Keys.Shape() {
+				n++
+			}
+			ids, keys := mergeColumns(parts[:n])
+			if err := emit(run{tag: tag, Run: sketch.Run{Subset: subsets[tag], IDs: ids, Keys: keys}}); err != nil {
+				return err
+			}
+			parts = parts[n:]
 		}
 	}
 	return nil

@@ -324,9 +324,16 @@ func requireServes(t *testing.T, st *Durable, want []sketch.Published) {
 	if len(streamed) != len(want) {
 		t.Fatalf("ReadBatch streamed %d distinct records, the directory holds %d", len(streamed), len(want))
 	}
+	// A (user, subset) pair may hold a record at each of two lengths, of
+	// which Lookup answers with one.
+	held := make(map[pairKey][]sketch.Published)
 	for _, p := range want {
-		if got, ok, err := st.Lookup(p.ID, p.Subset.Key()); err != nil || !ok || !samePub(got, p) {
-			t.Fatalf("Lookup(%v, %v) = %+v %v %v, the directory holds %+v", p.ID, p.Subset, got, ok, err, p)
+		held[pairOf(p)] = append(held[pairOf(p)], p)
+	}
+	for _, p := range want {
+		got, ok, err := st.Lookup(p.ID, p.Subset.Key())
+		if err != nil || !ok || !slices.ContainsFunc(held[pairOf(p)], func(q sketch.Published) bool { return samePub(got, q) }) {
+			t.Fatalf("Lookup(%v, %v) = %+v %v %v, the directory holds %+v", p.ID, p.Subset, got, ok, err, held[pairOf(p)])
 		}
 		// The stream may pass an older copy on its way to the newest.
 		if got := streamed[keyOf(p)]; !samePub(got, p) {
@@ -404,13 +411,40 @@ func parentV3DirRecords() []sketch.Published {
 	return flatten(testRuns(all))
 }
 
-// parentV4DirRecords is the v4 fixture's newest-wins record set.
-func parentV4DirRecords() []sketch.Published {
+// converted is what a shard serves once converted, given the records each
+// of its files was written from — oldest first, the log last, each file's
+// in the order appended: the newest record of a (user, subset, length),
+// a subset's records of each length a run of their own.
+type converted struct {
+	files  [][]sketch.Published // each file's records, as its runs hold them
+	served []sketch.Published
+}
+
+func convertFiles(files ...[]sketch.Published) converted {
+	var c converted
 	var all []sketch.Published
-	for _, g := range parentV4DirGroups() {
-		all = append(all, g...)
+	for _, f := range files {
+		c.files = append(c.files, flatten(testRuns(f)))
+		all = append(all, f...)
 	}
-	return flatten(testRuns(all))
+	c.served = flatten(testRuns(all))
+	return c
+}
+
+// pairKey is a (user, subset) pair, whatever the length.
+type pairKey struct {
+	id     bitvec.UserID
+	subset string
+}
+
+func pairOf(p sketch.Published) pairKey { return pairKey{p.ID, p.Subset.Key()} }
+
+// parentV4DirConverted is what the v4 fixture serves once converted: its
+// mixed subset's run in the second segment becomes a 9-bit run and a
+// 17-bit one, and the log's 17-bit records of it join the latter.
+func parentV4DirConverted() converted {
+	g := parentV4DirGroups()
+	return convertFiles(g[0], g[1], append(slices.Clone(g[2]), g[3]...))
 }
 
 // TestParentWrittenV3DirOpens is the upgrade gate for format v3: the
@@ -519,8 +553,8 @@ func TestParentWrittenV3DirOpens(t *testing.T) {
 // run's and of a subset the directory does not hold.  Afterwards every
 // file is v5, the manifest says so, and the directory is smaller.
 func TestParentWrittenV4DirConverts(t *testing.T) {
-	groups := parentV4DirGroups()
-	want := parentV4DirRecords()
+	conv := parentV4DirConverted()
+	want := conv.served
 	dir := copyFixture(t, parentV4DirPath)
 	before := dirBytes(t, dir)
 	start := time.Now()
@@ -532,20 +566,32 @@ func TestParentWrittenV4DirConverts(t *testing.T) {
 	defer st.Close()
 	requireServes(t, st, want)
 
-	// The segments after the conversion are the fixture's two, rewritten in
-	// place, and the log's, as seq 3: a stream from any cursor reads them
-	// in that order.
-	segs := [][]sketch.Published{
-		flatten(testRuns(groups[0])),
-		flatten(testRuns(groups[1])),
-		flatten(testRuns(append(slices.Clone(groups[2]), groups[3]...))),
+	requireConverted(t, st, conv)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
+	requireV5(t, dir)
+	if after := dirBytes(t, dir); after >= before {
+		t.Fatalf("the directory is %d bytes after the conversion, %d before", after, before)
+	} else {
+		t.Logf("the directory went from %d to %d bytes", before, after)
+	}
+}
+
+// requireConverted fails the test unless st, a one-shard directory just
+// converted, holds as its segments the files conv was given, in order —
+// the log's last — so that a stream from
+// any cursor of any of them reads them in that order; and unless Lookup
+// finds no id below, between and above each subset's, nor under a subset
+// the directory does not hold.
+func requireConverted(t *testing.T, st *Durable, conv converted) {
+	t.Helper()
 	var stream []sketch.Published
-	for _, seg := range segs {
+	for _, seg := range conv.files {
 		stream = append(stream, seg...)
 	}
 	at := 0
-	for s, seg := range segs {
+	for s, seg := range conv.files {
 		for _, max := range []int{1, 7, 64, 65, 1000} {
 			for off := range seg {
 				cursor := packCursor(batchCursor{phase: curPhaseSeg, seq: uint64(s + 1), off: uint64(off)})
@@ -564,7 +610,7 @@ func TestParentWrittenV4DirConverts(t *testing.T) {
 	}
 
 	byTag := make(map[string][]bitvec.UserID)
-	for _, p := range want {
+	for _, p := range conv.served {
 		byTag[p.Subset.Key()] = append(byTag[p.Subset.Key()], p.ID)
 	}
 	for tag, ids := range byTag {
@@ -581,24 +627,198 @@ func TestParentWrittenV4DirConverts(t *testing.T) {
 			}
 		}
 	}
-	if got, ok, err := st.Lookup(want[0].ID, bitvec.MustSubset(8).Key()); err != nil || ok {
+	if got, ok, err := st.Lookup(conv.served[0].ID, bitvec.MustSubset(8).Key()); err != nil || ok {
 		t.Fatalf("Lookup under a subset the directory does not hold = %+v %v %v", got, ok, err)
+	}
+}
+
+// parentV5DirPath is a data directory of one shard written by the commit
+// that last let a node store a subset at two lengths, from
+// parentV5DirGroups: a manifest reading "1 v5", segment 1 rolled from the
+// first group (its mixed subset a run of whole words), segment 2 from the
+// second, and a log of the third group's frame and the fourth's lone
+// record.
+const parentV5DirPath = "testdata/dir-parent-v5"
+
+// parentV5DirGroups are the groups the v5 fixture's shard was given,
+// oldest first: nine-bit keys under fleet-shaped ids; a subset given 9-
+// and 20-bit keys in one batch, which its segment holds as a run of whole
+// words; a subset of nine-bit keys; a subset of 20-bit keys alone under
+// hashed ids — then overwrites of the nine-bit run and more of the
+// nine-bit subset; then a batch holding that subset's 20-bit records — a
+// log frame at ℓ = 20 beside segments at ℓ = 9 — and a few of the mixed
+// subset's at both lengths, whole words in the log too; then one record.
+func parentV5DirGroups() [][]sketch.Published {
+	tenant := uint64(9) << 40
+	s9, whole, logged, s20 := bitvec.MustSubset(1, 4, 7), bitvec.MustSubset(3, 5), bitvec.MustSubset(2, 9), bitvec.MustSubset(0)
+	pub := func(id uint64, b bitvec.Subset, key uint64, length int) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: key % (1 << uint(length)), Length: length}}
+	}
+	var seg1, seg2, batch []sketch.Published
+	for i := uint64(0); i < 300; i++ {
+		seg1 = append(seg1, pub(tenant|(1+3*i/2), s9, i*37, 9))
+	}
+	for i := uint64(0); i < 120; i++ {
+		length := 9
+		if i%4 == 0 {
+			length = 20
+		}
+		seg1 = append(seg1, pub(tenant|(2+2*i), whole, i*7919, length))
+	}
+	for i := uint64(0); i < 100; i++ {
+		seg1 = append(seg1, pub(tenant|(1+3*i), logged, i*101+3, 9))
+	}
+	for i := uint64(0); i < 40; i++ {
+		seg1 = append(seg1, pub(i*0x9E3779B97F4A7C15|1, s20, i*40503, 20))
+	}
+	for i := uint64(0); i < 150; i++ {
+		seg2 = append(seg2, pub(tenant|(1+3*i/2), s9, i*53+1, 9))
+	}
+	for i := uint64(0); i < 50; i++ {
+		seg2 = append(seg2, pub(tenant|(400+2*i), logged, i*29, 9))
+	}
+	for i := uint64(0); i < 40; i++ {
+		id := tenant | (600 - 4*i)
+		batch = append(batch, pub(id, s9, id+i, 9))
+		if i%2 == 0 {
+			batch = append(batch, pub(id, logged, id*i, 20))
+		}
+		if i%5 == 0 {
+			length := 9
+			if i%10 == 0 {
+				length = 20
+			}
+			batch = append(batch, pub(id, whole, i+1, length))
+		}
+	}
+	lone := pub(tenant|7, s9, 12345, 9)
+	return [][]sketch.Published{seg1, seg2, batch, {lone}}
+}
+
+// parentV5DirConverted is what the v5 fixture serves once converted: every
+// record, the whole-word subset's as a 9-bit run and a 20-bit one in the
+// first segment and in the log's.
+func parentV5DirConverted() converted {
+	g := parentV5DirGroups()
+	return convertFiles(g[0], g[1], append(slices.Clone(g[2]), g[3]...))
+}
+
+// TestParentWrittenV5DirConverts is the gate for the v5 directories an
+// older binary wrote holding a subset at two lengths — in a segment's run
+// of whole words, in a log frame of whole words, and in a log frame at
+// ℓ = 20 beside segments at ℓ = 9: Open converts the files that hold
+// whole words — the segment rewritten in place, the log's records segment
+// 3 beside an empty log — leaves the segment of single-length runs as it
+// was, and serves exactly every record, a subset's lengths as runs of
+// their own, on every read path.  The manifest reads v5 after, and a
+// second Open writes nothing.
+func TestParentWrittenV5DirConverts(t *testing.T) {
+	conv := parentV5DirConverted()
+	dir := copyFixture(t, parentV5DirPath)
+	seg2, err := os.ReadFile(filepath.Join(dir, shardDirName(0), segmentName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := openConverted(t, dir, conv.served, func(st *Durable) { requireConverted(t, st, conv) })
+	if len(first) != 5 {
+		t.Fatalf("%d files after the conversion, want three segments, the log and the manifest", len(first))
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, shardDirName(0), segmentName(2))); err != nil || !bytes.Equal(data, seg2) {
+		t.Fatalf("the conversion rewrote segment 2, which holds each subset at one length (%v)", err)
+	}
+	second := openConverted(t, dir, conv.served, func(st *Durable) { requireConverted(t, st, conv) })
+	for path, info := range first {
+		if again, ok := second[path]; !ok || !os.SameFile(info, again) || !info.ModTime().Equal(again.ModTime()) {
+			t.Fatalf("a second Open rewrote %s", path)
+		}
+	}
+}
+
+// TestCleanV5DirOpensWithoutWrites: a directory holding each subset at one
+// length — segments, a log with frames in it, a manifest — is not
+// converted: Open and Close, with and without fsync, leave every file's
+// bytes and modification time as they were, and create no file.
+func TestCleanV5DirOpensWithoutWrites(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, Shards: 2, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []sketch.Published
+	for round := uint64(0); round < 3; round++ {
+		for _, b := range []bitvec.Subset{bitvec.MustSubset(0), bitvec.MustSubset(1, 2)} {
+			batch := testRecordsRange(100*round, 100*round+60, b)
+			if _, err := st.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, batch...)
+		}
+		if round < 2 {
+			for _, sh := range st.shards {
+				sh.mu.Lock()
+				err := sh.rollLocked()
+				sh.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	requireV5(t, dir)
-	if after := dirBytes(t, dir); after >= before {
-		t.Fatalf("the directory is %d bytes after the conversion, %d before", after, before)
-	} else {
-		t.Logf("the directory went from %d to %d bytes", before, after)
+	past := time.Now().Add(-time.Hour).Truncate(time.Second)
+	files := make(map[string][]byte)
+	if err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		if files[path], err = os.ReadFile(path); err != nil {
+			return err
+		}
+		return os.Chtimes(path, past, past)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := flatten(testRuns(all))
+	for _, fsync := range []bool{false, true} {
+		st, err := Open(Options{Dir: dir, Fsync: fsync, CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireServes(t, st, want)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		if err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+			if err != nil || e.IsDir() {
+				return err
+			}
+			seen++
+			info, err := e.Info()
+			if err != nil {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if was, ok := files[path]; err != nil || !ok || !bytes.Equal(data, was) || !info.ModTime().Equal(past) {
+				t.Fatalf("Open and Close (fsync %v) of a clean v5 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != len(files) {
+			t.Fatalf("Open and Close (fsync %v) left %d files, there were %d", fsync, seen, len(files))
+		}
 	}
 }
 
 // TestConversionCrashAtEveryRename stops Open's conversion of each
-// parent-written fixture after its k-th rename — the manifest's mark, a
-// log's segment, the new log, a segment rewritten in place, the final
-// manifest — for every k, as a crash would, and opens the directory again.
+// parent-written fixture after its k-th rename — the manifest's mark and
+// the final manifest where the format changes, a log's segment, the new
+// log, a segment rewritten in place — for every k, as a crash would, and
+// opens the directory again.
 // Every run must end with the fixture's records on every read path, no
 // file of an older format and a manifest reading v5.
 func TestConversionCrashAtEveryRename(t *testing.T) {
@@ -608,7 +828,8 @@ func TestConversionCrashAtEveryRename(t *testing.T) {
 		want []sketch.Published
 	}{
 		"v3": {parentDirPath, parentV3DirRecords()},
-		"v4": {parentV4DirPath, parentV4DirRecords()},
+		"v4": {parentV4DirPath, parentV4DirConverted().served},
+		"v5": {parentV5DirPath, parentV5DirConverted().served},
 	} {
 		t.Run(name, func(t *testing.T) {
 			// The whole conversion, counted.
@@ -617,8 +838,8 @@ func TestConversionCrashAtEveryRename(t *testing.T) {
 			openConverted(t, copyFixture(t, fixture.path), fixture.want, nil)
 			afterRename = nil
 			t.Logf("the conversion of the %s fixture made %d renames", name, renames)
-			if renames < 4 {
-				t.Fatalf("the conversion made %d renames, want the mark, the log's segment, the log, a segment and the manifest", renames)
+			if renames < 3 {
+				t.Fatalf("the conversion made %d renames, want at least the log's segment, the log and a segment", renames)
 			}
 			for k := 1; k <= renames; k++ {
 				dir := copyFixture(t, fixture.path)

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -25,29 +27,36 @@ import (
 //
 //	4 bytes big-endian tag length | the subset tag (bitvec.Subset.Tag)
 //	4 bytes big-endian record count (≥ 1)
-//	1 byte  the word column's shape (sketch.Shape, 1..sketch.MaxShape)
+//	1 byte  the word column's shape: the run's one sketch length ℓ, 1..30
 //
 // followed by its columns: the count ids as an id column — blocks of 64,
 // each a width byte, a first id and the differences from id to id at that
 // width, or the ids raw where they do not ascend (sketch/ids.go has the
-// layout and the argument for a width per block) — and the count words as
-// the column holds them in memory: Shape.Bits bits each, ⌈count·bits/8⌉
-// bytes, low bit first, the pad bits of the last byte zero.  A shape of 1
-// to 30 is one length ℓ, whose keys alone are written, ℓ bits each: the
-// paper's ⌈log log O(M)⌉-bit disclosure and nothing else, 9 bits for the
-// benchmark deployment's sketches, 72 bytes for a block of 64.  A higher
-// shape s holds whole sketch.Sketch.Pack words — the key above a 5-bit
-// length — in s − 30 bits each, as many as the writer's column gave them
-// and at least the widest needs: a column that met a second length.  Both
-// columns are the table's own bits, written with a copy and
-// read back with a checked one (sketch.IDBuilder.AppendBlock,
-// sketch.Words.AppendBits and AppendBitsFrom, and nowhere else).  The log
-// writes a window's run whole, ids in arrival order; a segment cuts the
-// columns into checksummed blocks, one id block and its words each
-// (segment.go).
+// layout and the argument for a width per block) — and the count keys as
+// the column holds them in memory, ℓ bits each, ⌈count·ℓ/8⌉ bytes, low bit
+// first, the pad bits of the last byte zero: the paper's ⌈log log O(M)⌉-bit
+// disclosure and nothing else, 9 bits for the benchmark deployment's
+// sketches, 72 bytes for a block of 64.  Both columns are the table's own
+// bits, written with a copy and read back with a checked one
+// (sketch.IDBuilder.AppendBlock, sketch.Words.AppendBits and
+// AppendBitsFrom, and nowhere else).  The log writes a window's run whole,
+// ids in arrival order; a segment cuts the columns into checksummed
+// blocks, one id block and its words each (segment.go).
+//
+// A run holds one length, and the store keeps a subset's records of two
+// lengths as two runs, (tag, length) ascending, deduplicating each on its
+// own: which length a deployment serves is its engine's to decide.  An
+// older binary could write a shape past 30 — whole Pack words, a column
+// that met two lengths; Open finds one (errWholeWords) and converts the
+// shard (oldformat.go).
 type run struct {
 	tag string // the subset's canonical tag, Subset.Key: what runs sort by
 	sketch.Run
+}
+
+// compareRuns orders runs by (tag, length).
+func compareRuns(a, b run) int {
+	return cmp.Or(strings.Compare(a.tag, b.tag), cmp.Compare(a.Keys.Shape(), b.Keys.Shape()))
 }
 
 const runHeaderFixed = 4 + 4 + 1 // tag length, record count, shape
@@ -75,13 +84,18 @@ type runHeader struct {
 	size  int // bytes the header occupies
 }
 
+// errWholeWords is the refusal of a run of whole Pack words, which an
+// older binary wrote for a column that met two lengths and no write of
+// this version makes: Open converts the shard (convertShard).
+var errWholeWords = errors.New("store: a run of whole words")
+
 // parseRunHeader reads the run header at the front of src.  Every field
 // is input: lengths are checked against what src holds before anything is
-// sliced, a shape no column of valid sketches has is refused, and so is a
-// count whose columns the bytes after the header could not hold — at the
-// least an id block's 8 bytes and a byte an id, and the words' bits — so
-// that what is later allocated for the count is a bounded multiple of the
-// file it came from.
+// sliced, a shape that is not one length is refused — one of an older
+// binary's whole words with errWholeWords and the header's size — and so
+// is a count whose columns the bytes after the header could not hold — at the least an id block's 8
+// bytes and a byte an id, and the words' bits — so that what is later
+// allocated for the count is a bounded multiple of the file it came from.
 func parseRunHeader(src []byte) (runHeader, error) {
 	if len(src) < runHeaderFixed {
 		return runHeader{}, fmt.Errorf("run header truncated at %d bytes", len(src))
@@ -92,8 +106,13 @@ func parseRunHeader(src []byte) (runHeader, error) {
 	}
 	h := runHeader{tag: src[4 : 4+tagLen], size: runHeaderFixed + int(tagLen)}
 	count := uint64(binary.BigEndian.Uint32(src[4+tagLen:]))
-	if h.shape = sketch.Shape(src[h.size-1]); h.shape == 0 || h.shape > sketch.MaxShape {
+	switch h.shape = sketch.Shape(src[h.size-1]); {
+	case h.shape == 0:
 		return runHeader{}, fmt.Errorf("run word shape %d", h.shape)
+	case h.shape > maxWholeShape:
+		return runHeader{}, fmt.Errorf("run word shape %d", h.shape)
+	case h.shape > sketch.MaxLength:
+		return runHeader{size: h.size}, fmt.Errorf("%w: run word shape %d", errWholeWords, h.shape)
 	}
 	rest := uint64(len(src) - h.size)
 	if count == 0 || count > rest || uint64(sketch.MinIDBlocksLen(int(count))+wordsLen(int(count), h.shape)) > rest {
@@ -108,16 +127,17 @@ func parseRunHeader(src []byte) (runHeader, error) {
 // what the run's words take in one piece.
 func wordsLen(n int, shape sketch.Shape) int { return (n*shape.Bits() + 7) / 8 }
 
-// runSet gathers records in arrival order, one growing run per subset,
-// and normalizes them: ids ascending within a run, the newest arrival
-// winning a repeated id, runs in tag order.  It is how a log's windows
-// become the runs everything else reads.
+// runSet gathers records in arrival order, one growing run per subset and
+// length, and normalizes them: ids ascending within a run, the newest
+// arrival winning a repeated id, runs in (tag, length) order.  It is how a
+// log's windows become the runs everything else reads.
 type runSet struct {
-	byTag map[string]*growingRun
+	// byKey is keyed by the tag followed by the length's byte.
+	byKey map[string]*growingRun
 	// last short-cuts the lookup: consecutive runs of a window mostly name
 	// the same subset.
-	last   *growingRun
-	tagBuf []byte
+	last           *growingRun
+	tagBuf, keyBuf []byte
 	// marks remembers how long each run was before the frame being added,
 	// to take a malformed frame's records back out.
 	marks []runMark
@@ -130,8 +150,8 @@ type runMark struct {
 
 // growingRun is a run a runSet is still adding to, its ids raw and in
 // arrival order — the one place outside a table's tail where they are;
-// reserved counts the records about to be added and shape is the Join of
-// their runs' shapes, so that the columns are sized once.
+// reserved counts the records about to be added, so that the columns are
+// sized once.
 type growingRun struct {
 	tag      string
 	subset   bitvec.Subset
@@ -141,31 +161,32 @@ type growingRun struct {
 	shape    sketch.Shape
 }
 
-func newRunSet() *runSet { return &runSet{byTag: make(map[string]*growingRun)} }
+func newRunSet() *runSet { return &runSet{byKey: make(map[string]*growingRun)} }
 
-// runFor returns the set's run for tag, parsing the subset the first time
-// the tag is seen.
-func (s *runSet) runFor(tag []byte) (*growingRun, error) {
-	if s.last != nil && s.last.tag == string(tag) {
+// runFor returns the set's run for tag and shape, parsing the subset the
+// first time the tag is seen at it.
+func (s *runSet) runFor(tag []byte, shape sketch.Shape) (*growingRun, error) {
+	if s.last != nil && s.last.shape == shape && s.last.tag == string(tag) {
 		return s.last, nil
 	}
-	r := s.byTag[string(tag)]
+	s.keyBuf = append(append(s.keyBuf[:0], tag...), byte(shape))
+	r := s.byKey[string(s.keyBuf)]
 	if r == nil {
 		subset, err := bitvec.ParseTag(tag)
 		if err != nil {
 			return nil, err
 		}
-		r = &growingRun{tag: string(tag), subset: subset}
-		s.byTag[r.tag] = r
+		r = &growingRun{tag: string(tag), subset: subset, shape: shape}
+		s.byKey[string(s.keyBuf)] = r
 	}
 	s.last = r
 	return r, nil
 }
 
-// add appends one record to its subset's run.
+// add appends one record to its run.
 func (s *runSet) add(p sketch.Published) {
 	s.tagBuf = p.Subset.AppendTag(s.tagBuf[:0])
-	r, err := s.runFor(s.tagBuf)
+	r, err := s.runFor(s.tagBuf, sketch.Shape(p.S.Length))
 	if err != nil {
 		panic(err) // the tag of a valid Subset parses
 	}
@@ -175,8 +196,8 @@ func (s *runSet) add(p sketch.Published) {
 // normalized returns the set's runs, normalized.  The set must not be
 // added to afterwards.
 func (s *runSet) normalized() []run {
-	out := make([]run, 0, len(s.byTag))
-	for _, r := range s.byTag {
+	out := make([]run, 0, len(s.byKey))
+	for _, r := range s.byKey {
 		if len(r.ids) == 0 {
 			continue // named only by a frame that was then refused
 		}
@@ -196,19 +217,23 @@ func (s *runSet) normalized() []run {
 		}
 		out = append(out, run{tag: r.tag, Run: sketch.Run{Subset: r.subset, IDs: sketch.MakeIDs(ids), Keys: keys}})
 	}
-	slices.SortFunc(out, func(a, b run) int { return strings.Compare(a.tag, b.tag) })
+	slices.SortFunc(out, compareRuns)
 	return out
 }
 
-// findRun returns the index of tag's run in runs, which are in tag order.
-func findRun(runs []run, tag string) (int, bool) {
-	return slices.BinarySearchFunc(runs, tag, func(r run, tag string) int { return strings.Compare(r.tag, tag) })
+// runsOf returns tag's runs among runs, which are in (tag, length) order.
+func runsOf(runs []run, tag string) []run {
+	i, _ := slices.BinarySearchFunc(runs, tag, func(r run, tag string) int { return strings.Compare(r.tag, tag) })
+	n := i
+	for n < len(runs) && runs[n].tag == tag {
+		n++
+	}
+	return runs[i:n]
 }
 
-// mergeColumns merges the sources of one subset, oldest first, into fresh
-// columns: ids ascending, the newest source winning an id two of them
-// hold, the words in the Join of the sources' shapes.  The sources are left
-// as they were.
+// mergeColumns merges the sources of one subset and length, oldest first,
+// into fresh columns: ids ascending, the newest source winning an id two of
+// them hold.  The sources are left as they were.
 func mergeColumns(srcs []sketch.Run) (sketch.IDs, sketch.Words) {
 	total, size, shape := 0, 0, sketch.Shape(0)
 	// heap orders the unfinished sources by (next id, age): an entry is a
@@ -223,7 +248,7 @@ func mergeColumns(srcs []sketch.Run) (sketch.IDs, sketch.Words) {
 		if s.Len() > 0 {
 			cur[src].Reset(s.IDs)
 			heap = append(heap, cursor{cur[src].At(0), src})
-			total, size, shape = total+s.Len(), size+s.IDs.Bytes(), shape.Join(s.Keys.Shape())
+			total, size, shape = total+s.Len(), size+s.IDs.Bytes(), s.Keys.Shape()
 		}
 	}
 	var ids sketch.IDBuilder

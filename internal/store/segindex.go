@@ -17,7 +17,7 @@ import (
 // writer has it in hand and Open derives it from the data area it
 // validates anyway.
 type segIndex struct {
-	runs []segRun // in tag order
+	runs []segRun // in (tag, length) order
 	// firstIDs is the sparse id index, the first id of every block, and
 	// blockOffs where each block starts in the file, both run after run
 	// (run r's blocks start at r.block0).
@@ -58,13 +58,14 @@ func (x *segIndex) records() uint64 {
 	return uint64(last.first + last.count)
 }
 
-// find returns the run of the subset with the given tag.
-func (x *segIndex) find(tag string) (segRun, bool) {
-	i, ok := slices.BinarySearchFunc(x.runs, tag, func(r segRun, tag string) int { return strings.Compare(r.tag, tag) })
-	if !ok {
-		return segRun{}, false
+// find returns the runs of the subset with the given tag, one a length.
+func (x *segIndex) find(tag string) []segRun {
+	i, _ := slices.BinarySearchFunc(x.runs, tag, func(r segRun, tag string) int { return strings.Compare(r.tag, tag) })
+	n := i
+	for n < len(x.runs) && x.runs[n].tag == tag {
+		n++
 	}
-	return x.runs[i], true
+	return x.runs[i:n]
 }
 
 // readBlocks reads and decodes the blocks of run r that hold its records
@@ -140,38 +141,36 @@ func readSegmentRange(meta segmentMeta, m *metrics, from, n int) ([]sketch.Publi
 }
 
 // lookupSegment finds user id's record for the subset tagged tag in one
-// segment: the run directory, a binary search of the run's block first-ids
-// — both in memory, so a subset or an id range the segment does not hold
-// costs no read — and a one-block read.
+// segment, of the shortest length it holds one at: the run directory, a
+// binary search of a run's block first-ids — both in memory, so a subset
+// or an id range the segment does not hold costs no read — and a
+// one-block read.
 func lookupSegment(meta segmentMeta, m *metrics, id bitvec.UserID, tag string) (sketch.Published, bool, error) {
 	x := meta.idx
-	r, ok := x.find(tag)
-	if !ok {
-		return sketch.Published{}, false, nil
+	for _, r := range x.find(tag) {
+		blocks := x.firstIDs[r.block0 : r.block0+r.blocks()]
+		// The last block starting at or below id; an id below the run's
+		// first is absent.
+		b := sort.Search(len(blocks), func(i int) bool { return blocks[i] > id }) - 1
+		if b < 0 {
+			continue
+		}
+		f, err := os.Open(meta.path)
+		if err != nil {
+			return sketch.Published{}, false, err
+		}
+		if m != nil {
+			m.indexSeeks.Inc()
+		}
+		lo := b * segBlockRecords
+		_, block, err := readBlocks(f, x, r, lo, min(r.count, lo+segBlockRecords), nil, sketch.Words{})
+		f.Close()
+		if err != nil {
+			return sketch.Published{}, false, err
+		}
+		if i, ok := block.IDs.Find(id); ok {
+			return block.Record(i), true, nil
+		}
 	}
-	blocks := x.firstIDs[r.block0 : r.block0+r.blocks()]
-	// The last block starting at or below id; an id below the run's first
-	// is absent.
-	b := sort.Search(len(blocks), func(i int) bool { return blocks[i] > id }) - 1
-	if b < 0 {
-		return sketch.Published{}, false, nil
-	}
-	f, err := os.Open(meta.path)
-	if err != nil {
-		return sketch.Published{}, false, err
-	}
-	defer f.Close()
-	if m != nil {
-		m.indexSeeks.Inc()
-	}
-	lo := b * segBlockRecords
-	_, block, err := readBlocks(f, x, r, lo, min(r.count, lo+segBlockRecords), nil, sketch.Words{})
-	if err != nil {
-		return sketch.Published{}, false, err
-	}
-	i, ok := block.IDs.Find(id)
-	if !ok {
-		return sketch.Published{}, false, nil
-	}
-	return block.Record(i), true, nil
+	return sketch.Published{}, false, nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -101,7 +102,7 @@ func FuzzSegmentIndex(f *testing.F) {
 			corrupted = true
 		}
 		if fixture {
-			runs, old, err := decodeOldSegment(image, "fixture")
+			runs, old, err := decodeAnySegment(image, "fixture")
 			if err != nil {
 				if !corrupted {
 					t.Fatalf("the clean fixture does not convert: %v", err)
@@ -251,7 +252,10 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 // cut short, a whole frame with a flipped bit — replay must not panic,
 // must not allocate beyond what the file's size accounts for, must return
 // exactly the prefix's records and must truncate the file to exactly the
-// prefix.
+// prefix.  Unless what follows opens with a whole, checksum-clean frame
+// whose runs reach a header of whole words before anything malformed: an
+// older binary wrote it, so the serving path refuses it — replay fails
+// with errWholeWords — and cuts nothing, leaving it to the conversion.
 func FuzzWALReplay(f *testing.F) {
 	frame := func(payload []byte) []byte {
 		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
@@ -275,35 +279,48 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint64(10), 3, frame(framePayload(tag, 70, 1, append(append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1}, bytes.Repeat([]byte{1}, 63)...), ones(70)...))))
 	f.Add(uint64(11), 1, frame(framePayload(tag, 2, 1, append([]byte{4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 9}, ones(2)...))))
 	// And frames whose ids are sound and whose words are not: a shape byte
-	// of 0 and one past the widest, a pad bit set, a word of length 31
-	// under whole 35-bit words.
+	// of 0 and one past an older binary's widest whole words, a pad bit
+	// set, a word of length 31 under whole 35-bit words; then whole words
+	// that are sound.  Replay refuses either whole-word frame whole.
 	ids := []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1}
 	f.Add(uint64(12), 2, frame(framePayload(tag, 3, 0, append(bytes.Clone(ids), ones(3)...))))
-	f.Add(uint64(13), 2, frame(framePayload(tag, 3, byte(sketch.MaxShape)+1, append(bytes.Clone(ids), make([]byte, 14)...))))
+	f.Add(uint64(13), 2, frame(framePayload(tag, 3, maxWholeShape+1, append(bytes.Clone(ids), make([]byte, 14)...))))
 	f.Add(uint64(14), 2, frame(framePayload(tag, 3, 1, append(bytes.Clone(ids), 0x0F))))
-	f.Add(uint64(15), 2, frame(framePayload(tag, 3, byte(sketch.MaxShape), append(bytes.Clone(ids), packBits([]uint64{0x21, 0x21, 31}, 35)...))))
+	f.Add(uint64(15), 2, frame(framePayload(tag, 3, maxWholeShape, append(bytes.Clone(ids), packBits([]uint64{0x21, 0x21, 31}, 35)...))))
+	f.Add(uint64(16), 2, frame(framePayload(tag, 3, sketch.MaxLength+14, append(bytes.Clone(ids), packBits([]uint64{0x21, 1<<13 | 0x11, 0x01}, 14)...))))
 	f.Fuzz(func(t *testing.T, seed uint64, windows int, tail []byte) {
 		windows = int(uint(windows) % 12)
 		tail = bytes.Clone(tail) // the fuzzer keeps its inputs
 		prefix, want := fuzzLog(t, seed, windows)
 		// The tail must not open with a whole valid window, or it would
 		// belong to the prefix: the fuzzer may keep every other byte of one.
+		older := false
 		if len(tail) >= walFrameHeader {
 			n := int64(binary.BigEndian.Uint32(tail))
 			if n <= int64(len(tail)-walFrameHeader) && checksum(tail[walFrameHeader:walFrameHeader+n]) == binary.BigEndian.Uint32(tail[4:]) {
-				if _, err := newRunSet().addFrame(tail[walFrameHeader : walFrameHeader+n]); err == nil {
+				payload := tail[walFrameHeader : walFrameHeader+n]
+				if _, err := newRunSet().addFrame(payload); err == nil {
 					tail[4] ^= 0x80
+				} else {
+					older = errors.Is(newRunSet().reserve(payload), errWholeWords)
 				}
 			}
 		}
 		path := filepath.Join(t.TempDir(), walName)
-		if err := os.WriteFile(path, append(prefix, tail...), 0o644); err != nil {
+		image := append(prefix, tail...)
+		if err := os.WriteFile(path, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		w, err := openWAL(path, false, nil)
 		runtime.ReadMemStats(&after)
+		if older {
+			if data, rerr := os.ReadFile(path); !errors.Is(err, errWholeWords) || rerr != nil || !bytes.Equal(data, image) {
+				t.Fatalf("replay of a log ending in an older binary's whole-word frame = %v, the file %d bytes of %d", err, len(data), len(image))
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("replay of a valid prefix and %d more bytes failed: %v", len(tail), err)
 		}

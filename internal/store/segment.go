@@ -15,8 +15,8 @@ import (
 )
 
 // Segment format v5, the only one written or read.  A segment is a
-// shard's runs (run.go) in subset-tag order, ids ascending within each,
-// every record (user, subset) pair at most once:
+// shard's runs (run.go) in (subset tag, length) order, ids ascending
+// within each, every (user, subset, length) at most once:
 //
 //	16 byte header: magic "SKSEG\x00\x00\x05" | 8-byte record count
 //	data area, per run:
@@ -30,7 +30,7 @@ import (
 // All integers are big-endian, every checksum is checksum().  A record
 // costs its id's share of a block — a little over a byte where users were
 // numbered as they enrolled, 8 and 1/64 where ids are hashes — and its
-// sketch in the bits memory holds it in: ℓ bits under one length ℓ, so a
+// sketch in the bits memory holds it in, the ℓ bits of its key, so a
 // block of 64 of the 9-bit sketches of a million-user deployment holds 72
 // bytes of words, a copy of the column's bits (sketch.Words.AppendBits and
 // AppendBitsFrom); block sums add 1/16 byte, and a subset's tag is paid
@@ -48,8 +48,9 @@ import (
 // they touch.  Whatever lies between the data area's end and the footer is
 // skipped; a segment written now has nothing there.
 //
-// A segment of an older format (v3, v4) is rewritten as a v5 one before
-// its shard serves (convertShard), so these readers meet v5 alone.
+// A segment of an older format (v3, v4), or a v5 one holding a run of
+// whole words, is rewritten before its shard serves (convertShard), so
+// these readers meet v5 runs of one length alone.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
@@ -116,7 +117,8 @@ func segmentSize(runs []run) int {
 	return size
 }
 
-// add appends a run: ids strictly ascending, its tag above the last one's.
+// add appends a run: ids strictly ascending, its (tag, length) above the
+// last one's.
 func (w *segWriter) add(r run) {
 	if r.Len() == 0 {
 		return
@@ -240,7 +242,9 @@ func decodeBlock(src []byte, m int, shape sketch.Shape, ids *sketch.IDBuilder, k
 // walkSegment validates an image's data area — trusting nothing but the
 // bytes it is reading — and returns the index the area implies.  Every
 // record is decoded, so a segment Open accepted holds only well-formed,
-// checksum-clean, correctly ordered records.
+// checksum-clean, correctly ordered records.  A checksum-clean run header
+// of whole words — an older binary's column that met two lengths — fails
+// it with errWholeWords, for Open to convert the shard.
 func walkSegment(data []byte, path string) (*segIndex, error) {
 	corrupt := func(format string, args ...any) (*segIndex, error) {
 		return nil, fmt.Errorf("%w: %s %s", ErrSegmentCorrupt, path, fmt.Sprintf(format, args...))
@@ -265,6 +269,9 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	off, total := segHeaderSize, 0
 	for off < len(area) {
 		h, err := parseRunHeader(area[off:])
+		if errors.Is(err, errWholeWords) && len(area)-off-h.size >= 4 && checksum(area[off:off+h.size]) == binary.BigEndian.Uint32(area[off+h.size:]) {
+			return nil, fmt.Errorf("%s at offset %d: %w", path, off, err)
+		}
 		if err != nil {
 			return corrupt("at offset %d: %v", off, err)
 		}
@@ -273,7 +280,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 			return corrupt("run header at offset %d fails checksum", off)
 		}
 		tag := string(h.tag)
-		if n := len(idx.runs); n > 0 && tag <= idx.runs[n-1].tag {
+		if n := len(idx.runs); n > 0 && (tag < idx.runs[n-1].tag || tag == idx.runs[n-1].tag && h.shape <= idx.runs[n-1].shape) {
 			return corrupt("run at offset %d is out of subset order", off)
 		}
 		subset, err := bitvec.ParseTag(h.tag)

@@ -98,14 +98,16 @@ func (s Stats) Segments() int {
 	return n
 }
 
-// recordKey identifies the (user, subset) pair deduplication works over.
+// recordKey identifies what deduplication works over: a (user, subset)
+// pair's record of one sketch length.
 type recordKey struct {
 	id     bitvec.UserID
 	subset string
+	length int
 }
 
 func keyOf(p sketch.Published) recordKey {
-	return recordKey{id: p.ID, subset: p.Subset.Key()}
+	return recordKey{id: p.ID, subset: p.Subset.Key(), length: p.S.Length}
 }
 
 // Mem is an in-memory Store: the same interface and deduplication
@@ -124,8 +126,8 @@ func NewMem() *Mem {
 }
 
 // AppendBatch implements Store; an in-memory append cannot fail.
-// Re-appending a (user, subset) pair overwrites the previous record,
-// matching the durable store's newest-wins merge.
+// Re-appending a (user, subset) pair at a length overwrites its previous
+// record of that length, matching the durable store's newest-wins merge.
 func (m *Mem) AppendBatch(ps []sketch.Published) ([]int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

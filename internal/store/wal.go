@@ -20,13 +20,14 @@ import (
 //	4 bytes big-endian payload length
 //	4 bytes big-endian checksum of the payload
 //	payload: 4 bytes big-endian run count, then the group's runs whole
-//	         (run.go): records stably grouped by subset, each group in
+//	         (run.go): records stably grouped by subset and length, each
+//	         group in
 //	         arrival order under its subset's tag written once, its ids
 //	         as an id column — a batch of users numbered as they enrolled
 //	         ascends and costs a byte an id, a group that does not is
 //	         written raw, and a lone record's frame is a byte longer than
 //	         its 8-byte id made it — and its words as a segment block holds
-//	         them, ℓ bits a key under one length, ⌈count·ℓ/8⌉ bytes
+//	         them, ℓ bits a key, ⌈count·ℓ/8⌉ bytes
 //
 // A commit window is its groups' frames back to back: one write(2), one
 // fsync, one outcome for every record in it.  The frame, not the window,
@@ -47,7 +48,7 @@ const (
 )
 
 // maxRecordSize bounds one record, which in practice bounds its subset
-// tag: an id and a sketch are at most 8 bytes and 35 bits.
+// tag: an id and a sketch's key are at most 8 bytes and 30 bits.
 const maxRecordSize = wire.MaxFrameSize
 
 var (
@@ -80,14 +81,14 @@ type wal struct {
 
 	// Reused across appends: the window's frames being assembled, and per
 	// frame its runs' layout, each record's run within it, the records' ids
-	// gathered run by run, and the tag → run index a frame needs once it
-	// names a second subset.
+	// gathered run by run, and the (tag, length) → run index a frame needs
+	// once it names a second subset or length.
 	frame  []byte
 	slots  []uint32
 	layout []frameRun
 	ids    []bitvec.UserID
 	runOf  map[string]int
-	tagBuf []byte
+	keyBuf []byte
 	// one and oneGroup are the single-record group and the single-group
 	// window Append and AppendBatch wrap around appendWindow, keeping the
 	// lone-writer path allocation-free; both are empty between calls.
@@ -110,11 +111,11 @@ type wal struct {
 	broken bool
 }
 
-// frameRun is one subset's share of the group being framed.
+// frameRun is one subset and length's share of the group being framed.
 type frameRun struct {
 	subset bitvec.Subset
 	count  int
-	shape  sketch.Shape // the Join of its sketches' shapes
+	shape  sketch.Shape // its sketches' length
 	// Set once the group is counted and the frame laid out: where the run's
 	// ids start among those gathered, how many are placed, and the writer of
 	// its word column in the frame.
@@ -144,7 +145,9 @@ func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
 // checksum mismatch, a payload that is not a sequence of runs — marks the
 // end of the valid prefix: the windows before it are kept and everything
 // from it on is cut off, which is exactly the state a crash mid-append
-// leaves behind.
+// leaves behind.  A whole frame holding a run of whole words, which an
+// older binary wrote, is no such violation: replay fails with
+// errWholeWords, cutting nothing, and Open converts the shard.
 func (w *wal) replay() error {
 	info, err := w.f.Stat()
 	if err != nil {
@@ -163,7 +166,10 @@ func (w *wal) replay() error {
 		return fmt.Errorf("store: %s is not a v5 log", w.path)
 	}
 	set := newRunSet()
-	valid, records := scanLog(data, set)
+	valid, records, err := scanLog(data, set)
+	if err != nil {
+		return fmt.Errorf("store: replaying %s: %w", w.path, err)
+	}
 	if valid != size {
 		if err := w.f.Truncate(valid); err != nil {
 			return fmt.Errorf("store: truncating torn wal tail of %s: %w", w.path, err)
@@ -200,17 +206,22 @@ func (w *wal) readLog(size int64) ([]byte, error) {
 // scanLog decodes a log image into set and returns the length of its
 // valid prefix — the magic and every whole, checksum-clean, well-formed
 // frame after it — and the records that prefix holds.  What follows the
-// prefix is not an error: it is what a crash mid-append leaves.  Nothing
-// is allocated by a length field: the image bounds every frame, and the
-// columns are sized by a first pass over the frames' run headers, each
-// count checked against the bytes its columns occupy.
-func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
+// prefix is not an error: it is what a crash mid-append leaves.  A whole
+// frame holding a run of whole words is: scanLog fails with errWholeWords.
+// Nothing is allocated by a length field: the image
+// bounds every frame, and the columns are sized by a first pass over the
+// frames' run headers, each count checked against the bytes its columns
+// occupy.
+func scanLog(data []byte, set *runSet) (valid int64, records uint64, err error) {
 	if !bytes.HasPrefix(data, walMagic[:]) {
-		return 0, 0
+		return 0, 0, nil
 	}
-	end := eachFrame(data, len(data), set.reserve)
+	end, err := eachFrame(data, len(data), set.reserve)
+	if errors.Is(err, errWholeWords) {
+		return 0, 0, err
+	}
 	set.grow()
-	end = eachFrame(data, end, func(payload []byte) error {
+	end, _ = eachFrame(data, end, func(payload []byte) error {
 		// A frame that was intact but holds no valid runs was fully written
 		// yet malformed, which atomic appends never produce.  Still the end
 		// of the valid prefix rather than a failed recovery.
@@ -218,13 +229,13 @@ func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
 		records += uint64(n)
 		return err
 	})
-	return int64(end), records
+	return int64(end), records, nil
 }
 
 // eachFrame calls fn with the payload of each whole, checksum-clean frame
 // of a log image after its magic, up to end, and returns where the first
-// one that is neither — or that fn refuses — starts.
-func eachFrame(data []byte, end int, fn func(payload []byte) error) int {
+// one that is neither — or that fn refuses, with fn's error — starts.
+func eachFrame(data []byte, end int, fn func(payload []byte) error) (int, error) {
 	off := len(walMagic)
 	for end-off >= walFrameHeader {
 		n := int64(binary.BigEndian.Uint32(data[off:]))
@@ -232,12 +243,15 @@ func eachFrame(data []byte, end int, fn func(payload []byte) error) int {
 			break
 		}
 		payload := data[off+walFrameHeader : off+walFrameHeader+int(n)]
-		if checksum(payload) != binary.BigEndian.Uint32(data[off+4:]) || fn(payload) != nil {
+		if checksum(payload) != binary.BigEndian.Uint32(data[off+4:]) {
 			break
+		}
+		if err := fn(payload); err != nil {
+			return off, err
 		}
 		off += walFrameHeader + int(n)
 	}
-	return off
+	return off, nil
 }
 
 // eachRun calls fn with the header and the columns of each run of a frame
@@ -271,21 +285,23 @@ func eachRun(payload []byte, fn func(h runHeader, columns []byte, idsLen int) er
 	return nil
 }
 
-// reserve notes how many records a frame will add to each subset's run.
+// reserve notes how many records a frame will add to each run.  The frame
+// is checksum-clean, so a run header of whole words in it (errWholeWords)
+// is what an older binary wrote, not a torn append.
 func (s *runSet) reserve(payload []byte) error {
 	return eachRun(payload, func(h runHeader, _ []byte, _ int) error {
-		r, err := s.runFor(h.tag)
+		r, err := s.runFor(h.tag, h.shape)
 		if err != nil {
 			return err
 		}
-		r.reserved, r.shape = r.reserved+h.count, r.shape.Join(h.shape)
+		r.reserved += h.count
 		return nil
 	})
 }
 
 // grow makes room in every run for the records reserved for it.
 func (s *runSet) grow() {
-	for _, r := range s.byTag {
+	for _, r := range s.byKey {
 		r.ids = slices.Grow(r.ids, r.reserved)
 		r.keys = sketch.MakeWords(r.shape, 0, r.keys.Len()+r.reserved).AppendWords(r.keys)
 		r.reserved = 0
@@ -297,7 +313,7 @@ func (s *runSet) grow() {
 func (s *runSet) addFrame(payload []byte) (records int, err error) {
 	s.marks = s.marks[:0]
 	err = eachRun(payload, func(h runHeader, columns []byte, idsLen int) error {
-		r, err := s.runFor(h.tag)
+		r, err := s.runFor(h.tag, h.shape)
 		if err != nil {
 			return err
 		}
@@ -319,9 +335,9 @@ func (s *runSet) addFrame(payload []byte) (records int, err error) {
 	return records, nil
 }
 
-// runs returns the log's records as normalized runs: one per subset in
-// tag order, ids ascending, the newest append winning a repeated (user,
-// subset) pair.  It decodes log[0:size) unless the runs of the last decode
+// runs returns the log's records as normalized runs: one per subset and
+// length in that order, ids ascending, the newest append winning a
+// repeated (user, subset, length).  It decodes log[0:size) unless the runs of the last decode
 // are still kept.  The runs are shared and immutable; they hold exactly
 // the acknowledged records — bytes a failed append left past size are
 // never read.
@@ -334,7 +350,11 @@ func (w *wal) runs() ([]run, error) {
 		return nil, fmt.Errorf("store: decoding %s: %w", w.path, err)
 	}
 	set := newRunSet()
-	if valid, records := scanLog(data, set); valid != w.size || records != w.records {
+	valid, records, err := scanLog(data, set)
+	if err != nil {
+		return nil, fmt.Errorf("store: decoding %s: %w", w.path, err)
+	}
+	if valid != w.size || records != w.records {
 		return nil, fmt.Errorf("store: decoding %s: %d of its %d acknowledged bytes (%d of %d records) are whole frames", w.path, valid, w.size, records, w.records)
 	}
 	if w.m != nil {
@@ -377,43 +397,44 @@ func checkRecords(ps []sketch.Published) error {
 
 // windowBytes is about what the group ps adds to a commit window, for the
 // committer's size cap: its columns with the ids raw and each sketch in
-// the bytes of its Pack word, and a run header wherever the subset changes
-// (the frame writes a subset's header once, codes ids that ascend and
-// writes a key of one length in ℓ bits, so this is an upper estimate).
+// the bytes of its Pack word, and a run header wherever the subset or the
+// length changes (the frame writes a run's header once, codes ids that
+// ascend and writes a key in ℓ bits, so this is an upper estimate).
 func windowBytes(ps []sketch.Published) int {
 	n := 0
 	for i := range ps {
 		n += 8 + (ps[i].S.Length+5+7)/8
-		if i == 0 || !ps[i].Subset.Equal(ps[i-1].Subset) {
+		if i == 0 || !ps[i].Subset.Equal(ps[i-1].Subset) || ps[i].S.Length != ps[i-1].S.Length {
 			n += runHeaderFixed + ps[i].Subset.TagLen()
 		}
 	}
 	return n
 }
 
-// slotFor returns the index of subset b's run in the group being framed,
-// starting the run if b is new to the group.
-func (w *wal) slotFor(b bitvec.Subset) int {
+// slotFor returns the index of the run of subset b at shape in the group
+// being framed, starting the run if the pair is new to the group.
+func (w *wal) slotFor(b bitvec.Subset, shape sketch.Shape) int {
 	if len(w.layout) == 0 {
-		w.layout = append(w.layout, frameRun{subset: b})
+		w.layout = append(w.layout, frameRun{subset: b, shape: shape})
 		return 0
 	}
 	if len(w.runOf) == 0 {
-		// The group's second subset: the tag index starts with its first.
-		w.runOf[string(w.layout[0].subset.AppendTag(w.tagBuf[:0]))] = 0
+		// The group's second run: the index starts with its first.
+		first := &w.layout[0]
+		w.runOf[string(append(first.subset.AppendTag(w.keyBuf[:0]), byte(first.shape)))] = 0
 	}
-	w.tagBuf = b.AppendTag(w.tagBuf[:0])
-	if i, ok := w.runOf[string(w.tagBuf)]; ok {
+	w.keyBuf = append(b.AppendTag(w.keyBuf[:0]), byte(shape))
+	if i, ok := w.runOf[string(w.keyBuf)]; ok {
 		return i
 	}
-	w.layout = append(w.layout, frameRun{subset: b})
-	w.runOf[string(w.tagBuf)] = len(w.layout) - 1
+	w.layout = append(w.layout, frameRun{subset: b, shape: shape})
+	w.runOf[string(w.keyBuf)] = len(w.layout) - 1
 	return len(w.layout) - 1
 }
 
 // appendFrame appends to buf the frame of one appended group: its records
-// stably grouped into runs, each run's subset in order of first
-// appearance and its records in arrival order.
+// stably grouped into runs of one subset and length each, in order of
+// first appearance, and its records in arrival order.
 func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 	w.layout, w.slots = w.layout[:0], w.slots[:0]
 	if len(w.runOf) > 0 {
@@ -421,12 +442,10 @@ func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 	}
 	cur := -1
 	for i := range ps {
-		if cur < 0 || !ps[i].Subset.Equal(w.layout[cur].subset) {
-			cur = w.slotFor(ps[i].Subset)
+		if shape := sketch.Shape(ps[i].S.Length); cur < 0 || shape != w.layout[cur].shape || !ps[i].Subset.Equal(w.layout[cur].subset) {
+			cur = w.slotFor(ps[i].Subset, shape)
 		}
-		r := &w.layout[cur]
-		r.count++
-		r.shape = r.shape.Join(sketch.ShapeOf(ps[i].S.Pack()))
+		w.layout[cur].count++
 		w.slots = append(w.slots, uint32(cur))
 	}
 

@@ -198,14 +198,13 @@ func TestWALKeepsNoRecordsAcrossAppends(t *testing.T) {
 func TestWALWindowGroupsRunsStably(t *testing.T) {
 	b, b2 := bitvec.MustSubset(0, 3), bitvec.MustSubset(2)
 	older := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1, Length: 10}}
-	newer := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1 << 29, Length: 30}}
+	newer := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1<<10 - 1, Length: 10}}
 	window := []sketch.Published{testRecord(9, b2), older, testRecord(3, b2), testRecord(8, b), newer}
 	frame := windowFrame(t, window...)
 	// One frame: 4+4 header, run count, then b2's run (first seen) and b's,
 	// neither in id order, so each one raw block: a width byte and 8-byte
-	// ids.  b2's two 10-bit keys take 20 bits; b's lengths differ, so its
-	// three words are whole 35-bit Pack words, the widest's bits.
-	wantLen := walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 1 + 2*8 + (2*10+7)/8) + (runHeaderFixed + b.TagLen() + 1 + 3*8 + (3*35+7)/8)
+	// ids.  b2's two 10-bit keys take 20 bits, b's three 30.
+	wantLen := walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 1 + 2*8 + (2*10+7)/8) + (runHeaderFixed + b.TagLen() + 1 + 3*8 + (3*10+7)/8)
 	if len(frame) != wantLen {
 		t.Fatalf("window frame is %d bytes, want %d", len(frame), wantLen)
 	}

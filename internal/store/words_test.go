@@ -121,6 +121,13 @@ func sameSketches(t *testing.T, what string, k sketch.Words, want []sketch.Sketc
 	}
 }
 
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
 // framePayload is the payload of a log frame holding one run: the columns
 // cols of n records of tag's subset, under the header byte given.
 func framePayload(tag string, n int, header byte, cols []byte) []byte {
@@ -130,20 +137,24 @@ func framePayload(tag string, n int, header byte, cols []byte) []byte {
 
 // FuzzColumnWords drives one table column and the store's run machinery
 // with an op stream read from the fuzzer's bytes, against a map: inserts,
-// ingested batches and loaded runs of sketches whose packed words
-// are 1 to 5 bytes wide, in any mixture, so the column and every run on the
-// way are re-encoded wider at arbitrary points.  A batch repeats users
-// within itself and re-publishes held ones, now and then with another
-// sketch, which stops its admission there.  A loaded run is gathered the way a
-// log's frames are (arrival order, repeats, newest wins), sorted, deduplicated
+// ingested batches and loaded runs of sketches of the column's one length
+// — the seed picks it, 1 to 30 bits — and, one in eight, of a foreign
+// length, which is refused: by AddNew, by a batch, which stops its
+// admission there, by a loaded run whole, and by a log's run set gathering
+// it beside the column's.  Only a column that holds nothing yet takes the
+// length its first record brings.  A batch repeats users within itself
+// and re-publishes held ones, now and then with another sketch, which
+// stops its admission there too.  A loaded run is gathered the way a log's
+// frames are (arrival order, repeats, newest wins), sorted, deduplicated
 // and handed to the table for keeps.  Throughout, the column must read as
 // the map does; and written as a run its bytes must be the ones the format
-// says (referenceColumns), decode back to the same column — from a v4
-// frame and from v3 columns, also onto words of another shape, also split
-// and merged — and, loaded into an empty table, read the same again.  The
-// words themselves are driven on the way: a column of one length meets
-// another and is re-encoded, slices cut at any bit are appended to columns
-// ending at any other, and Set and Swap write single words.
+// says (referenceColumns), decode back to the same column — from a v5
+// frame and, through the conversion's reader, from v3 and v4 columns and
+// from an older v5 binary's whole words — also split and merged — and,
+// loaded into an empty table, read the same again.  The words themselves
+// are driven on the way: slices cut at any bit are appended to columns
+// ending at any other, Set and Swap write single words, and a column
+// refuses a word, a column or a disk column of another length.
 func FuzzColumnWords(f *testing.F) {
 	// FuzzWALReplay's corpus, for what its bytes do as ops, and streams that
 	// widen a column step by step and back-load narrow runs under wide ones.
@@ -161,7 +172,7 @@ func FuzzColumnWords(f *testing.F) {
 	f.Add(uint64(7), 6, walMagic[:])
 	f.Add(uint64(8), 40, []byte{0x00, 0x08, 0x10, 0x06, 0x20, 0x28, 0x06, 0x40, 0x48, 0x07, 0x60, 0x68, 0x06, 0x80, 0x88, 0x07, 0xA0, 0xC0, 0xC8, 0x07})
 	f.Add(uint64(9), 90, []byte{0xC4, 0xC5, 0x04, 0x05, 0x07, 0x03, 0x0B, 0x13, 0x24, 0x45, 0x07, 0x84, 0xA5, 0x06, 0x07})
-	lengths := [8]int{1, 8, 9, 16, 17, 24, 30, 9}
+	lengths := [7]int{1, 8, 9, 16, 17, 24, 30}
 	b := bitvec.MustSubset(0, 3, 5)
 	f.Fuzz(func(t *testing.T, seed uint64, extra int, ops []byte) {
 		// The bytes pick each op and its sketch length; extra ops follow
@@ -173,11 +184,19 @@ func FuzzColumnWords(f *testing.F) {
 			ops[i] = byte(x)
 		}
 		tab, oracle := sketch.NewTable(), make(map[bitvec.UserID]sketch.Sketch)
+		// base is the length the op stream gives its records; the column's,
+		// colLen, is the length of the first record it took, 0 before.
+		base, colLen := lengths[seed%uint64(len(lengths))], 0
+		foreign := base%sketch.MaxLength + 1
 		record := func(c byte) sketch.Published {
 			x = splitmix64(x)
-			length := lengths[c>>5]
+			length := base
+			if c>>5 == 7 {
+				length = foreign
+			}
 			return sketch.Published{ID: bitvec.UserID(x % 211), Subset: b, S: sketch.Sketch{Key: x >> 20 % (1 << uint(length)), Length: length}}
 		}
+		admits := func(length int) bool { return colLen == 0 || length == colLen }
 		sorted := func() []sketch.Published {
 			out := make([]sketch.Published, 0, len(oracle))
 			for id, s := range oracle {
@@ -205,24 +224,17 @@ func FuzzColumnWords(f *testing.F) {
 			}
 			runs := testRuns(want)
 			ids, keys := runs[0].IDs.AppendTo(nil), runs[0].Keys
-			whole := 0
-			if keys.Shape() > sketch.MaxLength {
-				whole = keys.Shape().Bits()
-			}
-			wantIDs, wantWords, wantShape := referenceColumns(want, 5, whole)
+			wantIDs, wantWords, wantShape := referenceColumns(want, 5, 0)
 			written := keys.AppendBits(sketch.AppendIDBlocks(nil, ids))
 			if keys.Shape() != sketch.Shape(wantShape) || !bytes.Equal(written, append(bytes.Clone(wantIDs), wantWords...)) {
 				t.Fatalf("%d records are written at shape %d as %x, want shape %d, %x%x", len(want), keys.Shape(), written, wantShape, wantIDs, wantWords)
 			}
-			// The log writes the records' frame from the sketches themselves,
-			// whole words at a width of its own choosing.
+			// The log writes the records' frame from the sketches themselves.
 			frame, err := (&wal{runOf: make(map[string]int)}).appendFrame(nil, want)
 			if err != nil {
 				t.Fatal(err)
 			}
-			frameShape := int(frame[walFrameHeader+4+runHeaderFixed+len(b.Key())-1])
-			frameIDs, frameWords, refShape := referenceColumns(want, 5, max(0, frameShape-sketch.MaxLength))
-			if payload := framePayload(b.Key(), len(want), refShape, append(frameIDs, frameWords...)); !bytes.Equal(frame[walFrameHeader:], payload) {
+			if payload := framePayload(b.Key(), len(want), wantShape, append(bytes.Clone(wantIDs), wantWords...)); !bytes.Equal(frame[walFrameHeader:], payload) {
 				t.Fatalf("the log frames %d records as %x; want %x", len(want), frame[walFrameHeader:], payload)
 			}
 			set := newRunSet()
@@ -233,64 +245,72 @@ func FuzzColumnWords(f *testing.F) {
 			runOf := func(ids []bitvec.UserID, keys sketch.Words) sketch.Run {
 				return sketch.Run{Subset: b, IDs: sketch.MakeIDs(ids), Keys: keys}
 			}
-			// What a v3 or a v4 file holds of them, through the one reader
-			// of the older formats left.
-			var gotIDs []bitvec.UserID
-			var gotKeys sketch.Words
-			for _, format := range []int{3, 4} {
-				oldIDs, oldWords, width := referenceColumns(want, format, 0)
-				var size int
-				var err error
-				gotIDs, gotKeys, size, err = decodeOldColumns(append(oldIDs, oldWords...), len(want), int(width), format == 3, nil, sketch.Words{})
-				if err != nil || size != len(oldIDs)+len(oldWords) {
-					t.Fatalf("the v%d columns decode %d of their %d bytes, %v", format, size, len(oldIDs)+len(oldWords), err)
-				}
-				same(fmt.Sprintf("the decoded v%d run", format), runOf(gotIDs, gotKeys).AppendTo(nil), want)
-			}
+			// What a v3 or a v4 file holds of them, and an older v5 binary's
+			// whole words of them beside a record of another length, through
+			// the conversion's reader, which splits a subset by length.
 			wantSketches := make([]sketch.Sketch, len(want))
 			for i, p := range want {
 				wantSketches[i] = p.S
 			}
-			// Onto a column of every other shape — one length, or whole words —
-			// holding a word that must read as it did: the v5 words through
-			// the checked copy, the v4 ones through the older reader.
-			_, v4Words, v4Width := referenceColumns(want, 4, 0)
-			for _, length := range []int{1, 9, 16, 30} {
-				first := sketch.Sketch{Key: x % (1 << uint(length)), Length: length}
-				for _, shape := range []sketch.Shape{sketch.ShapeOf(first.Pack()), sketch.ShapeOf(first.Pack()).Join(sketch.ShapeOf(sketch.Sketch{Length: 31 - length}.Pack()))} {
-					onto, err := sketch.MakeWords(shape, 0, 1).Append(first.Pack()).AppendBitsFrom(wantWords, sketch.Shape(wantShape), len(want))
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameSketches(t, "the v5 words decoded onto other words", onto, append([]sketch.Sketch{first}, wantSketches...))
-					if onto, err = appendEncoded(sketch.MakeWords(shape, 0, 1).Append(first.Pack()), v4Words, int(v4Width)); err != nil {
-						t.Fatal(err)
-					}
-					sameSketches(t, "the v4 words decoded onto other words", onto, append([]sketch.Sketch{first}, wantSketches...))
+			columnsOf := func(format int, records []sketch.Published) ([]bitvec.UserID, []uint64) {
+				t.Helper()
+				oldIDs, oldWords, code := referenceColumns(records, format, 0)
+				gotIDs, gotWords, size, err := decodeAnyColumns(append(oldIDs, oldWords...), len(records), format, int(code), nil, nil)
+				if err != nil || size != len(oldIDs)+len(oldWords) {
+					t.Fatalf("the v%d columns of shape %d decode %d of their %d bytes, %v", format, code, size, len(oldIDs)+len(oldWords), err)
 				}
+				return gotIDs, gotWords
 			}
-			// A column of one length that meets another is re-encoded, every
-			// earlier sketch as it was, and so is one that meets a column of
-			// another shape; the column it grew from reads as before.
-			length := want[0].S.Length
-			var single sketch.Words
-			model := make([]sketch.Sketch, 0, 2*len(want)+1)
-			for _, p := range want {
-				s := sketch.Sketch{Key: p.S.Key % (1 << uint(length)), Length: length}
-				single, model = single.Append(s.Pack()), append(model, s)
+			splitLengths := func(ids []bitvec.UserID, words []uint64) []run {
+				set := newRunSet()
+				addWords(set, b, ids, words)
+				return set.normalized()
 			}
-			foreign := sketch.Sketch{Key: x % 2, Length: length%sketch.MaxLength + 1}
-			grown := single.Append(foreign.Pack())
-			if single.Shape() != sketch.ShapeOf(model[0].Pack()) || grown.Shape() == single.Shape() {
-				t.Fatalf("a column of %d-bit sketches has shape %d, and %d after a %d-bit one", length, single.Shape(), grown.Shape(), foreign.Length)
+			for _, format := range []int{3, 4} {
+				split := splitLengths(columnsOf(format, want))
+				same(fmt.Sprintf("the decoded v%d run", format), flatten(split), want)
 			}
-			sameSketches(t, "the column of one length", single, model)
-			model = append(model, foreign)
-			sameSketches(t, "the column that met another length", grown, model)
-			sameSketches(t, "the column that met another shape", grown.AppendWords(gotKeys), append(model, wantSketches...))
+			x = splitmix64(x)
+			odd := sketch.Published{ID: want[len(want)-1].ID + 1 + bitvec.UserID(x%3), Subset: b, S: sketch.Sketch{Key: x % 2, Length: want[0].S.Length%sketch.MaxLength + 1}}
+			mixed := append(slices.Clone(want), odd)
+			if _, _, code := referenceColumns(mixed, 5, 0); code <= sketch.MaxLength {
+				t.Fatalf("%d records of two lengths are written at shape %d", len(mixed), code)
+			}
+			split := splitLengths(columnsOf(5, mixed))
+			byLength := make(map[int][]sketch.Published)
+			for _, p := range mixed {
+				byLength[p.S.Length] = append(byLength[p.S.Length], p)
+			}
+			if len(split) != 2 {
+				t.Fatalf("whole words of two lengths split into %d runs", len(split))
+			}
+			for _, r := range split {
+				same(fmt.Sprintf("the %d-bit part of the whole words", r.Keys.Shape()), flatten([]run{r}), byLength[int(r.Keys.Shape())])
+			}
+			gotIDs, gotKeys := ids, keys
+			// The v5 words through the checked copy: onto an empty column
+			// and onto one of their length holding a word, which must read
+			// as it did; a column of another length refuses them, and a
+			// word and a column of another length, as it was.
+			first := sketch.Sketch{Key: x % (1 << uint(colLen)), Length: colLen}
+			onto, err := sketch.MakeWords(sketch.Shape(colLen), 0, 1).Append(first.Pack()).AppendBitsFrom(wantWords, sketch.Shape(wantShape), len(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSketches(t, "the v5 words decoded onto words of their length", onto, append([]sketch.Sketch{first}, wantSketches...))
+			if onto, err = (sketch.Words{}).AppendBitsFrom(wantWords, sketch.Shape(wantShape), len(want)); err != nil {
+				t.Fatal(err)
+			}
+			sameSketches(t, "the v5 words decoded onto an empty column", onto, wantSketches)
+			other := sketch.Words{}.Append(odd.S.Pack())
+			if got, err := other.AppendBitsFrom(wantWords, sketch.Shape(wantShape), len(want)); err == nil || got.Len() != 1 {
+				t.Fatalf("a column of %d-bit sketches took %d-bit ones from disk: %d words, %v", odd.S.Length, colLen, got.Len(), err)
+			}
+			if !panics(func() { gotKeys.Clone().Append(odd.S.Pack()) }) || !panics(func() { other.AppendWords(gotKeys) }) {
+				t.Fatalf("a column of %d-bit sketches took a %d-bit one", colLen, odd.S.Length)
+			}
 			// Slices cut at any bit, also of a slice, appended 64 bits at a
-			// time into columns ending at other bits, of the same shape or
-			// another.
+			// time into columns ending at other bits and empty ones.
 			for k := 0; k < 4; k++ {
 				x = splitmix64(x)
 				lo := int(x % uint64(len(want)+1))
@@ -301,7 +321,7 @@ func FuzzColumnWords(f *testing.F) {
 				}
 				into := int(x >> 32 % uint64(len(want)+1))
 				sameSketches(t, "a slice appended to a slice", gotKeys.Slice(into/3, into).Clone().AppendWords(part), append(slices.Clone(wantSketches[into/3:into]), partModel...))
-				sameSketches(t, "a slice appended to another shape", grown.Slice(into/3, into).Clone().AppendWords(part), append(slices.Clone(model[into/3:into]), partModel...))
+				sameSketches(t, "a slice appended to an empty column", sketch.Words{}.AppendWords(part), partModel)
 				sameSketches(t, "the slice", part, partModel)
 			}
 			// Set and Swap write a word's bits and no other's.
@@ -333,11 +353,12 @@ func FuzzColumnWords(f *testing.F) {
 			switch c & 7 {
 			case 2:
 				// An ingested batch of up to 48 arrivals (every fourth 64
-				// more, enough to merge into the column), of the byte's mixed
-				// widths: an arrival whose pair the column or an earlier
+				// more, enough to merge into the column), of the byte's
+				// lengths: an arrival whose pair the column or an earlier
 				// arrival holds re-publishes that sketch, but for one in
 				// eight, a conflict.  The map admits in input order and
-				// stops at the first conflict.
+				// stops at the first conflict or foreign length — not the
+				// column's, or for an empty column the first arrival's.
 				n := 1 + int(c>>3)%48
 				if c&0x18 == 0x18 {
 					n += 64
@@ -358,9 +379,12 @@ func FuzzColumnWords(f *testing.F) {
 					batch[i] = p
 				}
 				admitted, refused := 0, false
+				if colLen == 0 {
+					colLen = batch[0].S.Length
+				}
 				for _, p := range batch {
 					held, had := oracle[p.ID]
-					if had && held != p.S {
+					if (had && held != p.S) || !admits(p.S.Length) {
 						refused = true
 						break
 					}
@@ -368,6 +392,9 @@ func FuzzColumnWords(f *testing.F) {
 						oracle[p.ID] = p.S
 						admitted++
 					}
+				}
+				if len(oracle) == 0 {
+					colLen = 0
 				}
 				bt, err := tab.Probe(batch)
 				if (err != nil) != refused || bt.Len() != admitted {
@@ -380,15 +407,23 @@ func FuzzColumnWords(f *testing.F) {
 				p := record(c)
 				held, had := oracle[p.ID]
 				existing, added, err := tab.AddNew(&p)
+				if !admits(p.S.Length) {
+					if added || !errors.Is(err, sketch.ErrForeignLength) {
+						t.Fatalf("AddNew(%+v) of a foreign length onto %d-bit sketches = (%v, %v)", p, colLen, added, err)
+					}
+					break
+				}
 				if err != nil || added == had || (had && existing != held) {
 					t.Fatalf("AddNew(%+v) = (%v, %v, %v), the map held (%v, %v)", p, existing, added, err, held, had)
 				}
 				if added {
-					oracle[p.ID] = p.S
+					oracle[p.ID], colLen = p.S, p.S.Length
 				}
 			case 4, 5:
-				// A run as a log yields it: up to 48 arrivals, the newest
-				// winning a repeated user, sorted.  Every fourth is long
+				// A run as a log yields it: up to 48 arrivals of the byte's
+				// length, the newest winning a repeated user, sorted — an
+				// arrival of another length is a run of its own, which the
+				// table refuses if it holds the first.  Every fourth is long
 				// enough (64 and up) for the radix sort.
 				n := 1 + int(c>>3)%48
 				if c&0x18 == 0x18 {
@@ -396,22 +431,43 @@ func FuzzColumnWords(f *testing.F) {
 				}
 				set, newest := newRunSet(), make(map[bitvec.UserID]sketch.Sketch)
 				for i := 0; i < n; i++ {
-					p := record(c + byte(i)<<5)
+					p := record(c)
 					set.add(p)
 					newest[p.ID] = p.S
 				}
+				stray := record(c ^ 0xE0)
+				if stray.S.Length = foreign; c>>5 == 7 {
+					stray.S.Length = base
+				}
+				stray.S.Key %= 1 << uint(stray.S.Length)
+				set.add(stray)
 				runs := set.normalized()
-				if len(runs) != 1 || runs[0].Len() != len(newest) || !sketch.Ascends(runs[0].IDs.AppendTo(nil)) {
-					t.Fatalf("%d arrivals of %d users normalize to %d runs, the first of %d records", n, len(newest), len(runs), runs[0].Len())
+				if len(runs) != 2 || runs[0].Keys.Shape() >= runs[1].Keys.Shape() {
+					t.Fatalf("%d arrivals and a stray of another length normalize to %d runs", n, len(runs))
+				}
+				if int(runs[0].Keys.Shape()) == stray.S.Length {
+					runs = runs[1:]
+				} else {
+					runs = runs[:1]
+				}
+				if runs[0].Len() != len(newest) || !sketch.Ascends(runs[0].IDs.AppendTo(nil)) {
+					t.Fatalf("%d arrivals of %d users normalize to a run of %d records", n, len(newest), runs[0].Len())
 				}
 				for i, id := range runs[0].IDs.AppendTo(nil) {
 					if got := runs[0].Keys.Sketch(i); got != newest[id] {
 						t.Fatalf("the normalized run holds %v for user %v, the newest arrival is %v", got, id, newest[id])
 					}
 				}
+				if length := int(runs[0].Keys.Shape()); !admits(length) {
+					if err := tab.LoadRun(runs[0].Run); !errors.Is(err, sketch.ErrForeignLength) {
+						t.Fatalf("LoadRun of %d-bit sketches onto %d-bit ones = %v", length, colLen, err)
+					}
+					break
+				}
 				if err := tab.LoadRun(runs[0].Run); err != nil {
 					t.Fatal(err)
 				}
+				colLen = int(runs[0].Keys.Shape())
 				for id, s := range newest {
 					if _, had := oracle[id]; !had {
 						oracle[id] = s
@@ -428,13 +484,18 @@ func FuzzColumnWords(f *testing.F) {
 }
 
 // TestDecodeRefusesInvalidWord: a word column a v5 writer never writes —
-// a word that packs no valid sketch under whole words, pad bits that are
-// not zero, a shape byte no column of valid sketches has — or an id block
-// of a width no writer writes is refused wherever bytes from disk become
-// columns, however clean the checksums over it: the log's replay ends
-// before its frame, a segment holding it fails to open, and nothing of its
-// run is kept.  The words that pack no valid sketch are refused by the
-// older formats' reader too.
+// pad bits that are not zero, a shape byte that is no length — or an id
+// block of a width no writer writes is refused wherever bytes from disk
+// become columns, however clean the checksums over it: the log's replay
+// ends before its frame, a segment holding it fails to open, and nothing
+// of its run is kept.  A column of an older binary's whole words (a shape
+// past 30) is refused on the serving path — the log's replay and a
+// segment's open fail with errWholeWords, for Open to convert the shard —
+// and read only by the conversion, which refuses a whole word that packs
+// no valid sketch: the log's valid prefix ends before its frame, the
+// segment is corrupt.  The words that pack no valid sketch are refused by
+// the reader of v3 and v4 too.  Sound whole words are the conversion's to
+// read.
 func TestDecodeRefusesInvalidWord(t *testing.T) {
 	b := bitvec.MustSubset(0, 3)
 	good := []sketch.Published{testRecord(1001, b), testRecord(1002, b), testRecord(1003, b)}
@@ -458,7 +519,7 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 		"an id block of width 5":       {ids: []byte{5, 0, 0, 0, 0, 0, 0, 0x03, 0xE9, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}},
 		"non-zero pad bits":            {pad: true},
 		"shape byte 0":                 {shape: 0xFF},
-		"a shape byte past the widest": {shape: byte(sketch.MaxShape) + 1},
+		"a shape byte past the widest": {shape: maxWholeShape + 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ids, words, shape := bytes.Clone(goodIDs), bytes.Clone(goodWords), goodShape
@@ -483,8 +544,8 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 						continue // wider than the run's words
 					}
 					binary.BigEndian.PutUint16(oldWords[len(oldWords)-2:], uint16(tc.word))
-					if _, keys, _, err := decodeOldColumns(append(oldIDs, oldWords...), len(good), 2, format == 3, nil, sketch.Words{}); err == nil || keys.Len() != 0 {
-						t.Fatalf("the v%d reader = %v with %d words kept", format, err, keys.Len())
+					if _, _, _, err := decodeAnyColumns(append(oldIDs, oldWords...), len(good), format, 2, nil, nil); err == nil {
+						t.Fatalf("the v%d reader took word %#x", format, tc.word)
 					}
 				}
 			case tc.pad:
@@ -502,21 +563,50 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 			bad = append(binary.BigEndian.AppendUint32(bad, checksum(payload)), payload...)
 			first := windowFrame(t, testRecord(9, b))
 			image := append(append(walMagic[:len(walMagic):len(walMagic)], first...), bad...)
-			got, valid := logRecords(t, image)
-			if valid != int64(len(walMagic)+len(first)) || len(got) != 1 || got[0].ID != 9 {
-				t.Fatalf("replay kept %d bytes and %+v, want the first frame's %d bytes and user 9 alone", valid, got, len(walMagic)+len(first))
+			wholeWords := shape > sketch.MaxLength && shape <= maxWholeShape
+			if _, _, err := scanLog(image, newRunSet()); wholeWords && !errors.Is(err, errWholeWords) {
+				t.Fatalf("replay of a frame of whole words = %v, want errWholeWords", err)
+			} else if !wholeWords {
+				got, valid := logRecords(t, image)
+				if valid != int64(len(walMagic)+len(first)) || len(got) != 1 || got[0].ID != 9 {
+					t.Fatalf("replay kept %d bytes and %+v, want the first frame's %d bytes and user 9 alone", valid, got, len(walMagic)+len(first))
+				}
+			}
+			if runs, _ := decodeAnyLog(image); len(flatten(runs)) != 1 || flatten(runs)[0].ID != 9 {
+				t.Fatalf("the conversion keeps %+v of the log, want user 9 alone", flatten(runs))
 			}
 
 			// A segment: the same run as its one block, every sum and the
 			// data area's end computed.
-			if _, err := walkSegment(oneBlockSegment(b.Key(), len(good), shape, cols), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
+			seg := oneBlockSegment(b.Key(), len(good), shape, cols)
+			_, err := walkSegment(seg, "seg")
+			if wholeWords {
+				if !errors.Is(err, errWholeWords) {
+					t.Fatalf("walkSegment of whole words = %v, want errWholeWords", err)
+				}
+				if _, _, err = decodeAnySegment(seg, "seg"); !errors.Is(err, ErrSegmentCorrupt) {
+					t.Fatalf("the conversion of the segment = %v, want ErrSegmentCorrupt", err)
+				}
+			} else if !errors.Is(err, ErrSegmentCorrupt) {
 				t.Fatalf("walkSegment = %v, want ErrSegmentCorrupt", err)
 			}
 		})
 	}
-	// The same construction of the good columns opens.
+	// The same construction of the good columns opens, and of sound whole
+	// words is refused on the serving path and read by the conversion.
 	if _, err := walkSegment(oneBlockSegment(b.Key(), len(good), goodShape, append(goodIDs, goodWords...)), "seg"); err != nil {
 		t.Fatalf("the good columns as a segment: %v", err)
+	}
+	packed := make([]uint64, len(good))
+	for i, p := range good {
+		packed[i] = p.S.Pack()
+	}
+	whole := oneBlockSegment(b.Key(), len(good), sketch.MaxLength+16, append(bytes.Clone(goodIDs), packBits(packed, 16)...))
+	if _, err := walkSegment(whole, "seg"); !errors.Is(err, errWholeWords) {
+		t.Fatalf("walkSegment of sound whole words = %v, want errWholeWords", err)
+	}
+	if runs, rewrite, err := decodeAnySegment(whole, "seg"); err != nil || !rewrite || !slices.EqualFunc(flatten(runs), good, samePub) {
+		t.Fatalf("the conversion reads %+v of sound whole words, %v, %v", flatten(runs), rewrite, err)
 	}
 }
 

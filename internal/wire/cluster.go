@@ -117,6 +117,21 @@ func StaleEpochError(queryEpoch, nodeEpoch uint64) error {
 // refusal marker.
 func IsStaleEpoch(msg string) bool { return strings.Contains(msg, StaleEpochMarker) }
 
+// RefusedMarker is the substring a node's admission refusal carries: a
+// record the node will never admit, however often it is sent — a sketch
+// whose length is not the deployment's ℓ, or a second sketch for a (user,
+// subset) pair that holds another (Corollary 3.4).  Unlike a transient
+// failure it is an answer about the record, so a router drops a refused
+// hint instead of queueing it again.
+const RefusedMarker = "admission refused"
+
+// RefusedError renders a node's admission refusal of err.
+func RefusedError(err error) error { return fmt.Errorf("wire: %s: %w", RefusedMarker, err) }
+
+// IsRefused reports whether an error message carries the admission-refusal
+// marker.
+func IsRefused(msg string) bool { return strings.Contains(msg, RefusedMarker) }
+
 // OverloadMarker is the substring a node's load-shedding refusal carries.
 // Like the stale-epoch refusal it names a transient condition, not a
 // property of the query, so a router treats it as retryable — the next

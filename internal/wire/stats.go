@@ -79,6 +79,10 @@ type Stats struct {
 	Sketches uint64 `json:"sketches"`
 	// Subsets lists per-subset record counts.
 	Subsets []SubsetCount `json:"subsets"`
+	// SetAsideRecords counts the stored records the server does not serve,
+	// their sketches not of its length ℓ: those its engine skipped loading
+	// when it attached the store.
+	SetAsideRecords uint64 `json:"set_aside_records"`
 	// Store is present when the server runs on a durable store.
 	Store *StoreStats `json:"store,omitempty"`
 	// Robustness is present when the server tracks request-path health.
