@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,10 +33,6 @@ const (
 	// -quick shrinks it for CI.
 	storeLookupRecords      = 200_000
 	storeLookupRecordsQuick = 50_000
-
-	// storeConvertRecords is how many records the format-conversion
-	// benchmark's v4 directory holds, with and without -quick.
-	storeConvertRecords = 100_000
 )
 
 // storeRecord fabricates a valid published sketch; the store does not
@@ -50,74 +43,6 @@ func storeRecord(id uint64, b bitvec.Subset) sketch.Published {
 		Subset: b,
 		S:      sketch.Sketch{Key: id % 1024, Length: 10},
 	}
-}
-
-// writeV4Dir writes into dir the one-shard data directory a version that
-// wrote store format v4 leaves holding storeRecord(1..n) over subset: the
-// first seven eighths rolled into segment 1, the rest in its log as
-// 64-record AppendBatch frames.  Nothing writes v4 any more; this is its
-// writer for these records, as small as the format (internal/store's
-// oldformat.go has the layout): a run is its tag, count and word width,
-// then an id column and each sketch's Pack word big-endian at that width,
-// 2 bytes for a 10-bit key.
-func writeV4Dir(dir string, n int, subset bitvec.Subset) error {
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
-	sum := func(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
-	tag := subset.Key()
-	run := func(dst []byte, lo, hi int) []byte {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(tag)))
-		dst = append(dst, tag...)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(hi-lo))
-		return append(dst, 2)
-	}
-	words := func(dst []byte, lo, hi int) []byte {
-		for id := lo; id < hi; id++ {
-			dst = binary.BigEndian.AppendUint16(dst, uint16(storeRecord(uint64(id), subset).S.Pack()))
-		}
-		return dst
-	}
-	ids := func(lo, hi int) []bitvec.UserID {
-		out := make([]bitvec.UserID, 0, hi-lo)
-		for id := lo; id < hi; id++ {
-			out = append(out, bitvec.UserID(id))
-		}
-		return out
-	}
-	split := 1 + n - n/8 // segment 1 holds ids [1, split)
-	seg := binary.BigEndian.AppendUint64([]byte("SKSEG\x00\x00\x04"), uint64(split-1))
-	seg = run(seg, 1, split)
-	seg = binary.BigEndian.AppendUint32(seg, sum(seg[16:]))
-	col := sketch.MakeIDs(ids(1, split))
-	for k := 0; k < col.Blocks(); k++ {
-		block := len(seg)
-		seg = append(seg, col.BlockBytes(k)...)
-		seg = words(seg, 1+64*k, min(1+64*(k+1), split))
-		seg = binary.BigEndian.AppendUint32(seg, sum(seg[block:]))
-	}
-	end := len(seg)
-	seg = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(seg, sum(nil)), uint64(end))
-	log := []byte("SKWAL\x00\x00\x04")
-	for lo := split; lo <= n; lo += 64 {
-		hi := min(lo+64, n+1)
-		payload := run(binary.BigEndian.AppendUint32(nil, 1), lo, hi)
-		payload = words(sketch.AppendIDBlocks(payload, ids(lo, hi)), lo, hi)
-		log = binary.BigEndian.AppendUint32(log, uint32(len(payload)))
-		log = append(binary.BigEndian.AppendUint32(log, sum(payload)), payload...)
-	}
-	shard := filepath.Join(dir, "shard-0000")
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return err
-	}
-	for name, data := range map[string][]byte{
-		filepath.Join(dir, "SHARDS"):             []byte("1 v4\n"),
-		filepath.Join(shard, "seg-00000001.seg"): seg,
-		filepath.Join(shard, "wal.log"):          log,
-	} {
-		if err := os.WriteFile(name, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // storeBenchmarks measures the durability layer: append throughput into
@@ -365,43 +290,6 @@ func storeBenchmarks(quick bool) []struct {
 				if err := rst.Close(); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}},
-		{"store-convert-v4-100k", func(b *testing.B) {
-			// One op = the first Open of a v4 directory of 100 000 records
-			// (writeV4Dir): its log becomes a v5 segment beside a new log,
-			// its segment is rewritten as v5 in place, the manifest is marked
-			// before and after, and the v5 files are then validated and
-			// replayed as at any Open.  Writing the v4 directory is not timed.
-			root, err := os.MkdirTemp("", "sketchbench-convert")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(root)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dir := filepath.Join(root, fmt.Sprint(i))
-				if err := writeV4Dir(dir, storeConvertRecords, subset); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				st, err := store.Open(store.Options{Dir: dir, CompactInterval: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if got := st.Stats().Records; got != storeConvertRecords {
-					b.Fatalf("the converted directory holds %d records, want %d", got, storeConvertRecords)
-				}
-				if err := os.RemoveAll(dir); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
 			}
 		}},
 		{"segment-point-lookup", func(b *testing.B) {

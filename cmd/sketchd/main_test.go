@@ -315,10 +315,12 @@ func TestHealthzDegradedWhileWALRollFails(t *testing.T) {
 	}
 }
 
-// TestPreV3DataDirRefused: started on a data directory last written before
-// store format v3 — data under a manifest without a format marker — the
-// daemon prints store.ErrFormatTooOld, which names the version that still
-// upgrades such a directory, exits non-zero and listens on nothing.
+// TestPreV3DataDirRefused: started on a data directory an older version
+// wrote — last written before store format v3 (data under a manifest
+// without a format marker), or under format v4 (the store package's
+// committed dir-parent-v4) — the daemon prints store.ErrFormatTooOld,
+// which names the versions that still upgrade such a directory, exits
+// non-zero and listens on nothing.
 func TestPreV3DataDirRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real daemon; skipped in -short")
@@ -330,20 +332,37 @@ func TestPreV3DataDirRefused(t *testing.T) {
 	if err := build.Run(); err != nil {
 		t.Fatalf("building sketchd: %v", err)
 	}
-	dataDir := filepath.Join(tmp, "data")
-	if err := os.MkdirAll(filepath.Join(dataDir, "shard-0000"), 0o755); err != nil {
+	v4 := filepath.Join("..", "..", "internal", "store", "testdata", "dir-parent-v4")
+	v4Log, err := os.ReadFile(filepath.Join(v4, "shard-0000", "wal.log"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string]string{"SHARDS": "1\n", "shard-0000/wal.log": "\x00\x00\x00\x04\xde\xad\xbe\xef\x01\x02\x03\x04"} {
-		if err := os.WriteFile(filepath.Join(dataDir, name), []byte(data), 0o644); err != nil {
+	v4Seg, err := os.ReadFile(filepath.Join(v4, "shard-0000", "seg-00000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, files := range map[string]map[string]string{
+		"pre-v3": {"SHARDS": "1\n", "shard-0000/wal.log": "\x00\x00\x00\x04\xde\xad\xbe\xef\x01\x02\x03\x04"},
+		"v4":     {"SHARDS": "1 v4\n", "shard-0000/wal.log": string(v4Log), "shard-0000/seg-00000001.seg": string(v4Seg)},
+	} {
+		dataDir := filepath.Join(tmp, name)
+		if err := os.MkdirAll(filepath.Join(dataDir, "shard-0000"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-	}
-	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-data-dir", dataDir).CombinedOutput()
-	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() == 0 {
-		t.Fatalf("sketchd on a pre-v3 directory: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), store.ErrFormatTooOld.Error()) || strings.Contains(string(out), "listening") {
-		t.Fatalf("sketchd on a pre-v3 directory printed:\n%s", out)
+		for file, data := range files {
+			if err := os.WriteFile(filepath.Join(dataDir, file), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-data-dir", dataDir).CombinedOutput()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() == 0 {
+			t.Fatalf("sketchd on a %s directory: %v\n%s", name, err, out)
+		}
+		if !strings.Contains(string(out), store.ErrFormatTooOld.Error()) || strings.Contains(string(out), "listening") {
+			t.Fatalf("sketchd on a %s directory printed:\n%s", name, out)
+		}
+		if got, err := os.ReadFile(filepath.Join(dataDir, "shard-0000", "wal.log")); err != nil || string(got) != files["shard-0000/wal.log"] {
+			t.Fatalf("sketchd on a %s directory touched its log (%v)", name, err)
+		}
 	}
 }

@@ -2,10 +2,9 @@ package engine
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -417,53 +416,118 @@ func TestEngineConcurrentDurableIngestAndQuery(t *testing.T) {
 	}
 }
 
-// copyStoreFixture copies a one-shard data directory the store package
-// commits as a fixture into a fresh directory.
-func copyStoreFixture(t *testing.T, name string) string {
+// mixedLengthStore builds through store.AppendBatch the one-shard data
+// directory a node restarted at other lengths leaves, holding keys of ℓ = 9,
+// near and far: a subset of 9-bit keys, overwritten; one with some users at
+// 9 and near bits and some at near bits alone; one of 9-bit keys that the
+// log gives near-bit ones; and {0}, 40 users' far-bit keys alone under
+// hashed ids.  Two batches are rolled and compacted into one segment, and a
+// third is left in the log.  It returns the directory and how many (user,
+// subset) pairs it holds at ℓ = 9 and at the other lengths.
+func mixedLengthStore(t *testing.T, near, far int) (dir string, nine, others int) {
 	t.Helper()
-	src, dir := filepath.Join("..", "store", "testdata", name), t.TempDir()
-	err := filepath.WalkDir(src, func(path string, e os.DirEntry, err error) error {
+	tenant := uint64(9) << 40
+	s9, both, logged, sFar := bitvec.MustSubset(1, 4, 7), bitvec.MustSubset(3, 5), bitvec.MustSubset(2, 9), bitvec.MustSubset(0)
+	pub := func(id uint64, b bitvec.Subset, key uint64, length int) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: key % (1 << uint(length)), Length: length}}
+	}
+	var first, second, tail []sketch.Published
+	for i := uint64(0); i < 300; i++ {
+		first = append(first, pub(tenant|(1+3*i/2), s9, i*37, 9))
+	}
+	for i := uint64(0); i < 120; i++ {
+		first = append(first, pub(tenant|(2+2*i), both, i*7919, 9))
+		if i%4 == 0 {
+			first = append(first, pub(tenant|(2+2*i), both, i*7919, near))
+		}
+	}
+	for i := uint64(0); i < 100; i++ {
+		first = append(first, pub(tenant|(1+3*i), logged, i*101+3, 9))
+	}
+	for i := uint64(0); i < 40; i++ {
+		first = append(first, pub(i*0x9E3779B97F4A7C15|1, sFar, i*40503, far))
+	}
+	for i := uint64(0); i < 150; i++ {
+		second = append(second, pub(tenant|(1+3*i/2), s9, i*53+1, 9))
+	}
+	for i := uint64(0); i < 40; i++ {
+		second = append(second, pub(tenant|(300+2*i), both, i, near))
+	}
+	for i := uint64(0); i < 40; i++ {
+		id := tenant | (600 - 4*i)
+		tail = append(tail, pub(id, s9, id+i, 9))
+		if i%2 == 0 {
+			tail = append(tail, pub(id, logged, id*i, near))
+		}
+		if i%5 == 0 {
+			tail = append(tail, pub(id, both, i+1, 9+(near-9)*int(i%10/5)))
+		}
+	}
+	dir = t.TempDir()
+	write := func(flushThreshold int64, groups ...[]sketch.Published) *store.Durable {
+		t.Helper()
+		st, err := store.Open(store.Options{Dir: dir, Shards: 1, FlushThreshold: flushThreshold, CompactInterval: -1})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
+		for _, g := range groups {
+			if _, err := st.AppendBatch(g); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if e.IsDir() {
-			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
-	})
-	if err != nil {
+		return st
+	}
+	st := write(1, first, second) // each batch rolled
+	if err := st.CompactNow(2); err != nil {
 		t.Fatal(err)
 	}
-	return dir
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = write(1<<30, tail)
+	if sh := st.Stats().Shards[0]; sh.Segments != 1 || sh.WALRecords != uint64(len(tail)) {
+		t.Fatalf("the store holds %d segments and %d log records, want one and %d", sh.Segments, sh.WALRecords, len(tail))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		id     bitvec.UserID
+		subset string
+		length int
+	}
+	held := make(map[record]bool)
+	for _, p := range slices.Concat(first, second, tail) {
+		if r := (record{p.ID, p.Subset.Key(), p.S.Length}); !held[r] {
+			held[r] = true
+			if p.S.Length == 9 {
+				nine++
+			} else {
+				others++
+			}
+		}
+	}
+	return dir, nine, others
 }
 
-// TestEngineServesItsLengthOverOlderStores: an engine at ℓ = 9 over each
-// directory an older binary wrote with sketches of other lengths — the v4
-// fixture (subsets at ℓ = 9, 17 and 30, one at 9 and 17 together), the v5
-// one (subsets at ℓ = 9 and 20, two of them at both) — loads exactly the
-// stored 9-bit records and no other, streams exactly those to a
-// rebalance, and counts the runs it skipped in SetAsideRecords.  The
-// numbers are the fixtures' (internal/store's parentV4DirGroups and
-// parentV5DirGroups).
+// TestEngineServesItsLengthOverOlderStores: an engine at ℓ = 9 over a
+// store that also holds sketches of other lengths (mixedLengthStore) — in a
+// subset of their own, beside 9-bit ones in one subset, in the segment and
+// in the log — loads exactly the stored 9-bit records and no other, streams
+// exactly those to a rebalance, and counts the records it skipped in
+// SetAsideRecords.  The cases carry the lengths of the stores older
+// binaries left: v4's at ℓ = 9, 17 and 30, v5's at ℓ = 9 and 20.
 func TestEngineServesItsLengthOverOlderStores(t *testing.T) {
-	for _, fixture := range []struct {
-		name   string
-		served int    // the 9-bit records
-		aside  uint64 // the others
+	for _, c := range []struct {
+		name      string
+		near, far int
 	}{
-		{"dir-parent-v4", 422, 245},
-		{"dir-parent-v5", 583, 94},
+		{"dir-parent-v4", 17, 30},
+		{"dir-parent-v5", 20, 20},
 	} {
-		t.Run(fixture.name, func(t *testing.T) {
-			st, err := store.Open(store.Options{Dir: copyStoreFixture(t, fixture.name), CompactInterval: -1})
+		t.Run(c.name, func(t *testing.T) {
+			dir, served, aside := mixedLengthStore(t, c.near, c.far)
+			st, err := store.Open(store.Options{Dir: dir, CompactInterval: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,11 +540,17 @@ func TestEngineServesItsLengthOverOlderStores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eng.Sketches() != fixture.served || byLength[9] != fixture.served {
-				t.Fatalf("the engine holds %d records, the store %d of ℓ = 9; want %d", eng.Sketches(), byLength[9], fixture.served)
+			if eng.Sketches() != served || byLength[9] != served {
+				t.Fatalf("the engine holds %d records, the store %d of ℓ = 9; want %d", eng.Sketches(), byLength[9], served)
 			}
-			if got := eng.SetAsideRecords(); got != fixture.aside {
-				t.Fatalf("SetAsideRecords = %d (the store's records by length %v); want %d", got, byLength, fixture.aside)
+			other := 0
+			for length, n := range byLength {
+				if length != 9 {
+					other += n
+				}
+			}
+			if got := eng.SetAsideRecords(); got != uint64(aside) || other != aside {
+				t.Fatalf("SetAsideRecords = %d (the store's records by length %v); want %d", got, byLength, aside)
 			}
 			var streamed []sketch.Published
 			for cursor, done := uint64(0), false; !done; {
@@ -503,22 +573,22 @@ func TestEngineServesItsLengthOverOlderStores(t *testing.T) {
 				}
 				seen[pair{p.ID, p.Subset.Key()}] = true
 			}
-			if len(seen) != fixture.served {
-				t.Fatalf("the rebalance stream carries %d of the %d records the engine serves", len(seen), fixture.served)
+			if len(seen) != served {
+				t.Fatalf("the rebalance stream carries %d of the %d records the engine serves", len(seen), served)
 			}
 		})
 	}
 }
 
-// TestEngineKeepsItsLengthBesideAnother: over the v5 fixture, whose subset
-// {0} holds 40 records of ℓ = 20 alone, an engine at ℓ = 9 skips them and
-// admits 9-bit publishes into {0} — those users' re-publishes among them,
-// which OPERATIONS.md asks of an operator.  The acknowledged records stay
-// served across a roll, a compaction and a reopen: the store keeps the
-// subset's two lengths as runs of their own, and the next engine loads the
-// 9-bit one and skips the same 20-bit one.
+// TestEngineKeepsItsLengthBesideAnother: over a store whose subset {0}
+// holds 40 records of ℓ = 20 alone (mixedLengthStore), an engine at ℓ = 9
+// skips them and admits 9-bit publishes into {0} — those users'
+// re-publishes among them, which OPERATIONS.md asks of an operator.  The
+// acknowledged records stay served across a roll, a compaction and a
+// reopen: the store keeps the subset's two lengths as runs of their own,
+// and the next engine loads the 9-bit one and skips the same 20-bit one.
 func TestEngineKeepsItsLengthBesideAnother(t *testing.T) {
-	dir := copyStoreFixture(t, "dir-parent-v5")
+	dir, _, twenty := mixedLengthStore(t, 20, 20)
 	open := func() (*store.Durable, *Engine) {
 		t.Helper()
 		st, err := store.Open(store.Options{Dir: dir, FlushThreshold: 1, CompactInterval: -1})
@@ -534,12 +604,12 @@ func TestEngineKeepsItsLengthBesideAnother(t *testing.T) {
 	st, eng := open()
 	served, aside := eng.Sketches(), eng.SetAsideRecords()
 	b := bitvec.MustSubset(0)
-	if _, ok := eng.Table().Get(1, b); ok || aside != 94 {
-		t.Fatalf("the engine over the fixture serves {0} or sets %d records aside, want none served and 94", aside)
+	if _, ok := eng.Table().Get(1, b); ok || aside != uint64(twenty) {
+		t.Fatalf("the engine over the store serves {0} or sets %d records aside, want none served and %d", aside, twenty)
 	}
 	var ps []sketch.Published
 	for i := uint64(0); i < 50; i++ {
-		// The first 40 are the users the fixture holds at ℓ = 20.
+		// The first 40 are the users the store holds at ℓ = 20.
 		ps = append(ps, sketch.Published{ID: bitvec.UserID(i*0x9E3779B97F4A7C15 | 1), Subset: b, S: sketch.Sketch{Key: i * 7 % 512, Length: 9}})
 	}
 	if err := eng.IngestBatch(ps); err != nil {

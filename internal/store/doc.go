@@ -70,30 +70,20 @@
 // verifying every checksum and decoding every record, so corruption there
 // is reported as an error rather than silently dropped.
 //
-// # Older formats
+// # Older formats are refused
 //
-// Formats v3 and v4 — a run's sketches as big-endian Pack words at a byte
-// width, and in v3 its ids at 8 bytes — are read by one file (oldformat.go)
-// and only to be converted; so is a run of whole Pack words (a shape past
-// 30), which an older binary wrote in v5 for a column that met two
-// lengths.  The first Open of a v3 or v4 directory marks its manifest as
-// converting, which makes an older binary refuse the directory instead of
-// misreading it, and then, before each shard serves, rewrites what it
-// holds of the older forms (convertShard), one file at a time: a log
-// becomes a segment beside a new empty log, a segment is rewritten at its
-// own seq, each through a temporary file, fsync and rename, every record
-// kept and a run of two lengths split into a run per length.  A v5 shard
-// found holding whole words is converted the same way under its v5 mark.
-// The manifest says v5 only once nothing of the older forms is left, so a
-// crash mid-way resumes and the serving path reads v5 runs of one length
-// alone.  Nothing writes the older forms.  A directory older than v3 is
-// refused with ErrFormatTooOld.
+// Format v5 at one length a run is the only one this version reads.  Open
+// refuses with ErrFormatTooOld, having written nothing, a directory whose
+// manifest is marked v3, v4 or v5-converting; one whose segment or log
+// holds a checksum-clean run header of whole Pack words (a shape past 30,
+// which a v5 binary wrote before a run held one length) — a log is refused
+// before replay could cut that frame off as a torn tail; and one holding
+// data under a manifest with no marker (before v3).  The error names the
+// versions that upgrade such a directory, which is opened once with each
+// and then with this one.  Any other malformed run header is corrupt in a
+// segment and the end of the valid prefix in a log, as it always was.
 //
 // The store keeps a subset's records of two lengths as runs of their own,
 // deduplicated each on its own; which length a deployment serves is its
 // engine's to decide (engine.AttachStore).
-//
-// Once no directory a version before v5 wrote is left to open, the
-// release after this one deletes oldformat.go whole, and with it the
-// conversion.
 package store

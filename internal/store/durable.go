@@ -41,13 +41,17 @@ const (
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// ErrFormatTooOld is returned by Open for a data directory that holds data
-// but whose manifest carries no format marker: it was last written before
-// store format v3 (per-record logs, v1 or v2 segments), which this version
-// no longer reads.  The last version that upgrades such a directory in
-// place is the one that wrote format v3 (PR 21 of this repository); open
-// the directory once with it, then with this one.
-var ErrFormatTooOld = errors.New("store: data directory predates store format v3, which is the oldest this version reads; open it once with a version that writes format v3 (the last that upgrades it) and then with this one")
+// ErrFormatTooOld is returned by Open, having written nothing, for a data
+// directory an older version wrote in a form this one does not read: a
+// manifest marked v3, v4 or v5-converting (a conversion to v5 under way);
+// a segment or log holding a checksum-clean run of whole words (a v5 file
+// written before a run held one length); or data under a manifest with no
+// format marker (before v3: per-record logs, v1 or v2 segments).  The
+// version of commit 79b9228 is the last that converts v3, v4 and whole
+// words to v5 runs of one length; the version of commit b04e7f7, the last
+// that writes v3, upgrades a directory from before v3.  Open the directory
+// once with each that applies, oldest first, then with this one.
+var ErrFormatTooOld = errors.New("store: data directory predates store format v5 at one sketch length a run, the only one this version reads; open it once with the version of commit 79b9228 (the last that converts formats v3 and v4 and runs of whole words) — first with that of commit b04e7f7 (the last that writes format v3) if it predates v3 — and then with this one")
 
 // Options configures a durable store.
 type Options struct {
@@ -160,9 +164,8 @@ type Durable struct {
 
 // Open opens (creating if necessary) a durable store in opts.Dir,
 // replaying every shard's WAL — truncating torn tails — and validating
-// every segment.  A shard an older version wrote — files of format v3 or
-// v4, or a run of whole words — is converted first (convertShard).  The
-// returned store is ready for Append and Iterate.
+// every segment.  A directory an older version wrote is refused with
+// ErrFormatTooOld.  The returned store is ready for Append and Iterate.
 func Open(opts Options) (*Durable, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -191,7 +194,7 @@ func Open(opts Options) (*Durable, error) {
 		if old, err := holdsData(opts.Dir, found); err != nil || old {
 			lock.Unlock()
 			if err == nil {
-				err = fmt.Errorf("%w: %s", ErrFormatTooOld, opts.Dir)
+				err = formatTooOld(opts.Dir, "holds data under a manifest with no format marker")
 			}
 			return nil, err
 		}
@@ -207,19 +210,9 @@ func Open(opts Options) (*Durable, error) {
 			nShards = opts.Shards
 		}
 	}
-	// A new directory is marked v5 at once.  One an older version wrote is
-	// marked as converting before the first v5 file is written into it, so
-	// that no older binary opens it again, and v5 only once every shard is
-	// converted: a crash in between leaves the mark, and the next Open
-	// carries on from each file's magic.  A v5 directory keeps its mark
-	// while a file of whole words in it is rewritten: that file goes
-	// whole, and the next Open finds any that a crash left.
-	convert, mark := format != "" && format != manifestFormat, manifestFormat
-	if convert {
-		mark = manifestConverting
-	}
-	if format != mark {
-		if err := writeManifest(opts.Dir, nShards, mark, opts.Fsync || convert); err != nil {
+	// A new directory is marked v5 at once.
+	if format == "" {
+		if err := writeManifest(opts.Dir, nShards, manifestFormat, opts.Fsync); err != nil {
 			lock.Unlock()
 			return nil, err
 		}
@@ -244,19 +237,12 @@ func Open(opts Options) (*Durable, error) {
 		openWG.Add(1)
 		go func(i int) {
 			defer openWG.Done()
-			d.shards[i], openErrs[i] = openShard(opts, i, m, convert)
+			d.shards[i], openErrs[i] = openShard(opts, i, m)
 		}(i)
 	}
 	openWG.Wait()
 	for _, err := range openErrs {
 		if err != nil {
-			d.closeShards()
-			lock.Unlock()
-			return nil, err
-		}
-	}
-	if convert {
-		if err := writeManifest(opts.Dir, nShards, manifestFormat, true); err != nil {
 			d.closeShards()
 			lock.Unlock()
 			return nil, err
@@ -292,17 +278,16 @@ const manifestName = "SHARDS"
 // which it would take for a torn log of its own format and truncate.
 const manifestFormat = "v5"
 
-// manifestConverting is the mark of a directory whose v3 or v4 files Open
-// is converting: v5 files may lie beside older ones.  An older binary
-// refuses it as it refuses manifestFormat, and this one carries the
-// conversion on.
-const manifestConverting = "v5-converting"
+// formatTooOld is the refusal of dir, which an older version wrote, and
+// why.
+func formatTooOld(dir, why string) error {
+	return fmt.Errorf("%w: %s %s", ErrFormatTooOld, dir, why)
+}
 
 // readManifest returns the shard count recorded in dir — 0 when no
-// manifest exists yet — and the format marker after it: manifestFormat,
-// manifestConverting, "v3" or "v4" for a directory this version converts,
-// or none.  Any other marker is refused: a directory of a format newer
-// than this version's.
+// manifest exists yet — and the format marker after it: manifestFormat or
+// none.  An older version's marker is refused with ErrFormatTooOld, any
+// other as corrupt: a directory of a format newer than this version's.
 func readManifest(dir string) (n int, format string, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -314,8 +299,12 @@ func readManifest(dir string) (n int, format string, err error) {
 	fields := strings.Fields(string(data))
 	if len(fields) == 2 {
 		switch fields[1] {
-		case manifestFormat, manifestConverting, "v4", "v3":
+		case manifestFormat:
 			format, fields = fields[1], fields[:1]
+		case "v3", "v4", "v5-converting":
+			// An older version's: v3, v4, or the mark of its conversion
+			// to v5 under way.
+			return 0, "", formatTooOld(dir, "has a manifest marked "+fields[1])
 		}
 	}
 	if len(fields) == 1 {
@@ -395,34 +384,15 @@ func existingShards(dir string) (int, error) {
 // shardDirName renders the canonical directory name for shard i.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
-// openShard opens shard i: converts, when asked, what an older version
-// left in it, lists and validates its segments, replays its WAL and
-// positions the log for appending.  A shard found to hold a run of whole
-// words is converted and opened again.
-func openShard(opts Options, i int, m *metrics, convert bool) (*dshard, error) {
+// openShard opens shard i: lists and validates its segments, replays its
+// WAL and positions the log for appending.  It fails with ErrFormatTooOld
+// — having written nothing — where a segment or the log holds a run of
+// whole words.
+func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 	dir := filepath.Join(opts.Dir, shardDirName(i))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if convert {
-		if err := convertShard(dir); err != nil {
-			return nil, err
-		}
-	}
-	sh, err := openShardFiles(opts, i, dir, m)
-	if errors.Is(err, errWholeWords) {
-		if err := convertShard(dir); err != nil {
-			return nil, err
-		}
-		sh, err = openShardFiles(opts, i, dir, m)
-	}
-	return sh, err
-}
-
-// openShardFiles opens the files of shard i in dir, failing with
-// errWholeWords — having written nothing — where a segment or the log
-// holds a run of whole words.
-func openShardFiles(opts Options, i int, dir string, m *metrics) (*dshard, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err

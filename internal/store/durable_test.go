@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/obs"
@@ -340,9 +341,9 @@ func TestDurableLeftoverTmpSegmentIgnored(t *testing.T) {
 // TestDurableCorruptSegmentFailsOpen pins the integrity contract:
 // corruption in the data area — a record's bytes or a run's header — fails
 // Open loudly (the open-time walk verifies every checksum), while damage to
-// what no reader reads — the footer's section checksum, or the index
-// directory an older binary stored beside the data — changes nothing: the
-// store opens and returns the exact records.
+// what no reader reads — the footer's section checksum, or an index
+// directory stored between the data area and the footer — changes
+// nothing: the store opens and returns the exact records.
 func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 	setup := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -391,28 +392,30 @@ func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 		}
 	})
 	for name, tc := range map[string]struct {
-		parentWritten bool
-		at            func(data []byte) int
+		section bool // a section between the data area and the footer
+		at      func(data []byte) int
 	}{
-		// A byte of the footer's section checksum, and one of the directory
-		// in the section of a segment the parent commit wrote: the reader
-		// derives its index from the data area and skips both.
+		// A byte of the footer's section checksum, and one of an index
+		// directory stored between the data area and the footer, as an
+		// older writer stored one: the reader derives its index from the
+		// data area and skips both.
 		"index footer":    {false, func(data []byte) int { return len(data) - segFooterSize }},
 		"index directory": {true, func(data []byte) int { return int(binary.BigEndian.Uint64(data[len(data)-8:])) + 5 }},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := setup(t)
 			want := []sketch.Published{testRecord(1, bitvec.MustSubset(0))}
-			if tc.parentWritten {
-				image, runs := readParentFixture(t)
-				if err := os.WriteFile(filepath.Join(dir, "shard-0000", segmentName(1)), image, 0o644); err != nil {
+			if tc.section {
+				path := filepath.Join(dir, "shard-0000", segmentName(1))
+				data, err := os.ReadFile(path)
+				if err != nil {
 					t.Fatal(err)
 				}
-				// Under the manifest its binary wrote: Open converts it.
-				if err := writeManifest(dir, 1, "v3", false); err != nil {
+				end := binary.BigEndian.Uint64(data[len(data)-8:])
+				data = append(append(data[:end:end], bytes.Repeat([]byte{0xA5}, 48)...), data[end:]...)
+				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				want = flatten(runs)
 			}
 			corrupt(t, dir, tc.at)
 			st, err := Open(Options{Dir: dir, CompactInterval: -1})
@@ -873,8 +876,7 @@ func TestMemStoreSemanticsMatchDurable(t *testing.T) {
 // TestSubsetAtTwoLengths: the store holds one subset's records of two
 // lengths as two runs, deduplicated each on its own, and neither refuses
 // nor joins them — in one group, in the log beside a segment, across a
-// roll, a compaction and a reopen, which converts nothing and writes no
-// file.  A user holding a record at each length keeps both; Lookup, within
+// roll, a compaction and a reopen, which writes no file.  A user holding a record at each length keeps both; Lookup, within
 // one file, answers with the shorter.
 func TestSubsetAtTwoLengths(t *testing.T) {
 	dir := t.TempDir()
@@ -958,6 +960,265 @@ func TestSubsetAtTwoLengths(t *testing.T) {
 		t.Fatalf("the reopen changed the directory: %v, was %v", after, before)
 	}
 }
+
+// TestSegmentReadPaths: a segment this version writes — four runs, one
+// subset's at two lengths, the longest four blocks, ids with gaps between
+// them — serves exactly its records on every read path: Iterate, ReadBatch
+// from every cursor, and Lookup of every id and of ids absent below,
+// between and above each run's and under a subset the segment does not
+// hold.
+func TestSegmentReadPaths(t *testing.T) {
+	pub := func(id uint64, b bitvec.Subset, key uint64, length int) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: key % (1 << uint(length)), Length: length}}
+	}
+	var ps []sketch.Published
+	for i := uint64(0); i < 3; i++ {
+		ps = append(ps, pub(10+3*i, bitvec.MustSubset(0), i+2, 3))
+	}
+	for i := uint64(0); i < 200; i++ {
+		ps = append(ps, pub(10+3*i, bitvec.MustSubset(1, 4, 7), i*37, 10))
+	}
+	for i := uint64(0); i < 70; i++ {
+		ps = append(ps, pub(11+5*i, bitvec.MustSubset(2, 9), i*11, 9))
+	}
+	for i := uint64(0); i < 40; i++ {
+		ps = append(ps, pub(500+7*i, bitvec.MustSubset(2, 9), i*40503, 20))
+	}
+	runs := testRuns(ps)
+	want := flatten(runs)
+
+	st, err := Open(Options{Dir: t.TempDir(), Shards: 1, FlushThreshold: 1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.AppendBatch(ps); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sh := st.Stats().Shards[0]; sh.Segments != 1 || sh.WALRecords != 0 || len(runs) != 4 {
+		t.Fatalf("%d segments and %d log records hold %d runs, want one segment of 4 runs and no log record", sh.Segments, sh.WALRecords, len(runs))
+	}
+
+	same := func(what string, got []sketch.Published) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s returned %d records, the segment holds %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if !samePub(got[i], want[i]) {
+				t.Fatalf("%s record %d = %+v, the segment holds %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	same("Iterate", collect(t, st))
+	for _, max := range []int{1, 7, 64, 65, 1000} {
+		for start := range want {
+			cursor := packCursor(batchCursor{phase: curPhaseSeg, seq: 1, off: uint64(start)})
+			got, _, _, err := st.ReadBatch(cursor, max)
+			if err != nil {
+				t.Fatalf("ReadBatch(%d, %d): %v", start, max, err)
+			}
+			if end := min(start+max, len(want)); len(got) != end-start || !samePub(got[0], want[start]) || !samePub(got[len(got)-1], want[end-1]) {
+				t.Fatalf("ReadBatch(%d, %d) returned %d records, want the segment's [%d,%d)", start, max, len(got), start, end)
+			}
+		}
+	}
+	var streamed []sketch.Published
+	for cursor, done := uint64(0), false; !done; {
+		var batch []sketch.Published
+		if batch, cursor, done, err = st.ReadBatch(cursor, 50); err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, batch...)
+	}
+	same("the ReadBatch stream", streamed)
+
+	for _, p := range want {
+		got, ok, err := st.Lookup(p.ID, p.Subset.Key())
+		if err != nil || !ok || !samePub(got, p) {
+			t.Fatalf("Lookup(%v, %v) = %+v %v %v, the segment holds %+v", p.ID, p.Subset, got, ok, err, p)
+		}
+	}
+	// The two runs of {2, 9} hold ids far apart, so an id absent from one
+	// is absent from the other.
+	for _, r := range runs {
+		first, last := r.IDs.At(0), r.IDs.At(r.Len()-1)
+		for name, id := range map[string]bitvec.UserID{"below": first - 1, "between": first + 1, "between blocks": r.IDs.At(r.Len()/2) + 1, "above": last + 1} {
+			if got, ok, err := st.Lookup(id, r.tag); err != nil || ok {
+				t.Fatalf("Lookup of absent id %v (%s the %d-bit run of %v) = %+v %v %v", id, name, r.Keys.Shape(), r.Subset, got, ok, err)
+			}
+		}
+	}
+	if got, ok, err := st.Lookup(want[0].ID, bitvec.MustSubset(3).Key()); err != nil || ok {
+		t.Fatalf("Lookup under a subset the segment does not hold = %+v %v %v", got, ok, err)
+	}
+}
+
+// TestManifestFormats: readManifest takes the v5 marker, and none — a new
+// directory, or one from before v3, which Open refuses if it holds data —
+// refuses an older version's markers (v3, v4, and v5-converting, the mark
+// of a conversion under way) with ErrFormatTooOld, naming the marker, and
+// refuses every other as corrupt, as an older binary refuses v5: a
+// directory is never opened by a version that cannot read all of it.
+func TestManifestFormats(t *testing.T) {
+	write := func(t *testing.T, line string) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for line, want := range map[string]string{"3 v5\n": "v5", "3\n": ""} {
+		if n, format, err := readManifest(write(t, line)); err != nil || n != 3 || format != want {
+			t.Fatalf("readManifest(%q) = %d, %q, %v; want 3, %q", line, n, format, err, want)
+		}
+	}
+	for _, line := range []string{"3 v3\n", "3 v4\n", "3 v5-converting\n"} {
+		if n, format, err := readManifest(write(t, line)); !errors.Is(err, ErrFormatTooOld) || !strings.Contains(err.Error(), strings.Fields(line)[1]) {
+			t.Fatalf("readManifest(%q) = %d, %q, %v: want ErrFormatTooOld naming the marker", line, n, format, err)
+		}
+	}
+	for _, line := range []string{"3 v6\n", "3 v2\n", "3 v5-done\n", "3 v5 v5\n", "v5\n", "0 v5\n"} {
+		if n, format, err := readManifest(write(t, line)); err == nil || errors.Is(err, ErrFormatTooOld) {
+			t.Fatalf("readManifest(%q) = %d, %q, %v: want a corrupt manifest", line, n, format, err)
+		}
+	}
+}
+
+// TestCleanV5DirOpensWithoutWrites: a directory holding each subset at one
+// length — segments, a log with frames in it, a manifest — opens as it
+// is: Open and Close, with and without fsync, leave every file's bytes and
+// modification time as they were, and create no file.
+func TestCleanV5DirOpensWithoutWrites(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, Shards: 2, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []sketch.Published
+	for round := uint64(0); round < 3; round++ {
+		for _, b := range []bitvec.Subset{bitvec.MustSubset(0), bitvec.MustSubset(1, 2)} {
+			batch := testRecordsRange(100*round, 100*round+60, b)
+			if _, err := st.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, batch...)
+		}
+		if round < 2 {
+			for _, sh := range st.shards {
+				sh.mu.Lock()
+				err := sh.rollLocked()
+				sh.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Hour).Truncate(time.Second)
+	files := make(map[string][]byte)
+	if err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		if files[path], err = os.ReadFile(path); err != nil {
+			return err
+		}
+		return os.Chtimes(path, past, past)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := flatten(testRuns(all))
+	for _, fsync := range []bool{false, true} {
+		st, err := Open(Options{Dir: dir, Fsync: fsync, CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireServes(t, st, want)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		if err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+			if err != nil || e.IsDir() {
+				return err
+			}
+			seen++
+			info, err := e.Info()
+			if err != nil {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if was, ok := files[path]; err != nil || !ok || !bytes.Equal(data, was) || !info.ModTime().Equal(past) {
+				t.Fatalf("Open and Close (fsync %v) of a clean v5 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != len(files) {
+			t.Fatalf("Open and Close (fsync %v) left %d files, there were %d", fsync, seen, len(files))
+		}
+	}
+}
+
+// requireServes fails the test unless st serves exactly want — the
+// newest-wins record set — through IterateRuns, Iterate, a ReadBatch
+// stream and Lookup of every record.
+func requireServes(t *testing.T, st *Durable, want []sketch.Published) {
+	t.Helper()
+	same := func(what string, got []sketch.Published) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s returned %d records, the directory holds %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if !samePub(got[i], want[i]) {
+				t.Fatalf("%s record %d = %+v, the directory holds %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	same("IterateRuns", collect(t, st))
+	var iterated []sketch.Published
+	if err := st.Iterate(func(p sketch.Published) error { iterated = append(iterated, p); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	same("Iterate", iterated)
+	streamed := coverage(drainBatches(t, st, 7))
+	if len(streamed) != len(want) {
+		t.Fatalf("ReadBatch streamed %d distinct records, the directory holds %d", len(streamed), len(want))
+	}
+	// A (user, subset) pair may hold a record at each of two lengths, of
+	// which Lookup answers with one.
+	held := make(map[pairKey][]sketch.Published)
+	for _, p := range want {
+		held[pairOf(p)] = append(held[pairOf(p)], p)
+	}
+	for _, p := range want {
+		got, ok, err := st.Lookup(p.ID, p.Subset.Key())
+		if err != nil || !ok || !slices.ContainsFunc(held[pairOf(p)], func(q sketch.Published) bool { return samePub(got, q) }) {
+			t.Fatalf("Lookup(%v, %v) = %+v %v %v, the directory holds %+v", p.ID, p.Subset, got, ok, err, held[pairOf(p)])
+		}
+		// The stream may pass an older copy on its way to the newest.
+		if got := streamed[keyOf(p)]; !samePub(got, p) {
+			t.Fatalf("ReadBatch ends on %+v for %v, the directory holds %+v", got, keyOf(p), p)
+		}
+	}
+}
+
+// pairKey is a (user, subset) pair, whatever the length.
+type pairKey struct {
+	id     bitvec.UserID
+	subset string
+}
+
+func pairOf(p sketch.Published) pairKey { return pairKey{p.ID, p.Subset.Key()} }
 
 // dirState returns the bytes and the modification time of every file
 // under dir.

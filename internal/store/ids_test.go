@@ -164,7 +164,7 @@ func FuzzColumnIDs(f *testing.F) {
 			for i, id := range want {
 				records[i] = record(id)
 			}
-			wantIDs, wantWords, shape := referenceColumns(records, 5, 0)
+			wantIDs, wantWords, shape := referenceColumns(records)
 			if !bytes.Equal(coded, wantIDs) || ids.Bytes() != len(wantIDs) {
 				t.Fatalf("%d ids are held as %x, the format says %x", len(want), coded, wantIDs)
 			}

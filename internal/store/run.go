@@ -3,7 +3,6 @@ package store
 import (
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -45,10 +44,9 @@ import (
 //
 // A run holds one length, and the store keeps a subset's records of two
 // lengths as two runs, (tag, length) ascending, deduplicating each on its
-// own: which length a deployment serves is its engine's to decide.  An
-// older binary could write a shape past 30 — whole Pack words, a column
-// that met two lengths; Open finds one (errWholeWords) and converts the
-// shard (oldformat.go).
+// own: which length a deployment serves is its engine's to decide.  A
+// checksum-clean header of a shape past 30 is an older binary's run of
+// whole Pack words, which this version refuses with ErrFormatTooOld.
 type run struct {
 	tag string // the subset's canonical tag, Subset.Key: what runs sort by
 	sketch.Run
@@ -84,18 +82,19 @@ type runHeader struct {
 	size  int // bytes the header occupies
 }
 
-// errWholeWords is the refusal of a run of whole Pack words, which an
-// older binary wrote for a column that met two lengths and no write of
-// this version makes: Open converts the shard (convertShard).
-var errWholeWords = errors.New("store: a run of whole words")
+// maxWholeShape is the widest shape an older binary wrote: whole Pack
+// words of a column that met two lengths, in up to 35 bits each.
+const maxWholeShape = sketch.MaxLength + sketch.MaxLength + 5
 
 // parseRunHeader reads the run header at the front of src.  Every field
 // is input: lengths are checked against what src holds before anything is
 // sliced, a shape that is not one length is refused — one of an older
-// binary's whole words with errWholeWords and the header's size — and so
-// is a count whose columns the bytes after the header could not hold — at the least an id block's 8
-// bytes and a byte an id, and the words' bits — so that what is later
-// allocated for the count is a bounded multiple of the file it came from.
+// binary's whole words with ErrFormatTooOld and the header's size, for the
+// caller to hold against the header's checksum — and so is a count whose
+// columns the bytes after the header could not hold — at the least an id
+// block's 8 bytes and a byte an id, and the words' bits — so that what is
+// later allocated for the count is a bounded multiple of the file it came
+// from.
 func parseRunHeader(src []byte) (runHeader, error) {
 	if len(src) < runHeaderFixed {
 		return runHeader{}, fmt.Errorf("run header truncated at %d bytes", len(src))
@@ -107,12 +106,10 @@ func parseRunHeader(src []byte) (runHeader, error) {
 	h := runHeader{tag: src[4 : 4+tagLen], size: runHeaderFixed + int(tagLen)}
 	count := uint64(binary.BigEndian.Uint32(src[4+tagLen:]))
 	switch h.shape = sketch.Shape(src[h.size-1]); {
-	case h.shape == 0:
-		return runHeader{}, fmt.Errorf("run word shape %d", h.shape)
-	case h.shape > maxWholeShape:
+	case h.shape == 0 || h.shape > maxWholeShape:
 		return runHeader{}, fmt.Errorf("run word shape %d", h.shape)
 	case h.shape > sketch.MaxLength:
-		return runHeader{size: h.size}, fmt.Errorf("%w: run word shape %d", errWholeWords, h.shape)
+		return runHeader{size: h.size}, fmt.Errorf("%w: a run of whole words, shape %d", ErrFormatTooOld, h.shape)
 	}
 	rest := uint64(len(src) - h.size)
 	if count == 0 || count > rest || uint64(sketch.MinIDBlocksLen(int(count))+wordsLen(int(count), h.shape)) > rest {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -15,8 +16,10 @@ import (
 
 // fuzzSegmentRecords deterministically fabricates a normalized record set
 // from a seed: the fuzzer varies segment shape through (seed, n) while
-// the test always knows the exact expected contents.
-func fuzzSegmentRecords(seed uint64, n int) []run {
+// the test always knows the exact expected contents.  Its keys are of
+// ℓ = 10, or with twoLengths about half of them of ℓ = 20, so that a
+// subset is two runs and a user may hold a record in each.
+func fuzzSegmentRecords(seed uint64, n int, twoLengths bool) []run {
 	subsets := []bitvec.Subset{
 		bitvec.MustSubset(0),
 		bitvec.MustSubset(0, 3, 5),
@@ -27,10 +30,14 @@ func fuzzSegmentRecords(seed uint64, n int) []run {
 	x := seed
 	for i := 0; i < n; i++ {
 		x = splitmix64(x + uint64(i))
+		length := 10
+		if twoLengths && x>>20&1 == 1 {
+			length = 20
+		}
 		records = append(records, sketch.Published{
 			ID:     bitvec.UserID(x % 100_000),
 			Subset: subsets[int(x>>32)%len(subsets)],
-			S:      sketch.Sketch{Key: x % 1024, Length: 10},
+			S:      sketch.Sketch{Key: x % (1 << uint(length)), Length: length},
 		})
 	}
 	return testRuns(records)
@@ -52,12 +59,9 @@ func samePub(a, b sketch.Published) bool {
 // FuzzSegmentIndex corrupts an arbitrary byte — the header's count, a run
 // header and its shape byte, a block's width byte, first id, differences
 // or words and their pad bits, a block sum, the footer's data-area end,
-// anywhere — of a v5 segment written here from a fuzzer-shaped record set
-// or, with fixture, of the committed v3 segment an older binary wrote,
-// which goes through the older formats' reader as Open's conversion takes
-// it (its stored index section and bloom filter are skipped: damage there
-// must be as harmless as the section is unread) and is read as the v5
-// segment that conversion writes.  Then it drives every read path.
+// anywhere — of a v5 segment written here from a fuzzer-shaped record set,
+// with twoLengths one whose subsets are each a run at ℓ = 10 and one at
+// ℓ = 20.  Then it drives every read path.
 // The contract: the open fails loudly, or every read returns exactly the
 // written records or fails loudly; reads never panic, never return a
 // wrong, missing or misattributed record, and hostile lengths never drive
@@ -67,30 +71,32 @@ func FuzzSegmentIndex(f *testing.F) {
 	f.Add(uint64(2), 0, -1, byte(0), false)
 	f.Add(uint64(3), 40, 9, byte(0xFF), false)    // header record count
 	f.Add(uint64(4), 40, 30, byte(0x01), false)   // first run header
-	f.Add(uint64(5), 200, 1500, byte(0x80), true) // a block of the fixture's long run
+	f.Add(uint64(5), 200, 1500, byte(0x80), true) // a block of a run at ℓ = 20
 	f.Add(uint64(6), 33, -5, byte(0xFF), false)   // footer: data-area end
 	f.Add(uint64(7), 33, -12, byte(0xFF), true)   // footer: the skipped section's checksum
-	f.Add(uint64(8), 64, -20, byte(0x40), true)   // the fixture's bloom tail
-	f.Add(uint64(9), 40, 45, byte(0x09), false)   // v4: the first block's width byte
-	f.Add(uint64(10), 40, 46, byte(0x80), false)  // v4: the first block's first id
-	f.Add(uint64(11), 300, 60, byte(0x01), false) // v4: a difference of the first block
+	f.Add(uint64(8), 64, -20, byte(0x40), true)   // the last block's words
+	f.Add(uint64(9), 40, 45, byte(0x09), false)   // the first block's width byte
+	f.Add(uint64(10), 40, 46, byte(0x80), false)  // the first block's first id
+	f.Add(uint64(11), 300, 60, byte(0x01), false) // a difference of the first block
 	f.Add(uint64(12), 300, 200, byte(0xFF), false)
-	f.Add(uint64(13), 40, 40, byte(0x41), false) // v5: the first run's shape byte
-	// v5: the last byte of the first run's last block of words, pad bits
-	// and all.
-	_, padIdx := encodeSegment(fuzzSegmentRecords(14, 45))
+	f.Add(uint64(13), 40, 40, byte(0x41), false) // the first run's shape byte
+	// The last byte of the first run's last block of words, pad bits and
+	// all.
+	_, padIdx := encodeSegment(fuzzSegmentRecords(14, 45, false))
 	f.Add(uint64(14), 45, int(padIdx.runs[0].end)-5, byte(0x80), false)
-	fixtureImage, fixtureRuns := readParentFixture(f)
-	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, fixture bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, twoLengths bool) {
 		if n < 0 || n > 300 {
 			n = int(uint(n) % 301)
 		}
-		wantRuns := fuzzSegmentRecords(seed, n)
+		wantRuns := fuzzSegmentRecords(seed, n, twoLengths)
 		image, _ := encodeSegment(wantRuns)
-		if fixture {
-			wantRuns, image = fixtureRuns, bytes.Clone(fixtureImage)
-		}
 		want := flatten(wantRuns)
+		// A user may hold a record at each of a subset's two lengths, of
+		// which a lookup answers with one.
+		held := make(map[pairKey][]sketch.Published)
+		for _, p := range want {
+			held[pairOf(p)] = append(held[pairOf(p)], p)
+		}
 		// Negative offsets index from the end (the footer); the fuzzer
 		// reaches it without knowing the image length.
 		if corruptAt < 0 {
@@ -100,18 +106,6 @@ func FuzzSegmentIndex(f *testing.F) {
 		if corruptAt >= 0 && corruptAt < len(image) && corruptXor != 0 {
 			image[corruptAt] ^= corruptXor
 			corrupted = true
-		}
-		if fixture {
-			runs, old, err := decodeAnySegment(image, "fixture")
-			if err != nil {
-				if !corrupted {
-					t.Fatalf("the clean fixture does not convert: %v", err)
-				}
-				return // loud failure is a correct outcome for corruption
-			}
-			if old {
-				image, _ = encodeSegment(runs)
-			}
 		}
 		path := filepath.Join(t.TempDir(), "seg-00000001.seg")
 		if err := os.WriteFile(path, image, 0o644); err != nil {
@@ -197,7 +191,7 @@ func FuzzSegmentIndex(f *testing.F) {
 				}
 				continue
 			}
-			if ok && !samePub(got, p) {
+			if ok && !slices.ContainsFunc(held[pairOf(p)], func(q sketch.Published) bool { return samePub(got, q) }) {
 				t.Fatalf("lookup of %v returned a different record: %+v", keyOf(p), got)
 			}
 			if !ok && !corrupted {
@@ -254,8 +248,8 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 // exactly the prefix's records and must truncate the file to exactly the
 // prefix.  Unless what follows opens with a whole, checksum-clean frame
 // whose runs reach a header of whole words before anything malformed: an
-// older binary wrote it, so the serving path refuses it — replay fails
-// with errWholeWords — and cuts nothing, leaving it to the conversion.
+// older binary wrote and acknowledged it, so replay refuses it with
+// ErrFormatTooOld and leaves the file byte for byte as it was.
 func FuzzWALReplay(f *testing.F) {
 	frame := func(payload []byte) []byte {
 		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
@@ -279,9 +273,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint64(10), 3, frame(framePayload(tag, 70, 1, append(append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1}, bytes.Repeat([]byte{1}, 63)...), ones(70)...))))
 	f.Add(uint64(11), 1, frame(framePayload(tag, 2, 1, append([]byte{4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 9}, ones(2)...))))
 	// And frames whose ids are sound and whose words are not: a shape byte
-	// of 0 and one past an older binary's widest whole words, a pad bit
-	// set, a word of length 31 under whole 35-bit words; then whole words
-	// that are sound.  Replay refuses either whole-word frame whole.
+	// of 0 and one past an older binary's widest whole words, which end the
+	// valid prefix; a pad bit set, which does too; then two frames of an
+	// older binary's whole words, 35 bits a word (one a word of length 31)
+	// and 14 bits, which replay refuses with ErrFormatTooOld.
 	ids := []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1}
 	f.Add(uint64(12), 2, frame(framePayload(tag, 3, 0, append(bytes.Clone(ids), ones(3)...))))
 	f.Add(uint64(13), 2, frame(framePayload(tag, 3, maxWholeShape+1, append(bytes.Clone(ids), make([]byte, 14)...))))
@@ -302,7 +297,7 @@ func FuzzWALReplay(f *testing.F) {
 				if _, err := newRunSet().addFrame(payload); err == nil {
 					tail[4] ^= 0x80
 				} else {
-					older = errors.Is(newRunSet().reserve(payload), errWholeWords)
+					older = errors.Is(newRunSet().reserve(payload), ErrFormatTooOld)
 				}
 			}
 		}
@@ -316,7 +311,7 @@ func FuzzWALReplay(f *testing.F) {
 		w, err := openWAL(path, false, nil)
 		runtime.ReadMemStats(&after)
 		if older {
-			if data, rerr := os.ReadFile(path); !errors.Is(err, errWholeWords) || rerr != nil || !bytes.Equal(data, image) {
+			if data, rerr := os.ReadFile(path); !errors.Is(err, ErrFormatTooOld) || rerr != nil || !bytes.Equal(data, image) {
 				t.Fatalf("replay of a log ending in an older binary's whole-word frame = %v, the file %d bytes of %d", err, len(data), len(image))
 			}
 			return

@@ -48,9 +48,10 @@ import (
 // they touch.  Whatever lies between the data area's end and the footer is
 // skipped; a segment written now has nothing there.
 //
-// A segment of an older format (v3, v4), or a v5 one holding a run of
-// whole words, is rewritten before its shard serves (convertShard), so
-// these readers meet v5 runs of one length alone.
+// A segment of an older format (v3, v4) has another magic and is
+// corrupt; a v5 one holding a checksum-clean run header of whole words,
+// which an older binary wrote, is refused with ErrFormatTooOld.  So these
+// readers meet v5 runs of one length alone.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
@@ -203,16 +204,8 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if afterRename != nil {
-		return afterRename(path)
-	}
 	return nil
 }
-
-// afterRename, when set, is called after each rename writeFileAtomic
-// makes, and an error it returns is writeFileAtomic's: a test stops a
-// format conversion there, at each of its steps in turn, as a crash would.
-var afterRename func(path string) error
 
 // decodeBlock appends the block of m records at the front of src — input
 // — to ids and keys and returns its size and first id.  It verifies the
@@ -244,7 +237,7 @@ func decodeBlock(src []byte, m int, shape sketch.Shape, ids *sketch.IDBuilder, k
 // record is decoded, so a segment Open accepted holds only well-formed,
 // checksum-clean, correctly ordered records.  A checksum-clean run header
 // of whole words — an older binary's column that met two lengths — fails
-// it with errWholeWords, for Open to convert the shard.
+// it with ErrFormatTooOld.
 func walkSegment(data []byte, path string) (*segIndex, error) {
 	corrupt := func(format string, args ...any) (*segIndex, error) {
 		return nil, fmt.Errorf("%w: %s %s", ErrSegmentCorrupt, path, fmt.Sprintf(format, args...))
@@ -269,7 +262,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	off, total := segHeaderSize, 0
 	for off < len(area) {
 		h, err := parseRunHeader(area[off:])
-		if errors.Is(err, errWholeWords) && len(area)-off-h.size >= 4 && checksum(area[off:off+h.size]) == binary.BigEndian.Uint32(area[off+h.size:]) {
+		if errors.Is(err, ErrFormatTooOld) && len(area)-off-h.size >= 4 && checksum(area[off:off+h.size]) == binary.BigEndian.Uint32(area[off+h.size:]) {
 			return nil, fmt.Errorf("%s at offset %d: %w", path, off, err)
 		}
 		if err != nil {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -226,12 +225,20 @@ func TestSIGKILLMidCommitWindow(t *testing.T) {
 	}
 }
 
-// TestPreV3DirRefused: a data directory that holds data under a manifest
-// without a format marker — or under none — was last written before format
-// v3, whose upgrade path is gone: Open returns ErrFormatTooOld and touches
-// nothing, where it once rewrote every file.  A directory in the same
-// state that holds no data is one a crash left at creation, and opens.
-func TestPreV3DirRefused(t *testing.T) {
+// TestOlderDirRefused: a data directory an older version wrote, in any form
+// this one does not read, is refused by Open with ErrFormatTooOld, which
+// names the directory and the version that upgrades it, and Open writes
+// nothing: every file keeps its bytes and modification time — the log is
+// not truncated — and no file but the lock is created.  The forms: data
+// under a manifest without a format marker, or under none (before v3); a
+// manifest marked v3, v4 or v5-converting (the v4 directory the last v4
+// binary wrote, under its own marker and under the mark of a conversion
+// under way); and under v5 a segment's checksum-clean run of whole words
+// and, with that segment gone, a log's whole frame of them, as a v5 binary
+// wrote them before a run held one length (the committed v5 directory).
+// A directory in the pre-v3 state that holds no data is one a crash left at
+// creation, and opens.
+func TestOlderDirRefused(t *testing.T) {
 	// A per-record log as the old versions wrote it: a length, an IEEE
 	// sum, a payload.  No reader is left to ask what the payload says.
 	oldLog := []byte{0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}
@@ -255,18 +262,40 @@ func TestPreV3DirRefused(t *testing.T) {
 		}
 		return dir
 	}
+	// fixture copies a committed directory, with its manifest replaced
+	// when one is given and without the files named.
+	fixture := func(t *testing.T, name, manifest string, without ...string) string {
+		dir := copyFixture(t, filepath.Join("testdata", name))
+		if manifest != "" {
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, file := range without {
+			if err := os.Remove(filepath.Join(dir, shardDirName(0), file)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
 	for name, c := range map[string]struct {
-		manifest string
-		files    map[string][]byte
+		dir   func(t *testing.T) string
+		where string // what the refusal names besides the directory
 	}{
-		"a log under a bare shard count": {"2\n", map[string][]byte{walName: oldLog}},
-		"a segment under a bare shard count": {"2\n", map[string][]byte{
-			walName: nil, segmentName(1): append([]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 1}, oldLog...),
-		}},
-		"a log and no manifest": {"", map[string][]byte{walName: oldLog}},
+		"a log under a bare shard count": {func(t *testing.T) string { return build(t, "2\n", map[string][]byte{walName: oldLog}) }, "no format marker"},
+		"a segment under a bare shard count": {func(t *testing.T) string {
+			return build(t, "2\n", map[string][]byte{walName: nil, segmentName(1): append([]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 1}, oldLog...)})
+		}, "no format marker"},
+		"a log and no manifest":           {func(t *testing.T) string { return build(t, "", map[string][]byte{walName: oldLog}) }, "no format marker"},
+		"a v3 manifest":                   {func(t *testing.T) string { return build(t, "2 v3\n", map[string][]byte{walName: oldLog}) }, "marked v3"},
+		"the v4 directory":                {func(t *testing.T) string { return fixture(t, "dir-parent-v4", "") }, "marked v4"},
+		"the v4 directory mid-conversion": {func(t *testing.T) string { return fixture(t, "dir-parent-v4", "1 v5-converting\n") }, "marked v5-converting"},
+		"a segment of whole words":        {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "") }, segmentName(1)},
+		"a log frame of whole words":      {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "", segmentName(1)) }, walName},
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := build(t, c.manifest, c.files)
+			dir := c.dir(t)
+			before := dirState(t, dir)
 			st, err := Open(Options{Dir: dir, CompactInterval: -1})
 			if !errors.Is(err, ErrFormatTooOld) {
 				if err == nil {
@@ -274,17 +303,20 @@ func TestPreV3DirRefused(t *testing.T) {
 				}
 				t.Fatalf("Open = %v, want ErrFormatTooOld", err)
 			}
-			if !strings.Contains(err.Error(), "format v3") || !strings.Contains(err.Error(), dir) {
-				t.Fatalf("the refusal %q names neither the version that upgrades the directory nor the directory", err)
+			for _, named := range []string{dir, c.where, "79b9228"} {
+				if !strings.Contains(err.Error(), named) {
+					t.Fatalf("the refusal %q does not name %q", err, named)
+				}
 			}
-			if data, err := os.ReadFile(filepath.Join(dir, manifestName)); string(data) != c.manifest && !(c.manifest == "" && os.IsNotExist(err)) {
-				t.Fatalf("the refused Open left the manifest %q, %v", data, err)
+			after := dirState(t, dir)
+			for path, was := range before {
+				if after[path] != was {
+					t.Fatalf("the refused Open touched %s", path)
+				}
 			}
-			for s := 0; s < 2; s++ {
-				for name, image := range c.files {
-					if data, err := os.ReadFile(filepath.Join(dir, shardDirName(s), name)); err != nil || !bytes.Equal(data, image) {
-						t.Fatalf("the refused Open touched shard %d's %s (%v)", s, name, err)
-					}
+			for path, now := range after {
+				if _, ok := before[path]; !ok && (filepath.Base(path) != "LOCK" || !strings.HasPrefix(now, "@")) {
+					t.Fatalf("the refused Open created %s", path)
 				}
 			}
 		})
@@ -300,6 +332,34 @@ func TestPreV3DirRefused(t *testing.T) {
 			t.Fatalf("manifest = %q, %v", data, err)
 		}
 	})
+}
+
+// copyFixture copies the files of a committed one-shard directory — its
+// manifest and shard-0000's files — into a fresh directory.
+func copyFixture(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, shardDirName(0)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(src, shardDirName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{manifestName}
+	for _, e := range entries {
+		names = append(names, filepath.Join(shardDirName(0), e.Name()))
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // testRecordsRange fabricates records for ids lo..hi over b.

@@ -13,9 +13,10 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// Log format v5.  The log opens with an 8-byte magic and continues with
-// one frame per appended group, the unit a commit window queues: the one
-// record of an Append, or an AppendBatch's records for the shard.
+// Log format v5, the only one written or read.  The log opens with an
+// 8-byte magic and continues with one frame per appended group, the unit a
+// commit window queues: the one record of an Append, or an AppendBatch's
+// records for the shard.
 //
 //	4 bytes big-endian payload length
 //	4 bytes big-endian checksum of the payload
@@ -38,6 +39,11 @@ import (
 // frames of the torn window stay, as whole records of a torn batch always
 // did — nothing of that window was acknowledged, and nothing says an
 // unacknowledged record must be lost.
+//
+// A log of another magic is refused at Open.  A whole, checksum-clean
+// frame holding a run of whole words — a shape past 30, which an older
+// binary wrote — was acknowledged, so it is no torn tail: replay refuses
+// it with ErrFormatTooOld and cuts nothing.
 var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 5}
 
 const (
@@ -125,8 +131,7 @@ type frameRun struct {
 
 // openWAL opens (creating if needed) the log at path, replays it — every
 // whole window is kept, a torn tail is truncated away in place — and
-// positions it for appending.  A log of an older format must have been
-// converted first (convertShard).
+// positions it for appending.
 func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -146,8 +151,8 @@ func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
 // end of the valid prefix: the windows before it are kept and everything
 // from it on is cut off, which is exactly the state a crash mid-append
 // leaves behind.  A whole frame holding a run of whole words, which an
-// older binary wrote, is no such violation: replay fails with
-// errWholeWords, cutting nothing, and Open converts the shard.
+// older binary wrote, is no such violation: it was acknowledged, so replay
+// fails with ErrFormatTooOld and cuts nothing.
 func (w *wal) replay() error {
 	info, err := w.f.Stat()
 	if err != nil {
@@ -207,7 +212,8 @@ func (w *wal) readLog(size int64) ([]byte, error) {
 // valid prefix — the magic and every whole, checksum-clean, well-formed
 // frame after it — and the records that prefix holds.  What follows the
 // prefix is not an error: it is what a crash mid-append leaves.  A whole
-// frame holding a run of whole words is: scanLog fails with errWholeWords.
+// frame holding a run of whole words is: scanLog fails with
+// ErrFormatTooOld, before its caller could cut anything.
 // Nothing is allocated by a length field: the image
 // bounds every frame, and the columns are sized by a first pass over the
 // frames' run headers, each count checked against the bytes its columns
@@ -217,7 +223,7 @@ func scanLog(data []byte, set *runSet) (valid int64, records uint64, err error) 
 		return 0, 0, nil
 	}
 	end, err := eachFrame(data, len(data), set.reserve)
-	if errors.Is(err, errWholeWords) {
+	if errors.Is(err, ErrFormatTooOld) {
 		return 0, 0, err
 	}
 	set.grow()
@@ -286,7 +292,7 @@ func eachRun(payload []byte, fn func(h runHeader, columns []byte, idsLen int) er
 }
 
 // reserve notes how many records a frame will add to each run.  The frame
-// is checksum-clean, so a run header of whole words in it (errWholeWords)
+// is checksum-clean, so a run header of whole words in it (ErrFormatTooOld)
 // is what an older binary wrote, not a torn append.
 func (s *runSet) reserve(payload []byte) error {
 	return eachRun(payload, func(h runHeader, _ []byte, _ int) error {

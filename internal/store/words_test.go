@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/bits"
 	"slices"
 	"testing"
@@ -13,20 +12,13 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// referenceColumns encodes records — one subset's, in the order given —
-// as the columns of a run in format v3, v4 or v5, knowing nothing of
-// sketch.IDs, sketch.Words or Pack: the ids — as v3 held them, 8 bytes
-// each, or as v4 and v5 do, in blocks of 64 that are a width byte, a first
-// id and the differences at that width, or width 8 and the ids raw where
-// they do not ascend or lie 2³² apart — then the sketches.  v3 and v4
-// write each as its key above a 5-bit length in the bytes the widest
-// needs, big-endian, and the header byte is that width; v5 writes the
-// keys alone in ℓ bits each when every sketch has length ℓ, and whole words
-// otherwise, low bit first (packBits), and the header byte is ℓ, or 30 +
-// the word's bits.  The writer chooses how wide whole words are — whole
-// bits, from the widest word's to 35; 0 means ℓmax + 5 — and a width
-// outside that range has no header byte: 0.
-func referenceColumns(records []sketch.Published, format, whole int) (ids, words []byte, header byte) {
+// referenceColumns encodes records — one subset's, all of one length ℓ,
+// in the order given — as the columns of a v5 run, knowing nothing of
+// sketch.IDs, sketch.Words or Pack: the ids in blocks of 64 that are a
+// width byte, a first id and the differences at that width, or width 8 and
+// the ids raw where they do not ascend or lie 2³² apart; then the keys in
+// ℓ bits each, low bit first (packBits).  The header byte is ℓ.
+func referenceColumns(records []sketch.Published) (ids, words []byte, header byte) {
 	for at := 0; at < len(records); at += 64 {
 		block := records[at:min(at+64, len(records))]
 		w := 1
@@ -38,11 +30,9 @@ func referenceColumns(records []sketch.Published, format, whole int) (ids, words
 				w = max(w, (bits.Len64(d)+7)/8)
 			}
 		}
-		if format > 3 {
-			ids = append(ids, byte(w))
-		}
+		ids = append(ids, byte(w))
 		for i, p := range block {
-			if format == 3 || w == 8 || i == 0 {
+			if w == 8 || i == 0 {
 				ids = binary.BigEndian.AppendUint64(ids, uint64(p.ID))
 				continue
 			}
@@ -52,36 +42,15 @@ func referenceColumns(records []sketch.Published, format, whole int) (ids, words
 			}
 		}
 	}
-	packed := make([]uint64, len(records))
-	widest, longest, oneLength := uint64(0), 0, true
+	keys := make([]uint64, len(records))
 	for i, p := range records {
-		packed[i] = p.S.Key<<5 | uint64(p.S.Length)
-		widest, longest = max(widest, packed[i]), max(longest, p.S.Length)
-		oneLength = oneLength && p.S.Length == records[0].S.Length
+		keys[i] = p.S.Key
 	}
-	if format == 5 {
-		if oneLength {
-			keys := make([]uint64, len(records))
-			for i, p := range records {
-				keys[i] = p.S.Key
-			}
-			return ids, packBits(keys, longest), byte(longest)
-		}
-		if whole == 0 {
-			whole = longest + 5
-		}
-		if whole < bits.Len64(widest) || whole > 35 {
-			return ids, nil, 0
-		}
-		return ids, packBits(packed, whole), byte(30 + whole)
+	length := 0
+	if len(records) > 0 {
+		length = records[0].S.Length
 	}
-	width := max(1, (bits.Len64(widest)+7)/8)
-	for _, word := range packed {
-		for shift := 8 * (width - 1); shift >= 0; shift -= 8 {
-			words = append(words, byte(word>>shift))
-		}
-	}
-	return ids, words, byte(width)
+	return ids, packBits(keys, length), byte(length)
 }
 
 // onesBits is packBits of n words of 1, one bit each: the v5 column of n
@@ -148,13 +117,12 @@ func framePayload(tag string, n int, header byte, cols []byte) []byte {
 // frames are (arrival order, repeats, newest wins), sorted, deduplicated
 // and handed to the table for keeps.  Throughout, the column must read as
 // the map does; and written as a run its bytes must be the ones the format
-// says (referenceColumns), decode back to the same column — from a v5
-// frame and, through the conversion's reader, from v3 and v4 columns and
-// from an older v5 binary's whole words — also split and merged — and,
-// loaded into an empty table, read the same again.  The words themselves
-// are driven on the way: slices cut at any bit are appended to columns
-// ending at any other, Set and Swap write single words, and a column
-// refuses a word, a column or a disk column of another length.
+// says (referenceColumns), decode back to the same column from a v5
+// frame, also split and merged, and, loaded into an empty table, read the
+// same again.  The words themselves are driven on the way: slices cut at
+// any bit are appended to columns ending at any other, Set and Swap write
+// single words, and a column refuses a word, a column or a disk column of
+// another length.
 func FuzzColumnWords(f *testing.F) {
 	// FuzzWALReplay's corpus, for what its bytes do as ops, and streams that
 	// widen a column step by step and back-load narrow runs under wide ones.
@@ -224,7 +192,7 @@ func FuzzColumnWords(f *testing.F) {
 			}
 			runs := testRuns(want)
 			ids, keys := runs[0].IDs.AppendTo(nil), runs[0].Keys
-			wantIDs, wantWords, wantShape := referenceColumns(want, 5, 0)
+			wantIDs, wantWords, wantShape := referenceColumns(want)
 			written := keys.AppendBits(sketch.AppendIDBlocks(nil, ids))
 			if keys.Shape() != sketch.Shape(wantShape) || !bytes.Equal(written, append(bytes.Clone(wantIDs), wantWords...)) {
 				t.Fatalf("%d records are written at shape %d as %x, want shape %d, %x%x", len(want), keys.Shape(), written, wantShape, wantIDs, wantWords)
@@ -245,48 +213,12 @@ func FuzzColumnWords(f *testing.F) {
 			runOf := func(ids []bitvec.UserID, keys sketch.Words) sketch.Run {
 				return sketch.Run{Subset: b, IDs: sketch.MakeIDs(ids), Keys: keys}
 			}
-			// What a v3 or a v4 file holds of them, and an older v5 binary's
-			// whole words of them beside a record of another length, through
-			// the conversion's reader, which splits a subset by length.
 			wantSketches := make([]sketch.Sketch, len(want))
 			for i, p := range want {
 				wantSketches[i] = p.S
 			}
-			columnsOf := func(format int, records []sketch.Published) ([]bitvec.UserID, []uint64) {
-				t.Helper()
-				oldIDs, oldWords, code := referenceColumns(records, format, 0)
-				gotIDs, gotWords, size, err := decodeAnyColumns(append(oldIDs, oldWords...), len(records), format, int(code), nil, nil)
-				if err != nil || size != len(oldIDs)+len(oldWords) {
-					t.Fatalf("the v%d columns of shape %d decode %d of their %d bytes, %v", format, code, size, len(oldIDs)+len(oldWords), err)
-				}
-				return gotIDs, gotWords
-			}
-			splitLengths := func(ids []bitvec.UserID, words []uint64) []run {
-				set := newRunSet()
-				addWords(set, b, ids, words)
-				return set.normalized()
-			}
-			for _, format := range []int{3, 4} {
-				split := splitLengths(columnsOf(format, want))
-				same(fmt.Sprintf("the decoded v%d run", format), flatten(split), want)
-			}
 			x = splitmix64(x)
-			odd := sketch.Published{ID: want[len(want)-1].ID + 1 + bitvec.UserID(x%3), Subset: b, S: sketch.Sketch{Key: x % 2, Length: want[0].S.Length%sketch.MaxLength + 1}}
-			mixed := append(slices.Clone(want), odd)
-			if _, _, code := referenceColumns(mixed, 5, 0); code <= sketch.MaxLength {
-				t.Fatalf("%d records of two lengths are written at shape %d", len(mixed), code)
-			}
-			split := splitLengths(columnsOf(5, mixed))
-			byLength := make(map[int][]sketch.Published)
-			for _, p := range mixed {
-				byLength[p.S.Length] = append(byLength[p.S.Length], p)
-			}
-			if len(split) != 2 {
-				t.Fatalf("whole words of two lengths split into %d runs", len(split))
-			}
-			for _, r := range split {
-				same(fmt.Sprintf("the %d-bit part of the whole words", r.Keys.Shape()), flatten([]run{r}), byLength[int(r.Keys.Shape())])
-			}
+			odd := sketch.Sketch{Key: x % 2, Length: want[0].S.Length%sketch.MaxLength + 1} // a sketch of another length
 			gotIDs, gotKeys := ids, keys
 			// The v5 words through the checked copy: onto an empty column
 			// and onto one of their length holding a word, which must read
@@ -302,12 +234,12 @@ func FuzzColumnWords(f *testing.F) {
 				t.Fatal(err)
 			}
 			sameSketches(t, "the v5 words decoded onto an empty column", onto, wantSketches)
-			other := sketch.Words{}.Append(odd.S.Pack())
+			other := sketch.Words{}.Append(odd.Pack())
 			if got, err := other.AppendBitsFrom(wantWords, sketch.Shape(wantShape), len(want)); err == nil || got.Len() != 1 {
-				t.Fatalf("a column of %d-bit sketches took %d-bit ones from disk: %d words, %v", odd.S.Length, colLen, got.Len(), err)
+				t.Fatalf("a column of %d-bit sketches took %d-bit ones from disk: %d words, %v", odd.Length, colLen, got.Len(), err)
 			}
-			if !panics(func() { gotKeys.Clone().Append(odd.S.Pack()) }) || !panics(func() { other.AppendWords(gotKeys) }) {
-				t.Fatalf("a column of %d-bit sketches took a %d-bit one", colLen, odd.S.Length)
+			if !panics(func() { gotKeys.Clone().Append(odd.Pack()) }) || !panics(func() { other.AppendWords(gotKeys) }) {
+				t.Fatalf("a column of %d-bit sketches took a %d-bit one", colLen, odd.Length)
 			}
 			// Slices cut at any bit, also of a slice, appended 64 bits at a
 			// time into columns ending at other bits and empty ones.
@@ -489,17 +421,13 @@ func FuzzColumnWords(f *testing.F) {
 // become columns, however clean the checksums over it: the log's replay
 // ends before its frame, a segment holding it fails to open, and nothing
 // of its run is kept.  A column of an older binary's whole words (a shape
-// past 30) is refused on the serving path — the log's replay and a
-// segment's open fail with errWholeWords, for Open to convert the shard —
-// and read only by the conversion, which refuses a whole word that packs
-// no valid sketch: the log's valid prefix ends before its frame, the
-// segment is corrupt.  The words that pack no valid sketch are refused by
-// the reader of v3 and v4 too.  Sound whole words are the conversion's to
-// read.
+// past 30), sound or holding a word that packs no valid sketch, is refused
+// with ErrFormatTooOld by both — the log's replay before it cuts anything
+// — and one whose header fails its checksum is a corrupt segment.
 func TestDecodeRefusesInvalidWord(t *testing.T) {
 	b := bitvec.MustSubset(0, 3)
 	good := []sketch.Published{testRecord(1001, b), testRecord(1002, b), testRecord(1003, b)}
-	goodIDs, goodWords, goodShape := referenceColumns(good, 5, 0)
+	goodIDs, goodWords, goodShape := referenceColumns(good)
 	if goodShape != 10 || len(goodWords) != 4 {
 		t.Fatalf("the test's records are of shape %d in %d bytes, want 10 in 4", goodShape, len(goodWords))
 	}
@@ -534,20 +462,6 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 				packed[len(packed)-1] = tc.word
 				width := max(16, bits.Len64(tc.word))
 				words, shape = packBits(packed, width), byte(sketch.MaxLength+width)
-				// The older formats' reader refuses the word too.
-				for _, format := range []int{3, 4} {
-					oldIDs, oldWords, width := referenceColumns(good, format, 0)
-					if width != 2 {
-						t.Fatalf("the test's records are %d bytes wide in v%d, want 2", width, format)
-					}
-					if tc.word >= 1<<16 {
-						continue // wider than the run's words
-					}
-					binary.BigEndian.PutUint16(oldWords[len(oldWords)-2:], uint16(tc.word))
-					if _, _, _, err := decodeAnyColumns(append(oldIDs, oldWords...), len(good), format, 2, nil, nil); err == nil {
-						t.Fatalf("the v%d reader took word %#x", format, tc.word)
-					}
-				}
 			case tc.pad:
 				words[len(words)-1] |= 0x80
 			case tc.shape == 0xFF:
@@ -564,36 +478,30 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 			first := windowFrame(t, testRecord(9, b))
 			image := append(append(walMagic[:len(walMagic):len(walMagic)], first...), bad...)
 			wholeWords := shape > sketch.MaxLength && shape <= maxWholeShape
-			if _, _, err := scanLog(image, newRunSet()); wholeWords && !errors.Is(err, errWholeWords) {
-				t.Fatalf("replay of a frame of whole words = %v, want errWholeWords", err)
+			if _, _, err := scanLog(image, newRunSet()); wholeWords && !errors.Is(err, ErrFormatTooOld) {
+				t.Fatalf("replay of a frame of whole words = %v, want ErrFormatTooOld", err)
 			} else if !wholeWords {
 				got, valid := logRecords(t, image)
 				if valid != int64(len(walMagic)+len(first)) || len(got) != 1 || got[0].ID != 9 {
 					t.Fatalf("replay kept %d bytes and %+v, want the first frame's %d bytes and user 9 alone", valid, got, len(walMagic)+len(first))
 				}
 			}
-			if runs, _ := decodeAnyLog(image); len(flatten(runs)) != 1 || flatten(runs)[0].ID != 9 {
-				t.Fatalf("the conversion keeps %+v of the log, want user 9 alone", flatten(runs))
-			}
 
 			// A segment: the same run as its one block, every sum and the
 			// data area's end computed.
 			seg := oneBlockSegment(b.Key(), len(good), shape, cols)
-			_, err := walkSegment(seg, "seg")
+			want := ErrSegmentCorrupt
 			if wholeWords {
-				if !errors.Is(err, errWholeWords) {
-					t.Fatalf("walkSegment of whole words = %v, want errWholeWords", err)
-				}
-				if _, _, err = decodeAnySegment(seg, "seg"); !errors.Is(err, ErrSegmentCorrupt) {
-					t.Fatalf("the conversion of the segment = %v, want ErrSegmentCorrupt", err)
-				}
-			} else if !errors.Is(err, ErrSegmentCorrupt) {
-				t.Fatalf("walkSegment = %v, want ErrSegmentCorrupt", err)
+				want = ErrFormatTooOld
+			}
+			if _, err := walkSegment(seg, "seg"); !errors.Is(err, want) {
+				t.Fatalf("walkSegment = %v, want %v", err, want)
 			}
 		})
 	}
-	// The same construction of the good columns opens, and of sound whole
-	// words is refused on the serving path and read by the conversion.
+	// The same construction of the good columns opens; of sound whole words
+	// it is refused as too old, and corrupt once their run header fails its
+	// checksum.
 	if _, err := walkSegment(oneBlockSegment(b.Key(), len(good), goodShape, append(goodIDs, goodWords...)), "seg"); err != nil {
 		t.Fatalf("the good columns as a segment: %v", err)
 	}
@@ -602,11 +510,12 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 		packed[i] = p.S.Pack()
 	}
 	whole := oneBlockSegment(b.Key(), len(good), sketch.MaxLength+16, append(bytes.Clone(goodIDs), packBits(packed, 16)...))
-	if _, err := walkSegment(whole, "seg"); !errors.Is(err, errWholeWords) {
-		t.Fatalf("walkSegment of sound whole words = %v, want errWholeWords", err)
+	if _, err := walkSegment(whole, "seg"); !errors.Is(err, ErrFormatTooOld) {
+		t.Fatalf("walkSegment of sound whole words = %v, want ErrFormatTooOld", err)
 	}
-	if runs, rewrite, err := decodeAnySegment(whole, "seg"); err != nil || !rewrite || !slices.EqualFunc(flatten(runs), good, samePub) {
-		t.Fatalf("the conversion reads %+v of sound whole words, %v, %v", flatten(runs), rewrite, err)
+	whole[segHeaderSize+runHeaderFixed+len(b.Key())] ^= 1 // the header's checksum
+	if _, err := walkSegment(whole, "seg"); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("walkSegment of whole words under a bad header checksum = %v, want ErrSegmentCorrupt", err)
 	}
 }
 
