@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -67,6 +68,23 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 	}
 	if seen < 20 {
 		t.Fatalf("doc lint walked only %d packages — directory layout changed?", seen)
+	}
+}
+
+// TestDesignDescribesHead is the doc lint's DESIGN.md leg: the design
+// document states the design as it stands, so it cites no change by
+// number — not in a sentence, not as a table column's heading.  What a
+// change moved, and by how much, is recorded in CHANGES.md.
+func TestDesignDescribesHead(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cites := regexp.MustCompile(`PRs? [0-9]+`)
+	for i, line := range strings.Split(string(data), "\n") {
+		if m := cites.FindAllString(line, -1); m != nil {
+			t.Errorf("DESIGN.md:%d cites %q: say what the design is, and leave its history to CHANGES.md", i+1, m)
+		}
 	}
 }
 

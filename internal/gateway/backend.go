@@ -23,8 +23,6 @@ type Backend interface {
 	Source(d cluster.Domain) query.PartialSource
 	// Estimator returns the shared Algorithm 2 estimator.
 	Estimator() *query.Estimator
-	// TotalRecords counts the records in the domain.
-	TotalRecords(d cluster.Domain) (uint64, error)
 	// Healthy returns nil when the backend can currently answer queries.
 	Healthy() error
 	// Status renders a human-readable backend status (admin stats).
@@ -57,11 +55,6 @@ func (b RouterBackend) Source(d cluster.Domain) query.PartialSource { return b.R
 
 // Estimator implements Backend.
 func (b RouterBackend) Estimator() *query.Estimator { return b.R.Estimator() }
-
-// TotalRecords implements Backend with one counting fan-out.
-func (b RouterBackend) TotalRecords(d cluster.Domain) (uint64, error) {
-	return b.R.DomainSource(d).TotalRecords()
-}
 
 // Healthy implements Backend: a router is healthy while any node answers
 // pings — queries may still degrade loudly, but the front door is up.
@@ -106,11 +99,6 @@ func (b EngineBackend) Source(d cluster.Domain) query.PartialSource {
 
 // Estimator implements Backend.
 func (b EngineBackend) Estimator() *query.Estimator { return b.E.Estimator() }
-
-// TotalRecords implements Backend with a local filtered count.
-func (b EngineBackend) TotalRecords(d cluster.Domain) (uint64, error) {
-	return b.Source(d).TotalRecords()
-}
 
 // Healthy implements Backend; an in-process engine is always reachable.
 func (b EngineBackend) Healthy() error { return nil }

@@ -411,7 +411,7 @@ func (g *Gateway) handleTenant(w http.ResponseWriter, r *http.Request, t *Tenant
 // handleStats reports the tenant's own record counts; admin tenants also
 // get the backend's status text.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	total, err := g.backend.TotalRecords(t.Domain)
+	total, err := g.backend.Source(t.Domain).TotalRecords()
 	if err != nil {
 		g.writeError(w, http.StatusBadGateway, apiError{Code: codeQueryFailed, Message: err.Error()})
 		return

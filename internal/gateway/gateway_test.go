@@ -16,6 +16,7 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 )
 
@@ -315,16 +316,25 @@ func TestQuotaExceededTyped(t *testing.T) {
 	}
 }
 
-// gatedBackend wraps a Backend, parking TotalRecords calls on a gate so a
-// test can hold requests in flight deliberately.
+// gatedBackend wraps a Backend, parking its sources' TotalRecords calls on
+// a gate so a test can hold requests in flight deliberately.
 type gatedBackend struct {
 	Backend
 	gate chan struct{}
 }
 
-func (b gatedBackend) TotalRecords(d cluster.Domain) (uint64, error) {
-	<-b.gate
-	return b.Backend.TotalRecords(d)
+func (b gatedBackend) Source(d cluster.Domain) query.PartialSource {
+	return gatedSource{b.Backend.Source(d), b.gate}
+}
+
+type gatedSource struct {
+	query.PartialSource
+	gate chan struct{}
+}
+
+func (s gatedSource) TotalRecords() (uint64, error) {
+	<-s.gate
+	return s.PartialSource.TotalRecords()
 }
 
 // TestOverloadShedsLoudlyHealthStaysLive: at the in-flight cap, API

@@ -62,10 +62,13 @@
 //
 // # Recovery
 //
-// Open validates every segment and replays every WAL.  A torn WAL tail —
-// the partial frame a crash mid-write leaves behind — is detected by the
-// length/checksum framing and truncated away instead of failing the open,
-// so a SIGKILLed collector restarts with every acknowledged sketch.
+// Open validates every segment and replays every WAL, reading before it
+// writes: every shard is walked and decoded first, and only once all have
+// passed does Open create a missing shard directory or log or cut
+// anything.  A torn WAL tail — the partial frame a crash mid-write leaves
+// behind — is detected by the length/checksum framing and truncated away
+// instead of failing the open, so a SIGKILLed collector restarts with
+// every acknowledged sketch.
 // Segment files are written atomically; Open walks each one's data area,
 // verifying every checksum and decoding every record, so corruption there
 // is reported as an error rather than silently dropped.
@@ -73,15 +76,16 @@
 // # Older formats are refused
 //
 // Format v5 at one length a run is the only one this version reads.  Open
-// refuses with ErrFormatTooOld, having written nothing, a directory whose
-// manifest is marked v3, v4 or v5-converting; one whose segment or log
-// holds a checksum-clean run header of whole Pack words (a shape past 30,
-// which a v5 binary wrote before a run held one length) — a log is refused
-// before replay could cut that frame off as a torn tail; and one holding
-// data under a manifest with no marker (before v3).  The error names the
-// versions that upgrade such a directory, which is opened once with each
-// and then with this one.  Any other malformed run header is corrupt in a
-// segment and the end of the valid prefix in a log, as it always was.
+// refuses with ErrFormatTooOld, having written nothing in any shard, a
+// directory whose manifest is marked v3, v4 or v5-converting; one whose
+// segment or log holds a checksum-clean run header of whole Pack words (a
+// shape past 30, which a v5 binary wrote before a run held one length) —
+// a log is refused before replay could cut that frame off as a torn tail;
+// and one holding data under a manifest with no marker (before v3).  The
+// error names the versions that upgrade such a directory, which is opened
+// once with each and then with this one.  Any other malformed run header
+// is corrupt in a segment and the end of the valid prefix in a log, as it
+// always was.
 //
 // The store keeps a subset's records of two lengths as runs of their own,
 // deduplicated each on its own; which length a deployment serves is its

@@ -123,6 +123,9 @@ type dshard struct {
 	wal     *wal
 	segs    []segmentMeta
 	nextSeq uint64
+	// tmps are the .tmp files a crash mid-flush left, found by loadShard
+	// and removed by ready.
+	tmps []string
 	// compacting serializes compactions on the shard (background loop vs
 	// CompactNow) so the merge can run without holding mu.
 	compacting bool
@@ -165,7 +168,8 @@ type Durable struct {
 // Open opens (creating if necessary) a durable store in opts.Dir,
 // replaying every shard's WAL — truncating torn tails — and validating
 // every segment.  A directory an older version wrote is refused with
-// ErrFormatTooOld.  The returned store is ready for Append and Iterate.
+// ErrFormatTooOld before any shard is written to.  The returned store is
+// ready for Append and Iterate.
 func Open(opts Options) (*Durable, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -210,13 +214,6 @@ func Open(opts Options) (*Durable, error) {
 			nShards = opts.Shards
 		}
 	}
-	// A new directory is marked v5 at once.
-	if format == "" {
-		if err := writeManifest(opts.Dir, nShards, manifestFormat, opts.Fsync); err != nil {
-			lock.Unlock()
-			return nil, err
-		}
-	}
 	if found > nShards {
 		lock.Unlock()
 		return nil, fmt.Errorf("store: %s holds %d shard directories but its manifest says %d: refusing to open a mixed data directory", opts.Dir, found, nShards)
@@ -227,39 +224,38 @@ func Open(opts Options) (*Durable, error) {
 		m = newMetrics(opts.Metrics)
 	}
 	replayStart := time.Now()
-	// Shards touch disjoint directories, so replay and segment validation
-	// parallelize perfectly — cold starts are bounded by the largest
-	// shard, not the sum.
+	// Open reads before it writes: every shard's segments are walked and its
+	// log decoded with nothing written, and only once every shard has passed
+	// is anything created, cut or synced — so a directory refused in any
+	// shard is left as it was.  Shards touch disjoint directories, so both
+	// passes parallelize: cold starts are bounded by the largest shard, not
+	// the sum.
 	d.shards = make([]*dshard, nShards)
-	openErrs := make([]error, nShards)
-	var openWG sync.WaitGroup
-	for i := 0; i < nShards; i++ {
-		openWG.Add(1)
-		go func(i int) {
-			defer openWG.Done()
-			d.shards[i], openErrs[i] = openShard(opts, i, m)
-		}(i)
+	err = eachShard(nShards, func(i int) (err error) {
+		d.shards[i], err = loadShard(opts, i, m)
+		return err
+	})
+	if err == nil && format == "" {
+		// A new directory is marked v5 before its first shard directory is
+		// created.
+		err = writeManifest(opts.Dir, nShards, manifestFormat, opts.Fsync)
 	}
-	openWG.Wait()
-	for _, err := range openErrs {
-		if err != nil {
-			d.closeShards()
-			lock.Unlock()
-			return nil, err
-		}
+	if err == nil {
+		err = eachShard(nShards, func(i int) error { return d.shards[i].ready(opts) })
+	}
+	if err == nil && opts.Fsync {
+		// Make freshly-created shard directories durable before the first
+		// append is acknowledged.
+		err = syncDir(opts.Dir)
+	}
+	if err != nil {
+		d.closeShards()
+		lock.Unlock()
+		return nil, err
 	}
 	d.replayTime = time.Since(replayStart)
 	if opts.Metrics != nil {
 		d.registerCollectors(opts.Metrics)
-	}
-	if opts.Fsync {
-		// Make freshly-created shard directories durable before the first
-		// append is acknowledged.
-		if err := syncDir(opts.Dir); err != nil {
-			d.closeShards()
-			lock.Unlock()
-			return nil, err
-		}
 	}
 	if opts.CompactInterval > 0 {
 		d.wg.Add(1)
@@ -384,17 +380,35 @@ func existingShards(dir string) (int, error) {
 // shardDirName renders the canonical directory name for shard i.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
-// openShard opens shard i: lists and validates its segments, replays its
-// WAL and positions the log for appending.  It fails with ErrFormatTooOld
-// — having written nothing — where a segment or the log holds a run of
-// whole words.
-func openShard(opts Options, i int, m *metrics) (*dshard, error) {
-	dir := filepath.Join(opts.Dir, shardDirName(i))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+// eachShard runs fn for shards 0..n-1 in parallel and returns the first
+// error by shard number.
+func eachShard(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadShard is the read half of opening shard i: it walks its segments
+// and decodes its log, writing nothing — a missing shard directory or log
+// is ready's to create.  It fails with ErrFormatTooOld where a segment or
+// the log holds a run of whole words.
+func loadShard(opts Options, i int, m *metrics) (*dshard, error) {
+	dir := filepath.Join(opts.Dir, shardDirName(i))
+	segs, tmps, err := listSegments(dir)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	nextSeq := uint64(1)
@@ -410,27 +424,40 @@ func openShard(opts Options, i int, m *metrics) (*dshard, error) {
 			nextSeq = segs[si].seq + 1
 		}
 	}
-	w, err := openWAL(filepath.Join(dir, walName), opts.Fsync, m)
+	w, err := loadWAL(filepath.Join(dir, walName), opts.Fsync, m)
 	if err != nil {
 		return nil, err
+	}
+	return &dshard{id: i, dir: dir, wal: w, segs: segs, tmps: tmps, nextSeq: nextSeq, flushThreshold: opts.FlushThreshold, m: m}, nil
+}
+
+// ready is the write half of opening a shard, run once every shard has
+// loaded: it creates the shard's directory and log where they are missing,
+// removes what a crash mid-flush left, cuts the log's torn tail, syncs
+// under Fsync and starts the group committer.
+func (sh *dshard) ready(opts Options) error {
+	if err := os.MkdirAll(sh.dir, 0o755); err != nil {
+		return err
+	}
+	for _, tmp := range sh.tmps {
+		os.Remove(tmp)
+	}
+	sh.tmps = nil
+	if err := sh.wal.ready(); err != nil {
+		return err
 	}
 	if opts.Fsync {
 		// Machine-crash durability needs the wal.log (and shard directory)
 		// directory entries on disk too, not just the record bytes.
-		if err := w.Sync(); err != nil {
-			w.Close()
-			return nil, err
+		if err := sh.wal.Sync(); err != nil {
+			return err
 		}
-		if err := syncDir(dir); err != nil {
-			w.Close()
-			return nil, err
+		if err := syncDir(sh.dir); err != nil {
+			return err
 		}
-	}
-	sh := &dshard{id: i, dir: dir, wal: w, segs: segs, nextSeq: nextSeq, flushThreshold: opts.FlushThreshold, m: m}
-	if opts.Fsync {
 		sh.gc = newGroupCommit(sh, opts.FsyncWindow)
 	}
-	return sh, nil
+	return nil
 }
 
 // walName is the log's file name within a shard directory.

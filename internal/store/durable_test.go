@@ -1221,13 +1221,17 @@ type pairKey struct {
 func pairOf(p sketch.Published) pairKey { return pairKey{p.ID, p.Subset.Key()} }
 
 // dirState returns the bytes and the modification time of every file
-// under dir.
+// under dir, and names every directory.
 func dirState(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	state := make(map[string]string)
 	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
-		if err != nil || e.IsDir() {
+		if err != nil {
 			return err
+		}
+		if e.IsDir() {
+			state[path] = "directory"
+			return nil
 		}
 		info, err := e.Info()
 		if err != nil {

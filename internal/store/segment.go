@@ -315,20 +315,20 @@ func openSegment(path string) (*segIndex, error) {
 	return walkSegment(data, path)
 }
 
-// listSegments scans dir for segment files, sorted by sequence number.
-// Leftover .tmp files from a crash mid-flush are removed.
-func listSegments(dir string) ([]segmentMeta, error) {
+// listSegments scans dir for segment files, sorted by sequence number,
+// and for the .tmp files a crash mid-flush left, which it leaves to its
+// caller to remove.
+func listSegments(dir string) (segs []segmentMeta, tmps []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var segs []segmentMeta
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		if strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(dir, e.Name()))
+			tmps = append(tmps, filepath.Join(dir, e.Name()))
 			continue
 		}
 		seq, ok := parseSegmentName(e.Name())
@@ -337,12 +337,12 @@ func listSegments(dir string) ([]segmentMeta, error) {
 		}
 		info, err := e.Info()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		segs = append(segs, segmentMeta{seq: seq, path: filepath.Join(dir, e.Name()), bytes: info.Size()})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	return segs, nil
+	return segs, tmps, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file is durable.

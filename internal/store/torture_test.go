@@ -235,7 +235,10 @@ func TestSIGKILLMidCommitWindow(t *testing.T) {
 // binary wrote, under its own marker and under the mark of a conversion
 // under way); and under v5 a segment's checksum-clean run of whole words
 // and, with that segment gone, a log's whole frame of them, as a v5 binary
-// wrote them before a run held one length (the committed v5 directory).
+// wrote them before a run held one length (the committed v5 directory);
+// and that shard beside one this version wrote with a torn log tail, or
+// in a directory whose manifest counts a shard that is missing — refused
+// in one shard, Open cuts no other's tail and creates no shard.
 // A directory in the pre-v3 state that holds no data is one a crash left at
 // creation, and opens.
 func TestOlderDirRefused(t *testing.T) {
@@ -292,6 +295,41 @@ func TestOlderDirRefused(t *testing.T) {
 		"the v4 directory mid-conversion": {func(t *testing.T) string { return fixture(t, "dir-parent-v4", "1 v5-converting\n") }, "marked v5-converting"},
 		"a segment of whole words":        {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "") }, segmentName(1)},
 		"a log frame of whole words":      {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "", segmentName(1)) }, walName},
+		// Refused in one shard, a directory is written in none: not the torn
+		// tail of another shard's log, not a shard directory or log missing.
+		"a whole-word shard beside a torn log": {func(t *testing.T) string {
+			dir := t.TempDir()
+			st, err := Open(Options{Dir: dir, Shards: 2, CompactInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.AppendBatch(testRecordsRange(1, 40, bitvec.MustSubset(0, 2))); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			frame := windowFrame(t, testRecord(41, bitvec.MustSubset(0, 2)))
+			f, err := os.OpenFile(filepath.Join(dir, shardDirName(0), walName), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(frame[:len(frame)/2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.RemoveAll(filepath.Join(dir, shardDirName(1))); err != nil {
+				t.Fatal(err)
+			}
+			old := fixture(t, "dir-parent-v5", "")
+			if err := os.Rename(filepath.Join(old, shardDirName(0)), filepath.Join(dir, shardDirName(1))); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}, segmentName(1)},
+		"a whole-word shard and a missing one": {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "2 v5\n") }, segmentName(1)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := c.dir(t)

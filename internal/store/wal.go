@@ -83,6 +83,7 @@ type wal struct {
 	path    string
 	size    int64  // bytes of the acknowledged prefix, magic included
 	records uint64 // records appended since the log was last empty
+	found   int64  // the file's length when loadWAL read it
 	fsync   bool
 
 	// Reused across appends: the window's frames being assembled, and per
@@ -131,13 +132,33 @@ type frameRun struct {
 
 // openWAL opens (creating if needed) the log at path, replays it — every
 // whole window is kept, a torn tail is truncated away in place — and
-// positions it for appending.
+// positions it for appending: loadWAL, then ready.
 func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	w, err := loadWAL(path, fsync, m)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{f: f, path: path, fsync: fsync, m: m, runOf: make(map[string]int)}
+	if err := w.ready(); err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
+}
+
+// loadWAL is the read half of opening the log at path: it reads the file,
+// if there is one, and keeps the runs of its valid prefix, writing
+// nothing.  Creating a missing log, writing a new one's magic and cutting a
+// torn tail are ready's.
+func loadWAL(path string, fsync bool, m *metrics) (*wal, error) {
+	w := &wal{path: path, fsync: fsync, m: m, runOf: make(map[string]int)}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if os.IsNotExist(err) {
+		return w, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	w.f = f
 	if err := w.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -149,10 +170,10 @@ func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
 // violation — a short header, a length past the end of the file, a
 // checksum mismatch, a payload that is not a sequence of runs — marks the
 // end of the valid prefix: the windows before it are kept and everything
-// from it on is cut off, which is exactly the state a crash mid-append
-// leaves behind.  A whole frame holding a run of whole words, which an
-// older binary wrote, is no such violation: it was acknowledged, so replay
-// fails with ErrFormatTooOld and cuts nothing.
+// from it on is what ready cuts off, which is exactly the state a crash
+// mid-append leaves behind.  A whole frame holding a run of whole words,
+// which an older binary wrote, is no such violation: it was acknowledged,
+// so replay fails with ErrFormatTooOld.
 func (w *wal) replay() error {
 	info, err := w.f.Stat()
 	if err != nil {
@@ -163,10 +184,12 @@ func (w *wal) replay() error {
 	if err != nil {
 		return fmt.Errorf("store: replaying %s: %w", w.path, err)
 	}
+	w.found = size
 	switch {
 	case size < int64(len(walMagic)) && bytes.HasPrefix(walMagic[:], data):
-		// A new log, or one whose creation a crash interrupted.
-		return w.create()
+		// A new log, or one whose creation a crash interrupted: size
+		// stays 0 and ready writes the magic.
+		return nil
 	case !bytes.HasPrefix(data, walMagic[:]):
 		return fmt.Errorf("store: %s is not a v5 log", w.path)
 	}
@@ -175,13 +198,30 @@ func (w *wal) replay() error {
 	if err != nil {
 		return fmt.Errorf("store: replaying %s: %w", w.path, err)
 	}
-	if valid != size {
-		if err := w.f.Truncate(valid); err != nil {
+	w.size, w.records = valid, records
+	w.kept, w.keptOK = set.normalized(), true
+	return nil
+}
+
+// ready is the write half of opening the log: it creates the file if
+// loadWAL found none, writes the magic of a new log and cuts a torn tail
+// back to the valid prefix.
+func (w *wal) ready() error {
+	if w.f == nil {
+		f, err := os.OpenFile(w.path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		w.f = f
+	}
+	if w.size == 0 {
+		return w.create()
+	}
+	if w.found != w.size {
+		if err := w.f.Truncate(w.size); err != nil {
 			return fmt.Errorf("store: truncating torn wal tail of %s: %w", w.path, err)
 		}
 	}
-	w.size, w.records = valid, records
-	w.kept, w.keptOK = set.normalized(), true
 	return nil
 }
 
