@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -161,16 +160,13 @@ func scatterGather(r *Router, d Domain, p *query.Plan) ([]*query.Results, error)
 	return nil, fmt.Errorf("cluster: fan-out failed after retries: %w", lastErr)
 }
 
-// outcome carries one original exchange's result back to the event loop.
+// outcome carries one exchange's result back to fanoutOnce's loop: node
+// i's original exchange, or (rec) its recovery exchange for the suspects'
+// slice.
 type outcome struct {
 	i   int
+	rec bool
 	res *query.Results
-	err error
-}
-
-// recOutcome carries one recovery round's results (one per survivor).
-type recOutcome struct {
-	res []*query.Results
 	err error
 }
 
@@ -178,22 +174,23 @@ type recOutcome struct {
 // exchange, then degrade without restarting when it can.
 //
 // If a node fails mid-fan-out (reset, refused dial, torn frame) or is
-// still silent when the hedge timer fires while every other node has
-// answered, it becomes a suspect, and — provided the suspects plus the
-// already-dead members stay under RF, so every record still has a live
-// replica — the attempt re-asks only the suspects' slice of the user
-// space: each survivor gets the same query under a recovery filter
-// (Failed = suspects) selecting the records whose original owner was a
-// suspect and whose surviving-preference leader is that survivor.  The
-// recovery slices partition the suspects' slices, so survivors' original
-// answers plus recovery answers are bit-identical to the undisturbed
-// fan-out.  The suspects' own late answers race the recovery: whichever
-// completes first is used whole, the loser is cancelled and discarded —
-// never merged, so nothing double-counts.
+// still silent when the hedge timer fires, it becomes a suspect, and —
+// provided the suspects plus the already-dead members stay under RF, so
+// every record still has a live replica — the attempt re-asks only the
+// suspects' slice of the user space: each survivor gets the same query
+// under a recovery filter (Failed = suspects) selecting the records whose
+// original owner was a suspect and whose surviving-preference leader is
+// that survivor.  The recovery slices partition the suspects' slices, so
+// survivors' original answers plus recovery answers are bit-identical to
+// the undisturbed fan-out.  The suspects' own late answers race the
+// recovery: whichever completes first is used whole, the loser is
+// cancelled and discarded — never merged, so nothing double-counts.
 //
-// retry=true asks the caller to rerun on a fresh snapshot (stale epoch, a
-// survivor failing mid-recovery, unrecoverable failure counts); a
-// *CoverageError (retry=false) is final.
+// Every exchange, original or recovery, reports on one channel to one
+// loop, which decides after each report.  retry=true asks the caller to
+// rerun on a fresh snapshot (stale epoch, a survivor failing
+// mid-recovery, unrecoverable failure counts); a *CoverageError
+// (retry=false) is final.
 func fanoutOnce(r *Router, d Domain, p *query.Plan) ([]*query.Results, bool, error) {
 	r.mu.RLock()
 	ring, order, epoch := r.ring, r.order, r.epoch.Load()
@@ -228,248 +225,163 @@ func fanoutOnce(r *Router, d Domain, p *query.Plan) ([]*query.Results, bool, err
 		return nil, false, &CoverageError{Live: len(live), Total: len(order), RF: rf, Spans: ring.UnreachableSpans(rf, liveSet)}
 	}
 
-	ctx, cancelAll := context.WithTimeout(context.Background(), r.cfg.RequestTimeout)
-	defer cancelAll()
+	// Returning cancels every exchange still running: a lost recovery, or
+	// suspects' late originals.
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.RequestTimeout)
+	defer cancel()
 	deadline, _ := ctx.Deadline()
-	budget := func() uint32 {
-		ms := time.Until(deadline).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		return uint32(ms)
-	}
-	mkFilter := func(self string, failed []string) *wire.Filter {
-		return &wire.Filter{
+	// One original and at most one recovery exchange per node: the buffer
+	// lets every exchange report even after the loop has returned.
+	ch := make(chan outcome, 2*len(live))
+	// ask launches node i's exchange: the original when failed is nil,
+	// else its recovery exchange for the failed nodes' slice.
+	ask := func(i int, failed []string) {
+		f := &wire.Filter{
 			Epoch:      epoch,
 			Nodes:      order,
 			VNodes:     uint32(r.cfg.VNodes),
-			Self:       self,
+			Self:       live[i],
 			Live:       live,
-			Budget:     budget(),
+			Budget:     uint32(max(time.Until(deadline).Milliseconds(), 1)),
 			DomainBits: d.Bits,
 			Domain:     d.Tag,
 			Failed:     failed,
 		}
-	}
-
-	ch := make(chan outcome, len(live))
-	cancels := make([]context.CancelFunc, len(live))
-	for i := range live {
-		cctx, cc := context.WithCancel(ctx)
-		cancels[i] = cc
-		go func(i int, n *node) {
+		go func() {
 			var start time.Time
 			if r.om != nil {
 				start = time.Now()
 			}
-			res, err := exchange(cctx, n, mkFilter(n.addr, nil), p)
-			if r.om != nil {
+			res, err := exchange(ctx, liveHandles[i], f, p)
+			if r.om != nil && failed == nil {
 				r.om.fanoutRTT.ObserveSince(start)
 			}
-			ch <- outcome{i: i, res: res, err: err}
-		}(i, liveHandles[i])
+			ch <- outcome{i: i, rec: failed != nil, res: res, err: err}
+		}()
+	}
+	for i := range live {
+		ask(i, nil)
 	}
 
-	res := make([]*query.Results, len(live))
-	okAt := make([]bool, len(live))
-	failedAt := make([]bool, len(live))
-	suspect := make([]bool, len(live))
-	done := 0
+	orig := make([]*query.Results, len(live)) // original answers
+	rec := make([]*query.Results, len(live))  // recovery answers, survivors only
+	failed := make([]bool, len(live))         // originals that failed
+	suspect := make([]bool, len(live))        // set once, when the recovery launches
+	answered, pending := 0, len(live)         // originals answered, originals outstanding
 	var firstFail error
+	recovering, byHedge := false, false
 
 	hedge := time.NewTimer(r.cfg.HedgeDelay)
 	defer hedge.Stop()
-	hedgeC := hedge.C
 	hedged := false
 
-	recovering := false
-	recoveryDone := false
-	recoveredByHedge := false
-	var recResults []*query.Results
-	recCh := make(chan recOutcome, 1)
-
-	finishOriginals := func() ([]*query.Results, bool, error) {
-		r.fo.lastCoverage.Store(fmt.Sprintf("ok epoch=%d live=%d/%d recovered=0", epoch, len(live), len(order)))
-		return res, false, nil
-	}
-	finishRecovered := func() ([]*query.Results, bool, error) {
-		out := make([]*query.Results, 0, len(live))
-		nsus := 0
-		for i := range live {
-			if suspect[i] {
-				nsus++
-				continue
-			}
-			out = append(out, res[i])
-		}
-		out = append(out, recResults...)
-		r.fo.lastCoverage.Store(fmt.Sprintf("ok epoch=%d live=%d/%d recovered=%d hedged=%v", epoch, len(live), len(order), nsus, recoveredByHedge))
-		return out, false, nil
-	}
-
 	for {
-		if !recovering {
-			if done == len(live) && firstFail == nil {
-				return finishOriginals()
-			}
-			// Gather the suspect candidates: every failed node, plus —
-			// once the hedge timer fired — every still-silent one.
-			var sus []int
-			byHedge := false
-			for i := range live {
-				if failedAt[i] {
-					sus = append(sus, i)
-				}
-			}
-			if hedged {
-				for i := range live {
-					if !okAt[i] && !failedAt[i] {
-						sus = append(sus, i)
-						byHedge = true
-					}
-				}
-			}
-			if len(sus) > 0 {
-				if dead+len(sus) <= rf-1 && len(live)-len(sus) >= 1 {
-					// Exactness precondition: with dead+|suspects| ≤ RF−1
-					// unavailable nodes, every acknowledged record still
-					// has a live replica among the survivors.
-					recovering = true
-					recoveredByHedge = byHedge
-					failedAddrs := make([]string, len(sus))
-					for k, i := range sus {
-						suspect[i] = true
-						failedAddrs[k] = live[i]
-					}
-					r.fo.recoveries.Add(1)
-					if byHedge {
-						r.fo.hedges.Add(1)
-					}
-					var survIdx []int
-					for i := range live {
-						if !suspect[i] {
-							survIdx = append(survIdx, i)
-						}
-					}
-					go func() {
-						out := make([]*query.Results, len(survIdx))
-						errs := make([]error, len(survIdx))
-						var wg sync.WaitGroup
-						for k, i := range survIdx {
-							wg.Add(1)
-							go func(k, i int) {
-								defer wg.Done()
-								out[k], errs[k] = exchange(ctx, liveHandles[i], mkFilter(live[i], failedAddrs), p)
-							}(k, i)
-						}
-						wg.Wait()
-						for _, e := range errs {
-							if e != nil {
-								recCh <- recOutcome{err: e}
-								return
-							}
-						}
-						recCh <- recOutcome{res: out}
-					}()
-				} else if done == len(live) {
-					// Recovery impossible and nothing still pending: full
-					// retry under a fresh snapshot.  The failed nodes are
-					// marked dead now, so the retry either covers their
-					// records with surviving replicas or refuses with the
-					// unreachable spans.
-					cancelAll()
-					return nil, true, firstFail
-				}
-				// Otherwise keep waiting: a pending original may still
-				// answer and shrink the suspect set below the bound.
+		if answered == len(live) {
+			// Every original answered — before any recovery was needed, or
+			// in time to beat one: use them whole.
+			r.fo.lastCoverage.Store(fmt.Sprintf("ok epoch=%d live=%d/%d recovered=0", epoch, len(live), len(order)))
+			return orig, false, nil
+		}
+		if recovering {
+			// The recovery won once every survivor has both answers: merge
+			// survivors' originals and their recovery answers.
+			out, nsus := merged(orig, rec, suspect)
+			if out != nil {
+				r.fo.lastCoverage.Store(fmt.Sprintf("ok epoch=%d live=%d/%d recovered=%d hedged=%v", epoch, len(live), len(order), nsus, byHedge))
+				return out, false, nil
 			}
 		} else {
-			// A survivor's original failing mid-recovery breaks the merge
-			// (its own slice has no answer): full retry.
+			// The suspects: every failed node, plus — once the hedge timer
+			// fired — every still-silent one, which makes the timer the
+			// launcher of this recovery (byHedge).
+			var sus []int
+			byHedge = false
 			for i := range live {
-				if !suspect[i] && failedAt[i] {
-					cancelAll()
-					return nil, true, firstFail
+				if failed[i] || (hedged && orig[i] == nil) {
+					sus = append(sus, i)
+					byHedge = byHedge || !failed[i]
 				}
 			}
-			allOK := done == len(live)
-			for i := range live {
-				if !okAt[i] {
-					allOK = false
+			switch {
+			case len(sus) > 0 && dead+len(sus) <= rf-1 && len(sus) < len(live):
+				// Exactness precondition: with dead+|suspects| ≤ RF−1
+				// unavailable nodes, every acknowledged record still has
+				// a live replica among the survivors.
+				recovering = true
+				r.fo.recoveries.Add(1)
+				if byHedge {
+					r.fo.hedges.Add(1)
 				}
-			}
-			if allOK {
-				// Every original answered after all: use them whole and
-				// discard the recovery (cancelled on return).
-				cancelAll()
-				return finishOriginals()
-			}
-			if recoveryDone {
-				survOK := true
+				addrs := make([]string, len(sus))
+				for k, i := range sus {
+					suspect[i], addrs[k] = true, live[i]
+				}
 				for i := range live {
-					if !suspect[i] && !okAt[i] {
-						survOK = false
+					if !suspect[i] {
+						ask(i, addrs)
 					}
 				}
-				if survOK {
-					// Recovery won the race: cancel the suspects' late
-					// exchanges (a cancel does not mark them failed — slow
-					// is not dead) and merge survivors + recovery.
-					cancelAll()
-					return finishRecovered()
-				}
+			case pending == 0:
+				// Recovery impossible and nothing still pending: full retry
+				// under a fresh snapshot.  The failed nodes are marked dead
+				// now, so the retry either covers their records with
+				// surviving replicas or refuses with the unreachable spans.
+				return nil, true, firstFail
 			}
+			// Otherwise keep waiting: a pending original may still answer
+			// and shrink the suspect set below the bound.
 		}
 
 		select {
-		case out := <-ch:
-			done++
-			if out.err == nil {
-				res[out.i], okAt[out.i] = out.res, true
-				break
-			}
-			if errors.Is(out.err, context.Canceled) {
-				// Cancelled by us; neither a success nor node evidence.
-				break
-			}
+		case o := <-ch:
 			var stale errStaleSnapshot
-			if errors.As(out.err, &stale) {
-				// The whole snapshot is superseded: recovery under it would
-				// be refused identically, so restart at once.
-				cancelAll()
-				return nil, true, out.err
-			}
 			var nf errNodeFailed
-			if !errors.As(out.err, &nf) {
-				cancelAll()
-				return nil, false, out.err // semantic error: deterministic, don't retry
+			switch {
+			case o.err == nil && o.rec:
+				rec[o.i] = o.res
+			case o.err == nil:
+				orig[o.i] = o.res
+				answered++
+				pending--
+			case errors.As(o.err, &stale):
+				// The whole snapshot is superseded: recovery under it
+				// would be refused identically, so restart at once.
+				return nil, true, o.err
+			case !errors.As(o.err, &nf):
+				return nil, false, o.err // semantic error: deterministic, don't retry
+			case o.rec || (recovering && !suspect[o.i]):
+				// A survivor failed mid-recovery: its own slice, or its
+				// share of the suspects', has no answer.  Full retry.
+				return nil, true, o.err
+			default:
+				failed[o.i] = true
+				pending--
+				if firstFail == nil {
+					firstFail = o.err
+				}
 			}
-			failedAt[out.i] = true
-			if firstFail == nil {
-				firstFail = out.err
-			}
-		case <-hedgeC:
+		case <-hedge.C:
 			hedged = true
-			hedgeC = nil
-		case ro := <-recCh:
-			if ro.err != nil {
-				if errors.Is(ro.err, context.Canceled) {
-					// The attempt is being torn down; treat as retryable.
-					cancelAll()
-					return nil, true, ro.err
-				}
-				var (
-					stale errStaleSnapshot
-					nf    errNodeFailed
-				)
-				cancelAll()
-				if errors.As(ro.err, &stale) || errors.As(ro.err, &nf) {
-					return nil, true, ro.err
-				}
-				return nil, false, ro.err
-			}
-			recResults = ro.res
-			recoveryDone = true
 		}
 	}
+}
+
+// merged returns each survivor's original and recovery answers (integer
+// counters, so the order they merge in is immaterial) and how many suspects
+// the recovery stood in for — or nil while some survivor still owes one of
+// the two.
+func merged(orig, rec []*query.Results, suspect []bool) ([]*query.Results, int) {
+	out := make([]*query.Results, 0, 2*len(orig))
+	nsus := 0
+	for i := range orig {
+		switch {
+		case suspect[i]:
+			nsus++
+		case orig[i] == nil || rec[i] == nil:
+			return nil, 0
+		default:
+			out = append(out, orig[i], rec[i])
+		}
+	}
+	return out, nsus
 }

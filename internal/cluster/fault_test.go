@@ -11,6 +11,7 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/faultnet"
 	"sketchprivacy/internal/query"
+	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
 
@@ -364,5 +365,148 @@ func TestPartialCoverageTyped(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unreachable") {
 		t.Fatalf("refusal does not render the spans: %v", err)
+	}
+}
+
+// warmPools leaves exactly one connection in the router's pool to every
+// node, dialed under the node's current default plan: it flushes the pools
+// and then re-publishes already-acknowledged records one at a time (an
+// identical re-publish is an idempotent ack) until every node has owned
+// one.  The first exchange to a node drains its reset connections and
+// dials the fresh one; later ones reuse it.
+func warmPools(t *testing.T, fab *faultnet.Fabric, r *cluster.Router, nodes []*testNode, pubs []sketch.Published, rf int) {
+	t.Helper()
+	for _, n := range nodes {
+		flushPools(fab, n.addr)
+	}
+	touched := make(map[string]bool)
+	for _, p := range pubs {
+		if len(touched) == len(nodes) {
+			return
+		}
+		if err := r.Publish(p); err != nil {
+			t.Fatal(err)
+		}
+		for _, addr := range r.Ring().Owners(p.ID, rf) {
+			touched[addr] = true
+		}
+	}
+	t.Fatalf("the records touched %d of %d nodes", len(touched), len(nodes))
+}
+
+// TestLateOriginalsWinRecoveryRace: the hedge timer fires while one node is
+// merely slow, so a recovery round re-asks its slice from the survivors —
+// and the slow node's own answer lands before that round completes.  The
+// fan-out must take the originals whole and discard the recovery: the
+// answer bit-identical, one recovery and one hedge counted, and the
+// coverage line saying nothing was recovered.
+func TestLateOriginalsWinRecoveryRace(t *testing.T) {
+	fab := faultnet.NewFabric(8)
+	nodes := startNodes(t, 3)
+	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = faultDialer(fab)
+		cfg.RequestTimeout = 2 * time.Second
+		cfg.HedgeDelay = 100 * time.Millisecond
+		cfg.PingInterval = time.Hour
+	})
+	pubs, _, field := planWorkload(t, 150, 78)
+	if err := r.PublishAll(pubs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceEngine(t, pubs).FieldAtMost(field, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// An exchange on a pooled connection reads twice (the frame header,
+	// then its payload), each read delayed: the survivors answer in
+	// ≈ 80 ms and node 0 in ≈ 150 ms, so the recovery the hedge launches
+	// at 100 ms would finish at ≈ 180 ms.
+	for i, n := range nodes {
+		delay := 40 * time.Millisecond
+		if i == 0 {
+			delay = 75 * time.Millisecond
+		}
+		fab.Endpoint(linkTo(n.addr)).SetDefaultPlan(faultnet.Plan{ReadDelay: delay})
+	}
+	warmPools(t, fab, r, nodes, pubs, 2)
+
+	before := r.FanoutCounters()
+	got, err := r.Estimator().FieldAtMost(r, field, 9)
+	if err != nil {
+		t.Fatalf("query with one slow node failed: %v\n%s", err, routerEvidence(r))
+	}
+	if got != want {
+		t.Fatalf("answer %+v differs from reference %+v\n%s", got, want, routerEvidence(r))
+	}
+	after := r.FanoutCounters()
+	if after.Recoveries != before.Recoveries+1 || after.Hedges != before.Hedges+1 || after.Retries != before.Retries {
+		t.Fatalf("counters went from %+v to %+v, want one recovery and one hedge, no retry\n%s", before, after, routerEvidence(r))
+	}
+	if status := r.Status(); !strings.Contains(status, "recovered=0") {
+		t.Fatalf("the slow node's answer did not win the race against the recovery:\n%s", status)
+	}
+}
+
+// TestSurvivorFailingMidRecoveryRetries: node 0 fails, so a recovery round
+// re-asks its slice from the survivors — and node 1's connection resets
+// during its recovery exchange.  Node 1's slice then has no answer, so the
+// attempt must not merge; it restarts on a fresh snapshot (nodes 0 and 1
+// now dead, still under RF = 3) and answers bit-identically, well within
+// one RequestTimeout.
+func TestSurvivorFailingMidRecoveryRetries(t *testing.T) {
+	fab := faultnet.NewFabric(9)
+	nodes := startNodes(t, 4)
+	const reqTimeout = 2 * time.Second
+	r := startRouterCfg(t, nodes, 3, func(cfg *cluster.Config) {
+		cfg.Dial = faultDialer(fab)
+		cfg.RequestTimeout = reqTimeout
+		cfg.HedgeDelay = time.Second
+		cfg.PingInterval = time.Hour
+	})
+	pubs, _, field := planWorkload(t, 150, 79)
+	if err := r.PublishAll(pubs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceEngine(t, pubs).FieldAtMost(field, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Node 1's one pooled connection answers in ≈ 100 ms, so its original
+	// exchange is still running when the recovery asks it: that exchange
+	// dials afresh, and every fresh connection to node 1 or node 0 resets
+	// inside the hello frame.
+	fab.Endpoint(linkTo(nodes[1].addr)).SetDefaultPlan(faultnet.Plan{ReadDelay: 50 * time.Millisecond})
+	warmPools(t, fab, r, nodes, pubs, 3)
+	reset := faultnet.Plan{}.WithReset(int64(wire.FrameHeaderSize) + 2)
+	fab.Endpoint(linkTo(nodes[1].addr)).SetDefaultPlan(reset)
+	fab.Endpoint(linkTo(nodes[0].addr)).SetDefaultPlan(reset)
+	flushPools(fab, nodes[0].addr)
+
+	before := r.FanoutCounters()
+	type answer struct {
+		got query.NumericEstimate
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		got, err := r.Estimator().FieldAtMost(r, field, 9)
+		done <- answer{got, err}
+	}()
+	select {
+	case a := <-done:
+		if a.err != nil {
+			t.Fatalf("query across a survivor failing mid-recovery failed: %v\n%s", a.err, routerEvidence(r))
+		}
+		if a.got != want {
+			t.Fatalf("answer %+v differs from reference %+v\n%s", a.got, want, routerEvidence(r))
+		}
+	case <-time.After(reqTimeout):
+		t.Fatalf("query still running after one RequestTimeout\n%s", routerEvidence(r))
+	}
+	after := r.FanoutCounters()
+	if after.Recoveries <= before.Recoveries || after.Retries <= before.Retries {
+		t.Fatalf("counters went from %+v to %+v, want a recovery and then a retry\n%s", before, after, routerEvidence(r))
 	}
 }

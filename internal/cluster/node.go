@@ -308,19 +308,9 @@ func (n *node) roundTripCtx(ctx context.Context, msgType byte, payload []byte) (
 			n.markFailed(err)
 			return 0, nil, err
 		}
-		// Watch for cancellation: a past deadline unblocks a parked read
-		// or write.  The watcher is joined before the connection is pooled
-		// again, so it can never poison a later exchange's deadline.
-		stop := make(chan struct{})
-		watcherDone := make(chan struct{})
-		go func() {
-			defer close(watcherDone)
-			select {
-			case <-ctx.Done():
-				c.SetDeadline(time.Now().Add(-time.Second))
-			case <-stop:
-			}
-		}()
+		// A cancelled ctx unblocks a parked read or write with a past
+		// deadline.
+		stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Now().Add(-time.Second)) })
 		err = wire.WriteFrame(c, msgType, payload)
 		var (
 			replyType byte
@@ -329,17 +319,18 @@ func (n *node) roundTripCtx(ctx context.Context, msgType byte, payload []byte) (
 		if err == nil {
 			replyType, reply, err = wire.ReadFrame(c)
 		}
-		close(stop)
-		<-watcherDone
 		if err == nil {
-			if derr := c.SetDeadline(time.Time{}); derr != nil {
-				c.Close()
-			} else {
+			// Pool the connection only if the callback never ran: one that
+			// ran may still be arming its past deadline.
+			if stop() && c.SetDeadline(time.Time{}) == nil {
 				n.put(c)
+			} else {
+				c.Close()
 			}
 			n.markOK()
 			return replyType, reply, nil
 		}
+		stop()
 		c.Close()
 		if ctxErr := ctx.Err(); errors.Is(ctxErr, context.Canceled) {
 			// The caller gave up; the node may be perfectly healthy.

@@ -32,7 +32,8 @@ type Config struct {
 	// queued as a hint for the dead one, replayed when it returns.  Until
 	// the replay drains, the returned node is excluded from query fan-outs
 	// (its record set is incomplete), so estimates stay exact.  Off, any
-	// dead owner fails the publish — the strict PR 3 behavior.
+	// dead owner fails the publish: a record is acknowledged only once
+	// every one of its owners holds it.
 	HintedHandoff bool
 	// MaxHintsPerNode bounds the hint queue per down node (default 4096).
 	// At the cap, publishes that would need another hint fail instead —

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"sketchprivacy/internal/bitvec"
@@ -151,19 +150,15 @@ func (e *Engine) Ingest(p sketch.Published) error {
 	return e.IngestBatch([]sketch.Published{p})
 }
 
-// SnapshotBatch streams the engine's stored records in bounded batches for
-// the cluster rebalance path: pass cursor zero to start and the returned
-// next cursor thereafter, until done.  A store that implements
-// store.BatchReader serves the stream segment-at-a-time from disk metadata
-// without materialising a whole shard; a memory-only engine streams its
-// table.  Both paths share the contract rebalancing relies on: every
-// record present when the stream started is returned at least once
-// (duplicates possible under concurrent ingestion — consumers are
-// idempotent), and records published mid-stream may be omitted (the
-// router's migration dual-write covers them).  Only records of the
-// deployment's length are streamed, so a receiving node never has to refuse
-// one: a batch from the store may hold fewer than max records, none even,
-// short of the end.
+// SnapshotBatch streams the engine's records in bounded batches for the
+// cluster rebalance path: pass cursor zero to start and the returned next
+// cursor thereafter, until done.  It reads the table, which holds exactly
+// the landed records of the deployment's length ℓ — a store's records of
+// another length are set aside at attach and never land — so a receiving
+// node never has to refuse one.  Every record present when the stream
+// started is returned at least once (duplicates possible under concurrent
+// ingestion — consumers are idempotent), and records published mid-stream
+// may be omitted (the router's migration dual-write covers them).
 func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint64, bool, error) {
 	if max <= 0 {
 		max = 2048
@@ -171,14 +166,8 @@ func (e *Engine) SnapshotBatch(cursor uint64, max int) ([]sketch.Published, uint
 	if e.m != nil {
 		e.m.snapshotBatch.Inc()
 	}
-	if e.st != nil {
-		if br, ok := e.st.(store.BatchReader); ok {
-			records, next, done, err := br.ReadBatch(cursor, max)
-			return slices.DeleteFunc(records, func(p sketch.Published) bool { return p.S.Length != e.params.Length }), next, done, err
-		}
-	}
-	// Table path.  The cursor packs (subset index, record offset) over the
-	// sorted subset list; both only grow under ingestion (no write removes a
+	// The cursor packs (subset index, record offset) over the sorted
+	// subset list; both only grow under ingestion (no write removes a
 	// record), so a concurrent insert can shift a position right — causing
 	// a re-read — but never left past unread records.
 	subsets := e.table.Subsets()

@@ -646,3 +646,59 @@ func TestEngineKeepsItsLengthBesideAnother(t *testing.T) {
 	defer st.Close()
 	requireServed(eng, "after a roll, a compaction and a reopen")
 }
+
+// TestSnapshotStreamsTheTable: the rebalance stream reads the node's
+// table, so a durable engine holding a set-aside run (mixedLengthStore:
+// records of ℓ = 20 beside its ℓ = 9) streams exactly Sketches() records,
+// each once, as the table holds them and none of the other length — at
+// the first open, and after more publishes and a restart.
+func TestSnapshotStreamsTheTable(t *testing.T) {
+	dir, _, twenty := mixedLengthStore(t, 20, 20)
+	for round, when := range []string{"at the first open", "after a restart"} {
+		st, err := store.Open(store.Options{Dir: dir, CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewWithStore(testSource(0.3), sketch.MustParams(0.3, 9), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.SetAsideRecords() != uint64(twenty) {
+			t.Fatalf("%s: %d records set aside, want %d", when, eng.SetAsideRecords(), twenty)
+		}
+		type pair struct {
+			id     bitvec.UserID
+			subset string
+		}
+		seen := make(map[pair]bool)
+		for cursor, done := uint64(0), false; !done; {
+			var batch []sketch.Published
+			if batch, cursor, done, err = eng.SnapshotBatch(cursor, 50); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range batch {
+				k := pair{p.ID, p.Subset.Key()}
+				if s, ok := eng.Table().Get(p.ID, p.Subset); !ok || s != p.S || seen[k] {
+					t.Fatalf("%s: the stream carries %+v, which the table holds as %+v (held %v, streamed before %v)", when, p, s, ok, seen[k])
+				}
+				seen[k] = true
+			}
+		}
+		if len(seen) != eng.Sketches() {
+			t.Fatalf("%s: the stream carries %d records, the engine serves %d", when, len(seen), eng.Sketches())
+		}
+		if round == 0 {
+			// Users the store holds at ℓ = 20 alone, re-published at ℓ = 9.
+			var ps []sketch.Published
+			for i := uint64(0); i < 10; i++ {
+				ps = append(ps, sketch.Published{ID: bitvec.UserID(i*0x9E3779B97F4A7C15 | 1), Subset: bitvec.MustSubset(0), S: sketch.Sketch{Key: i, Length: 9}})
+			}
+			if err := eng.IngestBatch(ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

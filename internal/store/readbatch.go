@@ -8,11 +8,12 @@ import (
 )
 
 // BatchReader is implemented by stores that can stream their contents in
-// bounded batches without materialising a whole shard in memory.  The
-// cluster rebalance engine reads a node's records through it: the node
-// serves each read from the blocks of at most one segment file (or the
-// log's runs), so streaming a multi-gigabyte shard never loads a segment
-// whole.
+// bounded batches without materialising a whole shard in memory: each
+// read is served from the blocks of at most one segment file (or the
+// log's runs).  Nothing in the product reads it — the rebalance stream
+// reads the node's table (engine.Engine.SnapshotBatch) — and it stays only
+// because the fleet benchmark's smoke test asserts that its traced store
+// satisfies it; it goes when that harness stops naming it.
 //
 // The cursor is opaque: pass zero to start a stream and the returned next
 // cursor thereafter.  The stream is stateless on the store side, so it
@@ -20,35 +21,11 @@ import (
 // guarantee: a record present when the stream started is returned at least
 // once (possibly more than once if a roll or compaction moved it), and a
 // record appended after the stream started may or may not appear.
-// Consumers must therefore be idempotent — the transfer path is, via the
-// engine's identical-republish ingestion.
+// Consumers must therefore be idempotent.
 type BatchReader interface {
 	// ReadBatch returns up to max records starting at cursor, the cursor
 	// for the next call, and whether the stream is exhausted.
 	ReadBatch(cursor uint64, max int) (records []sketch.Published, next uint64, done bool, err error)
-}
-
-// ReadBatch implements BatchReader for the in-memory store.  The cursor is
-// an index into the first-append order, which only grows (overwrites
-// replace values in place), so the no-skip guarantee is trivial.
-func (m *Mem) ReadBatch(cursor uint64, max int) ([]sketch.Published, uint64, bool, error) {
-	if max <= 0 {
-		max = defaultBatchMax
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cursor >= uint64(len(m.order)) {
-		return nil, cursor, true, nil
-	}
-	end := cursor + uint64(max)
-	if end > uint64(len(m.order)) {
-		end = uint64(len(m.order))
-	}
-	out := make([]sketch.Published, 0, end-cursor)
-	for _, k := range m.order[cursor:end] {
-		out = append(out, m.records[k])
-	}
-	return out, end, end == uint64(len(m.order)), nil
 }
 
 // defaultBatchMax is the record count used when a caller passes max <= 0.
@@ -99,10 +76,11 @@ func unpackCursor(v uint64) batchCursor {
 	}
 }
 
-// ReadBatch implements BatchReader for the durable store.  Each call reads
-// from at most one segment file, without the shard lock; the lock covers
-// the segment-list snapshot and the log phase, which may have to decode
-// the log (once per append at most).
+// ReadBatch implements BatchReader for the durable store, kept for the
+// fleet benchmark's interface assertion alone (see BatchReader).  Each
+// call reads from at most one segment file, without the shard lock; the
+// lock covers the segment-list snapshot and the log phase, which may have
+// to decode the log (once per append at most).
 func (d *Durable) ReadBatch(cursor uint64, max int) ([]sketch.Published, uint64, bool, error) {
 	if max <= 0 {
 		max = defaultBatchMax

@@ -50,20 +50,6 @@ func coverage(records []sketch.Published) map[recordKey]sketch.Published {
 	return out
 }
 
-func TestMemReadBatchCoversEverything(t *testing.T) {
-	m := NewMem()
-	const n = 1000
-	for i := uint64(1); i <= n; i++ {
-		if _, err := m.AppendBatch([]sketch.Published{batchRecord(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := coverage(drainBatches(t, m, 77))
-	if len(got) != n {
-		t.Fatalf("stream covered %d distinct records, want %d", len(got), n)
-	}
-}
-
 func TestDurableReadBatchCoversSegmentsAndWAL(t *testing.T) {
 	d, err := Open(Options{
 		Dir:             t.TempDir(),

@@ -117,7 +117,6 @@ func keyOf(p sketch.Published) recordKey {
 type Mem struct {
 	mu      sync.Mutex
 	records map[recordKey]sketch.Published
-	order   []recordKey // first-append order, for deterministic iteration
 }
 
 // NewMem returns an empty in-memory store.
@@ -132,11 +131,7 @@ func (m *Mem) AppendBatch(ps []sketch.Published) ([]int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, p := range ps {
-		k := keyOf(p)
-		if _, ok := m.records[k]; !ok {
-			m.order = append(m.order, k)
-		}
-		m.records[k] = p
+		m.records[keyOf(p)] = p
 	}
 	return nil, nil
 }
@@ -145,8 +140,8 @@ func (m *Mem) AppendBatch(ps []sketch.Published) ([]int, error) {
 func (m *Mem) IterateRuns(fn func(r sketch.Run) error) error {
 	m.mu.Lock()
 	set := newRunSet()
-	for _, k := range m.order {
-		set.add(m.records[k])
+	for _, p := range m.records {
+		set.add(p)
 	}
 	m.mu.Unlock()
 	for _, r := range set.normalized() {
