@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
@@ -84,7 +85,6 @@ type tenantInfo struct {
 	Name        string  `json:"name"`
 	DomainBits  uint8   `json:"domain_bits"`
 	DomainTag   uint64  `json:"domain_tag"`
-	MaxUserID   uint64  `json:"max_user_id"`
 	P           float64 `json:"p"`
 	Length      int     `json:"length"`
 	RecordsUsed uint64  `json:"records_used"`
@@ -133,15 +133,12 @@ func runHTTP(base, apiKey string, h prf.BitSource, params sketch.Params, args []
 		subset := parseSubset(*subsetStr)
 		// Sketch under the tenant's effective (domained) id: the id that
 		// enters the PRF tuple on publish must be the one queries filter on.
-		if *id > info.MaxUserID {
-			fail("id %d outside the tenant's id space [0, %d]", *id, info.MaxUserID)
-		}
-		eff := *id
-		if info.DomainBits > 0 {
-			eff = info.DomainTag<<(64-uint(info.DomainBits)) | *id
+		eff, err := cluster.Domain{Bits: info.DomainBits, Tag: info.DomainTag}.ID(*id)
+		if err != nil {
+			fail("%v", err)
 		}
 		rng := stats.NewRNG(uint64(time.Now().UnixNano()))
-		s, err := sk.Sketch(rng, bitvec.Profile{ID: bitvec.UserID(eff), Data: data}, subset)
+		s, err := sk.Sketch(rng, bitvec.Profile{ID: eff, Data: data}, subset)
 		if err != nil {
 			fail("sketching failed: %v", err)
 		}

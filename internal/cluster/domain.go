@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/query"
@@ -29,6 +30,27 @@ type Domain struct {
 // Keep reports whether an id belongs to the domain.
 func (d Domain) Keep(id bitvec.UserID) bool {
 	return d.Bits == 0 || uint64(id)>>(64-uint(d.Bits)) == d.Tag
+}
+
+// MaxID returns the largest domain-relative id: the domain holds the
+// 2^(64−Bits) ids Tag<<(64−Bits) | rel.
+func (d Domain) MaxID() uint64 {
+	if d.Bits == 0 {
+		return ^uint64(0)
+	}
+	return 1<<(64-uint(d.Bits)) - 1
+}
+
+// ID places a domain-relative id in the domain, the inverse of Keep's
+// prefix test.  An id past MaxID is refused: it would carry into the tag.
+func (d Domain) ID(rel uint64) (bitvec.UserID, error) {
+	if max := d.MaxID(); rel > max {
+		return 0, fmt.Errorf("user id %d outside the tenant's id space [0, %d]", rel, max)
+	}
+	if d.Bits == 0 {
+		return bitvec.UserID(rel), nil
+	}
+	return bitvec.UserID(d.Tag<<(64-uint(d.Bits)) | rel), nil
 }
 
 // Filter returns the domain as a record filter — nil for the zero Domain —

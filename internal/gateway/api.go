@@ -114,7 +114,6 @@ type queryRequest struct {
 	SubQueries []subQueryJSON `json:"subqueries,omitempty"`
 	L          int            `json:"l,omitempty"`
 	Field      *fieldJSON     `json:"field,omitempty"`
-	FieldB     *fieldJSON     `json:"field_b,omitempty"`
 	C          uint64         `json:"c,omitempty"`
 	Lo         uint64         `json:"lo,omitempty"`
 	Hi         uint64         `json:"hi,omitempty"`
@@ -180,16 +179,21 @@ func parseSubsetJSON(positions []int) (bitvec.Subset, error) {
 	return bitvec.NewSubset(positions...)
 }
 
-// parseValueJSON validates a bit-string value against its subset's size.
-func parseValueJSON(value string, sub bitvec.Subset) (bitvec.Vector, error) {
+// parseSubsetValueJSON validates a subset and a bit-string value of its
+// size.
+func parseSubsetValueJSON(positions []int, value string) (bitvec.Subset, bitvec.Vector, error) {
+	sub, err := parseSubsetJSON(positions)
+	if err != nil {
+		return bitvec.Subset{}, bitvec.Vector{}, err
+	}
 	v, err := bitvec.FromString(value)
 	if err != nil {
-		return bitvec.Vector{}, err
+		return bitvec.Subset{}, bitvec.Vector{}, err
 	}
 	if v.Len() != sub.Len() {
-		return bitvec.Vector{}, fmt.Errorf("value has %d bits but the subset has %d positions", v.Len(), sub.Len())
+		return bitvec.Subset{}, bitvec.Vector{}, fmt.Errorf("value has %d bits but the subset has %d positions", v.Len(), sub.Len())
 	}
-	return v, nil
+	return sub, v, nil
 }
 
 // parseSubQueriesJSON validates a combined query's components.
@@ -199,11 +203,7 @@ func parseSubQueriesJSON(subs []subQueryJSON) ([]query.SubQuery, error) {
 	}
 	out := make([]query.SubQuery, len(subs))
 	for i, s := range subs {
-		sub, err := parseSubsetJSON(s.Subset)
-		if err != nil {
-			return nil, fmt.Errorf("subquery %d: %w", i, err)
-		}
-		v, err := parseValueJSON(s.Value, sub)
+		sub, v, err := parseSubsetValueJSON(s.Subset, s.Value)
 		if err != nil {
 			return nil, fmt.Errorf("subquery %d: %w", i, err)
 		}

@@ -21,8 +21,6 @@ type Backend interface {
 	// Source returns a PartialSource restricted to the domain; the zero
 	// domain means no restriction.
 	Source(d cluster.Domain) query.PartialSource
-	// Estimator returns the shared Algorithm 2 estimator.
-	Estimator() *query.Estimator
 	// Healthy returns nil when the backend can currently answer queries.
 	Healthy() error
 	// Status renders a human-readable backend status (admin stats).
@@ -52,9 +50,6 @@ func (b RouterBackend) PublishAll(ps []sketch.Published) error { return b.R.Publ
 
 // Source implements Backend via the router's domain-restricted fan-out view.
 func (b RouterBackend) Source(d cluster.Domain) query.PartialSource { return b.R.DomainSource(d) }
-
-// Estimator implements Backend.
-func (b RouterBackend) Estimator() *query.Estimator { return b.R.Estimator() }
 
 // Healthy implements Backend: a router is healthy while any node answers
 // pings — queries may still degrade loudly, but the front door is up.
@@ -96,9 +91,6 @@ func (b EngineBackend) PublishAll(ps []sketch.Published) error { return b.E.Inge
 func (b EngineBackend) Source(d cluster.Domain) query.PartialSource {
 	return b.E.Source(d.Filter())
 }
-
-// Estimator implements Backend.
-func (b EngineBackend) Estimator() *query.Estimator { return b.E.Estimator() }
 
 // Healthy implements Backend; an in-process engine is always reachable.
 func (b EngineBackend) Healthy() error { return nil }

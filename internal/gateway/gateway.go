@@ -15,6 +15,7 @@ import (
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
+	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
 )
@@ -37,8 +38,9 @@ type Config struct {
 	Keyring *Keyring
 	// Params are the mechanism parameters (p, ℓ) the deployment runs.
 	Params sketch.Params
-	// Hash is the public function H, used to sketch profile-bearing
-	// publishes on the caller's behalf (required).
+	// Hash is the public function H (required): the gateway sketches
+	// profile-bearing publishes on the caller's behalf under it, and its
+	// bias p debiases every query's counters.
 	Hash prf.BitSource
 	// MaxInFlight caps concurrently-served requests; past it requests are
 	// shed with a typed 503, mirroring the node server's semantics.
@@ -69,6 +71,7 @@ type Gateway struct {
 	admin   AdminBackend
 	keyring *Keyring
 	params  sketch.Params
+	est     *query.Estimator
 	logf    func(format string, args ...any)
 
 	flight      *inflight
@@ -97,6 +100,10 @@ func New(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
 	}
+	est, err := query.NewEstimator(cfg.Hash)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
@@ -118,6 +125,7 @@ func New(cfg Config) (*Gateway, error) {
 		admin:       cfg.Admin,
 		keyring:     cfg.Keyring,
 		params:      cfg.Params,
+		est:         est,
 		logf:        logf,
 		flight:      &inflight{limit: int64(cfg.MaxInFlight)},
 		maxBatch:    maxBatch,

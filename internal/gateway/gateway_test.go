@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -383,10 +385,36 @@ func TestOverloadShedsLoudlyHealthStaysLive(t *testing.T) {
 	<-done
 }
 
+// countingBackend wraps a Backend, counting its sources' Execute calls.
+type countingBackend struct {
+	Backend
+	executes *atomic.Int64
+}
+
+func (b countingBackend) Source(d cluster.Domain) query.PartialSource {
+	return countingSource{b.Backend.Source(d), b.executes}
+}
+
+type countingSource struct {
+	query.PartialSource
+	executes *atomic.Int64
+}
+
+func (s countingSource) Execute(p *query.Plan) (*query.Results, error) {
+	s.executes.Add(1)
+	return s.PartialSource.Execute(p)
+}
+
 // TestQueryEndpointsTable: every estimator endpoint answers 200 on a
-// well-formed body; unknown kinds 404 and malformed bodies 400, all typed.
+// well-formed body, with exactly one Execute on the tenant's source, and
+// its answer is field for field the query package's own entry point over
+// the same source; unknown kinds 404 and malformed bodies 400, all typed
+// and none executed.
 func TestQueryEndpointsTable(t *testing.T) {
-	tg := startGateway(t, defaultKeyring, nil)
+	var executes atomic.Int64
+	tg := startGateway(t, defaultKeyring, func(cfg *Config) {
+		cfg.Backend = countingBackend{Backend: cfg.Backend, executes: &executes}
+	})
 	subset := []int{0, 1, 2, 3}
 	// Sketch the field's bit and prefix subsets so interval/mean/tree
 	// queries have what they need: publish over every needed subset.
@@ -404,22 +432,56 @@ func TestQueryEndpointsTable(t *testing.T) {
 		t.Fatalf("publish: HTTP %d (%s)", status, apiErr.Message)
 	}
 
+	acme, _ := tg.ring.Lookup(acmeKey)
+	src := EngineBackend{E: tg.eng}.Source(acme.Domain)
+	est := tg.eng.Estimator()
+	asEstimate := func(e query.Estimate, err error) (any, error) { return toEstimate(e), err }
+	asNumeric := func(n query.NumericEstimate, err error) (any, error) { return toNumeric(n), err }
+	sub, v := bitvec.MustSubset(subset...), bitvec.MustFromString("0110")
+	pair := []query.SubQuery{
+		{Subset: bitvec.MustSubset(0), Value: bitvec.MustFromString("1")},
+		{Subset: bitvec.MustSubset(1), Value: bitvec.MustFromString("1")},
+	}
+	f := bitvec.MustIntField(0, 4)
+	decision := query.Node(0, query.Leaf(false), query.Node(1, query.Leaf(true), query.Leaf(false)))
+
 	field := map[string]any{"offset": 0, "width": 4}
 	cases := []struct {
 		kind string
 		body map[string]any
+		want func() (any, error)
 	}{
-		{"fraction", map[string]any{"subset": subset, "value": "0110"}},
-		{"conjunction", map[string]any{"subset": subset, "value": "0110"}},
-		{"union", map[string]any{"subqueries": []map[string]any{{"subset": []int{0}, "value": "1"}, {"subset": []int{1}, "value": "1"}}}},
-		{"none-of", map[string]any{"subqueries": []map[string]any{{"subset": []int{0}, "value": "1"}}}},
-		{"exactly-of-k", map[string]any{"subqueries": []map[string]any{{"subset": []int{0}, "value": "1"}, {"subset": []int{1}, "value": "1"}}, "l": 1}},
-		{"at-least-of-k", map[string]any{"subqueries": []map[string]any{{"subset": []int{0}, "value": "1"}, {"subset": []int{1}, "value": "1"}}, "l": 1}},
-		{"field-mean", map[string]any{"field": field}},
-		{"field-sum", map[string]any{"field": field}},
-		{"field-less-than", map[string]any{"field": field, "c": 9}},
-		{"field-at-most", map[string]any{"field": field, "c": 9}},
-		{"interval", map[string]any{"field": field, "lo": 3, "hi": 11}},
+		{"fraction", map[string]any{"subset": subset, "value": "0110"},
+			func() (any, error) { return asEstimate(est.Fraction(src, sub, v)) }},
+		{"conjunction", map[string]any{"subset": subset, "value": "0110"},
+			func() (any, error) { return asEstimate(est.ConjunctionFraction(src, bitvec.ConjunctionOf(sub, v))) }},
+		{"union", map[string]any{"subqueries": []map[string]any{{"subset": []int{0}, "value": "1"}, {"subset": []int{1}, "value": "1"}}},
+			func() (any, error) { return asEstimate(est.UnionConjunction(src, pair)) }},
+		{"none-of", map[string]any{"subqueries": []map[string]any{{"subset": []int{0}, "value": "1"}}},
+			func() (any, error) { return asEstimate(est.NoneOf(src, pair[:1])) }},
+		{"exactly-of-k", map[string]any{"subqueries": []map[string]any{{"subset": []int{0}, "value": "1"}, {"subset": []int{1}, "value": "1"}}, "l": 1},
+			func() (any, error) { return asEstimate(est.ExactlyOfK(src, pair, 1)) }},
+		{"at-least-of-k", map[string]any{"subqueries": []map[string]any{{"subset": []int{0}, "value": "1"}, {"subset": []int{1}, "value": "1"}}, "l": 1},
+			func() (any, error) { return asEstimate(est.AtLeastOfK(src, pair, 1)) }},
+		{"field-mean", map[string]any{"field": field},
+			func() (any, error) { return asNumeric(est.FieldMean(src, f)) }},
+		{"field-sum", map[string]any{"field": field},
+			func() (any, error) { return asNumeric(est.FieldSum(src, f)) }},
+		{"field-less-than", map[string]any{"field": field, "c": 9},
+			func() (any, error) { return asNumeric(est.FieldLessThan(src, f, 9)) }},
+		{"field-at-most", map[string]any{"field": field, "c": 9},
+			func() (any, error) { return asNumeric(est.FieldAtMost(src, f, 9)) }},
+		{"interval", map[string]any{"field": field, "lo": 3, "hi": 11},
+			func() (any, error) {
+				hi, err := est.FieldAtMost(src, f, 11)
+				if err != nil {
+					return nil, err
+				}
+				lo, err := est.FieldLessThan(src, f, 3)
+				hi.Value -= lo.Value
+				hi.Queries += lo.Queries
+				return asNumeric(hi, err)
+			}},
 		{"tree", map[string]any{"tree": map[string]any{
 			"attr": 0,
 			"zero": map[string]any{"leaf": true, "accept": false},
@@ -428,21 +490,33 @@ func TestQueryEndpointsTable(t *testing.T) {
 				"zero": map[string]any{"leaf": true, "accept": true},
 				"one":  map[string]any{"leaf": true, "accept": false},
 			},
-		}}},
+		}}, func() (any, error) { return asNumeric(est.DecisionTreeFraction(src, decision)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind, func(t *testing.T) {
+			before := executes.Load()
 			status, apiErr, raw := tg.call(t, "POST", "/v1/query/"+tc.kind, acmeKey, tc.body)
 			if status != http.StatusOK {
 				t.Fatalf("HTTP %d (%s: %s)", status, apiErr.Code, apiErr.Message)
 			}
-			var probe map[string]any
-			if err := json.Unmarshal(raw, &probe); err != nil {
-				t.Fatalf("non-JSON answer: %s", raw)
+			if n := executes.Load() - before; n != 1 {
+				t.Fatalf("request executed %d plans on its source, want exactly 1", n)
+			}
+			want, err := tc.want()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := reflect.New(reflect.TypeOf(want))
+			if err := json.Unmarshal(raw, got.Interface()); err != nil {
+				t.Fatalf("answer %s does not decode as %T: %v", raw, want, err)
+			}
+			if !reflect.DeepEqual(got.Elem().Interface(), want) {
+				t.Fatalf("answer %s differs from the query package's %+v", raw, want)
 			}
 		})
 	}
 
+	before := executes.Load()
 	const unknownKind = `unknown estimator "no-such-kind"; known kinds: at-least-of-k, conjunction, exactly-of-k, field-at-most, ` +
 		`field-less-than, field-mean, field-sum, fraction, interval, none-of, tree, union`
 	if status, apiErr, _ := tg.call(t, "POST", "/v1/query/no-such-kind", acmeKey, map[string]any{}); status != http.StatusNotFound || apiErr.Code != codeNotFound || apiErr.Message != unknownKind {
@@ -453,6 +527,22 @@ func TestQueryEndpointsTable(t *testing.T) {
 	}
 	if status, _, _ := tg.call(t, "POST", "/v1/query/interval", acmeKey, map[string]any{"field": field, "lo": 9, "hi": 3}); status != http.StatusBadRequest {
 		t.Fatalf("inverted interval: HTTP %d, want 400", status)
+	}
+	if n := executes.Load() - before; n != 0 {
+		t.Fatalf("refused requests executed %d plans, want 0", n)
+	}
+}
+
+// TestQueryRefusesFieldB: field_b is no key of any query body, so a client
+// asking field-mean for an inner product is refused like any unknown key
+// instead of being answered the mean of the first field alone.
+func TestQueryRefusesFieldB(t *testing.T) {
+	tg := startGateway(t, defaultKeyring, nil)
+	tg.publishProfiles(t, acmeKey, 10, 5, []int{0})
+	field := map[string]any{"offset": 0, "width": 1}
+	status, apiErr, _ := tg.call(t, "POST", "/v1/query/field-mean", acmeKey, map[string]any{"field": field, "field_b": field})
+	if status != http.StatusBadRequest || apiErr.Code != codeBadRequest || !strings.Contains(apiErr.Message, `"field_b"`) {
+		t.Fatalf("field_b: HTTP %d code %q message %q, want 400 bad_request naming field_b", status, apiErr.Code, apiErr.Message)
 	}
 }
 

@@ -11,18 +11,15 @@ import (
 	"sketchprivacy/internal/query"
 )
 
-// handleQuery dispatches POST /v1/query/{kind} through the estimator
-// registry.  Every kind compiles onto the query.Plan path over the
-// tenant's domain-restricted source, so one HTTP request costs one plan
-// fan-out round trip over the cluster regardless of how many conjunctive
-// sub-queries the estimator decomposes into.
+// handleQuery dispatches POST /v1/query/{kind} through the planner
+// registry and answers over the tenant's domain-restricted source.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	kind := r.PathValue("kind")
-	run, ok := estimators[kind]
+	compile, ok := queryKinds[kind]
 	if !ok {
 		g.writeError(w, http.StatusNotFound, apiError{
 			Code:    codeNotFound,
-			Message: fmt.Sprintf("unknown estimator %q; known kinds: %s", kind, estimatorKinds()),
+			Message: fmt.Sprintf("unknown estimator %q; known kinds: %s", kind, queryKindNames()),
 		})
 		return
 	}
@@ -31,8 +28,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, t *Tenant)
 		return
 	}
 	g.metrics.tenant(t.Name).queries.Add(1)
-	src := g.backend.Source(t.Domain)
-	resp, err := run(g.backend.Estimator(), src, &req)
+	resp, err := g.answer(compile, g.backend.Source(t.Domain), &req)
 	if err != nil {
 		status, code := http.StatusBadGateway, codeQueryFailed
 		if errors.Is(err, errBadQuery) || errors.Is(err, query.ErrMismatch) {
@@ -49,197 +45,142 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, t *Tenant)
 	g.writeJSON(w, resp)
 }
 
+// answer is the one place a query request is executed and finished: a new
+// plan, the kind's compile onto it, exactly one src.Execute — one fan-out
+// round trip over a cluster, however many conjunctive sub-queries the
+// estimator decomposes into — and the finish into the JSON body.
+func (g *Gateway) answer(compile queryKind, src query.PartialSource, req *queryRequest) (any, error) {
+	p := query.NewPlan()
+	finish, err := compile(g.est, p, req)
+	if err != nil {
+		return nil, err
+	}
+	res, err := src.Execute(p)
+	if err != nil {
+		return nil, err
+	}
+	return finish(res)
+}
+
 // errBadQuery marks request-shape errors detected before the estimator
 // runs, so the dispatcher can answer 400 rather than 502.
 var errBadQuery = errors.New("bad query request")
 
 // badQuery wraps a shape error with the errBadQuery marker.
 func badQuery(err error) error {
-	if err == nil {
-		return nil
-	}
 	return fmt.Errorf("%w: %w", errBadQuery, err)
 }
 
-// estimatorFunc runs one query kind over a tenant-restricted source and
-// returns its JSON response body.
-type estimatorFunc func(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error)
+// finisher reduces a request's executed plan into its JSON response body.
+type finisher = func(*query.Results) (any, error)
 
-// estimators is the query registry: route suffix → estimator.  Every entry
-// asks est.X(src, …), which compiles the estimator's whole conjunctive
-// decomposition into one plan and executes it with a single src.Execute
-// call.
-var estimators = map[string]estimatorFunc{
-	"fraction":        queryFraction,
-	"conjunction":     queryConjunction,
-	"union":           queryUnion,
-	"none-of":         queryNoneOf,
-	"exactly-of-k":    queryExactlyOfK,
-	"at-least-of-k":   queryAtLeastOfK,
-	"field-mean":      queryFieldMean,
-	"field-sum":       queryFieldSum,
-	"field-less-than": queryFieldLessThan,
-	"field-at-most":   queryFieldAtMost,
-	"interval":        queryInterval,
-	"tree":            queryTree,
+// queryKind compiles one request onto the plan p: it registers the
+// evaluations its estimator needs and returns the finisher that reads them.
+type queryKind func(est *query.Estimator, p *query.Plan, req *queryRequest) (finish finisher, err error)
+
+// queryKinds is the query registry: route suffix → planner.
+var queryKinds = map[string]queryKind{
+	"fraction":        fraction,
+	"conjunction":     conjunction,
+	"union":           subQueries(withoutArg[int]((*query.Estimator).PlanUnionConjunction)),
+	"none-of":         subQueries(withoutArg[int]((*query.Estimator).PlanNoneOf)),
+	"exactly-of-k":    subQueries((*query.Estimator).PlanExactlyOfK),
+	"at-least-of-k":   subQueries((*query.Estimator).PlanAtLeastOfK),
+	"field-mean":      field(withoutArg[uint64]((*query.Estimator).PlanFieldMean)),
+	"field-sum":       field(withoutArg[uint64]((*query.Estimator).PlanFieldSum)),
+	"field-less-than": field((*query.Estimator).PlanFieldLessThan),
+	"field-at-most":   field((*query.Estimator).PlanFieldAtMost),
+	"interval":        interval,
+	"tree":            tree,
 }
 
-// estimatorKinds renders the registry's keys, sorted, for the 404 message.
-func estimatorKinds() string {
-	names := make([]string, 0, len(estimators))
-	for k := range estimators {
+// queryKindNames renders the registry's keys, sorted, for the 404 message.
+func queryKindNames() string {
+	names := make([]string, 0, len(queryKinds))
+	for k := range queryKinds {
 		names = append(names, k)
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
 }
 
-// queryFraction answers the basic Algorithm 2 estimate I(B, v).
-func queryFraction(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	sub, err := parseSubsetJSON(req.Subset)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	v, err := parseValueJSON(req.Value, sub)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	e, err := est.Fraction(src, sub, v)
+// estimate adapts a frequency planner's finisher to the JSON finisher.
+func estimate(fin query.EstimateFinisher, err error) (finisher, error) {
+	return convert(fin, err, toEstimate)
+}
+
+// numeric adapts a numeric planner's finisher to the JSON finisher.
+func numeric(fin query.NumericFinisher, err error) (finisher, error) {
+	return convert(fin, err, toNumeric)
+}
+
+// convert wraps a typed finisher so its result reaches the wire through to.
+func convert[T, R any](fin func(*query.Results) (T, error), err error, to func(T) R) (finisher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toEstimate(e), nil
+	return func(res *query.Results) (any, error) {
+		v, err := fin(res)
+		if err != nil {
+			return nil, err
+		}
+		return to(v), nil
+	}, nil
 }
 
-// queryConjunction answers a conjunction of literals over a sketched
-// subset (the subset/value form sketchctl uses).
-func queryConjunction(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	sub, err := parseSubsetJSON(req.Subset)
+// withoutArg lifts a planner of one operand to the two-operand shape the
+// request adapters call, ignoring the scalar (l or c) it has no use for.
+func withoutArg[S, A, F any](plan func(*query.Estimator, *query.Plan, A) (F, error)) func(*query.Estimator, *query.Plan, A, S) (F, error) {
+	return func(est *query.Estimator, p *query.Plan, a A, _ S) (F, error) { return plan(est, p, a) }
+}
+
+// subQueries adapts an Appendix F planner: the request's sub-queries and
+// l, which union and none-of ignore.
+func subQueries(plan func(*query.Estimator, *query.Plan, []query.SubQuery, int) (query.EstimateFinisher, error)) queryKind {
+	return func(est *query.Estimator, p *query.Plan, req *queryRequest) (finisher, error) {
+		subs, err := parseSubQueriesJSON(req.SubQueries)
+		if err != nil {
+			return nil, badQuery(err)
+		}
+		return estimate(plan(est, p, subs, req.L))
+	}
+}
+
+// field adapts a Section 4.1 planner: the request's field and c, which the
+// mean and the sum ignore.
+func field(plan func(*query.Estimator, *query.Plan, bitvec.IntField, uint64) (query.NumericFinisher, error)) queryKind {
+	return func(est *query.Estimator, p *query.Plan, req *queryRequest) (finisher, error) {
+		f, err := parseFieldJSON(req.Field)
+		if err != nil {
+			return nil, badQuery(err)
+		}
+		return numeric(plan(est, p, f, req.C))
+	}
+}
+
+// fraction plans the basic Algorithm 2 estimate I(B, v).
+func fraction(est *query.Estimator, p *query.Plan, req *queryRequest) (finisher, error) {
+	sub, v, err := parseSubsetValueJSON(req.Subset, req.Value)
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	v, err := parseValueJSON(req.Value, sub)
+	return estimate(est.PlanFraction(p, sub, v))
+}
+
+// conjunction plans a conjunction of literals over a sketched subset (the
+// subset/value form sketchctl uses).
+func conjunction(est *query.Estimator, p *query.Plan, req *queryRequest) (finisher, error) {
+	sub, v, err := parseSubsetValueJSON(req.Subset, req.Value)
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	e, err := est.ConjunctionFraction(src, bitvec.ConjunctionOf(sub, v))
-	if err != nil {
-		return nil, err
-	}
-	return toEstimate(e), nil
+	return estimate(est.PlanConjunctionFraction(p, bitvec.ConjunctionOf(sub, v)))
 }
 
-// queryUnion answers P[∨ᵢ (Bᵢ = vᵢ)] by inclusion–exclusion over the
-// match histogram.
-func queryUnion(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	subs, err := parseSubQueriesJSON(req.SubQueries)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	e, err := est.UnionConjunction(src, subs)
-	if err != nil {
-		return nil, err
-	}
-	return toEstimate(e), nil
-}
-
-// queryNoneOf answers P[∧ᵢ (Bᵢ ≠ vᵢ)].
-func queryNoneOf(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	subs, err := parseSubQueriesJSON(req.SubQueries)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	e, err := est.NoneOf(src, subs)
-	if err != nil {
-		return nil, err
-	}
-	return toEstimate(e), nil
-}
-
-// queryExactlyOfK answers P[exactly l of the k sub-queries match].
-func queryExactlyOfK(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	subs, err := parseSubQueriesJSON(req.SubQueries)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	e, err := est.ExactlyOfK(src, subs, req.L)
-	if err != nil {
-		return nil, err
-	}
-	return toEstimate(e), nil
-}
-
-// queryAtLeastOfK answers P[at least l of the k sub-queries match].
-func queryAtLeastOfK(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	subs, err := parseSubQueriesJSON(req.SubQueries)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	e, err := est.AtLeastOfK(src, subs, req.L)
-	if err != nil {
-		return nil, err
-	}
-	return toEstimate(e), nil
-}
-
-// queryFieldMean answers E[field] via the Section 4.1 per-bit
-// decomposition.
-func queryFieldMean(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	f, err := parseFieldJSON(req.Field)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	n, err := est.FieldMean(src, f)
-	if err != nil {
-		return nil, err
-	}
-	return toNumeric(n), nil
-}
-
-// queryFieldSum answers the estimated population sum of the field.
-func queryFieldSum(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	f, err := parseFieldJSON(req.Field)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	n, err := est.FieldSum(src, f)
-	if err != nil {
-		return nil, err
-	}
-	return toNumeric(n), nil
-}
-
-// queryFieldLessThan answers P[field < c] via the prefix decomposition.
-func queryFieldLessThan(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	f, err := parseFieldJSON(req.Field)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	n, err := est.FieldLessThan(src, f, req.C)
-	if err != nil {
-		return nil, err
-	}
-	return toNumeric(n), nil
-}
-
-// queryFieldAtMost answers P[field ≤ c].
-func queryFieldAtMost(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	f, err := parseFieldJSON(req.Field)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	n, err := est.FieldAtMost(src, f, req.C)
-	if err != nil {
-		return nil, err
-	}
-	return toNumeric(n), nil
-}
-
-// queryInterval answers P[lo ≤ field ≤ hi] as P[≤ hi] − P[< lo].  Both
-// prefix decompositions are planned into ONE plan and executed with one
-// src.Execute call, so an interval still costs a single fan-out round
-// trip — the acceptance bar this endpoint is frame-count-tested against.
-func queryInterval(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
+// interval plans P[lo ≤ field ≤ hi] as P[≤ hi] − P[< lo]: both prefix
+// decompositions on the request's one plan, so an interval costs a single
+// fan-out round trip like every other kind.
+func interval(est *query.Estimator, p *query.Plan, req *queryRequest) (finisher, error) {
 	f, err := parseFieldJSON(req.Field)
 	if err != nil {
 		return nil, badQuery(err)
@@ -250,48 +191,37 @@ func queryInterval(est *query.Estimator, src query.PartialSource, req *queryRequ
 	if req.Hi > f.Max() {
 		return nil, badQuery(fmt.Errorf("interval hi %d exceeds the %d-bit field maximum %d", req.Hi, f.Width, f.Max()))
 	}
-	p := query.NewPlan()
 	finHi, err := est.PlanFieldAtMost(p, f, req.Hi)
 	if err != nil {
 		return nil, err
 	}
 	var finLo query.NumericFinisher
 	if req.Lo > 0 {
-		finLo, err = est.PlanFieldLessThan(p, f, req.Lo)
-		if err != nil {
+		if finLo, err = est.PlanFieldLessThan(p, f, req.Lo); err != nil {
 			return nil, err
 		}
 	}
-	res, err := src.Execute(p)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := finHi(res)
-	if err != nil {
-		return nil, err
-	}
-	out := hi
-	if finLo != nil {
+	return numeric(func(res *query.Results) (query.NumericEstimate, error) {
+		out, err := finHi(res)
+		if err != nil || finLo == nil {
+			return out, err
+		}
 		lo, err := finLo(res)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		out.Value -= lo.Value
 		out.Queries += lo.Queries
-	}
-	return toNumeric(out), nil
+		return out, nil
+	}, nil)
 }
 
-// queryTree answers the accepting-fraction of a decision tree, one glued
-// path-conjunction per accepting leaf, all in one plan.
-func queryTree(est *query.Estimator, src query.PartialSource, req *queryRequest) (any, error) {
-	tree, err := parseTreeJSON(req.Tree)
+// tree plans the accepting fraction of a decision tree, one glued
+// path-conjunction per accepting leaf.
+func tree(est *query.Estimator, p *query.Plan, req *queryRequest) (finisher, error) {
+	t, err := parseTreeJSON(req.Tree)
 	if err != nil {
 		return nil, badQuery(err)
 	}
-	n, err := est.DecisionTreeFraction(src, tree)
-	if err != nil {
-		return nil, err
-	}
-	return toNumeric(n), nil
+	return numeric(est.PlanDecisionTreeFraction(p, t))
 }

@@ -67,24 +67,14 @@ type Tenant struct {
 }
 
 // MaxUserID returns the largest tenant-relative user id the domain can
-// hold: ids are rewritten to Domain.Tag<<(64-Bits) | id, so a tenant
-// addresses 2^(64-Bits) users of its own.
-func (t *Tenant) MaxUserID() uint64 {
-	if t.Domain.Bits == 0 {
-		return ^uint64(0)
-	}
-	return 1<<(64-uint(t.Domain.Bits)) - 1
-}
+// hold (cluster.Domain.MaxID).
+func (t *Tenant) MaxUserID() uint64 { return t.Domain.MaxID() }
 
-// EffectiveID rewrites a tenant-relative user id into the tenant's domain.
+// EffectiveID rewrites a tenant-relative user id into the tenant's domain
+// (cluster.Domain.ID).
 func (t *Tenant) EffectiveID(id uint64) (uint64, error) {
-	if max := t.MaxUserID(); id > max {
-		return 0, fmt.Errorf("user id %d outside the tenant's id space [0, %d]", id, max)
-	}
-	if t.Domain.Bits == 0 {
-		return id, nil
-	}
-	return t.Domain.Tag<<(64-uint(t.Domain.Bits)) | id, nil
+	eff, err := t.Domain.ID(id)
+	return uint64(eff), err
 }
 
 // RecordsUsed returns how many records the tenant has published through
