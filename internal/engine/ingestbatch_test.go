@@ -340,6 +340,61 @@ func TestIngestHandsTheStoreOneSubsetValue(t *testing.T) {
 	}
 }
 
+// TestIngestBatchHandsTheStoreRuns pins the engine/store boundary: a batch
+// arriving user by user, ids descending, over two subsets reaches
+// AppendBatch as the runs the store frames — subset by subset in order of
+// first appearance, ids strictly ascending within each — and when the
+// store fails chosen indices of that order, exactly those records stay
+// unlanded.
+func TestIngestBatchHandsTheStoreRuns(t *testing.T) {
+	p := 0.3
+	subsets := []bitvec.Subset{bitvec.Range(0, 3), bitvec.Range(1, 2)}
+	const users = 100
+	var batch []sketch.Published
+	for id := uint64(users); id >= 1; id-- {
+		for _, b := range subsets {
+			batch = append(batch, batchPub(id, b))
+		}
+	}
+	ingest := func(failIdx map[int]bool) (*Engine, []sketch.Published, error) {
+		fs := &fakeBatchStore{Store: store.NewMem(), failIdx: failIdx, err: errDiskFull}
+		eng, err := NewWithStore(testSource(p), sketch.MustParams(p, 10), fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = eng.IngestBatch(batch)
+		if len(fs.batches) != 1 {
+			t.Fatalf("the batch reached the store in %d calls, want 1", len(fs.batches))
+		}
+		return eng, fs.batches[0], err
+	}
+
+	eng, got, err := ingest(nil)
+	if err != nil || eng.Sketches() != len(batch) || len(got) != len(batch) {
+		t.Fatalf("IngestBatch = %v: %d landed, %d handed to the store, want %d", err, eng.Sketches(), len(got), len(batch))
+	}
+	for i, rec := range got {
+		b := subsets[i/users]
+		if !rec.Subset.Equal(b) {
+			t.Fatalf("record %d of the store's batch is under %v, want %v: subset by subset, in order of first appearance", i, rec.Subset, b)
+		}
+		if i%users > 0 && rec.ID <= got[i-1].ID {
+			t.Fatalf("record %d of the store's batch has id %v after %v: a subset's ids must strictly ascend", i, rec.ID, got[i-1].ID)
+		}
+	}
+
+	failIdx := map[int]bool{0: true, 37: true, users - 1: true, users: true, users + 64: true, 2*users - 1: true}
+	eng, got, err = ingest(failIdx)
+	if !errors.Is(err, errDiskFull) || eng.Sketches() != len(batch)-len(failIdx) {
+		t.Fatalf("IngestBatch over a store failing %d records = %v, %d landed; want errDiskFull and %d", len(failIdx), err, eng.Sketches(), len(batch)-len(failIdx))
+	}
+	for i, rec := range got {
+		if _, ok := eng.Table().Get(rec.ID, rec.Subset); ok == failIdx[i] {
+			t.Fatalf("record %d of the store's batch (user %v, subset %v): landed = %v, failed by the store = %v", i, rec.ID, rec.Subset, ok, failIdx[i])
+		}
+	}
+}
+
 // silentFailStore fails every AppendBatch without naming a record: what
 // store.BatchAppender's contract forbids and a store may still do.
 type silentFailStore struct {

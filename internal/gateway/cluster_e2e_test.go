@@ -359,6 +359,12 @@ func TestClusterTenantDisjointness(t *testing.T) {
 	}
 }
 
+// routerEvidence is what a test that gave up on the cluster reports: the
+// router's live nodes, its fan-out counters and its status.
+func routerEvidence(r *cluster.Router) string {
+	return fmt.Sprintf("live nodes %v\nfan-out counters %+v\n%s", r.LiveNodes(), r.FanoutCounters(), r.Status())
+}
+
 // TestClusterGatewayChaos runs the HTTP path over a faultnet-degraded
 // cluster: every router link injects seeded resets, stalls and
 // corruptions.  Publishes and queries retry through typed 5xx answers;
@@ -423,9 +429,9 @@ func TestClusterGatewayChaos(t *testing.T) {
 		if end > len(recs) {
 			end = len(recs)
 		}
-		published := false
+		published, status, apiErr := false, 0, apiError{}
 		for attempt := 0; attempt < 60 && !published; attempt++ {
-			status, apiErr, _ := h.call(t, "POST", "/v1/records", acmeKey,
+			status, apiErr, _ = h.call(t, "POST", "/v1/records", acmeKey,
 				map[string]any{"records": recs[start:end]})
 			switch status {
 			case http.StatusOK:
@@ -437,7 +443,7 @@ func TestClusterGatewayChaos(t *testing.T) {
 			}
 		}
 		if !published {
-			t.Fatalf("publish batch %d never succeeded under chaos", start/5)
+			t.Fatalf("publish batch %d never succeeded under chaos; last attempt HTTP %d (%s)\n%s", start/5, status, apiErr.Code, routerEvidence(h.r))
 		}
 	}
 	if used := acme.RecordsUsed(); used != users {
@@ -457,9 +463,10 @@ func TestClusterGatewayChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	answered := false
+	answered, status, apiErr := false, 0, apiError{}
 	for attempt := 0; attempt < 60 && !answered; attempt++ {
-		status, apiErr, raw := h.call(t, "POST", "/v1/query/fraction", acmeKey,
+		var raw []byte
+		status, apiErr, raw = h.call(t, "POST", "/v1/query/fraction", acmeKey,
 			map[string]any{"subset": []int{0, 2, 4}, "value": "111"})
 		switch status {
 		case http.StatusOK:
@@ -478,6 +485,6 @@ func TestClusterGatewayChaos(t *testing.T) {
 		}
 	}
 	if !answered {
-		t.Fatal("query never succeeded under chaos")
+		t.Fatalf("query never succeeded under chaos; last attempt HTTP %d (%s)\n%s", status, apiErr.Code, routerEvidence(h.r))
 	}
 }

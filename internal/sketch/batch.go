@@ -35,18 +35,18 @@ type batchGroup struct {
 // Len returns how many records the batch admits.
 func (b *Batch) Len() int { return b.n }
 
-// Records returns the admitted records in input order, each carrying the
-// table's own Subset value for its subset (see AddNew): what a store is
-// handed, so the records it holds share one Subset per column.
+// Records returns the admitted records in the batch's group order — subset
+// by subset in order of first appearance, each subset's ids ascending —
+// each carrying the table's own Subset value for its subset (see AddNew):
+// what a store is handed, so the records it holds share one Subset per
+// column and arrive as the runs they are stored as.
 func (b *Batch) Records() []Published {
 	out := make([]Published, 0, b.n)
-	for i, s := range b.slot {
-		if s > 0 {
-			p := b.ps[i]
-			p.Subset = b.groups[s-1].subset
-			out = append(out, p)
-		}
-	}
+	b.admitted(func(g, i int) {
+		p := b.ps[i]
+		p.Subset = b.groups[g].subset
+		out = append(out, p)
+	})
 	return out
 }
 
@@ -60,16 +60,26 @@ func (b *Batch) Drop(failed []int) {
 	for _, f := range failed {
 		gone[f] = true
 	}
-	k := 0
-	for i, s := range b.slot {
-		if s == 0 {
-			continue
-		}
+	dropped, k := 0, 0
+	b.admitted(func(_, i int) {
 		if gone[k] {
 			b.slot[i] = 0
-			b.n--
+			dropped++
 		}
 		k++
+	})
+	b.n -= dropped
+}
+
+// admitted calls fn with the group and the input index of each admitted
+// record, in Records' order.
+func (b *Batch) admitted(fn func(g, i int)) {
+	for g := range b.groups {
+		for _, i := range b.groups[g].at {
+			if b.slot[i] != 0 {
+				fn(g, int(i))
+			}
+		}
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // conflicting or invalid record, or the first of a foreign length — not its
 // column's, or for a subset the table does not hold the length of the
 // batch's first record for it — stops admission there, its error naming
-// it, with what came before it still admitted.
+// it, with what came before it still admitted.  Records hands the admitted
+// records over subset by subset, in order of first appearance, ids
+// ascending.
 func TestTableProbeAdmitsInInputOrder(t *testing.T) {
 	b0, b1 := bitvec.MustSubset(0), bitvec.MustSubset(1, 2)
 	pub := func(id bitvec.UserID, b bitvec.Subset, key uint64) Published {
@@ -24,19 +26,19 @@ func TestTableProbeAdmitsInInputOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		batch []Published
-		admit []bitvec.UserID // the admitted records' ids, in input order
+		admit []bitvec.UserID // the admitted records' ids, in Records' order
 		err   string
 	}{
-		{"all new", []Published{pub(5, b0, 1), pub(3, b1, 1), pub(4, b0, 2)}, []bitvec.UserID{5, 3, 4}, ""},
-		{"an identical re-publish", []Published{pub(9, b0, 1), pub(1, b0, 7), pub(8, b0, 1)}, []bitvec.UserID{9, 8}, ""},
+		{"all new", []Published{pub(5, b0, 1), pub(3, b1, 1), pub(4, b0, 2)}, []bitvec.UserID{4, 5, 3}, ""},
+		{"an identical re-publish", []Published{pub(9, b0, 1), pub(1, b0, 7), pub(8, b0, 1)}, []bitvec.UserID{8, 9}, ""},
 		{"an identical repeat in the batch", []Published{pub(9, b0, 1), pub(9, b0, 1), pub(9, b1, 2)}, []bitvec.UserID{9, 9}, ""},
 		{"a conflict with the table", []Published{pub(9, b0, 1), pub(1, b0, 8), pub(8, b0, 1)}, []bitvec.UserID{9}, "user user-1 already published"},
-		{"a conflict in the batch", []Published{pub(9, b0, 1), pub(8, b0, 1), pub(9, b0, 2), pub(7, b0, 1)}, []bitvec.UserID{9, 8}, "user user-9 already published"},
+		{"a conflict in the batch", []Published{pub(9, b0, 1), pub(8, b0, 1), pub(9, b0, 2), pub(7, b0, 1)}, []bitvec.UserID{8, 9}, "user user-9 already published"},
 		{"the earlier of two refusals", []Published{pub(6, b0, 1), pub(6, b0, 3), pub(1, b0, 8), pub(2, b0, 99)}, []bitvec.UserID{6}, "user user-6 already published"},
 		{"an invalid sketch", []Published{pub(6, b0, 1), pub(2, b0, 99), pub(1, b0, 8)}, []bitvec.UserID{6}, "invalid sketch"},
 		{"a foreign length against the column", []Published{pub(6, b1, 1), pub(5, b0, 1), long(pub(2, b0, 3)), pub(3, b0, 1)}, []bitvec.UserID{6, 5}, "user user-2's sketch for subset {0} has ℓ = 9, the subset's have ℓ = 4"},
 		{"a foreign length held by the column", []Published{pub(6, b0, 1), long(pub(1, b0, 7))}, []bitvec.UserID{6}, "foreign sketch length"},
-		{"a foreign length in a fresh subset", []Published{long(pub(6, b1, 1)), long(pub(5, b1, 2)), pub(4, b1, 3), long(pub(3, b1, 4))}, []bitvec.UserID{6, 5}, "user user-4's sketch for subset {1,2} has ℓ = 4, the subset's have ℓ = 9"},
+		{"a foreign length in a fresh subset", []Published{long(pub(6, b1, 1)), long(pub(5, b1, 2)), pub(4, b1, 3), long(pub(3, b1, 4))}, []bitvec.UserID{5, 6}, "user user-4's sketch for subset {1,2} has ℓ = 4, the subset's have ℓ = 9"},
 		{"a fresh subset's first record of a foreign length", []Published{pub(6, b1, 1), long(pub(5, b0, 1)), pub(4, b0, 1)}, []bitvec.UserID{6}, "user user-5's sketch"},
 		{"the earlier of a conflict and a foreign length", []Published{pub(6, b0, 1), long(pub(4, b1, 1)), pub(1, b0, 8)}, []bitvec.UserID{6, 4}, "user user-1 already published"},
 	} {

@@ -41,7 +41,7 @@ const maxDeltaWidth = 4
 // as they enrol under a tenant's tag, so a node's ids are dense and a block
 // of them is 72 bytes, not 512, while a column holding two tenants' tags
 // pays 8 bytes an id in the one block that straddles them and nowhere
-// else.  Ids that do not ascend — a log frame holds them in arrival order —
+// else.  Ids that do not ascend — a log frame holds them as they came —
 // and ids far apart — hashed ones — take the raw form, which costs the 8
 // bytes an id always did and the width byte: 1/64 byte an id.
 //

@@ -27,7 +27,9 @@
 // So the store never frames a record on its own.  Everywhere it holds
 // records it holds runs (run.go): a subset's tag once, a count, the words'
 // shape, then user ids and sketches as packed columns — the sketch table's
-// own layout.  A log frame is the runs of one appended group; a segment
+// own layout.  A log frame is the runs of one appended group, a run per
+// stretch of its records of one subset and length — the engine hands a
+// batch over subset by subset, ids ascending, so a run per subset; a segment
 // (format v5, segment.go) is a shard's runs in subset order, ids
 // ascending, cut into checksummed blocks, and nothing else — the run
 // directory, the sparse id index and the block offsets its readers use are
@@ -58,7 +60,9 @@
 //
 // The log is mirrored nowhere: its file's acknowledged prefix is decoded
 // on demand — by a roll, or by the first read after an append — into
-// normalized runs that are dropped again at the next append.
+// normalized runs that are dropped again at the next append.  Nor does it
+// keep scratch: a commit window is framed in a buffer borrowed from a pool
+// for the window and given back after its write.
 //
 // # Recovery
 //

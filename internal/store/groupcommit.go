@@ -60,10 +60,6 @@ type groupCommit struct {
 	arrived chan struct{}
 	closing chan struct{}
 	wg      sync.WaitGroup
-
-	// groups is the committer-owned list of the window's record groups —
-	// slice headers, one per waiter — reused across windows.
-	groups [][]sketch.Published
 }
 
 // commitWaiter is one parked appender: its records — one for a plain
@@ -177,9 +173,8 @@ func (gc *groupCommit) commit() {
 	if len(batch) == 0 {
 		return
 	}
-	groups, records := gc.groups[:0], 0
+	records := 0
 	for _, w := range batch {
-		groups = append(groups, w.ps)
 		records += len(w.ps)
 	}
 	sh := gc.sh
@@ -188,7 +183,7 @@ func (gc *groupCommit) commit() {
 	// No sh.closed check: Close drains the committer before closing the
 	// log files, and a queued record belongs to an Append that was
 	// accepted before the close fence — it must resolve, not leak.
-	err := sh.wal.appendWindow(groups)
+	err := sh.wal.appendWindow(batch)
 	if err == nil {
 		if sh.m != nil {
 			sh.m.commitLatency.ObserveSince(start)
@@ -198,8 +193,6 @@ func (gc *groupCommit) commit() {
 		sh.maybeRollLocked()
 	}
 	sh.mu.Unlock()
-	clear(groups) // the waiters' slices are theirs again
-	gc.groups = groups
 	for _, w := range batch {
 		w.errc <- err
 	}

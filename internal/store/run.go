@@ -38,9 +38,11 @@ import (
 // sketches, 72 bytes for a block of 64.  Both columns are the table's own
 // bits, written with a copy and read back with a checked one
 // (sketch.IDBuilder.AppendBlock, sketch.Words.AppendBits and
-// AppendBitsFrom, and nowhere else).  The log writes a window's run whole,
-// ids in arrival order; a segment cuts the columns into checksummed
-// blocks, one id block and its words each (segment.go).
+// AppendBitsFrom, and nowhere else).  The log writes an appended group's
+// runs whole, one per stretch of its records of one subset and length, ids
+// as they came — ascending, as the engine hands a batch over; a segment
+// cuts the columns into checksummed blocks, one id block and its words
+// each (segment.go).
 //
 // A run holds one length, and the store keeps a subset's records of two
 // lengths as two runs, (tag, length) ascending, deduplicating each on its

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sync"
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/sketch"
@@ -21,14 +22,17 @@ import (
 //	4 bytes big-endian payload length
 //	4 bytes big-endian checksum of the payload
 //	payload: 4 bytes big-endian run count, then the group's runs whole
-//	         (run.go): records stably grouped by subset and length, each
-//	         group in
-//	         arrival order under its subset's tag written once, its ids
-//	         as an id column — a batch of users numbered as they enrolled
-//	         ascends and costs a byte an id, a group that does not is
+//	         (run.go): one run per maximal stretch of the group's records
+//	         of one subset and length, in arrival order, under its
+//	         subset's tag written once, its ids as an id column — the
+//	         engine hands a batch over subset by subset, ids ascending, so
+//	         a stretch is a whole subset and users numbered as they
+//	         enrolled cost a byte an id; ids that do not ascend are
 //	         written raw, and a lone record's frame is a byte longer than
-//	         its 8-byte id made it — and its words as a segment block holds
-//	         them, ℓ bits a key, ⌈count·ℓ/8⌉ bytes
+//	         its 8-byte id made it — and its words as a segment block
+//	         holds them, ℓ bits a key, ⌈count·ℓ/8⌉ bytes.  A frame may name
+//	         a subset and length in several runs; replay appends them in
+//	         order, so the newest of a repeated record is still the last
 //
 // A commit window is its groups' frames back to back: one write(2), one
 // fsync, one outcome for every record in it.  The frame, not the window,
@@ -86,22 +90,6 @@ type wal struct {
 	found   int64  // the file's length when loadWAL read it
 	fsync   bool
 
-	// Reused across appends: the window's frames being assembled, and per
-	// frame its runs' layout, each record's run within it, the records' ids
-	// gathered run by run, and the (tag, length) → run index a frame needs
-	// once it names a second subset or length.
-	frame  []byte
-	slots  []uint32
-	layout []frameRun
-	ids    []bitvec.UserID
-	runOf  map[string]int
-	keyBuf []byte
-	// one and oneGroup are the single-record group and the single-group
-	// window Append and AppendBatch wrap around appendWindow, keeping the
-	// lone-writer path allocation-free; both are empty between calls.
-	one      [1]sketch.Published
-	oneGroup [1][]sketch.Published
-
 	// kept holds the normalized runs of log[0:size) from the last decode —
 	// replay's at open, or the first read's since — until the next append
 	// and no longer, so a quiet store answers every read from one decode.
@@ -116,18 +104,6 @@ type wal struct {
 	// behind them.  While set, an append first cuts the file back to size;
 	// only if that repair also fails does the append itself fail.
 	broken bool
-}
-
-// frameRun is one subset and length's share of the group being framed.
-type frameRun struct {
-	subset bitvec.Subset
-	count  int
-	shape  sketch.Shape // its sketches' length
-	// Set once the group is counted and the frame laid out: where the run's
-	// ids start among those gathered, how many are placed, and the writer of
-	// its word column in the frame.
-	at, placed int
-	words      sketch.WordWriter
 }
 
 // openWAL opens (creating if needed) the log at path, replays it — every
@@ -150,7 +126,7 @@ func openWAL(path string, fsync bool, m *metrics) (*wal, error) {
 // nothing.  Creating a missing log, writing a new one's magic and cutting a
 // torn tail are ready's.
 func loadWAL(path string, fsync bool, m *metrics) (*wal, error) {
-	w := &wal{path: path, fsync: fsync, m: m, runOf: make(map[string]int)}
+	w := &wal{path: path, fsync: fsync, m: m}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 	if os.IsNotExist(err) {
 		return w, nil
@@ -412,18 +388,12 @@ func (w *wal) runs() ([]run, error) {
 
 // Append writes one record: a one-record window.
 func (w *wal) Append(p sketch.Published) error {
-	w.one[0] = p
-	err := w.AppendBatch(w.one[:])
-	w.one[0] = sketch.Published{}
-	return err
+	return w.AppendBatch([]sketch.Published{p})
 }
 
 // AppendBatch writes ps as one window.
 func (w *wal) AppendBatch(ps []sketch.Published) error {
-	w.oneGroup[0] = ps
-	err := w.appendWindow(w.oneGroup[:])
-	w.oneGroup[0] = nil
-	return err
+	return w.appendWindow([]commitWaiter{{ps: ps}})
 }
 
 // checkRecords refuses records the log has no form for.  Every append
@@ -444,8 +414,8 @@ func checkRecords(ps []sketch.Published) error {
 // windowBytes is about what the group ps adds to a commit window, for the
 // committer's size cap: its columns with the ids raw and each sketch in
 // the bytes of its Pack word, and a run header wherever the subset or the
-// length changes (the frame writes a run's header once, codes ids that
-// ascend and writes a key in ℓ bits, so this is an upper estimate).
+// length changes, as the frame writes one (the frame codes ids that ascend
+// and writes a key in ℓ bits, so this is an upper estimate).
 func windowBytes(ps []sketch.Published) int {
 	n := 0
 	for i := range ps {
@@ -457,99 +427,70 @@ func windowBytes(ps []sketch.Published) int {
 	return n
 }
 
-// slotFor returns the index of the run of subset b at shape in the group
-// being framed, starting the run if the pair is new to the group.
-func (w *wal) slotFor(b bitvec.Subset, shape sketch.Shape) int {
-	if len(w.layout) == 0 {
-		w.layout = append(w.layout, frameRun{subset: b, shape: shape})
-		return 0
-	}
-	if len(w.runOf) == 0 {
-		// The group's second run: the index starts with its first.
-		first := &w.layout[0]
-		w.runOf[string(append(first.subset.AppendTag(w.keyBuf[:0]), byte(first.shape)))] = 0
-	}
-	w.keyBuf = append(b.AppendTag(w.keyBuf[:0]), byte(shape))
-	if i, ok := w.runOf[string(w.keyBuf)]; ok {
-		return i
-	}
-	w.layout = append(w.layout, frameRun{subset: b, shape: shape})
-	w.runOf[string(w.keyBuf)] = len(w.layout) - 1
-	return len(w.layout) - 1
-}
-
-// appendFrame appends to buf the frame of one appended group: its records
-// stably grouped into runs of one subset and length each, in order of
-// first appearance, and its records in arrival order.
-func (w *wal) appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
-	w.layout, w.slots = w.layout[:0], w.slots[:0]
-	if len(w.runOf) > 0 {
-		clear(w.runOf)
-	}
-	cur := -1
-	for i := range ps {
-		if shape := sketch.Shape(ps[i].S.Length); cur < 0 || shape != w.layout[cur].shape || !ps[i].Subset.Equal(w.layout[cur].subset) {
-			cur = w.slotFor(ps[i].Subset, shape)
-		}
-		w.layout[cur].count++
-		w.slots = append(w.slots, uint32(cur))
-	}
-
-	// Gather the ids run by run — every run's place follows from the counts
-	// — and lay the frame out: a run's header, its ids as an id column, room
-	// for its words.  Then write each record's word into its run's column,
-	// each run through a word writer of its own, in arrival order: the bytes
-	// sketch.Words.AppendBits writes for the run's column.
-	at := 0
-	for i := range w.layout {
-		w.layout[i].at, at = at, at+w.layout[i].count
-	}
-	w.ids = slices.Grow(w.ids[:0], len(ps))[:len(ps)]
-	for i := range ps {
-		r := &w.layout[w.slots[i]]
-		w.ids[r.at+r.placed] = ps[i].ID
-		r.placed++
-	}
+// appendFrame appends to buf the frame of one appended group: a run for
+// each maximal stretch of its records of one subset and length.
+func appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 	frame := len(buf)
-	buf = append(buf, make([]byte, walFrameHeader)...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.layout)))
-	for i := range w.layout {
-		r := &w.layout[i]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(r.subset.TagLen()))
-		buf = r.subset.AppendTag(buf)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(r.count))
-		buf = append(buf, byte(r.shape))
-		buf = sketch.AppendIDBlocks(buf, w.ids[r.at:r.at+r.count])
-		r.words = sketch.NewWordWriter(r.shape, len(buf))
-		buf = append(buf, make([]byte, wordsLen(r.count, r.shape))...)
-	}
-	for i := range ps {
-		w.layout[w.slots[i]].words.Put(buf, ps[i].S.Pack())
-	}
-	for i := range w.layout {
-		w.layout[i].words.Flush(buf)
+	buf = append(buf, make([]byte, walFrameHeader+4)...)
+	runs := 0
+	for len(ps) > 0 {
+		n := 1
+		for n < len(ps) && ps[n].S.Length == ps[0].S.Length && ps[n].Subset.Equal(ps[0].Subset) {
+			n++
+		}
+		buf, ps, runs = appendFrameRun(buf, ps[:n]), ps[n:], runs+1
 	}
 	payload := buf[frame+walFrameHeader:]
 	if len(payload) > maxFrameBytes {
 		return buf, fmt.Errorf("store: appended group of %d bytes exceeds %d", len(payload), maxFrameBytes)
 	}
+	binary.BigEndian.PutUint32(payload, uint32(runs))
 	binary.BigEndian.PutUint32(buf[frame:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[frame+4:], checksum(payload))
 	return buf, nil
 }
 
-// appendWindow writes a commit window — groups, each one appender's
-// records — frame after frame with one write(2) and, in fsync mode, one
+// appendFrameRun appends the run of ps, records of one subset and length:
+// its header, its ids as an id column, a block at a time, and its words.
+func appendFrameRun(buf []byte, ps []sketch.Published) []byte {
+	subset, shape := ps[0].Subset, sketch.Shape(ps[0].S.Length)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(subset.TagLen()))
+	buf = subset.AppendTag(buf)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ps)))
+	buf = append(buf, byte(shape))
+	var ids [sketch.IDBlockLen]bitvec.UserID
+	for at := 0; at < len(ps); at += sketch.IDBlockLen {
+		block := ids[:min(len(ps)-at, sketch.IDBlockLen)]
+		for i := range block {
+			block[i] = ps[at+i].ID
+		}
+		buf = sketch.AppendIDBlocks(buf, block)
+	}
+	words := sketch.NewWordWriter(shape, len(buf))
+	buf = append(buf, make([]byte, wordsLen(len(ps), shape))...)
+	for i := range ps {
+		words.Put(buf, ps[i].S.Pack())
+	}
+	words.Flush(buf)
+	return buf
+}
+
+// framePool lends each commit window the buffer its frames are assembled
+// in, so that no log keeps one between windows.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendWindow writes a commit window — its waiters' groups, each one
+// appender's records — frame after frame with one write(2) and, in fsync mode, one
 // fsync covering every record: the group-commit primitive that amortizes
 // the durability cost over all writers parked on the window.  The window
 // is all-or-nothing to its appenders: a failed write or fsync truncates
 // the log back to its pre-window size, so no record the callers will be
 // NACKed for can resurrect on replay.  The records have passed
 // checkRecords.
-func (w *wal) appendWindow(groups [][]sketch.Published) error {
+func (w *wal) appendWindow(window []commitWaiter) error {
 	n := 0
-	for _, ps := range groups {
-		n += len(ps)
+	for _, c := range window {
+		n += len(c.ps)
 	}
 	if n == 0 {
 		return nil
@@ -559,17 +500,24 @@ func (w *wal) appendWindow(groups [][]sketch.Published) error {
 			return fmt.Errorf("%w: %v", ErrWALBroken, err)
 		}
 	}
-	buf := w.frame[:0]
-	for _, ps := range groups {
-		if len(ps) == 0 {
+	pooled := framePool.Get().(*[]byte)
+	buf := (*pooled)[:0]
+	defer func() {
+		// A buffer past a full window's size is left to the collector.
+		if cap(buf) <= commitBytes {
+			*pooled = buf[:0]
+			framePool.Put(pooled)
+		}
+	}()
+	for _, c := range window {
+		if len(c.ps) == 0 {
 			continue
 		}
 		var err error
-		if buf, err = w.appendFrame(buf, ps); err != nil {
+		if buf, err = appendFrame(buf, c.ps); err != nil {
 			return err
 		}
 	}
-	w.frame = buf
 
 	start := now(w.m)
 	if n, err := w.f.Write(buf); err != nil {

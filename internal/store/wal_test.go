@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -191,35 +193,96 @@ func TestWALKeepsNoRecordsAcrossAppends(t *testing.T) {
 	}
 }
 
-// TestWALWindowGroupsRunsStably: a window's records are grouped by subset
-// in order of first appearance, each group in arrival order, so the newest
-// of a repeated (user, subset) pair is still the last one — in the frame,
-// and after normalization.
+// TestWALKeepsNoScratchAcrossWindows: a commit window's frame is borrowed
+// for the window and given back, so the logs of a store that has landed a
+// large batch hold no more heap once the collector has run than before —
+// the batch's 64k records, framed, came to ≈ 13 bytes each while every log
+// kept its largest window's scratch.
+func TestWALKeepsNoScratchAcrossWindows(t *testing.T) {
+	st, err := Open(Options{Dir: t.TempDir(), Shards: 8, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // a pooled buffer outlives one collection
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const n = 64 << 10
+	before := heap()
+	func() {
+		batch := testRecordsRange(1, n, bitvec.MustSubset(0, 1))
+		if failed, err := st.AppendBatch(batch); err != nil || len(failed) != 0 {
+			t.Fatal(failed, err)
+		}
+	}()
+	after := heap()
+	if st.Stats().Records != n {
+		t.Fatalf("the logs hold %d records, want %d", st.Stats().Records, n)
+	}
+	grown := int64(after) - int64(before)
+	t.Logf("the heap grew by %d bytes across a batch of %d records", grown, n)
+	if grown >= 64<<10 {
+		t.Fatalf("the heap grew by %d bytes across a batch of %d records (%.1f B a record), want under 64 KiB", grown, n, float64(grown)/n)
+	}
+}
+
+// TestWALWindowGroupsRunsStably: a window's frame holds a run for each
+// maximal stretch of its records of one subset and length, in arrival
+// order — one run per subset when they arrive subset by subset, as the
+// engine hands them over, a run per stretch when they do not — so the
+// newest of a repeated (user, subset) pair is still the last one, in the
+// frame and after normalization, whichever way the records arrive.
 func TestWALWindowGroupsRunsStably(t *testing.T) {
 	b, b2 := bitvec.MustSubset(0, 3), bitvec.MustSubset(2)
 	older := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1, Length: 10}}
 	newer := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1<<10 - 1, Length: 10}}
-	window := []sketch.Published{testRecord(9, b2), older, testRecord(3, b2), testRecord(8, b), newer}
-	frame := windowFrame(t, window...)
-	// One frame: 4+4 header, run count, then b2's run (first seen) and b's,
-	// neither in id order, so each one raw block: a width byte and 8-byte
-	// ids.  b2's two 10-bit keys take 20 bits, b's three 30.
-	wantLen := walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 1 + 2*8 + (2*10+7)/8) + (runHeaderFixed + b.TagLen() + 1 + 3*8 + (3*10+7)/8)
-	if len(frame) != wantLen {
-		t.Fatalf("window frame is %d bytes, want %d", len(frame), wantLen)
+	// run is the bytes of a run of count 10-bit records under subset s whose
+	// ids take one block of idBytes.
+	run := func(s bitvec.Subset, count, idBytes int) int {
+		return runHeaderFixed + s.TagLen() + idBytes + (count*10+7)/8
 	}
-	got, valid := logRecords(t, append(walMagic[:], frame...))
-	if valid != int64(len(walMagic)+len(frame)) {
-		t.Fatalf("the frame does not decode whole: %d of %d bytes", valid, len(walMagic)+len(frame))
-	}
-	want := []sketch.Published{testRecord(3, b2), testRecord(9, b2), newer, testRecord(8, b)}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if !samePub(got[i], want[i]) {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
-		}
+	for _, tc := range []struct {
+		name    string
+		window  []sketch.Published
+		runs    int
+		wantLen int
+	}{
+		// Four stretches: b2, b, b2, then b's last two, which descend and
+		// so are one raw block, a width byte and 8-byte ids; a lone id's
+		// block is a width byte and the id.
+		{"interleaved", []sketch.Published{testRecord(9, b2), older, testRecord(3, b2), testRecord(8, b), newer}, 4,
+			walFrameHeader + 4 + run(b2, 1, 1+8) + run(b, 1, 1+8) + run(b2, 1, 1+8) + run(b, 2, 1+2*8)},
+		// The same records in run order: b2's run and b's, neither in id
+		// order, so each one raw block.
+		{"in run order", []sketch.Published{testRecord(9, b2), testRecord(3, b2), older, testRecord(8, b), newer}, 2,
+			walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 1 + 2*8 + (2*10+7)/8) + (runHeaderFixed + b.TagLen() + 1 + 3*8 + (3*10+7)/8)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := windowFrame(t, tc.window...)
+			if len(frame) != tc.wantLen {
+				t.Fatalf("window frame is %d bytes, want %d", len(frame), tc.wantLen)
+			}
+			if runs := binary.BigEndian.Uint32(frame[walFrameHeader:]); runs != uint32(tc.runs) {
+				t.Fatalf("window frame holds %d runs, want %d", runs, tc.runs)
+			}
+			got, valid := logRecords(t, append(walMagic[:], frame...))
+			if valid != int64(len(walMagic)+len(frame)) {
+				t.Fatalf("the frame does not decode whole: %d of %d bytes", valid, len(walMagic)+len(frame))
+			}
+			want := []sketch.Published{testRecord(3, b2), testRecord(9, b2), newer, testRecord(8, b)}
+			if len(got) != len(want) {
+				t.Fatalf("decoded %+v, want %+v", got, want)
+			}
+			for i := range want {
+				if !samePub(got[i], want[i]) {
+					t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -198,7 +198,7 @@ func FuzzColumnWords(f *testing.F) {
 				t.Fatalf("%d records are written at shape %d as %x, want shape %d, %x%x", len(want), keys.Shape(), written, wantShape, wantIDs, wantWords)
 			}
 			// The log writes the records' frame from the sketches themselves.
-			frame, err := (&wal{runOf: make(map[string]int)}).appendFrame(nil, want)
+			frame, err := appendFrame(nil, want)
 			if err != nil {
 				t.Fatal(err)
 			}
