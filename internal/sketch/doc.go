@@ -32,9 +32,9 @@
 //     column's bits through Words.AppendBits and reads them back, checked,
 //     through Words.AppendBitsFrom) — the one form of a
 //     sorted column of user ids — blocks of 64 held as a first id and the
-//     differences from id to id at the width a block's widest needs, so
-//     the public id beside the sketch costs a little over a byte where
-//     users were numbered as they enrolled, and its 8 bytes where ids are
+//     differences from id to id less one in the bits a block's widest
+//     needs, so the public id beside the sketch costs a quarter of a byte
+//     where users were numbered as they enrolled, and its 8 bytes where ids are
 //     hashed — in the table, in a store's files and everywhere between;
 //     and one subset's records as such columns, the unit a store replays
 //     and the table loads;

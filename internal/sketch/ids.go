@@ -16,67 +16,87 @@ import (
 // evaluation bitmap, one segment block, one entry of a sparse index.
 const IDBlockLen = 64
 
-// rawIDWidth marks a block that holds its ids as they are, 8 bytes each.
-const rawIDWidth = 8
+// rawIDWidth marks a block that holds its ids as they are, 8 bytes each:
+// the bits of a raw id.
+const rawIDWidth = 64
 
-// maxDeltaWidth is the widest difference a block is written with: ids 2³²
-// or more apart are written raw.  Differences of 5 to 7 bytes would still
-// save a little — they are what ids hashed over 64 bits look like in a
-// column of 2⁸ to 2³² of them — but a raw id is its own bytes wherever it
-// stands, so a merge moves a stretch of a raw block with a copy, at any
-// alignment, where differences must be summed and coded again: scattered
-// ids fold at about the speed they did as a []uint64 (5× slower with
-// 7-byte differences, measured), and pay a byte a block.
-const maxDeltaWidth = 4
+// maxDeltaWidth is the widest a block's differences are coded at: ids
+// further apart are written raw.  Wider differences would still save a
+// little — they are what ids hashed over 64 bits look like in a column of
+// 2⁸ to 2³² of them — but a raw id is its own bytes wherever it stands, so
+// a merge moves a stretch of a raw block with a copy, at any alignment,
+// where differences must be summed and coded again: scattered ids fold at
+// about the speed they did as a []uint64, and pay a byte a block.
+const maxDeltaWidth = 32
 
 // An id column is coded in blocks of IDBlockLen ids, the last one shorter:
 //
-//	1 byte  w, the block's width (1..4, or 8)
-//	w < 8:  the first id, 8 bytes, then each later id as the difference
-//	        from the one before it, w bytes — the ids strictly ascend
-//	w = 8:  the ids themselves, 8 bytes each, in whatever order they came
+//	1 byte  b, the block's width in bits (0..32, or 64)
+//	b ≤ 32: the first id, 8 bytes big-endian, then each later id's
+//	        difference from the one before it less one, b bits each, low
+//	        bit first, ⌈(m−1)·b/8⌉ bytes, the pad bits of the last zero —
+//	        the ids strictly ascend
+//	b = 64: the ids themselves, 8 bytes big-endian each, in whatever order
+//	        they came
 //
-// all big-endian.  w is the width the block's widest difference needs (or
-// 8, past maxDeltaWidth) and is chosen block by block: users are numbered
-// as they enrol under a tenant's tag, so a node's ids are dense and a block
-// of them is 72 bytes, not 512, while a column holding two tenants' tags
-// pays 8 bytes an id in the one block that straddles them and nowhere
-// else.  Ids that do not ascend — a log frame holds them as they came —
-// and ids far apart — hashed ones — take the raw form, which costs the 8
-// bytes an id always did and the width byte: 1/64 byte an id.
+// b is the bit length of the block's widest difference less one — 0 for
+// a block of consecutive ids, which is its first id and nothing more — or
+// 64 where the ids do not ascend or two neighbours lie more than 2³²
+// apart.  It is chosen block by block: users are numbered as they enrol
+// under a tenant's tag, so a node's ids are dense, its differences mostly
+// 1 or 2, and a block of them is 17 bytes, not 512, while a column holding
+// two tenants' tags pays 8 bytes an id in the one block that straddles
+// them and nothing else.  Raw blocks stay whole bytes at byte boundaries,
+// so a stretch of one moves as bytes; ids that do not ascend — a log frame
+// holds them as they came — and ids far apart — hashed ones — take that
+// form, which costs the 8 bytes an id always did and the width byte: 1/64
+// byte an id.  The coding is canonical — one width and zero pad bits for
+// given ids — so equal blocks of as many ids are equal bytes, and a reader
+// refuses any other.
 //
-// The bytes are the same in a table column, a log frame and a segment
-// block (store/run.go), so an id column moves between them as bytes.
+// A block does not say how many ids it holds: 64 but in a column's last,
+// which its reader knows from the column's length.  The bytes are the
+// same in a table column, a log frame and a segment block (store/run.go),
+// so an id column moves between them as bytes.
 
 // idBlockSize is the coded size of a block of m ids at width w.
 func idBlockSize(m, w int) int {
 	if w == rawIDWidth {
 		return 1 + 8*m
 	}
-	return 1 + 8 + (m-1)*w
+	return 1 + 8 + ((m-1)*w+7)/8
 }
 
 // MinIDBlocksLen is the least an n-id column can occupy, however it is
-// coded: what a reader holds a record count against before it believes it.
+// coded — 9 bytes a block, each of consecutive ids: what a reader holds a
+// record count against before it believes it.
 func MinIDBlocksLen(n int) int {
-	return n + 8*((n+IDBlockLen-1)/IDBlockLen)
+	return 9 * ((n + IDBlockLen - 1) / IDBlockLen)
 }
 
-// idBlockWidth returns the width a block of ids is coded at: that of their
-// widest difference, or rawIDWidth if they do not ascend or two of them are
-// 2³² or more apart — the first such pair settles it, so ids that stay raw
-// are read no further.
+// coded reports whether next, the id after prev, is coded as a difference:
+// it exceeds prev by at most 2³².
+func coded(prev, next bitvec.UserID) bool {
+	return next > prev && next-prev-1 < 1<<maxDeltaWidth
+}
+
+// idBlockWidth returns the width a block of ids is coded at: the bit length
+// of its widest difference less one, or rawIDWidth if two neighbours are
+// not coded — the first such pair settles it, so ids that stay raw are
+// read no further.
 func idBlockWidth(ids []bitvec.UserID) int {
 	var widest bitvec.UserID
 	for i := 1; i < len(ids); i++ {
-		d := ids[i] - ids[i-1]
-		if ids[i] <= ids[i-1] || d >= 1<<(8*maxDeltaWidth) {
+		if !coded(ids[i-1], ids[i]) {
 			return rawIDWidth
 		}
-		widest |= d
+		widest |= ids[i] - ids[i-1] - 1
 	}
-	return max(1, (bits.Len64(uint64(widest))+7)/8)
+	return bits.Len64(uint64(widest))
 }
+
+// deltaWords holds a block's differences as bits: 63 of at most 32 bits.
+type deltaWords [((IDBlockLen-1)*maxDeltaWidth + 63) / 64]uint64
 
 // appendIDBlock appends ids, at most a block's worth and at least one, as
 // one block.
@@ -90,19 +110,16 @@ func appendIDBlock(dst []byte, ids []bitvec.UserID) []byte {
 		return dst
 	}
 	dst = binary.BigEndian.AppendUint64(dst, uint64(ids[0]))
-	for i := 1; i < len(ids); i++ {
-		switch d := uint32(ids[i] - ids[i-1]); w {
-		case 1:
-			dst = append(dst, byte(d))
-		case 2:
-			dst = append(dst, byte(d>>8), byte(d))
-		case 3:
-			dst = append(dst, byte(d>>16), byte(d>>8), byte(d))
-		default:
-			dst = append(dst, byte(d>>24), byte(d>>16), byte(d>>8), byte(d))
-		}
+	if w == 0 {
+		return dst
 	}
-	return dst
+	var words deltaWords
+	bw := newBitWriter(words[:], 0)
+	for i := 1; i < len(ids); i++ {
+		bw.put(uint64(ids[i]-ids[i-1]-1), w)
+	}
+	bw.flush()
+	return appendBitsLE(dst, words[:], 0, (len(ids)-1)*w)
 }
 
 // AppendIDBlocks appends ids, in the order given, as an id column: what a
@@ -117,36 +134,51 @@ func AppendIDBlocks(dst []byte, ids []bitvec.UserID) []byte {
 	return dst
 }
 
-// decodeIDBlock decodes a block this package coded or checked — blk is
-// exactly its bytes — into dst and returns how many ids it held.
-func decodeIDBlock(blk []byte, dst *[IDBlockLen]bitvec.UserID) int {
+// decodeIDBlock decodes the first m ids of a block this package coded or
+// checked — blk is exactly its bytes, and it holds at least m ids — into
+// dst.
+func decodeIDBlock(blk []byte, m int, dst *[IDBlockLen]bitvec.UserID) {
 	w, body := int(blk[0]), blk[1:]
 	if w == rawIDWidth {
-		m := len(body) / 8
 		for i := range dst[:m] {
 			dst[i] = bitvec.UserID(binary.BigEndian.Uint64(body[8*i:]))
 		}
-		return m
+		return
 	}
-	id := binary.BigEndian.Uint64(body)
-	dst[0], body = bitvec.UserID(id), body[8:]
-	if w == 1 {
-		for i, d := range body[:min(len(body), IDBlockLen-1)] {
-			id += uint64(d)
-			dst[1+i] = bitvec.UserID(id)
+	id := bitvec.UserID(binary.BigEndian.Uint64(body))
+	if w == 0 {
+		for i := range dst[:m] {
+			dst[i] = id + bitvec.UserID(i)
 		}
-		return 1 + len(body)
+		return
 	}
-	m := 1 + len(body)/w
-	for i := 1; i < m; i++ {
-		var d uint64
-		for _, c := range body[:w] {
-			d = d<<8 | uint64(c)
+	// The differences less one are read off the low end of x, a window of
+	// 64 bits of the body from a byte on: the whole body where it is no
+	// longer, and otherwise as many values as 57 bits hold, the next window
+	// starting at the byte of the next value.  Id i is the first plus i
+	// plus the sum of the first i values, so that only that sum waits on
+	// the one before.
+	body = body[8:]
+	mask, shift := uint64(1)<<w-1, uint(w)&63
+	per := m - 1
+	if len(body) > 8 {
+		per = 57 / w
+	}
+	dst[0] = id
+	for i, p := 1, 0; i < m; p += per * w {
+		var x uint64
+		if b := p >> 3; b+8 <= len(body) {
+			x = binary.LittleEndian.Uint64(body[b:])
+		} else {
+			x = loadLE(body[b:], 8*(len(body)-b))
 		}
-		id, body = id+d, body[w:]
-		dst[i] = bitvec.UserID(id)
+		x >>= p & 7
+		for end := min(m, i+per); i < end; i++ {
+			id += bitvec.UserID(x & mask)
+			x >>= shift
+			dst[i] = id + bitvec.UserID(i)
+		}
 	}
-	return m
 }
 
 // Ascends reports whether ids strictly ascend.
@@ -159,11 +191,11 @@ func Ascends(ids []bitvec.UserID) bool {
 	return true
 }
 
-// checkIDWidth refuses a block width no writer writes: widths 5 to 7 are
-// malformed however well their differences ascend, since differences that
-// wide are written raw.
+// checkIDWidth refuses a block width no writer writes: widths 33 to 63
+// are malformed however well their differences ascend, since differences
+// that wide are written raw.
 func checkIDWidth(w int) error {
-	if (w < 1 || w > maxDeltaWidth) && w != rawIDWidth {
+	if w > maxDeltaWidth && w != rawIDWidth {
 		return fmt.Errorf("id block width %d", w)
 	}
 	return nil
@@ -171,9 +203,10 @@ func checkIDWidth(w int) error {
 
 // checkIDBlock decodes the block of m ids at the front of src, which is
 // input, into dst and returns the block's size, or an error if src holds
-// no well-formed block of m ids there.  A block of differences ascends by
-// construction — a zero difference or a sum past 2⁶⁴ is malformed — and a
-// raw one may hold any ids.
+// no block of m ids there coded as appendIDBlock codes them: at the width
+// the ids call for — so a block of differences summing past 2⁶⁴, and a raw
+// block of ids that could be differences, is malformed — with zero pad
+// bits.
 func checkIDBlock(src []byte, m int, dst *[IDBlockLen]bitvec.UserID) (size int, err error) {
 	if m < 1 || m > IDBlockLen {
 		return 0, fmt.Errorf("id block of %d ids", m)
@@ -188,9 +221,12 @@ func checkIDBlock(src []byte, m int, dst *[IDBlockLen]bitvec.UserID) (size int, 
 	if size = idBlockSize(m, w); size > len(src) {
 		return 0, fmt.Errorf("id block of %d bytes in %d", size, len(src))
 	}
-	decodeIDBlock(src[:size], dst)
-	if w != rawIDWidth && !Ascends(dst[:m]) {
-		return 0, errors.New("id block of differences does not ascend")
+	if pad := (m - 1) * w & 7; w != rawIDWidth && pad != 0 && src[size-1]>>pad != 0 {
+		return 0, fmt.Errorf("pad bits %#x after %d differences of %d bits", src[size-1]>>pad, m-1, w)
+	}
+	decodeIDBlock(src[:size], m, dst)
+	if want := idBlockWidth(dst[:m]); want != w {
+		return 0, fmt.Errorf("id block of width %d holds ids of width %d", w, want)
 	}
 	return size, nil
 }
@@ -218,7 +254,7 @@ func IDBlocksLen(src []byte, n int) (int, error) {
 // DecodeIDBlocks appends to dst the n ids of the column at the front of
 // src, in the order it holds them, and returns the column's size.  src is
 // input: a malformed column appends nothing, and nothing is allocated for
-// more ids than src has bytes.
+// more than 64 ids for each 9 bytes of src (MinIDBlocksLen).
 func DecodeIDBlocks(dst []bitvec.UserID, src []byte, n int) ([]bitvec.UserID, int, error) {
 	if n < 0 || MinIDBlocksLen(n) > len(src) {
 		return dst, 0, fmt.Errorf("id column of %d ids in %d bytes", n, len(src))
@@ -284,6 +320,19 @@ func (s IDs) Bytes() int {
 		return 0
 	}
 	return s.offs[len(s.offs)-1] - s.offs[0]
+}
+
+// held returns how many ids of block k, from its first on, lie before
+// the column's end: all of them but in the last block of a slice, and 64
+// but in the last block of a column.
+func (s IDs) held(k int) int { return min(IDBlockLen, s.skip+s.n-k*IDBlockLen) }
+
+// decode decodes the ids of block k that lie before the column's end into
+// dst and returns how many they are.
+func (s IDs) decode(k int, dst *[IDBlockLen]bitvec.UserID) int {
+	m := s.held(k)
+	decodeIDBlock(s.block(k), m, dst)
+	return m
 }
 
 // base returns the first id of block k.
@@ -357,7 +406,7 @@ func (s IDs) Find(id bitvec.UserID) (int, bool) {
 		found = j < m && binary.BigEndian.Uint64(blk[1+8*j:]) == uint64(id)
 	} else {
 		var buf [IDBlockLen]bitvec.UserID
-		j, found = slices.BinarySearch(buf[:decodeIDBlock(blk, &buf)], id)
+		j, found = slices.BinarySearch(buf[:s.decode(k, &buf)], id)
 	}
 	// A sliced column holds only part of its first and last blocks.
 	switch at := k*IDBlockLen + j - s.skip; {
@@ -379,25 +428,25 @@ func (s IDs) Blocks() int { return (s.n + IDBlockLen - 1) / IDBlockLen }
 func (s IDs) Block(k int, buf *[IDBlockLen]bitvec.UserID) []bitvec.UserID {
 	m := min(IDBlockLen, s.n-k*IDBlockLen)
 	if s.skip == 0 {
-		decodeIDBlock(s.block(k), buf)
+		s.decode(k, buf)
 		return buf[:m]
 	}
 	// A sliced column's window straddles two blocks.
 	var part [IDBlockLen]bitvec.UserID
-	held := decodeIDBlock(s.block(k), &part)
+	held := s.decode(k, &part)
 	if got := copy(buf[:m], part[s.skip:held]); got < m {
-		decodeIDBlock(s.block(k+1), &part)
+		s.decode(k+1, &part)
 		copy(buf[got:m], part[:])
 	}
 	return buf[:m]
 }
 
 // SameBlock reports whether window k of s and window k2 of o are one and
-// the same block of ids, going by their bytes alone: true says the ids are
-// equal, false says nothing.  A join of columns that the same users built
-// skips whole blocks by it.
+// the same block of ids, going by their bytes and lengths alone: true says
+// the ids are equal, false says nothing.  A join of columns that the same
+// users built skips whole blocks by it.
 func (s IDs) SameBlock(k int, o IDs, k2 int) bool {
-	return s.skip == 0 && o.skip == 0 && k2 < o.Blocks() && bytes.Equal(s.block(k), o.block(k2))
+	return s.skip == 0 && o.skip == 0 && k2 < o.Blocks() && s.held(k) == o.held(k2) && bytes.Equal(s.block(k), o.block(k2))
 }
 
 // AppendTo appends the ids to dst.
@@ -447,7 +496,7 @@ func (c *IDCursor) At(i int) bitvec.UserID {
 		if blk[0] == rawIDWidth {
 			return bitvec.UserID(binary.BigEndian.Uint64(blk[1+8*(i%IDBlockLen):]))
 		}
-		decodeIDBlock(blk, &c.buf)
+		c.ids.decode(k, &c.buf)
 		c.have = k + 1
 	}
 	return c.buf[i%IDBlockLen]
@@ -552,9 +601,9 @@ func (b *IDBuilder) flush() {
 	}
 	start := b.offs[len(b.offs)-1]
 	// Hashed ids are settled by their first pair, read where it stands.
-	if raw := b.b[start+1:]; b.np < 2 || binary.BigEndian.Uint64(raw[8:])-binary.BigEndian.Uint64(raw) < 1<<(8*maxDeltaWidth) {
+	if raw := b.b[start+1:]; b.np < 2 || coded(bitvec.UserID(binary.BigEndian.Uint64(raw)), bitvec.UserID(binary.BigEndian.Uint64(raw[8:]))) {
 		var ids [IDBlockLen]bitvec.UserID
-		decodeIDBlock(b.b[start:], &ids)
+		decodeIDBlock(b.b[start:], b.np, &ids)
 		if idBlockWidth(ids[:b.np]) != rawIDWidth {
 			b.b = appendIDBlock(b.b[:start], ids[:b.np])
 		}

@@ -26,8 +26,8 @@ import (
 // tail into a fresh sorted run and hands the run itself out as an immutable
 // View, so the Algorithm 2 record loop walks contiguous memory,
 // allocation-free, while ingestion proceeds — and a subset that is only
-// read holds its ids as the differences between them (a little over a byte
-// for ids numbered as users enrol), its sketches' keys in their own ℓ bits
+// read holds its ids as the differences between them (a bit or two for ids
+// numbered as users enrol), its sketches' keys in their own ℓ bits
 // (9 bits for a 9-bit sketch, the length written once) and nothing else.
 type Table struct {
 	mu sync.RWMutex

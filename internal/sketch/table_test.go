@@ -911,8 +911,8 @@ func TestTableViewSurvivesWrites(t *testing.T) {
 // read, the same records are within the read bound: a batch merges into
 // its run and leaves no tail.  The ids come two ways.  Fleet-shaped — a
 // tenant's tag above users numbered as they enrolled, two of every three
-// of them on this node — they are held as 1-byte differences: 1.25 bytes
-// each with their block's first id and offset.  Hashed over all 64 bits,
+// of them on this node — they are held as 1-bit differences less one: a
+// 17-byte block, 0.39 bytes each with its offset.  Hashed over all 64 bits,
 // in scattered order, they gain nothing and must lose nothing: 8 bytes and
 // an eighth each.  A key held in more than its ℓ bits, or headroom behind
 // the run, fails a first bound,
@@ -924,7 +924,7 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 		id           func(i int) uint64
 		read, unread float64
 	}{
-		{"fleet-shaped ids", func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }, 2.7, 3.2},
+		{"fleet-shaped ids", func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }, 1.72, 2.26},
 		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, 9.8, 10.0},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
@@ -960,13 +960,13 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			perRecord := float64(heap()-before) / float64(users*len(subsets))
 			t.Logf("read: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.read {
-				t.Errorf("a read table holds %.2f heap bytes per record, want ≤ %.1f: an id, a 9-bit key, nothing else", perRecord, shape.read)
+				t.Errorf("a read table holds %.2f heap bytes per record, want ≤ %.2f: an id, a 9-bit key, nothing else", perRecord, shape.read)
 			}
 			ingest(users, users+fresh)
 			perRecord = float64(heap()-before) / float64((users+fresh)*len(subsets))
 			t.Logf("with unread inserts: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.unread {
-				t.Errorf("with %d unread inserts per column the table holds %.2f heap bytes per record, want ≤ %.1f", fresh, perRecord, shape.unread)
+				t.Errorf("with %d unread inserts per column the table holds %.2f heap bytes per record, want ≤ %.2f", fresh, perRecord, shape.unread)
 			}
 			runtime.KeepAlive(tab)
 
@@ -989,7 +989,7 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			perRecord = float64(heap()-before) / float64(users*len(subsets))
 			t.Logf("landed in batches, unread: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.read {
-				t.Errorf("landed in batches and never read, the table holds %.2f heap bytes per record, want ≤ %.1f: a tail remains", perRecord, shape.read)
+				t.Errorf("landed in batches and never read, the table holds %.2f heap bytes per record, want ≤ %.2f: a tail remains", perRecord, shape.read)
 			}
 			runtime.KeepAlive(tab)
 		})

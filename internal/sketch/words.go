@@ -296,10 +296,16 @@ func copyBits(dst []uint64, at int, src []uint64, from, n int) {
 // them: the column's bits, ⌈Len·Bits/8⌉ bytes, low bit first, the pad bits
 // of the last byte zero — a copy of what memory holds, 64 bits at a time.
 func (k Words) AppendBits(dst []byte) []byte {
-	n := k.n * k.shape.Bits()
+	return appendBitsLE(dst, k.w, int(k.off), k.n*k.shape.Bits())
+}
+
+// appendBitsLE appends the n bits of w from bit from on to dst, ⌈n/8⌉
+// bytes, low bit first, the pad bits of the last byte zero — 64 bits at a
+// time.  An id block's differences are written with it too.
+func appendBitsLE(dst []byte, w []uint64, from, n int) []byte {
 	for p := 0; p < n; p += 64 {
 		m := min(64, n-p)
-		x := bitsAt(k.w, int(k.off)+p, m)
+		x := bitsAt(w, from+p, m)
 		if m == 64 {
 			dst = binary.LittleEndian.AppendUint64(dst, x)
 			continue

@@ -30,7 +30,7 @@
 // own layout.  A log frame is the runs of one appended group, a run per
 // stretch of its records of one subset and length — the engine hands a
 // batch over subset by subset, ids ascending, so a run per subset; a segment
-// (format v5, segment.go) is a shard's runs in subset order, ids
+// (format v6, segment.go) is a shard's runs in subset order, ids
 // ascending, cut into checksummed blocks, and nothing else — the run
 // directory, the sparse id index and the block offsets its readers use are
 // derived from those bytes at Open and kept in memory; a roll sorts the
@@ -39,22 +39,23 @@
 // per subset.
 //
 // Both columns are the table's own, bit for bit.  A run's ids are an id
-// column (sketch.IDs): blocks of 64 ids, each a width byte, a first id and
-// the differences from id to id at that width — a byte where users were
-// numbered as they enrolled — or the ids raw where they lie far apart or,
-// in a log frame, arrived out of order.  A run's sketches are a
-// sketch.Words' bits: ℓ written once, as the shape in the run header, and
-// each key in ℓ bits, written and read by sketch.Words.AppendBits and
-// AppendBitsFrom.  A subset has one length in a shard's files, as in a
-// table's column: the engine admits its deployment's ℓ alone.  So a record whose user
-// enrolled next to its neighbours costs 1.1 bytes of id and 9 bits of key,
-// plus 1/16 byte of block sums in a segment; a record under a hashed id
-// costs its 8 bytes as it always did.  Writing a run copies its columns,
-// and reading one does the same back after checking them — the ids'
-// widths, lengths and ascent, the words' shape and zero pad bits — and
-// sorting, deduplicating and
-// merging move ids by the block and words by their bits.  Only a log being
-// decoded holds ids at 8 bytes, for as long as it takes to sort them.  The
+// column (sketch.IDs): blocks of 64 ids, each a width byte b, a first id
+// and the differences from id to id less one in b bits — a bit or two
+// where users were numbered as they enrolled, none where they are
+// consecutive — or the ids raw where they lie far apart or, in a log
+// frame, arrived out of order.  A run's sketches are a sketch.Words'
+// bits: ℓ written once, as the shape in the run header, and each key in ℓ
+// bits, written and read by sketch.Words.AppendBits and AppendBitsFrom.
+// A subset has one length in a shard's files, as in a table's column: the
+// engine admits its deployment's ℓ alone.  So a record whose user
+// enrolled next to its neighbours costs a quarter of a byte of id and 9
+// bits of key, plus 1/16 byte of block sums in a segment; a record under
+// a hashed id costs its 8 bytes as it always did.  Writing a run copies
+// its columns, and reading one does the same back after checking them —
+// the ids' widths, pad bits, lengths and ascent, the words' shape and
+// zero pad bits — and sorting, deduplicating and merging move ids by the
+// block and words by their bits.  Only a log being decoded holds ids at 8
+// bytes, for as long as it takes to sort them.  The
 // runs a replay hands out are fresh and belong to the callback: the table
 // adopts them as its columns.
 //
@@ -77,19 +78,26 @@
 // verifying every checksum and decoding every record, so corruption there
 // is reported as an error rather than silently dropped.
 //
-// # Older formats are refused
+// # Format v5 is converted, older ones refused
 //
-// Format v5 at one length a run is the only one this version reads.  Open
-// refuses with ErrFormatTooOld, having written nothing in any shard, a
-// directory whose manifest is marked v3, v4 or v5-converting; one whose
-// segment or log holds a checksum-clean run header of whole Pack words (a
-// shape past 30, which a v5 binary wrote before a run held one length) —
-// a log is refused before replay could cut that frame off as a torn tail;
-// and one holding data under a manifest with no marker (before v3).  The
-// error names the versions that upgrade such a directory, which is opened
-// once with each and then with this one.  Any other malformed run header
-// is corrupt in a segment and the end of the valid prefix in a log, as it
-// always was.
+// Format v6 at one length a run is the only one this version reads.  A
+// directory whose manifest is marked v5 — v6 but for its id columns'
+// byte widths — is converted at Open, before any shard serves (v5.go):
+// every shard is read first, writing nothing; then the manifest is marked
+// v6-converting, each shard's records are merged into one v6 segment
+// beside an empty v6 log, the files they came from are removed, and the
+// manifest is marked v6.  Each step is a renamed file or a removal, so a
+// crash leaves a directory the next Open carries the conversion on in.
+// Open refuses with ErrFormatTooOld, having written nothing in any shard,
+// a directory whose manifest is marked v3, v4 or v5-converting; one whose
+// v5 segment or log holds a checksum-clean run header of whole Pack words
+// (a shape past 30, which a v5 binary wrote before a run held one length)
+// — a log is refused before replay could cut that frame off as a torn
+// tail; and one holding data under a manifest with no marker (before v3).
+// The error names the versions that upgrade such a directory, which is
+// opened once with each and then with this one.  Any other malformed run
+// header is corrupt in a segment and the end of the valid prefix in a
+// log, as it always was.
 //
 // The store keeps a subset's records of two lengths as runs of their own,
 // deduplicated each on its own; which length a deployment serves is its

@@ -42,16 +42,17 @@ const (
 var ErrClosed = errors.New("store: closed")
 
 // ErrFormatTooOld is returned by Open, having written nothing, for a data
-// directory an older version wrote in a form this one does not read: a
-// manifest marked v3, v4 or v5-converting (a conversion to v5 under way);
-// a segment or log holding a checksum-clean run of whole words (a v5 file
-// written before a run held one length); or data under a manifest with no
-// format marker (before v3: per-record logs, v1 or v2 segments).  The
-// version of commit 79b9228 is the last that converts v3, v4 and whole
-// words to v5 runs of one length; the version of commit b04e7f7, the last
-// that writes v3, upgrades a directory from before v3.  Open the directory
-// once with each that applies, oldest first, then with this one.
-var ErrFormatTooOld = errors.New("store: data directory predates store format v5 at one sketch length a run, the only one this version reads; open it once with the version of commit 79b9228 (the last that converts formats v3 and v4 and runs of whole words) — first with that of commit b04e7f7 (the last that writes format v3) if it predates v3 — and then with this one")
+// directory an older version wrote in a form this one neither reads nor
+// converts: a manifest marked v3, v4 or v5-converting (a conversion to v5
+// under way); a v5 segment or log holding a checksum-clean run of whole
+// words (written before a run held one length); or data under a manifest
+// with no format marker (before v3: per-record logs, v1 or v2 segments).
+// This version reads format v6 and converts v5 at one length a run
+// (v5.go).  The version of commit 79b9228 is the last that converts v3, v4
+// and whole words to v5 runs of one length; the version of commit b04e7f7,
+// the last that writes v3, upgrades a directory from before v3.  Open the
+// directory once with each that applies, oldest first, then with this one.
+var ErrFormatTooOld = errors.New("store: data directory predates store format v5 at one sketch length a run, the oldest this version converts to v6; open it once with the version of commit 79b9228 (the last that converts formats v3 and v4 and runs of whole words) — first with that of commit b04e7f7 (the last that writes format v3) if it predates v3 — and then with this one")
 
 // Options configures a durable store.
 type Options struct {
@@ -167,9 +168,9 @@ type Durable struct {
 
 // Open opens (creating if necessary) a durable store in opts.Dir,
 // replaying every shard's WAL — truncating torn tails — and validating
-// every segment.  A directory an older version wrote is refused with
-// ErrFormatTooOld before any shard is written to.  The returned store is
-// ready for Append and Iterate.
+// every segment.  A v5 directory is converted to v6 first (convertV5); one
+// an older version wrote is refused with ErrFormatTooOld before any shard
+// is written to.  The returned store is ready for Append and Iterate.
 func Open(opts Options) (*Durable, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -218,6 +219,12 @@ func Open(opts Options) (*Durable, error) {
 		lock.Unlock()
 		return nil, fmt.Errorf("store: %s holds %d shard directories but its manifest says %d: refusing to open a mixed data directory", opts.Dir, found, nShards)
 	}
+	if format == manifestV5 || format == manifestConverting {
+		if err := convertV5(opts.Dir, nShards, format); err != nil {
+			lock.Unlock()
+			return nil, err
+		}
+	}
 	d := &Durable{opts: opts, lock: lock, done: make(chan struct{})}
 	var m *metrics
 	if opts.Metrics != nil {
@@ -236,7 +243,7 @@ func Open(opts Options) (*Durable, error) {
 		return err
 	})
 	if err == nil && format == "" {
-		// A new directory is marked v5 before its first shard directory is
+		// A new directory is marked v6 before its first shard directory is
 		// created.
 		err = writeManifest(opts.Dir, nShards, manifestFormat, opts.Fsync)
 	}
@@ -269,10 +276,19 @@ func Open(opts Options) (*Durable, error) {
 const manifestName = "SHARDS"
 
 // manifestFormat follows the shard count in the manifest of a directory
-// that holds v5 files and no others.  An older binary fails to parse the
-// line and refuses the directory at once — before it reaches a v5 log,
+// that holds v6 files and no others.  An older binary fails to parse the
+// line and refuses the directory at once — before it reaches a v6 log,
 // which it would take for a torn log of its own format and truncate.
-const manifestFormat = "v5"
+const manifestFormat = "v6"
+
+// manifestV5 marks a directory of v5 files, which Open converts, and
+// manifestConverting one whose conversion is under way: v6 files may lie
+// beside v5 ones, and Open carries the conversion on.  An older binary
+// refuses both.
+const (
+	manifestV5         = "v5"
+	manifestConverting = "v6-converting"
+)
 
 // formatTooOld is the refusal of dir, which an older version wrote, and
 // why.
@@ -281,9 +297,10 @@ func formatTooOld(dir, why string) error {
 }
 
 // readManifest returns the shard count recorded in dir — 0 when no
-// manifest exists yet — and the format marker after it: manifestFormat or
-// none.  An older version's marker is refused with ErrFormatTooOld, any
-// other as corrupt: a directory of a format newer than this version's.
+// manifest exists yet — and the format marker after it: manifestFormat,
+// manifestV5, manifestConverting or none.  An older version's marker is
+// refused with ErrFormatTooOld, any other as corrupt: a directory of a
+// format newer than this version's.
 func readManifest(dir string) (n int, format string, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -295,7 +312,7 @@ func readManifest(dir string) (n int, format string, err error) {
 	fields := strings.Fields(string(data))
 	if len(fields) == 2 {
 		switch fields[1] {
-		case manifestFormat:
+		case manifestFormat, manifestV5, manifestConverting:
 			format, fields = fields[1], fields[:1]
 		case "v3", "v4", "v5-converting":
 			// An older version's: v3, v4, or the mark of its conversion

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -786,10 +787,10 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	if !reflect.DeepEqual(meta.idx, parsed) {
 		t.Fatal("built and parsed indexes differ")
 	}
-	// 2 run headers, per run ten full blocks of ids 1 apart (a width byte, a
-	// first id, 63 one-byte differences) and one of 7, 10 bits of key a
-	// record (the sketches are ℓ = 10: 80 bytes a full block), 22 block
-	// sums and the two fixed ends.
+	// 2 run headers, per run ten full blocks of ids 1 apart (a width byte of
+	// 0 and a first id: consecutive ids have no differences to code) and
+	// one of 7, 10 bits of key a record (the sketches are ℓ = 10: 80 bytes a
+	// full block), 22 block sums and the two fixed ends.
 	data, err := os.ReadFile(meta.path)
 	if err != nil {
 		t.Fatal(err)
@@ -802,9 +803,45 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	for _, b := range subsets {
 		headers += runHeaderFixed + b.TagLen() + 4
 	}
-	ids := 10*(1+8+63) + (1 + 8 + 6)
+	ids := 10*(1+8) + (1 + 8)
 	if want := segHeaderSize + headers + len(subsets)*(ids+(perSubset*10+7)/8) + 22*4 + segFooterSize; len(data) != want {
 		t.Fatalf("segment is %d bytes, want %d", len(data), want)
+	}
+}
+
+// TestRunHeaderCountBound: a run's count is held against the least its
+// columns could occupy — 9 bytes an id block, a block of consecutive ids,
+// and the words' bits — so a count its bytes could not hold even so is
+// refused, by the header parser and by a log's replay, before anything is
+// sized by it, and a count they just hold passes the parser.
+func TestRunHeaderCountBound(t *testing.T) {
+	b := bitvec.MustSubset(0, 4)
+	for _, count := range []int{1, 63, 64, 65, 4097, 1 << 20} {
+		least := sketch.MinIDBlocksLen(count) + wordsLen(count, 9)
+		if want := 9*((count+63)/64) + (9*count+7)/8; least != want {
+			t.Fatalf("%d ids at ℓ = 9 occupy at the least %d bytes, want %d", count, least, want)
+		}
+		header := appendRunHeader(nil, b.Key(), count, 9)
+		fits := append(bytes.Clone(header), make([]byte, least)...)
+		if h, err := parseRunHeader(fits); err != nil || h.count != count {
+			t.Fatalf("a count of %d in the %d bytes it needs: %+v, %v", count, least, h, err)
+		}
+		if _, err := parseRunHeader(fits[:len(fits)-1]); err == nil {
+			t.Fatalf("a count of %d passes in %d bytes", count, least-1)
+		}
+		frame := framePayload(b.Key(), count, 9, make([]byte, least-1))
+		image := binary.BigEndian.AppendUint32(walMagic[:len(walMagic):len(walMagic)], uint32(len(frame)))
+		image = append(binary.BigEndian.AppendUint32(image, checksum(frame)), frame...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		valid, records, err := scanLog(image, newRunSet())
+		runtime.ReadMemStats(&after)
+		if err != nil || valid != int64(len(walMagic)) || records != 0 {
+			t.Fatalf("a frame claiming %d records in %d bytes replays to %d bytes and %d records, %v", count, least-1, valid, records, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<12 {
+			t.Fatalf("refusing a frame claiming %d records allocated %d bytes", count, grew)
+		}
 	}
 }
 
@@ -1057,12 +1094,14 @@ func TestSegmentReadPaths(t *testing.T) {
 	}
 }
 
-// TestManifestFormats: readManifest takes the v5 marker, and none — a new
-// directory, or one from before v3, which Open refuses if it holds data —
-// refuses an older version's markers (v3, v4, and v5-converting, the mark
-// of a conversion under way) with ErrFormatTooOld, naming the marker, and
-// refuses every other as corrupt, as an older binary refuses v5: a
-// directory is never opened by a version that cannot read all of it.
+// TestManifestFormats: readManifest takes the v6 marker, the v5 one and
+// v6-converting — a directory Open converts, and one whose conversion is
+// under way — and none — a new directory, or one from before v3, which
+// Open refuses if it holds data — refuses an older version's markers (v3,
+// v4, and v5-converting, the mark of a conversion to v5 under way) with
+// ErrFormatTooOld, naming the marker, and refuses every other as corrupt,
+// as an older binary refuses v6: a directory is never opened by a version
+// that cannot read all of it.
 func TestManifestFormats(t *testing.T) {
 	write := func(t *testing.T, line string) string {
 		dir := t.TempDir()
@@ -1071,7 +1110,7 @@ func TestManifestFormats(t *testing.T) {
 		}
 		return dir
 	}
-	for line, want := range map[string]string{"3 v5\n": "v5", "3\n": ""} {
+	for line, want := range map[string]string{"3 v6\n": "v6", "3 v5\n": "v5", "3 v6-converting\n": "v6-converting", "3\n": ""} {
 		if n, format, err := readManifest(write(t, line)); err != nil || n != 3 || format != want {
 			t.Fatalf("readManifest(%q) = %d, %q, %v; want 3, %q", line, n, format, err, want)
 		}
@@ -1081,18 +1120,18 @@ func TestManifestFormats(t *testing.T) {
 			t.Fatalf("readManifest(%q) = %d, %q, %v: want ErrFormatTooOld naming the marker", line, n, format, err)
 		}
 	}
-	for _, line := range []string{"3 v6\n", "3 v2\n", "3 v5-done\n", "3 v5 v5\n", "v5\n", "0 v5\n"} {
+	for _, line := range []string{"3 v7\n", "3 v2\n", "3 v5-done\n", "3 v6 v6\n", "v6\n", "0 v6\n"} {
 		if n, format, err := readManifest(write(t, line)); err == nil || errors.Is(err, ErrFormatTooOld) {
 			t.Fatalf("readManifest(%q) = %d, %q, %v: want a corrupt manifest", line, n, format, err)
 		}
 	}
 }
 
-// TestCleanV5DirOpensWithoutWrites: a directory holding each subset at one
+// TestCleanV6DirOpensWithoutWrites: a directory holding each subset at one
 // length — segments, a log with frames in it, a manifest — opens as it
 // is: Open and Close, with and without fsync, leave every file's bytes and
 // modification time as they were, and create no file.
-func TestCleanV5DirOpensWithoutWrites(t *testing.T) {
+func TestCleanV6DirOpensWithoutWrites(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, Shards: 2, CompactInterval: -1})
 	if err != nil {
@@ -1156,7 +1195,7 @@ func TestCleanV5DirOpensWithoutWrites(t *testing.T) {
 			}
 			data, err := os.ReadFile(path)
 			if was, ok := files[path]; err != nil || !ok || !bytes.Equal(data, was) || !info.ModTime().Equal(past) {
-				t.Fatalf("Open and Close (fsync %v) of a clean v5 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
+				t.Fatalf("Open and Close (fsync %v) of a clean v6 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
 			}
 			return nil
 		}); err != nil {

@@ -71,7 +71,15 @@ func FuzzColumnIDs(f *testing.F) {
 	f.Add(uint64(5), byte(4), []byte{0x04, 0x04, 0x04, 0x04, 0x01, 0x02, 0x03, 0x05, 0x07}, []byte{2, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1}) // a sum past 2⁶⁴
 	f.Add(uint64(6), byte(0), bytes.Repeat([]byte{0x0C, 0x00}, 60), []byte{200, 9, 1, 2, 3})                                                                 // width 9; more ids than bytes
 	f.Add(uint64(7), byte(1), bytes.Repeat([]byte{0x14, 0x06, 0x03}, 40), append([]byte{70, 1, 0, 0, 0, 0, 0, 0, 0, 1}, make([]byte, 63)...))                // one block where two are due
-	f.Add(uint64(8), byte(2), []byte{0x05, 0x07}, []byte{3, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1})                                        // width 5, ascending: no writer writes it
+	f.Add(uint64(8), byte(2), []byte{0x05, 0x07}, []byte{3, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1})                                        // width 5, two differences in 10 bits
+	f.Add(uint64(9), byte(0), []byte{0x07}, []byte{64, 0, 0, 0, 0, 7, 0, 0, 0, 1})                                                                           // width 0: 64 consecutive ids
+	f.Add(uint64(10), byte(3), []byte{0x07}, []byte{2, 32, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})                                                  // width 32: ids 2³² apart
+	f.Add(uint64(11), byte(3), []byte{0x07}, []byte{2, 33, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})                                            // width 33: no writer writes it
+	f.Add(uint64(12), byte(3), []byte{0x07}, []byte{2, 63, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})                          // width 63
+	f.Add(uint64(13), byte(0), []byte{0x07}, []byte{2, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0x03})                                                                     // a pad bit set
+	f.Add(uint64(14), byte(0), []byte{0x07}, []byte{3, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0x01})                                                                     // width 2 for differences of 1 bit
+	f.Add(uint64(15), byte(0), []byte{0x07}, append([]byte{66, 0, 0, 0, 0, 0, 7, 0, 0, 0, 1}, 0, 0, 0, 0, 0, 7, 0, 0))                                       // the last block truncated
+	f.Add(uint64(16), byte(2), []byte{0x07}, []byte{2, 64, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2})                                                  // raw, ids a difference would code
 	b := bitvec.MustSubset(1, 4)
 	f.Fuzz(func(t *testing.T, seed uint64, shape byte, ops, hostile []byte) {
 		ops = ops[:min(len(ops), 300)]
@@ -265,16 +273,14 @@ func FuzzColumnIDs(f *testing.F) {
 			t.Fatalf("DecodeIDBlocks of %d ids returned %d from %d of %d bytes", n, len(decoded), size, len(src))
 		}
 		if parseErr == nil {
-			// Widths 5 to 7 were never written: a column holding one is
-			// malformed, however its differences ascend.
-			for off, left := 0, n; left > 0; left -= sketch.IDBlockLen {
-				if w := src[off]; w >= 5 && w <= 7 {
-					t.Fatalf("the checked append of %d ids in %x accepted a block of width %d", n, src, w)
-				}
-				blk, _ := sketch.IDBlocksLen(src[off:], min(left, sketch.IDBlockLen))
-				off += blk
-			}
+			// The coding is canonical: what a reader accepts is what a writer
+			// writes for the ids it read, so widths 33 to 63, a width wider
+			// than the differences, a set pad bit and raw ids a width would
+			// code are all malformed.
 			got := parsed.AppendTo(nil)
+			if coded := sketch.AppendIDBlocks(nil, got); !bytes.Equal(coded, src) {
+				t.Fatalf("the checked append of %d ids accepted %x, which a writer writes as %x", n, src, coded)
+			}
 			if parsed.Len() != n || len(got) != n || !sketch.Ascends(got) || decodeErr != nil || size != len(src) || !slices.Equal(got, decoded) {
 				t.Fatalf("the checked append of %d ids in %x = %v (DecodeIDBlocks: %v, %d bytes, %v)", n, src, got, decoded, size, decodeErr)
 			}
@@ -295,4 +301,50 @@ func FuzzColumnIDs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestIDColumnCanonical: the checked parser takes an id column exactly
+// when a writer writes it so — FuzzColumnIDs's hostile seeds, named — and
+// reads what it holds.
+func TestIDColumnCanonical(t *testing.T) {
+	first := []byte{0, 0, 0, 0, 0, 0, 0, 1}
+	block := func(w byte, tail ...byte) []byte { return append(append([]byte{w}, first...), tail...) }
+	consecutive := make([]bitvec.UserID, 64)
+	for i := range consecutive {
+		consecutive[i] = bitvec.UserID(1 + i)
+	}
+	for name, c := range map[string]struct {
+		n    int
+		src  []byte
+		want []bitvec.UserID // nil: refused
+	}{
+		"width 0":                      {64, block(0), consecutive},
+		"width 1":                      {3, block(1, 0x02), []bitvec.UserID{1, 2, 4}},
+		"width 32":                     {2, block(32, 0xFF, 0xFF, 0xFF, 0xFF), []bitvec.UserID{1, 1<<32 + 1}},
+		"raw, more than 2³² apart":     {2, block(64, 0, 0, 0, 1, 0, 0, 0, 2), []bitvec.UserID{1, 1<<32 + 2}},
+		"width 33":                     {2, block(33, 0xFF, 0xFF, 0xFF, 0xFF, 0x01), nil},
+		"width 63":                     {2, block(63, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F), nil},
+		"width 65":                     {2, block(65, 0, 0, 0, 0, 0, 0, 0, 2), nil},
+		"a pad bit set":                {2, block(1, 0x03), nil},
+		"wider than its differences":   {3, block(2, 0x01), nil},
+		"width 1 for consecutive ids":  {2, block(1, 0x00), nil},
+		"raw ids a width would code":   {2, block(64, 0, 0, 0, 0, 0, 0, 0, 2), nil},
+		"a lone id raw":                {1, block(64), nil},
+		"differences summing past 2⁶⁴": {2, append([]byte{32, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 0, 0, 0, 0), nil},
+		"the last block truncated":     {65, append(block(0), block(0)[:5]...), nil},
+		"a block where two are due":    {65, block(0), nil},
+		"bytes after the column":       {1, block(0, 0), nil},
+		"63 consecutive ids":           {63, block(0), consecutive[:63]},
+	} {
+		got, err := parseIDs(c.src, c.n)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: %x passes as %v", name, c.src, got.AppendTo(nil))
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got.AppendTo(nil), c.want) {
+			t.Errorf("%s: %x reads %v, %v; want %v", name, c.src, got.AppendTo(nil), err, c.want)
+		}
+	}
 }

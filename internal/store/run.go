@@ -15,23 +15,24 @@ import (
 // The store has one record layout, the table's, and one coding of each of
 // its columns, the table's too: a run is one subset's records as parallel
 // columns of user ids (sketch.IDs: blocks of 64 ids held as the differences
-// between them) and packed sketches (sketch.Words), under the subset's tag
+// between them, in the bits the widest needs) and packed sketches (sketch.Words), under the subset's tag
 // written once.  A commit window in the log, a segment on disk, a roll, a
 // compaction and a replay all move runs; nothing in the store holds a
 // sketch.Published per record, a sketch in more bits than its column's
 // shape gives it, or — outside the records of a log still in arrival
 // order — an id at 8 bytes.
 //
-// On disk (format v5) a run is
+// On disk (format v6) a run is
 //
 //	4 bytes big-endian tag length | the subset tag (bitvec.Subset.Tag)
 //	4 bytes big-endian record count (≥ 1)
 //	1 byte  the word column's shape: the run's one sketch length ℓ, 1..30
 //
 // followed by its columns: the count ids as an id column — blocks of 64,
-// each a width byte, a first id and the differences from id to id at that
-// width, or the ids raw where they do not ascend (sketch/ids.go has the
-// layout and the argument for a width per block) — and the count keys as
+// each a width byte b, a first id and the differences from id to id less
+// one in b bits each, or the ids raw where they do not ascend
+// (sketch/ids.go has the layout and the argument for a bit width per
+// block) — and the count keys as
 // the column holds them in memory, ℓ bits each, ⌈count·ℓ/8⌉ bytes, low bit
 // first, the pad bits of the last byte zero: the paper's ⌈log log O(M)⌉-bit
 // disclosure and nothing else, 9 bits for the benchmark deployment's
@@ -93,10 +94,11 @@ const maxWholeShape = sketch.MaxLength + sketch.MaxLength + 5
 // sliced, a shape that is not one length is refused — one of an older
 // binary's whole words with ErrFormatTooOld and the header's size, for the
 // caller to hold against the header's checksum — and so is a count whose
-// columns the bytes after the header could not hold — at the least an id
-// block's 8 bytes and a byte an id, and the words' bits — so that what is
-// later allocated for the count is a bounded multiple of the file it came
-// from.
+// columns the bytes after the header could not hold — at the least 9
+// bytes an id block, one of consecutive ids, and the words' bits — so that
+// what is later allocated for the count is a bounded multiple of the file
+// it came from: fewer than 4 ids a byte, 1/8 byte of a 1-bit key and 9/64
+// of an id each.
 func parseRunHeader(src []byte) (runHeader, error) {
 	if len(src) < runHeaderFixed {
 		return runHeader{}, fmt.Errorf("run header truncated at %d bytes", len(src))
@@ -114,7 +116,7 @@ func parseRunHeader(src []byte) (runHeader, error) {
 		return runHeader{size: h.size}, fmt.Errorf("%w: a run of whole words, shape %d", ErrFormatTooOld, h.shape)
 	}
 	rest := uint64(len(src) - h.size)
-	if count == 0 || count > rest || uint64(sketch.MinIDBlocksLen(int(count))+wordsLen(int(count), h.shape)) > rest {
+	if count == 0 || uint64(sketch.MinIDBlocksLen(int(count))+wordsLen(int(count), h.shape)) > rest {
 		return runHeader{}, fmt.Errorf("run of %d records in %d bytes", count, rest)
 	}
 	h.count = int(count)

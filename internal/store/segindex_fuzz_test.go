@@ -59,7 +59,7 @@ func samePub(a, b sketch.Published) bool {
 // FuzzSegmentIndex corrupts an arbitrary byte — the header's count, a run
 // header and its shape byte, a block's width byte, first id, differences
 // or words and their pad bits, a block sum, the footer's data-area end,
-// anywhere — of a v5 segment written here from a fuzzer-shaped record set,
+// anywhere — of a v6 segment written here from a fuzzer-shaped record set,
 // with twoLengths one whose subsets are each a run at ℓ = 10 and one at
 // ℓ = 20.  Then it drives every read path.
 // The contract: the open fails loudly, or every read returns exactly the
@@ -84,6 +84,16 @@ func FuzzSegmentIndex(f *testing.F) {
 	// all.
 	_, padIdx := encodeSegment(fuzzSegmentRecords(14, 45, false))
 	f.Add(uint64(14), 45, int(padIdx.runs[0].end)-5, byte(0x80), false)
+	// The first block's width byte made 33, 64 (raw) and 0, and the top bit
+	// of its last byte of differences: a pad bit, or the widest
+	// difference's.
+	v6, v6Idx := encodeSegment(fuzzSegmentRecords(15, 200, false))
+	at := int(v6Idx.blockOffs[0])
+	idsLen, _ := sketch.IDBlocksLen(v6[at:], segBlockRecords)
+	for _, w := range []byte{33, 64, 0} {
+		f.Add(uint64(15), 200, at, v6[at]^w, false)
+	}
+	f.Add(uint64(15), 200, at+idsLen-1, byte(0x80), false)
 	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, twoLengths bool) {
 		if n < 0 || n > 300 {
 			n = int(uint(n) % 301)
@@ -241,7 +251,7 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 	return image, flatten(testRuns(all))
 }
 
-// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v5
+// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v6
 // windows: whatever follows — garbage, a frame claiming gigabytes, a frame
 // cut short, a whole frame with a flipped bit — replay must not panic,
 // must not allocate beyond what the file's size accounts for, must return
@@ -263,15 +273,26 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint64(5), 4, frame([]byte{0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2})) // a 4 GiB tag
 	f.Add(uint64(6), 1, frame(binary.BigEndian.AppendUint32([]byte{0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}, 1<<31)))
 	f.Add(uint64(7), 6, walMagic[:])
-	// Whole, checksum-clean frames whose one run's id column is malformed:
+	// Whole, checksum-clean frames whose one run's id column is a v5 one —
 	// a zero difference, a width of 9, one block where the count wants two,
-	// differences that sum past 2⁶⁴ — under words of shape 1, a bit a key.
+	// differences that sum past 2⁶⁴ — now hostile, under words of shape 1,
+	// a bit a key.
 	tag := bitvec.MustSubset(0).Key()
 	ones := onesBits
 	f.Add(uint64(8), 2, frame(framePayload(tag, 3, 1, append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 1}, ones(3)...))))
 	f.Add(uint64(9), 2, frame(framePayload(tag, 2, 1, append([]byte{9, 0, 0, 0, 0, 0, 0, 0, 5, 1}, ones(2)...))))
 	f.Add(uint64(10), 3, frame(framePayload(tag, 70, 1, append(append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1}, bytes.Repeat([]byte{1}, 63)...), ones(70)...))))
 	f.Add(uint64(11), 1, frame(framePayload(tag, 2, 1, append([]byte{4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 9}, ones(2)...))))
+	// And v6 ones: a block of 64 consecutive ids, whole and well formed;
+	// width 33; a pad bit set; raw ids a width would code; sums past 2⁶⁴;
+	// and a count its bytes could not hold even at width 0.
+	first := []byte{0, 0, 0, 0, 0, 0, 0, 5}
+	f.Add(uint64(17), 2, frame(framePayload(tag, 64, 1, append(append([]byte{0}, first...), ones(64)...))))
+	f.Add(uint64(18), 2, frame(framePayload(tag, 2, 1, append(append([]byte{33}, first...), 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x03))))
+	f.Add(uint64(19), 2, frame(framePayload(tag, 2, 1, append(append([]byte{1}, first...), 0x03, 0x03))))
+	f.Add(uint64(20), 2, frame(framePayload(tag, 2, 1, append(append(append([]byte{64}, first...), 0, 0, 0, 0, 0, 0, 0, 6), 0x03))))
+	f.Add(uint64(21), 2, frame(framePayload(tag, 2, 1, []byte{32, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0x03})))
+	f.Add(uint64(22), 2, frame(framePayload(tag, 1<<12, 1, append(append([]byte{0}, first...), ones(1<<12)...))))
 	// And frames whose ids are sound and whose words are not: a shape byte
 	// of 0 and one past an older binary's widest whole words, which end the
 	// valid prefix; a pad bit set, which does too; then two frames of an

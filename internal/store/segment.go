@@ -14,29 +14,29 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// Segment format v5, the only one written or read.  A segment is a
-// shard's runs (run.go) in (subset tag, length) order, ids ascending
-// within each, every (user, subset, length) at most once:
+// Segment format v6, the only one written or read (v5.go converts v5).  A
+// segment is a shard's runs (run.go) in (subset tag, length) order, ids
+// ascending within each, every (user, subset, length) at most once:
 //
-//	16 byte header: magic "SKSEG\x00\x00\x05" | 8-byte record count
+//	16 byte header: magic "SKSEG\x00\x00\x06" | 8-byte record count
 //	data area, per run:
 //	  run header (tag length, tag, count, word shape) | 4-byte checksum
 //	  of the header | the run's columns cut into blocks of segBlockRecords
 //	  records (the last one shorter): the block of the id column (a width
-//	  byte, a first id, differences — sketch/ids.go), the records' words
+//	  byte, a first id, differences in bits — sketch/ids.go), the records' words
 //	  at the run's shape, 4-byte checksum of the block
 //	12 byte footer: 4-byte checksum of nothing | 8-byte data-area end
 //
 // All integers are big-endian, every checksum is checksum().  A record
-// costs its id's share of a block — a little over a byte where users were
+// costs its id's share of a block — a quarter of a byte where users were
 // numbered as they enrolled, 8 and 1/64 where ids are hashes — and its
 // sketch in the bits memory holds it in, the ℓ bits of its key, so a
 // block of 64 of the 9-bit sketches of a million-user deployment holds 72
 // bytes of words, a copy of the column's bits (sketch.Words.AppendBits and
 // AppendBitsFrom); block sums add 1/16 byte, and a subset's tag is paid
-// once per segment.  A block's size follows from its width byte and the
-// run's shape, so blocks are found by walking them, never by arithmetic on
-// a record number.
+// once per segment.  A block's size follows from its width byte, its
+// record count and the run's shape, so blocks are found by walking them,
+// never by arithmetic on a record number.
 //
 // Integrity.  The data area carries the records and describes itself:
 // Open walks it run by run, verifying every checksum and that the walk
@@ -48,14 +48,14 @@ import (
 // they touch.  Whatever lies between the data area's end and the footer is
 // skipped; a segment written now has nothing there.
 //
-// A segment of an older format (v3, v4) has another magic and is
-// corrupt; a v5 one holding a checksum-clean run header of whole words,
-// which an older binary wrote, is refused with ErrFormatTooOld.  So these
-// readers meet v5 runs of one length alone.
+// A segment of another format has another magic and is corrupt: Open
+// converts a v5 directory before these readers run (v5.go), and refuses
+// older ones with ErrFormatTooOld.  So these readers meet v6 runs of one
+// length alone.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
-var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 5}
+var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 6}
 
 const (
 	segHeaderSize = 16 // magic + record count
@@ -177,6 +177,10 @@ func writeSegment(dir string, seq uint64, image []byte, idx *segIndex) (segmentM
 	return segmentMeta{seq: seq, path: final, bytes: int64(len(image)), idx: idx}, nil
 }
 
+// renameFile and removeFile are os.Rename and os.Remove, which a test
+// makes fail to stand in for a crash between a conversion's steps.
+var renameFile, removeFile = os.Rename, os.Remove
+
 // writeFileAtomic writes data to path through a fsynced temporary file and
 // a rename, so a crash (or power loss) leaves the old file or the new one,
 // never a partial or empty one.
@@ -200,7 +204,7 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := renameFile(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -246,7 +250,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 		return corrupt("is %d bytes", len(data))
 	}
 	if [8]byte(data[:8]) != segMagic {
-		return corrupt("has magic %q, not v5's", data[:8])
+		return corrupt("has magic %q, not v6's", data[:8])
 	}
 	idx := &segIndex{}
 	// The record count and the data area's end cross-check each other

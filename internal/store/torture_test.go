@@ -236,9 +236,10 @@ func TestSIGKILLMidCommitWindow(t *testing.T) {
 // under way); and under v5 a segment's checksum-clean run of whole words
 // and, with that segment gone, a log's whole frame of them, as a v5 binary
 // wrote them before a run held one length (the committed v5 directory);
-// and that shard beside one this version wrote with a torn log tail, or
-// in a directory whose manifest counts a shard that is missing — refused
-// in one shard, Open cuts no other's tail and creates no shard.
+// and that shard, under a v5 manifest, beside one this version wrote with
+// a torn log tail, or in a directory whose manifest counts a shard that is
+// missing — refused in one shard as the conversion reads the directory,
+// Open cuts no other's tail, creates no shard and marks nothing.
 // A directory in the pre-v3 state that holds no data is one a crash left at
 // creation, and opens.
 func TestOlderDirRefused(t *testing.T) {
@@ -327,6 +328,10 @@ func TestOlderDirRefused(t *testing.T) {
 			if err := os.Rename(filepath.Join(old, shardDirName(0)), filepath.Join(dir, shardDirName(1))); err != nil {
 				t.Fatal(err)
 			}
+			// A v5 directory, which Open converts once it has read all of it.
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("2 v5\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 			return dir
 		}, segmentName(1)},
 		"a whole-word shard and a missing one": {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "2 v5\n") }, segmentName(1)},
@@ -366,7 +371,7 @@ func TestOlderDirRefused(t *testing.T) {
 			t.Fatalf("a directory a crash left at its creation does not open: %v", err)
 		}
 		defer st.Close()
-		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v5\n" {
+		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v6\n" {
 			t.Fatalf("manifest = %q, %v", data, err)
 		}
 	})

@@ -14,10 +14,10 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// Log format v5, the only one written or read.  The log opens with an
-// 8-byte magic and continues with one frame per appended group, the unit a
-// commit window queues: the one record of an Append, or an AppendBatch's
-// records for the shard.
+// Log format v6, the only one written or read (v5.go converts v5).  The
+// log opens with an 8-byte magic and continues with one frame per appended
+// group, the unit a commit window queues: the one record of an Append, or
+// an AppendBatch's records for the shard.
 //
 //	4 bytes big-endian payload length
 //	4 bytes big-endian checksum of the payload
@@ -27,7 +27,7 @@ import (
 //	         subset's tag written once, its ids as an id column — the
 //	         engine hands a batch over subset by subset, ids ascending, so
 //	         a stretch is a whole subset and users numbered as they
-//	         enrolled cost a byte an id; ids that do not ascend are
+//	         enrolled cost a bit or two an id; ids that do not ascend are
 //	         written raw, and a lone record's frame is a byte longer than
 //	         its 8-byte id made it — and its words as a segment block
 //	         holds them, ℓ bits a key, ⌈count·ℓ/8⌉ bytes.  A frame may name
@@ -48,7 +48,7 @@ import (
 // frame holding a run of whole words — a shape past 30, which an older
 // binary wrote — was acknowledged, so it is no torn tail: replay refuses
 // it with ErrFormatTooOld and cuts nothing.
-var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 5}
+var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 6}
 
 const (
 	walFrameHeader = 8 // payload length + checksum
@@ -167,7 +167,7 @@ func (w *wal) replay() error {
 		// stays 0 and ready writes the magic.
 		return nil
 	case !bytes.HasPrefix(data, walMagic[:]):
-		return fmt.Errorf("store: %s is not a v5 log", w.path)
+		return fmt.Errorf("store: %s is not a v6 log", w.path)
 	}
 	set := newRunSet()
 	valid, records, err := scanLog(data, set)

@@ -13,34 +13,35 @@ import (
 )
 
 // referenceColumns encodes records — one subset's, all of one length ℓ,
-// in the order given — as the columns of a v5 run, knowing nothing of
+// in the order given — as the columns of a v6 run, knowing nothing of
 // sketch.IDs, sketch.Words or Pack: the ids in blocks of 64 that are a
-// width byte, a first id and the differences at that width, or width 8 and
-// the ids raw where they do not ascend or lie 2³² apart; then the keys in
-// ℓ bits each, low bit first (packBits).  The header byte is ℓ.
+// width byte b, a first id and each later id's difference less one in b
+// bits, low bit first (packBits), b the bit length of the widest, or
+// width 64 and the ids raw where they do not ascend or lie more than 2³²
+// apart; then the keys in ℓ bits each, low bit first.  The header byte is
+// ℓ.
 func referenceColumns(records []sketch.Published) (ids, words []byte, header byte) {
 	for at := 0; at < len(records); at += 64 {
 		block := records[at:min(at+64, len(records))]
-		w := 1
-		for i := 1; i < len(block); i++ {
-			switch d := uint64(block[i].ID) - uint64(block[i-1].ID); {
+		var deltas []uint64
+		w := 0
+		for i := 1; i < len(block) && w < 64; i++ {
+			switch d := uint64(block[i].ID) - uint64(block[i-1].ID) - 1; {
 			case block[i].ID <= block[i-1].ID || d >= 1<<32:
-				w = 8
-			case w < 8:
-				w = max(w, (bits.Len64(d)+7)/8)
+				w = 64
+			default:
+				w, deltas = max(w, bits.Len64(d)), append(deltas, d)
 			}
 		}
 		ids = append(ids, byte(w))
-		for i, p := range block {
-			if w == 8 || i == 0 {
+		if w == 64 {
+			for _, p := range block {
 				ids = binary.BigEndian.AppendUint64(ids, uint64(p.ID))
-				continue
 			}
-			d := uint64(p.ID) - uint64(block[i-1].ID)
-			for shift := 8 * (w - 1); shift >= 0; shift -= 8 {
-				ids = append(ids, byte(d>>shift))
-			}
+			continue
 		}
+		ids = binary.BigEndian.AppendUint64(ids, uint64(block[0].ID))
+		ids = append(ids, packBits(deltas, w)...)
 	}
 	keys := make([]uint64, len(records))
 	for i, p := range records {
@@ -53,8 +54,8 @@ func referenceColumns(records []sketch.Published) (ids, words []byte, header byt
 	return ids, packBits(keys, length), byte(length)
 }
 
-// onesBits is packBits of n words of 1, one bit each: the v5 column of n
-// keys of 1 at ℓ = 1.
+// onesBits is packBits of n words of 1, one bit each: the column of n keys
+// of 1 at ℓ = 1.
 func onesBits(n int) []byte {
 	words := make([]uint64, n)
 	for i := range words {
@@ -64,7 +65,7 @@ func onesBits(n int) []byte {
 }
 
 // packBits writes words of b bits each one bit at a time, low bit first,
-// into ⌈len·b/8⌉ bytes: the v5 word column.
+// into ⌈len·b/8⌉ bytes: a word column, and an id block's differences.
 func packBits(words []uint64, b int) []byte {
 	out := make([]byte, (len(words)*b+7)/8)
 	for i, w := range words {
@@ -117,7 +118,7 @@ func framePayload(tag string, n int, header byte, cols []byte) []byte {
 // frames are (arrival order, repeats, newest wins), sorted, deduplicated
 // and handed to the table for keeps.  Throughout, the column must read as
 // the map does; and written as a run its bytes must be the ones the format
-// says (referenceColumns), decode back to the same column from a v5
+// says (referenceColumns), decode back to the same column from a log
 // frame, also split and merged, and, loaded into an empty table, read the
 // same again.  The words themselves are driven on the way: slices cut at
 // any bit are appended to columns ending at any other, Set and Swap write
@@ -220,7 +221,7 @@ func FuzzColumnWords(f *testing.F) {
 			x = splitmix64(x)
 			odd := sketch.Sketch{Key: x % 2, Length: want[0].S.Length%sketch.MaxLength + 1} // a sketch of another length
 			gotIDs, gotKeys := ids, keys
-			// The v5 words through the checked copy: onto an empty column
+			// The run's words through the checked copy: onto an empty column
 			// and onto one of their length holding a word, which must read
 			// as it did; a column of another length refuses them, and a
 			// word and a column of another length, as it was.
@@ -229,11 +230,11 @@ func FuzzColumnWords(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameSketches(t, "the v5 words decoded onto words of their length", onto, append([]sketch.Sketch{first}, wantSketches...))
+			sameSketches(t, "the run's words decoded onto words of their length", onto, append([]sketch.Sketch{first}, wantSketches...))
 			if onto, err = (sketch.Words{}).AppendBitsFrom(wantWords, sketch.Shape(wantShape), len(want)); err != nil {
 				t.Fatal(err)
 			}
-			sameSketches(t, "the v5 words decoded onto an empty column", onto, wantSketches)
+			sameSketches(t, "the run's words decoded onto an empty column", onto, wantSketches)
 			other := sketch.Words{}.Append(odd.Pack())
 			if got, err := other.AppendBitsFrom(wantWords, sketch.Shape(wantShape), len(want)); err == nil || got.Len() != 1 {
 				t.Fatalf("a column of %d-bit sketches took %d-bit ones from disk: %d words, %v", odd.Length, colLen, got.Len(), err)
@@ -415,7 +416,7 @@ func FuzzColumnWords(f *testing.F) {
 	})
 }
 
-// TestDecodeRefusesInvalidWord: a word column a v5 writer never writes —
+// TestDecodeRefusesInvalidWord: a word column a writer never writes —
 // pad bits that are not zero, a shape byte that is no length — or an id
 // block of a width no writer writes is refused wherever bytes from disk
 // become columns, however clean the checksums over it: the log's replay
@@ -443,8 +444,10 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 		// At the length of the run's other words.
 		"a key past the run's own length":          {word: 1<<10<<5 | 10},
 		"an invalid word under a whole-word shape": {word: 1<<34 | 31},
-		// The three ids 1 apart at width 5: well-formed but for the width.
-		"an id block of width 5":       {ids: []byte{5, 0, 0, 0, 0, 0, 0, 0x03, 0xE9, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}},
+		// The three ids 1 apart at widths 5 and 33: well-formed but for the
+		// width, which is 0.
+		"an id block of width 5":       {ids: []byte{5, 0, 0, 0, 0, 0, 0, 0x03, 0xE9, 0, 0}},
+		"an id block of width 33":      {ids: append([]byte{33, 0, 0, 0, 0, 0, 0, 0x03, 0xE9}, make([]byte, 9)...)},
 		"non-zero pad bits":            {pad: true},
 		"shape byte 0":                 {shape: 0xFF},
 		"a shape byte past the widest": {shape: maxWholeShape + 1},
