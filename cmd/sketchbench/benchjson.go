@@ -83,14 +83,16 @@ func kernelBenchmarks() []struct {
 		{"sha256-multi8-block", func(b *testing.B) {
 			// One op = 8 lanes × one block through the widest engine
 			// (AVX2 assembly on amd64, portable elsewhere): eight
-			// compressions, where hmac-midstate ÷ 2 is the scalar
-			// engine's cost of two and a state restore.
+			// compressions.  hmac-midstate is four through the scalar
+			// engine, so where that is the SHA-NI kernel, with nothing
+			// to restore, 2 × hmac-midstate is its cost of eight.
 			b.ReportAllocs()
 			prf.MultiLaneBlockBench(b.N)
 		}},
 		{"prf-uint64-batch", func(b *testing.B) {
 			// One op = 64 messages through the batch evaluator at the
-			// automatic lane policy; compare against 64× hmac-midstate.
+			// automatic lane policy; compare against 64× hmac-midstate,
+			// which it is where auto is scalar (a CPU with SHA-NI).
 			f := prf.NewFunc(benchKey())
 			me := f.NewMultiEvaluator()
 			msgs := make([][]byte, 64)

@@ -15,22 +15,25 @@
 //     key, mirroring the paper's "global pseudorandom function for the
 //     entire database" whose generator key is at least 300 bits.  The
 //     engine that evaluates it — "scalar" throughout this repository — is
-//     the toolchain's crypto/sha256 (SHA-NI or AVX2 on amd64, ARMv8-SHA2 on
-//     arm64, generic Go under -tags purego), resumed from the key's saved
-//     ipad/opad midstates so a short-message evaluation costs two or three
-//     compressions and no allocation; batches of same-shape messages go
+//     resumed from the key's ipad/opad midstates, so a short-message
+//     evaluation costs two or three compressions and no allocation.  Where
+//     the CPU has the SHA extensions (amd64, not purego) it is this
+//     package's SHA-NI kernel (sha256ni_amd64.s) advancing the raw
+//     midstate words; elsewhere it is the toolchain's crypto/sha256 (AVX2
+//     on amd64, ARMv8-SHA2 on arm64, generic Go under -tags purego)
+//     restored from the saved ones.  Batches of same-shape messages go
 //     through an 8-lane AVX2 compress of this package's own where the CPU
-//     has it (sha256multi.go), which also computes the raw midstate words
-//     it broadcasts.  These two are the only SHA-256 code the package
-//     runs.
+//     has AVX2 but not SHA (sha256multi.go), which also computes the raw
+//     midstate words on every CPU.  These three are the only SHA-256 code
+//     the package runs.
 //   - Two handles on H: Func, thread-safe, pools the scalar engine for
 //     lone tuples (prf.go: a counter-mode expander that turns the keyed
 //     hash into an arbitrary-length pseudorandom stream and fixed-width
 //     integers); MultiEvaluator, one per goroutine, evaluates batches of
-//     pre-encoded messages on the 8-lane engine and lone ones on the
+//     pre-encoded messages at the lane policy's width and lone ones on the
 //     scalar engine (multieval.go).
 //   - A FIPS 180-4 SHA-256 written from the primitive operations, and the
-//     direct RFC 2104 HMAC over it, are the reference both engines are
+//     direct RFC 2104 HMAC over it, are the reference every engine is
 //     differenced against — test code (sha256ref_test.go), so the whole
 //     pipeline stays auditable in one place whatever hardware runs it.
 //   - The p-biased bit extraction (biased.go): interpret the first 64 bits

@@ -35,7 +35,14 @@ func digestOne(m *MultiEvaluator, msg []byte) [DigestSize]byte {
 	return out[0]
 }
 
+// TestEvaluatorGoldenVectors holds every engine to the golden vectors: each
+// scalar engine (the SHA-NI kernel where the CPU has it, the crypto/sha256
+// fallback everywhere) behind Func and a lone message, and 8 lanes.
 func TestEvaluatorGoldenVectors(t *testing.T) {
+	eachScalarEngine(t, testGoldenVectors)
+}
+
+func testGoldenVectors(t *testing.T) {
 	defer SetLanes(0)
 	f := NewFunc(testKey())
 	for _, g := range goldenDigests {
@@ -187,9 +194,11 @@ func TestEvaluatorRebindSwitchesKeys(t *testing.T) {
 }
 
 // TestEvaluationAllocatesNothing keeps the scalar engine's promise inside
-// tier-1: the toolchain's hash is reached through an interface, and Sum(b)
-// through an interface is exactly where a toolchain or a refactor could
-// make the digest buffer escape per call.  The kernel ratchet
+// tier-1, on each engine: the fallback reaches the toolchain's hash through
+// an interface, and Sum(b) through an interface is exactly where a
+// toolchain or a refactor could make the digest buffer escape per call;
+// the SHA-NI kernel takes a pointer to a state on the stack, which only
+// its noescape declaration keeps there.  The kernel ratchet
 // (cmd/sketchbench/kernels.txt) pins the same thing from the outside.
 func TestEvaluationAllocatesNothing(t *testing.T) {
 	defer SetLanes(0)
@@ -200,19 +209,21 @@ func TestEvaluationAllocatesNothing(t *testing.T) {
 		msgs[i] = bytes.Repeat([]byte{byte(i)}, 150)
 	}
 	out := make([]uint64, len(msgs))
-	for _, lanes := range []int{1, 8} {
-		if err := SetLanes(lanes); err != nil {
-			t.Fatal(err)
+	eachScalarEngine(t, func(t *testing.T) {
+		for _, lanes := range []int{1, 8} {
+			if err := SetLanes(lanes); err != nil {
+				t.Fatal(err)
+			}
+			me := f.NewMultiEvaluator()
+			me.Uint64Batch(msgs, out) // warm-up: the index slice grows once
+			if n := testing.AllocsPerRun(20, func() { me.Uint64Batch(msgs, out) }); n != 0 {
+				t.Errorf("lanes %d: Uint64Batch allocates %v times a call", lanes, n)
+			}
+			if n := testing.AllocsPerRun(100, func() { me.Uint64Msg(msg) }); n != 0 {
+				t.Errorf("lanes %d: Uint64Msg allocates %v times a call", lanes, n)
+			}
 		}
-		me := f.NewMultiEvaluator()
-		me.Uint64Batch(msgs, out) // warm-up: the index slice grows once
-		if n := testing.AllocsPerRun(20, func() { me.Uint64Batch(msgs, out) }); n != 0 {
-			t.Errorf("lanes %d: Uint64Batch allocates %v times a call", lanes, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { me.Uint64Msg(msg) }); n != 0 {
-			t.Errorf("lanes %d: Uint64Msg allocates %v times a call", lanes, n)
-		}
-	}
+	})
 }
 
 // TestManyEvaluatorsConcurrently: goroutines each holding their own batch

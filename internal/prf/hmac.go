@@ -3,6 +3,7 @@ package prf
 import (
 	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"hash"
 )
 
@@ -12,24 +13,31 @@ import (
 // evaluation of H is an HMAC of the input tuple under that key.
 //
 // The key schedule lives here, and the scalar engine every lone
-// evaluation runs: hmacState + resumed, the toolchain's SHA-256
-// (crypto/sha256 — SHA-NI or AVX2 on amd64, ARMv8-SHA2 on arm64, its
-// generic block under -tags purego) resumed from the key's saved ipad/opad
-// midstates.  The direct RFC 2104 construction over a from-scratch FIPS
-// 180-4 hash is the reference both engines are differenced against; it is
-// test code (sha256ref_test.go), not part of the product.
+// evaluation runs: hmacState + resumed.  Where the CPU has the SHA
+// extensions (amd64, not purego) the engine is this package's SHA-NI
+// kernel (sha256ni_amd64.s) advancing the key's raw ipad/opad state words;
+// elsewhere it is the toolchain's SHA-256 (crypto/sha256 — AVX2 on amd64,
+// ARMv8-SHA2 on arm64, its generic block under -tags purego) restored from
+// the key's saved midstates.  The direct RFC 2104 construction over a
+// from-scratch FIPS 180-4 hash is the reference every engine is
+// differenced against; it is test code (sha256ref_test.go), not part of
+// the product.
+
+// useSHANI says the scalar engine runs hmacSHANI: CPUID says so where the
+// kernel is built.  Tests clear it to run the crypto/sha256 fallback on a
+// CPU that has the SHA extensions.
+var useSHANI = cpuidHasSHANI()
 
 // hmacState holds the per-key HMAC precomputation: the SHA-256 midstates
 // reached after compressing the padded key blocks.  The midstates are what
 // make evaluation cheap — each HMAC resumes from them instead of
 // re-compressing the 64-byte ipad/opad blocks, saving two of the four
 // compressions a short-message HMAC otherwise costs.  Each midstate is
-// kept twice, once per engine and computed by that engine: marshaled, as
-// the toolchain's hash saves itself (what crypto/hmac keeps inside
-// itself), for the scalar engine to restore; and as raw state words for
-// the 8-lane engine to broadcast.  The struct is immutable after
-// construction, so any number of goroutines can evaluate against it
-// concurrently without synchronisation.
+// kept twice: as raw state words, which the SHA-NI kernel advances and the
+// 8-lane engine broadcasts; and marshaled, as the toolchain's hash saves
+// itself (what crypto/hmac keeps inside itself), for the fallback to
+// restore.  The struct is immutable after construction, so any number of
+// goroutines can evaluate against it concurrently without synchronisation.
 type hmacState struct {
 	// inner/outer are the toolchain hash's MarshalBinary after absorbing
 	// ipad/opad.
@@ -68,8 +76,8 @@ func newHMACState(key []byte) *hmacState {
 	return s
 }
 
-// resumableHash is what the scalar engine needs of the toolchain's
-// SHA-256: the hash, and restoring it from a saved state.
+// resumableHash is what the fallback needs of the toolchain's SHA-256: the
+// hash, and restoring it from a saved state.
 type resumableHash interface {
 	hash.Hash
 	encoding.BinaryUnmarshaler
@@ -87,25 +95,49 @@ func marshalAfter(prefix []byte) []byte {
 	return state
 }
 
-// resumed is the scalar engine's per-handle state: one toolchain hash,
-// restored from a key's midstate twice per evaluation, and the digest
-// buffer it sums into.  Nothing of a key outlives an evaluation in it, so
-// rebinding a handle to another key is a pointer swap on the handle and no
-// business of this struct.  The zero value is ready to use; the hash is
-// made on first use because handles are embedded by value in pooled
-// structs (sketch.Kernel) that start as zero values.
+// resumed is the scalar engine's per-handle state: the block buffer the
+// SHA-NI kernel pads a message's tail and the outer block in, or, for the
+// fallback, one toolchain hash restored from a key's midstate twice per
+// evaluation.  Nothing of a key outlives an evaluation in it, so rebinding
+// a handle to another key is a pointer swap on the handle and no business
+// of this struct.  The zero value is ready to use; the hash is made on
+// first use because handles are embedded by value in pooled structs
+// (sketch.Kernel) that start as zero values.
 type resumed struct {
+	buf [2 * BlockSize]byte
 	h   resumableHash
 	sum [DigestSize]byte
 }
 
 // hmac computes HMAC(key, msg) resuming from s's cached midstates.  It
 // performs no allocations: the only compressions executed are for the
-// message itself and the two final padding blocks.
+// message itself and the two final padding blocks.  On the SHA-NI kernel
+// the message's whole blocks are hashed where they lie, and its padded
+// tail and then the outer block from r.buf.
 func (r *resumed) hmac(s *hmacState, msg []byte) [DigestSize]byte {
+	if useSHANI {
+		var d [DigestSize]byte
+		hmacSHANI(&s.istate, &s.ostate, msg, r.padTail(msg), &d)
+		return d
+	}
 	r.sumFrom(s.inner, msg)
 	r.sumFrom(s.outer, r.sum[:])
 	return r.sum
+}
+
+// padTail writes into r.buf the inner hash's last one or two blocks: msg's
+// trailing partial block, 0x80, zeros, and the bit length of the ipad
+// block and msg.
+func (r *resumed) padTail(msg []byte) []byte {
+	n := copy(r.buf[:], msg[len(msg)&^(BlockSize-1):])
+	r.buf[n] = 0x80
+	end := BlockSize
+	if n >= BlockSize-8 {
+		end = 2 * BlockSize
+	}
+	clear(r.buf[n+1 : end-8])
+	binary.BigEndian.PutUint64(r.buf[end-8:end], uint64(BlockSize+len(msg))*8)
+	return r.buf[:end]
 }
 
 // sumFrom leaves in r.sum the digest of msg hashed on from a saved state.

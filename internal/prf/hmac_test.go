@@ -65,6 +65,30 @@ func TestHMACVectors(t *testing.T) {
 			t.Errorf("%s: HMAC = %x, want %s", c.name, got, c.want)
 		}
 	}
+	// The same vectors through the product's engines: each scalar engine
+	// on a lone message, and 8 lanes on a pair.
+	eachScalarEngine(t, func(t *testing.T) {
+		defer SetLanes(0)
+		for _, c := range cases {
+			me := NewFunc(c.key).NewMultiEvaluator()
+			if got := digestOne(me, c.msg); hex.EncodeToString(got[:]) != c.want {
+				t.Errorf("%s: scalar engine = %x, want %s", c.name, got, c.want)
+			}
+			if err := SetLanes(8); err != nil {
+				t.Fatal(err)
+			}
+			var out [2][DigestSize]byte
+			me.DigestBatch([][]byte{c.msg, c.msg}, out[:])
+			for _, d := range out {
+				if hex.EncodeToString(d[:]) != c.want {
+					t.Errorf("%s: 8 lanes = %x, want %s", c.name, d, c.want)
+				}
+			}
+			if err := SetLanes(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestHMACStateMatchesOneShot holds the engines to the reference across

@@ -5,7 +5,8 @@ import "encoding/binary"
 // MultiEvaluator is the per-goroutine handle on a keyed PRF: it evaluates
 // the PRF over many pre-encoded messages at once, packing up to 8 messages
 // into each pass of the multi-lane SHA-256 compression unless the lane
-// policy (Lanes) says scalar, and over a lone message through the scalar
+// policy (Lanes) says scalar — as it does by default where the scalar
+// engine is the SHA-NI kernel — and over a lone message through the scalar
 // engine (Uint64Msg).  Like the scalar engine it resumes from the HMAC
 // ipad/opad midstates, so a message of b post-midstate blocks costs b+1
 // compression passes for a whole lane group instead of per message.

@@ -2,13 +2,15 @@ package prf
 
 // SHA-256 (FIPS 180-4) constants.  The paper instantiates its public
 // pseudorandom function with a collision-free hash (MD5 or WHIRLPOOL);
-// SHA-256 plays that role here.  The product runs two SHA-256 engines: the
-// toolchain's crypto/sha256 (hmac.go: hardware SHA where the CPU has it)
-// and the 8-lane compress8 (sha256multi.go: AVX2 assembly, or portable
-// Go), which reads the constants below.  A from-scratch FIPS 180-4 hash
-// written from the primitive operations, and the RFC 2104 HMAC over it,
-// hold both bit-identical to the standard; they are test code
-// (sha256ref_test.go), checked against the NIST and RFC 4231 vectors.
+// SHA-256 plays that role here.  The product runs three SHA-256 engines:
+// the SHA-NI kernel (sha256ni_amd64.s, where the CPU has the SHA
+// extensions) and the 8-lane compress8 (sha256multi.go: AVX2 assembly, or
+// portable Go), which both read the constants below, and the toolchain's
+// crypto/sha256 (hmac.go), the scalar engine where the kernel does not
+// run.  A from-scratch FIPS 180-4 hash written from the primitive
+// operations, and the RFC 2104 HMAC over it, hold all three bit-identical
+// to the standard; they are test code (sha256ref_test.go), checked against
+// the NIST and RFC 4231 vectors.
 
 // DigestSize is the size of a SHA-256 digest in bytes.
 const DigestSize = 32

@@ -24,12 +24,13 @@ import (
 //     reference the assembly is fuzzed against and what a forced width of
 //     8 runs where there is no assembly;
 //   - an AVX2 assembly one (sha256multi_amd64.s) holding each state word
-//     as a ymm register of 8 lanes: ≈ 440 ns per eight blocks, against
-//     ≈ 55 ns a block for the scalar engine (the toolchain's hash, hmac.go)
-//     on a CPU with SHA-NI — level per block, so what decides between them
-//     is staging against restoring — and several times the scalar engine's
-//     rate on an AVX2 CPU without it.  When the CPU has AVX2, it is the
-//     default (DESIGN.md "Lane model" has the matrix behind that).
+//     as a ymm register of 8 lanes: ≈ 440–600 ns per eight blocks.  On a
+//     CPU with the SHA extensions the scalar engine is the SHA-NI kernel
+//     (hmac.go), ≈ 50 ns a block with nothing to stage or restore, so a
+//     batch of lone evaluations beats a lane group and auto stays scalar;
+//     on an AVX2 CPU without them the scalar engine is the toolchain's
+//     AVX2 block, several times slower per block, and 8 lanes are the
+//     default (DESIGN.md "Lane model" has the matrix behind both).
 //
 // Both produce bit-identical digests to the from-scratch compress of the
 // test reference (sha256ref_test.go); the differential fuzzer
@@ -61,9 +62,7 @@ var compress8asm func(states *laneStates, blocks *laneBlocks, w *laneSchedule)
 var laneMode atomic.Int32
 
 // SetLanes configures the batch evaluators' lane policy: 0 restores the
-// default automatic choice (8 lanes when the accelerated engine is
-// available, scalar otherwise — the portable multi-lane code is never a
-// win, see the package comment above), 1 forces the scalar path, and 8
+// default automatic choice (see Lanes), 1 forces the scalar path, and 8
 // forces the multi-lane path regardless of profit.  Forcing exists for the
 // differential fuzzer and the benchmark matrix; production code leaves the
 // policy on auto.  Both widths are bit-identical.
@@ -77,20 +76,25 @@ func SetLanes(n int) error {
 }
 
 // Lanes resolves the configured policy to the effective batch width the
-// evaluators will use: 1 or 8.
+// evaluators will use: 1 or 8.  Automatic selection is scalar where the
+// SHA-NI kernel runs (it hashes a message faster than 8 AVX2 lanes hash
+// one each), 8 where only the AVX2 assembly runs, and scalar elsewhere
+// (the portable multi-lane code is never a win, see the package comment
+// above).
 func Lanes() int {
 	if mode := laneMode.Load(); mode != 0 {
 		return int(mode)
 	}
-	if compress8asm != nil {
+	if compress8asm != nil && !useSHANI {
 		return 8
 	}
 	return 1
 }
 
 // HasAcceleratedLanes reports whether the architecture's multi-lane
-// assembly engine is active (and therefore whether lane auto-selection
-// batches at all).
+// assembly engine is active: what a forced width of 8 runs.  Automatic
+// selection batches only where it is active and the SHA-NI kernel is not
+// (Lanes).
 func HasAcceleratedLanes() bool { return compress8asm != nil }
 
 // MultiLaneBlockBench advances a local 8-lane state by n blocks through

@@ -190,11 +190,13 @@ func TestMultiEvaluatorMatchesScalar(t *testing.T) {
 }
 
 // FuzzMultiLaneEquivalence is the differential fuzzer over the product's
-// two SHA-256 engines and the reference: random message sets with ragged
-// lengths, evaluated at both lane widths, must be bit-for-bit identical to
-// the scalar path (each message alone) — and the scalar path to the
-// reference (HMAC over the from-scratch hash of sha256ref_test.go), so
-// that neither engine is only ever compared with the other.
+// three SHA-256 engines and the reference: random message sets with ragged
+// lengths, evaluated at both lane widths on each scalar engine — the
+// SHA-NI kernel where the CPU has it, and the crypto/sha256 fallback
+// through the useSHANI seam — must be bit-for-bit identical to the scalar
+// path (each message alone), and the scalar path to the reference (HMAC
+// over the from-scratch hash of sha256ref_test.go), so that no engine is
+// only ever compared with another.
 func FuzzMultiLaneEquivalence(f *testing.F) {
 	f.Add([]byte("seed key"), []byte("hello multi-lane world"), uint64(3))
 	f.Add([]byte(""), []byte{}, uint64(0))
@@ -202,7 +204,6 @@ func FuzzMultiLaneEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key, data []byte, cuts uint64) {
 		defer SetLanes(0)
 		fn := NewFunc(key)
-		ev := fn.NewMultiEvaluator()
 		// Carve data into up to 16 messages at pseudo-random cut points so
 		// lengths are ragged and lane groups have tails.
 		var msgs [][]byte
@@ -219,29 +220,38 @@ func FuzzMultiLaneEquivalence(f *testing.F) {
 		want := make([]uint64, len(msgs))
 		wantD := make([][DigestSize]byte, len(msgs))
 		for i, msg := range msgs {
-			want[i] = ev.Uint64Msg(msg)
-			wantD[i] = digestOne(ev, msg)
-			if ref := HMAC(key, msg); wantD[i] != ref {
-				t.Fatalf("scalar digest[%d] (len %d): got %x, reference %x", i, len(msg), wantD[i], ref)
-			}
+			wantD[i] = HMAC(key, msg)
+			want[i] = binary.BigEndian.Uint64(wantD[i][:8])
 		}
-		for _, lanes := range []int{1, 8} {
-			if err := SetLanes(lanes); err != nil {
-				t.Fatal(err)
-			}
-			me := fn.NewMultiEvaluator()
-			got := make([]uint64, len(msgs))
-			gotD := make([][DigestSize]byte, len(msgs))
-			me.Uint64Batch(msgs, got)
-			me.DigestBatch(msgs, gotD)
-			for i := range msgs {
-				if got[i] != want[i] {
-					t.Fatalf("lanes=%d Uint64Batch[%d] (len %d): got %016x want %016x",
-						lanes, i, len(msgs[i]), got[i], want[i])
+		for _, e := range scalarEngines() {
+			e.use(t)
+			ev := fn.NewMultiEvaluator()
+			for i, msg := range msgs {
+				if got := ev.Uint64Msg(msg); got != want[i] {
+					t.Fatalf("%s: Uint64Msg[%d] (len %d): got %016x, reference %016x", e.name, i, len(msg), got, want[i])
 				}
-				if gotD[i] != wantD[i] {
-					t.Fatalf("lanes=%d DigestBatch[%d] (len %d): got %x want %x",
-						lanes, i, len(msgs[i]), gotD[i], wantD[i])
+				if got := digestOne(ev, msg); got != wantD[i] {
+					t.Fatalf("%s: scalar digest[%d] (len %d): got %x, reference %x", e.name, i, len(msg), got, wantD[i])
+				}
+			}
+			for _, lanes := range []int{1, 8} {
+				if err := SetLanes(lanes); err != nil {
+					t.Fatal(err)
+				}
+				me := fn.NewMultiEvaluator()
+				got := make([]uint64, len(msgs))
+				gotD := make([][DigestSize]byte, len(msgs))
+				me.Uint64Batch(msgs, got)
+				me.DigestBatch(msgs, gotD)
+				for i := range msgs {
+					if got[i] != want[i] {
+						t.Fatalf("%s, lanes=%d Uint64Batch[%d] (len %d): got %016x want %016x",
+							e.name, lanes, i, len(msgs[i]), got[i], want[i])
+					}
+					if gotD[i] != wantD[i] {
+						t.Fatalf("%s, lanes=%d DigestBatch[%d] (len %d): got %x want %x",
+							e.name, lanes, i, len(msgs[i]), gotD[i], wantD[i])
+					}
 				}
 			}
 		}
@@ -273,6 +283,10 @@ func BenchmarkCompressMulti(b *testing.B) {
 	}
 }
 
+// BenchmarkUint64Batch times 64 messages of 150 bytes through the batch
+// handle on each scalar engine, forced scalar and at the automatic policy.
+// Under GODEBUG=cpu.sha=off its crypto-sha256 legs are an AVX2 CPU without
+// the SHA extensions: the toolchain's AVX2 block, and 8 lanes at auto.
 func BenchmarkUint64Batch(b *testing.B) {
 	f := NewFunc([]byte("uint64 batch benchmark key, long enough!"))
 	msgs := make([][]byte, 64)
@@ -280,21 +294,24 @@ func BenchmarkUint64Batch(b *testing.B) {
 		msgs[i] = bytes.Repeat([]byte{byte(i)}, 150)
 	}
 	out := make([]uint64, len(msgs))
-	for _, lanes := range []int{1, 0} {
-		name := "scalar"
-		if lanes == 0 {
-			name = "auto"
+	for _, e := range scalarEngines() {
+		for _, lanes := range []int{1, 0} {
+			name := "scalar"
+			if lanes == 0 {
+				name = "auto"
+			}
+			b.Run(e.name+"/"+name, func(b *testing.B) {
+				defer SetLanes(0)
+				e.use(b)
+				if err := SetLanes(lanes); err != nil {
+					b.Fatal(err)
+				}
+				me := f.NewMultiEvaluator()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					me.Uint64Batch(msgs, out)
+				}
+			})
 		}
-		b.Run(name, func(b *testing.B) {
-			defer SetLanes(0)
-			if err := SetLanes(lanes); err != nil {
-				b.Fatal(err)
-			}
-			me := f.NewMultiEvaluator()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				me.Uint64Batch(msgs, out)
-			}
-		})
 	}
 }

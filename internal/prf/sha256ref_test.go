@@ -7,12 +7,12 @@ import "encoding/binary"
 // is used, so the function H is written out in this repository from the
 // primitive operations and is easy to audit.
 //
-// It is test code, not an engine.  Evaluations of H run the toolchain's
-// crypto/sha256 (hmac.go) and, in batches, the 8-lane compress8
-// (sha256multi.go); both are held bit-identical to this code by the NIST
-// and RFC 4231 vectors, TestHMACStateMatchesOneShot and
-// FuzzMultiLaneEquivalence, so neither engine is only ever compared with
-// the other.
+// It is test code, not an engine.  Evaluations of H run the SHA-NI kernel
+// or the toolchain's crypto/sha256 (hmac.go) and, in batches, the 8-lane
+// compress8 (sha256multi.go); all three are held bit-identical to this
+// code by the NIST and RFC 4231 vectors, TestHMACStateMatchesOneShot,
+// TestScalarEnginesAcrossLengths and FuzzMultiLaneEquivalence, so no engine
+// is only ever compared with another.
 
 // Hasher computes SHA-256 digests incrementally.  The zero value is not
 // usable; call NewHasher or Reset first.

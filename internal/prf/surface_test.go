@@ -11,12 +11,13 @@ import (
 )
 
 // TestPRFSurface pins what the product side of the package declares.  H
-// has one handle per engine — Func (the scalar engine, pooled) and
-// MultiEvaluator (the 8-lane engine and lone messages) — and the product
-// runs two SHA-256 implementations, crypto/sha256 and compress8.  The
-// from-scratch hash and RFC 2104 HMAC are the test reference
-// (sha256ref_test.go); a second evaluation handle or a third hash in the
-// non-test files fails here by name.
+// has two handles — Func (the scalar engine, pooled) and MultiEvaluator
+// (batches at the lane policy's width, and lone messages) — and the
+// product runs three SHA-256 implementations: the SHA-NI kernel
+// blocksSHANI, crypto/sha256 where that kernel does not run, and
+// compress8.  The from-scratch hash and RFC 2104 HMAC are the test
+// reference (sha256ref_test.go); a third evaluation handle in the non-test
+// files fails here by name, and so does the reference's compress.
 func TestPRFSurface(t *testing.T) {
 	want := []string{
 		"AppendPart", "AppendPartHeader", "AppendTupleHeader",
