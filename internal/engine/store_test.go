@@ -87,6 +87,100 @@ func TestEngineDurableStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEngineReopenSharesPrefixIDs: every user publishes a 10-bit field's
+// ten prefix subsets (Section 4.1), so the ten columns hold one set of
+// users.  An engine over a durable store holds them as one id column, and
+// so does the engine that reopens the store — its replay lands run after
+// run, onto empty columns and warm ones — which answers the interval
+// queries and a filtered plan over the ten subsets bit for bit as the
+// engine before the close did.
+func TestEngineReopenSharesPrefixIDs(t *testing.T) {
+	const users = 700
+	params := sketch.MustParams(0.3, 10)
+	h := testSource(0.3)
+	dir := t.TempDir()
+	field := bitvec.MustIntField(0, 10)
+	subsets := query.FieldPrefixSubsets(field)
+	open := func() (*Engine, *store.Durable) {
+		t.Helper()
+		st, err := store.Open(store.Options{Dir: dir, Shards: 4, CompactInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewWithStore(h, params, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, st
+	}
+	// sharing fails unless the ten subsets read every user, in one column.
+	sharing := func(stage string, eng *Engine) {
+		t.Helper()
+		views := eng.Table().Views(subsets, false)
+		for i, v := range views {
+			if v.Len() != users || !v.IDs().Same(views[0].IDs()) {
+				t.Fatalf("%s: subset %v holds %d records, one id column with %v: %v", stage, subsets[i], v.Len(), subsets[0], v.IDs().Same(views[0].IDs()))
+			}
+		}
+	}
+	plan := query.NewPlan()
+	for _, b := range subsets {
+		if _, err := plan.AddFraction(b, bitvec.FromUint(uint64(5*b.Len())%(1<<b.Len()), b.Len())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	odd := &query.UserFilter{Key: "odd", Keep: func(id bitvec.UserID) bool { return id%2 == 1 }}
+	answers := func(eng *Engine) []any {
+		t.Helper()
+		var out []any
+		for _, c := range []uint64{300, 777} {
+			atMost, err := eng.FieldAtMost(field, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, atMost)
+		}
+		filtered, err := eng.ExecutePlan(plan, odd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out, filtered)
+	}
+
+	eng, st := open()
+	sk, err := sketch.NewSketcher(h, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(44)
+	var batch []sketch.Published
+	for i := 1; i <= users; i++ {
+		profile := bitvec.Profile{ID: bitvec.UserID(3 * i), Data: bitvec.FromUint(uint64(i*37%1024), 10)}
+		pubs, err := sk.SketchAll(rng, profile, subsets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch = append(batch, pubs...); len(batch) >= 1000 || i == users {
+			if err := eng.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	sharing("before the close", eng)
+	want := answers(eng)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, st = open()
+	defer st.Close()
+	sharing("reopened", eng)
+	if got := answers(eng); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened engine answers %+v, before the close %+v", got, want)
+	}
+}
+
 // TestEngineMemStoreMatchesDurable runs the same ingests through the
 // in-memory store and checks the rehydration path behaves identically.
 func TestEngineMemStoreMatchesDurable(t *testing.T) {

@@ -607,7 +607,11 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval, kee
 // from the cache and leaves a built one there, under (subset, filter key)
 // at the view's generation and length: equal keys mean equal predicates,
 // so the only thing that can change the mask is a write to the subset — the
-// same generation bump that retires its evaluation bitmaps.
+// same generation bump that retires its evaluation bitmaps.  A mask is a
+// function of the ids and the filter alone, so where another subset of the
+// cut has fetched one over the very same id column (sketch.IDs.Same: the
+// table gives subsets that hold the same users one column), that one is
+// taken, and cached under this subset's key too.
 func (x *cut) keepMask(si int) []uint64 {
 	records := x.subs[si].view
 	n, gen := records.Len(), records.Gen()
@@ -621,12 +625,21 @@ func (x *cut) keepMask(si int) []uint64 {
 			return mask
 		}
 	}
-	mask := make([]uint64, (n+63)/64)
-	var buf [sketch.IDBlockLen]bitvec.UserID
-	for w := range mask {
-		for i, id := range records.IDs().Block(w, &buf) {
-			if x.keep.Keep(id) {
-				mask[w] |= uint64(1) << uint(i)
+	var mask []uint64
+	for sj := range x.subs {
+		if o := &x.subs[sj]; o.mask != nil && o.view.IDs().Same(records.IDs()) {
+			mask = o.mask
+			break
+		}
+	}
+	if mask == nil {
+		mask = make([]uint64, (n+63)/64)
+		var buf [sketch.IDBlockLen]bitvec.UserID
+		for w := range mask {
+			for i, id := range records.IDs().Block(w, &buf) {
+				if x.keep.Keep(id) {
+					mask[w] |= uint64(1) << uint(i)
+				}
 			}
 		}
 	}

@@ -32,7 +32,9 @@ func (c *countingSource) Bit(parts ...[]byte) bool {
 // and a bitmap serves whichever kind of entry names its (subset, value)
 // pair: a fraction after a histogram, a histogram after fractions.  A
 // cold sub-query is evaluated on the kept users of its subset only, so
-// each cold subset builds its mask first.
+// each cold subset fetches its mask first — built once for the three
+// subsets, which hold the same 500 users and so one id column, and cached
+// under each subset's key.
 func TestHistogramWarmIsAJoin(t *testing.T) {
 	const users, kept = 500, 250 // ids 1 to 500, the odd ones kept
 	a, b, c := bitvec.MustSubset(0), bitvec.MustSubset(1), bitvec.Range(0, 2)
@@ -79,9 +81,21 @@ func TestHistogramWarmIsAJoin(t *testing.T) {
 
 	cache := mapCache{}
 	// Cold: every sub-query over its subset's kept users, so every
-	// subset's mask is built.
-	if evals, asks := run("cold histogram", hist, cache); evals != 3*kept || asks != 3*users {
-		t.Fatalf("cold histogram: %d evaluations of H and %d filter calls, want %d and %d", evals, asks, 3*kept, 3*users)
+	// subset's mask is fetched — built over the first subset's view and
+	// taken by the other two, whose views hold the same id column.
+	if evals, asks := run("cold histogram", hist, cache); evals != 3*kept || asks != users {
+		t.Fatalf("cold histogram: %d evaluations of H and %d filter calls, want %d and %d", evals, asks, 3*kept, users)
+	}
+	var masks [][]uint64
+	for _, s := range []bitvec.Subset{a, b, c} {
+		e, ok := cache[CacheKey{Mask: true, Entry: s.Key(), Filter: keep.Key}]
+		if !ok || len(e.words) == 0 {
+			t.Fatalf("no keep mask cached for subset %v", s)
+		}
+		masks = append(masks, e.words)
+	}
+	if &masks[0][0] != &masks[1][0] || &masks[0][0] != &masks[2][0] {
+		t.Fatal("the three subsets hold one id column but their keep masks are not one array")
 	}
 	if evals, asks := run("warm histogram", hist, cache); evals != 0 || asks != 0 {
 		t.Fatalf("warm histogram: %d evaluations of H and %d filter calls, want none", evals, asks)

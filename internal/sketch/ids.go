@@ -449,6 +449,22 @@ func (s IDs) SameBlock(k int, o IDs, k2 int) bool {
 	return s.skip == 0 && o.skip == 0 && k2 < o.Blocks() && s.held(k) == o.held(k2) && bytes.Equal(s.block(k), o.block(k2))
 }
 
+// Same reports whether s and o are one column — the same coded bytes, read
+// from the same id on — rather than equal ids coded twice: what lets a
+// reader hand what it built over one column's ids to another.
+func (s IDs) Same(o IDs) bool {
+	return s.n == o.n && s.skip == o.skip && (s.n == 0 || &s.offs[0] == &o.offs[0] && &s.b[0] == &o.b[0])
+}
+
+// equal reports whether s and o, neither sliced, hold the same ids: by
+// their lengths and last ids, and where those agree, by their bytes.
+func (s IDs) equal(o IDs) bool {
+	if s.n == 0 || s.n != o.n || s.last != o.last || s.skip != 0 || o.skip != 0 {
+		return false
+	}
+	return bytes.Equal(s.b[s.offs[0]:s.offs[len(s.offs)-1]], o.b[o.offs[0]:o.offs[len(o.offs)-1]])
+}
+
 // AppendTo appends the ids to dst.
 func (s IDs) AppendTo(dst []bitvec.UserID) []bitvec.UserID {
 	var buf [IDBlockLen]bitvec.UserID

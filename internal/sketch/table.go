@@ -29,6 +29,9 @@ import (
 // read holds its ids as the differences between them (a bit or two for ids
 // numbered as users enrol), its sketches' keys in their own ℓ bits
 // (9 bits for a 9-bit sketch, the length written once) and nothing else.
+// Columns whose runs hold the same users hold one IDs between them: the
+// ten prefix subsets of a field (Section 4.1) that every user publishes
+// cost one id column, not ten (see column.setRun).
 type Table struct {
 	mu sync.RWMutex
 	// cols is keyed by Subset.Key.  A column only grows: no write removes
@@ -133,7 +136,10 @@ func (r Run) Clone() Run {
 // arrays of their own that no view reaches.  Both parts hold their
 // sketches at the column's one length (shape).
 type column struct {
-	subset   bitvec.Subset
+	subset bitvec.Subset
+	// peers is the table's columns, this one among them: where a rebuilt
+	// run looks for an id column to share (setRun).
+	peers    map[string]*column
 	ids      IDs
 	keys     Words
 	tailIDs  []bitvec.UserID
@@ -263,8 +269,28 @@ func (c *column) fold() {
 		return
 	}
 	tailIDs, tailKeys := SortByID(c.tailIDs, c.tailKeys)
-	c.ids, c.keys = mergeRuns(c.ids, c.keys, tailIDs, tailKeys)
+	c.setRun(mergeRuns(c.ids, c.keys, tailIDs, tailKeys))
 	c.tailIDs, c.tailKeys, c.index = nil, Words{}, nil
+}
+
+// setRun makes ids and keys the column's run — unless another column's run
+// holds the same ids, whose IDs the column then takes in place of its own:
+// every user publishes every subset a deployment configures (Algorithm 1),
+// so a node's columns mostly hold one set of users, and it is coded once.
+// An IDs is never written once built — views alias it, Run.Clone shares
+// it — so sharing one needs no copy on write; the column's own becomes
+// garbage.  A column that cannot match is told apart by its record count
+// and last id, reading no bytes; one that can is compared byte for byte,
+// the coding being canonical.  Every write that rebuilds a run comes here:
+// a fold, a merge, a load.
+func (c *column) setRun(ids IDs, keys Words) {
+	c.ids, c.keys = ids, keys
+	for _, o := range c.peers {
+		if o != c && ids.equal(o.ids) {
+			c.ids = o.ids
+			return
+		}
+	}
 }
 
 // SortByID returns parallel id and key columns sorted by id, equal ids
@@ -407,7 +433,7 @@ func (c *column) loadRun(ids IDs, keys Words) {
 	}
 	if c.len() == 0 {
 		c.gen++
-		c.ids, c.keys = ids, keys
+		c.setRun(ids, keys)
 		return
 	}
 	c.land(ids.AppendTo(nil), keys)
@@ -422,10 +448,10 @@ func (c *column) land(ids []bitvec.UserID, keys Words) {
 	c.gen++
 	switch {
 	case c.len() == 0:
-		c.ids, c.keys = MakeIDs(ids), keys
+		c.setRun(MakeIDs(ids), keys)
 	case len(ids)*loadMergeRatio >= c.len():
 		c.fold()
-		c.ids, c.keys = mergeRuns(c.ids, c.keys, ids, keys)
+		c.setRun(mergeRuns(c.ids, c.keys, ids, keys))
 	default:
 		for i, id := range ids {
 			if _, dup := c.find(id); !dup {
@@ -452,7 +478,7 @@ func (t *Table) lookup(b bitvec.Subset) *column {
 func (t *Table) columnFor(b bitvec.Subset) *column {
 	c := t.lookup(b)
 	if c == nil {
-		c = &column{subset: b}
+		c = &column{subset: b, peers: t.cols}
 		t.cols[b.Key()] = c
 	}
 	return c

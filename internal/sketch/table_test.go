@@ -905,32 +905,44 @@ func TestTableViewSurvivesWrites(t *testing.T) {
 // node's share of that benchmark — ingested record by record and read once
 // cost their ids and 9-bit keys, the length written once per column, and
 // next to nothing more, and with a thousand unread inserts waiting in each
-// column's tail, index and all, the table stays within half a byte a
-// record of that (≈ 20 B a tail record, a third of it the flat index).  Landed as a bulk import lands
-// them — 8192-record user-major batches through Probe and Land — and never
-// read, the same records are within the read bound: a batch merges into
-// its run and leaves no tail.  The ids come two ways.  Fleet-shaped — a
-// tenant's tag above users numbered as they enrolled, two of every three
-// of them on this node — they are held as 1-bit differences less one: a
-// 17-byte block, 0.39 bytes each with its offset.  Hashed over all 64 bits,
-// in scattered order, they gain nothing and must lose nothing: 8 bytes and
-// an eighth each.  A key held in more than its ℓ bits, or headroom behind
-// the run, fails a first bound,
-// a heavier tail a second, a batch that leaves a tail a third.
+// column's tail, index and all, the table stays within about half a byte a
+// record of that (≈ 20 B a tail record, a third of it the flat index).
+// Landed as a bulk import lands them — 8192-record user-major batches
+// through Probe and Land — and never read, the same records are within the
+// read bound: a batch merges into its run and leaves no tail.  The ids come
+// two ways.  Fleet-shaped — a tenant's tag above users numbered as they
+// enrolled, two of every three of them on this node — they are held as
+// 1-bit differences less one: a 17-byte block, 0.39 bytes each with its
+// offset.  Hashed over all 64 bits, in scattered order, they gain nothing
+// and must lose nothing: 8 bytes and an eighth each.  Every user publishes
+// all ten subsets, so the ten columns hold one id column between them and
+// a record pays a tenth of its id; in the third row each subset lacks a
+// different user, nothing is shared, and the gates are those of a column
+// that holds its ids alone.  A key held in more than its ℓ bits, headroom
+// behind the run, or an id column the subsets do not share, fails a first
+// bound, a heavier tail a second, a batch that leaves a tail a third.
 func TestTableHeapBytesPerRecord(t *testing.T) {
 	const users, fresh = 35_000, 1000
+	fleetShaped := func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }
 	for _, shape := range []struct {
 		name         string
 		id           func(i int) uint64
+		lacks        bool // subset k lacks user 3001k+5
 		read, unread float64
 	}{
-		{"fleet-shaped ids", func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }, 1.72, 2.26},
-		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, 9.8, 10.0},
+		{"fleet-shaped ids", fleetShaped, false, 1.33, 1.88},
+		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, false, 2.2, 2.7},
+		{"fleet-shaped ids, no two subsets alike", fleetShaped, true, 1.72, 2.26},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			subsets := make([]bitvec.Subset, 10)
 			for i := range subsets {
 				subsets[i] = bitvec.Range(0, i+1)
+			}
+			holds := func(i, k int) bool { return !shape.lacks || i != 3001*k+5 }
+			held := users
+			if shape.lacks {
+				held--
 			}
 			heap := func() uint64 {
 				runtime.GC()
@@ -944,7 +956,10 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			ingest := func(from, to int) {
 				for i := from; i < to; i++ {
 					id := shape.id(i)
-					for _, b := range subsets {
+					for k, b := range subsets {
+						if !holds(i, k) {
+							continue
+						}
 						if _, added, err := tab.AddNew(&Published{ID: bitvec.UserID(id), Subset: b, S: Sketch{Key: id * 0x9E3779B97F4A7C15 >> 55, Length: 9}}); err != nil || !added {
 							t.Fatalf("AddNew(%v) = added %v, %v", id, added, err)
 						}
@@ -953,17 +968,17 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			}
 			ingest(0, users)
 			for _, b := range subsets {
-				if v, _ := tab.View(b); v.Len() != users {
-					t.Fatalf("subset %v reads %d records, want %d", b, v.Len(), users)
+				if v, _ := tab.View(b); v.Len() != held {
+					t.Fatalf("subset %v reads %d records, want %d", b, v.Len(), held)
 				}
 			}
-			perRecord := float64(heap()-before) / float64(users*len(subsets))
+			perRecord := float64(heap()-before) / float64(held*len(subsets))
 			t.Logf("read: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.read {
 				t.Errorf("a read table holds %.2f heap bytes per record, want ≤ %.2f: an id, a 9-bit key, nothing else", perRecord, shape.read)
 			}
 			ingest(users, users+fresh)
-			perRecord = float64(heap()-before) / float64((users+fresh)*len(subsets))
+			perRecord = float64(heap()-before) / float64((held+fresh)*len(subsets))
 			t.Logf("with unread inserts: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.unread {
 				t.Errorf("with %d unread inserts per column the table holds %.2f heap bytes per record, want ≤ %.2f", fresh, perRecord, shape.unread)
@@ -974,11 +989,13 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			before = heap()
 			tab = NewTable()
 			var chunk []Published
-			for i := 0; i < users*len(subsets); i += len(chunk) {
+			for i := 0; i < users*len(subsets); {
 				chunk = chunk[:0]
-				for j := i; j < min(i+8192, users*len(subsets)); j++ {
-					id := shape.id(j / len(subsets))
-					chunk = append(chunk, Published{ID: bitvec.UserID(id), Subset: subsets[j%len(subsets)], S: Sketch{Key: id * 0x9E3779B97F4A7C15 >> 55, Length: 9}})
+				for end := min(i+8192, users*len(subsets)); i < end; i++ {
+					if user, k := i/len(subsets), i%len(subsets); holds(user, k) {
+						id := shape.id(user)
+						chunk = append(chunk, Published{ID: bitvec.UserID(id), Subset: subsets[k], S: Sketch{Key: id * 0x9E3779B97F4A7C15 >> 55, Length: 9}})
+					}
 				}
 				b, err := tab.Probe(chunk)
 				if err != nil || tab.Land(b) != len(chunk) {
@@ -986,7 +1003,7 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 				}
 			}
 			chunk = nil
-			perRecord = float64(heap()-before) / float64(users*len(subsets))
+			perRecord = float64(heap()-before) / float64(held*len(subsets))
 			t.Logf("landed in batches, unread: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.read {
 				t.Errorf("landed in batches and never read, the table holds %.2f heap bytes per record, want ≤ %.2f: a tail remains", perRecord, shape.read)
@@ -994,4 +1011,201 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			runtime.KeepAlive(tab)
 		})
 	}
+}
+
+// TestTableSharesEqualIDColumns: columns whose runs hold the same users hold
+// one IDs between them, however the runs were built — landed batches, onto
+// an empty column and merged onto a warm one, loaded runs, a fold inside
+// AddNew and a fold inside Views — and columns whose users differ by one
+// id, whether in count or in one id alone, never do.  A write to one column
+// of a sharing set builds that column a run of its own and leaves each
+// sibling's held and fresh views as they were.
+func TestTableSharesEqualIDColumns(t *testing.T) {
+	subsets := []bitvec.Subset{bitvec.Range(0, 1), bitvec.Range(0, 2), bitvec.Range(0, 3)}
+	// ids returns the id columns of the subsets' runs, read straight off
+	// the columns: a view would fold a tail first.
+	ids := func(tab *Table) []IDs {
+		tab.mu.RLock()
+		defer tab.mu.RUnlock()
+		out := make([]IDs, len(subsets))
+		for i, b := range subsets {
+			out[i] = tab.lookup(b).ids
+		}
+		return out
+	}
+	shared := func(t *testing.T, how string, cols []IDs) {
+		t.Helper()
+		for i := range cols[1:] {
+			if cols[0].Len() == 0 || !cols[0].Same(cols[i+1]) {
+				t.Fatalf("%s: subset %v's %d ids are not subset %v's %d, held once", how, subsets[i+1], cols[i+1].Len(), subsets[0], cols[0].Len())
+			}
+		}
+	}
+	publish := func(t *testing.T, tab *Table, b bitvec.Subset, from, to int) {
+		t.Helper()
+		for id := from; id < to; id++ {
+			if _, added, err := tab.AddNew(&Published{ID: bitvec.UserID(2 * id), Subset: b, S: Sketch{Key: uint64(id) % 512, Length: 9}}); err != nil || !added {
+				t.Fatalf("AddNew of user %d = %v, %v", 2*id, added, err)
+			}
+		}
+	}
+
+	t.Run("land", func(t *testing.T) {
+		tab := NewTable()
+		for i, b := range subsets {
+			landTestBatch(t, tab, b, 10, uint64(i), 9)
+		}
+		shared(t, "batches landed on empty columns", ids(tab))
+		for i, b := range subsets {
+			landTestBatch(t, tab, b, 11, uint64(i), 9)
+		}
+		shared(t, "batches merged onto warm columns", ids(tab))
+	})
+	t.Run("load", func(t *testing.T) {
+		tab := NewTable()
+		for _, from := range []int{0, 500} {
+			for i, b := range subsets {
+				var run []Published
+				for id := from; id < from+500; id++ {
+					run = append(run, Published{ID: bitvec.UserID(3 * id), Subset: b, S: Sketch{Key: uint64(id+i) % 512, Length: 9}})
+				}
+				if err := tab.LoadRun(testRun(b, run)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shared(t, "loaded runs", ids(tab))
+		}
+	})
+	t.Run("fold", func(t *testing.T) {
+		tab := NewTable()
+		// Past tailFloor inserts, each column folds inside AddNew.
+		for _, b := range subsets {
+			publish(t, tab, b, 0, tailFloor+40)
+		}
+		shared(t, "runs folded by AddNew", ids(tab))
+		for _, b := range subsets {
+			publish(t, tab, b, tailFloor+40, tailFloor+90)
+		}
+		views := tab.Views(subsets, false)
+		cols := make([]IDs, len(views))
+		for i, v := range views {
+			cols[i] = v.IDs()
+		}
+		shared(t, "runs folded by Views", cols)
+	})
+	t.Run("one id apart", func(t *testing.T) {
+		tab := NewTable()
+		publish(t, tab, subsets[0], 0, 300)
+		publish(t, tab, subsets[1], 0, 299) // one user fewer
+		// As many users, the same last one, one other in the middle.
+		publish(t, tab, subsets[2], 0, 150)
+		if _, _, err := tab.AddNew(&Published{ID: 301, Subset: subsets[2], S: Sketch{Key: 1, Length: 9}}); err != nil {
+			t.Fatal(err)
+		}
+		publish(t, tab, subsets[2], 151, 300)
+		views := tab.Views(subsets, false)
+		if views[0].Len() != views[2].Len() || views[0].ID(views[0].Len()-1) != views[2].ID(views[2].Len()-1) {
+			t.Fatal("the third subset does not match the first in count and last id")
+		}
+		for i := range views {
+			for j := range views[:i] {
+				if views[i].IDs().Same(views[j].IDs()) {
+					t.Fatalf("subsets %v and %v hold different users but one id column", subsets[j], subsets[i])
+				}
+			}
+		}
+	})
+	t.Run("readers beside the writer", func(t *testing.T) {
+		// Readers take and decode views of all the subsets while a writer
+		// publishes users to each in turn, so runs are rebuilt and shared
+		// under the write lock while views of them are held.
+		tab := NewTable()
+		done := make(chan struct{})
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				var held []View
+				var want [][]bitvec.UserID
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					for i, v := range held {
+						if got := v.IDs().AppendTo(nil); !slices.Equal(got, want[i]) {
+							t.Errorf("a held view of subset %v changed", subsets[i])
+							return
+						}
+					}
+					held, want = tab.Views(subsets, false), want[:0]
+					for _, v := range held {
+						ids := v.IDs().AppendTo(nil)
+						if !Ascends(ids) {
+							t.Errorf("a view of subset %v holds ids out of order", v.Subset())
+							return
+						}
+						want = append(want, ids)
+					}
+				}
+			}()
+		}
+		for from := 0; from < 2000; from += 50 {
+			for i, b := range subsets {
+				if from%200 == 0 {
+					landTestBatch(t, tab, b, bitvec.UserID(1<<30+24*from), uint64(i), 9)
+				}
+				publish(t, tab, b, from, from+50)
+			}
+		}
+		close(done)
+		readers.Wait()
+		views := tab.Views(subsets, false)
+		cols := make([]IDs, len(views))
+		for i, v := range views {
+			cols[i] = v.IDs()
+		}
+		shared(t, "after the writer", cols)
+	})
+	t.Run("a later write", func(t *testing.T) {
+		// Each arm writes to the first subset of a sharing set and reads all.
+		for _, write := range []struct {
+			name string
+			fn   func(tab *Table)
+		}{
+			{"AddNew", func(tab *Table) { publish(t, tab, subsets[0], 400, 401) }},
+			{"Land", func(tab *Table) { landTestBatch(t, tab, subsets[0], 2*400+1, 7, 9) }},
+			{"LoadRun", func(tab *Table) {
+				if err := tab.LoadRun(testRun(subsets[0], []Published{{ID: 2*400 + 1, Subset: subsets[0], S: Sketch{Key: 7, Length: 9}}})); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			tab := NewTable()
+			for _, b := range subsets {
+				publish(t, tab, b, 0, 400)
+			}
+			held := tab.Views(subsets, false)
+			want := make([][]Published, len(held))
+			for i, v := range held {
+				want[i] = v.AppendTo(nil)
+			}
+			shared(t, write.name+": before the write", ids(tab))
+			write.fn(tab)
+			fresh := tab.Views(subsets, false)
+			if fresh[0].Len() <= held[0].Len() || fresh[0].IDs().Same(fresh[1].IDs()) || !viewWithin(held[0], fresh[0]) {
+				t.Fatalf("%s: the written subset reads %d records over %d, sharing its ids %v", write.name, fresh[0].Len(), held[0].Len(), fresh[0].IDs().Same(fresh[1].IDs()))
+			}
+			for i := range held {
+				if got := held[i].AppendTo(nil); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("%s: subset %v's held view changed", write.name, subsets[i])
+				}
+				if i > 0 && (fresh[i].Gen() != held[i].Gen() || !fresh[i].IDs().Same(held[i].IDs()) || !reflect.DeepEqual(fresh[i].AppendTo(nil), want[i])) {
+					t.Fatalf("%s: a write to subset %v moved its sibling %v", write.name, subsets[0], subsets[i])
+				}
+			}
+		}
+	})
 }
