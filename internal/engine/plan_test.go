@@ -183,23 +183,43 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 }
 
 // checkPlanCacheCharges asserts the cache's books: bytes is the sum of its
-// entries' costs, within the budget, and the probation count the sum over
-// the entries on probation, which are the FIFO's elements, each its
-// entry's own.
+// entries' keys and bitmaps and of the distinct mask arrays they hold,
+// within the budget, and the probation count the same sum over the
+// entries on probation, which are the FIFO's elements, each its entry's
+// own; the holder counts are the entries holding each mask array.
 func checkPlanCacheCharges(t *testing.T, c *planCache) {
 	t.Helper()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	held, waiting, onProbation := 0, 0, 0
+	counts := make(map[*uint64]holders)
 	for k, e := range c.m {
-		held += e.cost(k)
+		// A bitmap's words are its own; a mask's are charged with the
+		// first entry holding its array.
+		var h holders
+		if shares(k, e.words) {
+			h = counts[&e.words[0]]
+		}
+		if h.all++; h.all == 1 {
+			held += 8 * len(e.words)
+		}
+		held += keyCost(k)
 		if e.waiting != nil {
-			waiting += e.cost(k)
+			if h.waiting++; h.waiting == 1 {
+				waiting += 8 * len(e.words)
+			}
+			waiting += keyCost(k)
 			onProbation++
 			if e.waiting.Value.(query.CacheKey) != k {
 				t.Fatalf("the probation element of %q names %q", k.Entry, e.waiting.Value.(query.CacheKey).Entry)
 			}
 		}
+		if shares(k, e.words) {
+			counts[&e.words[0]] = h
+		}
+	}
+	if !reflect.DeepEqual(counts, c.holders) {
+		t.Fatalf("the cache counts holders %v, its entries hold %v", c.holders, counts)
 	}
 	if c.bytes != held || c.bytes > planCacheBudget || c.waiting != waiting || c.waiting > c.window || c.probation.Len() != onProbation {
 		t.Fatalf("the cache counts %d bytes, %d on probation, %d probation elements; its entries cost %d, %d on probation in %d entries (budget %d, window %d)",
@@ -252,6 +272,79 @@ func TestPlanCacheChargesKeptWords(t *testing.T) {
 	// Both were computed once, so both wait on probation.
 	if bytes, entries, probation := eng.cache.size(); bytes != want || entries != 2 || probation != want {
 		t.Fatalf("the cache charges %d bytes for %d entries, %d on probation; want %d for 2, all on probation", bytes, entries, probation, want)
+	}
+}
+
+// TestPlanCacheChargesSharedMaskOnce: the ten prefix subsets of a field
+// hold the same users, so a filtered plan over all ten caches one keep mask
+// under ten keys, and the cache charges the mask's words once beside the
+// ten keys — a refund of the words waits for the last key to go.
+func TestPlanCacheChargesSharedMaskOnce(t *testing.T) {
+	const users = 1000
+	h := planSource()
+	eng, err := New(h, sketch.MustParams(0.3, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := sketch.NewSketcher(h, eng.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes := query.FieldPrefixSubsets(bitvec.MustIntField(0, 10))
+	rng := stats.NewRNG(19)
+	for id := 1; id <= users; id++ {
+		pubs, err := sk.SketchAll(rng, bitvec.Profile{ID: bitvec.UserID(id), Data: bitvec.FromUint(uint64(id)%1024, 10)}, prefixes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.IngestBatch(pubs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := query.NewPlan()
+	counts := make([]query.CountRef, len(prefixes))
+	for i, b := range prefixes {
+		counts[i] = plan.AddSubsetRecords(b)
+	}
+	keep := &query.UserFilter{Key: "third", Keep: func(id bitvec.UserID) bool { return id%3 == 0 }}
+	res, err := eng.ExecutePlan(plan, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range counts {
+		if got := res.Count(ref); got != users/3 {
+			t.Fatalf("the filter keeps %d records of P%d, want %d", got, i+1, users/3)
+		}
+	}
+	c := eng.cache
+	var keys []query.CacheKey
+	want := 8 * ((users + 63) / 64)
+	for k, e := range c.m {
+		if !k.Mask || len(e.words) != (users+63)/64 || &e.words[0] != &c.m[query.CacheKey{Mask: true, Entry: prefixes[0].Key(), Filter: keep.Key}].words[0] {
+			t.Fatalf("the cache holds %q (mask %v) over %d words, want P1's mask under every prefix's key", k.Entry, k.Mask, len(e.words))
+		}
+		keys = append(keys, k)
+		want += keyCost(k)
+	}
+	if len(keys) != len(prefixes) {
+		t.Fatalf("the cache holds %d masks, want one under each of %d keys", len(keys), len(prefixes))
+	}
+	if bytes, entries, probation := c.size(); bytes != want || entries != len(prefixes) || probation != want {
+		t.Fatalf("the cache charges %d bytes for %d entries, %d on probation; want one mask's words and ten keys, %d, all on probation", bytes, entries, probation, want)
+	}
+	checkPlanCacheCharges(t, c)
+	// The words go with the last key, and not before.
+	for i, k := range keys {
+		c.mu.Lock()
+		c.drop(k)
+		c.mu.Unlock()
+		if want -= keyCost(k); i == len(keys)-1 {
+			want -= 8 * ((users + 63) / 64)
+		}
+		if bytes, _, probation := c.size(); bytes != want || probation != want {
+			t.Fatalf("with %d keys dropped the cache charges %d bytes, %d on probation; want %d", i+1, bytes, probation, want)
+		}
+		checkPlanCacheCharges(t, c)
 	}
 }
 

@@ -27,8 +27,9 @@ import (
 // dashboard's deck, an interval's prefixes asked by the next interval —
 // and every byte of it is held for questions nobody asks twice.  At 256
 // KiB a fleet node holds its last ≈ 110 first-seen bitmaps of ≈ 2.35 kB,
-// enough for `query-cached`'s deck of 110 bitmaps and 10 masks a node to
-// be promoted during its warm-up; each further 128 KiB costs `query-scan`
+// enough for `query-cached`'s deck of 110 bitmaps and its one mask (ten
+// keys: the ten prefix subsets share it) a node to be promoted during its
+// warm-up; each further 128 KiB costs `query-scan`
 // ≈ 0.45 B a record of heap (4.44 / 5.32 / 5.78 / 6.21 B at 0 / 256 /
 // 384 / 512 KiB).
 //
@@ -66,6 +67,12 @@ const (
 // or stale since — enters the main budget at once.  The cache decides
 // what is kept, never what is counted: an answer is the same whatever it
 // admits.
+//
+// An entry is charged its key and planCacheEntryOverhead, and its words
+// once however many entries hold the same array — the executor caches one
+// keep mask under every subset of a cut that holds the same users — in
+// each budget the entries holding the array are under: the words are
+// refunded when the last of them leaves.
 type planCache struct {
 	mu sync.RWMutex
 	m  map[query.CacheKey]planCacheEntry
@@ -77,6 +84,9 @@ type planCache struct {
 	// window is planCacheWindow (a test shrinks it).
 	probation list.List
 	window    int
+	// holders counts the entries holding each shared words array, by its
+	// first word, and those of them on probation.
+	holders map[*uint64]holders
 	// seen is the doorkeeper, allocated at the first Put.
 	seen *doorkeeper
 	// hits/misses count Get outcomes for evaluation bitmaps (the
@@ -93,6 +103,10 @@ type planCache struct {
 	admitted, rejected   atomic.Uint64
 }
 
+// holders counts the entries holding one shared words array: all of them,
+// and those on probation.
+type holders struct{ all, waiting int }
+
 // planCacheEntry pairs a bitmap with the generation and record count it
 // was computed at.  waiting is its element of the probation FIFO, nil
 // once it is in the main budget.
@@ -105,7 +119,7 @@ type planCacheEntry struct {
 
 // newPlanCache returns an empty cache.
 func newPlanCache() *planCache {
-	return &planCache{m: make(map[query.CacheKey]planCacheEntry), window: planCacheWindow}
+	return &planCache{m: make(map[query.CacheKey]planCacheEntry), holders: make(map[*uint64]holders), window: planCacheWindow}
 }
 
 // Get implements query.BitmapCache.  A hit on an entry still on probation
@@ -139,8 +153,7 @@ func (c *planCache) promote(key query.CacheKey, waiting *list.Element) {
 	if !ok || e.waiting != waiting {
 		return
 	}
-	c.probation.Remove(waiting)
-	c.waiting -= e.cost(key)
+	c.unwait(key, e)
 	e.waiting = nil
 	c.m[key] = e
 	c.admitted.Add(1)
@@ -155,9 +168,61 @@ func (c *planCache) size() (bytes, entries, probation int) {
 	return c.bytes, len(c.m), c.waiting
 }
 
-// cost is what an entry counts against planCacheBudget.
-func (e planCacheEntry) cost(key query.CacheKey) int {
-	return len(key.Entry) + len(key.Filter) + 8*len(e.words) + planCacheEntryOverhead
+// keyCost is what every entry under key counts against a budget, its
+// words aside.
+func keyCost(key query.CacheKey) int {
+	return len(key.Entry) + len(key.Filter) + planCacheEntryOverhead
+}
+
+// shares reports whether an entry under key holds words that other
+// entries may hold too: a keep mask, which the executor caches under every
+// subset of a cut that holds the same users.  A bitmap is never shared.
+func shares(key query.CacheKey, words []uint64) bool { return key.Mask && len(words) > 0 }
+
+// adds is what an entry under key holding words would add to the main
+// budget (waiting false) or the window: its key, and its words unless an
+// entry under that budget holds the same array.
+func (c *planCache) adds(key query.CacheKey, words []uint64, waiting bool) int {
+	if shares(key, words) {
+		h := c.holders[&words[0]]
+		if waiting && h.waiting > 0 || !waiting && h.all > 0 {
+			return keyCost(key)
+		}
+	}
+	return keyCost(key) + 8*len(words)
+}
+
+// count moves the holder counts of a shared array by all and waiting.
+func (c *planCache) count(key query.CacheKey, words []uint64, all, waiting int) {
+	if !shares(key, words) {
+		return
+	}
+	h := c.holders[&words[0]]
+	h.all, h.waiting = h.all+all, h.waiting+waiting
+	if h.all == 0 {
+		delete(c.holders, &words[0])
+	} else {
+		c.holders[&words[0]] = h
+	}
+}
+
+// hold charges entry e under key to the budgets it is under.
+func (c *planCache) hold(key query.CacheKey, e planCacheEntry) {
+	c.bytes += c.adds(key, e.words, false)
+	waiting := 0
+	if e.waiting != nil {
+		c.waiting += c.adds(key, e.words, true)
+		waiting = 1
+	}
+	c.count(key, e.words, 1, waiting)
+}
+
+// unwait takes entry e under key out of the window, refunding what it
+// costs there.
+func (c *planCache) unwait(key query.CacheKey, e planCacheEntry) {
+	c.probation.Remove(e.waiting)
+	c.count(key, e.words, 0, -1)
+	c.waiting -= c.adds(key, e.words, true)
 }
 
 // Put implements query.BitmapCache.  The stored words are shared and must
@@ -169,7 +234,7 @@ func (e planCacheEntry) cost(key query.CacheKey) int {
 // whole budget could not hold is not cached.
 func (c *planCache) Put(key query.CacheKey, gen uint64, records int, words []uint64) {
 	e := planCacheEntry{gen: gen, records: records, words: words}
-	cost := e.cost(key)
+	cost := keyCost(key) + 8*len(words) // what it costs alone
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.drop(key)
@@ -185,14 +250,13 @@ func (c *planCache) Put(key query.CacheKey, gen uint64, records int, words []uin
 	case cost > c.window:
 		return
 	default:
-		for c.waiting+cost > c.window {
+		for c.waiting+c.adds(key, words, true) > c.window {
 			c.drop(c.probation.Front().Value.(query.CacheKey))
 			c.rejected.Add(1)
 		}
 		e.waiting = c.probation.PushBack(key)
-		c.waiting += cost
 	}
-	if c.bytes+cost > planCacheBudget {
+	if c.bytes+c.adds(key, words, false) > planCacheBudget {
 		// Down to half the budget, or to what leaves room for a bitmap
 		// larger than that.
 		room := min(planCacheBudget/2, planCacheBudget-cost)
@@ -204,7 +268,7 @@ func (c *planCache) Put(key query.CacheKey, gen uint64, records int, words []uin
 		}
 	}
 	c.m[key] = e
-	c.bytes += cost
+	c.hold(key, e)
 }
 
 // drop removes the entry under key, if there is one, from the cache and
@@ -215,12 +279,11 @@ func (c *planCache) drop(key query.CacheKey) {
 		return
 	}
 	delete(c.m, key)
-	cost := e.cost(key)
-	c.bytes -= cost
 	if e.waiting != nil {
-		c.probation.Remove(e.waiting)
-		c.waiting -= cost
+		c.unwait(key, e)
 	}
+	c.count(key, e.words, -1, 0)
+	c.bytes -= c.adds(key, e.words, false)
 }
 
 // Evaluated implements query.BitmapCache.

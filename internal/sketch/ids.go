@@ -13,7 +13,7 @@ import (
 )
 
 // IDBlockLen is how many ids share a block of an id column: one word of an
-// evaluation bitmap, one segment block, one entry of a sparse index.
+// evaluation bitmap, one segment block.
 const IDBlockLen = 64
 
 // rawIDWidth marks a block that holds its ids as they are, 8 bytes each:
@@ -303,15 +303,6 @@ func (s IDs) BlockBytes(k int) []byte {
 		panic("sketch: BlockBytes of a sliced column")
 	}
 	return s.block(k)
-}
-
-// BlockFirst returns the first id of window k of a column that was not
-// sliced, without decoding the block.
-func (s IDs) BlockFirst(k int) bitvec.UserID {
-	if s.skip != 0 {
-		panic("sketch: BlockFirst of a sliced column")
-	}
-	return s.base(k)
 }
 
 // Bytes returns how many bytes the column's blocks occupy.
@@ -664,29 +655,28 @@ func (b *IDBuilder) AppendIDs(c *IDCursor, lo, hi int) {
 }
 
 // AppendBlock appends the block of m ids at the front of src — input, as
-// a store reads it from a file — and returns its size and first id, or an
-// error, with nothing appended, unless src holds there a well-formed block
+// a store reads it from a file — and returns its size, or an error, with nothing appended, unless src holds there a well-formed block
 // of m ascending ids that all exceed what was appended before.  On a block
 // boundary the checked bytes are copied as they are.
-func (b *IDBuilder) AppendBlock(src []byte, m int) (size int, first bitvec.UserID, err error) {
+func (b *IDBuilder) AppendBlock(src []byte, m int) (size int, err error) {
 	var buf [IDBlockLen]bitvec.UserID
 	size, err = checkIDBlock(src, m, &buf)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if (src[0] == rawIDWidth && !Ascends(buf[:m])) || (b.Len() > 0 && buf[0] <= b.last) {
-		return 0, 0, errors.New("ids out of order")
+		return 0, errors.New("ids out of order")
 	}
 	if b.np > 0 || m < IDBlockLen {
 		for _, id := range buf[:m] {
 			b.Append(id)
 		}
-		return size, buf[0], nil
+		return size, nil
 	}
 	b.offs = append(b.offs, len(b.b))
 	b.b = append(b.b, src[:size]...)
 	b.n, b.last = b.n+m, buf[m-1]
-	return size, buf[0], nil
+	return size, nil
 }
 
 // AppendAscending appends ids decoded from input, or appends nothing and

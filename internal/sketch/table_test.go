@@ -51,14 +51,31 @@ func landTestBatch(t *testing.T, tab *Table, b bitvec.Subset, id bitvec.UserID, 
 }
 
 // viewWithin reports whether every record of old is in v with the same
-// sketch.
+// sketch.  Both views' ids are decoded a block at a time (IDs.AppendTo),
+// not a block per record.
 func viewWithin(old, v View) bool {
+	oldIDs, ids := old.IDs().AppendTo(nil), v.IDs().AppendTo(nil)
 	j := 0
-	for i := 0; i < old.Len(); i++ {
-		for j < v.Len() && v.ID(j) < old.ID(i) {
+	for i, id := range oldIDs {
+		for j < len(ids) && ids[j] < id {
 			j++
 		}
-		if j == v.Len() || v.ID(j) != old.ID(i) || v.Sketch(j) != old.Sketch(i) {
+		if j == len(ids) || ids[j] != id || v.Sketch(j) != old.Sketch(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// viewMatches reports whether v holds exactly the records want, in order,
+// its ids decoded a block at a time.
+func viewMatches(v View, want []Published) bool {
+	ids := v.IDs().AppendTo(nil)
+	if len(ids) != len(want) {
+		return false
+	}
+	for i, p := range want {
+		if ids[i] != p.ID || v.Sketch(i) != p.S {
 			return false
 		}
 	}
@@ -232,11 +249,19 @@ func (o tableOracle) add(p Published) bool {
 
 // sorted returns the oracle's records for b in id order.
 func (o tableOracle) sorted(b bitvec.Subset) []Published {
-	var out []Published
-	for id, s := range o[b.Key()] {
-		out = append(out, Published{ID: id, Subset: b, S: s})
+	m := o[b.Key()]
+	ids := make([]bitvec.UserID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	if len(ids) == 0 {
+		return nil
+	}
+	slices.Sort(ids)
+	out := make([]Published, len(ids))
+	for i, id := range ids {
+		out[i] = Published{ID: id, Subset: b, S: m[id]}
+	}
 	return out
 }
 
@@ -361,9 +386,11 @@ func TestTableMatchesMapOracle(t *testing.T) {
 			if v.Len() != len(want) || tab.CountForSubset(b) != len(want) {
 				t.Fatalf("seed %d subset %v: view has %d records, CountForSubset %d, oracle %d", seed, b, v.Len(), tab.CountForSubset(b), len(want))
 			}
-			for i, p := range want {
-				if v.ID(i) != p.ID || v.Sketch(i) != p.S {
-					t.Fatalf("seed %d subset %v record %d: view (%v, %v), oracle (%v, %v)", seed, b, i, v.ID(i), v.Sketch(i), p.ID, p.S)
+			if !viewMatches(v, want) {
+				for i, p := range want {
+					if v.ID(i) != p.ID || v.Sketch(i) != p.S {
+						t.Fatalf("seed %d subset %v record %d: view (%v, %v), oracle (%v, %v)", seed, b, i, v.ID(i), v.Sketch(i), p.ID, p.S)
+					}
 				}
 			}
 			if got := tab.Snapshot(b); !reflect.DeepEqual(got, want) {
@@ -542,10 +569,8 @@ func TestTableMatchesMapOracle(t *testing.T) {
 					if _, gen := tab.View(b); views[j].Len() != len(want) || views[j].Gen() != gen || !views[j].Subset().Equal(b) {
 						t.Fatalf("seed %d step %d: Views(%v) view %d has %d records of %v at generation %d, oracle %d of %v at %d", seed, step, pick, j, views[j].Len(), views[j].Subset(), views[j].Gen(), len(want), b, gen)
 					}
-					for i, p := range want {
-						if views[j].ID(i) != p.ID || views[j].Sketch(i) != p.S {
-							t.Fatalf("seed %d step %d: Views(%v) view %d record %d is not the oracle's", seed, step, pick, j, i)
-						}
+					if !viewMatches(views[j], want) {
+						t.Fatalf("seed %d step %d: Views(%v) view %d does not read as the oracle's records", seed, step, pick, j)
 					}
 				}
 			}

@@ -32,11 +32,11 @@
 // batch over subset by subset, ids ascending, so a run per subset; a segment
 // (format v6, segment.go) is a shard's runs in subset order, ids
 // ascending, cut into checksummed blocks, and nothing else — the run
-// directory, the sparse id index and the block offsets its readers use are
-// derived from those bytes at Open and kept in memory; a roll sorts the
-// log's runs into a segment, a compaction merges segments' runs, and a
+// directory its readers use is derived from those bytes at Open and kept
+// in memory, and every read takes a run whole (segindex.go); a roll sorts
+// the log's runs into a segment, a compaction merges segments' runs, and a
 // cold start hands the engine whole runs (RunIterator), one column load
-// per subset.
+// per subset, as Lookup and ReadBatch read them too.
 //
 // Both columns are the table's own, bit for bit.  A run's ids are an id
 // column (sketch.IDs): blocks of 64 ids, each a width byte b, a first id

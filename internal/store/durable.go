@@ -432,11 +432,9 @@ func loadShard(opts Options, i int, m *metrics) (*dshard, error) {
 	for si := range segs {
 		// Walking the data area verifies every checksum and decodes every
 		// record, so a corrupt segment fails Open loudly, not a later read.
-		idx, err := openSegment(segs[si].path)
-		if err != nil {
+		if segs[si].runs, err = openSegment(segs[si].path); err != nil {
 			return nil, err
 		}
-		segs[si].idx = idx
 		if segs[si].seq >= nextSeq {
 			nextSeq = segs[si].seq + 1
 		}
@@ -525,7 +523,7 @@ func (d *Durable) Append(p sketch.Published) error {
 	if sh.closed {
 		return ErrClosed
 	}
-	if err := sh.wal.Append(p); err != nil {
+	if err := sh.wal.AppendBatch(one[:]); err != nil {
 		return err
 	}
 	sh.maybeRollLocked()
@@ -700,11 +698,9 @@ func (sh *dshard) rollLocked() error {
 
 // Lookup returns the newest record for one (user, subset) pair — of the
 // shorter length where the newest file holding one holds two: a binary
-// search of the log's runs, then each segment newest-first — the
-// in-memory run directory and sparse index skip a segment without the
-// subset or below the id and turn the rest into one-block reads — instead
-// of materialising the shard.  The log is decoded at most once between appends, so lookups of a
-// quiet store stay logarithmic.  A segment compacted away mid-lookup
+// search of the log's runs, then each segment newest-first, the subset's
+// runs read whole as a merge reads them (runSource.load) — a segment
+// without the subset costs no read.  A segment compacted away mid-lookup
 // triggers a retry against the fresh segment list.
 func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, bool, error) {
 	d.mu.Lock()
@@ -734,25 +730,30 @@ func (d *Durable) Lookup(id bitvec.UserID, subset string) (sketch.Published, boo
 		// Segments newest-first: a roll always outranks prior segments,
 		// and a compaction's merged output is itself newest-wins, so the
 		// first hit is the newest record.
-		p, ok, err := lookupSegments(segs, sh.m, id, subset)
+		var parts []sketch.Run
+		for i := len(segs) - 1; i >= 0; i-- {
+			var srcs []runSource
+			if srcs, err = openSources(segs[i : i+1]); err != nil {
+				break
+			}
+			parts, err = srcs[0].load(subset, parts[:0])
+			closeSources(srcs)
+			if err != nil {
+				break
+			}
+			for _, r := range parts {
+				if j, ok := r.IDs.Find(id); ok {
+					return r.Record(j), true, nil
+				}
+			}
+		}
 		if err != nil && os.IsNotExist(err) && attempt < 3 {
 			// Compacted away between the snapshot and the read; the fresh
 			// segment list has the survivor.
 			continue
 		}
-		return p, ok, err
+		return sketch.Published{}, false, err
 	}
-}
-
-// lookupSegments probes segs newest-first.
-func lookupSegments(segs []segmentMeta, m *metrics, id bitvec.UserID, tag string) (sketch.Published, bool, error) {
-	for i := len(segs) - 1; i >= 0; i-- {
-		p, ok, err := lookupSegment(segs[i], m, id, tag)
-		if err != nil || ok {
-			return p, ok, err
-		}
-	}
-	return sketch.Published{}, false, nil
 }
 
 // Flush implements Store: every shard's WAL is fsynced, and WALs past the
@@ -977,7 +978,7 @@ func (d *Durable) Stats() Stats {
 		}
 		for _, seg := range sh.segs {
 			s.SegmentBytes += seg.bytes
-			s.SegmentRecords += seg.idx.records()
+			s.SegmentRecords += seg.runs.records()
 		}
 		sh.mu.Unlock()
 		st.Shards = append(st.Shards, s)

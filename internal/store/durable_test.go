@@ -753,10 +753,10 @@ func TestDurableRollFailureBacksOffAndRecovers(t *testing.T) {
 	}
 }
 
-// TestSegmentIndexBuiltMatchesParsed: the index a roll builds and the one
-// Open derives from the file are the same — one directory entry per
-// subset, naming the run by where it starts, and one first id per block —
-// and none of it is stored: the file ends at its data area's footer.
+// TestSegmentIndexBuiltMatchesParsed: the run directory a roll builds and
+// the one Open derives from the file are the same — one entry per subset,
+// naming the run by the bytes its blocks span — and none of it is stored:
+// the file ends at its data area's footer.
 func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	var records []sketch.Published
 	subsets := []bitvec.Subset{bitvec.Range(0, 3), bitvec.Range(0, 10)}
@@ -771,21 +771,28 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, idx := range map[string]*segIndex{"built": meta.idx, "parsed": parsed} {
-		if len(idx.runs) != len(subsets) || len(idx.firstIDs) != len(subsets)*11 {
-			t.Fatalf("%s index: %d runs and %d blocks, want %d and %d", name, len(idx.runs), len(idx.firstIDs), len(subsets), len(subsets)*11)
+	// A run's blocks start after its header and the header's sum, span
+	// eleven blocks of ids, words and a sum (sized below), and the next
+	// run's header starts where they end.
+	blocks := int64(10*(1+8) + (1 + 8) + (perSubset*10+7)/8 + 11*4)
+	for name, runs := range map[string]segIndex{"built": meta.runs, "parsed": parsed} {
+		if len(runs) != len(subsets) {
+			t.Fatalf("%s directory: %d runs, want %d", name, len(runs), len(subsets))
 		}
-		for i, r := range idx.runs {
-			if r.tag != subsets[i].Key() || !r.subset.Equal(subsets[i]) || r.count != perSubset || r.first != i*perSubset || r.block0 != i*11 {
-				t.Fatalf("%s index run %d = %+v", name, i, r)
+		at := int64(segHeaderSize)
+		for i, r := range runs {
+			at += int64(runHeaderFixed + subsets[i].TagLen() + 4)
+			if r.tag != subsets[i].Key() || !r.subset.Equal(subsets[i]) || r.count != perSubset || r.shape != 10 || r.start != at || r.end != at+blocks {
+				t.Fatalf("%s directory run %d = %+v, want its blocks at [%d,%d)", name, i, r, at, at+blocks)
 			}
+			at = r.end
 		}
-		if idx.records() != uint64(len(records)) {
-			t.Fatalf("%s index counts %d records, want %d", name, idx.records(), len(records))
+		if runs.records() != uint64(len(records)) {
+			t.Fatalf("%s directory counts %d records, want %d", name, runs.records(), len(records))
 		}
 	}
-	if !reflect.DeepEqual(meta.idx, parsed) {
-		t.Fatal("built and parsed indexes differ")
+	if !reflect.DeepEqual(meta.runs, parsed) {
+		t.Fatal("built and parsed run directories differ")
 	}
 	// 2 run headers, per run ten full blocks of ids 1 apart (a width byte of
 	// 0 and a first id: consecutive ids have no differences to code) and
@@ -806,6 +813,35 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	ids := 10*(1+8) + (1 + 8)
 	if want := segHeaderSize + headers + len(subsets)*(ids+(perSubset*10+7)/8) + 22*4 + segFooterSize; len(data) != want {
 		t.Fatalf("segment is %d bytes, want %d", len(data), want)
+	}
+}
+
+// TestReadRunEndsAtTheRunsEnd: a read takes a run by the byte range the
+// directory gave it and refuses blocks that, checksums and all, end before
+// the range does — here a file rewritten under the store, whose run of the
+// same subset, length and count holds consecutive ids in a shorter block.
+func TestReadRunEndsAtTheRunsEnd(t *testing.T) {
+	b := bitvec.MustSubset(0, 2)
+	var spread, dense []sketch.Published
+	for id := uint64(1); id <= segBlockRecords; id++ {
+		spread = append(spread, testRecord(3*id, b))
+		dense = append(dense, testRecord(id, b), sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: id, Length: 20}})
+	}
+	meta := writeTestSegment(t, t.TempDir(), 1, spread)
+	image, runs := encodeSegment(testRuns(dense))
+	if runs[0].start != meta.runs[0].start || runs[0].end >= meta.runs[0].end || int64(len(image)) < meta.runs[0].end {
+		t.Fatalf("the rewritten run spans [%d,%d) of %d bytes, the directory's [%d,%d)", runs[0].start, runs[0].end, len(image), meta.runs[0].start, meta.runs[0].end)
+	}
+	if err := os.WriteFile(meta.path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(meta.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, got, err := readRun(f, meta.runs[0], nil, sketch.Words{}); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("a run ending %d bytes early read as %d records, %v", meta.runs[0].end-runs[0].end, got.Len(), err)
 	}
 }
 
@@ -1001,9 +1037,13 @@ func TestSubsetAtTwoLengths(t *testing.T) {
 // TestSegmentReadPaths: a segment this version writes — four runs, one
 // subset's at two lengths, the longest four blocks, ids with gaps between
 // them — serves exactly its records on every read path: Iterate, ReadBatch
-// from every cursor, and Lookup of every id and of ids absent below,
-// between and above each run's and under a subset the segment does not
-// hold.
+// from every cursor at every batch size, and Lookup of every id and of ids
+// absent below, between and above each run's and under a subset the
+// segment does not hold.  So does the store after a second segment —
+// newer records for some users, and records at the subset's other length
+// for others — is rolled beside it, where Lookup answers from the newest
+// file, and after the two are compacted into one, where it answers with
+// the shorter length of a user holding both.
 func TestSegmentReadPaths(t *testing.T) {
 	pub := func(id uint64, b bitvec.Subset, key uint64, length int) sketch.Published {
 		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: key % (1 << uint(length)), Length: length}}
@@ -1021,77 +1061,122 @@ func TestSegmentReadPaths(t *testing.T) {
 	for i := uint64(0); i < 40; i++ {
 		ps = append(ps, pub(500+7*i, bitvec.MustSubset(2, 9), i*40503, 20))
 	}
-	runs := testRuns(ps)
-	want := flatten(runs)
+	// The second segment: new keys for every fifth user of {1, 4, 7}, and
+	// 20-bit records for the first ten users of {2, 9}'s 9-bit run.
+	var ps2 []sketch.Published
+	for i := uint64(0); i < 200; i += 5 {
+		ps2 = append(ps2, pub(10+3*i, bitvec.MustSubset(1, 4, 7), i*37+1, 10))
+	}
+	for i := uint64(0); i < 10; i++ {
+		ps2 = append(ps2, pub(11+5*i, bitvec.MustSubset(2, 9), i*7+3, 20))
+	}
 
 	st, err := Open(Options{Dir: t.TempDir(), Shards: 1, FlushThreshold: 1, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	// shortest maps each (user, subset) pair of records, which are in
+	// (subset, length) order, to its record of the shortest length.
+	shortest := func(records []sketch.Published) map[pairKey]sketch.Published {
+		m := make(map[pairKey]sketch.Published)
+		for _, p := range records {
+			if _, ok := m[pairOf(p)]; !ok {
+				m[pairOf(p)] = p
+			}
+		}
+		return m
+	}
+	reads := func(when string, segments int, want []sketch.Published, found map[pairKey]sketch.Published) {
+		t.Helper()
+		if sh := st.Stats().Shards[0]; sh.Segments != segments || sh.WALRecords != 0 {
+			t.Fatalf("%s: %d segments and %d log records, want %d segments and no log record", when, sh.Segments, sh.WALRecords, segments)
+		}
+		same := func(what string, got, want []sketch.Published) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s returned %d records, want %d", when, what, len(got), len(want))
+			}
+			for i := range got {
+				if !samePub(got[i], want[i]) {
+					t.Fatalf("%s: %s record %d = %+v, want %+v", when, what, i, got[i], want[i])
+				}
+			}
+		}
+		same("Iterate", collect(t, st), want)
+		for _, max := range []int{1, 7, 64, 65, 1000} {
+			for start := 0; start <= len(want); start++ {
+				got, next, done, err := st.ReadBatch(uint64(start), max)
+				if err != nil {
+					t.Fatalf("%s: ReadBatch(%d, %d): %v", when, start, max, err)
+				}
+				end := min(start+max, len(want))
+				same(fmt.Sprintf("ReadBatch(%d, %d)", start, max), got, want[start:end])
+				if next != uint64(end) || done != (end == len(want)) {
+					t.Fatalf("%s: ReadBatch(%d, %d) = next %d, done %v; want %d, %v", when, start, max, next, done, end, end == len(want))
+				}
+			}
+		}
+		var streamed []sketch.Published
+		for cursor, done := uint64(0), false; !done; {
+			var batch []sketch.Published
+			if batch, cursor, done, err = st.ReadBatch(cursor, 50); err != nil {
+				t.Fatal(err)
+			}
+			streamed = append(streamed, batch...)
+		}
+		same("the ReadBatch stream", streamed, want)
+
+		for _, p := range want {
+			got, ok, err := st.Lookup(p.ID, p.Subset.Key())
+			if w := found[pairOf(p)]; err != nil || !ok || !samePub(got, w) {
+				t.Fatalf("%s: Lookup(%v, %v) = %+v %v %v, want %+v", when, p.ID, p.Subset, got, ok, err, w)
+			}
+		}
+		// The two runs of {2, 9} hold ids far apart, or the same ones, so an
+		// id absent from one is absent from the other.
+		for _, r := range testRuns(want) {
+			first, last := r.IDs.At(0), r.IDs.At(r.Len()-1)
+			for name, id := range map[string]bitvec.UserID{"below": first - 1, "between": first + 1, "between blocks": r.IDs.At(r.Len()/2) + 1, "above": last + 1} {
+				if got, ok, err := st.Lookup(id, r.tag); err != nil || ok {
+					t.Fatalf("%s: Lookup of absent id %v (%s the %d-bit run of %v) = %+v %v %v", when, id, name, r.Keys.Shape(), r.Subset, got, ok, err)
+				}
+			}
+		}
+		if got, ok, err := st.Lookup(want[0].ID, bitvec.MustSubset(3).Key()); err != nil || ok {
+			t.Fatalf("%s: Lookup under a subset the store does not hold = %+v %v %v", when, got, ok, err)
+		}
+	}
+
 	if _, err := st.AppendBatch(ps); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if sh := st.Stats().Shards[0]; sh.Segments != 1 || sh.WALRecords != 0 || len(runs) != 4 {
-		t.Fatalf("%d segments and %d log records hold %d runs, want one segment of 4 runs and no log record", sh.Segments, sh.WALRecords, len(runs))
+	want := flatten(testRuns(ps))
+	if runs := testRuns(ps); len(runs) != 4 {
+		t.Fatalf("the records make %d runs, want 4", len(runs))
 	}
+	reads("one segment", 1, want, shortest(want))
 
-	same := func(what string, got []sketch.Published) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s returned %d records, the segment holds %d", what, len(got), len(want))
-		}
-		for i := range got {
-			if !samePub(got[i], want[i]) {
-				t.Fatalf("%s record %d = %+v, the segment holds %+v", what, i, got[i], want[i])
-			}
-		}
+	if _, err := st.AppendBatch(ps2); err != nil {
+		t.Fatal(err)
 	}
-	same("Iterate", collect(t, st))
-	for _, max := range []int{1, 7, 64, 65, 1000} {
-		for start := range want {
-			cursor := packCursor(batchCursor{phase: curPhaseSeg, seq: 1, off: uint64(start)})
-			got, _, _, err := st.ReadBatch(cursor, max)
-			if err != nil {
-				t.Fatalf("ReadBatch(%d, %d): %v", start, max, err)
-			}
-			if end := min(start+max, len(want)); len(got) != end-start || !samePub(got[0], want[start]) || !samePub(got[len(got)-1], want[end-1]) {
-				t.Fatalf("ReadBatch(%d, %d) returned %d records, want the segment's [%d,%d)", start, max, len(got), start, end)
-			}
-		}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	var streamed []sketch.Published
-	for cursor, done := uint64(0), false; !done; {
-		var batch []sketch.Published
-		if batch, cursor, done, err = st.ReadBatch(cursor, 50); err != nil {
-			t.Fatal(err)
-		}
-		streamed = append(streamed, batch...)
+	found := shortest(want)
+	for pair, p := range shortest(flatten(testRuns(ps2))) {
+		found[pair] = p // the newest file answers, whatever its length
 	}
-	same("the ReadBatch stream", streamed)
+	want = flatten(testRuns(append(slices.Clone(ps), ps2...)))
+	reads("after a roll", 2, want, found)
 
-	for _, p := range want {
-		got, ok, err := st.Lookup(p.ID, p.Subset.Key())
-		if err != nil || !ok || !samePub(got, p) {
-			t.Fatalf("Lookup(%v, %v) = %+v %v %v, the segment holds %+v", p.ID, p.Subset, got, ok, err, p)
-		}
+	if err := st.CompactNow(2); err != nil {
+		t.Fatal(err)
 	}
-	// The two runs of {2, 9} hold ids far apart, so an id absent from one
-	// is absent from the other.
-	for _, r := range runs {
-		first, last := r.IDs.At(0), r.IDs.At(r.Len()-1)
-		for name, id := range map[string]bitvec.UserID{"below": first - 1, "between": first + 1, "between blocks": r.IDs.At(r.Len()/2) + 1, "above": last + 1} {
-			if got, ok, err := st.Lookup(id, r.tag); err != nil || ok {
-				t.Fatalf("Lookup of absent id %v (%s the %d-bit run of %v) = %+v %v %v", id, name, r.Keys.Shape(), r.Subset, got, ok, err)
-			}
-		}
-	}
-	if got, ok, err := st.Lookup(want[0].ID, bitvec.MustSubset(3).Key()); err != nil || ok {
-		t.Fatalf("Lookup under a subset the segment does not hold = %+v %v %v", got, ok, err)
-	}
+	reads("after a compaction", 1, want, shortest(want))
 }
 
 // TestManifestFormats: readManifest takes the v6 marker, the v5 one and

@@ -24,10 +24,10 @@ type RunIterator interface {
 // runSource is one place a subset's run can come from during a merge: an
 // open segment, or the log's normalized runs.
 type runSource struct {
-	// A segment: its index and its file, held open so that a compaction
-	// removing the file mid-merge takes nothing away.
-	idx *segIndex
-	f   *os.File
+	// A segment: its run directory and its file, held open so that a
+	// compaction removing the file mid-merge takes nothing away.
+	runs segIndex
+	f    *os.File
 	// The log: normalized runs, shared and immutable.
 	log []run
 
@@ -38,10 +38,8 @@ type runSource struct {
 
 // subsets calls fn with the tag and subset of each of the source's runs.
 func (s *runSource) subsets(fn func(tag string, subset bitvec.Subset)) {
-	if s.idx != nil {
-		for _, r := range s.idx.runs {
-			fn(r.tag, r.subset)
-		}
+	for _, r := range s.runs {
+		fn(r.tag, r.subset)
 	}
 	for _, r := range s.log {
 		fn(r.tag, r.Subset)
@@ -51,18 +49,18 @@ func (s *runSource) subsets(fn func(tag string, subset bitvec.Subset)) {
 // load appends the source's runs for tag, one a length, to parts.  The
 // word column of a segment's first is valid until the next load.
 func (s *runSource) load(tag string, parts []sketch.Run) ([]sketch.Run, error) {
-	if s.idx == nil {
+	if s.f == nil {
 		for _, r := range runsOf(s.log, tag) {
 			parts = append(parts, r.Run)
 		}
 		return parts, nil
 	}
-	for i, r := range s.idx.find(tag) {
+	for i, r := range s.runs.find(tag) {
 		keys := s.keys
 		if i > 0 {
 			keys = sketch.Words{} // the first run's column is still in use
 		}
-		raw, part, err := readBlocks(s.f, s.idx, r, 0, r.count, s.raw, keys)
+		raw, part, err := readRun(s.f, r, s.raw, keys)
 		if err != nil {
 			return parts, err
 		}
@@ -125,7 +123,7 @@ func openSources(segs []segmentMeta) ([]runSource, error) {
 			closeSources(srcs)
 			return nil, err
 		}
-		srcs = append(srcs, runSource{idx: seg.idx, f: f})
+		srcs = append(srcs, runSource{runs: seg.runs, f: f})
 	}
 	return srcs, nil
 }

@@ -24,9 +24,6 @@ type metrics struct {
 	// windows observe 1s per record, so bucket bounds and the rendered
 	// sum read directly as record counts.
 	commitRecords *obs.Histogram
-	// indexSeeks counts block reads located through a segment's directory
-	// and sparse index.
-	indexSeeks *obs.Counter
 	// logDecodes counts on-demand decodes of a log: a roll or a read that
 	// found no runs kept since the last append.
 	logDecodes *obs.Counter
@@ -54,7 +51,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		commits:        reg.Counter("store_commits_total", "Group-commit windows committed (each is one WAL write and, in fsync mode, one fsync)."),
 		commitLatency:  reg.Histogram("store_commit_seconds", "Latency of one group-commit window's WAL write+fsync.", nil),
 		commitRecords:  reg.Histogram("store_commit_records", "Records per committed group-commit window (bounds are record counts, not seconds).", commitRecordBuckets),
-		indexSeeks:     reg.Counter("store_segment_index_seeks_total", "Segment reads located through the run directory and sparse id index (block reads instead of a full scan)."),
 		logDecodes:     reg.Counter("store_wal_decodes_total", "On-demand decodes of a shard's log: a roll, read or stream that found no runs kept since the last append."),
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"strings"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -153,33 +152,5 @@ func TestDurableReadBatchSurvivesConcurrentRollAndCompact(t *testing.T) {
 	}
 	if len(out) < n {
 		t.Fatalf("stream returned %d records total, want at least %d", len(out), n)
-	}
-}
-
-// TestReadBatchRefusesLogBeyondCursorRange: the cursor gives a log offset
-// 23 bits, like a segment offset.  A log holding more records than that —
-// a shard that cannot roll, or a flush threshold past 100 MiB — must be
-// refused by the log phase as an oversized segment is by its phase; packed
-// anyway, the offset would overflow into the cursor's other fields and the
-// stream would re-read the shard forever.
-func TestReadBatchRefusesLogBeyondCursorRange(t *testing.T) {
-	d, err := Open(Options{Dir: t.TempDir(), Shards: 1, CompactInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.Append(batchRecord(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Building a log of 2^23 records takes a while; claim one.
-	d.shards[0].wal.records = curOffMax + 1
-	for _, cursor := range []uint64{0, packCursor(batchCursor{phase: curPhaseWAL, off: curOffMax})} {
-		_, _, _, err := d.ReadBatch(cursor, 10)
-		if err == nil || !strings.Contains(err.Error(), "exceeding the streaming cursor range") {
-			t.Fatalf("ReadBatch(%#x) of a log beyond the cursor's offset range = %v, want a refusal", cursor, err)
-		}
-	}
-	if got := unpackCursor(packCursor(batchCursor{phase: curPhaseWAL, off: curOffMax})); got.off != curOffMax || got.phase != curPhaseWAL || got.seq != 0 {
-		t.Fatalf("the largest log offset does not round-trip: %+v", got)
 	}
 }

@@ -61,11 +61,13 @@ func samePub(a, b sketch.Published) bool {
 // or words and their pad bits, a block sum, the footer's data-area end,
 // anywhere — of a v6 segment written here from a fuzzer-shaped record set,
 // with twoLengths one whose subsets are each a run at ℓ = 10 and one at
-// ℓ = 20.  Then it drives every read path.
-// The contract: the open fails loudly, or every read returns exactly the
-// written records or fails loudly; reads never panic, never return a
-// wrong, missing or misattributed record, and hostile lengths never drive
-// huge allocations.
+// ℓ = 20, as the one segment of a one-shard store.  Then it drives every
+// read path — Iterate, ReadBatch and Lookup — twice: under a store that
+// opened the clean segment and finds it corrupted in place, and under one
+// opened on the corrupted segment.  The contract: the open fails loudly,
+// or every read returns exactly the written records or fails loudly; reads
+// never panic, never return a wrong, missing or misattributed record, and
+// hostile lengths never drive huge allocations.
 func FuzzSegmentIndex(f *testing.F) {
 	f.Add(uint64(1), 10, -1, byte(0), false)
 	f.Add(uint64(2), 0, -1, byte(0), false)
@@ -82,13 +84,13 @@ func FuzzSegmentIndex(f *testing.F) {
 	f.Add(uint64(13), 40, 40, byte(0x41), false) // the first run's shape byte
 	// The last byte of the first run's last block of words, pad bits and
 	// all.
-	_, padIdx := encodeSegment(fuzzSegmentRecords(14, 45, false))
-	f.Add(uint64(14), 45, int(padIdx.runs[0].end)-5, byte(0x80), false)
+	_, padRuns := encodeSegment(fuzzSegmentRecords(14, 45, false))
+	f.Add(uint64(14), 45, int(padRuns[0].end)-5, byte(0x80), false)
 	// The first block's width byte made 33, 64 (raw) and 0, and the top bit
 	// of its last byte of differences: a pad bit, or the widest
 	// difference's.
-	v6, v6Idx := encodeSegment(fuzzSegmentRecords(15, 200, false))
-	at := int(v6Idx.blockOffs[0])
+	v6, v6Runs := encodeSegment(fuzzSegmentRecords(15, 200, false))
+	at := int(v6Runs[0].start)
 	idsLen, _ := sketch.IDBlocksLen(v6[at:], segBlockRecords)
 	for _, w := range []byte{33, 64, 0} {
 		f.Add(uint64(15), 200, at, v6[at]^w, false)
@@ -99,118 +101,110 @@ func FuzzSegmentIndex(f *testing.F) {
 			n = int(uint(n) % 301)
 		}
 		wantRuns := fuzzSegmentRecords(seed, n, twoLengths)
-		image, _ := encodeSegment(wantRuns)
+		clean, _ := encodeSegment(wantRuns)
 		want := flatten(wantRuns)
-		// A user may hold a record at each of a subset's two lengths, of
-		// which a lookup answers with one.
-		held := make(map[pairKey][]sketch.Published)
+		// A user may hold a record at each of a subset's two lengths; a
+		// lookup answers with the shorter, the first in want's order.
+		found := make(map[pairKey]sketch.Published)
 		for _, p := range want {
-			held[pairOf(p)] = append(held[pairOf(p)], p)
+			if _, ok := found[pairOf(p)]; !ok {
+				found[pairOf(p)] = p
+			}
 		}
 		// Negative offsets index from the end (the footer); the fuzzer
 		// reaches it without knowing the image length.
 		if corruptAt < 0 {
-			corruptAt = len(image) + corruptAt
+			corruptAt = len(clean) + corruptAt
 		}
+		image := bytes.Clone(clean)
 		corrupted := false
 		if corruptAt >= 0 && corruptAt < len(image) && corruptXor != 0 {
 			image[corruptAt] ^= corruptXor
 			corrupted = true
 		}
-		path := filepath.Join(t.TempDir(), "seg-00000001.seg")
+		// A readable error is a correct outcome for corruption alone.
+		loud := func(what string, err error) bool {
+			t.Helper()
+			if err != nil && !corrupted {
+				t.Fatalf("%s of a clean segment failed: %v", what, err)
+			}
+			return err != nil
+		}
+
+		reads := func(st *Durable) {
+			t.Helper()
+			var got []sketch.Published
+			if err := st.Iterate(func(p sketch.Published) error { got = append(got, p); return nil }); !loud("Iterate", err) {
+				if !slices.EqualFunc(got, want, samePub) {
+					t.Fatalf("Iterate returned %d records, want %d (corrupted=%v)", len(got), len(want), corrupted)
+				}
+			}
+			// Batches from several cursors, including past the end.
+			for _, from := range []int{0, 1, len(want) / 2, len(want) - 1, len(want) + 3} {
+				if from < 0 {
+					continue
+				}
+				got, next, done, err := st.ReadBatch(uint64(from), 70)
+				if loud("ReadBatch", err) {
+					continue
+				}
+				lo, hi := min(from, len(want)), min(from+70, len(want))
+				if !slices.EqualFunc(got, want[lo:hi], samePub) || next != uint64(from+hi-lo) || done != (hi == len(want)) {
+					t.Fatalf("ReadBatch(%d, 70) = %d records, next %d, done %v; want [%d,%d) of %d", from, len(got), next, done, lo, hi, len(want))
+				}
+			}
+			// Point lookups: every present key resolves to its exact record
+			// or fails loudly, never to a different record or a miss.  A
+			// key never written is never found.
+			for i, p := range want {
+				if i%5 != 0 && len(want) > 20 {
+					continue // sample large sets to keep fuzz iterations fast
+				}
+				got, ok, err := st.Lookup(p.ID, p.Subset.Key())
+				if loud("Lookup", err) {
+					continue
+				}
+				if w := found[pairOf(p)]; !ok || !samePub(got, w) {
+					t.Fatalf("Lookup of %v = %+v, %v; want %+v", keyOf(p), got, ok, w)
+				}
+			}
+			if got, ok, err := st.Lookup(bitvec.UserID(7_777_777), bitvec.MustSubset(8).Key()); err == nil && ok {
+				t.Fatalf("lookup of a never-written key found %+v", got)
+			}
+		}
+
+		// A one-shard store whose one segment is the clean image; then the
+		// image corrupted in place under it.
+		dir := t.TempDir()
+		path := filepath.Join(dir, shardDirName(0), segmentName(1))
+		if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeManifest(dir, 1, manifestFormat, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, clean, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Dir: dir, CompactInterval: -1}
+		st, err := Open(opts)
+		if err != nil {
+			t.Fatalf("clean segment failed open: %v", err)
+		}
 		if err := os.WriteFile(path, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-
-		idx, err := openSegment(path)
-		if err != nil {
-			if !corrupted {
-				t.Fatalf("clean segment failed open: %v", err)
-			}
-			return // loud failure is a correct outcome for corruption
-		}
-		meta := segmentMeta{seq: 1, path: path, bytes: int64(len(image)), idx: idx}
-
-		// The full read, as replay and compaction do it.
-		srcs, err := openSources([]segmentMeta{meta})
-		if err != nil {
+		reads(st)
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var got []sketch.Published
-		err = mergeSources(srcs, func(r run) error {
-			got = append(got, flatten([]run{r})...)
-			return nil
-		})
-		closeSources(srcs)
-		if err != nil {
-			if !corrupted {
-				t.Fatalf("clean segment failed read: %v", err)
-			}
-		} else {
-			if len(got) != len(want) {
-				t.Fatalf("read %d records, want %d (corrupted=%v)", len(got), len(want), corrupted)
-			}
-			for i := range got {
-				if !samePub(got[i], want[i]) {
-					t.Fatalf("record %d differs: got %+v want %+v", i, got[i], want[i])
-				}
-			}
-		}
 
-		// Range reads across several windows, including past the end.
-		for _, from := range []int{0, 1, len(want) / 2, len(want) - 1, len(want) + 3} {
-			if from < 0 {
-				continue
-			}
-			got, err := readSegmentRange(meta, nil, from, 70)
-			if err != nil {
-				if !corrupted {
-					t.Fatalf("clean segment failed range read at %d: %v", from, err)
-				}
-				continue
-			}
-			if from >= len(want) {
-				if len(got) != 0 {
-					t.Fatalf("range past the end returned %d records", len(got))
-				}
-				continue
-			}
-			wantEnd := min(from+70, len(want))
-			if len(got) != wantEnd-from {
-				t.Fatalf("range [%d,+70) returned %d records, want %d", from, len(got), wantEnd-from)
-			}
-			for i, p := range got {
-				if !samePub(p, want[from+i]) {
-					t.Fatalf("range record %d differs: got %+v want %+v", from+i, p, want[from+i])
-				}
-			}
+		// And a store opened on the corrupted image.
+		if st, err = Open(opts); loud("Open", err) {
+			return
 		}
-
-		// Point lookups: every present key must resolve to its exact
-		// record or fail loudly — never to a different record, and on a
-		// clean segment never to a miss.  A key never written must never
-		// be found.
-		for i, p := range want {
-			if i%5 != 0 && len(want) > 20 {
-				continue // sample large sets to keep fuzz iterations fast
-			}
-			got, ok, err := lookupSegment(meta, nil, p.ID, p.Subset.Key())
-			if err != nil {
-				if !corrupted {
-					t.Fatalf("clean segment lookup failed: %v", err)
-				}
-				continue
-			}
-			if ok && !slices.ContainsFunc(held[pairOf(p)], func(q sketch.Published) bool { return samePub(got, q) }) {
-				t.Fatalf("lookup of %v returned a different record: %+v", keyOf(p), got)
-			}
-			if !ok && !corrupted {
-				t.Fatalf("clean segment lost record %v", keyOf(p))
-			}
-		}
-		if got, ok, err := lookupSegment(meta, nil, bitvec.UserID(7_777_777), bitvec.MustSubset(8).Key()); err == nil && ok {
-			t.Fatalf("lookup of a never-written key found %+v", got)
-		}
+		defer st.Close()
+		reads(st)
 	})
 }
 

@@ -41,12 +41,12 @@ import (
 // Integrity.  The data area carries the records and describes itself:
 // Open walks it run by run, verifying every checksum and that the walk
 // ends exactly where the footer says the data area does with exactly the
-// header's record count, and fails loudly otherwise.  The run directory,
-// the sparse id index and the block offsets a reader uses are what that
-// walk derives — nothing a reader trusts is stored beside the data, so it
-// can be wrong about nothing.  Reads verify the checksum of every block
-// they touch.  Whatever lies between the data area's end and the footer is
-// skipped; a segment written now has nothing there.
+// header's record count, and fails loudly otherwise.  The run directory a
+// reader uses is what that walk derives — nothing a reader trusts is
+// stored beside the data, so it can be wrong about nothing.  A read takes
+// a run whole and verifies every block of it again.  Whatever lies between
+// the data area's end and the footer is skipped; a segment written now has
+// nothing there.
 //
 // A segment of another format has another magic and is corrupt: Open
 // converts a v5 directory before these readers run (v5.go), and refuses
@@ -60,9 +60,9 @@ var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 6}
 const (
 	segHeaderSize = 16 // magic + record count
 	segFooterSize = 12 // checksum of the empty section + data-area end
-	// segBlockRecords is how many records share a checksum and a sparse
-	// index entry: a point lookup reads one block (about 150 bytes at
-	// ℓ = 9 where ids are dense: 72 of ids, 72 of words, 4 of checksum).
+	// segBlockRecords is how many records share a checksum: a block is
+	// about 150 bytes at ℓ = 9 where ids are dense (72 of ids, 72 of
+	// words, 4 of checksum).
 	segBlockRecords = sketch.IDBlockLen
 )
 
@@ -74,10 +74,10 @@ type segmentMeta struct {
 	seq   uint64
 	path  string
 	bytes int64
-	// idx locates every run and block of the segment.  It is set at open
-	// or by the writer, agrees with the file's data area by construction,
-	// and is immutable, like the segment itself.
-	idx *segIndex
+	// runs locates every run of the segment.  It is set at open or by the
+	// writer, agrees with the file's data area by construction, and is
+	// immutable, like the segment itself.
+	runs segIndex
 }
 
 // segmentName renders the canonical file name for sequence number seq.
@@ -98,13 +98,13 @@ func parseSegmentName(name string) (uint64, bool) {
 // segWriter assembles a segment image from runs added in tag order.
 type segWriter struct {
 	buf     []byte
-	idx     *segIndex
+	runs    segIndex
 	records int
 }
 
 // newSegWriter starts a segment whose image is about size bytes.
 func newSegWriter(size int) *segWriter {
-	w := &segWriter{buf: make([]byte, segHeaderSize, size), idx: &segIndex{}}
+	w := &segWriter{buf: make([]byte, segHeaderSize, size)}
 	copy(w.buf, segMagic[:])
 	return w
 }
@@ -128,35 +128,30 @@ func (w *segWriter) add(r run) {
 	header := len(w.buf)
 	w.buf = appendRunHeader(w.buf, r.tag, r.Len(), shape)
 	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[header:]))
-	w.idx.runs = append(w.idx.runs, segRun{
-		tag: r.tag, subset: r.Subset, count: r.Len(), shape: shape,
-		first: w.records, block0: len(w.idx.firstIDs),
-	})
+	start := int64(len(w.buf))
 	for k, blocks := 0, r.IDs.Blocks(); k < blocks; k++ {
 		at := k * segBlockRecords
-		w.idx.firstIDs = append(w.idx.firstIDs, r.IDs.BlockFirst(k))
-		w.idx.blockOffs = append(w.idx.blockOffs, int64(len(w.buf)))
 		block := len(w.buf)
 		w.buf = append(w.buf, r.IDs.BlockBytes(k)...)
 		w.buf = r.Keys.Slice(at, min(at+segBlockRecords, r.Len())).AppendBits(w.buf)
 		w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[block:]))
 	}
-	w.idx.runs[len(w.idx.runs)-1].end = int64(len(w.buf))
+	w.runs = append(w.runs, segRun{tag: r.tag, subset: r.Subset, count: r.Len(), shape: shape, start: start, end: int64(len(w.buf))})
 	w.records += r.Len()
 }
 
-// finish completes the image and returns it with the index describing it,
-// so a roll or compaction never re-parses its own output.
-func (w *segWriter) finish() ([]byte, *segIndex) {
+// finish completes the image and returns it with the run directory
+// describing it, so a roll or compaction never re-parses its own output.
+func (w *segWriter) finish() ([]byte, segIndex) {
 	binary.BigEndian.PutUint64(w.buf[len(segMagic):], uint64(w.records))
 	end := len(w.buf)
 	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(nil))
 	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(end))
-	return w.buf, w.idx
+	return w.buf, w.runs
 }
 
 // encodeSegment renders normalized runs as a segment image.
-func encodeSegment(runs []run) ([]byte, *segIndex) {
+func encodeSegment(runs []run) ([]byte, segIndex) {
 	w := newSegWriter(segmentSize(runs))
 	for _, r := range runs {
 		w.add(r)
@@ -166,7 +161,7 @@ func encodeSegment(runs []run) ([]byte, *segIndex) {
 
 // writeSegment atomically writes a finished image as segment seq in dir
 // and returns its metadata.
-func writeSegment(dir string, seq uint64, image []byte, idx *segIndex) (segmentMeta, error) {
+func writeSegment(dir string, seq uint64, image []byte, runs segIndex) (segmentMeta, error) {
 	final := filepath.Join(dir, segmentName(seq))
 	if err := writeFileAtomic(final, image); err != nil {
 		return segmentMeta{}, err
@@ -174,7 +169,7 @@ func writeSegment(dir string, seq uint64, image []byte, idx *segIndex) (segmentM
 	if err := syncDir(dir); err != nil {
 		return segmentMeta{}, err
 	}
-	return segmentMeta{seq: seq, path: final, bytes: int64(len(image)), idx: idx}, nil
+	return segmentMeta{seq: seq, path: final, bytes: int64(len(image)), runs: runs}, nil
 }
 
 // renameFile and removeFile are os.Rename and os.Remove, which a test
@@ -212,38 +207,38 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // decodeBlock appends the block of m records at the front of src — input
-// — to ids and keys and returns its size and first id.  It verifies the
-// block's checksum, that its words are what a column of the run's shape
-// holds of valid sketches and that the ids ascend from what ids already
-// holds; on an error what was appended is undefined and the caller drops
-// both columns.
-func decodeBlock(src []byte, m int, shape sketch.Shape, ids *sketch.IDBuilder, keys sketch.Words) (int, bitvec.UserID, sketch.Words, error) {
+// — to ids and keys and returns its size.  It verifies the block's
+// checksum, that its words are what a column of the run's shape holds of
+// valid sketches and that the ids ascend from what ids already holds; on
+// an error what was appended is undefined and the caller drops both
+// columns.
+func decodeBlock(src []byte, m int, shape sketch.Shape, ids *sketch.IDBuilder, keys sketch.Words) (int, sketch.Words, error) {
 	idsLen, err := sketch.IDBlocksLen(src, m)
 	if err != nil {
-		return 0, 0, keys, err
+		return 0, keys, err
 	}
 	end := idsLen + wordsLen(m, shape)
 	if len(src) < end+4 {
-		return 0, 0, keys, fmt.Errorf("block of %d bytes in %d", end+4, len(src))
+		return 0, keys, fmt.Errorf("block of %d bytes in %d", end+4, len(src))
 	}
 	if checksum(src[:end]) != binary.BigEndian.Uint32(src[end:]) {
-		return 0, 0, keys, errors.New("block fails checksum")
+		return 0, keys, errors.New("block fails checksum")
 	}
 	if keys, err = keys.AppendBitsFrom(src[idsLen:end], shape, m); err != nil {
-		return 0, 0, keys, err
+		return 0, keys, err
 	}
-	_, first, err := ids.AppendBlock(src[:idsLen], m)
-	return end + 4, first, keys, err
+	_, err = ids.AppendBlock(src[:idsLen], m)
+	return end + 4, keys, err
 }
 
 // walkSegment validates an image's data area — trusting nothing but the
-// bytes it is reading — and returns the index the area implies.  Every
-// record is decoded, so a segment Open accepted holds only well-formed,
-// checksum-clean, correctly ordered records.  A checksum-clean run header
-// of whole words — an older binary's column that met two lengths — fails
-// it with ErrFormatTooOld.
-func walkSegment(data []byte, path string) (*segIndex, error) {
-	corrupt := func(format string, args ...any) (*segIndex, error) {
+// bytes it is reading — and returns the run directory the area implies.
+// Every record is decoded, so a segment Open accepted holds only
+// well-formed, checksum-clean, correctly ordered records.  A
+// checksum-clean run header of whole words — an older binary's column that
+// met two lengths — fails it with ErrFormatTooOld.
+func walkSegment(data []byte, path string) (segIndex, error) {
+	corrupt := func(format string, args ...any) (segIndex, error) {
 		return nil, fmt.Errorf("%w: %s %s", ErrSegmentCorrupt, path, fmt.Sprintf(format, args...))
 	}
 	if len(data) < segHeaderSize+segFooterSize {
@@ -252,7 +247,7 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 	if [8]byte(data[:8]) != segMagic {
 		return corrupt("has magic %q, not v6's", data[:8])
 	}
-	idx := &segIndex{}
+	var runs segIndex
 	// The record count and the data area's end cross-check each other
 	// through the walk: it must reach the end exactly, with exactly the
 	// count.  Whatever lies between the end and the footer is skipped.
@@ -277,14 +272,13 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 			return corrupt("run header at offset %d fails checksum", off)
 		}
 		tag := string(h.tag)
-		if n := len(idx.runs); n > 0 && (tag < idx.runs[n-1].tag || tag == idx.runs[n-1].tag && h.shape <= idx.runs[n-1].shape) {
+		if n := len(runs); n > 0 && (tag < runs[n-1].tag || tag == runs[n-1].tag && h.shape <= runs[n-1].shape) {
 			return corrupt("run at offset %d is out of subset order", off)
 		}
 		subset, err := bitvec.ParseTag(h.tag)
 		if err != nil {
 			return corrupt("run at offset %d: %v", off, err)
 		}
-		r := segRun{tag: tag, subset: subset, count: h.count, shape: h.shape, first: total, block0: len(idx.firstIDs)}
 		// The run's ids are gathered only to hold each block against the one
 		// before it: they cost their coded bytes, which the file bounds.
 		var ids sketch.IDBuilder
@@ -292,26 +286,24 @@ func walkSegment(data []byte, path string) (*segIndex, error) {
 		at := end + 4
 		for left := h.count; left > 0; left -= segBlockRecords {
 			// The words are only checked: every block lands on the same room.
-			size, first, _, err := decodeBlock(area[at:], min(left, segBlockRecords), h.shape, &ids, keys)
+			size, _, err := decodeBlock(area[at:], min(left, segBlockRecords), h.shape, &ids, keys)
 			if err != nil {
 				return corrupt("run at offset %d: %v", off, err)
 			}
-			idx.firstIDs, idx.blockOffs = append(idx.firstIDs, first), append(idx.blockOffs, int64(at))
 			at += size
 		}
-		r.end = int64(at)
-		idx.runs = append(idx.runs, r)
+		runs = append(runs, segRun{tag: tag, subset: subset, count: h.count, shape: h.shape, start: int64(end + 4), end: int64(at)})
 		off, total = at, total+h.count
 	}
 	if uint64(total) != count {
 		return corrupt("holds %d records, its header says %d", total, count)
 	}
-	return idx, nil
+	return runs, nil
 }
 
-// openSegment reads and validates the segment at path and returns its
-// index.
-func openSegment(path string) (*segIndex, error) {
+// openSegment reads and validates the segment at path and returns its run
+// directory.
+func openSegment(path string) (segIndex, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

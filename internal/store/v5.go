@@ -242,7 +242,7 @@ func readV5Shard(dir string) (_ *v5Shard, err error) {
 			}
 			sh.srcs, v5 = append(sh.srcs, runSource{log: runs}), true
 		} else {
-			idx, err := walkSegment(data, seg.path)
+			runs, err := walkSegment(data, seg.path)
 			if err != nil {
 				return nil, err
 			}
@@ -250,7 +250,7 @@ func readV5Shard(dir string) (_ *v5Shard, err error) {
 			if err != nil {
 				return nil, err
 			}
-			sh.srcs = append(sh.srcs, runSource{idx: idx, f: f})
+			sh.srcs = append(sh.srcs, runSource{runs: runs, f: f})
 		}
 		sh.seq = seg.seq + 1
 	}
@@ -301,8 +301,8 @@ func (sh *v5Shard) write() error {
 		return failed(err)
 	}
 	if w.records > 0 {
-		image, idx := w.finish()
-		if _, err := writeSegment(sh.dir, sh.seq, image, idx); err != nil {
+		image, runs := w.finish()
+		if _, err := writeSegment(sh.dir, sh.seq, image, runs); err != nil {
 			return failed(err)
 		}
 	}

@@ -386,11 +386,6 @@ func (w *wal) runs() ([]run, error) {
 	return w.kept, nil
 }
 
-// Append writes one record: a one-record window.
-func (w *wal) Append(p sketch.Published) error {
-	return w.AppendBatch([]sketch.Published{p})
-}
-
 // AppendBatch writes ps as one window.
 func (w *wal) AppendBatch(ps []sketch.Published) error {
 	return w.appendWindow([]commitWaiter{{ps: ps}})
