@@ -39,13 +39,13 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 		func() uint64 { return e.cache.admitted.Load() })
 	reg.CounterFunc("engine_plan_cache_rejected_total", "Plan-cache entries the probation window dropped without their having been asked for again.",
 		func() uint64 { return e.cache.rejected.Load() })
-	reg.CounterFunc("engine_plan_cache_hits_total", "Plan-executor bitmap cache hits.",
+	reg.CounterFunc("engine_plan_cache_hits_total", "Plan-executor bitmap cache hits: a fraction's count or a histogram's bitmap.",
 		func() uint64 { return e.cache.hits.Load() })
 	reg.CounterFunc("engine_plan_cache_misses_total", "Plan-executor bitmap cache misses (stale generation or absent).",
 		func() uint64 { return e.cache.misses.Load() })
 	reg.CounterFunc("engine_keep_mask_hits_total", "Ownership keep-mask lookups served from the bitmap cache.",
 		func() uint64 { return e.cache.maskHits.Load() })
-	reg.CounterFunc("engine_keep_mask_misses_total", "Ownership keep masks rebuilt over a subset's records (stale generation, new filter key or absent).",
+	reg.CounterFunc("engine_keep_mask_misses_total", "Ownership keep-mask lookups that found none under the subset's key, or a sibling subset's over the same ids (stale generation, new filter key or absent).",
 		func() uint64 { return e.cache.maskMisses.Load() })
 	reg.CounterFunc("engine_plan_evaluations_total", "Evaluations of H made by plan scans: records the filter keeps times the pairs the cache missed.",
 		func() uint64 { return e.cache.evals.Load() })

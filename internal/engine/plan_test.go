@@ -3,7 +3,9 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,8 +150,8 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 		// Distinct keys beyond the 16 possible values: synthesize entries
 		// directly, as real queries over a 4-bit subset cannot exceed 16.
 		key := query.CacheKey{Entry: fmt.Sprint("synthetic-", i)}
-		eng.cache.Put(key, 1, records, words)
-		eng.cache.Put(key, 1, records, words)
+		eng.cache.Put(key, 1, records, words, false)
+		eng.cache.Put(key, 1, records, words, false)
 		if e := eng.cache.m[key]; e.waiting != nil {
 			t.Fatalf("bitmap %d Put twice is still on probation", i)
 		}
@@ -161,11 +163,11 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 	if _, ok := eng.cache.Get(query.CacheKey{Entry: "synthetic-0"}, 1, records); ok {
 		t.Fatal("the first of 5000 bitmaps is still cached: nothing was evicted")
 	}
-	eng.cache.Put(query.CacheKey{Entry: "synthetic-0"}, 1, records, words)
+	eng.cache.Put(query.CacheKey{Entry: "synthetic-0"}, 1, records, words, false)
 	if _, ok := eng.cache.Get(query.CacheKey{Entry: "synthetic-0"}, 1, records); !ok {
 		t.Fatal("a key Put again after its eviction is not served")
 	}
-	eng.cache.Put(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1))
+	eng.cache.Put(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1), false)
 	if _, ok := eng.cache.Get(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1)); ok || eng.cache.bytes > planCacheBudget {
 		t.Fatal("a bitmap larger than the budget was cached")
 	}
@@ -233,8 +235,8 @@ func checkPlanCacheCharges(t *testing.T, c *planCache) {
 func TestPlanCacheOversizedPutRetiresOlderEntry(t *testing.T) {
 	c := newPlanCache()
 	key := query.CacheKey{Entry: "pair"}
-	c.Put(key, 1, 64, make([]uint64, 1))
-	c.Put(key, 2, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1))
+	c.Put(key, 1, 64, make([]uint64, 1), false)
+	c.Put(key, 2, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1), false)
 	if bytes, entries, probation := c.size(); bytes != 0 || entries != 0 || probation != 0 {
 		t.Fatalf("after an oversized Put the cache holds %d entries of %d bytes, %d on probation; want none", entries, bytes, probation)
 	}
@@ -395,14 +397,18 @@ func TestEngineKeepMaskCachedPerFilterKey(t *testing.T) {
 	if n, err := eng.Source(&query.UserFilter{Keep: even, Key: "even"}).TotalRecords(); err != nil || n != 4*150 {
 		t.Fatalf("filtered total %d (err %v), want %d", n, err, 4*150)
 	}
-	if got, want := read(), (counters{2, 3, 3, 5}); got != want { // the other three subsets' masks are new
+	// The other three subsets hold subset's users, so one id column, and
+	// build no mask: each misses under its own key, the first also under
+	// its two siblings' before it finds subset's, which the others then
+	// take from the cut.
+	if got, want := read(), (counters{2, 3, 3, 7}); got != want {
 		t.Fatalf("after a filtered total the cache counters are %+v, want %+v", got, want)
 	}
 	// A write retires the subset's mask with its bitmaps.
 	if err := eng.Ingest(sketch.Published{ID: 9002, Subset: subset, S: sketch.Sketch{Length: 10}}); err != nil {
 		t.Fatal(err)
 	}
-	run(&query.UserFilter{Keep: even, Key: "even"}, 151, counters{2, 4, 3, 6})
+	run(&query.UserFilter{Keep: even, Key: "even"}, 151, counters{2, 4, 3, 8})
 }
 
 // countingSource counts the evaluations of H.  It is a plain BitSource, so
@@ -457,7 +463,7 @@ func TestPlanCacheAdmission(t *testing.T) {
 	turnOver := func() {
 		key := query.CacheKey{Entry: fmt.Sprintf("turn-%03d", turns)} // 8 bytes: the words fill the rest
 		words := make([]uint64, (planCacheWindow-planCacheEntryOverhead-len(key.Entry))/8)
-		c.Put(key, 1, 64*len(words), words)
+		c.Put(key, 1, 64*len(words), words, false)
 		if e := c.m[key]; e.waiting == nil || c.waiting != planCacheWindow {
 			t.Fatalf("turn-over entry on probation %v, %d bytes on probation; want the window's %d", e.waiting != nil, c.waiting, planCacheWindow)
 		}
@@ -493,7 +499,7 @@ func TestPlanCacheFalseAdmission(t *testing.T) {
 	c := newPlanCache()
 	filter := string(bytes.Repeat([]byte{0xa5}, 32)) // a node's ownership filter key is 32 bytes
 	for i := 0; i < keys; i++ {
-		c.Put(query.CacheKey{Entry: fmt.Sprint("one-shot-", i), Filter: filter}, 1, 64, make([]uint64, 1))
+		c.Put(query.CacheKey{Entry: fmt.Sprint("one-shot-", i), Filter: filter}, 1, 64, make([]uint64, 1), false)
 	}
 	if got := c.admitted.Load(); got != pinned || got >= keys/20 {
 		t.Fatalf("%d of %d one-shot keys were admitted, pinned at %d (bound %d)", got, keys, pinned, keys/20)
@@ -602,11 +608,11 @@ func TestPlanCacheConcurrentAdmission(t *testing.T) {
 		go func(g int) {
 			defer putters.Done()
 			for i := g; i < puts; i += 4 {
-				c.Put(smallKey(i), 1, 64*len(smallWords), smallWords)
+				c.Put(smallKey(i), 1, 64*len(smallWords), smallWords, false)
 				latest.Store(int64(i))
 				if i%16 == 0 {
-					c.Put(largeKey(i), 1, 64*len(largeWords), largeWords)
-					c.Put(largeKey(i), 1, 64*len(largeWords), largeWords)
+					c.Put(largeKey(i), 1, 64*len(largeWords), largeWords, true)
+					c.Put(largeKey(i), 1, 64*len(largeWords), largeWords, true)
 				}
 			}
 		}(g)
@@ -619,4 +625,168 @@ func TestPlanCacheConcurrentAdmission(t *testing.T) {
 		t.Fatalf("admitted %d, rejected %d, hits %d, mask hits %d: the run exercised too little",
 			c.admitted.Load(), c.rejected.Load(), c.hits.Load(), c.maskHits.Load())
 	}
+}
+
+// pairPlans returns the pairs (subset, value) and (b, 1) for each of the
+// field's single-bit subsets b, a plan asking each as a fraction, and one
+// asking the histogram over them.
+func pairPlans(t *testing.T, subset bitvec.Subset, value string, field bitvec.IntField) ([]query.SubQuery, *query.Plan, *query.Plan) {
+	t.Helper()
+	subs := []query.SubQuery{{Subset: subset, Value: bitvec.MustFromString(value)}}
+	for _, b := range query.FieldBitSubsets(field) {
+		subs = append(subs, query.SubQuery{Subset: b, Value: bitvec.MustFromString("1")})
+	}
+	fracs, hist := query.NewPlan(), query.NewPlan()
+	for _, s := range subs {
+		if _, err := fracs.AddFraction(s.Subset, s.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := hist.AddHistogram(subs); err != nil {
+		t.Fatal(err)
+	}
+	return subs, fracs, hist
+}
+
+// TestFractionEntriesHoldCounts: a fraction reads a count, so a fraction
+// deck asked twice leaves no evaluation bitmap holding words — its entries
+// keep their counts and keys, and the cache is charged those and the one
+// keep mask the deck's subsets share, nothing more.  A histogram over the
+// same pairs then finds no words to join and evaluates each pair again,
+// exactly kept × pairs evaluations of H, and its bitmaps, joined, keep their
+// words through the fraction asks that follow, which evaluate nothing.
+func TestFractionEntriesHoldCounts(t *testing.T) {
+	const users, kept = 600, 200 // ids 1 to 600, every third kept
+	h := &countingSource{BitSource: planSource()}
+	eng, subset, field := planEngineWith(t, h, users)
+	keep := &query.UserFilter{Key: "third", Keep: func(id bitvec.UserID) bool { return id%3 == 0 }}
+	subs, fracs, hist := pairPlans(t, subset, "0110", field)
+	run := func(stage string, plan *query.Plan, wantEvals int64) {
+		t.Helper()
+		want, err := eng.Estimator().ExecutePlanOver(eng.Table(), plan, keep, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := h.evals.Load()
+		got, err := eng.ExecutePlan(plan, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evals := h.evals.Load() - before; evals != wantEvals {
+			t.Fatalf("%s: %d evaluations of H, want %d", stage, evals, wantEvals)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: cached %+v, uncached %+v", stage, got, want)
+		}
+		checkPlanCacheCharges(t, eng.cache)
+	}
+	pairs := int64(len(subs))
+	run("cold fractions", fracs, kept*pairs)
+	run("warm fractions", fracs, 0)
+	c := eng.cache
+	want := 8 * ((users + 63) / 64) // the mask the four subsets share
+	for k, e := range c.m {
+		if !k.Mask && e.words != nil {
+			t.Fatalf("after the fraction deck's repeat the bitmap of %q holds %d words", k.Entry, len(e.words))
+		}
+		want += keyCost(k)
+	}
+	if bytes, entries, probation := c.size(); bytes != want || entries != 2*len(subs) || probation != 0 {
+		t.Fatalf("the cache charges %d bytes for %d entries, %d on probation; want %d for %d: keys and one mask, none on probation",
+			bytes, entries, probation, want, 2*len(subs))
+	}
+	run("histogram after the fractions", hist, kept*pairs)
+	for i := 0; i < 2; i++ {
+		run("fractions after the histogram", fracs, 0)
+	}
+	for _, s := range subs {
+		e := c.m[query.CacheKey{Entry: query.FractionEval{Subset: s.Subset, Value: s.Value}.Key(), Filter: keep.Key}]
+		if len(e.words) != (kept+63)/64 || !e.joined {
+			t.Fatalf("the histogram's bitmap of %v holds %d words, joined %v; want %d, joined", s.Subset, len(e.words), e.joined, (kept+63)/64)
+		}
+	}
+	run("warm histogram", hist, 0)
+}
+
+// TestPlanCacheCountsAndJoinsConcurrently: fraction and histogram
+// executions over the same pairs run at once, each round under a filter key
+// of its own (one predicate), so its entries go through every change a
+// count and a join make — Put unjoined and joined, words dropped at a count
+// hit, a join missing on a count-only entry and Putting its recomputed
+// bitmap over it — while the other kind reads them.  Every answer is the
+// uncached executor's, and afterwards the books balance.  Run it under
+// -race.
+func TestPlanCacheCountsAndJoinsConcurrently(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	eng, subset, field := planEngine(t, 2500)
+	third := func(id bitvec.UserID) bool { return id%3 == 0 }
+	_, fracs, hist := pairPlans(t, subset, "1010", field)
+	plans := []*query.Plan{fracs, hist}
+	wants := make([]*query.Results, len(plans))
+	for i, plan := range plans {
+		var err error
+		if wants[i], err = eng.Estimator().ExecutePlanOver(eng.Table(), plan, &query.UserFilter{Keep: third}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines, rounds = 8, 12
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				keep := &query.UserFilter{Key: fmt.Sprint("round-", r), Keep: third}
+				for k := 0; k < 3; k++ {
+					i := (g + r + k) % len(plans)
+					got, err := eng.ExecutePlan(plans[i], keep)
+					if err == nil && !reflect.DeepEqual(got, wants[i]) {
+						err = fmt.Errorf("goroutine %d, round %d, plan %d: cached %+v, uncached %+v", g, r, i, got, wants[i])
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	checkPlanCacheCharges(t, eng.cache)
+}
+
+// TestPlanCacheCountOnlyChargeMatchesHeap: an entry whose words a count
+// hit dropped is charged its key and planCacheEntryOverhead, and that is
+// what it holds: 20 000 of them, under a fleet node's 32-byte filter key,
+// are charged within 25 % of the HeapAlloc they add.
+func TestPlanCacheCountOnlyChargeMatchesHeap(t *testing.T) {
+	const entries = 20_000
+	subset := bitvec.Range(0, 16)
+	filter := string(bytes.Repeat([]byte{0xa5}, 32))
+	c := newPlanCache()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < entries; i++ {
+		key := query.CacheKey{Entry: query.FractionEval{Subset: subset, Value: bitvec.FromUint(uint64(i), 16)}.Key(), Filter: filter}
+		c.Put(key, 1, 64, []uint64{uint64(i)}, false)
+		if hits, ok := c.Hits(key, 1, 64); !ok || hits != uint64(bits.OnesCount64(uint64(i))) {
+			t.Fatalf("entry %d: count hit %v, %d hits", i, ok, hits)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	charged, _, _ := c.size()
+	measured := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if diff := int64(charged) - measured; 4*diff > measured || -4*diff > measured {
+		t.Fatalf("%d count-only entries are charged %d B (%d B each) and hold %d B of heap (%d B each): not within 25 %%",
+			entries, charged, charged/entries, measured, measured/entries)
+	}
+	t.Logf("%d B charged, %d B of heap an entry", charged/entries, measured/entries)
+	runtime.KeepAlive(c)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"context"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,24 +56,32 @@ const (
 // versioned by the table's per-subset write generation.
 // An ingest into a subset bumps the generation (see Table.View), so
 // every cached bitmap for that subset goes stale implicitly — the epoch
-// check at Get is the invalidation.  Within a generation, a repeated or
-// overlapping evaluation under the same filter (interval prefixes share
-// entries across queries) reduces to a popcount of the cached bitmap.
+// check at Get and Hits is the invalidation.  Within a generation, a
+// repeated or overlapping evaluation under the same filter (interval
+// prefixes share entries across queries) reduces to a cached count or a
+// join of cached bitmaps.
+//
+// An evaluation bitmap keeps its popcount beside its words.  A fraction
+// reads the count alone, so at an entry's first count hit its words are
+// dropped, unless a join has read them: a fraction deck asked twice holds
+// keys and counts, not bitmaps.  A join then misses on the count-only
+// entry, computes the bitmap again and Puts it joined, and a joined
+// entry's words stay.  Keep masks are Put joined.
 //
 // Both kinds of entry are held under one rule: only what is asked for
 // again stays.  A Put of a key the doorkeeper has not seen waits in the
-// FIFO probation window, where a Get that hits it promotes it to the main
-// budget and a newer first-seen entry the window has no room for drops
-// it; a Put of a key the doorkeeper has seen — asked for before, dropped
-// or stale since — enters the main budget at once.  The cache decides
-// what is kept, never what is counted: an answer is the same whatever it
-// admits.
+// FIFO probation window, where a hit — a count or a bitmap — promotes it to
+// the main budget and a newer first-seen entry the window has no room for
+// drops it; a Put of a key the doorkeeper has seen — asked for before,
+// dropped or stale since — enters the main budget at once.  The cache
+// decides what is kept, never what is counted: an answer is the same
+// whatever it admits.
 //
-// An entry is charged its key and planCacheEntryOverhead, and its words
-// once however many entries hold the same array — the executor caches one
-// keep mask under every subset of a cut that holds the same users — in
-// each budget the entries holding the array are under: the words are
-// refunded when the last of them leaves.
+// An entry is charged its key and planCacheEntryOverhead, and its words —
+// none once a count hit dropped them — once however many entries hold the
+// same array — the executor caches one keep mask under every subset of a
+// cut that holds the same users — in each budget the entries holding the
+// array are under: the words are refunded when the last of them leaves.
 type planCache struct {
 	mu sync.RWMutex
 	m  map[query.CacheKey]planCacheEntry
@@ -89,14 +98,15 @@ type planCache struct {
 	holders map[*uint64]holders
 	// seen is the doorkeeper, allocated at the first Put.
 	seen *doorkeeper
-	// hits/misses count Get outcomes for evaluation bitmaps (the
-	// engine_plan_cache_* series), maskHits/maskMisses for keep masks
-	// (engine_keep_mask_*), evals the evaluations of H the misses cost
-	// (engine_plan_evaluations_total), admitted the entries that entered
-	// the main budget — promoted or let in by the doorkeeper — and rejected
-	// those the window dropped before anyone asked for them again.  They
-	// are always counted — one uncontended atomic add next to a map lookup
-	// or a subset scan — and only exposed when a registry is attached.
+	// hits/misses count Get and Hits outcomes for evaluation bitmaps (the
+	// engine_plan_cache_* series), maskHits/maskMisses Get outcomes for
+	// keep masks (engine_keep_mask_*), evals the evaluations of H the
+	// misses cost (engine_plan_evaluations_total), admitted the entries
+	// that entered the main budget — promoted or let in by the doorkeeper —
+	// and rejected those the window dropped before anyone asked for them
+	// again.  They are always counted — one uncontended atomic add next to
+	// a map lookup or a subset scan — and only exposed when a registry is
+	// attached.
 	hits, misses         atomic.Uint64
 	maskHits, maskMisses atomic.Uint64
 	evals                atomic.Uint64
@@ -108,12 +118,17 @@ type planCache struct {
 type holders struct{ all, waiting int }
 
 // planCacheEntry pairs a bitmap with the generation and record count it
-// was computed at.  waiting is its element of the probation FIFO, nil
-// once it is in the main budget.
+// was computed at, and with hits, how many bits it sets.  words is nil
+// once a count hit has dropped them; joined says a reader of the words
+// asked for them — a join's Get, or the Put of a join or a keep mask — so
+// a count hit leaves them.  waiting is its element of the probation FIFO,
+// nil once it is in the main budget.
 type planCacheEntry struct {
 	gen     uint64
 	records int
 	words   []uint64
+	hits    uint64
+	joined  bool
 	waiting *list.Element
 }
 
@@ -122,41 +137,75 @@ func newPlanCache() *planCache {
 	return &planCache{m: make(map[query.CacheKey]planCacheEntry), holders: make(map[*uint64]holders), window: planCacheWindow}
 }
 
-// Get implements query.BitmapCache.  A hit on an entry still on probation
-// promotes it.
+// lookup returns the entry under key if it is for exactly this generation
+// and record count.
+func (c *planCache) lookup(key query.CacheKey, gen uint64, records int) (planCacheEntry, bool) {
+	c.mu.RLock()
+	e, ok := c.m[key]
+	c.mu.RUnlock()
+	return e, ok && e.gen == gen && e.records == records
+}
+
+// Get implements query.BitmapCache: a join's or a keep mask's lookup,
+// which misses on an entry whose words a count hit dropped.  A hit
+// promotes an entry still on probation and marks the entry joined.
 func (c *planCache) Get(key query.CacheKey, gen uint64, records int) ([]uint64, bool) {
 	hits, misses := &c.hits, &c.misses
 	if key.Mask {
 		hits, misses = &c.maskHits, &c.maskMisses
 	}
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if !ok || e.gen != gen || e.records != records {
+	e, ok := c.lookup(key, gen, records)
+	if !ok || e.words == nil {
 		misses.Add(1)
 		return nil, false
 	}
-	if e.waiting != nil {
-		c.promote(key, e.waiting)
+	if e.waiting != nil || !e.joined {
+		c.settle(key, gen, records, true)
 	}
 	hits.Add(1)
 	return e.words, true
 }
 
-// promote moves the entry under key out of probation into the main
-// budget, if it is still the one whose probation element Get read: a Put
-// may have replaced it, or the window dropped it, between the two locks.
-func (c *planCache) promote(key query.CacheKey, waiting *list.Element) {
+// Hits implements query.BitmapCache: a fraction's lookup.  A hit promotes
+// an entry still on probation and drops the words of one no join has read.
+func (c *planCache) Hits(key query.CacheKey, gen uint64, records int) (uint64, bool) {
+	e, ok := c.lookup(key, gen, records)
+	if !ok {
+		c.misses.Add(1)
+		return 0, false
+	}
+	if e.waiting != nil || !e.joined && e.words != nil {
+		c.settle(key, gen, records, false)
+	}
+	c.hits.Add(1)
+	return e.hits, true
+}
+
+// settle does to the entry under key at (gen, records), if it is still
+// there, what a hit on it does: it promotes it out of probation into the
+// main budget, and then marks it joined (join) or drops its words, refunding
+// them, unless it is joined.  A Put may have replaced the entry, or the
+// window dropped it, between Get's or Hits' lock and this one.
+func (c *planCache) settle(key query.CacheKey, gen uint64, records int, join bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
-	if !ok || e.waiting != waiting {
+	if !ok || e.gen != gen || e.records != records {
 		return
 	}
-	c.unwait(key, e)
-	e.waiting = nil
+	if e.waiting != nil {
+		c.unwait(key, e)
+		e.waiting = nil
+		c.admitted.Add(1)
+	}
+	switch {
+	case join:
+		e.joined = true
+	case !e.joined:
+		c.bytes -= 8 * len(e.words) // a bitmap's words are its own
+		e.words = nil
+	}
 	c.m[key] = e
-	c.admitted.Add(1)
 }
 
 // size returns what the entries cost against planCacheBudget, how many
@@ -226,14 +275,15 @@ func (c *planCache) unwait(key query.CacheKey, e planCacheEntry) {
 }
 
 // Put implements query.BitmapCache.  The stored words are shared and must
-// not be mutated afterwards (the executor never does).  An older entry
+// not be mutated afterwards (the executor never does); their popcount is
+// kept beside them for the count hits to come.  An older entry
 // under key goes first, whatever becomes of the new one.  A key the
 // doorkeeper has seen enters the main budget; any other goes on
 // probation, dropping the oldest entries there until the window has room,
 // and is not held at all if it is larger than the window.  A bitmap the
 // whole budget could not hold is not cached.
-func (c *planCache) Put(key query.CacheKey, gen uint64, records int, words []uint64) {
-	e := planCacheEntry{gen: gen, records: records, words: words}
+func (c *planCache) Put(key query.CacheKey, gen uint64, records int, words []uint64, joined bool) {
+	e := planCacheEntry{gen: gen, records: records, words: words, hits: popcount(words), joined: joined}
 	cost := keyCost(key) + 8*len(words) // what it costs alone
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -288,6 +338,15 @@ func (c *planCache) drop(key query.CacheKey) {
 
 // Evaluated implements query.BitmapCache.
 func (c *planCache) Evaluated(n uint64) { c.evals.Add(n) }
+
+// popcount sums the set bits of a bitmap.
+func popcount(words []uint64) uint64 {
+	var n uint64
+	for _, w := range words {
+		n += uint64(bits.OnesCount64(w))
+	}
+	return n
+}
 
 // doorkeeper answers the admission question "has this key been Put
 // before?" — TinyLFU's doorkeeper (Einziger, Friedman and Manes, "TinyLFU:

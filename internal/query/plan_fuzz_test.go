@@ -106,25 +106,43 @@ func fuzzTable() (*sketch.Table, []sketch.Published, int, *Estimator, error) {
 	return fuzzFixture.tab, fuzzFixture.recs, fuzzFixture.held, fuzzFixture.est, fuzzFixture.err
 }
 
-// mapCache is a minimal BitmapCache for the fuzzer's cached legs.
+// mapCache is a minimal BitmapCache for the fuzzer's cached legs.  It
+// keeps the engine's rule: a count hit drops the words of an entry no join
+// has read, and a Get of an entry without words misses.
 type mapCache map[CacheKey]mapCacheEntry
 
 type mapCacheEntry struct {
 	gen     uint64
 	records int
-	words   []uint64
+	words   []uint64 // nil once a count hit has dropped them
+	hits    uint64
+	joined  bool
 }
 
 func (c mapCache) Get(key CacheKey, gen uint64, records int) ([]uint64, bool) {
 	e, ok := c[key]
-	if !ok || e.gen != gen || e.records != records {
+	if !ok || e.gen != gen || e.records != records || e.words == nil {
 		return nil, false
 	}
+	e.joined = true
+	c[key] = e
 	return e.words, true
 }
 
-func (c mapCache) Put(key CacheKey, gen uint64, records int, words []uint64) {
-	c[key] = mapCacheEntry{gen, records, words}
+func (c mapCache) Hits(key CacheKey, gen uint64, records int) (uint64, bool) {
+	e, ok := c[key]
+	if !ok || e.gen != gen || e.records != records {
+		return 0, false
+	}
+	if !e.joined {
+		e.words = nil
+		c[key] = e
+	}
+	return e.hits, true
+}
+
+func (c mapCache) Put(key CacheKey, gen uint64, records int, words []uint64, joined bool) {
+	c[key] = mapCacheEntry{gen, records, words, popcount(words), joined}
 }
 
 func (c mapCache) Evaluated(uint64) {}
@@ -152,8 +170,11 @@ func (c mapCache) Evaluated(uint64) {}
 // rank, advanced over blocks the columns do not share — from bitmaps the
 // cache serves on every repeat.  A rank read off the wrong column, or a
 // word two scan workers share and one of them dropped, is a bin that
-// differs.  The function runs at GOMAXPROCS 4, so a scan shards whatever
-// the runner's core count.
+// differs.  The plan is asked again after the histogram, so a pair both
+// name goes through what the cache does to it: a fraction asked twice
+// leaves a count and no words, the join computes the bitmap again, and the
+// fraction after it counts the joined bitmap.  The function runs at
+// GOMAXPROCS 4, so a scan shards whatever the runner's core count.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 0, 1, 0, 3, 1, 0, 2, 5, 3, 2, 4})
@@ -163,6 +184,11 @@ func FuzzPlanEquivalence(f *testing.F) {
 	// Every value of two three-bit subsets, eight pairs a subset: under
 	// filter A the scans shard, and their shards meet inside an output
 	// word.
+	// Filter A, and a fraction on the pair the histogram over the unequal
+	// subsets joins (MustSubset(5) = 1 at this write seed): in each pass
+	// it is asked as a fraction twice, so its words are dropped, then in
+	// the histogram, which computes it again, then as a fraction again.
+	f.Add([]byte{1, 0, 1, 0, 5, 1})
 	f.Add([]byte{1, 5, 7, 0, 7, 0, 0, 0, 0, 7, 1, 0, 0, 0, 7, 0, 1, 0, 0, 7, 1, 1, 0, 0, 7, 0, 0, 1, 0, 7, 1, 0, 1, 0, 7, 0, 1, 1, 0, 7, 1, 1, 1, 0, 8, 0, 0, 0, 0, 8, 1, 0, 0, 0, 8, 0, 1, 0, 0, 8, 1, 1, 0, 0, 8, 0, 0, 1, 0, 8, 1, 0, 1, 0, 8, 0, 1, 1, 0, 8, 1, 1, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -278,7 +304,7 @@ func FuzzPlanEquivalence(f *testing.F) {
 				t.Fatalf("probing held-back records errored: %v", err)
 			}
 			grown.Land(b)
-			for _, plan := range []*Plan{plan, unequal} {
+			for _, plan := range []*Plan{plan, unequal, plan} {
 				want, err := oracleOver(est, keep, grown).Execute(plan)
 				if err != nil {
 					t.Fatalf("oracle errored: %v", err)

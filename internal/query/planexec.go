@@ -32,12 +32,24 @@ type CacheKey struct {
 // by generation and a write to the subset (which bumps the generation)
 // invalidates them implicitly.  The engine provides the durable
 // implementation; a nil cache simply recomputes.
+//
+// An evaluation bitmap is read one of two ways: a fraction reads its count
+// (Hits), a join its words (Get).  An implementation may keep only the
+// count of a bitmap no join has read, so a Get may miss where a Hits on the
+// same key hits; the join then computes the bitmap again and Puts it
+// joined.
 type BitmapCache interface {
-	// Get returns the cached bitmap under key, if one exists for exactly
-	// this generation and record count.
+	// Get returns the cached words under key, if an entry exists for
+	// exactly this generation and record count and still holds them.
 	Get(key CacheKey, gen uint64, records int) ([]uint64, bool)
+	// Hits returns how many bits the cached bitmap under key sets, if an
+	// entry exists for exactly this generation and record count, whether
+	// or not it still holds the words.
+	Hits(key CacheKey, gen uint64, records int) (uint64, bool)
 	// Put stores a computed bitmap.  The words become shared and immutable.
-	Put(key CacheKey, gen uint64, records int, words []uint64)
+	// joined says a reader of the words asked for it — a join, or a keep
+	// mask's filtered scan — so its words must stay for the Gets to come.
+	Put(key CacheKey, gen uint64, records int, words []uint64, joined bool)
 	// Evaluated reports what the misses cost, once per subset scan: n
 	// evaluations of H, the records the filter keeps times the pairs
 	// missed.  A scan under a filter without a Key reports too.
@@ -52,11 +64,11 @@ type BitmapCache interface {
 // across GOMAXPROCS workers, each record's shared PRF message parts (tuple
 // header, user id, sketch key) are encoded once and reused across every
 // pair of the subset, and an attached cache reduces repeated and
-// overlapping evaluations to popcounts and joins.  The counters produced
-// are bit-identical to evaluating H once per record and entry in a serial
-// loop (FuzzPlanEquivalence asserts this against the scalar oracle in
-// oracle_test.go): evaluation H is deterministic per record, so batching,
-// sharding and caching cannot change any count.
+// overlapping evaluations to cached counts and joins of cached bitmaps.
+// The counters produced are bit-identical to evaluating H once per record
+// and entry in a serial loop (FuzzPlanEquivalence asserts this against the
+// scalar oracle in oracle_test.go): evaluation H is deterministic per
+// record, so batching, sharding and caching cannot change any count.
 //
 // keep restricts every counter to records whose user passes the filter,
 // and H is evaluated on those records only: each subset's keep mask —
@@ -92,12 +104,12 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 	x := e.cutTable(tab, append(subsets, p.counts...), p.total, keep, cache)
 
 	res := newResults(p)
-	bitmaps, err := x.bitmaps(ctx, p.fractions)
-	if err != nil {
+	hits := make([]uint64, len(p.fractions))
+	if err := x.scan(ctx, p.fractions, nil, hits); err != nil {
 		return nil, err
 	}
 	for i, f := range p.fractions {
-		res.Fractions[i] = x.count(x.at(f.Subset), bitmaps[i])
+		res.Fractions[i] = x.count(x.at(f.Subset), hits[i])
 	}
 	// The fractions are in, so guards can fire: a histogram whose guard
 	// counted records is the conjunction estimator's unused gluing fallback
@@ -179,15 +191,17 @@ func (x *cut) at(b bitvec.Subset) int {
 	return -1
 }
 
-// bitmaps returns the evaluation bitmap of each pair over its subset's
-// view — bit r is H on the r-th record the filter keeps (record r without
-// a filter) — subset by subset: from the cache where it holds one for the
-// view's generation and the filter's Key, the rest in one sharded pass over
-// the records the subset's keep mask keeps, left in the cache afterwards.
-// A filter without a Key names no bitmap, so its bitmaps are neither looked
-// up nor left.  ctx is checked before each subset's pass.
-func (x *cut) bitmaps(ctx context.Context, pairs []FractionEval) ([][]uint64, error) {
-	out := make([][]uint64, len(pairs))
+// scan reads each pair's evaluation bitmap over its subset's view — bit r
+// is H on the r-th record the filter keeps (record r without a filter) —
+// into bitmaps, for a join; with bitmaps nil it reads how many bits each
+// sets into hits, for a fraction.  Subset by subset, it takes them from the
+// cache where it holds one for the view's generation and the filter's Key
+// (Get for a bitmap, Hits for a count), and computes the rest in one
+// sharded pass over the records the subset's keep mask keeps, left in the
+// cache afterwards, joined if they were read as bitmaps.  A filter without a
+// Key names no bitmap, so its bitmaps are neither looked up nor left.  ctx
+// is checked before each subset's pass.
+func (x *cut) scan(ctx context.Context, pairs []FractionEval, bitmaps [][]uint64, hits []uint64) error {
 	groups := make([][]int, len(x.subs)) // the pairs of each subset, by position
 	for i, f := range pairs {
 		si := x.at(f.Subset)
@@ -198,12 +212,13 @@ func (x *cut) bitmaps(ctx context.Context, pairs []FractionEval) ([][]uint64, er
 		filter = x.keep.Key
 	}
 	cached := x.cache != nil && (x.keep == nil || filter != "")
+	joined := bitmaps != nil
 	for si, group := range groups {
 		if len(group) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		records := x.subs[si].view
 		n, gen := records.Len(), records.Gen()
@@ -211,8 +226,14 @@ func (x *cut) bitmaps(ctx context.Context, pairs []FractionEval) ([][]uint64, er
 		var missedAt []int
 		for _, i := range group {
 			if cached {
-				if w, ok := x.cache.Get(CacheKey{Entry: pairs[i].Key(), Filter: filter}, gen, n); ok {
-					out[i] = w
+				key := CacheKey{Entry: pairs[i].Key(), Filter: filter}
+				if joined {
+					if w, ok := x.cache.Get(key, gen, n); ok {
+						bitmaps[i] = w
+						continue
+					}
+				} else if c, ok := x.cache.Hits(key, gen, n); ok {
+					hits[i] = c
 					continue
 				}
 			}
@@ -230,13 +251,17 @@ func (x *cut) bitmaps(ctx context.Context, pairs []FractionEval) ([][]uint64, er
 			x.cache.Evaluated(kept * uint64(len(missed)))
 		}
 		for c, w := range evalBitmaps(x.h, records, missed, keep, int(kept)) {
-			out[missedAt[c]] = w
+			if joined {
+				bitmaps[missedAt[c]] = w
+			} else {
+				hits[missedAt[c]] = popcount(w)
+			}
 			if cached {
-				x.cache.Put(CacheKey{Entry: missed[c].Key(), Filter: filter}, gen, n, w)
+				x.cache.Put(CacheKey{Entry: missed[c].Key(), Filter: filter}, gen, n, w, joined)
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // mask returns the keep mask of subset si's view, nil when nothing is
@@ -258,14 +283,14 @@ func (x *cut) records(si int) uint64 {
 }
 
 // count returns the Algorithm 2 counters of a pair of subset si from its
-// bitmap: over how many kept records, and on how many of them H is 1 — the
-// bitmap's popcount, it holding a bit for the kept records only.
-func (x *cut) count(si int, bitmap []uint64) Partial {
+// bitmap's popcount: over how many kept records, and on how many of them H
+// is 1 — hits, the bitmap holding a bit for the kept records only.
+func (x *cut) count(si int, hits uint64) Partial {
 	records := x.records(si)
 	if records == 0 {
 		return Partial{}
 	}
-	return Partial{Hits: popcount(bitmap), Records: records}
+	return Partial{Hits: hits, Records: records}
 }
 
 // columns joins the pairs by user: column j holds pair j's bit for each
@@ -276,8 +301,8 @@ func (x *cut) columns(ctx context.Context, pairs []FractionEval) (cols [][]uint6
 	if len(pairs) == 0 {
 		return nil, 0, nil
 	}
-	bitmaps, err := x.bitmaps(ctx, pairs)
-	if err != nil {
+	bitmaps := make([][]uint64, len(pairs))
+	if err := x.scan(ctx, pairs, bitmaps, nil); err != nil {
 		return nil, 0, err
 	}
 	ids, masks := make([]sketch.IDs, len(pairs)), make([][]uint64, len(pairs))
@@ -609,9 +634,11 @@ func evalBitmaps(h prf.BitSource, records sketch.View, evals []FractionEval, kee
 // so the only thing that can change the mask is a write to the subset — the
 // same generation bump that retires its evaluation bitmaps.  A mask is a
 // function of the ids and the filter alone, so where another subset of the
-// cut has fetched one over the very same id column (sketch.IDs.Same: the
-// table gives subsets that hold the same users one column), that one is
-// taken, and cached under this subset's key too.
+// cut holds the very same id column (sketch.IDs.Same: the table gives
+// subsets that hold the same users one column), its mask is taken — the one
+// it fetched in this cut, or else the one the cache holds under its key at
+// its generation — and cached under this subset's key too.  Only where
+// none of them has one is the filter asked.
 func (x *cut) keepMask(si int) []uint64 {
 	records := x.subs[si].view
 	n, gen := records.Len(), records.Gen()
@@ -625,18 +652,27 @@ func (x *cut) keepMask(si int) []uint64 {
 			return mask
 		}
 	}
+	// A sibling's mask fetched in this cut first, then one cached under a
+	// sibling's key, which is that sibling's for the rest of the cut.
 	var mask []uint64
+	ids := records.IDs()
 	for sj := range x.subs {
-		if o := &x.subs[sj]; o.mask != nil && o.view.IDs().Same(records.IDs()) {
+		if o := &x.subs[sj]; o.mask != nil && o.view.IDs().Same(ids) {
 			mask = o.mask
 			break
+		}
+	}
+	for sj := 0; mask == nil && cached && sj < len(x.subs); sj++ {
+		if o := &x.subs[sj]; sj != si && o.view.IDs().Same(ids) {
+			o.mask, _ = x.cache.Get(CacheKey{Mask: true, Entry: o.key, Filter: x.keep.Key}, o.view.Gen(), o.view.Len())
+			mask = o.mask
 		}
 	}
 	if mask == nil {
 		mask = make([]uint64, (n+63)/64)
 		var buf [sketch.IDBlockLen]bitvec.UserID
 		for w := range mask {
-			for i, id := range records.IDs().Block(w, &buf) {
+			for i, id := range ids.Block(w, &buf) {
 				if x.keep.Keep(id) {
 					mask[w] |= uint64(1) << uint(i)
 				}
@@ -644,7 +680,7 @@ func (x *cut) keepMask(si int) []uint64 {
 		}
 	}
 	if cached {
-		x.cache.Put(key, gen, n, mask)
+		x.cache.Put(key, gen, n, mask, true)
 	}
 	return mask
 }
