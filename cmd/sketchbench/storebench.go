@@ -294,8 +294,9 @@ func storeBenchmarks(quick bool) []struct {
 		}},
 		{"segment-point-lookup", func(b *testing.B) {
 			// One op = a single-record read through the segment machinery:
-			// the run directory, one whole-run read of the subset (every
-			// block decoded and checked) and a search of its ids.  The
+			// the run directory, one read of the subset's run (its frame's
+			// checksum verified and every column decoded and checked) and a
+			// search of its ids.  The
 			// record set is flushed into segments first, so no lookup is
 			// served from the log.
 			dir, err := os.MkdirTemp("", "sketchbench-lookup")

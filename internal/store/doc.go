@@ -12,9 +12,11 @@
 //     checksummed frames in arrival order, one per appended group,
 //     written (and optionally fsynced) before the publish is
 //     acknowledged; and
-//   - immutable sorted segment files (seg-NNNNNNNN.seg): produced by
-//     rolling a WAL that passed the flush threshold, written to a
-//     temporary file, fsynced and atomically renamed into place.
+//   - immutable sorted segment files (seg-NNNNNNNN.seg): the log's own
+//     frames, one per run, sorted, deduplicated and sealed with a record
+//     count; produced by rolling a WAL that passed the flush threshold,
+//     written to a temporary file, fsynced and atomically renamed into
+//     place.
 //
 // A background compaction loop merges a shard's segments once enough of
 // them accumulate, deduplicating by (user, subset, length) and keeping the
@@ -30,10 +32,11 @@
 // own layout.  A log frame is the runs of one appended group, a run per
 // stretch of its records of one subset and length — the engine hands a
 // batch over subset by subset, ids ascending, so a run per subset; a segment
-// (format v6, segment.go) is a shard's runs in subset order, ids
-// ascending, cut into checksummed blocks, and nothing else — the run
+// (format v7, segment.go) is a shard's runs in subset order, ids
+// ascending, each in a frame of its own, and nothing else — the run
 // directory its readers use is derived from those bytes at Open and kept
-// in memory, and every read takes a run whole (segindex.go); a roll sorts
+// in memory, and every read takes a run's frame whole and parses it as the
+// log's replay does (segindex.go); a roll sorts
 // the log's runs into a segment, a compaction merges segments' runs, and a
 // cold start hands the engine whole runs (RunIterator), one column load
 // per subset, as Lookup and ReadBatch read them too.
@@ -49,8 +52,8 @@
 // A subset has one length in a shard's files, as in a table's column: the
 // engine admits its deployment's ℓ alone.  So a record whose user
 // enrolled next to its neighbours costs a quarter of a byte of id and 9
-// bits of key, plus 1/16 byte of block sums in a segment; a record under
-// a hashed id costs its 8 bytes as it always did.  Writing a run copies
+// bits of key, and a run its header and frame; a record under a hashed id
+// costs its 8 bytes as it always did.  Writing a run copies
 // its columns, and reading one does the same back after checking them —
 // the ids' widths, pad bits, lengths and ascent, the words' shape and
 // zero pad bits — and sorting, deduplicating and merging move ids by the
@@ -68,36 +71,38 @@
 // # Recovery
 //
 // Open validates every segment and replays every WAL, reading before it
-// writes: every shard is walked and decoded first, and only once all have
+// writes: every shard is scanned and decoded first, and only once all have
 // passed does Open create a missing shard directory or log or cut
 // anything.  A torn WAL tail — the partial frame a crash mid-write leaves
 // behind — is detected by the length/checksum framing and truncated away
 // instead of failing the open, so a SIGKILLed collector restarts with
 // every acknowledged sketch.
-// Segment files are written atomically; Open walks each one's data area,
-// verifying every checksum and decoding every record, so corruption there
-// is reported as an error rather than silently dropped.
+// Segment files are written atomically; Open scans each one's frames with
+// the log's parser, verifying every checksum and decoding every record.
+// The two kinds of file differ in one rule: a log's torn tail is what a
+// crash mid-append left, and is cut off; a segment is sealed, so any
+// damage to one is ErrSegmentCorrupt, reported rather than silently
+// dropped.
 //
-// # Format v5 is converted, older ones refused
+// # Format v6 is converted, older ones refused
 //
-// Format v6 at one length a run is the only one this version reads.  A
-// directory whose manifest is marked v5 — v6 but for its id columns'
-// byte widths — is converted at Open, before any shard serves (v5.go):
-// every shard is read first, writing nothing; then the manifest is marked
-// v6-converting, each shard's records are merged into one v6 segment
-// beside an empty v6 log, the files they came from are removed, and the
-// manifest is marked v6.  Each step is a renamed file or a removal, so a
-// crash leaves a directory the next Open carries the conversion on in.
-// Open refuses with ErrFormatTooOld, having written nothing in any shard,
-// a directory whose manifest is marked v3, v4 or v5-converting; one whose
-// v5 segment or log holds a checksum-clean run header of whole Pack words
-// (a shape past 30, which a v5 binary wrote before a run held one length)
-// — a log is refused before replay could cut that frame off as a torn
-// tail; and one holding data under a manifest with no marker (before v3).
-// The error names the versions that upgrade such a directory, which is
-// opened once with each and then with this one.  Any other malformed run
-// header is corrupt in a segment and the end of the valid prefix in a
-// log, as it always was.
+// Format v7 is the only one this version reads.  A directory whose
+// manifest is marked v6 — the same log, and segments whose runs are cut
+// into 64-record blocks under a checksum each — is converted at Open,
+// before any shard serves (v6.go): every shard's segments are read
+// first, writing nothing; then the manifest is marked v7-converting, each
+// shard's segments are merged into one v7 segment, newer than all of
+// them, the segments it came from are removed, and the manifest is marked
+// v7.  Each step is a renamed file or a removal, so a crash leaves a
+// directory the next Open carries the conversion on in.  Open refuses
+// with ErrFormatTooOld, having written nothing in any shard, a directory
+// whose manifest is marked v3, v4, v5, v5-converting or v6-converting,
+// and one holding data under a manifest with no marker (before v3).  The
+// error names the versions that upgrade such a directory, which is opened
+// once with each and then with this one.  A malformed run header — a
+// shape past 30, say, which only a binary older than v5's conversion
+// wrote — is corrupt in a segment and the end of the valid prefix in a
+// log.
 //
 // The store keeps a subset's records of two lengths as runs of their own,
 // deduplicated each on its own; which length a deployment serves is its

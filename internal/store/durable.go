@@ -43,16 +43,16 @@ var ErrClosed = errors.New("store: closed")
 
 // ErrFormatTooOld is returned by Open, having written nothing, for a data
 // directory an older version wrote in a form this one neither reads nor
-// converts: a manifest marked v3, v4 or v5-converting (a conversion to v5
-// under way); a v5 segment or log holding a checksum-clean run of whole
-// words (written before a run held one length); or data under a manifest
-// with no format marker (before v3: per-record logs, v1 or v2 segments).
-// This version reads format v6 and converts v5 at one length a run
-// (v5.go).  The version of commit 79b9228 is the last that converts v3, v4
-// and whole words to v5 runs of one length; the version of commit b04e7f7,
-// the last that writes v3, upgrades a directory from before v3.  Open the
-// directory once with each that applies, oldest first, then with this one.
-var ErrFormatTooOld = errors.New("store: data directory predates store format v5 at one sketch length a run, the oldest this version converts to v6; open it once with the version of commit 79b9228 (the last that converts formats v3 and v4 and runs of whole words) — first with that of commit b04e7f7 (the last that writes format v3) if it predates v3 — and then with this one")
+// converts: a manifest marked v3, v4, v5 or a conversion to v5 or v6
+// under way (v5-converting, v6-converting); or data under a manifest with
+// no format marker (before v3: per-record logs, v1 or v2 segments).  This
+// version reads format v7 and converts v6 (v6.go).  The version of commit
+// 33ba9b8 is the last that converts v5 to v6; that of commit 79b9228 the
+// last that converts v3, v4 and runs of whole words to v5; that of commit
+// b04e7f7, the last that writes v3, upgrades a directory from before v3.
+// Open the directory once with each that applies, oldest first, then with
+// this one.
+var ErrFormatTooOld = errors.New("store: data directory predates store format v6, the oldest this version converts to v7; open it once with the version of commit 33ba9b8 (the last that converts format v5) — first with that of commit 79b9228 (the last that converts formats v3 and v4 and runs of whole words) if it predates v5, and before that with that of commit b04e7f7 (the last that writes format v3) if it predates v3 — and then with this one")
 
 // Options configures a durable store.
 type Options struct {
@@ -168,7 +168,7 @@ type Durable struct {
 
 // Open opens (creating if necessary) a durable store in opts.Dir,
 // replaying every shard's WAL — truncating torn tails — and validating
-// every segment.  A v5 directory is converted to v6 first (convertV5); one
+// every segment.  A v6 directory is converted to v7 first (convertV6); one
 // an older version wrote is refused with ErrFormatTooOld before any shard
 // is written to.  The returned store is ready for Append and Iterate.
 func Open(opts Options) (*Durable, error) {
@@ -219,8 +219,8 @@ func Open(opts Options) (*Durable, error) {
 		lock.Unlock()
 		return nil, fmt.Errorf("store: %s holds %d shard directories but its manifest says %d: refusing to open a mixed data directory", opts.Dir, found, nShards)
 	}
-	if format == manifestV5 || format == manifestConverting {
-		if err := convertV5(opts.Dir, nShards, format); err != nil {
+	if format == manifestV6 || format == manifestConverting {
+		if err := convertV6(opts.Dir, nShards, format); err != nil {
 			lock.Unlock()
 			return nil, err
 		}
@@ -231,7 +231,7 @@ func Open(opts Options) (*Durable, error) {
 		m = newMetrics(opts.Metrics)
 	}
 	replayStart := time.Now()
-	// Open reads before it writes: every shard's segments are walked and its
+	// Open reads before it writes: every shard's segments are scanned and its
 	// log decoded with nothing written, and only once every shard has passed
 	// is anything created, cut or synced — so a directory refused in any
 	// shard is left as it was.  Shards touch disjoint directories, so both
@@ -243,7 +243,7 @@ func Open(opts Options) (*Durable, error) {
 		return err
 	})
 	if err == nil && format == "" {
-		// A new directory is marked v6 before its first shard directory is
+		// A new directory is marked v7 before its first shard directory is
 		// created.
 		err = writeManifest(opts.Dir, nShards, manifestFormat, opts.Fsync)
 	}
@@ -276,18 +276,18 @@ func Open(opts Options) (*Durable, error) {
 const manifestName = "SHARDS"
 
 // manifestFormat follows the shard count in the manifest of a directory
-// that holds v6 files and no others.  An older binary fails to parse the
-// line and refuses the directory at once — before it reaches a v6 log,
-// which it would take for a torn log of its own format and truncate.
-const manifestFormat = "v6"
+// that holds v7 files and no others.  An older binary fails to parse the
+// line and refuses the directory at once — before it reaches a v7
+// segment, which it would refuse as corrupt.
+const manifestFormat = "v7"
 
-// manifestV5 marks a directory of v5 files, which Open converts, and
-// manifestConverting one whose conversion is under way: v6 files may lie
-// beside v5 ones, and Open carries the conversion on.  An older binary
+// manifestV6 marks a directory of v6 segments, which Open converts, and
+// manifestConverting one whose conversion is under way: v7 segments may
+// lie beside v6 ones, and Open carries the conversion on.  An older binary
 // refuses both.
 const (
-	manifestV5         = "v5"
-	manifestConverting = "v6-converting"
+	manifestV6         = "v6"
+	manifestConverting = "v7-converting"
 )
 
 // formatTooOld is the refusal of dir, which an older version wrote, and
@@ -298,7 +298,7 @@ func formatTooOld(dir, why string) error {
 
 // readManifest returns the shard count recorded in dir — 0 when no
 // manifest exists yet — and the format marker after it: manifestFormat,
-// manifestV5, manifestConverting or none.  An older version's marker is
+// manifestV6, manifestConverting or none.  An older version's marker is
 // refused with ErrFormatTooOld, any other as corrupt: a directory of a
 // format newer than this version's.
 func readManifest(dir string) (n int, format string, err error) {
@@ -312,11 +312,11 @@ func readManifest(dir string) (n int, format string, err error) {
 	fields := strings.Fields(string(data))
 	if len(fields) == 2 {
 		switch fields[1] {
-		case manifestFormat, manifestV5, manifestConverting:
+		case manifestFormat, manifestV6, manifestConverting:
 			format, fields = fields[1], fields[:1]
-		case "v3", "v4", "v5-converting":
-			// An older version's: v3, v4, or the mark of its conversion
-			// to v5 under way.
+		case "v3", "v4", "v5", "v5-converting", "v6-converting":
+			// An older version's: v3, v4, v5, or the mark of its
+			// conversion to v5 or v6 under way.
 			return 0, "", formatTooOld(dir, "has a manifest marked "+fields[1])
 		}
 	}
@@ -418,10 +418,9 @@ func eachShard(n int, fn func(i int) error) error {
 	return nil
 }
 
-// loadShard is the read half of opening shard i: it walks its segments
+// loadShard is the read half of opening shard i: it scans its segments
 // and decodes its log, writing nothing — a missing shard directory or log
-// is ready's to create.  It fails with ErrFormatTooOld where a segment or
-// the log holds a run of whole words.
+// is ready's to create.
 func loadShard(opts Options, i int, m *metrics) (*dshard, error) {
 	dir := filepath.Join(opts.Dir, shardDirName(i))
 	segs, tmps, err := listSegments(dir)
@@ -430,8 +429,8 @@ func loadShard(opts Options, i int, m *metrics) (*dshard, error) {
 	}
 	nextSeq := uint64(1)
 	for si := range segs {
-		// Walking the data area verifies every checksum and decodes every
-		// record, so a corrupt segment fails Open loudly, not a later read.
+		// The scan verifies every checksum and decodes every record, so a
+		// corrupt segment fails Open loudly, not a later read.
 		if segs[si].runs, err = openSegment(segs[si].path); err != nil {
 			return nil, err
 		}

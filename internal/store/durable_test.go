@@ -95,7 +95,7 @@ func windowFrame(t *testing.T, ps ...sketch.Published) []byte {
 func logRecords(t *testing.T, image []byte) ([]sketch.Published, int64) {
 	t.Helper()
 	set := newRunSet()
-	valid, _, _ := scanLog(image, set)
+	valid, _ := scanLog(image, set)
 	return flatten(set.normalized()), valid
 }
 
@@ -339,105 +339,99 @@ func TestDurableLeftoverTmpSegmentIgnored(t *testing.T) {
 	}
 }
 
-// TestDurableCorruptSegmentFailsOpen pins the integrity contract:
-// corruption in the data area — a record's bytes or a run's header — fails
-// Open loudly (the open-time walk verifies every checksum), while damage to
-// what no reader reads — the footer's section checksum, or an index
-// directory stored between the data area and the footer — changes
-// nothing: the store opens and returns the exact records.
+// TestDurableCorruptSegmentFailsOpen pins the integrity contract: a
+// segment is sealed, so any damage to it fails Open loudly with
+// ErrSegmentCorrupt and writes nothing, where a log's torn tail would be
+// cut off — a record's bytes, a run header, the footer's record count,
+// bytes stored between the last frame and the footer (as an older writer
+// stored an index directory there), and every other byte of the file
+// flipped or its tail lost.  The clean segment opens and serves its
+// records.
 func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
-	setup := func(t *testing.T) string {
-		dir := t.TempDir()
-		st, err := Open(Options{Dir: dir, Shards: 1, FlushThreshold: 1, CompactInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Append(testRecord(1, bitvec.MustSubset(0))); err != nil {
-			t.Fatal(err)
-		}
-		stats := st.Stats()
-		if stats.Segments() != 1 {
-			t.Fatalf("setup wanted 1 segment, got %d", stats.Segments())
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
+	want := []sketch.Published{testRecord(1, bitvec.MustSubset(0)), testRecord(7, bitvec.MustSubset(0, 3))}
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, Shards: 1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	corrupt := func(t *testing.T, dir string, at func(data []byte) int) {
-		seg := filepath.Join(dir, "shard-0000", segmentName(1))
-		data, err := os.ReadFile(seg)
-		if err != nil {
+	if _, err := st.AppendBatch(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.shards[0].rollLocked(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, shardDirName(0), segmentName(1))
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The magic, a frame of one run for each subset — a header, its tag,
+	// one id block of one id and 10 bits of key — and the footer.
+	if want := len(segMagic) + 2*(walFrameHeader+4+runHeaderFixed+9+2) + 16 + 24 + segFooterSize; len(clean) != want {
+		t.Fatalf("the segment is %d bytes, want %d", len(clean), want)
+	}
+	refused := func(t *testing.T, what string, image []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		data[at(data)] ^= 0xFF
-		if err := os.WriteFile(seg, data, 0o644); err != nil {
-			t.Fatal(err)
+		before := dirState(t, dir)
+		st, err := Open(Options{Dir: dir, CompactInterval: -1})
+		if !errors.Is(err, ErrSegmentCorrupt) {
+			if err == nil {
+				st.Close()
+			}
+			t.Fatalf("Open of a segment with %s = %v, want ErrSegmentCorrupt", what, err)
+		}
+		if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("the refused Open of a segment with %s wrote to the directory", what)
 		}
 	}
-	// The one run's header starts the data area; its first block follows the
-	// header (a 16-byte tag) and the header's checksum.
-	const firstBlock = segHeaderSize + runHeaderFixed + 16 + 4
+	flipped := func(at int) []byte {
+		image := bytes.Clone(clean)
+		image[at] ^= 0xFF
+		return image
+	}
+	// The first run's frame: its header, run count, run header (a 16-byte
+	// tag) and then the record's id block.
+	const firstRun = len(segMagic) + walFrameHeader + 4
 	t.Run("record frame", func(t *testing.T) {
-		dir := setup(t)
-		corrupt(t, dir, func([]byte) int { return firstBlock }) // the record's id
-		if _, err := Open(Options{Dir: dir, CompactInterval: -1}); !errors.Is(err, ErrSegmentCorrupt) {
-			t.Fatalf("Open of a segment with a corrupt record = %v, want ErrSegmentCorrupt", err)
-		}
+		refused(t, "a corrupt record", flipped(firstRun+runHeaderFixed+16+1))
 	})
 	t.Run("run header", func(t *testing.T) {
-		dir := setup(t)
-		corrupt(t, dir, func([]byte) int { return segHeaderSize + 4 }) // a tag byte
-		if _, err := Open(Options{Dir: dir, CompactInterval: -1}); !errors.Is(err, ErrSegmentCorrupt) {
-			t.Fatalf("Open of a segment with a corrupt run header = %v, want ErrSegmentCorrupt", err)
+		refused(t, "a corrupt run header", flipped(firstRun+4))
+	})
+	t.Run("index footer", func(t *testing.T) {
+		refused(t, "a corrupt record count", flipped(len(clean)-1))
+	})
+	t.Run("index directory", func(t *testing.T) {
+		end := len(clean) - segFooterSize
+		refused(t, "bytes before its footer", append(append(clean[:end:end], bytes.Repeat([]byte{0xA5}, 48)...), clean[end:]...))
+	})
+	t.Run("every byte", func(t *testing.T) {
+		for at := range clean {
+			for _, flip := range []byte{0x01, 0x80} {
+				image := bytes.Clone(clean)
+				image[at] ^= flip
+				refused(t, fmt.Sprintf("byte %d flipped by %#x", at, flip), image)
+			}
+		}
+		for _, cut := range []int{1, segFooterSize, segFooterSize + 1, len(clean) - len(segMagic)} {
+			refused(t, fmt.Sprintf("its last %d bytes lost", cut), clean[:len(clean)-cut])
 		}
 	})
-	for name, tc := range map[string]struct {
-		section bool // a section between the data area and the footer
-		at      func(data []byte) int
-	}{
-		// A byte of the footer's section checksum, and one of an index
-		// directory stored between the data area and the footer, as an
-		// older writer stored one: the reader derives its index from the
-		// data area and skips both.
-		"index footer":    {false, func(data []byte) int { return len(data) - segFooterSize }},
-		"index directory": {true, func(data []byte) int { return int(binary.BigEndian.Uint64(data[len(data)-8:])) + 5 }},
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := setup(t)
-			want := []sketch.Published{testRecord(1, bitvec.MustSubset(0))}
-			if tc.section {
-				path := filepath.Join(dir, "shard-0000", segmentName(1))
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				end := binary.BigEndian.Uint64(data[len(data)-8:])
-				data = append(append(data[:end:end], bytes.Repeat([]byte{0xA5}, 48)...), data[end:]...)
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			corrupt(t, dir, tc.at)
-			st, err := Open(Options{Dir: dir, CompactInterval: -1})
-			if err != nil {
-				t.Fatalf("damage outside the data area must not fail open: %v", err)
-			}
-			defer st.Close()
-			got := collect(t, st)
-			if len(got) != len(want) {
-				t.Fatalf("read %d records, want %d", len(got), len(want))
-			}
-			for i, p := range want {
-				if !samePub(got[i], p) {
-					t.Fatalf("record %d = %+v, want %+v", i, got[i], p)
-				}
-				if l, ok, err := st.Lookup(p.ID, p.Subset.Key()); err != nil || !ok || l.S != p.S {
-					t.Fatalf("lookup of %v = %+v %v %v", p.ID, l, ok, err)
-				}
-			}
-		})
+	if err := os.WriteFile(path, clean, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	st, err = Open(Options{Dir: dir, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	requireServes(t, st, want)
 }
 
 func TestDurableDirLockExcludesSecondOpen(t *testing.T) {
@@ -755,12 +749,12 @@ func TestDurableRollFailureBacksOffAndRecovers(t *testing.T) {
 
 // TestSegmentIndexBuiltMatchesParsed: the run directory a roll builds and
 // the one Open derives from the file are the same — one entry per subset,
-// naming the run by the bytes its blocks span — and none of it is stored:
-// the file ends at its data area's footer.
+// naming the run by the bytes its frame spans — and none of it is stored:
+// the file is its magic, a frame a run and the record count.
 func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	var records []sketch.Published
 	subsets := []bitvec.Subset{bitvec.Range(0, 3), bitvec.Range(0, 10)}
-	const perSubset = 10*segBlockRecords + 7
+	const perSubset = 10*sketch.IDBlockLen + 7
 	for _, b := range subsets {
 		for id := uint64(1); id <= perSubset; id++ {
 			records = append(records, testRecord(id, b))
@@ -771,19 +765,21 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A run's blocks start after its header and the header's sum, span
-	// eleven blocks of ids, words and a sum (sized below), and the next
-	// run's header starts where they end.
-	blocks := int64(10*(1+8) + (1 + 8) + (perSubset*10+7)/8 + 11*4)
+	// A run's frame is a frame header, a run count and the run's header,
+	// then eleven blocks of ids 1 apart (a width byte of 0 and a first id:
+	// consecutive ids have no differences to code) and 10 bits of key a
+	// record (the sketches are ℓ = 10); the next run's frame starts where
+	// it ends.
+	columns := int64(11*(1+8) + (perSubset*10+7)/8)
 	for name, runs := range map[string]segIndex{"built": meta.runs, "parsed": parsed} {
 		if len(runs) != len(subsets) {
 			t.Fatalf("%s directory: %d runs, want %d", name, len(runs), len(subsets))
 		}
-		at := int64(segHeaderSize)
+		at := int64(len(segMagic))
 		for i, r := range runs {
-			at += int64(runHeaderFixed + subsets[i].TagLen() + 4)
-			if r.tag != subsets[i].Key() || !r.subset.Equal(subsets[i]) || r.count != perSubset || r.shape != 10 || r.start != at || r.end != at+blocks {
-				t.Fatalf("%s directory run %d = %+v, want its blocks at [%d,%d)", name, i, r, at, at+blocks)
+			end := at + int64(walFrameHeader+4+runHeaderFixed+subsets[i].TagLen()) + columns
+			if r.tag != subsets[i].Key() || !r.subset.Equal(subsets[i]) || r.count != perSubset || r.shape != 10 || r.start != at || r.end != end {
+				t.Fatalf("%s directory run %d = %+v, want its frame at [%d,%d)", name, i, r, at, end)
 			}
 			at = r.end
 		}
@@ -794,36 +790,145 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	if !reflect.DeepEqual(meta.runs, parsed) {
 		t.Fatal("built and parsed run directories differ")
 	}
-	// 2 run headers, per run ten full blocks of ids 1 apart (a width byte of
-	// 0 and a first id: consecutive ids have no differences to code) and
-	// one of 7, 10 bits of key a record (the sketches are ℓ = 10: 80 bytes a
-	// full block), 22 block sums and the two fixed ends.
 	data, err := os.ReadFile(meta.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	areaEnd := int(binary.BigEndian.Uint64(data[len(data)-8:]))
-	if areaEnd != len(data)-segFooterSize {
-		t.Fatalf("%d bytes between the data area and the footer, want none", len(data)-segFooterSize-areaEnd)
+	if want := int(parsed[len(parsed)-1].end) + segFooterSize; len(data) != want {
+		t.Fatalf("segment is %d bytes, want %d: the last frame's end and the footer", len(data), want)
 	}
-	headers := 0
-	for _, b := range subsets {
-		headers += runHeaderFixed + b.TagLen() + 4
+	if got := binary.BigEndian.Uint64(data[len(data)-segFooterSize:]); got != uint64(len(records)) {
+		t.Fatalf("the footer counts %d records, want %d", got, len(records))
 	}
-	ids := 10*(1+8) + (1 + 8)
-	if want := segHeaderSize + headers + len(subsets)*(ids+(perSubset*10+7)/8) + 22*4 + segFooterSize; len(data) != want {
-		t.Fatalf("segment is %d bytes, want %d", len(data), want)
+}
+
+// TestSegmentSplitsRunPastFrameBound: a run whose frame would pass the
+// writer's bound is cut at id blocks into frames that each stay within
+// it, and reads back whole — through Open's scan and a whole-run read —
+// as one directory entry spanning all of them.
+func TestSegmentSplitsRunPastFrameBound(t *testing.T) {
+	b := bitvec.MustSubset(0, 5)
+	var records []sketch.Published
+	for id := uint64(1); id <= 5*sketch.IDBlockLen+9; id++ {
+		records = append(records, testRecord(3*id, b))
+	}
+	runs := testRuns(records)
+	w := newSegWriter(0)
+	w.frameBytes = 4 + runHeaderFixed + b.TagLen() + 2*(1+8+63*2/8+1+80) // two blocks a frame
+	w.add(runs[0])
+	image, built := w.finish()
+	frames := 0
+	if end, err := eachFrame(image, len(segMagic), len(image)-segFooterSize, func(_ int, payload []byte) error {
+		frames++
+		if len(payload) > w.frameBytes {
+			return fmt.Errorf("a payload of %d bytes", len(payload))
+		}
+		return nil
+	}); err != nil || end != len(image)-segFooterSize || frames != 3 {
+		t.Fatalf("the run is %d frames ending at %d of %d, %v; want 3", frames, end, len(image), err)
+	}
+	path := filepath.Join(t.TempDir(), segmentName(1))
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := openSegment(path)
+	if err != nil || !reflect.DeepEqual(parsed, built) || len(parsed) != 1 || parsed[0].count != len(records) {
+		t.Fatalf("the split run scans to %+v, built %+v, %v", parsed, built, err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, got, err := readRun(f, parsed[0], nil, sketch.Words{})
+	if err != nil || !slices.EqualFunc(got.AppendTo(nil), records, samePub) {
+		t.Fatalf("the split run reads as %d records, %v; want %d", got.Len(), err, len(records))
+	}
+}
+
+// TestLogAndSegmentWriteOneLayout: the log and a segment write a run the
+// same way.  Records of four subsets — ids dense, spread, hashed, a subset
+// at two lengths, a run past one id block — framed by the log from
+// sketch.Published (appendFrameRun) and by the segment writer from their
+// columns give every run the same bytes, and the sealed segment reads
+// back as the runs the log's replay makes of the same records.
+func TestLogAndSegmentWriteOneLayout(t *testing.T) {
+	pub := func(id uint64, b bitvec.Subset, key uint64, length int) sketch.Published {
+		return sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: key % (1 << uint(length)), Length: length}}
+	}
+	var records []sketch.Published
+	for i := uint64(1); i <= 150; i++ {
+		records = append(records, pub(0x70000000000|i, bitvec.MustSubset(0, 2), i*37, 9))
+	}
+	for i := uint64(1); i <= 20; i++ {
+		records = append(records, pub(0x70000000000|(5*i), bitvec.MustSubset(0, 2), i*40503, 20))
+	}
+	for i := uint64(0); i < 70; i++ {
+		records = append(records, pub(i*0x9E3779B97F4A7C15|1, bitvec.MustSubset(1, 4, 7), i, 9))
+	}
+	records = append(records, pub(1<<40, bitvec.MustSubset(3), 1, 1), pub(2<<40, bitvec.MustSubset(3), 0, 1))
+	runs := testRuns(records)
+	image, built := encodeSegment(runs)
+	if len(built) != len(runs) || len(runs) != 4 {
+		t.Fatalf("%d records make %d runs and a segment of %d, want 4", len(records), len(runs), len(built))
+	}
+	for i, r := range runs {
+		logRun := appendFrameRun(nil, r.AppendTo(nil))
+		frame := image[built[i].start:built[i].end]
+		if segRun := frame[walFrameHeader+4:]; !bytes.Equal(segRun, logRun) {
+			t.Fatalf("run %d (%v at ℓ = %d): the segment writes %x, the log %x", i, r.Subset, r.Keys.Shape(), segRun, logRun)
+		}
+	}
+	var log []byte
+	for _, r := range runs {
+		var err error
+		if log, err = appendFrame(log, r.AppendTo(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := newRunSet()
+	if valid, n := scanLog(append(walMagic[:len(walMagic):len(walMagic)], log...), set); valid != int64(len(walMagic)+len(log)) || n != uint64(len(records)) {
+		t.Fatalf("the log replays %d of its %d bytes, %d records", valid, len(walMagic)+len(log), n)
+	}
+	replayed := set.normalized()
+	path := filepath.Join(t.TempDir(), segmentName(1))
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scanned, err := openSegment(path)
+	if err != nil || !reflect.DeepEqual(scanned, built) {
+		t.Fatalf("the segment scans to %+v, %v; built %+v", scanned, err, built)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i, r := range scanned {
+		_, got, err := readRun(f, r, nil, sketch.Words{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := replayed[i]
+		if r.tag != want.tag || got.Keys.Shape() != want.Keys.Shape() || !slices.EqualFunc(got.AppendTo(nil), want.AppendTo(nil), samePub) {
+			t.Fatalf("segment run %d reads as %d records of %v at ℓ = %d, the log's replay as %d of %v at ℓ = %d", i, got.Len(), got.Subset, got.Keys.Shape(), want.Len(), want.Subset, want.Keys.Shape())
+		}
+		for k := range got.IDs.Blocks() {
+			if !bytes.Equal(got.IDs.BlockBytes(k), want.IDs.BlockBytes(k)) {
+				t.Fatalf("segment run %d codes id block %d as %x, the log's replay as %x", i, k, got.IDs.BlockBytes(k), want.IDs.BlockBytes(k))
+			}
+		}
 	}
 }
 
 // TestReadRunEndsAtTheRunsEnd: a read takes a run by the byte range the
-// directory gave it and refuses blocks that, checksums and all, end before
+// directory gave it and refuses frames that, checksums and all, end before
 // the range does — here a file rewritten under the store, whose run of the
-// same subset, length and count holds consecutive ids in a shorter block.
+// same subset, length and count holds consecutive ids in a shorter frame.
 func TestReadRunEndsAtTheRunsEnd(t *testing.T) {
 	b := bitvec.MustSubset(0, 2)
 	var spread, dense []sketch.Published
-	for id := uint64(1); id <= segBlockRecords; id++ {
+	for id := uint64(1); id <= sketch.IDBlockLen; id++ {
 		spread = append(spread, testRecord(3*id, b))
 		dense = append(dense, testRecord(id, b), sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: id, Length: 20}})
 	}
@@ -870,10 +975,10 @@ func TestRunHeaderCountBound(t *testing.T) {
 		image = append(binary.BigEndian.AppendUint32(image, checksum(frame)), frame...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		valid, records, err := scanLog(image, newRunSet())
+		valid, records := scanLog(image, newRunSet())
 		runtime.ReadMemStats(&after)
-		if err != nil || valid != int64(len(walMagic)) || records != 0 {
-			t.Fatalf("a frame claiming %d records in %d bytes replays to %d bytes and %d records, %v", count, least-1, valid, records, err)
+		if valid != int64(len(walMagic)) || records != 0 {
+			t.Fatalf("a frame claiming %d records in %d bytes replays to %d bytes and %d records", count, least-1, valid, records)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<12 {
 			t.Fatalf("refusing a frame claiming %d records allocated %d bytes", count, grew)
@@ -882,26 +987,34 @@ func TestRunHeaderCountBound(t *testing.T) {
 }
 
 func TestSegmentHostileCountRejected(t *testing.T) {
-	// Crafted segments declaring 2^64-1 records in the header, or 2^32-1 in
-	// a run header whose checksum was recomputed, must produce a decode
-	// error, not a huge preallocation.
+	// Crafted segments declaring 2^64-1 records in the footer, or 2^32-1 in
+	// a run header whose frame checksum was recomputed, must produce a
+	// decode error, not a huge preallocation.
 	meta := writeTestSegment(t, t.TempDir(), 1, []sketch.Published{testRecord(1, bitvec.MustSubset(0))})
 	clean, err := os.ReadFile(meta.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := bytes.Clone(clean)
-	binary.BigEndian.PutUint64(header[len(segMagic):], ^uint64(0))
+	footer := bytes.Clone(clean)
+	binary.BigEndian.PutUint64(footer[len(footer)-segFooterSize:], ^uint64(0))
 	runHeader := bytes.Clone(clean)
-	const countAt = segHeaderSize + 4 + 16 // past the tag length and the tag
+	const payload = len(segMagic) + walFrameHeader
+	const countAt = payload + 4 + 4 + 16 // past the run count, the tag length and the tag
 	binary.BigEndian.PutUint32(runHeader[countAt:], ^uint32(0))
-	binary.BigEndian.PutUint32(runHeader[countAt+5:], checksum(runHeader[segHeaderSize:countAt+5]))
-	for name, image := range map[string][]byte{"segment header": header, "run header": runHeader} {
+	binary.BigEndian.PutUint32(runHeader[len(segMagic)+4:], checksum(runHeader[payload:len(runHeader)-segFooterSize]))
+	for name, image := range map[string][]byte{"footer": footer, "run header": runHeader} {
 		if err := os.WriteFile(meta.path, image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openSegment(meta.path); !errors.Is(err, ErrSegmentCorrupt) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := openSegment(meta.path)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrSegmentCorrupt) {
 			t.Fatalf("hostile count in the %s: openSegment = %v, want ErrSegmentCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<12 {
+			t.Fatalf("refusing a hostile count in the %s allocated %d bytes", name, grew)
 		}
 	}
 }
@@ -1179,14 +1292,14 @@ func TestSegmentReadPaths(t *testing.T) {
 	reads("after a compaction", 1, want, shortest(want))
 }
 
-// TestManifestFormats: readManifest takes the v6 marker, the v5 one and
-// v6-converting — a directory Open converts, and one whose conversion is
+// TestManifestFormats: readManifest takes the v7 marker, the v6 one and
+// v7-converting — a directory Open converts, and one whose conversion is
 // under way — and none — a new directory, or one from before v3, which
 // Open refuses if it holds data — refuses an older version's markers (v3,
-// v4, and v5-converting, the mark of a conversion to v5 under way) with
-// ErrFormatTooOld, naming the marker, and refuses every other as corrupt,
-// as an older binary refuses v6: a directory is never opened by a version
-// that cannot read all of it.
+// v4, v5, and v5-converting and v6-converting, the marks of a conversion
+// to v5 or v6 under way) with ErrFormatTooOld, naming the marker, and
+// refuses every other as corrupt, as an older binary refuses v7: a
+// directory is never opened by a version that cannot read all of it.
 func TestManifestFormats(t *testing.T) {
 	write := func(t *testing.T, line string) string {
 		dir := t.TempDir()
@@ -1195,28 +1308,28 @@ func TestManifestFormats(t *testing.T) {
 		}
 		return dir
 	}
-	for line, want := range map[string]string{"3 v6\n": "v6", "3 v5\n": "v5", "3 v6-converting\n": "v6-converting", "3\n": ""} {
+	for line, want := range map[string]string{"3 v7\n": "v7", "3 v6\n": "v6", "3 v7-converting\n": "v7-converting", "3\n": ""} {
 		if n, format, err := readManifest(write(t, line)); err != nil || n != 3 || format != want {
 			t.Fatalf("readManifest(%q) = %d, %q, %v; want 3, %q", line, n, format, err, want)
 		}
 	}
-	for _, line := range []string{"3 v3\n", "3 v4\n", "3 v5-converting\n"} {
+	for _, line := range []string{"3 v3\n", "3 v4\n", "3 v5\n", "3 v5-converting\n", "3 v6-converting\n"} {
 		if n, format, err := readManifest(write(t, line)); !errors.Is(err, ErrFormatTooOld) || !strings.Contains(err.Error(), strings.Fields(line)[1]) {
 			t.Fatalf("readManifest(%q) = %d, %q, %v: want ErrFormatTooOld naming the marker", line, n, format, err)
 		}
 	}
-	for _, line := range []string{"3 v7\n", "3 v2\n", "3 v5-done\n", "3 v6 v6\n", "v6\n", "0 v6\n"} {
+	for _, line := range []string{"3 v8\n", "3 v2\n", "3 v6-done\n", "3 v7 v7\n", "v7\n", "0 v7\n"} {
 		if n, format, err := readManifest(write(t, line)); err == nil || errors.Is(err, ErrFormatTooOld) {
 			t.Fatalf("readManifest(%q) = %d, %q, %v: want a corrupt manifest", line, n, format, err)
 		}
 	}
 }
 
-// TestCleanV6DirOpensWithoutWrites: a directory holding each subset at one
+// TestCleanV7DirOpensWithoutWrites: a directory holding each subset at one
 // length — segments, a log with frames in it, a manifest — opens as it
 // is: Open and Close, with and without fsync, leave every file's bytes and
 // modification time as they were, and create no file.
-func TestCleanV6DirOpensWithoutWrites(t *testing.T) {
+func TestCleanV7DirOpensWithoutWrites(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, Shards: 2, CompactInterval: -1})
 	if err != nil {
@@ -1280,7 +1393,7 @@ func TestCleanV6DirOpensWithoutWrites(t *testing.T) {
 			}
 			data, err := os.ReadFile(path)
 			if was, ok := files[path]; err != nil || !ok || !bytes.Equal(data, was) || !info.ModTime().Equal(past) {
-				t.Fatalf("Open and Close (fsync %v) of a clean v6 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
+				t.Fatalf("Open and Close (fsync %v) of a clean v7 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
 			}
 			return nil
 		}); err != nil {

@@ -200,12 +200,14 @@ func FuzzColumnIDs(f *testing.F) {
 				t.Fatalf("the frame decodes to %v, want %v", got, records)
 			}
 			image, built := encodeSegment(runs)
-			walked, err := walkSegment(image, "seg")
-			if err != nil || len(walked) != 1 || walked[0].count != len(want) || !reflect.DeepEqual(walked, built) {
-				t.Fatalf("the segment of the column walks to %+v, built %+v, %v", walked, built, err)
+			scanned, err := scanSegment(image, "seg")
+			if err != nil || len(scanned) != 1 || scanned[0].count != len(want) || !reflect.DeepEqual(scanned, built) {
+				t.Fatalf("the segment of the column scans to %+v, built %+v, %v", scanned, built, err)
 			}
-			if got := image[walked[0].start:walked[0].end]; walked[0].end-walked[0].start != int64(ids.Bytes()+len(wantWords)+4*ids.Blocks()) || !bytes.HasPrefix(got, ids.BlockBytes(0)) {
-				t.Fatalf("the segment's run spans [%d,%d) and opens with %x, the column's first block is %x", walked[0].start, walked[0].end, got[:min(len(got), 16)], ids.BlockBytes(0))
+			// The segment's frame is the log's frame of the same records.
+			frame, err := appendFrame(nil, records)
+			if got := image[scanned[0].start:scanned[0].end]; err != nil || !bytes.Equal(got, frame) {
+				t.Fatalf("the segment's run spans [%d,%d) as %x, the log frames it as %x (%v)", scanned[0].start, scanned[0].end, got, frame, err)
 			}
 		}
 		for _, c := range ops {
@@ -260,7 +262,7 @@ func FuzzColumnIDs(f *testing.F) {
 		_, hugeErr := parseIDs(src, n<<40|1<<39)
 		_, _, hugeDecodeErr := sketch.DecodeIDBlocks(nil, src, n<<40|1<<39)
 		_, _ = newRunSet().addFrame(src)
-		_, _ = walkSegment(src, "hostile")
+		_, _ = scanSegment(append(segMagic[:len(segMagic):len(segMagic)], src...), "hostile")
 		runtime.ReadMemStats(&after)
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<14+64*len(hostile)); grew > bound {
 			t.Fatalf("decoding %d hostile bytes allocated %d", len(hostile), grew)

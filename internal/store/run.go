@@ -22,7 +22,7 @@ import (
 // shape gives it, or — outside the records of a log still in arrival
 // order — an id at 8 bytes.
 //
-// On disk (format v6) a run is
+// On disk a run is
 //
 //	4 bytes big-endian tag length | the subset tag (bitvec.Subset.Tag)
 //	4 bytes big-endian record count (≥ 1)
@@ -39,17 +39,16 @@ import (
 // sketches, 72 bytes for a block of 64.  Both columns are the table's own
 // bits, written with a copy and read back with a checked one
 // (sketch.IDBuilder.AppendBlock, sketch.Words.AppendBits and
-// AppendBitsFrom, and nowhere else).  The log writes an appended group's
-// runs whole, one per stretch of its records of one subset and length, ids
-// as they came — ascending, as the engine hands a batch over; a segment
-// cuts the columns into checksummed blocks, one id block and its words
-// each (segment.go).
+// AppendBitsFrom, and nowhere else).  Runs travel in frames (wal.go), and
+// the log and a segment write the same frames: the log one per appended
+// group, its runs one per stretch of the group's records of one subset and
+// length, ids as they came — ascending, as the engine hands a batch over;
+// a segment one per run, sorted and deduplicated (segment.go).
 //
 // A run holds one length, and the store keeps a subset's records of two
 // lengths as two runs, (tag, length) ascending, deduplicating each on its
 // own: which length a deployment serves is its engine's to decide.  A
-// checksum-clean header of a shape past 30 is an older binary's run of
-// whole Pack words, which this version refuses with ErrFormatTooOld.
+// shape byte of 0 or past 30 is no run's.
 type run struct {
 	tag string // the subset's canonical tag, Subset.Key: what runs sort by
 	sketch.Run
@@ -63,8 +62,8 @@ func compareRuns(a, b run) int {
 const runHeaderFixed = 4 + 4 + 1 // tag length, record count, shape
 
 // castagnoli is the CRC-32C table; checksum is the one integrity function
-// of every structure the store writes — log frames, segment run headers
-// and blocks.  (wire frames use the same polynomial.)
+// of every structure the store writes: a frame, of the log or of a
+// segment.  (wire frames use the same polynomial.)
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
@@ -85,16 +84,10 @@ type runHeader struct {
 	size  int // bytes the header occupies
 }
 
-// maxWholeShape is the widest shape an older binary wrote: whole Pack
-// words of a column that met two lengths, in up to 35 bits each.
-const maxWholeShape = sketch.MaxLength + sketch.MaxLength + 5
-
 // parseRunHeader reads the run header at the front of src.  Every field
 // is input: lengths are checked against what src holds before anything is
-// sliced, a shape that is not one length is refused — one of an older
-// binary's whole words with ErrFormatTooOld and the header's size, for the
-// caller to hold against the header's checksum — and so is a count whose
-// columns the bytes after the header could not hold — at the least 9
+// sliced, a shape that is not one length is refused, and so is a count
+// whose columns the bytes after the header could not hold — at the least 9
 // bytes an id block, one of consecutive ids, and the words' bits — so that
 // what is later allocated for the count is a bounded multiple of the file
 // it came from: fewer than 4 ids a byte, 1/8 byte of a 1-bit key and 9/64
@@ -109,11 +102,8 @@ func parseRunHeader(src []byte) (runHeader, error) {
 	}
 	h := runHeader{tag: src[4 : 4+tagLen], size: runHeaderFixed + int(tagLen)}
 	count := uint64(binary.BigEndian.Uint32(src[4+tagLen:]))
-	switch h.shape = sketch.Shape(src[h.size-1]); {
-	case h.shape == 0 || h.shape > maxWholeShape:
+	if h.shape = sketch.Shape(src[h.size-1]); h.shape == 0 || h.shape > sketch.MaxLength {
 		return runHeader{}, fmt.Errorf("run word shape %d", h.shape)
-	case h.shape > sketch.MaxLength:
-		return runHeader{size: h.size}, fmt.Errorf("%w: a run of whole words, shape %d", ErrFormatTooOld, h.shape)
 	}
 	rest := uint64(len(src) - h.size)
 	if count == 0 || uint64(sketch.MinIDBlocksLen(int(count))+wordsLen(int(count), h.shape)) > rest {
@@ -124,8 +114,8 @@ func parseRunHeader(src []byte) (runHeader, error) {
 }
 
 // wordsLen is how many bytes n words of the given shape occupy on disk.
-// Blocks of 64 words are whole bytes, so a segment's blocks of a run take
-// what the run's words take in one piece.
+// 64 words are whole bytes, so a run cut at id blocks into frames
+// (segWriter) takes what its words take in one piece.
 func wordsLen(n int, shape sketch.Shape) int { return (n*shape.Bits() + 7) / 8 }
 
 // runSet gathers records in arrival order, one growing run per subset and

@@ -23,8 +23,8 @@ type segRun struct {
 	subset bitvec.Subset
 	count  int
 	shape  sketch.Shape // the shape of the run's words
-	// start and end bound the run's blocks in the file: the byte after its
-	// header's checksum, and the byte past its last block.
+	// start and end bound the run's frames in the file: the first byte of
+	// its first, and the byte past its last.
 	start, end int64
 }
 
@@ -47,12 +47,11 @@ func (x segIndex) find(tag string) segIndex {
 	return x[i:n]
 }
 
-// readRun reads and decodes run r whole with one read, reusing raw as the
-// read buffer and keys' room.  What the file holds there must pass every
-// block checksum, hold valid words, ascend from block to block, and end
-// exactly at the run's end with exactly its count: the directory was
-// checked against this file at open, so a disagreement now is corruption,
-// reported loudly.
+// readRun reads run r's frames with one read, reusing raw as the read
+// buffer and keys' room, and decodes them as Open did (decodeRun).  They
+// must be whole, checksum-clean and hold r's subset and length, and
+// exactly its count: the directory was checked against this file at open,
+// so a disagreement now is corruption, reported loudly.
 func readRun(f *os.File, r segRun, raw []byte, keys sketch.Words) ([]byte, sketch.Run, error) {
 	corrupt := func(err error) ([]byte, sketch.Run, error) {
 		return raw, sketch.Run{}, fmt.Errorf("%w: %s: subset %v: %v", ErrSegmentCorrupt, f.Name(), r.subset, err)
@@ -64,16 +63,24 @@ func readRun(f *os.File, r segRun, raw []byte, keys sketch.Words) ([]byte, sketc
 	var ids sketch.IDBuilder
 	ids.Grow(r.count, len(raw))
 	keys = keys.Reset()
-	src := raw
-	for at := 0; at < r.count; at += segBlockRecords {
-		size, more, err := decodeBlock(src, min(r.count-at, segBlockRecords), r.shape, &ids, keys)
-		if err != nil {
-			return corrupt(fmt.Errorf("block %d: %v", at/segBlockRecords, err))
+	end, err := eachFrame(raw, 0, len(raw), func(_ int, payload []byte) error {
+		h, cols, idsLen, err := oneRun(payload)
+		switch {
+		case err != nil:
+			return err
+		case string(h.tag) != r.tag || h.shape != r.shape:
+			return fmt.Errorf("a frame of %q at length %d", h.tag, h.shape)
+		case ids.Len()+h.count > r.count:
+			return fmt.Errorf("more than its %d records", r.count)
 		}
-		src, keys = src[size:], more
-	}
-	if len(src) != 0 {
-		return corrupt(fmt.Errorf("%d bytes after its %d records", len(src), r.count))
+		keys, err = decodeRun(h, cols, idsLen, &ids, keys)
+		return err
+	})
+	switch {
+	case err != nil:
+		return corrupt(fmt.Errorf("frame at %d: %v", r.start+int64(end), err))
+	case end != len(raw) || ids.Len() != r.count:
+		return corrupt(fmt.Errorf("%d of its %d bytes are whole frames, of %d of its %d records", end, len(raw), ids.Len(), r.count))
 	}
 	return raw, sketch.Run{Subset: r.subset, IDs: ids.IDs(), Keys: keys}, nil
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -56,46 +55,55 @@ func samePub(a, b sketch.Published) bool {
 	return a.ID == b.ID && a.S == b.S && a.Subset.Equal(b.Subset)
 }
 
-// FuzzSegmentIndex corrupts an arbitrary byte — the header's count, a run
-// header and its shape byte, a block's width byte, first id, differences
-// or words and their pad bits, a block sum, the footer's data-area end,
-// anywhere — of a v6 segment written here from a fuzzer-shaped record set,
-// with twoLengths one whose subsets are each a run at ℓ = 10 and one at
-// ℓ = 20, as the one segment of a one-shard store.  Then it drives every
-// read path — Iterate, ReadBatch and Lookup — twice: under a store that
-// opened the clean segment and finds it corrupted in place, and under one
-// opened on the corrupted segment.  The contract: the open fails loudly,
-// or every read returns exactly the written records or fails loudly; reads
-// never panic, never return a wrong, missing or misattributed record, and
-// hostile lengths never drive huge allocations.
+// FuzzSegmentIndex corrupts an arbitrary byte — a frame's length or
+// checksum, its run count, a run header's count or shape byte, an id
+// block's width byte, first id or differences, the words and their pad
+// bits, the footer's record count, anywhere — of a v7 segment written here
+// from a fuzzer-shaped record set, with twoLengths one whose subsets are
+// each a run at ℓ = 10 and one at ℓ = 20, as the one segment of a
+// one-shard store.  Then it drives every read path — Iterate, ReadBatch
+// and Lookup — twice: under a store that opened the clean segment and
+// finds it corrupted in place, and under one opened on the corrupted
+// segment.  The contract: the open fails loudly, or every read returns
+// exactly the written records or fails loudly; reads never panic, never
+// return a wrong, missing or misattributed record, and hostile lengths
+// never drive huge allocations.
 func FuzzSegmentIndex(f *testing.F) {
+	// first returns where the first run's frame of a seed's segment starts,
+	// its tag's length, where its id column starts and how long that is,
+	// and where its frame ends.
+	first := func(seed uint64, n int) (start, tagLen, ids, idsLen, end int) {
+		image, runs := encodeSegment(fuzzSegmentRecords(seed, n, false))
+		start, tagLen = int(runs[0].start), len(runs[0].tag)
+		ids = start + walFrameHeader + 4 + runHeaderFixed + tagLen
+		idsLen, _ = sketch.IDBlocksLen(image[ids:], runs[0].count)
+		return start, tagLen, ids, idsLen, int(runs[0].end)
+	}
 	f.Add(uint64(1), 10, -1, byte(0), false)
 	f.Add(uint64(2), 0, -1, byte(0), false)
-	f.Add(uint64(3), 40, 9, byte(0xFF), false)    // header record count
-	f.Add(uint64(4), 40, 30, byte(0x01), false)   // first run header
-	f.Add(uint64(5), 200, 1500, byte(0x80), true) // a block of a run at ℓ = 20
-	f.Add(uint64(6), 33, -5, byte(0xFF), false)   // footer: data-area end
-	f.Add(uint64(7), 33, -12, byte(0xFF), true)   // footer: the skipped section's checksum
-	f.Add(uint64(8), 64, -20, byte(0x40), true)   // the last block's words
-	f.Add(uint64(9), 40, 45, byte(0x09), false)   // the first block's width byte
-	f.Add(uint64(10), 40, 46, byte(0x80), false)  // the first block's first id
-	f.Add(uint64(11), 300, 60, byte(0x01), false) // a difference of the first block
-	f.Add(uint64(12), 300, 200, byte(0xFF), false)
-	f.Add(uint64(13), 40, 40, byte(0x41), false) // the first run's shape byte
-	// The last byte of the first run's last block of words, pad bits and
-	// all.
-	_, padRuns := encodeSegment(fuzzSegmentRecords(14, 45, false))
-	f.Add(uint64(14), 45, int(padRuns[0].end)-5, byte(0x80), false)
-	// The first block's width byte made 33, 64 (raw) and 0, and the top bit
-	// of its last byte of differences: a pad bit, or the widest
+	at, tagLen, _, _, _ := first(3, 40)
+	f.Add(uint64(3), 40, at+3, byte(0x01), false)         // the first frame's length
+	f.Add(uint64(3), 40, at+5, byte(0xFF), false)         // its checksum
+	f.Add(uint64(3), 40, at+11, byte(0x02), false)        // its run count
+	f.Add(uint64(3), 40, at+13, byte(0x01), false)        // its run's tag length
+	f.Add(uint64(3), 40, at+tagLen+19, byte(0x01), false) // the run header's count
+	f.Add(uint64(3), 40, at+tagLen+20, byte(0x41), false) // its shape byte
+	_, _, ids, idsLen, end := first(4, 200)
+	f.Add(uint64(4), 200, ids, byte(0x09), false)   // the first id block's width byte
+	f.Add(uint64(4), 200, ids+1, byte(0x80), false) // its first id
+	// The width byte made 33, 64 (raw) and 0, and the top bit of the
+	// column's last byte of differences: a pad bit, or the widest
 	// difference's.
-	v6, v6Runs := encodeSegment(fuzzSegmentRecords(15, 200, false))
-	at := int(v6Runs[0].start)
-	idsLen, _ := sketch.IDBlocksLen(v6[at:], segBlockRecords)
+	image, _ := encodeSegment(fuzzSegmentRecords(4, 200, false))
 	for _, w := range []byte{33, 64, 0} {
-		f.Add(uint64(15), 200, at, v6[at]^w, false)
+		f.Add(uint64(4), 200, ids, image[ids]^w, false)
 	}
-	f.Add(uint64(15), 200, at+idsLen-1, byte(0x80), false)
+	f.Add(uint64(4), 200, ids+idsLen-1, byte(0x80), false)
+	f.Add(uint64(4), 200, end-1, byte(0x80), false) // the words' last byte, pad bits and all
+	f.Add(uint64(5), 200, 1500, byte(0x80), true)   // a frame of a run at ℓ = 20
+	f.Add(uint64(6), 64, -10, byte(0x40), true)     // the last frame's words
+	f.Add(uint64(7), 33, -1, byte(0xFF), false)     // the footer's record count
+	f.Add(uint64(7), 33, -8, byte(0x01), true)      // its top byte
 	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, twoLengths bool) {
 		if n < 0 || n > 300 {
 			n = int(uint(n) % 301)
@@ -250,10 +258,7 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 // cut short, a whole frame with a flipped bit — replay must not panic,
 // must not allocate beyond what the file's size accounts for, must return
 // exactly the prefix's records and must truncate the file to exactly the
-// prefix.  Unless what follows opens with a whole, checksum-clean frame
-// whose runs reach a header of whole words before anything malformed: an
-// older binary wrote and acknowledged it, so replay refuses it with
-// ErrFormatTooOld and leaves the file byte for byte as it was.
+// prefix.
 func FuzzWALReplay(f *testing.F) {
 	frame := func(payload []byte) []byte {
 		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
@@ -287,32 +292,28 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint64(20), 2, frame(framePayload(tag, 2, 1, append(append(append([]byte{64}, first...), 0, 0, 0, 0, 0, 0, 0, 6), 0x03))))
 	f.Add(uint64(21), 2, frame(framePayload(tag, 2, 1, []byte{32, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0x03})))
 	f.Add(uint64(22), 2, frame(framePayload(tag, 1<<12, 1, append(append([]byte{0}, first...), ones(1<<12)...))))
-	// And frames whose ids are sound and whose words are not: a shape byte
-	// of 0 and one past an older binary's widest whole words, which end the
-	// valid prefix; a pad bit set, which does too; then two frames of an
-	// older binary's whole words, 35 bits a word (one a word of length 31)
-	// and 14 bits, which replay refuses with ErrFormatTooOld.
+	// And frames whose ids are sound and whose words are not, each of which
+	// ends the valid prefix: a shape byte of 0, one of 31 and one of 255;
+	// a pad bit set; and the whole words an older binary wrote, 35 bits a
+	// word (one a word of length 31) and 14 bits, under shapes past 30.
 	ids := []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1}
 	f.Add(uint64(12), 2, frame(framePayload(tag, 3, 0, append(bytes.Clone(ids), ones(3)...))))
-	f.Add(uint64(13), 2, frame(framePayload(tag, 3, maxWholeShape+1, append(bytes.Clone(ids), make([]byte, 14)...))))
+	f.Add(uint64(13), 2, frame(framePayload(tag, 3, 255, append(bytes.Clone(ids), make([]byte, 14)...))))
 	f.Add(uint64(14), 2, frame(framePayload(tag, 3, 1, append(bytes.Clone(ids), 0x0F))))
-	f.Add(uint64(15), 2, frame(framePayload(tag, 3, maxWholeShape, append(bytes.Clone(ids), packBits([]uint64{0x21, 0x21, 31}, 35)...))))
+	f.Add(uint64(15), 2, frame(framePayload(tag, 3, sketch.MaxLength+35, append(bytes.Clone(ids), packBits([]uint64{0x21, 0x21, 31}, 35)...))))
 	f.Add(uint64(16), 2, frame(framePayload(tag, 3, sketch.MaxLength+14, append(bytes.Clone(ids), packBits([]uint64{0x21, 1<<13 | 0x11, 0x01}, 14)...))))
+	f.Add(uint64(23), 2, frame(framePayload(tag, 3, sketch.MaxLength+1, append(bytes.Clone(ids), packBits([]uint64{1, 2, 3}, 31)...))))
 	f.Fuzz(func(t *testing.T, seed uint64, windows int, tail []byte) {
 		windows = int(uint(windows) % 12)
 		tail = bytes.Clone(tail) // the fuzzer keeps its inputs
 		prefix, want := fuzzLog(t, seed, windows)
 		// The tail must not open with a whole valid window, or it would
 		// belong to the prefix: the fuzzer may keep every other byte of one.
-		older := false
 		if len(tail) >= walFrameHeader {
 			n := int64(binary.BigEndian.Uint32(tail))
 			if n <= int64(len(tail)-walFrameHeader) && checksum(tail[walFrameHeader:walFrameHeader+n]) == binary.BigEndian.Uint32(tail[4:]) {
-				payload := tail[walFrameHeader : walFrameHeader+n]
-				if _, err := newRunSet().addFrame(payload); err == nil {
+				if _, err := newRunSet().addFrame(tail[walFrameHeader : walFrameHeader+n]); err == nil {
 					tail[4] ^= 0x80
-				} else {
-					older = errors.Is(newRunSet().reserve(payload), ErrFormatTooOld)
 				}
 			}
 		}
@@ -325,12 +326,6 @@ func FuzzWALReplay(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		w, err := openWAL(path, false, nil)
 		runtime.ReadMemStats(&after)
-		if older {
-			if data, rerr := os.ReadFile(path); !errors.Is(err, ErrFormatTooOld) || rerr != nil || !bytes.Equal(data, image) {
-				t.Fatalf("replay of a log ending in an older binary's whole-word frame = %v, the file %d bytes of %d", err, len(data), len(image))
-			}
-			return
-		}
 		if err != nil {
 			t.Fatalf("replay of a valid prefix and %d more bytes failed: %v", len(tail), err)
 		}

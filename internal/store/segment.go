@@ -14,57 +14,44 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// Segment format v6, the only one written or read (v5.go converts v5).  A
-// segment is a shard's runs (run.go) in (subset tag, length) order, ids
-// ascending within each, every (user, subset, length) at most once:
+// Segment format v7, the only one written or read (v6.go converts v6).  A
+// segment is a shard's runs (run.go) sealed in the log's own frames
+// (wal.go): sorted by (subset tag, length), ids ascending within each,
+// every (user, subset, length) at most once —
 //
-//	16 byte header: magic "SKSEG\x00\x00\x06" | 8-byte record count
-//	data area, per run:
-//	  run header (tag length, tag, count, word shape) | 4-byte checksum
-//	  of the header | the run's columns cut into blocks of segBlockRecords
-//	  records (the last one shorter): the block of the id column (a width
-//	  byte, a first id, differences in bits — sketch/ids.go), the records' words
-//	  at the run's shape, 4-byte checksum of the block
-//	12 byte footer: 4-byte checksum of nothing | 8-byte data-area end
+//	8-byte magic "SKSEG\x00\x00\x07"
+//	one frame per run, in (tag, length) order: 4-byte payload length |
+//	  4-byte checksum of the payload | payload: run count 1, the run
+//	8-byte record count
 //
-// All integers are big-endian, every checksum is checksum().  A record
-// costs its id's share of a block — a quarter of a byte where users were
-// numbered as they enrolled, 8 and 1/64 where ids are hashes — and its
-// sketch in the bits memory holds it in, the ℓ bits of its key, so a
-// block of 64 of the 9-bit sketches of a million-user deployment holds 72
-// bytes of words, a copy of the column's bits (sketch.Words.AppendBits and
-// AppendBitsFrom); block sums add 1/16 byte, and a subset's tag is paid
-// once per segment.  A block's size follows from its width byte, its
-// record count and the run's shape, so blocks are found by walking them,
-// never by arithmetic on a record number.
+// All integers are big-endian, every checksum is checksum().  A run is
+// split across frames, at a block of its id column, only where one frame
+// would pass maxFrameBytes.  A record costs what it costs in the log — its
+// id's share of an id block, a quarter of a byte where users were numbered
+// as they enrolled, 8 and 1/64 where ids are hashes, and its ℓ bits of key
+// — and a run 21 bytes beside its tag: its frame's head and its header.
 //
-// Integrity.  The data area carries the records and describes itself:
-// Open walks it run by run, verifying every checksum and that the walk
-// ends exactly where the footer says the data area does with exactly the
-// header's record count, and fails loudly otherwise.  The run directory a
-// reader uses is what that walk derives — nothing a reader trusts is
-// stored beside the data, so it can be wrong about nothing.  A read takes
-// a run whole and verifies every block of it again.  Whatever lies between
-// the data area's end and the footer is skipped; a segment written now has
-// nothing there.
+// Integrity.  Open scans every frame with the log's parser (eachFrame,
+// eachRun), verifying every checksum and decoding every column, and
+// requires the frames to end exactly at the footer with exactly its
+// record count.  The run directory a reader uses is what that scan
+// derives — nothing a reader trusts is stored beside the data, so it can
+// be wrong about nothing.  A read takes a run's frames whole and decodes
+// them again with the same parser.  Where the log takes a torn tail for
+// what a crash mid-append left and cuts it off, a segment is written
+// whole before it is renamed into place, so any damage to one —
+// a flipped bit, a lost tail, a run out of order — is ErrSegmentCorrupt.
 //
-// A segment of another format has another magic and is corrupt: Open
-// converts a v5 directory before these readers run (v5.go), and refuses
-// older ones with ErrFormatTooOld.  So these readers meet v6 runs of one
-// length alone.
+// A segment of another magic is corrupt: Open converts a v6 directory
+// before these readers run (v6.go), and refuses older ones with
+// ErrFormatTooOld.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
-var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 6}
+var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 7}
 
-const (
-	segHeaderSize = 16 // magic + record count
-	segFooterSize = 12 // checksum of the empty section + data-area end
-	// segBlockRecords is how many records share a checksum: a block is
-	// about 150 bytes at ℓ = 9 where ids are dense (72 of ids, 72 of
-	// words, 4 of checksum).
-	segBlockRecords = sketch.IDBlockLen
-)
+// segFooterSize is the footer's: the record count.
+const segFooterSize = 8
 
 // ErrSegmentCorrupt is returned when a segment file fails validation.
 var ErrSegmentCorrupt = errors.New("store: corrupt segment")
@@ -100,54 +87,59 @@ type segWriter struct {
 	buf     []byte
 	runs    segIndex
 	records int
+	// frameBytes bounds a frame's payload: maxFrameBytes.
+	frameBytes int
 }
 
 // newSegWriter starts a segment whose image is about size bytes.
 func newSegWriter(size int) *segWriter {
-	w := &segWriter{buf: make([]byte, segHeaderSize, size)}
-	copy(w.buf, segMagic[:])
-	return w
+	return &segWriter{buf: append(make([]byte, 0, size), segMagic[:]...), frameBytes: maxFrameBytes}
 }
 
 // segmentSize is the size of the image of runs.
 func segmentSize(runs []run) int {
-	size := segHeaderSize + segFooterSize
+	size := len(segMagic) + segFooterSize
 	for _, r := range runs {
-		size += runHeaderFixed + len(r.tag) + 4 + r.IDs.Bytes() + wordsLen(r.Len(), r.Keys.Shape()) + 4*r.IDs.Blocks()
+		size += walFrameHeader + 4 + runHeaderFixed + len(r.tag) + r.IDs.Bytes() + wordsLen(r.Len(), r.Keys.Shape())
 	}
 	return size
 }
 
 // add appends a run: ids strictly ascending, its (tag, length) above the
-// last one's.
+// last one's.  It is a frame, or where one would pass the writer's bound,
+// frames of whole id blocks.
 func (w *segWriter) add(r run) {
-	if r.Len() == 0 {
-		return
-	}
 	shape := r.Keys.Shape()
-	header := len(w.buf)
-	w.buf = appendRunHeader(w.buf, r.tag, r.Len(), shape)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[header:]))
 	start := int64(len(w.buf))
-	for k, blocks := 0, r.IDs.Blocks(); k < blocks; k++ {
-		at := k * segBlockRecords
-		block := len(w.buf)
-		w.buf = append(w.buf, r.IDs.BlockBytes(k)...)
-		w.buf = r.Keys.Slice(at, min(at+segBlockRecords, r.Len())).AppendBits(w.buf)
-		w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(w.buf[block:]))
+	for lo, k := 0, 0; lo < r.Len(); {
+		hi, size := lo, 4+runHeaderFixed+len(r.tag)
+		for b := k; hi < r.Len(); b++ {
+			m := min(r.Len()-hi, sketch.IDBlockLen)
+			more := len(r.IDs.BlockBytes(b)) + wordsLen(m, shape)
+			if hi > lo && size+more > w.frameBytes {
+				break
+			}
+			hi, size = hi+m, size+more
+		}
+		buf, frame := openFrame(w.buf)
+		buf = appendRunHeader(buf, r.tag, hi-lo, shape)
+		for ; k*sketch.IDBlockLen < hi; k++ {
+			buf = append(buf, r.IDs.BlockBytes(k)...)
+		}
+		buf = r.Keys.Slice(lo, hi).AppendBits(buf)
+		closeFrame(buf, frame, 1)
+		w.buf, lo = buf, hi
 	}
-	w.runs = append(w.runs, segRun{tag: r.tag, subset: r.Subset, count: r.Len(), shape: shape, start: start, end: int64(len(w.buf))})
-	w.records += r.Len()
+	if r.Len() > 0 {
+		w.runs = append(w.runs, segRun{tag: r.tag, subset: r.Subset, count: r.Len(), shape: shape, start: start, end: int64(len(w.buf))})
+		w.records += r.Len()
+	}
 }
 
 // finish completes the image and returns it with the run directory
 // describing it, so a roll or compaction never re-parses its own output.
 func (w *segWriter) finish() ([]byte, segIndex) {
-	binary.BigEndian.PutUint64(w.buf[len(segMagic):], uint64(w.records))
-	end := len(w.buf)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, checksum(nil))
-	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(end))
-	return w.buf, w.runs
+	return binary.BigEndian.AppendUint64(w.buf, uint64(w.records)), w.runs
 }
 
 // encodeSegment renders normalized runs as a segment image.
@@ -206,99 +198,95 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// decodeBlock appends the block of m records at the front of src — input
-// — to ids and keys and returns its size.  It verifies the block's
-// checksum, that its words are what a column of the run's shape holds of
-// valid sketches and that the ids ascend from what ids already holds; on
-// an error what was appended is undefined and the caller drops both
-// columns.
-func decodeBlock(src []byte, m int, shape sketch.Shape, ids *sketch.IDBuilder, keys sketch.Words) (int, sketch.Words, error) {
-	idsLen, err := sketch.IDBlocksLen(src, m)
-	if err != nil {
-		return 0, keys, err
-	}
-	end := idsLen + wordsLen(m, shape)
-	if len(src) < end+4 {
-		return 0, keys, fmt.Errorf("block of %d bytes in %d", end+4, len(src))
-	}
-	if checksum(src[:end]) != binary.BigEndian.Uint32(src[end:]) {
-		return 0, keys, errors.New("block fails checksum")
-	}
-	if keys, err = keys.AppendBitsFrom(src[idsLen:end], shape, m); err != nil {
-		return 0, keys, err
-	}
-	_, err = ids.AppendBlock(src[:idsLen], m)
-	return end + 4, keys, err
-}
-
-// walkSegment validates an image's data area — trusting nothing but the
-// bytes it is reading — and returns the run directory the area implies.
-// Every record is decoded, so a segment Open accepted holds only
-// well-formed, checksum-clean, correctly ordered records.  A
-// checksum-clean run header of whole words — an older binary's column that
-// met two lengths — fails it with ErrFormatTooOld.
-func walkSegment(data []byte, path string) (segIndex, error) {
+// scanSegment validates a segment image — trusting nothing but the bytes
+// it is reading — and returns the run directory they imply.  Every record
+// is decoded (decodeRun), so a segment Open accepted holds only
+// well-formed, checksum-clean, correctly ordered records.
+func scanSegment(data []byte, path string) (segIndex, error) {
 	corrupt := func(format string, args ...any) (segIndex, error) {
 		return nil, fmt.Errorf("%w: %s %s", ErrSegmentCorrupt, path, fmt.Sprintf(format, args...))
 	}
-	if len(data) < segHeaderSize+segFooterSize {
+	if len(data) < len(segMagic)+segFooterSize {
 		return corrupt("is %d bytes", len(data))
 	}
 	if [8]byte(data[:8]) != segMagic {
-		return corrupt("has magic %q, not v6's", data[:8])
+		return corrupt("has magic %q, not v7's", data[:8])
 	}
 	var runs segIndex
-	// The record count and the data area's end cross-check each other
-	// through the walk: it must reach the end exactly, with exactly the
-	// count.  Whatever lies between the end and the footer is skipped.
-	count := binary.BigEndian.Uint64(data[len(segMagic):])
-	areaEnd := binary.BigEndian.Uint64(data[len(data)-8:])
-	if areaEnd < segHeaderSize || areaEnd > uint64(len(data)-segFooterSize) {
-		return corrupt("data area end %d out of range", areaEnd)
-	}
-	area := data[:areaEnd]
+	// The run being scanned: its ids are gathered only to hold each frame's
+	// against the one before, and cost their coded bytes, which the file
+	// bounds; the words are only checked, every frame's on the same room.
+	var ids sketch.IDBuilder
 	var keys sketch.Words
-	off, total := segHeaderSize, 0
-	for off < len(area) {
-		h, err := parseRunHeader(area[off:])
-		if errors.Is(err, ErrFormatTooOld) && len(area)-off-h.size >= 4 && checksum(area[off:off+h.size]) == binary.BigEndian.Uint32(area[off+h.size:]) {
-			return nil, fmt.Errorf("%s at offset %d: %w", path, off, err)
-		}
+	total := 0
+	footer := len(data) - segFooterSize
+	end, err := eachFrame(data, len(segMagic), footer, func(at int, payload []byte) error {
+		h, cols, idsLen, err := oneRun(payload)
 		if err != nil {
-			return corrupt("at offset %d: %v", off, err)
+			return err
 		}
-		end := off + h.size
-		if len(area)-end < 4 || checksum(area[off:end]) != binary.BigEndian.Uint32(area[end:]) {
-			return corrupt("run header at offset %d fails checksum", off)
-		}
-		tag := string(h.tag)
-		if n := len(runs); n > 0 && (tag < runs[n-1].tag || tag == runs[n-1].tag && h.shape <= runs[n-1].shape) {
-			return corrupt("run at offset %d is out of subset order", off)
-		}
-		subset, err := bitvec.ParseTag(h.tag)
-		if err != nil {
-			return corrupt("run at offset %d: %v", off, err)
-		}
-		// The run's ids are gathered only to hold each block against the one
-		// before it: they cost their coded bytes, which the file bounds.
-		var ids sketch.IDBuilder
-		keys = keys.Reset()
-		at := end + 4
-		for left := h.count; left > 0; left -= segBlockRecords {
-			// The words are only checked: every block lands on the same room.
-			size, _, err := decodeBlock(area[at:], min(left, segBlockRecords), h.shape, &ids, keys)
+		tag, n := string(h.tag), len(runs)
+		switch {
+		case n > 0 && tag == runs[n-1].tag && h.shape == runs[n-1].shape:
+			// The next frame of a run past maxFrameBytes.
+		case n > 0 && (tag < runs[n-1].tag || tag == runs[n-1].tag && h.shape < runs[n-1].shape):
+			return errors.New("run out of subset order")
+		default:
+			subset, err := bitvec.ParseTag(h.tag)
 			if err != nil {
-				return corrupt("run at offset %d: %v", off, err)
+				return err
 			}
-			at += size
+			runs, ids = append(runs, segRun{tag: tag, subset: subset, shape: h.shape, start: int64(at)}), sketch.IDBuilder{}
 		}
-		runs = append(runs, segRun{tag: tag, subset: subset, count: h.count, shape: h.shape, start: int64(end + 4), end: int64(at)})
-		off, total = at, total+h.count
+		r := &runs[len(runs)-1]
+		r.count, r.end = r.count+h.count, int64(at+walFrameHeader+len(payload))
+		total += h.count
+		keys, err = decodeRun(h, cols, idsLen, &ids, keys.Reset())
+		return err
+	})
+	if err != nil {
+		return corrupt("frame at offset %d: %v", end, err)
 	}
-	if uint64(total) != count {
-		return corrupt("holds %d records, its header says %d", total, count)
+	if end != footer {
+		return corrupt("frame at offset %d is cut short or fails its checksum", end)
+	}
+	if count := binary.BigEndian.Uint64(data[footer:]); uint64(total) != count {
+		return corrupt("holds %d records, its footer says %d", total, count)
 	}
 	return runs, nil
+}
+
+// oneRun parses a segment frame's payload, which holds one run.
+func oneRun(payload []byte) (h runHeader, cols []byte, idsLen int, err error) {
+	if len(payload) < 4 || binary.BigEndian.Uint32(payload) != 1 {
+		return h, nil, 0, errors.New("a segment frame holds one run")
+	}
+	n := 0
+	err = eachRun(payload, func(rh runHeader, rc []byte, rl int) error {
+		h, cols, idsLen, n = rh, rc, rl, n+1
+		return nil
+	})
+	return h, cols, idsLen, err
+}
+
+// decodeRun appends the columns of run h — cols, its id column idsLen
+// bytes of them, input — to ids and keys, checking every id block's
+// coding and that the ids ascend from what ids holds, and every word's
+// shape and pad bits.  On an error what was appended is undefined and the
+// caller drops both columns.
+func decodeRun(h runHeader, cols []byte, idsLen int, ids *sketch.IDBuilder, keys sketch.Words) (sketch.Words, error) {
+	keys, err := keys.AppendBitsFrom(cols[idsLen:], h.shape, h.count)
+	if err != nil {
+		return keys, err
+	}
+	for at, off := 0, 0; at < h.count; at += sketch.IDBlockLen {
+		size, err := ids.AppendBlock(cols[off:idsLen], min(h.count-at, sketch.IDBlockLen))
+		if err != nil {
+			return keys, err
+		}
+		off += size
+	}
+	return keys, nil
 }
 
 // openSegment reads and validates the segment at path and returns its run
@@ -308,7 +296,7 @@ func openSegment(path string) (segIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return walkSegment(data, path)
+	return scanSegment(data, path)
 }
 
 // listSegments scans dir for segment files, sorted by sequence number,

@@ -231,16 +231,17 @@ func TestSIGKILLMidCommitWindow(t *testing.T) {
 // nothing: every file keeps its bytes and modification time — the log is
 // not truncated — and no file but the lock is created.  The forms: data
 // under a manifest without a format marker, or under none (before v3); a
-// manifest marked v3, v4 or v5-converting (the v4 directory the last v4
-// binary wrote, under its own marker and under the mark of a conversion
-// under way); and under v5 a segment's checksum-clean run of whole words
-// and, with that segment gone, a log's whole frame of them, as a v5 binary
-// wrote them before a run held one length (the committed v5 directory);
-// and that shard, under a v5 manifest, beside one this version wrote with
-// a torn log tail, or in a directory whose manifest counts a shard that is
-// missing — refused in one shard as the conversion reads the directory,
-// Open cuts no other's tail, creates no shard and marks nothing.
-// A directory in the pre-v3 state that holds no data is one a crash left at
+// manifest marked v3, v4, v5, v5-converting or v6-converting (the v4
+// directory the last v4 binary wrote, under its own marker and under the
+// mark of a conversion under way; the committed v5 directories under
+// theirs, the one holding runs of whole words also without its first
+// segment, beside a shard with a torn log tail and under a manifest that
+// counts a missing shard; and the v6 one under the mark of a conversion to
+// v6 under way).  A directory a version that
+// converts it wrote is refused too, if its conversion finds a segment
+// corrupt, and written in no shard: not the torn tail of another shard's
+// log cut, not a shard directory created, not its manifest marked.  A
+// directory in the pre-v3 state that holds no data is one a crash left at
 // creation, and opens.
 func TestOlderDirRefused(t *testing.T) {
 	// A per-record log as the old versions wrote it: a length, an IEEE
@@ -267,7 +268,7 @@ func TestOlderDirRefused(t *testing.T) {
 		return dir
 	}
 	// fixture copies a committed directory, with its manifest replaced
-	// when one is given and without the files named.
+	// when one is given and without the files of shard 0 named.
 	fixture := func(t *testing.T, name, manifest string, without ...string) string {
 		dir := copyFixture(t, filepath.Join("testdata", name))
 		if manifest != "" {
@@ -285,19 +286,24 @@ func TestOlderDirRefused(t *testing.T) {
 	for name, c := range map[string]struct {
 		dir   func(t *testing.T) string
 		where string // what the refusal names besides the directory
+		want  error
 	}{
-		"a log under a bare shard count": {func(t *testing.T) string { return build(t, "2\n", map[string][]byte{walName: oldLog}) }, "no format marker"},
+		"a log under a bare shard count": {func(t *testing.T) string { return build(t, "2\n", map[string][]byte{walName: oldLog}) }, "no format marker", ErrFormatTooOld},
 		"a segment under a bare shard count": {func(t *testing.T) string {
 			return build(t, "2\n", map[string][]byte{walName: nil, segmentName(1): append([]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 1}, oldLog...)})
-		}, "no format marker"},
-		"a log and no manifest":           {func(t *testing.T) string { return build(t, "", map[string][]byte{walName: oldLog}) }, "no format marker"},
-		"a v3 manifest":                   {func(t *testing.T) string { return build(t, "2 v3\n", map[string][]byte{walName: oldLog}) }, "marked v3"},
-		"the v4 directory":                {func(t *testing.T) string { return fixture(t, "dir-parent-v4", "") }, "marked v4"},
-		"the v4 directory mid-conversion": {func(t *testing.T) string { return fixture(t, "dir-parent-v4", "1 v5-converting\n") }, "marked v5-converting"},
-		"a segment of whole words":        {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "") }, segmentName(1)},
-		"a log frame of whole words":      {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "", segmentName(1)) }, walName},
-		// Refused in one shard, a directory is written in none: not the torn
-		// tail of another shard's log, not a shard directory or log missing.
+		}, "no format marker", ErrFormatTooOld},
+		"a log and no manifest":              {func(t *testing.T) string { return build(t, "", map[string][]byte{walName: oldLog}) }, "no format marker", ErrFormatTooOld},
+		"a v3 manifest":                      {func(t *testing.T) string { return build(t, "2 v3\n", map[string][]byte{walName: oldLog}) }, "marked v3", ErrFormatTooOld},
+		"the v4 directory":                   {func(t *testing.T) string { return fixture(t, "dir-parent-v4", "") }, "marked v4", ErrFormatTooOld},
+		"the v4 directory mid-conversion":    {func(t *testing.T) string { return fixture(t, "dir-parent-v4", "1 v5-converting\n") }, "marked v5-converting", ErrFormatTooOld},
+		"the v5 directory":                   {func(t *testing.T) string { return fixture(t, "dir-v5", "") }, "marked v5", ErrFormatTooOld},
+		"a segment of whole words":           {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "") }, "marked v5", ErrFormatTooOld},
+		"a log frame of whole words":         {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "", segmentName(1)) }, "marked v5", ErrFormatTooOld},
+		"the v5 directory mid-conversion":    {func(t *testing.T) string { return fixture(t, "dir-v5", "1 v6-converting\n") }, "marked v6-converting", ErrFormatTooOld},
+		"the v6 directory marked converting": {func(t *testing.T) string { return fixture(t, "dir-v6", "2 v6-converting\n") }, "marked v6-converting", ErrFormatTooOld},
+		// Beside a shard this version wrote with a torn log tail, or a
+		// missing shard, the v5 directory of whole words is refused by its
+		// marker before any shard is read.
 		"a whole-word shard beside a torn log": {func(t *testing.T) string {
 			dir := t.TempDir()
 			st, err := Open(Options{Dir: dir, Shards: 2, CompactInterval: -1})
@@ -310,17 +316,7 @@ func TestOlderDirRefused(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			frame := windowFrame(t, testRecord(41, bitvec.MustSubset(0, 2)))
-			f, err := os.OpenFile(filepath.Join(dir, shardDirName(0), walName), os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(frame[:len(frame)/2]); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+			tornLog(t, filepath.Join(dir, shardDirName(0), walName))
 			if err := os.RemoveAll(filepath.Join(dir, shardDirName(1))); err != nil {
 				t.Fatal(err)
 			}
@@ -328,25 +324,41 @@ func TestOlderDirRefused(t *testing.T) {
 			if err := os.Rename(filepath.Join(old, shardDirName(0)), filepath.Join(dir, shardDirName(1))); err != nil {
 				t.Fatal(err)
 			}
-			// A v5 directory, which Open converts once it has read all of it.
 			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("2 v5\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return dir
-		}, segmentName(1)},
-		"a whole-word shard and a missing one": {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "2 v5\n") }, segmentName(1)},
+		}, "marked v5", ErrFormatTooOld},
+		"a whole-word shard and a missing one": {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "2 v5\n") }, "marked v5", ErrFormatTooOld},
+		// Refused in one shard, a directory is written in none: not the torn
+		// tail of another shard's log, not a shard directory or log missing.
+		"a corrupt v6 shard beside a torn log": {func(t *testing.T) string {
+			dir := fixture(t, "dir-v6", "")
+			tornLog(t, filepath.Join(dir, shardDirName(0), walName))
+			flipByte(t, filepath.Join(dir, shardDirName(1), segmentName(1)), 40)
+			return dir
+		}, filepath.Join(shardDirName(1), segmentName(1)), ErrSegmentCorrupt},
+		"a corrupt v6 shard and a missing one": {func(t *testing.T) string {
+			dir := fixture(t, "dir-v6", "3 v6\n")
+			flipByte(t, filepath.Join(dir, shardDirName(0), segmentName(2)), 40)
+			return dir
+		}, filepath.Join(shardDirName(0), segmentName(2)), ErrSegmentCorrupt},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := c.dir(t)
 			before := dirState(t, dir)
 			st, err := Open(Options{Dir: dir, CompactInterval: -1})
-			if !errors.Is(err, ErrFormatTooOld) {
+			if !errors.Is(err, c.want) {
 				if err == nil {
 					st.Close()
 				}
-				t.Fatalf("Open = %v, want ErrFormatTooOld", err)
+				t.Fatalf("Open = %v, want %v", err, c.want)
 			}
-			for _, named := range []string{dir, c.where, "79b9228"} {
+			named := []string{dir, c.where}
+			if c.want == ErrFormatTooOld {
+				named = append(named, "33ba9b8", "79b9228")
+			}
+			for _, named := range named {
 				if !strings.Contains(err.Error(), named) {
 					t.Fatalf("the refusal %q does not name %q", err, named)
 				}
@@ -371,36 +383,65 @@ func TestOlderDirRefused(t *testing.T) {
 			t.Fatalf("a directory a crash left at its creation does not open: %v", err)
 		}
 		defer st.Close()
-		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v6\n" {
+		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v7\n" {
 			t.Fatalf("manifest = %q, %v", data, err)
 		}
 	})
 }
 
-// copyFixture copies the files of a committed one-shard directory — its
-// manifest and shard-0000's files — into a fresh directory.
-func copyFixture(t *testing.T, src string) string {
+// tornLog appends half of a frame to the log at path, as a crash
+// mid-append leaves it.
+func tornLog(t *testing.T, path string) {
 	t.Helper()
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, shardDirName(0)), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(filepath.Join(src, shardDirName(0)))
+	frame := windowFrame(t, testRecord(41, bitvec.MustSubset(0, 2)))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{manifestName}
-	for _, e := range entries {
-		names = append(names, filepath.Join(shardDirName(0), e.Name()))
+	if _, err := f.Write(frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(src, name))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipByte inverts byte at of the file at path.
+func flipByte(t *testing.T, path string, at int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[at] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyFixture copies the files of a committed directory — its manifest
+// and its shard directories' files — into a fresh directory.
+func copyFixture(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := filepath.WalkDir(src, func(path string, e os.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
 		}
+		if e.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	}); err != nil {
+		t.Fatal(err)
 	}
 	return dir
 }

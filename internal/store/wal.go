@@ -14,10 +14,10 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// Log format v6, the only one written or read (v5.go converts v5).  The
-// log opens with an 8-byte magic and continues with one frame per appended
-// group, the unit a commit window queues: the one record of an Append, or
-// an AppendBatch's records for the shard.
+// The log, in the format it has had since v6, opens with an 8-byte magic
+// and continues with one frame per appended group, the unit a commit
+// window queues: the one record of an Append, or an AppendBatch's records
+// for the shard.  A segment holds the same frames (segment.go).
 //
 //	4 bytes big-endian payload length
 //	4 bytes big-endian checksum of the payload
@@ -29,8 +29,8 @@ import (
 //	         a stretch is a whole subset and users numbered as they
 //	         enrolled cost a bit or two an id; ids that do not ascend are
 //	         written raw, and a lone record's frame is a byte longer than
-//	         its 8-byte id made it — and its words as a segment block
-//	         holds them, ℓ bits a key, ⌈count·ℓ/8⌉ bytes.  A frame may name
+//	         its 8-byte id made it — and its words, ℓ bits a key,
+//	         ⌈count·ℓ/8⌉ bytes.  A frame may name
 //	         a subset and length in several runs; replay appends them in
 //	         order, so the newest of a repeated record is still the last
 //
@@ -44,10 +44,7 @@ import (
 // did — nothing of that window was acknowledged, and nothing says an
 // unacknowledged record must be lost.
 //
-// A log of another magic is refused at Open.  A whole, checksum-clean
-// frame holding a run of whole words — a shape past 30, which an older
-// binary wrote — was acknowledged, so it is no torn tail: replay refuses
-// it with ErrFormatTooOld and cuts nothing.
+// A log of another magic is refused at Open.
 var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 6}
 
 const (
@@ -147,9 +144,7 @@ func loadWAL(path string, fsync bool, m *metrics) (*wal, error) {
 // checksum mismatch, a payload that is not a sequence of runs — marks the
 // end of the valid prefix: the windows before it are kept and everything
 // from it on is what ready cuts off, which is exactly the state a crash
-// mid-append leaves behind.  A whole frame holding a run of whole words,
-// which an older binary wrote, is no such violation: it was acknowledged,
-// so replay fails with ErrFormatTooOld.
+// mid-append leaves behind.
 func (w *wal) replay() error {
 	info, err := w.f.Stat()
 	if err != nil {
@@ -170,11 +165,7 @@ func (w *wal) replay() error {
 		return fmt.Errorf("store: %s is not a v6 log", w.path)
 	}
 	set := newRunSet()
-	valid, records, err := scanLog(data, set)
-	if err != nil {
-		return fmt.Errorf("store: replaying %s: %w", w.path, err)
-	}
-	w.size, w.records = valid, records
+	w.size, w.records = scanLog(data, set)
 	w.kept, w.keptOK = set.normalized(), true
 	return nil
 }
@@ -227,23 +218,17 @@ func (w *wal) readLog(size int64) ([]byte, error) {
 // scanLog decodes a log image into set and returns the length of its
 // valid prefix — the magic and every whole, checksum-clean, well-formed
 // frame after it — and the records that prefix holds.  What follows the
-// prefix is not an error: it is what a crash mid-append leaves.  A whole
-// frame holding a run of whole words is: scanLog fails with
-// ErrFormatTooOld, before its caller could cut anything.
-// Nothing is allocated by a length field: the image
-// bounds every frame, and the columns are sized by a first pass over the
-// frames' run headers, each count checked against the bytes its columns
-// occupy.
-func scanLog(data []byte, set *runSet) (valid int64, records uint64, err error) {
+// prefix is not an error: it is what a crash mid-append leaves.  Nothing
+// is allocated by a length field: the image bounds every frame, and the
+// columns are sized by a first pass over the frames' run headers, each
+// count checked against the bytes its columns occupy.
+func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
 	if !bytes.HasPrefix(data, walMagic[:]) {
-		return 0, 0, nil
+		return 0, 0
 	}
-	end, err := eachFrame(data, len(data), set.reserve)
-	if errors.Is(err, ErrFormatTooOld) {
-		return 0, 0, err
-	}
+	end, _ := eachFrame(data, len(walMagic), len(data), func(_ int, payload []byte) error { return set.reserve(payload) })
 	set.grow()
-	end, _ = eachFrame(data, end, func(payload []byte) error {
+	end, _ = eachFrame(data, len(walMagic), end, func(_ int, payload []byte) error {
 		// A frame that was intact but holds no valid runs was fully written
 		// yet malformed, which atomic appends never produce.  Still the end
 		// of the valid prefix rather than a failed recovery.
@@ -251,14 +236,14 @@ func scanLog(data []byte, set *runSet) (valid int64, records uint64, err error) 
 		records += uint64(n)
 		return err
 	})
-	return int64(end), records, nil
+	return int64(end), records
 }
 
-// eachFrame calls fn with the payload of each whole, checksum-clean frame
-// of a log image after its magic, up to end, and returns where the first
-// one that is neither — or that fn refuses, with fn's error — starts.
-func eachFrame(data []byte, end int, fn func(payload []byte) error) (int, error) {
-	off := len(walMagic)
+// eachFrame calls fn with the offset and the payload of each whole,
+// checksum-clean frame of data from off up to end, and returns where the
+// first one that is neither — or that fn refuses, with fn's error —
+// starts: end, if every frame is whole and accepted.
+func eachFrame(data []byte, off, end int, fn func(at int, payload []byte) error) (int, error) {
 	for end-off >= walFrameHeader {
 		n := int64(binary.BigEndian.Uint32(data[off:]))
 		if n > int64(end-off-walFrameHeader) {
@@ -268,7 +253,7 @@ func eachFrame(data []byte, end int, fn func(payload []byte) error) (int, error)
 		if checksum(payload) != binary.BigEndian.Uint32(data[off+4:]) {
 			break
 		}
-		if err := fn(payload); err != nil {
+		if err := fn(off, payload); err != nil {
 			return off, err
 		}
 		off += walFrameHeader + int(n)
@@ -307,9 +292,7 @@ func eachRun(payload []byte, fn func(h runHeader, columns []byte, idsLen int) er
 	return nil
 }
 
-// reserve notes how many records a frame will add to each run.  The frame
-// is checksum-clean, so a run header of whole words in it (ErrFormatTooOld)
-// is what an older binary wrote, not a torn append.
+// reserve notes how many records a frame will add to each run.
 func (s *runSet) reserve(payload []byte) error {
 	return eachRun(payload, func(h runHeader, _ []byte, _ int) error {
 		r, err := s.runFor(h.tag, h.shape)
@@ -372,11 +355,7 @@ func (w *wal) runs() ([]run, error) {
 		return nil, fmt.Errorf("store: decoding %s: %w", w.path, err)
 	}
 	set := newRunSet()
-	valid, records, err := scanLog(data, set)
-	if err != nil {
-		return nil, fmt.Errorf("store: decoding %s: %w", w.path, err)
-	}
-	if valid != w.size || records != w.records {
+	if valid, records := scanLog(data, set); valid != w.size || records != w.records {
 		return nil, fmt.Errorf("store: decoding %s: %d of its %d acknowledged bytes (%d of %d records) are whole frames", w.path, valid, w.size, records, w.records)
 	}
 	if w.m != nil {
@@ -425,8 +404,7 @@ func windowBytes(ps []sketch.Published) int {
 // appendFrame appends to buf the frame of one appended group: a run for
 // each maximal stretch of its records of one subset and length.
 func appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
-	frame := len(buf)
-	buf = append(buf, make([]byte, walFrameHeader+4)...)
+	buf, frame := openFrame(buf)
 	runs := 0
 	for len(ps) > 0 {
 		n := 1
@@ -435,14 +413,26 @@ func appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 		}
 		buf, ps, runs = appendFrameRun(buf, ps[:n]), ps[n:], runs+1
 	}
-	payload := buf[frame+walFrameHeader:]
-	if len(payload) > maxFrameBytes {
-		return buf, fmt.Errorf("store: appended group of %d bytes exceeds %d", len(payload), maxFrameBytes)
+	if n := len(buf) - frame - walFrameHeader; n > maxFrameBytes {
+		return buf, fmt.Errorf("store: appended group of %d bytes exceeds %d", n, maxFrameBytes)
 	}
+	closeFrame(buf, frame, runs)
+	return buf, nil
+}
+
+// openFrame appends the head of a frame — its length, checksum and run
+// count, which closeFrame fills in — and returns where the frame starts.
+func openFrame(buf []byte) ([]byte, int) {
+	return append(buf, make([]byte, walFrameHeader+4)...), len(buf)
+}
+
+// closeFrame fills in the head of the frame at buf[frame:], which ends
+// buf and holds runs runs.
+func closeFrame(buf []byte, frame, runs int) {
+	payload := buf[frame+walFrameHeader:]
 	binary.BigEndian.PutUint32(payload, uint32(runs))
 	binary.BigEndian.PutUint32(buf[frame:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[frame+4:], checksum(payload))
-	return buf, nil
 }
 
 // appendFrameRun appends the run of ps, records of one subset and length:

@@ -417,14 +417,12 @@ func FuzzColumnWords(f *testing.F) {
 }
 
 // TestDecodeRefusesInvalidWord: a word column a writer never writes —
-// pad bits that are not zero, a shape byte that is no length — or an id
-// block of a width no writer writes is refused wherever bytes from disk
-// become columns, however clean the checksums over it: the log's replay
-// ends before its frame, a segment holding it fails to open, and nothing
-// of its run is kept.  A column of an older binary's whole words (a shape
-// past 30), sound or holding a word that packs no valid sketch, is refused
-// with ErrFormatTooOld by both — the log's replay before it cuts anything
-// — and one whose header fails its checksum is a corrupt segment.
+// pad bits that are not zero, a shape byte that is no length (0, or past
+// 30, as an older binary's whole Pack words were) — or an id block of a
+// width no writer writes is refused wherever bytes from disk become
+// columns, however clean the checksums over it: the log's replay ends
+// before its frame, a segment holding it fails to open, and nothing of its
+// run is kept.
 func TestDecodeRefusesInvalidWord(t *testing.T) {
 	b := bitvec.MustSubset(0, 3)
 	good := []sketch.Published{testRecord(1001, b), testRecord(1002, b), testRecord(1003, b)}
@@ -450,7 +448,8 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 		"an id block of width 33":      {ids: append([]byte{33, 0, 0, 0, 0, 0, 0, 0x03, 0xE9}, make([]byte, 9)...)},
 		"non-zero pad bits":            {pad: true},
 		"shape byte 0":                 {shape: 0xFF},
-		"a shape byte past the widest": {shape: maxWholeShape + 1},
+		"shape byte 31":                {shape: sketch.MaxLength + 1},
+		"a shape byte past the widest": {shape: 255},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ids, words, shape := bytes.Clone(goodIDs), bytes.Clone(goodWords), goodShape
@@ -472,63 +471,37 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 			case tc.shape != 0:
 				shape = tc.shape
 			}
-			cols := append(ids, words...)
+			payload := framePayload(b.Key(), len(good), shape, append(ids, words...))
 
 			// A log: one good frame, then a frame whose run holds the columns.
-			payload := framePayload(b.Key(), len(good), shape, cols)
-			bad := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-			bad = append(binary.BigEndian.AppendUint32(bad, checksum(payload)), payload...)
 			first := windowFrame(t, testRecord(9, b))
-			image := append(append(walMagic[:len(walMagic):len(walMagic)], first...), bad...)
-			wholeWords := shape > sketch.MaxLength && shape <= maxWholeShape
-			if _, _, err := scanLog(image, newRunSet()); wholeWords && !errors.Is(err, ErrFormatTooOld) {
-				t.Fatalf("replay of a frame of whole words = %v, want ErrFormatTooOld", err)
-			} else if !wholeWords {
-				got, valid := logRecords(t, image)
-				if valid != int64(len(walMagic)+len(first)) || len(got) != 1 || got[0].ID != 9 {
-					t.Fatalf("replay kept %d bytes and %+v, want the first frame's %d bytes and user 9 alone", valid, got, len(walMagic)+len(first))
-				}
+			image := append(append(walMagic[:len(walMagic):len(walMagic)], first...), logFrame(payload)...)
+			got, valid := logRecords(t, image)
+			if valid != int64(len(walMagic)+len(first)) || len(got) != 1 || got[0].ID != 9 {
+				t.Fatalf("replay kept %d bytes and %+v, want the first frame's %d bytes and user 9 alone", valid, got, len(walMagic)+len(first))
 			}
 
-			// A segment: the same run as its one block, every sum and the
-			// data area's end computed.
-			seg := oneBlockSegment(b.Key(), len(good), shape, cols)
-			want := ErrSegmentCorrupt
-			if wholeWords {
-				want = ErrFormatTooOld
-			}
-			if _, err := walkSegment(seg, "seg"); !errors.Is(err, want) {
-				t.Fatalf("walkSegment = %v, want %v", err, want)
+			// A segment: the same frame, and the footer's count.
+			if _, err := scanSegment(oneRunSegment(payload, len(good)), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("scanSegment = %v, want ErrSegmentCorrupt", err)
 			}
 		})
 	}
-	// The same construction of the good columns opens; of sound whole words
-	// it is refused as too old, and corrupt once their run header fails its
-	// checksum.
-	if _, err := walkSegment(oneBlockSegment(b.Key(), len(good), goodShape, append(goodIDs, goodWords...)), "seg"); err != nil {
+	// The same construction of the good columns opens.
+	if _, err := scanSegment(oneRunSegment(framePayload(b.Key(), len(good), goodShape, append(goodIDs, goodWords...)), len(good)), "seg"); err != nil {
 		t.Fatalf("the good columns as a segment: %v", err)
-	}
-	packed := make([]uint64, len(good))
-	for i, p := range good {
-		packed[i] = p.S.Pack()
-	}
-	whole := oneBlockSegment(b.Key(), len(good), sketch.MaxLength+16, append(bytes.Clone(goodIDs), packBits(packed, 16)...))
-	if _, err := walkSegment(whole, "seg"); !errors.Is(err, ErrFormatTooOld) {
-		t.Fatalf("walkSegment of sound whole words = %v, want ErrFormatTooOld", err)
-	}
-	whole[segHeaderSize+runHeaderFixed+len(b.Key())] ^= 1 // the header's checksum
-	if _, err := walkSegment(whole, "seg"); !errors.Is(err, ErrSegmentCorrupt) {
-		t.Fatalf("walkSegment of whole words under a bad header checksum = %v, want ErrSegmentCorrupt", err)
 	}
 }
 
-// oneBlockSegment is a segment image holding one run of n records, its
-// columns one block, under the header byte given; every sum is computed.
-func oneBlockSegment(tag string, n int, header byte, cols []byte) []byte {
-	image := binary.BigEndian.AppendUint64(segMagic[:len(segMagic):len(segMagic)], uint64(n))
-	image = appendRunHeader(image, tag, n, sketch.Shape(header))
-	image = binary.BigEndian.AppendUint32(image, checksum(image[segHeaderSize:]))
-	image = binary.BigEndian.AppendUint32(append(image, cols...), checksum(cols))
-	end := len(image)
-	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(image, checksum(nil)), uint64(end))
+// logFrame is the frame of payload, its length and checksum computed.
+func logFrame(payload []byte) []byte {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	return append(binary.BigEndian.AppendUint32(frame, checksum(payload)), payload...)
+}
+
+// oneRunSegment is a segment image holding the one frame of payload, a
+// run of n records.
+func oneRunSegment(payload []byte, n int) []byte {
+	image := append(segMagic[:len(segMagic):len(segMagic)], logFrame(payload)...)
+	return binary.BigEndian.AppendUint64(image, uint64(n))
 }
