@@ -96,8 +96,9 @@ func (b *Batch) admitted(fn func(g, i int)) {
 //
 // The records are grouped by subset and each group sorted by id — at once
 // where the ids ascend — before the lock is taken, so a repeat is the
-// record beside it and each column is asked once per distinct user, its run
-// walked by one cursor rather than searched per record.
+// record beside it and each column is asked once per distinct user, each
+// of its parts walked by one cursor rather than searched per record
+// (column.walk).
 func (t *Table) Probe(ps []Published) (*Batch, error) {
 	b := &Batch{ps: ps, slot: make([]int32, len(ps))}
 	cut, err := len(ps), error(nil)
@@ -136,43 +137,30 @@ func (t *Table) Probe(ps []Published) (*Batch, error) {
 	t.mu.RLock()
 	for g := range b.groups {
 		grp := &b.groups[g]
-		c := t.lookup(grp.subset)
-		var run IDCursor // walks c's run as the sorted ids do
-		pos := 0         // the first record of the run past the ids asked
-		if c != nil {
-			grp.subset = c.subset
-			run.Reset(c.ids)
-			if ferr := c.admits(ps[grp.first].ID, ps[grp.first].S.Length); ferr != nil && grp.first < cut {
-				cut, err = grp.first, ferr
-			}
-		}
-		for j := 0; j < len(grp.ids); {
-			id, first := grp.ids[j], grp.at[j]
-			// The sketch the pair holds: the table's, or the first record's.
-			have, held := ps[first].S, false
-			if c != nil {
-				var x int
-				if pos, held = run.upTo(pos, id); held {
-					x = pos - 1
-				} else {
-					x, held = c.findTail(id)
-				}
-				if held {
-					have = c.sketch(x)
-				}
-			}
-			k := j
-			if !held {
-				k++
-			}
-			for ; k < len(grp.ids) && grp.ids[k] == id; k++ {
+		// withdraw takes back the records of the id at j from k on, and cuts
+		// at the first whose sketch is not have, the one the pair holds.
+		withdraw := func(j, k int, have Sketch) {
+			for ; k < len(grp.ids) && grp.ids[k] == grp.ids[j]; k++ {
 				i := int(grp.at[k])
 				b.slot[i] = 0
 				if ps[i].S != have && i < cut {
 					cut, err = i, conflict(&ps[i])
 				}
 			}
-			j = k
+		}
+		if c := t.lookup(grp.subset); c != nil {
+			grp.subset = c.subset
+			if ferr := c.admits(ps[grp.first].ID, ps[grp.first].S.Length); ferr != nil && grp.first < cut {
+				cut, err = grp.first, ferr
+			}
+			// Every record of a pair the table holds is withdrawn.
+			c.walk(grp.ids, func(j int, have Sketch) { withdraw(j, j, have) })
+		}
+		// Of a pair it does not hold, the first record stands.
+		for j, first := range grp.at {
+			if (j == 0 || grp.ids[j-1] != grp.ids[j]) && b.slot[first] != 0 {
+				withdraw(j, j+1, ps[first].S)
+			}
 		}
 	}
 	t.mu.RUnlock()
@@ -227,10 +215,11 @@ func (b *Batch) groupOf(s bitvec.Subset, first, last int, byTag *map[string]int)
 }
 
 // Land adds the batch's admitted records to the table, once, and returns
-// how many it added: each subset's as one sorted run, through the merge
-// LoadRun takes (a run long enough for its column leaves the column no
-// tail), and one generation bump per touched column, which retires its
-// cached bitmaps and keep masks as an AddNew does.
+// how many it added: each subset's as one sorted run, the way LoadRun
+// lands one (a run long enough for its column merges into the column's
+// run and leaves nothing pending, a shorter one merges into level 0), and
+// one generation bump per touched column, which retires its cached bitmaps
+// and keep masks as an AddNew does.
 func (t *Table) Land(b *Batch) int {
 	type run struct {
 		subset bitvec.Subset

@@ -111,8 +111,8 @@ func TestTableLandDropsWithdrawnRecords(t *testing.T) {
 // TestTableLandLeavesNoTail: a bulk import's batches — 8192 records, user
 // by user over ten subsets — merge into their columns, onto empty columns
 // and onto columns of 35k alike, so after each no touched column holds a
-// tail and the views are cut under the read lock alone; a generation moves
-// once per batch a column is touched by.
+// pending record and the views are cut under the read lock alone; a
+// generation moves once per batch a column is touched by.
 func TestTableLandLeavesNoTail(t *testing.T) {
 	subsets := make([]bitvec.Subset, 10)
 	for i := range subsets {
@@ -134,7 +134,7 @@ func TestTableLandLeavesNoTail(t *testing.T) {
 			t.Fatalf("a batch of %d new records landed %d: %v", len(chunk), b.Len(), err)
 		}
 		if _, ok := tab.views(subsets, true, false); !ok {
-			t.Fatalf("after the batch at record %d a column holds a tail: Views needs the write lock", i)
+			t.Fatalf("after the batch at record %d a column holds pending records: Views needs the write lock", i)
 		}
 		if _, after := tab.View(subsets[0]); after != before+1 {
 			t.Fatalf("a batch moved the generation %d → %d, want one step", before, after)

@@ -22,8 +22,9 @@ import (
 //
 // Each subset's records live once, in a column: user ids (IDs) and packed
 // sketch words (Words) side by side, an id-sorted run sized exactly and,
-// apart from it, a short unsorted tail of recent inserts.  A read folds the
-// tail into a fresh sorted run and hands the run itself out as an immutable
+// apart from it, the recent inserts as a short stack of smaller sorted
+// runs coded the same way.  A read folds the stack into a fresh run and
+// hands the run itself out as an immutable
 // View, so the Algorithm 2 record loop walks contiguous memory,
 // allocation-free, while ingestion proceeds — and a subset that is only
 // read holds its ids as the differences between them (a bit or two for ids
@@ -129,27 +130,37 @@ func (r Run) Clone() Run {
 	return Run{Subset: r.Subset, IDs: r.IDs, Keys: r.Keys.Clone()}
 }
 
-// column holds one subset's records in two parts.  ids and keys are the
-// id-sorted run: sized exactly, and never written once set — views alias
-// them, so a fold or a load builds new arrays.
-// tailIDs and tailKeys are the recent inserts in arrival order, in small
-// arrays of their own that no view reaches.  Both parts hold their
-// sketches at the column's one length (shape).
+// column holds one subset's records in parts that never share an id.
+// ids and keys are the id-sorted run: sized exactly, and never written
+// once set — views alias them, so a fold or a load builds new arrays.
+// The records written since the run was built are pending, in parts no
+// view reaches, until a fold merges them into a fresh run: a stack of
+// sorted runs coded as the run is (deltas), immutable like it, and on top
+// of them level 0, at most level0Len raw ids with their keys beside them
+// and kept in order, its arrays made at their full room once a fold cycle.
+// Every part holds its sketches at the column's one length (shape).
 type column struct {
 	subset bitvec.Subset
 	// peers is the table's columns, this one among them: where a rebuilt
 	// run looks for an id column to share (setRun).
-	peers    map[string]*column
-	ids      IDs
-	keys     Words
-	tailIDs  []bitvec.UserID
-	tailKeys Words
-	// index locates the tail's records by id: open addressing over tail
-	// offsets + 1 (0 is a free slot), a power of two at most half full,
-	// probed linearly from the id's hash.  With it a tail record holds
-	// ≈ 20 B of heap, where a map index made it ≈ 49; the run needs no
-	// index, it is binary-searched.
-	index []uint32
+	peers map[string]*column
+	shape Shape // the length the column's sketches share, 0 before any
+	ids   IDs
+	keys  Words
+	// deltas are the pending runs, longer ones below (push).
+	deltas []delta
+	// Level 0: ids and the keys their users published, both as they
+	// arrived, and l0Order, the places of the ids in ascending order, so
+	// that an insert moves a byte a record behind its place rather than
+	// the ids and keys themselves.
+	l0      []bitvec.UserID
+	l0Keys  []uint32
+	l0Order []uint8
+	pending int // the records of deltas and level 0
+	// filter holds every pending id (enter), so that asking the pending
+	// parts for an id they do not hold — a new user's, what ingest mostly
+	// asks — reads one word of it in place of a search per part.
+	filter bloom
 	// gen counts the writes to the column.  A cached evaluation bitmap
 	// keyed by (gen, record count) is valid exactly as long as no write
 	// touched the subset; folding does not bump it, the record set is the
@@ -157,120 +168,383 @@ type column struct {
 	gen uint64
 }
 
-// tailLimit is how long the tail of an n-record run may grow before an
-// insert folds it: a fixed fraction of the run, so folding costs amortised
-// O(1) copies per insert, plus a floor that spares small columns a fold per
-// handful of inserts.  The floor is also the room a tail's arrays start
-// with, which spares every fold's successor their first eight doublings.
-func tailLimit(n int) int { return n/8 + tailFloor }
+// delta is one of a column's pending runs.
+type delta struct {
+	ids  IDs
+	keys Words
+}
 
-const tailFloor = 256
+// pendingLimit is how many records may pend beside an n-record run before
+// a write folds them in: a fixed fraction of the run, so folding costs
+// amortised O(1) copies per insert, plus a floor, level 0's room, that
+// spares small columns a fold per handful of inserts.
+func pendingLimit(n int) int { return n/8 + level0Len }
+
+// level0Len is the most records level 0 holds: an insert moves up to that
+// many bytes of its order to make its place, and a full level 0 is coded
+// as a pending run (spill).
+const level0Len = 256
 
 // len returns the number of records the column holds.
-func (c *column) len() int { return c.ids.Len() + len(c.tailIDs) }
-
-// shape returns the length the column's sketches share, 0 while it holds
-// none.
-func (c *column) shape() Shape {
-	if c.keys.Len() > 0 {
-		return c.keys.Shape()
-	}
-	return c.tailKeys.Shape()
-}
+func (c *column) len() int { return c.ids.Len() + c.pending }
 
 // admits returns nil if the column takes sketches of the given length — its
 // own, or any while it holds none — and the ErrForeignLength refusal of
 // user id's otherwise.
 func (c *column) admits(id bitvec.UserID, length int) error {
-	if sh := c.shape(); c.len() > 0 && sh != Shape(length) {
-		return foreignLength(id, c.subset, length, int(sh))
+	if c.len() > 0 && c.shape != Shape(length) {
+		return foreignLength(id, c.subset, length, int(c.shape))
 	}
 	return nil
 }
 
-// find returns the index of id's record — below c.ids.Len() in the run, its
-// tail offset past that otherwise — and whether the column holds one.
-func (c *column) find(id bitvec.UserID) (int, bool) {
+// get returns the sketch the column holds for user id, if any: the run is
+// searched, and the pending parts only where the filter does not rule id
+// out.
+func (c *column) get(id bitvec.UserID) (Sketch, bool) {
 	if i, ok := c.ids.Find(id); ok {
-		return i, true
+		return c.keys.Sketch(i), true
 	}
-	return c.findTail(id)
+	if c.pending == 0 || !c.filter.has(id) {
+		return Sketch{}, false
+	}
+	for _, d := range c.deltas {
+		if i, ok := d.ids.Find(id); ok {
+			return d.keys.Sketch(i), true
+		}
+	}
+	if i := c.level0Search(0, len(c.l0), id); i < len(c.l0) && c.level0ID(i) == id {
+		return c.level0Sketch(i), true
+	}
+	return Sketch{}, false
 }
 
-// findTail is find for an id the run does not hold.
-func (c *column) findTail(id bitvec.UserID) (int, bool) {
-	if len(c.index) == 0 {
-		return 0, false
+// level0ID returns level 0's i-th least id.
+func (c *column) level0ID(i int) bitvec.UserID { return c.l0[c.l0Order[i]] }
+
+// level0Sketch returns the sketch of level 0's i-th least id.
+func (c *column) level0Sketch(i int) Sketch {
+	return Sketch{Key: uint64(c.l0Keys[c.l0Order[i]]), Length: int(c.shape)}
+}
+
+// level0Search returns where id stands, or would, in level 0's order
+// between lo and hi: a binary search whose steps compile to conditional
+// moves, since a hashed id is as likely to sort anywhere.
+func (c *column) level0Search(lo, hi int, id bitvec.UserID) int {
+	order := c.l0Order[lo:hi]
+	if len(order) == 0 {
+		return lo
 	}
-	mask := len(c.index) - 1
-	for h := tailSlot(id, mask); ; h = (h + 1) & mask {
-		switch off := c.index[h]; {
-		case off == 0:
-			return 0, false
-		case c.tailIDs[off-1] == id:
-			return c.ids.Len() + int(off-1), true
+	base := 0
+	for n := len(order); n > 1; n -= n / 2 {
+		if c.l0[order[base+n/2]] < id {
+			base += n / 2
+		}
+	}
+	if c.l0[order[base]] < id {
+		base++
+	}
+	return lo + base
+}
+
+// walk calls found with the index in ids — ascending, repeats side by side
+// — of each id the column holds, its first if it repeats, and the sketch
+// held for it.  Each part is walked once as the ids ascend: the run and
+// each pending run by a cursor (IDCursor.upTo), level 0 by a search from
+// where the last one stopped; a pending part is asked only for the ids the
+// filter does not rule out.
+func (c *column) walk(ids []bitvec.UserID, found func(j int, have Sketch)) {
+	var cur IDCursor
+	for part := -1; part < len(c.deltas); part++ {
+		run, keys := c.ids, c.keys
+		if part >= 0 {
+			run, keys = c.deltas[part].ids, c.deltas[part].keys
+		}
+		cur.Reset(run)
+		pos := 0 // the first record of the part past the ids asked
+		for j, id := range ids {
+			if (j > 0 && ids[j-1] == id) || (part >= 0 && !c.filter.has(id)) {
+				continue
+			}
+			var held bool
+			if pos, held = cur.upTo(pos, id); held {
+				found(j, keys.Sketch(pos-1))
+			}
+		}
+	}
+	if len(c.l0) == 0 {
+		return
+	}
+	for j, pos := 0, 0; j < len(ids); j++ {
+		if id := ids[j]; (j == 0 || ids[j-1] != id) && c.filter.has(id) {
+			if pos = c.level0Search(pos, len(c.l0), id); pos < len(c.l0) && c.level0ID(pos) == id {
+				found(j, c.level0Sketch(pos))
+			}
 		}
 	}
 }
 
-// tailSlot is where the probe for id starts in an index of mask+1 slots: the
-// top bits of a Fibonacci hash, which spreads ids numbered one apart as well
-// as hashed ones.
-func tailSlot(id bitvec.UserID, mask int) int {
-	return int(uint64(id) * 0x9E3779B97F4A7C15 >> (64 - bits.Len(uint(mask))))
-}
-
-// indexTail enters tail record off in the index.
-func (c *column) indexTail(off int) {
-	mask := len(c.index) - 1
-	h := tailSlot(c.tailIDs[off], mask)
-	for c.index[h] != 0 {
-		h = (h + 1) & mask
-	}
-	c.index[h] = uint32(off + 1)
-}
-
-// reindex rebuilds the index over the tail in size slots.
-func (c *column) reindex(size int) {
-	c.index = make([]uint32, size)
-	for off := range c.tailIDs {
-		c.indexTail(off)
+// open readies the pending parts for a first record: level 0's arrays at
+// their full room, and a filter with room for as many ids.
+func (c *column) open() {
+	if c.l0 == nil {
+		c.l0, c.l0Keys, c.l0Order = make([]bitvec.UserID, 0, level0Len), make([]uint32, 0, level0Len), make([]uint8, 0, level0Len)
+		c.filter = newBloom(level0Len)
 	}
 }
 
-// sketch returns the sketch of the record at index i, as find numbers them.
-func (c *column) sketch(i int) Sketch {
-	if n := c.ids.Len(); i >= n {
-		return c.tailKeys.Sketch(i - n)
-	}
-	return c.keys.Sketch(i)
-}
-
-// insert appends a record whose id the column does not hold.
-func (c *column) insert(id bitvec.UserID, word uint64) {
-	if len(c.tailIDs) >= tailLimit(c.ids.Len()) {
-		c.fold()
-	}
-	switch {
-	case c.index == nil:
-		c.tailIDs, c.tailKeys = make([]bitvec.UserID, 0, tailFloor), MakeWords(c.keys.Shape(), 0, tailFloor)
-		c.index = make([]uint32, 2*tailFloor)
-	case 2*(len(c.tailIDs)+1) > len(c.index):
-		c.reindex(2 * len(c.index))
-	}
-	c.tailIDs = append(c.tailIDs, id)
-	c.tailKeys = c.tailKeys.Append(word)
-	c.indexTail(len(c.tailIDs) - 1)
-}
-
-// fold merges the tail into a fresh sorted run and drops it.
-func (c *column) fold() {
-	if len(c.tailIDs) == 0 {
+// enter enters ids, just added to the pending parts, in the filter — which
+// is rebuilt over every pending id at twice their number once they outgrow
+// it, so that it holds 8 to 16 bits an id, and a column with a few records
+// pending pays a few hundred bytes for it.
+func (c *column) enter(ids ...bitvec.UserID) {
+	if c.pending <= len(c.filter)*64/bloomBits {
+		for _, id := range ids {
+			c.filter.add(id)
+		}
 		return
 	}
-	tailIDs, tailKeys := SortByID(c.tailIDs, c.tailKeys)
-	c.setRun(mergeRuns(c.ids, c.keys, tailIDs, tailKeys))
-	c.tailIDs, c.tailKeys, c.index = nil, Words{}, nil
+	c.filter = newBloom(2 * c.pending)
+	var buf [IDBlockLen]bitvec.UserID
+	for _, d := range c.deltas {
+		for k := range d.ids.Blocks() {
+			for _, id := range d.ids.Block(k, &buf) {
+				c.filter.add(id)
+			}
+		}
+	}
+	for _, id := range c.l0 {
+		c.filter.add(id)
+	}
+}
+
+// insert adds a record whose id the column does not hold to level 0,
+// spilling a full level 0 onto the stack first.  An id past level 0's
+// last, which is how users numbered as they enrol arrive, moves nothing.
+func (c *column) insert(id bitvec.UserID, word uint64) {
+	c.shape = Shape(word & 31)
+	c.open()
+	if len(c.l0) == level0Len {
+		c.spill()
+	}
+	i := len(c.l0)
+	if i > 0 && c.level0ID(i-1) > id {
+		i = c.level0Search(0, i, id)
+	}
+	c.l0Order = slices.Insert(c.l0Order, i, uint8(len(c.l0)))
+	c.l0, c.l0Keys = append(c.l0, id), append(c.l0Keys, uint32(word>>5))
+	c.pending++
+	c.enter(id)
+	c.settle()
+}
+
+// landPending lands a sorted run — ids strictly ascending, keys beside
+// them, both the column's to keep — among the pending records, first
+// record wins: the ids the column holds are dropped, and the rest merge
+// into level 0 in one pass from the top down.  Where they would overfill
+// it level 0 is spilled first, and a run longer than level 0 goes on the
+// stack as a run of its own.
+func (c *column) landPending(ids []bitvec.UserID, keys Words) {
+	m := 0
+	for i, id := range ids {
+		if _, held := c.get(id); !held {
+			ids[m] = id
+			keys.setRaw(m, keys.raw(i))
+			m++
+		}
+	}
+	if m == 0 {
+		return
+	}
+	c.open()
+	ids = ids[:m]
+	if len(c.l0)+m > level0Len {
+		c.spill()
+	}
+	if m > level0Len {
+		c.push(delta{MakeIDs(ids), keys.Slice(0, m)})
+	} else {
+		// From the top down, the ids of level 0 above each new one move up
+		// past it in one copy, and it takes its place below them.
+		n := len(c.l0)
+		c.l0Order = c.l0Order[:n+m]
+		for i, j := n, m-1; j >= 0; j-- {
+			at := c.level0Search(0, i, ids[j])
+			copy(c.l0Order[at+j+1:i+j+1], c.l0Order[at:i])
+			c.l0Order[at+j], i = uint8(n+j), at
+		}
+		c.l0 = append(c.l0, ids...)
+		for j := range ids {
+			c.l0Keys = append(c.l0Keys, uint32(keys.raw(j)))
+		}
+	}
+	c.pending += m
+	c.enter(ids...)
+	c.settle()
+}
+
+// settle folds the pending records in once they reach pendingLimit.
+func (c *column) settle() {
+	if c.pending >= pendingLimit(c.ids.Len()) {
+		c.fold()
+	}
+}
+
+// level0Sorted appends level 0's ids, ascending, to ids and returns them
+// with their keys beside them.
+func (c *column) level0Sorted(ids []bitvec.UserID) ([]bitvec.UserID, Words) {
+	keys, b := MakeWords(c.shape, len(c.l0), len(c.l0)), c.shape.Bits()
+	bw := newBitWriter(keys.w, 0)
+	for _, at := range c.l0Order {
+		ids = append(ids, c.l0[at])
+		bw.put(uint64(c.l0Keys[at]), b)
+	}
+	bw.flush()
+	return ids, keys
+}
+
+// spill moves level 0's records onto the stack as a run and empties it.
+func (c *column) spill() {
+	if len(c.l0) > 0 {
+		var buf [level0Len]bitvec.UserID
+		ids, keys := c.level0Sorted(buf[:0])
+		c.push(delta{MakeIDs(ids), keys})
+		c.l0, c.l0Keys, c.l0Order = c.l0[:0], c.l0Keys[:0], c.l0Order[:0]
+	}
+}
+
+// push puts a run of pending records on the stack and merges the top
+// stackFanIn runs into one while they share a size class (sizeClass), as
+// the levels of a tiered log-structured merge tree do (O'Neil et al.,
+// Acta Informatica 1996).
+// A run then merges once each time it grows stackFanIn-fold, so a record
+// is copied about log₈(pending/256) times before a fold, and the stack
+// holds fewer than stackFanIn runs a class.
+func (c *column) push(d delta) {
+	c.deltas = append(c.deltas, d)
+	for n := len(c.deltas); n >= stackFanIn && sizeClass(c.deltas[n-stackFanIn]) <= sizeClass(c.deltas[n-1]); n = len(c.deltas) {
+		ids, keys := gather(c.deltas[n-stackFanIn:], c.shape)
+		clear(c.deltas[n-stackFanIn:])
+		c.deltas = append(c.deltas[:n-stackFanIn], delta{MakeIDs(ids), keys})
+	}
+}
+
+// stackFanIn is how many runs of a size class a column's stack merges
+// into one.
+const stackFanIn = 8
+
+// sizeClass is the size class of a pending run, ⌊log₈(len/level0Len)⌋:
+// class c holds runs of level0Len·8ᶜ up to level0Len·8ᶜ⁺¹ records.
+func sizeClass(d delta) int { return (bits.Len(uint(d.ids.Len()/level0Len)) - 1) / 3 }
+
+// fold merges the pending records into a fresh run and drops their parts:
+// level 0 and the runs on the stack, if any, are gathered into one sorted
+// array, which merges into the run.
+func (c *column) fold() {
+	if c.pending == 0 {
+		return
+	}
+	var buf [level0Len]bitvec.UserID
+	ids, keys := c.level0Sorted(buf[:0])
+	if len(c.deltas) > 0 {
+		ids, keys = gather(append(c.deltas, delta{MakeIDs(ids), keys}), c.shape)
+	}
+	c.setRun(mergeRuns(c.ids, c.keys, ids, keys))
+	c.deltas, c.l0, c.l0Keys, c.l0Order, c.filter, c.pending = nil, nil, nil, nil, nil, 0
+}
+
+// gather merges pending runs — ids strictly ascending in each, none held
+// by two — into one array of raw ids, ascending, with their keys beside
+// them in a column of the given shape.  The runs are decoded into one
+// buffer, a block at a time.  Where they follow one another, as the runs
+// of users numbered as they enrol do, that is the array and their keys
+// are appended whole; otherwise it is merged: the run with the least next
+// id gives up its records below the least next id of the others.
+func gather(parts []delta, shape Shape) ([]bitvec.UserID, Words) {
+	// Run p's records are src[pos[p]:end[p]], its first at end[p] less its
+	// length.
+	var posBuf, endBuf [16]int
+	pos, end := posBuf[:0], endBuf[:0]
+	n := 0
+	for _, d := range parts {
+		n += d.ids.Len()
+	}
+	src := make([]bitvec.UserID, 0, n)
+	for _, d := range parts {
+		pos = append(pos, len(src))
+		src = d.ids.AppendTo(src)
+		end = append(end, len(src))
+	}
+	if Ascends(src) {
+		keys := MakeWords(shape, 0, n)
+		for _, d := range parts {
+			keys = keys.AppendWords(d.keys)
+		}
+		return src, keys
+	}
+	ids, keys := make([]bitvec.UserID, 0, n), MakeWords(shape, n, n)
+	bw, b := newBitWriter(keys.w, 0), shape.Bits()
+	for {
+		best, bound := -1, ^bitvec.UserID(0)
+		for p := range parts {
+			if pos[p] == end[p] {
+				continue
+			}
+			switch h := src[pos[p]]; {
+			case best < 0:
+				best = p
+			case h < src[pos[best]]:
+				bound, best = min(bound, src[pos[best]]), p
+			default:
+				bound = min(bound, h)
+			}
+		}
+		if best < 0 {
+			break
+		}
+		first := end[best] - parts[best].ids.Len()
+		for {
+			ids = append(ids, src[pos[best]])
+			bw.put(parts[best].keys.raw(pos[best]-first), b)
+			if pos[best]++; pos[best] == end[best] || src[pos[best]] >= bound {
+				break
+			}
+		}
+	}
+	bw.flush()
+	return ids, keys
+}
+
+// A bloom is a Bloom filter over user ids (Bloom, "Space/time trade-offs
+// in hash coding with allowable errors", CACM 1970), blocked: an id sets
+// three bits of one 64-bit word, picked by the top bits of a Fibonacci
+// hash, which spreads ids numbered one apart as well as hashed ones.  At
+// bloomBits bits an id it answers "maybe" for ≈ 3 % of the ids it was not
+// given once full, and "no" for the rest, reading one word.
+type bloom []uint64
+
+// bloomBits is how many bits of a filter an id it holds is given.
+const bloomBits = 8
+
+// newBloom returns a filter sized for n ids.
+func newBloom(n int) bloom { return make(bloom, (n*bloomBits+63)/64) }
+
+// probe returns the word of f id lands in and the bits it sets there.
+func (f bloom) probe(id bitvec.UserID) (int, uint64) {
+	w, r := bits.Mul64(uint64(id)*0x9E3779B97F4A7C15, uint64(len(f)))
+	return int(w), 1<<(r>>58) | 1<<(r>>52&63) | 1<<(r>>46&63)
+}
+
+// add enters id.
+func (f bloom) add(id bitvec.UserID) {
+	w, m := f.probe(id)
+	f[w] |= m
+}
+
+// has reports whether id may have been entered: false says it was not.
+func (f bloom) has(id bitvec.UserID) bool {
+	w, m := f.probe(id)
+	return f[w]&m == m
 }
 
 // setRun makes ids and keys the column's run — unless another column's run
@@ -298,7 +572,7 @@ func (c *column) setRun(ids IDs, keys Words) {
 // one of the same length, the keys in place under 64 records and gathered
 // into a fresh column of their shape otherwise.  A store sorts a full log
 // — a few hundred thousand records — at every roll, restart and first read
-// after an append, and the table sorts a column's tail at every fold.
+// after an append.
 func SortByID(ids []bitvec.UserID, keys Words) ([]bitvec.UserID, Words) {
 	n := len(ids)
 	if slices.IsSorted(ids) {
@@ -411,16 +685,18 @@ func mergeRuns(a IDs, aKeys Words, b []bitvec.UserID, bKeys Words) (IDs, Words) 
 }
 
 // loadMergeRatio is how many stored records a sorted run being landed may
-// copy per record of its own.  A merge costs 3–4 ns per record of the
-// column it rebuilds, even over hashed ids (table-write-then-read: 105–145
-// µs for 32 records onto 35k, the 32 tail inserts included); the tail
-// costs 340–380 ns per record, an index insert and a share of a later fold
+// copy per record of its own.  A merge costs 5.5–6.5 ns per record of the
+// column it rebuilds on a 2-core box, even over hashed ids
+// (table-write-then-read: 190–230 µs for 32 records onto 35k, the 32
+// pending inserts included); a pending record costs 550–650 ns on the same
+// box, its insert and its share of the stack's merges and of a later fold
 // (table-ingest).  The two meet where a run of m records lands on a column
-// of ≈ 85·m to 125·m, and a merge leaves no tail behind — a tail record
-// holds ≈ 20 B of heap, a run record of fleet-shaped ids ≈ 3.4 — so the
-// ratio sits in that range, at a round 100.  It must stay at 44 or more
-// for a bulk import to merge: an 8192-record chunk over ten subsets is
-// ≈ 820 records a subset, landing on columns of up to 36k.
+// of ≈ 85·m to 120·m, and a merge leaves nothing pending — a pending
+// record holds about what a run record does, but level 0's arrays stay
+// until the next fold — so the ratio sits in that range, at a round 100.
+// It must stay at 44 or more for a bulk import to merge: an 8192-record
+// chunk over ten subsets is ≈ 820 records a subset, landing on columns of
+// up to 36k.
 const loadMergeRatio = 100
 
 // loadRun adds a run of records for the column's subset, first record
@@ -433,6 +709,7 @@ func (c *column) loadRun(ids IDs, keys Words) {
 	}
 	if c.len() == 0 {
 		c.gen++
+		c.shape = keys.Shape()
 		c.setRun(ids, keys)
 		return
 	}
@@ -440,12 +717,14 @@ func (c *column) loadRun(ids IDs, keys Words) {
 }
 
 // land adds records for the column's subset — ids strictly ascending, keys
-// beside them and sized to them — first record wins, as one write: onto an
-// empty column they become its run, onto a warm one they land by one linear
-// merge that leaves no tail, and a run too short to pay for a merge goes
-// through the tail record by record.
+// beside them and sized to them, both the column's to keep — first record
+// wins, as one write: onto an empty column they become its run, onto a
+// warm one they land by one linear merge that leaves nothing pending, and
+// a run too short to pay for a merge merges among the pending records
+// (landPending).
 func (c *column) land(ids []bitvec.UserID, keys Words) {
 	c.gen++
+	c.shape = keys.Shape()
 	switch {
 	case c.len() == 0:
 		c.setRun(MakeIDs(ids), keys)
@@ -453,15 +732,11 @@ func (c *column) land(ids []bitvec.UserID, keys Words) {
 		c.fold()
 		c.setRun(mergeRuns(c.ids, c.keys, ids, keys))
 	default:
-		for i, id := range ids {
-			if _, dup := c.find(id); !dup {
-				c.insert(id, keys.At(i))
-			}
-		}
+		c.landPending(ids, keys)
 	}
 }
 
-// view returns the sorted run; the tail must have been folded.
+// view returns the sorted run; the pending records must have been folded.
 func (c *column) view() View {
 	return View{subset: c.subset, gen: c.gen, ids: c.ids, keys: c.keys}
 }
@@ -537,8 +812,8 @@ func (t *Table) AddNew(p *Published) (existing Sketch, added bool, err error) {
 	if err := c.admits(p.ID, p.S.Length); err != nil {
 		return Sketch{}, false, err
 	}
-	if i, dup := c.find(p.ID); dup {
-		return c.sketch(i), false, nil
+	if s, dup := c.get(p.ID); dup {
+		return s, false, nil
 	}
 	c.insert(p.ID, p.S.Pack())
 	c.gen++
@@ -560,9 +835,9 @@ func (t *Table) AddAll(ps []Published) error {
 // matching a store's newest-wins replay — instead of being rejected like
 // Add's protocol error, because replaying a store onto a warm table is not
 // a second publish.  It costs one column lookup, and no copy at all or one
-// linear merge rather than an index insert per record — unless the run is
-// shorter than a 100th of the column (loadMergeRatio), which lands through
-// the tail as a batch that short does (Land).  A run of another length than
+// linear merge — unless the run is shorter than a 100th of the column
+// (loadMergeRatio), which merges among the column's pending records as a
+// batch that short does (Land).  A run of another length than
 // the subset's loads nothing and is refused with ErrForeignLength.
 // The table takes ownership of the run's columns — a run onto an empty
 // subset becomes the subset's column as it is, with no copy — so a caller
@@ -592,11 +867,7 @@ func (t *Table) Get(id bitvec.UserID, b bitvec.Subset) (Sketch, bool) {
 	if c == nil {
 		return Sketch{}, false
 	}
-	i, ok := c.find(id)
-	if !ok {
-		return Sketch{}, false
-	}
-	return c.sketch(i), true
+	return c.get(id)
 }
 
 // View returns the records of subset b, sorted by user id, together with
@@ -710,7 +981,7 @@ func (t *Table) views(subsets []bitvec.Subset, all, fold bool) (views []View, ok
 		if fold {
 			c.fold()
 		}
-		if len(c.tailIDs) > 0 {
+		if c.pending > 0 {
 			return nil, false
 		}
 		views[i] = c.view()

@@ -319,8 +319,9 @@ func checkWords(t *testing.T, k Words, want []Sketch, rng *rand.Rand) {
 // long, repeating stored ids), Get, Views and reads, and requires identical
 // answers throughout.  Ids are drawn from a small range so duplicates of
 // present records are common, and the write bursts between reads are long
-// enough that the tail folds on its own limit as well as on reads, so
-// duplicates meet both the sorted run and the tail.  After every step the
+// enough that the pending records fold on their own limit as well as on
+// reads, so duplicates meet both the sorted run and the pending parts.
+// After every step the
 // column has only grown: no CountForSubset falls, a sample of the records of
 // the view each subset last read is held with the same sketch, and at every
 // read the whole of that older view is in the fresh one, and its words
@@ -592,11 +593,25 @@ func TestTableMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestTableTailIndexFindsEveryRecord: the tail's flat index answers for
-// every record across inserts that double it and folds that drop it, over
-// dense ids and hashed ones alike: each held id is found with its own
-// sketch, and none is admitted twice.
-func TestTableTailIndexFindsEveryRecord(t *testing.T) {
+// stackShape returns how a column's pending records stand: the lengths of
+// the runs on its stack, bottom first, then level 0's.
+func stackShape(c *column) []int {
+	out := make([]int, 0, len(c.deltas)+1)
+	for _, d := range c.deltas {
+		out = append(out, d.ids.Len())
+	}
+	return append(out, len(c.l0))
+}
+
+// TestTablePendingRunsFindEveryRecord: a column's pending parts answer for
+// every record across inserts that fill level 0, spill it onto the stack
+// and fold the stack into the run, over dense ids and hashed ones alike:
+// each held id is found with its own sketch wherever it stands, and none
+// is admitted twice.  Whenever the stack or the run changes, and every 500
+// inserts, every record is asked for, and a record of each part is
+// published again with another sketch, which finds the first.
+// (TestTablePendingStack takes the stack through its merges.)
+func TestTablePendingRunsFindEveryRecord(t *testing.T) {
 	for _, shape := range []struct {
 		name string
 		id   func(u int) bitvec.UserID
@@ -609,9 +624,18 @@ func TestTableTailIndexFindsEveryRecord(t *testing.T) {
 			b := bitvec.MustSubset(2)
 			rng := rand.New(rand.NewSource(3))
 			held := make(map[bitvec.UserID]Sketch)
-			grew := false
-			for step := 0; step < 6000; step++ {
-				id := shape.id(rng.Intn(2000))
+			var last []int
+			deepest, folds := 0, 0
+			// again publishes id anew, and requires the table to keep the
+			// sketch it holds.
+			again := func(step int, id bitvec.UserID) {
+				p := Published{ID: id, Subset: b, S: Sketch{Key: (held[id].Key + 1) % 512, Length: 9}}
+				if existing, added, err := tab.AddNew(&p); err != nil || added || existing != held[id] {
+					t.Fatalf("step %d: a second sketch for user %v = (%v, %v, %v), want the first, %v", step, id, existing, added, err, held[id])
+				}
+			}
+			for step := 0; step < 20000; step++ {
+				id := shape.id(rng.Intn(12000))
 				_, had := held[id]
 				s := Sketch{Key: uint64(rng.Intn(512)), Length: 9}
 				if _, added, err := tab.AddNew(&Published{ID: id, Subset: b, S: s}); err != nil || added == had {
@@ -620,21 +644,221 @@ func TestTableTailIndexFindsEveryRecord(t *testing.T) {
 				if !had {
 					held[id] = s
 				}
-				grew = grew || len(tab.cols[b.Key()].index) > 2*tailFloor
-				if step%10 != 0 {
+				c := tab.cols[b.Key()]
+				now := stackShape(c)
+				if now[len(now)-1] != 0 && slices.Equal(now[:len(now)-1], last[:max(len(last)-1, 0)]) && step%500 != 0 {
+					last = now
 					continue
+				}
+				last, deepest = now, max(deepest, len(c.deltas))
+				if c.pending == 0 {
+					folds++
 				}
 				for id, s := range held {
 					if got, ok := tab.Get(id, b); !ok || got != s {
 						t.Fatalf("step %d: Get(%v) = %v, %v; want %v", step, id, got, ok, s)
 					}
 				}
-				if tab.Len() != len(held) {
+				if tab.Len() != len(held) || c.len() != c.ids.Len()+c.pending {
 					t.Fatalf("step %d: the table holds %d records, want %d", step, tab.Len(), len(held))
 				}
+				if c.ids.Len() > 0 {
+					again(step, c.ids.At(rng.Intn(c.ids.Len())))
+				}
+				for _, d := range c.deltas {
+					again(step, d.ids.At(rng.Intn(d.ids.Len())))
+				}
+				if len(c.l0) > 0 {
+					again(step, c.l0[rng.Intn(len(c.l0))])
+				}
 			}
-			if !grew {
-				t.Fatal("the tail's index never doubled")
+			if deepest < 2 || folds < 5 {
+				t.Fatalf("the stack was at most %d runs deep, and %d folds were seen; want two runs or more, and folds", deepest, folds)
+			}
+		})
+	}
+}
+
+// TestTablePendingStack steps a warm column's pending records across
+// level 0's room, every spill of it onto the stack, the first merge of the
+// stack (stackFanIn runs of level0Len into one), a cascade — a spill whose
+// merge completes stackFanIn runs of the next size class, which merge in
+// turn — and a fold, the ids dense and hashed.  After every spill records
+// of every part are published again: with their own sketch, which adds
+// nothing, and with another, which finds the first; a batch holding them,
+// new users, a repeat and then a conflict is admitted exactly up to the
+// record AddNew would refuse; a sketch of another length is refused at
+// every door; and a view taken after the first merge reads, bit for bit,
+// what it read when taken, at every later merge and after the fold.  A
+// cascade needs 16k pending records, and so a 130k-record run beside them.
+func TestTablePendingStack(t *testing.T) {
+	for _, shape := range []struct {
+		name string
+		id   func(u int) bitvec.UserID
+	}{
+		{"dense ids", func(u int) bitvec.UserID { return bitvec.UserID(7<<40 | 1 + 3*u/2) }},
+		{"hashed ids", func(u int) bitvec.UserID { return bitvec.UserID(uint64(u+1) * 0x9E3779B97F4A7C15) }},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			// pendingLimit(130 000) = 16 506: room for the cascade at 16 385.
+			const base = 130_000
+			firstMerge, cascade := stackFanIn*level0Len, stackFanIn*stackFanIn*level0Len
+			b := bitvec.MustSubset(1, 3)
+			// Every user publishes the sketch its id gives it; held lists
+			// the users the column holds.
+			sketchOf := func(id bitvec.UserID) Sketch { return Sketch{Key: uint64(id) * 0x9E3779B97F4A7C15 >> 55, Length: 9} }
+			held := make([]bitvec.UserID, base, base+2*cascade)
+			for u := range held {
+				held[u] = shape.id(u)
+			}
+			slices.Sort(held)
+			keys := MakeWords(9, 0, base)
+			for _, id := range held {
+				keys = keys.Append(sketchOf(id).Pack())
+			}
+			tab := NewTable()
+			if err := tab.LoadRun(Run{Subset: b, IDs: MakeIDs(held), Keys: keys}); err != nil {
+				t.Fatal(err)
+			}
+			c := tab.cols[b.Key()]
+			rng := rand.New(rand.NewSource(9))
+			// Users arrive from base on, the hashed ones in no order.
+			next, order := base, rng.Perm(2*cascade)
+			fresh := func() bitvec.UserID {
+				next++
+				return shape.id(base + order[next-base-1])
+			}
+			publish := func() {
+				p := Published{ID: fresh(), Subset: b}
+				p.S = sketchOf(p.ID)
+				if _, added, err := tab.AddNew(&p); err != nil || !added {
+					t.Fatalf("AddNew of new user %v = %v, %v", p.ID, added, err)
+				}
+				held = append(held, p.ID)
+			}
+			// pick returns a record of every part of the column.
+			pick := func() []bitvec.UserID {
+				ids := []bitvec.UserID{c.ids.At(rng.Intn(c.ids.Len()))}
+				for _, d := range c.deltas {
+					ids = append(ids, d.ids.At(rng.Intn(d.ids.Len())))
+				}
+				if len(c.l0) > 0 {
+					ids = append(ids, c.l0[rng.Intn(len(c.l0))])
+				}
+				return ids
+			}
+			other := func(id bitvec.UserID) Sketch { return Sketch{Key: (sketchOf(id).Key + 1) % 512, Length: 9} }
+			check := func(at []int) {
+				t.Helper()
+				for _, id := range pick() {
+					same := Published{ID: id, Subset: b, S: sketchOf(id)}
+					if existing, added, err := tab.AddNew(&same); err != nil || added || existing != sketchOf(id) {
+						t.Fatalf("at %v: user %v's own sketch again = (%v, %v, %v)", at, id, existing, added, err)
+					}
+					second := Published{ID: id, Subset: b, S: other(id)}
+					if existing, added, err := tab.AddNew(&second); err != nil || added || existing != sketchOf(id) {
+						t.Fatalf("at %v: user %v's second sketch = (%v, %v, %v), want the first, %v", at, id, existing, added, err, sketchOf(id))
+					}
+					if got, ok := tab.Get(id, b); !ok || got != sketchOf(id) {
+						t.Fatalf("at %v: Get(%v) = %v, %v; want %v", at, id, got, ok, sketchOf(id))
+					}
+				}
+				// A batch: a new user, the held ones as held, the new user
+				// again, another new one, a held one with a second sketch —
+				// where AddNew would refuse — and a new one past it.
+				first, second, third := fresh(), fresh(), fresh()
+				batch := []Published{{ID: first, Subset: b, S: sketchOf(first)}}
+				for _, id := range pick() {
+					batch = append(batch, Published{ID: id, Subset: b, S: sketchOf(id)})
+				}
+				victim := pick()
+				batch = append(batch, batch[0], Published{ID: second, Subset: b, S: sketchOf(second)})
+				cut := len(batch)
+				batch = append(batch, Published{ID: victim[len(victim)-1], Subset: b, S: other(victim[len(victim)-1])}, Published{ID: third, Subset: b, S: sketchOf(third)})
+				pb, err := tab.Probe(batch)
+				if !errors.Is(err, ErrConflict) || pb.Len() != 2 {
+					t.Fatalf("at %v: a batch with a conflict at record %d admits %d records, %v; want 2 and ErrConflict", at, cut, pb.Len(), err)
+				}
+				if got := pb.Records(); got[0].ID != min(first, second) || got[1].ID != max(first, second) {
+					t.Fatalf("at %v: the batch admits %v, want users %v and %v", at, got, first, second)
+				}
+				// Every door refuses a sketch of another length.
+				foreign := Published{ID: third, Subset: b, S: Sketch{Key: 1, Length: 10}}
+				if _, added, err := tab.AddNew(&foreign); added || !errors.Is(err, ErrForeignLength) {
+					t.Fatalf("at %v: AddNew of a 10-bit sketch = %v, %v", at, added, err)
+				}
+				if pb, err := tab.Probe([]Published{batch[0], foreign}); pb.Len() != 1 || !errors.Is(err, ErrForeignLength) {
+					t.Fatalf("at %v: a batch with a 10-bit sketch second admits %d, %v", at, pb.Len(), err)
+				}
+				if err := tab.LoadRun(testRun(b, []Published{foreign})); !errors.Is(err, ErrForeignLength) {
+					t.Fatalf("at %v: LoadRun of a 10-bit run = %v", at, err)
+				}
+				if tab.Len() != len(held) {
+					t.Fatalf("at %v: the table holds %d records, want %d", at, tab.Len(), len(held))
+				}
+			}
+			// The view taken after the first merge, and what it read then.
+			var view View
+			var viewIDs []bitvec.UserID
+			var viewWords []uint64
+			viewHolds := func(at []int) {
+				t.Helper()
+				if view.Len() > 0 && (!slices.Equal(view.IDs().AppendTo(nil), viewIDs) || !slices.Equal(view.keys.w, viewWords)) {
+					t.Fatalf("at %v: a view taken between merges changed", at)
+				}
+			}
+			// Publish one by one, checking after every spill, until the
+			// stack has cascaded.
+			var spills, merges int
+			for deepest := 0; deepest < cascade; {
+				if c.pending+1 >= pendingLimit(c.ids.Len()) {
+					t.Fatalf("the column folds at %d pending on a stack of %v, before a cascade", c.pending+1, stackShape(c))
+				}
+				was := len(c.deltas)
+				publish()
+				if len(c.l0) != 1 || len(c.deltas) == 0 {
+					continue
+				}
+				spills++
+				now := stackShape(c)
+				if len(c.deltas) <= was {
+					merges++
+					viewHolds(now)
+				}
+				deepest = max(deepest, c.deltas[0].ids.Len())
+				check(now)
+				if view.Len() == 0 && c.deltas[0].ids.Len() == firstMerge {
+					if !slices.Equal(now, []int{firstMerge, 1}) {
+						t.Fatalf("the first merge leaves the stack at %v, want [%d 1]", now, firstMerge)
+					}
+					// The view folds the column; the walk begins again.
+					view, _ = tab.View(b)
+					viewIDs, viewWords = view.IDs().AppendTo(nil), slices.Clone(view.keys.w)
+					if c.pending != 0 || view.Len() != len(held) {
+						t.Fatalf("a view holds %d records and leaves %d pending, want %d and none", view.Len(), c.pending, len(held))
+					}
+				}
+			}
+			if now := stackShape(c); !slices.Equal(now, []int{cascade, 1}) || merges != 1+stackFanIn {
+				t.Fatalf("the cascade leaves the stack at %v after %d spills and %d merges, want [%d 1] after %d merges", now, spills, merges, cascade, 1+stackFanIn)
+			}
+			for n := c.ids.Len(); c.ids.Len() == n; {
+				publish()
+			}
+			if c.pending != 0 || c.filter != nil || len(c.deltas) != 0 {
+				t.Fatalf("after a fold %d records pend on a stack of %v", c.pending, stackShape(c))
+			}
+			check(nil)
+			viewHolds(nil)
+			v, _ := tab.View(b)
+			slices.Sort(held)
+			if !slices.Equal(v.IDs().AppendTo(nil), held) {
+				t.Fatal("the folded column does not hold the users published")
+			}
+			for i, id := range held {
+				if v.Sketch(i) != sketchOf(id) {
+					t.Fatalf("the folded column holds %v for user %v, who published %v", v.Sketch(i), id, sketchOf(id))
+				}
 			}
 		})
 	}
@@ -697,9 +921,9 @@ func TestTableLoadRun(t *testing.T) {
 }
 
 // TestTableViewIsImmutable holds a view across ten thousand later inserts
-// and landed batches — which fold the tail many times, merge new runs, and
-// outgrow the arrays the view aliases — and requires its ids and sketches to
-// read exactly as they did when it was taken.
+// and landed batches — which fold the pending records many times, merge
+// new runs, and outgrow the arrays the view aliases — and requires its ids
+// and sketches to read exactly as they did when it was taken.
 func TestTableViewIsImmutable(t *testing.T) {
 	tab := NewTable()
 	b := bitvec.Range(0, 3)
@@ -732,7 +956,7 @@ func TestTableViewIsImmutable(t *testing.T) {
 
 // TestTableAddNewAllocations pins the ingest path's allocation budget on a
 // subset that already exists: no key string per call, and the folds and the
-// tail index growth amortise to under one allocation per record.
+// pending runs' merges amortise to under one allocation per record.
 func TestTableAddNewAllocations(t *testing.T) {
 	tab := NewTable()
 	b := bitvec.Range(0, 10)
@@ -765,7 +989,7 @@ func TestTableSnapshotRetainsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tab.View(b) // fold now, so the reading below holds no pending tail
+	tab.View(b) // fold now, so the reading below holds nothing pending
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -793,7 +1017,9 @@ func TestTableSnapshotRetainsNothing(t *testing.T) {
 // TestTableLoadRunArms pins which way a run lands, by the column's state
 // after it: a run onto an empty column becomes the column's run as it is —
 // the very bytes, no copy — a run of some size onto a warm column is merged
-// into a run sized to what it holds, and a short one waits in the tail.
+// into a run sized to what it holds, and a short one merges into level 0,
+// whose arrays, with the filter, a read drops with the pending records —
+// and a short one that holds nothing new makes none.
 func TestTableLoadRunArms(t *testing.T) {
 	tab := NewTable()
 	b := bitvec.MustSubset(4)
@@ -813,15 +1039,15 @@ func TestTableLoadRunArms(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := tab.cols[b.Key()]
-	if &c.ids.b[0] != &first.IDs.b[0] || &c.keys.w[0] != &first.Keys.w[0] || len(c.tailIDs) != 0 {
+	if &c.ids.b[0] != &first.IDs.b[0] || &c.keys.w[0] != &first.Keys.w[0] || c.pending != 0 {
 		t.Fatal("a run onto an empty column was copied, not adopted")
 	}
 	if err := tab.LoadRun(run(100, func(i int) bitvec.UserID { return bitvec.UserID(20*i + 1) })); err != nil {
 		t.Fatal(err)
 	}
 	snug := func() bool { return cap(c.ids.b)-len(c.ids.b) <= len(c.ids.b)/64 }
-	if c.ids.Len() != 1100 || !snug() || cap(c.keys.w) != span(1100*9) || len(c.tailIDs) != 0 {
-		t.Fatalf("after a merged load the run is %d records in %d id bytes with room for %d, and %d 64-bit words of sketches, tail %d; want 1100 with no room to speak of", c.ids.Len(), len(c.ids.b), cap(c.ids.b), cap(c.keys.w), len(c.tailIDs))
+	if c.ids.Len() != 1100 || !snug() || cap(c.keys.w) != span(1100*9) || c.pending != 0 {
+		t.Fatalf("after a merged load the run is %d records in %d id bytes with room for %d, and %d 64-bit words of sketches, %d pending; want 1100 with no room to speak of", c.ids.Len(), len(c.ids.b), cap(c.ids.b), cap(c.keys.w), c.pending)
 	}
 	if perID := float64(len(c.ids.b)) / 1100; perID > 1.2 {
 		t.Fatalf("ids 1 and 2 apart take %.2f bytes each, want a byte and their share of a block's 9", perID)
@@ -829,16 +1055,24 @@ func TestTableLoadRunArms(t *testing.T) {
 	if err := tab.LoadRun(run(2, func(i int) bitvec.UserID { return bitvec.UserID(5 + 2*i) })); err != nil {
 		t.Fatal(err)
 	}
-	if c.ids.Len() != 1100 || len(c.tailIDs) != 2 || tab.CountForSubset(b) != 1102 {
-		t.Fatalf("after a short load the run is %d records and the tail %d, want 1100 and 2", c.ids.Len(), len(c.tailIDs))
+	if c.ids.Len() != 1100 || c.pending != 2 || !slices.Equal(c.l0, []bitvec.UserID{5, 7}) || len(c.deltas) != 0 || tab.CountForSubset(b) != 1102 {
+		t.Fatalf("after a short load the run is %d records, level 0 holds %v and the stack %d runs, want 1100, [5 7] and none", c.ids.Len(), c.l0, len(c.deltas))
 	}
-	if v, _ := tab.View(b); v.Len() != 1102 || c.ids.Len() != 1102 || !snug() || len(c.tailIDs) != 0 || c.index != nil {
-		t.Fatalf("after a read the run is %d records in %d id bytes with room for %d and the tail %d", v.Len(), len(c.ids.b), cap(c.ids.b), len(c.tailIDs))
+	if v, _ := tab.View(b); v.Len() != 1102 || c.ids.Len() != 1102 || !snug() || c.pending != 0 || c.l0 != nil || len(c.deltas) != 0 || c.filter != nil {
+		t.Fatalf("after a read the run is %d records in %d id bytes with room for %d, and %d pending", v.Len(), len(c.ids.b), cap(c.ids.b), c.pending)
+	}
+	// A short run of records the column holds adds nothing, and makes no
+	// level 0 for it.
+	if err := tab.LoadRun(run(2, func(i int) bitvec.UserID { return bitvec.UserID(5 + 2*i) })); err != nil {
+		t.Fatal(err)
+	}
+	if c.pending != 0 || c.l0 != nil || c.filter != nil || tab.CountForSubset(b) != 1102 {
+		t.Fatalf("a short load of held records leaves %d pending, level 0 %v, the column %d records", c.pending, c.l0, tab.CountForSubset(b))
 	}
 }
 
 // TestTableViewSurvivesWrites: a view of a column of 9-bit sketches reads
-// bit-identical sketches while more of them arrive — through the tail, by
+// bit-identical sketches while more of them arrive — one by one, by
 // loaded runs and landed batches, across folds — and readers go on reading
 // the old view and taking new ones beside the writer.  Sketches of another
 // length are refused at every door — AddNew, a batch, a loaded run — and
@@ -929,36 +1163,45 @@ func TestTableViewSurvivesWrites(t *testing.T) {
 // heap_bytes_per_record: ten subsets of 35 000 nine-bit sketches — one
 // node's share of that benchmark — ingested record by record and read once
 // cost their ids and 9-bit keys, the length written once per column, and
-// next to nothing more, and with a thousand unread inserts waiting in each
-// column's tail, index and all, the table stays within about half a byte a
-// record of that (≈ 20 B a tail record, a third of it the flat index).
-// Landed as a bulk import lands them — 8192-record user-major batches
-// through Probe and Land — and never read, the same records are within the
-// read bound: a batch merges into its run and leaves no tail.  The ids come
-// two ways.  Fleet-shaped — a tenant's tag above users numbered as they
-// enrolled, two of every three of them on this node — they are held as
-// 1-bit differences less one: a 17-byte block, 0.39 bytes each with its
-// offset.  Hashed over all 64 bits, in scattered order, they gain nothing
-// and must lose nothing: 8 bytes and an eighth each.  Every user publishes
-// all ten subsets, so the ten columns hold one id column between them and
-// a record pays a tenth of its id; in the third row each subset lacks a
-// different user, nothing is shared, and the gates are those of a column
-// that holds its ids alone.  A key held in more than its ℓ bits, headroom
-// behind the run, or an id column the subsets do not share, fails a first
-// bound, a heavier tail a second, a batch that leaves a tail a third.
+// next to nothing more, and with a thousand unread inserts pending in each
+// column — three runs spilled onto its stack and the rest in level 0 — the
+// table stays within about a seventh of a byte a record of that: a pending
+// record is coded as a run record is but for the id column the subsets
+// share, plus 8 to 16 bits of filter, and level 0's 3.3 kB is paid once a
+// column.  In the fourth row 3000 unread inserts a column have
+// merged eight spilled runs into one, and the stack so built is what the
+// bound holds.  Landed as a bulk import lands them — 8192-record
+// user-major batches through Probe and Land — and never read, the same
+// records are within the read bound: a batch merges into its run and
+// leaves nothing pending.  The ids come two ways.  Fleet-shaped — a
+// tenant's tag above users numbered as they enrolled, two of every three
+// of them on this node — they are held as 1-bit differences less one: a
+// 17-byte block, 0.39 bytes each with its offset.  Hashed over all 64
+// bits, in scattered order, they gain nothing and must lose nothing: 8
+// bytes and an eighth each.  Every user publishes all ten subsets, so the
+// ten columns hold one id column between them and a record pays a tenth of
+// its id; in the third row each subset lacks a different user, nothing is
+// shared, and the gates are those of a column that holds its ids alone.  A
+// key held in more than its ℓ bits, headroom behind the run, or an id
+// column the subsets do not share, fails a first bound, heavier pending
+// records a second, a batch that leaves records pending a third.  The
+// unread bounds are the readings plus 10 %.
 func TestTableHeapBytesPerRecord(t *testing.T) {
-	const users, fresh = 35_000, 1000
+	const users = 35_000
 	fleetShaped := func(i int) uint64 { return 7<<40 | uint64(1+3*i/2) }
 	for _, shape := range []struct {
 		name         string
 		id           func(i int) uint64
 		lacks        bool // subset k lacks user 3001k+5
+		fresh        int  // unread inserts per column
 		read, unread float64
 	}{
-		{"fleet-shaped ids", fleetShaped, false, 1.33, 1.88},
-		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, false, 2.2, 2.7},
-		{"fleet-shaped ids, no two subsets alike", fleetShaped, true, 1.72, 2.26},
+		{"fleet-shaped ids", fleetShaped, false, 1000, 1.33, 1.5},
+		{"hashed ids", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, false, 1000, 2.2, 2.56},
+		{"fleet-shaped ids, no two subsets alike", fleetShaped, true, 1000, 1.72, 1.89},
+		{"fleet-shaped ids, a merged stack", fleetShaped, false, 3000, 1.33, 1.63},
 	} {
+		fresh := shape.fresh
 		t.Run(shape.name, func(t *testing.T) {
 			subsets := make([]bitvec.Subset, 10)
 			for i := range subsets {
@@ -1003,6 +1246,13 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 				t.Errorf("a read table holds %.2f heap bytes per record, want ≤ %.2f: an id, a 9-bit key, nothing else", perRecord, shape.read)
 			}
 			ingest(users, users+fresh)
+			for _, b := range subsets {
+				c := tab.lookup(b)
+				merged := len(c.deltas) > 0 && c.deltas[0].ids.Len() == stackFanIn*level0Len
+				if c.pending != fresh || merged != (fresh > stackFanIn*level0Len) {
+					t.Fatalf("subset %v holds %d pending records on a stack of %v, want %d, merged %v", b, c.pending, stackShape(c), fresh, fresh > stackFanIn*level0Len)
+				}
+			}
 			perRecord = float64(heap()-before) / float64((held+fresh)*len(subsets))
 			t.Logf("with unread inserts: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.unread {
@@ -1031,7 +1281,7 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			perRecord = float64(heap()-before) / float64(held*len(subsets))
 			t.Logf("landed in batches, unread: %.2f heap bytes per record", perRecord)
 			if perRecord > shape.read {
-				t.Errorf("landed in batches and never read, the table holds %.2f heap bytes per record, want ≤ %.2f: a tail remains", perRecord, shape.read)
+				t.Errorf("landed in batches and never read, the table holds %.2f heap bytes per record, want ≤ %.2f: records remain pending", perRecord, shape.read)
 			}
 			runtime.KeepAlive(tab)
 		})
@@ -1048,7 +1298,7 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 func TestTableSharesEqualIDColumns(t *testing.T) {
 	subsets := []bitvec.Subset{bitvec.Range(0, 1), bitvec.Range(0, 2), bitvec.Range(0, 3)}
 	// ids returns the id columns of the subsets' runs, read straight off
-	// the columns: a view would fold a tail first.
+	// the columns: a view would fold the pending records first.
 	ids := func(tab *Table) []IDs {
 		tab.mu.RLock()
 		defer tab.mu.RUnlock()
@@ -1103,13 +1353,15 @@ func TestTableSharesEqualIDColumns(t *testing.T) {
 	})
 	t.Run("fold", func(t *testing.T) {
 		tab := NewTable()
-		// Past tailFloor inserts, each column folds inside AddNew.
+		// At level0Len inserts, and at each pendingLimit after, each column
+		// folds inside AddNew: the last of these folds, at 3204 records,
+		// merges a stack that merged two spilled runs.
 		for _, b := range subsets {
-			publish(t, tab, b, 0, tailFloor+40)
+			publish(t, tab, b, 0, 3300)
 		}
 		shared(t, "runs folded by AddNew", ids(tab))
 		for _, b := range subsets {
-			publish(t, tab, b, tailFloor+40, tailFloor+90)
+			publish(t, tab, b, 3300, 3350)
 		}
 		views := tab.Views(subsets, false)
 		cols := make([]IDs, len(views))

@@ -1483,3 +1483,43 @@ func dirState(t *testing.T, dir string) map[string]string {
 	}
 	return state
 }
+
+// TestReadRunReservesItsIDs bounds what reading a run allocates: a dense
+// 12 500-record run at ℓ = 9, its read buffer reused, costs its id column
+// (196 blocks of 17 bytes, 3.3 kB, and their offsets, 1.6 kB), its words
+// (14 kB) and the room the ids were built in, which is their frames'
+// bytes less the words, plus one raw block for the block the builder
+// codes last — ≈ 22.6 kB, where reserving the whole frame range as id
+// room read 34.5 kB.
+func TestReadRunReservesItsIDs(t *testing.T) {
+	b := bitvec.MustSubset(0, 2)
+	var records []sketch.Published
+	for i := uint64(0); i < 12_500; i++ {
+		id := 7<<40 | (1 + 3*i/2)
+		records = append(records, sketch.Published{ID: bitvec.UserID(id), Subset: b, S: sketch.Sketch{Key: id % 512, Length: 9}})
+	}
+	meta := writeTestSegment(t, t.TempDir(), 1, records)
+	f, err := os.Open(meta.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw, got, err := readRun(f, meta.runs[0], nil, sketch.Words{})
+	if err != nil || !slices.EqualFunc(got.AppendTo(nil), records, samePub) {
+		t.Fatalf("the run reads as %d records, %v; want %d", got.Len(), err, len(records))
+	}
+	const reads = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reads {
+		if raw, _, err = readRun(f, meta.runs[0], raw, sketch.Words{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+	t.Logf("a read of %d records allocates %d bytes", len(records), perRead)
+	if perRead > 25_000 {
+		t.Errorf("a read of %d records allocates %d bytes, want ≤ 25000: its columns and their room", len(records), perRead)
+	}
+}

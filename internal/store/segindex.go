@@ -60,8 +60,11 @@ func readRun(f *os.File, r segRun, raw []byte, keys sketch.Words) ([]byte, sketc
 	if _, err := f.ReadAt(raw, r.start); err != nil {
 		return corrupt(fmt.Errorf("reading: %v", err))
 	}
+	// The id column is what the frames hold besides their headers and the
+	// words, ⌈count·ℓ/8⌉ bytes at least; the builder's last block stands
+	// raw, 8 bytes an id, until it is coded.
 	var ids sketch.IDBuilder
-	ids.Grow(r.count, len(raw))
+	ids.Grow(r.count, max(0, len(raw)-(r.count*r.shape.Bits()+7)/8)+1+8*sketch.IDBlockLen)
 	keys = keys.Reset()
 	end, err := eachFrame(raw, 0, len(raw), func(_ int, payload []byte) error {
 		h, cols, idsLen, err := oneRun(payload)

@@ -123,7 +123,12 @@ func framePayload(tag string, n int, header byte, cols []byte) []byte {
 // same again.  The words themselves are driven on the way: slices cut at
 // any bit are appended to columns ending at any other, Set and Swap write
 // single words, and a column refuses a word, a column or a disk column of
-// another length.
+// another length.  A negative extra runs the stream wide: users are drawn
+// from 2³² rather than 211 and an insert publishes 64 of them, so that a
+// column's pending records can reach its stack's first merge
+// (sketch.Table: eight spilled runs of level 0's 256 records) before a
+// read folds them; past 4096 records the column is held to the map alone,
+// the bytes of its runs no longer written out.
 func FuzzColumnWords(f *testing.F) {
 	// FuzzWALReplay's corpus, for what its bytes do as ops, and streams that
 	// widen a column step by step and back-load narrow runs under wide ones.
@@ -141,6 +146,10 @@ func FuzzColumnWords(f *testing.F) {
 	f.Add(uint64(7), 6, walMagic[:])
 	f.Add(uint64(8), 40, []byte{0x00, 0x08, 0x10, 0x06, 0x20, 0x28, 0x06, 0x40, 0x48, 0x07, 0x60, 0x68, 0x06, 0x80, 0x88, 0x07, 0xA0, 0xC0, 0xC8, 0x07})
 	f.Add(uint64(9), 90, []byte{0xC4, 0xC5, 0x04, 0x05, 0x07, 0x03, 0x0B, 0x13, 0x24, 0x45, 0x07, 0x84, 0xA5, 0x06, 0x07})
+	// Wide: 303 inserts of 64, then a read.  The column folds as it grows,
+	// the last time at 17 128 records, and then 2264 are pending: past the
+	// stack's first merge at 2049, short of the next fold at 2397.
+	f.Add(uint64(10), -1, append(make([]byte, 303), 0x07))
 	lengths := [7]int{1, 8, 9, 16, 17, 24, 30}
 	b := bitvec.MustSubset(0, 3, 5)
 	f.Fuzz(func(t *testing.T, seed uint64, extra int, ops []byte) {
@@ -153,6 +162,11 @@ func FuzzColumnWords(f *testing.F) {
 			ops[i] = byte(x)
 		}
 		tab, oracle := sketch.NewTable(), make(map[bitvec.UserID]sketch.Sketch)
+		// How many users there are, and how many an insert publishes.
+		users, burst := uint64(211), 1
+		if extra < 0 {
+			users, burst = 1<<32, 64
+		}
 		// base is the length the op stream gives its records; the column's,
 		// colLen, is the length of the first record it took, 0 before.
 		base, colLen := lengths[seed%uint64(len(lengths))], 0
@@ -163,7 +177,7 @@ func FuzzColumnWords(f *testing.F) {
 			if c>>5 == 7 {
 				length = foreign
 			}
-			return sketch.Published{ID: bitvec.UserID(x % 211), Subset: b, S: sketch.Sketch{Key: x >> 20 % (1 << uint(length)), Length: length}}
+			return sketch.Published{ID: bitvec.UserID(x % users), Subset: b, S: sketch.Sketch{Key: x >> 20 % (1 << uint(length)), Length: length}}
 		}
 		admits := func(length int) bool { return colLen == 0 || length == colLen }
 		sorted := func() []sketch.Published {
@@ -188,7 +202,8 @@ func FuzzColumnWords(f *testing.F) {
 		roundTrip := func() {
 			want := sorted()
 			same("the column", tab.Snapshot(b), want)
-			if len(want) == 0 {
+			if len(want) == 0 || len(want) > 1<<12 {
+				// A wide column past 4096 records is held to the map alone.
 				return
 			}
 			runs := testRuns(want)
@@ -337,20 +352,22 @@ func FuzzColumnWords(f *testing.F) {
 					t.Fatalf("Land added %d records, the map %d", got, admitted)
 				}
 			case 0, 1, 3:
-				p := record(c)
-				held, had := oracle[p.ID]
-				existing, added, err := tab.AddNew(&p)
-				if !admits(p.S.Length) {
-					if added || !errors.Is(err, sketch.ErrForeignLength) {
-						t.Fatalf("AddNew(%+v) of a foreign length onto %d-bit sketches = (%v, %v)", p, colLen, added, err)
+				for k := 0; k < burst; k++ {
+					p := record(c)
+					held, had := oracle[p.ID]
+					existing, added, err := tab.AddNew(&p)
+					if !admits(p.S.Length) {
+						if added || !errors.Is(err, sketch.ErrForeignLength) {
+							t.Fatalf("AddNew(%+v) of a foreign length onto %d-bit sketches = (%v, %v)", p, colLen, added, err)
+						}
+						break
 					}
-					break
-				}
-				if err != nil || added == had || (had && existing != held) {
-					t.Fatalf("AddNew(%+v) = (%v, %v, %v), the map held (%v, %v)", p, existing, added, err, held, had)
-				}
-				if added {
-					oracle[p.ID], colLen = p.S, p.S.Length
+					if err != nil || added == had || (had && existing != held) {
+						t.Fatalf("AddNew(%+v) = (%v, %v, %v), the map held (%v, %v)", p, existing, added, err, held, had)
+					}
+					if added {
+						oracle[p.ID], colLen = p.S, p.S.Length
+					}
 				}
 			case 4, 5:
 				// A run as a log yields it: up to 48 arrivals of the byte's
