@@ -6,11 +6,13 @@ import (
 	"math/bits"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
@@ -150,8 +152,8 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 		// Distinct keys beyond the 16 possible values: synthesize entries
 		// directly, as real queries over a 4-bit subset cannot exceed 16.
 		key := query.CacheKey{Entry: fmt.Sprint("synthetic-", i)}
-		eng.cache.Put(key, 1, records, words, false)
-		eng.cache.Put(key, 1, records, words, false)
+		eng.cache.Put(key, 1, records, 0, words)
+		eng.cache.Put(key, 1, records, 0, words)
 		if e := eng.cache.m[key]; e.waiting != nil {
 			t.Fatalf("bitmap %d Put twice is still on probation", i)
 		}
@@ -163,11 +165,11 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 	if _, ok := eng.cache.Get(query.CacheKey{Entry: "synthetic-0"}, 1, records); ok {
 		t.Fatal("the first of 5000 bitmaps is still cached: nothing was evicted")
 	}
-	eng.cache.Put(query.CacheKey{Entry: "synthetic-0"}, 1, records, words, false)
+	eng.cache.Put(query.CacheKey{Entry: "synthetic-0"}, 1, records, 0, words)
 	if _, ok := eng.cache.Get(query.CacheKey{Entry: "synthetic-0"}, 1, records); !ok {
 		t.Fatal("a key Put again after its eviction is not served")
 	}
-	eng.cache.Put(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1), false)
+	eng.cache.Put(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1), 0, make([]uint64, planCacheBudget/8+1))
 	if _, ok := eng.cache.Get(query.CacheKey{Entry: "too-large"}, 1, 64*(planCacheBudget/8+1)); ok || eng.cache.bytes > planCacheBudget {
 		t.Fatal("a bitmap larger than the budget was cached")
 	}
@@ -235,25 +237,25 @@ func checkPlanCacheCharges(t *testing.T, c *planCache) {
 func TestPlanCacheOversizedPutRetiresOlderEntry(t *testing.T) {
 	c := newPlanCache()
 	key := query.CacheKey{Entry: "pair"}
-	c.Put(key, 1, 64, make([]uint64, 1), false)
-	c.Put(key, 2, 64*(planCacheBudget/8+1), make([]uint64, planCacheBudget/8+1), false)
+	c.Put(key, 1, 64, 0, make([]uint64, 1))
+	c.Put(key, 2, 64*(planCacheBudget/8+1), 0, make([]uint64, planCacheBudget/8+1))
 	if bytes, entries, probation := c.size(); bytes != 0 || entries != 0 || probation != 0 {
 		t.Fatalf("after an oversized Put the cache holds %d entries of %d bytes, %d on probation; want none", entries, bytes, probation)
 	}
 	checkPlanCacheCharges(t, c)
 }
 
-// TestPlanCacheChargesKeptWords: a bitmap evaluated under a filter that
-// keeps k of a view's n records is ⌈k/64⌉ words, and the cache charges it
-// 8·⌈k/64⌉ bytes plus its key and the fixed overhead — the keep mask beside
-// it is the one entry a bit per record of the view — and the size the
-// metrics gauges read is that sum.
+// TestPlanCacheChargesKeptWords: a bitmap a histogram evaluated under a
+// filter that keeps k of a view's n records is ⌈k/64⌉ words, and the cache
+// charges it 8·⌈k/64⌉ bytes plus its key and the fixed overhead — the keep
+// mask beside it is the one entry a bit per record of the view — and the
+// size the metrics gauges read is that sum.
 func TestPlanCacheChargesKeptWords(t *testing.T) {
 	const users = 1000 // ids 1 to 1000: the view is 16 words, a third of it 6
 	eng, subset, _ := planEngine(t, users)
 	pair := query.FractionEval{Subset: subset, Value: bitvec.MustFromString("0110")}
 	plan := query.NewPlan()
-	if _, err := plan.AddFraction(pair.Subset, pair.Value); err != nil {
+	if _, err := plan.AddHistogram([]query.SubQuery{pair}); err != nil {
 		t.Fatal(err)
 	}
 	keep := &query.UserFilter{Key: "third", Keep: func(id bitvec.UserID) bool { return id%3 == 0 }}
@@ -463,7 +465,7 @@ func TestPlanCacheAdmission(t *testing.T) {
 	turnOver := func() {
 		key := query.CacheKey{Entry: fmt.Sprintf("turn-%03d", turns)} // 8 bytes: the words fill the rest
 		words := make([]uint64, (planCacheWindow-planCacheEntryOverhead-len(key.Entry))/8)
-		c.Put(key, 1, 64*len(words), words, false)
+		c.Put(key, 1, 64*len(words), 0, words)
 		if e := c.m[key]; e.waiting == nil || c.waiting != planCacheWindow {
 			t.Fatalf("turn-over entry on probation %v, %d bytes on probation; want the window's %d", e.waiting != nil, c.waiting, planCacheWindow)
 		}
@@ -499,7 +501,7 @@ func TestPlanCacheFalseAdmission(t *testing.T) {
 	c := newPlanCache()
 	filter := string(bytes.Repeat([]byte{0xa5}, 32)) // a node's ownership filter key is 32 bytes
 	for i := 0; i < keys; i++ {
-		c.Put(query.CacheKey{Entry: fmt.Sprint("one-shot-", i), Filter: filter}, 1, 64, make([]uint64, 1), false)
+		c.Put(query.CacheKey{Entry: fmt.Sprint("one-shot-", i), Filter: filter}, 1, 64, 0, nil)
 	}
 	if got := c.admitted.Load(); got != pinned || got >= keys/20 {
 		t.Fatalf("%d of %d one-shot keys were admitted, pinned at %d (bound %d)", got, keys, pinned, keys/20)
@@ -608,11 +610,11 @@ func TestPlanCacheConcurrentAdmission(t *testing.T) {
 		go func(g int) {
 			defer putters.Done()
 			for i := g; i < puts; i += 4 {
-				c.Put(smallKey(i), 1, 64*len(smallWords), smallWords, false)
+				c.Put(smallKey(i), 1, 64*len(smallWords), 0, smallWords)
 				latest.Store(int64(i))
 				if i%16 == 0 {
-					c.Put(largeKey(i), 1, 64*len(largeWords), largeWords, true)
-					c.Put(largeKey(i), 1, 64*len(largeWords), largeWords, true)
+					c.Put(largeKey(i), 1, 64*len(largeWords), 0, largeWords)
+					c.Put(largeKey(i), 1, 64*len(largeWords), 0, largeWords)
 				}
 			}
 		}(g)
@@ -649,12 +651,13 @@ func pairPlans(t *testing.T, subset bitvec.Subset, value string, field bitvec.In
 }
 
 // TestFractionEntriesHoldCounts: a fraction reads a count, so a fraction
-// deck asked twice leaves no evaluation bitmap holding words — its entries
-// keep their counts and keys, and the cache is charged those and the one
-// keep mask the deck's subsets share, nothing more.  A histogram over the
-// same pairs then finds no words to join and evaluates each pair again,
-// exactly kept × pairs evaluations of H, and its bitmaps, joined, keep their
-// words through the fraction asks that follow, which evaluate nothing.
+// deck leaves no evaluation bitmap holding words, cold or asked again — its
+// entries keep their counts and keys, and the cache is charged those and
+// the one keep mask the deck's subsets share, nothing more: all of it on
+// probation after the cold deck, none after its repeat.  A histogram over
+// the same pairs then finds no words to join and evaluates each pair again,
+// exactly kept × pairs evaluations of H, and its bitmaps keep their words
+// through the fraction asks that follow, which evaluate nothing.
 func TestFractionEntriesHoldCounts(t *testing.T) {
 	const users, kept = 600, 200 // ids 1 to 600, every third kept
 	h := &countingSource{BitSource: planSource()}
@@ -680,40 +683,143 @@ func TestFractionEntriesHoldCounts(t *testing.T) {
 		}
 		checkPlanCacheCharges(t, eng.cache)
 	}
+	c := eng.cache
+	counts := func(stage string, onProbation bool) {
+		t.Helper()
+		want := 8 * ((users + 63) / 64) // the mask the four subsets share
+		for k, e := range c.m {
+			if !k.Mask && e.words != nil {
+				t.Fatalf("%s: the bitmap of %q holds %d words", stage, k.Entry, len(e.words))
+			}
+			want += keyCost(k)
+		}
+		wantProbation := 0
+		if onProbation {
+			wantProbation = want
+		}
+		if bytes, entries, probation := c.size(); bytes != want || entries != 2*len(subs) || probation != wantProbation {
+			t.Fatalf("%s: the cache charges %d bytes for %d entries, %d on probation; want %d for %d, %d on probation: keys and one mask",
+				stage, bytes, entries, probation, want, 2*len(subs), wantProbation)
+		}
+	}
 	pairs := int64(len(subs))
 	run("cold fractions", fracs, kept*pairs)
+	counts("after the cold deck", true)
 	run("warm fractions", fracs, 0)
-	c := eng.cache
-	want := 8 * ((users + 63) / 64) // the mask the four subsets share
-	for k, e := range c.m {
-		if !k.Mask && e.words != nil {
-			t.Fatalf("after the fraction deck's repeat the bitmap of %q holds %d words", k.Entry, len(e.words))
-		}
-		want += keyCost(k)
-	}
-	if bytes, entries, probation := c.size(); bytes != want || entries != 2*len(subs) || probation != 0 {
-		t.Fatalf("the cache charges %d bytes for %d entries, %d on probation; want %d for %d: keys and one mask, none on probation",
-			bytes, entries, probation, want, 2*len(subs))
-	}
+	counts("after the deck's repeat", false)
 	run("histogram after the fractions", hist, kept*pairs)
 	for i := 0; i < 2; i++ {
 		run("fractions after the histogram", fracs, 0)
 	}
 	for _, s := range subs {
 		e := c.m[query.CacheKey{Entry: query.FractionEval{Subset: s.Subset, Value: s.Value}.Key(), Filter: keep.Key}]
-		if len(e.words) != (kept+63)/64 || !e.joined {
-			t.Fatalf("the histogram's bitmap of %v holds %d words, joined %v; want %d, joined", s.Subset, len(e.words), e.joined, (kept+63)/64)
+		if len(e.words) != (kept+63)/64 {
+			t.Fatalf("the histogram's bitmap of %v holds %d words; want %d", s.Subset, len(e.words), (kept+63)/64)
 		}
 	}
 	run("warm histogram", hist, 0)
 }
 
+// TestOneShotFractionsHoldNoWords: 300 fractions each asked once, under
+// one keyed filter, leave 300 counts on probation and no words: the cache
+// is charged exactly their keys and the one keep mask, the window exactly
+// their keys — the mask, fetched again by every fraction after the first,
+// was promoted by the second — and the engine_plan_cache_probation_bytes
+// gauge reads the same.  A histogram over two of those pairs afterwards
+// evaluates each of them again, exactly kept × pairs evaluations of H.
+func TestOneShotFractionsHoldNoWords(t *testing.T) {
+	const users, kept, asks = 600, 200, 300 // ids 1 to 600, every third kept
+	h := &countingSource{BitSource: planSource()}
+	eng, err := New(h, sketch.MustParams(0.3, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := sketch.NewSketcher(h, eng.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	subset := bitvec.Range(0, 10)
+	rng := stats.NewRNG(19)
+	for id := 1; id <= users; id++ {
+		pubs, err := sk.SketchAll(rng, bitvec.Profile{ID: bitvec.UserID(id), Data: bitvec.FromUint(uint64(id)%1024, 10)}, []bitvec.Subset{subset})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.IngestBatch(pubs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	eng.SetMetrics(reg)
+	keep := &query.UserFilter{Key: "third", Keep: func(id bitvec.UserID) bool { return id%3 == 0 }}
+	before := h.evals.Load()
+	for v := uint64(0); v < asks; v++ {
+		plan := query.NewPlan()
+		if _, err := plan.AddFraction(subset, bitvec.FromUint(v, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.ExecutePlan(plan, keep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evals := h.evals.Load() - before; evals != kept*asks {
+		t.Fatalf("%d one-shot fractions made %d evaluations of H, want %d", asks, evals, kept*asks)
+	}
+	c := eng.cache
+	want, wantProbation := 8*((users+63)/64), 0 // the one keep mask's words
+	for k, e := range c.m {
+		want += keyCost(k)
+		if k.Mask {
+			continue
+		}
+		if e.words != nil || e.waiting == nil {
+			t.Fatalf("the one-shot fraction %q holds %d words, on probation %v; want none, on probation", k.Entry, len(e.words), e.waiting != nil)
+		}
+		wantProbation += keyCost(k)
+	}
+	if bytes, entries, probation := c.size(); bytes != want || entries != asks+1 || probation != wantProbation {
+		t.Fatalf("the cache charges %d bytes for %d entries, %d on probation; want %d for %d, %d on probation: the fractions' keys", bytes, entries, probation, want, asks+1, wantProbation)
+	}
+	checkPlanCacheCharges(t, c)
+	var text strings.Builder
+	if err := reg.RenderText(&text); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseText(text.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gauge *obs.Family
+	for _, f := range fams {
+		if f.Name == "engine_plan_cache_probation_bytes" {
+			gauge = f
+		}
+	}
+	if gauge == nil || len(gauge.Samples) != 1 || gauge.Samples[0].Value != float64(wantProbation) {
+		t.Fatalf("engine_plan_cache_probation_bytes reads %+v, want one sample of %d", gauge, wantProbation)
+	}
+	hist := query.NewPlan()
+	if _, err := hist.AddHistogram([]query.SubQuery{
+		{Subset: subset, Value: bitvec.FromUint(7, 10)},
+		{Subset: subset, Value: bitvec.FromUint(200, 10)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before = h.evals.Load()
+	if _, err := eng.ExecutePlan(hist, keep); err != nil {
+		t.Fatal(err)
+	}
+	if evals := h.evals.Load() - before; evals != 2*kept {
+		t.Fatalf("a histogram over two one-shot pairs made %d evaluations of H, want %d", evals, 2*kept)
+	}
+}
+
 // TestPlanCacheCountsAndJoinsConcurrently: fraction and histogram
 // executions over the same pairs run at once, each round under a filter key
 // of its own (one predicate), so its entries go through every change a
-// count and a join make — Put unjoined and joined, words dropped at a count
-// hit, a join missing on a count-only entry and Putting its recomputed
-// bitmap over it — while the other kind reads them.  Every answer is the
+// count and a join make — Put as a count and with words, a join missing on
+// a count-only entry and Putting its recomputed bitmap over it, a count hit
+// on the join's bitmap — while the other kind reads them.  Every answer is the
 // uncached executor's, and afterwards the books balance.  Run it under
 // -race.
 func TestPlanCacheCountsAndJoinsConcurrently(t *testing.T) {
@@ -760,10 +866,10 @@ func TestPlanCacheCountsAndJoinsConcurrently(t *testing.T) {
 	checkPlanCacheCharges(t, eng.cache)
 }
 
-// TestPlanCacheCountOnlyChargeMatchesHeap: an entry whose words a count
-// hit dropped is charged its key and planCacheEntryOverhead, and that is
-// what it holds: 20 000 of them, under a fleet node's 32-byte filter key,
-// are charged within 25 % of the HeapAlloc they add.
+// TestPlanCacheCountOnlyChargeMatchesHeap: a fraction's entry, Put as its
+// count without words, is charged its key and planCacheEntryOverhead, and
+// that is what it holds: 20 000 of them, under a fleet node's 32-byte
+// filter key, are charged within 25 % of the HeapAlloc they add.
 func TestPlanCacheCountOnlyChargeMatchesHeap(t *testing.T) {
 	const entries = 20_000
 	subset := bitvec.Range(0, 16)
@@ -774,7 +880,7 @@ func TestPlanCacheCountOnlyChargeMatchesHeap(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < entries; i++ {
 		key := query.CacheKey{Entry: query.FractionEval{Subset: subset, Value: bitvec.FromUint(uint64(i), 16)}.Key(), Filter: filter}
-		c.Put(key, 1, 64, []uint64{uint64(i)}, false)
+		c.Put(key, 1, 64, uint64(bits.OnesCount64(uint64(i))), nil)
 		if hits, ok := c.Hits(key, 1, 64); !ok || hits != uint64(bits.OnesCount64(uint64(i))) {
 			t.Fatalf("entry %d: count hit %v, %d hits", i, ok, hits)
 		}

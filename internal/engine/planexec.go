@@ -3,7 +3,6 @@ package engine
 import (
 	"container/list"
 	"context"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,17 +21,17 @@ import (
 // whole view held 7 700) and 260 over a million-record subset (where that
 // cap let 512 MB in).
 //
-// planCacheWindow is the probation window: what the bitmaps computed for
+// planCacheWindow is the probation window: what the entries computed for
 // the first time may hold between them while they wait to be asked for
 // again.  It must outlast the gap between a query and its repeat — a
 // dashboard's deck, an interval's prefixes asked by the next interval —
-// and every byte of it is held for questions nobody asks twice.  At 256
-// KiB a fleet node holds its last ≈ 110 first-seen bitmaps of ≈ 2.35 kB,
-// enough for `query-cached`'s deck of 110 bitmaps and its one mask (ten
-// keys: the ten prefix subsets share it) a node to be promoted during its
-// warm-up; each further 128 KiB costs `query-scan`
-// ≈ 0.45 B a record of heap (4.44 / 5.32 / 5.78 / 6.21 B at 0 / 256 /
-// 384 / 512 KiB).
+// and every byte of it is held for questions nobody asks twice.  A
+// fraction's entry is its count, charged its key and
+// planCacheEntryOverhead, ≈ 264–312 B under a fleet node's filter key, so
+// 256 KiB holds a node's last ≈ 850–1000 first-seen fractions, ≈ 8× as
+// many as its ≈ 2.35 kB bitmaps: a node asked fewer new questions than
+// that holds their counts, and one asked more fills the 256 KiB with the
+// latest.  A join's bitmap and a keep mask wait there with their words.
 //
 // The doorkeeper remembers the keys Put since it was last cleared in a
 // Bloom filter of one bit per KiB of budget (32 Ki bits, 4 KiB) probed
@@ -62,11 +61,10 @@ const (
 // join of cached bitmaps.
 //
 // An evaluation bitmap keeps its popcount beside its words.  A fraction
-// reads the count alone, so at an entry's first count hit its words are
-// dropped, unless a join has read them: a fraction deck asked twice holds
-// keys and counts, not bitmaps.  A join then misses on the count-only
-// entry, computes the bitmap again and Puts it joined, and a joined
-// entry's words stay.  Keep masks are Put joined.
+// reads the count alone, so its entry is Put as the count, without words,
+// from its first Put on: a fraction deck holds keys and counts, not
+// bitmaps.  A join misses on a count-only entry, computes the bitmap again
+// and Puts it with its words.  Keep masks are Put with their words.
 //
 // Both kinds of entry are held under one rule: only what is asked for
 // again stays.  A Put of a key the doorkeeper has not seen waits in the
@@ -78,7 +76,7 @@ const (
 // whatever it admits.
 //
 // An entry is charged its key and planCacheEntryOverhead, and its words —
-// none once a count hit dropped them — once however many entries hold the
+// none for a fraction's count — once however many entries hold the
 // same array — the executor caches one keep mask under every subset of a
 // cut that holds the same users — in each budget the entries holding the
 // array are under: the words are refunded when the last of them leaves.
@@ -118,17 +116,14 @@ type planCache struct {
 type holders struct{ all, waiting int }
 
 // planCacheEntry pairs a bitmap with the generation and record count it
-// was computed at, and with hits, how many bits it sets.  words is nil
-// once a count hit has dropped them; joined says a reader of the words
-// asked for them — a join's Get, or the Put of a join or a keep mask — so
-// a count hit leaves them.  waiting is its element of the probation FIFO,
-// nil once it is in the main budget.
+// was computed at, and with hits, how many bits it sets.  words is nil for
+// a fraction's count.  waiting is its element of the probation FIFO, nil
+// once it is in the main budget.
 type planCacheEntry struct {
 	gen     uint64
 	records int
 	words   []uint64
 	hits    uint64
-	joined  bool
 	waiting *list.Element
 }
 
@@ -147,8 +142,8 @@ func (c *planCache) lookup(key query.CacheKey, gen uint64, records int) (planCac
 }
 
 // Get implements query.BitmapCache: a join's or a keep mask's lookup,
-// which misses on an entry whose words a count hit dropped.  A hit
-// promotes an entry still on probation and marks the entry joined.
+// which misses on a fraction's count.  A hit promotes an entry still on
+// probation.
 func (c *planCache) Get(key query.CacheKey, gen uint64, records int) ([]uint64, bool) {
 	hits, misses := &c.hits, &c.misses
 	if key.Mask {
@@ -159,53 +154,43 @@ func (c *planCache) Get(key query.CacheKey, gen uint64, records int) ([]uint64, 
 		misses.Add(1)
 		return nil, false
 	}
-	if e.waiting != nil || !e.joined {
-		c.settle(key, gen, records, true)
+	if e.waiting != nil {
+		c.promote(key, gen, records)
 	}
 	hits.Add(1)
 	return e.words, true
 }
 
 // Hits implements query.BitmapCache: a fraction's lookup.  A hit promotes
-// an entry still on probation and drops the words of one no join has read.
+// an entry still on probation.
 func (c *planCache) Hits(key query.CacheKey, gen uint64, records int) (uint64, bool) {
 	e, ok := c.lookup(key, gen, records)
 	if !ok {
 		c.misses.Add(1)
 		return 0, false
 	}
-	if e.waiting != nil || !e.joined && e.words != nil {
-		c.settle(key, gen, records, false)
+	if e.waiting != nil {
+		c.promote(key, gen, records)
 	}
 	c.hits.Add(1)
 	return e.hits, true
 }
 
-// settle does to the entry under key at (gen, records), if it is still
-// there, what a hit on it does: it promotes it out of probation into the
-// main budget, and then marks it joined (join) or drops its words, refunding
-// them, unless it is joined.  A Put may have replaced the entry, or the
-// window dropped it, between Get's or Hits' lock and this one.
-func (c *planCache) settle(key query.CacheKey, gen uint64, records int, join bool) {
+// promote moves the entry under key at (gen, records) out of probation
+// into the main budget, if it is still there and waiting: a Put may have
+// replaced it, or a hit or the window taken it out, between Get's or Hits'
+// lock and this one.
+func (c *planCache) promote(key query.CacheKey, gen uint64, records int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
-	if !ok || e.gen != gen || e.records != records {
+	if !ok || e.gen != gen || e.records != records || e.waiting == nil {
 		return
 	}
-	if e.waiting != nil {
-		c.unwait(key, e)
-		e.waiting = nil
-		c.admitted.Add(1)
-	}
-	switch {
-	case join:
-		e.joined = true
-	case !e.joined:
-		c.bytes -= 8 * len(e.words) // a bitmap's words are its own
-		e.words = nil
-	}
+	c.unwait(key, e)
+	e.waiting = nil
 	c.m[key] = e
+	c.admitted.Add(1)
 }
 
 // size returns what the entries cost against planCacheBudget, how many
@@ -275,15 +260,15 @@ func (c *planCache) unwait(key query.CacheKey, e planCacheEntry) {
 }
 
 // Put implements query.BitmapCache.  The stored words are shared and must
-// not be mutated afterwards (the executor never does); their popcount is
-// kept beside them for the count hits to come.  An older entry
+// not be mutated afterwards (the executor never does); hits is kept beside
+// them for the count hits to come.  An older entry
 // under key goes first, whatever becomes of the new one.  A key the
 // doorkeeper has seen enters the main budget; any other goes on
 // probation, dropping the oldest entries there until the window has room,
 // and is not held at all if it is larger than the window.  A bitmap the
 // whole budget could not hold is not cached.
-func (c *planCache) Put(key query.CacheKey, gen uint64, records int, words []uint64, joined bool) {
-	e := planCacheEntry{gen: gen, records: records, words: words, hits: popcount(words), joined: joined}
+func (c *planCache) Put(key query.CacheKey, gen uint64, records int, hits uint64, words []uint64) {
+	e := planCacheEntry{gen: gen, records: records, words: words, hits: hits}
 	cost := keyCost(key) + 8*len(words) // what it costs alone
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -338,15 +323,6 @@ func (c *planCache) drop(key query.CacheKey) {
 
 // Evaluated implements query.BitmapCache.
 func (c *planCache) Evaluated(n uint64) { c.evals.Add(n) }
-
-// popcount sums the set bits of a bitmap.
-func popcount(words []uint64) uint64 {
-	var n uint64
-	for _, w := range words {
-		n += uint64(bits.OnesCount64(w))
-	}
-	return n
-}
 
 // doorkeeper answers the admission question "has this key been Put
 // before?" — TinyLFU's doorkeeper (Einziger, Friedman and Manes, "TinyLFU:

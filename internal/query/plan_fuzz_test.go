@@ -107,16 +107,15 @@ func fuzzTable() (*sketch.Table, []sketch.Published, int, *Estimator, error) {
 }
 
 // mapCache is a minimal BitmapCache for the fuzzer's cached legs.  It
-// keeps the engine's rule: a count hit drops the words of an entry no join
-// has read, and a Get of an entry without words misses.
+// keeps the engine's rule: a fraction's entry is its count, and a Get of
+// an entry without words misses.
 type mapCache map[CacheKey]mapCacheEntry
 
 type mapCacheEntry struct {
 	gen     uint64
 	records int
-	words   []uint64 // nil once a count hit has dropped them
+	words   []uint64 // nil for a fraction's count
 	hits    uint64
-	joined  bool
 }
 
 func (c mapCache) Get(key CacheKey, gen uint64, records int) ([]uint64, bool) {
@@ -124,8 +123,6 @@ func (c mapCache) Get(key CacheKey, gen uint64, records int) ([]uint64, bool) {
 	if !ok || e.gen != gen || e.records != records || e.words == nil {
 		return nil, false
 	}
-	e.joined = true
-	c[key] = e
 	return e.words, true
 }
 
@@ -134,15 +131,11 @@ func (c mapCache) Hits(key CacheKey, gen uint64, records int) (uint64, bool) {
 	if !ok || e.gen != gen || e.records != records {
 		return 0, false
 	}
-	if !e.joined {
-		e.words = nil
-		c[key] = e
-	}
 	return e.hits, true
 }
 
-func (c mapCache) Put(key CacheKey, gen uint64, records int, words []uint64, joined bool) {
-	c[key] = mapCacheEntry{gen, records, words, popcount(words), joined}
+func (c mapCache) Put(key CacheKey, gen uint64, records int, hits uint64, words []uint64) {
+	c[key] = mapCacheEntry{gen, records, words, hits}
 }
 
 func (c mapCache) Evaluated(uint64) {}
@@ -170,10 +163,12 @@ func (c mapCache) Evaluated(uint64) {}
 // rank, advanced over blocks the columns do not share — from bitmaps the
 // cache serves on every repeat.  A rank read off the wrong column, or a
 // word two scan workers share and one of them dropped, is a bin that
-// differs.  The plan is asked again after the histogram, so a pair both
-// name goes through what the cache does to it: a fraction asked twice
-// leaves a count and no words, the join computes the bitmap again, and the
-// fraction after it counts the joined bitmap.  The function runs at
+// differs.  The plan is asked again after the histogram, and then one that
+// names the histogram's pairs both ways, as fractions and joined, so a pair
+// the plan names goes through what the cache does to it: a fraction leaves
+// a count and no words, the join computes the bitmap again, the fraction
+// after it counts the join's bitmap, and the plan naming it both ways reads
+// it as a bitmap for the fraction and the join alike.  The function runs at
 // GOMAXPROCS 4, so a scan shards whatever the runner's core count.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add([]byte{0})
@@ -189,6 +184,10 @@ func FuzzPlanEquivalence(f *testing.F) {
 	// it is asked as a fraction twice, so its words are dropped, then in
 	// the histogram, which computes it again, then as a fraction again.
 	f.Add([]byte{1, 0, 1, 0, 5, 1})
+	// The same pair without a filter in the cold leg: a fraction, the
+	// histogram, the fraction, then the plan naming it both ways, in every
+	// pass.
+	f.Add([]byte{0, 0, 1, 0, 5, 1})
 	f.Add([]byte{1, 5, 7, 0, 7, 0, 0, 0, 0, 7, 1, 0, 0, 0, 7, 0, 1, 0, 0, 7, 1, 1, 0, 0, 7, 0, 0, 1, 0, 7, 1, 0, 1, 0, 7, 0, 1, 1, 0, 7, 1, 1, 1, 0, 8, 0, 0, 0, 0, 8, 1, 0, 0, 0, 8, 0, 1, 0, 0, 8, 1, 1, 0, 0, 8, 0, 0, 1, 0, 8, 1, 0, 1, 0, 8, 0, 1, 1, 0, 8, 1, 1, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -293,6 +292,15 @@ func FuzzPlanEquivalence(f *testing.F) {
 		if _, err := unequal.AddHistogram(subs); err != nil {
 			t.Fatalf("AddHistogram of well-shaped sub-queries errored: %v", err)
 		}
+		both := NewPlan()
+		for _, s := range subs {
+			if _, err := both.AddFraction(s.Subset, s.Value); err != nil {
+				t.Fatalf("AddFraction of a well-shaped pair errored: %v", err)
+			}
+		}
+		if _, err := both.AddHistogram(subs); err != nil {
+			t.Fatalf("AddHistogram of well-shaped sub-queries errored: %v", err)
+		}
 		cache := mapCache{}
 		for pass, keep := range []*UserFilter{filterA, filterB, filterA, nil, {Keep: mod(5, 2)}, nil, {Keep: mod(7, 3)}} {
 			var batch []sketch.Published
@@ -304,7 +312,7 @@ func FuzzPlanEquivalence(f *testing.F) {
 				t.Fatalf("probing held-back records errored: %v", err)
 			}
 			grown.Land(b)
-			for _, plan := range []*Plan{plan, unequal, plan} {
+			for _, plan := range []*Plan{plan, unequal, plan, both} {
 				want, err := oracleOver(est, keep, grown).Execute(plan)
 				if err != nil {
 					t.Fatalf("oracle errored: %v", err)

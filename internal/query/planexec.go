@@ -34,22 +34,21 @@ type CacheKey struct {
 // implementation; a nil cache simply recomputes.
 //
 // An evaluation bitmap is read one of two ways: a fraction reads its count
-// (Hits), a join its words (Get).  An implementation may keep only the
-// count of a bitmap no join has read, so a Get may miss where a Hits on the
-// same key hits; the join then computes the bitmap again and Puts it
-// joined.
+// (Hits), a join its words (Get).  A fraction's miss is Put as its count
+// alone, so a Get misses where a Hits on the same key hits, and the join
+// computes the bitmap again and Puts it with its words.
 type BitmapCache interface {
 	// Get returns the cached words under key, if an entry exists for
-	// exactly this generation and record count and still holds them.
+	// exactly this generation and record count and holds them.
 	Get(key CacheKey, gen uint64, records int) ([]uint64, bool)
 	// Hits returns how many bits the cached bitmap under key sets, if an
 	// entry exists for exactly this generation and record count, whether
-	// or not it still holds the words.
+	// or not it holds the words.
 	Hits(key CacheKey, gen uint64, records int) (uint64, bool)
-	// Put stores a computed bitmap.  The words become shared and immutable.
-	// joined says a reader of the words asked for it — a join, or a keep
-	// mask's filtered scan — so its words must stay for the Gets to come.
-	Put(key CacheKey, gen uint64, records int, words []uint64, joined bool)
+	// Put stores a computed bitmap's count, hits, and its words where a
+	// reader of them asked for it — a join, or a keep mask's filtered scan —
+	// nil for a fraction's.  The words become shared and immutable.
+	Put(key CacheKey, gen uint64, records int, hits uint64, words []uint64)
 	// Evaluated reports what the misses cost, once per subset scan: n
 	// evaluations of H, the records the filter keeps times the pairs
 	// missed.  A scan under a filter without a Key reports too.
@@ -105,7 +104,7 @@ func (e *Estimator) ExecutePlanOverCtx(ctx context.Context, tab *sketch.Table, p
 
 	res := newResults(p)
 	hits := make([]uint64, len(p.fractions))
-	if err := x.scan(ctx, p.fractions, nil, hits); err != nil {
+	if err := x.scan(ctx, p.fractions, p.joins(), nil, hits); err != nil {
 		return nil, err
 	}
 	for i, f := range p.fractions {
@@ -191,17 +190,37 @@ func (x *cut) at(b bitvec.Subset) int {
 	return -1
 }
 
+// joins says which of the plan's fractions an unguarded histogram names
+// too, nil where it names none.  A fraction pass that evaluates one of
+// those leaves its words in the cache for the join, so a pair the plan
+// names both ways is evaluated once.
+func (p *Plan) joins() (join []bool) {
+	for _, h := range p.hists {
+		for _, s := range h.Subs {
+			var buf [8 + 8*16 + 16]byte // as in FractionEval.Key
+			if i, ok := p.fracIdx[string(s.Value.AppendBytes(s.Subset.AppendTag(buf[:0])))]; ok && !h.GuardValid {
+				if join == nil {
+					join = make([]bool, len(p.fractions))
+				}
+				join[i] = true
+			}
+		}
+	}
+	return
+}
+
 // scan reads each pair's evaluation bitmap over its subset's view — bit r
 // is H on the r-th record the filter keeps (record r without a filter) —
 // into bitmaps, for a join; with bitmaps nil it reads how many bits each
 // sets into hits, for a fraction.  Subset by subset, it takes them from the
 // cache where it holds one for the view's generation and the filter's Key
 // (Get for a bitmap, Hits for a count), and computes the rest in one
-// sharded pass over the records the subset's keep mask keeps, left in the
-// cache afterwards, joined if they were read as bitmaps.  A filter without a
-// Key names no bitmap, so its bitmaps are neither looked up nor left.  ctx
-// is checked before each subset's pass.
-func (x *cut) scan(ctx context.Context, pairs []FractionEval, bitmaps [][]uint64, hits []uint64) error {
+// sharded pass over the records the subset's keep mask keeps, each Put in
+// the cache afterwards: with its words where it was read as a bitmap or
+// join names it (a join of the plan reads it next), as its count alone
+// otherwise.  A filter without a Key names no bitmap, so its bitmaps are
+// neither looked up nor left.  ctx is checked before each subset's pass.
+func (x *cut) scan(ctx context.Context, pairs []FractionEval, join []bool, bitmaps [][]uint64, hits []uint64) error {
 	groups := make([][]int, len(x.subs)) // the pairs of each subset, by position
 	for i, f := range pairs {
 		si := x.at(f.Subset)
@@ -212,7 +231,6 @@ func (x *cut) scan(ctx context.Context, pairs []FractionEval, bitmaps [][]uint64
 		filter = x.keep.Key
 	}
 	cached := x.cache != nil && (x.keep == nil || filter != "")
-	joined := bitmaps != nil
 	for si, group := range groups {
 		if len(group) == 0 {
 			continue
@@ -227,7 +245,7 @@ func (x *cut) scan(ctx context.Context, pairs []FractionEval, bitmaps [][]uint64
 		for _, i := range group {
 			if cached {
 				key := CacheKey{Entry: pairs[i].Key(), Filter: filter}
-				if joined {
+				if bitmaps != nil {
 					if w, ok := x.cache.Get(key, gen, n); ok {
 						bitmaps[i] = w
 						continue
@@ -251,13 +269,17 @@ func (x *cut) scan(ctx context.Context, pairs []FractionEval, bitmaps [][]uint64
 			x.cache.Evaluated(kept * uint64(len(missed)))
 		}
 		for c, w := range evalBitmaps(x.h, records, missed, keep, int(kept)) {
-			if joined {
-				bitmaps[missedAt[c]] = w
+			i, count := missedAt[c], popcount(w)
+			if bitmaps != nil {
+				bitmaps[i] = w
 			} else {
-				hits[missedAt[c]] = popcount(w)
+				hits[i] = count
+				if join == nil || !join[i] {
+					w = nil // the count alone is cached
+				}
 			}
 			if cached {
-				x.cache.Put(CacheKey{Entry: missed[c].Key(), Filter: filter}, gen, n, w, joined)
+				x.cache.Put(CacheKey{Entry: missed[c].Key(), Filter: filter}, gen, n, count, w)
 			}
 		}
 	}
@@ -302,7 +324,7 @@ func (x *cut) columns(ctx context.Context, pairs []FractionEval) (cols [][]uint6
 		return nil, 0, nil
 	}
 	bitmaps := make([][]uint64, len(pairs))
-	if err := x.scan(ctx, pairs, bitmaps, nil); err != nil {
+	if err := x.scan(ctx, pairs, nil, bitmaps, nil); err != nil {
 		return nil, 0, err
 	}
 	ids, masks := make([]sketch.IDs, len(pairs)), make([][]uint64, len(pairs))
@@ -680,7 +702,7 @@ func (x *cut) keepMask(si int) []uint64 {
 		}
 	}
 	if cached {
-		x.cache.Put(key, gen, n, mask, true)
+		x.cache.Put(key, gen, n, popcount(mask), mask)
 	}
 	return mask
 }

@@ -29,14 +29,15 @@ func (c *countingSource) Bit(parts ...[]byte) bool {
 // bitmaps like any fraction entry's, so with a cache attached the second
 // execution of a histogram plan under a keyed filter evaluates H zero
 // times and asks the filter about no user — what is left is the join —
-// and a bitmap serves whichever kind of entry names its (subset, value)
-// pair: a fraction after a histogram, a histogram after fractions.  A
-// cold sub-query is evaluated on the kept users of its subset only, so
-// each cold subset fetches its mask first — built once for the three
-// subsets, which hold the same 500 users and so one id column, and cached
-// under each subset's key; a subset whose key holds no mask takes the one
-// cached under another's over the same column, and asks the filter
-// nothing.
+// and a bitmap serves a fraction after a histogram that names its
+// (subset, value) pair, but a fraction's entry is its count alone, which
+// no join reads: a histogram after fractions evaluates every pair.  A
+// plan naming a pair both ways evaluates it once.  A cold sub-query is
+// evaluated on the kept users of its subset only, so each cold subset
+// fetches its mask first — built once for the three subsets, which hold
+// the same 500 users and so one id column, and cached under each subset's
+// key; a subset whose key holds no mask takes the one cached under
+// another's over the same column, and asks the filter nothing.
 func TestHistogramWarmIsAJoin(t *testing.T) {
 	const users, kept = 500, 250 // ids 1 to 500, the odd ones kept
 	a, b, c := bitvec.MustSubset(0), bitvec.MustSubset(1), bitvec.Range(0, 2)
@@ -112,10 +113,12 @@ func TestHistogramWarmIsAJoin(t *testing.T) {
 	if evals, _ := run("cold fractions", fracs, cache); evals != 2*kept {
 		t.Fatalf("cold fractions: %d evaluations of H, want %d", evals, 2*kept)
 	}
-	// The third sub-query is evaluated; its subset's mask is the one the
-	// cache holds under the first subset's key, over the same id column.
-	if evals, asks := run("histogram after the fractions", hist, cache); evals != kept || asks != 0 {
-		t.Fatalf("histogram after the fractions: %d evaluations of H and %d filter calls, want %d (its third sub-query) and none", evals, asks, kept)
+	// A join never reads a fraction's entry, which holds the count and no
+	// words: every sub-query is evaluated.  The third's subset's mask is the
+	// one the cache holds under the first subset's key, over the same id
+	// column.
+	if evals, asks := run("histogram after the fractions", hist, cache); evals != 3*kept || asks != 0 {
+		t.Fatalf("histogram after the fractions: %d evaluations of H and %d filter calls, want %d and none", evals, asks, 3*kept)
 	}
 
 	// One plan naming a pair both ways evaluates it once.

@@ -128,18 +128,18 @@ func TestNodeMetricsExpositionLintClean(t *testing.T) {
 			t.Fatalf("%s = %+v, want >= %v", name, f.Samples, want)
 		}
 	}
-	// The query left one bitmap in the plan cache — one word over the 32
-	// records, unfiltered, so no keep mask — charged its word, its key and
-	// the fixed overhead of an entry.
+	// The query left one entry in the plan cache — a fraction's count,
+	// unfiltered, so no keep mask — charged its key and the fixed overhead
+	// of an entry, and no words.
 	key := query.FractionEval{Subset: subset, Value: bitvec.MustFromString("10")}.Key()
 	entries, size := fams["engine_plan_cache_entries"], fams["engine_plan_cache_bytes"]
 	if entries == nil || size == nil || len(entries.Samples) != 1 || len(size.Samples) != 1 {
 		t.Fatalf("engine_plan_cache_entries %+v, engine_plan_cache_bytes %+v: want one sample each", entries, size)
 	}
 	if n, b := entries.Samples[0].Value, size.Samples[0].Value; n != 1 || b <= float64(8+len(key)) || b > float64(8+len(key)+1024) {
-		t.Fatalf("the plan cache holds %v entries of %v bytes, want 1 of 8 + %d key bytes + an entry's overhead", n, b, len(key))
+		t.Fatalf("the plan cache holds %v entries of %v bytes, want 1 of %d key bytes + an entry's overhead", n, b, len(key))
 	}
-	// Computed once and not asked for again, the bitmap waits on
+	// Computed once and not asked for again, the count waits on
 	// probation: all of the charge, nothing admitted, nothing rejected.
 	for name, want := range map[string]float64{
 		"engine_plan_cache_probation_bytes": size.Samples[0].Value,

@@ -219,7 +219,8 @@ func (b *Batch) groupOf(s bitvec.Subset, first, last int, byTag *map[string]int)
 // lands one (a run long enough for its column merges into the column's
 // run and leaves nothing pending, a shorter one merges into level 0), and
 // one generation bump per touched column, which retires its cached bitmaps
-// and keep masks as an AddNew does.
+// and keep masks as an AddNew does.  What Probe admitted is not looked up
+// again: the caller has kept other writers off the batch's pairs since.
 func (t *Table) Land(b *Batch) int {
 	type run struct {
 		subset bitvec.Subset
@@ -253,7 +254,7 @@ func (t *Table) Land(b *Batch) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, r := range runs {
-		t.columnFor(r.subset).land(r.ids, r.keys)
+		t.columnFor(r.subset).land(r.ids, r.keys, true)
 	}
 	return b.n
 }

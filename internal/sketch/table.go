@@ -338,13 +338,9 @@ func (c *column) insert(id bitvec.UserID, word uint64) {
 	c.settle()
 }
 
-// landPending lands a sorted run — ids strictly ascending, keys beside
-// them, both the column's to keep — among the pending records, first
-// record wins: the ids the column holds are dropped, and the rest merge
-// into level 0 in one pass from the top down.  Where they would overfill
-// it level 0 is spilled first, and a run longer than level 0 goes on the
-// stack as a run of its own.
-func (c *column) landPending(ids []bitvec.UserID, keys Words) {
+// unheld drops the ids the column holds from a sorted run, and their keys
+// beside them, first record wins.
+func (c *column) unheld(ids []bitvec.UserID, keys Words) ([]bitvec.UserID, Words) {
 	m := 0
 	for i, id := range ids {
 		if _, held := c.get(id); !held {
@@ -353,16 +349,26 @@ func (c *column) landPending(ids []bitvec.UserID, keys Words) {
 			m++
 		}
 	}
+	return ids[:m], keys.Slice(0, m)
+}
+
+// landPending lands a sorted run of ids the column does not hold — ids
+// strictly ascending, keys beside them and sized to them, both the
+// column's to keep — among the pending records: they merge into level 0 in
+// one pass from the top down.  Where they would overfill it level 0 is
+// spilled first, and a run longer than level 0 goes on the stack as a run
+// of its own.
+func (c *column) landPending(ids []bitvec.UserID, keys Words) {
+	m := len(ids)
 	if m == 0 {
 		return
 	}
 	c.open()
-	ids = ids[:m]
 	if len(c.l0)+m > level0Len {
 		c.spill()
 	}
 	if m > level0Len {
-		c.push(delta{MakeIDs(ids), keys.Slice(0, m)})
+		c.push(delta{MakeIDs(ids), keys})
 	} else {
 		// From the top down, the ids of level 0 above each new one move up
 		// past it in one copy, and it takes its place below them.
@@ -713,7 +719,7 @@ func (c *column) loadRun(ids IDs, keys Words) {
 		c.setRun(ids, keys)
 		return
 	}
-	c.land(ids.AppendTo(nil), keys)
+	c.land(ids.AppendTo(nil), keys, false)
 }
 
 // land adds records for the column's subset — ids strictly ascending, keys
@@ -721,8 +727,10 @@ func (c *column) loadRun(ids IDs, keys Words) {
 // wins, as one write: onto an empty column they become its run, onto a
 // warm one they land by one linear merge that leaves nothing pending, and
 // a run too short to pay for a merge merges among the pending records
-// (landPending).
-func (c *column) land(ids []bitvec.UserID, keys Words) {
+// (landPending), the ids the column holds dropped first unless probed says
+// it holds none of them: a batch Probe admitted, whose caller kept other
+// writers off its pairs until it lands.
+func (c *column) land(ids []bitvec.UserID, keys Words, probed bool) {
 	c.gen++
 	c.shape = keys.Shape()
 	switch {
@@ -732,6 +740,9 @@ func (c *column) land(ids []bitvec.UserID, keys Words) {
 		c.fold()
 		c.setRun(mergeRuns(c.ids, c.keys, ids, keys))
 	default:
+		if !probed {
+			ids, keys = c.unheld(ids, keys)
+		}
 		c.landPending(ids, keys)
 	}
 }

@@ -1071,6 +1071,79 @@ func TestTableLoadRunArms(t *testing.T) {
 	}
 }
 
+// TestTableLandProbedBatchOnce: a probed batch's Land looks up none of its
+// records again, so what it lands is exactly what Probe admitted, each
+// record once, on each arm a batch lands by onto a warm column: a short run
+// into level 0, one longer than level 0 onto the stack, a run long enough
+// merged into the column's run.  The batches hold records the column has
+// (an identical re-publish), repeats inside the batch and a record Drop
+// withdraws, none of which lands; a view afterwards holds every id once,
+// ascending, with the sketch its first admitted record carried.
+func TestTableLandProbedBatchOnce(t *testing.T) {
+	tab := NewTable()
+	b := bitvec.MustSubset(4)
+	const warm = 40_000 // even ids: a batch of under 400 lands pending
+	key := func(id bitvec.UserID) uint64 { return uint64(id) % 512 }
+	var r Run
+	r.Subset = b
+	var ids IDBuilder
+	for i := 0; i < warm; i++ {
+		ids.Append(bitvec.UserID(2 * i))
+		r.Keys = r.Keys.Append(Sketch{Key: key(bitvec.UserID(2 * i)), Length: 9}.Pack())
+	}
+	r.IDs = ids.IDs()
+	if err := tab.LoadRun(r); err != nil {
+		t.Fatal(err)
+	}
+	c := tab.cols[b.Key()]
+	want := warm
+	for _, tc := range []struct {
+		arm   string
+		fresh int // new odd ids, from lo on
+		lo    bitvec.UserID
+		check func() bool
+	}{
+		{"level 0", 5, 1, func() bool { return c.pending == 5 && len(c.l0) == 5 && len(c.deltas) == 0 }},
+		{"the stack", 300, 101, func() bool { return c.pending == 305 && len(c.l0) == 0 && len(c.deltas) == 2 }}, // level 0 spilled first
+		{"a merge", 600, 2001, func() bool { return c.pending == 0 }},
+	} {
+		batch := []Published{{ID: 0, Subset: b, S: Sketch{Key: key(0), Length: 9}}} // held
+		for j := 0; j < tc.fresh; j++ {
+			id := tc.lo + bitvec.UserID(2*j)
+			p := Published{ID: id, Subset: b, S: Sketch{Key: key(id), Length: 9}}
+			batch = append(batch, p)
+			if j%7 == 0 {
+				batch = append(batch, p) // an identical repeat
+			}
+		}
+		dropped := Published{ID: tc.lo + bitvec.UserID(2*tc.fresh), Subset: b, S: Sketch{Key: 1, Length: 9}}
+		batch = append(batch, dropped, Published{ID: 4, Subset: b, S: Sketch{Key: key(4), Length: 9}})
+		bt, err := tab.Probe(batch)
+		if err != nil || bt.Len() != tc.fresh+1 {
+			t.Fatalf("%s: Probe admitted %d records (%v), want %d", tc.arm, bt.Len(), err, tc.fresh+1)
+		}
+		bt.Drop([]int{tc.fresh}) // the last of the group's ascending ids
+		if n := tab.Land(bt); n != tc.fresh || !tc.check() {
+			t.Fatalf("%s: Land added %d records, want %d; %d pending, level 0 %d, %d runs on the stack", tc.arm, n, tc.fresh, c.pending, len(c.l0), len(c.deltas))
+		}
+		if want += tc.fresh; tab.CountForSubset(b) != want {
+			t.Fatalf("%s: the column counts %d records, want %d", tc.arm, tab.CountForSubset(b), want)
+		}
+		if _, ok := tab.Get(dropped.ID, b); ok {
+			t.Fatalf("%s: the dropped record landed", tc.arm)
+		}
+	}
+	v, _ := tab.View(b)
+	if v.Len() != want {
+		t.Fatalf("the view holds %d records, want %d", v.Len(), want)
+	}
+	for i := 0; i < v.Len(); i++ {
+		if id := v.ID(i); (i > 0 && v.ID(i-1) >= id) || v.Sketch(i) != (Sketch{Key: key(id), Length: 9}) {
+			t.Fatalf("record %d of the view is user %v with %v after user %v", i, id, v.Sketch(i), v.ID(max(i-1, 0)))
+		}
+	}
+}
+
 // TestTableViewSurvivesWrites: a view of a column of 9-bit sketches reads
 // bit-identical sketches while more of them arrive — one by one, by
 // loaded runs and landed batches, across folds — and readers go on reading
