@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,45 +15,13 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/engine"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/store"
 )
-
-// startDaemon launches the built sketchd binary and waits for its
-// listening line, returning the bound address.
-func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "sketchd listening on "); ok {
-				addrCh <- strings.Fields(rest)[0]
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		return cmd, addr
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		t.Fatal("sketchd did not report a listening address")
-		return nil, ""
-	}
-}
 
 // TestSIGKILLMidIngestRecovery is the acceptance test for the durable
 // store: a real sketchd process is SIGKILLed while a client streams
@@ -67,14 +34,8 @@ func TestSIGKILLMidIngestRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real daemon; skipped in -short")
 	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "sketchd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building sketchd: %v", err)
-	}
-	dataDir := filepath.Join(tmp, "data")
+	bin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchd")
+	dataDir := filepath.Join(t.TempDir(), "data")
 
 	const (
 		users    = 5000
@@ -106,8 +67,8 @@ func TestSIGKILLMidIngestRecovery(t *testing.T) {
 		"-shards", shardStr,
 	}
 
-	cmd, addr := startDaemon(t, bin, daemonArgs...)
-	cli, err := server.Dial(addr)
+	cmd, addrs := fleettest.StartProc(t, bin, daemonArgs, "sketchd listening on ")
+	cli, err := server.Dial(addrs[0])
 	if err != nil {
 		cmd.Process.Kill()
 		t.Fatal(err)
@@ -214,12 +175,12 @@ func TestSIGKILLMidIngestRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cmd2, addr2 := startDaemon(t, bin, daemonArgs...)
+	cmd2, addrs2 := fleettest.StartProc(t, bin, daemonArgs, "sketchd listening on ")
 	defer func() {
 		cmd2.Process.Signal(os.Interrupt)
 		cmd2.Wait()
 	}()
-	cli2, err := server.Dial(addr2)
+	cli2, err := server.Dial(addrs2[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,12 +287,7 @@ func TestPreV3DataDirRefused(t *testing.T) {
 		t.Skip("builds a real daemon; skipped in -short")
 	}
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "sketchd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building sketchd: %v", err)
-	}
+	bin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchd")
 	v4 := filepath.Join("..", "..", "internal", "store", "testdata", "dir-parent-v4")
 	v4Log, err := os.ReadFile(filepath.Join(v4, "shard-0000", "wal.log"))
 	if err != nil {

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,53 +11,11 @@ import (
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 )
-
-// buildBinary compiles a command into dir and returns the binary path.
-func buildBinary(t *testing.T, dir, pkg, name string) string {
-	t.Helper()
-	bin := filepath.Join(dir, name)
-	build := exec.Command("go", "build", "-o", bin, pkg)
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building %s: %v", pkg, err)
-	}
-	return bin
-}
-
-// startProc launches a daemon binary and waits for its listening line.
-func startProc(t *testing.T, bin string, prefix string, args ...string) (*exec.Cmd, string) {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if rest, ok := strings.CutPrefix(sc.Text(), prefix); ok {
-				addrCh <- strings.Fields(rest)[0]
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		return cmd, addr
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		t.Fatalf("%s did not report a listening address", bin)
-		return nil, ""
-	}
-}
 
 // TestRouterSIGKILLNodeFailover is the process-level acceptance test: a
 // real 3-sketchd cluster behind a real sketchrouter, one node SIGKILLed
@@ -73,10 +29,9 @@ func TestRouterSIGKILLNodeFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemons; skipped in -short")
 	}
-	tmp := t.TempDir()
-	sketchdBin := buildBinary(t, tmp, "sketchprivacy/cmd/sketchd", "sketchd")
-	routerBin := buildBinary(t, tmp, ".", "sketchrouter")
-	ctlBin := buildBinary(t, tmp, "sketchprivacy/cmd/sketchctl", "sketchctl")
+	sketchdBin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchd")
+	routerBin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchrouter")
+	ctlBin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchctl")
 
 	const (
 		users = 5000
@@ -105,9 +60,9 @@ func TestRouterSIGKILLNodeFailover(t *testing.T) {
 		nodeAddrs []string
 	)
 	for i := 0; i < 3; i++ {
-		cmd, addr := startProc(t, sketchdBin, "sketchd listening on ", nodeArgs...)
+		cmd, addrs := fleettest.StartProc(t, sketchdBin, nodeArgs, "sketchd listening on ")
 		nodeCmds = append(nodeCmds, cmd)
-		nodeAddrs = append(nodeAddrs, addr)
+		nodeAddrs = append(nodeAddrs, addrs[0])
 	}
 	defer func() {
 		for _, cmd := range nodeCmds {
@@ -118,13 +73,14 @@ func TestRouterSIGKILLNodeFailover(t *testing.T) {
 
 	// Hinted handoff off: this test pins the strict mode, where a publish
 	// owned by a dead node must fail loudly rather than queue a hint.
-	routerCmd, routerAddr := startProc(t, routerBin, "sketchrouter listening on ",
+	routerCmd, routerAddrs := fleettest.StartProc(t, routerBin, []string{
 		"-addr", "127.0.0.1:0",
 		"-nodes", strings.Join(nodeAddrs, ","),
 		"-rf", fmt.Sprint(rf),
 		"-ping-interval", "200ms",
 		"-hinted-handoff=false",
-	)
+	}, "sketchrouter listening on ")
+	routerAddr := routerAddrs[0]
 	defer func() {
 		routerCmd.Process.Signal(os.Interrupt)
 		routerCmd.Wait()
@@ -259,9 +215,8 @@ func TestRouterLiveJoinRebalanceDrainCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives real daemons; skipped in -short")
 	}
-	tmp := t.TempDir()
-	sketchdBin := buildBinary(t, tmp, "sketchprivacy/cmd/sketchd", "sketchd")
-	routerBin := buildBinary(t, tmp, ".", "sketchrouter")
+	sketchdBin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchd")
+	routerBin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchrouter")
 
 	const (
 		users = 5000
@@ -290,10 +245,10 @@ func TestRouterLiveJoinRebalanceDrainCycle(t *testing.T) {
 		nodeAddrs []string
 	)
 	startNode := func() (cmd *exec.Cmd, addr string) {
-		cmd, addr = startProc(t, sketchdBin, "sketchd listening on ", nodeArgs...)
+		cmd, addrs := fleettest.StartProc(t, sketchdBin, nodeArgs, "sketchd listening on ")
 		nodeCmds = append(nodeCmds, cmd)
-		nodeAddrs = append(nodeAddrs, addr)
-		return cmd, addr
+		nodeAddrs = append(nodeAddrs, addrs[0])
+		return cmd, addrs[0]
 	}
 	startNode()
 	startNode()
@@ -304,12 +259,13 @@ func TestRouterLiveJoinRebalanceDrainCycle(t *testing.T) {
 		}
 	}()
 
-	routerCmd, routerAddr := startProc(t, routerBin, "sketchrouter listening on ",
+	routerCmd, routerAddrs := fleettest.StartProc(t, routerBin, []string{
 		"-addr", "127.0.0.1:0",
 		"-nodes", strings.Join(nodeAddrs[:2], ","),
 		"-rf", fmt.Sprint(rf),
 		"-ping-interval", "100ms",
-	)
+	}, "sketchrouter listening on ")
+	routerAddr := routerAddrs[0]
 	defer func() {
 		routerCmd.Process.Signal(os.Interrupt)
 		routerCmd.Wait()

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/query"
@@ -23,47 +23,6 @@ import (
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
-
-// startProc2 launches a daemon that reports two listening lines (the
-// metrics listener first, then the serving listener) and returns both
-// addresses.
-func startProc2(t *testing.T, bin, metricsPrefix, servePrefix string, args ...string) (*exec.Cmd, string, string) {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	metricsCh := make(chan string, 1)
-	serveCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if rest, ok := strings.CutPrefix(sc.Text(), metricsPrefix); ok {
-				metricsCh <- strings.Fields(rest)[0]
-			}
-			if rest, ok := strings.CutPrefix(sc.Text(), servePrefix); ok {
-				serveCh <- strings.Fields(rest)[0]
-			}
-		}
-	}()
-	deadline := time.After(30 * time.Second)
-	var metricsAddr, serveAddr string
-	for metricsAddr == "" || serveAddr == "" {
-		select {
-		case metricsAddr = <-metricsCh:
-		case serveAddr = <-serveCh:
-		case <-deadline:
-			cmd.Process.Kill()
-			t.Fatalf("%s did not report both listening addresses", bin)
-		}
-	}
-	return cmd, metricsAddr, serveAddr
-}
 
 // scrape fetches one URL and returns the body, failing on a non-200.
 func scrape(t *testing.T, url string) string {
@@ -130,9 +89,9 @@ func TestFleetMetricsEndpointsLive(t *testing.T) {
 		t.Skip("builds and drives real daemons; skipped in -short")
 	}
 	tmp := t.TempDir()
-	sketchdBin := buildBinary(t, tmp, "sketchprivacy/cmd/sketchd", "sketchd")
-	routerBin := buildBinary(t, tmp, ".", "sketchrouter")
-	gateBin := buildBinary(t, tmp, "sketchprivacy/cmd/sketchgate", "sketchgate")
+	sketchdBin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchd")
+	routerBin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchrouter")
+	gateBin := fleettest.BuildBinary(t, "sketchprivacy/cmd/sketchgate")
 
 	const (
 		users = 5000
@@ -151,14 +110,14 @@ func TestFleetMetricsEndpointsLive(t *testing.T) {
 		nodeMetrics []string
 	)
 	for i := 0; i < 2; i++ {
-		cmd, maddr, addr := startProc2(t, sketchdBin, "metrics listening on ", "sketchd listening on ",
+		cmd, addrs := fleettest.StartProc(t, sketchdBin, []string{
 			"-addr", "127.0.0.1:0",
 			"-users", fmt.Sprint(users), "-p", fmt.Sprint(p), "-tau", fmt.Sprint(tau),
 			"-data-dir", filepath.Join(tmp, fmt.Sprintf("node%d", i)), "-fsync",
-			"-metrics-addr", "127.0.0.1:0")
+			"-metrics-addr", "127.0.0.1:0"}, "metrics listening on ", "sketchd listening on ")
 		nodeCmds = append(nodeCmds, cmd)
-		nodeAddrs = append(nodeAddrs, addr)
-		nodeMetrics = append(nodeMetrics, maddr)
+		nodeMetrics = append(nodeMetrics, addrs[0])
+		nodeAddrs = append(nodeAddrs, addrs[1])
 	}
 	defer func() {
 		for _, cmd := range nodeCmds {
@@ -167,11 +126,12 @@ func TestFleetMetricsEndpointsLive(t *testing.T) {
 		}
 	}()
 
-	routerCmd, routerMetrics, routerAddr := startProc2(t, routerBin, "metrics listening on ", "sketchrouter listening on ",
+	routerCmd, routerAddrs := fleettest.StartProc(t, routerBin, []string{
 		"-addr", "127.0.0.1:0",
 		"-nodes", strings.Join(nodeAddrs, ","),
 		"-rf", "2",
-		"-metrics-addr", "127.0.0.1:0")
+		"-metrics-addr", "127.0.0.1:0"}, "metrics listening on ", "sketchrouter listening on ")
+	routerMetrics, routerAddr := routerAddrs[0], routerAddrs[1]
 	defer func() {
 		routerCmd.Process.Signal(os.Interrupt)
 		routerCmd.Wait()
@@ -182,11 +142,12 @@ func TestFleetMetricsEndpointsLive(t *testing.T) {
 	 "tenants": [{"name": "acme", "key": "acme-secret-key-0001"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gateCmd, gateAddr := startProc(t, gateBin, "sketchgate listening on ",
+	gateCmd, gateAddrs := fleettest.StartProc(t, gateBin, []string{
 		"-addr", "127.0.0.1:0",
 		"-nodes", strings.Join(nodeAddrs, ","),
 		"-keyring", keyringPath,
-		"-p", fmt.Sprint(p), "-users", fmt.Sprint(users), "-tau", fmt.Sprint(tau))
+		"-p", fmt.Sprint(p), "-users", fmt.Sprint(users), "-tau", fmt.Sprint(tau)}, "sketchgate listening on ")
+	gateAddr := gateAddrs[0]
 	defer func() {
 		gateCmd.Process.Signal(os.Interrupt)
 		gateCmd.Wait()
@@ -309,10 +270,11 @@ func TestFleetMetricsEndpointsLive(t *testing.T) {
 	// /metrics carries the engine's, and one publish and one query move
 	// them — the plan that answered the query, and the keep mask of the
 	// tenant's id domain it was answered under.
-	singleCmd, singleAddr := startProc(t, gateBin, "sketchgate listening on ",
+	singleCmd, singleAddrs := fleettest.StartProc(t, gateBin, []string{
 		"-addr", "127.0.0.1:0", "-single",
 		"-keyring", keyringPath,
-		"-p", fmt.Sprint(p), "-users", fmt.Sprint(users), "-tau", fmt.Sprint(tau))
+		"-p", fmt.Sprint(p), "-users", fmt.Sprint(users), "-tau", fmt.Sprint(tau)}, "sketchgate listening on ")
+	singleAddr := singleAddrs[0]
 	defer func() {
 		singleCmd.Process.Signal(os.Interrupt)
 		singleCmd.Wait()
@@ -368,7 +330,7 @@ func TestShortGeneratorKeyRefused(t *testing.T) {
 		{"sketchgate", []string{"-addr", "127.0.0.1:0", "-single", "-keyring", keyringPath}},
 		{"sketchctl", []string{"-addr", "127.0.0.1:1"}},
 	} {
-		path := buildBinary(t, tmp, "sketchprivacy/cmd/"+bin.name, bin.name)
+		path := fleettest.BuildBinary(t, "sketchprivacy/cmd/"+bin.name)
 		for _, keyBytes := range []int{prf.MinKeyBytes - 1, prf.MinKeyBytes} {
 			args := append(append([]string{}, bin.args...), "-p", "0.7", "-keyhex", strings.Repeat("ab", keyBytes), "ping")
 			var stderr bytes.Buffer

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -13,6 +12,7 @@ import (
 
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/faultnet"
+	"sketchprivacy/internal/fleettest"
 )
 
 // TestChaosSeedMatrix replays the committed chaos seeds: every
@@ -77,17 +77,16 @@ func TestChaosRandomSeeds(t *testing.T) {
 // bit-identical to the reference engine holding every record.
 func runChaos(t *testing.T, seed uint64) {
 	fab := faultnet.NewFabric(seed)
-	nodes := startNodes(t, 3)
+	nodes := fleettest.StartNodes(t, 3)
 	// revive is the longest the router leaves a node it lost out of its
 	// fan-outs: a breaker's full backoff, then the ping sweep that readmits
 	// it.
 	var revive time.Duration
-	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
-		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			ep := fab.Endpoint("to:" + addr)
-			ep.EnableChaos()
-			return ep.Dial(nil)(addr, timeout)
-		}
+	for _, n := range nodes {
+		fab.Endpoint(fleettest.LinkTo(n.Addr)).EnableChaos()
+	}
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.DialTimeout = 300 * time.Millisecond
 		cfg.RequestTimeout = 500 * time.Millisecond
 		cfg.HedgeDelay = 100 * time.Millisecond
@@ -111,7 +110,7 @@ func runChaos(t *testing.T, seed uint64) {
 			err = r.Publish(p)
 		}
 		if err != nil {
-			t.Fatalf("seed %d: publish %d/%d never succeeded: %v\n%s", seed, i, len(pubs), err, routerEvidence(r))
+			t.Fatalf("seed %d: publish %d/%d never succeeded: %v\n%s", seed, i, len(pubs), err, fleettest.RouterEvidence(r))
 		}
 	}
 
@@ -146,15 +145,15 @@ func runChaos(t *testing.T, seed uint64) {
 				}
 				if !errors.Is(err, cluster.ErrPartialCoverage) && !isRetryableChaos(err) {
 					t.Fatalf("seed %d: query %d (%s), answer %d, attempt %d aborted with a non-coverage error: %v\n%s",
-						seed, i, q.name, answer, attempt, err, routerEvidence(r))
+						seed, i, q.name, answer, attempt, err, fleettest.RouterEvidence(r))
 				}
 				time.Sleep(100 * time.Millisecond)
 			}
 			if err != nil {
-				t.Fatalf("seed %d: query %d (%s), answer %d never recovered: %v\n%s", seed, i, q.name, answer, err, routerEvidence(r))
+				t.Fatalf("seed %d: query %d (%s), answer %d never recovered: %v\n%s", seed, i, q.name, answer, err, fleettest.RouterEvidence(r))
 			}
 			if got != want {
-				t.Fatalf("seed %d: query %d (%s), answer %d is %+v, reference says %+v\n%s", seed, i, q.name, answer, got, want, routerEvidence(r))
+				t.Fatalf("seed %d: query %d (%s), answer %d is %+v, reference says %+v\n%s", seed, i, q.name, answer, got, want, fleettest.RouterEvidence(r))
 			}
 		}
 	}

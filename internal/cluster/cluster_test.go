@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"bytes"
 	"math"
 	"net"
 	"strings"
@@ -13,7 +12,7 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/dataset"
 	"sketchprivacy/internal/engine"
-	"sketchprivacy/internal/obs"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/prf"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/server"
@@ -22,77 +21,13 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
+// The fleet's mechanism, which every reference engine here shares.
 const (
-	testP      = 0.3
-	testLength = 10
+	testP      = fleettest.P
+	testLength = fleettest.Length
 )
 
-func testSource() *prf.Biased {
-	return prf.NewBiased(bytes.Repeat([]byte{0x5a}, prf.MinKeyBytes), prf.MustProb(testP))
-}
-
-// testNode is one in-process sketchd: an engine behind a real TCP server,
-// its engine metrics on a registry of its own.
-type testNode struct {
-	addr string
-	eng  *engine.Engine
-	srv  *server.Server
-	reg  *obs.Registry
-}
-
-// startNodes brings up n loopback nodes and registers their teardown.
-func startNodes(t *testing.T, n int) []*testNode {
-	t.Helper()
-	nodes := make([]*testNode, n)
-	for i := range nodes {
-		nodes[i] = startNodeAt(t, "", nil)
-	}
-	return nodes
-}
-
-// keepMaskHits sums the nodes' engine_keep_mask_hits_total: the keep-mask
-// lookups their bitmap caches served.  A never-stale test reads it to know
-// the masks were warm when the ring moved under them.
-func keepMaskHits(t *testing.T, nodes ...*testNode) float64 {
-	t.Helper()
-	var hits float64
-	for _, n := range nodes {
-		hits += metricValue(t, renderRegistry(t, n.reg), "engine_keep_mask_hits_total")
-	}
-	return hits
-}
-
-// startRouter builds a fast-paced router over the nodes.
-func startRouter(t *testing.T, nodes []*testNode, rf int) *cluster.Router {
-	return startRouterCfg(t, nodes, rf, nil)
-}
-
-// startRouterCfg is startRouter with a config hook applied before the
-// router starts, for tests pinning timeouts (hedge delay, request budget).
-func startRouterCfg(t *testing.T, nodes []*testNode, rf int, mutate func(*cluster.Config)) *cluster.Router {
-	t.Helper()
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
-	}
-	cfg := cluster.Config{
-		Nodes:        addrs,
-		Replication:  rf,
-		VNodes:       32,
-		PingInterval: 100 * time.Millisecond,
-		BackoffBase:  50 * time.Millisecond,
-		BackoffMax:   time.Second,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	r, err := cluster.NewRouter(testSource(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	return r
-}
+func testSource() *prf.Biased { return fleettest.Source() }
 
 // clusterWorkload sketches a population over a conjunctive subset and the
 // single-bit subsets of a 4-bit field, returning the published records.
@@ -201,8 +136,8 @@ func assertClusterMatchesReference(t *testing.T, r *cluster.Router, ref *engine.
 // 3-node RF=2 cluster answers Fraction, FieldMean and the Appendix F
 // Combine bit-identically to a single engine ingesting the same records.
 func TestClusterScatterGatherBitIdentical(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startRouter(t, nodes, 2)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	pubs, subset, field := clusterWorkload(t, 400, 21)
 	if err := r.PublishAll(pubs); err != nil {
 		t.Fatal(err)
@@ -221,7 +156,7 @@ func TestClusterScatterGatherBitIdentical(t *testing.T) {
 	// Replication actually happened: the nodes together hold RF copies.
 	raw := 0
 	for _, n := range nodes {
-		raw += n.eng.Sketches()
+		raw += n.Eng.Sketches()
 	}
 	if raw != 2*ref.Sketches() {
 		t.Fatalf("nodes hold %d raw records, want rf=2 × %d", raw, ref.Sketches())
@@ -233,8 +168,8 @@ func TestClusterScatterGatherBitIdentical(t *testing.T) {
 // returning the exact single-engine answers over every acknowledged
 // record, served by the surviving replicas.
 func TestClusterNodeDeathFailover(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startRouter(t, nodes, 2)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	pubs, subset, field := clusterWorkload(t, 300, 33)
 	if err := r.PublishAll(pubs); err != nil {
 		t.Fatal(err)
@@ -245,7 +180,7 @@ func TestClusterNodeDeathFailover(t *testing.T) {
 	// connection, exactly what the router's pooled conns observe on a
 	// crash.
 	dead := nodes[0]
-	if err := dead.srv.Close(); err != nil {
+	if err := dead.Srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -284,11 +219,11 @@ func TestClusterNodeDeathFailover(t *testing.T) {
 	foundDeadOwned, foundLiveOwned := false, false
 	for id := bitvec.UserID(1_000_000); id < 1_000_200 && !(foundDeadOwned && foundLiveOwned); id++ {
 		owners := r.Ring().Owners(id, 2)
-		deadOwned := owners[0] == dead.addr || owners[1] == dead.addr
+		deadOwned := owners[0] == dead.Addr || owners[1] == dead.Addr
 		if deadOwned && !foundDeadOwned {
 			foundDeadOwned = true
 			if err := publishFresh(id); err == nil {
-				t.Fatalf("publish for user %d owned by dead node %s was acknowledged", id, dead.addr)
+				t.Fatalf("publish for user %d owned by dead node %s was acknowledged", id, dead.Addr)
 			}
 		}
 		if !deadOwned && !foundLiveOwned {
@@ -308,16 +243,16 @@ func TestClusterNodeDeathFailover(t *testing.T) {
 // loudly instead of merging a silently truncated record set into a
 // confidently wrong estimate.
 func TestClusterRefusesPartialCoverage(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startRouter(t, nodes, 2)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	pubs, subset, _ := clusterWorkload(t, 100, 77)
 	if err := r.PublishAll(pubs); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[0].srv.Close(); err != nil {
+	if err := nodes[0].Srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[1].srv.Close(); err != nil {
+	if err := nodes[1].Srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, err := r.Estimator().Fraction(r, subset, bitvec.MustFromString("1010"))
@@ -337,8 +272,8 @@ var _ query.PartialSource = (*server.Client)(nil)
 // node protocol, so an unmodified client publishes and queries through it,
 // and ping returns the cluster status.
 func TestClusterFrontendServesWireClients(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startRouter(t, nodes, 2)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	front := server.NewFrontend(r)
 	addr, err := front.Listen("127.0.0.1:0")
 	if err != nil {
@@ -376,7 +311,7 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(status, "router ok") || !strings.Contains(status, nodes[0].addr) {
+	if !strings.Contains(status, "router ok") || !strings.Contains(status, nodes[0].Addr) {
 		t.Fatalf("router ping did not return cluster status:\n%s", status)
 	}
 
@@ -405,7 +340,7 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 	if err := wire.ClientHandshake(conn); err != nil {
 		t.Fatal(err)
 	}
-	filtered := wire.EncodePlanQuery(&wire.Filter{Nodes: []string{nodes[0].addr}, VNodes: 8, Self: nodes[0].addr}, query.NewPlan())
+	filtered := wire.EncodePlanQuery(&wire.Filter{Nodes: []string{nodes[0].Addr}, VNodes: 8, Self: nodes[0].Addr}, query.NewPlan())
 	if err := wire.WriteFrame(conn, wire.TypePlanQuery, filtered); err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +358,8 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 		t.Fatalf("an epoch-stamped batch answered with type %d (%v): %s", msgType, err, payload)
 	}
 	for _, n := range nodes {
-		if _, ok := n.eng.Table().Get(stray.ID, stray.Subset); ok {
-			t.Fatalf("node %s holds a record of the refused batch", n.addr)
+		if _, ok := n.Eng.Table().Get(stray.ID, stray.Subset); ok {
+			t.Fatalf("node %s holds a record of the refused batch", n.Addr)
 		}
 	}
 	if err := wire.WriteFrame(conn, 12, []byte{4, 0}); err != nil {
@@ -448,8 +383,8 @@ func TestClusterFrontendServesWireClients(t *testing.T) {
 // TestClusterConcurrentIngestAndQuery runs routed publishes and fan-out
 // queries concurrently under -race.
 func TestClusterConcurrentIngestAndQuery(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startRouter(t, nodes, 2)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	subset := bitvec.Range(0, 4)
 	sk, err := sketch.NewSketcher(testSource(), sketch.MustParams(testP, testLength))
 	if err != nil {

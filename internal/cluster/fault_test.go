@@ -3,45 +3,25 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/faultnet"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
 )
-
-// faultDialer routes every router→node connection through a per-node
-// fabric endpoint named "to:<addr>", so a test can blackhole, script or
-// partition one node's link without touching the others.
-func faultDialer(f *faultnet.Fabric) func(addr string, timeout time.Duration) (net.Conn, error) {
-	return func(addr string, timeout time.Duration) (net.Conn, error) {
-		return f.Endpoint("to:"+addr).Dial(nil)(addr, timeout)
-	}
-}
-
-// linkTo names the dial-side endpoint for one node.
-func linkTo(addr string) string { return "to:" + addr }
-
-// routerEvidence is what a fault test's failure carries beside its own
-// message — which nodes the router believed alive, what its fan-outs had
-// done, and the status page an operator would have read — so that one
-// failure in many runs is evidence, not a prompt to run it again.
-func routerEvidence(r *cluster.Router) string {
-	return fmt.Sprintf("live nodes %v\nfan-out counters %+v\n%s", r.LiveNodes(), r.FanoutCounters(), r.Status())
-}
 
 // flushPools kills the router's pooled connections to one node by
 // bouncing a partition: live connections are injected with a reset, so
 // the next exchange falls through to a fresh dial, which picks up the
 // endpoint's current default plan.
 func flushPools(f *faultnet.Fabric, addr string) {
-	f.PartitionBoth(linkTo(addr), addr)
-	f.HealBoth(linkTo(addr), addr)
+	f.PartitionBoth(fleettest.LinkTo(addr), addr)
+	f.HealBoth(fleettest.LinkTo(addr), addr)
 }
 
 // TestBlackholeQueryLatencyBounded is the regression the hedge exists
@@ -51,10 +31,10 @@ func flushPools(f *faultnet.Fabric, addr string) {
 // bit-identical to the undisturbed cluster.
 func TestBlackholeQueryLatencyBounded(t *testing.T) {
 	fab := faultnet.NewFabric(1)
-	nodes := startNodes(t, 3)
+	nodes := fleettest.StartNodes(t, 3)
 	const reqTimeout = 2 * time.Second
-	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
-		cfg.Dial = faultDialer(fab)
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.RequestTimeout = reqTimeout
 		cfg.HedgeDelay = 150 * time.Millisecond
 		cfg.PingInterval = time.Hour // no sweeps: the hedge alone must bound latency
@@ -65,7 +45,7 @@ func TestBlackholeQueryLatencyBounded(t *testing.T) {
 	}
 	ref := referenceEngine(t, pubs)
 
-	fab.Endpoint(linkTo(nodes[0].addr)).Blackhole()
+	fab.Endpoint(fleettest.LinkTo(nodes[0].Addr)).Blackhole()
 
 	start := time.Now()
 	got, err := r.Estimator().FieldAtMost(r, field, 9)
@@ -98,9 +78,9 @@ func TestBlackholeQueryLatencyBounded(t *testing.T) {
 // the answer must be bit-identical.
 func TestResetMidFanoutRecoveryExact(t *testing.T) {
 	fab := faultnet.NewFabric(2)
-	nodes := startNodes(t, 3)
-	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
-		cfg.Dial = faultDialer(fab)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.RequestTimeout = 2 * time.Second
 		cfg.HedgeDelay = 300 * time.Millisecond
 		cfg.PingInterval = time.Hour
@@ -124,9 +104,9 @@ func TestResetMidFanoutRecoveryExact(t *testing.T) {
 
 	// Reset every future connection to node 0 a few bytes into the frame
 	// payload, and kill the pooled connections so the plan takes effect.
-	ep := fab.Endpoint(linkTo(nodes[0].addr))
+	ep := fab.Endpoint(fleettest.LinkTo(nodes[0].Addr))
 	ep.SetDefaultPlan(faultnet.Plan{}.WithReset(int64(wire.FrameHeaderSize) + 2))
-	flushPools(fab, nodes[0].addr)
+	flushPools(fab, nodes[0].Addr)
 
 	got, err := r.Estimator().FieldAtMost(r, field, 9)
 	if err != nil {
@@ -154,9 +134,9 @@ func TestResetMidFanoutRecoveryExact(t *testing.T) {
 // deadline, via the hedge and replica recovery.
 func TestTornWriteAtEveryFrameBoundary(t *testing.T) {
 	fab := faultnet.NewFabric(3)
-	nodes := startNodes(t, 3)
-	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
-		cfg.Dial = faultDialer(fab)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.RequestTimeout = 2 * time.Second
 		cfg.HedgeDelay = 100 * time.Millisecond
 		cfg.PingInterval = time.Hour
@@ -179,8 +159,8 @@ func TestTornWriteAtEveryFrameBoundary(t *testing.T) {
 	}
 	offsets = append(offsets, int64(wire.FrameHeaderSize)+16, int64(wire.FrameHeaderSize)+64)
 
-	ep := fab.Endpoint(linkTo(nodes[1].addr))
-	flushPools(fab, nodes[1].addr)
+	ep := fab.Endpoint(fleettest.LinkTo(nodes[1].Addr))
+	flushPools(fab, nodes[1].Addr)
 	for _, off := range offsets {
 		t.Run(fmt.Sprintf("tear-at-%d", off), func(t *testing.T) {
 			ep.SetDefaultPlan(faultnet.Plan{TearAt: []int64{off}})
@@ -206,9 +186,9 @@ func TestTornWriteAtEveryFrameBoundary(t *testing.T) {
 // by the ping sweep and serves again.
 func TestPartitionHealRejoin(t *testing.T) {
 	fab := faultnet.NewFabric(4)
-	nodes := startNodes(t, 3)
-	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
-		cfg.Dial = faultDialer(fab)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.RequestTimeout = time.Second
 		cfg.HedgeDelay = 100 * time.Millisecond
 		cfg.BackoffMax = 300 * time.Millisecond
@@ -219,7 +199,7 @@ func TestPartitionHealRejoin(t *testing.T) {
 	}
 	ref := referenceEngine(t, pubs)
 
-	fab.PartitionBoth(linkTo(nodes[0].addr), nodes[0].addr)
+	fab.PartitionBoth(fleettest.LinkTo(nodes[0].Addr), nodes[0].Addr)
 
 	// Mid-partition, before and after the sweep marks the node dead.
 	got, err := r.Estimator().FieldAtMost(r, field, 9)
@@ -233,11 +213,11 @@ func TestPartitionHealRejoin(t *testing.T) {
 	if got != want {
 		t.Fatalf("partitioned answer %+v differs from reference %+v", got, want)
 	}
-	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
+	fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
 	assertClusterMatchesReference(t, r, ref, subset, field)
 
-	fab.HealBoth(linkTo(nodes[0].addr), nodes[0].addr)
-	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
+	fab.HealBoth(fleettest.LinkTo(nodes[0].Addr), nodes[0].Addr)
+	fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
 	assertClusterMatchesReference(t, r, ref, subset, field)
 }
 
@@ -253,9 +233,9 @@ func TestPartitionHealRejoin(t *testing.T) {
 func TestDeckIdenticalThroughDeathAndReturn(t *testing.T) {
 	const fabricSeed = 6
 	fab := faultnet.NewFabric(fabricSeed)
-	nodes := startNodes(t, 3)
-	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
-		cfg.Dial = faultDialer(fab)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.RequestTimeout = time.Second
 		cfg.HedgeDelay = 100 * time.Millisecond
 		cfg.BackoffMax = 300 * time.Millisecond
@@ -293,30 +273,30 @@ func TestDeckIdenticalThroughDeathAndReturn(t *testing.T) {
 			}
 			if got, err := q(); err != nil || got != want[i] {
 				t.Fatalf("fabric seed %d, stage %q: query %d answered %+v (err %v), want %+v\n%s",
-					fabricSeed, stage, i, got, err, want[i], routerEvidence(r))
+					fabricSeed, stage, i, got, err, want[i], fleettest.RouterEvidence(r))
 			}
 		}
 	}
 
 	pass("all up", -1, nil)
-	cold := keepMaskHits(t, nodes...)
+	cold := fleettest.Sum(t, "engine_keep_mask_hits_total", nodes...)
 	pass("all up, masks warm", -1, nil)
-	if keepMaskHits(t, nodes...) == cold {
+	if fleettest.Sum(t, "engine_keep_mask_hits_total", nodes...) == cold {
 		t.Fatal("the repeated deck read no cached keep mask: the stages below would prove nothing about stale ones")
 	}
 
 	recoveries := r.FanoutCounters().Recoveries
 	pass("node 0 dies mid-deck", len(deck)/2, func() {
-		fab.PartitionBoth(linkTo(nodes[0].addr), nodes[0].addr)
+		fab.PartitionBoth(fleettest.LinkTo(nodes[0].Addr), nodes[0].Addr)
 	})
 	if r.FanoutCounters().Recoveries == recoveries {
 		t.Fatal("no fan-out was finished by a recovery round: the recovery filters went unexercised")
 	}
-	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
+	fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
 	pass("node 0 dead", -1, nil)
 
-	fab.HealBoth(linkTo(nodes[0].addr), nodes[0].addr)
-	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
+	fab.HealBoth(fleettest.LinkTo(nodes[0].Addr), nodes[0].Addr)
+	fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
 	pass("node 0 back", -1, nil)
 	pass("node 0 back, masks warm", -1, nil)
 }
@@ -325,8 +305,8 @@ func TestDeckIdenticalThroughDeathAndReturn(t *testing.T) {
 // typed ErrPartialCoverage carrying the unreachable spans of the user
 // space, not a merge over a silently truncated record set.
 func TestPartialCoverageTyped(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
 		cfg.RequestTimeout = time.Second
 		cfg.BackoffMax = 300 * time.Millisecond
 	})
@@ -335,9 +315,9 @@ func TestPartialCoverageTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nodes[0].srv.Close()
-	nodes[1].srv.Close()
-	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 1 })
+	nodes[0].Srv.Close()
+	nodes[1].Srv.Close()
+	fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 1 })
 
 	_, err := r.Estimator().FieldAtMost(r, field, 9)
 	if err == nil {
@@ -374,10 +354,10 @@ func TestPartialCoverageTyped(t *testing.T) {
 // identical re-publish is an idempotent ack) until every node has owned
 // one.  The first exchange to a node drains its reset connections and
 // dials the fresh one; later ones reuse it.
-func warmPools(t *testing.T, fab *faultnet.Fabric, r *cluster.Router, nodes []*testNode, pubs []sketch.Published, rf int) {
+func warmPools(t *testing.T, fab *faultnet.Fabric, r *cluster.Router, nodes []*fleettest.Node, pubs []sketch.Published, rf int) {
 	t.Helper()
 	for _, n := range nodes {
-		flushPools(fab, n.addr)
+		flushPools(fab, n.Addr)
 	}
 	touched := make(map[string]bool)
 	for _, p := range pubs {
@@ -402,9 +382,9 @@ func warmPools(t *testing.T, fab *faultnet.Fabric, r *cluster.Router, nodes []*t
 // coverage line saying nothing was recovered.
 func TestLateOriginalsWinRecoveryRace(t *testing.T) {
 	fab := faultnet.NewFabric(8)
-	nodes := startNodes(t, 3)
-	r := startRouterCfg(t, nodes, 2, func(cfg *cluster.Config) {
-		cfg.Dial = faultDialer(fab)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.RequestTimeout = 2 * time.Second
 		cfg.HedgeDelay = 100 * time.Millisecond
 		cfg.PingInterval = time.Hour
@@ -427,21 +407,21 @@ func TestLateOriginalsWinRecoveryRace(t *testing.T) {
 		if i == 0 {
 			delay = 75 * time.Millisecond
 		}
-		fab.Endpoint(linkTo(n.addr)).SetDefaultPlan(faultnet.Plan{ReadDelay: delay})
+		fab.Endpoint(fleettest.LinkTo(n.Addr)).SetDefaultPlan(faultnet.Plan{ReadDelay: delay})
 	}
 	warmPools(t, fab, r, nodes, pubs, 2)
 
 	before := r.FanoutCounters()
 	got, err := r.Estimator().FieldAtMost(r, field, 9)
 	if err != nil {
-		t.Fatalf("query with one slow node failed: %v\n%s", err, routerEvidence(r))
+		t.Fatalf("query with one slow node failed: %v\n%s", err, fleettest.RouterEvidence(r))
 	}
 	if got != want {
-		t.Fatalf("answer %+v differs from reference %+v\n%s", got, want, routerEvidence(r))
+		t.Fatalf("answer %+v differs from reference %+v\n%s", got, want, fleettest.RouterEvidence(r))
 	}
 	after := r.FanoutCounters()
 	if after.Recoveries != before.Recoveries+1 || after.Hedges != before.Hedges+1 || after.Retries != before.Retries {
-		t.Fatalf("counters went from %+v to %+v, want one recovery and one hedge, no retry\n%s", before, after, routerEvidence(r))
+		t.Fatalf("counters went from %+v to %+v, want one recovery and one hedge, no retry\n%s", before, after, fleettest.RouterEvidence(r))
 	}
 	if status := r.Status(); !strings.Contains(status, "recovered=0") {
 		t.Fatalf("the slow node's answer did not win the race against the recovery:\n%s", status)
@@ -456,10 +436,10 @@ func TestLateOriginalsWinRecoveryRace(t *testing.T) {
 // one RequestTimeout.
 func TestSurvivorFailingMidRecoveryRetries(t *testing.T) {
 	fab := faultnet.NewFabric(9)
-	nodes := startNodes(t, 4)
+	nodes := fleettest.StartNodes(t, 4)
 	const reqTimeout = 2 * time.Second
-	r := startRouterCfg(t, nodes, 3, func(cfg *cluster.Config) {
-		cfg.Dial = faultDialer(fab)
+	r := fleettest.StartRouter(t, nodes, 3, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.RequestTimeout = reqTimeout
 		cfg.HedgeDelay = time.Second
 		cfg.PingInterval = time.Hour
@@ -477,12 +457,12 @@ func TestSurvivorFailingMidRecoveryRetries(t *testing.T) {
 	// exchange is still running when the recovery asks it: that exchange
 	// dials afresh, and every fresh connection to node 1 or node 0 resets
 	// inside the hello frame.
-	fab.Endpoint(linkTo(nodes[1].addr)).SetDefaultPlan(faultnet.Plan{ReadDelay: 50 * time.Millisecond})
+	fab.Endpoint(fleettest.LinkTo(nodes[1].Addr)).SetDefaultPlan(faultnet.Plan{ReadDelay: 50 * time.Millisecond})
 	warmPools(t, fab, r, nodes, pubs, 3)
 	reset := faultnet.Plan{}.WithReset(int64(wire.FrameHeaderSize) + 2)
-	fab.Endpoint(linkTo(nodes[1].addr)).SetDefaultPlan(reset)
-	fab.Endpoint(linkTo(nodes[0].addr)).SetDefaultPlan(reset)
-	flushPools(fab, nodes[0].addr)
+	fab.Endpoint(fleettest.LinkTo(nodes[1].Addr)).SetDefaultPlan(reset)
+	fab.Endpoint(fleettest.LinkTo(nodes[0].Addr)).SetDefaultPlan(reset)
+	flushPools(fab, nodes[0].Addr)
 
 	before := r.FanoutCounters()
 	type answer struct {
@@ -497,16 +477,16 @@ func TestSurvivorFailingMidRecoveryRetries(t *testing.T) {
 	select {
 	case a := <-done:
 		if a.err != nil {
-			t.Fatalf("query across a survivor failing mid-recovery failed: %v\n%s", a.err, routerEvidence(r))
+			t.Fatalf("query across a survivor failing mid-recovery failed: %v\n%s", a.err, fleettest.RouterEvidence(r))
 		}
 		if a.got != want {
-			t.Fatalf("answer %+v differs from reference %+v\n%s", a.got, want, routerEvidence(r))
+			t.Fatalf("answer %+v differs from reference %+v\n%s", a.got, want, fleettest.RouterEvidence(r))
 		}
 	case <-time.After(reqTimeout):
-		t.Fatalf("query still running after one RequestTimeout\n%s", routerEvidence(r))
+		t.Fatalf("query still running after one RequestTimeout\n%s", fleettest.RouterEvidence(r))
 	}
 	after := r.FanoutCounters()
 	if after.Recoveries <= before.Recoveries || after.Retries <= before.Retries {
-		t.Fatalf("counters went from %+v to %+v, want a recovery and then a retry\n%s", before, after, routerEvidence(r))
+		t.Fatalf("counters went from %+v to %+v, want a recovery and then a retry\n%s", before, after, fleettest.RouterEvidence(r))
 	}
 }

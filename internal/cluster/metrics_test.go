@@ -5,39 +5,9 @@ import (
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/obs"
 )
-
-// renderRegistry renders reg and fails loudly if the exposition breaks.
-func renderRegistry(t *testing.T, reg *obs.Registry) string {
-	t.Helper()
-	var sb strings.Builder
-	if err := reg.RenderText(&sb); err != nil {
-		t.Fatalf("render: %v", err)
-	}
-	return sb.String()
-}
-
-// metricValue parses a rendered exposition and returns the value of the
-// named family's only sample.
-func metricValue(t *testing.T, text, name string) float64 {
-	t.Helper()
-	families, err := obs.ParseText(text)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	for _, f := range families {
-		if f.Name != name {
-			continue
-		}
-		if len(f.Samples) != 1 {
-			t.Fatalf("%s has %d samples, want 1", name, len(f.Samples))
-		}
-		return f.Samples[0].Value
-	}
-	t.Fatalf("family %s not rendered", name)
-	return 0
-}
 
 // histCount returns the _count of the named histogram family.
 func histCount(t *testing.T, text, name string) float64 {
@@ -66,8 +36,8 @@ func histCount(t *testing.T, text, name string) float64 {
 // breaker and hint collectors — and holds the rendered exposition to the
 // same format lint CI runs against the live daemons.
 func TestRouterMetricsExpositionLintClean(t *testing.T) {
-	nodes := startNodes(t, 2)
-	r := startRouter(t, nodes, 2)
+	nodes := fleettest.StartNodes(t, 2)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	reg := obs.NewRegistry()
 	r.RegisterMetrics(reg)
 
@@ -78,7 +48,7 @@ func TestRouterMetricsExpositionLintClean(t *testing.T) {
 		t.Fatalf("conjunction: %v", err)
 	}
 
-	text := renderRegistry(t, reg)
+	text := fleettest.Render(t, reg)
 	if errs := obs.Lint(text); len(errs) > 0 {
 		t.Fatalf("exposition lint: %v\n%s", errs, text)
 	}
@@ -88,10 +58,10 @@ func TestRouterMetricsExpositionLintClean(t *testing.T) {
 	if got := histCount(t, text, "cluster_fanout_rtt_seconds"); got == 0 {
 		t.Fatal("fan-out RTT histogram empty after a query")
 	}
-	if got := metricValue(t, text, "cluster_members"); got != 2 {
+	if got := fleettest.Metric(t, text, "cluster_members"); got != 2 {
 		t.Fatalf("cluster_members = %v, want 2", got)
 	}
-	if got := metricValue(t, text, "cluster_live_nodes"); got != 2 {
+	if got := fleettest.Metric(t, text, "cluster_live_nodes"); got != 2 {
 		t.Fatalf("cluster_live_nodes = %v, want 2", got)
 	}
 	// Per-node breaker state is one-hot: exactly one of the three state
@@ -125,7 +95,7 @@ func TestRouterMetricsExpositionLintClean(t *testing.T) {
 // must read 1 mid-stream, every mid-stream exposition must pass the lint,
 // and after cutover the progress gauges must read idle again.
 func TestRebalanceScrapeMovedMonotonic(t *testing.T) {
-	nodes := startNodes(t, 2)
+	nodes := fleettest.StartNodes(t, 2)
 	reg := obs.NewRegistry()
 
 	type scrape struct {
@@ -135,28 +105,28 @@ func TestRebalanceScrapeMovedMonotonic(t *testing.T) {
 		scrapes []scrape
 		render  func()
 	)
-	r := startDynamicRouter(t, nodes, 2, func() {
+	r := fleettest.StartRouter(t, nodes, 2, dynamic(func() {
 		if render != nil {
 			render()
 		}
-	})
+	}))
 	r.RegisterMetrics(reg)
 
 	pubs, _, _ := clusterWorkload(t, 1500, 33)
 	publishAllParallel(t, r, pubs)
 
 	render = func() {
-		text := renderRegistry(t, reg)
+		text := fleettest.Render(t, reg)
 		if errs := obs.Lint(text); len(errs) > 0 {
 			t.Errorf("mid-rebalance exposition lint: %v", errs)
 		}
 		scrapes = append(scrapes, scrape{
-			active: metricValue(t, text, "cluster_rebalance_active"),
-			moved:  metricValue(t, text, "cluster_rebalance_moved"),
+			active: fleettest.Metric(t, text, "cluster_rebalance_active"),
+			moved:  fleettest.Metric(t, text, "cluster_rebalance_moved"),
 		})
 	}
-	node3 := startNodeAt(t, "", nil)
-	if err := r.Join(node3.addr); err != nil {
+	node3 := fleettest.StartNode(t, nil)
+	if err := r.Join(node3.Addr); err != nil {
 		t.Fatalf("join: %v", err)
 	}
 	render = nil
@@ -178,14 +148,14 @@ func TestRebalanceScrapeMovedMonotonic(t *testing.T) {
 	}
 
 	// After cutover the migration is gone and the progress gauges idle.
-	text := renderRegistry(t, reg)
-	if got := metricValue(t, text, "cluster_rebalance_active"); got != 0 {
+	text := fleettest.Render(t, reg)
+	if got := fleettest.Metric(t, text, "cluster_rebalance_active"); got != 0 {
 		t.Fatalf("cluster_rebalance_active = %v after cutover, want 0", got)
 	}
-	if got := metricValue(t, text, "cluster_ring_epoch"); got != 2 {
+	if got := fleettest.Metric(t, text, "cluster_ring_epoch"); got != 2 {
 		t.Fatalf("cluster_ring_epoch = %v after join, want 2", got)
 	}
-	if got := metricValue(t, text, "cluster_members"); got != 3 {
+	if got := fleettest.Metric(t, text, "cluster_members"); got != 3 {
 		t.Fatalf("cluster_members = %v after join, want 3", got)
 	}
 }

@@ -2,9 +2,6 @@ package cluster_test
 
 import (
 	"fmt"
-	"io"
-	"net"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,140 +11,13 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/dataset"
 	"sketchprivacy/internal/engine"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/query"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
 	"sketchprivacy/internal/store"
 	"sketchprivacy/internal/wire"
 )
-
-// frameProxy forwards TCP connections to a backend node, counting every
-// client→backend frame by opcode and optionally gating frames through a
-// hook.  It is how the plan push-down tests prove RTT accounting: the
-// router only ever talks to the proxy address, so the per-opcode counts
-// are exactly the requests that crossed the wire.
-type frameProxy struct {
-	backend string
-	addr    string
-	ln      net.Listener
-
-	mu     sync.Mutex
-	counts map[byte]int
-	gate   func(msgType byte)
-	conns  map[net.Conn]struct{}
-}
-
-// startFrameProxy listens on a loopback port and forwards to backend.
-func startFrameProxy(t *testing.T, backend string) *frameProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &frameProxy{
-		backend: backend,
-		addr:    ln.Addr().String(),
-		ln:      ln,
-		counts:  make(map[byte]int),
-		conns:   make(map[net.Conn]struct{}),
-	}
-	go p.accept()
-	t.Cleanup(p.close)
-	return p
-}
-
-func (p *frameProxy) close() {
-	p.ln.Close()
-	p.mu.Lock()
-	for c := range p.conns {
-		c.Close()
-	}
-	p.mu.Unlock()
-}
-
-func (p *frameProxy) track(c net.Conn)   { p.mu.Lock(); p.conns[c] = struct{}{}; p.mu.Unlock() }
-func (p *frameProxy) untrack(c net.Conn) { p.mu.Lock(); delete(p.conns, c); p.mu.Unlock() }
-
-// count returns how many client→backend frames of msgType crossed so far.
-func (p *frameProxy) count(msgType byte) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.counts[msgType]
-}
-
-// resetCounts zeroes the per-opcode counters.
-func (p *frameProxy) resetCounts() {
-	p.mu.Lock()
-	p.counts = make(map[byte]int)
-	p.mu.Unlock()
-}
-
-// strayFrames counts the router→node frames seen since the last reset that
-// are neither plan queries nor connection control (hello, ping): every
-// query frame a router sends must be a TypePlanQuery.
-func (p *frameProxy) strayFrames() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for msgType, c := range p.counts {
-		switch msgType {
-		case wire.TypePlanQuery, wire.TypeHello, wire.TypePing:
-		default:
-			n += c
-		}
-	}
-	return n
-}
-
-// setGate installs a hook run (and possibly blocked) before each
-// client→backend frame is forwarded.
-func (p *frameProxy) setGate(gate func(msgType byte)) {
-	p.mu.Lock()
-	p.gate = gate
-	p.mu.Unlock()
-}
-
-func (p *frameProxy) accept() {
-	for {
-		client, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		backend, err := net.Dial("tcp", p.backend)
-		if err != nil {
-			client.Close()
-			continue
-		}
-		p.track(client)
-		p.track(backend)
-		go func() {
-			defer p.untrack(client)
-			defer p.untrack(backend)
-			defer client.Close()
-			defer backend.Close()
-			for {
-				msgType, payload, err := wire.ReadFrame(client)
-				if err != nil {
-					return
-				}
-				p.mu.Lock()
-				p.counts[msgType]++
-				gate := p.gate
-				p.mu.Unlock()
-				if gate != nil {
-					gate(msgType)
-				}
-				if err := wire.WriteFrame(backend, msgType, payload); err != nil {
-					return
-				}
-			}
-		}()
-		go func() {
-			io.Copy(client, backend) //nolint:errcheck // closing either side ends the stream
-			client.Close()
-		}()
-	}
-}
 
 // planWorkload sketches a population over the conjunctive subset, the
 // single-bit subsets and the prefix subsets of a 4-bit field — everything
@@ -192,14 +62,9 @@ func planWorkload(t *testing.T, users int, seed uint64) ([]sketch.Published, bit
 // round trip — and zero per-partial frames, while staying bit-identical to
 // a single reference engine.
 func TestPlanPushDownSingleFanoutRTT(t *testing.T) {
-	nodes := startNodes(t, 3)
-	proxies := make([]*frameProxy, len(nodes))
-	proxied := make([]*testNode, len(nodes))
-	for i, n := range nodes {
-		proxies[i] = startFrameProxy(t, n.addr)
-		proxied[i] = &testNode{addr: proxies[i].addr, eng: n.eng, srv: n.srv}
-	}
-	r := startRouter(t, proxied, 2)
+	nodes := fleettest.StartNodes(t, 3)
+	fleettest.Proxied(t, nodes...)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	pubs, _, field := planWorkload(t, 300, 33)
 	if err := r.PublishAll(pubs); err != nil {
 		t.Fatal(err)
@@ -275,17 +140,17 @@ func TestPlanPushDownSingleFanoutRTT(t *testing.T) {
 		}},
 	}
 	for _, call := range calls {
-		for _, p := range proxies {
-			p.resetCounts()
+		for _, n := range nodes {
+			n.Proxy.Reset()
 		}
 		if err := call.run(); err != nil {
 			t.Fatalf("%s: %v", call.name, err)
 		}
-		for i, p := range proxies {
-			if got := p.count(wire.TypePlanQuery); got != 1 {
+		for i, n := range nodes {
+			if got := n.Proxy.Requests()[wire.TypePlanQuery]; got != 1 {
 				t.Fatalf("%s: node %d saw %d planQuery frames, want exactly 1 (one fan-out RTT)", call.name, i, got)
 			}
-			if got := p.strayFrames(); got != 0 {
+			if got := n.Proxy.StrayFrames(); got != 0 {
 				t.Fatalf("%s: node %d saw %d frames that are not plan queries", call.name, i, got)
 			}
 		}
@@ -299,18 +164,13 @@ func TestPlanPushDownSingleFanoutRTT(t *testing.T) {
 // the new epoch — two planQuery frames per proxied node in total — while
 // the answer stays bit-identical to the reference.
 func TestPlanPushDownStaleEpochRetry(t *testing.T) {
-	nodes := startNodes(t, 4)
-	spare := nodes[3]
-	proxies := make([]*frameProxy, 3)
-	proxied := make([]*testNode, 3)
-	for i, n := range nodes[:3] {
-		proxies[i] = startFrameProxy(t, n.addr)
-		proxied[i] = &testNode{addr: proxies[i].addr, eng: n.eng, srv: n.srv}
-	}
+	nodes := fleettest.StartNodes(t, 4)
+	spare, proxied := nodes[3], nodes[:3]
+	fleettest.Proxied(t, proxied...)
 	// Hedging off for this test (a hedge fired while the frame is frozen
 	// would add recovery frames): the frame-count accounting below is
 	// about the stale-epoch retry alone.
-	r := startRouterCfg(t, proxied, 2, func(cfg *cluster.Config) {
+	r := fleettest.StartRouter(t, proxied, 2, func(cfg *cluster.Config) {
 		cfg.HedgeDelay = time.Hour
 	})
 	pubs, _, field := planWorkload(t, 200, 55)
@@ -318,15 +178,15 @@ func TestPlanPushDownStaleEpochRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := referenceEngine(t, pubs)
-	for _, p := range proxies {
-		p.resetCounts()
+	for _, n := range proxied {
+		n.Proxy.Reset()
 	}
 
 	// Gate: hold the first planQuery frame bound for node 0.
 	held := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	proxies[0].setGate(func(msgType byte) {
+	proxied[0].Proxy.SetGate(func(msgType byte) {
 		if msgType != wire.TypePlanQuery {
 			return
 		}
@@ -350,7 +210,7 @@ func TestPlanPushDownStaleEpochRetry(t *testing.T) {
 
 	<-held
 	// Cut the ring over while the frame is frozen: join the spare node.
-	if err := r.Join(spare.addr); err != nil {
+	if err := r.Join(spare.Addr); err != nil {
 		t.Fatal(err)
 	}
 	wantEpoch := r.Epoch()
@@ -359,8 +219,8 @@ func TestPlanPushDownStaleEpochRetry(t *testing.T) {
 	}
 	// The frozen frame must only be released once node 0 has observed the
 	// new epoch, so its stale-epoch check fires deterministically.
-	waitFor(t, 5*time.Second, func() bool {
-		return nodes[0].srv.Epoch() >= wantEpoch
+	fleettest.WaitFor(t, 5*time.Second, func() bool {
+		return nodes[0].Srv.Epoch() >= wantEpoch
 	})
 	close(release)
 
@@ -375,8 +235,8 @@ func TestPlanPushDownStaleEpochRetry(t *testing.T) {
 	if res.est != want {
 		t.Fatalf("post-retry answer %+v differs from reference %+v", res.est, want)
 	}
-	for i, p := range proxies {
-		if got := p.count(wire.TypePlanQuery); got != 2 {
+	for i, n := range proxied {
+		if got := n.Proxy.Requests()[wire.TypePlanQuery]; got != 2 {
 			t.Fatalf("node %d saw %d planQuery frames, want exactly 2 (frozen fan-out + one retry)", i, got)
 		}
 	}
@@ -386,25 +246,11 @@ func TestPlanPushDownStaleEpochRetry(t *testing.T) {
 // plan push-down golden test: nodes backed by WAL+segment stores answer
 // the full estimator surface bit-identically to a memory reference.
 func TestPlanPushDownDurableBitIdentical(t *testing.T) {
-	base := t.TempDir()
-	openStore := func(name string) *store.Durable {
-		st, err := store.Open(store.Options{
-			Dir:             filepath.Join(base, name),
-			Shards:          2,
-			CompactInterval: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		return st
+	nodes := make([]*fleettest.Node, 3)
+	for i := range nodes {
+		nodes[i] = fleettest.StartNode(t, &store.Options{Dir: t.TempDir(), Shards: 2, CompactInterval: -1})
 	}
-	nodes := []*testNode{
-		startNodeAt(t, "", openStore("n1")),
-		startNodeAt(t, "", openStore("n2")),
-		startNodeAt(t, "", openStore("n3")),
-	}
-	r := startRouter(t, nodes, 2)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	pubs, subset, field := planWorkload(t, 300, 77)
 	if err := r.PublishAll(pubs); err != nil {
 		t.Fatal(err)
@@ -442,8 +288,8 @@ func TestPlanPushDownDurableBitIdentical(t *testing.T) {
 // completion order, and a clean batch through the pipeline lands exactly
 // like the sequential path did.
 func TestPublishAllPipelinedKeepsFirstError(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startRouter(t, nodes, 2)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
 	subset := bitvec.Range(0, 4)
 	rec := func(id uint64, key uint64) sketch.Published {
 		return sketch.Published{ID: bitvec.UserID(id), Subset: subset, S: sketch.Sketch{Key: key % 1024, Length: testLength}}

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"net"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,68 +11,27 @@ import (
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
-	"sketchprivacy/internal/obs"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/query"
-	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
 	"sketchprivacy/internal/store"
 	"sketchprivacy/internal/wire"
 )
 
-// startNodeAt brings up one in-process sketchd, optionally on a fixed
-// address (for restarts) and optionally durable.
-func startNodeAt(t *testing.T, addr string, st store.Store) *testNode {
-	t.Helper()
-	eng, err := engine.New(testSource(), sketch.MustParams(testP, testLength))
-	if err != nil {
-		t.Fatal(err)
+// dynamic paces a router for membership changes — faster pings and
+// back-off, hinted handoff on — and sets hook, when there is one, to run
+// after each snapshot batch of a rebalance: one per wire.MaxTransferBatch
+// records a source holds, so a stream over two or more sources gives it a
+// moment to fire between them.
+func dynamic(hook func()) func(*cluster.Config) {
+	return func(cfg *cluster.Config) {
+		cfg.PingInterval = 50 * time.Millisecond
+		cfg.BackoffBase = 25 * time.Millisecond
+		cfg.BackoffMax = 250 * time.Millisecond
+		cfg.OnTransferBatch = hook
+		cfg.HintedHandoff = true
 	}
-	if st != nil {
-		if err := eng.AttachStore(st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg := obs.NewRegistry()
-	eng.SetMetrics(reg)
-	srv := server.New(eng)
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := &testNode{addr: bound, eng: eng, srv: srv, reg: reg}
-	t.Cleanup(func() { srv.Close() })
-	return n
-}
-
-// startDynamicRouter builds a fast-paced router with hinted handoff and an
-// optional hook that runs after each snapshot batch of a rebalance: one per
-// wire.MaxTransferBatch records a source holds, so a stream over two or more
-// sources gives it a moment to fire between them.
-func startDynamicRouter(t *testing.T, nodes []*testNode, rf int, hook func()) *cluster.Router {
-	t.Helper()
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
-	}
-	r, err := cluster.NewRouter(testSource(), cluster.Config{
-		Nodes:           addrs,
-		Replication:     rf,
-		VNodes:          32,
-		PingInterval:    50 * time.Millisecond,
-		BackoffBase:     25 * time.Millisecond,
-		BackoffMax:      250 * time.Millisecond,
-		OnTransferBatch: hook,
-		HintedHandoff:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	return r
 }
 
 // publishAllParallel loads records through the router with several
@@ -119,7 +77,7 @@ func rebalanceWorkloadUsers(t *testing.T) int {
 // transfer is in flight, and including records published mid-migration
 // (the dual-write path).
 func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
-	nodes := startNodes(t, 2)
+	nodes := fleettest.StartNodes(t, 2)
 	users := rebalanceWorkloadUsers(t)
 
 	var (
@@ -128,7 +86,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		hookArmed   atomic.Bool
 		hookFirings atomic.Int64
 	)
-	r := startDynamicRouter(t, nodes, 2, func() {
+	r := fleettest.StartRouter(t, nodes, 2, dynamic(func() {
 		hookFirings.Add(1)
 		if !hookArmed.Load() {
 			return
@@ -139,7 +97,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		if fn != nil {
 			fn()
 		}
-	})
+	}))
 	setHook := func(fn func()) {
 		hookMu.Lock()
 		hookFn = fn
@@ -164,7 +122,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 	// masks cached under the 2-node ring: a mask that outlived its
 	// predicate would double-count or drop exactly the records that move.
 	assertClusterMatchesReference(t, r, ref, subset, field)
-	if keepMaskHits(t, nodes...) == 0 {
+	if fleettest.Sum(t, "engine_keep_mask_hits_total", nodes...) == 0 {
 		t.Fatal("a repeated query read no cached keep mask: the join below would prove nothing about stale ones")
 	}
 
@@ -172,7 +130,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 	// acceptance queries still match the reference bit for bit and (b)
 	// publishes fresh records, which the migration dual-write must land on
 	// both rings' owners.
-	node3 := startNodeAt(t, "", nil)
+	node3 := fleettest.StartNode(t, nil)
 	sk, err := sketch.NewSketcher(testSource(), sketch.MustParams(testP, testLength))
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +159,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		freshID++
 	})
 	firings := hookFirings.Load()
-	if err := r.Join(node3.addr); err != nil {
+	if err := r.Join(node3.Addr); err != nil {
 		t.Fatal(err)
 	}
 	setHook(nil)
@@ -214,7 +172,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 	if got := len(r.Members()); got != 3 {
 		t.Fatalf("post-join membership %v", r.Members())
 	}
-	if node3.eng.Sketches() == 0 {
+	if node3.Eng.Sketches() == 0 {
 		t.Fatal("join moved no sketches onto the new node")
 	}
 	assertClusterMatchesReference(t, r, ref, subset, field)
@@ -229,7 +187,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 	// The new ring's owners actually hold their records: spot-check that
 	// every sampled record is present on each of its new owners.
 	ring := r.Ring()
-	engines := map[string]*engine.Engine{nodes[0].addr: nodes[0].eng, nodes[1].addr: nodes[1].eng, node3.addr: node3.eng}
+	engines := map[string]*engine.Engine{nodes[0].Addr: nodes[0].Eng, nodes[1].Addr: nodes[1].Eng, node3.Addr: node3.Eng}
 	for i := 0; i < len(pubs); i += 997 {
 		p := pubs[i]
 		for _, owner := range ring.Owners(p.ID, 2) {
@@ -251,7 +209,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		assertClusterMatchesReference(t, r, ref, subset, field)
 	})
 	firings = hookFirings.Load()
-	if err := r.Drain(nodes[0].addr); err != nil {
+	if err := r.Drain(nodes[0].Addr); err != nil {
 		t.Fatal(err)
 	}
 	setHook(nil)
@@ -262,7 +220,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 		t.Fatalf("post-drain epoch %d, want 3", got)
 	}
 	members := r.Members()
-	if len(members) != 2 || containsAddr(members, nodes[0].addr) {
+	if len(members) != 2 || containsAddr(members, nodes[0].Addr) {
 		t.Fatalf("post-drain membership %v still holds the drained node", members)
 	}
 	assertClusterMatchesReference(t, r, ref, subset, field)
@@ -275,7 +233,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 	}
 
 	// The drained node is truly out: killing it changes nothing.
-	if err := nodes[0].srv.Close(); err != nil {
+	if err := nodes[0].Srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	assertClusterMatchesReference(t, r, ref, subset, field)
@@ -285,7 +243,7 @@ func TestClusterJoinRebalanceDrainBitIdentical(t *testing.T) {
 	if !strings.Contains(status, "epoch=3") {
 		t.Fatalf("status does not report the epoch:\n%s", status)
 	}
-	if strings.Contains(status, nodes[0].addr) {
+	if strings.Contains(status, nodes[0].Addr) {
 		t.Fatalf("status still lists the drained node:\n%s", status)
 	}
 	rb := r.RebalanceStatus()
@@ -307,38 +265,31 @@ func containsAddr(list []string, s string) bool {
 // backed by the durable store, exercising the segment-at-a-time
 // store.BatchReader transfer path end to end.
 func TestClusterJoinWithDurableStores(t *testing.T) {
-	openStore := func(dir string) *store.Durable {
-		st, err := store.Open(store.Options{
-			Dir:             dir,
+	durable := func() *fleettest.Node {
+		return fleettest.StartNode(t, &store.Options{
+			Dir:             t.TempDir(),
 			Shards:          2,
 			FlushThreshold:  8 << 10, // many segments, so streams span several
 			CompactInterval: -1,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		return st
 	}
-	base := t.TempDir()
-	n1 := startNodeAt(t, "", openStore(filepath.Join(base, "n1")))
-	n2 := startNodeAt(t, "", openStore(filepath.Join(base, "n2")))
-	r := startDynamicRouter(t, []*testNode{n1, n2}, 2, nil)
+	n1, n2 := durable(), durable()
+	r := fleettest.StartRouter(t, []*fleettest.Node{n1, n2}, 2, dynamic(nil))
 
 	pubs, subset, field := clusterWorkload(t, 600, 91)
 	publishAllParallel(t, r, pubs)
 	ref := referenceEngine(t, pubs)
 	assertClusterMatchesReference(t, r, ref, subset, field)
 
-	n3 := startNodeAt(t, "", openStore(filepath.Join(base, "n3")))
-	if err := r.Join(n3.addr); err != nil {
+	n3 := durable()
+	if err := r.Join(n3.Addr); err != nil {
 		t.Fatal(err)
 	}
 	assertClusterMatchesReference(t, r, ref, subset, field)
-	if n3.eng.Sketches() == 0 {
+	if n3.Eng.Sketches() == 0 {
 		t.Fatal("durable join moved no sketches")
 	}
-	if err := r.Drain(n1.addr); err != nil {
+	if err := r.Drain(n1.Addr); err != nil {
 		t.Fatal(err)
 	}
 	assertClusterMatchesReference(t, r, ref, subset, field)
@@ -349,23 +300,23 @@ func TestClusterJoinWithDurableStores(t *testing.T) {
 // migration back (membership and epoch untouched, queries exact), and a
 // retry after the node returns must converge.
 func TestClusterJoinSurvivesDestinationKill(t *testing.T) {
-	nodes := startNodes(t, 2)
+	nodes := fleettest.StartNodes(t, 2)
 	var killOnce sync.Once
-	var node3 *testNode
+	var node3 *fleettest.Node
 	var r *cluster.Router
-	r = startDynamicRouter(t, nodes, 2, func() {
+	r = fleettest.StartRouter(t, nodes, 2, dynamic(func() {
 		killOnce.Do(func() {
-			if err := node3.srv.Close(); err != nil {
+			if err := node3.Srv.Close(); err != nil {
 				t.Error(err)
 			}
 		})
-	})
+	}))
 	pubs, subset, field := clusterWorkload(t, 400, 7)
 	publishAllParallel(t, r, pubs)
 	ref := referenceEngine(t, pubs)
 
-	node3 = startNodeAt(t, "", nil)
-	addr3 := node3.addr
+	node3 = fleettest.StartNode(t, nil)
+	addr3 := node3.Addr
 	if err := r.Join(addr3); err == nil {
 		t.Fatal("join succeeded although the destination died mid-transfer")
 	}
@@ -380,12 +331,7 @@ func TestClusterJoinSurvivesDestinationKill(t *testing.T) {
 	// "Restart" the destination on the same address with its engine intact
 	// (the partial transfer it already holds makes the retry exercise the
 	// idempotent path) and retry.
-	eng3 := node3.eng
-	srv3 := server.New(eng3)
-	if _, err := srv3.Listen(addr3); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv3.Close() })
+	node3.Restart(t)
 	if err := r.Join(addr3); err != nil {
 		t.Fatalf("retried join after restart: %v", err)
 	}
@@ -393,7 +339,7 @@ func TestClusterJoinSurvivesDestinationKill(t *testing.T) {
 		t.Fatalf("post-retry epoch %d, want 2", got)
 	}
 	assertClusterMatchesReference(t, r, ref, subset, field)
-	if eng3.Sketches() == 0 {
+	if node3.Eng.Sketches() == 0 {
 		t.Fatal("retried join moved no sketches")
 	}
 }
@@ -404,27 +350,27 @@ func TestClusterJoinSurvivesDestinationKill(t *testing.T) {
 // the last source the stream reads, killed after the first source's batch,
 // so it dies before it is read.
 func TestClusterJoinSurvivesSourceKill(t *testing.T) {
-	nodes := startNodes(t, 3)
+	nodes := fleettest.StartNodes(t, 3)
 	var killOnce sync.Once
 	var r *cluster.Router
-	r = startDynamicRouter(t, nodes, 2, func() {
+	r = fleettest.StartRouter(t, nodes, 2, dynamic(func() {
 		killOnce.Do(func() {
 			members := r.Members()
 			for _, n := range nodes {
-				if n.addr == members[len(members)-1] {
-					if err := n.srv.Close(); err != nil {
+				if n.Addr == members[len(members)-1] {
+					if err := n.Srv.Close(); err != nil {
 						t.Error(err)
 					}
 				}
 			}
 		})
-	})
+	}))
 	pubs, subset, field := clusterWorkload(t, 400, 13)
 	publishAllParallel(t, r, pubs)
 	ref := referenceEngine(t, pubs)
 
-	node4 := startNodeAt(t, "", nil)
-	if err := r.Join(node4.addr); err == nil {
+	node4 := fleettest.StartNode(t, nil)
+	if err := r.Join(node4.Addr); err == nil {
 		t.Fatal("join succeeded although a source died mid-transfer")
 	}
 	if got := r.Epoch(); got != 1 {
@@ -437,18 +383,18 @@ func TestClusterJoinSurvivesSourceKill(t *testing.T) {
 // serialize (never interleave two rebalance streams) and both complete,
 // leaving an exact cluster.
 func TestClusterJoinDrainRace(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startDynamicRouter(t, nodes, 2, nil)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, dynamic(nil))
 	pubs, subset, field := clusterWorkload(t, 500, 31)
 	publishAllParallel(t, r, pubs)
 	ref := referenceEngine(t, pubs)
 
-	node4 := startNodeAt(t, "", nil)
+	node4 := fleettest.StartNode(t, nil)
 	var wg sync.WaitGroup
 	var joinErr, drainErr error
 	wg.Add(2)
-	go func() { defer wg.Done(); joinErr = r.Join(node4.addr) }()
-	go func() { defer wg.Done(); drainErr = r.Drain(nodes[2].addr) }()
+	go func() { defer wg.Done(); joinErr = r.Join(node4.Addr) }()
+	go func() { defer wg.Done(); drainErr = r.Drain(nodes[2].Addr) }()
 	wg.Wait()
 	if joinErr != nil {
 		t.Fatalf("join: %v", joinErr)
@@ -460,7 +406,7 @@ func TestClusterJoinDrainRace(t *testing.T) {
 		t.Fatalf("after join+drain epoch %d, want 3", got)
 	}
 	members := r.Members()
-	if len(members) != 3 || containsAddr(members, nodes[2].addr) || !containsAddr(members, node4.addr) {
+	if len(members) != 3 || containsAddr(members, nodes[2].Addr) || !containsAddr(members, node4.Addr) {
 		t.Fatalf("after join+drain membership %v", members)
 	}
 	assertClusterMatchesReference(t, r, ref, subset, field)
@@ -478,18 +424,18 @@ func TestClusterJoinDrainRace(t *testing.T) {
 // from fan-outs), and the hints replay when the node returns — after
 // which the node holds every record it missed.
 func TestClusterHintedHandoff(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startDynamicRouter(t, nodes, 2, nil)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, dynamic(nil))
 	pubs, subset, field := clusterWorkload(t, 300, 47)
 	publishAllParallel(t, r, pubs)
 	ref := referenceEngine(t, pubs)
 
 	// Kill node 0 and wait for the router to notice.
 	dead := nodes[0]
-	if err := dead.srv.Close(); err != nil {
+	if err := dead.Srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
+	fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
 
 	// Publish records owned by the dead node: with hinted handoff they
 	// succeed, acknowledged by the live owners.
@@ -501,7 +447,7 @@ func TestClusterHintedHandoff(t *testing.T) {
 	hinted := 0
 	for id := bitvec.UserID(2_000_000); id < 2_000_400 && hinted < 20; id++ {
 		owners := r.Ring().Owners(id, 2)
-		if !containsAddr(owners, dead.addr) {
+		if !containsAddr(owners, dead.Addr) {
 			continue
 		}
 		s, err := sk.Sketch(rng, bitvec.Profile{ID: id, Data: bitvec.MustFromString("01011001")}, subset)
@@ -528,23 +474,19 @@ func TestClusterHintedHandoff(t *testing.T) {
 
 	// Restart the node on its address with its engine intact; the sweep
 	// replays the hints and only then readmits it to fan-outs.
-	srv := server.New(dead.eng)
-	if _, err := srv.Listen(dead.addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	waitFor(t, 10*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
+	dead.Restart(t)
+	fleettest.WaitFor(t, 10*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
 	assertClusterMatchesReference(t, r, ref, subset, field)
 	// The returned node holds every record it was hinted.
 	for id := bitvec.UserID(2_000_000); id < 2_000_400; id++ {
 		owners := r.Ring().Owners(id, 2)
-		if !containsAddr(owners, dead.addr) {
+		if !containsAddr(owners, dead.Addr) {
 			continue
 		}
 		if _, ok := ref.Table().Get(id, subset); !ok {
 			continue // never published
 		}
-		if _, ok := dead.eng.Table().Get(id, subset); !ok {
+		if _, ok := dead.Eng.Table().Get(id, subset); !ok {
 			t.Fatalf("returned node is missing hinted record for user %v", id)
 		}
 	}
@@ -554,13 +496,13 @@ func TestClusterHintedHandoff(t *testing.T) {
 // the previous epoch is refused by the node with the recognisable marker —
 // the guard that keeps a racing fan-out from merging mixed-ring counters.
 func TestClusterStaleEpochRefused(t *testing.T) {
-	nodes := startNodes(t, 2)
-	r := startDynamicRouter(t, nodes, 2, nil)
+	nodes := fleettest.StartNodes(t, 2)
+	r := fleettest.StartRouter(t, nodes, 2, dynamic(nil))
 	pubs, _, _ := clusterWorkload(t, 100, 3)
 	publishAllParallel(t, r, pubs)
 
-	node3 := startNodeAt(t, "", nil)
-	if err := r.Join(node3.addr); err != nil {
+	node3 := fleettest.StartNode(t, nil)
+	if err := r.Join(node3.Addr); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Epoch(); got != 2 {
@@ -568,7 +510,7 @@ func TestClusterStaleEpochRefused(t *testing.T) {
 	}
 
 	// Speak to a node directly with an epoch-1 filter: refused, loudly.
-	conn, err := net.Dial("tcp", nodes[0].addr)
+	conn, err := net.Dial("tcp", nodes[0].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +523,7 @@ func TestClusterStaleEpochRefused(t *testing.T) {
 		Epoch:  1,
 		Nodes:  members,
 		VNodes: 32,
-		Self:   nodes[0].addr,
+		Self:   nodes[0].Addr,
 		Live:   members,
 	}
 	total := query.NewPlan()
@@ -601,32 +543,20 @@ func TestClusterStaleEpochRefused(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestFreshRouterAdoptsAdvancedEpoch: a router started against a cluster
 // whose ring epoch advanced under a previous router (a replacement
 // sketchrouter, or a gateway's embedded router) fast-forwards its epoch
 // from the nodes' pongs instead of having every fan-out refused as stale
 // forever.
 func TestFreshRouterAdoptsAdvancedEpoch(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r1 := startRouter(t, nodes, 2)
+	nodes := fleettest.StartNodes(t, 3)
+	r1 := fleettest.StartRouter(t, nodes, 2, nil)
 	pubs, subset, _ := clusterWorkload(t, 40, 17)
 	if err := r1.PublishAll(pubs); err != nil {
 		t.Fatal(err)
 	}
-	node4 := startNodeAt(t, "", nil)
-	if err := r1.Join(node4.addr); err != nil {
+	node4 := fleettest.StartNode(t, nil)
+	if err := r1.Join(node4.Addr); err != nil {
 		t.Fatal(err)
 	}
 	if got := r1.Epoch(); got != 2 {
@@ -639,7 +569,7 @@ func TestFreshRouterAdoptsAdvancedEpoch(t *testing.T) {
 
 	// A second router over the post-join membership starts at epoch 1;
 	// its ping sweep must adopt epoch 2 before the nodes will answer.
-	r2 := startRouter(t, append(nodes, node4), 2)
+	r2 := fleettest.StartRouter(t, append(nodes, node4), 2, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for r2.Epoch() < 2 {
 		if time.Now().After(deadline) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sketchprivacy/internal/bitvec"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
@@ -34,17 +35,17 @@ func TestReturningNodeDropsRefusedHints(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			nodes := startNodes(t, 3)
-			r := startDynamicRouter(t, nodes, 2, nil)
+			nodes := fleettest.StartNodes(t, 3)
+			r := fleettest.StartRouter(t, nodes, 2, dynamic(nil))
 			reg := obs.NewRegistry()
 			r.RegisterMetrics(reg)
 			dead := nodes[0]
-			if err := dead.srv.Close(); err != nil {
+			if err := dead.Srv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
+			fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 2 })
 			id := bitvec.UserID(3_000_000)
-			for !containsAddr(r.Ring().Owners(id, 2), dead.addr) {
+			for !containsAddr(r.Ring().Owners(id, 2), dead.Addr) {
 				id++
 			}
 			p := sketch.Published{ID: id, Subset: subset, S: sketch.Sketch{Key: 5, Length: testLength}}
@@ -54,19 +55,15 @@ func TestReturningNodeDropsRefusedHints(t *testing.T) {
 			if err := r.Publish(tc.refused(p)); err == nil || !wire.IsRefused(err.Error()) {
 				t.Fatalf("the live owner answered %s with %v, want an admission refusal", tc.name, err)
 			}
-			srv := server.New(dead.eng)
-			if _, err := srv.Listen(dead.addr); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
-			if got, ok := dead.eng.Table().Get(p.ID, p.Subset); !ok || got != p.S {
+			dead.Restart(t)
+			fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
+			if got, ok := dead.Eng.Table().Get(p.ID, p.Subset); !ok || got != p.S {
 				t.Fatalf("the returned node holds (%v, %v) for the hinted record, want %v", got, ok, p.S)
 			}
-			if n := dead.eng.Sketches(); n != 1 {
+			if n := dead.Eng.Sketches(); n != 1 {
 				t.Fatalf("the returned node holds %d records, want the one hinted record it admits", n)
 			}
-			if got := metricValue(t, renderRegistry(t, reg), "cluster_hints_refused_total"); got != 1 {
+			if got := fleettest.Metric(t, fleettest.Render(t, reg), "cluster_hints_refused_total"); got != 1 {
 				t.Fatalf("cluster_hints_refused_total = %v, want 1", got)
 			}
 		})
@@ -79,8 +76,8 @@ func TestReturningNodeDropsRefusedHints(t *testing.T) {
 // is an answer about the record, not about the node — so it leaves no
 // hint, trips no breaker and every node stays query-live.
 func TestRouterBatchRefusalLandsThePrefix(t *testing.T) {
-	nodes := startNodes(t, 3)
-	r := startDynamicRouter(t, nodes, 2, nil)
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, dynamic(nil))
 	reg := obs.NewRegistry()
 	r.RegisterMetrics(reg)
 	front := server.NewFrontend(r)
@@ -102,27 +99,27 @@ func TestRouterBatchRefusalLandsThePrefix(t *testing.T) {
 	if err := cli.PublishAll(batch); err == nil || !wire.IsRefused(err.Error()) {
 		t.Fatalf("a batch with a foreign length third = %v, want an admission refusal", err)
 	}
-	byAddr := make(map[string]*testNode)
+	byAddr := make(map[string]*fleettest.Node)
 	for _, n := range nodes {
-		byAddr[n.addr] = n
+		byAddr[n.Addr] = n
 	}
 	for _, p := range batch[:2] {
 		for _, owner := range r.Ring().Owners(p.ID, 2) {
-			if got, ok := byAddr[owner].eng.Table().Get(p.ID, p.Subset); !ok || got != p.S {
+			if got, ok := byAddr[owner].Eng.Table().Get(p.ID, p.Subset); !ok || got != p.S {
 				t.Fatalf("owner %s of user %v holds (%v, %v), want %v", owner, p.ID, got, ok, p.S)
 			}
 		}
 	}
 	for _, n := range nodes {
-		if _, ok := n.eng.Table().Get(batch[2].ID, subset); ok {
-			t.Fatalf("node %s holds the foreign-length record", n.addr)
+		if _, ok := n.Eng.Table().Get(batch[2].ID, subset); ok {
+			t.Fatalf("node %s holds the foreign-length record", n.Addr)
 		}
 	}
 	if status := r.Status(); strings.Contains(status, "pending-hints=") || len(r.LiveNodes()) != 3 {
 		t.Fatalf("a refusal left a hint or a node out of the fan-out:\n%s", status)
 	}
 	trips := 0
-	for _, line := range strings.Split(renderRegistry(t, reg), "\n") {
+	for _, line := range strings.Split(fleettest.Render(t, reg), "\n") {
 		if strings.HasPrefix(line, "cluster_node_breaker_trips_total{") {
 			if trips++; !strings.HasSuffix(line, " 0") {
 				t.Fatalf("a refusal tripped a breaker: %s", line)

@@ -7,6 +7,7 @@ import (
 
 	"sketchprivacy/internal/bitvec"
 	"sketchprivacy/internal/cluster"
+	"sketchprivacy/internal/fleettest"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/wire"
@@ -48,8 +49,8 @@ func TestWideSubsetsCutByBytes(t *testing.T) {
 	wide, value := pubs[0].Subset, bitvec.MustFromString("1010101010101010")
 
 	// A client's batch to a node.
-	solo := startNodes(t, 1)[0]
-	cli, err := server.Dial(solo.addr)
+	solo := fleettest.StartNodes(t, 1)[0]
+	cli, err := server.Dial(solo.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +58,17 @@ func TestWideSubsetsCutByBytes(t *testing.T) {
 	if err := cli.PublishAll(pubs); err != nil {
 		t.Fatalf("PublishAll of wide records to a node: %v", err)
 	}
-	if got := solo.eng.Sketches(); got != n {
+	if got := solo.Eng.Sketches(); got != n {
 		t.Fatalf("the node holds %d records after PublishAll, want %d", got, n)
 	}
-	want, err := solo.eng.Conjunction(wide, value)
+	want, err := solo.Eng.Conjunction(wide, value)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The same batch to the router endpoint.
-	nodes := startNodes(t, 3)
-	r := startRouterCfg(t, nodes, 2, func(c *cluster.Config) {
+	nodes := fleettest.StartNodes(t, 3)
+	r := fleettest.StartRouter(t, nodes, 2, func(c *cluster.Config) {
 		c.HintedHandoff = true
 		c.MaxHintsPerNode = wire.MaxTransferBatch
 		c.PingInterval = 50 * time.Millisecond
@@ -100,36 +101,32 @@ func TestWideSubsetsCutByBytes(t *testing.T) {
 
 	// A join reads every member 8192 records at a time and pushes what
 	// moves: the nodes cut their replies, the router its pushes.
-	joiner := startNodeAt(t, "", nil)
-	if err := r.Join(joiner.addr); err != nil {
+	joiner := fleettest.StartNode(t, nil)
+	if err := r.Join(joiner.Addr); err != nil {
 		t.Fatalf("join over wide records: %v", err)
 	}
-	if joiner.eng.Sketches() == 0 {
+	if joiner.Eng.Sketches() == 0 {
 		t.Fatal("the join moved nothing onto the new node")
 	}
 	same("after the join")
 
 	// A hint queue of them: one member down, 7 000 publishes it owns.
 	dead := nodes[0]
-	if err := dead.srv.Close(); err != nil {
+	if err := dead.Srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
-	hinted := wideRecords(bitvec.UserID(n+1), 7000, r.Ring(), dead.addr)
+	fleettest.WaitFor(t, 5*time.Second, func() bool { return len(r.LiveNodes()) == 3 })
+	hinted := wideRecords(bitvec.UserID(n+1), 7000, r.Ring(), dead.Addr)
 	if err := r.PublishAll(hinted); err != nil {
 		t.Fatalf("publishing records a dead member owns: %v", err)
 	}
 	if !strings.Contains(r.Status(), "pending-hints=7000") {
 		t.Fatalf("status does not show the 7000 queued hints:\n%s", r.Status())
 	}
-	srv := server.New(dead.eng)
-	if _, err := srv.Listen(dead.addr); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	waitFor(t, 20*time.Second, func() bool { return len(r.LiveNodes()) == 4 })
+	dead.Restart(t)
+	fleettest.WaitFor(t, 20*time.Second, func() bool { return len(r.LiveNodes()) == 4 })
 	for _, p := range hinted {
-		if s, ok := dead.eng.Table().Get(p.ID, wide); !ok || s != p.S {
+		if s, ok := dead.Eng.Table().Get(p.ID, wide); !ok || s != p.S {
 			t.Fatalf("the returned member is missing the hinted record of user %v", p.ID)
 		}
 	}

@@ -1,13 +1,9 @@
-package gateway
+package gateway_test
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,204 +11,57 @@ import (
 	"sketchprivacy/internal/cluster"
 	"sketchprivacy/internal/engine"
 	"sketchprivacy/internal/faultnet"
+	"sketchprivacy/internal/fleettest"
+	"sketchprivacy/internal/gateway"
 	"sketchprivacy/internal/server"
 	"sketchprivacy/internal/sketch"
 	"sketchprivacy/internal/stats"
 	"sketchprivacy/internal/wire"
 )
 
-// e2eNode is one in-process sketchd: an engine behind a real TCP server.
-type e2eNode struct {
-	addr string
-	eng  *engine.Engine
-	srv  *server.Server
+// estimate is the part of a fraction answer these tests compare.
+type estimate struct {
+	Fraction float64 `json:"fraction"`
+	Raw      float64 `json:"raw"`
+	Users    int     `json:"users"`
 }
 
-// startE2ENodes brings up n loopback sketchd nodes.
-func startE2ENodes(t *testing.T, n int) []*e2eNode {
+// apiError is the typed error every non-200 reply carries.
+type apiError struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
+
+// call runs one JSON request as g's tenant, returning the status, the
+// decoded error of a non-200 reply and the raw body.
+func call(t *testing.T, g *fleettest.Gateway, path string, body any) (int, apiError, []byte) {
 	t.Helper()
-	nodes := make([]*e2eNode, n)
-	for i := range nodes {
-		eng, err := engine.New(testSource(), testParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := server.New(eng)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = &e2eNode{addr: addr, eng: eng, srv: srv}
-		t.Cleanup(func() { srv.Close() })
+	status, raw := g.Call(t, path, body)
+	var envelope struct {
+		Error apiError `json:"error"`
 	}
-	return nodes
+	if status != http.StatusOK {
+		if err := json.Unmarshal(raw, &envelope); err != nil {
+			t.Fatalf("non-200 body is not the typed error envelope: %s", raw)
+		}
+	}
+	return status, envelope.Error, raw
 }
 
-// countingProxy forwards TCP connections to a backend node, counting every
-// client→backend frame by opcode.  The gateway's router only ever talks to
-// proxy addresses, so the per-opcode counts are exactly the wire requests
-// one HTTP call costs — the RTT-accounting instrument for the HTTP path.
-type countingProxy struct {
-	backend string
-	addr    string
-	ln      net.Listener
-
-	mu     sync.Mutex
-	counts map[byte]int
-	conns  map[net.Conn]struct{}
-}
-
-func startCountingProxy(t *testing.T, backend string) *countingProxy {
+// publishProfiles publishes n five-bit profiles over subset; the first
+// matching hold the all-ones value.
+func publishProfiles(t *testing.T, g *fleettest.Gateway, n, matching int, subset []int) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &countingProxy{
-		backend: backend,
-		addr:    ln.Addr().String(),
-		ln:      ln,
-		counts:  make(map[byte]int),
-		conns:   make(map[net.Conn]struct{}),
-	}
-	go p.accept()
-	t.Cleanup(p.close)
-	return p
-}
-
-func (p *countingProxy) close() {
-	p.ln.Close()
-	p.mu.Lock()
-	for c := range p.conns {
-		c.Close()
-	}
-	p.mu.Unlock()
-}
-
-func (p *countingProxy) count(msgType byte) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.counts[msgType]
-}
-
-func (p *countingProxy) resetCounts() {
-	p.mu.Lock()
-	p.counts = make(map[byte]int)
-	p.mu.Unlock()
-}
-
-// strayFrames counts the router→node frames seen since the last reset that
-// are neither plan queries nor connection control (hello, ping): every
-// query frame a router sends must be a TypePlanQuery.
-func (p *countingProxy) strayFrames() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for msgType, c := range p.counts {
-		switch msgType {
-		case wire.TypePlanQuery, wire.TypeHello, wire.TypePing:
-		default:
-			n += c
+	recs := make([]map[string]any, 0, n)
+	for i := 0; i < n; i++ {
+		profile := "00000"
+		if i < matching {
+			profile = "10101"
 		}
+		recs = append(recs, map[string]any{"id": uint64(i + 1), "subset": subset, "profile": profile})
 	}
-	return n
-}
-
-func (p *countingProxy) accept() {
-	for {
-		client, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		backend, err := net.Dial("tcp", p.backend)
-		if err != nil {
-			client.Close()
-			continue
-		}
-		p.mu.Lock()
-		p.conns[client] = struct{}{}
-		p.conns[backend] = struct{}{}
-		p.mu.Unlock()
-		go func() {
-			defer client.Close()
-			defer backend.Close()
-			for {
-				msgType, payload, err := wire.ReadFrame(client)
-				if err != nil {
-					return
-				}
-				p.mu.Lock()
-				p.counts[msgType]++
-				p.mu.Unlock()
-				if err := wire.WriteFrame(backend, msgType, payload); err != nil {
-					return
-				}
-			}
-		}()
-		go func() {
-			io.Copy(client, backend) //nolint:errcheck // closing either side ends the stream
-			client.Close()
-		}()
-	}
-}
-
-// clusterHarness is the fleet-mode HTTP harness: three sketchd nodes
-// behind frame-counting proxies, an RF=2 router, and the gateway on top.
-type clusterHarness struct {
-	*testGateway
-	r       *cluster.Router
-	nodes   []*e2eNode
-	proxies []*countingProxy
-}
-
-func startClusterGateway(t *testing.T, keyringBody string, mutate func(*cluster.Config)) *clusterHarness {
-	t.Helper()
-	nodes := startE2ENodes(t, 3)
-	proxies := make([]*countingProxy, len(nodes))
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		proxies[i] = startCountingProxy(t, n.addr)
-		addrs[i] = proxies[i].addr
-	}
-	cfg := cluster.Config{
-		Nodes:        addrs,
-		Replication:  2,
-		VNodes:       32,
-		PingInterval: 100 * time.Millisecond,
-		BackoffBase:  50 * time.Millisecond,
-		BackoffMax:   time.Second,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	r, err := cluster.NewRouter(testSource(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	ring, err := LoadKeyring(writeKeyring(t, keyringBody), testMaster())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := New(Config{
-		Backend: RouterBackend{R: r},
-		Admin:   RouterBackend{R: r},
-		Keyring: ring,
-		Params:  testParams(),
-		Hash:    testSource(),
-		Seed:    7,
-		Logf:    t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(gw.Handler())
-	t.Cleanup(srv.Close)
-	return &clusterHarness{
-		testGateway: &testGateway{gw: gw, srv: srv, ring: ring},
-		r:           r,
-		nodes:       nodes,
-		proxies:     proxies,
+	if status, apiErr, _ := call(t, g, "/v1/records", map[string]any{"records": recs}); status != http.StatusOK {
+		t.Fatalf("publish: HTTP %d (%s: %s)", status, apiErr.Code, apiErr.Message)
 	}
 }
 
@@ -220,7 +69,7 @@ func startClusterGateway(t *testing.T, keyringBody string, mutate func(*cluster.
 // across every subset the interval, combination and tree estimators need
 // on the 4-bit field at offset 0: the conjunctive subset, the single-bit
 // subsets and the non-degenerate prefixes.
-func (h *clusterHarness) publishFieldWorkload(t *testing.T, apiKey string, n int) {
+func publishFieldWorkload(t *testing.T, g *fleettest.Gateway, n int) {
 	t.Helper()
 	subsets := [][]int{{0, 1, 2, 3}, {0}, {1}, {2}, {3}, {0, 1}, {0, 1, 2}}
 	var recs []map[string]any
@@ -230,8 +79,7 @@ func (h *clusterHarness) publishFieldWorkload(t *testing.T, apiKey string, n int
 			recs = append(recs, map[string]any{"id": uint64(i + 1), "subset": sub, "profile": profile})
 		}
 	}
-	status, apiErr, _ := h.call(t, "POST", "/v1/records", apiKey, map[string]any{"records": recs})
-	if status != http.StatusOK {
+	if status, apiErr, _ := call(t, g, "/v1/records", map[string]any{"records": recs}); status != http.StatusOK {
 		t.Fatalf("publish: HTTP %d (%s: %s)", status, apiErr.Code, apiErr.Message)
 	}
 }
@@ -242,8 +90,10 @@ func (h *clusterHarness) publishFieldWorkload(t *testing.T, apiKey string, n int
 // round trip — and zero legacy per-partial frames, despite the interval
 // composing two boundary estimates and the tree walking multiple paths.
 func TestClusterHTTPPlanQueriesOneFanoutRTT(t *testing.T) {
-	h := startClusterGateway(t, defaultKeyring, nil)
-	h.publishFieldWorkload(t, acmeKey, 30)
+	nodes := fleettest.StartNodes(t, 3)
+	fleettest.Proxied(t, nodes...)
+	g := fleettest.StartGateway(t, fleettest.StartRouter(t, nodes, 2, nil), "acme")
+	publishFieldWorkload(t, g, 30)
 
 	calls := []struct {
 		name string
@@ -261,20 +111,20 @@ func TestClusterHTTPPlanQueriesOneFanoutRTT(t *testing.T) {
 				"one":  map[string]any{"leaf": true, "accept": false},
 			}}}},
 	}
-	for _, call := range calls {
-		t.Run(call.name, func(t *testing.T) {
-			for _, p := range h.proxies {
-				p.resetCounts()
+	for _, c := range calls {
+		t.Run(c.name, func(t *testing.T) {
+			for _, n := range nodes {
+				n.Proxy.Reset()
 			}
-			status, apiErr, _ := h.call(t, "POST", call.path, acmeKey, call.body)
+			status, apiErr, _ := call(t, g, c.path, c.body)
 			if status != http.StatusOK {
 				t.Fatalf("query: HTTP %d (%s: %s)", status, apiErr.Code, apiErr.Message)
 			}
-			for i, p := range h.proxies {
-				if got := p.count(wire.TypePlanQuery); got != 1 {
+			for i, n := range nodes {
+				if got := n.Proxy.Requests()[wire.TypePlanQuery]; got != 1 {
 					t.Errorf("node %d saw %d plan-query frames, want exactly 1", i, got)
 				}
-				if got := p.strayFrames(); got != 0 {
+				if got := n.Proxy.StrayFrames(); got != 0 {
 					t.Errorf("node %d saw %d frames that are not plan queries, want 0", i, got)
 				}
 			}
@@ -289,11 +139,14 @@ func TestClusterHTTPPlanQueriesOneFanoutRTT(t *testing.T) {
 // same record set, so any arithmetic divergence in the JSON layer would
 // surface as an exact-inequality failure here.
 func TestClusterHTTPBitIdenticalToBinaryPath(t *testing.T) {
-	h := startClusterGateway(t, defaultKeyring, nil)
-	h.publishFieldWorkload(t, acmeKey, 30)
+	nodes := fleettest.StartNodes(t, 3)
+	fleettest.Proxied(t, nodes...)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
+	g := fleettest.StartGateway(t, r, "acme")
+	publishFieldWorkload(t, g, 30)
 
-	var got estimateResponse
-	status, apiErr, raw := h.call(t, "POST", "/v1/query/conjunction", acmeKey,
+	var got estimate
+	status, apiErr, raw := call(t, g, "/v1/query/conjunction",
 		map[string]any{"subset": []int{0, 1, 2, 3}, "value": "1010"})
 	if status != http.StatusOK {
 		t.Fatalf("HTTP query: %d (%s)", status, apiErr.Message)
@@ -302,7 +155,7 @@ func TestClusterHTTPBitIdenticalToBinaryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fe := server.NewFrontend(h.r)
+	fe := server.NewFrontend(r)
 	feAddr, err := fe.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +166,7 @@ func TestClusterHTTPBitIdenticalToBinaryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	want, err := h.r.Estimator().Fraction(cli, bitvec.Range(0, 4), bitvec.MustFromString("1010"))
+	want, err := r.Estimator().Fraction(cli, bitvec.Range(0, 4), bitvec.MustFromString("1010"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,22 +183,25 @@ func TestClusterHTTPBitIdenticalToBinaryPath(t *testing.T) {
 // its queries find no sketches at all, and afterwards each tenant's user
 // count is exactly its own.
 func TestClusterTenantDisjointness(t *testing.T) {
-	h := startClusterGateway(t, defaultKeyring, nil)
-	h.publishProfiles(t, acmeKey, 20, 8, []int{0, 2, 4})
+	nodes := fleettest.StartNodes(t, 3)
+	fleettest.Proxied(t, nodes...)
+	r := fleettest.StartRouter(t, nodes, 2, nil)
+	acme, globex := fleettest.StartGateway(t, r, "acme"), fleettest.StartGateway(t, r, "globex")
+	publishProfiles(t, acme, 20, 8, []int{0, 2, 4})
 
-	status, apiErr, _ := h.call(t, "POST", "/v1/query/fraction", globexKey,
+	status, apiErr, _ := call(t, globex, "/v1/query/fraction",
 		map[string]any{"subset": []int{0, 2, 4}, "value": "111"})
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("globex query over acme-only cluster: HTTP %d (%s), want 422", status, apiErr.Code)
 	}
 
-	h.publishProfiles(t, globexKey, 5, 5, []int{0, 2, 4})
+	publishProfiles(t, globex, 5, 5, []int{0, 2, 4})
 	for _, tc := range []struct {
-		key  string
+		g    *fleettest.Gateway
 		want int
-	}{{acmeKey, 20}, {globexKey, 5}} {
-		var got estimateResponse
-		status, apiErr, raw := h.call(t, "POST", "/v1/query/fraction", tc.key,
+	}{{acme, 20}, {globex, 5}} {
+		var got estimate
+		status, apiErr, raw := call(t, tc.g, "/v1/query/fraction",
 			map[string]any{"subset": []int{0, 2, 4}, "value": "111"})
 		if status != http.StatusOK {
 			t.Fatalf("query: HTTP %d (%s)", status, apiErr.Message)
@@ -354,15 +210,9 @@ func TestClusterTenantDisjointness(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Users != tc.want {
-			t.Fatalf("tenant with key %q sees %d users, want exactly its own %d", tc.key, got.Users, tc.want)
+			t.Fatalf("tenant %q sees %d users, want exactly its own %d", tc.g.Tenant.Name, got.Users, tc.want)
 		}
 	}
-}
-
-// routerEvidence is what a test that gave up on the cluster reports: the
-// router's live nodes, its fan-out counters and its status.
-func routerEvidence(r *cluster.Router) string {
-	return fmt.Sprintf("live nodes %v\nfan-out counters %+v\n%s", r.LiveNodes(), r.FanoutCounters(), r.Status())
 }
 
 // TestClusterGatewayChaos runs the HTTP path over a faultnet-degraded
@@ -374,25 +224,24 @@ func routerEvidence(r *cluster.Router) string {
 // batches despite give-backs on failed attempts.
 func TestClusterGatewayChaos(t *testing.T) {
 	fab := faultnet.NewFabric(0xC0FFEE)
-	h := startClusterGateway(t, defaultKeyring, func(cfg *cluster.Config) {
-		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			ep := fab.Endpoint("to:" + addr)
-			ep.EnableChaos()
-			return ep.Dial(nil)(addr, timeout)
-		}
+	nodes := fleettest.StartNodes(t, 3)
+	fleettest.Proxied(t, nodes...)
+	for _, n := range nodes {
+		fab.Endpoint(fleettest.LinkTo(n.Addr)).EnableChaos()
+	}
+	r := fleettest.StartRouter(t, nodes, 2, func(cfg *cluster.Config) {
+		cfg.Dial = fleettest.Dialer(fab)
 		cfg.DialTimeout = 300 * time.Millisecond
 		cfg.RequestTimeout = 500 * time.Millisecond
 		cfg.HedgeDelay = 100 * time.Millisecond
 		cfg.BackoffMax = 500 * time.Millisecond
 	})
-	acme, ok := h.ring.Lookup(acmeKey)
-	if !ok {
-		t.Fatal("acme key missing")
-	}
+	g := fleettest.StartGateway(t, r, "acme")
+	acme := g.Tenant
 
 	// Sketch client-side with a deterministic RNG so a reference engine can
 	// ingest byte-for-byte the same records the gateway publishes.
-	sk, err := sketch.NewSketcher(testSource(), testParams())
+	sk, err := sketch.NewSketcher(fleettest.Source(), fleettest.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +280,7 @@ func TestClusterGatewayChaos(t *testing.T) {
 		}
 		published, status, apiErr := false, 0, apiError{}
 		for attempt := 0; attempt < 60 && !published; attempt++ {
-			status, apiErr, _ = h.call(t, "POST", "/v1/records", acmeKey,
-				map[string]any{"records": recs[start:end]})
+			status, apiErr, _ = call(t, g, "/v1/records", map[string]any{"records": recs[start:end]})
 			switch status {
 			case http.StatusOK:
 				published = true
@@ -443,21 +291,21 @@ func TestClusterGatewayChaos(t *testing.T) {
 			}
 		}
 		if !published {
-			t.Fatalf("publish batch %d never succeeded under chaos; last attempt HTTP %d (%s)\n%s", start/5, status, apiErr.Code, routerEvidence(h.r))
+			t.Fatalf("publish batch %d never succeeded under chaos; last attempt HTTP %d (%s)\n%s", start/5, status, apiErr.Code, fleettest.RouterEvidence(r))
 		}
 	}
 	if used := acme.RecordsUsed(); used != users {
 		t.Fatalf("quota ledger %d after give-backs, want %d", used, users)
 	}
 
-	ref, err := engine.New(testSource(), testParams())
+	ref, err := engine.New(fleettest.Source(), fleettest.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.IngestBatch(refPubs); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Estimator().Fraction(EngineBackend{E: ref}.Source(acme.Domain),
+	want, err := ref.Estimator().Fraction(gateway.EngineBackend{E: ref}.Source(acme.Domain),
 		sub, bitvec.MustFromString("111"))
 	if err != nil {
 		t.Fatal(err)
@@ -466,11 +314,11 @@ func TestClusterGatewayChaos(t *testing.T) {
 	answered, status, apiErr := false, 0, apiError{}
 	for attempt := 0; attempt < 60 && !answered; attempt++ {
 		var raw []byte
-		status, apiErr, raw = h.call(t, "POST", "/v1/query/fraction", acmeKey,
+		status, apiErr, raw = call(t, g, "/v1/query/fraction",
 			map[string]any{"subset": []int{0, 2, 4}, "value": "111"})
 		switch status {
 		case http.StatusOK:
-			var got estimateResponse
+			var got estimate
 			if err := json.Unmarshal(raw, &got); err != nil {
 				t.Fatal(err)
 			}
@@ -485,6 +333,6 @@ func TestClusterGatewayChaos(t *testing.T) {
 		}
 	}
 	if !answered {
-		t.Fatalf("query never succeeded under chaos; last attempt HTTP %d (%s)\n%s", status, apiErr.Code, routerEvidence(h.r))
+		t.Fatalf("query never succeeded under chaos; last attempt HTTP %d (%s)\n%s", status, apiErr.Code, fleettest.RouterEvidence(r))
 	}
 }

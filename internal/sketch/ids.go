@@ -583,8 +583,12 @@ func (b *IDBuilder) follows(id bitvec.UserID) {
 }
 
 // open starts a block, raw until it is closed, if none is being built.
+// Only the column's last block may be short, so none follows one.
 func (b *IDBuilder) open() {
 	if b.np == 0 {
+		if b.n%IDBlockLen != 0 {
+			panic("sketch: id appended after a short block")
+		}
 		b.offs = append(b.offs, len(b.b))
 		b.b = append(b.b, rawIDWidth)
 	}
@@ -628,7 +632,7 @@ func (b *IDBuilder) AppendIDs(c *IDCursor, lo, hi int) {
 	for lo < hi {
 		at := lo + s.skip
 		k, j := at/IDBlockLen, at%IDBlockLen
-		if b.np == 0 && j == 0 && hi-lo >= IDBlockLen {
+		if b.np == 0 && b.n%IDBlockLen == 0 && j == 0 && hi-lo >= IDBlockLen {
 			blocks := (hi - lo) / IDBlockLen
 			b.follows(s.base(k))
 			shift := len(b.b) - s.offs[k]
@@ -657,17 +661,22 @@ func (b *IDBuilder) AppendIDs(c *IDCursor, lo, hi int) {
 // AppendBlock appends the block of m ids at the front of src — input, as
 // a store reads it from a file — and returns its size, or an error, with nothing appended, unless src holds there a well-formed block
 // of m ascending ids that all exceed what was appended before.  On a block
-// boundary the checked bytes are copied as they are.
+// boundary the checked bytes are copied as they are, a short block's too:
+// a checked block is coded as the builder would code it.  A short block
+// ends the column: nothing may be appended after it.
 func (b *IDBuilder) AppendBlock(src []byte, m int) (size int, err error) {
 	var buf [IDBlockLen]bitvec.UserID
 	size, err = checkIDBlock(src, m, &buf)
 	if err != nil {
 		return 0, err
 	}
-	if (src[0] == rawIDWidth && !Ascends(buf[:m])) || (b.Len() > 0 && buf[0] <= b.last) {
+	switch {
+	case (src[0] == rawIDWidth && !Ascends(buf[:m])) || (b.Len() > 0 && buf[0] <= b.last):
 		return 0, errors.New("ids out of order")
+	case b.np == 0 && b.n%IDBlockLen != 0:
+		return 0, errors.New("ids after a short block")
 	}
-	if b.np > 0 || m < IDBlockLen {
+	if b.np > 0 {
 		for _, id := range buf[:m] {
 			b.Append(id)
 		}

@@ -60,11 +60,7 @@ func readRun(f *os.File, r segRun, raw []byte, keys sketch.Words) ([]byte, sketc
 	if _, err := f.ReadAt(raw, r.start); err != nil {
 		return corrupt(fmt.Errorf("reading: %v", err))
 	}
-	// The id column is what the frames hold besides their headers and the
-	// words, ⌈count·ℓ/8⌉ bytes at least; the builder's last block stands
-	// raw, 8 bytes an id, until it is coded.
 	var ids sketch.IDBuilder
-	ids.Grow(r.count, max(0, len(raw)-(r.count*r.shape.Bits()+7)/8)+1+8*sketch.IDBlockLen)
 	keys = keys.Reset()
 	end, err := eachFrame(raw, 0, len(raw), func(_ int, payload []byte) error {
 		h, cols, idsLen, err := oneRun(payload)
@@ -76,6 +72,10 @@ func readRun(f *os.File, r segRun, raw []byte, keys sketch.Words) ([]byte, sketc
 		case ids.Len()+h.count > r.count:
 			return fmt.Errorf("more than its %d records", r.count)
 		}
+		// A segment cuts a run's frames at whole id blocks, and the builder
+		// takes each block as it stands, so the frames' id columns are the
+		// column's bytes: room for them is all it needs.
+		ids.Grow(h.count, idsLen)
 		keys, err = decodeRun(h, cols, idsLen, &ids, keys)
 		return err
 	})
