@@ -196,6 +196,17 @@ func (v Vector) AppendBytes(dst []byte) []byte {
 	return dst
 }
 
+// AppendPacked appends the vector's bits alone, without its length: ⌈n/8⌉
+// bytes, bit i at bit i%8 of byte i/8 — the Bytes encoding's words cut at
+// the last byte that holds a bit.  Vectors of one length are Equal iff their
+// packed bytes are equal.
+func (v Vector) AppendPacked(dst []byte) []byte {
+	for i := 0; i < (v.n+7)/8; i++ {
+		dst = append(dst, byte(v.words[i/8]>>(8*(i%8))))
+	}
+	return dst
+}
+
 // ParseBytes reconstructs a vector from its Bytes encoding.
 func ParseBytes(b []byte) (Vector, error) {
 	if len(b) < 8 {

@@ -219,3 +219,30 @@ func TestBytesInjective(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendPackedIsTheBytesWordsCut: the packed bytes are ⌈n/8⌉ bytes of
+// the Bytes encoding's words, bit i at bit i%8 of byte i/8.
+func TestAppendPackedIsTheBytesWordsCut(t *testing.T) {
+	prop := func(raw []byte, length uint8) bool {
+		n := int(length) % 150
+		v := New(n)
+		for i := 0; i < n && i < 8*len(raw); i++ {
+			if raw[i/8]&(1<<uint(i%8)) != 0 {
+				v.Set(i, true)
+			}
+		}
+		packed := v.AppendPacked([]byte{0xee})
+		if len(packed) != 1+(n+7)/8 || packed[0] != 0xee || string(packed[1:]) != string(v.Bytes()[8:8+(n+7)/8]) {
+			return false
+		}
+		for i := 0; i < n; i++ {
+			if packed[1+i/8]>>uint(i%8)&1 == 1 != v.Get(i) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

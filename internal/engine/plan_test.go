@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -154,7 +155,7 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 		key := query.CacheKey{Entry: fmt.Sprint("synthetic-", i)}
 		eng.cache.Put(key, 1, records, 0, words)
 		eng.cache.Put(key, 1, records, 0, words)
-		if e := eng.cache.m[key]; e.waiting != nil {
+		if e := eng.cache.m[key]; e.waiting != 0 {
 			t.Fatalf("bitmap %d Put twice is still on probation", i)
 		}
 		checkPlanCacheCharges(t, eng.cache)
@@ -189,8 +190,11 @@ func TestEnginePlanCacheEviction(t *testing.T) {
 // checkPlanCacheCharges asserts the cache's books: bytes is the sum of its
 // entries' keys and bitmaps and of the distinct mask arrays they hold,
 // within the budget, and the probation count the same sum over the
-// entries on probation, which are the FIFO's elements, each its entry's
-// own; the holder counts are the entries holding each mask array.
+// entries on probation; each of those has exactly one live slot in the
+// probation ring, the ring's live slots are those and no others, and the
+// ring holds at most 2·live + ringSlack slots, none when nothing waits,
+// every slot outside its queue zero; the holder counts are the entries
+// holding each mask array.
 func checkPlanCacheCharges(t *testing.T, c *planCache) {
 	t.Helper()
 	c.mu.RLock()
@@ -208,15 +212,12 @@ func checkPlanCacheCharges(t *testing.T, c *planCache) {
 			held += 8 * len(e.words)
 		}
 		held += keyCost(k)
-		if e.waiting != nil {
+		if e.waiting != 0 {
 			if h.waiting++; h.waiting == 1 {
 				waiting += 8 * len(e.words)
 			}
 			waiting += keyCost(k)
 			onProbation++
-			if e.waiting.Value.(query.CacheKey) != k {
-				t.Fatalf("the probation element of %q names %q", k.Entry, e.waiting.Value.(query.CacheKey).Entry)
-			}
 		}
 		if shares(k, e.words) {
 			counts[&e.words[0]] = h
@@ -225,9 +226,40 @@ func checkPlanCacheCharges(t *testing.T, c *planCache) {
 	if !reflect.DeepEqual(counts, c.holders) {
 		t.Fatalf("the cache counts holders %v, its entries hold %v", c.holders, counts)
 	}
-	if c.bytes != held || c.bytes > planCacheBudget || c.waiting != waiting || c.waiting > c.window || c.probation.Len() != onProbation {
-		t.Fatalf("the cache counts %d bytes, %d on probation, %d probation elements; its entries cost %d, %d on probation in %d entries (budget %d, window %d)",
-			c.bytes, c.waiting, c.probation.Len(), held, waiting, onProbation, planCacheBudget, c.window)
+	if c.bytes != held || c.bytes > planCacheBudget || c.waiting != waiting || c.waiting > c.window {
+		t.Fatalf("the cache counts %d bytes, %d on probation; its entries cost %d, %d on probation in %d entries (budget %d, window %d)",
+			c.bytes, c.waiting, held, waiting, onProbation, planCacheBudget, c.window)
+	}
+	checkProbationRing(t, c, onProbation)
+}
+
+// checkProbationRing asserts that the probation ring queues one live slot
+// for each of the live entries on probation and no other, that live counts
+// them, and that it is within its bound.
+func checkProbationRing(t *testing.T, c *planCache, live int) {
+	t.Helper()
+	p := &c.probation
+	if p.live != live || p.queued > len(p.ring) || live == 0 && p.ring != nil || len(p.ring) > 2*live+ringSlack {
+		t.Fatalf("the probation ring has %d slots, %d queued, and counts %d live; %d entries are on probation (bound %d slots, none when nothing waits)",
+			len(p.ring), p.queued, p.live, live, 2*live+ringSlack)
+	}
+	liveSlots := make(map[query.CacheKey]bool)
+	for i := range p.ring {
+		s := p.ring[(p.head+i)%len(p.ring)]
+		switch {
+		case i >= p.queued:
+			if s != (probationSlot{}) {
+				t.Fatalf("the probation ring keeps %q (seq %d) outside its queue", s.key.Entry, s.seq)
+			}
+		case c.queuedAs(s):
+			if liveSlots[s.key] {
+				t.Fatalf("%q has two live probation slots", s.key.Entry)
+			}
+			liveSlots[s.key] = true
+		}
+	}
+	if len(liveSlots) != live {
+		t.Fatalf("the probation ring queues %d live slots for %d entries on probation", len(liveSlots), live)
 	}
 }
 
@@ -267,12 +299,12 @@ func TestPlanCacheChargesKeptWords(t *testing.T) {
 	if !ok || len(bitmap.words) != (kept+63)/64 {
 		t.Fatalf("the filtered bitmap is cached %v with %d words, want %d for %d kept records", ok, len(bitmap.words), (kept+63)/64, kept)
 	}
-	mask, ok := eng.cache.m[query.CacheKey{Mask: true, Entry: subset.Key(), Filter: keep.Key}]
+	mask, ok := eng.cache.m[query.CacheKey{Mask: true, Entry: query.SubsetKey(subset), Filter: keep.Key}]
 	if !ok || len(mask.words) != (users+63)/64 {
 		t.Fatalf("the keep mask is cached %v with %d words, want %d", ok, len(mask.words), (users+63)/64)
 	}
 	want := 8*((kept+63)/64) + len(pair.Key()) + len(keep.Key) + planCacheEntryOverhead +
-		8*((users+63)/64) + len(subset.Key()) + len(keep.Key) + planCacheEntryOverhead
+		8*((users+63)/64) + len(query.SubsetKey(subset)) + len(keep.Key) + planCacheEntryOverhead
 	// Both were computed once, so both wait on probation.
 	if bytes, entries, probation := eng.cache.size(); bytes != want || entries != 2 || probation != want {
 		t.Fatalf("the cache charges %d bytes for %d entries, %d on probation; want %d for 2, all on probation", bytes, entries, probation, want)
@@ -324,7 +356,7 @@ func TestPlanCacheChargesSharedMaskOnce(t *testing.T) {
 	var keys []query.CacheKey
 	want := 8 * ((users + 63) / 64)
 	for k, e := range c.m {
-		if !k.Mask || len(e.words) != (users+63)/64 || &e.words[0] != &c.m[query.CacheKey{Mask: true, Entry: prefixes[0].Key(), Filter: keep.Key}].words[0] {
+		if !k.Mask || len(e.words) != (users+63)/64 || &e.words[0] != &c.m[query.CacheKey{Mask: true, Entry: query.SubsetKey(prefixes[0]), Filter: keep.Key}].words[0] {
 			t.Fatalf("the cache holds %q (mask %v) over %d words, want P1's mask under every prefix's key", k.Entry, k.Mask, len(e.words))
 		}
 		keys = append(keys, k)
@@ -454,7 +486,7 @@ func TestPlanCacheAdmission(t *testing.T) {
 		switch {
 		case !ok:
 			return "gone"
-		case e.waiting != nil:
+		case e.waiting != 0:
 			return "on probation"
 		}
 		return "admitted"
@@ -466,8 +498,8 @@ func TestPlanCacheAdmission(t *testing.T) {
 		key := query.CacheKey{Entry: fmt.Sprintf("turn-%03d", turns)} // 8 bytes: the words fill the rest
 		words := make([]uint64, (planCacheWindow-planCacheEntryOverhead-len(key.Entry))/8)
 		c.Put(key, 1, 64*len(words), 0, words)
-		if e := c.m[key]; e.waiting == nil || c.waiting != planCacheWindow {
-			t.Fatalf("turn-over entry on probation %v, %d bytes on probation; want the window's %d", e.waiting != nil, c.waiting, planCacheWindow)
+		if e := c.m[key]; e.waiting == 0 || c.waiting != planCacheWindow {
+			t.Fatalf("turn-over entry on probation %v, %d bytes on probation; want the window's %d", e.waiting != 0, c.waiting, planCacheWindow)
 		}
 		turns++
 	}
@@ -489,6 +521,96 @@ func TestPlanCacheAdmission(t *testing.T) {
 	check("asked again after the drop", ask("0001"), users, "0001", "admitted", 2, 2)
 	turnOver()
 	check("asked a third time, window turned over", ask("0001"), 0, "0001", "admitted", 2, 3)
+	checkPlanCacheCharges(t, c)
+}
+
+// TestProbationRingChurn: fresh Puts, re-Puts, promotions and drops in a
+// random order, through a window of about 48 counts that turns over too,
+// never let the probation ring hold more than 2·live + ringSlack slots,
+// stale ones included, and leave it nil whenever nothing waits — after
+// every operation, and after each round asks everything waiting again.
+func TestProbationRingChurn(t *testing.T) {
+	c := newPlanCache()
+	c.window = 48 * (planCacheEntryOverhead + 8)
+	rng := rand.New(rand.NewSource(29))
+	fresh := 0
+	recent := func() query.CacheKey { // one of the last 64 keys Put first
+		return query.CacheKey{Entry: fmt.Sprintf("key-%06d", max(0, fresh-1-rng.Intn(64)))}
+	}
+	stale := 0 // the most stale slots the ring held at once
+	checkRing := func(stage string) {
+		t.Helper()
+		p := &c.probation
+		if len(p.ring) > 2*p.live+ringSlack || p.live == 0 && p.ring != nil {
+			t.Fatalf("%s: the probation ring has %d slots, %d queued, for %d live entries", stage, len(p.ring), p.queued, p.live)
+		}
+		stale = max(stale, p.queued-p.live)
+	}
+	for round := 0; round < 8; round++ {
+		// Odd rounds mostly ask again and drop: the window empties.
+		puts := 4 - 3*(round%2)
+		for op := 0; op < 600; op++ {
+			switch r := rng.Intn(10); {
+			case r < puts || fresh == 0:
+				c.Put(query.CacheKey{Entry: fmt.Sprintf("key-%06d", fresh)}, 1, 64, 1, nil)
+				fresh++
+			case r < puts+2:
+				c.Put(recent(), 1, 64, 1, nil)
+			case r < puts+4:
+				c.Hits(recent(), 1, 64)
+			default:
+				c.mu.Lock()
+				c.drop(recent())
+				c.mu.Unlock()
+			}
+			checkRing(fmt.Sprintf("round %d, op %d", round, op))
+			if op%50 == 0 {
+				checkPlanCacheCharges(t, c)
+			}
+		}
+		for k, e := range c.m {
+			if e.waiting != 0 {
+				c.Hits(k, 1, 64)
+				checkRing(fmt.Sprintf("round %d, promoting", round))
+			}
+		}
+		if p := &c.probation; p.live != 0 || p.ring != nil || c.waiting != 0 {
+			t.Fatalf("round %d: with everything promoted the ring has %d slots for %d live entries, %d bytes waiting", round, len(p.ring), p.live, c.waiting)
+		}
+		checkPlanCacheCharges(t, c)
+	}
+	if stale < 8 || c.rejected.Load() == 0 || c.admitted.Load() == 0 {
+		t.Fatalf("at most %d stale slots at once, %d rejected, %d admitted: the churn exercised too little", stale, c.rejected.Load(), c.admitted.Load())
+	}
+}
+
+// TestPlanCacheMaskAndPairKeysApart: a keep mask and a pair's bitmap are
+// never served as each other — not under the same Entry with Mask told
+// apart, and not across kinds under their own compact keys, a subset's key
+// being a strict prefix of its pairs'.
+func TestPlanCacheMaskAndPairKeysApart(t *testing.T) {
+	c := newPlanCache()
+	filter := "node"
+	for _, b := range []bitvec.Subset{bitvec.Range(0, 1), bitvec.Range(0, 20), bitvec.MustSubset(127, 128, 300)} {
+		pair := query.FractionEval{Subset: b, Value: bitvec.New(b.Len())}.Key()
+		mask := query.SubsetKey(b)
+		c.Put(query.CacheKey{Mask: true, Entry: mask, Filter: filter}, 1, 64, 1, []uint64{1})
+		c.Put(query.CacheKey{Entry: pair, Filter: filter}, 1, 64, 2, []uint64{3})
+		for _, k := range []query.CacheKey{{Entry: mask, Filter: filter}, {Mask: true, Entry: pair, Filter: filter}} {
+			if _, ok := c.Get(k, 1, 64); ok {
+				t.Fatalf("%v: Get serves %+v", b, k)
+			}
+			if _, ok := c.Hits(k, 1, 64); ok {
+				t.Fatalf("%v: Hits serves %+v", b, k)
+			}
+		}
+		if w, ok := c.Get(query.CacheKey{Mask: true, Entry: mask, Filter: filter}, 1, 64); !ok || w[0] != 1 {
+			t.Fatalf("%v: the mask is served %v, %v", b, ok, w)
+		}
+		if hits, ok := c.Hits(query.CacheKey{Entry: pair, Filter: filter}, 1, 64); !ok || hits != 2 {
+			t.Fatalf("%v: the pair's count is served %v, %d", b, ok, hits)
+		}
+	}
 	checkPlanCacheCharges(t, c)
 }
 
@@ -547,7 +669,7 @@ func TestPlanCacheAdmissionAnswersUnchanged(t *testing.T) {
 		{Key: "third", Keep: func(id bitvec.UserID) bool { return id%3 == 0 }},
 		{Keep: func(id bitvec.UserID) bool { return id%5 != 0 }},
 	}
-	eng.cache.window = (400+63)/64*8 + len(subset.Key()) + len("third") + planCacheEntryOverhead
+	eng.cache.window = (400+63)/64*8 + len(query.SubsetKey(subset)) + len("third") + planCacheEntryOverhead
 	for pass := 0; pass < 3; pass++ {
 		for _, keep := range filters {
 			for i, plan := range deck {
@@ -772,8 +894,8 @@ func TestOneShotFractionsHoldNoWords(t *testing.T) {
 		if k.Mask {
 			continue
 		}
-		if e.words != nil || e.waiting == nil {
-			t.Fatalf("the one-shot fraction %q holds %d words, on probation %v; want none, on probation", k.Entry, len(e.words), e.waiting != nil)
+		if e.words != nil || e.waiting == 0 {
+			t.Fatalf("the one-shot fraction %q holds %d words, on probation %v; want none, on probation", k.Entry, len(e.words), e.waiting != 0)
 		}
 		wantProbation += keyCost(k)
 	}
@@ -868,26 +990,47 @@ func TestPlanCacheCountsAndJoinsConcurrently(t *testing.T) {
 
 // TestPlanCacheCountOnlyChargeMatchesHeap: a fraction's entry, Put as its
 // count without words, is charged its key and planCacheEntryOverhead, and
-// that is what it holds: 20 000 of them, under a fleet node's 32-byte
-// filter key, are charged within 25 % of the HeapAlloc they add.
-func TestPlanCacheCountOnlyChargeMatchesHeap(t *testing.T) {
+// that is what it holds: 20 000 of them, each asked again and so in the
+// main budget, under a fleet node's 32-byte filter key, are charged within
+// 25 % of the HeapAlloc they add.
+func TestPlanCacheCountOnlyChargeMatchesHeap(t *testing.T) { checkCountOnlyCharge(t, true) }
+
+// TestPlanCacheCountOnlyChargeMatchesHeapOnProbation is the same for
+// counts asked once, query-scan's state: each waits on probation, in a
+// window raised to hold all 20 000, and holds its probation slot besides.
+func TestPlanCacheCountOnlyChargeMatchesHeapOnProbation(t *testing.T) {
+	checkCountOnlyCharge(t, false)
+}
+
+// checkCountOnlyCharge Puts 20 000 count-only entries, asking each again
+// if asked is set, and compares what they are charged with the heap they
+// add.
+func checkCountOnlyCharge(t *testing.T, asked bool) {
 	const entries = 20_000
 	subset := bitvec.Range(0, 16)
 	filter := string(bytes.Repeat([]byte{0xa5}, 32))
 	c := newPlanCache()
+	c.window = planCacheBudget
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < entries; i++ {
 		key := query.CacheKey{Entry: query.FractionEval{Subset: subset, Value: bitvec.FromUint(uint64(i), 16)}.Key(), Filter: filter}
 		c.Put(key, 1, 64, uint64(bits.OnesCount64(uint64(i))), nil)
+		if !asked {
+			continue
+		}
 		if hits, ok := c.Hits(key, 1, 64); !ok || hits != uint64(bits.OnesCount64(uint64(i))) {
 			t.Fatalf("entry %d: count hit %v, %d hits", i, ok, hits)
 		}
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	charged, _, _ := c.size()
+	charged, _, probation := c.size()
+	// Asked once, all but the doorkeeper's false positives wait.
+	if asked && probation != 0 || !asked && 50*probation < 49*charged {
+		t.Fatalf("%d B of %d charged on probation, want none asked again, all but 2 %% asked once", probation, charged)
+	}
 	measured := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if diff := int64(charged) - measured; 4*diff > measured || -4*diff > measured {
 		t.Fatalf("%d count-only entries are charged %d B (%d B each) and hold %d B of heap (%d B each): not within 25 %%",

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -26,12 +25,23 @@ import (
 // again.  It must outlast the gap between a query and its repeat — a
 // dashboard's deck, an interval's prefixes asked by the next interval —
 // and every byte of it is held for questions nobody asks twice.  A
-// fraction's entry is its count, charged its key and
-// planCacheEntryOverhead, ≈ 264–312 B under a fleet node's filter key, so
-// 256 KiB holds a node's last ≈ 850–1000 first-seen fractions, ≈ 8× as
-// many as its ≈ 2.35 kB bitmaps: a node asked fewer new questions than
-// that holds their counts, and one asked more fills the 256 KiB with the
-// latest.  A join's bitmap and a keep mask wait there with their words.
+// fraction's entry is its count, charged its compact key (4–14 B over a
+// 10-bit field's prefixes) and planCacheEntryOverhead, ≈ 212–222 B under a
+// fleet node's 32-byte filter key, so 256 KiB holds a node's last ≈
+// 1180–1240 first-seen fractions, ≈ 11× as many as its ≈ 2.35 kB bitmaps:
+// a node asked fewer new questions than that holds their counts, and one
+// asked more fills the 256 KiB with the latest.  A join's bitmap and a keep
+// mask wait there with their words.
+//
+// planCacheEntryOverhead is what an entry holds beside its key's bytes and
+// its words: its map slot, 96 B (a 40-byte CacheKey, the Entry and Filter
+// headers among them, and a 56-byte planCacheEntry) and the map's room
+// around it, and on probation a 48-byte probationSlot, a ring of them
+// holding up to half again its live slots — 20 000 count-only entries hold
+// ≈ 192 B each of heap in the main budget and ≈ 258 B on probation, 20-byte
+// Entry strings included, where each is charged 228 B
+// (TestPlanCacheCountOnlyChargeMatchesHeap).  A filter's key is charged to
+// each entry under it, though its entries share its string.
 //
 // The doorkeeper remembers the keys Put since it was last cleared in a
 // Bloom filter of one bit per KiB of budget (32 Ki bits, 4 KiB) probed
@@ -41,7 +51,7 @@ import (
 const (
 	planCacheBudget        = 32 << 20
 	planCacheWindow        = planCacheBudget / 128
-	planCacheEntryOverhead = 128 // map slot, entry and key header, rounded up
+	planCacheEntryOverhead = 176
 
 	doorkeeperBits   = planCacheBudget / 1024
 	doorkeeperProbes = 4
@@ -87,9 +97,9 @@ type planCache struct {
 	// on probation included; waiting is what the latter cost against
 	// planCacheWindow.
 	bytes, waiting int
-	// probation holds the keys of the entries on probation, oldest first;
+	// probation queues the keys of the entries on probation, oldest first;
 	// window is planCacheWindow (a test shrinks it).
-	probation list.List
+	probation probation
 	window    int
 	// holders counts the entries holding each shared words array, by its
 	// first word, and those of them on probation.
@@ -117,14 +127,14 @@ type holders struct{ all, waiting int }
 
 // planCacheEntry pairs a bitmap with the generation and record count it
 // was computed at, and with hits, how many bits it sets.  words is nil for
-// a fraction's count.  waiting is its element of the probation FIFO, nil
-// once it is in the main budget.
+// a fraction's count.  waiting is the sequence number of its probation
+// slot, 0 once it is in the main budget.
 type planCacheEntry struct {
 	gen     uint64
 	records int
 	words   []uint64
 	hits    uint64
-	waiting *list.Element
+	waiting uint64
 }
 
 // newPlanCache returns an empty cache.
@@ -154,7 +164,7 @@ func (c *planCache) Get(key query.CacheKey, gen uint64, records int) ([]uint64, 
 		misses.Add(1)
 		return nil, false
 	}
-	if e.waiting != nil {
+	if e.waiting != 0 {
 		c.promote(key, gen, records)
 	}
 	hits.Add(1)
@@ -169,7 +179,7 @@ func (c *planCache) Hits(key query.CacheKey, gen uint64, records int) (uint64, b
 		c.misses.Add(1)
 		return 0, false
 	}
-	if e.waiting != nil {
+	if e.waiting != 0 {
 		c.promote(key, gen, records)
 	}
 	c.hits.Add(1)
@@ -184,12 +194,12 @@ func (c *planCache) promote(key query.CacheKey, gen uint64, records int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
-	if !ok || e.gen != gen || e.records != records || e.waiting == nil {
+	if !ok || e.gen != gen || e.records != records || e.waiting == 0 {
 		return
 	}
-	c.unwait(key, e)
-	e.waiting = nil
+	e.waiting = 0
 	c.m[key] = e
+	c.unwait(key, e)
 	c.admitted.Add(1)
 }
 
@@ -244,7 +254,7 @@ func (c *planCache) count(key query.CacheKey, words []uint64, all, waiting int) 
 func (c *planCache) hold(key query.CacheKey, e planCacheEntry) {
 	c.bytes += c.adds(key, e.words, false)
 	waiting := 0
-	if e.waiting != nil {
+	if e.waiting != 0 {
 		c.waiting += c.adds(key, e.words, true)
 		waiting = 1
 	}
@@ -252,11 +262,15 @@ func (c *planCache) hold(key query.CacheKey, e planCacheEntry) {
 }
 
 // unwait takes entry e under key out of the window, refunding what it
-// costs there.
+// costs there; its slot is stale already, m holding no entry under key
+// with e's sequence number.
 func (c *planCache) unwait(key query.CacheKey, e planCacheEntry) {
-	c.probation.Remove(e.waiting)
 	c.count(key, e.words, 0, -1)
 	c.waiting -= c.adds(key, e.words, true)
+	p := &c.probation
+	if p.live--; p.live == 0 || len(p.ring) > 2*p.live+ringSlack {
+		c.compact()
+	}
 }
 
 // Put implements query.BitmapCache.  The stored words are shared and must
@@ -279,6 +293,7 @@ func (c *planCache) Put(key query.CacheKey, gen uint64, records int, hits uint64
 	if c.seen == nil {
 		c.seen = new(doorkeeper)
 	}
+	waits := false
 	switch {
 	case c.seen.saw(key):
 		c.admitted.Add(1)
@@ -286,10 +301,10 @@ func (c *planCache) Put(key query.CacheKey, gen uint64, records int, hits uint64
 		return
 	default:
 		for c.waiting+c.adds(key, words, true) > c.window {
-			c.drop(c.probation.Front().Value.(query.CacheKey))
+			c.drop(c.oldest())
 			c.rejected.Add(1)
 		}
-		e.waiting = c.probation.PushBack(key)
+		waits = true
 	}
 	if c.bytes+c.adds(key, words, false) > planCacheBudget {
 		// Down to half the budget, or to what leaves room for a bitmap
@@ -301,6 +316,11 @@ func (c *planCache) Put(key query.CacheKey, gen uint64, records int, hits uint64
 			}
 			c.drop(k)
 		}
+	}
+	if waits {
+		// Queued last: a compaction on the way would take a slot whose
+		// entry m does not hold yet for a stale one.
+		e.waiting = c.queue(key)
 	}
 	c.m[key] = e
 	c.hold(key, e)
@@ -314,11 +334,91 @@ func (c *planCache) drop(key query.CacheKey) {
 		return
 	}
 	delete(c.m, key)
-	if e.waiting != nil {
+	if e.waiting != 0 {
 		c.unwait(key, e)
 	}
 	c.count(key, e.words, -1, 0)
 	c.bytes -= c.adds(key, e.words, false)
+}
+
+// probation is the FIFO of the keys on probation: a ring of slots, oldest
+// first from ring[head], each a key and the sequence number its entry was
+// queued under.  A slot goes stale, not away, when its entry is promoted,
+// dropped or Put again — the entry under its key no longer waits under its
+// number — and a stale slot is skipped when it reaches the front.  The ring
+// holds at most 2·live + ringSlack slots, stale ones included, and none at
+// all when nothing waits.  compact, which moves the live slots into a ring
+// half as large again, runs when a slot is queued onto a full ring and when
+// an entry leaving probation takes live below that bound: each time a
+// quarter of the live entries or more have been queued or have left since
+// the last, so a slot costs O(1) amortized.
+type probation struct {
+	ring         []probationSlot
+	head, queued int    // the front slot's index, and the slots queued from it, stale ones included
+	live         int    // the entries on probation, each one slot's
+	seq          uint64 // the last sequence number handed out
+}
+
+// probationSlot is one key on probation and the sequence number it was
+// queued under.
+type probationSlot struct {
+	key query.CacheKey
+	seq uint64
+}
+
+// ringSlack is the room a compacted ring has beyond half again its live
+// slots, and what the bound 2·live allows it beside them.
+const ringSlack = 8
+
+// queue puts key at the back of the probation FIFO, live, and returns the
+// sequence number its entry waits under.
+func (c *planCache) queue(key query.CacheKey) uint64 {
+	p := &c.probation
+	if p.live++; p.queued == len(p.ring) {
+		c.compact()
+	}
+	p.seq++
+	p.ring[(p.head+p.queued)%len(p.ring)] = probationSlot{key: key, seq: p.seq}
+	p.queued++
+	return p.seq
+}
+
+// oldest takes the front slots off the FIFO up to the first live one, and
+// returns its key; it must be called only while an entry is on probation.
+func (c *planCache) oldest() query.CacheKey {
+	p := &c.probation
+	for {
+		s := p.ring[p.head]
+		p.ring[p.head] = probationSlot{} // let the key's strings go
+		p.head, p.queued = (p.head+1)%len(p.ring), p.queued-1
+		if c.queuedAs(s) {
+			return s.key
+		}
+	}
+}
+
+// queuedAs reports whether slot s is live: the entry under its key waits
+// under its sequence number.
+func (c *planCache) queuedAs(s probationSlot) bool {
+	e, ok := c.m[s.key]
+	return ok && e.waiting == s.seq
+}
+
+// compact moves the live slots, oldest first, into a new ring with room for
+// half as many again and ringSlack more, and lets the stale ones and the old
+// array go; with nothing on probation it lets the ring go.
+func (c *planCache) compact() {
+	p := &c.probation
+	var ring []probationSlot
+	if p.live > 0 {
+		ring = make([]probationSlot, 0, p.live+p.live/2+ringSlack)
+		for i := 0; i < p.queued; i++ {
+			if s := p.ring[(p.head+i)%len(p.ring)]; c.queuedAs(s) {
+				ring = append(ring, s)
+			}
+		}
+	}
+	p.ring, p.head, p.queued = ring[:cap(ring)], 0, len(ring)
 }
 
 // Evaluated implements query.BitmapCache.

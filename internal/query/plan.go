@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"sketchprivacy/internal/bitvec"
@@ -48,14 +49,48 @@ type (
 // fact asked of a record is the bit H(id, B, v, s).
 type FractionEval = SubQuery
 
-// Key returns the dedup key of the evaluation.  Both components are
-// self-delimiting (the subset tag and the value encoding carry their own
-// lengths), so plain concatenation is collision-free.  For a subset of up
-// to 16 positions it is assembled on the stack: the string is the one
+// Key returns the evaluation's compact key (see appendPairKey): the plan's
+// dedup key and the Entry of its bitmap's CacheKey.  A P10 pair's is 14
+// bytes where its PRF message encoding is 104.  For a subset of up to 16
+// positions under 128 it is assembled on the stack: the string is the one
 // allocation, on the executor's per-pair cache-lookup path too.
 func (f FractionEval) Key() string {
-	var buf [8 + 8*16 + 16]byte
-	return string(f.Value.AppendBytes(f.Subset.AppendTag(buf[:0])))
+	var buf [pairKeyRoom]byte
+	return string(appendPairKey(buf[:0], f.Subset, f.Value))
+}
+
+// pairKeyRoom is the stack room for a pair's compact key: 16 one-byte
+// positions, their count and a value of up to 127 bits with its length.
+const pairKeyRoom = 1 + 16 + 1 + 16
+
+// SubsetKey returns subset b's compact key (see appendSubsetKey), the Entry
+// of its keep masks' CacheKeys.  It is not Subset.Key, the PRF message's tag
+// that the table and the store key a subset by.
+func SubsetKey(b bitvec.Subset) string {
+	var buf [pairKeyRoom]byte
+	return string(appendSubsetKey(buf[:0], b))
+}
+
+// appendSubsetKey appends subset b's compact key: its position count, then
+// its positions in subset order, uvarints all.  The count says how many
+// positions follow and a uvarint ends itself, so the key is injective and
+// no key is a prefix of another subset's.
+func appendSubsetKey(dst []byte, b bitvec.Subset) []byte {
+	dst = binary.AppendUvarint(dst, uint64(b.Len()))
+	for i := 0; i < b.Len(); i++ {
+		dst = binary.AppendUvarint(dst, uint64(b.At(i)))
+	}
+	return dst
+}
+
+// appendPairKey appends the compact key of the pair (b, v): b's key, then
+// v's bit length n, a uvarint, and v's ⌈n/8⌉ packed bytes.  Each part ends
+// itself, so the key is injective over pairs.  It keys a plan's entries and
+// the cache's bitmaps; the PRF message encodes the pair with Subset.AppendTag
+// and Vector.AppendBytes, which it leaves alone.
+func appendPairKey(dst []byte, b bitvec.Subset, v bitvec.Vector) []byte {
+	dst = binary.AppendUvarint(appendSubsetKey(dst, b), uint64(v.Len()))
+	return v.AppendPacked(dst)
 }
 
 // HistogramEval is one Appendix F match-histogram evaluation over a list of
@@ -74,20 +109,17 @@ type HistogramEval struct {
 	GuardValid bool
 }
 
-// Key returns the dedup key of the histogram evaluation.  The guard is
-// part of the key: the same sub-queries guarded differently are distinct
+// Key returns the dedup key of the histogram evaluation: its guard, then
+// its sub-queries' compact keys, which end themselves.  The guard is part
+// of the key: the same sub-queries guarded differently are distinct
 // entries (one may be skipped where the other must be computed).
 func (h HistogramEval) Key() string {
-	var out []byte
-	for _, s := range h.Subs {
-		out = s.Subset.AppendTag(out)
-		out = s.Value.AppendBytes(out)
-	}
+	out := []byte{0}
 	if h.GuardValid {
-		out = append(out, 1)
-		out = append(out, byte(h.Guard>>24), byte(h.Guard>>16), byte(h.Guard>>8), byte(h.Guard))
-	} else {
-		out = append(out, 0)
+		out = binary.AppendUvarint([]byte{1}, uint64(h.Guard))
+	}
+	for _, s := range h.Subs {
+		out = appendPairKey(out, s.Subset, s.Value)
 	}
 	return string(out)
 }

@@ -14,9 +14,10 @@ import (
 // CacheKey names one cached bitmap over a subset's sorted view: an
 // evaluation bitmap (Entry is FractionEval.Key, Filter the UserFilter.Key
 // it was computed under, empty without a filter) or, with Mask set, the keep
-// mask of a filter (Entry is the subset's key, Filter is UserFilter.Key).
-// Mask tells the two kinds apart, so neither can be served as the other.
-// Filter shares the filter's string; nothing is copied per key.
+// mask of a filter (Entry is SubsetKey, Filter is UserFilter.Key).  Mask
+// tells the two kinds apart, so neither can be served as the other.  Entry
+// is a compact key, 14 bytes for a P10 pair's bitmap, its own allocation
+// (16 bytes); Filter shares the filter's string, nothing copied per key.
 type CacheKey struct {
 	Mask   bool
 	Entry  string
@@ -153,12 +154,13 @@ type cut struct {
 	h     prf.BitSource
 	keep  *UserFilter
 	cache BitmapCache
-	index map[string]int // Subset.Key → the subset's position in subs
+	index map[string]int // SubsetKey → the subset's position in subs
 	subs  []cutSubset
 }
 
-// cutSubset is one subset of a cut: the key it is cached under, its view,
-// and the filter's keep mask over the view once that has been fetched.
+// cutSubset is one subset of a cut: the key its masks are cached under
+// (SubsetKey), its view, and the filter's keep mask over the view once that
+// has been fetched.
 type cutSubset struct {
 	key  string
 	view sketch.View
@@ -173,7 +175,7 @@ func (e *Estimator) cutTable(tab *sketch.Table, subsets []bitvec.Subset, all boo
 	x.subs = make([]cutSubset, 0, len(views))
 	for _, v := range views {
 		if x.at(v.Subset()) < 0 {
-			key := v.Subset().Key()
+			key := SubsetKey(v.Subset())
 			x.index[key] = len(x.subs)
 			x.subs = append(x.subs, cutSubset{key: key, view: v})
 		}
@@ -183,8 +185,8 @@ func (e *Estimator) cutTable(tab *sketch.Table, subsets []bitvec.Subset, all boo
 
 // at returns the position of subset b in the cut, -1 if it has none.
 func (x *cut) at(b bitvec.Subset) int {
-	var buf [8 + 8*16]byte // as in Table.lookup: looking a subset up allocates no key
-	if si, ok := x.index[string(b.AppendTag(buf[:0]))]; ok {
+	var buf [pairKeyRoom]byte // looking a subset up allocates no key
+	if si, ok := x.index[string(appendSubsetKey(buf[:0], b))]; ok {
 		return si
 	}
 	return -1
@@ -197,8 +199,8 @@ func (x *cut) at(b bitvec.Subset) int {
 func (p *Plan) joins() (join []bool) {
 	for _, h := range p.hists {
 		for _, s := range h.Subs {
-			var buf [8 + 8*16 + 16]byte // as in FractionEval.Key
-			if i, ok := p.fracIdx[string(s.Value.AppendBytes(s.Subset.AppendTag(buf[:0])))]; ok && !h.GuardValid {
+			var buf [pairKeyRoom]byte // as in FractionEval.Key
+			if i, ok := p.fracIdx[string(appendPairKey(buf[:0], s.Subset, s.Value))]; ok && !h.GuardValid {
 				if join == nil {
 					join = make([]bool, len(p.fractions))
 				}
@@ -241,10 +243,12 @@ func (x *cut) scan(ctx context.Context, pairs []FractionEval, join []bool, bitma
 		records := x.subs[si].view
 		n, gen := records.Len(), records.Gen()
 		var missed []FractionEval
-		var missedAt []int
+		var missedAt []missedPair
 		for _, i := range group {
+			var entry string
 			if cached {
-				key := CacheKey{Entry: pairs[i].Key(), Filter: filter}
+				entry = pairs[i].Key()
+				key := CacheKey{Entry: entry, Filter: filter}
 				if bitmaps != nil {
 					if w, ok := x.cache.Get(key, gen, n); ok {
 						bitmaps[i] = w
@@ -255,7 +259,7 @@ func (x *cut) scan(ctx context.Context, pairs []FractionEval, join []bool, bitma
 					continue
 				}
 			}
-			missed, missedAt = append(missed, pairs[i]), append(missedAt, i)
+			missed, missedAt = append(missed, pairs[i]), append(missedAt, missedPair{i, entry})
 		}
 		if len(missed) == 0 || n == 0 {
 			continue
@@ -269,7 +273,7 @@ func (x *cut) scan(ctx context.Context, pairs []FractionEval, join []bool, bitma
 			x.cache.Evaluated(kept * uint64(len(missed)))
 		}
 		for c, w := range evalBitmaps(x.h, records, missed, keep, int(kept)) {
-			i, count := missedAt[c], popcount(w)
+			i, count := missedAt[c].at, popcount(w)
 			if bitmaps != nil {
 				bitmaps[i] = w
 			} else {
@@ -279,11 +283,18 @@ func (x *cut) scan(ctx context.Context, pairs []FractionEval, join []bool, bitma
 				}
 			}
 			if cached {
-				x.cache.Put(CacheKey{Entry: missed[c].Key(), Filter: filter}, gen, n, count, w)
+				x.cache.Put(CacheKey{Entry: missedAt[c].entry, Filter: filter}, gen, n, count, w)
 			}
 		}
 	}
 	return nil
+}
+
+// missedPair is a pair a scan missed: where it is in the scan's pairs, and
+// its Entry, built once for its lookup and its Put ("" uncached).
+type missedPair struct {
+	at    int
+	entry string
 }
 
 // mask returns the keep mask of subset si's view, nil when nothing is

@@ -91,7 +91,7 @@ func TestHistogramWarmIsAJoin(t *testing.T) {
 	}
 	var masks [][]uint64
 	for _, s := range []bitvec.Subset{a, b, c} {
-		e, ok := cache[CacheKey{Mask: true, Entry: s.Key(), Filter: keep.Key}]
+		e, ok := cache[CacheKey{Mask: true, Entry: SubsetKey(s), Filter: keep.Key}]
 		if !ok || len(e.words) == 0 {
 			t.Fatalf("no keep mask cached for subset %v", s)
 		}
