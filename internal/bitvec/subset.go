@@ -3,6 +3,8 @@ package bitvec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,6 +213,93 @@ func ParseTag(b []byte) (Subset, error) {
 		pos[i] = int(binary.BigEndian.Uint64(b[8+8*i:]))
 	}
 	return NewSubset(pos...)
+}
+
+// CompactLen returns the length of the compact encoding (AppendCompact).
+func (s Subset) CompactLen() int {
+	n := uvarintLen(uint64(len(s.positions)))
+	for _, p := range s.positions {
+		n += uvarintLen(uint64(p))
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// AppendCompact appends the subset's compact encoding: its position count,
+// then its positions in subset order, uvarints all — a byte a position
+// below 128, where the Tag spends 8.  The count says how many positions
+// follow and a uvarint ends itself, so the encoding is injective and no
+// subset's is a prefix of another's.  It keys the plan cache's entries and
+// names a run's subset on disk; the PRF message keeps the Tag.
+func (s Subset) AppendCompact(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s.positions)))
+	for _, p := range s.positions {
+		dst = binary.AppendUvarint(dst, uint64(p))
+	}
+	return dst
+}
+
+// CompactSize returns how many bytes the compact encoding at the front of
+// b occupies, reading no further.  It refuses a uvarint cut short, longer
+// than 64 bits or not in its fewest bytes, and a count of positions the
+// bytes could not hold, so that an encoding it accepts is the only one of
+// its positions; what the positions are is ParseCompact's to check.
+func CompactSize(b []byte) (int, error) {
+	count, at, err := compactUvarint(b, 0)
+	if err != nil {
+		return 0, err
+	}
+	if count > uint64(len(b)-at) {
+		return 0, fmt.Errorf("bitvec: compact subset claims %d positions in %d bytes", count, len(b)-at)
+	}
+	for i := uint64(0); i < count; i++ {
+		if at < len(b) && b[at] < 0x80 {
+			at++ // a position below 128, the common case
+			continue
+		}
+		if _, at, err = compactUvarint(b, at); err != nil {
+			return 0, err
+		}
+	}
+	return at, nil
+}
+
+// compactUvarint reads the uvarint at b[at:], which must be minimal, and
+// returns it and where it ends.
+func compactUvarint(b []byte, at int) (uint64, int, error) {
+	x, n := binary.Uvarint(b[at:])
+	switch {
+	case n <= 0:
+		return 0, 0, fmt.Errorf("bitvec: compact subset cut short or overlong at byte %d", at)
+	case n > 1 && b[at+n-1] == 0:
+		return 0, 0, fmt.Errorf("bitvec: compact subset has a padded uvarint at byte %d", at)
+	}
+	return x, at + n, nil
+}
+
+// ParseCompact reconstructs the subset whose compact encoding is at the
+// front of b and returns it and the encoding's size.  It refuses what
+// CompactSize refuses and what NewSubset does — a position past the
+// largest int, a repeated one — so that any bytes it accepts are exactly
+// what AppendCompact writes for the subset it returns.
+func ParseCompact(b []byte) (Subset, int, error) {
+	size, err := CompactSize(b)
+	if err != nil {
+		return Subset{}, 0, err
+	}
+	count, at, _ := compactUvarint(b, 0)
+	pos := make([]int, count)
+	for i := range pos {
+		var p uint64
+		p, at, _ = compactUvarint(b, at)
+		if p > math.MaxInt {
+			return Subset{}, 0, fmt.Errorf("bitvec: compact subset position %d out of range", p)
+		}
+		pos[i] = int(p)
+	}
+	s, err := NewSubset(pos...)
+	return s, size, err
 }
 
 // String renders the subset as "{p1,p2,...}".

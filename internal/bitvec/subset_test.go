@@ -1,6 +1,8 @@
 package bitvec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -170,4 +172,83 @@ func TestSubsetString(t *testing.T) {
 	if s := MustSubset().String(); s != "{}" {
 		t.Errorf("empty String = %q", s)
 	}
+}
+
+// TestCompactRoundTrip: the compact encoding of subsets whose positions
+// straddle the uvarint byte boundaries is a byte a position below 128 and
+// parses back from the front of longer bytes; bytes no writer writes —
+// a padded uvarint, a count the bytes cannot hold, a repeated position, a
+// position past the largest int, an encoding cut short — are refused.
+func TestCompactRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		s    Subset
+		want []byte
+	}{
+		{MustSubset(), []byte{0}},
+		{MustSubset(0, 2, 4), []byte{3, 0, 2, 4}},
+		{Range(0, 10), []byte{10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{MustSubset(127, 128, 16383, 16384), []byte{4, 0x7F, 0x80, 0x01, 0xFF, 0x7F, 0x80, 0x80, 0x01}},
+	} {
+		got := c.s.AppendCompact(nil)
+		if !bytes.Equal(got, c.want) || c.s.CompactLen() != len(got) {
+			t.Fatalf("%v encodes as %x (CompactLen %d), want %x", c.s, got, c.s.CompactLen(), c.want)
+		}
+		back, n, err := ParseCompact(append(got, 0xFF, 0x00))
+		if err != nil || n != len(got) || !back.Equal(c.s) {
+			t.Fatalf("%x parses to %v, %d, %v", got, back, n, err)
+		}
+	}
+	for name, b := range map[string][]byte{
+		"empty":                {},
+		"a padded count":       {0x81, 0x00, 1},
+		"a padded position":    {1, 0x80, 0x00},
+		"a zero-padded zero":   {1, 0x80, 0x80, 0x00},
+		"a count past the end": {3, 1, 2},
+		"a position cut short": {1, 0x80},
+		"a repeated position":  {2, 5, 5},
+		"a position past int":  binary.AppendUvarint([]byte{1}, 1<<63),
+		"an overlong uvarint":  {1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+	} {
+		if s, n, err := ParseCompact(b); err == nil {
+			t.Fatalf("%s (%x) parses to %v in %d bytes", name, b, s, n)
+		}
+	}
+}
+
+// FuzzSubsetCompact: a subset drawn from the fuzzer's bytes round-trips
+// through its compact encoding, also with bytes after it, and any bytes
+// ParseCompact accepts are exactly the encoding of the subset it returns —
+// one byte form a subset, as the store's run sets, keyed by those bytes,
+// need.
+func FuzzSubsetCompact(f *testing.F) {
+	f.Add([]byte{3, 0, 2, 4})
+	f.Add([]byte{0})
+	f.Add([]byte{2, 0x80, 0x01, 0x7F})
+	f.Add([]byte{1, 0x80, 0x00})
+	f.Add([]byte{2, 5, 5})
+	f.Add(binary.AppendUvarint([]byte{1}, 1<<63))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if s, n, err := ParseCompact(b); err == nil {
+			if enc := s.AppendCompact(nil); !bytes.Equal(enc, b[:n]) || s.CompactLen() != n {
+				t.Fatalf("%x parses to %v, which encodes as %x (CompactLen %d)", b[:n], s, enc, s.CompactLen())
+			}
+			if size, err := CompactSize(b); err != nil || size != n {
+				t.Fatalf("%x: CompactSize = %d, %v; ParseCompact took %d", b, size, err, n)
+			}
+		}
+		var pos []int
+		seen := make(map[int]bool)
+		for i := 0; i+3 <= len(b) && len(pos) < 40; i += 3 {
+			p := int(uint32(b[i])|uint32(b[i+1])<<8|uint32(b[i+2])<<16) >> (b[i] % 24)
+			if !seen[p] {
+				seen[p], pos = true, append(pos, p)
+			}
+		}
+		s := MustSubset(pos...)
+		enc := s.AppendCompact(nil)
+		back, n, err := ParseCompact(append(enc, b...))
+		if err != nil || n != len(enc) || !back.Equal(s) || s.CompactLen() != len(enc) {
+			t.Fatalf("%v encodes as %x and parses back to %v, %d, %v", s, enc, back, n, err)
+		}
+	})
 }

@@ -30,21 +30,11 @@ func parsePairKey(key []byte) (bitvec.Subset, bitvec.Vector, error) {
 // parseSubsetKey reads a compact subset key from the front of key and
 // returns what follows it.
 func parseSubsetKey(key []byte) (bitvec.Subset, []byte, error) {
-	count, k := binary.Uvarint(key)
-	if k <= 0 || count > uint64(len(key)) {
-		return bitvec.Subset{}, nil, fmt.Errorf("no position count")
+	b, n, err := bitvec.ParseCompact(key)
+	if err != nil {
+		return bitvec.Subset{}, nil, err
 	}
-	key = key[k:]
-	positions := make([]int, count)
-	for i := range positions {
-		p, k := binary.Uvarint(key)
-		if k <= 0 {
-			return bitvec.Subset{}, nil, fmt.Errorf("position %d of %d cut short", i, count)
-		}
-		positions[i], key = int(p), key[k:]
-	}
-	b, err := bitvec.NewSubset(positions...)
-	return b, key, err
+	return b, key[n:], nil
 }
 
 // randomPair draws a (subset, value) pair from few positions around the

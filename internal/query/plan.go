@@ -63,33 +63,21 @@ func (f FractionEval) Key() string {
 // positions, their count and a value of up to 127 bits with its length.
 const pairKeyRoom = 1 + 16 + 1 + 16
 
-// SubsetKey returns subset b's compact key (see appendSubsetKey), the Entry
-// of its keep masks' CacheKeys.  It is not Subset.Key, the PRF message's tag
-// that the table and the store key a subset by.
+// SubsetKey returns subset b's compact encoding (Subset.AppendCompact), the
+// Entry of its keep masks' CacheKeys.  It is not Subset.Key, the PRF
+// message's tag that the table and the store key a subset by.
 func SubsetKey(b bitvec.Subset) string {
 	var buf [pairKeyRoom]byte
-	return string(appendSubsetKey(buf[:0], b))
+	return string(b.AppendCompact(buf[:0]))
 }
 
-// appendSubsetKey appends subset b's compact key: its position count, then
-// its positions in subset order, uvarints all.  The count says how many
-// positions follow and a uvarint ends itself, so the key is injective and
-// no key is a prefix of another subset's.
-func appendSubsetKey(dst []byte, b bitvec.Subset) []byte {
-	dst = binary.AppendUvarint(dst, uint64(b.Len()))
-	for i := 0; i < b.Len(); i++ {
-		dst = binary.AppendUvarint(dst, uint64(b.At(i)))
-	}
-	return dst
-}
-
-// appendPairKey appends the compact key of the pair (b, v): b's key, then
-// v's bit length n, a uvarint, and v's ⌈n/8⌉ packed bytes.  Each part ends
-// itself, so the key is injective over pairs.  It keys a plan's entries and
+// appendPairKey appends the compact key of the pair (b, v): b's compact
+// encoding, then v's bit length n, a uvarint, and v's ⌈n/8⌉ packed bytes.
+// Each part ends itself, so the key is injective over pairs.  It keys a plan's entries and
 // the cache's bitmaps; the PRF message encodes the pair with Subset.AppendTag
 // and Vector.AppendBytes, which it leaves alone.
 func appendPairKey(dst []byte, b bitvec.Subset, v bitvec.Vector) []byte {
-	dst = binary.AppendUvarint(appendSubsetKey(dst, b), uint64(v.Len()))
+	dst = binary.AppendUvarint(b.AppendCompact(dst), uint64(v.Len()))
 	return v.AppendPacked(dst)
 }
 

@@ -186,7 +186,7 @@ func (e *Estimator) cutTable(tab *sketch.Table, subsets []bitvec.Subset, all boo
 // at returns the position of subset b in the cut, -1 if it has none.
 func (x *cut) at(b bitvec.Subset) int {
 	var buf [pairKeyRoom]byte // looking a subset up allocates no key
-	if si, ok := x.index[string(appendSubsetKey(buf[:0], b))]; ok {
+	if si, ok := x.index[string(b.AppendCompact(buf[:0]))]; ok {
 		return si
 	}
 	return -1

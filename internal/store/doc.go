@@ -27,12 +27,14 @@
 // The paper's disclosure per (user, subset) is an ℓ-bit key — 9 bits for a
 // million users — under a subset every other user who sketched it shares.
 // So the store never frames a record on its own.  Everywhere it holds
-// records it holds runs (run.go): a subset's tag once, a count, the words'
-// shape, then user ids and sketches as packed columns — the sketch table's
-// own layout.  A log frame is the runs of one appended group, a run per
-// stretch of its records of one subset and length — the engine hands a
-// batch over subset by subset, ids ascending, so a run per subset; a segment
-// (format v7, segment.go) is a shard's runs in subset order, ids
+// records it holds runs (run.go): a subset named once, in a byte a
+// position, the words' shape, a count, then user ids and sketches as
+// packed columns — the sketch table's own layout.  A log frame is the runs
+// of one appended group, a run per stretch of its records of one subset
+// and length — the engine hands a batch over subset by subset, ids
+// ascending, so a run per subset, and a run whose users are the previous
+// run's, one for one, carries no ids of its own; a segment (format v8,
+// segment.go) is a shard's runs in subset order, ids
 // ascending, each in a frame of its own, and nothing else — the run
 // directory its readers use is derived from those bytes at Open and kept
 // in memory, and every read takes a run's frame whole and parses it as the
@@ -84,24 +86,26 @@
 // damage to one is ErrSegmentCorrupt, reported rather than silently
 // dropped.
 //
-// # Format v6 is converted, older ones refused
+// # Format v7 is converted, older ones refused
 //
-// Format v7 is the only one this version reads.  A directory whose
-// manifest is marked v6 — the same log, and segments whose runs are cut
-// into 64-record blocks under a checksum each — is converted at Open,
-// before any shard serves (v6.go): every shard's segments are read
-// first, writing nothing; then the manifest is marked v7-converting, each
-// shard's segments are merged into one v7 segment, newer than all of
-// them, the segments it came from are removed, and the manifest is marked
-// v7.  Each step is a renamed file or a removal, so a crash leaves a
-// directory the next Open carries the conversion on in.  Open refuses
-// with ErrFormatTooOld, having written nothing in any shard, a directory
-// whose manifest is marked v3, v4, v5, v5-converting or v6-converting,
-// and one holding data under a manifest with no marker (before v3).  The
-// error names the versions that upgrade such a directory, which is opened
-// once with each and then with this one.  A malformed run header — a
-// shape past 30, say, which only a binary older than v5's conversion
-// wrote — is corrupt in a segment and the end of the valid prefix in a
+// Format v8 is the only one this version reads.  A directory whose
+// manifest is marked v7 — the same frames with a run count ahead of a
+// frame's runs, each run naming its subset by its 8-bytes-a-position tag
+// and carrying its own ids — is converted at Open, before any shard serves
+// (v7.go): every shard's segments and log are read first, writing nothing;
+// then the manifest is marked v8-converting, each shard's records are
+// merged into one v8 segment, newer than all of them, the segments they
+// came from are removed, the log is replaced by an empty v8 one, and the
+// manifest is marked v8.  Each step is a renamed file or a removal, so a
+// crash leaves a directory the next Open carries the conversion on in.
+// Open refuses with ErrFormatTooOld, having written nothing in any shard,
+// a directory whose manifest is marked v3, v4, v5, v6, v5-converting,
+// v6-converting or v7-converting, and one holding data under a manifest
+// with no marker (before v3).  The error names the versions that upgrade
+// such a directory, which is opened once with each and then with this
+// one.  A malformed run header — a shape past 30, say, which only a binary
+// older than v5's conversion wrote, or a frame's first run sharing the ids
+// of none — is corrupt in a segment and the end of the valid prefix in a
 // log.
 //
 // The store keeps a subset's records of two lengths as runs of their own,

@@ -368,9 +368,10 @@ func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The magic, a frame of one run for each subset — a header, its tag,
-	// one id block of one id and 10 bits of key — and the footer.
-	if want := len(segMagic) + 2*(walFrameHeader+4+runHeaderFixed+9+2) + 16 + 24 + segFooterSize; len(clean) != want {
+	// The magic, a frame of one run for each subset — its compact subset
+	// (2 and 3 bytes), a shape byte, a count, one id block of one id and 10
+	// bits of key — and the footer.
+	if want := len(segMagic) + 2*(walFrameHeader+1+1+9+2) + 2 + 3 + segFooterSize; len(clean) != want {
 		t.Fatalf("the segment is %d bytes, want %d", len(clean), want)
 	}
 	refused := func(t *testing.T, what string, image []byte) {
@@ -395,14 +396,14 @@ func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 		image[at] ^= 0xFF
 		return image
 	}
-	// The first run's frame: its header, run count, run header (a 16-byte
-	// tag) and then the record's id block.
-	const firstRun = len(segMagic) + walFrameHeader + 4
+	// The first run's frame: its header, the run header (subset {0} in 2
+	// bytes, the shape byte and the count) and then the record's id block.
+	const firstRun = len(segMagic) + walFrameHeader
 	t.Run("record frame", func(t *testing.T) {
-		refused(t, "a corrupt record", flipped(firstRun+runHeaderFixed+16+1))
+		refused(t, "a corrupt record", flipped(firstRun+2+1+1+1))
 	})
 	t.Run("run header", func(t *testing.T) {
-		refused(t, "a corrupt run header", flipped(firstRun+4))
+		refused(t, "a corrupt run header", flipped(firstRun+2))
 	})
 	t.Run("index footer", func(t *testing.T) {
 		refused(t, "a corrupt record count", flipped(len(clean)-1))
@@ -765,8 +766,8 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A run's frame is a frame header, a run count and the run's header,
-	// then eleven blocks of ids 1 apart (a width byte of 0 and a first id:
+	// A run's frame is a frame header and the run's header, then eleven
+	// blocks of ids 1 apart (a width byte of 0 and a first id:
 	// consecutive ids have no differences to code) and 10 bits of key a
 	// record (the sketches are ℓ = 10); the next run's frame starts where
 	// it ends.
@@ -777,7 +778,7 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 		}
 		at := int64(len(segMagic))
 		for i, r := range runs {
-			end := at + int64(walFrameHeader+4+runHeaderFixed+subsets[i].TagLen()) + columns
+			end := at + int64(walFrameHeader+len(appendRunHeader(nil, subsets[i], perSubset, 10, false))) + columns
 			if r.tag != subsets[i].Key() || !r.subset.Equal(subsets[i]) || r.count != perSubset || r.shape != 10 || r.start != at || r.end != end {
 				t.Fatalf("%s directory run %d = %+v, want its frame at [%d,%d)", name, i, r, at, end)
 			}
@@ -814,7 +815,7 @@ func TestSegmentSplitsRunPastFrameBound(t *testing.T) {
 	}
 	runs := testRuns(records)
 	w := newSegWriter(0)
-	w.frameBytes = 4 + runHeaderFixed + b.TagLen() + 2*(1+8+63*2/8+1+80) // two blocks a frame
+	w.frameBytes = runHeaderSize(b, len(records)) + 2*(1+8+63*2/8+1+80) // two blocks a frame
 	w.add(runs[0])
 	image, built := w.finish()
 	frames := 0
@@ -873,9 +874,9 @@ func TestLogAndSegmentWriteOneLayout(t *testing.T) {
 		t.Fatalf("%d records make %d runs and a segment of %d, want 4", len(records), len(runs), len(built))
 	}
 	for i, r := range runs {
-		logRun := appendFrameRun(nil, r.AppendTo(nil))
+		logRun := appendFrameRun(nil, r.AppendTo(nil), false)
 		frame := image[built[i].start:built[i].end]
-		if segRun := frame[walFrameHeader+4:]; !bytes.Equal(segRun, logRun) {
+		if segRun := frame[walFrameHeader:]; !bytes.Equal(segRun, logRun) {
 			t.Fatalf("run %d (%v at ℓ = %d): the segment writes %x, the log %x", i, r.Subset, r.Keys.Shape(), segRun, logRun)
 		}
 	}
@@ -962,15 +963,23 @@ func TestRunHeaderCountBound(t *testing.T) {
 		if want := 9*((count+63)/64) + (9*count+7)/8; least != want {
 			t.Fatalf("%d ids at ℓ = 9 occupy at the least %d bytes, want %d", count, least, want)
 		}
-		header := appendRunHeader(nil, b.Key(), count, 9)
+		header := appendRunHeader(nil, b, count, 9, false)
 		fits := append(bytes.Clone(header), make([]byte, least)...)
-		if h, err := parseRunHeader(fits); err != nil || h.count != count {
+		if h, err := parseRunHeader(fits, 0); err != nil || h.count != count {
 			t.Fatalf("a count of %d in the %d bytes it needs: %+v, %v", count, least, h, err)
 		}
-		if _, err := parseRunHeader(fits[:len(fits)-1]); err == nil {
+		if _, err := parseRunHeader(fits[:len(fits)-1], 0); err == nil {
 			t.Fatalf("a count of %d passes in %d bytes", count, least-1)
 		}
-		frame := framePayload(b.Key(), count, 9, make([]byte, least-1))
+		// Sharing the ids of a run before it, the run needs its words alone.
+		shared := append(appendRunHeader(nil, b, count, 9, true), make([]byte, wordsLen(count, 9))...)
+		if h, err := parseRunHeader(shared, count); err != nil || h.count != count || !h.shared {
+			t.Fatalf("a run sharing %d ids in the %d bytes of its words: %+v, %v", count, wordsLen(count, 9), h, err)
+		}
+		if _, err := parseRunHeader(shared[:len(shared)-1], count); err == nil {
+			t.Fatalf("a run sharing %d ids passes in %d bytes", count, wordsLen(count, 9)-1)
+		}
+		frame := framePayload(b, count, 9, make([]byte, least-1))
 		image := binary.BigEndian.AppendUint32(walMagic[:len(walMagic):len(walMagic)], uint32(len(frame)))
 		image = append(binary.BigEndian.AppendUint32(image, checksum(frame)), frame...)
 		var before, after runtime.MemStats
@@ -997,11 +1006,11 @@ func TestSegmentHostileCountRejected(t *testing.T) {
 	}
 	footer := bytes.Clone(clean)
 	binary.BigEndian.PutUint64(footer[len(footer)-segFooterSize:], ^uint64(0))
-	runHeader := bytes.Clone(clean)
-	const payload = len(segMagic) + walFrameHeader
-	const countAt = payload + 4 + 4 + 16 // past the run count, the tag length and the tag
-	binary.BigEndian.PutUint32(runHeader[countAt:], ^uint32(0))
-	binary.BigEndian.PutUint32(runHeader[len(segMagic)+4:], checksum(runHeader[payload:len(runHeader)-segFooterSize]))
+	// The run header's count, 1 in a byte after subset {0} and the shape,
+	// made 2⁶⁴−1, the frame's length and checksum computed again.
+	const cols = len(segMagic) + walFrameHeader + 2 + 1 + 1
+	payload := append(binary.AppendUvarint(append([]byte{1, 0}, 10), ^uint64(0)), clean[cols:len(clean)-segFooterSize]...)
+	runHeader := oneRunSegment(payload, 1)
 	for name, image := range map[string][]byte{"footer": footer, "run header": runHeader} {
 		if err := os.WriteFile(meta.path, image, 0o644); err != nil {
 			t.Fatal(err)
@@ -1292,14 +1301,15 @@ func TestSegmentReadPaths(t *testing.T) {
 	reads("after a compaction", 1, want, shortest(want))
 }
 
-// TestManifestFormats: readManifest takes the v7 marker, the v6 one and
-// v7-converting — a directory Open converts, and one whose conversion is
+// TestManifestFormats: readManifest takes the v8 marker, the v7 one and
+// v8-converting — a directory Open converts, and one whose conversion is
 // under way — and none — a new directory, or one from before v3, which
 // Open refuses if it holds data — refuses an older version's markers (v3,
-// v4, v5, and v5-converting and v6-converting, the marks of a conversion
-// to v5 or v6 under way) with ErrFormatTooOld, naming the marker, and
-// refuses every other as corrupt, as an older binary refuses v7: a
-// directory is never opened by a version that cannot read all of it.
+// v4, v5, v6, and v5-converting, v6-converting and v7-converting, the
+// marks of a conversion to v5, v6 or v7 under way) with ErrFormatTooOld,
+// naming the marker, and refuses every other as corrupt, as an older
+// binary refuses v8: a directory is never opened by a version that cannot
+// read all of it.
 func TestManifestFormats(t *testing.T) {
 	write := func(t *testing.T, line string) string {
 		dir := t.TempDir()
@@ -1308,28 +1318,28 @@ func TestManifestFormats(t *testing.T) {
 		}
 		return dir
 	}
-	for line, want := range map[string]string{"3 v7\n": "v7", "3 v6\n": "v6", "3 v7-converting\n": "v7-converting", "3\n": ""} {
+	for line, want := range map[string]string{"3 v8\n": "v8", "3 v7\n": "v7", "3 v8-converting\n": "v8-converting", "3\n": ""} {
 		if n, format, err := readManifest(write(t, line)); err != nil || n != 3 || format != want {
 			t.Fatalf("readManifest(%q) = %d, %q, %v; want 3, %q", line, n, format, err, want)
 		}
 	}
-	for _, line := range []string{"3 v3\n", "3 v4\n", "3 v5\n", "3 v5-converting\n", "3 v6-converting\n"} {
+	for _, line := range []string{"3 v3\n", "3 v4\n", "3 v5\n", "3 v6\n", "3 v5-converting\n", "3 v6-converting\n", "3 v7-converting\n"} {
 		if n, format, err := readManifest(write(t, line)); !errors.Is(err, ErrFormatTooOld) || !strings.Contains(err.Error(), strings.Fields(line)[1]) {
 			t.Fatalf("readManifest(%q) = %d, %q, %v: want ErrFormatTooOld naming the marker", line, n, format, err)
 		}
 	}
-	for _, line := range []string{"3 v8\n", "3 v2\n", "3 v6-done\n", "3 v7 v7\n", "v7\n", "0 v7\n"} {
+	for _, line := range []string{"3 v9\n", "3 v2\n", "3 v7-done\n", "3 v8 v8\n", "v8\n", "0 v8\n"} {
 		if n, format, err := readManifest(write(t, line)); err == nil || errors.Is(err, ErrFormatTooOld) {
 			t.Fatalf("readManifest(%q) = %d, %q, %v: want a corrupt manifest", line, n, format, err)
 		}
 	}
 }
 
-// TestCleanV7DirOpensWithoutWrites: a directory holding each subset at one
+// TestCleanV8DirOpensWithoutWrites: a directory holding each subset at one
 // length — segments, a log with frames in it, a manifest — opens as it
 // is: Open and Close, with and without fsync, leave every file's bytes and
 // modification time as they were, and create no file.
-func TestCleanV7DirOpensWithoutWrites(t *testing.T) {
+func TestCleanV8DirOpensWithoutWrites(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, Shards: 2, CompactInterval: -1})
 	if err != nil {
@@ -1393,7 +1403,7 @@ func TestCleanV7DirOpensWithoutWrites(t *testing.T) {
 			}
 			data, err := os.ReadFile(path)
 			if was, ok := files[path]; err != nil || !ok || !bytes.Equal(data, was) || !info.ModTime().Equal(past) {
-				t.Fatalf("Open and Close (fsync %v) of a clean v7 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
+				t.Fatalf("Open and Close (fsync %v) of a clean v8 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
 			}
 			return nil
 		}); err != nil {

@@ -192,7 +192,7 @@ func FuzzColumnIDs(f *testing.F) {
 				return
 			}
 			set := newRunSet()
-			if n, err := set.addFrame(framePayload(b.Key(), len(want), shape, append(wantIDs, wantWords...))); err != nil || n != len(want) {
+			if n, err := set.addFrame(framePayload(b, len(want), shape, append(wantIDs, wantWords...))); err != nil || n != len(want) {
 				t.Fatalf("the frame of the reference columns adds %d records, %v", n, err)
 			}
 			runs := set.normalized()
@@ -290,12 +290,12 @@ func FuzzColumnIDs(f *testing.F) {
 		if n > 0 {
 			cols := append(bytes.Clone(src), onesBits(n)...)
 			set := newRunSet()
-			got, err := set.addFrame(framePayload(b.Key(), n, 1, cols))
+			got, err := set.addFrame(framePayload(b, n, 1, cols))
 			if (err == nil) != (decodeErr == nil && size == len(src)) || (err == nil && got != n) {
 				t.Fatalf("a frame of the hostile column adds %d records, %v; DecodeIDBlocks read %d of %d bytes, %v", got, err, size, len(src), decodeErr)
 			}
 			if err == nil {
-				ids := set.byKey[b.Key()+"\x01"].ids
+				ids := set.byKey[string(b.AppendCompact(nil))+"\x01"].ids
 				if !slices.Equal(ids, decoded) {
 					t.Fatalf("the frame decodes the column to %v, DecodeIDBlocks to %v", ids, decoded)
 				}

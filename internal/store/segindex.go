@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"slices"
@@ -61,22 +62,24 @@ func readRun(f *os.File, r segRun, raw []byte, keys sketch.Words) ([]byte, sketc
 		return corrupt(fmt.Errorf("reading: %v", err))
 	}
 	var ids sketch.IDBuilder
+	var nameBuf [32]byte
+	name := r.subset.AppendCompact(nameBuf[:0])
 	keys = keys.Reset()
 	end, err := eachFrame(raw, 0, len(raw), func(_ int, payload []byte) error {
-		h, cols, idsLen, err := oneRun(payload)
+		h, idCol, words, err := oneRun(payload)
 		switch {
 		case err != nil:
 			return err
-		case string(h.tag) != r.tag || h.shape != r.shape:
-			return fmt.Errorf("a frame of %q at length %d", h.tag, h.shape)
+		case !bytes.Equal(h.name, name) || h.shape != r.shape:
+			return fmt.Errorf("a frame of %x at length %d", h.name, h.shape)
 		case ids.Len()+h.count > r.count:
 			return fmt.Errorf("more than its %d records", r.count)
 		}
 		// A segment cuts a run's frames at whole id blocks, and the builder
 		// takes each block as it stands, so the frames' id columns are the
 		// column's bytes: room for them is all it needs.
-		ids.Grow(h.count, idsLen)
-		keys, err = decodeRun(h, cols, idsLen, &ids, keys)
+		ids.Grow(h.count, len(idCol))
+		keys, err = decodeRun(h, idCol, words, &ids, keys)
 		return err
 	})
 	switch {

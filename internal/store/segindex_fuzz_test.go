@@ -56,38 +56,40 @@ func samePub(a, b sketch.Published) bool {
 }
 
 // FuzzSegmentIndex corrupts an arbitrary byte — a frame's length or
-// checksum, its run count, a run header's count or shape byte, an id
-// block's width byte, first id or differences, the words and their pad
-// bits, the footer's record count, anywhere — of a v7 segment written here
-// from a fuzzer-shaped record set, with twoLengths one whose subsets are
-// each a run at ℓ = 10 and one at ℓ = 20, as the one segment of a
-// one-shard store.  Then it drives every read path — Iterate, ReadBatch
-// and Lookup — twice: under a store that opened the clean segment and
-// finds it corrupted in place, and under one opened on the corrupted
-// segment.  The contract: the open fails loudly, or every read returns
-// exactly the written records or fails loudly; reads never panic, never
-// return a wrong, missing or misattributed record, and hostile lengths
-// never drive huge allocations.
+// checksum, a run header's subset, shape byte or count, an id block's
+// width byte, first id or differences, the words and their pad bits, the
+// footer's record count, anywhere — of a v8 segment written here from a
+// fuzzer-shaped record set, with twoLengths one whose subsets are each a
+// run at ℓ = 10 and one at ℓ = 20, as the one segment of a one-shard
+// store.  Then it drives every read path — Iterate, ReadBatch and Lookup —
+// twice: under a store that opened the clean segment and finds it
+// corrupted in place, and under one opened on the corrupted segment.  The
+// contract: the open fails loudly, or every read returns exactly the
+// written records or fails loudly; reads never panic, never return a
+// wrong, missing or misattributed record, and hostile lengths never drive
+// huge allocations.
 func FuzzSegmentIndex(f *testing.F) {
 	// first returns where the first run's frame of a seed's segment starts,
-	// its tag's length, where its id column starts and how long that is,
-	// and where its frame ends.
-	first := func(seed uint64, n int) (start, tagLen, ids, idsLen, end int) {
+	// its subset's compact length, where its id column starts and how long
+	// that is, and where its frame ends.
+	first := func(seed uint64, n int) (start, nameLen, ids, idsLen, end int) {
 		image, runs := encodeSegment(fuzzSegmentRecords(seed, n, false))
-		start, tagLen = int(runs[0].start), len(runs[0].tag)
-		ids = start + walFrameHeader + 4 + runHeaderFixed + tagLen
+		start, nameLen = int(runs[0].start), runs[0].subset.CompactLen()
+		ids = start + walFrameHeader + len(appendRunHeader(nil, runs[0].subset, runs[0].count, runs[0].shape, false))
 		idsLen, _ = sketch.IDBlocksLen(image[ids:], runs[0].count)
-		return start, tagLen, ids, idsLen, int(runs[0].end)
+		return start, nameLen, ids, idsLen, int(runs[0].end)
 	}
 	f.Add(uint64(1), 10, -1, byte(0), false)
 	f.Add(uint64(2), 0, -1, byte(0), false)
-	at, tagLen, _, _, _ := first(3, 40)
+	at, nameLen, _, _, _ := first(3, 40)
 	f.Add(uint64(3), 40, at+3, byte(0x01), false)         // the first frame's length
 	f.Add(uint64(3), 40, at+5, byte(0xFF), false)         // its checksum
-	f.Add(uint64(3), 40, at+11, byte(0x02), false)        // its run count
-	f.Add(uint64(3), 40, at+13, byte(0x01), false)        // its run's tag length
-	f.Add(uint64(3), 40, at+tagLen+19, byte(0x01), false) // the run header's count
-	f.Add(uint64(3), 40, at+tagLen+20, byte(0x41), false) // its shape byte
+	f.Add(uint64(3), 40, at+8, byte(0x02), false)         // its run's position count
+	f.Add(uint64(3), 40, at+9, byte(0x01), false)         // a position
+	f.Add(uint64(3), 40, at+8+nameLen, byte(0x80), false) // the shared-ids bit of its shape byte
+	f.Add(uint64(3), 40, at+8+nameLen, byte(0x41), false) // its shape
+	f.Add(uint64(3), 40, at+9+nameLen, byte(0x01), false) // the run header's count
+	f.Add(uint64(3), 40, at+9+nameLen, byte(0x80), false) // a count padded or cut short
 	_, _, ids, idsLen, end := first(4, 200)
 	f.Add(uint64(4), 200, ids, byte(0x09), false)   // the first id block's width byte
 	f.Add(uint64(4), 200, ids+1, byte(0x80), false) // its first id
@@ -241,6 +243,18 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 				S:      sketch.Sketch{Key: x >> 34, Length: 30},
 			}
 		}
+		if x%3 == 0 {
+			// A batch as the engine hands one over: the same users under
+			// every subset, so that each run after the first shares its ids.
+			users := window
+			window = nil
+			for _, b := range subsets {
+				for _, p := range users {
+					x = splitmix64(x)
+					window = append(window, sketch.Published{ID: p.ID, Subset: b, S: sketch.Sketch{Key: x >> 34, Length: 30}})
+				}
+			}
+		}
 		if err := w.AppendBatch(window); err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +267,8 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 	return image, flatten(testRuns(all))
 }
 
-// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v6
-// windows: whatever follows — garbage, a frame claiming gigabytes, a frame
+// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v8
+// windows, some of whose frames share a run's ids among several subsets: whatever follows — garbage, a frame claiming gigabytes, a frame
 // cut short, a whole frame with a flipped bit — replay must not panic,
 // must not allocate beyond what the file's size accounts for, must return
 // exactly the prefix's records and must truncate the file to exactly the
@@ -267,16 +281,37 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	f.Add(uint64(1), 3, []byte(nil))
 	f.Add(uint64(2), 0, []byte("garbage after the magic"))
-	f.Add(uint64(3), 5, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1, 2, 3})     // a 4 GiB frame
-	f.Add(uint64(4), 2, frame([]byte{0, 0, 0, 9}))                               // clean sum, 9 runs, none present
-	f.Add(uint64(5), 4, frame([]byte{0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2})) // a 4 GiB tag
-	f.Add(uint64(6), 1, frame(binary.BigEndian.AppendUint32([]byte{0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}, 1<<31)))
+	f.Add(uint64(3), 5, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1, 2, 3})              // a 4 GiB frame
+	f.Add(uint64(4), 2, frame(nil))                                                       // clean sum, no run
+	f.Add(uint64(5), 4, frame([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2}))                // 2³² positions
+	f.Add(uint64(6), 1, frame([]byte{1, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF, 0x07, 0, 0, 0, 1})) // 2³¹ records
 	f.Add(uint64(7), 6, walMagic[:])
+	f.Add(uint64(24), 2, frame([]byte{1, 0, 1 | sharedIDs, 0x01}))                         // a first run sharing the ids of none
+	f.Add(uint64(25), 2, frame([]byte{1, 0, 1, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1})) // a padded count
+	// A clean frame of two runs, the second sharing the first's one id,
+	// then the same with the shared run's words cut off.
+	shared := append(framePayload(bitvec.MustSubset(0), 1, 1, []byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 1}), 1, 1, 1|sharedIDs, 1)
+	f.Add(uint64(26), 2, frame(shared))
+	f.Add(uint64(27), 2, frame(shared[:len(shared)-1]))
+	// The most ids a byte of log can ask replay for: a run of 4097
+	// consecutive ids, a bit a key, shared by 200 runs of other subsets,
+	// each 8 ids a byte of its words, then a shared run cut short, so that
+	// replay reserves the columns of every run before it refuses the
+	// frame.
+	var blocks []byte
+	for at := 0; at < 4097; at += 64 {
+		blocks = binary.BigEndian.AppendUint64(append(blocks, 0), uint64(5+at))
+	}
+	wide := framePayload(bitvec.MustSubset(0), 4097, 1, append(blocks, onesBits(4097)...))
+	for i := 1; i <= 200; i++ {
+		wide = append(append(bitvec.MustSubset(i).AppendCompact(wide), 1|sharedIDs), onesBits(4097)...)
+	}
+	f.Add(uint64(28), 2, frame(append(bitvec.MustSubset(201).AppendCompact(wide), 1|sharedIDs, 0xFF)))
 	// Whole, checksum-clean frames whose one run's id column is a v5 one —
 	// a zero difference, a width of 9, one block where the count wants two,
 	// differences that sum past 2⁶⁴ — now hostile, under words of shape 1,
 	// a bit a key.
-	tag := bitvec.MustSubset(0).Key()
+	tag := bitvec.MustSubset(0)
 	ones := onesBits
 	f.Add(uint64(8), 2, frame(framePayload(tag, 3, 1, append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 1}, ones(3)...))))
 	f.Add(uint64(9), 2, frame(framePayload(tag, 2, 1, append([]byte{9, 0, 0, 0, 0, 0, 0, 0, 5, 1}, ones(2)...))))
@@ -331,9 +366,15 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		defer w.Close()
 		// The read buffer, plus a generous multiple of the file: decoded
-		// columns and their growth.  A length field taken at its word would
-		// be gigabytes.
-		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*(len(prefix)+len(tail))); grew > bound {
+		// columns and their growth.  A run sharing its ids asks for 8 ids a
+		// byte of its words at a bit a key, 64 bytes of ids (parseRunHeader);
+		// its words, its column encoded again and the size class a large
+		// slice is rounded up to — by as much as a quarter — add to that,
+		// and seed 28 reads about 82 bytes a byte, under -race too.  The
+		// multiple is twice the 64, as it was twice the 32 of runs that each
+		// carry their own ids.  A length field taken at its word would be
+		// gigabytes.
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+128*(len(prefix)+len(tail))); grew > bound {
 			t.Fatalf("replay of a %d-byte file allocated %d bytes", len(prefix)+len(tail), grew)
 		}
 		if w.size != int64(len(prefix)) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,14 +15,14 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// Segment format v7, the only one written or read (v6.go converts v6).  A
+// Segment format v8, the only one written or read (v7.go converts v7).  A
 // segment is a shard's runs (run.go) sealed in the log's own frames
 // (wal.go): sorted by (subset tag, length), ids ascending within each,
 // every (user, subset, length) at most once —
 //
-//	8-byte magic "SKSEG\x00\x00\x07"
+//	8-byte magic "SKSEG\x00\x00\x08"
 //	one frame per run, in (tag, length) order: 4-byte payload length |
-//	  4-byte checksum of the payload | payload: run count 1, the run
+//	  4-byte checksum of the payload | payload: the run, its own ids
 //	8-byte record count
 //
 // All integers are big-endian, every checksum is checksum().  A run is
@@ -29,7 +30,11 @@ import (
 // would pass maxFrameBytes.  A record costs what it costs in the log — its
 // id's share of an id block, a quarter of a byte where users were numbered
 // as they enrolled, 8 and 1/64 where ids are hashes, and its ℓ bits of key
-// — and a run 21 bytes beside its tag: its frame's head and its header.
+// — and a run its frame's head and its header: 21 bytes beside a P10
+// run's 2¹⁴ records or more.  A segment frame holds one run, so no run of
+// a segment shares its ids: a subset's ids are written once per subset,
+// where the table holds one column for the subsets that hold the same
+// users.
 //
 // Integrity.  Open scans every frame with the log's parser (eachFrame,
 // eachRun), verifying every checksum and decoding every column, and
@@ -42,13 +47,13 @@ import (
 // whole before it is renamed into place, so any damage to one —
 // a flipped bit, a lost tail, a run out of order — is ErrSegmentCorrupt.
 //
-// A segment of another magic is corrupt: Open converts a v6 directory
-// before these readers run (v6.go), and refuses older ones with
+// A segment of another magic is corrupt: Open converts a v7 directory
+// before these readers run (v7.go), and refuses older ones with
 // ErrFormatTooOld.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
-var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 7}
+var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 8}
 
 // segFooterSize is the footer's: the record count.
 const segFooterSize = 8
@@ -100,7 +105,7 @@ func newSegWriter(size int) *segWriter {
 func segmentSize(runs []run) int {
 	size := len(segMagic) + segFooterSize
 	for _, r := range runs {
-		size += walFrameHeader + 4 + runHeaderFixed + len(r.tag) + r.IDs.Bytes() + wordsLen(r.Len(), r.Keys.Shape())
+		size += walFrameHeader + runHeaderSize(r.Subset, r.Len()) + r.IDs.Bytes() + wordsLen(r.Len(), r.Keys.Shape())
 	}
 	return size
 }
@@ -112,7 +117,7 @@ func (w *segWriter) add(r run) {
 	shape := r.Keys.Shape()
 	start := int64(len(w.buf))
 	for lo, k := 0, 0; lo < r.Len(); {
-		hi, size := lo, 4+runHeaderFixed+len(r.tag)
+		hi, size := lo, runHeaderSize(r.Subset, r.Len())
 		for b := k; hi < r.Len(); b++ {
 			m := min(r.Len()-hi, sketch.IDBlockLen)
 			more := len(r.IDs.BlockBytes(b)) + wordsLen(m, shape)
@@ -122,12 +127,12 @@ func (w *segWriter) add(r run) {
 			hi, size = hi+m, size+more
 		}
 		buf, frame := openFrame(w.buf)
-		buf = appendRunHeader(buf, r.tag, hi-lo, shape)
+		buf = appendRunHeader(buf, r.Subset, hi-lo, shape, false)
 		for ; k*sketch.IDBlockLen < hi; k++ {
 			buf = append(buf, r.IDs.BlockBytes(k)...)
 		}
 		buf = r.Keys.Slice(lo, hi).AppendBits(buf)
-		closeFrame(buf, frame, 1)
+		closeFrame(buf, frame)
 		w.buf, lo = buf, hi
 	}
 	if r.Len() > 0 {
@@ -210,38 +215,39 @@ func scanSegment(data []byte, path string) (segIndex, error) {
 		return corrupt("is %d bytes", len(data))
 	}
 	if [8]byte(data[:8]) != segMagic {
-		return corrupt("has magic %q, not v7's", data[:8])
+		return corrupt("has magic %q, not v8's", data[:8])
 	}
 	var runs segIndex
 	// The run being scanned: its ids are gathered only to hold each frame's
 	// against the one before, and cost their coded bytes, which the file
 	// bounds; the words are only checked, every frame's on the same room.
+	// name is its subset's in the frames.
 	var ids sketch.IDBuilder
 	var keys sketch.Words
+	var name []byte
 	total := 0
 	footer := len(data) - segFooterSize
 	end, err := eachFrame(data, len(segMagic), footer, func(at int, payload []byte) error {
-		h, cols, idsLen, err := oneRun(payload)
+		h, idCol, words, err := oneRun(payload)
 		if err != nil {
 			return err
 		}
-		tag, n := string(h.tag), len(runs)
-		switch {
-		case n > 0 && tag == runs[n-1].tag && h.shape == runs[n-1].shape:
-			// The next frame of a run past maxFrameBytes.
-		case n > 0 && (tag < runs[n-1].tag || tag == runs[n-1].tag && h.shape < runs[n-1].shape):
-			return errors.New("run out of subset order")
-		default:
-			subset, err := bitvec.ParseTag(h.tag)
+		if n := len(runs); n == 0 || !bytes.Equal(h.name, name) || h.shape != runs[n-1].shape {
+			subset, _, err := bitvec.ParseCompact(h.name)
 			if err != nil {
 				return err
 			}
-			runs, ids = append(runs, segRun{tag: tag, subset: subset, shape: h.shape, start: int64(at)}), sketch.IDBuilder{}
+			tag := subset.Key()
+			if n > 0 && (tag < runs[n-1].tag || tag == runs[n-1].tag && h.shape < runs[n-1].shape) {
+				return errors.New("run out of subset order")
+			}
+			runs, ids, name = append(runs, segRun{tag: tag, subset: subset, shape: h.shape, start: int64(at)}), sketch.IDBuilder{}, h.name
 		}
+		// Otherwise the next frame of a run past maxFrameBytes.
 		r := &runs[len(runs)-1]
 		r.count, r.end = r.count+h.count, int64(at+walFrameHeader+len(payload))
 		total += h.count
-		keys, err = decodeRun(h, cols, idsLen, &ids, keys.Reset())
+		keys, err = decodeRun(h, idCol, words, &ids, keys.Reset())
 		return err
 	})
 	if err != nil {
@@ -257,30 +263,30 @@ func scanSegment(data []byte, path string) (segIndex, error) {
 }
 
 // oneRun parses a segment frame's payload, which holds one run.
-func oneRun(payload []byte) (h runHeader, cols []byte, idsLen int, err error) {
-	if len(payload) < 4 || binary.BigEndian.Uint32(payload) != 1 {
-		return h, nil, 0, errors.New("a segment frame holds one run")
-	}
+func oneRun(payload []byte) (h runHeader, ids, words []byte, err error) {
 	n := 0
-	err = eachRun(payload, func(rh runHeader, rc []byte, rl int) error {
-		h, cols, idsLen, n = rh, rc, rl, n+1
+	err = eachRun(payload, func(rh runHeader, ri, rw []byte) error {
+		if n++; n > 1 {
+			return errors.New("a segment frame holds one run")
+		}
+		h, ids, words = rh, ri, rw
 		return nil
 	})
-	return h, cols, idsLen, err
+	return h, ids, words, err
 }
 
-// decodeRun appends the columns of run h — cols, its id column idsLen
-// bytes of them, input — to ids and keys, checking every id block's
-// coding and that the ids ascend from what ids holds, and every word's
-// shape and pad bits.  On an error what was appended is undefined and the
-// caller drops both columns.
-func decodeRun(h runHeader, cols []byte, idsLen int, ids *sketch.IDBuilder, keys sketch.Words) (sketch.Words, error) {
-	keys, err := keys.AppendBitsFrom(cols[idsLen:], h.shape, h.count)
+// decodeRun appends the columns of run h — its id column ids and its word
+// column words, input — to idb and keys, checking every id block's coding
+// and that the ids ascend from what idb holds, and every word's shape and
+// pad bits.  On an error what was appended is undefined and the caller
+// drops both columns.
+func decodeRun(h runHeader, ids, words []byte, idb *sketch.IDBuilder, keys sketch.Words) (sketch.Words, error) {
+	keys, err := keys.AppendBitsFrom(words, h.shape, h.count)
 	if err != nil {
 		return keys, err
 	}
 	for at, off := 0, 0; at < h.count; at += sketch.IDBlockLen {
-		size, err := ids.AppendBlock(cols[off:idsLen], min(h.count-at, sketch.IDBlockLen))
+		size, err := idb.AppendBlock(ids[off:], min(h.count-at, sketch.IDBlockLen))
 		if err != nil {
 			return keys, err
 		}

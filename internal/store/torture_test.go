@@ -231,18 +231,19 @@ func TestSIGKILLMidCommitWindow(t *testing.T) {
 // nothing: every file keeps its bytes and modification time — the log is
 // not truncated — and no file but the lock is created.  The forms: data
 // under a manifest without a format marker, or under none (before v3); a
-// manifest marked v3, v4, v5, v5-converting or v6-converting (the v4
-// directory the last v4 binary wrote, under its own marker and under the
-// mark of a conversion under way; the committed v5 directories under
-// theirs, the one holding runs of whole words also without its first
-// segment, beside a shard with a torn log tail and under a manifest that
-// counts a missing shard; and the v6 one under the mark of a conversion to
-// v6 under way).  A directory a version that
-// converts it wrote is refused too, if its conversion finds a segment
-// corrupt, and written in no shard: not the torn tail of another shard's
-// log cut, not a shard directory created, not its manifest marked.  A
-// directory in the pre-v3 state that holds no data is one a crash left at
-// creation, and opens.
+// manifest marked v3, v4, v5, v6, v5-converting, v6-converting or
+// v7-converting (the v4 directory the last v4 binary wrote, under its own
+// marker and under the mark of a conversion under way; the committed v5
+// directories under theirs, the one holding runs of whole words also
+// without its first segment, beside a shard with a torn log tail and under
+// a manifest that counts a missing shard; and the v6 one under its own,
+// with a segment corrupt beside a torn log and beside a missing shard, and
+// under the marks of a conversion to v6 or v7 under way).  A directory a
+// version that converts it wrote is refused too, if its conversion finds a
+// segment corrupt, and written in no shard: not the torn tail of another
+// shard's log cut, not a shard directory created, not its manifest marked.
+// A directory in the pre-v3 state that holds no data is one a crash left
+// at creation, and opens.
 func TestOlderDirRefused(t *testing.T) {
 	// A per-record log as the old versions wrote it: a length, an IEEE
 	// sum, a payload.  No reader is left to ask what the payload says.
@@ -301,6 +302,8 @@ func TestOlderDirRefused(t *testing.T) {
 		"a log frame of whole words":         {func(t *testing.T) string { return fixture(t, "dir-parent-v5", "", segmentName(1)) }, "marked v5", ErrFormatTooOld},
 		"the v5 directory mid-conversion":    {func(t *testing.T) string { return fixture(t, "dir-v5", "1 v6-converting\n") }, "marked v6-converting", ErrFormatTooOld},
 		"the v6 directory marked converting": {func(t *testing.T) string { return fixture(t, "dir-v6", "2 v6-converting\n") }, "marked v6-converting", ErrFormatTooOld},
+		"the v6 directory":                   {func(t *testing.T) string { return fixture(t, "dir-v6", "") }, "marked v6", ErrFormatTooOld},
+		"the v6 directory mid-conversion":    {func(t *testing.T) string { return fixture(t, "dir-v6", "2 v7-converting\n") }, "marked v7-converting", ErrFormatTooOld},
 		// Beside a shard this version wrote with a torn log tail, or a
 		// missing shard, the v5 directory of whole words is refused by its
 		// marker before any shard is read.
@@ -337,12 +340,23 @@ func TestOlderDirRefused(t *testing.T) {
 			tornLog(t, filepath.Join(dir, shardDirName(0), walName))
 			flipByte(t, filepath.Join(dir, shardDirName(1), segmentName(1)), 40)
 			return dir
-		}, filepath.Join(shardDirName(1), segmentName(1)), ErrSegmentCorrupt},
+		}, "marked v6", ErrFormatTooOld},
 		"a corrupt v6 shard and a missing one": {func(t *testing.T) string {
 			dir := fixture(t, "dir-v6", "3 v6\n")
 			flipByte(t, filepath.Join(dir, shardDirName(0), segmentName(2)), 40)
 			return dir
-		}, filepath.Join(shardDirName(0), segmentName(2)), ErrSegmentCorrupt},
+		}, "marked v6", ErrFormatTooOld},
+		"a corrupt v7 shard beside a torn log": {func(t *testing.T) string {
+			dir := fixture(t, "dir-v7", "")
+			tornLog(t, filepath.Join(dir, shardDirName(0), walName))
+			flipByte(t, filepath.Join(dir, shardDirName(1), segmentName(2)), 40)
+			return dir
+		}, filepath.Join(shardDirName(1), segmentName(2)), ErrSegmentCorrupt},
+		"a corrupt v7 shard and a missing one": {func(t *testing.T) string {
+			dir := fixture(t, "dir-v7", "3 v7\n")
+			flipByte(t, filepath.Join(dir, shardDirName(0), segmentName(4)), 40)
+			return dir
+		}, filepath.Join(shardDirName(0), segmentName(4)), ErrSegmentCorrupt},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := c.dir(t)
@@ -356,7 +370,7 @@ func TestOlderDirRefused(t *testing.T) {
 			}
 			named := []string{dir, c.where}
 			if c.want == ErrFormatTooOld {
-				named = append(named, "33ba9b8", "79b9228")
+				named = append(named, "6101b31", "33ba9b8", "79b9228")
 			}
 			for _, named := range named {
 				if !strings.Contains(err.Error(), named) {
@@ -383,7 +397,7 @@ func TestOlderDirRefused(t *testing.T) {
 			t.Fatalf("a directory a crash left at its creation does not open: %v", err)
 		}
 		defer st.Close()
-		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v7\n" {
+		if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v8\n" {
 			t.Fatalf("manifest = %q, %v", data, err)
 		}
 	})

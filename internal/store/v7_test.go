@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,13 +15,13 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// v6Records returns what the version that wrote testdata/dir-v6 read from
-// it through Iterate, as it listed them in testdata/dir-v6.records: one
+// v7Records returns what the version that wrote testdata/dir-v7 read from
+// it through Iterate, as it listed them in testdata/dir-v7.records: one
 // record a line, the subset's positions, the id, the sketch's length and
 // key.
-func v6Records(t testing.TB) []sketch.Published {
+func v7Records(t testing.TB) []sketch.Published {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "dir-v6.records"))
+	data, err := os.ReadFile(filepath.Join("testdata", "dir-v7.records"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,22 +50,22 @@ func v6Records(t testing.TB) []sketch.Published {
 	return out
 }
 
-// requireConverted fails the test unless dir is the converted dir-v6: it
-// serves every record the v6 version read, its manifest reads v7, each
-// shard holds one v7 segment beside the log it held, which is as it was,
-// and a second Open and Close write nothing.
+// requireConverted fails the test unless dir is the converted dir-v7: it
+// serves every record the v7 version read, its manifest reads v8, each
+// shard holds one v8 segment beside an empty v8 log, and a second Open and
+// Close write nothing.
 func requireConverted(t *testing.T, dir string, want []sketch.Published) {
 	t.Helper()
 	st, err := Open(Options{Dir: dir, CompactInterval: -1})
 	if err != nil {
-		t.Fatalf("Open of the v6 directory: %v", err)
+		t.Fatalf("Open of the v7 directory: %v", err)
 	}
 	requireServes(t, st, want)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v7\n" {
-		t.Fatalf("manifest = %q, %v; want 2 v7", data, err)
+	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || string(data) != "2 v8\n" {
+		t.Fatalf("manifest = %q, %v; want 2 v8", data, err)
 	}
 	for i := range 2 {
 		shard := filepath.Join(dir, shardDirName(i))
@@ -75,10 +76,8 @@ func requireConverted(t *testing.T, dir string, want []sketch.Published) {
 		if data, err := os.ReadFile(segs[0].path); err != nil || !bytes.HasPrefix(data, segMagic[:]) {
 			t.Fatalf("converted shard %d's segment starts %q, %v", i, data[:min(8, len(data))], err)
 		}
-		log, err := os.ReadFile(filepath.Join(shard, walName))
-		was, werr := os.ReadFile(filepath.Join("testdata", "dir-v6", shardDirName(i), walName))
-		if err != nil || werr != nil || !bytes.Equal(log, was) {
-			t.Fatalf("converted shard %d's log is %d bytes, it was %d (%v, %v)", i, len(log), len(was), err, werr)
+		if log, err := os.ReadFile(filepath.Join(shard, walName)); err != nil || !bytes.Equal(log, walMagic[:]) {
+			t.Fatalf("converted shard %d's log is %q (%v), want an empty v8 log", i, log, err)
 		}
 	}
 	before := dirState(t, dir)
@@ -101,25 +100,39 @@ func requireConverted(t *testing.T, dir string, want []sketch.Published) {
 	}
 }
 
-// TestV6DirConverts: Open converts the committed v6 directory — two
-// shards, two segments in one, a log in each, ids dense under a tenant's
-// tag, far apart, hashed and, in a log frame, out of order, a subset at
-// two lengths — to v7 once, and it serves exactly the records the version
-// that wrote it read.
-func TestV6DirConverts(t *testing.T) {
-	want := v6Records(t)
-	if len(want) != 372 {
-		t.Fatalf("dir-v6.records lists %d records, want 372", len(want))
+// TestV7DirConverts: Open converts the committed v7 directory — two
+// shards, two segments and a log in each, ids dense under a tenant's tag,
+// far apart, hashed and, in a log frame, out of order, subsets at two
+// lengths, log frames of several runs over the same users — to v8 once,
+// and it serves exactly the records the version that wrote it read; with
+// a torn frame at the end of a log, which that version's replay cut off,
+// the same.
+func TestV7DirConverts(t *testing.T) {
+	want := v7Records(t)
+	if len(want) != 867 {
+		t.Fatalf("dir-v7.records lists %d records, want 867", len(want))
 	}
-	requireConverted(t, copyFixture(t, filepath.Join("testdata", "dir-v6")), want)
+	requireConverted(t, copyFixture(t, filepath.Join("testdata", "dir-v7")), want)
+	torn := copyFixture(t, filepath.Join("testdata", "dir-v7"))
+	log := filepath.Join(torn, shardDirName(1), walName)
+	data, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The log's first frame again, cut short.
+	frame := data[len(walMagicV7) : len(walMagicV7)+walFrameHeader+int(binary.BigEndian.Uint32(data[len(walMagicV7):]))]
+	if err := os.WriteFile(log, append(data, frame[:len(frame)-3]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireConverted(t, torn, want)
 }
 
-// TestV6ConversionResumesAfterEveryFailure: whichever of a conversion's
+// TestV7ConversionResumesAfterEveryFailure: whichever of a conversion's
 // renames and removes fails — standing in for a crash there — Open fails,
 // and the next Open completes the conversion: the directory serves every
-// record the v6 version read, and is v7 throughout.
-func TestV6ConversionResumesAfterEveryFailure(t *testing.T) {
-	want := v6Records(t)
+// record the v7 version read, and is v8 throughout.
+func TestV7ConversionResumesAfterEveryFailure(t *testing.T) {
+	want := v7Records(t)
 	var calls, failAt atomic.Int64
 	failing := func() bool { return calls.Add(1) == failAt.Load() }
 	renameFile = func(from, to string) error {
@@ -137,7 +150,7 @@ func TestV6ConversionResumesAfterEveryFailure(t *testing.T) {
 	t.Cleanup(func() { renameFile, removeFile = os.Rename, os.Remove })
 
 	// Count the steps of a conversion that fails at none.
-	dir := copyFixture(t, filepath.Join("testdata", "dir-v6"))
+	dir := copyFixture(t, filepath.Join("testdata", "dir-v7"))
 	st, err := Open(Options{Dir: dir, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +158,14 @@ func TestV6ConversionResumesAfterEveryFailure(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Two manifests, a merged segment a shard, and the three segments they
-	// replace.
+	// Two manifests, and in each shard a merged segment, the two segments
+	// it replaces and the log.
 	steps := calls.Load()
-	if steps != 7 {
-		t.Fatalf("the conversion renamed and removed %d times, want 7", steps)
+	if steps != 10 {
+		t.Fatalf("the conversion renamed and removed %d times, want 10", steps)
 	}
 	for k := int64(1); k <= steps; k++ {
-		dir := copyFixture(t, filepath.Join("testdata", "dir-v6"))
+		dir := copyFixture(t, filepath.Join("testdata", "dir-v7"))
 		calls.Store(0)
 		failAt.Store(k)
 		if st, err := Open(Options{Dir: dir, CompactInterval: -1}); err == nil {
@@ -164,29 +177,29 @@ func TestV6ConversionResumesAfterEveryFailure(t *testing.T) {
 	}
 }
 
-// FuzzV6Conversion corrupts a byte of one of the committed v6 directory's
+// FuzzV7Conversion corrupts a byte of one of the committed v7 directory's
 // segments: Open must refuse the directory with ErrSegmentCorrupt and
-// write nothing, or convert it and serve exactly its records — a byte no
-// v6 reader reads, the footer's checksum of nothing, changes nothing.
-func FuzzV6Conversion(f *testing.F) {
+// write nothing, or convert it and serve exactly its records.
+func FuzzV7Conversion(f *testing.F) {
 	f.Add(0, 0, byte(0))
 	f.Add(0, 3, byte(0x01))   // the magic
-	f.Add(1, 9, byte(0x80))   // the record count
-	f.Add(2, 20, byte(0x01))  // a run header's tag
-	f.Add(0, 45, byte(0x01))  // a run header's checksum
-	f.Add(1, 60, byte(0x10))  // a block
-	f.Add(2, -12, byte(0xFF)) // the footer's checksum of nothing
-	f.Add(0, -1, byte(0x01))  // the data area's end
-	f.Add(1, -20, byte(0x80)) // the last block's checksum
-	f.Add(2, 200, byte(0x02)) // a block of the second shard's segment
+	f.Add(1, 9, byte(0x80))   // the first frame's length
+	f.Add(2, 13, byte(0x01))  // its checksum
+	f.Add(0, 19, byte(0x01))  // its run count
+	f.Add(1, 22, byte(0x10))  // its run header's tag length
+	f.Add(2, 40, byte(0x02))  // its tag
+	f.Add(3, 60, byte(0x80))  // an id block
+	f.Add(0, -1, byte(0x01))  // the footer's record count
+	f.Add(3, -20, byte(0x80)) // the last frame's words
 	segs := []string{
-		filepath.Join(shardDirName(0), segmentName(1)),
-		filepath.Join(shardDirName(0), segmentName(2)),
-		filepath.Join(shardDirName(1), segmentName(1)),
+		filepath.Join(shardDirName(0), segmentName(3)),
+		filepath.Join(shardDirName(0), segmentName(4)),
+		filepath.Join(shardDirName(1), segmentName(2)),
+		filepath.Join(shardDirName(1), segmentName(3)),
 	}
-	want := v6Records(f)
+	want := v7Records(f)
 	f.Fuzz(func(t *testing.T, seg, at int, xor byte) {
-		dir := copyFixture(t, filepath.Join("testdata", "dir-v6"))
+		dir := copyFixture(t, filepath.Join("testdata", "dir-v7"))
 		path := filepath.Join(dir, segs[int(uint(seg)%uint(len(segs)))])
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -205,7 +218,7 @@ func FuzzV6Conversion(f *testing.F) {
 		st, err := Open(Options{Dir: dir, CompactInterval: -1})
 		if err != nil {
 			if !errors.Is(err, ErrSegmentCorrupt) || xor == 0 {
-				t.Fatalf("Open of a v6 directory with a segment's byte %d flipped by %#x = %v", at, xor, err)
+				t.Fatalf("Open of a v7 directory with a segment's byte %d flipped by %#x = %v", at, xor, err)
 			}
 			after := dirState(t, dir)
 			for path, was := range before {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"sync"
 
 	"sketchprivacy/internal/bitvec"
@@ -14,25 +13,27 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// The log, in the format it has had since v6, opens with an 8-byte magic
-// and continues with one frame per appended group, the unit a commit
-// window queues: the one record of an Append, or an AppendBatch's records
-// for the shard.  A segment holds the same frames (segment.go).
+// The log (format v8) opens with an 8-byte magic and continues with one
+// frame per appended group, the unit a commit window queues: the one
+// record of an Append, or an AppendBatch's records for the shard.  A
+// segment holds the same frames (segment.go).
 //
 //	4 bytes big-endian payload length
 //	4 bytes big-endian checksum of the payload
-//	payload: 4 bytes big-endian run count, then the group's runs whole
-//	         (run.go): one run per maximal stretch of the group's records
-//	         of one subset and length, in arrival order, under its
-//	         subset's tag written once, its ids as an id column — the
-//	         engine hands a batch over subset by subset, ids ascending, so
-//	         a stretch is a whole subset and users numbered as they
-//	         enrolled cost a bit or two an id; ids that do not ascend are
-//	         written raw, and a lone record's frame is a byte longer than
-//	         its 8-byte id made it — and its words, ℓ bits a key,
-//	         ⌈count·ℓ/8⌉ bytes.  A frame may name
-//	         a subset and length in several runs; replay appends them in
-//	         order, so the newest of a repeated record is still the last
+//	payload: the group's runs whole (run.go), back to back to its end: one
+//	         run per maximal stretch of the group's records of one subset
+//	         and length, in arrival order, under its subset's compact name,
+//	         its ids as an id column — the engine hands a batch over subset
+//	         by subset, ids ascending, so a stretch is a whole subset and
+//	         users numbered as they enrolled cost a bit or two an id; ids
+//	         that do not ascend are written raw — or, where they are the
+//	         previous run's of the frame one for one, as they are when a
+//	         batch's users sketched every subset, not at all; and its
+//	         words, ℓ bits a key, ⌈count·ℓ/8⌉ bytes.  A lone P10 record's
+//	         frame is 32 bytes: 8 of head, 13 of run header, a 9-byte id
+//	         block and 2 bytes of key.  A frame may name a subset and length
+//	         in several runs; replay appends them in order, so the newest of
+//	         a repeated record is still the last
 //
 // A commit window is its groups' frames back to back: one write(2), one
 // fsync, one outcome for every record in it.  The frame, not the window,
@@ -44,8 +45,9 @@ import (
 // did — nothing of that window was acknowledged, and nothing says an
 // unacknowledged record must be lost.
 //
-// A log of another magic is refused at Open.
-var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 6}
+// A log of another magic is refused at Open; a v7 one is converted before
+// (v7.go).
+var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 8}
 
 const (
 	walFrameHeader = 8 // payload length + checksum
@@ -162,7 +164,7 @@ func (w *wal) replay() error {
 		// stays 0 and ready writes the magic.
 		return nil
 	case !bytes.HasPrefix(data, walMagic[:]):
-		return fmt.Errorf("store: %s is not a v6 log", w.path)
+		return fmt.Errorf("store: %s is not a v8 log", w.path)
 	}
 	set := newRunSet()
 	w.size, w.records = scanLog(data, set)
@@ -262,40 +264,43 @@ func eachFrame(data []byte, off, end int, fn func(at int, payload []byte) error)
 }
 
 // eachRun calls fn with the header and the columns of each run of a frame
-// payload: the id column, idsLen bytes, and the word column after it.
-func eachRun(payload []byte, fn func(h runHeader, columns []byte, idsLen int) error) error {
-	if len(payload) < 4 {
-		return errors.New("frame truncated")
+// payload: its id column — for a run sharing its ids, the run's before it
+// — and its word column.  A frame holds at least one run, and its first
+// shares no ids.
+func eachRun(payload []byte, fn func(h runHeader, ids, words []byte) error) error {
+	if len(payload) == 0 {
+		return errors.New("a frame holds no run")
 	}
-	runs, rest := binary.BigEndian.Uint32(payload), payload[4:]
-	for i := uint32(0); i < runs; i++ {
-		h, err := parseRunHeader(rest)
+	var ids []byte
+	for rest, prev := payload, 0; len(rest) > 0; {
+		h, err := parseRunHeader(rest, prev)
 		if err != nil {
 			return err
 		}
-		idsLen, err := sketch.IDBlocksLen(rest[h.size:], h.count)
-		if err != nil {
-			return err
+		at := h.size
+		if !h.shared {
+			n, err := sketch.IDBlocksLen(rest[at:], h.count)
+			if err != nil {
+				return err
+			}
+			ids, at = rest[at:at+n], at+n
 		}
-		end := h.size + idsLen + wordsLen(h.count, h.shape)
+		end := at + wordsLen(h.count, h.shape)
 		if end > len(rest) {
 			return fmt.Errorf("run of %d records overruns its frame", h.count)
 		}
-		if err := fn(h, rest[h.size:end], idsLen); err != nil {
+		if err := fn(h, ids, rest[at:end]); err != nil {
 			return err
 		}
-		rest = rest[end:]
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%d bytes after the frame's last run", len(rest))
+		rest, prev = rest[end:], h.count
 	}
 	return nil
 }
 
 // reserve notes how many records a frame will add to each run.
 func (s *runSet) reserve(payload []byte) error {
-	return eachRun(payload, func(h runHeader, _ []byte, _ int) error {
-		r, err := s.runFor(h.tag, h.shape)
+	return eachRun(payload, func(h runHeader, _, _ []byte) error {
+		r, err := s.runFor(h.name, h.shape)
 		if err != nil {
 			return err
 		}
@@ -307,7 +312,9 @@ func (s *runSet) reserve(payload []byte) error {
 // grow makes room in every run for the records reserved for it.
 func (s *runSet) grow() {
 	for _, r := range s.byKey {
-		r.ids = slices.Grow(r.ids, r.reserved)
+		// A make, not slices.Grow, whose append of a fresh slice allocates
+		// it twice under -race.
+		r.ids = append(make([]bitvec.UserID, 0, len(r.ids)+r.reserved), r.ids...)
 		r.keys = sketch.MakeWords(r.shape, 0, r.keys.Len()+r.reserved).AppendWords(r.keys)
 		r.reserved = 0
 	}
@@ -317,17 +324,17 @@ func (s *runSet) grow() {
 // — when the payload is malformed anywhere — none.
 func (s *runSet) addFrame(payload []byte) (records int, err error) {
 	s.marks = s.marks[:0]
-	err = eachRun(payload, func(h runHeader, columns []byte, idsLen int) error {
-		r, err := s.runFor(h.tag, h.shape)
+	err = eachRun(payload, func(h runHeader, ids, words []byte) error {
+		r, err := s.runFor(h.name, h.shape)
 		if err != nil {
 			return err
 		}
 		s.marks = append(s.marks, runMark{r, len(r.ids)})
 		records += h.count
-		if r.keys, err = r.keys.AppendBitsFrom(columns[idsLen:], h.shape, h.count); err != nil {
+		if r.keys, err = r.keys.AppendBitsFrom(words, h.shape, h.count); err != nil {
 			return err
 		}
-		r.ids, _, err = sketch.DecodeIDBlocks(r.ids, columns[:idsLen], h.count)
+		r.ids, _, err = sketch.DecodeIDBlocks(r.ids, ids, h.count)
 		return err
 	})
 	if err != nil {
@@ -385,66 +392,89 @@ func checkRecords(ps []sketch.Published) error {
 	return nil
 }
 
-// windowBytes is about what the group ps adds to a commit window, for the
-// committer's size cap: its columns with the ids raw and each sketch in
-// the bytes of its Pack word, and a run header wherever the subset or the
-// length changes, as the frame writes one (the frame codes ids that ascend
-// and writes a key in ℓ bits, so this is an upper estimate).
+// windowBytes bounds what the group ps adds to a commit window, for the
+// committer's size cap: its frame's head, and for each run appendFrame
+// writes its header, at most a width byte an id block and 8 bytes an id —
+// none where it shares the ids of the run before it — and its words.
 func windowBytes(ps []sketch.Published) int {
-	n := 0
-	for i := range ps {
-		n += 8 + (ps[i].S.Length+5+7)/8
-		if i == 0 || !ps[i].Subset.Equal(ps[i-1].Subset) || ps[i].S.Length != ps[i-1].S.Length {
-			n += runHeaderFixed + ps[i].Subset.TagLen()
+	n := walFrameHeader
+	var prev []sketch.Published
+	for len(ps) > 0 {
+		k := stretch(ps)
+		shape := sketch.Shape(ps[0].S.Length)
+		n += runHeaderSize(ps[0].Subset, k) + wordsLen(k, shape)
+		if !sameIDs(prev, ps[:k]) {
+			n += (k+sketch.IDBlockLen-1)/sketch.IDBlockLen + 8*k
 		}
+		prev, ps = ps[:k], ps[k:]
 	}
 	return n
 }
 
+// stretch returns how many records at the front of ps make one run: those
+// of the first one's subset and length.
+func stretch(ps []sketch.Published) int {
+	n := 1
+	for n < len(ps) && ps[n].S.Length == ps[0].S.Length && ps[n].Subset.Equal(ps[0].Subset) {
+		n++
+	}
+	return n
+}
+
+// sameIDs reports whether the runs a and b hold the same ids in the same
+// order.
+func sameIDs(a, b []sketch.Published) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID {
+			return false
+		}
+	}
+	return true
+}
+
 // appendFrame appends to buf the frame of one appended group: a run for
-// each maximal stretch of its records of one subset and length.
+// each maximal stretch of its records of one subset and length, sharing
+// the ids of the run before it where they are the same.
 func appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 	buf, frame := openFrame(buf)
-	runs := 0
+	var prev []sketch.Published
 	for len(ps) > 0 {
-		n := 1
-		for n < len(ps) && ps[n].S.Length == ps[0].S.Length && ps[n].Subset.Equal(ps[0].Subset) {
-			n++
-		}
-		buf, ps, runs = appendFrameRun(buf, ps[:n]), ps[n:], runs+1
+		n := stretch(ps)
+		buf = appendFrameRun(buf, ps[:n], sameIDs(prev, ps[:n]))
+		prev, ps = ps[:n], ps[n:]
 	}
 	if n := len(buf) - frame - walFrameHeader; n > maxFrameBytes {
 		return buf, fmt.Errorf("store: appended group of %d bytes exceeds %d", n, maxFrameBytes)
 	}
-	closeFrame(buf, frame, runs)
+	closeFrame(buf, frame)
 	return buf, nil
 }
 
-// openFrame appends the head of a frame — its length, checksum and run
-// count, which closeFrame fills in — and returns where the frame starts.
+// openFrame appends the head of a frame — its length and checksum, which
+// closeFrame fills in — and returns where the frame starts.
 func openFrame(buf []byte) ([]byte, int) {
-	return append(buf, make([]byte, walFrameHeader+4)...), len(buf)
+	return append(buf, make([]byte, walFrameHeader)...), len(buf)
 }
 
 // closeFrame fills in the head of the frame at buf[frame:], which ends
-// buf and holds runs runs.
-func closeFrame(buf []byte, frame, runs int) {
+// buf.
+func closeFrame(buf []byte, frame int) {
 	payload := buf[frame+walFrameHeader:]
-	binary.BigEndian.PutUint32(payload, uint32(runs))
 	binary.BigEndian.PutUint32(buf[frame:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[frame+4:], checksum(payload))
 }
 
 // appendFrameRun appends the run of ps, records of one subset and length:
-// its header, its ids as an id column, a block at a time, and its words.
-func appendFrameRun(buf []byte, ps []sketch.Published) []byte {
-	subset, shape := ps[0].Subset, sketch.Shape(ps[0].S.Length)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(subset.TagLen()))
-	buf = subset.AppendTag(buf)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ps)))
-	buf = append(buf, byte(shape))
+// its header, its ids as an id column, a block at a time, unless shared
+// says they are the run's before it, and its words.
+func appendFrameRun(buf []byte, ps []sketch.Published, shared bool) []byte {
+	shape := sketch.Shape(ps[0].S.Length)
+	buf = appendRunHeader(buf, ps[0].Subset, len(ps), shape, shared)
 	var ids [sketch.IDBlockLen]bitvec.UserID
-	for at := 0; at < len(ps); at += sketch.IDBlockLen {
+	for at := 0; !shared && at < len(ps); at += sketch.IDBlockLen {
 		block := ids[:min(len(ps)-at, sketch.IDBlockLen)]
 		for i := range block {
 			block[i] = ps[at+i].ID

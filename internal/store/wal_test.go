@@ -1,10 +1,13 @@
 package store
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sketchprivacy/internal/bitvec"
@@ -37,14 +40,15 @@ func openTornCopy(t *testing.T, image []byte) (*Durable, string) {
 }
 
 // TestWALTornTailEveryOffset is the kill-mid-write simulation: a log of k
-// windows, the last one a commit window of several records over two
-// subsets, is truncated at every byte offset inside that last window, and
-// recovery must return exactly the records of the k-1 fully-written
-// windows — never an error, never part of the torn window, which vanishes
-// whole.
+// windows, the last one a commit window of several records over three
+// subsets — the same users under each, so that its second and third runs
+// share the first's ids — is truncated at every byte offset inside that
+// last window, and recovery must return exactly the records of the k-1
+// fully-written windows — never an error, never part of the torn window,
+// which vanishes whole.
 func TestWALTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
-	b, b2 := bitvec.MustSubset(0, 3, 5), bitvec.MustSubset(1, 4)
+	b, b2, b3 := bitvec.MustSubset(0, 3, 5), bitvec.MustSubset(1, 4), bitvec.Range(0, 10)
 	const k = 8
 	st, err := Open(Options{Dir: dir, Shards: 1, CompactInterval: -1})
 	if err != nil {
@@ -56,9 +60,15 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 		}
 	}
 	lastStart := st.shards[0].wal.size
-	last := []sketch.Published{testRecord(k, b), testRecord(k, b2), testRecord(k+1, b), testRecord(k+1, b2), testRecord(k+2, b)}
+	var last []sketch.Published
+	for _, s := range []bitvec.Subset{b, b2, b3} {
+		last = append(last, testRecord(k, s), testRecord(k+1, s), testRecord(k+2, s))
+	}
 	if failed, err := st.AppendBatch(last); err != nil || len(failed) != 0 {
 		t.Fatal(failed, err)
+	}
+	if shared := sharedRuns(t, st.shards[0].wal.path, lastStart); shared != 2 {
+		t.Fatalf("the last window's frame shares ids in %d runs, want 2", shared)
 	}
 	walPath := st.shards[0].wal.path
 	full, err := os.ReadFile(walPath)
@@ -241,9 +251,10 @@ func TestWALWindowGroupsRunsStably(t *testing.T) {
 	older := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1, Length: 10}}
 	newer := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1<<10 - 1, Length: 10}}
 	// run is the bytes of a run of count 10-bit records under subset s whose
-	// ids take one block of idBytes.
+	// ids take one block of idBytes: its compact subset, the shape byte and
+	// the count's, the ids and the words.
 	run := func(s bitvec.Subset, count, idBytes int) int {
-		return runHeaderFixed + s.TagLen() + idBytes + (count*10+7)/8
+		return s.CompactLen() + 1 + 1 + idBytes + (count*10+7)/8
 	}
 	for _, tc := range []struct {
 		name    string
@@ -255,19 +266,20 @@ func TestWALWindowGroupsRunsStably(t *testing.T) {
 		// so are one raw block, a width byte and 8-byte ids; a lone id's
 		// block is a width byte and the id.
 		{"interleaved", []sketch.Published{testRecord(9, b2), older, testRecord(3, b2), testRecord(8, b), newer}, 4,
-			walFrameHeader + 4 + run(b2, 1, 1+8) + run(b, 1, 1+8) + run(b2, 1, 1+8) + run(b, 2, 1+2*8)},
+			walFrameHeader + run(b2, 1, 1+8) + run(b, 1, 1+8) + run(b2, 1, 1+8) + run(b, 2, 1+2*8)},
 		// The same records in run order: b2's run and b's, neither in id
 		// order, so each one raw block.
 		{"in run order", []sketch.Published{testRecord(9, b2), testRecord(3, b2), older, testRecord(8, b), newer}, 2,
-			walFrameHeader + 4 + (runHeaderFixed + b2.TagLen() + 1 + 2*8 + (2*10+7)/8) + (runHeaderFixed + b.TagLen() + 1 + 3*8 + (3*10+7)/8)},
+			walFrameHeader + run(b2, 2, 1+2*8) + run(b, 3, 1+3*8)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			frame := windowFrame(t, tc.window...)
 			if len(frame) != tc.wantLen {
 				t.Fatalf("window frame is %d bytes, want %d", len(frame), tc.wantLen)
 			}
-			if runs := binary.BigEndian.Uint32(frame[walFrameHeader:]); runs != uint32(tc.runs) {
-				t.Fatalf("window frame holds %d runs, want %d", runs, tc.runs)
+			runs := 0
+			if err := eachRun(frame[walFrameHeader:], func(runHeader, []byte, []byte) error { runs++; return nil }); err != nil || runs != tc.runs {
+				t.Fatalf("window frame holds %d runs (%v), want %d", runs, err, tc.runs)
 			}
 			got, valid := logRecords(t, append(walMagic[:], frame...))
 			if valid != int64(len(walMagic)+len(frame)) {
@@ -305,5 +317,164 @@ func TestAppendRefusesInvalidSketch(t *testing.T) {
 	}
 	if st.shards[0].wal.size != size || len(collect(t, st)) != 0 {
 		t.Fatal("a refused append reached the log")
+	}
+}
+
+// sharedRuns counts the runs sharing the ids of the run before them in the
+// frames of the log at path from offset from on.
+func sharedRuns(t *testing.T, path string, from int64) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	if end, err := eachFrame(data, int(from), len(data), func(_ int, payload []byte) error {
+		return eachRun(payload, func(h runHeader, _, _ []byte) error {
+			if h.shared {
+				shared++
+			}
+			return nil
+		})
+	}); err != nil || end != len(data) {
+		t.Fatalf("the log's frames from %d end at %d of %d: %v", from, end, len(data), err)
+	}
+	return shared
+}
+
+// TestWALBatchSharesIDs: a batch that holds the same users under ten
+// subsets, as the engine's bulk import hands one over, is one frame whose
+// nine runs after the first carry no id column — a shape byte with the
+// shared bit and the words — and replays to every record, each subset's
+// run with the first's ids; users that differ by one id, or come in
+// another order, are a run's own ids.
+func TestWALBatchSharesIDs(t *testing.T) {
+	var batch []sketch.Published
+	for pos := 0; pos < 10; pos++ {
+		batch = append(batch, testRecordsRange(1000, 1099, bitvec.Range(0, pos+1))...)
+	}
+	frame := windowFrame(t, batch...)
+	idBytes := 0
+	for at := 0; at < 100; at += 64 {
+		ids := make([]bitvec.UserID, 0, 64)
+		for _, p := range batch[at:min(at+64, 100)] {
+			ids = append(ids, p.ID)
+		}
+		idBytes += len(sketch.AppendIDBlocks(nil, ids))
+	}
+	want := walFrameHeader + idBytes
+	for pos := 0; pos < 10; pos++ {
+		b := bitvec.Range(0, pos+1)
+		want += b.CompactLen() + 1 + (100*10+7)/8
+		if pos == 0 {
+			want++ // the count, which the shared runs leave out
+		}
+	}
+	if len(frame) != want {
+		t.Fatalf("the frame of 10 subsets × 100 users is %d bytes, want %d", len(frame), want)
+	}
+	image := append(walMagic[:len(walMagic):len(walMagic)], frame...)
+	got, valid := logRecords(t, image)
+	if valid != int64(len(image)) || !slices.EqualFunc(got, flatten(testRuns(batch)), samePub) {
+		t.Fatalf("the frame replays %d of %d bytes to %d records, want %d", valid, len(image), len(got), len(batch))
+	}
+	path := filepath.Join(t.TempDir(), walName)
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if shared := sharedRuns(t, path, int64(len(walMagic))); shared != 9 {
+		t.Fatalf("%d runs share ids, want 9", shared)
+	}
+	// One id apart, or the same ids in another order: no run shares.
+	b, b2 := bitvec.MustSubset(0), bitvec.MustSubset(1)
+	for name, window := range map[string][]sketch.Published{
+		"one id apart":  {testRecord(1, b), testRecord(2, b), testRecord(1, b2), testRecord(3, b2)},
+		"another order": {testRecord(1, b), testRecord(2, b), testRecord(2, b2), testRecord(1, b2)},
+		"one id more":   {testRecord(1, b), testRecord(2, b), testRecord(1, b2), testRecord(2, b2), testRecord(3, b2)},
+	} {
+		image := append(walMagic[:len(walMagic):len(walMagic)], windowFrame(t, window...)...)
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if shared := sharedRuns(t, path, int64(len(walMagic))); shared != 0 {
+			t.Fatalf("%s: %d runs share ids", name, shared)
+		}
+		if got, valid := logRecords(t, image); valid != int64(len(image)) || !slices.EqualFunc(got, flatten(testRuns(window)), samePub) {
+			t.Fatalf("%s: replays %d of %d bytes to %+v", name, valid, len(image), got)
+		}
+	}
+}
+
+// TestSharedIDsOnFirstRunIsCorrupt: a frame's first run sharing the ids of
+// a run before it — there is none — is malformed however clean its
+// checksum: the end of the valid prefix in a log, ErrSegmentCorrupt in a
+// segment.  So is a segment frame of two runs, the second sharing the
+// first's ids, which no segment writer writes.
+func TestSharedIDsOnFirstRunIsCorrupt(t *testing.T) {
+	b, b2 := bitvec.MustSubset(0, 2), bitvec.MustSubset(1)
+	first := windowFrame(t, testRecord(9, b))
+	// The lone record's run with the shared bit set and its count dropped.
+	lone := first[walFrameHeader:]
+	at := b.CompactLen()
+	bad := append(append(bytes.Clone(lone[:at]), lone[at]|sharedIDs), lone[at+2+9:]...)
+	image := append(append(walMagic[:len(walMagic):len(walMagic)], first...), logFrame(bad)...)
+	if got, valid := logRecords(t, image); valid != int64(len(walMagic)+len(first)) || len(got) != 1 {
+		t.Fatalf("a first run sharing ids: replay kept %d of %d bytes, %d records", valid, len(image), len(got))
+	}
+	if _, err := scanSegment(oneRunSegment(bad, 1), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("a segment's run sharing ids: scanSegment = %v", err)
+	}
+	two := windowFrame(t, testRecord(9, b), testRecord(9, b2))[walFrameHeader:]
+	if _, err := scanSegment(oneRunSegment(two, 2), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("a segment frame of two runs: scanSegment = %v", err)
+	}
+}
+
+// TestWindowBytesBoundsFrame: windowBytes, what the committer charges a
+// group against its window's size cap, is at least the bytes appendFrame
+// writes for it — for random groups of runs of 1 to 40 positions and 1 to
+// 30 bits, of 1 to 200 records, ids dense, spread, hashed or out of order,
+// each run sharing the ids of the one before it or not — and exact for
+// the group the cap meets most, a lone record: 32 bytes for a P10 one.
+func TestWindowBytesBoundsFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	lone := []sketch.Published{{ID: 1 << 40, Subset: bitvec.Range(0, 10), S: sketch.Sketch{Key: 5, Length: 9}}}
+	if frame, err := appendFrame(nil, lone); err != nil || len(frame) != 32 || windowBytes(lone) != 32 {
+		t.Fatalf("a lone P10 record frames in %d bytes (%v), windowBytes says %d; want 32", len(frame), err, windowBytes(lone))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		var group []sketch.Published
+		var prev []bitvec.UserID
+		for runs := 1 + rng.Intn(4); runs > 0; runs-- {
+			positions := rng.Perm(200)[:1+rng.Intn(40)]
+			b, length := bitvec.MustSubset(positions...), 1+rng.Intn(30)
+			ids := prev
+			if ids == nil || rng.Intn(2) == 0 {
+				n := 1 + rng.Intn(200)
+				ids = make([]bitvec.UserID, n)
+				base := rng.Uint64()
+				for i := range ids {
+					switch rng.Intn(3) {
+					case 0:
+						ids[i] = bitvec.UserID(base + uint64(i))
+					case 1:
+						ids[i] = bitvec.UserID(base + uint64(i)*uint64(1+rng.Intn(1<<20)))
+					default:
+						ids[i] = bitvec.UserID(rng.Uint64())
+					}
+				}
+			}
+			for _, id := range ids {
+				group = append(group, sketch.Published{ID: id, Subset: b, S: sketch.Sketch{Key: rng.Uint64() % (1 << uint(length)), Length: length}})
+			}
+			prev = ids
+		}
+		frame, err := appendFrame(nil, group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := windowBytes(group); got < len(frame) {
+			t.Fatalf("trial %d: windowBytes charges %d bytes for a %d-byte frame of %d records", trial, got, len(frame), len(group))
+		}
 	}
 }

@@ -99,10 +99,16 @@ func panics(f func()) (did bool) {
 }
 
 // framePayload is the payload of a log frame holding one run: the columns
-// cols of n records of tag's subset, under the header byte given.
-func framePayload(tag string, n int, header byte, cols []byte) []byte {
-	payload := binary.BigEndian.AppendUint32(nil, 1)
-	return append(appendRunHeader(payload, tag, n, sketch.Shape(header)), cols...)
+// cols of n records of subset b, under the shape byte given — the header
+// written as the format says, knowing nothing of appendRunHeader: b's
+// position count and positions and then n, uvarints, around the byte.
+func framePayload(b bitvec.Subset, n int, header byte, cols []byte) []byte {
+	payload := binary.AppendUvarint(nil, uint64(b.Len()))
+	for _, p := range b.Positions() {
+		payload = binary.AppendUvarint(payload, uint64(p))
+	}
+	payload = binary.AppendUvarint(append(payload, header), uint64(n))
+	return append(payload, cols...)
 }
 
 // FuzzColumnWords drives one table column and the store's run machinery
@@ -218,7 +224,7 @@ func FuzzColumnWords(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if payload := framePayload(b.Key(), len(want), wantShape, append(bytes.Clone(wantIDs), wantWords...)); !bytes.Equal(frame[walFrameHeader:], payload) {
+			if payload := framePayload(b, len(want), wantShape, append(bytes.Clone(wantIDs), wantWords...)); !bytes.Equal(frame[walFrameHeader:], payload) {
 				t.Fatalf("the log frames %d records as %x; want %x", len(want), frame[walFrameHeader:], payload)
 			}
 			set := newRunSet()
@@ -488,7 +494,7 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 			case tc.shape != 0:
 				shape = tc.shape
 			}
-			payload := framePayload(b.Key(), len(good), shape, append(ids, words...))
+			payload := framePayload(b, len(good), shape, append(ids, words...))
 
 			// A log: one good frame, then a frame whose run holds the columns.
 			first := windowFrame(t, testRecord(9, b))
@@ -505,7 +511,7 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 		})
 	}
 	// The same construction of the good columns opens.
-	if _, err := scanSegment(oneRunSegment(framePayload(b.Key(), len(good), goodShape, append(goodIDs, goodWords...)), len(good)), "seg"); err != nil {
+	if _, err := scanSegment(oneRunSegment(framePayload(b, len(good), goodShape, append(goodIDs, goodWords...)), len(good)), "seg"); err != nil {
 		t.Fatalf("the good columns as a segment: %v", err)
 	}
 }
