@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -217,52 +218,118 @@ func ParseTag(b []byte) (Subset, error) {
 
 // CompactLen returns the length of the compact encoding (AppendCompact).
 func (s Subset) CompactLen() int {
-	n := uvarintLen(uint64(len(s.positions)))
-	for _, p := range s.positions {
-		n += uvarintLen(uint64(p))
+	n, tokens := 0, 0
+	for i := 0; i < len(s.positions); tokens++ {
+		k := s.stretchAt(i)
+		n += uvarintLen(uint64(s.positions[i]) << 1)
+		if k > 1 {
+			n += uvarintLen(uint64(k - 2))
+		}
+		i += k
 	}
-	return n
+	return uvarintLen(uint64(tokens)) + n
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// AppendCompact appends the subset's compact encoding: its position count,
-// then its positions in subset order, uvarints all — a byte a position
-// below 128, where the Tag spends 8.  The count says how many positions
-// follow and a uvarint ends itself, so the encoding is injective and no
-// subset's is a prefix of another's.  It keys the plan cache's entries and
-// names a run's subset on disk; the PRF message keeps the Tag.
+// stretchAt returns how many positions from the i-th on, in subset order,
+// make a stretch: each one more than the one before.
+func (s Subset) stretchAt(i int) int {
+	k := 1
+	for i+k < len(s.positions) && s.positions[i+k] == s.positions[i+k-1]+1 {
+		k++
+	}
+	return k
+}
+
+// maxCompactPositions bounds the positions a compact encoding may stand
+// for.  No subset a record or a query carries has more: its Tag, 8 bytes a
+// position, travels in a wire frame of at most 1 MiB.  A few bytes can
+// name a stretch of any length, so it is also what bounds what ParseCompact
+// allocates for hostile ones: 1 MiB of positions.
+const maxCompactPositions = 1 << 17
+
+// AppendCompact appends the subset's compact encoding: a uvarint count of
+// tokens, then a token for each maximal stretch of consecutive positions
+// in subset order — a uvarint start<<1 | more, and where more is set, a
+// uvarint of the stretch's length less 2.  A stretch costs 2 bytes while
+// it starts below 64 and is shorter than 130, so a prefix of the field,
+// Range(0, k), costs 3 bytes with its count to k = 129 and 4 to 16 385,
+// where the Tag spends 8 a position, and a lone position below 64 costs a
+// byte.  The count says how many tokens follow
+// and a uvarint ends itself, so the encoding is injective and no subset's
+// is a prefix of another's.  It keys the plan cache's entries and names a
+// run's subset on disk; the PRF message keeps the Tag.
 func (s Subset) AppendCompact(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s.positions)))
-	for _, p := range s.positions {
-		dst = binary.AppendUvarint(dst, uint64(p))
+	tokens := 0
+	for i := 0; i < len(s.positions); i += s.stretchAt(i) {
+		tokens++
+	}
+	dst = binary.AppendUvarint(dst, uint64(tokens))
+	for i := 0; i < len(s.positions); {
+		k := s.stretchAt(i)
+		if start := uint64(s.positions[i]) << 1; k == 1 {
+			dst = binary.AppendUvarint(dst, start)
+		} else {
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, start|1), uint64(k-2))
+		}
+		i += k
 	}
 	return dst
 }
 
 // CompactSize returns how many bytes the compact encoding at the front of
-// b occupies, reading no further.  It refuses a uvarint cut short, longer
-// than 64 bits or not in its fewest bytes, and a count of positions the
-// bytes could not hold, so that an encoding it accepts is the only one of
-// its positions; what the positions are is ParseCompact's to check.
+// b occupies, reading no further.  It refuses what ParseCompact refuses but
+// a repeated position: a uvarint cut short, longer than 64 bits or not in
+// its fewest bytes, a count of tokens the bytes could not hold, a token
+// that continues the stretch before it, a stretch past the largest int and
+// more than maxCompactPositions positions in all — so that an encoding it
+// accepts is the only one of its positions.
 func CompactSize(b []byte) (int, error) {
+	size, _, err := eachStretch(b, nil)
+	return size, err
+}
+
+// eachStretch reads the compact encoding at the front of b, calling fn,
+// when it is not nil, with each of its stretches — first position and
+// length — and returns the encoding's size and its count of positions.
+func eachStretch(b []byte, fn func(start, n int)) (size, positions int, err error) {
 	count, at, err := compactUvarint(b, 0)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if count > uint64(len(b)-at) {
-		return 0, fmt.Errorf("bitvec: compact subset claims %d positions in %d bytes", count, len(b)-at)
+		return 0, 0, fmt.Errorf("bitvec: compact subset claims %d stretches in %d bytes", count, len(b)-at)
 	}
+	next := uint64(0) // the position that would continue the last stretch
 	for i := uint64(0); i < count; i++ {
+		var token, n uint64 = 0, 1
 		if at < len(b) && b[at] < 0x80 {
-			at++ // a position below 128, the common case
-			continue
+			token, at = uint64(b[at]), at+1 // a token below 128, the common case
+		} else if token, at, err = compactUvarint(b, at); err != nil {
+			return 0, 0, err
 		}
-		if _, at, err = compactUvarint(b, at); err != nil {
-			return 0, err
+		start := token >> 1
+		if token&1 != 0 {
+			if n, at, err = compactUvarint(b, at); err != nil {
+				return 0, 0, err
+			}
+			n = min(n, maxCompactPositions) + 2 // n+2 could wrap
 		}
+		switch {
+		case i > 0 && start == next:
+			return 0, 0, fmt.Errorf("bitvec: compact subset token %d continues the stretch before it", i)
+		case n > maxCompactPositions-uint64(positions):
+			return 0, 0, fmt.Errorf("bitvec: compact subset of more than %d positions", maxCompactPositions)
+		case start > math.MaxInt-(n-1):
+			return 0, 0, fmt.Errorf("bitvec: compact subset stretch of %d from %d out of range", n, start)
+		}
+		if fn != nil {
+			fn(int(start), int(n))
+		}
+		next, positions = start+n, positions+int(n)
 	}
-	return at, nil
+	return at, positions, nil
 }
 
 // compactUvarint reads the uvarint at b[at:], which must be minimal, and
@@ -280,26 +347,28 @@ func compactUvarint(b []byte, at int) (uint64, int, error) {
 
 // ParseCompact reconstructs the subset whose compact encoding is at the
 // front of b and returns it and the encoding's size.  It refuses what
-// CompactSize refuses and what NewSubset does — a position past the
-// largest int, a repeated one — so that any bytes it accepts are exactly
-// what AppendCompact writes for the subset it returns.
+// CompactSize refuses and a position two stretches share, so that any
+// bytes it accepts are exactly what AppendCompact writes for the subset it
+// returns.
 func ParseCompact(b []byte) (Subset, int, error) {
-	size, err := CompactSize(b)
+	size, n, err := eachStretch(b, nil)
 	if err != nil {
 		return Subset{}, 0, err
 	}
-	count, at, _ := compactUvarint(b, 0)
-	pos := make([]int, count)
-	for i := range pos {
-		var p uint64
-		p, at, _ = compactUvarint(b, at)
-		if p > math.MaxInt {
-			return Subset{}, 0, fmt.Errorf("bitvec: compact subset position %d out of range", p)
+	pos := make([]int, 0, n)
+	eachStretch(b, func(start, n int) {
+		for p := range n {
+			pos = append(pos, start+p)
 		}
-		pos[i] = int(p)
+	})
+	sorted := slices.Clone(pos)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return Subset{}, 0, fmt.Errorf("bitvec: compact subset repeats position %d", sorted[i])
+		}
 	}
-	s, err := NewSubset(pos...)
-	return s, size, err
+	return Subset{positions: pos}, size, nil
 }
 
 // String renders the subset as "{p1,p2,...}".

@@ -3,6 +3,7 @@ package bitvec
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -174,20 +175,37 @@ func TestSubsetString(t *testing.T) {
 	}
 }
 
-// TestCompactRoundTrip: the compact encoding of subsets whose positions
-// straddle the uvarint byte boundaries is a byte a position below 128 and
-// parses back from the front of longer bytes; bytes no writer writes —
-// a padded uvarint, a count the bytes cannot hold, a repeated position, a
-// position past the largest int, an encoding cut short — are refused.
+// TestCompactRoundTrip: the compact encoding names each maximal stretch of
+// consecutive positions once — a byte for a lone position below 64, 3
+// bytes for a stretch from below 64 of fewer than 130 positions, so that
+// the prefix subsets P1, P2 and P10 cost 2, 3 and 3 bytes — with the
+// uvarints straddling their byte boundaries, and parses back from the
+// front of longer bytes.  Bytes no writer writes are refused: a padded
+// uvarint, a count of tokens the bytes cannot hold, a token that continues
+// the stretch before it, a position two stretches share, a stretch past
+// the largest int — a lone position's token has no room to pass it — or
+// of more positions than any subset carries, and an
+// encoding cut short.  A stretch of one has no form with a length — a
+// length says 2 or more — so it is written only as a lone position.
 func TestCompactRoundTrip(t *testing.T) {
 	for _, c := range []struct {
 		s    Subset
 		want []byte
 	}{
 		{MustSubset(), []byte{0}},
-		{MustSubset(0, 2, 4), []byte{3, 0, 2, 4}},
-		{Range(0, 10), []byte{10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
-		{MustSubset(127, 128, 16383, 16384), []byte{4, 0x7F, 0x80, 0x01, 0xFF, 0x7F, 0x80, 0x80, 0x01}},
+		{MustSubset(0), []byte{1, 0}},
+		{Range(0, 2), []byte{1, 1, 0}},
+		{Range(0, 10), []byte{1, 1, 8}},
+		{MustSubset(0, 2, 4), []byte{3, 0, 4, 8}},
+		{MustSubset(63, 64), []byte{1, 0x7F, 0}},
+		{MustSubset(64), []byte{1, 0x80, 0x01}},
+		{MustSubset(5, 6, 7, 1, 9, 10), []byte{3, 11, 1, 2, 19, 0}},
+		{MustSubset(3, 2, 1), []byte{3, 6, 4, 2}},
+		{Range(100, 400), binary.AppendUvarint([]byte{1, 0xC9, 0x01}, 298)},
+		{MustSubset(8191, 8192, 8193), []byte{1, 0xFF, 0x7F, 1}},
+		{MustSubset(8192, 8193, 8194), []byte{1, 0x81, 0x80, 0x01, 1}},
+		{MustSubset(math.MaxInt), binary.AppendUvarint([]byte{1}, 1<<64-2)},
+		{MustSubset(math.MaxInt-1, math.MaxInt), append(binary.AppendUvarint([]byte{1}, 1<<64-3), 0)},
 	} {
 		got := c.s.AppendCompact(nil)
 		if !bytes.Equal(got, c.want) || c.s.CompactLen() != len(got) {
@@ -198,16 +216,31 @@ func TestCompactRoundTrip(t *testing.T) {
 			t.Fatalf("%x parses to %v, %d, %v", got, back, n, err)
 		}
 	}
+	if got := Range(0, maxCompactPositions).AppendCompact(nil); !bytes.Equal(got, binary.AppendUvarint([]byte{1, 1}, maxCompactPositions-2)) {
+		t.Fatalf("the longest stretch encodes as %x", got)
+	} else if s, _, err := ParseCompact(got); err != nil || s.Len() != maxCompactPositions {
+		t.Fatalf("the longest stretch parses to %d positions, %v", s.Len(), err)
+	}
 	for name, b := range map[string][]byte{
-		"empty":                {},
-		"a padded count":       {0x81, 0x00, 1},
-		"a padded position":    {1, 0x80, 0x00},
-		"a zero-padded zero":   {1, 0x80, 0x80, 0x00},
-		"a count past the end": {3, 1, 2},
-		"a position cut short": {1, 0x80},
-		"a repeated position":  {2, 5, 5},
-		"a position past int":  binary.AppendUvarint([]byte{1}, 1<<63),
-		"an overlong uvarint":  {1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+		"empty":                      {},
+		"a padded count":             {0x81, 0x00, 0},
+		"a padded position":          {1, 0x80, 0x00},
+		"a zero-padded zero":         {1, 0x80, 0x80, 0x00},
+		"a padded length":            {1, 1, 0x80, 0x00},
+		"a count past the end":       {3, 0, 2},
+		"a position cut short":       {1, 0x80},
+		"a length cut short":         {1, 1},
+		"a repeated position":        {2, 10, 10},
+		"a continuing position":      {2, 10, 12},
+		"a continuing stretch":       {2, 1, 0, 4},
+		"a stretch continued":        {2, 10, 13, 0},
+		"overlapping stretches":      {2, 1, 3, 5, 0},
+		"a position inside":          {2, 1, 3, 4},
+		"a position past int":        append(binary.AppendUvarint([]byte{1}, 1<<64-1), 0),
+		"too many positions":         binary.AppendUvarint([]byte{1, 1}, maxCompactPositions-1),
+		"too many in two stretches":  binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint([]byte{2, 1}, maxCompactPositions/2), 1<<21|1), maxCompactPositions/2),
+		"a length that wraps past 0": binary.AppendUvarint([]byte{1, 1}, 1<<64-1),
+		"an overlong uvarint":        {1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
 	} {
 		if s, n, err := ParseCompact(b); err == nil {
 			t.Fatalf("%s (%x) parses to %v in %d bytes", name, b, s, n)
@@ -215,18 +248,27 @@ func TestCompactRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzSubsetCompact: a subset drawn from the fuzzer's bytes round-trips
-// through its compact encoding, also with bytes after it, and any bytes
-// ParseCompact accepts are exactly the encoding of the subset it returns —
-// one byte form a subset, as the store's run sets, keyed by those bytes,
-// need.
+// FuzzSubsetCompact: a subset drawn from the fuzzer's bytes — scattered
+// positions and stretches of them — round-trips through its compact
+// encoding, also with bytes after it, and any bytes ParseCompact accepts
+// are exactly the encoding of the subset it returns, in CompactLen bytes —
+// one byte form a subset, as the store's run sets and the plan cache's
+// keys, both keyed by those bytes, need.  Among the seeds: a token that
+// continues the stretch before it, a non-minimal uvarint, a position two
+// stretches share and a stretch past the largest int.
 func FuzzSubsetCompact(f *testing.F) {
-	f.Add([]byte{3, 0, 2, 4})
+	f.Add([]byte{3, 0, 4, 8})
 	f.Add([]byte{0})
-	f.Add([]byte{2, 0x80, 0x01, 0x7F})
+	f.Add([]byte{1, 1, 8})
+	f.Add([]byte{3, 11, 1, 2, 19, 0})
+	f.Add([]byte{2, 0x80, 0x01, 0x7F, 0})
 	f.Add([]byte{1, 0x80, 0x00})
-	f.Add([]byte{2, 5, 5})
-	f.Add(binary.AppendUvarint([]byte{1}, 1<<63))
+	f.Add([]byte{1, 1, 0x80, 0x00})
+	f.Add([]byte{2, 10, 12})
+	f.Add([]byte{2, 1, 0, 4})
+	f.Add([]byte{2, 1, 3, 4})
+	f.Add(append(binary.AppendUvarint([]byte{1}, 1<<64-1), 0))
+	f.Add(binary.AppendUvarint([]byte{1, 1}, maxCompactPositions-1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if s, n, err := ParseCompact(b); err == nil {
 			if enc := s.AppendCompact(nil); !bytes.Equal(enc, b[:n]) || s.CompactLen() != n {
@@ -235,13 +277,19 @@ func FuzzSubsetCompact(f *testing.F) {
 			if size, err := CompactSize(b); err != nil || size != n {
 				t.Fatalf("%x: CompactSize = %d, %v; ParseCompact took %d", b, size, err, n)
 			}
+		} else if size, err := CompactSize(b); err == nil {
+			// Only a position two stretches share passes CompactSize.
+			if _, err := NewSubset(expand(t, b[:size])...); err == nil {
+				t.Fatalf("%x: CompactSize takes %d bytes, ParseCompact refuses them", b, size)
+			}
 		}
 		var pos []int
 		seen := make(map[int]bool)
 		for i := 0; i+3 <= len(b) && len(pos) < 40; i += 3 {
 			p := int(uint32(b[i])|uint32(b[i+1])<<8|uint32(b[i+2])<<16) >> (b[i] % 24)
-			if !seen[p] {
-				seen[p], pos = true, append(pos, p)
+			// The low bits of the next byte stretch p over a few positions.
+			for k := 0; k <= int(b[i+1]&7) && !seen[p+k]; k++ {
+				seen[p+k], pos = true, append(pos, p+k)
 			}
 		}
 		s := MustSubset(pos...)
@@ -251,4 +299,19 @@ func FuzzSubsetCompact(f *testing.F) {
 			t.Fatalf("%v encodes as %x and parses back to %v, %d, %v", s, enc, back, n, err)
 		}
 	})
+}
+
+// expand lists the positions of the compact encoding b, which CompactSize
+// accepts, stretch by stretch.
+func expand(t *testing.T, b []byte) []int {
+	t.Helper()
+	var pos []int
+	if _, _, err := eachStretch(b, func(start, n int) {
+		for p := range n {
+			pos = append(pos, start+p)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return pos
 }

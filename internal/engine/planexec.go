@@ -25,10 +25,10 @@ import (
 // again.  It must outlast the gap between a query and its repeat — a
 // dashboard's deck, an interval's prefixes asked by the next interval —
 // and every byte of it is held for questions nobody asks twice.  A
-// fraction's entry is its count, charged its compact key (4–14 B over a
-// 10-bit field's prefixes) and planCacheEntryOverhead, ≈ 212–222 B under a
+// fraction's entry is its count, charged its compact key (4–6 B over a
+// 10-bit field's prefixes) and planCacheEntryOverhead, ≈ 212–214 B under a
 // fleet node's 32-byte filter key, so 256 KiB holds a node's last ≈
-// 1180–1240 first-seen fractions, ≈ 11× as many as its ≈ 2.35 kB bitmaps:
+// 1225–1240 first-seen fractions, ≈ 11× as many as its ≈ 2.35 kB bitmaps:
 // a node asked fewer new questions than that holds their counts, and one
 // asked more fills the 256 KiB with the latest.  A join's bitmap and a keep
 // mask wait there with their words.
@@ -38,8 +38,8 @@ import (
 // headers among them, and a 56-byte planCacheEntry) and the map's room
 // around it, and on probation a 48-byte probationSlot, a ring of them
 // holding up to half again its live slots — 20 000 count-only entries hold
-// ≈ 192 B each of heap in the main budget and ≈ 258 B on probation, 20-byte
-// Entry strings included, where each is charged 228 B
+// ≈ 184 B each of heap in the main budget and ≈ 250 B on probation, 6-byte
+// Entry strings included, where each is charged 214 B
 // (TestPlanCacheCountOnlyChargeMatchesHeap).  A filter's key is charged to
 // each entry under it, though its entries share its string.
 //

@@ -50,17 +50,19 @@ type (
 type FractionEval = SubQuery
 
 // Key returns the evaluation's compact key (see appendPairKey): the plan's
-// dedup key and the Entry of its bitmap's CacheKey.  A P10 pair's is 14
-// bytes where its PRF message encoding is 104.  For a subset of up to 16
-// positions under 128 it is assembled on the stack: the string is the one
-// allocation, on the executor's per-pair cache-lookup path too.
+// dedup key and the Entry of its bitmap's CacheKey.  A P10 pair's is 6
+// bytes — 3 of subset, the value's length and its 2 bytes — where its PRF
+// message encoding is 104.  For a subset of up to 16 one-byte tokens —
+// positions below 64, stretches from below 64 of fewer than 130 taking 2
+// or 3 — it is assembled on the stack: the string is the one allocation,
+// on the executor's per-pair cache-lookup path too.
 func (f FractionEval) Key() string {
 	var buf [pairKeyRoom]byte
 	return string(appendPairKey(buf[:0], f.Subset, f.Value))
 }
 
 // pairKeyRoom is the stack room for a pair's compact key: 16 one-byte
-// positions, their count and a value of up to 127 bits with its length.
+// tokens, their count and a value of up to 127 bits with its length.
 const pairKeyRoom = 1 + 16 + 1 + 16
 
 // SubsetKey returns subset b's compact encoding (Subset.AppendCompact), the

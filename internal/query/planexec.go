@@ -16,8 +16,8 @@ import (
 // it was computed under, empty without a filter) or, with Mask set, the keep
 // mask of a filter (Entry is SubsetKey, Filter is UserFilter.Key).  Mask
 // tells the two kinds apart, so neither can be served as the other.  Entry
-// is a compact key, 14 bytes for a P10 pair's bitmap, its own allocation
-// (16 bytes); Filter shares the filter's string, nothing copied per key.
+// is a compact key, 6 bytes for a P10 pair's bitmap, its own allocation
+// (8 bytes); Filter shares the filter's string, nothing copied per key.
 type CacheKey struct {
 	Mask   bool
 	Entry  string

@@ -43,17 +43,18 @@ var ErrClosed = errors.New("store: closed")
 
 // ErrFormatTooOld is returned by Open, having written nothing, for a data
 // directory an older version wrote in a form this one neither reads nor
-// converts: a manifest marked v3, v4, v5 or v6, or a conversion to v5, v6
-// or v7 under way (v5-converting, v6-converting, v7-converting); or data
-// under a manifest with no format marker (before v3: per-record logs, v1
-// or v2 segments).  This version reads format v8 and converts v7 (v7.go).
-// The version of commit 6101b31 is the last that converts v6 to v7; that
-// of commit 33ba9b8 the last that converts v5 to v6; that of commit
-// 79b9228 the last that converts v3, v4 and runs of whole words to v5;
-// that of commit b04e7f7, the last that writes v3, upgrades a directory
-// from before v3.  Open the directory once with each that applies, oldest
-// first, then with this one.
-var ErrFormatTooOld = errors.New("store: data directory predates store format v7, the oldest this version converts to v8; open it once with the version of commit 6101b31 (the last that converts format v6) — first with that of commit 33ba9b8 (the last that converts format v5) if it predates v6, with that of commit 79b9228 (the last that converts formats v3 and v4 and runs of whole words) if it predates v5, and before that with that of commit b04e7f7 (the last that writes format v3) if it predates v3 — and then with this one")
+// converts: a manifest marked v3, v4, v5, v6 or v7, or a conversion to v5,
+// v6, v7 or v8 under way (v5-converting … v8-converting); or data under a
+// manifest with no format marker (before v3: per-record logs, v1 or v2
+// segments).  This version reads format v9 and converts v8 (v8.go).  The
+// version of commit 79f51fd is the last that converts v7 to v8; that of
+// commit 6101b31 the last that converts v6 to v7; that of commit 33ba9b8
+// the last that converts v5 to v6; that of commit 79b9228 the last that
+// converts v3, v4 and runs of whole words to v5; that of commit b04e7f7,
+// the last that writes v3, upgrades a directory from before v3.  Open the
+// directory once with each that applies, oldest first, then with this
+// one.
+var ErrFormatTooOld = errors.New("store: data directory predates store format v8, the oldest this version converts to v9; open it once with the version of commit 79f51fd (the last that converts format v7) — first with that of commit 6101b31 (the last that converts format v6) if it predates v7, with that of commit 33ba9b8 (the last that converts format v5) if it predates v6, with that of commit 79b9228 (the last that converts formats v3 and v4 and runs of whole words) if it predates v5, and before that with that of commit b04e7f7 (the last that writes format v3) if it predates v3 — and then with this one")
 
 // Options configures a durable store.
 type Options struct {
@@ -169,7 +170,7 @@ type Durable struct {
 
 // Open opens (creating if necessary) a durable store in opts.Dir,
 // replaying every shard's WAL — truncating torn tails — and validating
-// every segment.  A v7 directory is converted to v8 first (convertV7); one
+// every segment.  A v8 directory is converted to v9 first (convertV8); one
 // an older version wrote is refused with ErrFormatTooOld before any shard
 // is written to.  The returned store is ready for Append and Iterate.
 func Open(opts Options) (*Durable, error) {
@@ -220,8 +221,8 @@ func Open(opts Options) (*Durable, error) {
 		lock.Unlock()
 		return nil, fmt.Errorf("store: %s holds %d shard directories but its manifest says %d: refusing to open a mixed data directory", opts.Dir, found, nShards)
 	}
-	if format == manifestV7 || format == manifestConverting {
-		if err := convertV7(opts.Dir, nShards, format); err != nil {
+	if format == manifestV8 || format == manifestConverting {
+		if err := convertV8(opts.Dir, nShards, format); err != nil {
 			lock.Unlock()
 			return nil, err
 		}
@@ -244,7 +245,7 @@ func Open(opts Options) (*Durable, error) {
 		return err
 	})
 	if err == nil && format == "" {
-		// A new directory is marked v8 before its first shard directory is
+		// A new directory is marked v9 before its first shard directory is
 		// created.
 		err = writeManifest(opts.Dir, nShards, manifestFormat, opts.Fsync)
 	}
@@ -277,18 +278,18 @@ func Open(opts Options) (*Durable, error) {
 const manifestName = "SHARDS"
 
 // manifestFormat follows the shard count in the manifest of a directory
-// that holds v8 files and no others.  An older binary fails to parse the
-// line and refuses the directory at once — before it reaches a v8
+// that holds v9 files and no others.  An older binary fails to parse the
+// line and refuses the directory at once — before it reaches a v9
 // segment, which it would refuse as corrupt.
-const manifestFormat = "v8"
+const manifestFormat = "v9"
 
-// manifestV7 marks a directory of v7 files, which Open converts, and
-// manifestConverting one whose conversion is under way: v8 segments may
-// lie beside v7 files, and Open carries the conversion on.  An older
+// manifestV8 marks a directory of v8 files, which Open converts, and
+// manifestConverting one whose conversion is under way: v9 segments may
+// lie beside v8 files, and Open carries the conversion on.  An older
 // binary refuses both.
 const (
-	manifestV7         = "v7"
-	manifestConverting = "v8-converting"
+	manifestV8         = "v8"
+	manifestConverting = "v9-converting"
 )
 
 // formatTooOld is the refusal of dir, which an older version wrote, and
@@ -299,7 +300,7 @@ func formatTooOld(dir, why string) error {
 
 // readManifest returns the shard count recorded in dir — 0 when no
 // manifest exists yet — and the format marker after it: manifestFormat,
-// manifestV7, manifestConverting or none.  An older version's marker is
+// manifestV8, manifestConverting or none.  An older version's marker is
 // refused with ErrFormatTooOld, any other as corrupt: a directory of a
 // format newer than this version's.
 func readManifest(dir string) (n int, format string, err error) {
@@ -313,11 +314,11 @@ func readManifest(dir string) (n int, format string, err error) {
 	fields := strings.Fields(string(data))
 	if len(fields) == 2 {
 		switch fields[1] {
-		case manifestFormat, manifestV7, manifestConverting:
+		case manifestFormat, manifestV8, manifestConverting:
 			format, fields = fields[1], fields[:1]
-		case "v3", "v4", "v5", "v6", "v5-converting", "v6-converting", "v7-converting":
-			// An older version's: v3, v4, v5, v6, or the mark of its
-			// conversion to v5, v6 or v7 under way.
+		case "v3", "v4", "v5", "v6", "v7", "v5-converting", "v6-converting", "v7-converting", "v8-converting":
+			// An older version's: v3, v4, v5, v6, v7, or the mark of its
+			// conversion to v5, v6, v7 or v8 under way.
 			return 0, "", formatTooOld(dir, "has a manifest marked "+fields[1])
 		}
 	}

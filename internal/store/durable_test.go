@@ -368,10 +368,10 @@ func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The magic, a frame of one run for each subset — its compact subset
-	// (2 and 3 bytes), a shape byte, a count, one id block of one id and 10
-	// bits of key — and the footer.
-	if want := len(segMagic) + 2*(walFrameHeader+1+1+9+2) + 2 + 3 + segFooterSize; len(clean) != want {
+	// The magic, a frame of one run for each subset — a 5-byte head, its
+	// compact subset (2 and 3 bytes), a shape byte marking one record, one
+	// id block of one id and 10 bits of key — and the footer.
+	if want := len(segMagic) + 2*(5+1+9+2) + 2 + 3 + segFooterSize; len(clean) != want {
 		t.Fatalf("the segment is %d bytes, want %d", len(clean), want)
 	}
 	refused := func(t *testing.T, what string, image []byte) {
@@ -396,11 +396,11 @@ func TestDurableCorruptSegmentFailsOpen(t *testing.T) {
 		image[at] ^= 0xFF
 		return image
 	}
-	// The first run's frame: its header, the run header (subset {0} in 2
-	// bytes, the shape byte and the count) and then the record's id block.
-	const firstRun = len(segMagic) + walFrameHeader
+	// The first run's frame: its head, the run header (subset {0} in 2
+	// bytes and the shape byte) and then the record's id block.
+	const firstRun = len(segMagic) + 5
 	t.Run("record frame", func(t *testing.T) {
-		refused(t, "a corrupt record", flipped(firstRun+2+1+1+1))
+		refused(t, "a corrupt record", flipped(firstRun+2+1+1))
 	})
 	t.Run("run header", func(t *testing.T) {
 		refused(t, "a corrupt run header", flipped(firstRun+2))
@@ -778,7 +778,8 @@ func TestSegmentIndexBuiltMatchesParsed(t *testing.T) {
 		}
 		at := int64(len(segMagic))
 		for i, r := range runs {
-			end := at + int64(walFrameHeader+len(appendRunHeader(nil, subsets[i], perSubset, 10, false))) + columns
+			payload := int64(len(appendRunHeader(nil, subsets[i], perSubset, 10, false))) + columns
+			end := at + int64(frameHeadLen(int(payload))) + payload
 			if r.tag != subsets[i].Key() || !r.subset.Equal(subsets[i]) || r.count != perSubset || r.shape != 10 || r.start != at || r.end != end {
 				t.Fatalf("%s directory run %d = %+v, want its frame at [%d,%d)", name, i, r, at, end)
 			}
@@ -876,7 +877,7 @@ func TestLogAndSegmentWriteOneLayout(t *testing.T) {
 	for i, r := range runs {
 		logRun := appendFrameRun(nil, r.AppendTo(nil), false)
 		frame := image[built[i].start:built[i].end]
-		if segRun := frame[walFrameHeader:]; !bytes.Equal(segRun, logRun) {
+		if segRun := payloadOf(frame); !bytes.Equal(segRun, logRun) {
 			t.Fatalf("run %d (%v at ℓ = %d): the segment writes %x, the log %x", i, r.Subset, r.Keys.Shape(), segRun, logRun)
 		}
 	}
@@ -979,9 +980,7 @@ func TestRunHeaderCountBound(t *testing.T) {
 		if _, err := parseRunHeader(shared[:len(shared)-1], count); err == nil {
 			t.Fatalf("a run sharing %d ids passes in %d bytes", count, wordsLen(count, 9)-1)
 		}
-		frame := framePayload(b, count, 9, make([]byte, least-1))
-		image := binary.BigEndian.AppendUint32(walMagic[:len(walMagic):len(walMagic)], uint32(len(frame)))
-		image = append(binary.BigEndian.AppendUint32(image, checksum(frame)), frame...)
+		image := append(walMagic[:len(walMagic):len(walMagic)], logFrame(framePayload(b, count, 9, make([]byte, least-1)))...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		valid, records := scanLog(image, newRunSet())
@@ -1006,9 +1005,10 @@ func TestSegmentHostileCountRejected(t *testing.T) {
 	}
 	footer := bytes.Clone(clean)
 	binary.BigEndian.PutUint64(footer[len(footer)-segFooterSize:], ^uint64(0))
-	// The run header's count, 1 in a byte after subset {0} and the shape,
-	// made 2⁶⁴−1, the frame's length and checksum computed again.
-	const cols = len(segMagic) + walFrameHeader + 2 + 1 + 1
+	// The run header of a lone record, subset {0} and the shape byte, given
+	// a count of 2⁶⁴−1 instead, the frame's length and checksum computed
+	// again.
+	const cols = len(segMagic) + 5 + 2 + 1
 	payload := append(binary.AppendUvarint(append([]byte{1, 0}, 10), ^uint64(0)), clean[cols:len(clean)-segFooterSize]...)
 	runHeader := oneRunSegment(payload, 1)
 	for name, image := range map[string][]byte{"footer": footer, "run header": runHeader} {
@@ -1301,15 +1301,15 @@ func TestSegmentReadPaths(t *testing.T) {
 	reads("after a compaction", 1, want, shortest(want))
 }
 
-// TestManifestFormats: readManifest takes the v8 marker, the v7 one and
-// v8-converting — a directory Open converts, and one whose conversion is
+// TestManifestFormats: readManifest takes the v9 marker, the v8 one and
+// v9-converting — a directory Open converts, and one whose conversion is
 // under way — and none — a new directory, or one from before v3, which
 // Open refuses if it holds data — refuses an older version's markers (v3,
-// v4, v5, v6, and v5-converting, v6-converting and v7-converting, the
-// marks of a conversion to v5, v6 or v7 under way) with ErrFormatTooOld,
-// naming the marker, and refuses every other as corrupt, as an older
-// binary refuses v8: a directory is never opened by a version that cannot
-// read all of it.
+// v4, v5, v6, v7, and v5-converting to v8-converting, the marks of a
+// conversion to v5, v6, v7 or v8 under way) with ErrFormatTooOld, naming
+// the marker, and refuses every other as corrupt, as an older binary
+// refuses v9: a directory is never opened by a version that cannot read
+// all of it.
 func TestManifestFormats(t *testing.T) {
 	write := func(t *testing.T, line string) string {
 		dir := t.TempDir()
@@ -1318,28 +1318,28 @@ func TestManifestFormats(t *testing.T) {
 		}
 		return dir
 	}
-	for line, want := range map[string]string{"3 v8\n": "v8", "3 v7\n": "v7", "3 v8-converting\n": "v8-converting", "3\n": ""} {
+	for line, want := range map[string]string{"3 v9\n": "v9", "3 v8\n": "v8", "3 v9-converting\n": "v9-converting", "3\n": ""} {
 		if n, format, err := readManifest(write(t, line)); err != nil || n != 3 || format != want {
 			t.Fatalf("readManifest(%q) = %d, %q, %v; want 3, %q", line, n, format, err, want)
 		}
 	}
-	for _, line := range []string{"3 v3\n", "3 v4\n", "3 v5\n", "3 v6\n", "3 v5-converting\n", "3 v6-converting\n", "3 v7-converting\n"} {
+	for _, line := range []string{"3 v3\n", "3 v4\n", "3 v5\n", "3 v6\n", "3 v7\n", "3 v5-converting\n", "3 v6-converting\n", "3 v7-converting\n", "3 v8-converting\n"} {
 		if n, format, err := readManifest(write(t, line)); !errors.Is(err, ErrFormatTooOld) || !strings.Contains(err.Error(), strings.Fields(line)[1]) {
 			t.Fatalf("readManifest(%q) = %d, %q, %v: want ErrFormatTooOld naming the marker", line, n, format, err)
 		}
 	}
-	for _, line := range []string{"3 v9\n", "3 v2\n", "3 v7-done\n", "3 v8 v8\n", "v8\n", "0 v8\n"} {
+	for _, line := range []string{"3 v10\n", "3 v2\n", "3 v8-done\n", "3 v9 v9\n", "v9\n", "0 v9\n"} {
 		if n, format, err := readManifest(write(t, line)); err == nil || errors.Is(err, ErrFormatTooOld) {
 			t.Fatalf("readManifest(%q) = %d, %q, %v: want a corrupt manifest", line, n, format, err)
 		}
 	}
 }
 
-// TestCleanV8DirOpensWithoutWrites: a directory holding each subset at one
+// TestCleanV9DirOpensWithoutWrites: a directory holding each subset at one
 // length — segments, a log with frames in it, a manifest — opens as it
 // is: Open and Close, with and without fsync, leave every file's bytes and
 // modification time as they were, and create no file.
-func TestCleanV8DirOpensWithoutWrites(t *testing.T) {
+func TestCleanV9DirOpensWithoutWrites(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, Shards: 2, CompactInterval: -1})
 	if err != nil {
@@ -1403,7 +1403,7 @@ func TestCleanV8DirOpensWithoutWrites(t *testing.T) {
 			}
 			data, err := os.ReadFile(path)
 			if was, ok := files[path]; err != nil || !ok || !bytes.Equal(data, was) || !info.ModTime().Equal(past) {
-				t.Fatalf("Open and Close (fsync %v) of a clean v8 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
+				t.Fatalf("Open and Close (fsync %v) of a clean v9 directory touched %s: %d bytes, modified %v (%v)", fsync, path, len(data), info.ModTime(), err)
 			}
 			return nil
 		}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -23,15 +24,19 @@ import (
 // more bits than its column's shape gives it, or — outside the records of
 // a log still in arrival order — an id at 8 bytes.
 //
-// On disk (format v8) a run is
+// On disk (format v9) a run is
 //
-//	the subset, compact (bitvec.Subset.AppendCompact): a uvarint position
-//	        count, then each position in subset order, a uvarint — 11
-//	        bytes for ten positions below 128
+//	the subset, compact (bitvec.Subset.AppendCompact): a uvarint count of
+//	        stretches, then each maximal stretch of consecutive positions
+//	        in subset order, a uvarint start<<1 | more and, where more is
+//	        set, a uvarint length − 2 — 3 bytes for P10, 2 for P1, a byte
+//	        for each scattered position below 64
 //	1 byte  the word column's shape, the run's one sketch length ℓ, 1..30,
 //	        with sharedIDs (0x80) set where the run's ids are those of the
-//	        run before it in its frame
-//	uvarint the record count (≥ 1), where the run carries its own ids
+//	        run before it in its frame, and loneRecord (0x40) where it is
+//	        one record with its own id
+//	uvarint the record count (≥ 2), where the run carries its own ids and
+//	        is not one record
 //
 // followed by its columns: unless it shares them, the count ids as an id
 // column — blocks of 64, each a width byte b, a first id and the
@@ -71,8 +76,14 @@ func compareRuns(a, b run) int {
 }
 
 // sharedIDs marks a run header's shape byte where the run holds the ids of
-// the run before it in its frame, which its bytes leave out.
-const sharedIDs = 0x80
+// the run before it in its frame, which its bytes leave out; loneRecord
+// marks it where the run is one record carrying its own id, so that the
+// header writes no count.  A shape is at most 30, so the two bits are
+// free.
+const (
+	sharedIDs  = 0x80
+	loneRecord = 0x40
+)
 
 // castagnoli is the CRC-32C table; checksum is the one integrity function
 // of every structure the store writes: a frame, of the log or of a
@@ -82,12 +93,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // appendRunHeader appends a run's header: its subset's compact encoding,
-// its shape byte and, unless it shares the ids of the run before it, its
-// count.
+// its shape byte and, unless it shares the ids of the run before it or is
+// one record, its count.
 func appendRunHeader(dst []byte, subset bitvec.Subset, count int, shape sketch.Shape, shared bool) []byte {
 	dst = subset.AppendCompact(dst)
-	if shared {
+	switch {
+	case shared:
 		return append(dst, byte(shape)|sharedIDs)
+	case count == 1:
+		return append(dst, byte(shape)|loneRecord)
 	}
 	return binary.AppendUvarint(append(dst, byte(shape)), uint64(count))
 }
@@ -95,9 +109,14 @@ func appendRunHeader(dst []byte, subset bitvec.Subset, count int, shape sketch.S
 // runHeaderSize bounds the size of the header of a run of subset holding
 // at most count records.
 func runHeaderSize(subset bitvec.Subset, count int) int {
-	var buf [binary.MaxVarintLen64]byte
-	return subset.CompactLen() + 1 + len(binary.AppendUvarint(buf[:0], uint64(count)))
+	if count == 1 {
+		return subset.CompactLen() + 1
+	}
+	return subset.CompactLen() + 1 + uvarintLen(count)
 }
+
+// uvarintLen is the size of n as a uvarint.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // runHeader is a parsed run header; name aliases the parsed bytes.
 type runHeader struct {
@@ -112,14 +131,19 @@ type runHeader struct {
 // count of the run before it in its frame, 0 for a frame's first.  Every
 // field is input: lengths are checked against what src holds before
 // anything is sliced, an integer not in its fewest bytes is refused, so is
-// a shape that is not one length, a run sharing the ids of none, and a
-// count whose columns the bytes after the header could not hold — at the
-// least 9 bytes an id block, one of consecutive ids, unless the ids are
-// shared, and the words' bits — so that what is later allocated for the
-// count is a bounded multiple of the file it came from.  A run with its own
-// ids spends 9/64 byte an id and 1/8 byte a 1-bit key, fewer than 4 ids a
-// byte; a run sharing them spends the key alone, 8 ids a byte, which
-// replay decodes again into 8-byte slots: 64 bytes of ids a byte of file.
+// a shape that is not one length, a run sharing the ids of none, a header
+// with both sharedIDs and loneRecord, a count of 1 written out — one
+// record has the loneRecord form only — and a count whose columns the
+// bytes after the header could not hold — at the least 9 bytes an id
+// block, one of consecutive ids, unless the ids are shared, and the words'
+// bits — so that what is later allocated for the count is a bounded
+// multiple of the file it came from.  A run with its own ids spends 9/64
+// byte an id and 1/8 byte a 1-bit key, fewer than 4 ids a byte; a run
+// sharing them spends the key alone, 8 ids a byte, which replay decodes
+// again into 8-byte slots: 64 bytes of ids a byte of file.  The subset's
+// name is bounded on its own: a few bytes may name a stretch of up to
+// 2¹⁷ positions (bitvec.CompactSize), which a run set parses once a
+// distinct name.
 func parseRunHeader(src []byte, prev int) (runHeader, error) {
 	n, err := bitvec.CompactSize(src)
 	if err != nil {
@@ -129,24 +153,29 @@ func parseRunHeader(src []byte, prev int) (runHeader, error) {
 		return runHeader{}, fmt.Errorf("run header truncated at %d bytes", len(src))
 	}
 	b := src[n]
-	h := runHeader{name: src[:n], shape: sketch.Shape(b &^ sharedIDs), shared: b&sharedIDs != 0, size: n + 1}
+	h := runHeader{name: src[:n], shape: sketch.Shape(b &^ (sharedIDs | loneRecord)), shared: b&sharedIDs != 0, size: n + 1}
 	if h.shape == 0 || h.shape > sketch.MaxLength {
 		return runHeader{}, fmt.Errorf("run word shape %d", h.shape)
 	}
 	least := 0 // what the id column takes at the least
-	if h.shared {
+	switch {
+	case h.shared && b&loneRecord != 0:
+		return runHeader{}, errors.New("a run both shares its ids and is one record")
+	case h.shared:
 		if prev == 0 {
 			return runHeader{}, errors.New("a frame's first run shares the ids of none")
 		}
 		h.count = prev
-	} else {
+	case b&loneRecord != 0:
+		h.count, least = 1, sketch.MinIDBlocksLen(1)
+	default:
 		count, k := binary.Uvarint(src[h.size:])
 		if k <= 0 || k > 1 && src[h.size+k-1] == 0 {
 			return runHeader{}, errors.New("run count cut short or padded")
 		}
 		h.size += k
-		if count == 0 || count > 8*uint64(len(src)-h.size) {
-			return runHeader{}, fmt.Errorf("run of %d records in %d bytes", count, len(src)-h.size)
+		if count < 2 || count > 8*uint64(len(src)-h.size) {
+			return runHeader{}, fmt.Errorf("run of %d records written with a count in %d bytes", count, len(src)-h.size)
 		}
 		h.count = int(count)
 		least = sketch.MinIDBlocksLen(h.count)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,6 +51,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// errWholeFrame stops eachFrame at a whole, well-formed frame.
+var errWholeFrame = errors.New("a whole frame")
+
 // samePub compares records field-wise (Subset is not ==-comparable).
 func samePub(a, b sketch.Published) bool {
 	return a.ID == b.ID && a.S == b.S && a.Subset.Equal(b.Subset)
@@ -70,27 +74,36 @@ func samePub(a, b sketch.Published) bool {
 // huge allocations.
 func FuzzSegmentIndex(f *testing.F) {
 	// first returns where the first run's frame of a seed's segment starts,
-	// its subset's compact length, where its id column starts and how long
-	// that is, and where its frame ends.
-	first := func(seed uint64, n int) (start, nameLen, ids, idsLen, end int) {
+	// the size of its head, its subset's compact length, where its id
+	// column starts and how long that is, and where its frame ends.
+	first := func(seed uint64, n int) (start, head, nameLen, ids, idsLen, end int) {
 		image, runs := encodeSegment(fuzzSegmentRecords(seed, n, false))
 		start, nameLen = int(runs[0].start), runs[0].subset.CompactLen()
-		ids = start + walFrameHeader + len(appendRunHeader(nil, runs[0].subset, runs[0].count, runs[0].shape, false))
+		_, k := binary.Uvarint(image[start:])
+		head = k + 4
+		ids = start + head + len(appendRunHeader(nil, runs[0].subset, runs[0].count, runs[0].shape, false))
 		idsLen, _ = sketch.IDBlocksLen(image[ids:], runs[0].count)
-		return start, nameLen, ids, idsLen, int(runs[0].end)
+		return start, head, nameLen, ids, idsLen, int(runs[0].end)
 	}
 	f.Add(uint64(1), 10, -1, byte(0), false)
 	f.Add(uint64(2), 0, -1, byte(0), false)
-	at, nameLen, _, _, _ := first(3, 40)
-	f.Add(uint64(3), 40, at+3, byte(0x01), false)         // the first frame's length
-	f.Add(uint64(3), 40, at+5, byte(0xFF), false)         // its checksum
-	f.Add(uint64(3), 40, at+8, byte(0x02), false)         // its run's position count
-	f.Add(uint64(3), 40, at+9, byte(0x01), false)         // a position
-	f.Add(uint64(3), 40, at+8+nameLen, byte(0x80), false) // the shared-ids bit of its shape byte
-	f.Add(uint64(3), 40, at+8+nameLen, byte(0x41), false) // its shape
-	f.Add(uint64(3), 40, at+9+nameLen, byte(0x01), false) // the run header's count
-	f.Add(uint64(3), 40, at+9+nameLen, byte(0x80), false) // a count padded or cut short
-	_, _, ids, idsLen, end := first(4, 200)
+	at, head, nameLen, _, _, _ := first(3, 40)
+	f.Add(uint64(3), 40, at, byte(0x01), false)                // the first frame's length
+	f.Add(uint64(3), 40, at, byte(0x80), false)                // a length run on into the checksum: longer, padded or past the file
+	f.Add(uint64(3), 40, at+head-1, byte(0xFF), false)         // its checksum
+	f.Add(uint64(3), 40, at+head, byte(0x02), false)           // its run's stretch count
+	f.Add(uint64(3), 40, at+head+1, byte(0x01), false)         // a stretch's more bit
+	f.Add(uint64(3), 40, at+head+1, byte(0x02), false)         // its start
+	f.Add(uint64(3), 40, at+head+nameLen, byte(0x80), false)   // the shared-ids bit of its shape byte
+	f.Add(uint64(3), 40, at+head+nameLen, byte(0x40), false)   // the lone-record bit, with a count
+	f.Add(uint64(3), 40, at+head+nameLen, byte(0xC0), false)   // both bits
+	f.Add(uint64(3), 40, at+head+nameLen, byte(0x03), false)   // its shape
+	f.Add(uint64(3), 40, at+head+nameLen+1, byte(0x01), false) // the run header's count
+	f.Add(uint64(3), 40, at+head+nameLen+1, byte(0x80), false) // a count padded or cut short
+	at, head, nameLen, _, _, _ = first(8, 1)
+	f.Add(uint64(8), 1, at+head+nameLen, byte(0x40), false) // a lone record's bit cleared: its id block read as a count
+	f.Add(uint64(8), 1, at+head+nameLen, byte(0x80), false) // the shared-ids bit beside it
+	_, _, _, ids, idsLen, end := first(4, 200)
 	f.Add(uint64(4), 200, ids, byte(0x09), false)   // the first id block's width byte
 	f.Add(uint64(4), 200, ids+1, byte(0x80), false) // its first id
 	// The width byte made 33, 64 (raw) and 0, and the top bit of the
@@ -219,8 +232,8 @@ func FuzzSegmentIndex(f *testing.F) {
 }
 
 // fuzzLog builds a valid log of the given number of windows, each a few
-// records over up to three subsets, and returns it with the normalized
-// records it holds.
+// records over up to three subsets, now and then followed by a lone
+// record's, and returns it with the normalized records it holds.
 func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), walName)
@@ -259,6 +272,15 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 			t.Fatal(err)
 		}
 		all = append(all, window...)
+		if x%5 == 0 {
+			// A lone record, as an Append writes it.
+			x = splitmix64(x)
+			p := sketch.Published{ID: bitvec.UserID(x % 50), Subset: subsets[int(x>>40)%len(subsets)], S: sketch.Sketch{Key: x >> 34, Length: 30}}
+			if err := w.AppendBatch([]sketch.Published{p}); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, p)
+		}
 	}
 	image, err := os.ReadFile(path)
 	if err != nil {
@@ -267,32 +289,50 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 	return image, flatten(testRuns(all))
 }
 
-// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v8
-// windows, some of whose frames share a run's ids among several subsets: whatever follows — garbage, a frame claiming gigabytes, a frame
-// cut short, a whole frame with a flipped bit — replay must not panic,
-// must not allocate beyond what the file's size accounts for, must return
-// exactly the prefix's records and must truncate the file to exactly the
-// prefix.
+// FuzzWALReplay feeds replay arbitrary bytes after a valid prefix of v9
+// windows, some of whose frames share a run's ids among several subsets
+// and some of which are a lone record's: whatever follows — garbage, a
+// frame claiming gigabytes, a frame head whose length is longer than 5
+// bytes, padded or past maxFrameBytes, a frame cut short, a whole frame
+// with a flipped bit, a run header with the lone-record bit and a count,
+// or with it on a run sharing ids — replay must not panic, must not
+// allocate beyond what the file's size accounts for, must return exactly
+// the prefix's records and must truncate the file to exactly the prefix.
+// A subset's name is the one field the file's size does not bound: a few
+// bytes may name a stretch of up to 2¹⁷ positions, parsed once a distinct
+// name (parseRunHeader); the seed of 2³² positions is refused, and a
+// checksum-clean frame naming a long stretch is beyond what the fuzzer
+// forges.
 func FuzzWALReplay(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-		out = binary.BigEndian.AppendUint32(out, checksum(payload))
-		return append(out, payload...)
-	}
+	frame := logFrame
 	f.Add(uint64(1), 3, []byte(nil))
 	f.Add(uint64(2), 0, []byte("garbage after the magic"))
-	f.Add(uint64(3), 5, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1, 2, 3})              // a 4 GiB frame
-	f.Add(uint64(4), 2, frame(nil))                                                       // clean sum, no run
-	f.Add(uint64(5), 4, frame([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2}))                // 2³² positions
-	f.Add(uint64(6), 1, frame([]byte{1, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF, 0x07, 0, 0, 0, 1})) // 2³¹ records
+	f.Add(uint64(3), 5, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0, 1, 2, 3})            // a 4 GiB frame
+	f.Add(uint64(4), 2, frame(nil))                                                           // clean sum, no run
+	f.Add(uint64(5), 4, frame([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2}))                    // 2³² stretches
+	f.Add(uint64(29), 4, frame([]byte{1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 9, 0x40, 0, 1, 2})) // a stretch of 2³² positions
+	f.Add(uint64(6), 1, frame([]byte{1, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF, 0x07, 0, 0, 0, 1}))     // 2³¹ records
 	f.Add(uint64(7), 6, walMagic[:])
 	f.Add(uint64(24), 2, frame([]byte{1, 0, 1 | sharedIDs, 0x01}))                         // a first run sharing the ids of none
 	f.Add(uint64(25), 2, frame([]byte{1, 0, 1, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1})) // a padded count
 	// A clean frame of two runs, the second sharing the first's one id,
 	// then the same with the shared run's words cut off.
-	shared := append(framePayload(bitvec.MustSubset(0), 1, 1, []byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 1}), 1, 1, 1|sharedIDs, 1)
+	one := []byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 1} // an id block of one id, a key of a bit
+	shared := append(framePayload(bitvec.MustSubset(0), 1, 1, one), 1, 2, 1|sharedIDs, 1)
 	f.Add(uint64(26), 2, frame(shared))
 	f.Add(uint64(27), 2, frame(shared[:len(shared)-1]))
+	// Hostile heads and run headers around a lone record's frame, each of
+	// which ends the valid prefix: its length in 6 bytes, padded, and past
+	// maxFrameBytes; the lone-record bit beside a count of 1, a count of 1
+	// without it, and the bit on a run sharing ids.
+	lone := framePayload(bitvec.MustSubset(0), 1, 1, one)
+	crc := binary.BigEndian.AppendUint32(nil, checksum(lone))
+	f.Add(uint64(30), 2, append(append([]byte{byte(len(lone)) | 0x80, 0x80, 0x80, 0x80, 0x80, 0}, crc...), lone...))
+	f.Add(uint64(31), 2, append(append([]byte{byte(len(lone)) | 0x80, 0}, crc...), lone...))
+	f.Add(uint64(32), 2, append(binary.AppendUvarint(nil, maxFrameBytes+1), append(crc, lone...)...))
+	f.Add(uint64(33), 2, frame(append([]byte{1, 0, 1 | loneRecord, 1}, one...)))
+	f.Add(uint64(34), 2, frame(append([]byte{1, 0, 1, 1}, one...)))
+	f.Add(uint64(35), 2, frame(append(framePayload(bitvec.MustSubset(0), 1, 1, one), 1, 2, 1|sharedIDs|loneRecord, 1)))
 	// The most ids a byte of log can ask replay for: a run of 4097
 	// consecutive ids, a bit a key, shared by 200 runs of other subsets,
 	// each 8 ids a byte of its words, then a shared run cut short, so that
@@ -344,13 +384,14 @@ func FuzzWALReplay(f *testing.F) {
 		prefix, want := fuzzLog(t, seed, windows)
 		// The tail must not open with a whole valid window, or it would
 		// belong to the prefix: the fuzzer may keep every other byte of one.
-		if len(tail) >= walFrameHeader {
-			n := int64(binary.BigEndian.Uint32(tail))
-			if n <= int64(len(tail)-walFrameHeader) && checksum(tail[walFrameHeader:walFrameHeader+n]) == binary.BigEndian.Uint32(tail[4:]) {
-				if _, err := newRunSet().addFrame(tail[walFrameHeader : walFrameHeader+n]); err == nil {
-					tail[4] ^= 0x80
-				}
+		if _, err := eachFrame(tail, 0, len(tail), func(_ int, payload []byte) error {
+			if _, err := newRunSet().addFrame(payload); err != nil {
+				return err
 			}
+			return errWholeFrame
+		}); err == errWholeFrame {
+			_, k := binary.Uvarint(tail)
+			tail[k] ^= 0x80 // its checksum
 		}
 		path := filepath.Join(t.TempDir(), walName)
 		image := append(prefix, tail...)

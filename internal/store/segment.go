@@ -15,23 +15,23 @@ import (
 	"sketchprivacy/internal/sketch"
 )
 
-// Segment format v8, the only one written or read (v7.go converts v7).  A
+// Segment format v9, the only one written or read (v8.go converts v8).  A
 // segment is a shard's runs (run.go) sealed in the log's own frames
 // (wal.go): sorted by (subset tag, length), ids ascending within each,
 // every (user, subset, length) at most once —
 //
-//	8-byte magic "SKSEG\x00\x00\x08"
-//	one frame per run, in (tag, length) order: 4-byte payload length |
+//	8-byte magic "SKSEG\x00\x00\x09"
+//	one frame per run, in (tag, length) order: uvarint payload length |
 //	  4-byte checksum of the payload | payload: the run, its own ids
 //	8-byte record count
 //
-// All integers are big-endian, every checksum is checksum().  A run is
+// The fixed-width integers are big-endian, every checksum is checksum().  A run is
 // split across frames, at a block of its id column, only where one frame
 // would pass maxFrameBytes.  A record costs what it costs in the log — its
 // id's share of an id block, a quarter of a byte where users were numbered
 // as they enrolled, 8 and 1/64 where ids are hashes, and its ℓ bits of key
-// — and a run its frame's head and its header: 21 bytes beside a P10
-// run's 2¹⁴ records or more.  A segment frame holds one run, so no run of
+// — and a run its frame's head and its header: about 14 bytes beside a
+// P10 run's 2¹⁴ records or more.  A segment frame holds one run, so no run of
 // a segment shares its ids: a subset's ids are written once per subset,
 // where the table holds one column for the subsets that hold the same
 // users.
@@ -47,13 +47,13 @@ import (
 // whole before it is renamed into place, so any damage to one —
 // a flipped bit, a lost tail, a run out of order — is ErrSegmentCorrupt.
 //
-// A segment of another magic is corrupt: Open converts a v7 directory
-// before these readers run (v7.go), and refuses older ones with
+// A segment of another magic is corrupt: Open converts a v8 directory
+// before these readers run (v8.go), and refuses older ones with
 // ErrFormatTooOld.
 //
 // Segments are written to a temporary file, fsynced and renamed into
 // place, so a segment either exists completely or not at all.
-var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 8}
+var segMagic = [8]byte{'S', 'K', 'S', 'E', 'G', 0, 0, 9}
 
 // segFooterSize is the footer's: the record count.
 const segFooterSize = 8
@@ -105,7 +105,7 @@ func newSegWriter(size int) *segWriter {
 func segmentSize(runs []run) int {
 	size := len(segMagic) + segFooterSize
 	for _, r := range runs {
-		size += walFrameHeader + runHeaderSize(r.Subset, r.Len()) + r.IDs.Bytes() + wordsLen(r.Len(), r.Keys.Shape())
+		size += maxFrameHead + runHeaderSize(r.Subset, r.Len()) + r.IDs.Bytes() + wordsLen(r.Len(), r.Keys.Shape())
 	}
 	return size
 }
@@ -132,8 +132,7 @@ func (w *segWriter) add(r run) {
 			buf = append(buf, r.IDs.BlockBytes(k)...)
 		}
 		buf = r.Keys.Slice(lo, hi).AppendBits(buf)
-		closeFrame(buf, frame)
-		w.buf, lo = buf, hi
+		w.buf, lo = closeFrame(buf, frame), hi
 	}
 	if r.Len() > 0 {
 		w.runs = append(w.runs, segRun{tag: r.tag, subset: r.Subset, count: r.Len(), shape: shape, start: start, end: int64(len(w.buf))})
@@ -215,7 +214,7 @@ func scanSegment(data []byte, path string) (segIndex, error) {
 		return corrupt("is %d bytes", len(data))
 	}
 	if [8]byte(data[:8]) != segMagic {
-		return corrupt("has magic %q, not v8's", data[:8])
+		return corrupt("has magic %q, not v9's", data[:8])
 	}
 	var runs segIndex
 	// The run being scanned: its ids are gathered only to hold each frame's
@@ -245,7 +244,7 @@ func scanSegment(data []byte, path string) (segIndex, error) {
 		}
 		// Otherwise the next frame of a run past maxFrameBytes.
 		r := &runs[len(runs)-1]
-		r.count, r.end = r.count+h.count, int64(at+walFrameHeader+len(payload))
+		r.count, r.end = r.count+h.count, int64(at+frameHeadLen(len(payload))+len(payload))
 		total += h.count
 		keys, err = decodeRun(h, idCol, words, &ids, keys.Reset())
 		return err

@@ -13,13 +13,14 @@ import (
 	"sketchprivacy/internal/wire"
 )
 
-// The log (format v8) opens with an 8-byte magic and continues with one
+// The log (format v9) opens with an 8-byte magic and continues with one
 // frame per appended group, the unit a commit window queues: the one
 // record of an Append, or an AppendBatch's records for the shard.  A
 // segment holds the same frames (segment.go).
 //
-//	4 bytes big-endian payload length
-//	4 bytes big-endian checksum of the payload
+//	uvarint  payload length, in its fewest bytes: 1 byte below 128, at
+//	         most 5 (maxFrameBytes is 2³⁰)
+//	4 bytes  big-endian checksum of the payload
 //	payload: the group's runs whole (run.go), back to back to its end: one
 //	         run per maximal stretch of the group's records of one subset
 //	         and length, in arrival order, under its subset's compact name,
@@ -30,10 +31,11 @@ import (
 //	         previous run's of the frame one for one, as they are when a
 //	         batch's users sketched every subset, not at all; and its
 //	         words, ℓ bits a key, ⌈count·ℓ/8⌉ bytes.  A lone P10 record's
-//	         frame is 32 bytes: 8 of head, 13 of run header, a 9-byte id
-//	         block and 2 bytes of key.  A frame may name a subset and length
-//	         in several runs; replay appends them in order, so the newest of
-//	         a repeated record is still the last
+//	         frame is 20 bytes: 5 of head, 4 of run header (the subset's 3
+//	         and a shape byte marking one record, no count), a 9-byte id
+//	         block and 2 bytes of key.  A frame may name a subset and
+//	         length in several runs; replay appends them in order, so the
+//	         newest of a repeated record is still the last
 //
 // A commit window is its groups' frames back to back: one write(2), one
 // fsync, one outcome for every record in it.  The frame, not the window,
@@ -45,16 +47,21 @@ import (
 // did — nothing of that window was acknowledged, and nothing says an
 // unacknowledged record must be lost.
 //
-// A log of another magic is refused at Open; a v7 one is converted before
-// (v7.go).
-var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 8}
+// A log of another magic is refused at Open; a v8 one is converted before
+// (v8.go).
+var walMagic = [8]byte{'S', 'K', 'W', 'A', 'L', 0, 0, 9}
 
 const (
-	walFrameHeader = 8 // payload length + checksum
-	// maxFrameBytes bounds one frame's payload well inside its 32-bit
-	// length; only a single enormous AppendBatch group could come near it.
+	// maxFrameHead is the most a frame's head takes: a uvarint length of
+	// at most maxFrameBytes and the checksum.
+	maxFrameHead = 5 + 4
+	// maxFrameBytes bounds one frame's payload; only a single enormous
+	// AppendBatch group could come near it.
 	maxFrameBytes = 1 << 30
 )
+
+// frameHeadLen is the size of the head of a frame of n bytes of payload.
+func frameHeadLen(n int) int { return uvarintLen(n) + 4 }
 
 // maxRecordSize bounds one record, which in practice bounds its subset
 // tag: an id and a sketch's key are at most 8 bytes and 30 bits.
@@ -164,7 +171,7 @@ func (w *wal) replay() error {
 		// stays 0 and ready writes the magic.
 		return nil
 	case !bytes.HasPrefix(data, walMagic[:]):
-		return fmt.Errorf("store: %s is not a v8 log", w.path)
+		return fmt.Errorf("store: %s is not a v9 log", w.path)
 	}
 	set := newRunSet()
 	w.size, w.records = scanLog(data, set)
@@ -243,22 +250,24 @@ func scanLog(data []byte, set *runSet) (valid int64, records uint64) {
 
 // eachFrame calls fn with the offset and the payload of each whole,
 // checksum-clean frame of data from off up to end, and returns where the
-// first one that is neither — or that fn refuses, with fn's error —
-// starts: end, if every frame is whole and accepted.
+// first one that is neither — its length cut short, padded, past
+// maxFrameBytes or past end, or its checksum wrong — or that fn refuses,
+// with fn's error, starts: end, if every frame is whole and accepted.
 func eachFrame(data []byte, off, end int, fn func(at int, payload []byte) error) (int, error) {
-	for end-off >= walFrameHeader {
-		n := int64(binary.BigEndian.Uint32(data[off:]))
-		if n > int64(end-off-walFrameHeader) {
+	for off < end {
+		n, k := binary.Uvarint(data[off:end])
+		if k <= 0 || k > 1 && data[off+k-1] == 0 || n > maxFrameBytes || n > uint64(end-off-k) || end-off-k-int(n) < 4 {
 			break
 		}
-		payload := data[off+walFrameHeader : off+walFrameHeader+int(n)]
-		if checksum(payload) != binary.BigEndian.Uint32(data[off+4:]) {
+		at := off + k + 4
+		payload := data[at : at+int(n)]
+		if checksum(payload) != binary.BigEndian.Uint32(data[off+k:]) {
 			break
 		}
 		if err := fn(off, payload); err != nil {
 			return off, err
 		}
-		off += walFrameHeader + int(n)
+		off = at + int(n)
 	}
 	return off, nil
 }
@@ -393,11 +402,13 @@ func checkRecords(ps []sketch.Published) error {
 }
 
 // windowBytes bounds what the group ps adds to a commit window, for the
-// committer's size cap: its frame's head, and for each run appendFrame
-// writes its header, at most a width byte an id block and 8 bytes an id —
-// none where it shares the ids of the run before it — and its words.
+// committer's size cap: for each run appendFrame writes, its header, at
+// most a width byte an id block and 8 bytes an id — none where it shares
+// the ids of the run before it — and its words; and the head of a frame of
+// that payload.  It is exact for a lone record — 20 bytes at P10 and ℓ =
+// 9 — and for runs whose ids are raw.
 func windowBytes(ps []sketch.Published) int {
-	n := walFrameHeader
+	n := 0
 	var prev []sketch.Published
 	for len(ps) > 0 {
 		k := stretch(ps)
@@ -408,7 +419,7 @@ func windowBytes(ps []sketch.Published) int {
 		}
 		prev, ps = ps[:k], ps[k:]
 	}
-	return n
+	return frameHeadLen(n) + n
 }
 
 // stretch returns how many records at the front of ps make one run: those
@@ -446,25 +457,28 @@ func appendFrame(buf []byte, ps []sketch.Published) ([]byte, error) {
 		buf = appendFrameRun(buf, ps[:n], sameIDs(prev, ps[:n]))
 		prev, ps = ps[:n], ps[n:]
 	}
-	if n := len(buf) - frame - walFrameHeader; n > maxFrameBytes {
+	if n := len(buf) - frame - maxFrameHead; n > maxFrameBytes {
 		return buf, fmt.Errorf("store: appended group of %d bytes exceeds %d", n, maxFrameBytes)
 	}
-	closeFrame(buf, frame)
-	return buf, nil
+	return closeFrame(buf, frame), nil
 }
 
-// openFrame appends the head of a frame — its length and checksum, which
-// closeFrame fills in — and returns where the frame starts.
+// openFrame appends room for the head of a frame — its length and
+// checksum, which closeFrame fills in — and returns where the frame
+// starts.
 func openFrame(buf []byte) ([]byte, int) {
-	return append(buf, make([]byte, walFrameHeader)...), len(buf)
+	return append(buf, make([]byte, maxFrameHead)...), len(buf)
 }
 
 // closeFrame fills in the head of the frame at buf[frame:], which ends
-// buf.
-func closeFrame(buf []byte, frame int) {
-	payload := buf[frame+walFrameHeader:]
-	binary.BigEndian.PutUint32(buf[frame:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[frame+4:], checksum(payload))
+// buf, and moves its payload down against it: the length takes the room
+// it needs and no more.
+func closeFrame(buf []byte, frame int) []byte {
+	payload := buf[frame+maxFrameHead:]
+	head := binary.AppendUvarint(buf[frame:frame], uint64(len(payload)))
+	head = binary.BigEndian.AppendUint32(head, checksum(payload))
+	copy(buf[frame+len(head):], payload)
+	return buf[:frame+len(head)+len(payload)]
 }
 
 // appendFrameRun appends the run of ps, records of one subset and length:

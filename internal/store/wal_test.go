@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -40,12 +41,13 @@ func openTornCopy(t *testing.T, image []byte) (*Durable, string) {
 }
 
 // TestWALTornTailEveryOffset is the kill-mid-write simulation: a log of k
-// windows, the last one a commit window of several records over three
-// subsets — the same users under each, so that its second and third runs
-// share the first's ids — is truncated at every byte offset inside that
-// last window, and recovery must return exactly the records of the k-1
-// fully-written windows — never an error, never part of the torn window,
-// which vanishes whole.
+// windows — lone records' frames, then a commit window of 40 users over
+// three subsets, the same users under each, so that its second and third
+// runs share the first's ids, and a single record's run after them, in a
+// frame whose length takes two bytes — is truncated at every byte offset
+// inside that last window, and recovery must return exactly the records
+// of the k-1 fully-written windows — never an error, never part of the
+// torn window, which vanishes whole.
 func TestWALTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	b, b2, b3 := bitvec.MustSubset(0, 3, 5), bitvec.MustSubset(1, 4), bitvec.Range(0, 10)
@@ -62,8 +64,9 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 	lastStart := st.shards[0].wal.size
 	var last []sketch.Published
 	for _, s := range []bitvec.Subset{b, b2, b3} {
-		last = append(last, testRecord(k, s), testRecord(k+1, s), testRecord(k+2, s))
+		last = append(last, testRecordsRange(k, k+39, s)...)
 	}
+	last = append(last, testRecord(k+50, b2))
 	if failed, err := st.AppendBatch(last); err != nil || len(failed) != 0 {
 		t.Fatal(failed, err)
 	}
@@ -74,6 +77,12 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 	full, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if head := full[lastStart:]; head[0] < 0x80 || head[1] >= 0x80 {
+		t.Fatalf("the last window's frame opens %x, want a 2-byte length", head[:2])
+	}
+	if lone := payloadOf(full[len(walMagic):lastStart]); lone[b.CompactLen()]&loneRecord == 0 {
+		t.Fatalf("a lone record's run header is %x, want the lone-record bit", lone)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -252,10 +261,14 @@ func TestWALWindowGroupsRunsStably(t *testing.T) {
 	newer := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1<<10 - 1, Length: 10}}
 	// run is the bytes of a run of count 10-bit records under subset s whose
 	// ids take one block of idBytes: its compact subset, the shape byte and
-	// the count's, the ids and the words.
+	// the count's unless it is one record, the ids and the words.
 	run := func(s bitvec.Subset, count, idBytes int) int {
+		if count == 1 {
+			return s.CompactLen() + 1 + idBytes + (count*10+7)/8
+		}
 		return s.CompactLen() + 1 + 1 + idBytes + (count*10+7)/8
 	}
+	frame := func(payload int) int { return frameHeadLen(payload) + payload }
 	for _, tc := range []struct {
 		name    string
 		window  []sketch.Published
@@ -266,11 +279,11 @@ func TestWALWindowGroupsRunsStably(t *testing.T) {
 		// so are one raw block, a width byte and 8-byte ids; a lone id's
 		// block is a width byte and the id.
 		{"interleaved", []sketch.Published{testRecord(9, b2), older, testRecord(3, b2), testRecord(8, b), newer}, 4,
-			walFrameHeader + run(b2, 1, 1+8) + run(b, 1, 1+8) + run(b2, 1, 1+8) + run(b, 2, 1+2*8)},
+			frame(run(b2, 1, 1+8) + run(b, 1, 1+8) + run(b2, 1, 1+8) + run(b, 2, 1+2*8))},
 		// The same records in run order: b2's run and b's, neither in id
 		// order, so each one raw block.
 		{"in run order", []sketch.Published{testRecord(9, b2), testRecord(3, b2), older, testRecord(8, b), newer}, 2,
-			walFrameHeader + run(b2, 2, 1+2*8) + run(b, 3, 1+3*8)},
+			frame(run(b2, 2, 1+2*8) + run(b, 3, 1+3*8))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			frame := windowFrame(t, tc.window...)
@@ -278,7 +291,7 @@ func TestWALWindowGroupsRunsStably(t *testing.T) {
 				t.Fatalf("window frame is %d bytes, want %d", len(frame), tc.wantLen)
 			}
 			runs := 0
-			if err := eachRun(frame[walFrameHeader:], func(runHeader, []byte, []byte) error { runs++; return nil }); err != nil || runs != tc.runs {
+			if err := eachRun(payloadOf(frame), func(runHeader, []byte, []byte) error { runs++; return nil }); err != nil || runs != tc.runs {
 				t.Fatalf("window frame holds %d runs (%v), want %d", runs, err, tc.runs)
 			}
 			got, valid := logRecords(t, append(walMagic[:], frame...))
@@ -362,7 +375,7 @@ func TestWALBatchSharesIDs(t *testing.T) {
 		}
 		idBytes += len(sketch.AppendIDBlocks(nil, ids))
 	}
-	want := walFrameHeader + idBytes
+	want := idBytes
 	for pos := 0; pos < 10; pos++ {
 		b := bitvec.Range(0, pos+1)
 		want += b.CompactLen() + 1 + (100*10+7)/8
@@ -370,6 +383,7 @@ func TestWALBatchSharesIDs(t *testing.T) {
 			want++ // the count, which the shared runs leave out
 		}
 	}
+	want += frameHeadLen(want)
 	if len(frame) != want {
 		t.Fatalf("the frame of 10 subsets × 100 users is %d bytes, want %d", len(frame), want)
 	}
@@ -413,10 +427,11 @@ func TestWALBatchSharesIDs(t *testing.T) {
 func TestSharedIDsOnFirstRunIsCorrupt(t *testing.T) {
 	b, b2 := bitvec.MustSubset(0, 2), bitvec.MustSubset(1)
 	first := windowFrame(t, testRecord(9, b))
-	// The lone record's run with the shared bit set and its count dropped.
-	lone := first[walFrameHeader:]
+	// The lone record's run with the shared bit for its lone-record bit and
+	// its id block dropped.
+	lone := payloadOf(first)
 	at := b.CompactLen()
-	bad := append(append(bytes.Clone(lone[:at]), lone[at]|sharedIDs), lone[at+2+9:]...)
+	bad := append(append(bytes.Clone(lone[:at]), lone[at]&^loneRecord|sharedIDs), lone[at+1+9:]...)
 	image := append(append(walMagic[:len(walMagic):len(walMagic)], first...), logFrame(bad)...)
 	if got, valid := logRecords(t, image); valid != int64(len(walMagic)+len(first)) || len(got) != 1 {
 		t.Fatalf("a first run sharing ids: replay kept %d of %d bytes, %d records", valid, len(image), len(got))
@@ -424,7 +439,7 @@ func TestSharedIDsOnFirstRunIsCorrupt(t *testing.T) {
 	if _, err := scanSegment(oneRunSegment(bad, 1), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("a segment's run sharing ids: scanSegment = %v", err)
 	}
-	two := windowFrame(t, testRecord(9, b), testRecord(9, b2))[walFrameHeader:]
+	two := payloadOf(windowFrame(t, testRecord(9, b), testRecord(9, b2)))
 	if _, err := scanSegment(oneRunSegment(two, 2), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("a segment frame of two runs: scanSegment = %v", err)
 	}
@@ -432,25 +447,44 @@ func TestSharedIDsOnFirstRunIsCorrupt(t *testing.T) {
 
 // TestWindowBytesBoundsFrame: windowBytes, what the committer charges a
 // group against its window's size cap, is at least the bytes appendFrame
-// writes for it — for random groups of runs of 1 to 40 positions and 1 to
-// 30 bits, of 1 to 200 records, ids dense, spread, hashed or out of order,
-// each run sharing the ids of the one before it or not — and exact for
-// the group the cap meets most, a lone record: 32 bytes for a P10 one.
+// writes for it — for random groups of runs over subsets of 1 to 40
+// positions, scattered or in stretches of several, of 1 to 30 bits and 1
+// to 200 records, a quarter of the runs a single record, ids dense,
+// spread, hashed or out of order, each run sharing the ids of the one
+// before it or not — and exact for the group the cap meets most, a lone
+// record: 20 bytes for a P10 one (a 5-byte head, 3 bytes of subset, the
+// shape byte, a 9-byte id block and 2 bytes of key).
 func TestWindowBytesBoundsFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	lone := []sketch.Published{{ID: 1 << 40, Subset: bitvec.Range(0, 10), S: sketch.Sketch{Key: 5, Length: 9}}}
-	if frame, err := appendFrame(nil, lone); err != nil || len(frame) != 32 || windowBytes(lone) != 32 {
-		t.Fatalf("a lone P10 record frames in %d bytes (%v), windowBytes says %d; want 32", len(frame), err, windowBytes(lone))
+	if frame, err := appendFrame(nil, lone); err != nil || len(frame) != 20 || windowBytes(lone) != 20 {
+		t.Fatalf("a lone P10 record frames in %d bytes (%v), windowBytes says %d; want 20", len(frame), err, windowBytes(lone))
 	}
+	ones, multi := 0, 0
 	for trial := 0; trial < 2000; trial++ {
 		var group []sketch.Published
 		var prev []bitvec.UserID
 		for runs := 1 + rng.Intn(4); runs > 0; runs-- {
-			positions := rng.Perm(200)[:1+rng.Intn(40)]
+			var positions []int
+			for _, p := range rng.Perm(200)[:1+rng.Intn(40)] {
+				if !slices.Contains(positions, p) {
+					positions = append(positions, p)
+				}
+				// Now and then a stretch from p on, as far as it is free.
+				for q := p + 1; rng.Intn(3) == 0 && !slices.Contains(positions, q); q++ {
+					positions = append(positions, q)
+				}
+			}
 			b, length := bitvec.MustSubset(positions...), 1+rng.Intn(30)
+			if stretches, _ := binary.Uvarint(b.AppendCompact(nil)); stretches > 1 && int(stretches) < b.Len() {
+				multi++ // several stretches, one of them longer than a position
+			}
 			ids := prev
 			if ids == nil || rng.Intn(2) == 0 {
 				n := 1 + rng.Intn(200)
+				if rng.Intn(4) == 0 {
+					n = 1
+				}
 				ids = make([]bitvec.UserID, n)
 				base := rng.Uint64()
 				for i := range ids {
@@ -464,6 +498,9 @@ func TestWindowBytesBoundsFrame(t *testing.T) {
 					}
 				}
 			}
+			if len(ids) == 1 {
+				ones++
+			}
 			for _, id := range ids {
 				group = append(group, sketch.Published{ID: id, Subset: b, S: sketch.Sketch{Key: rng.Uint64() % (1 << uint(length)), Length: length}})
 			}
@@ -476,5 +513,67 @@ func TestWindowBytesBoundsFrame(t *testing.T) {
 		if got := windowBytes(group); got < len(frame) {
 			t.Fatalf("trial %d: windowBytes charges %d bytes for a %d-byte frame of %d records", trial, got, len(frame), len(group))
 		}
+	}
+	if ones < 500 || multi < 500 {
+		t.Fatalf("%d single-record runs and %d subsets of several stretches: the trials miss the cases they are for", ones, multi)
+	}
+}
+
+// TestHostileFrameHeads: a frame head whose length is cut short, padded,
+// longer than 5 bytes, past maxFrameBytes or past the file ends a log's
+// valid prefix, before anything is sized by it, and fails a segment's open
+// with ErrSegmentCorrupt; so does a run header carrying the lone-record bit
+// and a count, a lone record's count written out, and the bit on a run
+// sharing the ids of the one before it.  A clean frame of the same run
+// passes both.
+func TestHostileFrameHeads(t *testing.T) {
+	b := bitvec.MustSubset(0, 2)
+	one := append(sketch.AppendIDBlocks(nil, []bitvec.UserID{9}), 5, 0) // an id block and a 10-bit key
+	lone := framePayload(b, 1, 10, one)
+	crc := binary.BigEndian.AppendUint32(nil, checksum(lone))
+	head := func(length ...byte) []byte { return append(append(length, crc...), lone...) }
+	name := b.AppendCompact(nil)
+	counted := append(append(bytes.Clone(name), 10, 1), one...)
+	for what, frame := range map[string][]byte{
+		"a length cut short":             {byte(len(lone)) | 0x80},
+		"a padded length":                head(byte(len(lone))|0x80, 0),
+		"a 6-byte length":                head(byte(len(lone))|0x80, 0x80, 0x80, 0x80, 0x80, 0),
+		"a length past maxFrameBytes":    append(binary.AppendUvarint(nil, maxFrameBytes+1), append(crc, lone...)...),
+		"a length past the file":         head(byte(len(lone) + 1)),
+		"a checksum cut short":           {byte(len(lone)), crc[0], crc[1]},
+		"a count beside the lone bit":    logFrame(append(append(bytes.Clone(name), 10|loneRecord, 1), one...)),
+		"a lone record's count":          logFrame(counted),
+		"the lone bit on a shared run":   logFrame(append(append(bytes.Clone(lone), name...), 10|sharedIDs|loneRecord, 0, 0)),
+		"a lone bit on a run of two":     logFrame(append(append(bytes.Clone(name), 10|loneRecord), append(sketch.AppendIDBlocks(nil, []bitvec.UserID{9, 10}), 5, 0, 0)...)),
+		"a count of 0 beside no bit":     logFrame(append(append(bytes.Clone(name), 10, 0), one...)),
+		"a shared run's words cut off":   logFrame(append(append(bytes.Clone(lone), name...), 10|sharedIDs, 0)),
+		"the lone bit and no id block":   logFrame(append(bytes.Clone(name), 10|loneRecord, 5, 0)),
+		"a lone record with a byte more": logFrame(append(bytes.Clone(lone), 0)),
+	} {
+		first := windowFrame(t, testRecord(7, b))
+		image := append(append(walMagic[:len(walMagic):len(walMagic)], first...), frame...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, valid := logRecords(t, image)
+		runtime.ReadMemStats(&after)
+		if valid != int64(len(walMagic)+len(first)) || len(got) != 1 {
+			t.Fatalf("%s: replay kept %d of %d bytes and %d records, want the first frame's %d and its record", what, valid, len(image), len(got), len(walMagic)+len(first))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<14 {
+			t.Fatalf("%s: replay allocated %d bytes", what, grew)
+		}
+		if _, err := scanSegment(binary.BigEndian.AppendUint64(append(segMagic[:len(segMagic):len(segMagic)], frame...), 1), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("%s: scanSegment = %v, want ErrSegmentCorrupt", what, err)
+		}
+	}
+	clean := logFrame(lone)
+	if got, valid := logRecords(t, append(walMagic[:len(walMagic):len(walMagic)], clean...)); valid != int64(len(walMagic)+len(clean)) || len(got) != 1 || got[0].ID != 9 {
+		t.Fatalf("the clean frame replays %d bytes to %+v", valid, got)
+	}
+	if runs, err := scanSegment(binary.BigEndian.AppendUint64(append(segMagic[:len(segMagic):len(segMagic)], clean...), 1), "seg"); err != nil || runs.records() != 1 {
+		t.Fatalf("the clean frame as a segment: %v, %v", runs, err)
+	}
+	if frame, err := appendFrame(nil, []sketch.Published{{ID: 9, Subset: b, S: sketch.Sketch{Key: 5, Length: 10}}}); err != nil || !bytes.Equal(frame, clean) {
+		t.Fatalf("a lone record frames as %x, %v; want %x", frame, err, clean)
 	}
 }

@@ -101,14 +101,39 @@ func panics(f func()) (did bool) {
 // framePayload is the payload of a log frame holding one run: the columns
 // cols of n records of subset b, under the shape byte given — the header
 // written as the format says, knowing nothing of appendRunHeader: b's
-// position count and positions and then n, uvarints, around the byte.
+// compact name (compactName), the byte, with loneRecord set for one
+// record, and for more n, a uvarint.
 func framePayload(b bitvec.Subset, n int, header byte, cols []byte) []byte {
-	payload := binary.AppendUvarint(nil, uint64(b.Len()))
-	for _, p := range b.Positions() {
-		payload = binary.AppendUvarint(payload, uint64(p))
+	payload := compactName(b)
+	if n == 1 {
+		payload = append(payload, header|loneRecord)
+	} else {
+		payload = binary.AppendUvarint(append(payload, header), uint64(n))
 	}
-	payload = binary.AppendUvarint(append(payload, header), uint64(n))
 	return append(payload, cols...)
+}
+
+// compactName is b's name in a run header as the format says, knowing
+// nothing of Subset.AppendCompact: a uvarint count of stretches, then each
+// maximal stretch of consecutive positions as a uvarint start·2, or
+// start·2 + 1 and a uvarint length − 2.
+func compactName(b bitvec.Subset) []byte {
+	pos := b.Positions()
+	var tokens []byte
+	count := 0
+	for i := 0; i < len(pos); count++ {
+		k := 1
+		for i+k < len(pos) && pos[i+k] == pos[i]+k {
+			k++
+		}
+		if k == 1 {
+			tokens = binary.AppendUvarint(tokens, uint64(pos[i])*2)
+		} else {
+			tokens = binary.AppendUvarint(binary.AppendUvarint(tokens, uint64(pos[i])*2+1), uint64(k-2))
+		}
+		i += k
+	}
+	return append(binary.AppendUvarint(nil, uint64(count)), tokens...)
 }
 
 // FuzzColumnWords drives one table column and the store's run machinery
@@ -138,11 +163,7 @@ func framePayload(b bitvec.Subset, n int, header byte, cols []byte) []byte {
 func FuzzColumnWords(f *testing.F) {
 	// FuzzWALReplay's corpus, for what its bytes do as ops, and streams that
 	// widen a column step by step and back-load narrow runs under wide ones.
-	frame := func(payload []byte) []byte {
-		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-		out = binary.BigEndian.AppendUint32(out, checksum(payload))
-		return append(out, payload...)
-	}
+	frame := logFrame
 	f.Add(uint64(1), 3, []byte(nil))
 	f.Add(uint64(2), 0, []byte("garbage after the magic"))
 	f.Add(uint64(3), 5, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1, 2, 3})
@@ -224,11 +245,11 @@ func FuzzColumnWords(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if payload := framePayload(b, len(want), wantShape, append(bytes.Clone(wantIDs), wantWords...)); !bytes.Equal(frame[walFrameHeader:], payload) {
-				t.Fatalf("the log frames %d records as %x; want %x", len(want), frame[walFrameHeader:], payload)
+			if payload := framePayload(b, len(want), wantShape, append(bytes.Clone(wantIDs), wantWords...)); !bytes.Equal(payloadOf(frame), payload) {
+				t.Fatalf("the log frames %d records as %x; want %x", len(want), payloadOf(frame), payload)
 			}
 			set := newRunSet()
-			if n, err := set.addFrame(frame[walFrameHeader:]); err != nil || n != len(want) {
+			if n, err := set.addFrame(payloadOf(frame)); err != nil || n != len(want) {
 				t.Fatalf("the frame of the reference columns adds %d records, %v", n, err)
 			}
 			same("the decoded frame", flatten(set.normalized()), want)
@@ -516,10 +537,17 @@ func TestDecodeRefusesInvalidWord(t *testing.T) {
 	}
 }
 
-// logFrame is the frame of payload, its length and checksum computed.
+// logFrame is the frame of payload, its length and checksum computed: a
+// uvarint and 4 bytes big-endian.
 func logFrame(payload []byte) []byte {
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	frame := binary.AppendUvarint(nil, uint64(len(payload)))
 	return append(binary.BigEndian.AppendUint32(frame, checksum(payload)), payload...)
+}
+
+// payloadOf is the payload of frame, which is one whole frame.
+func payloadOf(frame []byte) []byte {
+	n, k := binary.Uvarint(frame)
+	return frame[k+4 : k+4+int(n)]
 }
 
 // oneRunSegment is a segment image holding the one frame of payload, a
