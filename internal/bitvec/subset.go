@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -185,11 +186,23 @@ func (s Subset) AppendTag(dst []byte) []byte {
 }
 
 // Key returns the Tag as a string, convenient for use as a map key.  The
-// tag of a subset of up to 16 positions is built on the stack, so the
-// string is the one allocation.
+// string is the one allocation: the tag of a subset of up to 16 positions
+// is built on the stack, a longer one in the string's own bytes.
 func (s Subset) Key() string {
-	var buf [8 + 8*16]byte
-	return string(s.AppendTag(buf[:0]))
+	if len(s.positions) <= 16 {
+		var buf [8 + 8*16]byte
+		return string(s.AppendTag(buf[:0]))
+	}
+	var b strings.Builder
+	b.Grow(s.TagLen())
+	var word [8]byte
+	binary.BigEndian.PutUint64(word[:], uint64(len(s.positions)))
+	b.Write(word[:])
+	for _, p := range s.positions {
+		binary.BigEndian.PutUint64(word[:], uint64(p))
+		b.Write(word[:])
+	}
+	return b.String()
 }
 
 // ParseTag reconstructs a subset from its Tag encoding.
@@ -221,44 +234,49 @@ func (s Subset) CompactLen() int {
 	n, tokens := 0, 0
 	for i := 0; i < len(s.positions); tokens++ {
 		k := s.stretchAt(i)
-		n += uvarintLen(uint64(s.positions[i]) << 1)
+		n += UvarintLen(uint64(s.positions[i]) << 1)
 		if k > 1 {
-			n += uvarintLen(uint64(k - 2))
+			n++ // k − 2 < 128
 		}
 		i += k
 	}
-	return uvarintLen(uint64(tokens)) + n
+	return UvarintLen(uint64(tokens)) + n
 }
 
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+// UvarintLen returns the size of x as a uvarint (binary.AppendUvarint),
+// the integer of the compact encoding and of the store's headers.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// maxStretch is the most positions one token of a compact encoding stands
+// for.  A token takes at least 2 bytes to name a stretch, so a name stands
+// for at most 8 positions a byte, and a parsed subset's positions and its
+// Tag, 16 bytes a position, take at most 128 bytes a byte of name: no
+// field of the encoding sizes an allocation.  A longer stretch takes a
+// token every 16 positions.
+const maxStretch = 16
 
 // stretchAt returns how many positions from the i-th on, in subset order,
-// make a stretch: each one more than the one before.
+// make one token's stretch: each one more than the one before, at most
+// maxStretch of them.
 func (s Subset) stretchAt(i int) int {
 	k := 1
-	for i+k < len(s.positions) && s.positions[i+k] == s.positions[i+k-1]+1 {
+	for k < maxStretch && i+k < len(s.positions) && s.positions[i+k] == s.positions[i+k-1]+1 {
 		k++
 	}
 	return k
 }
 
-// maxCompactPositions bounds the positions a compact encoding may stand
-// for.  No subset a record or a query carries has more: its Tag, 8 bytes a
-// position, travels in a wire frame of at most 1 MiB.  A few bytes can
-// name a stretch of any length, so it is also what bounds what ParseCompact
-// allocates for hostile ones: 1 MiB of positions.
-const maxCompactPositions = 1 << 17
-
 // AppendCompact appends the subset's compact encoding: a uvarint count of
-// tokens, then a token for each maximal stretch of consecutive positions
-// in subset order — a uvarint start<<1 | more, and where more is set, a
-// uvarint of the stretch's length less 2.  A stretch costs 2 bytes while
-// it starts below 64 and is shorter than 130, so a prefix of the field,
-// Range(0, k), costs 3 bytes with its count to k = 129 and 4 to 16 385,
-// where the Tag spends 8 a position, and a lone position below 64 costs a
-// byte.  The count says how many tokens follow
-// and a uvarint ends itself, so the encoding is injective and no subset's
-// is a prefix of another's.  It keys the plan cache's entries and names a
+// tokens, then a token for each stretch of consecutive positions in
+// subset order — at most maxStretch of them, as many as follow — a
+// uvarint start<<1 | more, and where more is set, a byte holding the
+// stretch's length less 2.  A stretch costs 2 bytes while it starts below
+// 64, so a prefix of the field, Range(0, k), costs 3 bytes with its count
+// to k = 16 (P10's field is 10 bits), where the Tag spends 8 a position,
+// and a lone position below 64 costs a byte; a longer stretch costs 2 or
+// 3 bytes every 16 positions.  The count says how many tokens follow and
+// a uvarint ends itself, so the encoding is injective and no subset's is
+// a prefix of another's.  It keys the plan cache's entries and names a
 // run's subset on disk; the PRF message keeps the Tag.
 func (s Subset) AppendCompact(dst []byte) []byte {
 	tokens := 0
@@ -271,7 +289,7 @@ func (s Subset) AppendCompact(dst []byte) []byte {
 		if start := uint64(s.positions[i]) << 1; k == 1 {
 			dst = binary.AppendUvarint(dst, start)
 		} else {
-			dst = binary.AppendUvarint(binary.AppendUvarint(dst, start|1), uint64(k-2))
+			dst = append(binary.AppendUvarint(dst, start|1), byte(k-2))
 		}
 		i += k
 	}
@@ -281,18 +299,19 @@ func (s Subset) AppendCompact(dst []byte) []byte {
 // CompactSize returns how many bytes the compact encoding at the front of
 // b occupies, reading no further.  It refuses what ParseCompact refuses but
 // a repeated position: a uvarint cut short, longer than 64 bits or not in
-// its fewest bytes, a count of tokens the bytes could not hold, a token
-// that continues the stretch before it, a stretch past the largest int and
-// more than maxCompactPositions positions in all — so that an encoding it
-// accepts is the only one of its positions.
+// its fewest bytes, a count of tokens the bytes could not hold, a length
+// past maxStretch, a token that continues a stretch of fewer than
+// maxStretch positions before it and a stretch past the largest int — so
+// that an encoding it accepts is the only one of its positions.
 func CompactSize(b []byte) (int, error) {
 	size, _, err := eachStretch(b, nil)
 	return size, err
 }
 
 // eachStretch reads the compact encoding at the front of b, calling fn,
-// when it is not nil, with each of its stretches — first position and
-// length — and returns the encoding's size and its count of positions.
+// when it is not nil, with each of its tokens' stretches — first position
+// and length — and returns the encoding's size and its count of
+// positions.
 func eachStretch(b []byte, fn func(start, n int)) (size, positions int, err error) {
 	count, at, err := compactUvarint(b, 0)
 	if err != nil {
@@ -301,7 +320,7 @@ func eachStretch(b []byte, fn func(start, n int)) (size, positions int, err erro
 	if count > uint64(len(b)-at) {
 		return 0, 0, fmt.Errorf("bitvec: compact subset claims %d stretches in %d bytes", count, len(b)-at)
 	}
-	next := uint64(0) // the position that would continue the last stretch
+	var next, last uint64 // the position that would continue the last stretch, and its length
 	for i := uint64(0); i < count; i++ {
 		var token, n uint64 = 0, 1
 		if at < len(b) && b[at] < 0x80 {
@@ -311,23 +330,24 @@ func eachStretch(b []byte, fn func(start, n int)) (size, positions int, err erro
 		}
 		start := token >> 1
 		if token&1 != 0 {
-			if n, at, err = compactUvarint(b, at); err != nil {
-				return 0, 0, err
+			if at == len(b) {
+				return 0, 0, fmt.Errorf("bitvec: compact subset cut short at byte %d", at)
 			}
-			n = min(n, maxCompactPositions) + 2 // n+2 could wrap
+			if n = uint64(b[at]) + 2; n > maxStretch {
+				return 0, 0, fmt.Errorf("bitvec: compact subset stretch of %d positions in one token", n)
+			}
+			at++
 		}
 		switch {
-		case i > 0 && start == next:
+		case i > 0 && start == next && last < maxStretch:
 			return 0, 0, fmt.Errorf("bitvec: compact subset token %d continues the stretch before it", i)
-		case n > maxCompactPositions-uint64(positions):
-			return 0, 0, fmt.Errorf("bitvec: compact subset of more than %d positions", maxCompactPositions)
 		case start > math.MaxInt-(n-1):
 			return 0, 0, fmt.Errorf("bitvec: compact subset stretch of %d from %d out of range", n, start)
 		}
 		if fn != nil {
 			fn(int(start), int(n))
 		}
-		next, positions = start+n, positions+int(n)
+		next, last, positions = start+n, n, positions+int(n)
 	}
 	return at, positions, nil
 }
@@ -349,23 +369,30 @@ func compactUvarint(b []byte, at int) (uint64, int, error) {
 // front of b and returns it and the encoding's size.  It refuses what
 // CompactSize refuses and a position two stretches share, so that any
 // bytes it accepts are exactly what AppendCompact writes for the subset it
-// returns.
+// returns.  Stretches in ascending order share no position; others are
+// checked by their bounds, sorted, never position by position.
 func ParseCompact(b []byte) (Subset, int, error) {
 	size, n, err := eachStretch(b, nil)
 	if err != nil {
 		return Subset{}, 0, err
 	}
-	pos := make([]int, 0, n)
+	pos, ascending := make([]int, 0, n), true
+	var spans [][2]int // each stretch's start and end, where they do not ascend
 	eachStretch(b, func(start, n int) {
+		if len(pos) > 0 && start <= pos[len(pos)-1] {
+			ascending = false
+		}
 		for p := range n {
 			pos = append(pos, start+p)
 		}
 	})
-	sorted := slices.Clone(pos)
-	slices.Sort(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return Subset{}, 0, fmt.Errorf("bitvec: compact subset repeats position %d", sorted[i])
+	if !ascending {
+		eachStretch(b, func(start, n int) { spans = append(spans, [2]int{start, start + n - 1}) })
+		slices.SortFunc(spans, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
+		for i := 1; i < len(spans); i++ {
+			if spans[i][0] <= spans[i-1][1] {
+				return Subset{}, 0, fmt.Errorf("bitvec: compact subset repeats position %d", spans[i][0])
+			}
 		}
 	}
 	return Subset{positions: pos}, size, nil

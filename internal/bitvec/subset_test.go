@@ -175,17 +175,18 @@ func TestSubsetString(t *testing.T) {
 	}
 }
 
-// TestCompactRoundTrip: the compact encoding names each maximal stretch of
-// consecutive positions once — a byte for a lone position below 64, 3
-// bytes for a stretch from below 64 of fewer than 130 positions, so that
-// the prefix subsets P1, P2 and P10 cost 2, 3 and 3 bytes — with the
-// uvarints straddling their byte boundaries, and parses back from the
-// front of longer bytes.  Bytes no writer writes are refused: a padded
-// uvarint, a count of tokens the bytes cannot hold, a token that continues
-// the stretch before it, a position two stretches share, a stretch past
-// the largest int — a lone position's token has no room to pass it — or
-// of more positions than any subset carries, and an
-// encoding cut short.  A stretch of one has no form with a length — a
+// TestCompactRoundTrip: the compact encoding names each stretch of
+// consecutive positions once — a byte for a lone position below 64, 2 for
+// a stretch from below 64 of up to 16 positions, so that the prefix
+// subsets P1, P2 and P10 cost 2, 3 and 3 bytes with the count, and a
+// token every 16 positions of a longer stretch, each continuing the one
+// before — with the uvarints straddling their byte boundaries, and parses
+// back from the front of longer bytes.  Bytes no writer writes are
+// refused: a padded uvarint, a count of tokens the bytes cannot hold, a
+// token of more than 16 positions, a token that continues a stretch of
+// fewer than 16 before it, a position two stretches share, a stretch past
+// the largest int — a lone position's token has no room to pass it — and
+// an encoding cut short.  A stretch of one has no form with a length — a
 // length says 2 or more — so it is written only as a lone position.
 func TestCompactRoundTrip(t *testing.T) {
 	for _, c := range []struct {
@@ -201,7 +202,10 @@ func TestCompactRoundTrip(t *testing.T) {
 		{MustSubset(64), []byte{1, 0x80, 0x01}},
 		{MustSubset(5, 6, 7, 1, 9, 10), []byte{3, 11, 1, 2, 19, 0}},
 		{MustSubset(3, 2, 1), []byte{3, 6, 4, 2}},
-		{Range(100, 400), binary.AppendUvarint([]byte{1, 0xC9, 0x01}, 298)},
+		{Range(0, 16), []byte{1, 1, 14}},
+		{Range(0, 17), []byte{2, 1, 14, 32}},
+		{Range(60, 100), []byte{3, 121, 14, 0x99, 0x01, 14, 0xB9, 0x01, 6}},
+		{MustSubset(16, 17, 0, 1, 2), []byte{2, 33, 0, 1, 1}},
 		{MustSubset(8191, 8192, 8193), []byte{1, 0xFF, 0x7F, 1}},
 		{MustSubset(8192, 8193, 8194), []byte{1, 0x81, 0x80, 0x01, 1}},
 		{MustSubset(math.MaxInt), binary.AppendUvarint([]byte{1}, 1<<64-2)},
@@ -216,10 +220,15 @@ func TestCompactRoundTrip(t *testing.T) {
 			t.Fatalf("%x parses to %v, %d, %v", got, back, n, err)
 		}
 	}
-	if got := Range(0, maxCompactPositions).AppendCompact(nil); !bytes.Equal(got, binary.AppendUvarint([]byte{1, 1}, maxCompactPositions-2)) {
-		t.Fatalf("the longest stretch encodes as %x", got)
-	} else if s, _, err := ParseCompact(got); err != nil || s.Len() != maxCompactPositions {
-		t.Fatalf("the longest stretch parses to %d positions, %v", s.Len(), err)
+	// A stretch as long as a wire tag's room in a 1 MiB frame: 8192
+	// tokens, at least 2 bytes each, 3 from position 64 and 4 from 8192.
+	long := Range(0, 1<<17)
+	if got := long.AppendCompact(nil); len(got) != long.CompactLen() || len(got) != 2+4*2+508*3+7680*4 {
+		t.Fatalf("the long stretch encodes in %d bytes (CompactLen %d)", len(got), long.CompactLen())
+	} else if s, _, err := ParseCompact(got); err != nil || !s.Equal(long) {
+		t.Fatalf("the long stretch parses to %d positions, %v", s.Len(), err)
+	} else if s.Key() != string(long.Tag()) {
+		t.Fatal("the long stretch's Key is not its Tag")
 	}
 	for name, b := range map[string][]byte{
 		"empty":                      {},
@@ -237,8 +246,10 @@ func TestCompactRoundTrip(t *testing.T) {
 		"overlapping stretches":      {2, 1, 3, 5, 0},
 		"a position inside":          {2, 1, 3, 4},
 		"a position past int":        append(binary.AppendUvarint([]byte{1}, 1<<64-1), 0),
-		"too many positions":         binary.AppendUvarint([]byte{1, 1}, maxCompactPositions-1),
-		"too many in two stretches":  binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint([]byte{2, 1}, maxCompactPositions/2), 1<<21|1), maxCompactPositions/2),
+		"17 positions in one token":  {1, 1, 15},
+		"a short stretch continued":  {2, 1, 13, 30},
+		"a full stretch overlapped":  {2, 1, 14, 30},
+		"a stretch inside another":   {2, 1, 14, 5, 2},
 		"a length that wraps past 0": binary.AppendUvarint([]byte{1, 1}, 1<<64-1),
 		"an overlong uvarint":        {1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
 	} {
@@ -254,8 +265,9 @@ func TestCompactRoundTrip(t *testing.T) {
 // are exactly the encoding of the subset it returns, in CompactLen bytes —
 // one byte form a subset, as the store's run sets and the plan cache's
 // keys, both keyed by those bytes, need.  Among the seeds: a token that
-// continues the stretch before it, a non-minimal uvarint, a position two
-// stretches share and a stretch past the largest int.
+// continues a short stretch before it, a non-minimal uvarint, a position
+// two stretches share, a stretch past the largest int, a token of 17
+// positions and one continuing a token of 16.
 func FuzzSubsetCompact(f *testing.F) {
 	f.Add([]byte{3, 0, 4, 8})
 	f.Add([]byte{0})
@@ -268,7 +280,8 @@ func FuzzSubsetCompact(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 4})
 	f.Add([]byte{2, 1, 3, 4})
 	f.Add(append(binary.AppendUvarint([]byte{1}, 1<<64-1), 0))
-	f.Add(binary.AppendUvarint([]byte{1, 1}, maxCompactPositions-1))
+	f.Add([]byte{1, 1, 15})
+	f.Add([]byte{2, 1, 14, 32})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if s, n, err := ParseCompact(b); err == nil {
 			if enc := s.AppendCompact(nil); !bytes.Equal(enc, b[:n]) || s.CompactLen() != n {
@@ -287,8 +300,9 @@ func FuzzSubsetCompact(f *testing.F) {
 		seen := make(map[int]bool)
 		for i := 0; i+3 <= len(b) && len(pos) < 40; i += 3 {
 			p := int(uint32(b[i])|uint32(b[i+1])<<8|uint32(b[i+2])<<16) >> (b[i] % 24)
-			// The low bits of the next byte stretch p over a few positions.
-			for k := 0; k <= int(b[i+1]&7) && !seen[p+k]; k++ {
+			// The low bits of the next byte stretch p over up to 32
+			// positions, two tokens' worth.
+			for k := 0; k <= int(b[i+1]&31) && !seen[p+k]; k++ {
 				seen[p+k], pos = true, append(pos, p+k)
 			}
 		}

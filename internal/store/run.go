@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -27,10 +26,11 @@ import (
 // On disk (format v9) a run is
 //
 //	the subset, compact (bitvec.Subset.AppendCompact): a uvarint count of
-//	        stretches, then each maximal stretch of consecutive positions
-//	        in subset order, a uvarint start<<1 | more and, where more is
-//	        set, a uvarint length − 2 — 3 bytes for P10, 2 for P1, a byte
-//	        for each scattered position below 64
+//	        tokens, then a token for each stretch of consecutive positions
+//	        in subset order, up to 16 of them: a uvarint start<<1 | more
+//	        and, where more is set, a byte holding the length − 2 — 3
+//	        bytes for P10, 2 for P1, a byte for each scattered position
+//	        below 64
 //	1 byte  the word column's shape, the run's one sketch length ℓ, 1..30,
 //	        with sharedIDs (0x80) set where the run's ids are those of the
 //	        run before it in its frame, and loneRecord (0x40) where it is
@@ -112,11 +112,8 @@ func runHeaderSize(subset bitvec.Subset, count int) int {
 	if count == 1 {
 		return subset.CompactLen() + 1
 	}
-	return subset.CompactLen() + 1 + uvarintLen(count)
+	return subset.CompactLen() + 1 + bitvec.UvarintLen(uint64(count))
 }
-
-// uvarintLen is the size of n as a uvarint.
-func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // runHeader is a parsed run header; name aliases the parsed bytes.
 type runHeader struct {
@@ -141,9 +138,9 @@ type runHeader struct {
 // byte an id and 1/8 byte a 1-bit key, fewer than 4 ids a byte; a run
 // sharing them spends the key alone, 8 ids a byte, which replay decodes
 // again into 8-byte slots: 64 bytes of ids a byte of file.  The subset's
-// name is bounded on its own: a few bytes may name a stretch of up to
-// 2¹⁷ positions (bitvec.CompactSize), which a run set parses once a
-// distinct name.
+// name is bounded by its bytes too: a token of it stands for at most 16
+// positions, 8 a byte (bitvec.CompactSize), which a run set parses once a
+// distinct name into positions and a Tag, 128 bytes a byte of name.
 func parseRunHeader(src []byte, prev int) (runHeader, error) {
 	n, err := bitvec.CompactSize(src)
 	if err != nil {

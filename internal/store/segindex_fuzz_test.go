@@ -18,7 +18,10 @@ import (
 // from a seed: the fuzzer varies segment shape through (seed, n) while
 // the test always knows the exact expected contents.  Its keys are of
 // ℓ = 10, or with twoLengths about half of them of ℓ = 20, so that a
-// subset is two runs and a user may hold a record in each.
+// subset is two runs and a user may hold a record in each.  One record in
+// eight is under a long stretch of its own, 17 to 4112 positions from a
+// start of its own: a run of one record whose name takes a token every 16
+// positions.
 func fuzzSegmentRecords(seed uint64, n int, twoLengths bool) []run {
 	subsets := []bitvec.Subset{
 		bitvec.MustSubset(0),
@@ -34,9 +37,14 @@ func fuzzSegmentRecords(seed uint64, n int, twoLengths bool) []run {
 		if twoLengths && x>>20&1 == 1 {
 			length = 20
 		}
+		subset := subsets[int(x>>32)%len(subsets)]
+		if x>>8&7 == 0 {
+			start := int(x >> 44)
+			subset = bitvec.Range(start, start+17+int((x>>16)%(1<<12)))
+		}
 		records = append(records, sketch.Published{
 			ID:     bitvec.UserID(x % 100_000),
-			Subset: subsets[int(x>>32)%len(subsets)],
+			Subset: subset,
 			S:      sketch.Sketch{Key: x % (1 << uint(length)), Length: length},
 		})
 	}
@@ -62,7 +70,7 @@ func samePub(a, b sketch.Published) bool {
 // FuzzSegmentIndex corrupts an arbitrary byte — a frame's length or
 // checksum, a run header's subset, shape byte or count, an id block's
 // width byte, first id or differences, the words and their pad bits, the
-// footer's record count, anywhere — of a v8 segment written here from a
+// footer's record count, anywhere — of a v9 segment written here from a
 // fuzzer-shaped record set, with twoLengths one whose subsets are each a
 // run at ℓ = 10 and one at ℓ = 20, as the one segment of a one-shard
 // store.  Then it drives every read path — Iterate, ReadBatch and Lookup —
@@ -70,8 +78,9 @@ func samePub(a, b sketch.Published) bool {
 // corrupted in place, and under one opened on the corrupted segment.  The
 // contract: the open fails loudly, or every read returns exactly the
 // written records or fails loudly; reads never panic, never return a
-// wrong, missing or misattributed record, and hostile lengths never drive
-// huge allocations.
+// wrong, missing or misattributed record, and no field drives an
+// allocation: scanning the image allocates at most 1 MiB and 128 bytes a
+// byte of it, as replay may (FuzzWALReplay).
 func FuzzSegmentIndex(f *testing.F) {
 	// first returns where the first run's frame of a seed's segment starts,
 	// the size of its head, its subset's compact length, where its id
@@ -119,6 +128,16 @@ func FuzzSegmentIndex(f *testing.F) {
 	f.Add(uint64(6), 64, -10, byte(0x40), true)     // the last frame's words
 	f.Add(uint64(7), 33, -1, byte(0xFF), false)     // the footer's record count
 	f.Add(uint64(7), 33, -8, byte(0x01), true)      // its top byte
+	// Lone records each under a long stretch of its own, clean, and with
+	// the first such name's first token made 32 positions long.
+	image, runs := encodeSegment(fuzzSegmentRecords(9, 100, false))
+	i := slices.IndexFunc(runs, func(r segRun) bool { return r.subset.Len() > 16 })
+	name := runs[i].subset.AppendCompact(nil)
+	_, c := binary.Uvarint(name)
+	_, k := binary.Uvarint(name[c:])
+	_, h := binary.Uvarint(image[runs[i].start:])
+	f.Add(uint64(9), 100, -1, byte(0), false)
+	f.Add(uint64(9), 100, int(runs[i].start)+h+4+c+k, byte(0x10), false)
 	f.Fuzz(func(t *testing.T, seed uint64, n, corruptAt int, corruptXor byte, twoLengths bool) {
 		if n < 0 || n > 300 {
 			n = int(uint(n) % 301)
@@ -144,6 +163,13 @@ func FuzzSegmentIndex(f *testing.F) {
 		if corruptAt >= 0 && corruptAt < len(image) && corruptXor != 0 {
 			image[corruptAt] ^= corruptXor
 			corrupted = true
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = scanSegment(image, "seg")
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+128*len(image)); grew > bound {
+			t.Fatalf("scanning a %d-byte segment allocated %d bytes", len(image), grew)
 		}
 		// A readable error is a correct outcome for corruption alone.
 		loud := func(what string, err error) bool {
@@ -233,8 +259,11 @@ func FuzzSegmentIndex(f *testing.F) {
 
 // fuzzLog builds a valid log of the given number of windows, each a few
 // records over up to three subsets, now and then followed by a lone
-// record's, and returns it with the normalized records it holds.
-func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published) {
+// record's, and returns it with the normalized records it holds.  With
+// long, every window is followed by a lone record under a long stretch of
+// its own: 2⁹ to 2¹⁵ positions from a start of its own, named in 4 or 5
+// bytes every 16 of them.
+func fuzzLog(t *testing.T, seed uint64, windows int, long bool) ([]byte, []sketch.Published) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), walName)
 	w, err := openWAL(path, false, nil)
@@ -281,6 +310,15 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 			}
 			all = append(all, p)
 		}
+		if long {
+			x = splitmix64(x)
+			start := int(x >> 40)
+			p := sketch.Published{ID: bitvec.UserID(x % 50), Subset: bitvec.Range(start, start+1<<(9+x%7)), S: sketch.Sketch{Key: x >> 34, Length: 30}}
+			if err := w.AppendBatch([]sketch.Published{p}); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, p)
+		}
 	}
 	image, err := os.ReadFile(path)
 	if err != nil {
@@ -295,14 +333,12 @@ func fuzzLog(t *testing.T, seed uint64, windows int) ([]byte, []sketch.Published
 // frame claiming gigabytes, a frame head whose length is longer than 5
 // bytes, padded or past maxFrameBytes, a frame cut short, a whole frame
 // with a flipped bit, a run header with the lone-record bit and a count,
-// or with it on a run sharing ids — replay must not panic, must not
-// allocate beyond what the file's size accounts for, must return exactly
-// the prefix's records and must truncate the file to exactly the prefix.
-// A subset's name is the one field the file's size does not bound: a few
-// bytes may name a stretch of up to 2¹⁷ positions, parsed once a distinct
-// name (parseRunHeader); the seed of 2³² positions is refused, and a
-// checksum-clean frame naming a long stretch is beyond what the fuzzer
-// forges.
+// or with it on a run sharing ids, a name of a stretch of 2³² positions —
+// replay must not panic, must not allocate beyond what the file's size
+// accounts for, must return exactly the prefix's records and must
+// truncate the file to exactly the prefix.  With windows from 12 to 23
+// the prefix follows every window with a lone record under a long stretch
+// of its own (fuzzLog), whose name replay parses into positions and a Tag.
 func FuzzWALReplay(f *testing.F) {
 	frame := logFrame
 	f.Add(uint64(1), 3, []byte(nil))
@@ -313,6 +349,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint64(29), 4, frame([]byte{1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 9, 0x40, 0, 1, 2})) // a stretch of 2³² positions
 	f.Add(uint64(6), 1, frame([]byte{1, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF, 0x07, 0, 0, 0, 1}))     // 2³¹ records
 	f.Add(uint64(7), 6, walMagic[:])
+	f.Add(uint64(36), 12+11, []byte(nil))                                                  // eleven long stretches
+	f.Add(uint64(37), 12+4, []byte{1, 1, 0x0E, 0})                                         // four, then the start of a name
 	f.Add(uint64(24), 2, frame([]byte{1, 0, 1 | sharedIDs, 0x01}))                         // a first run sharing the ids of none
 	f.Add(uint64(25), 2, frame([]byte{1, 0, 1, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1})) // a padded count
 	// A clean frame of two runs, the second sharing the first's one id,
@@ -379,9 +417,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(uint64(16), 2, frame(framePayload(tag, 3, sketch.MaxLength+14, append(bytes.Clone(ids), packBits([]uint64{0x21, 1<<13 | 0x11, 0x01}, 14)...))))
 	f.Add(uint64(23), 2, frame(framePayload(tag, 3, sketch.MaxLength+1, append(bytes.Clone(ids), packBits([]uint64{1, 2, 3}, 31)...))))
 	f.Fuzz(func(t *testing.T, seed uint64, windows int, tail []byte) {
+		long := uint(windows)/12%2 == 1
 		windows = int(uint(windows) % 12)
 		tail = bytes.Clone(tail) // the fuzzer keeps its inputs
-		prefix, want := fuzzLog(t, seed, windows)
+		prefix, want := fuzzLog(t, seed, windows, long)
 		// The tail must not open with a whole valid window, or it would
 		// belong to the prefix: the fuzzer may keep every other byte of one.
 		if _, err := eachFrame(tail, 0, len(tail), func(_ int, payload []byte) error {

@@ -61,7 +61,7 @@ const (
 )
 
 // frameHeadLen is the size of the head of a frame of n bytes of payload.
-func frameHeadLen(n int) int { return uvarintLen(n) + 4 }
+func frameHeadLen(n int) int { return bitvec.UvarintLen(uint64(n)) + 4 }
 
 // maxRecordSize bounds one record, which in practice bounds its subset
 // tag: an id and a sketch's key are at most 8 bytes and 30 bits.

@@ -114,22 +114,22 @@ func framePayload(b bitvec.Subset, n int, header byte, cols []byte) []byte {
 }
 
 // compactName is b's name in a run header as the format says, knowing
-// nothing of Subset.AppendCompact: a uvarint count of stretches, then each
-// maximal stretch of consecutive positions as a uvarint start·2, or
-// start·2 + 1 and a uvarint length − 2.
+// nothing of Subset.AppendCompact: a uvarint count of tokens, then each
+// stretch of up to 16 consecutive positions as a uvarint start·2, or
+// start·2 + 1 and a byte holding the length − 2.
 func compactName(b bitvec.Subset) []byte {
 	pos := b.Positions()
 	var tokens []byte
 	count := 0
 	for i := 0; i < len(pos); count++ {
 		k := 1
-		for i+k < len(pos) && pos[i+k] == pos[i]+k {
+		for k < 16 && i+k < len(pos) && pos[i+k] == pos[i]+k {
 			k++
 		}
 		if k == 1 {
 			tokens = binary.AppendUvarint(tokens, uint64(pos[i])*2)
 		} else {
-			tokens = binary.AppendUvarint(binary.AppendUvarint(tokens, uint64(pos[i])*2+1), uint64(k-2))
+			tokens = append(binary.AppendUvarint(tokens, uint64(pos[i])*2+1), byte(k-2))
 		}
 		i += k
 	}
