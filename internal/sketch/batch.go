@@ -254,7 +254,7 @@ func (t *Table) Land(b *Batch) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, r := range runs {
-		t.columnFor(r.subset).land(r.ids, r.keys, true)
+		t.columnFor(r.subset).land(IDs{}, r.ids, r.keys, true)
 	}
 	return b.n
 }

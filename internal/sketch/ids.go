@@ -336,9 +336,9 @@ func (s IDs) At(i int) bitvec.UserID {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("sketch: id %d of %d", i, s.n))
 	}
-	var c IDCursor
-	c.Reset(s)
-	return c.At(i)
+	var c idCursor
+	c.reset(s)
+	return c.at(i)
 }
 
 // seek returns the last block at or after lo whose first id is at or below
@@ -484,19 +484,19 @@ func (s IDs) Slice(lo, hi int) IDs {
 	}
 }
 
-// IDCursor reads a column at positions that mostly move forward, decoding
+// idCursor reads a column at positions that mostly move forward, decoding
 // a block when a read first lands in it: what a merge walks a source with.
-type IDCursor struct {
+type idCursor struct {
 	ids  IDs
 	have int // the decoded block's index + 1, 0 for none
 	buf  [IDBlockLen]bitvec.UserID
 }
 
-// Reset points the cursor at a column.
-func (c *IDCursor) Reset(ids IDs) { c.ids, c.have = ids, 0 }
+// reset points the cursor at a column.
+func (c *idCursor) reset(ids IDs) { c.ids, c.have = ids, 0 }
 
-// At returns id i of the column.
-func (c *IDCursor) At(i int) bitvec.UserID {
+// at returns id i of the column.
+func (c *idCursor) at(i int) bitvec.UserID {
 	i += c.ids.skip
 	if k := i / IDBlockLen; k+1 != c.have {
 		blk := c.ids.block(k)
@@ -515,7 +515,7 @@ func (c *IDCursor) At(i int) bitvec.UserID {
 // a merge asks for ids a few records apart far more often than for one a
 // column away; past its end, the blocks wholly at or below id are stepped
 // over by their successors' first ids (seek), and one more is scanned.
-func (c *IDCursor) upTo(i int, id bitvec.UserID) (to int, hit bool) {
+func (c *idCursor) upTo(i int, id bitvec.UserID) (to int, hit bool) {
 	s := c.ids
 	at, total, blocks := i+s.skip, s.n+s.skip, len(s.offs)-1
 	for at < total {
@@ -531,7 +531,7 @@ func (c *IDCursor) upTo(i int, id bitvec.UserID) (to int, hit bool) {
 			}
 		} else {
 			for ; at < end; at++ {
-				other := c.At(at - s.skip)
+				other := c.at(at - s.skip)
 				if other > id {
 					break
 				}
@@ -570,9 +570,6 @@ func (b *IDBuilder) Grow(n, size int) {
 
 // Len returns how many ids were appended.
 func (b *IDBuilder) Len() int { return b.n + b.np }
-
-// Last returns the last id appended; there must be one.
-func (b *IDBuilder) Last() bitvec.UserID { return b.last }
 
 // follows panics unless id exceeds every id appended before: the callers
 // sort first, so anything else is a bug in one of them.
@@ -622,12 +619,12 @@ func (b *IDBuilder) flush() {
 	b.n, b.np = b.n+b.np, 0
 }
 
-// AppendIDs appends ids [lo, hi) of the column c reads, which must exceed
+// appendIDs appends ids [lo, hi) of the column c reads, which must exceed
 // every id appended before.  Where the builder stands on a block boundary
 // and the stretch covers whole blocks, their bytes move as they are, and a
 // stretch of a raw block moves as bytes wherever it stands; the rest is
 // read through the cursor and coded anew.
-func (b *IDBuilder) AppendIDs(c *IDCursor, lo, hi int) {
+func (b *IDBuilder) appendIDs(c *idCursor, lo, hi int) {
 	s := c.ids
 	for lo < hi {
 		at := lo + s.skip
@@ -641,7 +638,7 @@ func (b *IDBuilder) AppendIDs(c *IDCursor, lo, hi int) {
 			}
 			b.b = append(b.b, s.b[s.offs[k]:s.offs[k+blocks]]...)
 			b.n, lo = b.n+blocks*IDBlockLen, lo+blocks*IDBlockLen
-			b.last = c.At(lo - 1)
+			b.last = c.at(lo - 1)
 		} else if blk := s.block(k); blk[0] == rawIDWidth {
 			m := min(hi-lo, IDBlockLen-j, IDBlockLen-b.np)
 			raw := blk[1+8*j : 1+8*(j+m)]
@@ -652,7 +649,7 @@ func (b *IDBuilder) AppendIDs(c *IDCursor, lo, hi int) {
 				b.flush()
 			}
 		} else {
-			b.Append(c.At(lo))
+			b.Append(c.at(lo))
 			lo++
 		}
 	}

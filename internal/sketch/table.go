@@ -130,12 +130,122 @@ func (r Run) Clone() Run {
 	return Run{Subset: r.Subset, IDs: r.IDs, Keys: r.Keys.Clone()}
 }
 
+// Merge merges runs of one sketch length, the ids of each strictly
+// ascending, into a fresh run: their ids ascending, an id that several of
+// them hold taken with its key from the first listed.  The run shares
+// nothing with theirs, is sized to what it holds and codes its ids in the
+// bytes MakeIDs codes them in.  It is the one merge of id columns: a table
+// column's stack, its fold and its loads, and a store's replay, compaction
+// and conversion all come here.
+//
+// Each run's cursor waits in a heap ordered by (next id, place in the
+// list).  The least gives up in one step its whole stretch below the next
+// least's id — as bytes where the stretch covers whole blocks on a block
+// boundary or lies in a raw block (IDBuilder.appendIDs), its keys 64 bits
+// at a time — so runs that follow one another, as those of users numbered
+// as they enrol do, move whole; a cursor at an id already taken skips past
+// it.
+func Merge(parts []Run) (IDs, Words) {
+	total, size, shape := 0, 0, Shape(0)
+	for p := range parts {
+		if n := parts[p].Len(); n > 0 {
+			total, size, shape = total+n, size+parts[p].IDs.Bytes(), parts[p].Keys.Shape()
+		}
+	}
+	var ids IDBuilder
+	ids.Grow(total, size)
+	keys := MakeWords(shape, 0, total)
+	// A column's fold merges its run, its pending runs and level 0: a few
+	// parts, whose cursors need no allocation.
+	var curBuf [16]idCursor
+	var headBuf [16]mergeHead
+	curs, heap := curBuf[:], headBuf[:0]
+	if len(parts) > len(curBuf) {
+		curs, heap = make([]idCursor, len(parts)), make([]mergeHead, 0, len(parts))
+	}
+	for p := range parts {
+		if n := parts[p].Len(); n > 0 {
+			curs[p].reset(parts[p].IDs)
+			heap = append(heap, mergeHead{id: curs[p].at(0), part: p, end: n})
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for len(heap) > 0 {
+		top := &heap[0]
+		cur, from, to := &curs[top.part], top.pos, top.end
+		switch {
+		case ids.Len() > 0 && top.id <= ids.last:
+			// An earlier part gave this id.
+			to, _ = cur.upTo(from, ids.last)
+			from = to
+		case len(heap) > 1:
+			next := heap[1].id
+			if len(heap) > 2 {
+				next = min(next, heap[2].id)
+			}
+			// The first id — next itself only there, where the heap's order
+			// says no earlier part holds it — and those after it below next.
+			// Parts that interleave, as hashed ids and a store's shards do,
+			// mostly give up the first alone.
+			if to = from + 1; to < top.end && cur.at(to) < next {
+				var hit bool
+				if to, hit = cur.upTo(to, next); hit {
+					to--
+				}
+			}
+		}
+		if to == from+1 {
+			// One id: top.id.
+			ids.Append(top.id)
+			putBits(keys.w, keys.grow(1), parts[top.part].Keys.raw(from), shape.Bits())
+		} else {
+			ids.appendIDs(cur, from, to)
+			keys.appendRange(&parts[top.part].Keys, from, to)
+		}
+		if to == top.end {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		} else {
+			top.id, top.pos = cur.at(to), to
+		}
+		siftDown(heap, 0)
+	}
+	return ids.IDs(), keys
+}
+
+// mergeHead is a Merge part's cursor: its next id, where that stands and
+// where the part ends.
+type mergeHead struct {
+	id       bitvec.UserID
+	part     int // the part's place in the list
+	pos, end int
+}
+
+// siftDown restores the order of the heap below i, least (id, part) first.
+func siftDown(heap []mergeHead, i int) {
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
+			if h, l := heap[c], heap[least]; h.id < l.id || h.id == l.id && h.part < l.part {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		heap[i], heap[least] = heap[least], heap[i]
+		i = least
+	}
+}
+
 // column holds one subset's records in parts that never share an id.
 // ids and keys are the id-sorted run: sized exactly, and never written
 // once set — views alias them, so a fold or a load builds new arrays.
 // The records written since the run was built are pending, in parts no
 // view reaches, until a fold merges them into a fresh run: a stack of
-// sorted runs coded as the run is (deltas), immutable like it, and on top
+// sorted runs coded as the run is, immutable like it, and on top
 // of them level 0, at most level0Len raw ids with their keys beside them
 // and kept in order, its arrays made at their full room once a fold cycle.
 // Every part holds its sketches at the column's one length (shape).
@@ -148,7 +258,7 @@ type column struct {
 	ids   IDs
 	keys  Words
 	// deltas are the pending runs, longer ones below (push).
-	deltas []delta
+	deltas []Run
 	// Level 0: ids and the keys their users published, both as they
 	// arrived, and l0Order, the places of the ids in ascending order, so
 	// that an insert moves a byte a record behind its place rather than
@@ -166,12 +276,6 @@ type column struct {
 	// touched the subset; folding does not bump it, the record set is the
 	// same.
 	gen uint64
-}
-
-// delta is one of a column's pending runs.
-type delta struct {
-	ids  IDs
-	keys Words
 }
 
 // pendingLimit is how many records may pend beside an n-record run before
@@ -209,8 +313,8 @@ func (c *column) get(id bitvec.UserID) (Sketch, bool) {
 		return Sketch{}, false
 	}
 	for _, d := range c.deltas {
-		if i, ok := d.ids.Find(id); ok {
-			return d.keys.Sketch(i), true
+		if i, ok := d.IDs.Find(id); ok {
+			return d.Keys.Sketch(i), true
 		}
 	}
 	if i := c.level0Search(0, len(c.l0), id); i < len(c.l0) && c.level0ID(i) == id {
@@ -250,17 +354,17 @@ func (c *column) level0Search(lo, hi int, id bitvec.UserID) int {
 // walk calls found with the index in ids — ascending, repeats side by side
 // — of each id the column holds, its first if it repeats, and the sketch
 // held for it.  Each part is walked once as the ids ascend: the run and
-// each pending run by a cursor (IDCursor.upTo), level 0 by a search from
+// each pending run by a cursor (idCursor.upTo), level 0 by a search from
 // where the last one stopped; a pending part is asked only for the ids the
 // filter does not rule out.
 func (c *column) walk(ids []bitvec.UserID, found func(j int, have Sketch)) {
-	var cur IDCursor
+	var cur idCursor
 	for part := -1; part < len(c.deltas); part++ {
 		run, keys := c.ids, c.keys
 		if part >= 0 {
-			run, keys = c.deltas[part].ids, c.deltas[part].keys
+			run, keys = c.deltas[part].IDs, c.deltas[part].Keys
 		}
-		cur.Reset(run)
+		cur.reset(run)
 		pos := 0 // the first record of the part past the ids asked
 		for j, id := range ids {
 			if (j > 0 && ids[j-1] == id) || (part >= 0 && !c.filter.has(id)) {
@@ -307,8 +411,8 @@ func (c *column) enter(ids ...bitvec.UserID) {
 	c.filter = newBloom(2 * c.pending)
 	var buf [IDBlockLen]bitvec.UserID
 	for _, d := range c.deltas {
-		for k := range d.ids.Blocks() {
-			for _, id := range d.ids.Block(k, &buf) {
+		for k := range d.IDs.Blocks() {
+			for _, id := range d.IDs.Block(k, &buf) {
 				c.filter.add(id)
 			}
 		}
@@ -368,7 +472,7 @@ func (c *column) landPending(ids []bitvec.UserID, keys Words) {
 		c.spill()
 	}
 	if m > level0Len {
-		c.push(delta{MakeIDs(ids), keys})
+		c.push(Run{IDs: MakeIDs(ids), Keys: keys})
 	} else {
 		// From the top down, the ids of level 0 above each new one move up
 		// past it in one copy, and it takes its place below them.
@@ -414,7 +518,7 @@ func (c *column) spill() {
 	if len(c.l0) > 0 {
 		var buf [level0Len]bitvec.UserID
 		ids, keys := c.level0Sorted(buf[:0])
-		c.push(delta{MakeIDs(ids), keys})
+		c.push(Run{IDs: MakeIDs(ids), Keys: keys})
 		c.l0, c.l0Keys, c.l0Order = c.l0[:0], c.l0Keys[:0], c.l0Order[:0]
 	}
 }
@@ -426,12 +530,12 @@ func (c *column) spill() {
 // A run then merges once each time it grows stackFanIn-fold, so a record
 // is copied about log₈(pending/256) times before a fold, and the stack
 // holds fewer than stackFanIn runs a class.
-func (c *column) push(d delta) {
-	c.deltas = append(c.deltas, d)
+func (c *column) push(r Run) {
+	c.deltas = append(c.deltas, r)
 	for n := len(c.deltas); n >= stackFanIn && sizeClass(c.deltas[n-stackFanIn]) <= sizeClass(c.deltas[n-1]); n = len(c.deltas) {
-		ids, keys := gather(c.deltas[n-stackFanIn:], c.shape)
+		ids, keys := Merge(c.deltas[n-stackFanIn:])
 		clear(c.deltas[n-stackFanIn:])
-		c.deltas = append(c.deltas[:n-stackFanIn], delta{MakeIDs(ids), keys})
+		c.deltas = append(c.deltas[:n-stackFanIn], Run{IDs: ids, Keys: keys})
 	}
 }
 
@@ -441,84 +545,27 @@ const stackFanIn = 8
 
 // sizeClass is the size class of a pending run, ⌊log₈(len/level0Len)⌋:
 // class c holds runs of level0Len·8ᶜ up to level0Len·8ᶜ⁺¹ records.
-func sizeClass(d delta) int { return (bits.Len(uint(d.ids.Len()/level0Len)) - 1) / 3 }
+func sizeClass(r Run) int { return (bits.Len(uint(r.Len()/level0Len)) - 1) / 3 }
 
-// fold merges the pending records into a fresh run and drops their parts:
-// level 0 and the runs on the stack, if any, are gathered into one sorted
-// array, which merges into the run.
+// fold merges the pending records into a fresh run and drops their parts.
 func (c *column) fold() {
-	if c.pending == 0 {
-		return
+	if c.pending > 0 {
+		c.merge()
 	}
-	var buf [level0Len]bitvec.UserID
-	ids, keys := c.level0Sorted(buf[:0])
-	if len(c.deltas) > 0 {
-		ids, keys = gather(append(c.deltas, delta{MakeIDs(ids), keys}), c.shape)
-	}
-	c.setRun(mergeRuns(c.ids, c.keys, ids, keys))
-	c.deltas, c.l0, c.l0Keys, c.l0Order, c.filter, c.pending = nil, nil, nil, nil, nil, 0
 }
 
-// gather merges pending runs — ids strictly ascending in each, none held
-// by two — into one array of raw ids, ascending, with their keys beside
-// them in a column of the given shape.  The runs are decoded into one
-// buffer, a block at a time.  Where they follow one another, as the runs
-// of users numbered as they enrol do, that is the array and their keys
-// are appended whole; otherwise it is merged: the run with the least next
-// id gives up its records below the least next id of the others.
-func gather(parts []delta, shape Shape) ([]bitvec.UserID, Words) {
-	// Run p's records are src[pos[p]:end[p]], its first at end[p] less its
-	// length.
-	var posBuf, endBuf [16]int
-	pos, end := posBuf[:0], endBuf[:0]
-	n := 0
-	for _, d := range parts {
-		n += d.ids.Len()
+// merge merges the run, the pending parts — the stack bottom first, then
+// level 0, coded as one more run — and the runs more, first record wins,
+// into a fresh run in one pass, and drops the pending parts.
+func (c *column) merge(more ...Run) {
+	parts := append([]Run{{IDs: c.ids, Keys: c.keys}}, c.deltas...)
+	if len(c.l0) > 0 {
+		var buf [level0Len]bitvec.UserID
+		ids, keys := c.level0Sorted(buf[:0])
+		parts = append(parts, Run{IDs: MakeIDs(ids), Keys: keys})
 	}
-	src := make([]bitvec.UserID, 0, n)
-	for _, d := range parts {
-		pos = append(pos, len(src))
-		src = d.ids.AppendTo(src)
-		end = append(end, len(src))
-	}
-	if Ascends(src) {
-		keys := MakeWords(shape, 0, n)
-		for _, d := range parts {
-			keys = keys.AppendWords(d.keys)
-		}
-		return src, keys
-	}
-	ids, keys := make([]bitvec.UserID, 0, n), MakeWords(shape, n, n)
-	bw, b := newBitWriter(keys.w, 0), shape.Bits()
-	for {
-		best, bound := -1, ^bitvec.UserID(0)
-		for p := range parts {
-			if pos[p] == end[p] {
-				continue
-			}
-			switch h := src[pos[p]]; {
-			case best < 0:
-				best = p
-			case h < src[pos[best]]:
-				bound, best = min(bound, src[pos[best]]), p
-			default:
-				bound = min(bound, h)
-			}
-		}
-		if best < 0 {
-			break
-		}
-		first := end[best] - parts[best].ids.Len()
-		for {
-			ids = append(ids, src[pos[best]])
-			bw.put(parts[best].keys.raw(pos[best]-first), b)
-			if pos[best]++; pos[best] == end[best] || src[pos[best]] >= bound {
-				break
-			}
-		}
-	}
-	bw.flush()
-	return ids, keys
+	c.setRun(Merge(append(parts, more...)))
+	c.deltas, c.l0, c.l0Keys, c.l0Order, c.filter, c.pending = nil, nil, nil, nil, nil, 0
 }
 
 // A bloom is a Bloom filter over user ids (Bloom, "Space/time trade-offs
@@ -652,44 +699,6 @@ func sortIDs(ids []bitvec.UserID, at []int32) ([]bitvec.UserID, []int32) {
 	return ids, at
 }
 
-// mergeRuns merges a sorted run and sorted ids into a fresh run sized to
-// what it holds, first record wins: an id of b already in a, or repeated
-// within b, is dropped.  The keys of both are of one length.  Stretches of
-// a between two ids of b move whole — as bytes, where they cover whole
-// blocks of a and land on a block boundary, which is everything but a's
-// last block when b's users enrolled after a's, and wherever they stand in
-// a raw block (IDBuilder.AppendIDs).
-func mergeRuns(a IDs, aKeys Words, b []bitvec.UserID, bKeys Words) (IDs, Words) {
-	n := a.Len() + len(b)
-	var ids IDBuilder
-	// b is taken to code as a does — the column's users enrolled the same
-	// way — plus a block's fixed bytes.
-	ids.Grow(n, a.Bytes()+(a.Bytes()*len(b)+a.Len())/(a.Len()+1)+2*len(b)/IDBlockLen+9)
-	shape := aKeys.Shape()
-	if aKeys.Len() == 0 {
-		shape = bKeys.Shape()
-	}
-	keys := MakeWords(shape, 0, n)
-	var cur IDCursor
-	cur.Reset(a)
-	i := 0
-	for j, id := range b {
-		from := i
-		var held bool // a already holds id
-		i, held = cur.upTo(i, id)
-		ids.AppendIDs(&cur, from, i)
-		keys.appendRange(&aKeys, from, i)
-		if held || (j > 0 && b[j-1] == id) {
-			continue
-		}
-		ids.Append(id)
-		keys.appendRange(&bKeys, j, j+1)
-	}
-	ids.AppendIDs(&cur, i, a.Len())
-	keys.appendRange(&aKeys, i, a.Len())
-	return ids.IDs(), keys
-}
-
 // loadMergeRatio is how many stored records a sorted run being landed may
 // copy per record of its own.  A merge costs 5.5–6.5 ns per record of the
 // column it rebuilds on a 2-core box, even over hashed ids
@@ -705,45 +714,35 @@ func mergeRuns(a IDs, aKeys Words, b []bitvec.UserID, bKeys Words) (IDs, Words) 
 // up to 36k.
 const loadMergeRatio = 100
 
-// loadRun adds a run of records for the column's subset, first record
-// wins, and keeps ids and keys from here on.  The store replays (subset,
-// user)-ordered runs: onto an empty column one becomes the column's run as
-// it is, with no copy; otherwise it lands as land lands a batch.
-func (c *column) loadRun(ids IDs, keys Words) {
-	if ids.Len() == 0 {
-		return
-	}
-	if c.len() == 0 {
-		c.gen++
-		c.shape = keys.Shape()
-		c.setRun(ids, keys)
-		return
-	}
-	c.land(ids.AppendTo(nil), keys, false)
-}
-
-// land adds records for the column's subset — ids strictly ascending, keys
-// beside them and sized to them, both the column's to keep — first record
-// wins, as one write: onto an empty column they become its run, onto a
-// warm one they land by one linear merge that leaves nothing pending, and
-// a run too short to pay for a merge merges among the pending records
-// (landPending), the ids the column holds dropped first unless probed says
-// it holds none of them: a batch Probe admitted, whose caller kept other
-// writers off its pairs until it lands.
-func (c *column) land(ids []bitvec.UserID, keys Words, probed bool) {
+// land adds records for the column's subset — ids strictly ascending,
+// given as a column or, raw, as a slice, keys beside them and sized to
+// them, all the column's to keep — first record wins, as one write: onto
+// an empty column they become its run as they are, with no copy; onto a
+// warm one they merge with the run and the pending parts in one pass that
+// leaves nothing pending; and a run too short to pay for a merge merges
+// among the pending records (landPending), the ids the column holds
+// dropped first unless probed says it holds none of them: a batch Probe
+// admitted, whose caller kept other writers off its pairs until it lands.
+func (c *column) land(ids IDs, raw []bitvec.UserID, keys Words, probed bool) {
 	c.gen++
 	c.shape = keys.Shape()
-	switch {
-	case c.len() == 0:
-		c.setRun(MakeIDs(ids), keys)
-	case len(ids)*loadMergeRatio >= c.len():
-		c.fold()
-		c.setRun(mergeRuns(c.ids, c.keys, ids, keys))
-	default:
-		if !probed {
-			ids, keys = c.unheld(ids, keys)
+	if keys.Len()*loadMergeRatio < c.len() {
+		if raw == nil {
+			raw = ids.AppendTo(nil)
 		}
-		c.landPending(ids, keys)
+		if !probed {
+			raw, keys = c.unheld(raw, keys)
+		}
+		c.landPending(raw, keys)
+		return
+	}
+	if raw != nil {
+		ids = MakeIDs(raw)
+	}
+	if c.len() == 0 {
+		c.setRun(ids, keys)
+	} else {
+		c.merge(Run{IDs: ids, Keys: keys})
 	}
 }
 
@@ -866,7 +865,7 @@ func (t *Table) LoadRun(r Run) error {
 	if err := c.admits(r.IDs.At(0), int(r.Keys.Shape())); err != nil {
 		return err
 	}
-	c.loadRun(r.IDs, r.Keys)
+	c.land(r.IDs, nil, r.Keys, false)
 	return nil
 }
 

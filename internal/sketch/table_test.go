@@ -598,7 +598,7 @@ func TestTableMatchesMapOracle(t *testing.T) {
 func stackShape(c *column) []int {
 	out := make([]int, 0, len(c.deltas)+1)
 	for _, d := range c.deltas {
-		out = append(out, d.ids.Len())
+		out = append(out, d.IDs.Len())
 	}
 	return append(out, len(c.l0))
 }
@@ -666,7 +666,7 @@ func TestTablePendingRunsFindEveryRecord(t *testing.T) {
 					again(step, c.ids.At(rng.Intn(c.ids.Len())))
 				}
 				for _, d := range c.deltas {
-					again(step, d.ids.At(rng.Intn(d.ids.Len())))
+					again(step, d.IDs.At(rng.Intn(d.IDs.Len())))
 				}
 				if len(c.l0) > 0 {
 					again(step, c.l0[rng.Intn(len(c.l0))])
@@ -740,7 +740,7 @@ func TestTablePendingStack(t *testing.T) {
 			pick := func() []bitvec.UserID {
 				ids := []bitvec.UserID{c.ids.At(rng.Intn(c.ids.Len()))}
 				for _, d := range c.deltas {
-					ids = append(ids, d.ids.At(rng.Intn(d.ids.Len())))
+					ids = append(ids, d.IDs.At(rng.Intn(d.IDs.Len())))
 				}
 				if len(c.l0) > 0 {
 					ids = append(ids, c.l0[rng.Intn(len(c.l0))])
@@ -825,9 +825,9 @@ func TestTablePendingStack(t *testing.T) {
 					merges++
 					viewHolds(now)
 				}
-				deepest = max(deepest, c.deltas[0].ids.Len())
+				deepest = max(deepest, c.deltas[0].IDs.Len())
 				check(now)
-				if view.Len() == 0 && c.deltas[0].ids.Len() == firstMerge {
+				if view.Len() == 0 && c.deltas[0].IDs.Len() == firstMerge {
 					if !slices.Equal(now, []int{firstMerge, 1}) {
 						t.Fatalf("the first merge leaves the stack at %v, want [%d 1]", now, firstMerge)
 					}
@@ -1019,7 +1019,10 @@ func TestTableSnapshotRetainsNothing(t *testing.T) {
 // the very bytes, no copy — a run of some size onto a warm column is merged
 // into a run sized to what it holds, and a short one merges into level 0,
 // whose arrays, with the filter, a read drops with the pending records —
-// and a short one that holds nothing new makes none.
+// and a short one that holds nothing new makes none.  A run of some size
+// onto a column with records pending on its stack and in level 0 merges
+// with the run and both in one pass, the column's record winning an id it
+// holds wherever that stands.
 func TestTableLoadRunArms(t *testing.T) {
 	tab := NewTable()
 	b := bitvec.MustSubset(4)
@@ -1068,6 +1071,44 @@ func TestTableLoadRunArms(t *testing.T) {
 	}
 	if c.pending != 0 || c.l0 != nil || c.filter != nil || tab.CountForSubset(b) != 1102 {
 		t.Fatalf("a short load of held records leaves %d pending, level 0 %v, the column %d records", c.pending, c.l0, tab.CountForSubset(b))
+	}
+	// 300 inserts: a run of 256 on the stack, 44 in level 0.
+	for i := 0; i < 300; i++ {
+		if err := tab.Add(Published{ID: bitvec.UserID(3000 + 2*i), Subset: b, S: UnpackSketch(word)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.deltas) != 1 || len(c.l0) != 44 || c.pending != 300 {
+		t.Fatalf("300 inserts leave %d runs on the stack and %d records in level 0, want 1 and 44", len(c.deltas), len(c.l0))
+	}
+	// Ids 0 and 2 of the run, then every 15th from 3000 on: the even ones
+	// held on the stack and in level 0, the odd ones new.
+	other := Sketch{Key: 301, Length: 9}.Pack()
+	mixed := run(42, func(i int) bitvec.UserID {
+		if i < 2 {
+			return bitvec.UserID(2 * i)
+		}
+		return bitvec.UserID(3000 + 15*(i-2))
+	})
+	mixed.Keys = MakeWords(Shape(9), 0, 42)
+	for range 42 {
+		mixed.Keys = mixed.Keys.Append(other)
+	}
+	if err := tab.LoadRun(mixed); err != nil {
+		t.Fatal(err)
+	}
+	if c.ids.Len() != 1422 || !snug() || c.pending != 0 || c.l0 != nil || len(c.deltas) != 0 || c.filter != nil {
+		t.Fatalf("a merged load onto pending records leaves a run of %d records in %d id bytes with room for %d, %d pending; want 1422 and none", c.ids.Len(), len(c.ids.b), cap(c.ids.b), c.pending)
+	}
+	v, _ := tab.View(b)
+	for i := 0; i < v.Len(); i++ {
+		id, want := v.ID(i), word
+		if id >= 3000 && id%2 == 1 {
+			want = other
+		}
+		if (i > 0 && v.ID(i-1) >= id) || v.Sketch(i).Pack() != want {
+			t.Fatalf("record %d is user %v with %v after user %v", i, id, v.Sketch(i), v.ID(max(i-1, 0)))
+		}
 	}
 }
 
@@ -1321,7 +1362,7 @@ func TestTableHeapBytesPerRecord(t *testing.T) {
 			ingest(users, users+fresh)
 			for _, b := range subsets {
 				c := tab.lookup(b)
-				merged := len(c.deltas) > 0 && c.deltas[0].ids.Len() == stackFanIn*level0Len
+				merged := len(c.deltas) > 0 && c.deltas[0].IDs.Len() == stackFanIn*level0Len
 				if c.pending != fresh || merged != (fresh > stackFanIn*level0Len) {
 					t.Fatalf("subset %v holds %d pending records on a stack of %v, want %d, merged %v", b, c.pending, stackShape(c), fresh, fresh > stackFanIn*level0Len)
 				}

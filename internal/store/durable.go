@@ -509,45 +509,34 @@ func (d *Durable) shardOf(p sketch.Published) *dshard {
 // returns only after the window's shared fsync — acknowledged still means
 // durable.  A WAL past the flush threshold is rolled into a segment inline.
 func (d *Durable) Append(p sketch.Published) error {
-	sh := d.shardOf(p)
-	if sh.gc != nil {
-		return sh.appendGroup([]sketch.Published{p})
-	}
-	// No commit window to join: the log's own one-record group keeps the
-	// lone-writer path allocation-free.
 	one := [1]sketch.Published{p}
-	if err := checkRecords(one[:]); err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed {
-		return ErrClosed
-	}
-	if err := sh.wal.AppendBatch(one[:]); err != nil {
-		return err
-	}
-	sh.maybeRollLocked()
-	return nil
+	return d.shardOf(p).appendGroup(one[:])
 }
 
-// appendGroup lands one shard's slice of an AppendBatch: through the
-// commit window in fsync mode (one park and one shared fsync for the
-// whole group), or directly into the WAL otherwise.  All-or-nothing per
-// group, like wal.AppendBatch itself.
+// appendGroup lands one shard's slice of an AppendBatch, all or nothing:
+// framed on the caller's goroutine (frameGroup), then landed (landFrame).
 func (sh *dshard) appendGroup(ps []sketch.Published) error {
-	if err := checkRecords(ps); err != nil {
-		return err
+	pooled, frame, err := frameGroup(ps)
+	if err == nil {
+		err = sh.landFrame(frame, len(ps))
 	}
+	returnFrame(pooled, frame)
+	return err
+}
+
+// landFrame lands the frame of a group of records: through the commit
+// window in fsync mode (one park and one shared fsync for the whole
+// group), or directly into the WAL otherwise.
+func (sh *dshard) landFrame(frame []byte, records int) error {
 	if sh.gc != nil {
-		return sh.gc.submit(ps)
+		return sh.gc.submit(frame, records)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
 		return ErrClosed
 	}
-	if err := sh.wal.AppendBatch(ps); err != nil {
+	if err := sh.wal.appendWindow([]commitWaiter{{frame: frame, records: records}}); err != nil {
 		return err
 	}
 	sh.maybeRollLocked()
@@ -585,34 +574,46 @@ func (d *Durable) AppendBatch(ps []sketch.Published) (failed []int, err error) {
 		}
 		return nil, nil
 	}
-	groups := make([][]sketch.Published, len(d.shards))
-	idxs := make([][]int, len(d.shards))
-	for i, p := range ps {
-		s := userShard(p.ID, len(d.shards))
-		groups[s] = append(groups[s], p)
-		idxs[s] = append(idxs[s], i)
+	// Each shard's share of the batch: its records, their input indices,
+	// its frame and its outcome.
+	type share struct {
+		ps     []sketch.Published
+		at     []int
+		pooled *[]byte
+		frame  []byte
+		err    error
 	}
-	errs := make([]error, len(d.shards))
+	shares := make([]share, len(d.shards))
+	for i, p := range ps {
+		g := &shares[userShard(p.ID, len(d.shards))]
+		g.ps, g.at = append(g.ps, p), append(g.at, i)
+	}
 	var wg sync.WaitGroup
-	for s := range groups {
-		if len(groups[s]) == 0 {
-			continue
+	for s := range shares {
+		// Framed here, where the stack has room for it; the shard's
+		// goroutine, started small, lands the frame.
+		if g := &shares[s]; len(g.ps) > 0 {
+			if g.pooled, g.frame, g.err = frameGroup(g.ps); g.err == nil {
+				wg.Add(1)
+				go func(sh *dshard, g *share) {
+					defer wg.Done()
+					g.err = sh.landFrame(g.frame, len(g.ps))
+				}(d.shards[s], g)
+			}
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = d.shards[s].appendGroup(groups[s])
-		}(s)
 	}
 	wg.Wait()
 	errAt := -1
-	for s, serr := range errs {
-		if serr == nil {
+	for _, g := range shares {
+		if g.pooled != nil {
+			returnFrame(g.pooled, g.frame)
+		}
+		if g.err == nil {
 			continue
 		}
-		failed = append(failed, idxs[s]...)
-		if errAt < 0 || idxs[s][0] < errAt {
-			errAt, err = idxs[s][0], serr
+		failed = append(failed, g.at...)
+		if errAt < 0 || g.at[0] < errAt {
+			errAt, err = g.at[0], g.err
 		}
 	}
 	sort.Ints(failed)

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sketchprivacy/internal/sketch"
 )
 
 // Group commit: with Options.Fsync set, every production WAL's trick for
@@ -62,18 +60,20 @@ type groupCommit struct {
 	wg      sync.WaitGroup
 }
 
-// commitWaiter is one parked appender: its records — one for a plain
-// Append, a whole per-shard group for an AppendBatch — and the channel
-// the committer delivers the batch outcome on.  A multi-record waiter
-// costs one park and one wake regardless of its size, which is what
-// lets batched ingest amortize the scheduler alongside the fsync.
+// commitWaiter is one parked appender: the frame of its records — one
+// for a plain Append, a whole per-shard group for an AppendBatch — framed
+// before it parks, how many records that is, and the channel the
+// committer delivers the batch outcome on.  A multi-record waiter costs
+// one park and one wake regardless of its size, which is what lets
+// batched ingest amortize the scheduler alongside the fsync.
 type commitWaiter struct {
-	ps   []sketch.Published
-	errc chan error
+	frame   []byte
+	records int
+	errc    chan error
 }
 
-// commitBytes caps one commit window's framed bytes — the size of the
-// single write(2) a full window becomes; a full window commits immediately.
+// commitBytes caps one commit window's frames — the size of the single
+// write(2) a full window becomes; a full window commits immediately.
 const commitBytes = 1 << 20
 
 func newGroupCommit(sh *dshard, window time.Duration) *groupCommit {
@@ -90,12 +90,12 @@ func newGroupCommit(sh *dshard, window time.Duration) *groupCommit {
 
 // submit parks the caller on the shard's open commit window and returns
 // the batch outcome: nil only after every submitted record's write — and
-// in fsync mode its fsync — succeeded.  ps joins the window as one
-// all-or-nothing group.
-func (gc *groupCommit) submit(ps []sketch.Published) error {
-	frameBytes := windowBytes(ps)
+// in fsync mode its fsync — succeeded.  The frame of a group of records
+// joins the window as one all-or-nothing group, and the window's size cap
+// charges it the frame's length.
+func (gc *groupCommit) submit(frame []byte, records int) error {
 	gc.entering.Add(1)
-	w := commitWaiter{ps: ps, errc: make(chan error, 1)}
+	w := commitWaiter{frame: frame, records: records, errc: make(chan error, 1)}
 	gc.mu.Lock()
 	if gc.closed {
 		gc.mu.Unlock()
@@ -106,7 +106,7 @@ func (gc *groupCommit) submit(ps []sketch.Published) error {
 		gc.windowStart = time.Now()
 	}
 	gc.queue = append(gc.queue, w)
-	gc.bytes += frameBytes
+	gc.bytes += len(frame)
 	gc.mu.Unlock()
 	// Decrement before poking: the committer woken by this poke must see
 	// this record queued, not counted as a straggler it should wait for.
@@ -175,7 +175,7 @@ func (gc *groupCommit) commit() {
 	}
 	records := 0
 	for _, w := range batch {
-		records += len(w.ps)
+		records += w.records
 	}
 	sh := gc.sh
 	start := now(sh.m)

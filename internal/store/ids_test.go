@@ -61,9 +61,10 @@ func parseIDs(src []byte, n int) (sketch.IDs, error) {
 // map does through every reader an id column has (At, Find, the block
 // cursor, arbitrary slices), be coded exactly as the format says
 // (referenceColumns), and come back the same from the log's decoder, the
-// checked parser and a segment.  Then hostile goes into the decoders as it
-// is: an error or a well-formed ascending column no longer than asked for,
-// never a panic, never an allocation its length does not account for.
+// checked parser and a segment.  The merge leg then merges 1 to 9 runs of
+// those ids (mergeLeg).  Then hostile goes into the decoders as it is: an
+// error or a well-formed ascending column no longer than asked for, never
+// a panic, never an allocation its length does not account for.
 func FuzzColumnIDs(f *testing.F) {
 	f.Add(uint64(1), byte(0), []byte(nil), []byte(nil))
 	f.Add(uint64(2), byte(1), []byte{0x04, 0x00, 0x08, 0x0C, 0x06, 0x03, 0x00, 0x04, 0x07}, []byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1})
@@ -249,6 +250,7 @@ func FuzzColumnIDs(f *testing.F) {
 			}
 		}
 		check()
+		mergeLeg(t, &x, shape, user)
 
 		// The hostile leg: the first byte is how many ids the rest claims.
 		if len(hostile) == 0 {
@@ -302,6 +304,90 @@ func FuzzColumnIDs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mergeLeg merges 1 to 9 runs with sketch.Merge — their ids of the given
+// shape (fuzzID), drawn by user, so they overlap, or those of a stretch of
+// consecutive users, so they may follow one another; 0 to 149 of them, on
+// both sides of an id block; some cut off a block boundary — against a map
+// in which the first run listed that holds an id gives its key: a key
+// tells its run apart.  The merged ids must be the map's, coded in the
+// bytes MakeIDs codes them in and held in room sized to them, and be no
+// run's column; the runs must read as before.
+func mergeLeg(t *testing.T, x *uint64, shape byte, user func() bitvec.UserID) {
+	next := func(n uint64) int {
+		*x = splitmix64(*x)
+		return int(*x % n)
+	}
+	key := func(id bitvec.UserID, part int) uint64 {
+		return (uint64(id)*0x9E3779B97F4A7C15>>55 + uint64(part)) % 512
+	}
+	parts, before := make([]sketch.Run, 1+next(9)), make([][]sketch.Published, 0, 9)
+	first := make(map[bitvec.UserID]uint64)
+	for p := range parts {
+		var ids []bitvec.UserID
+		if n := next(150); next(2) == 0 {
+			for ; n > 0; n-- {
+				ids = append(ids, user())
+			}
+		} else {
+			// The ids of a stretch of consecutive users.
+			for u := uint64(next(600)); n > 0; n, u = n-1, u+1 {
+				ids = append(ids, fuzzID(shape, u))
+			}
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		var keys sketch.Words
+		for _, id := range ids {
+			keys = keys.Append(sketch.Sketch{Key: key(id, p), Length: 9}.Pack())
+		}
+		r := sketch.Run{IDs: sketch.MakeIDs(ids), Keys: keys}
+		if len(ids) > 0 && next(2) == 0 {
+			lo := next(uint64(len(ids)))
+			r = r.Slice(lo, lo+next(uint64(len(ids)-lo+1)))
+		}
+		for _, rec := range r.AppendTo(nil) {
+			if _, ok := first[rec.ID]; !ok {
+				first[rec.ID] = rec.S.Key
+			}
+		}
+		parts[p], before = r, append(before, r.AppendTo(nil))
+	}
+	want := make([]bitvec.UserID, 0, len(first))
+	for id := range first {
+		want = append(want, id)
+	}
+	slices.Sort(want)
+	ids, keys := sketch.Merge(parts)
+	if got := ids.AppendTo(nil); !slices.Equal(got, want) || keys.Len() != len(want) {
+		t.Fatalf("merging %d runs gives %d ids %v and %d keys, want %v", len(parts), ids.Len(), got, keys.Len(), want)
+	}
+	for i, id := range want {
+		if got := keys.Sketch(i); got != (sketch.Sketch{Key: first[id], Length: 9}) {
+			t.Fatalf("merging %d runs gives user %v the key %d, the first run holding it %d", len(parts), id, got.Key, first[id])
+		}
+	}
+	canon := sketch.MakeIDs(want)
+	for k := range ids.Blocks() {
+		if !bytes.Equal(ids.BlockBytes(k), canon.BlockBytes(k)) {
+			t.Fatalf("merging %d runs codes id block %d as %x, MakeIDs as %x", len(parts), k, ids.BlockBytes(k), canon.BlockBytes(k))
+		}
+	}
+	if k := ids.Blocks() - 1; k >= 0 {
+		// The last block's bytes run on to the end of the column's room.
+		if last := ids.BlockBytes(k); cap(last)-len(last) > ids.Bytes()/64 {
+			t.Fatalf("%d merged ids in %d bytes keep room for %d more", ids.Len(), ids.Bytes(), cap(last)-len(last))
+		}
+	}
+	for p, r := range parts {
+		if r.Len() > 0 && ids.Same(r.IDs) {
+			t.Fatalf("the merge of %d runs is run %d's column", len(parts), p)
+		}
+		if got := r.AppendTo(nil); !slices.EqualFunc(got, before[p], samePub) {
+			t.Fatalf("after the merge run %d reads %v, it read %v", p, got, before[p])
+		}
+	}
 }
 
 // TestIDColumnCanonical: the checked parser takes an id column exactly

@@ -103,7 +103,9 @@ func mergeSources(srcs []runSource, emit func(run) error) error {
 			for n < len(parts) && parts[n].Keys.Shape() == parts[0].Keys.Shape() {
 				n++
 			}
-			ids, keys := mergeColumns(parts[:n])
+			// Newest first: the first part listed wins an id.
+			slices.Reverse(parts[:n])
+			ids, keys := sketch.Merge(parts[:n])
 			if err := emit(run{tag: tag, Run: sketch.Run{Subset: subsets[tag], IDs: ids, Keys: keys}}); err != nil {
 				return err
 			}

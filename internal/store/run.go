@@ -293,73 +293,3 @@ func runsOf(runs []run, tag string) []run {
 	}
 	return runs[i:n]
 }
-
-// mergeColumns merges the sources of one subset and length, oldest first,
-// into fresh columns: ids ascending, the newest source winning an id two of
-// them hold.  The sources are left as they were.
-func mergeColumns(srcs []sketch.Run) (sketch.IDs, sketch.Words) {
-	total, size, shape := 0, 0, sketch.Shape(0)
-	// heap orders the unfinished sources by (next id, age): an entry is a
-	// source's next id and its index in srcs, which is its age; next[src]
-	// is how much of it has been merged, read through cur[src].
-	type cursor struct {
-		id  bitvec.UserID
-		src int
-	}
-	heap, next, cur := make([]cursor, 0, len(srcs)), make([]int, len(srcs)), make([]sketch.IDCursor, len(srcs))
-	for src, s := range srcs {
-		if s.Len() > 0 {
-			cur[src].Reset(s.IDs)
-			heap = append(heap, cursor{cur[src].At(0), src})
-			total, size, shape = total+s.Len(), size+s.IDs.Bytes(), s.Keys.Shape()
-		}
-	}
-	var ids sketch.IDBuilder
-	ids.Grow(total, size)
-	keys := sketch.MakeWords(shape, 0, total)
-	down := func(heap []cursor, i int) {
-		for {
-			least := i
-			for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
-				if heap[c].id < heap[least].id || (heap[c].id == heap[least].id && heap[c].src < heap[least].src) {
-					least = c
-				}
-			}
-			if least == i {
-				return
-			}
-			heap[i], heap[least] = heap[least], heap[i]
-			i = least
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		down(heap, i)
-	}
-	// Equal ids leave the heap oldest first, so a repeat overwrites.
-	for len(heap) > 0 {
-		top := heap[0]
-		s, at := &srcs[top.src], next[top.src]
-		if n := ids.Len(); n > 0 && ids.Last() == top.id {
-			keys.Set(n-1, s.Keys.At(at))
-		} else {
-			ids.Append(top.id)
-			keys = keys.Append(s.Keys.At(at))
-		}
-		at++
-		if len(heap) == 1 {
-			// What is left of the last source moves whole.
-			ids.AppendIDs(&cur[top.src], at, s.Len())
-			keys = keys.AppendWords(s.Keys.Slice(at, s.Len()))
-			break
-		}
-		if at < s.Len() {
-			heap[0].id = cur[top.src].At(at)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		next[top.src] = at
-		down(heap, 0)
-	}
-	return ids.IDs(), keys
-}

@@ -381,11 +381,6 @@ func (w *wal) runs() ([]run, error) {
 	return w.kept, nil
 }
 
-// AppendBatch writes ps as one window.
-func (w *wal) AppendBatch(ps []sketch.Published) error {
-	return w.appendWindow([]commitWaiter{{ps: ps}})
-}
-
 // checkRecords refuses records the log has no form for.  Every append
 // passes through it before it reaches a log or joins a commit window, so
 // one oversized or malformed record fails its own group, never a cohort.
@@ -399,27 +394,6 @@ func checkRecords(ps []sketch.Published) error {
 		}
 	}
 	return nil
-}
-
-// windowBytes bounds what the group ps adds to a commit window, for the
-// committer's size cap: for each run appendFrame writes, its header, at
-// most a width byte an id block and 8 bytes an id — none where it shares
-// the ids of the run before it — and its words; and the head of a frame of
-// that payload.  It is exact for a lone record — 20 bytes at P10 and ℓ =
-// 9 — and for runs whose ids are raw.
-func windowBytes(ps []sketch.Published) int {
-	n := 0
-	var prev []sketch.Published
-	for len(ps) > 0 {
-		k := stretch(ps)
-		shape := sketch.Shape(ps[0].S.Length)
-		n += runHeaderSize(ps[0].Subset, k) + wordsLen(k, shape)
-		if !sameIDs(prev, ps[:k]) {
-			n += (k+sketch.IDBlockLen-1)/sketch.IDBlockLen + 8*k
-		}
-		prev, ps = ps[:k], ps[k:]
-	}
-	return frameHeadLen(n) + n
 }
 
 // stretch returns how many records at the front of ps make one run: those
@@ -504,22 +478,44 @@ func appendFrameRun(buf []byte, ps []sketch.Published, shared bool) []byte {
 	return buf
 }
 
-// framePool lends each commit window the buffer its frames are assembled
-// in, so that no log keeps one between windows.
+// framePool lends each group the buffer it is framed in, and each commit
+// window the buffer its frames are joined in, so that no log keeps one
+// between windows.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendWindow writes a commit window — its waiters' groups, each one
-// appender's records — frame after frame with one write(2) and, in fsync mode, one
-// fsync covering every record: the group-commit primitive that amortizes
-// the durability cost over all writers parked on the window.  The window
-// is all-or-nothing to its appenders: a failed write or fsync truncates
-// the log back to its pre-window size, so no record the callers will be
-// NACKed for can resurrect on replay.  The records have passed
-// checkRecords.
+// frameGroup checks the records of an appended group (checkRecords) and
+// frames them, in a buffer borrowed from framePool that returnFrame gives
+// back.
+func frameGroup(ps []sketch.Published) (pooled *[]byte, frame []byte, err error) {
+	pooled = framePool.Get().(*[]byte)
+	frame = (*pooled)[:0]
+	if err = checkRecords(ps); err == nil {
+		frame, err = appendFrame(frame, ps)
+	}
+	return pooled, frame, err
+}
+
+// returnFrame gives framePool back its buffer, grown to buf, unless it
+// grew past a full window's size: that is left to the collector.
+func returnFrame(pooled *[]byte, buf []byte) {
+	if cap(buf) <= commitBytes {
+		*pooled = buf[:0]
+		framePool.Put(pooled)
+	}
+}
+
+// appendWindow writes a commit window — its waiters' frames, each one
+// appender's group of records — back to back with one write(2) and, in
+// fsync mode, one fsync covering every record: the group-commit primitive
+// that amortizes the durability cost over all writers parked on the
+// window.  The window is all-or-nothing to its appenders: a failed write
+// or fsync truncates the log back to its pre-window size, so no record the
+// callers will be NACKed for can resurrect on replay.  The records have
+// passed checkRecords.
 func (w *wal) appendWindow(window []commitWaiter) error {
 	n := 0
 	for _, c := range window {
-		n += len(c.ps)
+		n += c.records
 	}
 	if n == 0 {
 		return nil
@@ -531,22 +527,10 @@ func (w *wal) appendWindow(window []commitWaiter) error {
 	}
 	pooled := framePool.Get().(*[]byte)
 	buf := (*pooled)[:0]
-	defer func() {
-		// A buffer past a full window's size is left to the collector.
-		if cap(buf) <= commitBytes {
-			*pooled = buf[:0]
-			framePool.Put(pooled)
-		}
-	}()
 	for _, c := range window {
-		if len(c.ps) == 0 {
-			continue
-		}
-		var err error
-		if buf, err = appendFrame(buf, c.ps); err != nil {
-			return err
-		}
+		buf = append(buf, c.frame...)
 	}
+	defer returnFrame(pooled, buf)
 
 	start := now(w.m)
 	if n, err := w.f.Write(buf); err != nil {

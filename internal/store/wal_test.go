@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +14,17 @@ import (
 	"sketchprivacy/internal/obs"
 	"sketchprivacy/internal/sketch"
 )
+
+// AppendBatch writes ps to the log as a window of one group, as a shard
+// without a commit window lands one.
+func (w *wal) AppendBatch(ps []sketch.Published) error {
+	pooled, frame, err := frameGroup(ps)
+	if err == nil {
+		err = w.appendWindow([]commitWaiter{{frame: frame, records: len(ps)}})
+	}
+	returnFrame(pooled, frame)
+	return err
+}
 
 // openTornCopy writes image as the only shard's log of a new data
 // directory and opens it.
@@ -254,8 +264,15 @@ func TestWALKeepsNoScratchAcrossWindows(t *testing.T) {
 // order — one run per subset when they arrive subset by subset, as the
 // engine hands them over, a run per stretch when they do not — so the
 // newest of a repeated (user, subset) pair is still the last one, in the
-// frame and after normalization, whichever way the records arrive.
+// frame and after normalization, whichever way the records arrive.  The
+// group a commit window's size cap meets most, a lone P10 record, frames
+// in 20 bytes: a 5-byte head, 3 bytes of subset, the shape byte, a 9-byte
+// id block and 2 bytes of key.
 func TestWALWindowGroupsRunsStably(t *testing.T) {
+	lone := []sketch.Published{{ID: 1 << 40, Subset: bitvec.Range(0, 10), S: sketch.Sketch{Key: 5, Length: 9}}}
+	if frame, err := appendFrame(nil, lone); err != nil || len(frame) != 20 {
+		t.Fatalf("a lone P10 record frames in %d bytes (%v), want 20", len(frame), err)
+	}
 	b, b2 := bitvec.MustSubset(0, 3), bitvec.MustSubset(2)
 	older := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1, Length: 10}}
 	newer := sketch.Published{ID: 7, Subset: b, S: sketch.Sketch{Key: 1<<10 - 1, Length: 10}}
@@ -442,80 +459,6 @@ func TestSharedIDsOnFirstRunIsCorrupt(t *testing.T) {
 	two := payloadOf(windowFrame(t, testRecord(9, b), testRecord(9, b2)))
 	if _, err := scanSegment(oneRunSegment(two, 2), "seg"); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("a segment frame of two runs: scanSegment = %v", err)
-	}
-}
-
-// TestWindowBytesBoundsFrame: windowBytes, what the committer charges a
-// group against its window's size cap, is at least the bytes appendFrame
-// writes for it — for random groups of runs over subsets of 1 to 40
-// positions, scattered or in stretches of several, of 1 to 30 bits and 1
-// to 200 records, a quarter of the runs a single record, ids dense,
-// spread, hashed or out of order, each run sharing the ids of the one
-// before it or not — and exact for the group the cap meets most, a lone
-// record: 20 bytes for a P10 one (a 5-byte head, 3 bytes of subset, the
-// shape byte, a 9-byte id block and 2 bytes of key).
-func TestWindowBytesBoundsFrame(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	lone := []sketch.Published{{ID: 1 << 40, Subset: bitvec.Range(0, 10), S: sketch.Sketch{Key: 5, Length: 9}}}
-	if frame, err := appendFrame(nil, lone); err != nil || len(frame) != 20 || windowBytes(lone) != 20 {
-		t.Fatalf("a lone P10 record frames in %d bytes (%v), windowBytes says %d; want 20", len(frame), err, windowBytes(lone))
-	}
-	ones, multi := 0, 0
-	for trial := 0; trial < 2000; trial++ {
-		var group []sketch.Published
-		var prev []bitvec.UserID
-		for runs := 1 + rng.Intn(4); runs > 0; runs-- {
-			var positions []int
-			for _, p := range rng.Perm(200)[:1+rng.Intn(40)] {
-				if !slices.Contains(positions, p) {
-					positions = append(positions, p)
-				}
-				// Now and then a stretch from p on, as far as it is free.
-				for q := p + 1; rng.Intn(3) == 0 && !slices.Contains(positions, q); q++ {
-					positions = append(positions, q)
-				}
-			}
-			b, length := bitvec.MustSubset(positions...), 1+rng.Intn(30)
-			if stretches, _ := binary.Uvarint(b.AppendCompact(nil)); stretches > 1 && int(stretches) < b.Len() {
-				multi++ // several stretches, one of them longer than a position
-			}
-			ids := prev
-			if ids == nil || rng.Intn(2) == 0 {
-				n := 1 + rng.Intn(200)
-				if rng.Intn(4) == 0 {
-					n = 1
-				}
-				ids = make([]bitvec.UserID, n)
-				base := rng.Uint64()
-				for i := range ids {
-					switch rng.Intn(3) {
-					case 0:
-						ids[i] = bitvec.UserID(base + uint64(i))
-					case 1:
-						ids[i] = bitvec.UserID(base + uint64(i)*uint64(1+rng.Intn(1<<20)))
-					default:
-						ids[i] = bitvec.UserID(rng.Uint64())
-					}
-				}
-			}
-			if len(ids) == 1 {
-				ones++
-			}
-			for _, id := range ids {
-				group = append(group, sketch.Published{ID: id, Subset: b, S: sketch.Sketch{Key: rng.Uint64() % (1 << uint(length)), Length: length}})
-			}
-			prev = ids
-		}
-		frame, err := appendFrame(nil, group)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := windowBytes(group); got < len(frame) {
-			t.Fatalf("trial %d: windowBytes charges %d bytes for a %d-byte frame of %d records", trial, got, len(frame), len(group))
-		}
-	}
-	if ones < 500 || multi < 500 {
-		t.Fatalf("%d single-record runs and %d subsets of several stretches: the trials miss the cases they are for", ones, multi)
 	}
 }
 

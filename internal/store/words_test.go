@@ -313,9 +313,9 @@ func FuzzColumnWords(f *testing.F) {
 			sameSketches(t, "the column it was cloned from", gotKeys, wantSketches)
 			// As two halves merged.
 			half := len(want) / 2
-			mergedIDs, mergedKeys := mergeColumns([]sketch.Run{
-				runOf(gotIDs[half:], gotKeys.Slice(half, len(want))),
+			mergedIDs, mergedKeys := sketch.Merge([]sketch.Run{
 				runOf(gotIDs[:half], gotKeys.Slice(0, half).Clone()),
+				runOf(gotIDs[half:], gotKeys.Slice(half, len(want))),
 			})
 			same("the merged halves", sketch.Run{Subset: b, IDs: mergedIDs, Keys: mergedKeys}.AppendTo(nil), want)
 			fresh := sketch.NewTable()
